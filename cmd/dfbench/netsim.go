@@ -1,7 +1,8 @@
 // Flow-churn benchmark suite (-suite netsim): the optimized transfer path
-// — incremental max-min solver, lazy event cancellation, batched admission
-// — against the reference configuration retained in the simulator (full
-// recomputation, eager heap removal, one StartFlow per transfer). Both
+// — incremental max-min solver scheduling one completion event per solve,
+// lazy event cancellation, batched admission — against the reference
+// configuration retained in the simulator (full recomputation with one
+// event per flow, eager heap removal, one StartFlow per transfer). Both
 // sides run the same deterministic workload of fan-in bursts and mid-run
 // cancellations, and both must drain completely; the virtual-clock outcome
 // is identical by construction (see internal/netsim's equivalence tests),

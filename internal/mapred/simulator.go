@@ -29,6 +29,24 @@ func Run(cfg Config, jobs []JobSpec) (*Result, error) {
 // RunContext is Run with cancellation: ctx aborts the simulation at the
 // next heartbeat.
 func RunContext(ctx context.Context, cfg Config, jobs []JobSpec) (*Result, error) {
+	r, err := prepare(ctx, cfg, jobs)
+	if err != nil {
+		return nil, err
+	}
+	return runtime.Run(r.params, r.backend, r.jobs)
+}
+
+// simRun is one prepared simulation: the runtime's inputs.
+type simRun struct {
+	params  runtime.Params
+	backend *simBackend
+	jobs    []runtime.JobSpec
+}
+
+// prepare builds everything one simulation runs on — cluster, placements,
+// engine, network, scheduler, failure picks. It is split from RunContext
+// so a test can read the engine's and the network's counters after the run.
+func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -146,7 +164,7 @@ func RunContext(ctx context.Context, cfg Config, jobs []JobSpec) (*Result, error
 		return nil, err
 	}
 
-	return runtime.Run(runtime.Params{
+	return &simRun{params: runtime.Params{
 		Name:                "mapred",
 		Ctx:                 ctx,
 		Engine:              eng,
@@ -165,7 +183,7 @@ func RunContext(ctx context.Context, cfg Config, jobs []JobSpec) (*Result, error
 		Sink:                cfg.Trace,
 		Label:               cfg.TraceLabel,
 		TraceFlowRates:      cfg.TraceFlowRates,
-	}, backend, rjobs)
+	}, backend: backend, jobs: rjobs}, nil
 }
 
 // simBackend is the simulated-cost runtime backend: no real data moves,

@@ -5,7 +5,11 @@ package netsim
 // eager cancellation + one StartFlow per transfer). The two worlds must
 // produce bitwise-identical completion schedules, rate allocations, and
 // byte accounting for arbitrary interleavings of flow arrivals, batch
-// arrivals, and cancellations.
+// arrivals, cancellations, and engine events of the caller's own landing
+// on the very instant a flow completes. With admission held the same, the
+// order in which the engine dispatches everything — completions and the
+// caller's events alike — must match too, un-normalised: that is the
+// contract the incremental solver's single completion event rests on.
 
 import (
 	"fmt"
@@ -26,6 +30,14 @@ type scenarioOp struct {
 	at     float64
 	batch  []flowSpec // non-empty: start these flows; empty: cancel
 	victim int        // cancel target, index into flows started so far
+	// marker: schedule an engine event of the scenario's own at the instant
+	// the next flow completion is due (bit for bit). It is scheduled after
+	// the solve that scheduled that completion, so it must run after the
+	// first completion of the instant and before the ones the completion's
+	// re-solve schedules. markerLocal makes it admit a node-local flow —
+	// no solve — at that point of the instant.
+	marker      bool
+	markerLocal bool
 }
 
 // equivCluster is the legacy scenario cluster: 12 nodes over 3 racks.
@@ -73,15 +85,16 @@ func equivWorld(sel byte) (*topology.Cluster, Config) {
 }
 
 // decodeOps turns fuzz bytes into a scenario: each 4-byte group is one
-// op. Zero-byte flows, node-local flows, same-instant ops, and cancels of
-// arbitrary (possibly finished) flows are all reachable on purpose.
+// op. Zero-byte flows, node-local flows, same-instant ops, cancels of
+// arbitrary (possibly finished) flows, and markers tied with a completion
+// are all reachable on purpose.
 func decodeOps(data []byte) []scenarioOp {
 	var ops []scenarioOp
 	at := 0.0
 	for i := 0; i+4 <= len(data) && len(ops) < 64; i += 4 {
 		kind, a, b, dt := data[i], data[i+1], data[i+2], data[i+3]
 		at += float64(dt%8) * 0.35 // %8==0 keeps the next op at the same instant
-		switch kind % 4 {
+		switch kind % 5 {
 		case 0, 1: // single-flow start
 			ops = append(ops, scenarioOp{at: at, batch: []flowSpec{specFrom(a, b)}})
 		case 2: // batch start (fan-in/fan-out burst)
@@ -93,6 +106,8 @@ func decodeOps(data []byte) []scenarioOp {
 			ops = append(ops, scenarioOp{at: at, batch: batch})
 		case 3: // cancel
 			ops = append(ops, scenarioOp{at: at, victim: int(a)})
+		case 4: // marker at the next completion instant
+			ops = append(ops, scenarioOp{at: at, marker: true, markerLocal: a%2 == 1})
 		}
 	}
 	return ops
@@ -106,41 +121,101 @@ func specFrom(a, b byte) flowSpec {
 	}
 }
 
-// runScenario executes ops on a fresh engine+net and returns an exact
-// fingerprint of everything observable: per-flow completion times (bits),
-// post-op rate snapshots (bits), flow counts, and bytes moved.
-func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, solver Solver, eager, batched bool) (finishes []string, snaps []string, bytesMoved float64) {
+// world is one configuration a scenario runs under.
+type world struct {
+	solver  Solver
+	eager   bool // engine cancellation
+	batched bool // StartFlows per op instead of one StartFlow per transfer
+	// flip alternates the solver from op to op: SetSolver must stay
+	// interchangeable mid-run.
+	flip bool
+}
+
+var (
+	optimizedWorld = world{solver: IncrementalSolver, batched: true}
+	referenceWorld = world{solver: ReferenceSolver, eager: true}
+)
+
+// outcome is an exact fingerprint of everything observable in a scenario
+// run: per-flow completion times (bits), post-op rate snapshots (bits),
+// bytes moved, and the order the engine dispatched completions and
+// markers in.
+type outcome struct {
+	finishes   []string // sorted by (time, flow ID)
+	snaps      []string
+	order      []string // dispatch order, un-normalised
+	bytesMoved float64
+}
+
+// nextCompletion returns the instant the earliest active flow is due to
+// complete, computed like the solvers compute it from state both keep
+// identical: the last solve ran at f.updateTime for every flow it saw.
+// Flows no solve has seen yet are due now.
+func nextCompletion(n *Net, now sim.Time) (sim.Time, bool) {
+	best, ok := 0.0, false
+	for _, f := range n.flows {
+		dt, due := f.timeToFinish()
+		if !due {
+			continue
+		}
+		if t := math.Max(now, f.updateTime+dt); !ok || t < best {
+			best, ok = t, true
+		}
+	}
+	return best, ok
+}
+
+// runScenario executes ops on a fresh engine+net configured as w.
+func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) outcome {
 	eng := sim.New()
-	eng.SetEagerCancel(eager)
+	eng.SetEagerCancel(w.eager)
 	n, err := New(eng, c, cfg)
 	if err != nil {
 		panic(err)
 	}
-	n.SetSolver(solver)
+	n.SetSolver(w.solver)
+	var out outcome
 	var created []*Flow
 	type fin struct {
 		id int
 		at sim.Time
 	}
 	var fins []fin
-	for _, op := range ops {
-		op := op
+	done := func(f *Flow) {
+		fins = append(fins, fin{f.ID, eng.Now()})
+		out.order = append(out.order, fmt.Sprintf("f%d@%x", f.ID, math.Float64bits(eng.Now())))
+	}
+	for i, op := range ops {
+		i, op := i, op
 		eng.ScheduleAt(op.at, func() {
-			if len(op.batch) == 0 {
+			if w.flip {
+				n.SetSolver([]Solver{ReferenceSolver, IncrementalSolver}[i%2])
+			}
+			switch {
+			case op.marker:
+				at, ok := nextCompletion(n, eng.Now())
+				if !ok {
+					return
+				}
+				eng.ScheduleAt(at, func() {
+					out.order = append(out.order, fmt.Sprintf("m%d@%x", i, math.Float64bits(eng.Now())))
+					if op.markerLocal {
+						created = append(created, n.StartFlow(2, 2, 1e6, done))
+					}
+				})
+			case len(op.batch) == 0:
 				if len(created) > 0 {
 					n.Cancel(created[op.victim%len(created)])
 				}
-			} else if batched {
+			case w.batched:
 				reqs := make([]FlowReq, len(op.batch))
 				for i, s := range op.batch {
-					reqs[i] = FlowReq{Src: s.src, Dst: s.dst, Bytes: s.bytes,
-						Done: func(f *Flow) { fins = append(fins, fin{f.ID, eng.Now()}) }}
+					reqs[i] = FlowReq{Src: s.src, Dst: s.dst, Bytes: s.bytes, Done: done}
 				}
 				created = append(created, n.StartFlows(reqs)...)
-			} else {
+			default:
 				for _, s := range op.batch {
-					created = append(created, n.StartFlow(s.src, s.dst, s.bytes,
-						func(f *Flow) { fins = append(fins, fin{f.ID, eng.Now()}) }))
+					created = append(created, n.StartFlow(s.src, s.dst, s.bytes, done))
 				}
 			}
 		})
@@ -158,15 +233,16 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, solver Solve
 					snap += fmt.Sprintf(" %d:%x", f.ID, math.Float64bits(f.Rate()))
 				}
 			}
-			snaps = append(snaps, snap)
+			out.snaps = append(out.snaps, snap)
 		})
 	}
 	eng.Run()
 	// Same-instant finish order may legitimately differ between batched
 	// and sequential admission (a batch admits every flow before
 	// dispatching, so immediate completions and hold dispatches swap
-	// sequence numbers), so normalize equal-time finishes by flow ID.
-	// The times themselves must match bit-for-bit.
+	// sequence numbers), so `finishes` normalizes equal-time finishes by
+	// flow ID; `order` does not. The times themselves must match
+	// bit-for-bit.
 	sort.SliceStable(fins, func(i, j int) bool {
 		if fins[i].at != fins[j].at {
 			return fins[i].at < fins[j].at
@@ -174,13 +250,30 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, solver Solve
 		return fins[i].id < fins[j].id
 	})
 	for _, x := range fins {
-		finishes = append(finishes, fmt.Sprintf("%d@%x", x.id, math.Float64bits(x.at)))
+		out.finishes = append(out.finishes, fmt.Sprintf("%d@%x", x.id, math.Float64bits(x.at)))
 	}
-	return finishes, snaps, n.BytesMoved
+	out.bytesMoved = n.BytesMoved
+	return out
+}
+
+// diffStrings reports the first index at which two fingerprints differ.
+func diffStrings(t *testing.T, what string, got, want []string, cfg Config) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s count diverged: %d vs %d (cfg %+v)", what, len(got), len(want), cfg)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s %d diverged:\ngot:  %s\nwant: %s\n(cfg %+v)", what, i, got[i], want[i], cfg)
+		}
+	}
 }
 
 // checkEquivalence runs the optimized and reference worlds over the same
-// scenario and reports the first divergence.
+// scenario and reports the first divergence; then, holding admission the
+// same so that nothing needs normalising, it holds the incremental solver
+// — and a run that switches solver at every op — to the reference's
+// exact dispatch order.
 func checkEquivalence(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -188,24 +281,18 @@ func checkEquivalence(t *testing.T, data []byte) {
 	}
 	cluster, cfg := equivWorld(data[0])
 	ops := decodeOps(data[1:])
-	gotFin, gotSnap, gotBytes := runScenario(ops, cluster, cfg, IncrementalSolver, false, true)
-	wantFin, wantSnap, wantBytes := runScenario(ops, cluster, cfg, ReferenceSolver, true, false)
-	if gotBytes != wantBytes {
-		t.Fatalf("BytesMoved diverged: incremental=%v reference=%v (cfg %+v)", gotBytes, wantBytes, cfg)
+	got := runScenario(ops, cluster, cfg, optimizedWorld)
+	want := runScenario(ops, cluster, cfg, referenceWorld)
+	if got.bytesMoved != want.bytesMoved {
+		t.Fatalf("BytesMoved diverged: incremental=%v reference=%v (cfg %+v)", got.bytesMoved, want.bytesMoved, cfg)
 	}
-	if len(gotFin) != len(wantFin) {
-		t.Fatalf("finish count diverged: %d vs %d (cfg %+v)", len(gotFin), len(wantFin), cfg)
-	}
-	for i := range gotFin {
-		if gotFin[i] != wantFin[i] {
-			t.Fatalf("finish %d diverged: incremental %s, reference %s (cfg %+v)", i, gotFin[i], wantFin[i], cfg)
-		}
-	}
-	for i := range gotSnap {
-		if gotSnap[i] != wantSnap[i] {
-			t.Fatalf("snapshot %d diverged:\nincremental: %s\nreference:   %s\n(cfg %+v)", i, gotSnap[i], wantSnap[i], cfg)
-		}
-	}
+	diffStrings(t, "finish", got.finishes, want.finishes, cfg)
+	diffStrings(t, "snapshot", got.snaps, want.snaps, cfg)
+
+	inc := runScenario(ops, cluster, cfg, world{solver: IncrementalSolver})
+	diffStrings(t, "dispatch order, incremental vs reference,", inc.order, want.order, cfg)
+	flip := runScenario(ops, cluster, cfg, world{solver: IncrementalSolver, flip: true})
+	diffStrings(t, "dispatch order, solver switched per op vs reference,", flip.order, want.order, cfg)
 }
 
 // TestIncrementalMatchesReference drives many deterministic pseudo-random
@@ -241,16 +328,12 @@ func TestBatchedStartMatchesSequential(t *testing.T) {
 		{RackBps: 100 * Mbps, NodeBps: 200 * Mbps},
 		{RackBps: 100 * Mbps, Mode: ExclusiveHold},
 	} {
-		batFin, _, batBytes := runScenario(ops, equivCluster(), cfg, IncrementalSolver, false, true)
-		seqFin, _, seqBytes := runScenario(ops, equivCluster(), cfg, IncrementalSolver, false, false)
-		if batBytes != seqBytes || len(batFin) != len(seqFin) {
-			t.Fatalf("cfg %+v: batched run diverged in volume/count", cfg)
+		bat := runScenario(ops, equivCluster(), cfg, world{solver: IncrementalSolver, batched: true})
+		seq := runScenario(ops, equivCluster(), cfg, world{solver: IncrementalSolver})
+		if bat.bytesMoved != seq.bytesMoved {
+			t.Fatalf("cfg %+v: batched run diverged in volume", cfg)
 		}
-		for i := range batFin {
-			if batFin[i] != seqFin[i] {
-				t.Fatalf("cfg %+v: finish %d: batched %s vs sequential %s", cfg, i, batFin[i], seqFin[i])
-			}
-		}
+		diffStrings(t, "finish, batched vs sequential,", bat.finishes, seq.finishes, cfg)
 	}
 }
 
@@ -265,7 +348,147 @@ func FuzzNetsimEquivalence(f *testing.F) {
 	f.Add([]byte{3, 1, 13, 8, 4, 1, 26, 8, 0, 3, 0, 0, 1, 1, 40, 12, 7})
 	f.Add([]byte{4, 0, 7, 9, 0, 2, 30, 4, 1, 1, 80, 11, 3, 3, 1, 0, 0})
 	f.Add([]byte{5, 2, 200, 15, 0, 1, 100, 3, 3, 0, 50, 200, 2, 3, 0, 0, 0})
+	f.Add([]byte{0, 2, 4, 6, 0, 4, 1, 0, 0, 4, 0, 0, 0, 1, 17, 6, 2, 4, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkEquivalence(t, data)
 	})
+}
+
+// TestDispatchOrderMatchesReference spells out, on two small scenarios,
+// the engine-order contract that lets the incremental solver schedule one
+// completion event per network: where a solve's completions sort against
+// the caller's own events of the same instant, and where flows admitted
+// without a solve do. Both solvers must produce the order written here.
+func TestDispatchOrderMatchesReference(t *testing.T) {
+	type run struct {
+		eng  *sim.Engine
+		n    *Net
+		log  []string
+		done func(*Flow)
+	}
+	start := func(solver Solver) *run {
+		r := &run{eng: sim.New()}
+		r.n = mustNet(t, r.eng, twoRacks(), Config{RackBps: 100 * Mbps})
+		r.n.SetSolver(solver)
+		r.done = func(f *Flow) { r.log = append(r.log, fmt.Sprintf("f%d", f.ID)) }
+		return r
+	}
+	mark := func(r *run, name string) func() {
+		return func() { r.log = append(r.log, name) }
+	}
+	// Four equal flows share rack 0's uplink, so they are due at one
+	// instant: 12.5 MB each at a quarter of 12.5 MB/s.
+	const due = 4.0
+	equal := []FlowReq{
+		{Src: 0, Dst: 3, Bytes: 12.5e6}, {Src: 1, Dst: 4, Bytes: 12.5e6},
+		{Src: 2, Dst: 3, Bytes: 12.5e6}, {Src: 0, Dst: 4, Bytes: 12.5e6},
+	}
+
+	scenarios := []struct {
+		name   string
+		script func(r *run)
+		want   []string
+	}{
+		{
+			// A marker scheduled before the solve runs before all of the
+			// solve's completions; one scheduled after it runs after the
+			// first of them and before the rest, which that completion's
+			// own solve has scheduled anew. The flows tie on time, so they
+			// finish in admission order. The node-local and the zero-byte
+			// flow admitted by that marker get events of their own, which
+			// the next solve — f1's completion — absorbs behind "after2".
+			name: "markers tied with equal flows",
+			script: func(r *run) {
+				r.eng.ScheduleAt(due, mark(r, "before"))
+				for i := range equal {
+					equal[i].Done = r.done
+				}
+				r.n.StartFlows(equal)
+				r.eng.ScheduleAt(due, func() {
+					r.log = append(r.log, "after")
+					r.n.StartFlow(2, 2, 1e6, r.done) // f4, node-local
+					r.n.StartFlow(1, 4, 0, r.done)   // f5, zero bytes over a real path
+					r.eng.ScheduleAt(due, mark(r, "after2"))
+				})
+			},
+			want: []string{"before", "f0", "after", "f1", "after2", "f2", "f3", "f4", "f5"},
+		},
+		{
+			// No completion is due at t=1. The node-local flow's own event
+			// sits between the two markers; its completion solves, and the
+			// zero-byte flow moves from its own event — which was ahead of
+			// "b" — into that solve's, behind "b".
+			name: "no-solve admissions between two markers",
+			script: func(r *run) {
+				r.n.StartFlow(0, 3, 125e6, r.done) // f0, due at t=10
+				r.eng.ScheduleAt(1, func() {
+					r.log = append(r.log, "a")
+					r.n.StartFlow(2, 2, 1e6, r.done) // f1, node-local
+					r.n.StartFlow(1, 4, 0, r.done)   // f2, zero bytes over a real path
+					r.eng.ScheduleAt(1, mark(r, "b"))
+				})
+			},
+			want: []string{"a", "f1", "b", "f2", "f0"},
+		},
+	}
+	for _, sc := range scenarios {
+		for _, solver := range []Solver{ReferenceSolver, IncrementalSolver} {
+			r := start(solver)
+			sc.script(r)
+			r.eng.Run()
+			if err := r.n.Drained(); err != nil {
+				t.Fatalf("%s, solver %d: %v", sc.name, solver, err)
+			}
+			if fmt.Sprint(r.log) != fmt.Sprint(sc.want) {
+				t.Errorf("%s, solver %d: dispatch order %v, want %v", sc.name, solver, r.log, sc.want)
+			}
+		}
+	}
+}
+
+// TestOneEventPerSolve pins what the single completion event buys, in
+// counts: the engine sees at most one event per solve plus one per flow
+// admitted without a solve plus the caller's own — not one per active
+// flow per solve, which is what the reference solver schedules.
+func TestOneEventPerSolve(t *testing.T) {
+	const flows, noSolve, callers = 48, 2, 1
+	run := func(solver Solver) (sim.Stats, Stats) {
+		eng := sim.New()
+		n := mustNet(t, eng, equivCluster(), Config{RackBps: 100 * Mbps, NodeBps: 200 * Mbps})
+		n.SetSolver(solver)
+		reqs := make([]FlowReq, 0, flows+noSolve)
+		for i := 0; i < flows; i++ { // distinct sizes: one completion, one solve, at a time
+			reqs = append(reqs, FlowReq{Src: topology.NodeID(i % 12), Dst: topology.NodeID((i + 5) % 12), Bytes: float64(1+i) * 1e6})
+		}
+		reqs = append(reqs, FlowReq{Src: 3, Dst: 3, Bytes: 1e6}, FlowReq{Src: 0, Dst: 7, Bytes: 0})
+		eng.Schedule(0, func() { n.StartFlows(reqs) })
+		eng.Run()
+		if err := n.Drained(); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Stats(), n.Stats()
+	}
+	es, ns := run(IncrementalSolver)
+	if ns.Solves < flows || ns.FlowsVisited < flows*flows/2 {
+		t.Fatalf("scenario too small to tell: %+v", ns)
+	}
+	if bound := ns.Solves + noSolve + callers; es.Scheduled > bound {
+		t.Errorf("scheduled %d events, want at most %d (%d solves + %d no-solve flows + %d caller events)",
+			es.Scheduled, bound, ns.Solves, noSolve, callers)
+	}
+	if es.Dispatched != flows+noSolve+callers || es.Scheduled != es.Dispatched+es.Cancelled {
+		t.Errorf("engine counters do not add up: %+v", es)
+	}
+	if es.MaxQueue > 1+noSolve+callers {
+		t.Errorf("queue reached %d events, want at most %d", es.MaxQueue, 1+noSolve+callers)
+	}
+	// The counters tell the two designs apart: the reference schedules an
+	// event for every flow a solve visits, and dispatches the same ones.
+	rs, rn := run(ReferenceSolver)
+	if rn != ns || rs.Dispatched != es.Dispatched {
+		t.Errorf("reference run differs: net %+v vs %+v, dispatched %d vs %d", rn, ns, rs.Dispatched, es.Dispatched)
+	}
+	if rs.Scheduled < rn.FlowsVisited/2 {
+		t.Errorf("reference scheduled %d events over %d flow visits: the counters no longer see per-flow events", rs.Scheduled, rn.FlowsVisited)
+	}
 }

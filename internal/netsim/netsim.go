@@ -86,28 +86,35 @@ type Config struct {
 
 // Flow is one in-flight transfer.
 type Flow struct {
+	// What every solve reads or writes per active flow comes first, on one
+	// 64-byte cache line: at scale a solve's cost is the memory traffic of
+	// walking the active flows, not its arithmetic.
+	remaining   float64
+	rate        float64
+	updateTime  sim.Time // when `remaining` was last advanced
+	frozenEpoch uint64   // solve epoch at which the flow was last frozen
+	path        []*link
+	// ev is the flow's own completion event. Fluid flows normally have
+	// none (the Net schedules one event for the earliest completion, see
+	// solver.go); it is set for hold-mode flows, for flows admitted
+	// without a solve, and under ReferenceSolver.
+	ev *sim.Event
+
 	ID        int
 	Src, Dst  topology.NodeID
 	Bytes     float64
 	StartedAt sim.Time
 
-	remaining  float64
-	rate       float64
-	updateTime sim.Time // when `remaining` was last advanced
-	frozen     bool     // scratch state for RefRecompute
-	path       []*link
-	done       func(*Flow)
-	ev         *sim.Event
-	net        *Net
-	queued     bool // ExclusiveHold: waiting for links
-	finished   bool
+	frozen   bool // scratch state for RefRecompute
+	done     func(*Flow)
+	net      *Net
+	queued   bool // ExclusiveHold: waiting for links
+	finished bool
 
-	// Incremental-solver state.
-	linkPos     []int   // index of this flow in path[i].active, -1 for unlimited links
-	linkPosBuf  [9]int  // inline backing for linkPos: paths up to 3 tiers fit without allocating
-	frozenEpoch uint64  // solve epoch at which the flow was last frozen
-	prevRate    float64 // last rate reported via Hooks.RateChange
-	finishFn    func()  // built once; rescheduled on every recompute
+	// Incremental-solver index state.
+	linkPos    []int   // index of this flow in path[i].active, -1 for unlimited links
+	linkPosBuf [9]int  // inline backing for linkPos: paths up to 3 tiers fit without allocating
+	prevRate   float64 // last rate reported via Hooks.RateChange
 }
 
 // Rate returns the flow's current allocated rate in bytes/sec (0 while
@@ -195,6 +202,15 @@ type Net struct {
 	ncontending int
 	epoch       uint64
 
+	// Fluid-mode completion under IncrementalSolver: the one engine event
+	// for the earliest completion as of the last solve, the flow it
+	// finishes, and its callback (built once).
+	nextEv   *sim.Event
+	nextFlow *Flow
+	fireNext func()
+
+	stats Stats
+
 	// BytesMoved accumulates completed-transfer volume, for metrics.
 	BytesMoved float64
 
@@ -208,9 +224,10 @@ const (
 	// IncrementalSolver (default) solves progressive filling over
 	// per-link active-flow indexes with a running water level, so each
 	// recompute costs O(active flows + active links) per filling
-	// iteration instead of O(all flows + all links). Produces
-	// bit-identical schedules to ReferenceSolver; pinned by property
-	// tests and FuzzNetsimEquivalence.
+	// iteration instead of O(all flows + all links), and schedules one
+	// engine event per solve — the earliest completion — instead of one
+	// per active flow. Produces bit-identical schedules to
+	// ReferenceSolver; pinned by property tests and FuzzNetsimEquivalence.
 	IncrementalSolver Solver = iota
 	// ReferenceSolver runs the original full recomputation
 	// (RefRecompute) on every flow change. Retained as the ground truth
@@ -220,8 +237,20 @@ const (
 )
 
 // SetSolver selects the fluid-mode solver. Both solvers may be used on
-// the same Net interchangeably; they maintain identical flow state.
+// the same Net interchangeably, also mid-run: they maintain identical
+// flow state, and each solve cancels the completion events the other
+// solver's last solve left behind.
 func (n *Net) SetSolver(s Solver) { n.solver = s }
+
+// Stats counts the fluid solver's work since New; like sim.Stats, the
+// counts of a seeded run repeat exactly.
+type Stats struct {
+	Solves       uint64 // bandwidth recomputations
+	FlowsVisited uint64 // active flows summed over those solves
+}
+
+// Stats returns the solver's work counters so far.
+func (n *Net) Stats() Stats { return n.stats }
 
 // Hooks observe the flow lifecycle, for trace instrumentation. Start fires
 // when a flow is created (even if queued in hold mode), Finish right after
@@ -292,6 +321,11 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 		pathCache: make(map[int64][]*link),
 		pathLens:  make([]int, tiers+1),
 		links:     make([]*link, 0, 2*nodes+2*totalGroups+1),
+	}
+	n.fireNext = func() {
+		f := n.nextFlow
+		n.nextEv, n.nextFlow = nil, nil
+		n.finish(f)
 	}
 	// One slab holds every link: 10k-node construction is two large
 	// allocations (slab + pointer table), not O(links) small ones.
@@ -433,15 +467,16 @@ func (n *Net) addFlow(src, dst topology.NodeID, bytes float64, done func(*Flow))
 		path:      n.pathFor(src, dst),
 	}
 	n.nextID++
-	f.finishFn = func() { n.finish(f) }
 	if n.hooks.Start != nil {
 		n.hooks.Start(f)
 	}
 	if bytes == 0 || len(f.path) == 0 {
 		// Local or empty transfer: complete immediately. A zero-byte flow
 		// with a nonempty path still occupies a fair share until its
-		// completion event fires, so it is indexed like any other.
-		f.ev = n.eng.Schedule(0, f.finishFn)
+		// completion event fires, so it is indexed like any other. No solve
+		// runs here, so the flow gets its own event — at its own place in
+		// the engine's same-instant order — until the next solve absorbs it.
+		f.ev = n.eng.Schedule(0, func() { n.finish(f) })
 		n.flows = append(n.flows, f)
 		if n.mode == FluidFairSharing && len(f.path) > 0 {
 			n.indexFlow(f)
@@ -593,6 +628,8 @@ func (n *Net) removeFlow(f *Flow) {
 
 // recompute reruns the max-min fair allocation with the selected solver.
 func (n *Net) recompute() {
+	n.stats.Solves++
+	n.stats.FlowsVisited += uint64(len(n.flows))
 	if n.solver == ReferenceSolver {
 		n.RefRecompute()
 		return
@@ -602,11 +639,12 @@ func (n *Net) recompute() {
 
 // RefRecompute is the reference fluid solver: advance all flows to the
 // current time, rerun progressive filling from scratch over every link
-// and flow, and cancel + reschedule every completion event. It is the
-// original implementation, retained verbatim as ground truth for the
+// and flow, and cancel + reschedule one completion event per flow. It is
+// the original implementation, retained as ground truth for the
 // incremental solver (selected via SetSolver; see FuzzNetsimEquivalence).
 func (n *Net) RefRecompute() {
 	now := n.eng.Now()
+	n.cancelNext() // left by an incremental solve before SetSolver
 	// Advance progress at the old rates.
 	for _, f := range n.flows {
 		if f.rate > 0 && !math.IsInf(f.rate, 1) {
@@ -688,18 +726,9 @@ func (n *Net) RefRecompute() {
 			n.eng.Cancel(f.ev)
 			f.ev = nil
 		}
-		var dt float64
-		switch {
-		case len(f.path) == 0:
-			dt = 0 // node-local transfers complete immediately
-		case f.remaining <= 0:
-			dt = 0
-		case math.IsInf(f.rate, 1):
-			dt = 0
-		case f.rate <= 0:
-			continue // starved; will be rescheduled by a later recompute
-		default:
-			dt = f.remaining / f.rate
+		dt, ok := f.timeToFinish()
+		if !ok {
+			continue
 		}
 		f := f
 		f.ev = n.eng.Schedule(dt, func() { n.finish(f) })
@@ -774,7 +803,7 @@ func (n *Net) DebugFlows() []string {
 	var out []string
 	for _, f := range n.flows {
 		out = append(out, fmt.Sprintf("flow %d %d->%d rem=%.1f rate=%.1f ev=%v fin=%v",
-			f.ID, f.Src, f.Dst, f.remaining, f.rate, f.ev != nil, f.finished))
+			f.ID, f.Src, f.Dst, f.remaining, f.rate, f.ev != nil || f == n.nextFlow, f.finished))
 	}
 	for _, f := range n.waiting {
 		out = append(out, fmt.Sprintf("waiting flow %d %d->%d", f.ID, f.Src, f.Dst))

@@ -518,15 +518,17 @@ func TestDrainedDetectsLeftoverFlows(t *testing.T) {
 		t.Fatalf("clean drain reported error: %v", err)
 	}
 
-	// Starved flow (white-box): a flow stripped of its completion event
-	// — the shape a rate<=0 allocation bug would leave behind — must be
-	// reported once the engine runs dry instead of silently vanishing.
+	// Starved flow (white-box): with its rack uplink's capacity zeroed the
+	// solve allocates the flow rate 0, so no completion is scheduled for
+	// it — the shape a rate<=0 allocation bug would leave behind. It must
+	// be reported once the engine runs dry instead of silently vanishing.
 	eng2 := sim.New()
 	n2 := mustNet(t, eng2, twoRacks(), Config{RackBps: 100 * Mbps})
+	n2.tierUp[0][0].capacity = 0
 	f := n2.StartFlow(0, 3, 12.5e6, nil)
-	eng2.Cancel(f.ev)
-	f.ev = nil
-	f.rate = 0
+	if f.Rate() != 0 || eng2.Pending() != 0 {
+		t.Fatalf("flow not starved: rate %v, %d events pending", f.Rate(), eng2.Pending())
+	}
 	eng2.Run()
 	if err := n2.Drained(); err == nil {
 		t.Fatal("Drained missed an unfinished flow")

@@ -11,24 +11,41 @@
 //   - Frozen flags are solve-epoch stamps, eliminating the O(flows) reset
 //     pass.
 //
-// Completion events are deliberately cancelled and rescheduled for every
-// flow, exactly like the reference solver, rather than left in place when
-// a flow's rate (or even its bitwise completion time) is unchanged.
-// Keeping an event preserves its old sequence number, and equal completion
-// times are common (equal block sizes at equal rates), so a kept event
-// would fire *before* a same-instant rescheduled one where the reference
-// schedule fires it after — flipping the finish order inside a time tie
-// and sending every subsequent advance down a different rounding path.
-// Rescheduling everything keeps the Schedule-call sequence — and therefore
-// every (time, seq) pair — identical to the reference engine run; the
-// engine's lazy cancellation makes the cancel side O(1).
+// One completion event per network, not per flow. The reference solver
+// ends every solve by cancelling each flow's completion event and
+// scheduling a new one, in n.flows order. Those Schedule calls are
+// consecutive, so the events take one contiguous block of engine sequence
+// numbers: everything scheduled before the solve sorts before the whole
+// block at an equal time, everything scheduled later sorts after it.
+// Inside the block the engine dispatches the minimum (time, position in
+// n.flows) first — and that dispatch is a completion, which solves again
+// and cancels the rest of the block, as does any start or cancel in
+// between. So only the block's minimum can ever be dispatched, and the
+// incremental solver schedules that event alone (scheduleNext): one pass
+// computes the same `now + remaining/rate` per flow, keeps the earliest
+// with strict <, so ties go to the earlier flow in n.flows, and the event
+// is cancelled and scheduled afresh by every solve — also when neither
+// the flow nor its time changed — so it sits where the reference's block
+// would. The order in which the engine dispatches every event, net or not,
+// is the reference run's.
 //
-// Equivalence with RefRecompute is pinned by TestIncrementalMatchesReference
-// and FuzzNetsimEquivalence.
+// Two kinds of flow still own an event, because the reference gives them a
+// sequence number outside any block: ExclusiveHold flows, which are never
+// re-solved, and fluid flows admitted without a solve (node-local or
+// zero-byte), from admission until the next solve absorbs them into the
+// network's event, exactly where the reference moves them into its block.
+//
+// Equivalence with RefRecompute, dispatch order included, is pinned by
+// TestDispatchOrderMatchesReference, TestIncrementalMatchesReference and
+// FuzzNetsimEquivalence.
 
 package netsim
 
-import "math"
+import (
+	"math"
+
+	"degradedfirst/internal/sim"
+)
 
 // indexFlow registers a contending fluid flow in the active list of each
 // finite link it crosses, recording its position for O(1) removal.
@@ -101,7 +118,7 @@ func (n *Net) pruneActiveLinks() []*link {
 	return kept
 }
 
-// incRecompute is the incremental fluid solver; see the package comment
+// incRecompute is the incremental fluid solver; see the header comment
 // above for the restructuring and the bitwise-equivalence argument.
 func (n *Net) incRecompute() {
 	now := n.eng.Now()
@@ -203,29 +220,58 @@ func (n *Net) incRecompute() {
 		}
 		work = kept
 	}
-	// Reschedule every completion (see the header comment for why events
-	// are never kept in place). Cancellation is an O(1) tombstone.
+	n.scheduleNext(now)
+	n.emitRateChanges()
+}
+
+// scheduleNext replaces the network's completion event with one for the
+// flow that finishes first at the rates just solved; see the header
+// comment for why no other flow needs an event. Flows that still own an
+// event (admitted without a solve, or solved by RefRecompute) give it up.
+func (n *Net) scheduleNext(now sim.Time) {
+	n.cancelNext()
+	var next *Flow
+	var at sim.Time
 	for _, f := range n.flows {
 		if f.ev != nil {
 			n.eng.Cancel(f.ev)
 			f.ev = nil
 		}
-		var dt float64
-		switch {
-		case len(f.path) == 0:
-			dt = 0 // node-local transfers complete immediately
-		case f.remaining <= 0:
-			dt = 0
-		case math.IsInf(f.rate, 1):
-			dt = 0
-		case f.rate <= 0:
-			continue // starved; will be rescheduled by a later recompute
-		default:
-			dt = f.remaining / f.rate
+		dt, ok := f.timeToFinish()
+		if !ok {
+			continue
 		}
-		f.ev = n.eng.Schedule(dt, f.finishFn)
+		if t := now + dt; next == nil || t < at {
+			next, at = f, t
+		}
 	}
-	n.emitRateChanges()
+	if next != nil {
+		n.nextFlow = next
+		n.nextEv = n.eng.ScheduleAt(at, n.fireNext)
+	}
+}
+
+// timeToFinish returns how long f needs at its current rate, as of its
+// last advance; false for a starved flow, which gets no completion until
+// a later solve revives it.
+func (f *Flow) timeToFinish() (float64, bool) {
+	switch {
+	case len(f.path) == 0: // node-local transfers complete immediately
+		return 0, true
+	case f.remaining <= 0 || math.IsInf(f.rate, 1):
+		return 0, true
+	case f.rate <= 0:
+		return 0, false
+	}
+	return f.remaining / f.rate, true
+}
+
+// cancelNext withdraws the network's completion event, if one is pending.
+func (n *Net) cancelNext() {
+	if n.nextEv != nil {
+		n.eng.Cancel(n.nextEv)
+		n.nextEv, n.nextFlow = nil, nil
+	}
 }
 
 // noteRate reports f's rate through Hooks.RateChange if it changed since

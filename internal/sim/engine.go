@@ -32,19 +32,29 @@ func (e *Event) At() Time { return e.at }
 // Scheduled reports whether the event is still pending.
 func (e *Event) Scheduled() bool { return e.index >= 0 && !e.dead }
 
+// Stats counts the engine's own work since New. The counts depend only on
+// the calls made, so a seeded run repeats them exactly.
+type Stats struct {
+	Scheduled  uint64 // Schedule / ScheduleAt calls
+	Cancelled  uint64 // Cancel calls that removed a pending event
+	Dispatched uint64 // events run by Step / Run / RunUntil
+	// MaxQueue is the longest the queue has been, tombstones of lazily
+	// cancelled events included: the engine's memory high-water mark.
+	MaxQueue int
+}
+
 // Engine is the simulation core. The zero value is not usable; call New.
 type Engine struct {
-	now    Time
-	seq    uint64
-	queue  eventHeap
-	nsteps uint64
-	ndead  int  // tombstoned events still sitting in the queue
-	eager  bool // remove cancelled events from the heap immediately
+	now   Time
+	seq   uint64
+	queue eventHeap
+	stats Stats // Scheduled is derived from seq, see Stats
+	ndead int   // tombstoned events still sitting in the queue
+	eager bool  // remove cancelled events from the heap immediately
 
-	// slab carves Event allocations out of fixed-size chunks: event churn
-	// (one cancel + reschedule per flow per bandwidth recomputation) would
-	// otherwise pay one heap allocation per Schedule call. Entries are
-	// never reused; a chunk is reclaimed when all its events are.
+	// slab carves Event allocations out of fixed-size chunks, so a
+	// Schedule call pays a heap allocation once per 256 events. Entries
+	// are never reused; a chunk is reclaimed when all its events are.
 	slab []Event
 }
 
@@ -58,7 +68,14 @@ func (e *Engine) Now() Time { return e.now }
 
 // Steps returns how many events have been dispatched; useful in tests and
 // for detecting runaway simulations.
-func (e *Engine) Steps() uint64 { return e.nsteps }
+func (e *Engine) Steps() uint64 { return e.stats.Dispatched }
+
+// Stats returns the engine's work counters so far.
+func (e *Engine) Stats() Stats {
+	s := e.stats
+	s.Scheduled = e.seq // every scheduled event takes one sequence number
+	return s
+}
 
 // Schedule queues fn to run after delay seconds of virtual time. A negative
 // or NaN delay panics: it would corrupt the causal order and always
@@ -86,6 +103,9 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 	*ev = Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
 	heap.Push(&e.queue, ev)
+	if len(e.queue) > e.stats.MaxQueue {
+		e.stats.MaxQueue = len(e.queue)
+	}
 	return ev
 }
 
@@ -102,6 +122,7 @@ func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.index < 0 || ev.dead {
 		return
 	}
+	e.stats.Cancelled++
 	if e.eager {
 		heap.Remove(&e.queue, ev.index)
 		ev.index = -1
@@ -158,7 +179,7 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		e.now = ev.at
-		e.nsteps++
+		e.stats.Dispatched++
 		ev.fn()
 		return true
 	}
@@ -183,7 +204,7 @@ func (e *Engine) RunUntil(t Time) {
 			continue
 		}
 		e.now = ev.at
-		e.nsteps++
+		e.stats.Dispatched++
 		ev.fn()
 	}
 	if t > e.now {

@@ -215,6 +215,9 @@ func TestLazyCancelCompaction(t *testing.T) {
 	if e.Steps() != 20 {
 		t.Fatalf("steps = %d, want 20 (tombstones must not count)", e.Steps())
 	}
+	if got, want := e.Stats(), (Stats{Scheduled: 100, Cancelled: 80, Dispatched: 20, MaxQueue: 100}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
 }
 
 func TestLazyCancelScheduledAndPending(t *testing.T) {
@@ -232,8 +235,8 @@ func TestLazyCancelScheduledAndPending(t *testing.T) {
 		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
 	e.Cancel(a) // double cancel of a tombstone is a no-op
-	if e.Pending() != 1 {
-		t.Fatalf("pending after double cancel = %d, want 1", e.Pending())
+	if e.Pending() != 1 || e.Stats().Cancelled != 1 {
+		t.Fatalf("after double cancel: pending = %d, cancelled = %d, want 1 and 1", e.Pending(), e.Stats().Cancelled)
 	}
 }
 
