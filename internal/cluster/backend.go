@@ -20,18 +20,16 @@ import (
 // run-map dispatch goroutines live outside it, and they communicate
 // solely through each future's buffered channel.
 type clusterBackend struct {
-	m    *Master
-	jobs []minimr.Job
-	rng  *stats.RNG
+	*minimr.Healer // the repair backend; repair.go overrides CommitRepair
+	m              *Master
+	jobs           []minimr.Job
+	rng            *stats.RNG
 
 	blocks  [][]erasure.BlockID
 	holders [][]topology.NodeID
 	files   []*dfs.File
 
-	// reduceOut[job][reducer] holds a finished reducer's real output
-	// between AwaitReduce and ReduceFinish.
-	reduceOut [][][]kv
-	outputs   []map[string]string
+	outputs []map[string]string
 
 	// picked and reqs remember each degraded task's latest primary
 	// sources and run-map request so SpareSources can extend the request
@@ -40,36 +38,30 @@ type clusterBackend struct {
 	reqs   map[[2]int]*mapReq
 }
 
-// mapFuture is Execute's output payload: the channel resolves when the
-// worker's run-map RPC returns. Buffered so an abandoned future (its
-// task requeued after a failure) never blocks the dispatch goroutine.
-type mapFuture struct {
-	ch chan mapOutcome
-}
-
+// mapOutcome is what Execute's output payload, a chan mapOutcome,
+// resolves to when the worker's run-map RPC returns. The channel is
+// buffered so an abandoned one (its task requeued after a failure) never
+// blocks the dispatch goroutine.
 type mapOutcome struct {
-	resp mapResp
-	err  error
+	sizes  []float64        // per-reducer partition bytes
+	output minimr.RecordBuf // a map-only job's output
+	err    error
 }
 
-// mapDone is the resolved map output after AwaitOutput: where the real
-// partitions live and how big each is.
+// mapDone is the resolved map output after AwaitOutput, and every one
+// of its shuffle chunks' Data payload: which worker holds the task's
+// partitions and how big each is. Deliver turns it into a fetch-chunk
+// RPC.
 type mapDone struct {
 	node  topology.NodeID
 	addr  string
+	task  int
 	sizes []float64
-}
-
-// chunkSrc is a shuffle chunk's Data payload: which worker holds the
-// partition. Deliver turns it into a fetch-chunk RPC.
-type chunkSrc struct {
-	node topology.NodeID
-	addr string
-	task int
 }
 
 func newClusterBackend(m *Master, h *minimr.Harness, jobs []minimr.Job) *clusterBackend {
 	b := &clusterBackend{
+		Healer:  h.Healer,
 		m:       m,
 		jobs:    jobs,
 		rng:     stats.NewRNG(m.opts.Engine.Seed),
@@ -83,7 +75,6 @@ func newClusterBackend(m *Master, h *minimr.Harness, jobs []minimr.Job) *cluster
 			panic(fmt.Sprintf("cluster: input %q vanished: %v", jobs[i].Input, err))
 		}
 		b.files = append(b.files, f)
-		b.reduceOut = append(b.reduceOut, make([][]kv, jobs[i].NumReducers))
 		b.outputs = append(b.outputs, make(map[string]string))
 	}
 	return b
@@ -106,12 +97,7 @@ func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topolo
 		return nil, req, nil
 	case sched.ClassRackLocal, sched.ClassRemote:
 		holder := b.holders[job][task]
-		req.Fetch = []fetchSpec{{
-			Node:   int(holder),
-			Addr:   b.m.workerAddr(holder),
-			Stripe: block.Stripe,
-			Index:  block.Index,
-		}}
+		req.Fetch = []fetchSpec{b.m.fetchSpec(holder, block.Stripe, block.Index)}
 		return []runtime.Transfer{{Src: holder, Bytes: blockBytes}}, req, nil
 	case sched.ClassDegraded:
 		sources, err := dfs.PickRepairSources(b.m.fs.Cluster(), b.m.code, b.files[job].Placement,
@@ -123,12 +109,7 @@ func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topolo
 		transfers := make([]runtime.Transfer, len(sources))
 		for i, src := range sources {
 			transfers[i] = runtime.Transfer{Src: src.Node, Bytes: blockBytes}
-			req.Fetch = append(req.Fetch, fetchSpec{
-				Node:   int(src.Node),
-				Addr:   b.m.workerAddr(src.Node),
-				Stripe: block.Stripe,
-				Index:  src.Index,
-			})
+			req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, block.Stripe, src.Index))
 		}
 		if b.picked == nil {
 			b.picked = make(map[[2]int][]dfs.Source)
@@ -169,12 +150,7 @@ func (b *clusterBackend) SpareSources(job, task int, node topology.NodeID, max i
 	transfers := make([]runtime.Transfer, len(spares))
 	for i, src := range spares {
 		transfers[i] = runtime.Transfer{Src: src.Node, Bytes: float64(b.m.fs.BlockSize())}
-		req.Fetch = append(req.Fetch, fetchSpec{
-			Node:   int(src.Node),
-			Addr:   b.m.workerAddr(src.Node),
-			Stripe: block.Stripe,
-			Index:  src.Index,
-		})
+		req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, block.Stripe, src.Index))
 	}
 	return transfers, nil
 }
@@ -185,11 +161,11 @@ func (b *clusterBackend) SpareSources(job, task int, node topology.NodeID, max i
 // completion instant.
 func (b *clusterBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	req := input.(*mapReq)
-	fut := &mapFuture{ch: make(chan mapOutcome, 1)}
+	fut := make(chan mapOutcome, 1)
 	go func() {
-		var resp mapResp
-		err := b.m.callWorker(node, "run-map", req, &resp)
-		fut.ch <- mapOutcome{resp: resp, err: err}
+		var o mapOutcome
+		o.output, o.err = b.m.callWorker(node, "run-map", req, &o.sizes)
+		fut <- o
 	}()
 	dur := b.jobs[job].MapCost.Seconds(float64(b.m.fs.BlockSize())) * b.speed(node)
 	return dur, fut
@@ -199,19 +175,17 @@ func (b *clusterBackend) Execute(job, task int, node topology.NodeID, input any)
 // map finished. Map-only jobs merge their output here; jobs with
 // reducers resolve to the partition directory.
 func (b *clusterBackend) AwaitOutput(job, task int, node topology.NodeID, output any) (any, error) {
-	fut := output.(*mapFuture)
-	o := <-fut.ch
+	o := <-output.(chan mapOutcome)
 	if o.err != nil {
 		return nil, o.err
 	}
 	if b.jobs[job].NumReducers == 0 {
-		out := b.outputs[job]
-		for _, r := range o.resp.Output {
-			out[r.K] = r.V
+		if err := o.output.MergeInto(b.outputs[job]); err != nil {
+			return nil, fmt.Errorf("cluster: map output of job %d task %d from node %d: %w", job, task, node, err)
 		}
 		return &mapDone{node: node}, nil
 	}
-	return &mapDone{node: node, addr: b.m.workerAddr(node), sizes: o.resp.PartBytes}, nil
+	return &mapDone{node: node, addr: b.m.workerAddr(node), task: task, sizes: o.sizes}, nil
 }
 
 // Partitions implements runtime.Backend: one chunk per reducer, sized by
@@ -225,7 +199,7 @@ func (b *clusterBackend) Partitions(job, task int, output any) []runtime.Chunk {
 		if r < len(d.sizes) {
 			bytes = d.sizes[r]
 		}
-		chunks[r] = runtime.Chunk{Bytes: bytes, Data: chunkSrc{node: d.node, addr: d.addr, task: task}}
+		chunks[r] = runtime.Chunk{Bytes: bytes, Data: d}
 	}
 	return chunks
 }
@@ -235,14 +209,11 @@ func (b *clusterBackend) Partitions(job, task int, output any) []runtime.Chunk {
 // *runtime.DeadNodeError, which marks the chunk undelivered and
 // re-executes the lost map task.
 func (b *clusterBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
-	src := c.Data.(chunkSrc)
-	return b.m.callWorker(node, "fetch-chunk", &chunkFetchReq{
-		Job:     job,
-		Reducer: reducer,
-		MapTask: src.task,
-		Node:    int(src.node),
-		Addr:    src.addr,
+	src := c.Data.(*mapDone)
+	_, err := b.m.callWorker(node, "fetch-chunk", &chunkFetchReq{
+		Job: job, Reducer: reducer, MapTask: src.task, Node: int(src.node), Addr: src.addr,
 	}, nil)
+	return err
 }
 
 // ReduceDuration implements runtime.Backend: calibrated from the real
@@ -255,28 +226,22 @@ func (b *clusterBackend) ReduceDuration(job, reducer int, node topology.NodeID, 
 // restarted reducer re-fetches every partition deterministically, and a
 // re-fetch overwrites any stale chunk a worker still buffers, so there
 // is no remote state to clear.
-func (b *clusterBackend) ReduceReset(job, reducer int) {
-	b.reduceOut[job][reducer] = nil
-}
+func (b *clusterBackend) ReduceReset(job, reducer int) {}
 
 // AwaitReduce implements runtime.AsyncBackend: run the real reduce on
-// the reducer's worker at its virtual completion instant and keep the
-// records for ReduceFinish.
+// the reducer's worker at its virtual completion instant and merge its
+// output — the response payload — into the job output. The runtime calls
+// ReduceFinish straight after a nil return, so nothing is left for it.
 func (b *clusterBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {
-	var resp reduceResp
-	if err := b.m.callWorker(node, "run-reduce", &reduceReq{Job: job, Reducer: reducer}, &resp); err != nil {
+	out, err := b.m.callWorker(node, "run-reduce", &reduceReq{Job: job, Reducer: reducer}, nil)
+	if err != nil {
 		return err
 	}
-	b.reduceOut[job][reducer] = resp.Output
+	if err := minimr.RecordBuf(out).MergeInto(b.outputs[job]); err != nil {
+		return fmt.Errorf("cluster: output of job %d reducer %d from node %d: %w", job, reducer, node, err)
+	}
 	return nil
 }
 
-// ReduceFinish implements runtime.Backend: merge the reducer's real
-// output into the job output.
-func (b *clusterBackend) ReduceFinish(job, reducer int) {
-	out := b.outputs[job]
-	for _, r := range b.reduceOut[job][reducer] {
-		out[r.K] = r.V
-	}
-	b.reduceOut[job][reducer] = nil
-}
+// ReduceFinish implements runtime.Backend; AwaitReduce did the work.
+func (b *clusterBackend) ReduceFinish(job, reducer int) {}

@@ -74,8 +74,9 @@ type Master struct {
 	ln    net.Listener
 	epoch time.Time
 
-	emu  sync.Mutex // serializes the merged trace stream
-	sink trace.Sink
+	emu   sync.Mutex // serializes the merged trace stream
+	sink  trace.Sink
+	stats connStats // every worker connection counts into it
 
 	mu        sync.Mutex
 	workers   map[topology.NodeID]*remoteWorker
@@ -125,6 +126,9 @@ func NewMaster(fs *dfs.FS, opts MasterOptions) (*Master, error) {
 // Addr returns the address workers register at.
 func (m *Master) Addr() string { return m.ln.Addr().String() }
 
+// Stats returns the master's connection counters so far.
+func (m *Master) Stats() Stats { return m.stats.snapshot() }
+
 // emit adds one event to the merged trace stream (virtual events from
 // the simulation goroutine, wire events from worker reader goroutines).
 func (m *Master) emit(e trace.Event) {
@@ -152,12 +156,12 @@ func (m *Master) acceptLoop() {
 
 // register performs the handshake on a fresh connection: the worker
 // announces its peer address, the master assigns it the lowest alive
-// node without a worker and ships that node's blocks plus the code and
-// heartbeat geometry.
+// node without a worker and ships the code and heartbeat geometry with
+// the directory of that node's blocks, then each block in its own frame.
 func (m *Master) register(c net.Conn) {
-	rc := newRPCConn(c)
+	rc := newRPCConn(c, &m.stats)
 	var f frame
-	if err := readFrame(rc.br, &f); err != nil || f.Kind != "register" {
+	if err := rc.recv(&f); err != nil || f.Kind != "register" {
 		c.Close() // malformed handshake; nothing to salvage
 		return
 	}
@@ -187,27 +191,25 @@ func (m *Master) register(c net.Conn) {
 	m.workers[node] = w
 	m.mu.Unlock()
 
-	blocks := make([]storedBlock, 0)
-	for _, sb := range m.fs.NodeContents(node) {
-		blocks = append(blocks, storedBlock{
-			File:   sb.File,
-			Stripe: sb.Block.Stripe,
-			Index:  sb.Block.Index,
-			Data:   sb.Data,
-		})
+	contents := m.fs.NodeContents(node)
+	blocks := make([]storedBlock, len(contents))
+	for i, sb := range contents {
+		blocks[i] = storedBlock{File: sb.File, Stripe: sb.Block.Stripe, Index: sb.Block.Index}
 	}
 	resp := registeredMsg{
 		Node:         int(node),
-		NumNodes:     m.fs.Cluster().NumNodes(),
 		CodeN:        m.code.N(),
 		CodeK:        m.code.K(),
 		Construction: int(m.code.Construction()),
-		BlockSize:    m.fs.BlockSize(),
 		HeartbeatMS:  int(m.opts.HeartbeatEvery / time.Millisecond),
 		Blocks:       blocks,
 	}
-	if err := rc.send(&frame{Kind: "registered", Body: mustJSON(resp)}); err != nil {
-		m.declareDead(node, "handshake write failed")
+	err := rc.send(&frame{Kind: "registered", Body: mustJSON(resp)})
+	for i := 0; err == nil && i < len(contents); i++ {
+		err = rc.send(&frame{Kind: "block", Payload: contents[i].Data})
+	}
+	if err != nil {
+		m.declareDead(node, fmt.Sprintf("handshake write failed: %v", err))
 		return
 	}
 
@@ -236,9 +238,9 @@ func (m *Master) onNotify(w *remoteWorker, f *frame) {
 		w.lastHB = time.Now()
 		w.mu.Unlock()
 	case "event":
-		var eb eventBody
-		if err := json.Unmarshal(f.Body, &eb); err == nil {
-			m.emit(eb.Event)
+		var ev trace.Event
+		if err := json.Unmarshal(f.Body, &ev); err == nil {
+			m.emit(ev)
 		}
 	}
 }
@@ -343,6 +345,11 @@ func (m *Master) worker(node topology.NodeID) *remoteWorker {
 	return w
 }
 
+// fetchSpec tells a worker where to pull one block of a stripe from.
+func (m *Master) fetchSpec(node topology.NodeID, stripe, index int) fetchSpec {
+	return fetchSpec{Node: int(node), Addr: m.workerAddr(node), Stripe: stripe, Index: index}
+}
+
 // workerAddr returns a node's peer address ("" when it has no worker).
 func (m *Master) workerAddr(node topology.NodeID) string {
 	m.mu.Lock()
@@ -358,15 +365,16 @@ func (m *Master) workerAddr(node topology.NodeID) string {
 // declare the worker itself dead; far-side errors that implicate peers
 // (a failed fetch from a dead mapper) declare those peers dead. Both
 // come back as *runtime.DeadNodeError so the runtime re-executes through
-// its normal failure path. Any other remote error aborts the run.
-func (m *Master) callWorker(node topology.NodeID, method string, req, resp any) error {
+// its normal failure path. Any other remote error aborts the run. The
+// response's payload, if any, is returned as it arrived.
+func (m *Master) callWorker(node topology.NodeID, method string, req, resp any) ([]byte, error) {
 	w := m.worker(node)
 	if w == nil {
-		return &runtime.DeadNodeError{Nodes: []topology.NodeID{node}}
+		return nil, &runtime.DeadNodeError{Nodes: []topology.NodeID{node}}
 	}
-	err := w.conn.call(method, req, resp, m.opts.RPCTimeout)
+	payload, err := w.conn.call(method, req, resp, m.opts.RPCTimeout, nil)
 	if err == nil {
-		return nil
+		return payload, nil
 	}
 	var re *remoteError
 	if errors.As(err, &re) {
@@ -376,12 +384,12 @@ func (m *Master) callWorker(node topology.NodeID, method string, req, resp any) 
 				nodes[i] = topology.NodeID(id)
 				m.declareDead(nodes[i], fmt.Sprintf("unreachable during %s", method))
 			}
-			return &runtime.DeadNodeError{Nodes: nodes}
+			return nil, &runtime.DeadNodeError{Nodes: nodes}
 		}
-		return re
+		return nil, re
 	}
 	m.declareDead(node, fmt.Sprintf("%s failed: %v", method, err))
-	return &runtime.DeadNodeError{Nodes: []topology.NodeID{node}}
+	return nil, &runtime.DeadNodeError{Nodes: []topology.NodeID{node}}
 }
 
 // realNow returns real seconds since the master started; wire events
@@ -429,9 +437,8 @@ func (m *Master) Run(ctx context.Context, specs []JobSpec) (*minimr.Report, erro
 		return nil, err
 	}
 
-	msg := jobsMsg{Jobs: specs}
 	for _, id := range m.fs.Cluster().AliveNodes() {
-		if err := m.callWorker(id, "jobs", msg, nil); err != nil {
+		if _, err := m.callWorker(id, "jobs", specs, nil); err != nil {
 			var dead *runtime.DeadNodeError
 			if errors.As(err, &dead) {
 				continue // the run will recover it like any mid-run failure
@@ -441,38 +448,7 @@ func (m *Master) Run(ctx context.Context, specs []JobSpec) (*minimr.Report, erro
 	}
 
 	backend := newClusterBackend(m, h, jobs)
-	res, err := runtime.Run(runtime.Params{
-		Name:                "cluster",
-		Ctx:                 ctx,
-		Engine:              h.Engine,
-		Cluster:             m.fs.Cluster(),
-		Net:                 h.Net,
-		Scheduler:           h.Scheduler,
-		Env:                 h.Env,
-		JobSched:            m.opts.Engine.JobSched,
-		HeartbeatInterval:   m.opts.Engine.HeartbeatInterval,
-		OutOfBandHeartbeats: m.opts.Engine.OutOfBandHeartbeats,
-		MaxSimTime:          m.opts.Engine.MaxSimTime,
-		Hedge:               m.opts.Engine.Hedge,
-		Repair:              m.opts.Engine.Repair,
-		PollFailures:        m.pollDead,
-		Sink:                masterSink{m},
-		Label:               m.opts.Engine.TraceLabel,
-		TraceFlowRates:      m.opts.Engine.TraceFlowRates,
-	}, backend, h.RJobs)
-	if err != nil {
-		return nil, err
-	}
-	return &minimr.Report{
-		Scheduler:   res.Scheduler,
-		Failed:      res.Failed,
-		Jobs:        res.Jobs,
-		Outputs:     backend.outputs,
-		Makespan:    res.Makespan,
-		BytesMoved:  res.BytesMoved,
-		WastedBytes: res.WastedBytes,
-		Repair:      res.Repair,
-	}, nil
+	return h.Run(ctx, "cluster", &m.opts.Engine, backend, m.pollDead, masterSink{m}, backend.outputs)
 }
 
 // masterSink routes the runtime's virtual events through the master's

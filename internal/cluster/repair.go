@@ -10,67 +10,22 @@
 package cluster
 
 import (
-	"fmt"
-
-	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
-	"degradedfirst/internal/topology"
 )
-
-// ScanLostBlocks implements runtime.RepairBackend via the master's DFS.
-func (b *clusterBackend) ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
-	return b.m.fs.LostBlocks(failed)
-}
-
-// PlanStripeRepair implements runtime.RepairBackend: a launch-time
-// re-plan from the master's live placement.
-func (b *clusterBackend) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
-	return b.m.fs.PlanStripeRepair(key)
-}
 
 // CommitRepair implements runtime.RepairBackend: the destination's
 // worker rebuilds the block for real over the wire, then the master
 // verifies and commits the placement move. A dead destination or source
 // surfaces as *runtime.DeadNodeError (via callWorker's mapping), which
 // feeds the runtime's failure recovery; the repair is then re-queued.
-// Like the in-process engines, it reports the foreground tasks whose
-// input block came back so the runtime can de-degrade them.
 func (b *clusterBackend) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runtime.RepairedTask, error) {
-	req := &repairReq{File: key.File, Stripe: key.Stripe, Index: bp.Index}
+	req := &mapReq{File: key.File, Stripe: key.Stripe, Index: bp.Index}
 	for _, src := range bp.Sources {
-		req.Fetch = append(req.Fetch, fetchSpec{
-			Node:   int(src.Node),
-			Addr:   b.m.workerAddr(src.Node),
-			Stripe: key.Stripe,
-			Index:  src.Index,
-		})
+		req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, key.Stripe, src.Index))
 	}
-	var resp repairResp
-	if err := b.m.callWorker(bp.Dest, "repair-block", req, &resp); err != nil {
+	if _, err := b.m.callWorker(bp.Dest, "repair-block", req, nil); err != nil {
 		return nil, err
 	}
-	block := erasure.BlockID{Stripe: key.Stripe, Index: bp.Index}
-	if _, err := b.m.fs.RepairBlock(key.File, block, bp.Dest, bp.Sources); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	var refs []runtime.RepairedTask
-	for j := range b.jobs {
-		if b.jobs[j].Input != key.File {
-			continue
-		}
-		for t, tb := range b.blocks[j] {
-			if tb == block {
-				// Keep the cached holder in step with the placement, so a
-				// later non-degraded read plans its fetch from the rebuilt
-				// copy, not the dead node.
-				b.holders[j][t] = bp.Dest
-				refs = append(refs, runtime.RepairedTask{Job: j, Task: t})
-			}
-		}
-	}
-	return refs, nil
+	return b.Healer.CommitRepair(key, bp)
 }
-
-// RepairBlockBytes implements runtime.RepairBackend.
-func (b *clusterBackend) RepairBlockBytes() float64 { return float64(b.m.fs.BlockSize()) }

@@ -16,63 +16,100 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"degradedfirst/internal/trace"
 )
 
-// maxFrame bounds one wire frame; a block plus JSON overhead fits far
-// under this, so anything larger is a corrupt or hostile stream.
-const maxFrame = 64 << 20
+// maxFrame bounds one wire frame, envelope plus payload; a block fits
+// far under it, so anything larger is a corrupt or hostile stream.
+// readStep is the most readFrame allocates on a header's word alone.
+const (
+	maxFrame = 64 << 20
+	readStep = 1 << 20
+)
 
 // frame is the single envelope every wire message travels in. Kind
-// routes it: "register"/"registered" (handshake), "hb" (heartbeat),
-// "event" (trace streaming), "req"/"resp" (RPCs, matched by Seq).
+// routes it: "register"/"registered"/"block" (handshake), "hb"
+// (heartbeat), "event" (trace streaming), "req"/"resp" (RPCs, matched by
+// Seq), "cancel" (one-way: the caller of Seq no longer wants an answer).
+// The JSON envelope carries control fields only; bulk bytes — blocks,
+// shuffle chunks, reduce and map-only output — follow it raw as Payload.
 type frame struct {
-	Kind   string          `json:"kind"`
-	Seq    uint64          `json:"seq,omitempty"`
-	Method string          `json:"method,omitempty"` // req only
-	Error  string          `json:"err,omitempty"`    // resp only
-	Dead   []int           `json:"dead,omitempty"`   // resp only: implicated node IDs
-	Body   json.RawMessage `json:"body,omitempty"`
+	Kind    string          `json:"kind"`
+	Seq     uint64          `json:"seq,omitempty"`
+	Method  string          `json:"method,omitempty"` // req only
+	Error   string          `json:"err,omitempty"`    // resp only
+	Dead    []int           `json:"dead,omitempty"`   // resp only: implicated node IDs
+	Body    json.RawMessage `json:"body,omitempty"`
+	Payload []byte          `json:"-"`
 }
 
-// writeFrame marshals f and writes it length-prefixed (4-byte big-endian
-// payload length). Callers serialize writes themselves.
-func writeFrame(w io.Writer, f *frame) error {
-	body, err := json.Marshal(f)
+// writeFrame writes f as an 8-byte header (big-endian envelope length,
+// then payload length), the JSON envelope, and the payload as it is, and
+// returns the envelope's size. Callers serialize writes themselves.
+func writeFrame(w io.Writer, f *frame) (int, error) {
+	env, err := json.Marshal(f)
 	if err != nil {
-		return fmt.Errorf("cluster: encoding frame: %w", err)
+		return 0, fmt.Errorf("cluster: encoding frame: %w", err)
 	}
-	if len(body) > maxFrame {
-		return fmt.Errorf("cluster: frame of %d bytes exceeds limit", len(body))
+	if len(env)+len(f.Payload) > maxFrame {
+		return 0, fmt.Errorf("cluster: frame of %d+%d bytes exceeds limit", len(env), len(f.Payload))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(env)))
+	binary.BigEndian.PutUint32(hdr[4:], uint32(len(f.Payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+		return 0, err
 	}
-	_, err = w.Write(body)
-	return err
+	if _, err := w.Write(env); err != nil {
+		return 0, err
+	}
+	if len(f.Payload) > 0 {
+		_, err = w.Write(f.Payload)
+	}
+	return len(env), err
 }
 
-// readFrame reads one length-prefixed frame.
+// readFrame reads one frame into f, which must be zero. The header is
+// untrusted: lengths summing past maxFrame are rejected (see readN).
 func readFrame(r io.Reader, f *frame) error {
-	var hdr [4]byte
+	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return fmt.Errorf("cluster: frame of %d bytes exceeds limit", n)
+	envLen, payLen := binary.BigEndian.Uint32(hdr[:4]), binary.BigEndian.Uint32(hdr[4:])
+	if uint64(envLen)+uint64(payLen) > maxFrame {
+		return fmt.Errorf("cluster: frame of %d+%d bytes exceeds limit", envLen, payLen)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	env, err := readN(r, int(envLen))
+	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(body, f); err != nil {
+	if err := json.Unmarshal(env, f); err != nil {
 		return fmt.Errorf("cluster: decoding frame: %w", err)
 	}
-	return nil
+	f.Payload, err = readN(r, int(payLen))
+	return err
+}
+
+// readN reads exactly n bytes, n being a peer's claim: the buffer starts
+// at no more than readStep and doubles only once it is full, so a
+// connection never holds more than twice what it has sent plus one step.
+func readN(r io.Reader, n int) ([]byte, error) {
+	if n == 0 {
+		return nil, nil
+	}
+	buf := make([]byte, min(n, readStep))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		if got += m; err != nil {
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // registerMsg is the worker's opening message: where peers can reach it.
@@ -81,37 +118,26 @@ type registerMsg struct {
 }
 
 // registeredMsg is the master's handshake reply: the worker's identity,
-// the code/block geometry it needs for reconstruction, the real
-// heartbeat period, and its node's share of every stored file.
+// the code geometry it needs for reconstruction, the real heartbeat
+// period, and the directory of its node's share of every stored file. One "block" frame per directory entry follows, in order,
+// carrying that block as its payload — so the frame limit bounds a
+// block, not a node's whole share.
 type registeredMsg struct {
 	Node         int           `json:"node"`
-	NumNodes     int           `json:"num_nodes"`
 	CodeN        int           `json:"code_n"`
 	CodeK        int           `json:"code_k"`
 	Construction int           `json:"construction"`
-	BlockSize    int           `json:"block_size"`
 	HeartbeatMS  int           `json:"heartbeat_ms"`
 	Blocks       []storedBlock `json:"blocks"`
 	Err          string        `json:"err,omitempty"`
 }
 
-// storedBlock ships one block (native or parity) to its holder.
+// storedBlock names one stored block: a registration directory entry,
+// and the body of the "block" peer RPC, answered with the block as payload.
 type storedBlock struct {
 	File   string `json:"file"`
 	Stripe int    `json:"stripe"`
 	Index  int    `json:"index"`
-	Data   []byte `json:"data"`
-}
-
-// kv is one key-value record on the wire.
-type kv struct {
-	K string `json:"k"`
-	V string `json:"v"`
-}
-
-// jobsMsg broadcasts the run's jobs ("jobs" RPC) before submission.
-type jobsMsg struct {
-	Jobs []JobSpec `json:"jobs"`
 }
 
 // fetchSpec names one block a worker must pull from a peer (or from its
@@ -123,13 +149,16 @@ type fetchSpec struct {
 	Index  int    `json:"index"`
 }
 
-// mapReq runs one map task ("run-map" RPC). Fetch is empty for
-// node-local input, the block's holder for rack/remote input, or the
-// reconstruction sources when Degraded. Need, when positive, is the
-// number of successful degraded fetches sufficient for reconstruction
+// mapReq runs one map task ("run-map" RPC); the response body is the
+// per-reducer partition sizes, a []float64 (the records stay on the
+// worker until reducers pull them), or a map-only job's output comes
+// back as payload. Fetch is empty for node-local input, the block's
+// holder for rack/remote input, or the reconstruction sources when
+// Degraded. Need, when positive, is how many degraded fetches suffice
 // (the code's k): the worker races every Fetch entry, decodes from the
-// first Need to arrive, and cancels the rest. Zero keeps the original
-// wait-for-all gather byte-identical on the wire.
+// first Need to arrive, and cancels the rest; zero waits for all.
+// "repair-block", sent to a repair's destination, has the same body less
+// Job and Task: fetch every source, decode the lost block and store it.
 type mapReq struct {
 	Job      int         `json:"job"`
 	Task     int         `json:"task"`
@@ -141,16 +170,9 @@ type mapReq struct {
 	Fetch    []fetchSpec `json:"fetch,omitempty"`
 }
 
-// mapResp reports a finished map task: per-reducer partition sizes (the
-// records stay on the worker until reducers pull them), or the full
-// output for map-only jobs.
-type mapResp struct {
-	PartBytes []float64 `json:"part_bytes,omitempty"`
-	Output    []kv      `json:"output,omitempty"`
-}
-
 // chunkFetchReq tells a reducer's worker to pull one map-output
-// partition from the mapper's worker ("fetch-chunk" RPC).
+// partition from the mapper's ("fetch-chunk" RPC); it forwards the body
+// as the "chunk" peer RPC, answered with the packed partition as payload.
 type chunkFetchReq struct {
 	Job     int    `json:"job"`
 	Reducer int    `json:"reducer"`
@@ -160,53 +182,10 @@ type chunkFetchReq struct {
 }
 
 // reduceReq runs one reduce task over the partitions the worker has
-// fetched ("run-reduce" RPC); reduceResp carries its sorted output.
+// fetched ("run-reduce" RPC); the response's payload is its output.
 type reduceReq struct {
 	Job     int `json:"job"`
 	Reducer int `json:"reducer"`
-}
-
-type reduceResp struct {
-	Output []kv `json:"output"`
-}
-
-// repairReq rebuilds one lost block on the receiving worker ("repair-
-// block" RPC, sent to the repair destination): fetch every source block
-// from its peer, decode the lost block, and store it locally — the
-// worker becomes the block's new holder.
-type repairReq struct {
-	File   string      `json:"file"`
-	Stripe int         `json:"stripe"`
-	Index  int         `json:"index"`
-	Fetch  []fetchSpec `json:"fetch"`
-}
-
-// repairResp reports the rebuilt block's size.
-type repairResp struct {
-	Bytes int `json:"bytes"`
-}
-
-// peerReq is the one-shot worker↔worker request: op "block" serves a
-// stored block, op "chunk" serves one map-output partition.
-type peerReq struct {
-	Op      string `json:"op"`
-	File    string `json:"file,omitempty"`
-	Stripe  int    `json:"stripe"`
-	Index   int    `json:"index"`
-	Job     int    `json:"job"`
-	MapTask int    `json:"map_task"`
-	Reducer int    `json:"reducer"`
-}
-
-type peerResp struct {
-	Err  string `json:"err,omitempty"`
-	Data []byte `json:"data,omitempty"`
-	KVs  []kv   `json:"kvs,omitempty"`
-}
-
-// eventBody wraps a streamed trace event.
-type eventBody struct {
-	Event trace.Event `json:"event"`
 }
 
 // mustJSON marshals a value this package defined; failure is a

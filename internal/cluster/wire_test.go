@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -15,10 +18,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		{Kind: "req", Seq: 42, Method: "run-map", Body: mustJSON(mapReq{Job: 1, Task: 7, File: "input.txt", Degraded: true,
 			Fetch: []fetchSpec{{Node: 3, Addr: "a", Stripe: 2, Index: 11}}})},
 		{Kind: "resp", Seq: 42, Error: "boom", Dead: []int{3, 5}},
+		{Kind: "resp", Seq: 43, Body: mustJSON([]float64{1, 2}), Payload: []byte("\x05whale\x011")},
+		{Kind: "block", Payload: bytes.Repeat([]byte{0xab, 0x00, '"'}, 70000)},
 	}
 	for _, in := range cases {
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, &in); err != nil {
+		if _, err := writeFrame(&buf, &in); err != nil {
 			t.Fatalf("write %q: %v", in.Kind, err)
 		}
 		var out frame
@@ -33,7 +38,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(mustJSON(out), &b); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a, b) {
+		if !reflect.DeepEqual(a, b) || !bytes.Equal(in.Payload, out.Payload) {
 			t.Fatalf("round trip changed frame %q:\n in: %+v\nout: %+v", in.Kind, in, out)
 		}
 	}
@@ -42,23 +47,122 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameRejectsOversize(t *testing.T) {
 	huge := frame{Kind: "event", Body: mustJSON(strings.Repeat("x", maxFrame))}
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, &huge); err == nil {
+	if _, err := writeFrame(&buf, &huge); err == nil {
 		t.Fatal("writeFrame accepted an oversized frame")
 	}
 
 	// A hostile length prefix must be rejected before allocation.
-	hdr := []byte{0xff, 0xff, 0xff, 0xff}
+	hdr := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
 	var f frame
 	if err := readFrame(bytes.NewReader(hdr), &f); err == nil {
 		t.Fatal("readFrame accepted a hostile length prefix")
 	}
+	// Each length alone is legal; only their sum is not.
+	binary.BigEndian.PutUint32(hdr[:4], maxFrame/2+1)
+	binary.BigEndian.PutUint32(hdr[4:], maxFrame/2)
+	if err := readFrame(bytes.NewReader(hdr), &f); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("readFrame accepted lengths summing past the limit: %v", err)
+	}
+	if _, err := writeFrame(&buf, &frame{Kind: "block", Payload: make([]byte, maxFrame)}); err == nil {
+		t.Fatal("writeFrame accepted envelope + payload past the limit")
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a header may claim 64 MiB, but
+// the reader must not take its word — memory follows the bytes that
+// actually arrive.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	env := mustJSON(frame{Kind: "block"})
+	hostile := make([]byte, 8, 8+len(env)+100)
+	binary.BigEndian.PutUint32(hostile[:4], uint32(len(env)))
+	binary.BigEndian.PutUint32(hostile[4:], maxFrame-uint32(len(env)))
+	hostile = append(append(hostile, env...), make([]byte, 100)...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var f frame
+	err := readFrame(bytes.NewReader(hostile), &f)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("readFrame returned a frame the stream never finished")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*readStep {
+		t.Fatalf("a 100-byte payload claiming %d bytes cost %d bytes of allocation", maxFrame, got)
+	}
+
+	// An honest large payload still arrives whole, through the doubling.
+	big := frame{Kind: "block", Payload: bytes.Repeat([]byte("0123456789abcdef"), 3*readStep/16+1)}
+	var buf bytes.Buffer
+	if _, err := writeFrame(&buf, &big); err != nil {
+		t.Fatal(err)
+	}
+	var out frame
+	if err := readFrame(&buf, &out); err != nil || !bytes.Equal(out.Payload, big.Payload) {
+		t.Fatalf("large payload did not survive: err %v, %d of %d bytes", err, len(out.Payload), len(big.Payload))
+	}
+}
+
+// countingReader counts the bytes handed out.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader: it must never
+// panic, never hold more than the bytes received plus one (doubling)
+// step, and whatever it accepts must survive write→read→write
+// byte-identically.
+func FuzzReadFrame(f *testing.F) {
+	for _, fr := range []frame{
+		{Kind: "hb"},
+		{Kind: "resp", Seq: 7, Payload: []byte("\x05whale\x011")},
+		{Kind: "req", Seq: 1, Method: "block", Body: mustJSON(storedBlock{File: "input.txt", Stripe: 2, Index: 11})},
+	} {
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, &fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 2, 0x03, 0xff, 0xff, 0xff, '{', '}', 'x'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := &countingReader{r: bytes.NewReader(data)}
+		var fr frame
+		if err := readFrame(in, &fr); err != nil {
+			return
+		}
+		if held := cap(fr.Payload) + cap(fr.Body); held > 2*in.n+readStep {
+			t.Fatalf("holding %d bytes after receiving %d", held, in.n)
+		}
+		var first, second bytes.Buffer
+		if _, err := writeFrame(&first, &fr); err != nil {
+			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		var again frame
+		if err := readFrame(bytes.NewReader(first.Bytes()), &again); err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if _, err := writeFrame(&second, &again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write→read→write changed the frame:\n%q\n%q", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestFrameStreamsSequentially(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
 		f := frame{Kind: "req", Seq: uint64(i), Method: "jobs"}
-		if err := writeFrame(&buf, &f); err != nil {
+		if _, err := writeFrame(&buf, &f); err != nil {
 			t.Fatal(err)
 		}
 	}

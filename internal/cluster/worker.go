@@ -37,28 +37,43 @@ type partKey struct{ job, task int }
 
 type chunkKey struct{ job, reducer, mapTask int }
 
+// peerSlot is one pool entry; its own lock lets peers dial in parallel.
+type peerSlot struct {
+	mu sync.Mutex
+	rc *rpcConn
+}
+
 // Worker is one node's process: it holds the node's erasure-coded
 // blocks, runs the real map/reduce functions on the master's command,
 // serves blocks and shuffle partitions to peers, and heartbeats to the
 // master over the registration connection.
 type Worker struct {
-	node      topology.NodeID
-	code      *erasure.Code
-	blockSize int
-	hbEvery   time.Duration
-	drag      time.Duration
-	conn      *rpcConn
-	peerLn    net.Listener
-	epoch     time.Time
+	node    topology.NodeID
+	code    *erasure.Code
+	hbEvery time.Duration
+	drag    time.Duration
+	conn    *rpcConn
+	peerLn  net.Listener
+	epoch   time.Time
+
+	stats connStats
 
 	mu    sync.Mutex
 	jobs  []minimr.Job
 	store map[blockKey][]byte
-	// parts[job/task][reducer] holds the task's real map-output
-	// partitions until reducers pull them.
-	parts map[partKey][][]minimr.KeyValue
-	// rbuf accumulates the shuffle chunks this node's reducers fetched.
-	rbuf map[chunkKey][]kv
+	// parts[job/task][reducer] holds the task's packed map-output
+	// partitions; a reducer's pull writes the stored buffer to its socket.
+	parts map[partKey][]minimr.RecordBuf
+	// rbuf holds the shuffle chunks this node's reducers fetched.
+	rbuf map[chunkKey]minimr.RecordBuf
+
+	// pool maps a peer address to its one lazily dialled connection;
+	// conns is every live peer connection in either direction (shutdown
+	// closes them all, as a crash would). pmu guards both.
+	pmu    sync.Mutex
+	pool   map[string]*peerSlot
+	conns  map[*rpcConn]struct{}
+	closed bool
 
 	hbStop    chan struct{}
 	hbOnce    sync.Once
@@ -93,62 +108,67 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 		delay *= 2
 	}
 
-	rc := newRPCConn(c)
-	if err := rc.send(&frame{Kind: "register", Body: mustJSON(registerMsg{PeerAddr: peerLn.Addr().String()})}); err != nil {
+	w := &Worker{
+		drag:   opts.Drag,
+		peerLn: peerLn,
+		epoch:  time.Now(),
+		store:  make(map[blockKey][]byte),
+		parts:  make(map[partKey][]minimr.RecordBuf),
+		rbuf:   make(map[chunkKey]minimr.RecordBuf),
+		pool:   make(map[string]*peerSlot),
+		conns:  make(map[*rpcConn]struct{}),
+		hbStop: make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	w.conn = newRPCConn(c, &w.stats)
+	if err := w.handshake(); err != nil {
 		peerLn.Close()
 		c.Close()
-		return nil, fmt.Errorf("cluster: registering: %w", err)
+		return nil, err
+	}
+
+	w.conn.serve = w.serve
+	w.conn.onClose = func(error) { w.shutdown() } // master gone → worker exits
+	w.conn.start()
+	go w.heartbeatLoop()
+	go w.peerAcceptLoop()
+	return w, nil
+}
+
+// handshake registers with the master and takes delivery of the node's
+// identity, geometry and blocks, each block in a frame of its own.
+func (w *Worker) handshake() error {
+	rc := w.conn
+	if err := rc.send(&frame{Kind: "register", Body: mustJSON(registerMsg{PeerAddr: w.peerLn.Addr().String()})}); err != nil {
+		return fmt.Errorf("cluster: registering: %w", err)
 	}
 	var f frame
-	if err := readFrame(rc.br, &f); err != nil || f.Kind != "registered" {
-		peerLn.Close()
-		c.Close()
-		return nil, fmt.Errorf("cluster: registration reply: %v (kind %q)", err, f.Kind)
+	if err := rc.recv(&f); err != nil || f.Kind != "registered" {
+		return fmt.Errorf("cluster: registration reply: %v (kind %q)", err, f.Kind)
 	}
 	var msg registeredMsg
 	if err := json.Unmarshal(f.Body, &msg); err != nil {
-		peerLn.Close()
-		c.Close()
-		return nil, fmt.Errorf("cluster: decoding registration: %w", err)
+		return fmt.Errorf("cluster: decoding registration: %w", err)
 	}
 	if msg.Err != "" {
-		peerLn.Close()
-		c.Close()
-		return nil, fmt.Errorf("cluster: master rejected registration: %s", msg.Err)
+		return fmt.Errorf("cluster: master rejected registration: %s", msg.Err)
 	}
 	code, err := erasure.New(msg.CodeN, msg.CodeK,
 		erasure.WithConstruction(erasure.Construction(msg.Construction)))
 	if err != nil {
-		peerLn.Close()
-		c.Close()
-		return nil, fmt.Errorf("cluster: rebuilding code: %w", err)
+		return fmt.Errorf("cluster: rebuilding code: %w", err)
 	}
-
-	w := &Worker{
-		node:      topology.NodeID(msg.Node),
-		code:      code,
-		blockSize: msg.BlockSize,
-		hbEvery:   time.Duration(msg.HeartbeatMS) * time.Millisecond,
-		drag:      opts.Drag,
-		conn:      rc,
-		peerLn:    peerLn,
-		epoch:     time.Now(),
-		store:     make(map[blockKey][]byte),
-		parts:     make(map[partKey][][]minimr.KeyValue),
-		rbuf:      make(map[chunkKey][]kv),
-		hbStop:    make(chan struct{}),
-		done:      make(chan struct{}),
-	}
+	w.node = topology.NodeID(msg.Node)
+	w.code = code
+	w.hbEvery = time.Duration(msg.HeartbeatMS) * time.Millisecond
 	for _, sb := range msg.Blocks {
-		w.store[blockKey{file: sb.File, stripe: sb.Stripe, index: sb.Index}] = sb.Data
+		var bf frame
+		if err := rc.recv(&bf); err != nil || bf.Kind != "block" {
+			return fmt.Errorf("cluster: receiving %s stripe %d block %d: %v (kind %q)", sb.File, sb.Stripe, sb.Index, err, bf.Kind)
+		}
+		w.store[blockKey{file: sb.File, stripe: sb.Stripe, index: sb.Index}] = bf.Payload
 	}
-
-	rc.serve = w.serve
-	rc.onClose = func(error) { w.shutdown() } // master gone → worker exits
-	rc.start()
-	go w.heartbeatLoop()
-	go w.peerAcceptLoop()
-	return w, nil
+	return nil
 }
 
 // Node returns the node identity the master assigned.
@@ -164,8 +184,19 @@ func (w *Worker) shutdown() {
 	w.closeOnce.Do(func() {
 		close(w.done)
 		w.peerLn.Close()
+		w.pmu.Lock()
+		w.closed = true
+		conns := w.conns
+		w.conns = nil
+		w.pmu.Unlock()
+		for rc := range conns {
+			rc.close(errConnClosed)
+		}
 	})
 }
+
+// Stats returns the worker's connection counters so far.
+func (w *Worker) Stats() Stats { return w.stats.snapshot() }
 
 // Close shuts the worker down.
 func (w *Worker) Close() {
@@ -204,60 +235,51 @@ func (w *Worker) heartbeatLoop() {
 // emit streams one wire event to the master's merged trace; delivery is
 // best-effort (a dying connection already surfaces elsewhere).
 func (w *Worker) emit(ev trace.Event) {
-	w.conn.send(&frame{Kind: "event", Body: mustJSON(eventBody{Event: ev})})
+	w.conn.send(&frame{Kind: "event", Body: mustJSON(ev)})
 }
 
 // realNow is real seconds since this worker started; its wire events
 // carry this clock.
 func (w *Worker) realNow() float64 { return time.Since(w.epoch).Seconds() }
 
+func handle[Req any](body json.RawMessage, fn func(*Req) (any, []byte, error)) (any, []byte, error) {
+	req := new(Req)
+	if err := json.Unmarshal(body, req); err != nil {
+		return nil, nil, err
+	}
+	return fn(req)
+}
+
 // serve dispatches one master RPC.
-func (w *Worker) serve(method string, body json.RawMessage) (any, error) {
+func (w *Worker) serve(method string, body json.RawMessage) (any, []byte, error) {
 	switch method {
 	case "jobs":
-		var msg jobsMsg
-		if err := json.Unmarshal(body, &msg); err != nil {
-			return nil, err
-		}
-		jobs, err := BuildJobs(msg.Jobs)
-		if err != nil {
-			return nil, err
-		}
-		w.mu.Lock()
-		w.jobs = jobs
-		// A fresh job set starts a fresh run: drop any partitions and
-		// shuffle chunks left over from a previous one.
-		w.parts = make(map[partKey][][]minimr.KeyValue)
-		w.rbuf = make(map[chunkKey][]kv)
-		w.mu.Unlock()
-		return nil, nil
+		return handle(body, w.setJobs)
 	case "run-map":
-		var req mapReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return w.runMap(&req)
+		return handle(body, w.runMap)
 	case "fetch-chunk":
-		var req chunkFetchReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return nil, w.fetchChunk(&req)
+		return handle(body, w.fetchChunk)
 	case "run-reduce":
-		var req reduceReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return w.runReduce(&req)
+		return handle(body, w.runReduce)
 	case "repair-block":
-		var req repairReq
-		if err := json.Unmarshal(body, &req); err != nil {
-			return nil, err
-		}
-		return w.repairBlock(&req)
+		return handle(body, w.repairBlock)
 	default:
-		return nil, fmt.Errorf("cluster: unknown method %q", method)
+		return nil, nil, fmt.Errorf("cluster: unknown method %q", method)
 	}
+}
+
+// setJobs starts a fresh run: the previous one's partitions and chunks go.
+func (w *Worker) setJobs(specs *[]JobSpec) (any, []byte, error) {
+	jobs, err := BuildJobs(*specs)
+	if err != nil {
+		return nil, nil, err
+	}
+	w.mu.Lock()
+	w.jobs = jobs
+	w.parts = make(map[partKey][]minimr.RecordBuf)
+	w.rbuf = make(map[chunkKey]minimr.RecordBuf)
+	w.mu.Unlock()
+	return nil, nil, nil
 }
 
 func (w *Worker) job(idx int) (minimr.Job, error) {
@@ -270,151 +292,107 @@ func (w *Worker) job(idx int) (minimr.Job, error) {
 }
 
 // runMap gathers the task's input (locally, from a peer, or by degraded
-// reconstruction), runs the real map function, and keeps the partitions
-// for reducers to pull. Only the partition sizes return to the master.
-func (w *Worker) runMap(req *mapReq) (*mapResp, error) {
+// reconstruction), runs the real map function, and keeps the packed
+// partitions for reducers to pull. The master gets the partition sizes
+// or, for a map-only job, the output itself as payload.
+func (w *Worker) runMap(req *mapReq) (any, []byte, error) {
 	job, err := w.job(req.Job)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	data, err := w.gatherInput(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if w.drag > 0 {
 		time.Sleep(w.drag)
 	}
 
-	numR := job.NumReducers
-	parts := make([][]minimr.KeyValue, numR)
-	bytes := make([]float64, numR)
-	var out []kv
-	emit := func(k, v string) {
-		if numR == 0 {
-			out = append(out, kv{K: k, V: v})
-			return
-		}
-		p := minimr.PartitionOf(k, numR)
-		parts[p] = append(parts[p], minimr.KeyValue{Key: k, Value: v})
-		bytes[p] += float64(len(k) + len(v) + 2)
-	}
-	job.Map(data, emit)
-
-	w.mu.Lock()
-	w.parts[partKey{job: req.Job, task: req.Task}] = parts
-	w.mu.Unlock()
-
+	parts, sizes := minimr.MapBlock(&job, data)
 	ev := trace.New(w.realNow(), trace.EvWireMap)
 	ev.Job, ev.Task, ev.Node, ev.Bytes = req.Job, req.Task, int(w.node), float64(len(data))
 	w.emit(ev)
-	return &mapResp{PartBytes: bytes, Output: out}, nil
+	if job.NumReducers == 0 {
+		return nil, parts[0], nil
+	}
+	w.mu.Lock()
+	w.parts[partKey{job: req.Job, task: req.Task}] = parts
+	w.mu.Unlock()
+	return sizes, nil, nil
 }
 
 // gatherInput produces the task's input block: straight from the local
 // store, one fetch from the block's holder, or — degraded — a concurrent
 // fan-in of the reconstruction sources followed by a real Reed-Solomon
-// decode. A positive Need turns the fan-in into a first-Need-wins race.
+// decode.
 func (w *Worker) gatherInput(req *mapReq) ([]byte, error) {
 	if len(req.Fetch) == 0 {
 		return w.readLocal(req.File, req.Stripe, req.Index)
 	}
 	if !req.Degraded {
-		return w.fetchBlock(req.File, req.Fetch[0])
+		return w.fetchBlock(req.File, req.Fetch[0], nil)
 	}
-	if req.Need > 0 && req.Need < len(req.Fetch) {
-		return w.gatherHedged(req)
-	}
-
-	srcIdx := make([]int, len(req.Fetch))
-	sources := make([][]byte, len(req.Fetch))
-	errs := make([]error, len(req.Fetch))
-	var wg sync.WaitGroup
-	for i, f := range req.Fetch {
-		srcIdx[i] = f.Index
-		wg.Add(1)
-		go func(i int, f fetchSpec) {
-			defer wg.Done()
-			sources[i], errs[i] = w.fetchBlock(req.File, f)
-		}(i, f)
-	}
-	wg.Wait()
-
-	var dead []int
-	var cause error
-	for i, err := range errs {
-		if err != nil {
-			dead = append(dead, req.Fetch[i].Node)
-			cause = err
-		}
-	}
-	if len(dead) > 0 {
-		return nil, &deadPeersError{peers: dead, cause: cause}
-	}
-	data, err := w.code.ReconstructBlock(req.Index, srcIdx, sources)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: reconstructing %s stripe %d block %d: %w", req.File, req.Stripe, req.Index, err)
-	}
-	return data, nil
+	return w.reconstruct(req)
 }
 
-// gatherHedged is the redundant degraded fan-in: race every fetch in
-// req.Fetch, decode from the first req.Need that succeed, and cancel the
-// losers for real by closing their peer connections. Reed-Solomon
-// decoding from any k survivors yields identical bytes, so which sources
-// win changes only timing, never data. Fails with *deadPeersError only
-// when fewer than Need sources remain reachable.
-func (w *Worker) gatherHedged(req *mapReq) ([]byte, error) {
+// reconstruct rebuilds one block from its stripe: fetch every source
+// concurrently, decode from the first req.Need to arrive (all of them
+// when Need is zero), and cancel the rest — calls are abandoned, the
+// pooled connections stay up. Any k survivors decode to identical bytes,
+// so which sources win changes only timing. Fails with *deadPeersError,
+// naming every unreachable source, only when fewer than that remain.
+func (w *Worker) reconstruct(req *mapReq) ([]byte, error) {
+	fetch, need := req.Fetch, req.Need
+	if need <= 0 || need > len(fetch) {
+		need = len(fetch)
+	}
 	type result struct {
 		i    int
 		data []byte
 		err  error
 	}
-	results := make(chan result, len(req.Fetch))
+	results := make(chan result, len(fetch)) // one send per fetch: losers never block
 	cancel := make(chan struct{})
-	for i, f := range req.Fetch {
+	for i, f := range fetch {
 		go func(i int, f fetchSpec) {
-			data, err := w.fetchBlockCancel(req.File, f, cancel)
+			data, err := w.fetchBlock(req.File, f, cancel)
 			results <- result{i: i, data: data, err: err}
 		}(i, f)
 	}
-	var srcIdx []int
-	var sources [][]byte
-	var dead []int
-	var cause error
-	for received := 0; received < len(req.Fetch) && len(sources) < req.Need; received++ {
+	got := make([]*result, len(fetch))
+	wins := 0
+	for received := 0; received < len(fetch) && wins < need; received++ {
 		r := <-results
-		if r.err != nil {
-			dead = append(dead, req.Fetch[r.i].Node)
-			cause = r.err
-			continue
+		got[r.i] = &r
+		if r.err == nil {
+			wins++
 		}
-		srcIdx = append(srcIdx, req.Fetch[r.i].Index)
-		sources = append(sources, r.data)
 	}
-	close(cancel) // aborts the losers' in-flight fetches
-	if len(sources) < req.Need {
+	close(cancel)
+
+	// Arrival order races; decode from (and blame) in request order.
+	var srcIdx, dead []int
+	var sources [][]byte
+	var cause error
+	for i, r := range got {
+		switch {
+		case r == nil:
+		case r.err != nil:
+			dead = append(dead, fetch[i].Node)
+			cause = r.err
+		default:
+			srcIdx = append(srcIdx, fetch[i].Index)
+			sources = append(sources, r.data)
+		}
+	}
+	if wins < need {
 		return nil, &deadPeersError{peers: dead, cause: cause}
 	}
-	// Arrival order races; decode from a deterministically ordered set.
-	sort.Sort(&bySourceIndex{idx: srcIdx, data: sources})
 	data, err := w.code.ReconstructBlock(req.Index, srcIdx, sources)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reconstructing %s stripe %d block %d: %w", req.File, req.Stripe, req.Index, err)
 	}
 	return data, nil
-}
-
-// bySourceIndex sorts a (source index, block data) pairing by index.
-type bySourceIndex struct {
-	idx  []int
-	data [][]byte
-}
-
-func (s *bySourceIndex) Len() int           { return len(s.idx) }
-func (s *bySourceIndex) Less(i, j int) bool { return s.idx[i] < s.idx[j] }
-func (s *bySourceIndex) Swap(i, j int) {
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.data[i], s.data[j] = s.data[j], s.data[i]
 }
 
 func (w *Worker) readLocal(file string, stripe, index int) ([]byte, error) {
@@ -428,78 +406,72 @@ func (w *Worker) readLocal(file string, stripe, index int) ([]byte, error) {
 }
 
 // fetchBlock reads one source block: locally when this node holds it,
-// otherwise from the holder's peer server (with retries). Unreachable
-// peers come back as *deadPeersError so the master can recover.
-func (w *Worker) fetchBlock(file string, f fetchSpec) ([]byte, error) {
-	return w.fetchBlockCancel(file, f, nil)
-}
-
-// fetchBlockCancel is fetchBlock with cancellation: closing cancel
-// aborts an in-flight peer fetch by closing its connection (a nil
-// channel never cancels).
-func (w *Worker) fetchBlockCancel(file string, f fetchSpec, cancel <-chan struct{}) ([]byte, error) {
+// otherwise from the holder over its pooled connection. Closing cancel
+// abandons an in-flight fetch (nil never cancels).
+func (w *Worker) fetchBlock(file string, f fetchSpec, cancel <-chan struct{}) ([]byte, error) {
 	if f.Node == int(w.node) {
 		return w.readLocal(file, f.Stripe, f.Index)
 	}
-	resp, err := w.peerCallCancel(f.Addr, peerReq{Op: "block", File: file, Stripe: f.Stripe, Index: f.Index}, cancel)
+	data, err := w.peerCall(f.Node, f.Addr, "block", storedBlock{File: file, Stripe: f.Stripe, Index: f.Index}, cancel)
 	if err != nil {
-		return nil, &deadPeersError{peers: []int{f.Node}, cause: err}
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("cluster: peer %d: %s", f.Node, resp.Err)
+		return nil, err
 	}
 	ev := trace.New(w.realNow(), trace.EvWireFetch)
-	ev.Node, ev.Src, ev.Bytes = int(w.node), f.Node, float64(len(resp.Data))
+	ev.Node, ev.Src, ev.Bytes = int(w.node), f.Node, float64(len(data))
 	ev.Name = file
 	w.emit(ev)
-	return resp.Data, nil
+	return data, nil
+}
+
+// partition serves the "chunk" peer RPC from this node's map output.
+func (w *Worker) partition(req *chunkFetchReq) (any, []byte, error) {
+	w.mu.Lock()
+	parts := w.parts[partKey{job: req.Job, task: req.MapTask}]
+	w.mu.Unlock()
+	if req.Reducer < 0 || req.Reducer >= len(parts) {
+		return nil, nil, fmt.Errorf("no partition %d for job %d task %d", req.Reducer, req.Job, req.MapTask)
+	}
+	return nil, parts[req.Reducer], nil
 }
 
 // fetchChunk pulls one map-output partition into this node's reduce
 // buffer (from its own partition store when the mapper ran here).
-func (w *Worker) fetchChunk(req *chunkFetchReq) error {
-	var records []kv
+func (w *Worker) fetchChunk(req *chunkFetchReq) (any, []byte, error) {
+	var data []byte
+	var err error
 	if req.Node == int(w.node) {
-		w.mu.Lock()
-		parts := w.parts[partKey{job: req.Job, task: req.MapTask}]
-		if req.Reducer < len(parts) {
-			for _, r := range parts[req.Reducer] {
-				records = append(records, kv{K: r.Key, V: r.Value})
-			}
-		}
-		w.mu.Unlock()
+		_, data, err = w.partition(req)
 	} else {
-		resp, err := w.peerCall(req.Addr, peerReq{Op: "chunk", Job: req.Job, MapTask: req.MapTask, Reducer: req.Reducer})
-		if err != nil {
-			return &deadPeersError{peers: []int{req.Node}, cause: err}
-		}
-		if resp.Err != "" {
-			return fmt.Errorf("cluster: peer %d: %s", req.Node, resp.Err)
-		}
-		records = resp.KVs
+		data, err = w.peerCall(req.Node, req.Addr, "chunk", req, nil)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	buf := minimr.RecordBuf(data)
 
+	// One pass validates the buffer (it may have crossed the wire) and
+	// sizes it the way the map side did.
+	var bytes float64
+	if err := buf.Each(func(k, v []byte) { bytes += float64(len(k) + len(v) + 2) }); err != nil {
+		return nil, nil, fmt.Errorf("cluster: chunk from node %d: %w", req.Node, err)
+	}
 	w.mu.Lock()
-	w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: req.MapTask}] = records
+	w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: req.MapTask}] = buf
 	w.mu.Unlock()
 
-	var bytes float64
-	for _, r := range records {
-		bytes += float64(len(r.K) + len(r.V) + 2)
-	}
 	ev := trace.New(w.realNow(), trace.EvWireShuffle)
 	ev.Job, ev.Task, ev.Node, ev.Src, ev.Bytes = req.Job, req.Reducer, int(w.node), req.Node, bytes
 	w.emit(ev)
-	return nil
+	return nil, nil, nil
 }
 
 // runReduce runs the real reduce function over every partition this
-// node fetched for the reducer, in deterministic order: chunks by map
-// task index, then keys sorted.
-func (w *Worker) runReduce(req *reduceReq) (*reduceResp, error) {
+// node fetched for the reducer, in deterministic order — chunks by map
+// task index, then keys sorted — and returns the packed output.
+func (w *Worker) runReduce(req *reduceReq) (any, []byte, error) {
 	job, err := w.job(req.Job)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	w.mu.Lock()
@@ -510,33 +482,25 @@ func (w *Worker) runReduce(req *reduceReq) (*reduceResp, error) {
 		}
 	}
 	sort.Ints(tasks)
-	var records []kv
-	for _, t := range tasks {
-		records = append(records, w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: t}]...)
+	bufs := make([]minimr.RecordBuf, len(tasks))
+	for i, t := range tasks {
+		bufs[i] = w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: t}]
 	}
 	w.mu.Unlock()
 
-	grouped := make(map[string][]string)
-	for _, r := range records {
-		grouped[r.K] = append(grouped[r.K], r.V)
+	var out minimr.RecordBuf
+	n := 0
+	err = minimr.ReduceBufs(job.Reduce, bufs, func(k, v string) {
+		out = out.Append(k, v)
+		n++
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	keys := make([]string, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	var out []kv
-	for _, k := range keys {
-		job.Reduce(k, grouped[k], func(ok, ov string) {
-			out = append(out, kv{K: ok, V: ov})
-		})
-	}
-
 	ev := trace.New(w.realNow(), trace.EvWireReduce)
-	ev.Job, ev.Task, ev.Node, ev.N = req.Job, req.Reducer, int(w.node), len(out)
+	ev.Job, ev.Task, ev.Node, ev.N = req.Job, req.Reducer, int(w.node), n
 	w.emit(ev)
-	return &reduceResp{Output: out}, nil
+	return nil, out, nil
 }
 
 // repairBlock executes one background repair on the master's command:
@@ -544,38 +508,13 @@ func (w *Worker) runReduce(req *reduceReq) (*reduceResp, error) {
 // read's fan-in), decode the lost block, and store it — this worker is
 // the rebuilt block's new holder, so later local reads and peer fetches
 // serve it like any block it registered with.
-func (w *Worker) repairBlock(req *repairReq) (*repairResp, error) {
+func (w *Worker) repairBlock(req *mapReq) (any, []byte, error) {
 	if len(req.Fetch) == 0 {
-		return nil, fmt.Errorf("cluster: repair of %s stripe %d block %d has no sources", req.File, req.Stripe, req.Index)
+		return nil, nil, fmt.Errorf("cluster: repair of %s stripe %d block %d has no sources", req.File, req.Stripe, req.Index)
 	}
-	srcIdx := make([]int, len(req.Fetch))
-	sources := make([][]byte, len(req.Fetch))
-	errs := make([]error, len(req.Fetch))
-	var wg sync.WaitGroup
-	for i, f := range req.Fetch {
-		srcIdx[i] = f.Index
-		wg.Add(1)
-		go func(i int, f fetchSpec) {
-			defer wg.Done()
-			sources[i], errs[i] = w.fetchBlock(req.File, f)
-		}(i, f)
-	}
-	wg.Wait()
-
-	var dead []int
-	var cause error
-	for i, err := range errs {
-		if err != nil {
-			dead = append(dead, req.Fetch[i].Node)
-			cause = err
-		}
-	}
-	if len(dead) > 0 {
-		return nil, &deadPeersError{peers: dead, cause: cause}
-	}
-	data, err := w.code.ReconstructBlock(req.Index, srcIdx, sources)
+	data, err := w.reconstruct(req)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: repairing %s stripe %d block %d: %w", req.File, req.Stripe, req.Index, err)
+		return nil, nil, err
 	}
 	w.mu.Lock()
 	w.store[blockKey{file: req.File, stripe: req.Stripe, index: req.Index}] = data
@@ -585,23 +524,17 @@ func (w *Worker) repairBlock(req *repairReq) (*repairResp, error) {
 	ev.Name, ev.Task, ev.N = req.File, req.Stripe, req.Index
 	ev.Node, ev.Bytes = int(w.node), float64(len(data))
 	w.emit(ev)
-	return &repairResp{Bytes: len(data)}, nil
+	return nil, nil, nil
 }
 
-// errFetchCancelled marks a peer fetch aborted because its race was
-// already won; it is never a peer-health signal.
-var errFetchCancelled = errors.New("cluster: fetch cancelled")
-
-// peerCall performs one one-shot request against a peer's server, with
-// retries: workers may be mid-registration when the first fetches fly.
-func (w *Worker) peerCall(addr string, req peerReq) (*peerResp, error) {
-	return w.peerCallCancel(addr, req, nil)
-}
-
-// peerCallCancel is peerCall with cancellation: closing cancel skips
-// further retries and closes the in-flight connection (a nil channel
-// never cancels).
-func (w *Worker) peerCallCancel(addr string, req peerReq, cancel <-chan struct{}) (*peerResp, error) {
+// peerCall performs one RPC against peer `node` over its pooled
+// connection and returns the response payload. A connection that fails
+// or hangs is closed (which evicts it) and the call retried on a fresh
+// dial, with backoff: workers may be mid-registration when the first
+// fetches fly. A peer still unreachable comes back as *deadPeersError
+// so the master can recover; an error the peer reported aborts the run.
+// Closing cancel abandons the call and any retries (nil never cancels).
+func (w *Worker) peerCall(node int, addr, method string, req any, cancel <-chan struct{}) ([]byte, error) {
 	var lastErr error
 	delay := 25 * time.Millisecond
 	for attempt := 0; attempt < 3; attempt++ {
@@ -610,58 +543,87 @@ func (w *Worker) peerCallCancel(addr string, req peerReq, cancel <-chan struct{}
 			select {
 			case <-cancel:
 				t.Stop()
-				return nil, errFetchCancelled
+				return nil, errCallCancelled
 			case <-t.C:
 			}
 			delay *= 2
 		}
-		resp, err := w.peerCallOnce(addr, req, cancel)
+		rc, err := w.peerConn(addr)
 		if err == nil {
-			return resp, nil
-		}
-		select {
-		case <-cancel:
-			return nil, errFetchCancelled
-		default:
+			var data []byte
+			data, err = rc.call(method, req, nil, 10*time.Second, cancel)
+			var re *remoteError
+			switch {
+			case err == nil, errors.Is(err, errCallCancelled):
+				return data, err
+			case errors.As(err, &re):
+				return nil, fmt.Errorf("cluster: peer %d: %s", node, re.msg)
+			}
+			rc.close(err)
 		}
 		lastErr = err
 	}
-	return nil, lastErr
+	return nil, &deadPeersError{peers: []int{node}, cause: lastErr}
 }
 
-func (w *Worker) peerCallOnce(addr string, req peerReq, cancel <-chan struct{}) (*peerResp, error) {
+// peerConn returns the pooled connection to a peer, dialling if none.
+func (w *Worker) peerConn(addr string) (*rpcConn, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("cluster: peer has no address")
+	}
+	w.pmu.Lock()
+	slot := w.pool[addr]
+	if slot == nil {
+		slot = &peerSlot{}
+		w.pool[addr] = slot
+	}
+	w.pmu.Unlock()
+
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	if slot.rc != nil {
+		return slot.rc, nil
 	}
 	c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
-	if cancel != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-cancel:
-				c.Close() // unblocks any in-flight read or write
-			case <-stop:
-			}
-		}()
+	w.stats.add(func(st *Stats) { st.PeerDials++ })
+	rc := newRPCConn(c, &w.stats)
+	if !w.adopt(rc, func() {
+		slot.mu.Lock()
+		if slot.rc == rc {
+			slot.rc = nil
+		}
+		slot.mu.Unlock()
+	}) {
+		return nil, errConnClosed
 	}
-	c.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeFrame(c, &frame{Kind: "peer", Body: mustJSON(req)}); err != nil {
-		return nil, err
+	slot.rc = rc
+	return rc, nil
+}
+
+// adopt starts a peer connection and tracks it for shutdown (refused once
+// shut down); evict, if not nil, runs when the connection dies.
+func (w *Worker) adopt(rc *rpcConn, evict func()) bool {
+	rc.onClose = func(error) {
+		w.pmu.Lock()
+		delete(w.conns, rc)
+		w.pmu.Unlock()
+		if evict != nil {
+			evict()
+		}
 	}
-	var f frame
-	if err := readFrame(c, &f); err != nil {
-		return nil, err
+	w.pmu.Lock()
+	if w.closed {
+		w.pmu.Unlock()
+		rc.c.Close()
+		return false
 	}
-	var resp peerResp
-	if err := json.Unmarshal(f.Body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	w.conns[rc] = struct{}{}
+	w.pmu.Unlock()
+	rc.start()
+	return true
 }
 
 func (w *Worker) peerAcceptLoop() {
@@ -670,45 +632,23 @@ func (w *Worker) peerAcceptLoop() {
 		if err != nil {
 			return
 		}
-		go w.servePeer(c)
+		rc := newRPCConn(c, &w.stats)
+		rc.serve = w.servePeer
+		w.adopt(rc, nil)
 	}
 }
 
-// servePeer answers one one-shot peer request: a stored block or a
-// buffered map-output partition.
-func (w *Worker) servePeer(c net.Conn) {
-	defer c.Close()
-	c.SetDeadline(time.Now().Add(10 * time.Second))
-	var f frame
-	if err := readFrame(c, &f); err != nil {
-		return
-	}
-	var req peerReq
-	if err := json.Unmarshal(f.Body, &req); err != nil {
-		return
-	}
-	var resp peerResp
-	switch req.Op {
+// servePeer answers a peer with the stored bytes it names, as they are.
+func (w *Worker) servePeer(method string, body json.RawMessage) (any, []byte, error) {
+	switch method {
 	case "block":
-		data, err := w.readLocal(req.File, req.Stripe, req.Index)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Data = data
-		}
+		return handle(body, func(req *storedBlock) (any, []byte, error) {
+			data, err := w.readLocal(req.File, req.Stripe, req.Index)
+			return nil, data, err
+		})
 	case "chunk":
-		w.mu.Lock()
-		parts := w.parts[partKey{job: req.Job, task: req.MapTask}]
-		if req.Reducer < len(parts) {
-			for _, r := range parts[req.Reducer] {
-				resp.KVs = append(resp.KVs, kv{K: r.Key, V: r.Value})
-			}
-		} else {
-			resp.Err = fmt.Sprintf("no partition %d for job %d task %d", req.Reducer, req.Job, req.MapTask)
-		}
-		w.mu.Unlock()
+		return handle(body, w.partition)
 	default:
-		resp.Err = fmt.Sprintf("unknown peer op %q", req.Op)
+		return nil, nil, fmt.Errorf("unknown peer op %q", method)
 	}
-	writeFrame(c, &frame{Kind: "peer", Body: mustJSON(resp)})
 }

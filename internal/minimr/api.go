@@ -27,15 +27,11 @@ import (
 	"degradedfirst/internal/trace"
 )
 
-// KeyValue is one intermediate or output record.
-type KeyValue struct {
-	Key, Value string
-}
-
 // Mapper processes one input block and emits intermediate records.
 type Mapper func(block []byte, emit func(key, value string))
 
-// Reducer processes one key's values and emits output records.
+// Reducer processes one key's values and emits output records. The
+// values slice is valid only during the call.
 type Reducer func(key string, values []string, emit func(key, value string))
 
 // Job is one MapReduce job over a DFS file.

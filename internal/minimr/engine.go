@@ -3,11 +3,8 @@ package minimr
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"sort"
 
 	"degradedfirst/internal/dfs"
-	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
@@ -35,51 +32,17 @@ func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Rep
 	}
 	cluster := fs.Cluster()
 	backend := &realBackend{
-		fs:      fs,
+		Healer:  h.Healer,
 		cluster: cluster,
 		opts:    opts,
-		jobs:    jobs,
 		rng:     stats.NewRNG(opts.Seed),
-		blocks:  h.Blocks,
-		holders: h.Holders,
 	}
 	for i := range jobs {
-		backend.bufs = append(backend.bufs, make([][]KeyValue, jobs[i].NumReducers))
+		backend.bufs = append(backend.bufs, make([][]RecordBuf, jobs[i].NumReducers))
 		backend.outputs = append(backend.outputs, make(map[string]string))
 	}
 
-	res, err := runtime.Run(runtime.Params{
-		Name:                "minimr",
-		Ctx:                 ctx,
-		Engine:              h.Engine,
-		Cluster:             cluster,
-		Net:                 h.Net,
-		Scheduler:           h.Scheduler,
-		Env:                 h.Env,
-		JobSched:            opts.JobSched,
-		HeartbeatInterval:   opts.HeartbeatInterval,
-		OutOfBandHeartbeats: opts.OutOfBandHeartbeats,
-		MaxSimTime:          opts.MaxSimTime,
-		Hedge:               opts.Hedge,
-		Repair:              opts.Repair,
-		Sink:                opts.Trace,
-		Label:               opts.TraceLabel,
-		TraceFlowRates:      opts.TraceFlowRates,
-	}, backend, h.RJobs)
-	if err != nil {
-		return nil, err
-	}
-
-	return &Report{
-		Scheduler:   res.Scheduler,
-		Failed:      res.Failed,
-		Jobs:        res.Jobs,
-		Outputs:     backend.outputs,
-		Makespan:    res.Makespan,
-		BytesMoved:  res.BytesMoved,
-		WastedBytes: res.WastedBytes,
-		Repair:      res.Repair,
-	}, nil
+	return h.Run(ctx, "minimr", &opts, backend, nil, opts.Trace, backend.outputs)
 }
 
 // realBackend is the real-bytes runtime backend: map inputs are read (or
@@ -87,16 +50,13 @@ func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Rep
 // functions run over real records, and task costs are calibrated from the
 // processed byte counts.
 type realBackend struct {
-	fs      *dfs.FS
+	*Healer // the repair backend, and this one's fs, jobs, blocks and holders
 	cluster *topology.Cluster
 	opts    Options
-	jobs    []Job
 	rng     *stats.RNG
-	blocks  [][]erasure.BlockID
-	holders [][]topology.NodeID
-	// bufs[job][reducer] accumulates the real intermediate records
-	// delivered by the shuffle.
-	bufs    [][][]KeyValue
+	// bufs[job][reducer] lists, in delivery order, the map-output
+	// buffers the shuffle delivered; they stay owned by their map tasks.
+	bufs    [][][]RecordBuf
 	outputs []map[string]string
 	// picked remembers each degraded task's latest primary sources so
 	// SpareSources can exclude them. Keyed by (job, task).
@@ -173,46 +133,39 @@ func (b *realBackend) SpareSources(job, task int, node topology.NodeID, max int)
 }
 
 // Execute implements runtime.Backend: run the real map function,
-// partition its output, and charge the calibrated CPU time.
+// partition its output into one chunk per reducer, and charge the
+// calibrated CPU time. A map-only job's map output is the job output.
 func (b *realBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
-	js := b.jobs[job]
+	js := &b.jobs[job]
 	data := input.([]byte)
-	numR := js.NumReducers
-	parts := make([]partition, numR)
-	emit := func(k, v string) {
-		kv := KeyValue{Key: k, Value: v}
-		bytes := float64(len(k) + len(v) + 2)
-		if numR == 0 {
-			// Map-only job: map output is the job output.
-			b.outputs[job][k] = v
-			return
-		}
-		p := PartitionOf(k, numR)
-		parts[p].kvs = append(parts[p].kvs, kv)
-		parts[p].bytes += bytes
-	}
-	js.Map(data, emit)
 	dur := js.MapCost.Seconds(float64(len(data))) * b.speed(node)
-	return dur, parts
-}
-
-// Partitions implements runtime.Backend: hand each partition's real bytes
-// and records to the shuffle.
-func (b *realBackend) Partitions(job, task int, output any) []runtime.Chunk {
-	parts := output.([]partition)
+	parts, sizes := MapBlock(js, data)
+	if js.NumReducers == 0 {
+		if err := parts[0].MergeInto(b.outputs[job]); err != nil {
+			panic(fmt.Sprintf("minimr: map output of job %d task %d: %v", job, task, err))
+		}
+		return dur, nil
+	}
 	chunks := make([]runtime.Chunk, len(parts))
 	for i, p := range parts {
-		chunks[i] = runtime.Chunk{Bytes: p.bytes, Data: p.kvs}
+		chunks[i] = runtime.Chunk{Bytes: sizes[i], Data: p}
 	}
-	return chunks
+	return dur, chunks
 }
 
-// Deliver implements runtime.Backend: buffer the received records for the
-// reduce phase.
+// Partitions implements runtime.Backend: Execute already cut the chunks.
+func (b *realBackend) Partitions(job, task int, output any) []runtime.Chunk {
+	return output.([]runtime.Chunk)
+}
+
+// Deliver implements runtime.Backend: keep a reference to the received
+// buffer for the reduce phase.
 func (b *realBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
-	if kvs, ok := c.Data.([]KeyValue); ok {
-		b.bufs[job][reducer] = append(b.bufs[job][reducer], kvs...)
+	buf, ok := c.Data.(RecordBuf)
+	if !ok {
+		return fmt.Errorf("minimr: chunk for job %d reducer %d carries %T, want a record buffer", job, reducer, c.Data)
 	}
+	b.bufs[job][reducer] = append(b.bufs[job][reducer], buf)
 	return nil
 }
 
@@ -231,34 +184,10 @@ func (b *realBackend) ReduceReset(job, reducer int) {
 // ReduceFinish implements runtime.Backend: run the real reduce function
 // over the received records and merge its output into the job output.
 func (b *realBackend) ReduceFinish(job, reducer int) {
-	js := b.jobs[job]
-	grouped := make(map[string][]string)
-	for _, kv := range b.bufs[job][reducer] {
-		grouped[kv.Key] = append(grouped[kv.Key], kv.Value)
-	}
-	keys := make([]string, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	out := b.outputs[job]
-	for _, k := range keys {
-		js.Reduce(k, grouped[k], func(ok, ov string) { out[ok] = ov })
+	err := ReduceBufs(b.jobs[job].Reduce, b.bufs[job][reducer], func(k, v string) { out[k] = v })
+	if err != nil {
+		// The buffers never left this process; MapBlock packed them.
+		panic(fmt.Sprintf("minimr: job %d reducer %d: %v", job, reducer, err))
 	}
-}
-
-type partition struct {
-	kvs   []KeyValue
-	bytes float64
-}
-
-// PartitionOf maps an intermediate key to its reducer index. It is
-// exported because the distributed runtime's workers must partition map
-// output exactly as the in-process engine does, or the two produce
-// different shuffles for the same job.
-func PartitionOf(key string, numR int) int {
-	h := fnv.New32a()
-	//lint:ignore errsink hash.Hash.Write is documented to never return an error
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(numR))
 }

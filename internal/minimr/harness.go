@@ -1,6 +1,7 @@
 package minimr
 
 import (
+	"context"
 	"fmt"
 
 	"degradedfirst/internal/dfs"
@@ -10,6 +11,7 @@ import (
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/sim"
 	"degradedfirst/internal/topology"
+	"degradedfirst/internal/trace"
 )
 
 // Harness bundles the virtual-clock machinery one engine run needs:
@@ -30,6 +32,7 @@ type Harness struct {
 	// Holders[job][task] the node holding it.
 	Blocks  [][]erasure.BlockID
 	Holders [][]topology.NodeID
+	Healer  *Healer // the run's repair backend, for backends to embed
 }
 
 // NewHarness validates opts and jobs (normalizing opts defaults in
@@ -118,5 +121,45 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 			Deadline:    jobs[i].Deadline,
 		}
 	}
+	h.Healer = &Healer{fs: fs, jobs: jobs, blocks: h.Blocks, holders: h.Holders}
 	return h, nil
+}
+
+// Run drives the shared master loop with the given backend; outputs is
+// the backend's per-job output, filled as the run proceeds. name, poll
+// and sink are runtime.Params' Name, PollFailures and Sink.
+func (h *Harness) Run(ctx context.Context, name string, opts *Options, backend runtime.Backend,
+	poll func() []topology.NodeID, sink trace.Sink, outputs []map[string]string) (*Report, error) {
+	res, err := runtime.Run(runtime.Params{
+		Name:                name,
+		Ctx:                 ctx,
+		Engine:              h.Engine,
+		Cluster:             h.Env.Cluster,
+		Net:                 h.Net,
+		Scheduler:           h.Scheduler,
+		Env:                 h.Env,
+		JobSched:            opts.JobSched,
+		HeartbeatInterval:   opts.HeartbeatInterval,
+		OutOfBandHeartbeats: opts.OutOfBandHeartbeats,
+		MaxSimTime:          opts.MaxSimTime,
+		Hedge:               opts.Hedge,
+		Repair:              opts.Repair,
+		PollFailures:        poll,
+		Sink:                sink,
+		Label:               opts.TraceLabel,
+		TraceFlowRates:      opts.TraceFlowRates,
+	}, backend, h.RJobs)
+	if err != nil {
+		return nil, err
+	}
+	return &Report{
+		Scheduler:   res.Scheduler,
+		Failed:      res.Failed,
+		Jobs:        res.Jobs,
+		Outputs:     outputs,
+		Makespan:    res.Makespan,
+		BytesMoved:  res.BytesMoved,
+		WastedBytes: res.WastedBytes,
+		Repair:      res.Repair,
+	}, nil
 }

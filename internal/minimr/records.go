@@ -1,0 +1,127 @@
+package minimr
+
+import (
+	"encoding/binary"
+	"fmt"
+	"sort"
+)
+
+// RecordBuf is the one representation records take between map and
+// reduce: a pointer-free run of records, each a uvarint key length, the
+// key, a uvarint value length, the value. The in-process engine hands
+// buffers to reducers by reference and the distributed runtime writes
+// them to sockets as they are. A buffer off the wire is untrusted: Each
+// bounds-checks every length.
+type RecordBuf []byte
+
+// Append adds one record and returns the grown buffer (append-style).
+func (b RecordBuf) Append(key, value string) RecordBuf {
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	b = binary.AppendUvarint(b, uint64(len(value)))
+	return append(b, value...)
+}
+
+// Each calls fn with every record in order; key and value alias the
+// buffer. It stops with an error at the first malformed record.
+func (b RecordBuf) Each(fn func(key, value []byte)) error {
+	for off := 0; off < len(b); {
+		var kv [2][]byte
+		for i := range kv {
+			n, w := binary.Uvarint(b[off:])
+			if w <= 0 || n > uint64(len(b)-off-w) {
+				return fmt.Errorf("minimr: bad record field length at offset %d of %d", off, len(b))
+			}
+			kv[i] = b[off+w : off+w+int(n)]
+			off += w + int(n)
+		}
+		fn(kv[0], kv[1])
+	}
+	return nil
+}
+
+// MergeInto writes every record into out, later records overwriting
+// earlier ones with the same key.
+func (b RecordBuf) MergeInto(out map[string]string) error {
+	return b.Each(func(k, v []byte) { out[string(k)] = string(v) })
+}
+
+// MapBlock runs the job's map function over one input block and packs
+// its output into one buffer per reducer (a single buffer for a map-only
+// job), with each buffer's shuffle volume: len(key)+len(value)+2 per
+// record. Both the in-process engine and the distributed workers
+// partition through it, so the two produce identical shuffles.
+func MapBlock(job *Job, block []byte) (parts []RecordBuf, bytes []float64) {
+	n := max(job.NumReducers, 1)
+	parts, bytes = make([]RecordBuf, n), make([]float64, n)
+	job.Map(block, func(k, v string) {
+		p := 0
+		if n > 1 {
+			p = PartitionOf(k, n)
+		}
+		parts[p] = parts[p].Append(k, v)
+		bytes[p] += float64(len(k) + len(v) + 2)
+	})
+	return parts, bytes
+}
+
+// ReduceBufs runs reduce over the records of bufs: keys in sorted order,
+// each key's values in buffer order. Grouping is a counting sort by key
+// — one pass numbers the distinct keys and counts their values, a second
+// lays every value into one shared slice — so no per-key slice grows.
+func ReduceBufs(reduce Reducer, bufs []RecordBuf, emit func(key, value string)) error {
+	groupOf := make(map[string]int32)
+	var keys []string
+	var counts []int  // values per group
+	var group []int32 // group of every record, in buffer order
+	for _, b := range bufs {
+		err := b.Each(func(k, _ []byte) {
+			g, ok := groupOf[string(k)]
+			if !ok {
+				g = int32(len(keys))
+				keys = append(keys, string(k))
+				groupOf[keys[g]] = g
+				counts = append(counts, 0)
+			}
+			counts[g]++
+			group = append(group, g)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	pos := make([]int, len(counts)) // next free slot of each group
+	for g, sum := 0, 0; g < len(counts); g++ {
+		pos[g] = sum
+		sum += counts[g]
+	}
+	values := make([]string, len(group))
+	i := 0
+	for _, b := range bufs {
+		err := b.Each(func(_, v []byte) {
+			values[pos[group[i]]] = string(v)
+			pos[group[i]]++
+			i++
+		})
+		if err != nil {
+			return err
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		g := groupOf[k] // pos[g] is now the group's end
+		reduce(k, values[pos[g]-counts[g]:pos[g]:pos[g]], emit)
+	}
+	return nil
+}
+
+// PartitionOf maps an intermediate key to its reducer index: FNV-1a over
+// the key's bytes, inlined so the per-record path allocates nothing
+// (pinned equal to hash/fnv by test).
+func PartitionOf(key string, numR int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h % uint32(numR))
+}

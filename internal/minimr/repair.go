@@ -9,43 +9,53 @@ package minimr
 import (
 	"fmt"
 
+	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/topology"
 )
 
+// Healer implements runtime.RepairBackend over the DFS. Both the
+// in-process backend and the distributed master's embed the harness's:
+// blocks and holders are the harness's slices, so a committed repair
+// moves the cached holder every later plan reads.
+type Healer struct {
+	fs      *dfs.FS
+	jobs    []Job
+	blocks  [][]erasure.BlockID
+	holders [][]topology.NodeID
+}
+
 // ScanLostBlocks implements runtime.RepairBackend via dfs.FS.LostBlocks.
-func (b *realBackend) ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
-	return b.fs.LostBlocks(failed)
+func (h *Healer) ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
+	return h.fs.LostBlocks(failed)
 }
 
 // PlanStripeRepair implements runtime.RepairBackend: a launch-time
 // re-plan from the live placement.
-func (b *realBackend) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
-	return b.fs.PlanStripeRepair(key)
+func (h *Healer) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
+	return h.fs.PlanStripeRepair(key)
 }
 
 // CommitRepair implements runtime.RepairBackend: reconstruct the block
-// for real, move its placement, and report the foreground tasks whose
-// input came back (native blocks of some job's input file only; parity
-// repairs back no task).
-func (b *realBackend) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runtime.RepairedTask, error) {
+// for real in the DFS, move its placement, and report the foreground
+// tasks whose input came back (native blocks of a job's input file;
+// parity repairs back no task). The cached holder moves too, so a later
+// non-degraded read charges its transfer from the rebuilt copy.
+func (h *Healer) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runtime.RepairedTask, error) {
 	block := erasure.BlockID{Stripe: key.Stripe, Index: bp.Index}
-	if _, err := b.fs.RepairBlock(key.File, block, bp.Dest, bp.Sources); err != nil {
+	if _, err := h.fs.RepairBlock(key.File, block, bp.Dest, bp.Sources); err != nil {
 		return nil, fmt.Errorf("minimr: %w", err)
 	}
 	var refs []runtime.RepairedTask
-	for j := range b.jobs {
-		if b.jobs[j].Input != key.File {
+	for j := range h.jobs {
+		if h.jobs[j].Input != key.File {
 			continue
 		}
-		for t, tb := range b.blocks[j] {
+		for t, tb := range h.blocks[j] {
 			if tb == block {
-				// Keep the cached holder in step with the placement, so a
-				// later non-degraded read charges its transfer from the
-				// rebuilt copy, not the dead node.
-				b.holders[j][t] = bp.Dest
+				h.holders[j][t] = bp.Dest
 				refs = append(refs, runtime.RepairedTask{Job: j, Task: t})
 			}
 		}
@@ -54,4 +64,4 @@ func (b *realBackend) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runti
 }
 
 // RepairBlockBytes implements runtime.RepairBackend.
-func (b *realBackend) RepairBlockBytes() float64 { return float64(b.fs.BlockSize()) }
+func (h *Healer) RepairBlockBytes() float64 { return float64(h.fs.BlockSize()) }
