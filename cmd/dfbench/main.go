@@ -3,10 +3,8 @@
 // the optimized implementation and once through the retained reference —
 // so each report carries its own before/after numbers.
 //
-// Four suites are available:
+// Five suites are available, chosen with -suite:
 //
-//   - erasure (default): the GF(256) bulk kernels and the erasure/DFS
-//     paths built on them (BENCH_erasure.json by convention);
 //   - netsim: flow-churn scheduling through the incremental max-min
 //     solver, lazy cancellation, and batched admission against the
 //     reference configuration (BENCH_netsim.json by convention);
@@ -26,15 +24,13 @@
 //
 // Usage:
 //
-//	dfbench                      # print JSON to stdout
-//	dfbench -out BENCH_erasure.json
+//	dfbench -suite netsim        # print JSON to stdout
 //	dfbench -suite netsim -out BENCH_netsim.json
 //	dfbench -suite jobsched -out BENCH_jobsched.json
 //	dfbench -suite hedge -out BENCH_hedge.json
 //	dfbench -suite topology -out BENCH_topology.json
 //	dfbench -suite repair -out BENCH_repair.json
-//	dfbench -mintime 500ms       # time each case for at least 500ms
-//	dfbench -shard 65536         # shard size in bytes (erasure suite)
+//	dfbench -suite netsim -mintime 500ms   # time each case for at least 500ms
 package main
 
 import (
@@ -45,12 +41,6 @@ import (
 	"os"
 	"runtime"
 	"time"
-
-	"degradedfirst/internal/dfs"
-	"degradedfirst/internal/erasure"
-	"degradedfirst/internal/gf256"
-	"degradedfirst/internal/stats"
-	"degradedfirst/internal/topology"
 )
 
 func main() {
@@ -63,7 +53,7 @@ func main() {
 // Result is one timed case.
 type Result struct {
 	Name    string  `json:"name"`
-	Variant string  `json:"variant"` // "kernel" or "scalar"
+	Variant string  `json:"variant"` // which side of the case's comparison, e.g. "incremental" or "reference"
 	Bytes   int64   `json:"bytes_per_op"`
 	NsPerOp float64 `json:"ns_per_op"`
 	MBPerS  float64 `json:"mb_per_s"`
@@ -78,7 +68,6 @@ type Report struct {
 	GOOS       string             `json:"goos"`
 	GOARCH     string             `json:"goarch"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
-	ShardBytes int                `json:"shard_bytes"`
 	Results    []Result           `json:"results"`
 	Speedups   map[string]float64 `json:"speedups"`
 	// Hedge carries the hedge suite's simulated latency/waste outcomes
@@ -94,26 +83,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	out := fs.String("out", "", "write the JSON report to this file (default stdout)")
 	minTime := fs.Duration("mintime", 200*time.Millisecond, "minimum measurement time per case")
-	shard := fs.Int("shard", 64*1024, "shard size in bytes")
-	suite := fs.String("suite", "erasure", `benchmark suite: "erasure", "netsim", "jobsched", "hedge", "topology" or "repair"`)
+	suite := fs.String("suite", "", `benchmark suite (required): "netsim", "jobsched", "hedge", "topology" or "repair"`)
 	scaleFlows := fs.Int("scaleflows", 100000, "flow count of the topology suite's churn storm")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shard <= 0 {
-		return fmt.Errorf("shard size must be positive, got %d", *shard)
-	}
-	switch *suite {
-	case "erasure", "netsim", "jobsched", "hedge", "topology", "repair":
-	default:
-		return fmt.Errorf("unknown suite %q (want erasure, netsim, jobsched, hedge, topology or repair)", *suite)
-	}
-
 	rep := Report{
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		ShardBytes: *shard,
 		Speedups:   map[string]float64{},
 	}
 
@@ -132,19 +110,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		topologyResults(&rep, *minTime, *scaleFlows, stderr)
 	default:
-		cases := benchCases(*shard)
-		for _, c := range cases {
-			kernel := measure(c.bytes, *minTime, c.kernel)
-			scalar := measure(c.bytes, *minTime, c.scalar)
-			kernel.Name, kernel.Variant = c.name, "kernel"
-			scalar.Name, scalar.Variant = c.name, "scalar"
-			rep.Results = append(rep.Results, kernel, scalar)
-			if kernel.NsPerOp > 0 {
-				rep.Speedups[c.name] = scalar.NsPerOp / kernel.NsPerOp
-			}
-			fmt.Fprintf(stderr, "%-28s kernel %8.1f MB/s  scalar %8.1f MB/s  speedup %.2fx\n",
-				c.name, kernel.MBPerS, scalar.MBPerS, rep.Speedups[c.name])
-		}
+		return fmt.Errorf("unknown suite %q (want -suite netsim, jobsched, hedge, topology or repair)", *suite)
 	}
 
 	enc, err := json.MarshalIndent(&rep, "", "  ")
@@ -191,297 +157,4 @@ func measure(bytes int64, minTime time.Duration, fn func(n int)) Result {
 		}
 		n *= grow
 	}
-}
-
-type benchCase struct {
-	name   string
-	bytes  int64 // bytes processed per op
-	kernel func(n int)
-	scalar func(n int)
-}
-
-// fill writes a deterministic byte pattern; zeroFrac of the positions are
-// forced to zero (the regime where the scalar kernel's data-dependent
-// branch mispredicts).
-func fill(b []byte, seed byte, zeroFrac float64) {
-	x := uint32(seed) + 1
-	cut := uint32(zeroFrac * 256)
-	for i := range b {
-		x = x*1664525 + 1013904223
-		b[i] = byte(x >> 8)
-		if uint32(byte(x>>16)) < cut {
-			b[i] = 0
-		}
-	}
-}
-
-func benchCases(shard int) []benchCase {
-	denseSrc := make([]byte, shard)
-	fill(denseSrc, 1, 0)
-	sparseSrc := make([]byte, shard)
-	fill(sparseSrc, 2, 0.5)
-	dst := make([]byte, shard)
-
-	cases := []benchCase{
-		{
-			name:  "mulslice/dense",
-			bytes: int64(shard),
-			kernel: func(n int) {
-				for i := 0; i < n; i++ {
-					gf256.MulSlice(0x57, denseSrc, dst)
-				}
-			},
-			scalar: func(n int) {
-				for i := 0; i < n; i++ {
-					gf256.RefMulSlice(0x57, denseSrc, dst)
-				}
-			},
-		},
-		{
-			name:  "mulslice/sparse50",
-			bytes: int64(shard),
-			kernel: func(n int) {
-				for i := 0; i < n; i++ {
-					gf256.MulSlice(0x57, sparseSrc, dst)
-				}
-			},
-			scalar: func(n int) {
-				for i := 0; i < n; i++ {
-					gf256.RefMulSlice(0x57, sparseSrc, dst)
-				}
-			},
-		},
-		{
-			name:  "mulslice/xor",
-			bytes: int64(shard),
-			kernel: func(n int) {
-				for i := 0; i < n; i++ {
-					gf256.MulSlice(1, denseSrc, dst)
-				}
-			},
-			scalar: func(n int) {
-				for i := 0; i < n; i++ {
-					gf256.RefMulSlice(1, denseSrc, dst)
-				}
-			},
-		},
-	}
-
-	cases = append(cases, encodeCase(shard), reconstructCase(shard), lrcLocalCase(shard), degradedReadCase(shard))
-	return cases
-}
-
-// encodeCase: full RS(14,10) stripe parity generation. The scalar variant
-// drives the retained reference over the code's real encoding rows, so both
-// sides do identical arithmetic.
-func encodeCase(shard int) benchCase {
-	code := erasure.MustNew(14, 10)
-	native := make([][]byte, 10)
-	for i := range native {
-		native[i] = make([]byte, shard)
-		fill(native[i], byte(i+1), 0)
-	}
-	rows := make([][]byte, code.ParityShards())
-	for i := range rows {
-		rows[i] = code.EncodingRow(10 + i)
-	}
-	parity := make([][]byte, len(rows))
-	for i := range parity {
-		parity[i] = make([]byte, shard)
-	}
-	return benchCase{
-		name:  "encode/rs14-10",
-		bytes: int64(10 * shard),
-		kernel: func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := code.Encode(native); err != nil {
-					panic(fmt.Sprintf("dfbench: encode: %v", err))
-				}
-			}
-		},
-		scalar: func(n int) {
-			for i := 0; i < n; i++ {
-				for r, row := range rows {
-					p := parity[r]
-					for j := range p {
-						p[j] = 0
-					}
-					for j, coeff := range row {
-						gf256.RefMulSlice(coeff, native[j], p)
-					}
-				}
-			}
-		},
-	}
-}
-
-// reconstructCase: degraded decode of one lost RS(14,10) data block from 10
-// surviving shards (general GF coefficients).
-func reconstructCase(shard int) benchCase {
-	code := erasure.MustNew(14, 10)
-	native := make([][]byte, 10)
-	for i := range native {
-		native[i] = make([]byte, shard)
-		fill(native[i], byte(i+1), 0)
-	}
-	stripe, err := code.EncodeStripe(native)
-	if err != nil {
-		panic(fmt.Sprintf("dfbench: encode stripe: %v", err))
-	}
-	srcIdx := make([]int, 0, 10)
-	sources := make([][]byte, 0, 10)
-	for i := 1; i < 14 && len(srcIdx) < 10; i++ {
-		srcIdx = append(srcIdx, i)
-		sources = append(sources, stripe[i])
-	}
-	// The scalar side replays the same decode coefficients the kernel path
-	// computes, obtained by reconstructing once and solving the system via
-	// the matrix layer.
-	coeffs := decodeCoeffs(code, 0, srcIdx)
-	out := make([]byte, shard)
-	return benchCase{
-		name:  "reconstruct/rs14-10",
-		bytes: int64(10 * shard),
-		kernel: func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := code.ReconstructBlock(0, srcIdx, sources); err != nil {
-					panic(fmt.Sprintf("dfbench: reconstruct: %v", err))
-				}
-			}
-		},
-		scalar: func(n int) {
-			for i := 0; i < n; i++ {
-				for j := range out {
-					out[j] = 0
-				}
-				for j, c := range coeffs {
-					gf256.RefMulSlice(c, sources[j], out)
-				}
-			}
-		},
-	}
-}
-
-// lrcLocalCase: LRC(12,2,2) local-group repair (pure XOR of the group).
-func lrcLocalCase(shard int) benchCase {
-	lrc := erasure.MustNewLRC(12, 2, 2)
-	data := make([][]byte, 12)
-	for i := range data {
-		data[i] = make([]byte, shard)
-		fill(data[i], byte(i+30), 0)
-	}
-	stripe, err := lrc.EncodeStripe(data)
-	if err != nil {
-		panic(fmt.Sprintf("dfbench: lrc encode: %v", err))
-	}
-	group, ok := lrc.LocalRepairGroup(2)
-	if !ok {
-		panic("dfbench: no local repair group for block 2")
-	}
-	sources := make([][]byte, len(group))
-	for i, idx := range group {
-		sources[i] = stripe[idx]
-	}
-	out := make([]byte, shard)
-	return benchCase{
-		name:  "reconstruct/lrc-local",
-		bytes: int64(len(group) * shard),
-		kernel: func(n int) {
-			for i := 0; i < n; i++ {
-				if _, err := lrc.ReconstructBlock(2, group, sources); err != nil {
-					panic(fmt.Sprintf("dfbench: lrc repair: %v", err))
-				}
-			}
-		},
-		scalar: func(n int) {
-			for i := 0; i < n; i++ {
-				for j := range out {
-					out[j] = 0
-				}
-				for _, s := range sources {
-					gf256.RefMulSlice(1, s, out)
-				}
-			}
-		},
-	}
-}
-
-// degradedReadCase: the macro path — a degraded read of one block through
-// the full DFS (source selection + reconstruction). Kernel and "scalar"
-// both run the production path; the scalar side additionally replaces the
-// final decode with the reference kernel over the same source count, so the
-// delta isolates the arithmetic.
-func degradedReadCase(shard int) benchCase {
-	build := func() (*dfs.FS, *stats.RNG) {
-		c := topology.MustNew(topology.Config{Nodes: 20, Racks: 4, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1})
-		f, err := dfs.New(c, erasure.MustNew(14, 10), shard, nil, stats.NewRNG(1))
-		if err != nil {
-			panic(fmt.Sprintf("dfbench: dfs: %v", err))
-		}
-		data := make([]byte, shard*10*2)
-		fill(data, 7, 0)
-		file, err := f.Write("bench", data)
-		if err != nil {
-			panic(fmt.Sprintf("dfbench: write: %v", err))
-		}
-		c.FailNode(file.Placement.Holder(erasure.BlockID{Stripe: 0, Index: 0}))
-		return f, stats.NewRNG(9)
-	}
-	fsK, rngK := build()
-	blk := erasure.BlockID{Stripe: 0, Index: 0}
-
-	// Scalar stand-in: same shard count, reference kernel arithmetic.
-	srcs := make([][]byte, 10)
-	for i := range srcs {
-		srcs[i] = make([]byte, shard)
-		fill(srcs[i], byte(i+50), 0)
-	}
-	out := make([]byte, shard)
-	return benchCase{
-		name:  "degraded-read/rs14-10",
-		bytes: int64(10 * shard),
-		kernel: func(n int) {
-			for i := 0; i < n; i++ {
-				if _, _, err := fsK.DegradedRead("bench", blk, 0, dfs.PreferSameRack, rngK); err != nil {
-					panic(fmt.Sprintf("dfbench: degraded read: %v", err))
-				}
-			}
-		},
-		scalar: func(n int) {
-			for i := 0; i < n; i++ {
-				for j := range out {
-					out[j] = 0
-				}
-				for j, s := range srcs {
-					gf256.RefMulSlice(byte(3*j+2), s, out)
-				}
-			}
-		},
-	}
-}
-
-// decodeCoeffs solves for the coefficient row mapping the chosen sources to
-// the lost block, matching ReconstructBlock's internal computation.
-func decodeCoeffs(code *erasure.Code, idx int, srcIdx []int) []byte {
-	rows := make([][]byte, len(srcIdx))
-	for i, r := range srcIdx {
-		rows[i] = code.EncodingRow(r)
-	}
-	sub, err := gf256.MatrixFromRows(rows)
-	if err != nil {
-		panic(fmt.Sprintf("dfbench: decode rows: %v", err))
-	}
-	dec, err := sub.Invert()
-	if err != nil {
-		panic(fmt.Sprintf("dfbench: invert: %v", err))
-	}
-	encRow, err := gf256.MatrixFromRows([][]byte{code.EncodingRow(idx)})
-	if err != nil {
-		panic(fmt.Sprintf("dfbench: enc row: %v", err))
-	}
-	coeffs, err := encRow.Mul(dec)
-	if err != nil {
-		panic(fmt.Sprintf("dfbench: coeff mul: %v", err))
-	}
-	return coeffs.Row(0)
 }

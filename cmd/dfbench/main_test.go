@@ -10,53 +10,6 @@ import (
 	"time"
 )
 
-func TestRunWritesValidReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	var stderr bytes.Buffer
-	// Tiny mintime and shard: this is a smoke test of the harness, not a
-	// measurement.
-	err := run([]string{"-out", out, "-mintime", "1ms", "-shard", "4096"}, io.Discard, &stderr)
-	if err != nil {
-		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if rep.ShardBytes != 4096 || rep.GOOS == "" || rep.GOARCH == "" || rep.GOMAXPROCS < 1 {
-		t.Fatalf("malformed report header: %+v", rep)
-	}
-	if len(rep.Results) == 0 || len(rep.Speedups) == 0 {
-		t.Fatal("report has no results")
-	}
-	names := map[string]bool{}
-	for _, r := range rep.Results {
-		if r.NsPerOp <= 0 || r.MBPerS <= 0 || r.N < 1 {
-			t.Fatalf("implausible result: %+v", r)
-		}
-		if r.Variant != "kernel" && r.Variant != "scalar" {
-			t.Fatalf("unknown variant %q", r.Variant)
-		}
-		names[r.Name] = true
-	}
-	for _, want := range []string{
-		"mulslice/dense", "mulslice/sparse50", "mulslice/xor",
-		"encode/rs14-10", "reconstruct/rs14-10", "reconstruct/lrc-local",
-		"degraded-read/rs14-10",
-	} {
-		if !names[want] {
-			t.Fatalf("missing case %q", want)
-		}
-		if rep.Speedups[want] <= 0 {
-			t.Fatalf("missing speedup for %q", want)
-		}
-	}
-}
-
 // TestHedgeSuiteReport smoke-runs the hedge suite and checks the report
 // carries both the wall-clock timings and the simulated hedge outcomes:
 // every mode/policy case present, and under the queueing (hold) model the
@@ -152,9 +105,12 @@ func TestRepairSuiteReport(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadShard(t *testing.T) {
-	if err := run([]string{"-shard", "0"}, io.Discard, io.Discard); err == nil {
-		t.Fatal("shard=0 must fail")
+func TestRunRejectsBadSuite(t *testing.T) {
+	for _, args := range [][]string{nil, {"-suite", "erasure"}} {
+		var stdout bytes.Buffer
+		if err := run(args, &stdout, io.Discard); err == nil || stdout.Len() != 0 {
+			t.Fatalf("run(%v) = %v with %d bytes on stdout; want an error naming the suites and no report", args, err, stdout.Len())
+		}
 	}
 }
 

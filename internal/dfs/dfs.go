@@ -295,8 +295,8 @@ func (fs *FS) encodeWorkers(n int) int {
 }
 
 // Write stores data as an erasure-coded file: split into stripes, encode
-// parity for real, and place blocks via the policy. Overwriting an existing
-// name is an error.
+// parity for real, and place blocks via the policy. The file keeps its own
+// copy of data. Overwriting an existing name is an error.
 func (fs *FS) Write(name string, data []byte) (*File, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
@@ -304,15 +304,12 @@ func (fs *FS) Write(name string, data []byte) (*File, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("dfs: empty file %q", name)
 	}
-	stripes, err := erasure.SplitStripes(data, fs.code.K(), fs.blockSize)
-	if err != nil {
-		return nil, err
-	}
-	place, err := fs.policy.Place(fs.cluster, len(stripes), fs.code.N(), fs.code.K(), fs.rng)
+	numStripes := erasure.NumStripes(len(data), fs.code.K(), fs.blockSize)
+	place, err := fs.policy.Place(fs.cluster, numStripes, fs.code.N(), fs.code.K(), fs.rng)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: placing %q: %w", name, err)
 	}
-	blocks, err := fs.encodeStripes(name, stripes)
+	blocks, err := fs.encodeStripes(name, data, numStripes)
 	if err != nil {
 		return nil, err
 	}
@@ -322,18 +319,24 @@ func (fs *FS) Write(name string, data []byte) (*File, error) {
 	return f, nil
 }
 
-// encodeStripes encodes every stripe, fanning out across encodeWorkers
-// goroutines. Each worker owns a disjoint set of stripe indices, so the
-// result is byte-identical to a serial loop; errors are collected per
-// stripe and the lowest-index error is reported, matching what a serial
-// loop would have surfaced first.
-func (fs *FS) encodeStripes(name string, stripes [][][]byte) ([][][]byte, error) {
-	blocks := make([][][]byte, len(stripes))
-	errs := make([]error, len(stripes))
-	workers := fs.encodeWorkers(len(stripes))
+// encodeStripes copies each stripe's native blocks out of data and encodes
+// them, fanning out across encodeWorkers goroutines. A worker splits a
+// stripe and encodes it straight away, while the copy is still in cache.
+// Each worker owns a disjoint set of stripe indices, so the result is
+// byte-identical to a serial loop; errors are collected per stripe and the
+// lowest-index error is reported, matching what a serial loop would have
+// surfaced first.
+func (fs *FS) encodeStripes(name string, data []byte, numStripes int) ([][][]byte, error) {
+	blocks := make([][][]byte, numStripes)
+	errs := make([]error, numStripes)
+	encode := func(s int) {
+		native := erasure.SplitStripe(data, s, fs.code.K(), fs.blockSize)
+		blocks[s], errs[s] = fs.code.EncodeStripe(native)
+	}
+	workers := fs.encodeWorkers(numStripes)
 	if workers <= 1 {
-		for s, native := range stripes {
-			blocks[s], errs[s] = fs.code.EncodeStripe(native)
+		for s := range blocks {
+			encode(s)
 		}
 	} else {
 		var next atomic.Int64
@@ -344,10 +347,10 @@ func (fs *FS) encodeStripes(name string, stripes [][][]byte) ([][][]byte, error)
 				defer wg.Done()
 				for {
 					s := int(next.Add(1)) - 1
-					if s >= len(stripes) {
+					if s >= numStripes {
 						return
 					}
-					blocks[s], errs[s] = fs.code.EncodeStripe(stripes[s])
+					encode(s)
 				}
 			}()
 		}

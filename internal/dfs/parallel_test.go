@@ -55,6 +55,52 @@ func TestParallelWriteMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestWritePadsLikeSplitStripes writes files that end in a short block, in
+// a short stripe (whole blocks missing) and in both, and checks that Write,
+// which splits stripe by stripe inside its encode workers, stores exactly
+// the native blocks SplitStripes produces, zero padding included, with
+// parity that encodes those padded blocks.
+func TestWritePadsLikeSplitStripes(t *testing.T) {
+	const k, blockSize = 4, 64
+	code := erasure.MustNew(6, k)
+	for _, size := range []int{
+		blockSize*k*2 + 10,              // short last block, 3 blocks missing
+		blockSize*k*2 + blockSize,       // short last stripe, blocks whole
+		blockSize*k*2 + blockSize*2 + 1, // both
+		1,
+	} {
+		for _, workers := range []int{1, 3} {
+			data := makeData(size)
+			want, err := erasure.SplitStripes(data, k, blockSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := New(testCluster(), code, blockSize, nil, stats.NewRNG(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs.SetEncodeParallelism(workers)
+			f, err := fs.Write("f", data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.NumStripes() != len(want) {
+				t.Fatalf("size=%d: %d stripes, SplitStripes makes %d", size, f.NumStripes(), len(want))
+			}
+			for s, native := range want {
+				for i, blk := range native {
+					if !bytes.Equal(f.blocks[s][i], blk) {
+						t.Fatalf("size=%d workers=%d: native block (s%d,i%d) differs from SplitStripes", size, workers, s, i)
+					}
+				}
+				if ok, err := code.Verify(f.blocks[s]); err != nil || !ok {
+					t.Fatalf("size=%d workers=%d: stripe %d parity does not encode its padded blocks (%v)", size, workers, s, err)
+				}
+			}
+		}
+	}
+}
+
 // TestSetEncodeParallelismDefault checks that 0 and negative values restore
 // the GOMAXPROCS default and that Write still round-trips.
 func TestSetEncodeParallelismDefault(t *testing.T) {

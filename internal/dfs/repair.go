@@ -10,6 +10,7 @@
 package dfs
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -232,9 +233,11 @@ func (fs *FS) RepairBlock(file string, b erasure.BlockID, dst topology.NodeID,
 		if len(data) != len(want) {
 			return false, fmt.Errorf("dfs: repaired %v of %q has %d bytes, want %d", b, file, len(data), len(want))
 		}
-		for i := range data {
-			if data[i] != want[i] {
-				return false, fmt.Errorf("dfs: repaired %v of %q differs from ground truth at byte %d", b, file, i)
+		if !bytes.Equal(data, want) {
+			for i := range data {
+				if data[i] != want[i] {
+					return false, fmt.Errorf("dfs: repaired %v of %q differs from ground truth at byte %d", b, file, i)
+				}
 			}
 		}
 	}

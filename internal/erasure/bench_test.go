@@ -1,12 +1,8 @@
 package erasure
 
-import (
-	"testing"
+import "testing"
 
-	"degradedfirst/internal/gf256"
-)
-
-// benchShard matches the perf acceptance criteria: 64 KiB blocks.
+// benchShard is the block size the codec benchmarks run on.
 const benchShard = 64 * 1024
 
 func benchNative(k, size int) [][]byte {
@@ -18,48 +14,21 @@ func benchNative(k, size int) [][]byte {
 	return native
 }
 
-// BenchmarkEncode measures full-stripe parity generation for the paper's
-// RS(14,10), kernel path vs the retained scalar reference driven over the
-// same encoding rows.
+// BenchmarkEncode measures full-stripe parity generation for RS(14,10).
 func BenchmarkEncode(b *testing.B) {
 	code := MustNew(14, 10)
 	native := benchNative(10, benchShard)
-	rows := make([][]byte, code.ParityShards())
-	for i := range rows {
-		rows[i] = code.EncodingRow(10 + i)
+	b.SetBytes(int64(10 * benchShard))
+	for i := 0; i < b.N; i++ {
+		if _, err := code.Encode(native); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("kernel", func(b *testing.B) {
-		b.SetBytes(int64(10 * benchShard))
-		for i := 0; i < b.N; i++ {
-			if _, err := code.Encode(native); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(int64(10 * benchShard))
-		parity := make([][]byte, len(rows))
-		for i := range parity {
-			parity[i] = make([]byte, benchShard)
-		}
-		for i := 0; i < b.N; i++ {
-			for r, row := range rows {
-				for j := range parity[r] {
-					parity[r][j] = 0
-				}
-				for j, coeff := range row {
-					gf256.RefMulSlice(coeff, native[j], parity[r])
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkReconstructBlock measures a single degraded-read decode of a
 // 64 KiB block: RS(14,10) losing a data block (general coefficients), and
-// the LRC(12,2,2) local-group repair (pure XOR). The scalar variants drive
-// the retained reference kernel over the same source shards and
-// coefficients.
+// the LRC(12,2,2) local-group repair (pure XOR).
 func BenchmarkReconstructBlock(b *testing.B) {
 	code := MustNew(14, 10)
 	native := benchNative(10, benchShard)
@@ -69,31 +38,15 @@ func BenchmarkReconstructBlock(b *testing.B) {
 	}
 	srcIdx := make([]int, 0, 10)
 	sources := make([][]byte, 0, 10)
-	for i := 0; i < 14 && len(srcIdx) < 10; i++ {
-		if i == 0 {
-			continue
-		}
+	for i := 1; i <= 10; i++ {
 		srcIdx = append(srcIdx, i)
 		sources = append(sources, stripe[i])
 	}
-	b.Run("rs/kernel", func(b *testing.B) {
+	b.Run("rs", func(b *testing.B) {
 		b.SetBytes(int64(10 * benchShard))
 		for i := 0; i < b.N; i++ {
 			if _, err := code.ReconstructBlock(0, srcIdx, sources); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("rs/scalar", func(b *testing.B) {
-		b.SetBytes(int64(10 * benchShard))
-		coeffs := decodeRow(b, code, 0, srcIdx)
-		out := make([]byte, benchShard)
-		for i := 0; i < b.N; i++ {
-			for j := range out {
-				out[j] = 0
-			}
-			for j, c := range coeffs {
-				gf256.RefMulSlice(c, sources[j], out)
 			}
 		}
 	})
@@ -112,7 +65,7 @@ func BenchmarkReconstructBlock(b *testing.B) {
 	for i, idx := range group {
 		lsources[i] = lstripe[idx]
 	}
-	b.Run("lrc-local/kernel", func(b *testing.B) {
+	b.Run("lrc-local", func(b *testing.B) {
 		b.SetBytes(int64(len(group) * benchShard))
 		for i := 0; i < b.N; i++ {
 			if _, err := lrc.ReconstructBlock(2, group, lsources); err != nil {
@@ -120,43 +73,4 @@ func BenchmarkReconstructBlock(b *testing.B) {
 			}
 		}
 	})
-	b.Run("lrc-local/scalar", func(b *testing.B) {
-		b.SetBytes(int64(len(group) * benchShard))
-		out := make([]byte, benchShard)
-		for i := 0; i < b.N; i++ {
-			for j := range out {
-				out[j] = 0
-			}
-			for _, s := range lsources {
-				gf256.RefMulSlice(1, s, out)
-			}
-		}
-	})
-}
-
-// decodeRow computes the coefficient row mapping the chosen sources to the
-// lost block, exactly as ReconstructBlock does internally.
-func decodeRow(b *testing.B, code *Code, idx int, srcIdx []int) []byte {
-	b.Helper()
-	rows := make([][]byte, len(srcIdx))
-	for i, r := range srcIdx {
-		rows[i] = code.EncodingRow(r)
-	}
-	sub, err := gf256.MatrixFromRows(rows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := sub.Invert()
-	if err != nil {
-		b.Fatal(err)
-	}
-	encRow, err := gf256.MatrixFromRows([][]byte{code.EncodingRow(idx)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	coeffs, err := encRow.Mul(dec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return coeffs.Row(0)
 }

@@ -5,6 +5,7 @@
 package erasure
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -161,14 +162,6 @@ func (c *Code) ParityShards() int { return c.n - c.k }
 
 // Construction returns the matrix construction in use.
 func (c *Code) Construction() Construction { return c.construction }
-
-// EncodingRow returns a copy of row i of the n x k encoding matrix (rows
-// [0, k) are the identity; [k, n) are the parity coefficients). Exposed for
-// analysis and for benchmarking the kernels against the retained scalar
-// reference on the exact production coefficients.
-func (c *Code) EncodingRow(i int) []byte {
-	return append([]byte(nil), c.enc.Row(i)...)
-}
 
 // String implements fmt.Stringer, e.g. "RS(12,10)/vandermonde".
 func (c *Code) String() string {
@@ -353,11 +346,8 @@ func (c *Code) Verify(shards [][]byte) (bool, error) {
 		return false, err
 	}
 	for i, p := range parity {
-		got := shards[c.k+i]
-		for j := range p {
-			if p[j] != got[j] {
-				return false, nil
-			}
+		if !bytes.Equal(p, shards[c.k+i]) {
+			return false, nil
 		}
 	}
 	return true, nil

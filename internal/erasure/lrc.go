@@ -1,6 +1,7 @@
 package erasure
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -314,11 +315,8 @@ func (c *LRC) Verify(shards [][]byte) (bool, error) {
 		return false, err
 	}
 	for i, p := range parity {
-		got := shards[c.k+i]
-		for j := range p {
-			if p[j] != got[j] {
-				return false, nil
-			}
+		if !bytes.Equal(p, shards[c.k+i]) {
+			return false, nil
 		}
 	}
 	return true, nil

@@ -18,22 +18,36 @@ func SplitStripes(data []byte, k, blockSize int) ([][][]byte, error) {
 	if len(data) == 0 {
 		return nil, nil
 	}
-	nBlocks := (len(data) + blockSize - 1) / blockSize
-	nStripes := (nBlocks + k - 1) / k
-	stripes := make([][][]byte, nStripes)
-	off := 0
-	for s := 0; s < nStripes; s++ {
-		blocks := make([][]byte, k)
-		for b := 0; b < k; b++ {
-			blk := make([]byte, blockSize)
-			if off < len(data) {
-				off += copy(blk, data[off:])
-			}
-			blocks[b] = blk
-		}
-		stripes[s] = blocks
+	stripes := make([][][]byte, NumStripes(len(data), k, blockSize))
+	for s := range stripes {
+		stripes[s] = SplitStripe(data, s, k, blockSize)
 	}
 	return stripes, nil
+}
+
+// NumStripes returns how many stripes of k blocks of blockSize bytes a
+// stream of size bytes occupies. k and blockSize must be positive.
+func NumStripes(size, k, blockSize int) int {
+	stripeSize := k * blockSize
+	return (size + stripeSize - 1) / stripeSize
+}
+
+// SplitStripe returns copies of the k native blocks of stripe s of data:
+// one stripe of SplitStripes' result, for callers that split and encode
+// stripe by stripe. Blocks past the end of data are all zero. k and
+// blockSize must be positive.
+func SplitStripe(data []byte, s, k, blockSize int) [][]byte {
+	blocks := make([][]byte, k)
+	for b := range blocks {
+		lo := min((s*k+b)*blockSize, len(data))
+		src := data[lo:min(lo+blockSize, len(data))]
+		// make directly followed by copy allocates without clearing the
+		// bytes the copy is about to overwrite.
+		blk := make([]byte, blockSize)
+		copy(blk, src)
+		blocks[b] = blk
+	}
+	return blocks
 }
 
 // JoinStripes is the inverse of SplitStripes: it concatenates the native

@@ -2,83 +2,47 @@ package gf256
 
 import "testing"
 
-// benchShard is the shard size named by the perf acceptance criteria.
+// benchShard is the shard size the kernel benchmarks run on.
 const benchShard = 64 * 1024
 
-// benchData returns a src/dst pair of the given density: frac is the
-// probability a src byte is non-zero. Sparse shards (zero-padded stripe
-// tails, sparse records) are where the reference loop's data-dependent
-// branch mispredicts.
-func benchData(nonZeroFrac float64) (src, dst []byte) {
+func benchData() (src, dst []byte) {
 	src = make([]byte, benchShard)
 	dst = make([]byte, benchShard)
 	x := uint32(12345)
 	for i := range src {
 		x = x*1664525 + 1013904223
-		if float64(x%1000)/1000 < nonZeroFrac {
-			src[i] = byte(x>>8) | 1
-		}
+		src[i] = byte(x >> 8)
 		dst[i] = byte(x >> 16)
 	}
 	return src, dst
 }
 
-// BenchmarkMulSlice compares the bulk kernel against the retained scalar
-// reference on 64 KiB shards, across the coefficient classes (general c,
-// c == 1 XOR) and data densities that matter on the erasure path.
-func BenchmarkMulSlice(b *testing.B) {
-	cases := []struct {
-		name string
-		c    byte
-		frac float64
-		fn   func(c byte, src, dst []byte)
-	}{
-		{"dense/kernel", 0xd7, 1.0, MulSlice},
-		{"dense/scalar", 0xd7, 1.0, RefMulSlice},
-		{"sparse/kernel", 0xd7, 0.5, MulSlice},
-		{"sparse/scalar", 0xd7, 0.5, RefMulSlice},
-		{"xor/kernel", 1, 1.0, MulSlice},
-		{"xor/scalar", 1, 1.0, RefMulSlice},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			src, dst := benchData(tc.frac)
-			b.SetBytes(benchShard)
-			for i := 0; i < b.N; i++ {
-				tc.fn(tc.c, src, dst)
-			}
-		})
-	}
+// benchKernels runs fn as a sub-benchmark per multiply implementation.
+func benchKernels(b *testing.B, fn func(b *testing.B)) {
+	eachKernel(b, func(kernel string) { b.Run(kernel, fn) })
 }
 
-func BenchmarkMulSliceSet(b *testing.B) {
+// BenchmarkMulSlice times a general coefficient and the c == 1 XOR on
+// 64 KiB shards under both kernels.
+func BenchmarkMulSlice(b *testing.B) {
 	for _, tc := range []struct {
 		name string
-		fn   func(c byte, src, dst []byte)
-	}{
-		{"kernel", MulSliceSet},
-		{"scalar", RefMulSliceSet},
-	} {
+		c    byte
+	}{{"general", 0xd7}, {"xor", 1}} {
 		b.Run(tc.name, func(b *testing.B) {
-			src, dst := benchData(1.0)
-			b.SetBytes(benchShard)
-			for i := 0; i < b.N; i++ {
-				tc.fn(0x53, src, dst)
-			}
+			benchKernels(b, func(b *testing.B) {
+				src, dst := benchData()
+				b.SetBytes(benchShard)
+				for i := 0; i < b.N; i++ {
+					MulSlice(tc.c, src, dst)
+				}
+			})
 		})
-	}
-}
-
-func BenchmarkAddSlice(b *testing.B) {
-	src, dst := benchData(1.0)
-	b.SetBytes(benchShard)
-	for i := 0; i < b.N; i++ {
-		AddSlice(src, dst)
 	}
 }
 
 // BenchmarkMulAddSlices measures the fused k-source accumulation (one
-// decode output block from k = 10 sources), kernel vs serial reference.
+// decode output block from k = 10 sources).
 func BenchmarkMulAddSlices(b *testing.B) {
 	const k = 10
 	coeffs := make([]byte, k)
@@ -86,20 +50,12 @@ func BenchmarkMulAddSlices(b *testing.B) {
 	var dst []byte
 	for j := 0; j < k; j++ {
 		coeffs[j] = byte(2*j + 3)
-		srcs[j], dst = benchData(1.0)
+		srcs[j], dst = benchData()
 	}
-	b.Run("kernel", func(b *testing.B) {
+	benchKernels(b, func(b *testing.B) {
 		b.SetBytes(benchShard * k)
 		for i := 0; i < b.N; i++ {
 			MulAddSlices(coeffs, srcs, dst)
-		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(benchShard * k)
-		for i := 0; i < b.N; i++ {
-			for j := range srcs {
-				RefMulSlice(coeffs[j], srcs[j], dst)
-			}
 		}
 	})
 }

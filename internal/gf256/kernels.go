@@ -8,62 +8,108 @@ import (
 // This file holds the bulk kernels: the slice-level GF(2^8) routines that
 // move every byte of the erasure path (encode, degraded read, repair).
 //
-// Three techniques replace the per-byte log/exp loop of RefMulSlice:
+// There are two implementations of dst ^= c*src, chosen per call by mulAdd
+// and xorInto and nowhere else:
 //
-//  1. A lazily built 256x256 product table. One row of it (256 bytes,
-//     L1-resident) turns c*s into a single branch-free lookup, immune to
-//     the data-dependent `s != 0` branch of the log/exp loop, which
-//     mispredicts badly on shards with interleaved zero bytes (zero-padded
-//     stripe tails, sparse records).
-//  2. Batched 8-byte processing: eight table lookups are assembled into one
-//     uint64 and applied with a single load/xor/store against dst,
-//     quartering the per-byte memory operations.
-//  3. A word-wide XOR fast path for c == 1 (AddSlice): pure uint64 XOR via
-//     encoding/binary, 8 bytes per operation — the dominant path for
-//     parity-style codes (LRC local groups) and identity coefficients.
+//   - kernels_amd64.s: the split-nibble shuffle multiply. c*s equals
+//     c*(s&15) ^ c*(s>>4<<4), so two 16-entry tables per coefficient turn
+//     32 products into two VPSHUFB lookups and an XOR. Used for the whole
+//     32-byte groups of a slice when the CPU and OS support AVX2.
+//   - the table kernel below: one 256-byte product row per coefficient,
+//     eight lookups packed into a uint64. It handles the sub-32-byte tails,
+//     and everything on other architectures and under -tags purego.
 //
 // MulAddSlices fuses the k-source accumulation loop of encode/decode so dst
-// stays cache-hot across sources. The former per-byte implementations are
-// retained verbatim as RefMulSlice/RefMulSliceSet: property tests and the
-// fuzz target pin the kernels to them byte-for-byte.
+// stays cache-hot across sources.
 
-// mulTable[c][a] = c*a in GF(2^8). 64 KiB, built once on first use: the
-// simulator-only paths never touch bulk arithmetic and should not pay for
-// the table at init.
+// tables holds what the kernels look products up in. 72 KiB, built once on
+// first use: the simulator-only paths never touch bulk arithmetic and
+// should not pay for it at init.
+type tables struct {
+	mul [256][256]byte // mul[c][a] = c*a
+	// nib[c] is the assembly kernel's pair of shuffle tables for c:
+	// nib[c][i] = c*i and nib[c][16+i] = c*(i<<4), i < 16.
+	nib [256][32]byte
+}
+
 var (
-	mulTableOnce sync.Once
-	mulTable     *[256][256]byte
+	tablesOnce sync.Once
+	_tables    *tables
 )
 
-func productTable() *[256][256]byte {
-	mulTableOnce.Do(func() {
-		t := new([256][256]byte)
+func productTables() *tables {
+	tablesOnce.Do(func() {
+		t := new(tables)
 		for c := 1; c < 256; c++ {
 			logC := int(_logTable[c])
-			row := &t[c]
+			row := &t.mul[c]
 			for a := 1; a < 256; a++ {
 				row[a] = _expTable[logC+int(_logTable[a])]
 			}
+			for i := 0; i < 16; i++ {
+				t.nib[c][i], t.nib[c][16+i] = row[i], row[i<<4]
+			}
 		}
-		mulTable = t
+		_tables = t
 	})
-	return mulTable
+	return _tables
 }
 
 // MulTableRow returns the 256-entry product row for coefficient c:
 // row[a] == Mul(c, a). The returned array is shared and must not be
 // modified.
 func MulTableRow(c byte) *[256]byte {
-	return &productTable()[c]
+	return &productTables().mul[c]
 }
 
-// AddSlice computes dst[i] ^= src[i] for all i (GF addition), 8 bytes at a
-// time. It is the c == 1 fast path of MulSlice and the whole story for XOR
-// parities. dst and src must have equal length.
-func AddSlice(src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: AddSlice length mismatch")
+// mulAdd computes dst[i] ^= c*src[i] for a general coefficient (c >= 2;
+// callers peel off 0 and 1). It is the one place the multiply kernel is
+// chosen. len(dst) must be at least len(src).
+func mulAdd(t *tables, c byte, src, dst []byte) {
+	n := 0
+	if useAVX2 {
+		n = len(src) &^ 31
+		mulAddAVX2(&t.nib[c], src[:n], dst[:n])
 	}
+	mulAddRow(&t.mul[c], src[n:], dst[n:])
+}
+
+// xorInto computes dst[i] ^= src[i]: mulAdd for c == 1, with the same
+// split between assembly and portable code.
+func xorInto(src, dst []byte) {
+	n := 0
+	if useAVX2 {
+		n = len(src) &^ 31
+		xorAVX2(src[:n], dst[:n])
+	}
+	xorWords(src[n:], dst[n:])
+}
+
+// mulAddRow is the table kernel: dst[i] ^= row[src[i]] with row the
+// product row of some c >= 2. Eight lookups are packed into one uint64 so
+// dst sees one load and one store per 8 bytes.
+func mulAddRow(row *[256]byte, src, dst []byte) {
+	n := len(src) &^ 7
+	s8, d8 := src[:n], dst[:n]
+	for i := 0; i < len(s8); i += 8 {
+		v := binary.LittleEndian.Uint64(s8[i:])
+		r := uint64(row[byte(v)]) |
+			uint64(row[byte(v>>8)])<<8 |
+			uint64(row[byte(v>>16)])<<16 |
+			uint64(row[byte(v>>24)])<<24 |
+			uint64(row[byte(v>>32)])<<32 |
+			uint64(row[byte(v>>40)])<<40 |
+			uint64(row[byte(v>>48)])<<48 |
+			uint64(row[byte(v>>56)])<<56
+		binary.LittleEndian.PutUint64(d8[i:], binary.LittleEndian.Uint64(d8[i:])^r)
+	}
+	for i := n; i < len(src); i++ {
+		dst[i] ^= row[src[i]]
+	}
+}
+
+// xorWords is the table kernel's c == 1 case: 8 bytes per XOR.
+func xorWords(src, dst []byte) {
 	n := len(src) &^ 7
 	for i := 0; i < n; i += 8 {
 		binary.LittleEndian.PutUint64(dst[i:],
@@ -74,48 +120,14 @@ func AddSlice(src, dst []byte) {
 	}
 }
 
-// mulAddRow is the general-coefficient accumulate kernel: dst[i] ^= t[src[i]]
-// with t the product row for some c >= 2. Eight lookups are packed into one
-// uint64 so dst sees one load and one store per 8 bytes.
-func mulAddRow(t *[256]byte, src, dst []byte) {
-	n := len(src) &^ 7
-	s8, d8 := src[:n], dst[:n]
-	for i := 0; i < len(s8); i += 8 {
-		v := binary.LittleEndian.Uint64(s8[i:])
-		r := uint64(t[byte(v)]) |
-			uint64(t[byte(v>>8)])<<8 |
-			uint64(t[byte(v>>16)])<<16 |
-			uint64(t[byte(v>>24)])<<24 |
-			uint64(t[byte(v>>32)])<<32 |
-			uint64(t[byte(v>>40)])<<40 |
-			uint64(t[byte(v>>48)])<<48 |
-			uint64(t[byte(v>>56)])<<56
-		binary.LittleEndian.PutUint64(d8[i:], binary.LittleEndian.Uint64(d8[i:])^r)
+// AddSlice computes dst[i] ^= src[i] for all i (GF addition). It is the
+// c == 1 case of MulSlice and the whole story for XOR parities. dst and
+// src must have equal length.
+func AddSlice(src, dst []byte) {
+	if len(src) != len(dst) {
+		panic("gf256: AddSlice length mismatch")
 	}
-	for i := n; i < len(src); i++ {
-		dst[i] ^= t[src[i]]
-	}
-}
-
-// mulSetRow is mulAddRow without the accumulate: dst[i] = t[src[i]].
-func mulSetRow(t *[256]byte, src, dst []byte) {
-	n := len(src) &^ 7
-	s8, d8 := src[:n], dst[:n]
-	for i := 0; i < len(s8); i += 8 {
-		v := binary.LittleEndian.Uint64(s8[i:])
-		r := uint64(t[byte(v)]) |
-			uint64(t[byte(v>>8)])<<8 |
-			uint64(t[byte(v>>16)])<<16 |
-			uint64(t[byte(v>>24)])<<24 |
-			uint64(t[byte(v>>32)])<<32 |
-			uint64(t[byte(v>>40)])<<40 |
-			uint64(t[byte(v>>48)])<<48 |
-			uint64(t[byte(v>>56)])<<56
-		binary.LittleEndian.PutUint64(d8[i:], r)
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] = t[src[i]]
-	}
+	xorInto(src, dst)
 }
 
 // MulSlice computes dst[i] ^= c * src[i] for all i. It is the inner kernel
@@ -127,30 +139,27 @@ func MulSlice(c byte, src, dst []byte) {
 	}
 	switch c {
 	case 0:
-		return
 	case 1:
-		AddSlice(src, dst)
-		return
+		xorInto(src, dst)
+	default:
+		mulAdd(productTables(), c, src, dst)
 	}
-	mulAddRow(&productTable()[c], src, dst)
 }
 
 // MulSliceSet computes dst[i] = c * src[i] for all i (overwriting dst).
+// dst and src must have equal length and must not overlap.
 func MulSliceSet(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
 		panic("gf256: MulSliceSet length mismatch")
 	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	case 1:
+	if c == 1 {
 		copy(dst, src)
 		return
 	}
-	mulSetRow(&productTable()[c], src, dst)
+	clear(dst)
+	if c != 0 {
+		mulAdd(productTables(), c, src, dst)
+	}
 }
 
 // fuseBlock is the dst window the fused kernel processes per pass across
@@ -166,7 +175,7 @@ const fuseBlock = 8 << 10
 // Encode and ReconstructBlock. It processes dst in L1-sized windows so the
 // accumulator is read and written from cache regardless of how many source
 // shards are folded in. Every source must have dst's length; zero
-// coefficients are skipped and unit coefficients take the XOR fast path.
+// coefficients are skipped and unit coefficients are plain XORs.
 func MulAddSlices(coeffs []byte, srcs [][]byte, dst []byte) {
 	if len(coeffs) != len(srcs) {
 		panic("gf256: MulAddSlices coefficient/source count mismatch")
@@ -176,7 +185,7 @@ func MulAddSlices(coeffs []byte, srcs [][]byte, dst []byte) {
 			panic("gf256: MulAddSlices length mismatch")
 		}
 	}
-	t := productTable()
+	t := productTables()
 	for lo := 0; lo < len(dst); lo += fuseBlock {
 		hi := min(lo+fuseBlock, len(dst))
 		d := dst[lo:hi]
@@ -184,61 +193,10 @@ func MulAddSlices(coeffs []byte, srcs [][]byte, dst []byte) {
 			switch c {
 			case 0:
 			case 1:
-				AddSlice(srcs[j][lo:hi], d)
+				xorInto(srcs[j][lo:hi], d)
 			default:
-				mulAddRow(&t[c], srcs[j][lo:hi], d)
+				mulAdd(t, c, srcs[j][lo:hi], d)
 			}
-		}
-	}
-}
-
-// RefMulSlice is the retained scalar reference for MulSlice: the original
-// per-byte log/exp loop, with its data-dependent `s != 0` branch. It exists
-// so property tests, the fuzz target, and cmd/dfbench can pin and compare
-// the bulk kernels against the pre-kernel behaviour byte-for-byte. Not for
-// production paths.
-func RefMulSlice(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: RefMulSlice length mismatch")
-	}
-	switch c {
-	case 0:
-		return
-	case 1:
-		for i, s := range src {
-			dst[i] ^= s
-		}
-		return
-	}
-	logC := int(_logTable[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= _expTable[logC+int(_logTable[s])]
-		}
-	}
-}
-
-// RefMulSliceSet is the retained scalar reference for MulSliceSet.
-func RefMulSliceSet(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: RefMulSliceSet length mismatch")
-	}
-	switch c {
-	case 0:
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	case 1:
-		copy(dst, src)
-		return
-	}
-	logC := int(_logTable[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = _expTable[logC+int(_logTable[s])]
 		}
 	}
 }

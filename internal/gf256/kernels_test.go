@@ -7,12 +7,42 @@ import (
 	"testing/quick"
 )
 
-// testLengths exercises the uint64 batching edges: empty, sub-word, exact
-// words, and odd tails.
+// testLengths exercises the batching edges of both kernels (8-byte words,
+// 32-byte groups, the 8 KiB fused window): empty, sub-word, exact, odd tails.
 var testLengths = []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 1000, 4096, 8191, 8192, 8193, 65536}
 
-// fillPattern writes deterministic data with interleaved zeros so both the
-// zero-skip and the general path of the reference loop are exercised.
+// eachKernel calls fn once per multiply implementation this build and CPU
+// can run, with the dispatch forced to it: "table" always, "avx2" when the
+// assembly kernel is available.
+func eachKernel(tb testing.TB, fn func(kernel string)) {
+	tb.Helper()
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	useAVX2 = false
+	fn("table")
+	if !saved {
+		tb.Log("no AVX2 in this build or on this CPU: assembly kernel not exercised")
+		return
+	}
+	useAVX2 = true
+	fn("avx2")
+}
+
+// refMulAdd and refMulSet are the oracle: the field's scalar Mul, one byte
+// at a time.
+func refMulAdd(c byte, src, dst []byte) {
+	for i, s := range src {
+		dst[i] ^= Mul(c, s)
+	}
+}
+
+func refMulSet(c byte, src, dst []byte) {
+	for i, s := range src {
+		dst[i] = Mul(c, s)
+	}
+}
+
+// fillPattern writes deterministic data with interleaved zeros.
 func fillPattern(b []byte, seed byte) {
 	x := uint32(seed) + 1
 	for i := range b {
@@ -26,103 +56,183 @@ func fillPattern(b []byte, seed byte) {
 }
 
 func TestMulSliceMatchesReference(t *testing.T) {
-	for _, n := range testLengths {
-		for _, c := range []byte{0, 1, 2, 3, 37, 0x80, 0xd7, 0xff} {
-			src := make([]byte, n)
-			fillPattern(src, c)
-			dst := make([]byte, n)
-			fillPattern(dst, c+1)
-			want := append([]byte(nil), dst...)
-			RefMulSlice(c, src, want)
-			MulSlice(c, src, dst)
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("MulSlice(c=%#x, n=%d) diverges from scalar reference", c, n)
+	eachKernel(t, func(kernel string) {
+		for _, n := range testLengths {
+			for _, c := range []byte{0, 1, 2, 3, 37, 0x80, 0xd7, 0xff} {
+				src := make([]byte, n)
+				fillPattern(src, c)
+				dst := make([]byte, n)
+				fillPattern(dst, c+1)
+				want := append([]byte(nil), dst...)
+				refMulAdd(c, src, want)
+				MulSlice(c, src, dst)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s: MulSlice(c=%#x, n=%d) diverges from per-byte Mul", kernel, c, n)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestMulSliceSetMatchesReference(t *testing.T) {
-	for _, n := range testLengths {
-		for _, c := range []byte{0, 1, 2, 37, 0xff} {
-			src := make([]byte, n)
-			fillPattern(src, c)
-			dst := make([]byte, n)
-			fillPattern(dst, 99)
-			want := append([]byte(nil), dst...)
-			RefMulSliceSet(c, src, want)
-			MulSliceSet(c, src, dst)
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("MulSliceSet(c=%#x, n=%d) diverges from scalar reference", c, n)
+	eachKernel(t, func(kernel string) {
+		for _, n := range testLengths {
+			for _, c := range []byte{0, 1, 2, 37, 0xff} {
+				src := make([]byte, n)
+				fillPattern(src, c)
+				dst := make([]byte, n)
+				fillPattern(dst, 99)
+				want := append([]byte(nil), dst...)
+				refMulSet(c, src, want)
+				MulSliceSet(c, src, dst)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s: MulSliceSet(c=%#x, n=%d) diverges from per-byte Mul", kernel, c, n)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestAddSliceMatchesXOR(t *testing.T) {
-	for _, n := range testLengths {
-		src := make([]byte, n)
-		fillPattern(src, 5)
-		dst := make([]byte, n)
-		fillPattern(dst, 6)
-		want := make([]byte, n)
-		for i := range want {
-			want[i] = dst[i] ^ src[i]
+	eachKernel(t, func(kernel string) {
+		for _, n := range testLengths {
+			src := make([]byte, n)
+			fillPattern(src, 5)
+			dst := make([]byte, n)
+			fillPattern(dst, 6)
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = dst[i] ^ src[i]
+			}
+			AddSlice(src, dst)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s: AddSlice(n=%d) wrong", kernel, n)
+			}
 		}
-		AddSlice(src, dst)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("AddSlice(n=%d) wrong", n)
+	})
+}
+
+// TestKernelsEveryCoefficientAndAlignment runs MulSlice, MulSliceSet and
+// AddSlice over slices that start at every offset 0-31 of a larger buffer,
+// so the assembly kernel's unaligned loads and the hand-over to the table
+// kernel at the 32-byte tail are hit at every alignment. What a coefficient
+// changes (table contents) and what an offset changes (addresses) are
+// independent, so the sweep is two passes rather than their product: all
+// 256 coefficients over lengths 0-100 and testLengths up to 8193 with the
+// offset advancing from case to case, then every (length 0-100, offset)
+// pair for a handful of coefficients. The bytes around dst, and all of src,
+// must come back untouched.
+func TestKernelsEveryCoefficientAndAlignment(t *testing.T) {
+	const guard = 64 // bytes kept on each side of the slice under test
+	// The 64 KiB case stays with TestMulSliceMatchesReference: 256
+	// coefficients of it are most of this test's time under -race.
+	long := testLengths[:len(testLengths)-1]
+	maxLen := long[len(long)-1]
+	srcBuf := make([]byte, maxLen+2*guard)
+	fillPattern(srcBuf, 11)
+	srcCopy := append([]byte(nil), srcBuf...)
+	dstInit := make([]byte, len(srcBuf))
+	fillPattern(dstInit, 12)
+	dstBuf := make([]byte, len(srcBuf))
+	wantBuf := make([]byte, len(srcBuf))
+
+	check := func(kernel, op string, c byte, n, off int, apply func(src, dst []byte), ref func(src, dst []byte)) {
+		t.Helper()
+		srcOff, dstOff := off, 31-off
+		span := n + 2*guard // the slice under test plus what surrounds it
+		got, want := dstBuf[:span], wantBuf[:span]
+		copy(got, dstInit)
+		copy(want, dstInit)
+		ref(srcBuf[srcOff:srcOff+n], want[dstOff:dstOff+n])
+		apply(srcBuf[srcOff:srcOff+n], got[dstOff:dstOff+n])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %s(c=%#x, n=%d, src+%d, dst+%d) wrong result or wrote outside dst", kernel, op, c, n, srcOff, dstOff)
+		}
+		if !bytes.Equal(srcBuf[:span], srcCopy[:span]) {
+			t.Fatalf("%s: %s(c=%#x, n=%d, src+%d) modified src", kernel, op, c, n, srcOff)
 		}
 	}
+	checkAll := func(kernel string, c byte, n, off int) {
+		check(kernel, "MulSlice", c, n, off,
+			func(src, dst []byte) { MulSlice(c, src, dst) },
+			func(src, dst []byte) { refMulAdd(c, src, dst) })
+		check(kernel, "MulSliceSet", c, n, off,
+			func(src, dst []byte) { MulSliceSet(c, src, dst) },
+			func(src, dst []byte) { refMulSet(c, src, dst) })
+	}
+	eachKernel(t, func(kernel string) {
+		for c := 0; c < 256; c++ {
+			for n := 0; n <= 100; n++ {
+				checkAll(kernel, byte(c), n, (c+n)%32)
+			}
+			for i, n := range long {
+				checkAll(kernel, byte(c), n, (c+i)%32)
+			}
+		}
+		for _, c := range []byte{0, 1, 2, 0x1d, 0x80, 0xff} {
+			for n := 0; n <= 100; n++ {
+				for off := 0; off < 32; off++ {
+					checkAll(kernel, c, n, off)
+				}
+			}
+		}
+		for off := 0; off < 32; off++ {
+			for _, n := range append([]int{33, 95, 100}, long...) {
+				check(kernel, "AddSlice", 1, n, off, AddSlice,
+					func(src, dst []byte) { refMulAdd(1, src, dst) })
+			}
+		}
+	})
 }
 
 func TestMulAddSlicesMatchesSerialReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 7, 8, 9, 63, 255, 4096, 8193, 70000} {
-		for _, k := range []int{1, 2, 3, 10} {
-			coeffs := make([]byte, k)
-			srcs := make([][]byte, k)
-			for j := range srcs {
-				coeffs[j] = byte(rng.Intn(256))
-				srcs[j] = make([]byte, n)
-				fillPattern(srcs[j], byte(j))
-			}
-			// Force the special coefficients into the mix.
-			if k >= 3 {
-				coeffs[0], coeffs[1] = 0, 1
-			}
-			dst := make([]byte, n)
-			fillPattern(dst, 0xee)
-			want := append([]byte(nil), dst...)
-			for j := range srcs {
-				RefMulSlice(coeffs[j], srcs[j], want)
-			}
-			MulAddSlices(coeffs, srcs, dst)
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("MulAddSlices(n=%d, k=%d, coeffs=%v) diverges from serial reference", n, k, coeffs)
+	eachKernel(t, func(kernel string) {
+		rng := rand.New(rand.NewSource(7))
+		// 8191/8192/8193 straddle the fused window (fuseBlock).
+		for _, n := range []int{0, 1, 7, 8, 9, 63, 255, 4096, 8191, 8192, 8193, 70000} {
+			for _, k := range []int{1, 2, 3, 10} {
+				coeffs := make([]byte, k)
+				srcs := make([][]byte, k)
+				for j := range srcs {
+					coeffs[j] = byte(rng.Intn(256))
+					srcs[j] = make([]byte, n)
+					fillPattern(srcs[j], byte(j))
+				}
+				// Force the special coefficients into the mix.
+				if k >= 3 {
+					coeffs[0], coeffs[1] = 0, 1
+				}
+				dst := make([]byte, n)
+				fillPattern(dst, 0xee)
+				want := append([]byte(nil), dst...)
+				for j := range srcs {
+					refMulAdd(coeffs[j], srcs[j], want)
+				}
+				MulAddSlices(coeffs, srcs, dst)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("%s: MulAddSlices(n=%d, k=%d, coeffs=%v) diverges from serial per-byte Mul", kernel, n, k, coeffs)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestKernelsProperty(t *testing.T) {
-	// For arbitrary coefficient and data, the batched kernel and the scalar
-	// reference are byte-identical, and MulSlice agrees with per-byte Mul.
-	f := func(c byte, src []byte) bool {
-		dst := make([]byte, len(src))
-		fillPattern(dst, c)
-		ref := append([]byte(nil), dst...)
-		perByte := append([]byte(nil), dst...)
-		MulSlice(c, src, dst)
-		RefMulSlice(c, src, ref)
-		for i, s := range src {
-			perByte[i] ^= Mul(c, s)
+	// For arbitrary coefficient and data, MulSlice agrees with per-byte Mul
+	// under either kernel.
+	eachKernel(t, func(kernel string) {
+		f := func(c byte, src []byte) bool {
+			dst := make([]byte, len(src))
+			fillPattern(dst, c)
+			ref := append([]byte(nil), dst...)
+			MulSlice(c, src, dst)
+			refMulAdd(c, src, ref)
+			return bytes.Equal(dst, ref)
 		}
-		return bytes.Equal(dst, ref) && bytes.Equal(dst, perByte)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%s: %v", kernel, err)
+		}
+	})
 }
 
 func TestMulTableRowMatchesMul(t *testing.T) {
@@ -153,48 +263,49 @@ func TestMulAddSlicesPanicsOnMismatch(t *testing.T) {
 	}
 }
 
-// FuzzMulSliceEquivalence pins the bulk kernels to the retained scalar
-// reference: for arbitrary coefficient and data (any length, including odd
-// uint64 tails), MulSlice, MulSliceSet and MulAddSlices must be
-// byte-identical to the per-byte log/exp loop.
+// FuzzMulSliceEquivalence pins both kernels to the field's scalar Mul: for
+// arbitrary coefficient and data (any length, so any split between 32-byte
+// groups, 8-byte words and single bytes), MulSlice, MulSliceSet and
+// MulAddSlices must be byte-identical to a per-byte loop.
 func FuzzMulSliceEquivalence(f *testing.F) {
 	f.Add(byte(0), []byte{})
 	f.Add(byte(1), []byte{1, 2, 3})
 	f.Add(byte(2), []byte{0, 0xff, 0, 7, 0, 0, 9})            // odd length, zeros
-	f.Add(byte(37), bytes.Repeat([]byte{0xab, 0, 0xcd}, 100)) // 300 bytes: 8-tail of 4
-	f.Add(byte(0xff), bytes.Repeat([]byte{1}, 17))            // two words + 1
+	f.Add(byte(37), bytes.Repeat([]byte{0xab, 0, 0xcd}, 100)) // 2x150 bytes: four groups, two words, six bytes
+	f.Add(byte(0xff), bytes.Repeat([]byte{1}, 17))            // one word
 	f.Fuzz(func(t *testing.T, c byte, data []byte) {
 		// Split the input into src and a starting dst so both operands vary.
 		half := len(data) / 2
 		src, dstInit := data[:half], data[half:half+half]
 
-		dst := append([]byte(nil), dstInit...)
 		ref := append([]byte(nil), dstInit...)
-		MulSlice(c, src, dst)
-		RefMulSlice(c, src, ref)
-		if !bytes.Equal(dst, ref) {
-			t.Fatalf("MulSlice(c=%#x) diverges from reference on %d bytes", c, half)
-		}
-
-		set := append([]byte(nil), dstInit...)
-		refSet := append([]byte(nil), dstInit...)
-		MulSliceSet(c, src, set)
-		RefMulSliceSet(c, src, refSet)
-		if !bytes.Equal(set, refSet) {
-			t.Fatalf("MulSliceSet(c=%#x) diverges from reference on %d bytes", c, half)
-		}
-
+		refMulAdd(c, src, ref)
+		refSet := make([]byte, half)
+		refMulSet(c, src, refSet)
 		// Fused kernel over three sources: src scaled by c, c^1, and 1.
 		coeffs := []byte{c, c ^ 1, 1}
 		srcs := [][]byte{src, refSet, dstInit}
-		fused := append([]byte(nil), dstInit...)
 		refFused := append([]byte(nil), dstInit...)
-		MulAddSlices(coeffs, srcs, fused)
 		for j := range srcs {
-			RefMulSlice(coeffs[j], srcs[j], refFused)
+			refMulAdd(coeffs[j], srcs[j], refFused)
 		}
-		if !bytes.Equal(fused, refFused) {
-			t.Fatalf("MulAddSlices diverges from serial reference on %d bytes", half)
-		}
+
+		eachKernel(t, func(kernel string) {
+			dst := append([]byte(nil), dstInit...)
+			MulSlice(c, src, dst)
+			if !bytes.Equal(dst, ref) {
+				t.Fatalf("%s: MulSlice(c=%#x) diverges from per-byte Mul on %d bytes", kernel, c, half)
+			}
+			set := append([]byte(nil), dstInit...)
+			MulSliceSet(c, src, set)
+			if !bytes.Equal(set, refSet) {
+				t.Fatalf("%s: MulSliceSet(c=%#x) diverges from per-byte Mul on %d bytes", kernel, c, half)
+			}
+			fused := append([]byte(nil), dstInit...)
+			MulAddSlices(coeffs, srcs, fused)
+			if !bytes.Equal(fused, refFused) {
+				t.Fatalf("%s: MulAddSlices diverges from serial per-byte Mul on %d bytes", kernel, half)
+			}
+		})
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -318,7 +319,9 @@ func (l *Loader) relFile(filename string) string {
 	return filepath.ToSlash(filename)
 }
 
-// goFilesIn lists the .go files of one directory, sorted.
+// goFilesIn lists the .go files of one directory that build constraints
+// (file-name suffixes and //go:build lines) select for this host with no
+// tags set, sorted.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -327,6 +330,13 @@ func goFilesIn(dir string) ([]string, error) {
 	var names []string
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasPrefix(e.Name(), ".") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		if !match {
 			continue
 		}
 		names = append(names, e.Name())

@@ -231,8 +231,7 @@ const (
 	IncrementalSolver Solver = iota
 	// ReferenceSolver runs the original full recomputation
 	// (RefRecompute) on every flow change. Retained as the ground truth
-	// for equivalence tests and benchmarks, like the RefMulSlice scalar
-	// kernels in internal/gf256.
+	// for equivalence tests and benchmarks.
 	ReferenceSolver
 )
 
