@@ -59,7 +59,7 @@ func run(args []string) error {
 		blockSize  = fl.Int("blocksize", minimr.TestbedBlockSize, "block size in bytes")
 		seed       = fl.Int64("seed", 1, "corpus and placement seed")
 		fail       = fl.String("fail", "", "comma-separated node IDs to fail before the run")
-		schedName  = fl.String("sched", "LF", "scheduler: LF, BDF or EDF")
+		schedName  = fl.String("sched", "LF", "scheduler: LF, BDF, EDF, EagerDF or DelayLF")
 		jobKind    = fl.String("job", "wordcount", "job kind: wordcount, grep or linecount")
 		word       = fl.String("word", "", "grep needle (required with -job grep)")
 		reducers   = fl.Int("reducers", 8, "reduce task count")
@@ -73,7 +73,7 @@ func run(args []string) error {
 		return err
 	}
 
-	kind, err := parseScheduler(*schedName)
+	kind, err := sched.ParseKind(*schedName)
 	if err != nil {
 		return err
 	}
@@ -145,17 +145,4 @@ func run(args []string) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-func parseScheduler(s string) (sched.Kind, error) {
-	switch strings.ToUpper(s) {
-	case "LF":
-		return sched.KindLF, nil
-	case "BDF":
-		return sched.KindBDF, nil
-	case "EDF":
-		return sched.KindEDF, nil
-	default:
-		return 0, fmt.Errorf("unknown scheduler %q (LF, BDF, EDF)", s)
-	}
 }

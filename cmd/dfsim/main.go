@@ -62,7 +62,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	kind, err := parseScheduler(*schedStr)
+	kind, err := sched.ParseKind(*schedStr)
 	if err != nil {
 		return err
 	}
@@ -142,23 +142,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprint(stdout, mapred.Timeline(res, 0, 100))
 	}
 	return nil
-}
-
-func parseScheduler(s string) (sched.Kind, error) {
-	switch strings.ToUpper(s) {
-	case "LF":
-		return sched.KindLF, nil
-	case "BDF":
-		return sched.KindBDF, nil
-	case "EDF":
-		return sched.KindEDF, nil
-	case "EAGERDF":
-		return sched.KindEagerDF, nil
-	case "DELAYLF":
-		return sched.KindDelayLF, nil
-	default:
-		return 0, fmt.Errorf("unknown scheduler %q (LF, BDF, EDF, EagerDF, DelayLF)", s)
-	}
 }
 
 func parseFailure(s string) (topology.FailurePattern, error) {

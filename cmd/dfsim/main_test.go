@@ -58,12 +58,10 @@ func TestRunHoldModeAndNoFailure(t *testing.T) {
 
 func TestSchedulerAndFailureParsing(t *testing.T) {
 	for _, s := range []string{"LF", "bdf", "EDF", "EagerDF", "delaylf"} {
-		if _, err := parseScheduler(s); err != nil {
-			t.Errorf("parseScheduler(%q): %v", s, err)
+		var out strings.Builder
+		if err := run(context.Background(), smallArgs("-sched", s), &out); err != nil {
+			t.Errorf("-sched %s: %v", s, err)
 		}
-	}
-	if _, err := parseScheduler("nope"); err == nil {
-		t.Error("unknown scheduler must fail")
 	}
 	for _, f := range []string{"none", "single", "double", "rack"} {
 		if _, err := parseFailure(f); err != nil {

@@ -84,11 +84,6 @@ type Config struct {
 	QuotaSlots int
 	// TenantQuotas overrides QuotaSlots per tenant.
 	TenantQuotas map[string]int
-	// ReferenceReduceScan selects the seed runtime's full rescan of all
-	// jobs when picking the next reducer, instead of the indexed cursor.
-	// The two are order-equivalent (pinned by tests); the rescan is kept
-	// as the reference for equivalence testing and benchmarking.
-	ReferenceReduceScan bool
 }
 
 // Validate checks the configuration.

@@ -298,9 +298,6 @@ func (q *Queue) MapReleased(idx int) {
 func (q *Queue) NextReduce() *Entry {
 	switch q.cfg.Policy {
 	case Fifo:
-		if q.cfg.ReferenceReduceScan {
-			return q.scanReduce(0)
-		}
 		return q.cursorReduce()
 	case FairShare:
 		// Fair-share arbitrates map-slot grants; reduce slots follow

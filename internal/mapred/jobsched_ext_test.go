@@ -5,7 +5,6 @@ package mapred_test
 // so the in-package tests cannot import it back).
 
 import (
-	"reflect"
 	"testing"
 
 	"degradedfirst/internal/jobsched"
@@ -53,39 +52,6 @@ func stormJobs(t *testing.T, n int, slack float64) []mapred.JobSpec {
 		t.Fatal(err)
 	}
 	return jobs
-}
-
-// TestCursorEquivalentToReferenceScan pins the satellite claim that the
-// indexed reducer cursor reproduces the seed runtime's full rescan: the
-// same FIFO storm traced under both produces bit-identical events.
-func TestCursorEquivalentToReferenceScan(t *testing.T) {
-	jobs := stormJobs(t, 60, 0)
-	run := func(reference bool) (*mapred.Result, []trace.Event) {
-		var mem trace.Memory
-		cfg := stormConfig()
-		cfg.Seed = 5
-		cfg.Trace = &mem
-		cfg.JobSched = jobsched.Config{ReferenceReduceScan: reference}
-		res, err := mapred.Run(cfg, jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, mem.Events()
-	}
-	cursorRes, cursorEvents := run(false)
-	refRes, refEvents := run(true)
-
-	if len(cursorEvents) != len(refEvents) {
-		t.Fatalf("event counts diverge: cursor %d, reference %d", len(cursorEvents), len(refEvents))
-	}
-	for i := range cursorEvents {
-		if cursorEvents[i] != refEvents[i] {
-			t.Fatalf("event %d diverges:\ncursor    %+v\nreference %+v", i, cursorEvents[i], refEvents[i])
-		}
-	}
-	if !reflect.DeepEqual(cursorRes.Jobs, refRes.Jobs) {
-		t.Fatal("job results diverge between cursor and reference scan")
-	}
 }
 
 // TestMidStormFailureRequeuesTenantJobs kills a node in the middle of a

@@ -1,10 +1,10 @@
 package netsim
 
-// Equivalence harness pinning the incremental solver + lazy-cancel engine
-// + batched admission against the reference configuration (RefRecompute +
-// eager cancellation + one StartFlow per transfer). The two worlds must
-// produce bitwise-identical completion schedules, rate allocations, and
-// byte accounting for arbitrary interleavings of flow arrivals, batch
+// Equivalence harness pinning the incremental solver + batched admission
+// against the reference configuration (refRecompute + one StartFlow per
+// transfer), both on the one engine. The two worlds must produce
+// bitwise-identical completion schedules, rate allocations, and byte
+// accounting for arbitrary interleavings of flow arrivals, batch
 // arrivals, cancellations, and engine events of the caller's own landing
 // on the very instant a flow completes. With admission held the same, the
 // order in which the engine dispatches everything — completions and the
@@ -123,17 +123,16 @@ func specFrom(a, b byte) flowSpec {
 
 // world is one configuration a scenario runs under.
 type world struct {
-	solver  Solver
-	eager   bool // engine cancellation
+	solver  solverKind
 	batched bool // StartFlows per op instead of one StartFlow per transfer
-	// flip alternates the solver from op to op: SetSolver must stay
+	// flip alternates the solver from op to op: the two must stay
 	// interchangeable mid-run.
 	flip bool
 }
 
 var (
-	optimizedWorld = world{solver: IncrementalSolver, batched: true}
-	referenceWorld = world{solver: ReferenceSolver, eager: true}
+	optimizedWorld = world{solver: incrementalSolver, batched: true}
+	referenceWorld = world{solver: referenceSolver}
 )
 
 // outcome is an exact fingerprint of everything observable in a scenario
@@ -168,12 +167,11 @@ func nextCompletion(n *Net, now sim.Time) (sim.Time, bool) {
 // runScenario executes ops on a fresh engine+net configured as w.
 func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) outcome {
 	eng := sim.New()
-	eng.SetEagerCancel(w.eager)
 	n, err := New(eng, c, cfg)
 	if err != nil {
 		panic(err)
 	}
-	n.SetSolver(w.solver)
+	n.solver = w.solver
 	var out outcome
 	var created []*Flow
 	type fin struct {
@@ -189,7 +187,7 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		i, op := i, op
 		eng.ScheduleAt(op.at, func() {
 			if w.flip {
-				n.SetSolver([]Solver{ReferenceSolver, IncrementalSolver}[i%2])
+				n.solver = []solverKind{referenceSolver, incrementalSolver}[i%2]
 			}
 			switch {
 			case op.marker:
@@ -289,9 +287,9 @@ func checkEquivalence(t *testing.T, data []byte) {
 	diffStrings(t, "finish", got.finishes, want.finishes, cfg)
 	diffStrings(t, "snapshot", got.snaps, want.snaps, cfg)
 
-	inc := runScenario(ops, cluster, cfg, world{solver: IncrementalSolver})
+	inc := runScenario(ops, cluster, cfg, world{solver: incrementalSolver})
 	diffStrings(t, "dispatch order, incremental vs reference,", inc.order, want.order, cfg)
-	flip := runScenario(ops, cluster, cfg, world{solver: IncrementalSolver, flip: true})
+	flip := runScenario(ops, cluster, cfg, world{solver: incrementalSolver, flip: true})
 	diffStrings(t, "dispatch order, solver switched per op vs reference,", flip.order, want.order, cfg)
 }
 
@@ -328,8 +326,8 @@ func TestBatchedStartMatchesSequential(t *testing.T) {
 		{RackBps: 100 * Mbps, NodeBps: 200 * Mbps},
 		{RackBps: 100 * Mbps, Mode: ExclusiveHold},
 	} {
-		bat := runScenario(ops, equivCluster(), cfg, world{solver: IncrementalSolver, batched: true})
-		seq := runScenario(ops, equivCluster(), cfg, world{solver: IncrementalSolver})
+		bat := runScenario(ops, equivCluster(), cfg, world{solver: incrementalSolver, batched: true})
+		seq := runScenario(ops, equivCluster(), cfg, world{solver: incrementalSolver})
 		if bat.bytesMoved != seq.bytesMoved {
 			t.Fatalf("cfg %+v: batched run diverged in volume", cfg)
 		}
@@ -339,8 +337,7 @@ func TestBatchedStartMatchesSequential(t *testing.T) {
 
 // FuzzNetsimEquivalence explores arbitrary arrival/departure/cancel
 // sequences. Any divergence between the incremental and reference worlds
-// is a bug in the incremental solver, the lazy-cancel engine, or the
-// batch admission path.
+// is a bug in the incremental solver or the batch admission path.
 func FuzzNetsimEquivalence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 7, 9, 0, 2, 30, 4, 1, 3, 1, 0, 0})
@@ -366,10 +363,10 @@ func TestDispatchOrderMatchesReference(t *testing.T) {
 		log  []string
 		done func(*Flow)
 	}
-	start := func(solver Solver) *run {
+	start := func(solver solverKind) *run {
 		r := &run{eng: sim.New()}
 		r.n = mustNet(t, r.eng, twoRacks(), Config{RackBps: 100 * Mbps})
-		r.n.SetSolver(solver)
+		r.n.solver = solver
 		r.done = func(f *Flow) { r.log = append(r.log, fmt.Sprintf("f%d", f.ID)) }
 		return r
 	}
@@ -432,7 +429,7 @@ func TestDispatchOrderMatchesReference(t *testing.T) {
 		},
 	}
 	for _, sc := range scenarios {
-		for _, solver := range []Solver{ReferenceSolver, IncrementalSolver} {
+		for _, solver := range []solverKind{referenceSolver, incrementalSolver} {
 			r := start(solver)
 			sc.script(r)
 			r.eng.Run()
@@ -452,10 +449,10 @@ func TestDispatchOrderMatchesReference(t *testing.T) {
 // flow per solve, which is what the reference solver schedules.
 func TestOneEventPerSolve(t *testing.T) {
 	const flows, noSolve, callers = 48, 2, 1
-	run := func(solver Solver) (sim.Stats, Stats) {
+	run := func(solver solverKind) (sim.Stats, Stats) {
 		eng := sim.New()
 		n := mustNet(t, eng, equivCluster(), Config{RackBps: 100 * Mbps, NodeBps: 200 * Mbps})
-		n.SetSolver(solver)
+		n.solver = solver
 		reqs := make([]FlowReq, 0, flows+noSolve)
 		for i := 0; i < flows; i++ { // distinct sizes: one completion, one solve, at a time
 			reqs = append(reqs, FlowReq{Src: topology.NodeID(i % 12), Dst: topology.NodeID((i + 5) % 12), Bytes: float64(1+i) * 1e6})
@@ -468,7 +465,7 @@ func TestOneEventPerSolve(t *testing.T) {
 		}
 		return eng.Stats(), n.Stats()
 	}
-	es, ns := run(IncrementalSolver)
+	es, ns := run(incrementalSolver)
 	if ns.Solves < flows || ns.FlowsVisited < flows*flows/2 {
 		t.Fatalf("scenario too small to tell: %+v", ns)
 	}
@@ -484,7 +481,7 @@ func TestOneEventPerSolve(t *testing.T) {
 	}
 	// The counters tell the two designs apart: the reference schedules an
 	// event for every flow a solve visits, and dispatches the same ones.
-	rs, rn := run(ReferenceSolver)
+	rs, rn := run(referenceSolver)
 	if rn != ns || rs.Dispatched != es.Dispatched {
 		t.Errorf("reference run differs: net %+v vs %+v, dispatched %d vs %d", rn, ns, rs.Dispatched, es.Dispatched)
 	}

@@ -240,7 +240,7 @@ func BenchmarkNew10k(b *testing.B) {
 }
 
 // benchChurn10k runs one deterministic burst/cancel churn storm on the
-// 10k-node fat tree (the dfbench scale workload in miniature).
+// 10k-node fat tree.
 func benchChurn10k(b *testing.B, c *topology.Cluster, nflows int) {
 	b.Helper()
 	b.ReportAllocs()

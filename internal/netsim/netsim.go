@@ -97,7 +97,7 @@ type Flow struct {
 	// ev is the flow's own completion event. Fluid flows normally have
 	// none (the Net schedules one event for the earliest completion, see
 	// solver.go); it is set for hold-mode flows, for flows admitted
-	// without a solve, and under ReferenceSolver.
+	// without a solve, and under referenceSolver.
 	ev *sim.Event
 
 	ID        int
@@ -105,7 +105,7 @@ type Flow struct {
 	Bytes     float64
 	StartedAt sim.Time
 
-	frozen   bool // scratch state for RefRecompute
+	frozen   bool // scratch state for refRecompute
 	done     func(*Flow)
 	net      *Net
 	queued   bool // ExclusiveHold: waiting for links
@@ -194,7 +194,7 @@ type Net struct {
 	// currently carry contending flows, the count of contending flows,
 	// and the monotone solve epoch used to mark frozen flows without a
 	// reset pass.
-	solver      Solver
+	solver      solverKind
 	activeLinks []*link
 	// workLinks is the filling loop's compacting scratch copy of
 	// activeLinks, retained across solves to avoid reallocation.
@@ -202,7 +202,7 @@ type Net struct {
 	ncontending int
 	epoch       uint64
 
-	// Fluid-mode completion under IncrementalSolver: the one engine event
+	// Fluid-mode completion under incrementalSolver: the one engine event
 	// for the earliest completion as of the last solve, the flow it
 	// finishes, and its callback (built once).
 	nextEv   *sim.Event
@@ -217,29 +217,27 @@ type Net struct {
 	hooks Hooks
 }
 
-// Solver selects the fluid max-min fair-sharing implementation.
-type Solver int
+// solverKind selects the fluid max-min fair-sharing implementation. Only
+// the in-package equivalence tests set Net.solver; they may flip it
+// mid-run, because both solvers maintain identical flow state and each
+// solve cancels the completion events the other's last solve left behind.
+type solverKind int
 
 const (
-	// IncrementalSolver (default) solves progressive filling over
-	// per-link active-flow indexes with a running water level, so each
-	// recompute costs O(active flows + active links) per filling
-	// iteration instead of O(all flows + all links), and schedules one
-	// engine event per solve — the earliest completion — instead of one
-	// per active flow. Produces bit-identical schedules to
-	// ReferenceSolver; pinned by property tests and FuzzNetsimEquivalence.
-	IncrementalSolver Solver = iota
-	// ReferenceSolver runs the original full recomputation
-	// (RefRecompute) on every flow change. Retained as the ground truth
-	// for equivalence tests and benchmarks.
-	ReferenceSolver
+	// incrementalSolver (the zero value, what every Net runs) solves
+	// progressive filling over per-link active-flow indexes with a
+	// running water level, so each recompute costs O(active flows +
+	// active links) per filling iteration instead of O(all flows + all
+	// links), and schedules one engine event per solve — the earliest
+	// completion — instead of one per active flow. Produces bit-identical
+	// schedules to referenceSolver; pinned by property tests and
+	// FuzzNetsimEquivalence.
+	incrementalSolver solverKind = iota
+	// referenceSolver runs the original full recomputation
+	// (refRecompute) on every flow change. Retained as the ground truth
+	// for the equivalence tests.
+	referenceSolver
 )
-
-// SetSolver selects the fluid-mode solver. Both solvers may be used on
-// the same Net interchangeably, also mid-run: they maintain identical
-// flow state, and each solve cancels the completion events the other
-// solver's last solve left behind.
-func (n *Net) SetSolver(s Solver) { n.solver = s }
 
 // Stats counts the fluid solver's work since New; like sim.Stats, the
 // counts of a seeded run repeat exactly.
@@ -629,21 +627,21 @@ func (n *Net) removeFlow(f *Flow) {
 func (n *Net) recompute() {
 	n.stats.Solves++
 	n.stats.FlowsVisited += uint64(len(n.flows))
-	if n.solver == ReferenceSolver {
-		n.RefRecompute()
+	if n.solver == referenceSolver {
+		n.refRecompute()
 		return
 	}
 	n.incRecompute()
 }
 
-// RefRecompute is the reference fluid solver: advance all flows to the
+// refRecompute is the reference fluid solver: advance all flows to the
 // current time, rerun progressive filling from scratch over every link
 // and flow, and cancel + reschedule one completion event per flow. It is
 // the original implementation, retained as ground truth for the
-// incremental solver (selected via SetSolver; see FuzzNetsimEquivalence).
-func (n *Net) RefRecompute() {
+// incremental solver (see FuzzNetsimEquivalence).
+func (n *Net) refRecompute() {
 	now := n.eng.Now()
-	n.cancelNext() // left by an incremental solve before SetSolver
+	n.cancelNext() // left by an incremental solve before a test switched solver
 	// Advance progress at the old rates.
 	for _, f := range n.flows {
 		if f.rate > 0 && !math.IsInf(f.rate, 1) {
@@ -795,17 +793,4 @@ func (n *Net) Drained() error {
 			len(n.waiting), f.ID, f.Src, f.Dst)
 	}
 	return nil
-}
-
-// DebugFlows returns a snapshot of active flow state for diagnostics.
-func (n *Net) DebugFlows() []string {
-	var out []string
-	for _, f := range n.flows {
-		out = append(out, fmt.Sprintf("flow %d %d->%d rem=%.1f rate=%.1f ev=%v fin=%v",
-			f.ID, f.Src, f.Dst, f.remaining, f.rate, f.ev != nil || f == n.nextFlow, f.finished))
-	}
-	for _, f := range n.waiting {
-		out = append(out, fmt.Sprintf("waiting flow %d %d->%d", f.ID, f.Src, f.Dst))
-	}
-	return out
 }

@@ -601,7 +601,7 @@ func TestStartFlowsBatch(t *testing.T) {
 func TestReferenceSolverSelectable(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
-	n.SetSolver(ReferenceSolver)
+	n.solver = referenceSolver
 	var doneAt sim.Time = -1
 	n.StartFlow(3, 0, 128e6, func(*Flow) { doneAt = eng.Now() })
 	eng.Run()

@@ -35,7 +35,7 @@
 // zero-byte), from admission until the next solve absorbs them into the
 // network's event, exactly where the reference moves them into its block.
 //
-// Equivalence with RefRecompute, dispatch order included, is pinned by
+// Equivalence with refRecompute, dispatch order included, is pinned by
 // TestDispatchOrderMatchesReference, TestIncrementalMatchesReference and
 // FuzzNetsimEquivalence.
 
@@ -227,7 +227,7 @@ func (n *Net) incRecompute() {
 // scheduleNext replaces the network's completion event with one for the
 // flow that finishes first at the rates just solved; see the header
 // comment for why no other flow needs an event. Flows that still own an
-// event (admitted without a solve, or solved by RefRecompute) give it up.
+// event (admitted without a solve, or solved by refRecompute) give it up.
 func (n *Net) scheduleNext(now sim.Time) {
 	n.cancelNext()
 	var next *Flow

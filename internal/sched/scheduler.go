@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 
 	"degradedfirst/internal/topology"
 )
@@ -345,6 +346,17 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("scheduler(%d)", int(k))
 	}
+}
+
+// ParseKind parses a scheduler name as accepted by the -sched flags,
+// ignoring case.
+func ParseKind(s string) (Kind, error) {
+	for k := KindLF; k <= KindDelayLF; k++ {
+		if strings.EqualFold(s, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("sched: unknown scheduler %q (want LF, BDF, EDF, EagerDF or DelayLF)", s)
 }
 
 // New constructs a fresh scheduler instance for a run on a cluster with

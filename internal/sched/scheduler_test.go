@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -388,6 +389,19 @@ func TestTaskDoubleAssignPanics(t *testing.T) {
 func TestSchedulerNames(t *testing.T) {
 	if (LocalityFirst{}).Name() != "LF" || (BasicDegradedFirst{}).Name() != "BDF" || NewEnhancedDegradedFirst(2).Name() != "EDF" {
 		t.Fatal("scheduler names wrong")
+	}
+}
+
+func TestParseKindRoundTrip(t *testing.T) {
+	for _, k := range []Kind{KindLF, KindBDF, KindEDF, KindEagerDF, KindDelayLF} {
+		for _, name := range []string{k.String(), strings.ToLower(k.String())} {
+			if got, err := ParseKind(name); err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	if _, err := ParseKind("nope"); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("ParseKind(nope) error = %v, want one naming the input", err)
 	}
 }
 

@@ -50,7 +50,6 @@ type Engine struct {
 	queue eventHeap
 	stats Stats // Scheduled is derived from seq, see Stats
 	ndead int   // tombstoned events still sitting in the queue
-	eager bool  // remove cancelled events from the heap immediately
 
 	// slab carves Event allocations out of fixed-size chunks, so a
 	// Schedule call pays a heap allocation once per 256 events. Entries
@@ -112,35 +111,19 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 // Cancel removes a pending event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 //
-// By default cancellation is lazy: the event is tombstoned in place (O(1))
-// and silently discarded when it reaches the top of the heap. Tombstones
-// are compacted in one pass whenever they outnumber live events 3:1, so
-// the queue stays within 4x its live size. SetEagerCancel(true) restores
-// the old O(log n) heap.Remove behavior; dispatch order is identical
-// either way, since tombstoned events never run.
+// Cancellation is lazy: the event is tombstoned in place (O(1)) and
+// silently discarded when it reaches the top of the heap. Tombstones are
+// compacted in one pass whenever they outnumber live events 3:1, so the
+// queue stays within 4x its live size.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil || ev.index < 0 || ev.dead {
 		return
 	}
 	e.stats.Cancelled++
-	if e.eager {
-		heap.Remove(&e.queue, ev.index)
-		ev.index = -1
-		return
-	}
 	ev.dead = true
 	ev.fn = nil // release the closure now; the tombstone may linger
 	e.ndead++
 	if e.ndead > 3*(len(e.queue)-e.ndead) {
-		e.compact()
-	}
-}
-
-// SetEagerCancel toggles between lazy (default) and eager cancellation.
-// Switching to eager flushes any existing tombstones.
-func (e *Engine) SetEagerCancel(eager bool) {
-	e.eager = eager
-	if eager && e.ndead > 0 {
 		e.compact()
 	}
 }

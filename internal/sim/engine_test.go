@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -261,55 +263,120 @@ func TestRunUntilSkipsTombstonesWithoutOverrunning(t *testing.T) {
 	}
 }
 
-func TestLazyMatchesEagerCancelProperty(t *testing.T) {
-	// Property: an interleaving of schedules and cancels dispatches the
-	// same events at the same times in the same order regardless of
-	// cancellation strategy.
-	run := func(ops []uint16, eager bool) []int {
+// TestCancelModelOracle drives the engine and a brute-force model with the
+// same random interleaving of ScheduleAt, Cancel, Step and RunUntil. The
+// model keeps every event ever scheduled and fires, each time, the live
+// one least in (time, id) order; a cancelled event never fires. Cancels
+// hit live, already-cancelled and already-fired events alike, and the
+// cancel-heavy trials tombstone enough of the queue to compact it.
+func TestCancelModelOracle(t *testing.T) {
+	type modelEvent struct {
+		at               Time
+		cancelled, fired bool
+	}
+	compactions := 0
+	for trial := 0; trial < 300; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		cancelWeight := 1 + rng.Intn(6) // out of 10 ops
 		e := New()
-		e.SetEagerCancel(eager)
-		var fired []int
-		var evs []*Event
-		for i, op := range ops {
-			if op%3 == 0 && len(evs) > 0 {
-				e.Cancel(evs[int(op/3)%len(evs)])
-				continue
-			}
-			i := i
-			evs = append(evs, e.Schedule(float64(op%50), func() { fired = append(fired, i) }))
-		}
-		e.Run()
-		return fired
-	}
-	f := func(ops []uint16) bool {
-		lazy, eager := run(ops, false), run(ops, true)
-		if len(lazy) != len(eager) {
-			return false
-		}
-		for i := range lazy {
-			if lazy[i] != eager[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
+		var model []modelEvent // indexed by id, which is also the engine's seq
+		var handles []*Event
+		var fired, want []int
+		var now Time
+		cancels := 0
 
-func TestSetEagerCancelFlushesTombstones(t *testing.T) {
-	e := New()
-	a := e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
-	e.Schedule(3, func() {})
-	e.Cancel(a)
-	e.SetEagerCancel(true)
-	if e.ndead != 0 || len(e.queue) != 2 {
-		t.Fatalf("tombstones not flushed: ndead=%d len=%d", e.ndead, len(e.queue))
+		live := func(id int) bool { return !model[id].cancelled && !model[id].fired }
+		next := func() int {
+			best := -1
+			for id := range model {
+				if live(id) && (best < 0 || model[id].at < model[best].at) {
+					best = id
+				}
+			}
+			return best
+		}
+		dispatch := func(id int) {
+			model[id].fired = true
+			now = model[id].at
+			want = append(want, id)
+		}
+
+		for step := 0; step < 400; step++ {
+			switch r := rng.Intn(10); {
+			case r < cancelWeight && len(handles) > 0:
+				id := rng.Intn(len(handles))
+				if rng.Intn(2) == 0 { // prefer a live target, if any
+					for probe := 0; probe < len(handles) && !live(id); probe++ {
+						id = (id + 1) % len(handles)
+					}
+				}
+				if live(id) {
+					model[id].cancelled = true
+					cancels++
+				}
+				before := len(e.queue)
+				e.Cancel(handles[id])
+				if len(e.queue) < before {
+					compactions++
+				}
+			case r < 8:
+				id := len(handles)
+				at := now + Time(rng.Intn(20)) // coarse times: ties are common
+				model = append(model, modelEvent{at: at})
+				handles = append(handles, e.ScheduleAt(at, func() { fired = append(fired, id) }))
+			case r == 8:
+				id := next()
+				if got := e.Step(); got != (id >= 0) {
+					t.Fatalf("trial %d step %d: Step() = %v, model has next event %d", trial, step, got, id)
+				}
+				if id >= 0 {
+					dispatch(id)
+				}
+			default:
+				limit := now + Time(rng.Intn(10))
+				for id := next(); id >= 0 && model[id].at <= limit; id = next() {
+					dispatch(id)
+				}
+				now = limit
+				e.RunUntil(limit)
+			}
+
+			nlive := 0
+			for id := range model {
+				if live(id) {
+					nlive++
+				}
+				if handles[id].Scheduled() != live(id) {
+					t.Fatalf("trial %d step %d: event %d Scheduled() = %v, model live = %v",
+						trial, step, id, handles[id].Scheduled(), live(id))
+				}
+			}
+			if e.Now() != now || e.Pending() != nlive {
+				t.Fatalf("trial %d step %d: now %v pending %d, model now %v live %d",
+					trial, step, e.Now(), e.Pending(), now, nlive)
+			}
+			if !reflect.DeepEqual(fired, want) {
+				t.Fatalf("trial %d step %d: fired %v, model %v", trial, step, fired, want)
+			}
+		}
+
+		for id := next(); id >= 0; id = next() {
+			dispatch(id)
+		}
+		if end := e.Run(); end != now {
+			t.Fatalf("trial %d: Run() = %v, model ends at %v", trial, end, now)
+		}
+		if !reflect.DeepEqual(fired, want) {
+			t.Fatalf("trial %d: fired %v, model %v", trial, fired, want)
+		}
+		got := e.Stats()
+		if got.Scheduled != uint64(len(model)) || got.Cancelled != uint64(cancels) || got.Dispatched != uint64(len(want)) {
+			t.Fatalf("trial %d: stats %+v, model scheduled %d cancelled %d dispatched %d",
+				trial, got, len(model), cancels, len(want))
+		}
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d", e.Pending())
+	if compactions == 0 {
+		t.Fatal("no trial cancelled enough to compact the queue")
 	}
 }
 
