@@ -104,17 +104,14 @@ func run(args []string) error {
 		}
 	}
 
+	engine := minimr.Options{Scheduler: kind, RackBps: *rackBps, Seed: *seed}
+	engine.OutOfBandHeartbeats = true
 	m, err := cluster.NewMaster(fs, cluster.MasterOptions{
 		Addr:           *addr,
 		HeartbeatEvery: *hbEvery,
 		HeartbeatMiss:  *hbMiss,
 		RPCTimeout:     *rpcTimeout,
-		Engine: minimr.Options{
-			Scheduler:           kind,
-			RackBps:             *rackBps,
-			OutOfBandHeartbeats: true,
-			Seed:                *seed,
-		},
+		Engine:         engine,
 	})
 	if err != nil {
 		return err

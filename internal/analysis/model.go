@@ -8,6 +8,8 @@ package analysis
 import (
 	"errors"
 	"fmt"
+
+	"degradedfirst/internal/sched"
 )
 
 // Params are the analysis parameters, in the paper's notation.
@@ -65,8 +67,7 @@ func (p Params) NormalRuntime() float64 {
 // DegradedReadTime is the expected inter-rack download time of one
 // degraded read: (R-1)·k·S / (R·W).
 func (p Params) DegradedReadTime() float64 {
-	r := float64(p.R)
-	return (r - 1) / r * float64(p.K) * p.S / p.W
+	return sched.ExpectedDegradedReadTime(p.R, p.K, p.S, p.W)
 }
 
 // degradedPerRack is F/(N·R), the degraded tasks per rack.

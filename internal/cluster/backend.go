@@ -30,13 +30,12 @@ type clusterBackend struct {
 	files   []*dfs.File
 
 	outputs []map[string]string
-
-	// picked and reqs remember each degraded task's latest primary
-	// sources and run-map request so SpareSources can extend the request
-	// with spare fetches. Keyed by (job, task).
-	picked map[[2]int][]dfs.Source
-	reqs   map[[2]int]*mapReq
 }
+
+var (
+	_ runtime.Backend      = (*clusterBackend)(nil)
+	_ runtime.AsyncBackend = (*clusterBackend)(nil)
+)
 
 // mapOutcome is what Execute's output payload, a chan mapOutcome,
 // resolves to when the worker's run-map RPC returns. The channel is
@@ -67,14 +66,9 @@ func newClusterBackend(m *Master, h *minimr.Harness, jobs []minimr.Job) *cluster
 		rng:     stats.NewRNG(m.opts.Engine.Seed),
 		blocks:  h.Blocks,
 		holders: h.Holders,
+		files:   h.Files,
 	}
-	for i := range jobs {
-		f, err := m.fs.File(jobs[i].Input)
-		if err != nil {
-			// NewHarness already resolved every input; this cannot fail.
-			panic(fmt.Sprintf("cluster: input %q vanished: %v", jobs[i].Input, err))
-		}
-		b.files = append(b.files, f)
+	for range jobs {
 		b.outputs = append(b.outputs, make(map[string]string))
 	}
 	return b
@@ -86,73 +80,44 @@ func (b *clusterBackend) speed(id topology.NodeID) float64 {
 
 // PlanInput implements runtime.Backend: the virtual transfers are the
 // in-process engine's (one block from the holder, or k degraded-read
-// sources), and the payload is the run-map request telling the worker
-// which real fetches to perform.
-func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID) ([]runtime.Transfer, any, error) {
+// sources then the spares), and the payload is the run-map request
+// telling the worker which real fetches to perform. A degraded read
+// granted spares becomes a first-k-wins race on the wire too: Need is the
+// primary count and the spares join Fetch, so the worker decodes from
+// whichever k fetches finish first and cancels the rest.
+func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
 	block := b.blocks[job][task]
 	blockBytes := float64(b.m.fs.BlockSize())
 	req := &mapReq{Job: job, Task: task, File: b.jobs[job].Input, Stripe: block.Stripe, Index: block.Index}
+	plan := runtime.InputPlan{Input: req}
 	switch class {
 	case sched.ClassNodeLocal:
-		return nil, req, nil
 	case sched.ClassRackLocal, sched.ClassRemote:
 		holder := b.holders[job][task]
 		req.Fetch = []fetchSpec{b.m.fetchSpec(holder, block.Stripe, block.Index)}
-		return []runtime.Transfer{{Src: holder, Bytes: blockBytes}}, req, nil
+		plan.Transfers = []runtime.Transfer{{Src: holder, Bytes: blockBytes}}
 	case sched.ClassDegraded:
-		sources, err := dfs.PickRepairSources(b.m.fs.Cluster(), b.m.code, b.files[job].Placement,
+		place := b.files[job].Placement
+		sources, err := dfs.PickRepairSources(b.m.fs.Cluster(), b.m.code, place,
 			block, node, b.m.opts.Engine.SourceStrategy, b.rng)
 		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: planning degraded read of %v: %w", block, err)
+			return plan, fmt.Errorf("cluster: planning degraded read of %v: %w", block, err)
 		}
 		req.Degraded = true
-		transfers := make([]runtime.Transfer, len(sources))
-		for i, src := range sources {
-			transfers[i] = runtime.Transfer{Src: src.Node, Bytes: blockBytes}
+		extra := dfs.SpareSources(b.m.fs.Cluster(), place, block, sources, spares.For(len(sources)))
+		if len(extra) > 0 {
+			req.Need = len(sources)
+		}
+		plan.Spares = len(extra)
+		plan.Transfers = make([]runtime.Transfer, 0, len(sources)+len(extra))
+		for _, src := range append(sources, extra...) {
+			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: blockBytes})
 			req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, block.Stripe, src.Index))
 		}
-		if b.picked == nil {
-			b.picked = make(map[[2]int][]dfs.Source)
-			b.reqs = make(map[[2]int]*mapReq)
-		}
-		b.picked[[2]int{job, task}] = sources
-		b.reqs[[2]int{job, task}] = req
-		return transfers, req, nil
 	default:
-		return nil, nil, fmt.Errorf("cluster: unknown class %v", class)
+		return plan, fmt.Errorf("cluster: unknown class %v", class)
 	}
-}
-
-// SpareSources implements runtime.HedgedBackend: surviving stripe blocks
-// beyond the primaries planned for the latest degraded read,
-// deterministically ordered by stripe index (no RNG draws). It also
-// rewrites the pending run-map request into a first-k-wins race: Need
-// becomes the primary count and the spares join Fetch, so the worker
-// decodes from whichever k fetches finish first and cancels the rest.
-// Plans that repair from fewer than k blocks (a locality-aware code's
-// local group) are not any-k substitutable and get no spares.
-func (b *clusterBackend) SpareSources(job, task int, node topology.NodeID, max int) ([]runtime.Transfer, error) {
-	key := [2]int{job, task}
-	req := b.reqs[key]
-	if req == nil || !req.Degraded {
-		return nil, fmt.Errorf("cluster: spare sources requested for non-degraded task %d/%d", job, task)
-	}
-	primaries := b.picked[key]
-	if len(primaries) != b.m.code.K() {
-		return nil, nil
-	}
-	block := b.blocks[job][task]
-	spares := dfs.SpareSources(b.m.fs.Cluster(), b.files[job].Placement, block, primaries, max)
-	if len(spares) == 0 {
-		return nil, nil
-	}
-	req.Need = len(req.Fetch)
-	transfers := make([]runtime.Transfer, len(spares))
-	for i, src := range spares {
-		transfers[i] = runtime.Transfer{Src: src.Node, Bytes: float64(b.m.fs.BlockSize())}
-		req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, block.Stripe, src.Index))
-	}
-	return transfers, nil
+	return plan, nil
 }
 
 // Execute implements runtime.Backend: dispatch the real map work to the

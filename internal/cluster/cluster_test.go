@@ -46,11 +46,11 @@ func testbedFS(t *testing.T, seed int64) (*dfs.FS, []byte) {
 
 func engineOpts(sink trace.Sink) minimr.Options {
 	return minimr.Options{
-		Scheduler:           sched.KindLF,
-		RackBps:             minimr.TestbedRackBps,
-		OutOfBandHeartbeats: true,
-		Seed:                1,
-		Trace:               sink,
+		Scheduler: sched.KindLF,
+		RackBps:   minimr.TestbedRackBps,
+		Features:  runtime.Features{OutOfBandHeartbeats: true},
+		Seed:      1,
+		Trace:     sink,
 	}
 }
 
@@ -321,5 +321,68 @@ func TestMasterRejectsInvalidJobs(t *testing.T) {
 	}
 	if len(rep.Outputs[0]) == 0 {
 		t.Fatal("no output after rejected submissions")
+	}
+}
+
+// TestPlanInputPlansWholeFanIn: one PlanInput call on a degraded task
+// returns the k primaries followed by the spares the budget allows, with
+// no earlier call for the backend to remember, and the run-map request
+// mirrors the plan — a first-k-wins race (Need = k) exactly when spares
+// were granted.
+func TestPlanInputPlansWholeFanIn(t *testing.T) {
+	fs, _ := testbedFS(t, 8)
+	fs.Cluster().FailNode(3)
+	m, err := NewMaster(fs, MasterOptions{Engine: engineOpts(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	jobs, err := BuildJobs([]JobSpec{{Kind: "wordcount", Input: "input.txt", NumReducers: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := minimr.NewHarness(fs, &m.opts.Engine, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newClusterBackend(m, h, jobs)
+	task := -1
+	for i, holder := range h.Holders[0] {
+		if holder == 3 {
+			task = i
+			break
+		}
+	}
+	if task < 0 {
+		t.Fatal("failed node held no native block; scenario is vacuous")
+	}
+	k := fs.Code().K()
+	// (12,10) with one loss leaves 11 survivors: at most one spare.
+	for _, tc := range []struct {
+		budget               runtime.SpareBudget
+		wantSpares, wantNeed int
+	}{
+		{runtime.SpareBudget{}, 0, 0},
+		{runtime.SpareBudget{Fixed: 1, PerPrimary: 1}, 1, k},
+	} {
+		plan, err := b.PlanInput(0, task, sched.ClassDegraded, 0, tc.budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := plan.Input.(*mapReq)
+		if plan.Spares != tc.wantSpares || len(plan.Transfers) != k+tc.wantSpares {
+			t.Fatalf("budget %+v: %d transfers with %d spares, want %d with %d",
+				tc.budget, len(plan.Transfers), plan.Spares, k+tc.wantSpares, tc.wantSpares)
+		}
+		if !req.Degraded || req.Need != tc.wantNeed || len(req.Fetch) != len(plan.Transfers) {
+			t.Fatalf("budget %+v: request %+v does not mirror the %d planned transfers", tc.budget, req, len(plan.Transfers))
+		}
+		seen := map[int]bool{3: true}
+		for i, f := range req.Fetch {
+			if seen[f.Node] || f.Node != int(plan.Transfers[i].Src) {
+				t.Fatalf("fetch %d %+v repeats a source, reads the dead node or differs from transfer %+v", i, f, plan.Transfers[i])
+			}
+			seen[f.Node] = true
+		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/minimr"
 )
 
@@ -22,11 +23,9 @@ type JobSpec struct {
 	NumReducers int `json:"reducers"`
 	// SubmitAt is the virtual submission time.
 	SubmitAt float64 `json:"submit_at"`
-	// Tenant, Weight and Deadline feed the master's job-level
-	// scheduling policies (MasterOptions.Engine.JobSched). Optional.
-	Tenant   string  `json:"tenant,omitempty"`
-	Weight   float64 `json:"weight,omitempty"`
-	Deadline float64 `json:"deadline,omitempty"`
+	// JobMeta (tenant, weight, deadline on the wire) feeds the master's
+	// job-level scheduling policies (MasterOptions.Engine.JobSched).
+	jobsched.JobMeta
 }
 
 // BuildJob instantiates the minimr job a spec names.
@@ -46,9 +45,7 @@ func BuildJob(spec JobSpec) (minimr.Job, error) {
 		return minimr.Job{}, fmt.Errorf("cluster: unknown job kind %q", spec.Kind)
 	}
 	job.SubmitAt = spec.SubmitAt
-	job.Tenant = spec.Tenant
-	job.Weight = spec.Weight
-	job.Deadline = spec.Deadline
+	job.JobMeta = spec.JobMeta
 	return job, nil
 }
 

@@ -100,7 +100,7 @@ func NewMaster(fs *dfs.FS, opts MasterOptions) (*Master, error) {
 		return nil, fmt.Errorf("cluster: only Reed-Solomon codes can ship to workers, got %T", fs.Code())
 	}
 	opts.defaults()
-	if err := opts.Engine.Validate(); err != nil {
+	if err := opts.Engine.Validate(fs.Cluster().Spec()); err != nil {
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", opts.Addr)

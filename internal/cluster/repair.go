@@ -14,7 +14,7 @@ import (
 	"degradedfirst/internal/runtime"
 )
 
-// CommitRepair implements runtime.RepairBackend: the destination's
+// CommitRepair implements runtime.Backend: the destination's
 // worker rebuilds the block for real over the wire, then the master
 // verifies and commits the placement move. A dead destination or source
 // surfaces as *runtime.DeadNodeError (via callWorker's mapping), which

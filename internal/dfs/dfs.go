@@ -5,9 +5,10 @@
 //
 // It serves two roles in the reproduction:
 //
-//   - degraded-read *planning* (PickDegradedSources), shared by the
-//     discrete-event simulator, which only needs to know which nodes a
-//     degraded task downloads from; and
+//   - degraded-read and repair *planning* (PickNSources, SpareSources,
+//     PlanStripe), shared with the discrete-event simulator, which only
+//     needs to know which nodes a degraded task or a repair downloads
+//     from; and
 //   - a real-bytes store used by the real-execution engine
 //     (internal/minimr), where degraded reads genuinely reconstruct lost
 //     blocks with Reed-Solomon arithmetic.
@@ -131,11 +132,13 @@ func PickNSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID
 // for redundant (hedged) degraded reads. The selection is deterministic:
 // survivors not in used, in stripe-index order, no RNG draws, so hedged
 // and unhedged runs consume identical random streams. Returns fewer than
-// max (possibly none) when the stripe has no spares left.
+// max (possibly none) when the stripe has no spares left, and none when
+// used is not a full k-set: that was a locality-aware code's local repair
+// group, which is not any-k substitutable.
 func SpareSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
 	used []Source, max int) []Source {
 
-	if max <= 0 {
+	if max <= 0 || len(used) != p.K() {
 		return nil
 	}
 	taken := make(map[int]bool, len(used)+1)
@@ -365,8 +368,8 @@ func (fs *FS) encodeStripes(name string, data []byte, numStripes int) ([][][]byt
 }
 
 // CreateMeta registers a metadata-only file of numBlocks native blocks
-// (no contents). Used by the discrete-event simulator, which only needs
-// placement.
+// (no contents), for callers that only need placement: tests and the
+// benchmark's scheduler probes. The simulator places its own files.
 func (fs *FS) CreateMeta(name string, numBlocks int) (*File, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)

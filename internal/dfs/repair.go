@@ -12,6 +12,7 @@ package dfs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"degradedfirst/internal/erasure"
@@ -145,37 +146,34 @@ func groupAlive(c *topology.Cluster, p *placement.Placement, s int, group []int)
 // error: the healer reports them distinctly and never launches them. A
 // nil or empty failed set scans for every lost block in the system.
 func (fs *FS) LostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
-	failedSet := make(map[topology.NodeID]bool, len(failed))
-	for _, id := range failed {
-		failedSet[id] = true
-	}
 	var plans []repair.StripePlan
 	for _, name := range fs.names {
-		f := fs.files[name]
-		for s := 0; s < f.NumStripes(); s++ {
-			hit := false
-			for _, h := range f.Placement.StripeHolders(s) {
-				if fs.cluster.Alive(h) {
-					continue
-				}
-				if len(failedSet) == 0 || failedSet[h] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			plan, err := PlanStripe(fs.cluster, fs.code, f.Placement, name, s)
+		p := fs.files[name].Placement
+		for _, s := range StripesLostTo(fs.cluster, p, failed) {
+			plan, err := PlanStripe(fs.cluster, fs.code, p, name, s)
 			if err != nil {
 				return nil, err
 			}
-			if plan.Lost > 0 {
-				plans = append(plans, plan)
-			}
+			plans = append(plans, plan)
 		}
 	}
 	return plans, nil
+}
+
+// StripesLostTo returns, in order, the stripes of p with a block on a
+// dead node that is one of failed — or on any dead node when failed is
+// empty.
+func StripesLostTo(c *topology.Cluster, p *placement.Placement, failed []topology.NodeID) []int {
+	var stripes []int
+	for s := 0; s < p.NumStripes(); s++ {
+		for _, h := range p.StripeHolders(s) {
+			if !c.Alive(h) && (len(failed) == 0 || slices.Contains(failed, h)) {
+				stripes = append(stripes, s)
+				break
+			}
+		}
+	}
+	return stripes
 }
 
 // PlanStripeRepair re-plans one stripe from the live placement. The

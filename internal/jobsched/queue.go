@@ -1,22 +1,47 @@
 package jobsched
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 
 	"degradedfirst/internal/sched"
 )
 
-// JobMeta is the policy-facing metadata of one job.
+// JobMeta is the policy-facing metadata of one job: what fair-share
+// weighting, per-tenant quotas and EDF deadlines read. Every job-spec
+// type (runtime, mapred, minimr, cluster) embeds it, so the fields, their
+// wire names and their range checks exist once. All optional: the zero
+// value is an anonymous tenant, weight 1, no deadline.
 type JobMeta struct {
 	// Tenant names the submitting tenant ("" is a tenant like any other:
 	// single-tenant runs put every job in one bucket).
-	Tenant string
-	// Weight is the job's fair-share weight (<= 0 counts as 1).
-	Weight float64
+	Tenant string `json:"tenant,omitempty"`
+	// Weight is the job's fair-share weight (0 counts as 1).
+	Weight float64 `json:"weight,omitempty"`
 	// Deadline is the job's completion deadline in virtual seconds
-	// (<= 0 = none) for the Deadline policy.
-	Deadline float64
+	// (0 = none) for the Deadline policy.
+	Deadline float64 `json:"deadline,omitempty"`
+}
+
+// Sentinels for JobMeta.Validate, matched with errors.Is.
+var (
+	// ErrBadWeight rejects a negative or NaN fair-share Weight.
+	ErrBadWeight = errors.New("invalid job weight")
+	// ErrBadDeadline rejects a negative or NaN Deadline.
+	ErrBadDeadline = errors.New("invalid job deadline")
+)
+
+// Validate rejects a negative or NaN weight or deadline.
+func (m JobMeta) Validate() error {
+	if m.Weight < 0 || math.IsNaN(m.Weight) {
+		return fmt.Errorf("%w %v", ErrBadWeight, m.Weight)
+	}
+	if m.Deadline < 0 || math.IsNaN(m.Deadline) {
+		return fmt.Errorf("%w %v", ErrBadDeadline, m.Deadline)
+	}
+	return nil
 }
 
 // Entry is the queue's view of one job. The runtime owns the task-level

@@ -9,13 +9,11 @@ package mapred
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/placement"
-	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
@@ -63,13 +61,9 @@ type JobSpec struct {
 	// SubmitAt is the job's submission time.
 	SubmitAt float64
 
-	// Tenant, Weight and Deadline feed the job-level scheduling
-	// policies (Config.JobSched): fair-share weighting, per-tenant
-	// quotas, EDF deadlines. Optional; zero values mean an anonymous
-	// tenant, weight 1, and no deadline.
-	Tenant   string
-	Weight   float64
-	Deadline float64
+	// JobMeta (Tenant, Weight, Deadline) feeds the job-level scheduling
+	// policies (Config.JobSched).
+	jobsched.JobMeta
 }
 
 // Config describes one simulation run.
@@ -108,27 +102,10 @@ type Config struct {
 
 	// Scheduling.
 	Scheduler SchedulerKind
-	// JobSched selects the job-level scheduling policy (which jobs may
-	// take slots, above the task-placement Scheduler). The zero value
-	// is the FIFO queue of the paper's master.
-	JobSched jobsched.Config
-	// Hedge configures redundant degraded-read fan-ins (k+Δ races,
-	// deadline hedging). The zero value disables hedging and keeps runs
-	// bit-identical to the unhedged simulator.
-	Hedge runtime.HedgePolicy
-	// Repair configures the background repair subsystem (the proactive
-	// healer competing with foreground traffic). The zero value disables
-	// it and keeps runs bit-identical to the healer-free simulator. When
-	// the throttle is expressed as a RateFraction and no LinkBps is set,
-	// the node (falling back to rack) bandwidth is used as the reference
-	// link capacity.
-	Repair            repair.Config
-	HeartbeatInterval float64 // default 3 s
-	// OutOfBandHeartbeats triggers an immediate heartbeat from a slave
-	// whenever one of its tasks completes (Hadoop's optional
-	// mapreduce.tasktracker.outofband.heartbeat). Off by default, as in
-	// the paper's simulator.
-	OutOfBandHeartbeats bool
+	// Features are the master loop's settings — JobSched, Hedge, Repair,
+	// HeartbeatInterval, OutOfBandHeartbeats, MaxSimTime, TraceFlowRates —
+	// declared, defaulted and validated in package runtime.
+	runtime.Features
 
 	// Failure scenario, injected at time zero (after placement).
 	Failure topology.FailurePattern
@@ -145,19 +122,11 @@ type Config struct {
 	// Seed drives all randomness (placement, failure choice, task times).
 	Seed int64
 
-	// MaxSimTime aborts a run exceeding this virtual time (safety net
-	// against scheduling bugs). Zero means a generous default.
-	MaxSimTime float64
-
 	// Trace receives the run's structured lifecycle events (nil = no
 	// tracing); TraceLabel stamps each event's Run field so several runs
 	// can share one sink.
 	Trace      trace.Sink
 	TraceLabel string
-
-	// TraceFlowRates additionally emits a flow-rate event for every
-	// bandwidth reallocation. High-volume; off by default.
-	TraceFlowRates bool
 }
 
 // DefaultConfig returns the paper's default simulation configuration
@@ -178,7 +147,7 @@ func DefaultConfig() Config {
 		NumBlocks:          1440,
 		SourceStrategy:     dfs.RandomK,
 		Scheduler:          LF,
-		HeartbeatInterval:  3,
+		Features:           runtime.Features{HeartbeatInterval: 3},
 		Failure:            topology.SingleNodeFailure,
 	}
 }
@@ -225,9 +194,6 @@ func (c *Config) validate() error {
 	if c.Scheduler == 0 {
 		c.Scheduler = LF
 	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 3
-	}
 	if c.Policy == nil {
 		c.Policy = placement.RackConstrainedRandom{}
 	}
@@ -246,24 +212,8 @@ func (c *Config) validate() error {
 	if c.FailAt < 0 {
 		return errors.New("mapred: FailAt must be non-negative")
 	}
-	if err := c.JobSched.Validate(); err != nil {
-		return err
-	}
-	if err := c.Hedge.Validate(); err != nil {
+	if err := c.Features.Validate(c.netConfig(), c.Topology); err != nil {
 		return fmt.Errorf("mapred: %w", err)
-	}
-	if err := c.Repair.Validate(); err != nil {
-		return fmt.Errorf("mapred: %w", err)
-	}
-	if c.Repair.Active() && c.Repair.RateBps == 0 && c.Repair.LinkBps == 0 {
-		if c.NodeBps > 0 {
-			c.Repair.LinkBps = c.NodeBps
-		} else {
-			c.Repair.LinkBps = c.RackBps
-		}
-	}
-	if c.MaxSimTime <= 0 {
-		c.MaxSimTime = 1e7
 	}
 	return nil
 }
@@ -282,11 +232,8 @@ func (c *Config) validateJob(j *JobSpec) error {
 	if j.NumReduceTasks < 0 || j.ShuffleRatio < 0 || j.SubmitAt < 0 {
 		return fmt.Errorf("mapred: job %q has negative parameters", j.Name)
 	}
-	if j.Weight < 0 || math.IsNaN(j.Weight) {
-		return fmt.Errorf("mapred: job %q has invalid weight %v", j.Name, j.Weight)
-	}
-	if j.Deadline < 0 || math.IsNaN(j.Deadline) {
-		return fmt.Errorf("mapred: job %q has invalid deadline %v", j.Name, j.Deadline)
+	if err := j.JobMeta.Validate(); err != nil {
+		return fmt.Errorf("mapred: job %q: %w", j.Name, err)
 	}
 	if j.NumReduceTasks > 0 && j.ReduceTime.Mean <= 0 {
 		return fmt.Errorf("mapred: job %q needs a positive reduce time", j.Name)
@@ -307,13 +254,14 @@ func (c *Config) ExpectedDegradedReadTime() float64 {
 			rackBps = c.Topology.Tiers[0].LinkBps
 		}
 	}
-	r := float64(racks)
-	if rackBps == 0 {
-		return 0
+	reads := c.RepairBlockCount
+	if reads <= 0 {
+		reads = c.K
 	}
-	repair := c.RepairBlockCount
-	if repair <= 0 {
-		repair = c.K
-	}
-	return (r - 1) / r * float64(repair) * c.BlockSizeBytes / rackBps
+	return sched.ExpectedDegradedReadTime(racks, reads, c.BlockSizeBytes, rackBps)
+}
+
+// netConfig is the network model's configuration.
+func (c *Config) netConfig() netsim.Config {
+	return netsim.Config{Mode: c.NetMode, NodeBps: c.NodeBps, RackBps: c.RackBps, CoreBps: c.CoreBps}
 }

@@ -39,99 +39,41 @@ func (b *simBackend) fileJob(file string) (int, error) {
 	return job, nil
 }
 
-// planStripe builds the repair plan for one stripe of one job's file.
-// Source selection models the configured code without real shards: a
-// full reconstruction reads the k lowest-index survivors, and when
-// RepairBlockCount < k (a locality-aware code per footnote 1) a
-// single-loss stripe repairs locally from RepairBlockCount survivors.
-// Multi-loss stripes always fall back to the full k-source path — a
-// local group with two losses cannot self-heal.
+// planStripe builds the repair plan for one stripe of one job's file:
+// dfs.PlanStripe's plan for a code without local groups (a full
+// reconstruction reads the k lowest-index survivors), trimmed to the
+// configured code. When RepairBlockCount < k (a locality-aware code per
+// footnote 1) a single-loss stripe repairs locally from the first
+// RepairBlockCount of those survivors. Multi-loss stripes keep the full
+// k-source path — a local group with two losses cannot self-heal.
 func (b *simBackend) planStripe(job, s int) (repair.StripePlan, error) {
-	place := b.places[job]
-	plan := repair.StripePlan{
-		Key: repair.Key{File: b.jobFile(job), Stripe: s},
-		N:   place.N(),
-		K:   place.K(),
+	plan, err := dfs.PlanStripe(b.cluster, nil, b.places[job], b.jobFile(job), s)
+	if r := b.cfg.RepairBlockCount; err == nil && len(plan.Blocks) == 1 && r < plan.K {
+		plan.Blocks[0].Sources = plan.Blocks[0].Sources[:r]
+		plan.Blocks[0].Local = true
 	}
-	var lost []int
-	survivors := make([]repair.Source, 0, place.N())
-	for i, h := range place.StripeHolders(s) {
-		if b.cluster.Alive(h) {
-			survivors = append(survivors, repair.Source{Node: h, Index: i})
-		} else {
-			lost = append(lost, i)
-		}
-	}
-	plan.Lost = len(lost)
-	if len(lost) == 0 {
-		return plan, nil
-	}
-	if len(lost) > plan.N-plan.K {
-		plan.Unrepairable = true
-		return plan, nil
-	}
-	reads := plan.K
-	local := false
-	if len(lost) == 1 && b.cfg.RepairBlockCount < plan.K {
-		reads = b.cfg.RepairBlockCount
-		local = true
-	}
-	taken := make(map[topology.NodeID]bool, len(lost))
-	for _, idx := range lost {
-		dest, err := dfs.PickRepairDestination(b.cluster, place, s, taken)
-		if err != nil {
-			return plan, err
-		}
-		taken[dest] = true
-		plan.Blocks = append(plan.Blocks, repair.BlockPlan{
-			Index:   idx,
-			Dest:    dest,
-			Sources: append([]repair.Source(nil), survivors[:reads]...),
-			Local:   local,
-		})
-	}
-	return plan, nil
+	return plan, err
 }
 
-// ScanLostBlocks implements runtime.RepairBackend: every stripe of every
-// job's file that lost a block to one of the failed nodes, in job then
-// stripe order. Each plan covers all of its stripe's losses, so a rescan
-// after a second failure subsumes earlier pending work.
+// ScanLostBlocks implements runtime.Backend: every stripe of every job's
+// file that lost a block to one of the failed nodes, in job then stripe
+// order. Each plan covers all of its stripe's losses, so a rescan after a
+// second failure subsumes earlier pending work.
 func (b *simBackend) ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
-	failedSet := make(map[topology.NodeID]bool, len(failed))
-	for _, id := range failed {
-		failedSet[id] = true
-	}
 	var plans []repair.StripePlan
-	for job := range b.places {
-		place := b.places[job]
-		for s := 0; s < place.NumStripes(); s++ {
-			hit := false
-			for _, h := range place.StripeHolders(s) {
-				if b.cluster.Alive(h) {
-					continue
-				}
-				if len(failedSet) == 0 || failedSet[h] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
+	for job, place := range b.places {
+		for _, s := range dfs.StripesLostTo(b.cluster, place, failed) {
 			plan, err := b.planStripe(job, s)
 			if err != nil {
 				return nil, err
 			}
-			if plan.Lost > 0 {
-				plans = append(plans, plan)
-			}
+			plans = append(plans, plan)
 		}
 	}
 	return plans, nil
 }
 
-// PlanStripeRepair implements runtime.RepairBackend: a launch-time
+// PlanStripeRepair implements runtime.Backend: a launch-time
 // re-plan from the live placement, so blocks repaired since the stripe
 // was queued are not rebuilt twice.
 func (b *simBackend) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
@@ -145,7 +87,7 @@ func (b *simBackend) PlanStripeRepair(key repair.Key) (repair.StripePlan, error)
 	return b.planStripe(job, key.Stripe)
 }
 
-// CommitRepair implements runtime.RepairBackend: move the block's
+// CommitRepair implements runtime.Backend: move the block's
 // placement to its rebuilt copy and report the foreground task (if any —
 // parity blocks back no task) whose input just came back.
 func (b *simBackend) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runtime.RepairedTask, error) {
@@ -172,5 +114,5 @@ func (b *simBackend) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runtim
 	return refs, nil
 }
 
-// RepairBlockBytes implements runtime.RepairBackend.
+// RepairBlockBytes implements runtime.Backend.
 func (b *simBackend) RepairBlockBytes() float64 { return b.cfg.BlockSizeBytes }

@@ -72,15 +72,33 @@ func TestRepairDeterministic(t *testing.T) {
 }
 
 func TestRepairThrottleMonotone(t *testing.T) {
-	// More repair bandwidth must not lengthen time to full redundancy.
-	slow := mustRun(t, repairConfig(0.05), smallJob())
-	fast := mustRun(t, repairConfig(1.0), smallJob())
-	if slow.Repair == nil || fast.Repair == nil {
-		t.Fatal("missing repair stats")
+	// More repair bandwidth must shorten time to full redundancy, on the
+	// two-level tree (throttle against RackBps) and on a fat tree, where
+	// the only capacities are the spec's (throttle against its NodeBps).
+	fatTree := func(fraction float64) Config {
+		cfg := fatTreeConfig(t)
+		cfg.Seed, cfg.Scheduler = 91, LF
+		cfg.FailNodes, cfg.FailAt = []topology.NodeID{4}, 20
+		cfg.Repair = repair.Config{Enabled: true, RateFraction: fraction}
+		return cfg
 	}
-	if fast.Repair.FullRedundancyAt > slow.Repair.FullRedundancyAt {
-		t.Fatalf("full redundancy at %.2f with full bandwidth vs %.2f throttled",
-			fast.Repair.FullRedundancyAt, slow.Repair.FullRedundancyAt)
+	for _, tc := range []struct {
+		name string
+		cfg  func(float64) Config
+		slow float64
+	}{
+		{"two-level", repairConfig, 0.05},
+		{"fat-tree", fatTree, 0.25},
+	} {
+		slow := mustRun(t, tc.cfg(tc.slow), smallJob())
+		fast := mustRun(t, tc.cfg(1.0), smallJob())
+		if slow.Repair == nil || fast.Repair == nil {
+			t.Fatalf("%s: missing repair stats", tc.name)
+		}
+		if fast.Repair.FullRedundancyAt >= slow.Repair.FullRedundancyAt {
+			t.Errorf("%s: full redundancy at %.2f with full bandwidth vs %.2f at fraction %v",
+				tc.name, fast.Repair.FullRedundancyAt, slow.Repair.FullRedundancyAt, tc.slow)
+		}
 	}
 }
 
@@ -135,13 +153,5 @@ func TestRepairRestoresPendingDegradedTasks(t *testing.T) {
 	}
 	if healed.Repair.BlocksRepaired == 0 {
 		t.Fatal("no blocks repaired")
-	}
-}
-
-func TestRepairValidation(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Repair = repair.Config{Enabled: true, RateFraction: 2}
-	if _, err := Run(cfg, []JobSpec{smallJob()}); err == nil {
-		t.Fatal("RateFraction > 1 must fail validation")
 	}
 }

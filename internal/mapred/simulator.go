@@ -107,20 +107,13 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 			SubmitAt:    specs[i].SubmitAt,
 			Tasks:       tasks,
 			NumReducers: specs[i].NumReduceTasks,
-			Tenant:      specs[i].Tenant,
-			Weight:      specs[i].Weight,
-			Deadline:    specs[i].Deadline,
+			JobMeta:     specs[i].JobMeta,
 		}
 	}
 
 	failRNG := rng.Fork()
 	eng := sim.New()
-	net, err := netsim.New(eng, cluster, netsim.Config{
-		Mode:    cfg.NetMode,
-		NodeBps: cfg.NodeBps,
-		RackBps: cfg.RackBps,
-		CoreBps: cfg.CoreBps,
-	})
+	net, err := netsim.New(eng, cluster, cfg.netConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -165,24 +158,18 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 	}
 
 	return &simRun{params: runtime.Params{
-		Name:                "mapred",
-		Ctx:                 ctx,
-		Engine:              eng,
-		Cluster:             cluster,
-		Net:                 net,
-		Scheduler:           scheduler,
-		Env:                 env,
-		JobSched:            cfg.JobSched,
-		HeartbeatInterval:   cfg.HeartbeatInterval,
-		OutOfBandHeartbeats: cfg.OutOfBandHeartbeats,
-		MaxSimTime:          cfg.MaxSimTime,
-		Hedge:               cfg.Hedge,
-		Repair:              cfg.Repair,
-		FailAt:              cfg.FailAt,
-		ToFail:              toFail,
-		Sink:                cfg.Trace,
-		Label:               cfg.TraceLabel,
-		TraceFlowRates:      cfg.TraceFlowRates,
+		Name:      "mapred",
+		Ctx:       ctx,
+		Engine:    eng,
+		Cluster:   cluster,
+		Net:       net,
+		Scheduler: scheduler,
+		Env:       env,
+		Features:  cfg.Features,
+		FailAt:    cfg.FailAt,
+		ToFail:    toFail,
+		Sink:      cfg.Trace,
+		Label:     cfg.TraceLabel,
 	}, backend: backend, jobs: rjobs}, nil
 }
 
@@ -196,9 +183,6 @@ type simBackend struct {
 	rng     *stats.RNG
 	places  []*placement.Placement
 	blocks  [][]erasure.BlockID
-	// picked remembers each degraded task's latest primary sources so
-	// SpareSources can exclude them. Keyed by (job, task).
-	picked map[[2]int][]dfs.Source
 	// fileIdx maps synthetic repair file names back to job indices
 	// (lazily built by fileJob's inverse, see repair.go).
 	fileIdx map[string]int
@@ -208,54 +192,37 @@ func (b *simBackend) speed(id topology.NodeID) float64 {
 	return b.cluster.Node(id).SpeedFactor
 }
 
+var _ runtime.Backend = (*simBackend)(nil)
+
 // PlanInput implements runtime.Backend: node-local inputs need no
 // transfers, rack-local/remote inputs one block transfer from the holder,
-// and degraded inputs one transfer per repair source.
-func (b *simBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID) ([]runtime.Transfer, any, error) {
+// and degraded inputs one transfer per repair source, then the spares.
+func (b *simBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
+	var plan runtime.InputPlan
 	block := b.blocks[job][task]
 	switch class {
 	case sched.ClassNodeLocal:
-		return nil, nil, nil
 	case sched.ClassRackLocal, sched.ClassRemote:
 		holder := b.places[job].Holder(block)
-		return []runtime.Transfer{{Src: holder, Bytes: b.cfg.BlockSizeBytes}}, nil, nil
+		plan.Transfers = []runtime.Transfer{{Src: holder, Bytes: b.cfg.BlockSizeBytes}}
 	case sched.ClassDegraded:
 		sources, err := dfs.PickNSources(b.cluster, b.places[job], block, node,
 			b.cfg.RepairBlockCount, b.cfg.SourceStrategy, b.rng)
 		if err != nil {
-			return nil, nil, fmt.Errorf("mapred: degraded read plan for %v: %w", block, err)
+			return plan, fmt.Errorf("mapred: degraded read plan for %v: %w", block, err)
 		}
-		if b.picked == nil {
-			b.picked = make(map[[2]int][]dfs.Source)
+		// RepairBlockCount != K models a locality-aware code, which gets
+		// no spares.
+		extra := dfs.SpareSources(b.cluster, b.places[job], block, sources, spares.For(len(sources)))
+		plan.Spares = len(extra)
+		plan.Transfers = make([]runtime.Transfer, 0, len(sources)+len(extra))
+		for _, src := range append(sources, extra...) {
+			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: b.cfg.BlockSizeBytes})
 		}
-		b.picked[[2]int{job, task}] = sources
-		transfers := make([]runtime.Transfer, len(sources))
-		for i, src := range sources {
-			transfers[i] = runtime.Transfer{Src: src.Node, Bytes: b.cfg.BlockSizeBytes}
-		}
-		return transfers, nil, nil
 	default:
-		return nil, nil, fmt.Errorf("mapred: unknown assignment class %v", class)
+		return plan, fmt.Errorf("mapred: unknown assignment class %v", class)
 	}
-}
-
-// SpareSources implements runtime.HedgedBackend: surviving stripe blocks
-// beyond the primaries picked by the latest PlanInput, deterministically
-// ordered by stripe index (no RNG draws).
-func (b *simBackend) SpareSources(job, task int, node topology.NodeID, max int) ([]runtime.Transfer, error) {
-	primaries := b.picked[[2]int{job, task}]
-	if len(primaries) != b.cfg.K {
-		// RepairBlockCount != K models a locality-aware code whose repair
-		// sets are not any-k substitutable, so no spares.
-		return nil, nil
-	}
-	block := b.blocks[job][task]
-	spares := dfs.SpareSources(b.cluster, b.places[job], block, primaries, max)
-	transfers := make([]runtime.Transfer, len(spares))
-	for i, src := range spares {
-		transfers[i] = runtime.Transfer{Src: src.Node, Bytes: b.cfg.BlockSizeBytes}
-	}
-	return transfers, nil
+	return plan, nil
 }
 
 // Execute implements runtime.Backend: charge a sampled map duration.

@@ -1,11 +1,13 @@
 package mapred
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
 	"degradedfirst/internal/netsim"
+	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
 )
@@ -488,5 +490,59 @@ func TestBytesMovedScalesWithShuffle(t *testing.T) {
 	if b.BytesMoved <= a.BytesMoved {
 		t.Fatalf("30%% shuffle (%.0f) should move more bytes than 1%% (%.0f)",
 			b.BytesMoved, a.BytesMoved)
+	}
+}
+
+// TestPlanInputPlansWholeFanIn: one PlanInput call on a degraded task
+// returns the k primaries followed by the spares the budget allows, with
+// no earlier call for the backend to remember; a locality-aware code
+// (RepairBlockCount < k) gets none.
+func TestPlanInputPlansWholeFanIn(t *testing.T) {
+	const failed = topology.NodeID(4)
+	degradedPlan := func(cfg Config, budget runtime.SpareBudget) runtime.InputPlan {
+		t.Helper()
+		r, err := prepare(context.Background(), cfg, []JobSpec{smallJob()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.params.Cluster.FailNode(failed)
+		for task, spec := range r.jobs[0].Tasks {
+			if spec.Holder != failed {
+				continue
+			}
+			plan, err := r.backend.PlanInput(0, task, sched.ClassDegraded, 0, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[topology.NodeID]bool{failed: true}
+			for _, tr := range plan.Transfers {
+				if seen[tr.Src] || tr.Bytes != cfg.BlockSizeBytes {
+					t.Fatalf("transfer %+v repeats a source, reads the dead node or is not one block", tr)
+				}
+				seen[tr.Src] = true
+			}
+			return plan
+		}
+		t.Fatal("failed node held no native block; scenario is vacuous")
+		return runtime.InputPlan{}
+	}
+	cfg := smallConfig() // (6,4): five survivors, so at most one spare
+	for _, tc := range []struct {
+		budget     runtime.SpareBudget
+		wantSpares int
+	}{
+		{runtime.SpareBudget{}, 0},
+		{runtime.SpareBudget{Fixed: 1}, 1},
+		{runtime.SpareBudget{Fixed: 1, PerPrimary: 1}, 1},
+	} {
+		plan := degradedPlan(cfg, tc.budget)
+		if plan.Spares != tc.wantSpares || len(plan.Transfers) != cfg.K+tc.wantSpares {
+			t.Errorf("budget %+v: %d transfers with %d spares, want %d with %d",
+				tc.budget, len(plan.Transfers), plan.Spares, cfg.K+tc.wantSpares, tc.wantSpares)
+		}
+	}
+	cfg.RepairBlockCount = 2
+	if plan := degradedPlan(cfg, runtime.SpareBudget{Fixed: 1}); plan.Spares != 0 || len(plan.Transfers) != 2 {
+		t.Errorf("local repair: %d transfers with %d spares, want its 2 sources alone", len(plan.Transfers), plan.Spares)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/mapred"
 	"degradedfirst/internal/netsim"
-	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
@@ -54,13 +53,9 @@ type Job struct {
 	// SubmitAt is the submission time (FIFO order follows slice order; the
 	// engine validates that SubmitAt is nondecreasing).
 	SubmitAt float64
-	// Tenant, Weight and Deadline feed the job-level scheduling
-	// policies (Options.JobSched): fair-share weighting, per-tenant
-	// quotas, EDF deadlines. Optional; zero values mean an anonymous
-	// tenant, weight 1, and no deadline.
-	Tenant   string
-	Weight   float64
-	Deadline float64
+	// JobMeta (Tenant, Weight, Deadline) feeds the job-level scheduling
+	// policies (Options.JobSched).
+	jobsched.JobMeta
 }
 
 // Cost is a linear virtual-CPU-time model.
@@ -78,43 +73,22 @@ func (c Cost) Seconds(bytes float64) float64 {
 type Options struct {
 	// Scheduler picks the algorithm (sched.KindLF/KindBDF/KindEDF).
 	Scheduler sched.Kind
-	// JobSched selects the job-level scheduling policy (which jobs may
-	// take slots, above the task-placement Scheduler). The zero value
-	// is the FIFO queue.
-	JobSched jobsched.Config
+	// Features are the master loop's settings — JobSched, Hedge, Repair,
+	// HeartbeatInterval, OutOfBandHeartbeats, MaxSimTime, TraceFlowRates —
+	// declared, defaulted and validated in package runtime.
+	runtime.Features
 	// RackBps, NodeBps, CoreBps and NetMode configure the network model.
 	RackBps, NodeBps, CoreBps float64
 	NetMode                   netsim.Mode
 	// SourceStrategy picks degraded-read sources (default RandomK).
 	SourceStrategy dfs.SelectionStrategy
-	// Hedge configures redundant degraded-read fan-ins (k+Δ races,
-	// deadline hedging). The zero value disables hedging and keeps runs
-	// bit-identical to the unhedged engine.
-	Hedge runtime.HedgePolicy
-	// Repair configures the background repair subsystem: real block
-	// reconstructions over the DFS, competing with foreground traffic.
-	// The zero value disables it and keeps runs bit-identical to the
-	// healer-free engine. When the throttle is a RateFraction and no
-	// LinkBps is set, the node (falling back to rack) bandwidth is the
-	// reference link capacity.
-	Repair repair.Config
-	// HeartbeatInterval defaults to 3 s.
-	HeartbeatInterval float64
-	// OutOfBandHeartbeats triggers immediate heartbeats on task completion.
-	OutOfBandHeartbeats bool
 	// Seed drives task-placement randomness (degraded source picks).
 	Seed int64
-	// MaxSimTime aborts runaway runs (default 1e7 virtual seconds).
-	MaxSimTime float64
 	// Trace receives the run's structured lifecycle events (nil = no
 	// tracing); TraceLabel stamps each event's Run field so several runs
 	// can share one sink.
 	Trace      trace.Sink
 	TraceLabel string
-
-	// TraceFlowRates additionally emits a flow-rate event for every
-	// bandwidth reallocation. High-volume; off by default.
-	TraceFlowRates bool
 }
 
 // Validation errors. Each failure mode has a sentinel so callers —
@@ -126,8 +100,8 @@ var (
 	// ErrNegativeBandwidth rejects a negative or NaN RackBps/NodeBps/CoreBps.
 	ErrNegativeBandwidth = errors.New("minimr: bandwidth must be nonnegative")
 	// ErrBadHeartbeat rejects a negative or NaN HeartbeatInterval (zero
-	// selects the 3 s default).
-	ErrBadHeartbeat = errors.New("minimr: heartbeat interval must be positive")
+	// selects the 3 s default). It is runtime.Features' sentinel.
+	ErrBadHeartbeat = runtime.ErrBadHeartbeat
 	// ErrNoJobs rejects an empty job list.
 	ErrNoJobs = errors.New("minimr: no jobs")
 	// ErrNoInput rejects a job without an input file.
@@ -144,10 +118,10 @@ var (
 	ErrBadSubmitTime = errors.New("minimr: negative submit time")
 	// ErrNegativeCost rejects negative MapCost/ReduceCost components.
 	ErrNegativeCost = errors.New("minimr: negative cost")
-	// ErrBadWeight rejects a negative or NaN fair-share Weight.
-	ErrBadWeight = errors.New("minimr: invalid job weight")
-	// ErrBadDeadline rejects a negative or NaN Deadline.
-	ErrBadDeadline = errors.New("minimr: invalid job deadline")
+	// ErrBadWeight and ErrBadDeadline reject a negative or NaN fair-share
+	// Weight or Deadline. They are jobsched.JobMeta's sentinels.
+	ErrBadWeight   = jobsched.ErrBadWeight
+	ErrBadDeadline = jobsched.ErrBadDeadline
 	// ErrSubmitOrder rejects a job list whose SubmitAt values decrease:
 	// the FIFO queue follows slice order, so out-of-order times would
 	// desynchronize queue position from submission time.
@@ -155,16 +129,11 @@ var (
 )
 
 // Validate normalizes zero-valued options to their defaults and rejects
-// unusable values with a typed error.
-func (o *Options) Validate() error {
+// unusable values with a typed error. spec is the fabric of the cluster
+// the run uses (fs.Cluster().Spec()).
+func (o *Options) Validate(spec *topology.Spec) error {
 	if o.Scheduler == 0 {
 		o.Scheduler = sched.KindLF
-	}
-	if o.HeartbeatInterval == 0 {
-		o.HeartbeatInterval = 3
-	}
-	if o.HeartbeatInterval < 0 || math.IsNaN(o.HeartbeatInterval) {
-		return fmt.Errorf("%w, got %v", ErrBadHeartbeat, o.HeartbeatInterval)
 	}
 	if o.SourceStrategy == 0 {
 		o.SourceStrategy = dfs.RandomK
@@ -172,28 +141,20 @@ func (o *Options) Validate() error {
 	if o.NetMode == 0 {
 		o.NetMode = netsim.FluidFairSharing
 	}
-	if o.MaxSimTime <= 0 {
-		o.MaxSimTime = 1e7
-	}
 	for _, bps := range []float64{o.RackBps, o.NodeBps, o.CoreBps} {
 		if bps < 0 || math.IsNaN(bps) {
 			return fmt.Errorf("%w, got %v", ErrNegativeBandwidth, bps)
 		}
 	}
-	if err := o.Hedge.Validate(); err != nil {
+	if err := o.Features.Validate(o.netConfig(), spec); err != nil {
 		return fmt.Errorf("minimr: %w", err)
 	}
-	if err := o.Repair.Validate(); err != nil {
-		return fmt.Errorf("minimr: %w", err)
-	}
-	if o.Repair.Active() && o.Repair.RateBps == 0 && o.Repair.LinkBps == 0 {
-		if o.NodeBps > 0 {
-			o.Repair.LinkBps = o.NodeBps
-		} else {
-			o.Repair.LinkBps = o.RackBps
-		}
-	}
-	return o.JobSched.Validate()
+	return nil
+}
+
+// netConfig is the network model's configuration.
+func (o *Options) netConfig() netsim.Config {
+	return netsim.Config{Mode: o.NetMode, NodeBps: o.NodeBps, RackBps: o.RackBps, CoreBps: o.CoreBps}
 }
 
 // Validate rejects a malformed job with a typed error.
@@ -219,11 +180,8 @@ func (j *Job) Validate() error {
 	if j.MapCost.Fixed < 0 || j.MapCost.PerMB < 0 || j.ReduceCost.Fixed < 0 || j.ReduceCost.PerMB < 0 {
 		return fmt.Errorf("%w: job %q", ErrNegativeCost, j.Name)
 	}
-	if j.Weight < 0 || math.IsNaN(j.Weight) {
-		return fmt.Errorf("%w: job %q has %v", ErrBadWeight, j.Name, j.Weight)
-	}
-	if j.Deadline < 0 || math.IsNaN(j.Deadline) {
-		return fmt.Errorf("%w: job %q has %v", ErrBadDeadline, j.Name, j.Deadline)
+	if err := j.JobMeta.Validate(); err != nil {
+		return fmt.Errorf("minimr: job %q: %w", j.Name, err)
 	}
 	return nil
 }

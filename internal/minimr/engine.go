@@ -30,10 +30,15 @@ func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	cluster := fs.Cluster()
+	backend := newRealBackend(fs, h, opts, jobs)
+	return h.Run(ctx, "minimr", &opts, backend, nil, opts.Trace, backend.outputs)
+}
+
+func newRealBackend(fs *dfs.FS, h *Harness, opts Options, jobs []Job) *realBackend {
 	backend := &realBackend{
 		Healer:  h.Healer,
-		cluster: cluster,
+		cluster: fs.Cluster(),
+		files:   h.Files,
 		opts:    opts,
 		rng:     stats.NewRNG(opts.Seed),
 	}
@@ -41,8 +46,7 @@ func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Rep
 		backend.bufs = append(backend.bufs, make([][]RecordBuf, jobs[i].NumReducers))
 		backend.outputs = append(backend.outputs, make(map[string]string))
 	}
-
-	return h.Run(ctx, "minimr", &opts, backend, nil, opts.Trace, backend.outputs)
+	return backend
 }
 
 // realBackend is the real-bytes runtime backend: map inputs are read (or
@@ -52,16 +56,16 @@ func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Rep
 type realBackend struct {
 	*Healer // the repair backend, and this one's fs, jobs, blocks and holders
 	cluster *topology.Cluster
+	files   []*dfs.File // files[job] is the job's input
 	opts    Options
 	rng     *stats.RNG
 	// bufs[job][reducer] lists, in delivery order, the map-output
 	// buffers the shuffle delivered; they stay owned by their map tasks.
 	bufs    [][][]RecordBuf
 	outputs []map[string]string
-	// picked remembers each degraded task's latest primary sources so
-	// SpareSources can exclude them. Keyed by (job, task).
-	picked map[[2]int][]dfs.Source
 }
+
+var _ runtime.Backend = (*realBackend)(nil)
 
 func (b *realBackend) speed(id topology.NodeID) float64 {
 	return b.cluster.Node(id).SpeedFactor
@@ -69,8 +73,12 @@ func (b *realBackend) speed(id topology.NodeID) float64 {
 
 // PlanInput implements runtime.Backend: read the block (local, rack, or
 // remote: one block transfer from the holder), or reconstruct it for real
-// via a degraded read (k source transfers).
-func (b *realBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID) ([]runtime.Transfer, any, error) {
+// via a degraded read (k source transfers, then the spares). The
+// reconstruction happens here — under the virtual clock the spare
+// transfers only shape timing, and Reed-Solomon decoding from any k
+// survivors yields identical bytes.
+func (b *realBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
+	var plan runtime.InputPlan
 	js := b.jobs[job]
 	block := b.blocks[job][task]
 	blockBytes := float64(b.fs.BlockSize())
@@ -78,58 +86,30 @@ func (b *realBackend) PlanInput(job, task int, class sched.Class, node topology.
 	case sched.ClassNodeLocal, sched.ClassRackLocal, sched.ClassRemote:
 		data, err := b.fs.ReadBlock(js.Input, block)
 		if err != nil {
-			return nil, nil, fmt.Errorf("minimr: reading %v: %w", block, err)
+			return plan, fmt.Errorf("minimr: reading %v: %w", block, err)
 		}
-		if class == sched.ClassNodeLocal {
-			return nil, data, nil
+		plan.Input = data
+		if class != sched.ClassNodeLocal {
+			plan.Transfers = []runtime.Transfer{{Src: b.holders[job][task], Bytes: blockBytes}}
 		}
-		return []runtime.Transfer{{Src: b.holders[job][task], Bytes: blockBytes}}, data, nil
 	case sched.ClassDegraded:
 		// Reconstruct for real (Reed-Solomon decode over the surviving
 		// blocks), then charge the k transfers through the network model.
 		data, sources, err := b.fs.DegradedRead(js.Input, block, node, b.opts.SourceStrategy, b.rng)
 		if err != nil {
-			return nil, nil, fmt.Errorf("minimr: degraded read of %v: %w", block, err)
+			return plan, fmt.Errorf("minimr: degraded read of %v: %w", block, err)
 		}
-		if b.picked == nil {
-			b.picked = make(map[[2]int][]dfs.Source)
+		plan.Input = data
+		extra := dfs.SpareSources(b.cluster, b.files[job].Placement, block, sources, spares.For(len(sources)))
+		plan.Spares = len(extra)
+		plan.Transfers = make([]runtime.Transfer, 0, len(sources)+len(extra))
+		for _, src := range append(sources, extra...) {
+			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: blockBytes})
 		}
-		b.picked[[2]int{job, task}] = sources
-		transfers := make([]runtime.Transfer, len(sources))
-		for i, src := range sources {
-			transfers[i] = runtime.Transfer{Src: src.Node, Bytes: blockBytes}
-		}
-		return transfers, data, nil
 	default:
-		return nil, nil, fmt.Errorf("minimr: unknown class %v", class)
+		return plan, fmt.Errorf("minimr: unknown class %v", class)
 	}
-}
-
-// SpareSources implements runtime.HedgedBackend: surviving stripe blocks
-// beyond the primaries used by the latest DegradedRead, deterministically
-// ordered by stripe index (no RNG draws). The reconstruction itself
-// already happened in PlanInput — under the virtual clock the spare
-// transfers only shape timing, and Reed-Solomon decoding from any k
-// survivors yields identical bytes.
-func (b *realBackend) SpareSources(job, task int, node topology.NodeID, max int) ([]runtime.Transfer, error) {
-	js := b.jobs[job]
-	f, err := b.fs.File(js.Input)
-	if err != nil {
-		return nil, fmt.Errorf("minimr: spare sources for %q: %w", js.Input, err)
-	}
-	primaries := b.picked[[2]int{job, task}]
-	if len(primaries) != b.fs.Code().K() {
-		// A locality-aware code repaired from a local group; such plans
-		// are not any-k substitutable, so no spares.
-		return nil, nil
-	}
-	block := b.blocks[job][task]
-	spares := dfs.SpareSources(b.cluster, f.Placement, block, primaries, max)
-	transfers := make([]runtime.Transfer, len(spares))
-	for i, src := range spares {
-		transfers[i] = runtime.Transfer{Src: src.Node, Bytes: float64(b.fs.BlockSize())}
-	}
-	return transfers, nil
+	return plan, nil
 }
 
 // Execute implements runtime.Backend: run the real map function,

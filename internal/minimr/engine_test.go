@@ -1,6 +1,7 @@
 package minimr
 
 import (
+	"bytes"
 	"reflect"
 	"strconv"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/placement"
+	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
@@ -41,10 +43,10 @@ func testbedFS(t *testing.T, seed int64) (*dfs.FS, []byte) {
 
 func testOpts(kind sched.Kind) Options {
 	return Options{
-		Scheduler:           kind,
-		RackBps:             TestbedRackBps,
-		OutOfBandHeartbeats: true,
-		Seed:                1,
+		Scheduler: kind,
+		RackBps:   TestbedRackBps,
+		Features:  runtime.Features{OutOfBandHeartbeats: true},
+		Seed:      1,
 	}
 }
 
@@ -417,5 +419,57 @@ func TestTraceFlowRatesThreadsThrough(t *testing.T) {
 	}
 	if n == 0 {
 		t.Fatal("TraceFlowRates produced no flow-rate events on the testbed")
+	}
+}
+
+// TestPlanInputPlansWholeFanIn: one PlanInput call on a degraded task
+// returns the k primaries followed by the spares the budget allows, with
+// no earlier call for the backend to remember.
+func TestPlanInputPlansWholeFanIn(t *testing.T) {
+	fs, _ := testbedFS(t, 8)
+	fs.Cluster().FailNode(3)
+	opts := testOpts(sched.KindLF)
+	jobs := []Job{WordCountJob("input.txt", 8)}
+	h, err := NewHarness(fs, &opts, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newRealBackend(fs, h, opts, jobs)
+	task := -1
+	for i, holder := range h.Holders[0] {
+		if holder == 3 {
+			task = i
+			break
+		}
+	}
+	if task < 0 {
+		t.Fatal("failed node held no native block; scenario is vacuous")
+	}
+	k := fs.Code().K()
+	// (12,10) with one loss leaves 11 survivors: one spare, however many
+	// the budget asks for.
+	plan, err := b.PlanInput(0, task, sched.ClassDegraded, 0, runtime.SpareBudget{Fixed: 1, PerPrimary: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Spares != 1 || len(plan.Transfers) != k+1 {
+		t.Fatalf("got %d transfers with %d spares, want %d with 1", len(plan.Transfers), plan.Spares, k+1)
+	}
+	seen := map[topology.NodeID]bool{3: true}
+	for _, tr := range plan.Transfers {
+		if seen[tr.Src] || !fs.Cluster().Alive(tr.Src) || tr.Bytes != float64(fs.BlockSize()) {
+			t.Fatalf("transfer %+v repeats a source, reads a dead node or is not one block", tr)
+		}
+		seen[tr.Src] = true
+	}
+	want, err := fs.ReadBlockUnsafe("input.txt", h.Blocks[0][task])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plan.Input.([]byte), want) {
+		t.Fatal("degraded read did not reconstruct the block")
+	}
+	if plan, err = b.PlanInput(0, task, sched.ClassDegraded, 0, runtime.SpareBudget{}); err != nil || plan.Spares != 0 || len(plan.Transfers) != k {
+		t.Fatalf("zero budget: %d transfers, %d spares, err %v; want the %d primaries alone", len(plan.Transfers), plan.Spares, err, k)
 	}
 }

@@ -28,8 +28,9 @@ type Harness struct {
 	// RJobs are the runtime-facing job specs, index-aligned with the jobs
 	// passed to NewHarness.
 	RJobs []runtime.JobSpec
-	// Blocks[job][task] is the input block of task `task`, and
-	// Holders[job][task] the node holding it.
+	// Files[job] is the job's input file, Blocks[job][task] the input
+	// block of task `task`, and Holders[job][task] the node holding it.
+	Files   []*dfs.File
 	Blocks  [][]erasure.BlockID
 	Holders [][]topology.NodeID
 	Healer  *Healer // the run's repair backend, for backends to embed
@@ -41,7 +42,7 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 	if fs == nil {
 		return nil, fmt.Errorf("minimr: nil file system")
 	}
-	if err := opts.Validate(); err != nil {
+	if err := opts.Validate(fs.Cluster().Spec()); err != nil {
 		return nil, err
 	}
 	if err := ValidateJobs(jobs); err != nil {
@@ -50,12 +51,7 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 
 	cluster := fs.Cluster()
 	eng := sim.New()
-	net, err := netsim.New(eng, cluster, netsim.Config{
-		Mode:    opts.NetMode,
-		NodeBps: opts.NodeBps,
-		RackBps: opts.RackBps,
-		CoreBps: opts.CoreBps,
-	})
+	net, err := netsim.New(eng, cluster, opts.netConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -72,11 +68,7 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 	if rackBps == 0 {
 		rackBps = cluster.Spec().Tiers[0].LinkBps
 	}
-	threshold := 0.0
-	if rackBps > 0 {
-		r := float64(cluster.NumRacks())
-		threshold = (r - 1) / r * float64(fs.Code().K()) * float64(fs.BlockSize()) / rackBps
-	}
+	threshold := sched.ExpectedDegradedReadTime(cluster.NumRacks(), fs.Code().K(), float64(fs.BlockSize()), rackBps)
 	meanMapCost := 0.0
 	for i := range jobs {
 		meanMapCost += jobs[i].MapCost.Seconds(float64(fs.BlockSize()))
@@ -109,6 +101,7 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 			holders[t] = file.Placement.Holder(b)
 			tasks[t] = sched.TaskSpec{Block: b, Holder: holders[t]}
 		}
+		h.Files = append(h.Files, file)
 		h.Blocks = append(h.Blocks, natives)
 		h.Holders = append(h.Holders, holders)
 		h.RJobs[i] = runtime.JobSpec{
@@ -116,9 +109,7 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 			SubmitAt:    jobs[i].SubmitAt,
 			Tasks:       tasks,
 			NumReducers: jobs[i].NumReducers,
-			Tenant:      jobs[i].Tenant,
-			Weight:      jobs[i].Weight,
-			Deadline:    jobs[i].Deadline,
+			JobMeta:     jobs[i].JobMeta,
 		}
 	}
 	h.Healer = &Healer{fs: fs, jobs: jobs, blocks: h.Blocks, holders: h.Holders}
@@ -131,23 +122,17 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 func (h *Harness) Run(ctx context.Context, name string, opts *Options, backend runtime.Backend,
 	poll func() []topology.NodeID, sink trace.Sink, outputs []map[string]string) (*Report, error) {
 	res, err := runtime.Run(runtime.Params{
-		Name:                name,
-		Ctx:                 ctx,
-		Engine:              h.Engine,
-		Cluster:             h.Env.Cluster,
-		Net:                 h.Net,
-		Scheduler:           h.Scheduler,
-		Env:                 h.Env,
-		JobSched:            opts.JobSched,
-		HeartbeatInterval:   opts.HeartbeatInterval,
-		OutOfBandHeartbeats: opts.OutOfBandHeartbeats,
-		MaxSimTime:          opts.MaxSimTime,
-		Hedge:               opts.Hedge,
-		Repair:              opts.Repair,
-		PollFailures:        poll,
-		Sink:                sink,
-		Label:               opts.TraceLabel,
-		TraceFlowRates:      opts.TraceFlowRates,
+		Name:         name,
+		Ctx:          ctx,
+		Engine:       h.Engine,
+		Cluster:      h.Env.Cluster,
+		Net:          h.Net,
+		Scheduler:    h.Scheduler,
+		Env:          h.Env,
+		Features:     opts.Features,
+		PollFailures: poll,
+		Sink:         sink,
+		Label:        opts.TraceLabel,
 	}, backend, h.RJobs)
 	if err != nil {
 		return nil, err

@@ -16,10 +16,10 @@ import (
 	"degradedfirst/internal/topology"
 )
 
-// Healer implements runtime.RepairBackend over the DFS. Both the
-// in-process backend and the distributed master's embed the harness's:
-// blocks and holders are the harness's slices, so a committed repair
-// moves the cached holder every later plan reads.
+// Healer implements the repair methods of runtime.Backend over the DFS.
+// Both the in-process backend and the distributed master's embed the
+// harness's: blocks and holders are the harness's slices, so a committed
+// repair moves the cached holder every later plan reads.
 type Healer struct {
 	fs      *dfs.FS
 	jobs    []Job
@@ -27,18 +27,18 @@ type Healer struct {
 	holders [][]topology.NodeID
 }
 
-// ScanLostBlocks implements runtime.RepairBackend via dfs.FS.LostBlocks.
+// ScanLostBlocks implements runtime.Backend via dfs.FS.LostBlocks.
 func (h *Healer) ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
 	return h.fs.LostBlocks(failed)
 }
 
-// PlanStripeRepair implements runtime.RepairBackend: a launch-time
+// PlanStripeRepair implements runtime.Backend: a launch-time
 // re-plan from the live placement.
 func (h *Healer) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
 	return h.fs.PlanStripeRepair(key)
 }
 
-// CommitRepair implements runtime.RepairBackend: reconstruct the block
+// CommitRepair implements runtime.Backend: reconstruct the block
 // for real in the DFS, move its placement, and report the foreground
 // tasks whose input came back (native blocks of a job's input file;
 // parity repairs back no task). The cached holder moves too, so a later
@@ -63,5 +63,5 @@ func (h *Healer) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runtime.Re
 	return refs, nil
 }
 
-// RepairBlockBytes implements runtime.RepairBackend.
+// RepairBlockBytes implements runtime.Backend.
 func (h *Healer) RepairBlockBytes() float64 { return float64(h.fs.BlockSize()) }

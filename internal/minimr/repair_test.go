@@ -158,11 +158,45 @@ func TestRepairLRCUsesLocalGroups(t *testing.T) {
 	}
 }
 
-func TestRepairOptionsValidation(t *testing.T) {
-	fs, _ := testbedFS(t, 8)
-	opts := testOpts(sched.KindLF)
-	opts.Repair = repair.Config{Enabled: true, RateFraction: -1}
-	if _, err := Run(fs, opts, []Job{WordCountJob("input.txt", 8)}); err == nil {
-		t.Fatal("negative RateFraction must fail validation")
+// TestRepairThrottleOnMultiTierCluster: on a fat-tree cluster the only
+// capacities are the fabric spec's, and a fractional throttle is taken
+// against its NodeBps — a quarter of a NIC heals strictly later than a
+// whole one.
+func TestRepairThrottleOnMultiTierCluster(t *testing.T) {
+	healedAt := func(fraction float64) float64 {
+		spec, err := topology.FatTree(topology.FatTreeConfig{
+			Pods: 2, EdgesPerPod: 2, NodesPerEdge: 3,
+			NodeBps: TestbedRackBps, EdgeOversub: 4, PodOversub: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster := topology.MustNew(topology.Config{Spec: &spec, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1})
+		fs, err := dfs.New(cluster, erasure.MustNew(6, 4), TestbedBlockSize,
+			placement.RoundRobin{}, stats.NewRNG(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus, err := workload.GenerateBlockAlignedCorpus(_testBlocks, TestbedBlockSize, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Write("input.txt", corpus); err != nil {
+			t.Fatal(err)
+		}
+		cluster.FailNode(3)
+		opts := Options{Scheduler: sched.KindEDF, Seed: 1}
+		opts.Repair = repair.Config{Enabled: true, RateFraction: fraction}
+		rep, err := Run(fs, opts, []Job{WordCountJob("input.txt", 8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Repair == nil || rep.Repair.FullRedundancyAt < 0 {
+			t.Fatalf("fraction %v: heal incomplete: %+v", fraction, rep.Repair)
+		}
+		return rep.Repair.FullRedundancyAt
+	}
+	if slow, fast := healedAt(0.25), healedAt(1.0); slow <= fast {
+		t.Fatalf("full redundancy at %.3f s at a quarter NIC vs %.3f s at a whole one", slow, fast)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/netsim"
+	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 )
 
@@ -18,18 +19,18 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero value is valid", Options{}, nil},
 		{"explicit settings are valid", Options{
-			Scheduler: sched.KindBDF, RackBps: 1e9, HeartbeatInterval: 1,
+			Scheduler: sched.KindBDF, RackBps: 1e9, Features: runtime.Features{HeartbeatInterval: 1},
 		}, nil},
 		{"negative rack bandwidth", Options{RackBps: -1}, ErrNegativeBandwidth},
 		{"negative node bandwidth", Options{NodeBps: -1}, ErrNegativeBandwidth},
 		{"negative core bandwidth", Options{CoreBps: -1}, ErrNegativeBandwidth},
 		{"NaN bandwidth", Options{RackBps: math.NaN()}, ErrNegativeBandwidth},
-		{"negative heartbeat", Options{HeartbeatInterval: -3}, ErrBadHeartbeat},
-		{"NaN heartbeat", Options{HeartbeatInterval: math.NaN()}, ErrBadHeartbeat},
+		{"negative heartbeat", Options{Features: runtime.Features{HeartbeatInterval: -3}}, ErrBadHeartbeat},
+		{"NaN heartbeat", Options{Features: runtime.Features{HeartbeatInterval: math.NaN()}}, ErrBadHeartbeat},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.opts.Validate()
+			err := tc.opts.Validate(nil)
 			if tc.want == nil {
 				if err != nil {
 					t.Fatalf("Validate() = %v, want nil", err)
@@ -45,7 +46,7 @@ func TestOptionsValidate(t *testing.T) {
 
 func TestOptionsValidateDefaults(t *testing.T) {
 	var o Options
-	if err := o.Validate(); err != nil {
+	if err := o.Validate(nil); err != nil {
 		t.Fatal(err)
 	}
 	if o.Scheduler != sched.KindLF {

@@ -397,6 +397,10 @@ func (n *Net) DebugLinks() []string {
 // Mode returns the contention mode in use.
 func (n *Net) Mode() Mode { return n.mode }
 
+// Config returns the configuration the network was built with (Mode
+// defaulted): the capacities that override the cluster spec's.
+func (n *Net) Config() Config { return n.cfg }
+
 // ActiveFlows returns the number of flows currently transferring: sharing
 // bandwidth (fluid mode) or holding links (hold mode). Hold-mode flows
 // still queued for busy links are counted by WaitingFlows instead.

@@ -9,11 +9,19 @@
 // Every lifecycle transition is emitted as a trace.Event; the per-task
 // metrics (Result) are built by a Builder consuming that stream, so a
 // recorded trace reconstructs the run's results exactly.
+//
+// The engine contract is Backend: task input and cost, the shuffle, and
+// the storage half of the background healer. Every engine implements all
+// of it, whether or not a run turns hedging or repair on. The one
+// optional extension is AsyncBackend, for engines whose task work runs
+// outside the simulation goroutine.
 package runtime
 
 import (
 	"fmt"
 
+	"degradedfirst/internal/jobsched"
+	"degradedfirst/internal/repair"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
 )
@@ -43,27 +51,63 @@ type JobSpec struct {
 	Tasks       []sched.TaskSpec
 	NumReducers int
 
-	// Tenant, Weight and Deadline feed the job-level scheduling
-	// policies (Params.JobSched): fair-share weighting, per-tenant
-	// quotas, and EDF deadlines. All optional; the zero values mean an
-	// anonymous tenant, weight 1, and no deadline.
-	Tenant   string
-	Weight   float64
-	Deadline float64
+	// JobMeta (Tenant, Weight, Deadline) feeds the job-level scheduling
+	// policies (Features.JobSched).
+	jobsched.JobMeta
+}
+
+// SpareBudget is how many spare sources a degraded fan-in may be given
+// beyond its primaries: Fixed + PerPrimary for each primary. The budget
+// can depend on the fan-in's width, which only the backend knows once it
+// has chosen the primaries, so it travels as the two terms. The zero
+// value asks for none.
+type SpareBudget struct {
+	Fixed, PerPrimary int
+}
+
+// For returns the budget for a fan-in of the given primary count.
+func (s SpareBudget) For(primaries int) int { return s.Fixed + s.PerPrimary*primaries }
+
+// InputPlan is how a map task gets its input: the network reads to
+// charge, and the payload Execute receives once they land.
+type InputPlan struct {
+	// Transfers are the reads (empty for node-local input): the primaries
+	// the input needs, followed by the Spares granted against the budget.
+	Transfers []Transfer
+	// Spares counts the trailing spare transfers. Any len(Transfers)-Spares
+	// of the transfers reconstruct the input, so the runtime may race them.
+	Spares int
+	// Input is opaque to the runtime and handed to Execute.
+	Input any
+}
+
+// RepairedTask references one foreground map task whose lost input block
+// a background repair just rebuilt: the task can drop its degraded
+// classification and read the block normally from the new holder.
+type RepairedTask struct {
+	Job  int
+	Task int
 }
 
 // Backend supplies the engine-specific halves of the task lifecycle: task
-// input access and cost. Methods are keyed by (job, task/reducer) indices
-// matching the JobSpec slice passed to Run. All methods are called from
-// the simulation goroutine.
+// input access and cost, and the store the background healer repairs.
+// Methods are keyed by (job, task/reducer) indices matching the JobSpec
+// slice passed to Run. All methods are called from the simulation
+// goroutine, and none may depend on map iteration order; only PlanInput's
+// primary pick may draw from an RNG.
 type Backend interface {
-	// PlanInput prepares task `task` of job `job` to run on `node` with
-	// the given scheduling class: it returns the network transfers the
-	// input requires (empty for node-local inputs) and an opaque input
-	// payload handed back to Execute. For degraded tasks this plans the
-	// degraded read (k source blocks). Errors abort the run verbatim, so
-	// backends return them pre-wrapped with their engine prefix.
-	PlanInput(job, task int, class sched.Class, node topology.NodeID) ([]Transfer, any, error)
+	// PlanInput plans the whole input fan-in of task `task` of job `job`
+	// running on `node` with the given scheduling class. For a degraded
+	// task that is the degraded read (k source blocks) plus up to
+	// spares.For(k) further surviving blocks of the stripe, any k of which
+	// decode the input; the spares are chosen without RNG draws, so a
+	// hedged run and an unhedged one consume identical random streams, and
+	// there may be fewer than asked for (none for a locality-aware code's
+	// local repair group, which is not any-k substitutable). The budget is
+	// zero unless a hedge policy is active, and ignored for other classes.
+	// Errors abort the run verbatim, so backends return them pre-wrapped
+	// with their engine prefix.
+	PlanInput(job, task int, class sched.Class, node topology.NodeID, spares SpareBudget) (InputPlan, error)
 	// Execute runs the map task once its input is available, returning
 	// the processing duration (seconds, already scaled by the node's
 	// speed factor) and an opaque output payload for Partitions.
@@ -86,9 +130,30 @@ type Backend interface {
 	// ReduceFinish finalizes a reducer (minimr runs the real reduce
 	// function here).
 	ReduceFinish(job, reducer int)
+
+	// The healer's storage half, called only when Features.Repair is
+	// active.
+
+	// ScanLostBlocks returns a repair plan for every stripe that lost a
+	// block to one of the failed nodes (all lost blocks of a touched
+	// stripe, including earlier losses; Unrepairable set for stripes
+	// past n-k losses). An empty failed set scans the whole store.
+	ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error)
+	// PlanStripeRepair re-plans one stripe from live placement state.
+	// The healer calls it at launch time so blocks committed since the
+	// stripe was queued are not rebuilt again.
+	PlanStripeRepair(key repair.Key) (repair.StripePlan, error)
+	// CommitRepair finalizes one rebuilt block after its source flows
+	// complete: reconstruct (for engines holding real bytes), store on
+	// bp.Dest, and move the placement. It returns the foreground tasks
+	// whose input block this was, so the runtime can restore them. A
+	// *DeadNodeError feeds failure recovery; other errors abort the run.
+	CommitRepair(key repair.Key, bp repair.BlockPlan) ([]RepairedTask, error)
+	// RepairBlockBytes is the network volume of reading one block.
+	RepairBlockBytes() float64
 }
 
-// AsyncBackend is an optional Backend extension for engines whose task
+// AsyncBackend is the optional Backend extension for engines whose task
 // work runs outside the simulation goroutine (the distributed runtime
 // dispatches it to worker processes). The runtime calls these blocking
 // hooks at the task's virtual completion instant, so real wall-clock

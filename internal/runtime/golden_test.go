@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"degradedfirst/internal/erasure"
+	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/mapred"
 	"degradedfirst/internal/minimr"
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/placement"
+	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
@@ -48,34 +50,54 @@ func decisionsOf(events []trace.Event) []decision {
 // goldenSim runs the simulated-cost backend (mapred) over the scenario.
 func goldenSim(t *testing.T, kind sched.Kind) []decision {
 	t.Helper()
+	events, err := runSim(t, kind, runtime.Features{HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime)
+	if err != nil {
+		t.Fatalf("mapred %v: %v", kind, err)
+	}
+	return decisionsOf(events)
+}
+
+// runSim is the scenario on mapred with the given features, job metadata
+// and per-map time.
+func runSim(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64) ([]trace.Event, error) {
+	t.Helper()
 	var mem trace.Memory
 	cfg := mapred.Config{
-		Nodes:             goldenNodes,
-		Racks:             goldenRacks,
-		MapSlotsPerNode:   goldenMapSlots,
-		N:                 4,
-		K:                 2,
-		BlockSizeBytes:    goldenBlockSize,
-		NumBlocks:         goldenBlocks,
-		Policy:            placement.RoundRobin{},
-		Scheduler:         kind,
-		HeartbeatInterval: goldenHeartbeat,
-		FailNodes:         []topology.NodeID{0},
-		Seed:              1,
-		Trace:             &mem,
+		Nodes:           goldenNodes,
+		Racks:           goldenRacks,
+		MapSlotsPerNode: goldenMapSlots,
+		N:               4,
+		K:               2,
+		BlockSizeBytes:  goldenBlockSize,
+		NumBlocks:       goldenBlocks,
+		Policy:          placement.RoundRobin{},
+		Scheduler:       kind,
+		Features:        f,
+		FailNodes:       []topology.NodeID{0},
+		Seed:            1,
+		Trace:           &mem,
 	}
 	job := mapred.JobSpec{
 		Name:    "golden",
-		MapTime: mapred.Dist{Mean: goldenMapTime, Std: 0},
+		MapTime: mapred.Dist{Mean: mapTime, Std: 0},
+		JobMeta: meta,
 	}
-	if _, err := mapred.Run(cfg, []mapred.JobSpec{job}); err != nil {
-		t.Fatalf("mapred %v: %v", kind, err)
-	}
-	return decisionsOf(mem.Events())
+	_, err := mapred.Run(cfg, []mapred.JobSpec{job})
+	return mem.Events(), err
 }
 
 // goldenReal runs the real-bytes backend (minimr) over the same scenario.
 func goldenReal(t *testing.T, kind sched.Kind) []decision {
+	t.Helper()
+	events, err := runReal(t, kind, runtime.Features{HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime)
+	if err != nil {
+		t.Fatalf("minimr %v: %v", kind, err)
+	}
+	return decisionsOf(events)
+}
+
+// runReal is runSim on minimr.
+func runReal(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64) ([]trace.Event, error) {
 	t.Helper()
 	cluster, err := topology.New(topology.Config{
 		Nodes:           goldenNodes,
@@ -97,21 +119,20 @@ func goldenReal(t *testing.T, kind sched.Kind) []decision {
 
 	var mem trace.Memory
 	opts := minimr.Options{
-		Scheduler:         kind,
-		HeartbeatInterval: goldenHeartbeat,
-		Seed:              1,
-		Trace:             &mem,
+		Scheduler: kind,
+		Features:  f,
+		Seed:      1,
+		Trace:     &mem,
 	}
 	job := minimr.Job{
 		Name:    "golden",
 		Input:   "input",
 		Map:     func(block []byte, emit func(k, v string)) {},
-		MapCost: minimr.Cost{Fixed: goldenMapTime},
+		MapCost: minimr.Cost{Fixed: mapTime},
+		JobMeta: meta,
 	}
-	if _, err := minimr.Run(fs, opts, []minimr.Job{job}); err != nil {
-		t.Fatalf("minimr %v: %v", kind, err)
-	}
-	return decisionsOf(mem.Events())
+	_, err = minimr.Run(fs, opts, []minimr.Job{job})
+	return mem.Events(), err
 }
 
 // TestGoldenBackendEquivalence is the refactor's keystone: on a shared

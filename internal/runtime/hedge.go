@@ -7,7 +7,6 @@ import (
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/sim"
 	"degradedfirst/internal/stats"
-	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
 )
 
@@ -75,64 +74,25 @@ func (h HedgePolicy) multiplier() float64 {
 	return h.HedgeMultiplier
 }
 
-// HedgedBackend is an optional Backend extension required when a
-// HedgePolicy is active: SpareSources returns up to max additional
-// degraded-read transfers for the fan-in most recently planned by
-// PlanInput for (job, task) on node — surviving stripe blocks beyond the
-// k already picked. Implementations must be deterministic (no fresh RNG
-// draws) so hedged and unhedged runs share identical random streams, and
-// may return fewer than max (or none) when the stripe has no spares
-// left.
-type HedgedBackend interface {
-	SpareSources(job, task int, node topology.NodeID, max int) ([]Transfer, error)
+// spareBudget is the number of spare sources a degraded fan-in asks its
+// backend for: the Extra eager ones, plus under deadline hedging one
+// standby per flow that can ever be in flight (at most one hedge per
+// flow fires).
+func (h HedgePolicy) spareBudget() SpareBudget {
+	if h.HedgeQuantile > 0 {
+		return SpareBudget{Fixed: 2 * h.Extra, PerPrimary: 1}
+	}
+	return SpareBudget{Fixed: h.Extra}
 }
 
-// launchHedgedFanIn admits a degraded fan-in under an active hedge
-// policy: the k required transfers plus up to Extra eager spares race,
-// the first k completions win, and the rest are cancelled with their
-// partial bytes recorded as waste. Remaining spares form the standby
-// pool for deadline hedges. Emits EvDegradedPlan for the eager pool.
-func (s *state) launchHedgedFanIn(rm *runningMap, transfers []Transfer, id topology.NodeID) {
-	h := s.p.Hedge
-	wantSpares := h.Extra
-	if h.HedgeQuantile > 0 {
-		// At most one hedge per in-flight flow can ever fire.
-		wantSpares += len(transfers) + h.Extra
-	}
-	spares, err := s.hedged.SpareSources(rm.js.idx, rm.task.Index, id, wantSpares)
-	if err != nil {
-		s.fail(err)
-		return
-	}
-	eager := h.Extra
-	if eager > len(spares) {
-		eager = len(spares)
-	}
-	pool := make([]Transfer, 0, len(transfers)+eager)
-	pool = append(pool, transfers...)
-	pool = append(pool, spares[:eager]...)
-	rm.standby = spares[eager:]
-	rm.need = len(transfers)
-
-	var total float64
-	for _, t := range pool {
-		total += t.Bytes
-	}
-	pe := s.ev(trace.EvDegradedPlan)
-	pe.Job = rm.js.idx
-	pe.Task = rm.task.Index
-	pe.Node = int(id)
-	pe.N = len(pool)
-	pe.Bytes = total
-	s.emit(pe)
-
-	if rm.need == 0 {
-		s.startProcessing(rm)
-		return
-	}
+// raceFanIn admits a degraded fan-in under an active hedge policy: pool
+// (the primaries plus the eager spares) races, the first rm.need
+// completions win, and the rest are cancelled with their partial bytes
+// recorded as waste. rm.standby feeds deadline hedges.
+func (s *state) raceFanIn(rm *runningMap, pool []Transfer) {
 	reqs := make([]netsim.FlowReq, len(pool))
 	for i, tr := range pool {
-		reqs[i] = netsim.FlowReq{Src: tr.Src, Dst: id, Bytes: tr.Bytes,
+		reqs[i] = netsim.FlowReq{Src: tr.Src, Dst: rm.node, Bytes: tr.Bytes,
 			Done: func(f *netsim.Flow) { s.hedgedFlowDone(rm, f) }}
 	}
 	rm.flows = s.net.StartFlows(reqs)

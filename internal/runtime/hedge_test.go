@@ -8,6 +8,7 @@ import (
 
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/netsim"
+	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/sim"
@@ -34,60 +35,46 @@ const (
 
 // hedgeBackend picks the k lowest-ID alive nodes (excluding the reader)
 // as primaries and the following ones as spares — deterministic, no RNG.
+// It stores nothing, so its healer half finds nothing to repair.
 type hedgeBackend struct {
 	cluster *topology.Cluster
-	picked  map[[2]int][]topology.NodeID
 }
 
-func (b *hedgeBackend) alive(exclude map[topology.NodeID]bool) []topology.NodeID {
-	var out []topology.NodeID
-	for i := 0; i < b.cluster.NumNodes(); i++ {
-		id := topology.NodeID(i)
-		if b.cluster.Alive(id) && !exclude[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+var _ runtime.Backend = (*hedgeBackend)(nil)
 
-func (b *hedgeBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID) ([]runtime.Transfer, any, error) {
+func (b *hedgeBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
+	var plan runtime.InputPlan
 	switch class {
 	case sched.ClassNodeLocal:
-		return nil, nil, nil
 	case sched.ClassRackLocal, sched.ClassRemote:
-		return []runtime.Transfer{{Src: 0, Bytes: hedgeBlockBytes}}, nil, nil
+		plan.Transfers = []runtime.Transfer{{Src: 0, Bytes: hedgeBlockBytes}}
 	default: // degraded
-		srcs := b.alive(map[topology.NodeID]bool{node: true})
-		if len(srcs) > hedgeK {
-			srcs = srcs[:hedgeK]
+		var srcs []topology.NodeID
+		for i := 0; i < b.cluster.NumNodes(); i++ {
+			if id := topology.NodeID(i); b.cluster.Alive(id) && id != node {
+				srcs = append(srcs, id)
+			}
 		}
-		if b.picked == nil {
-			b.picked = make(map[[2]int][]topology.NodeID)
+		primaries := min(hedgeK, len(srcs))
+		srcs = srcs[:min(len(srcs), primaries+spares.For(primaries))]
+		plan.Spares = len(srcs) - primaries
+		for _, s := range srcs {
+			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: s, Bytes: hedgeBlockBytes})
 		}
-		b.picked[[2]int{job, task}] = srcs
-		transfers := make([]runtime.Transfer, len(srcs))
-		for i, s := range srcs {
-			transfers[i] = runtime.Transfer{Src: s, Bytes: hedgeBlockBytes}
-		}
-		return transfers, nil, nil
 	}
+	return plan, nil
 }
 
-func (b *hedgeBackend) SpareSources(job, task int, node topology.NodeID, max int) ([]runtime.Transfer, error) {
-	exclude := map[topology.NodeID]bool{node: true}
-	for _, s := range b.picked[[2]int{job, task}] {
-		exclude[s] = true
-	}
-	spares := b.alive(exclude)
-	if len(spares) > max {
-		spares = spares[:max]
-	}
-	transfers := make([]runtime.Transfer, len(spares))
-	for i, s := range spares {
-		transfers[i] = runtime.Transfer{Src: s, Bytes: hedgeBlockBytes}
-	}
-	return transfers, nil
+func (b *hedgeBackend) ScanLostBlocks([]topology.NodeID) ([]repair.StripePlan, error) {
+	return nil, nil
 }
+func (b *hedgeBackend) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
+	return repair.StripePlan{Key: key}, nil
+}
+func (b *hedgeBackend) CommitRepair(repair.Key, repair.BlockPlan) ([]runtime.RepairedTask, error) {
+	return nil, nil
+}
+func (b *hedgeBackend) RepairBlockBytes() float64 { return hedgeBlockBytes }
 
 func (b *hedgeBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	return hedgeMapTime, nil
@@ -141,17 +128,15 @@ func runHedgeScenario(t *testing.T, hedge runtime.HedgePolicy,
 	}
 	var mem trace.Memory
 	p := runtime.Params{
-		Name:              "hedge-test",
-		Engine:            eng,
-		Cluster:           cluster,
-		Net:               net,
-		Scheduler:         scheduler,
-		Env:               env,
-		HeartbeatInterval: hedgeHeartbeat,
-		MaxSimTime:        1e5,
-		Hedge:             hedge,
-		ToFail:            []topology.NodeID{0},
-		Sink:              &mem,
+		Name:      "hedge-test",
+		Engine:    eng,
+		Cluster:   cluster,
+		Net:       net,
+		Scheduler: scheduler,
+		Env:       env,
+		Features:  runtime.Features{HeartbeatInterval: hedgeHeartbeat, MaxSimTime: 1e5, Hedge: hedge},
+		ToFail:    []topology.NodeID{0},
+		Sink:      &mem,
 	}
 	if poll != nil {
 		p.PollFailures = poll(eng)

@@ -11,39 +11,6 @@ import (
 	"degradedfirst/internal/trace"
 )
 
-// RepairedTask references one foreground map task whose lost input block
-// a background repair just rebuilt: the task can drop its degraded
-// classification and read the block normally from the new holder.
-type RepairedTask struct {
-	Job  int
-	Task int
-}
-
-// RepairBackend is the optional Backend extension required when
-// Params.Repair is active: the engine-specific half of the background
-// healer. Implementations must be deterministic — no fresh RNG draws,
-// no map-iteration-order dependence — so enabling repair perturbs the
-// foreground run only through the extra network traffic it admits.
-type RepairBackend interface {
-	// ScanLostBlocks returns a repair plan for every stripe that lost a
-	// block to one of the failed nodes (all lost blocks of a touched
-	// stripe, including earlier losses; Unrepairable set for stripes
-	// past n-k losses). An empty failed set scans the whole store.
-	ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error)
-	// PlanStripeRepair re-plans one stripe from live placement state.
-	// The healer calls it at launch time so blocks committed since the
-	// stripe was queued are not rebuilt again.
-	PlanStripeRepair(key repair.Key) (repair.StripePlan, error)
-	// CommitRepair finalizes one rebuilt block after its source flows
-	// complete: reconstruct (for engines holding real bytes), store on
-	// bp.Dest, and move the placement. It returns the foreground tasks
-	// whose input block this was, so the runtime can restore them. A
-	// *DeadNodeError feeds failure recovery; other errors abort the run.
-	CommitRepair(key repair.Key, bp repair.BlockPlan) ([]RepairedTask, error)
-	// RepairBlockBytes is the network volume of reading one block.
-	RepairBlockBytes() float64
-}
-
 // activeRepair is one stripe repair in flight: its launch-time plan,
 // per-block gather countdowns, and commit state.
 type activeRepair struct {
@@ -81,7 +48,6 @@ func (ar *activeRepair) pendingReadBytes(blockBytes float64) float64 {
 type repairManager struct {
 	s      *state
 	cfg    repair.Config
-	rb     RepairBackend
 	queue  *repair.Queue
 	bucket *repair.Bucket
 
@@ -96,12 +62,11 @@ type repairManager struct {
 	pumpPending bool
 }
 
-func newRepairManager(s *state, rb RepairBackend) *repairManager {
+func newRepairManager(s *state) *repairManager {
 	cfg := s.p.Repair
 	return &repairManager{
 		s:      s,
 		cfg:    cfg,
-		rb:     rb,
 		queue:  repair.NewQueue(cfg.Policy),
 		bucket: repair.NewBucket(cfg.EffectiveRate(), cfg.Burst),
 		active: make(map[repair.Key]*activeRepair),
@@ -110,7 +75,7 @@ func newRepairManager(s *state, rb RepairBackend) *repairManager {
 }
 
 // blockBytes returns the per-block transfer volume.
-func (m *repairManager) blockBytes() float64 { return m.rb.RepairBlockBytes() }
+func (m *repairManager) blockBytes() float64 { return m.s.backend.RepairBlockBytes() }
 
 // evStripe returns a repair event stamped with a stripe's identity.
 func (m *repairManager) evStripe(typ trace.Type, key repair.Key) trace.Event {
@@ -137,7 +102,7 @@ func (m *repairManager) scheduleScan(nodes []topology.NodeID) {
 // to a stripe whose earlier losses are mid-repair, and the re-plan at
 // next launch picks up whatever the in-flight pass does not heal.
 func (m *repairManager) scan(nodes []topology.NodeID) {
-	plans, err := m.rb.ScanLostBlocks(nodes)
+	plans, err := m.s.backend.ScanLostBlocks(nodes)
 	if err != nil {
 		m.s.fail(fmt.Errorf("%s: repair scan: %w", m.s.name, err))
 		return
@@ -216,7 +181,7 @@ func (m *repairManager) pump() {
 		if it == nil {
 			return
 		}
-		plan, err := m.rb.PlanStripeRepair(it.Key)
+		plan, err := m.s.backend.PlanStripeRepair(it.Key)
 		if err != nil {
 			m.s.fail(fmt.Errorf("%s: repair plan for %s: %w", m.s.name, it.Key, err))
 			return
@@ -323,7 +288,7 @@ func (m *repairManager) blockGathered(ar *activeRepair, i int) {
 // defer into injectNewlyDead on a zero-delay event, and stripe
 // completion defers the next pump the same way.
 func (m *repairManager) commitBlock(ar *activeRepair, i int) {
-	refs, err := m.rb.CommitRepair(ar.key, ar.plan.Blocks[i])
+	refs, err := m.s.backend.CommitRepair(ar.key, ar.plan.Blocks[i])
 	if err != nil {
 		m.s.deliverFailure(fmt.Errorf("%s: repair commit for %s: %w", m.s.name, ar.key, err))
 		return

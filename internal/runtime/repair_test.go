@@ -3,7 +3,6 @@ package runtime_test
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"degradedfirst/internal/erasure"
@@ -29,8 +28,9 @@ const (
 	repNodeBps    = 1e6
 )
 
-// repairStore is the fake RepairBackend plus a minimal foreground
-// Backend (every job input is a single holder read, as in hedge tests).
+// repairStore is a fake store for the healer half of Backend plus a
+// minimal foreground half (every job input is a single holder read, as
+// in hedge tests).
 type repairStore struct {
 	cluster *topology.Cluster
 	// holders[s] are stripe s's current block holders, index order.
@@ -42,6 +42,8 @@ type repairStore struct {
 	// commitOrder records commit identities in commit order.
 	commitOrder []string
 }
+
+var _ runtime.Backend = (*repairStore)(nil)
 
 func newRepairStore(c *topology.Cluster, holders [][]topology.NodeID) *repairStore {
 	return &repairStore{
@@ -145,22 +147,19 @@ func (b *repairStore) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runti
 
 func (b *repairStore) RepairBlockBytes() float64 { return repBlockBytes }
 
-func (b *repairStore) PlanInput(job, task int, class sched.Class, node topology.NodeID) ([]runtime.Transfer, any, error) {
-	switch class {
-	case sched.ClassNodeLocal:
-		return nil, nil, nil
-	case sched.ClassRackLocal, sched.ClassRemote:
-		return nil, nil, nil // keep foreground reads free of network noise
-	default: // degraded: read from the k lowest alive nodes
-		var transfers []runtime.Transfer
-		for i := 0; i < b.cluster.NumNodes() && len(transfers) < repK; i++ {
+func (b *repairStore) PlanInput(job, task int, class sched.Class, node topology.NodeID, _ runtime.SpareBudget) (runtime.InputPlan, error) {
+	var plan runtime.InputPlan
+	// Non-degraded foreground reads stay free of network noise; a degraded
+	// one reads from the k lowest alive nodes.
+	if class == sched.ClassDegraded {
+		for i := 0; i < b.cluster.NumNodes() && len(plan.Transfers) < repK; i++ {
 			id := topology.NodeID(i)
 			if b.cluster.Alive(id) && id != node {
-				transfers = append(transfers, runtime.Transfer{Src: id, Bytes: repBlockBytes})
+				plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: id, Bytes: repBlockBytes})
 			}
 		}
-		return transfers, nil, nil
 	}
+	return plan, nil
 }
 
 func (b *repairStore) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
@@ -205,17 +204,15 @@ func runRepairScenario(t *testing.T, store *repairStore, cfg repair.Config,
 	}}, extraJobs...)
 	var mem trace.Memory
 	p := runtime.Params{
-		Name:              "repair-test",
-		Engine:            eng,
-		Cluster:           store.cluster,
-		Net:               net,
-		Scheduler:         scheduler,
-		Env:               env,
-		HeartbeatInterval: 1,
-		MaxSimTime:        1e5,
-		Repair:            cfg,
-		ToFail:            toFail,
-		Sink:              &mem,
+		Name:      "repair-test",
+		Engine:    eng,
+		Cluster:   store.cluster,
+		Net:       net,
+		Scheduler: scheduler,
+		Env:       env,
+		Features:  runtime.Features{HeartbeatInterval: 1, MaxSimTime: 1e5, Repair: cfg},
+		ToFail:    toFail,
+		Sink:      &mem,
 	}
 	if poll != nil {
 		p.PollFailures = poll(eng)
@@ -457,52 +454,5 @@ func TestRepairedBlockRestoresLateJobTask(t *testing.T) {
 	}
 	if rec.FinishTime == 0 {
 		t.Fatal("late job's task never finished")
-	}
-}
-
-func TestRepairConfigRequiresRepairBackend(t *testing.T) {
-	// A backend without the RepairBackend extension must be rejected when
-	// repair is enabled.
-	cluster, err := topology.New(topology.Config{
-		Nodes:           hedgeNodes,
-		Racks:           hedgeRacks,
-		MapSlotsPerNode: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.New()
-	net, err := netsim.New(eng, cluster, netsim.Config{
-		Mode:    netsim.FluidFairSharing,
-		NodeBps: hedgeNodeBps,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheduler, err := sched.KindLF.New(cluster.NumRacks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &sched.Env{
-		Cluster:          cluster,
-		PerTaskTime:      func(topology.NodeID) float64 { return 1 },
-		DegradedReadTime: 2,
-	}
-	_, err = runtime.Run(runtime.Params{
-		Name:              "repair-test",
-		Engine:            eng,
-		Cluster:           cluster,
-		Net:               net,
-		Scheduler:         scheduler,
-		Env:               env,
-		HeartbeatInterval: 1,
-		MaxSimTime:        1e5,
-		Repair:            repair.Config{Enabled: true},
-	}, &hedgeBackend{cluster: cluster}, []runtime.JobSpec{{
-		Name:  "j",
-		Tasks: []sched.TaskSpec{{Block: erasure.BlockID{Stripe: 0, Index: 0}, Holder: 1}},
-	}})
-	if err == nil || !strings.Contains(err.Error(), "repair") {
-		t.Fatalf("err = %v, want repair-backend rejection", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/netsim"
-	"degradedfirst/internal/repair"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/sim"
 	"degradedfirst/internal/topology"
@@ -30,29 +29,9 @@ type Params struct {
 	// runtime installs the job queue's eligibility view as Env.Jobs.
 	Env *sched.Env
 
-	// JobSched selects the job-level scheduling policy and its
-	// parameters. The zero value is the FIFO queue, bit-identical to
-	// the pre-jobsched runtime (pinned by the seed-golden tests).
-	JobSched jobsched.Config
-
-	// Hedge configures redundant degraded-read fan-ins (k+Δ races and
-	// deadline hedging). The zero value disables hedging and keeps the
-	// fan-in path bit-identical to the unhedged runtime (pinned by the
-	// seed-golden tests). An active policy requires the backend to
-	// implement HedgedBackend.
-	Hedge HedgePolicy
-
-	// Repair configures the background repair subsystem: a proactive
-	// healer that scans for lost blocks after node failures and rebuilds
-	// them over the same network links foreground jobs use. The zero
-	// value disables it and keeps the run bit-identical to a build
-	// without the subsystem (pinned by the seed-golden tests). An active
-	// config requires the backend to implement RepairBackend.
-	Repair repair.Config
-
-	HeartbeatInterval   float64
-	OutOfBandHeartbeats bool
-	MaxSimTime          float64
+	// Features are the master loop's own settings; Run validates them
+	// against Net and Cluster and applies their defaults.
+	Features
 
 	// ToFail are failure-injection targets: failed before the run when
 	// FailAt <= 0, otherwise at virtual time FailAt.
@@ -70,12 +49,6 @@ type Params struct {
 	// event's Run field.
 	Sink  trace.Sink
 	Label string
-
-	// TraceFlowRates additionally emits an EvFlowRate event whenever a
-	// flow's allocated bandwidth changes. Off by default: a fluid-mode
-	// recomputation can reallocate every active flow, so this multiplies
-	// trace volume.
-	TraceFlowRates bool
 }
 
 func (p *Params) name() string {
@@ -98,6 +71,9 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	if p.Ctx == nil {
 		p.Ctx = context.Background()
 	}
+	if err := p.Features.Validate(p.Net.Config(), p.Cluster.Spec()); err != nil {
+		return nil, fmt.Errorf("%s: %w", p.name(), err)
+	}
 
 	st := &state{
 		p:         p,
@@ -112,25 +88,8 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 		builder:   NewBuilder(),
 	}
 	st.async, _ = backend.(AsyncBackend)
-	if p.Hedge.Active() {
-		if err := p.Hedge.Validate(); err != nil {
-			return nil, fmt.Errorf("%s: %w", p.name(), err)
-		}
-		hb, ok := backend.(HedgedBackend)
-		if !ok {
-			return nil, fmt.Errorf("%s: hedge policy active but backend %T cannot supply spare sources", p.name(), backend)
-		}
-		st.hedged = hb
-	}
 	if p.Repair.Active() {
-		if err := p.Repair.Validate(); err != nil {
-			return nil, fmt.Errorf("%s: %w", p.name(), err)
-		}
-		rb, ok := backend.(RepairBackend)
-		if !ok {
-			return nil, fmt.Errorf("%s: repair config active but backend %T cannot plan stripe repairs", p.name(), backend)
-		}
-		st.repairMgr = newRepairManager(st, rb)
+		st.repairMgr = newRepairManager(st)
 	}
 
 	numNodes := st.cluster.NumNodes()
@@ -151,17 +110,10 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 
 	st.jobs = make([]*jobState, len(jobs))
 	for i := range jobs {
-		if w := jobs[i].Weight; w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("%s: job %q has invalid weight %v", p.name(), jobs[i].Name, w)
+		if err := jobs[i].JobMeta.Validate(); err != nil {
+			return nil, fmt.Errorf("%s: job %q: %w", p.name(), jobs[i].Name, err)
 		}
-		if d := jobs[i].Deadline; d < 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("%s: job %q has invalid deadline %v", p.name(), jobs[i].Name, d)
-		}
-		queue.Add(jobsched.JobMeta{
-			Tenant:   jobs[i].Tenant,
-			Weight:   jobs[i].Weight,
-			Deadline: jobs[i].Deadline,
-		}, jobs[i].NumReducers)
+		queue.Add(jobs[i].JobMeta, jobs[i].NumReducers)
 		js := &jobState{
 			idx:     i,
 			spec:    jobs[i],
@@ -362,8 +314,7 @@ type state struct {
 	p         Params
 	name      string
 	backend   Backend
-	async     AsyncBackend  // backend's optional async half, nil otherwise
-	hedged    HedgedBackend // backend's spare-source half, nil unless Hedge.Active()
+	async     AsyncBackend // backend's optional async half, nil otherwise
 	eng       *sim.Engine
 	cluster   *topology.Cluster
 	net       *netsim.Net
@@ -566,19 +517,22 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	rm := &runningMap{js: js, task: a.Task, node: id}
 	s.running[a.Task] = rm
 
-	transfers, input, err := s.backend.PlanInput(js.idx, a.Task.Index, a.Class, id)
+	plan, err := s.backend.PlanInput(js.idx, a.Task.Index, a.Class, id, s.p.Hedge.spareBudget())
 	if err != nil {
 		s.fail(err)
 		return
 	}
-	rm.input = input
-
+	rm.input = plan.Input
+	need := len(plan.Transfers) - plan.Spares
 	degraded := a.Class == sched.ClassDegraded
-	if degraded && s.hedged != nil {
-		// Active hedge policy: the fan-in races k+Δ sources and may
-		// launch deadline hedges; EvDegradedPlan covers the eager pool.
-		s.launchHedgedFanIn(rm, transfers, id)
-		return
+	hedged := degraded && s.p.Hedge.Active()
+	// transfers launch now: the primaries and, under an active hedge
+	// policy, up to Extra eager spares racing them. The remaining spares
+	// stand by for deadline hedges.
+	transfers := plan.Transfers[:need]
+	if hedged {
+		transfers = plan.Transfers[:need+min(s.p.Hedge.Extra, plan.Spares)]
+		rm.standby, rm.need = plan.Transfers[len(transfers):], need
 	}
 	if degraded {
 		var total float64
@@ -594,8 +548,12 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 		s.emit(pe)
 	}
 
-	if len(transfers) == 0 {
+	if need == 0 {
 		s.startProcessing(rm)
+		return
+	}
+	if hedged {
+		s.raceFanIn(rm, transfers)
 		return
 	}
 	// The whole input fan-in (surviving blocks + parity for a degraded

@@ -79,7 +79,7 @@ func seedTraceMapred(t *testing.T) []trace.Event {
 			NumBlocks:          goldenBlocks,
 			Policy:             placement.RoundRobin{},
 			Scheduler:          kind,
-			HeartbeatInterval:  goldenHeartbeat,
+			Features:           runtime.Features{HeartbeatInterval: goldenHeartbeat},
 			FailNodes:          []topology.NodeID{1},
 			FailAt:             8,
 			Seed:               7,
@@ -155,12 +155,12 @@ func seedTraceMinimr(t *testing.T) []trace.Event {
 
 		var mem trace.Memory
 		opts := minimr.Options{
-			Scheduler:         kind,
-			RackBps:           netsim.Gbps,
-			HeartbeatInterval: goldenHeartbeat,
-			Seed:              2,
-			Trace:             &mem,
-			TraceLabel:        kind.String(),
+			Scheduler:  kind,
+			RackBps:    netsim.Gbps,
+			Features:   runtime.Features{HeartbeatInterval: goldenHeartbeat},
+			Seed:       2,
+			Trace:      &mem,
+			TraceLabel: kind.String(),
 		}
 		wordCount := func(block []byte, emit func(k, v string)) {
 			for _, w := range strings.Fields(string(block)) {

@@ -32,9 +32,21 @@ type Env struct {
 	// case a uniform estimate of 1 is used.
 	PerTaskTime func(topology.NodeID) float64
 	// DegradedReadTime is the expected time of one degraded read,
-	// (R-1)kS/(RW) in the paper's notation. Used as EDF's rack-awareness
-	// threshold.
+	// (R-1)kS/(RW) in the paper's notation (ExpectedDegradedReadTime).
+	// Used as EDF's rack-awareness threshold.
 	DegradedReadTime float64
+}
+
+// ExpectedDegradedReadTime is the analysis estimate of one degraded read,
+// (R-1)/R · reads · S / W: a task in one of R racks downloads `reads`
+// blocks of blockBytes, all but 1/R of them across the rack's download
+// link of rackBps. Zero when the rack bandwidth is unlimited (0).
+func ExpectedDegradedReadTime(racks, reads int, blockBytes, rackBps float64) float64 {
+	if rackBps == 0 {
+		return 0
+	}
+	r := float64(racks)
+	return (r - 1) / r * float64(reads) * blockBytes / rackBps
 }
 
 func (e *Env) perTaskTime(id topology.NodeID) float64 {
