@@ -1,7 +1,9 @@
 package jobsched
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"degradedfirst/internal/sched"
@@ -275,60 +277,286 @@ func TestDeadlineOrdering(t *testing.T) {
 	}
 }
 
-// TestCursorMatchesReferenceScan drives a queue through randomized
-// lifecycle sequences and checks after every step that the indexed
-// cursor picks exactly the job the seed runtime's full rescan would.
-func TestCursorMatchesReferenceScan(t *testing.T) {
+// oracleMapOrder recomputes the non-Fifo map order from every registered
+// entry and from the entries' own counters, the way MapOrder did before
+// the queue kept a live list and per-tenant state: filter, then a fresh
+// sort per call.
+func oracleMapOrder(q *Queue) []int {
+	grants := make(map[string]int)
+	mapsRunning := make(map[string]int)
+	for _, e := range q.entries {
+		grants[e.Meta.Tenant] += e.grantedMaps
+		mapsRunning[e.Meta.Tenant] += e.runningMaps
+	}
+	var act []*Entry
+	for _, e := range q.entries {
+		if !e.active() {
+			continue
+		}
+		if c := oracleCap(q, e.Meta.Tenant); q.cfg.Policy == Quota && c > 0 && mapsRunning[e.Meta.Tenant] >= c {
+			continue
+		}
+		act = append(act, e)
+	}
+	switch q.cfg.Policy {
+	case Deadline:
+		sort.Slice(act, func(i, j int) bool {
+			di, dj := act[i].deadline(), act[j].deadline()
+			if di != dj {
+				return di < dj
+			}
+			return act[i].Idx < act[j].Idx
+		})
+	case FairShare:
+		type share struct {
+			name     string
+			priority float64
+			entries  []*Entry
+		}
+		var tenants []share
+		index := make(map[string]int)
+		for _, e := range act {
+			i, ok := index[e.Meta.Tenant]
+			if !ok {
+				i = len(tenants)
+				index[e.Meta.Tenant] = i
+				tenants = append(tenants, share{name: e.Meta.Tenant})
+			}
+			tenants[i].entries = append(tenants[i].entries, e)
+		}
+		for i := range tenants {
+			var weight float64
+			for _, e := range tenants[i].entries {
+				weight += e.weight()
+			}
+			tenants[i].priority = float64(grants[tenants[i].name]) / weight
+		}
+		sort.Slice(tenants, func(i, j int) bool {
+			if tenants[i].priority != tenants[j].priority {
+				return tenants[i].priority < tenants[j].priority
+			}
+			return tenants[i].name < tenants[j].name
+		})
+		act = act[:0]
+		for _, t := range tenants {
+			act = append(act, t.entries...)
+		}
+	}
+	out := make([]int, len(act))
+	for i, e := range act {
+		out[i] = e.Idx
+	}
+	return out
+}
+
+// oracleNextReduce is the seed runtime's full rescan of every entry.
+func oracleNextReduce(q *Queue) *Entry {
+	redRunning := make(map[string]int)
+	for _, e := range q.entries {
+		redRunning[e.Meta.Tenant] += e.runningReduces
+	}
+	var best *Entry
+	for _, e := range q.entries {
+		if !e.reduceEligible() {
+			continue
+		}
+		switch q.cfg.Policy {
+		case Quota:
+			if c := oracleCap(q, e.Meta.Tenant); c > 0 && redRunning[e.Meta.Tenant] >= c {
+				continue
+			}
+		case Deadline:
+			if best == nil || e.deadline() < best.deadline() {
+				best = e
+			}
+			continue
+		}
+		return e
+	}
+	return best
+}
+
+func oracleCap(q *Queue, tenant string) int {
+	if c, ok := q.cfg.TenantQuotas[tenant]; ok {
+		return c
+	}
+	return q.cfg.QuotaSlots
+}
+
+// TestQueueMatchesRecomputeOracle drives queues of all four policies
+// through randomized lifecycle sequences — jobs added late, submitted out
+// of index order, granted, released, requeued at task level, reset and
+// finished — and checks after every step that MapOrder and NextReduce
+// return what a recompute over every registered entry returns. Fifo's
+// map order is its view, whose mechanics the seed goldens pin; here it
+// must hold exactly the active jobs.
+func TestQueueMatchesRecomputeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		q, err := New(Config{})
+	cluster := topology.MustNew(topology.Config{Nodes: 4, Racks: 2, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1})
+	tenants := []string{"", "a", "b", "c"}
+	type mapTask struct {
+		idx  int
+		task *sched.Task
+	}
+	for trial := 0; trial < 300; trial++ {
+		cfg := Config{Policy: Kind(trial % 4), QuotaSlots: rng.Intn(3)}
+		if rng.Intn(2) == 0 {
+			cfg.TenantQuotas = map[string]int{"b": rng.Intn(3)}
+		}
+		q, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 2 + rng.Intn(10)
-		for i := 0; i < n; i++ {
-			q.Add(JobMeta{}, rng.Intn(4)) // some jobs map-only
+		add := func() {
+			meta := JobMeta{Tenant: tenants[rng.Intn(len(tenants))]}
+			if rng.Intn(2) == 0 {
+				meta.Weight = float64(1 + rng.Intn(4))
+			}
+			if rng.Intn(2) == 0 {
+				meta.Deadline = float64(10 * (1 + rng.Intn(3))) // few values: ties happen
+			}
+			q.Add(meta, rng.Intn(4)) // some jobs map-only
 		}
-		next := 0 // next unsubmitted index (runtime submits in order)
-		for step := 0; step < 120; step++ {
-			switch op := rng.Intn(4); {
-			case op == 0 && next < n:
-				q.Submit(next, pendingJob(next, 1))
-				next++
-			case op == 1:
-				if e := q.scanReduce(0); e != nil {
+		for n := 2 + rng.Intn(8); n > 0; n-- {
+			add()
+		}
+		var launched []mapTask // handed to a node: running or completed
+		pick := func(ok func(*Entry) bool) *Entry {
+			var cands []*Entry
+			for _, e := range q.entries {
+				if ok(e) {
+					cands = append(cands, e)
+				}
+			}
+			if len(cands) == 0 {
+				return nil
+			}
+			return cands[rng.Intn(len(cands))]
+		}
+		for step := 0; step < 150; step++ {
+			switch rng.Intn(10) {
+			case 0:
+				add()
+			case 1:
+				if e := pick(func(e *Entry) bool { return !e.submitted }); e != nil {
+					q.Submit(e.Idx, pendingJob(e.Idx, 1+rng.Intn(3)))
+				}
+			case 2, 3:
+				// One heartbeat: the preferred job launches a task.
+				if order := q.MapOrder(); len(order) > 0 {
+					as := sched.LocalityFirst{}.Assign(&sched.Env{Cluster: cluster, Jobs: order[:1]},
+						sched.Heartbeat{Node: topology.NodeID(rng.Intn(4)), FreeMapSlots: 1})
+					for _, a := range as {
+						q.MapGranted(a.Task.Job)
+						launched = append(launched, mapTask{a.Task.Job, a.Task})
+					}
+					q.Prune()
+				}
+			case 4:
+				if e := pick(func(e *Entry) bool { return e.runningMaps > 0 }); e != nil {
+					q.MapReleased(e.Idx)
+				}
+			case 5:
+				// Failure recovery returns a launched task to its job's pool.
+				if len(launched) > 0 {
+					i := rng.Intn(len(launched))
+					mt := launched[i]
+					launched = append(launched[:i], launched[i+1:]...)
+					e := q.Entry(mt.idx)
+					e.SJ.Requeue(mt.task, rng.Intn(2) == 0)
+					if e.runningMaps > 0 {
+						q.MapReleased(mt.idx)
+					}
+					q.Requeue(mt.idx)
+				}
+			case 6:
+				if e := q.NextReduce(); e != nil {
 					q.ReduceGranted(e.Idx)
 				}
-			case op == 2:
-				// Reset a random assigned reducer (failure recovery).
-				var cands []int
-				for _, e := range q.entries {
-					if e.reducersAssigned > 0 && !e.finished {
-						cands = append(cands, e.Idx)
+			case 7:
+				if e := pick(func(e *Entry) bool { return e.runningReduces > 0 }); e != nil {
+					q.ReduceReleased(e.Idx)
+				}
+			case 8:
+				if e := pick(func(e *Entry) bool { return e.runningReduces > 0 && !e.finished }); e != nil {
+					q.ReduceReset(e.Idx)
+				}
+			case 9:
+				// The runtime finishes a job once its maps are done; the
+				// recomputing policies must also cope with any other moment.
+				e := pick(func(e *Entry) bool {
+					return e.submitted && !e.finished && (cfg.Policy != Fifo || e.SJ.Done())
+				})
+				if e != nil {
+					q.JobFinished(e.Idx)
+					kept := launched[:0]
+					for _, mt := range launched {
+						if mt.idx != e.Idx {
+							kept = append(kept, mt)
+						}
 					}
-				}
-				if len(cands) > 0 {
-					q.ReduceReset(cands[rng.Intn(len(cands))])
-				}
-			case op == 3:
-				// Finish a random submitted unfinished job.
-				var cands []int
-				for _, e := range q.entries {
-					if e.submitted && !e.finished {
-						cands = append(cands, e.Idx)
-					}
-				}
-				if len(cands) > 0 {
-					q.JobFinished(cands[rng.Intn(len(cands))])
+					launched = kept
 				}
 			}
-			ref := q.scanReduce(0)
-			got := q.cursorReduce()
-			if ref != got {
-				t.Fatalf("trial %d step %d: cursor picked %+v, reference %+v (cursor at %d)",
-					trial, step, got, ref, q.redCursor)
+			got, want := ids(q.MapOrder()), oracleMapOrder(q)
+			if cfg.Policy == Fifo {
+				sort.Ints(got)
+			}
+			if !equalInts(got, want) {
+				t.Fatalf("trial %d (%v) step %d: MapOrder = %v, oracle %v", trial, cfg.Policy, step, got, want)
+			}
+			if got, want := q.NextReduce(), oracleNextReduce(q); got != want {
+				t.Fatalf("trial %d (%v) step %d: NextReduce = %+v, oracle %+v", trial, cfg.Policy, step, got, want)
 			}
 		}
+	}
+}
+
+// storm returns a queue with n submitted jobs of three weighted tenants,
+// every fourth with a deadline, each with pending tasks.
+func storm(tb testing.TB, policy Kind, n int) *Queue {
+	q, err := New(Config{Policy: policy, QuotaSlots: n})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		meta := JobMeta{Tenant: string(rune('a' + i%3)), Weight: float64(1 + i%3)}
+		if i%4 == 0 {
+			meta.Deadline = float64(n - i)
+		}
+		q.Submit(q.Add(meta, 2), pendingJob(i, 4))
+	}
+	return q
+}
+
+func TestMapOrderSteadyStateAllocatesNothing(t *testing.T) {
+	for _, policy := range []Kind{Fifo, FairShare, Quota, Deadline} {
+		q := storm(t, policy, 200)
+		q.MapOrder() // sizes the reused scratch
+		allocs := testing.AllocsPerRun(20, func() {
+			q.MapGranted(7)
+			q.MapOrder()
+			q.MapReleased(7)
+		})
+		if allocs != 0 {
+			t.Errorf("%v: MapOrder allocates %.0f times per call, want 0", policy, allocs)
+		}
+	}
+}
+
+var orderSink []*sched.Job
+
+func BenchmarkMapOrder(b *testing.B) {
+	for _, policy := range []Kind{Fifo, FairShare, Quota, Deadline} {
+		b.Run(fmt.Sprintf("%v/jobs=2000", policy), func(b *testing.B) {
+			q := storm(b, policy, 2000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.MapGranted(i % 2000)
+				orderSink = q.MapOrder()
+			}
+		})
 	}
 }
 

@@ -1,10 +1,11 @@
 package jobsched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"degradedfirst/internal/sched"
 )
@@ -56,6 +57,7 @@ type Entry struct {
 	// SJ is the scheduler-facing job handle, set at submission.
 	SJ *sched.Job
 
+	tenant           *tenant // Meta.Tenant's shared state, resolved in Add
 	submitted        bool
 	finished         bool
 	grantedMaps      int // cumulative map-slot grants (never decremented)
@@ -63,6 +65,24 @@ type Entry struct {
 	reducersAssigned int // launched or completed reducers
 	runningReduces   int // currently occupied reduce slots
 }
+
+// tenant is the state the jobs of one tenant share.
+type tenant struct {
+	name        string
+	slotCap     int // Quota's concurrent-slot cap, 0 = unlimited
+	grants      int // cumulative map grants (FairShare)
+	mapsRunning int // running maps (Quota)
+	redRunning  int // occupied reduce slots (Quota)
+
+	// fairShareOrder scratch, reset at the start of each call.
+	jobs     int     // active jobs
+	weight   float64 // sum of their weights
+	priority float64 // grants per weight
+	next     int     // next free position of the tenant's block in Queue.order
+}
+
+// capped reports whether n running slots reach the tenant's Quota cap.
+func (t *tenant) capped(n int) bool { return t.slotCap > 0 && n >= t.slotCap }
 
 // Submitted reports whether the job has been submitted.
 func (e *Entry) Submitted() bool { return e.submitted }
@@ -107,24 +127,22 @@ func (e *Entry) deadline() float64 {
 type Queue struct {
 	cfg     Config
 	entries []*Entry
+	tenants map[string]*tenant // written in Add only
 
-	// view is the Fifo policy's live job list, mutated with exactly the
+	// live holds the submitted, unfinished entries in Idx order: every job
+	// that can take a map or reduce slot is in it, so no per-heartbeat
+	// call looks at a job that has not arrived or has left.
+	live []*Entry
+
+	// view is the Fifo policy's map-order list, mutated with exactly the
 	// seed runtime's env.Jobs mechanics: append on submit, ID-sorted
-	// re-insert on requeue, compaction on prune. Non-Fifo policies
-	// recompute their order per MapOrder call instead.
+	// re-insert on requeue, compaction on prune. Non-Fifo policies order
+	// live's active entries per MapOrder call instead.
 	view []*sched.Job
 
-	// redCursor is the indexed reducer cursor: entries before it are
-	// permanently reduce-ineligible (finished, map-only, or fully
-	// assigned — ReduceReset rewinds it).
-	redCursor int
-
-	grants      map[string]int // per-tenant cumulative map grants (FairShare)
-	mapsRunning map[string]int // per-tenant running maps (Quota)
-	redRunning  map[string]int // per-tenant occupied reduce slots (Quota)
-
-	order   []*sched.Job // MapOrder scratch (non-Fifo)
-	scratch []*Entry     // ordering scratch (non-Fifo)
+	order   []*sched.Job // MapOrder result (non-Fifo), reused
+	scratch []*Entry     // MapOrder's eligible entries, Idx order, reused
+	ranked  []*tenant    // fairShareOrder's tenants with active jobs, reused
 }
 
 // New returns an empty queue after validating cfg.
@@ -132,18 +150,21 @@ func New(cfg Config) (*Queue, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Queue{
-		cfg:         cfg,
-		grants:      make(map[string]int),
-		mapsRunning: make(map[string]int),
-		redRunning:  make(map[string]int),
-	}, nil
+	return &Queue{cfg: cfg, tenants: make(map[string]*tenant)}, nil
 }
 
 // Add registers a job before the run starts and returns its index. Jobs
 // must be added in submission-index order (the runtime's job slice).
 func (q *Queue) Add(meta JobMeta, numReducers int) int {
-	e := &Entry{Idx: len(q.entries), Meta: meta, NumReducers: numReducers}
+	t := q.tenants[meta.Tenant]
+	if t == nil {
+		t = &tenant{name: meta.Tenant, slotCap: q.cfg.QuotaSlots}
+		if c, ok := q.cfg.TenantQuotas[meta.Tenant]; ok {
+			t.slotCap = c
+		}
+		q.tenants[meta.Tenant] = t
+	}
+	e := &Entry{Idx: len(q.entries), Meta: meta, NumReducers: numReducers, tenant: t}
 	q.entries = append(q.entries, e)
 	return e.Idx
 }
@@ -154,11 +175,18 @@ func (q *Queue) Len() int { return len(q.entries) }
 // Entry returns the entry of job idx.
 func (q *Queue) Entry(idx int) *Entry { return q.entries[idx] }
 
+// livePos returns where job idx is, or would be inserted, in q.live.
+func (q *Queue) livePos(idx int) (int, bool) {
+	return slices.BinarySearchFunc(q.live, idx, func(e *Entry, idx int) int { return cmp.Compare(e.Idx, idx) })
+}
+
 // Submit marks job idx submitted with its scheduler-facing handle.
 func (q *Queue) Submit(idx int, sj *sched.Job) {
 	e := q.entries[idx]
 	e.SJ = sj
 	e.submitted = true
+	pos, _ := q.livePos(idx)
+	q.live = slices.Insert(q.live, pos, e)
 	if q.cfg.Policy == Fifo {
 		q.view = append(q.view, sj)
 	}
@@ -173,34 +201,25 @@ func (q *Queue) MapOrder() []*sched.Job {
 		return q.view
 	}
 	q.scratch = q.scratch[:0]
-	for _, e := range q.entries {
-		if e.active() {
-			q.scratch = append(q.scratch, e)
+	for _, e := range q.live {
+		if !e.active() || (q.cfg.Policy == Quota && e.tenant.capped(e.tenant.mapsRunning)) {
+			continue
 		}
+		q.scratch = append(q.scratch, e)
 	}
 	switch q.cfg.Policy {
-	case Quota:
-		kept := q.scratch[:0]
-		for _, e := range q.scratch {
-			if c := q.capFor(e.Meta.Tenant); c > 0 && q.mapsRunning[e.Meta.Tenant] >= c {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		q.scratch = kept
-	case Deadline:
-		sort.Slice(q.scratch, func(i, j int) bool {
-			di, dj := q.scratch[i].deadline(), q.scratch[j].deadline()
-			if di < dj {
-				return true
-			}
-			if dj < di {
-				return false
-			}
-			return q.scratch[i].Idx < q.scratch[j].Idx
-		})
 	case FairShare:
-		q.sortFairShare()
+		return q.fairShareOrder()
+	case Deadline:
+		slices.SortFunc(q.scratch, func(a, b *Entry) int {
+			switch da, db := a.deadline(), b.deadline(); {
+			case da < db:
+				return -1
+			case db < da:
+				return 1
+			}
+			return cmp.Compare(a.Idx, b.Idx)
+		})
 	}
 	q.order = q.order[:0]
 	for _, e := range q.scratch {
@@ -209,53 +228,51 @@ func (q *Queue) MapOrder() []*sched.Job {
 	return q.order
 }
 
-// sortFairShare orders q.scratch so the tenant with the lowest
+// fairShareOrder orders q.scratch so the tenant with the lowest
 // grants-per-weight comes first (ties broken by tenant name), keeping
 // submission order within each tenant. A tenant's weight is the sum of
 // its active jobs' weights, so a tenant's share scales with what it is
 // asking for, and granting it a slot immediately lowers its priority —
-// the deficit/round-robin behavior.
-func (q *Queue) sortFairShare() {
-	type share struct {
-		name     string
-		priority float64
-		entries  []*Entry
+// the deficit/round-robin behavior. It ranks the tenants, gives each a
+// contiguous block of q.order sized by its job count, and drops every
+// job into its tenant's block, all in reused storage.
+func (q *Queue) fairShareOrder() []*sched.Job {
+	for _, t := range q.ranked {
+		t.jobs, t.weight = 0, 0
 	}
-	var tenants []share
-	index := make(map[string]int)
+	q.ranked = q.ranked[:0]
 	for _, e := range q.scratch {
-		i, ok := index[e.Meta.Tenant]
-		if !ok {
-			i = len(tenants)
-			index[e.Meta.Tenant] = i
-			tenants = append(tenants, share{name: e.Meta.Tenant})
+		t := e.tenant
+		if t.jobs == 0 {
+			q.ranked = append(q.ranked, t)
 		}
-		tenants[i].entries = append(tenants[i].entries, e)
+		t.jobs++
+		t.weight += e.weight()
 	}
-	for i := range tenants {
-		var weight float64
-		for _, e := range tenants[i].entries {
-			weight += e.weight()
-		}
-		tenants[i].priority = float64(q.grants[tenants[i].name]) / weight
+	for _, t := range q.ranked {
+		t.priority = float64(t.grants) / t.weight
 	}
-	sort.Slice(tenants, func(i, j int) bool {
-		if tenants[i].priority < tenants[j].priority {
-			return true
+	slices.SortFunc(q.ranked, func(a, b *tenant) int {
+		if c := cmp.Compare(a.priority, b.priority); c != 0 {
+			return c
 		}
-		if tenants[j].priority < tenants[i].priority {
-			return false
-		}
-		return tenants[i].name < tenants[j].name
+		return cmp.Compare(a.name, b.name)
 	})
-	q.scratch = q.scratch[:0]
-	for _, t := range tenants {
-		q.scratch = append(q.scratch, t.entries...)
+	next := 0
+	for _, t := range q.ranked {
+		t.next = next
+		next += t.jobs
 	}
+	q.order = slices.Grow(q.order[:0], len(q.scratch))[:len(q.scratch)]
+	for _, e := range q.scratch {
+		q.order[e.tenant.next] = e.SJ
+		e.tenant.next++
+	}
+	return q.order
 }
 
 // Prune drops finished-scheduling jobs from the Fifo view (the seed
-// runtime's pruneScheduledJobs). Recomputing policies need no pruning.
+// runtime's pruneScheduledJobs). The other policies filter per call.
 func (q *Queue) Prune() {
 	if q.cfg.Policy != Fifo {
 		return
@@ -271,8 +288,9 @@ func (q *Queue) Prune() {
 
 // Requeue re-enters a job with pending tasks after failure recovery.
 // Fifo mirrors the seed runtime's ensureScheduled exactly: re-insert at
-// the ID-sorted position unless already present. Recomputing policies
-// pick the job up automatically on the next MapOrder call.
+// the ID-sorted position unless already present. Under the other
+// policies the job never left q.live, and is active() again as soon as
+// it has a pending task.
 func (q *Queue) Requeue(idx int) {
 	e := q.entries[idx]
 	if !e.submitted || e.SJ == nil || e.SJ.Done() {
@@ -305,8 +323,8 @@ func (q *Queue) MapGranted(idx int) bool {
 	e := q.entries[idx]
 	e.grantedMaps++
 	e.runningMaps++
-	q.grants[e.Meta.Tenant]++
-	q.mapsRunning[e.Meta.Tenant]++
+	e.tenant.grants++
+	e.tenant.mapsRunning++
 	return e.grantedMaps == 1
 }
 
@@ -315,74 +333,34 @@ func (q *Queue) MapGranted(idx int) bool {
 func (q *Queue) MapReleased(idx int) {
 	e := q.entries[idx]
 	e.runningMaps--
-	q.mapsRunning[e.Meta.Tenant]--
+	e.tenant.mapsRunning--
 }
 
 // NextReduce returns the job whose next unlaunched reducer should take
-// a free reduce slot, or nil when no job can.
+// a free reduce slot, or nil when no job can: the earliest deadline
+// under Deadline, otherwise the first in submission order (fair-share
+// arbitrates map-slot grants only), skipping tenants at their reduce cap
+// under Quota.
 func (q *Queue) NextReduce() *Entry {
-	switch q.cfg.Policy {
-	case Fifo:
-		return q.cursorReduce()
-	case FairShare:
-		// Fair-share arbitrates map-slot grants; reduce slots follow
-		// submission order like the seed runtime.
-		return q.scanReduce(0)
-	case Quota:
-		for _, e := range q.entries {
-			if !e.reduceEligible() {
-				continue
-			}
-			if c := q.capFor(e.Meta.Tenant); c > 0 && q.redRunning[e.Meta.Tenant] >= c {
-				continue
-			}
-			return e
+	var best *Entry
+	for _, e := range q.live {
+		if !e.reduceEligible() {
+			continue
 		}
-		return nil
-	case Deadline:
-		var best *Entry
-		for _, e := range q.entries {
-			if !e.reduceEligible() {
+		switch q.cfg.Policy {
+		case Quota:
+			if e.tenant.capped(e.tenant.redRunning) {
 				continue
 			}
+		case Deadline:
 			if best == nil || e.deadline() < best.deadline() {
 				best = e
 			}
-		}
-		return best
-	}
-	return nil
-}
-
-// scanReduce is the seed runtime's full rescan: the first reduce-
-// eligible job in submission order, starting at entry `from`.
-func (q *Queue) scanReduce(from int) *Entry {
-	for _, e := range q.entries[from:] {
-		if e.reduceEligible() {
-			return e
-		}
-	}
-	return nil
-}
-
-// cursorReduce advances the indexed cursor past permanently-skippable
-// entries, then scans from it. An entry is skippable when it is
-// finished, map-only, or has all reducers assigned (ReduceReset rewinds
-// the cursor when an assignment is undone); an unsubmitted job with
-// reducers is *not* skippable — it can become the first eligible job
-// later — so the cursor stops there and the residual scan covers the
-// tail, exactly like the reference rescan.
-func (q *Queue) cursorReduce() *Entry {
-	for q.redCursor < len(q.entries) {
-		e := q.entries[q.redCursor]
-		if e.finished || e.NumReducers == 0 ||
-			(e.submitted && e.reducersAssigned >= e.NumReducers) {
-			q.redCursor++
 			continue
 		}
-		break
+		return e
 	}
-	return q.scanReduce(q.redCursor)
+	return best
 }
 
 // ReduceGranted records a reduce-slot grant to job idx.
@@ -390,37 +368,29 @@ func (q *Queue) ReduceGranted(idx int) {
 	e := q.entries[idx]
 	e.reducersAssigned++
 	e.runningReduces++
-	q.redRunning[e.Meta.Tenant]++
+	e.tenant.redRunning++
 }
 
 // ReduceReleased records a reducer of job idx completing.
 func (q *Queue) ReduceReleased(idx int) {
 	e := q.entries[idx]
 	e.runningReduces--
-	q.redRunning[e.Meta.Tenant]--
+	e.tenant.redRunning--
 }
 
 // ReduceReset undoes a reducer assignment (failure recovery restarts
-// the reducer elsewhere) and rewinds the cursor so the job is
-// reconsidered.
+// the reducer elsewhere), so the job is reduce-eligible again.
 func (q *Queue) ReduceReset(idx int) {
 	e := q.entries[idx]
 	e.reducersAssigned--
 	e.runningReduces--
-	q.redRunning[e.Meta.Tenant]--
-	if idx < q.redCursor {
-		q.redCursor = idx
-	}
+	e.tenant.redRunning--
 }
 
 // JobFinished marks job idx finished; it leaves every ordering.
 func (q *Queue) JobFinished(idx int) {
 	q.entries[idx].finished = true
-}
-
-func (q *Queue) capFor(tenant string) int {
-	if c, ok := q.cfg.TenantQuotas[tenant]; ok {
-		return c
+	if pos, ok := q.livePos(idx); ok {
+		q.live = slices.Delete(q.live, pos, pos+1)
 	}
-	return q.cfg.QuotaSlots
 }

@@ -204,24 +204,26 @@ func (RackConstrainedRandom) Place(c *topology.Cluster, numStripes, n, k int, rn
 		return nil, err
 	}
 	p := newPlacement(n, k, numStripes)
-	load := make(map[topology.NodeID]int)
+	nodes := c.Nodes()
+	load := make([]int, len(nodes))
+	stamp := make([]int, len(nodes)) // stamp[id] == s+1: node id already holds a block of stripe s
+	perRack := make([]int, c.NumRacks())
+	cands := make([]topology.NodeID, 0, len(nodes))
 	for s := 0; s < numStripes; s++ {
-		used := make(map[topology.NodeID]bool, n)
-		perRack := make(map[topology.RackID]int)
+		clear(perRack)
 		for i := 0; i < n; i++ {
 			// Candidates: alive, unused in this stripe, rack not full.
-			var cands []topology.NodeID
+			cands = cands[:0]
 			minLoad := int(^uint(0) >> 1)
-			for _, node := range c.Nodes() {
-				if node.Failed() || used[node.ID] || perRack[node.Rack] >= n-k {
+			for _, node := range nodes {
+				if node.Failed() || stamp[node.ID] == s+1 || perRack[node.Rack] >= n-k {
 					continue
 				}
-				switch {
-				case load[node.ID] < minLoad:
-					minLoad = load[node.ID]
-					cands = cands[:0]
-					cands = append(cands, node.ID)
-				case load[node.ID] == minLoad:
+				switch l := load[node.ID]; {
+				case l < minLoad:
+					minLoad = l
+					cands = append(cands[:0], node.ID)
+				case l == minLoad:
 					cands = append(cands, node.ID)
 				}
 			}
@@ -230,7 +232,7 @@ func (RackConstrainedRandom) Place(c *topology.Cluster, numStripes, n, k int, rn
 			}
 			id := cands[rng.Intn(len(cands))]
 			p.assign(s, i, id)
-			used[id] = true
+			stamp[id] = s + 1
 			perRack[c.RackOf(id)]++
 			load[id]++
 		}
@@ -400,8 +402,8 @@ func checkParams(c *topology.Cluster, n, k, numStripes int) error {
 	if numStripes < 0 {
 		return fmt.Errorf("placement: negative stripe count %d", numStripes)
 	}
-	if len(c.AliveNodes()) < n {
-		return fmt.Errorf("placement: need >= n=%d alive nodes, have %d", n, len(c.AliveNodes()))
+	if alive := len(c.AliveNodes()); alive < n {
+		return fmt.Errorf("placement: need >= n=%d alive nodes, have %d", n, alive)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -364,5 +366,45 @@ func TestReassign(t *testing.T) {
 	p.Reassign(b, to)
 	if p.Holder(b) != to || len(p.NodeBlocks(to)) == 0 {
 		t.Fatal("self-reassign corrupted state")
+	}
+}
+
+// TestRackConstrainedRandomPlacementPinned pins the full placement of the
+// simulator's default shape — (20,15), 36 native blocks per node, 10 nodes
+// per rack, seed 1 — as an FNV-1a hash over every holder in (stripe,
+// block) order, recorded before Place moved from maps to slices. Any
+// change to the candidate set, its node-ID order or the RNG draw sequence
+// moves it.
+func TestRackConstrainedRandomPlacementPinned(t *testing.T) {
+	for _, tc := range []struct {
+		nodes int
+		fail  []topology.NodeID
+		want  uint64
+	}{
+		{nodes: 40, want: 0x12d23aeedb5968e5},
+		{nodes: 40, fail: []topology.NodeID{3, 17}, want: 0x13d809d8d97bafa0},
+		{nodes: 400, want: 0xf42b5ba9704c935},
+		{nodes: 1000, want: 0xdaad60f2500e9529},
+	} {
+		c := topology.MustNew(topology.Config{Nodes: tc.nodes, Racks: tc.nodes / 10, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1})
+		for _, id := range tc.fail {
+			c.FailNode(id)
+		}
+		stripes := tc.nodes * 36 / 15
+		p, err := RackConstrainedRandom{}.Place(c, stripes, 20, 15, stats.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [4]byte
+		for s := 0; s < stripes; s++ {
+			for _, id := range p.StripeHolders(s) {
+				binary.LittleEndian.PutUint32(buf[:], uint32(id))
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%d nodes, failed %v: placement hash %#x, want %#x", tc.nodes, tc.fail, got, tc.want)
+		}
 	}
 }

@@ -203,7 +203,8 @@ func (s *state) recoverShuffle(js *jobState, dead func(topology.NodeID) bool) {
 		}
 		kept = append(kept, ref)
 	}
-	js.shuffleFlows = kept
+	clear(js.shuffleFlows[len(kept):])
+	js.shuffleFlows, js.shuffleArrived = kept, 0
 }
 
 // recoverReducers restarts reduce tasks that were running on failed nodes.

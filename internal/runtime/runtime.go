@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/netsim"
@@ -274,7 +275,11 @@ type jobState struct {
 	reducers       []*reducerState
 	reducersDone   int
 	pendingShuffle [][]pendingChunk
+	// shuffleFlows lists the shuffle transfers failure recovery may have
+	// to cancel, in start order; shuffleArrived counts the finished ones
+	// still listed.
 	shuffleFlows   []*shuffleRef
+	shuffleArrived int
 
 	// repairedHolder overrides task holders for jobs not yet submitted:
 	// the background healer rebuilt the task's input block on a new node
@@ -284,6 +289,20 @@ type jobState struct {
 }
 
 func (js *jobState) totalMaps() int { return len(js.spec.Tasks) }
+
+// shuffleFlowArrived records one listed shuffle transfer finishing. Once
+// finished refs outnumber in-flight ones they are dropped, so the list
+// (and through it every finished netsim.Flow) stays proportional to what
+// is in flight, at amortised constant cost per flow and without changing
+// the order recoverShuffle cancels in.
+func (js *jobState) shuffleFlowArrived() {
+	js.shuffleArrived++
+	if 2*js.shuffleArrived <= len(js.shuffleFlows) {
+		return
+	}
+	js.shuffleFlows = slices.DeleteFunc(js.shuffleFlows, func(ref *shuffleRef) bool { return ref.flow.Finished() })
+	js.shuffleArrived = 0
+}
 
 // mapOutputAvailable reports whether task i's output can still feed the
 // shuffle (completed and its node alive).
@@ -680,6 +699,7 @@ func (s *state) sendShuffles(sends []shuffleSend) {
 		reqs[i] = netsim.FlowReq{Src: sd.src, Dst: sd.r.node, Bytes: sd.chunk.Bytes,
 			Done: func(*netsim.Flow) {
 				r := sd.r
+				r.job.shuffleFlowArrived()
 				if !r.got[sd.mapIdx] && !r.done {
 					if err := s.backend.Deliver(r.job.idx, r.idx, r.node, sd.chunk); err != nil {
 						// got stays false so re-execution still considers

@@ -239,17 +239,18 @@ func (e *EnhancedDegradedFirst) Assign(env *Env, hb Heartbeat) []Assignment {
 // Env.PerTaskTime, so fast slaves absorb degraded tasks even with deeper
 // local queues.
 func (e *EnhancedDegradedFirst) assignToSlave(env *Env, s topology.NodeID) bool {
-	alive := env.Cluster.AliveNodes()
-	if len(alive) == 0 {
-		return false
-	}
+	alive := 0
 	var ts, sum float64
-	for _, id := range alive {
+	for _, node := range env.Cluster.Nodes() {
+		if node.Failed() {
+			continue
+		}
+		alive++
+		id := node.ID
 		pending := 0
 		for _, j := range env.Jobs {
 			pending += j.pendingLocalCount(id)
 		}
-		node := env.Cluster.Node(id)
 		slots := node.MapSlots
 		if slots <= 0 {
 			slots = 1
@@ -260,8 +261,10 @@ func (e *EnhancedDegradedFirst) assignToSlave(env *Env, s topology.NodeID) bool 
 			ts = est
 		}
 	}
-	mean := sum / float64(len(alive))
-	return ts <= mean
+	if alive == 0 {
+		return false
+	}
+	return ts <= sum/float64(alive)
 }
 
 // assignToRack implements rack awareness: refuse rack r when its last

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -566,28 +567,82 @@ func TestEDFDefaultPerTaskTime(t *testing.T) {
 	}
 }
 
+// BenchmarkEDFAssign times one EDF heartbeat on a 64-node cluster with a
+// failed node while the given number of jobs, each with pending local and
+// degraded tasks, sit in Env.Jobs: the AssignToSlave estimate is what
+// grows with the job count.
 func BenchmarkEDFAssign(b *testing.B) {
-	c := topology.MustNew(topology.Config{Nodes: 40, Racks: 4, MapSlotsPerNode: 4})
-	c.FailNode(0)
-	var specs []TaskSpec
-	for i := 0; i < 1440; i++ {
-		holder := topology.NodeID(i % 40)
-		specs = append(specs, TaskSpec{
-			Block:  erasure.BlockID{Stripe: i / 15, Index: i % 15},
-			Holder: holder,
-			Lost:   holder == 0,
+	for _, jobs := range []int{1, 200, 2000} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			c := topology.MustNew(topology.Config{Nodes: 64, Racks: 8, MapSlotsPerNode: 4})
+			c.FailNode(0)
+			specs := make([]TaskSpec, 64)
+			for i := range specs {
+				specs[i] = TaskSpec{Block: erasure.BlockID{Stripe: i / 4, Index: i % 4}, Holder: topology.NodeID(i), Lost: i == 0}
+			}
+			env := envFor(c)
+			for id := 0; id < jobs; id++ {
+				env.Jobs = append(env.Jobs, NewJob(id, specs))
+			}
+			edf := NewEnhancedDegradedFirst(c.NumRacks())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Whatever the heartbeat takes goes straight back, so every
+				// iteration sees the same queues.
+				hb := Heartbeat{Now: float64(i), Node: topology.NodeID(1 + i%63), FreeMapSlots: 1}
+				for _, a := range edf.Assign(env, hb) {
+					env.Jobs[a.Task.Job].Requeue(a.Task, a.Task.Lost)
+				}
+			}
 		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		j := NewJob(0, append([]TaskSpec(nil), specs...))
+}
+
+// TestPendingLocalCountersMatchRecount drives jobs through random
+// take / Requeue (input lost or not) / MarkHolderLost / Recover sequences
+// and checks after every step that the dense per-holder counters equal a
+// recount over the holder pools.
+func TestPendingLocalCountersMatchRecount(t *testing.T) {
+	const nodes, firstHolders = 8, 6 // Recover can name a holder the job has not seen
+	c := topology.MustNew(topology.Config{Nodes: nodes, Racks: 2, MapSlotsPerNode: 1})
+	rng := stats.NewRNG(5)
+	for trial := 0; trial < 200; trial++ {
+		specs := make([]TaskSpec, 1+rng.Intn(24))
+		for i := range specs {
+			specs[i] = TaskSpec{Block: erasure.BlockID{Stripe: i}, Holder: topology.NodeID(rng.Intn(firstHolders)), Lost: rng.Intn(5) == 0}
+		}
+		j := NewJob(trial, specs)
 		env := envFor(c, j)
-		edf := NewEnhancedDegradedFirst(4)
-		b.StartTimer()
-		for round := 0; !j.Done(); round++ {
-			for node := 1; node < 40; node++ {
-				edf.Assign(env, Heartbeat{Now: float64(round) * 3, Node: topology.NodeID(node), FreeMapSlots: 4})
+		for step := 0; step < 80; step++ {
+			task := j.tasks[rng.Intn(len(j.tasks))]
+			switch rng.Intn(4) {
+			case 0: // take whatever a scheduler would hand this node
+				LocalityFirst{}.Assign(env, Heartbeat{Node: topology.NodeID(rng.Intn(nodes)), FreeMapSlots: 1 + rng.Intn(2)})
+			case 1:
+				if task.assigned {
+					j.Requeue(task, rng.Intn(2) == 0)
+				}
+			case 2:
+				j.MarkHolderLost(topology.NodeID(rng.Intn(nodes)))
+			case 3:
+				j.Recover(task, topology.NodeID(rng.Intn(nodes)))
+			}
+			for id := topology.NodeID(0); id < nodes; id++ {
+				want := 0
+				for _, p := range j.byHolder[id] {
+					if !p.assigned {
+						want++
+					}
+				}
+				if got := j.pendingLocalCount(id); got != want {
+					t.Fatalf("trial %d step %d: node %d pending-local counter %d, recount %d", trial, step, id, got, want)
+				}
+			}
+			for id, n := range j.pendingLocal {
+				if n < 0 {
+					t.Fatalf("trial %d step %d: node %d counter went negative (%d)", trial, step, id, n)
+				}
 			}
 		}
 	}

@@ -109,6 +109,10 @@ type Job struct {
 	tasks    []*Task
 	byHolder map[topology.NodeID][]*Task // pending non-degraded, by holder
 	degraded []*Task                     // pending degraded, task order
+	// pendingLocal[id] counts the unassigned tasks in byHolder[id]; every
+	// pool mutation keeps it current, so EDF's per-heartbeat estimate is a
+	// slice read per (node, job).
+	pendingLocal []int
 
 	total         int // M
 	totalDegraded int // Md
@@ -131,6 +135,7 @@ func NewJob(id int, specs []TaskSpec) *Job {
 			j.totalDegraded++
 		} else {
 			j.byHolder[s.Holder] = append(j.byHolder[s.Holder], t)
+			j.addPendingLocal(s.Holder)
 		}
 		j.total++
 	}
@@ -156,13 +161,19 @@ func (j *Job) Tasks() []*Task { return j.tasks }
 // pendingLocalCount returns the number of unassigned node-local tasks for
 // node id (used by EDF's AssignToSlave estimate).
 func (j *Job) pendingLocalCount(id topology.NodeID) int {
-	cnt := 0
-	for _, t := range j.byHolder[id] {
-		if !t.assigned {
-			cnt++
-		}
+	if int(id) >= len(j.pendingLocal) {
+		return 0
 	}
-	return cnt
+	return j.pendingLocal[id]
+}
+
+// addPendingLocal counts one more pending task on holder id, growing the
+// dense table to reach it.
+func (j *Job) addPendingLocal(id topology.NodeID) {
+	if short := int(id) + 1 - len(j.pendingLocal); short > 0 {
+		j.pendingLocal = append(j.pendingLocal, make([]int, short)...)
+	}
+	j.pendingLocal[id]++
 }
 
 // popNodeLocal takes the next unassigned task whose holder is exactly s.
@@ -253,6 +264,8 @@ func (j *Job) take(t *Task) {
 	j.launched++
 	if t.Lost {
 		j.launchedDeg++
+	} else {
+		j.pendingLocal[t.Holder]--
 	}
 }
 
@@ -271,6 +284,7 @@ func (j *Job) MarkHolderLost(holder topology.NodeID) int {
 		t.Lost = true
 		j.degraded = append(j.degraded, t)
 		j.totalDegraded++
+		j.pendingLocal[holder]--
 		changed++
 	}
 	if len(kept) == 0 {
@@ -310,6 +324,9 @@ func (j *Job) Requeue(t *Task, lost bool) {
 		j.byHolder[t.Holder] = append(j.byHolder[t.Holder], t)
 		j.totalDegraded--
 	}
+	if !t.Lost {
+		j.addPendingLocal(t.Holder) // pending in its holder pool again
+	}
 }
 
 // Recover returns a *pending* degraded task to the normal pool with a
@@ -326,6 +343,7 @@ func (j *Job) Recover(t *Task, holder topology.NodeID) bool {
 	t.Lost = false
 	t.Holder = holder
 	j.byHolder[holder] = append(j.byHolder[holder], t)
+	j.addPendingLocal(holder)
 	j.totalDegraded--
 	return true
 }
