@@ -8,16 +8,19 @@
 //   - degraded-read and repair *planning* (PickNSources, SpareSources,
 //     PlanStripe), shared with the discrete-event simulator, which only
 //     needs to know which nodes a degraded task or a repair downloads
-//     from; and
+//     from. Which survivors rebuild a lost block is decided in one place,
+//     repairSet, for reads and the healer alike; and
 //   - a real-bytes store used by the real-execution engine
-//     (internal/minimr), where degraded reads genuinely reconstruct lost
-//     blocks with Reed-Solomon arithmetic.
+//     (internal/minimr), where degraded reads and repairs genuinely
+//     reconstruct lost blocks with whatever erasure.Coder the file system
+//     was built over.
 package dfs
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -161,31 +164,56 @@ func SpareSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID
 	return spares
 }
 
-// PickRepairSources plans a degraded read under an arbitrary code: if the
-// code is a LocalRepairer (e.g. LRC) and lost block b's entire local
-// repair group survives, those blocks are read — typically far fewer than
-// k. Otherwise it falls back to PickDegradedSources (any k survivors).
+// repairSet is the one repair-source rule, shared by degraded reads
+// (PickRepairSources) and the healer (PlanStripe). Given the stripe indices
+// that can be read, it says which of them rebuild lost block idx:
+//
+//   - a code with local repair groups whose group for idx is wholly
+//     readable reads exactly that group, typically far fewer than k blocks
+//     (local is true);
+//   - such a code with the group broken, or with no group for idx (a global
+//     parity), reads every readable block: it is not MDS, so an arbitrary k
+//     of its survivors need not determine idx;
+//   - any other code — MDS, or nil where the simulator plans without one —
+//     is any-k: set is nil and the caller picks k readable blocks its own
+//     way (random or same-rack for a read, lowest-index for the healer).
+func repairSet(code erasure.Coder, idx int, readable []int) (set []int, local bool) {
+	lr, ok := code.(erasure.LocalRepairer)
+	if !ok {
+		return nil, false
+	}
+	group, ok := lr.LocalRepairGroup(idx)
+	if !ok {
+		return readable, false
+	}
+	for _, i := range group {
+		if !slices.Contains(readable, i) {
+			return readable, false
+		}
+	}
+	return group, true
+}
+
+// PickRepairSources plans a degraded read of lost block b under an
+// arbitrary code by the repairSet rule: the block's local repair group or
+// every survivor for a locality-aware code (no RNG draw), otherwise
+// PickDegradedSources' k survivors.
 func PickRepairSources(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 	b erasure.BlockID, reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
 
-	if lr, ok := code.(erasure.LocalRepairer); ok {
-		if group, ok := lr.LocalRepairGroup(b.Index); ok {
-			sources := make([]Source, 0, len(group))
-			allAlive := true
-			for _, idx := range group {
-				holder := p.Holder(erasure.BlockID{Stripe: b.Stripe, Index: idx})
-				if !c.Alive(holder) {
-					allAlive = false
-					break
-				}
-				sources = append(sources, Source{Node: holder, Index: idx})
-			}
-			if allAlive {
-				return sources, nil
-			}
-		}
+	alive, _ := p.SurvivorsOf(c, b.Stripe)
+	// Never read b itself, even if a mid-recovery race has its holder alive.
+	alive = slices.DeleteFunc(alive, func(i int) bool { return i == b.Index })
+	set, _ := repairSet(code, b.Index, alive)
+	if set == nil {
+		return PickDegradedSources(c, p, b, reader, strategy, rng)
 	}
-	return PickDegradedSources(c, p, b, reader, strategy, rng)
+	holders := p.StripeHolders(b.Stripe)
+	sources := make([]Source, len(set))
+	for i, idx := range set {
+		sources[i] = Source{Node: holders[idx], Index: idx}
+	}
+	return sources, nil
 }
 
 // CrossRackSources counts how many of the sources are outside the reader's
@@ -419,9 +447,10 @@ func (fs *FS) ReadBlock(name string, b erasure.BlockID) ([]byte, error) {
 	return f.blocks[b.Stripe][b.Index], nil
 }
 
-// DegradedRead reconstructs a lost block for real: it picks k surviving
-// sources, decodes with the Reed-Solomon code, and returns the recovered
-// bytes plus the sources used (for the caller to charge network time).
+// DegradedRead reconstructs a lost block for real: it picks surviving
+// sources (PickRepairSources), decodes with the code, and returns the
+// recovered bytes plus the sources used (for the caller to charge network
+// time).
 // It never touches the failed holder's copy.
 func (fs *FS) DegradedRead(name string, b erasure.BlockID, reader topology.NodeID,
 	strategy SelectionStrategy, rng *stats.RNG) ([]byte, []Source, error) {

@@ -343,7 +343,9 @@ func TestPickRepairSourcesLRCLocalGroup(t *testing.T) {
 }
 
 func TestPickRepairSourcesFallsBackWhenGroupBroken(t *testing.T) {
-	// If a group member is also failed, planning falls back to k-of-n.
+	// If a group member is also failed, an LRC reads every survivor — it
+	// is not MDS, so k of them need not determine the block — without
+	// drawing from the RNG; an RS code falls back to k-of-n.
 	c := topology.MustNew(topology.Config{Nodes: 14, Racks: 2, MapSlotsPerNode: 1})
 	code := erasure.MustNewLRC(10, 2, 2)
 	fs, err := New(c, code, 64, placement.RoundRobin{}, stats.NewRNG(4))
@@ -356,12 +358,21 @@ func TestPickRepairSourcesFallsBackWhenGroupBroken(t *testing.T) {
 	// Fail another member of block 0's local group.
 	group, _ := code.LocalRepairGroup(0)
 	c.FailNode(f.Placement.Holder(erasure.BlockID{Stripe: 0, Index: group[0]}))
-	srcs, err := PickRepairSources(c, code, f.Placement, b, 0, RandomK, stats.NewRNG(5))
+	rng := stats.NewRNG(5)
+	srcs, err := PickRepairSources(c, code, f.Placement, b, 0, RandomK, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(srcs) != code.K() {
-		t.Fatalf("fallback should read k=%d sources, got %d", code.K(), len(srcs))
+	if len(srcs) != code.N()-2 {
+		t.Fatalf("fallback should read all %d survivors, got %d", code.N()-2, len(srcs))
+	}
+	for i, s := range srcs {
+		if s.Index == b.Index || s.Index == group[0] || !c.Alive(s.Node) || (i > 0 && s.Index <= srcs[i-1].Index) {
+			t.Fatalf("fallback sources are not the survivors in index order: %v", srcs)
+		}
+	}
+	if rng.Intn(1<<30) != stats.NewRNG(5).Intn(1<<30) {
+		t.Fatal("every-survivor fallback drew from the RNG")
 	}
 	// And RS codes (no LocalRepairer) always use the fallback.
 	c2 := testCluster()
@@ -372,6 +383,38 @@ func TestPickRepairSourcesFallsBackWhenGroupBroken(t *testing.T) {
 	srcs2, err := PickRepairSources(c2, rs, p2, b2, 0, RandomK, stats.NewRNG(7))
 	if err != nil || len(srcs2) != 4 {
 		t.Fatalf("RS fallback: %v %v", srcs2, err)
+	}
+}
+
+func TestDegradedReadLRCBrokenGroup(t *testing.T) {
+	// Two failures in local group 0 of LRC(10,2,2): the 12 survivors
+	// determine block 0, but a random 10 of them often do not. The read
+	// must succeed with the right bytes for every reader seed.
+	c := topology.MustNew(topology.Config{Nodes: 14, Racks: 2, MapSlotsPerNode: 1})
+	code := erasure.MustNewLRC(10, 2, 2)
+	fs, err := New(c, code, 64, placement.RoundRobin{}, stats.NewRNG(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Write("f", makeData(64*10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := erasure.BlockID{Stripe: 0, Index: 0}
+	c.FailNode(f.Placement.Holder(b))
+	c.FailNode(f.Placement.Holder(erasure.BlockID{Stripe: 0, Index: 1}))
+	want, err := fs.ReadBlockUnsafe("f", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		got, srcs, err := fs.DegradedRead("f", b, 2, RandomK, stats.NewRNG(seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(srcs) != code.N()-2 || !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: %d sources, bytes equal %v", seed, len(srcs), bytes.Equal(got, want))
+		}
 	}
 }
 

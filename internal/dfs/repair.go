@@ -1,11 +1,10 @@
 // Background-repair planning and commit: the DFS side of the proactive
 // healer. The scan APIs turn node failures into repair.StripePlans —
 // which lost blocks each degraded stripe has, which survivors to read,
-// and where to write the rebuilt copies — reusing the same source
-// selection the degraded-read path uses (LRC local groups when the
-// whole group survives, otherwise a full k-source reconstruction). The
-// commit API performs the reconstruction for real on data-bearing files
-// and moves the block's placement to its new holder.
+// and where to write the rebuilt copies — by the same repair-source rule
+// the degraded-read path uses (repairSet). The commit API performs the
+// reconstruction for real on data-bearing files and moves the block's
+// placement to its new holder.
 
 package dfs
 
@@ -13,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sort"
 
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/placement"
@@ -61,16 +59,14 @@ func PickRepairDestination(c *topology.Cluster, p *placement.Placement, s int,
 
 // PlanStripe builds the repair plan for stripe s of the placed file:
 // one BlockPlan per lost block (data or parity), or an unrepairable
-// verdict when more than n-k blocks are gone. For MDS codes the bound
-// is exact; for LRC it is necessary but not sufficient (some loss
-// patterns within n-k are undecodable), and such stripes surface as
-// reconstruction errors at commit time rather than here.
+// verdict when the survivors do not determine every lost block. The code
+// answers that exactly, for any loss pattern of any family; a nil code
+// (the simulator plans without one) is taken as MDS, where it is "more
+// than n-k blocks gone".
 //
-// Source selection mirrors the degraded-read path but stays
-// deterministic: an LRC local repair reads the lost block's surviving
-// local group; a plain MDS repair reads the k lowest-index survivors;
-// an LRC repair whose local group is broken reads every survivor, since
-// an arbitrary k of them need not span the lost block.
+// Source selection is the degraded-read path's repairSet rule, kept
+// deterministic: where a read draws k random survivors, the healer reads
+// the k lowest-index ones.
 func PlanStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 	file string, s int) (repair.StripePlan, error) {
 
@@ -79,24 +75,23 @@ func PlanStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 		N:   p.N(),
 		K:   p.K(),
 	}
-	var lost []int
-	survivors := make([]repair.Source, 0, p.N())
-	for i, h := range p.StripeHolders(s) {
+	holders := p.StripeHolders(s)
+	var lost, alive []int
+	for i, h := range holders {
 		if c.Alive(h) {
-			survivors = append(survivors, repair.Source{Node: h, Index: i})
+			alive = append(alive, i)
 		} else {
 			lost = append(lost, i)
 		}
 	}
 	plan.Lost = len(lost)
-	if len(lost) == 0 {
+	plan.Unrepairable = len(lost) > plan.N-plan.K
+	if code != nil {
+		plan.Unrepairable = slices.ContainsFunc(lost, func(idx int) bool { return !code.Determines(idx, alive) })
+	}
+	if len(lost) == 0 || plan.Unrepairable {
 		return plan, nil
 	}
-	if len(lost) > plan.N-plan.K {
-		plan.Unrepairable = true
-		return plan, nil
-	}
-	lr, isLRC := code.(erasure.LocalRepairer)
 	taken := make(map[topology.NodeID]bool, len(lost))
 	for _, idx := range lost {
 		dest, err := PickRepairDestination(c, p, s, taken)
@@ -105,46 +100,28 @@ func PlanStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 		}
 		taken[dest] = true
 		bp := repair.BlockPlan{Index: idx, Dest: dest}
-		if isLRC {
-			if group, ok := lr.LocalRepairGroup(idx); ok && groupAlive(c, p, s, group) {
-				for _, gi := range group {
-					h := p.Holder(erasure.BlockID{Stripe: s, Index: gi})
-					bp.Sources = append(bp.Sources, repair.Source{Node: h, Index: gi})
-				}
-				bp.Local = true
-			} else {
-				// Broken local group (or a global parity): read every
-				// survivor so the global decode always has enough
-				// equations.
-				bp.Sources = append(bp.Sources, survivors...)
-			}
-		} else {
-			bp.Sources = append(bp.Sources, survivors[:plan.K]...)
+		set, local := repairSet(code, idx, alive)
+		if set == nil {
+			set = alive[:plan.K]
 		}
+		for _, i := range set {
+			bp.Sources = append(bp.Sources, repair.Source{Node: holders[i], Index: i})
+		}
+		bp.Local = local
 		plan.Blocks = append(plan.Blocks, bp)
 	}
 	return plan, nil
-}
-
-// groupAlive reports whether every block of the local repair group is on
-// an alive node.
-func groupAlive(c *topology.Cluster, p *placement.Placement, s int, group []int) bool {
-	for _, gi := range group {
-		if !c.Alive(p.Holder(erasure.BlockID{Stripe: s, Index: gi})) {
-			return false
-		}
-	}
-	return true
 }
 
 // LostBlocks scans every file for stripes that lost a block to one of
 // the failed nodes and returns their repair plans, in file-creation
 // then stripe order. Each plan covers all lost blocks of its stripe —
 // including losses from earlier failures — so re-scanning after a
-// second failure subsumes the first scan's pending work. Stripes with
-// more than n-k losses come back with Unrepairable set rather than an
-// error: the healer reports them distinctly and never launches them. A
-// nil or empty failed set scans for every lost block in the system.
+// second failure subsumes the first scan's pending work. Stripes whose
+// losses the code cannot rebuild come back with Unrepairable set rather
+// than an error: the healer reports them distinctly and never launches
+// them. A nil or empty failed set scans for every lost block in the
+// system.
 func (fs *FS) LostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
 	var plans []repair.StripePlan
 	for _, name := range fs.names {
@@ -216,12 +193,14 @@ func (fs *FS) RepairBlock(file string, b erasure.BlockID, dst topology.NodeID,
 			return false, fmt.Errorf("dfs: destination %d already holds a block of stripe %d of %q", dst, b.Stripe, file)
 		}
 	}
+	srcIdx := make([]int, len(sources))
+	for i, s := range sources {
+		srcIdx[i] = s.Index
+	}
 	if f.HasData() {
-		srcIdx := make([]int, len(sources))
 		shards := make([][]byte, len(sources))
-		for i, s := range sources {
-			srcIdx[i] = s.Index
-			shards[i] = f.blocks[b.Stripe][s.Index]
+		for i, idx := range srcIdx {
+			shards[i] = f.blocks[b.Stripe][idx]
 		}
 		data, err := fs.code.ReconstructBlock(b.Index, srcIdx, shards)
 		if err != nil {
@@ -240,31 +219,7 @@ func (fs *FS) RepairBlock(file string, b erasure.BlockID, dst topology.NodeID,
 		}
 	}
 	f.Placement.Reassign(b, dst)
-	return isLocalRepair(fs.code, b.Index, sources), nil
-}
-
-// isLocalRepair reports whether sources is exactly the lost block's LRC
-// local repair group.
-func isLocalRepair(code erasure.Coder, lostIdx int, sources []repair.Source) bool {
-	lr, ok := code.(erasure.LocalRepairer)
-	if !ok {
-		return false
-	}
-	group, ok := lr.LocalRepairGroup(lostIdx)
-	if !ok || len(group) != len(sources) {
-		return false
-	}
-	got := make([]int, len(sources))
-	for i, s := range sources {
-		got[i] = s.Index
-	}
-	sort.Ints(got)
-	want := append([]int(nil), group...)
-	sort.Ints(want)
-	for i := range want {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	// Local: the sources were exactly the block's local repair group.
+	group, local := repairSet(fs.code, b.Index, srcIdx)
+	return local && len(group) == len(srcIdx), nil
 }

@@ -276,6 +276,63 @@ func TestLRCBrokenGroupFallsBackToAllSurvivors(t *testing.T) {
 	}
 }
 
+func TestPlanStripeLRCUnrepairableIsExact(t *testing.T) {
+	// LRC(10,2,2), n-k = 4. Losing data blocks 0-3 of group 0 is within
+	// n-k but undecodable (one local and two global equations for four
+	// unknowns): the plan must say so instead of launching reads that
+	// abort the run at commit. Losing one data block per group plus both
+	// globals is also four losses, and repairs byte-exactly.
+	lrc := erasure.MustNewLRC(10, 2, 2)
+	setup := func(lost ...int) (*FS, []erasure.BlockID) {
+		c := topology.MustNew(topology.Config{Nodes: 20, Racks: 4, MapSlotsPerNode: 1})
+		fs, err := New(c, lrc, 64, nil, stats.NewRNG(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Write("a", makeData(10*64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks := make([]erasure.BlockID, len(lost))
+		for i, idx := range lost {
+			blocks[i] = erasure.BlockID{Stripe: 0, Index: idx}
+		}
+		failHolders(c, f, blocks...)
+		return fs, blocks
+	}
+
+	fs, _ := setup(0, 1, 2, 3)
+	plans, err := fs.LostBlocks(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plans) != 1 || !plans[0].Unrepairable || plans[0].Lost != 4 || len(plans[0].Blocks) != 0 {
+		t.Fatalf("four losses in one local group must plan Unrepairable with no reads: %+v", plans)
+	}
+
+	fs, lost := setup(0, 5, 12, 13)
+	plans, err = fs.LostBlocks(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plans) != 1 || plans[0].Unrepairable || len(plans[0].Blocks) != 4 {
+		t.Fatalf("one loss per group plus both globals must plan four repairs: %+v", plans)
+	}
+	for i, bp := range plans[0].Blocks {
+		// RepairBlock checks the rebuilt bytes against the stored block.
+		local, err := fs.RepairBlock("a", lost[i], bp.Dest, bp.Sources)
+		if err != nil {
+			t.Fatalf("block %d: %v", bp.Index, err)
+		}
+		if local != (bp.Index < 10) || local != bp.Local {
+			t.Fatalf("block %d: local = %v, planned %v", bp.Index, local, bp.Local)
+		}
+	}
+	if left, err := fs.LostBlocks(nil); err != nil || len(left) != 0 {
+		t.Fatalf("stripe not healed: %+v, %v", left, err)
+	}
+}
+
 func TestRepairBlockReconstructsAndReassigns(t *testing.T) {
 	fs := testFS(t)
 	f, err := fs.Write("a", makeData(4*64))

@@ -294,3 +294,19 @@ func BenchmarkLRCLocalRepair(b *testing.B) {
 		}
 	}
 }
+
+func sameSet(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	seen := make(map[int]bool, len(a))
+	for _, v := range a {
+		seen[v] = true
+	}
+	for _, v := range b {
+		if !seen[v] {
+			return false
+		}
+	}
+	return true
+}

@@ -190,25 +190,6 @@ func (m *Matrix) Invert() (*Matrix, error) {
 	return inv, nil
 }
 
-// MulVec multiplies m by a set of "symbol vectors" laid out as shards:
-// in has m.Cols() shards, each of equal length; the result has m.Rows()
-// shards. out shards must be preallocated to the shard length.
-func (m *Matrix) MulVec(in, out [][]byte) error {
-	if len(in) != m.cols {
-		return fmt.Errorf("gf256: MulVec got %d input shards, want %d", len(in), m.cols)
-	}
-	if len(out) != m.rows {
-		return fmt.Errorf("gf256: MulVec got %d output shards, want %d", len(out), m.rows)
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := range out[i] {
-			out[i][j] = 0
-		}
-		MulAddSlices(m.Row(i), in, out[i])
-	}
-	return nil
-}
-
 // String renders the matrix in a compact hex form, for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder

@@ -170,27 +170,6 @@ func TestSubMatrixOutOfRange(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	// y = A x over shards of length 3.
-	a, _ := MatrixFromRows([][]byte{{1, 0}, {0, 1}, {1, 1}})
-	in := [][]byte{{1, 2, 3}, {4, 5, 6}}
-	out := [][]byte{make([]byte, 3), make([]byte, 3), make([]byte, 3)}
-	if err := a.MulVec(in, out); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if out[0][i] != in[0][i] || out[1][i] != in[1][i] || out[2][i] != in[0][i]^in[1][i] {
-			t.Fatalf("MulVec wrong at %d: %v", i, out)
-		}
-	}
-	if err := a.MulVec(in[:1], out); err == nil {
-		t.Fatal("shard count mismatch must error")
-	}
-	if err := a.MulVec(in, out[:2]); err == nil {
-		t.Fatal("output shard count mismatch must error")
-	}
-}
-
 func TestMatrixMulAssociativityProperty(t *testing.T) {
 	// (AB)C == A(BC) for random small square matrices.
 	cfg := &quick.Config{MaxCount: 30}

@@ -63,8 +63,9 @@ type StripePlan struct {
 	// Blocks are the per-block plans, in block-index order. Empty when
 	// the stripe is unrepairable.
 	Blocks []BlockPlan
-	// Unrepairable marks a stripe with more losses than the code
-	// tolerates (> n-k): it is reported distinctly, never repaired.
+	// Unrepairable marks a stripe whose survivors do not determine every
+	// lost block (for an MDS code: more than n-k losses): it is reported
+	// distinctly, never repaired.
 	Unrepairable bool
 }
 
