@@ -84,6 +84,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-nodes", "0"}, &out); err == nil {
 		t.Fatal("bad cluster must fail")
 	}
+	// Non-finite sizes used to panic in the engine mid-run.
+	for _, args := range [][]string{{"-block-mb", "+Inf"}, {"-shuffle", "+Inf"}, {"-block-mb", "NaN"}} {
+		if err := run(context.Background(), args, &out); err == nil {
+			t.Errorf("%v must fail", args)
+		}
+	}
 }
 
 func TestRunTraceFile(t *testing.T) {

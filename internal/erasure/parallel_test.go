@@ -41,7 +41,7 @@ func TestForEachChunkCoversRange(t *testing.T) {
 // The parallel result must be byte-identical to the serial kernel and to
 // a per-byte gf256.Mul loop.
 func TestChunkedDecodeMatchesSerial(t *testing.T) {
-	const size = 192*1024 + 5 // above chunkParallelMin, odd tail
+	const size = chunkParallelMin + 5 // a size ReconstructBlock chunks, odd tail
 	const k = 10
 	coeffs := make([]byte, k)
 	sources := make([][]byte, k)
@@ -77,7 +77,7 @@ func TestChunkedDecodeMatchesSerial(t *testing.T) {
 // must equal the original shard regardless.
 func TestReconstructBlockLargeShard(t *testing.T) {
 	code := MustNew(14, 10)
-	size := 2 * chunkParallelMin
+	size := chunkParallelMin // the smallest size that is chunked
 	native := make([][]byte, 10)
 	for i := range native {
 		native[i] = make([]byte, size)
@@ -108,7 +108,7 @@ func TestReconstructBlockLargeShard(t *testing.T) {
 
 func TestLRCLocalRepairLargeShard(t *testing.T) {
 	lrc := MustNewLRC(12, 2, 2)
-	size := 2 * chunkParallelMin
+	size := chunkParallelMin // the smallest size that is chunked
 	data := make([][]byte, 12)
 	for i := range data {
 		data[i] = make([]byte, size)

@@ -9,6 +9,7 @@ package mapred
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/jobsched"
@@ -185,8 +186,8 @@ func (c *Config) validate() error {
 	if c.K <= 0 || c.N <= c.K {
 		return fmt.Errorf("mapred: invalid code (%d,%d)", c.N, c.K)
 	}
-	if c.BlockSizeBytes <= 0 {
-		return errors.New("mapred: BlockSizeBytes must be positive")
+	if c.BlockSizeBytes <= 0 || !finite(c.BlockSizeBytes) {
+		return fmt.Errorf("mapred: BlockSizeBytes must be positive and finite, got %v", c.BlockSizeBytes)
 	}
 	if c.NumBlocks <= 0 {
 		return errors.New("mapred: NumBlocks must be positive")
@@ -209,8 +210,8 @@ func (c *Config) validate() error {
 	if c.NetMode == 0 {
 		c.NetMode = netsim.FluidFairSharing
 	}
-	if c.FailAt < 0 {
-		return errors.New("mapred: FailAt must be non-negative")
+	if c.FailAt < 0 || !finite(c.FailAt) {
+		return fmt.Errorf("mapred: FailAt must be non-negative and finite, got %v", c.FailAt)
 	}
 	if err := c.Features.Validate(c.netConfig(), c.Topology); err != nil {
 		return fmt.Errorf("mapred: %w", err)
@@ -218,8 +219,24 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// finite reports whether x is neither NaN nor infinite: NaN passes every
+// `x <= 0` test and +Inf every `x < 0` one, then panics the engine mid-run.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // validateJob checks a job spec and applies defaults in place.
 func (c *Config) validateJob(j *JobSpec) error {
+	for _, v := range []struct {
+		field string
+		x     float64
+	}{
+		{"MapTime.Mean", j.MapTime.Mean}, {"MapTime.Std", j.MapTime.Std},
+		{"ReduceTime.Mean", j.ReduceTime.Mean}, {"ReduceTime.Std", j.ReduceTime.Std},
+		{"ShuffleRatio", j.ShuffleRatio}, {"SubmitAt", j.SubmitAt},
+	} {
+		if !finite(v.x) {
+			return fmt.Errorf("mapred: job %q: %s must be finite, got %v", j.Name, v.field, v.x)
+		}
+	}
 	if j.NumBlocks == 0 {
 		j.NumBlocks = c.NumBlocks
 	}

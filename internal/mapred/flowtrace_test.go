@@ -3,6 +3,7 @@ package mapred_test
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"degradedfirst/internal/mapred"
@@ -82,6 +83,48 @@ func TestTraceFlowRateEvents(t *testing.T) {
 	for _, e := range quiet.Events() {
 		if e.Type == trace.EvFlowRate {
 			t.Fatal("flow-rate event emitted with tracing disabled")
+		}
+	}
+}
+
+// TestFlowRateTracingObservesWithoutSteering: with TraceFlowRates on, every
+// bandwidth solve runs progressive filling so the rates it reports are the
+// rates of each solve; with it off, a completion cascade's solves are
+// answered without filling (netsim's drain test). The two runs must be
+// the same run: equal results, and equal traces but for the flow-rate
+// events themselves.
+func TestFlowRateTracingObservesWithoutSteering(t *testing.T) {
+	run := func(rates bool) (*mapred.Result, []trace.Event) {
+		var mem trace.Memory
+		cfg, job := shuffleHeavyConfig()
+		cfg.Seed = 11
+		cfg.Trace = &mem
+		cfg.TraceFlowRates = rates
+		cfg.FailNodes = []topology.NodeID{5}
+		cfg.FailAt = 8 // cancels in-flight shuffle transfers as well
+		res, err := mapred.Run(cfg, []mapred.JobSpec{job})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept []trace.Event
+		for _, e := range mem.Events() {
+			if e.Type != trace.EvFlowRate {
+				kept = append(kept, e)
+			}
+		}
+		return res, kept
+	}
+	quiet, quietTrace := run(false)
+	traced, tracedTrace := run(true)
+	if !reflect.DeepEqual(quiet, traced) {
+		t.Errorf("results differ: makespan %v without flow-rate tracing, %v with", quiet.Makespan, traced.Makespan)
+	}
+	if len(quietTrace) != len(tracedTrace) {
+		t.Fatalf("%d events without flow-rate tracing, %d with", len(quietTrace), len(tracedTrace))
+	}
+	for i := range quietTrace {
+		if quietTrace[i] != tracedTrace[i] {
+			t.Fatalf("event %d differs:\nwithout: %+v\nwith:    %+v", i, quietTrace[i], tracedTrace[i])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"degradedfirst/internal/netsim"
@@ -75,6 +76,35 @@ func TestValidationErrors(t *testing.T) {
 		mutate(&j)
 		if _, err := Run(smallConfig(), []JobSpec{j}); err == nil {
 			t.Errorf("bad job %d accepted", i)
+		}
+	}
+}
+
+// TestNonFiniteSizesAreErrors: NaN passes every `<= 0` test and +Inf every
+// `< 0` one; both used to reach the engine and panic mid-run. Each must be
+// an error that names the field.
+func TestNonFiniteSizesAreErrors(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field  string
+		mutate func(*Config, *JobSpec, float64)
+	}{
+		{"BlockSizeBytes", func(c *Config, _ *JobSpec, x float64) { c.BlockSizeBytes = x }},
+		{"FailAt", func(c *Config, _ *JobSpec, x float64) { c.FailAt = x }},
+		{"ShuffleRatio", func(_ *Config, j *JobSpec, x float64) { j.ShuffleRatio = x }},
+		{"SubmitAt", func(_ *Config, j *JobSpec, x float64) { j.SubmitAt = x }},
+		{"MapTime.Mean", func(_ *Config, j *JobSpec, x float64) { j.MapTime.Mean = x }},
+		{"MapTime.Std", func(_ *Config, j *JobSpec, x float64) { j.MapTime.Std = x }},
+		{"ReduceTime.Mean", func(_ *Config, j *JobSpec, x float64) { j.ReduceTime.Mean = x }},
+		{"ReduceTime.Std", func(_ *Config, j *JobSpec, x float64) { j.ReduceTime.Std = x }},
+	} {
+		for _, x := range []float64{nan, inf} {
+			cfg, job := smallConfig(), smallJob()
+			tc.mutate(&cfg, &job, x)
+			_, err := Run(cfg, []JobSpec{job})
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s = %v: error %v, want one naming the field", tc.field, x, err)
+			}
 		}
 	}
 }

@@ -128,6 +128,9 @@ type world struct {
 	// flip alternates the solver from op to op: the two must stay
 	// interchangeable mid-run.
 	flip bool
+	// fill installs a RateChange hook that does nothing, so every solve
+	// runs progressive filling and none is answered by the drain test.
+	fill bool
 }
 
 var (
@@ -144,13 +147,19 @@ type outcome struct {
 	snaps      []string
 	order      []string // dispatch order, un-normalised
 	bytesMoved float64
+	stats      Stats
 }
 
 // nextCompletion returns the instant the earliest active flow is due to
 // complete, computed like the solvers compute it from state both keep
 // identical: the last solve ran at f.updateTime for every flow it saw.
-// Flows no solve has seen yet are due now.
+// Flows no solve has seen yet are due now, and so is the completion a
+// drained solve has pending: the rates on n.flows are then the last
+// filling's, not this instant's.
 func nextCompletion(n *Net, now sim.Time) (sim.Time, bool) {
+	if n.drainedAt == now {
+		return now, true
+	}
 	best, ok := 0.0, false
 	for _, f := range n.flows {
 		dt, due := f.timeToFinish()
@@ -172,6 +181,9 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		panic(err)
 	}
 	n.solver = w.solver
+	if w.fill {
+		n.SetHooks(Hooks{RateChange: func(*Flow) {}})
+	}
 	var out outcome
 	var created []*Flow
 	type fin struct {
@@ -251,6 +263,7 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		out.finishes = append(out.finishes, fmt.Sprintf("%d@%x", x.id, math.Float64bits(x.at)))
 	}
 	out.bytesMoved = n.BytesMoved
+	out.stats = n.Stats()
 	return out
 }
 
@@ -271,14 +284,21 @@ func diffStrings(t *testing.T, what string, got, want []string, cfg Config) {
 // scenario and reports the first divergence; then, holding admission the
 // same so that nothing needs normalising, it holds the incremental solver
 // — and a run that switches solver at every op — to the reference's
-// exact dispatch order.
+// exact dispatch order, and a run in which every solve fills (a RateChange
+// hook is installed) to the run that drains, quiescent rates included.
 func checkEquivalence(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
 		return
 	}
 	cluster, cfg := equivWorld(data[0])
-	ops := decodeOps(data[1:])
+	checkScenario(t, decodeOps(data[1:]), cluster, cfg)
+}
+
+// checkScenario is checkEquivalence on ops already decoded; it returns the
+// incremental solver's run under sequential admission.
+func checkScenario(t *testing.T, ops []scenarioOp, cluster *topology.Cluster, cfg Config) outcome {
+	t.Helper()
 	got := runScenario(ops, cluster, cfg, optimizedWorld)
 	want := runScenario(ops, cluster, cfg, referenceWorld)
 	if got.bytesMoved != want.bytesMoved {
@@ -291,6 +311,14 @@ func checkEquivalence(t *testing.T, data []byte) {
 	diffStrings(t, "dispatch order, incremental vs reference,", inc.order, want.order, cfg)
 	flip := runScenario(ops, cluster, cfg, world{solver: incrementalSolver, flip: true})
 	diffStrings(t, "dispatch order, solver switched per op vs reference,", flip.order, want.order, cfg)
+	fill := runScenario(ops, cluster, cfg, world{solver: incrementalSolver, fill: true})
+	diffStrings(t, "dispatch order, every solve filling vs draining,", fill.order, inc.order, cfg)
+	diffStrings(t, "finish, every solve filling vs draining,", fill.finishes, inc.finishes, cfg)
+	diffStrings(t, "snapshot, every solve filling vs draining,", fill.snaps, inc.snaps, cfg)
+	if fill.stats.Deferred != 0 || fill.stats.Solves != inc.stats.Solves || fill.stats.FlowsVisited != inc.stats.FlowsVisited {
+		t.Fatalf("solve counts: filling %+v, draining %+v (cfg %+v)", fill.stats, inc.stats, cfg)
+	}
+	return inc
 }
 
 // TestIncrementalMatchesReference drives many deterministic pseudo-random
@@ -482,6 +510,7 @@ func TestOneEventPerSolve(t *testing.T) {
 	// The counters tell the two designs apart: the reference schedules an
 	// event for every flow a solve visits, and dispatches the same ones.
 	rs, rn := run(referenceSolver)
+	ns.Deferred = 0 // the reference defers nothing
 	if rn != ns || rs.Dispatched != es.Dispatched {
 		t.Errorf("reference run differs: net %+v vs %+v, dispatched %d vs %d", rn, ns, rs.Dispatched, es.Dispatched)
 	}

@@ -110,6 +110,7 @@ type Flow struct {
 	net      *Net
 	queued   bool // ExclusiveHold: waiting for links
 	finished bool
+	limited  bool // fluid: crosses a finite link, so a solve gives it a finite rate
 
 	// Incremental-solver index state.
 	linkPos    []int   // index of this flow in path[i].active, -1 for unlimited links
@@ -117,8 +118,10 @@ type Flow struct {
 	prevRate   float64 // last rate reported via Hooks.RateChange
 }
 
-// Rate returns the flow's current allocated rate in bytes/sec (0 while
-// queued in hold mode).
+// Rate returns the flow's allocated rate in bytes/sec (0 while queued in
+// hold mode). Inside an instant at which flows are still completing it may
+// be the allocation of the last solve that ran progressive filling (see
+// solver.go); it is current whenever virtual time is about to advance.
 func (f *Flow) Rate() float64 { return f.rate }
 
 // Remaining returns the bytes not yet transferred as of the last network
@@ -208,6 +211,10 @@ type Net struct {
 	nextEv   *sim.Event
 	nextFlow *Flow
 	fireNext func()
+	// drainedAt is the instant of the last solve if it was answered by the
+	// drain test, leaving the rates of the solve before it in place; -1
+	// once progressive filling has run again. The clock cannot pass it.
+	drainedAt sim.Time
 
 	stats Stats
 
@@ -244,6 +251,9 @@ const (
 type Stats struct {
 	Solves       uint64 // bandwidth recomputations
 	FlowsVisited uint64 // active flows summed over those solves
+	// Deferred counts the solves answered by the drain test (solver.go):
+	// Solves - Deferred ran progressive filling.
+	Deferred uint64
 }
 
 // Stats returns the solver's work counters so far.
@@ -282,8 +292,8 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 	if cfg.Mode != FluidFairSharing && cfg.Mode != ExclusiveHold {
 		return nil, fmt.Errorf("netsim: unknown mode %v", cfg.Mode)
 	}
-	if cfg.NodeBps < 0 || cfg.RackBps < 0 || cfg.CoreBps < 0 {
-		return nil, fmt.Errorf("netsim: negative capacity")
+	if !(cfg.NodeBps >= 0 && cfg.RackBps >= 0 && cfg.CoreBps >= 0) {
+		return nil, fmt.Errorf("netsim: negative or NaN capacity")
 	}
 	spec := c.Spec()
 	// Per-layer capacities: the legacy Config fields override the spec's
@@ -318,6 +328,7 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 		pathCache: make(map[int64][]*link),
 		pathLens:  make([]int, tiers+1),
 		links:     make([]*link, 0, 2*nodes+2*totalGroups+1),
+		drainedAt: -1,
 	}
 	n.fireNext = func() {
 		f := n.nextFlow
@@ -453,7 +464,7 @@ func (n *Net) StartFlows(reqs []FlowReq) []*Flow {
 // reports whether the flow contends for bandwidth, i.e. whether the caller
 // must recompute (fluid) or dispatch the queue (hold).
 func (n *Net) addFlow(src, dst topology.NodeID, bytes float64, done func(*Flow)) (*Flow, bool) {
-	if bytes < 0 || math.IsNaN(bytes) {
+	if bytes < 0 || math.IsNaN(bytes) || math.IsInf(bytes, 1) {
 		panic(fmt.Sprintf("netsim: invalid flow size %v", bytes))
 	}
 	f := &Flow{
@@ -631,6 +642,11 @@ func (n *Net) removeFlow(f *Flow) {
 func (n *Net) recompute() {
 	n.stats.Solves++
 	n.stats.FlowsVisited += uint64(len(n.flows))
+	//lint:ignore floateq drainedAt is a copy of the engine's clock: any other value means time moved
+	if n.drainedAt >= 0 && n.drainedAt != n.eng.Now() {
+		panic(fmt.Sprintf("netsim: clock moved from %v to %v over a drained solve", n.drainedAt, n.eng.Now()))
+	}
+	n.drainedAt = -1
 	if n.solver == referenceSolver {
 		n.refRecompute()
 		return

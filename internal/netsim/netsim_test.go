@@ -36,8 +36,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(eng, c, Config{Mode: Mode(9)}); err == nil {
 		t.Fatal("bad mode must fail")
 	}
-	if _, err := New(eng, c, Config{RackBps: -1}); err == nil {
-		t.Fatal("negative capacity must fail")
+	for _, bps := range []float64{-1, math.NaN()} {
+		if _, err := New(eng, c, Config{RackBps: bps}); err == nil {
+			t.Fatalf("capacity %v must fail", bps)
+		}
 	}
 	n := mustNet(t, eng, c, Config{})
 	if n.Mode() != FluidFairSharing {
@@ -160,12 +162,16 @@ func TestZeroByteFlow(t *testing.T) {
 func TestNegativeBytesPanics(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative bytes did not panic")
-		}
-	}()
-	n.StartFlow(0, 1, -5, nil)
+	for _, bytes := range []float64{-5, math.NaN(), math.Inf(1)} { // NaN and +Inf pass a `< 0` test
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a flow of %v bytes did not panic", bytes)
+				}
+			}()
+			n.StartFlow(0, 1, bytes, nil)
+		}()
+	}
 }
 
 func TestMaxMinUnevenSharing(t *testing.T) {

@@ -1,6 +1,11 @@
-// Incremental fluid solver. Progressive filling is restructured so the
-// per-iteration work is driven by per-link active-flow indexes instead of
-// sweeps over every flow and every link:
+// Incremental fluid solver. A solve (incRecompute) is three steps: advance
+// every flow's progress to now at the rates in force, ask the drain test
+// whether the next completion is already decided, and only if it is not,
+// run progressive filling and schedule the earliest completion.
+//
+// Progressive filling is restructured so the per-iteration work is driven
+// by per-link active-flow indexes instead of sweeps over every flow and
+// every link:
 //
 //   - Each finite link keeps the list of contending flows crossing it, so
 //     the freeze step visits only the saturated link's flows.
@@ -29,6 +34,31 @@
 // would. The order in which the engine dispatches every event, net or not,
 // is the reference run's.
 //
+// The drain test. A solve's rates do two things only: pick that event, and
+// advance progress once the clock has moved. A map's 30-60 equal shuffle
+// flows finish at one instant, each completion solving again at the same
+// `now`, so most solves (sim-scale 96 %, sim-paper 93 %, sim-storm 48 %)
+// compute rates that govern zero seconds and are overwritten by the next.
+// drain finds the event without them. A flow crossing a finite link is
+// solved a rate between lo, the smallest capacity/len(active) of an active
+// link (the filling's first increment; later ones are positive, and adding
+// a positive float64 never lowers a sum), and hi, twice the largest active
+// capacity (a water level passes a capacity by rounding only). Division
+// and addition are monotone, so `now + remaining/lo == now` proves the flow
+// due now at its real rate and `now + remaining/hi > now` proves it due
+// later; a flow with no path, nothing left or no finite link is due now.
+// If the first flow in n.flows not proved later is proved due now, it is
+// scheduleNext's pick (strict <), and drain makes scheduleNext's engine
+// calls for it — cancelNext, each flow's own ev cancelled, one ScheduleAt —
+// and skips the filling; any other verdict falls through to it. The flows
+// then carry the last filling's rates, which nothing reads: the pending
+// event is at `now`, every start, cancel and completion of the instant
+// solves again, and the advance pass skips flows already at `now`, so the
+// clock cannot move before a solve has filled (recompute checks, via
+// Net.drainedAt). Hooks.RateChange does read rates, so with it installed
+// drain is not consulted and every solve fills: every trace is the same
+// with or without the shortcut.
+//
 // Two kinds of flow still own an event, because the reference gives them a
 // sequence number outside any block: ExclusiveHold flows, which are never
 // re-solved, and fluid flows admitted without a solve (node-local or
@@ -37,7 +67,9 @@
 //
 // Equivalence with refRecompute, dispatch order included, is pinned by
 // TestDispatchOrderMatchesReference, TestIncrementalMatchesReference and
-// FuzzNetsimEquivalence.
+// FuzzNetsimEquivalence, which also hold a run whose every solve fills to
+// the run that drains; TestBorderlineRemainingFallsThrough pins the
+// verdicts drain must not give.
 
 package netsim
 
@@ -61,6 +93,7 @@ func (n *Net) indexFlow(f *Flow) {
 			f.linkPos[i] = -1
 			continue
 		}
+		f.limited = true
 		if len(l.active) == 0 && !l.inActive {
 			l.inActive = true
 			n.activeLinks = append(n.activeLinks, l)
@@ -119,7 +152,7 @@ func (n *Net) pruneActiveLinks() []*link {
 }
 
 // incRecompute is the incremental fluid solver; see the header comment
-// above for the restructuring and the bitwise-equivalence argument.
+// above for the three steps and the bitwise-equivalence arguments.
 func (n *Net) incRecompute() {
 	now := n.eng.Now()
 	// Advance progress at the old rates. This full pass is kept: advancing
@@ -131,8 +164,9 @@ func (n *Net) incRecompute() {
 		if f.updateTime == now {
 			// Same-instant recompute: the advance would subtract rate*0,
 			// which leaves `remaining` bitwise unchanged, so skip the
-			// arithmetic. Same-instant cascades (batch admissions,
-			// zero-byte completions) make this the common case.
+			// arithmetic. 96 % of sim-scale's solves, 93 % of sim-paper's
+			// and 48 % of sim-storm's run at the `now` of the solve before
+			// them (a shuffle's equal flows completing one by one).
 			continue
 		}
 		if f.rate > 0 && !math.IsInf(f.rate, 1) {
@@ -142,6 +176,10 @@ func (n *Net) incRecompute() {
 			}
 		}
 		f.updateTime = now
+	}
+	links := n.pruneActiveLinks()
+	if n.hooks.RateChange == nil && n.drain(now, links) {
+		return
 	}
 	// Progressive filling over the link indexes. The filling loop works on
 	// a compacting copy of the active set: a link whose flows have all
@@ -154,7 +192,6 @@ func (n *Net) incRecompute() {
 	// commutative.
 	n.epoch++
 	epoch := n.epoch
-	links := n.pruneActiveLinks()
 	work := n.workLinks[:0]
 	for _, l := range links {
 		l.residual = l.capacity
@@ -222,6 +259,48 @@ func (n *Net) incRecompute() {
 	}
 	n.scheduleNext(now)
 	n.emitRateChanges()
+}
+
+// drain is the drain test of the header comment: it reports whether the
+// next completion is decided whatever the filling would compute, and if so
+// has scheduled it as scheduleNext would, leaving the flows' rates stale.
+func (n *Net) drain(now sim.Time, links []*link) bool {
+	lo, hi := math.Inf(1), 0.0
+	for _, l := range links {
+		if share := l.capacity / float64(len(l.active)); share < lo {
+			lo = share
+		}
+		if l.capacity > hi {
+			hi = l.capacity
+		}
+	}
+	hi *= 2
+	var next *Flow
+	for _, f := range n.flows {
+		//lint:ignore floateq the engine orders events by exact time: only a bitwise-equal sum is the same instant
+		if !f.limited || f.remaining <= 0 || now+f.remaining/lo == now {
+			next = f
+			break
+		}
+		if !(now+f.remaining/hi > now) {
+			return false
+		}
+	}
+	if next == nil {
+		return false
+	}
+	n.cancelNext()
+	for _, f := range n.flows {
+		if f.ev != nil {
+			n.eng.Cancel(f.ev)
+			f.ev = nil
+		}
+	}
+	n.nextFlow = next
+	n.nextEv = n.eng.ScheduleAt(now, n.fireNext)
+	n.drainedAt = now
+	n.stats.Deferred++
+	return true
 }
 
 // scheduleNext replaces the network's completion event with one for the
