@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
 
 	"degradedfirst/internal/jobsched"
@@ -56,6 +57,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		hold     = fs.Bool("hold", false, "use exclusive-hold network contention instead of fluid sharing")
 		timeline = fs.Bool("timeline", false, "render the map-slot activity timeline (Figure 3 style)")
 		traceOut = fs.String("trace", "", "write structured trace events (JSON lines) to this file")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run (runtime/pprof) to this file")
 	)
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
@@ -112,7 +114,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cfg.TraceLabel = "dfsim"
 	}
 
+	var prof *os.File
+	if *cpuProf != "" {
+		if prof, err = os.Create(*cpuProf); err != nil {
+			return err
+		}
+		defer prof.Close() // error paths; the profile's own Close is checked below
+		if err := pprof.StartCPUProfile(prof); err != nil {
+			return err
+		}
+	}
 	res, err := mapred.RunContext(ctx, cfg, []mapred.JobSpec{job})
+	if prof != nil {
+		pprof.StopCPUProfile()
+		if cerr := prof.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("writing CPU profile: %w", cerr)
+		}
+	}
 	if err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"compress/gzip"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -89,6 +91,44 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if err := run(context.Background(), args, &out); err == nil {
 			t.Errorf("%v must fail", args)
 		}
+	}
+}
+
+// TestReducersWithoutReduceSlots: a cluster with no reduce slots rejects a
+// job with reducers before simulating anything, and runs a map-only job.
+func TestReducersWithoutReduceSlots(t *testing.T) {
+	var out strings.Builder
+	err := run(context.Background(), smallArgs("-reduce-slots", "0"), &out)
+	if err == nil || !strings.Contains(err.Error(), `job "job"`) || !strings.Contains(err.Error(), "no reduce slots") {
+		t.Fatalf("-reduce-slots 0 with reducers: %v, want an error naming the job and the missing reduce slots", err)
+	}
+	if err := run(context.Background(), smallArgs("-reduce-slots", "0", "-reducers", "0"), &out); err != nil {
+		t.Fatalf("map-only job on a cluster without reduce slots: %v", err)
+	}
+}
+
+// TestRunCPUProfile profiles a paper-sized (40-node) run into a gzipped
+// pprof file.
+func TestRunCPUProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.prof")
+	var out strings.Builder
+	if err := run(context.Background(), []string{"-sched", "EDF", "-cpuprofile", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not gzip: %v", err)
+	}
+	if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+		t.Fatalf("profile: %d bytes, %v", n, err)
+	}
+	if err := run(context.Background(), smallArgs("-cpuprofile", filepath.Join(path, "x")), &out); err == nil {
+		t.Error("an unwritable profile path must fail")
 	}
 }
 

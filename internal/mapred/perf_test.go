@@ -5,15 +5,28 @@ import (
 	"testing"
 	"time"
 
+	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
+	"degradedfirst/internal/sim"
 )
 
 // TestPaperScalePerf runs the paper's default scale (40 nodes, 1440
-// blocks, 30 reducers) and holds the simulator core to its event budget.
+// blocks, 30 reducers), holds the simulator core to its event budget, and
+// pins the core's decisions as counts: a change to the engine or the solver
+// that claims to be bit-identical must leave every one of them as it is.
 // Skipped in -short mode.
 func TestPaperScalePerf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run skipped in short mode")
+	}
+	want := map[SchedulerKind]struct {
+		engine sim.Stats
+		net    netsim.Stats
+	}{
+		LF: {sim.Stats{Scheduled: 52248, Cancelled: 1574, Dispatched: 50674, MaxQueue: 201},
+			netsim.Stats{Solves: 45390, FlowsVisited: 2720973, Deferred: 41293}},
+		EDF: {sim.Stats{Scheduled: 51190, Cancelled: 2417, Dispatched: 48773, MaxQueue: 313},
+			netsim.Stats{Solves: 45314, FlowsVisited: 1610381, Deferred: 42007}},
 	}
 	for _, k := range []SchedulerKind{LF, EDF} {
 		cfg := DefaultConfig()
@@ -44,6 +57,9 @@ func TestPaperScalePerf(t *testing.T) {
 		if unfired := es.Scheduled - es.Dispatched; unfired > ns.Solves {
 			t.Errorf("%s: %d events scheduled but never dispatched, more than one per solve (%d solves over %d flow visits)",
 				k, unfired, ns.Solves, ns.FlowsVisited)
+		}
+		if es != want[k].engine || ns != want[k].net {
+			t.Errorf("%s: engine %+v, net %+v; want %+v, %+v", k, es, ns, want[k].engine, want[k].net)
 		}
 	}
 }

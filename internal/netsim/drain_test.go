@@ -61,6 +61,66 @@ func TestFinishCascadeCostsOneFilling(t *testing.T) {
 	}
 }
 
+// TestFinishCascadeBehindLongFlows is the cascade above behind 1 000
+// long-lived flows admitted ahead of it: they sit in front of every drain
+// walk of the instant, which proves them due later once and resumes past
+// them, and the cascade still costs 59 deferred solves and one filling.
+func TestFinishCascadeBehindLongFlows(t *testing.T) {
+	const long, flows = 1000, 60
+	eng := sim.New()
+	// The long flows run between nodes 1-3, whose NICs give each of them
+	// more than the core gives a cascade flow, so the core sets every
+	// bound of the cascade as it does without them.
+	n := mustNet(t, eng, equivCluster(), Config{CoreBps: 100 * Mbps, NodeBps: Gbps})
+	reqs := make([]FlowReq, 0, long+flows)
+	for i := 0; i < long; i++ {
+		reqs = append(reqs, FlowReq{Src: topology.NodeID(1 + i%3), Dst: topology.NodeID(1 + (i+1)%3), Bytes: 1e9})
+	}
+	var finishes []sim.Time
+	for i := 0; i < flows; i++ {
+		reqs = append(reqs, FlowReq{Src: 0, Dst: topology.NodeID(4 + i%8), Bytes: 2.5e6, Done: func(*Flow) { finishes = append(finishes, eng.Now()) }})
+	}
+	n.StartFlows(reqs)
+	eng.RunUntil(100) // the cascade lands at 12 s, the long flows run for an hour
+	visited := uint64(long+flows) + flows*(long+flows) - flows*(flows+1)/2
+	if got, want := n.Stats(), (Stats{Solves: 1 + flows, FlowsVisited: visited, Deferred: flows - 1}); got != want {
+		t.Errorf("after the cascade: %+v, want %+v", got, want)
+	}
+	if len(finishes) != flows || finishes[0] != finishes[flows-1] {
+		t.Errorf("flows finished at %v, want %d at one instant", finishes, flows)
+	}
+	if n.ActiveFlows() != long {
+		t.Errorf("%d flows still active, want the %d long ones", n.ActiveFlows(), long)
+	}
+}
+
+// TestDrainCursorResetsWhenHiGrows: a flow proved due later under one hi
+// may not be provable under a larger one, and the parent's drain test,
+// which walked from the first flow every time, then fell through to the
+// filling. The cursor must restart so the verdicts, and Stats, stay those.
+func TestDrainCursorResetsWhenHiGrows(t *testing.T) {
+	const now = 4.0
+	eng := sim.New()
+	// NICs are 12.5 MB/s and racks 50 MB/s, so hi is 25 MB/s while only
+	// intra-rack flows are active and 100 MB/s once a cross-rack one is.
+	n := mustNet(t, eng, equivCluster(), Config{NodeBps: 100 * Mbps, RackBps: 400 * Mbps})
+	tiny := 2e-8 // due later under hi 25 MB/s, undecided under 100 MB/s
+	if at := sim.Time(now); at+tiny/(2*12.5e6) <= at || at+tiny/(2*50e6) > at {
+		t.Fatalf("tiny is not borderline between the two values of hi")
+	}
+	var got Stats
+	eng.ScheduleAt(now, func() {
+		n.StartFlow(0, 1, tiny, nil)   // proved later; the cursor passes it
+		n.StartFlow(0, 2, 0, nil)      // due now, no solve of its own
+		n.StartFlow(2, 5, 12.5e6, nil) // cross-rack: hi grows, the tiny flow is undecided
+		got = n.Stats()
+	})
+	eng.Run()
+	if want := (Stats{Solves: 2, FlowsVisited: 1 + 3}); got != want {
+		t.Errorf("after the admissions: %+v, want %+v (a drained second solve skipped the undecided flow)", got, want)
+	}
+}
+
 // TestBorderlineRemainingFallsThrough puts a flow the drain test can
 // place neither at this instant nor after it ahead of a zero-byte flow.
 // Only progressive filling can tell which of the two the engine must
@@ -102,8 +162,10 @@ func TestBorderlineRemainingFallsThrough(t *testing.T) {
 // each sending 60 equal flows from its node at one instant, a few maps'
 // worth in flight at a time, so nearly every solve is one of a cascade of
 // same-instant completions. It runs on a sim-scale-like two-level tree
-// with finite rack links and on sim-storm's fat tree, and reports the
-// share of solves the drain test answered.
+// with finite rack links, on that tree behind 1 000 long-lived flows
+// admitted first (which every drain walk of an instant meets first), and on
+// sim-storm's fat tree, and reports the share of solves the drain test
+// answered.
 func BenchmarkFinishCascade(b *testing.B) {
 	const batches, fanout = 200, 60
 	storm, err := topology.FatTree(topology.FatTreeConfig{
@@ -117,13 +179,16 @@ func BenchmarkFinishCascade(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	twoLevel := topology.MustNew(topology.Config{Nodes: 200, Racks: 20, MapSlotsPerNode: 2})
 	for _, tc := range []struct {
 		name    string
 		cluster *topology.Cluster
 		cfg     Config
+		long    int // cross-rack flows of 1 GB admitted before the batches
 	}{
-		{"two-level", topology.MustNew(topology.Config{Nodes: 200, Racks: 20, MapSlotsPerNode: 2}), Config{RackBps: Gbps}},
-		{"fat-tree", fatTree, Config{}},
+		{"two-level", twoLevel, Config{RackBps: Gbps}, 0},
+		{"two-level-behind-1000", twoLevel, Config{RackBps: Gbps}, 1000},
+		{"fat-tree", fatTree, Config{}, 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			nodes := tc.cluster.NumNodes()
@@ -135,6 +200,11 @@ func BenchmarkFinishCascade(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				long := make([]FlowReq, tc.long)
+				for i := range long {
+					long[i] = FlowReq{Src: topology.NodeID(i % nodes), Dst: topology.NodeID((i + nodes/2) % nodes), Bytes: 1e9}
+				}
+				eng.ScheduleAt(0, func() { n.StartFlows(long) })
 				for m := 0; m < batches; m++ {
 					reqs := make([]FlowReq, fanout)
 					for r := range reqs {

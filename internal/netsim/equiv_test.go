@@ -6,7 +6,8 @@ package netsim
 // bitwise-identical completion schedules, rate allocations, and byte
 // accounting for arbitrary interleavings of flow arrivals, batch
 // arrivals, cancellations, and engine events of the caller's own landing
-// on the very instant a flow completes. With admission held the same, the
+// on the very instant a flow completes, and cancellations and admissions made
+// from inside a completion callback. With admission held the same, the
 // order in which the engine dispatches everything — completions and the
 // caller's events alike — must match too, un-normalised: that is the
 // contract the incremental solver's single completion event rests on.
@@ -14,6 +15,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -38,6 +40,14 @@ type scenarioOp struct {
 	// no solve — at that point of the instant.
 	marker      bool
 	markerLocal bool
+	// hedge makes the batch a hedged read: the first of its flows to
+	// complete cancels the others from inside its completion callback —
+	// flows admitted before it, which may sit in front of the drain cursor.
+	hedge bool
+	// fanout is admitted from inside the completion callback of the
+	// batch's one flow, at the instant it completes: a shuffle's fan-out
+	// landing behind the drain cursor, in the middle of a finish cascade.
+	fanout []flowSpec
 }
 
 // equivCluster is the legacy scenario cluster: 12 nodes over 3 racks.
@@ -86,15 +96,16 @@ func equivWorld(sel byte) (*topology.Cluster, Config) {
 
 // decodeOps turns fuzz bytes into a scenario: each 4-byte group is one
 // op. Zero-byte flows, node-local flows, same-instant ops, cancels of
-// arbitrary (possibly finished) flows, and markers tied with a completion
-// are all reachable on purpose.
+// arbitrary (possibly finished) flows, markers tied with a completion, and
+// cancels and batches issued by completion callbacks are all reachable on
+// purpose.
 func decodeOps(data []byte) []scenarioOp {
 	var ops []scenarioOp
 	at := 0.0
 	for i := 0; i+4 <= len(data) && len(ops) < 64; i += 4 {
 		kind, a, b, dt := data[i], data[i+1], data[i+2], data[i+3]
 		at += float64(dt%8) * 0.35 // %8==0 keeps the next op at the same instant
-		switch kind % 5 {
+		switch kind % 7 {
 		case 0, 1: // single-flow start
 			ops = append(ops, scenarioOp{at: at, batch: []flowSpec{specFrom(a, b)}})
 		case 2: // batch start (fan-in/fan-out burst)
@@ -108,6 +119,20 @@ func decodeOps(data []byte) []scenarioOp {
 			ops = append(ops, scenarioOp{at: at, victim: int(a)})
 		case 4: // marker at the next completion instant
 			ops = append(ops, scenarioOp{at: at, marker: true, markerLocal: a%2 == 1})
+		case 5: // hedged read: the first completion cancels the rest
+			batch := make([]flowSpec, int(a%3)+2)
+			for j := range batch {
+				batch[j] = specFrom(a+byte(j*41), b+byte(j*17))
+			}
+			ops = append(ops, scenarioOp{at: at, batch: batch, hedge: true})
+		case 6: // fan-out from the node a completing flow delivered to
+			trigger := specFrom(a, b)
+			fan := make([]flowSpec, int(b%5)+2)
+			for j := range fan {
+				fan[j] = specFrom(a+byte(j*29), b+byte(j*13))
+				fan[j].src = trigger.dst
+			}
+			ops = append(ops, scenarioOp{at: at, batch: []flowSpec{trigger}, fanout: fan})
 		}
 	}
 	return ops
@@ -148,6 +173,49 @@ type outcome struct {
 	order      []string // dispatch order, un-normalised
 	bytesMoved float64
 	stats      Stats
+	broken     string // the first bookkeeping violation (checkBookkeeping)
+	// What the callback ops reached: hedge losers cancelled from in front
+	// of the drain cursor, and fan-outs admitted behind a cursor past 0.
+	aheadCancels, behindAdmits int
+}
+
+// beforeCursor reports whether f sits in front of n's drain cursor at this
+// instant.
+func beforeCursor(n *Net, f *Flow) bool {
+	i := slices.Index(n.flows, f)
+	return n.instant == n.eng.Now() && i >= 0 && i < n.drainFrom
+}
+
+// checkBookkeeping holds the solver's shortcuts to what they stand for:
+// owned counts the flows that hold an event of their own, and while the
+// clock is at instant every flow is advanced to it and every flow before
+// the drain cursor is proved due later under drainHi.
+func checkBookkeeping(n *Net) error {
+	owned := 0
+	for _, f := range n.flows {
+		if f.ev != nil {
+			owned++
+		}
+	}
+	if owned != n.owned {
+		return fmt.Errorf("%d flows own an event, owned = %d", owned, n.owned)
+	}
+	now := n.eng.Now()
+	if n.instant != now {
+		return nil
+	}
+	if n.drainFrom > len(n.flows) {
+		return fmt.Errorf("drain cursor %d past %d flows", n.drainFrom, len(n.flows))
+	}
+	for i, f := range n.flows {
+		if f.updateTime != now {
+			return fmt.Errorf("flow %d last advanced at %v, not at the instant %v", f.ID, f.updateTime, now)
+		}
+		if i < n.drainFrom && !(f.limited && f.remaining > 0 && now+f.remaining/n.drainHi > now) {
+			return fmt.Errorf("flow %d before the drain cursor %d is not due later (remaining %v, hi %v)", f.ID, n.drainFrom, f.remaining, n.drainHi)
+		}
+	}
+	return nil
 }
 
 // nextCompletion returns the instant the earliest active flow is due to
@@ -157,7 +225,7 @@ type outcome struct {
 // drained solve has pending: the rates on n.flows are then the last
 // filling's, not this instant's.
 func nextCompletion(n *Net, now sim.Time) (sim.Time, bool) {
-	if n.drainedAt == now {
+	if n.drained {
 		return now, true
 	}
 	best, ok := 0.0, false
@@ -191,9 +259,39 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		at sim.Time
 	}
 	var fins []fin
+	check := func(where string) {
+		if err := checkBookkeeping(n); err != nil && out.broken == "" {
+			out.broken = fmt.Sprintf("%s at %v: %v", where, eng.Now(), err)
+		}
+	}
 	done := func(f *Flow) {
 		fins = append(fins, fin{f.ID, eng.Now()})
 		out.order = append(out.order, fmt.Sprintf("f%d@%x", f.ID, math.Float64bits(eng.Now())))
+		check(fmt.Sprintf("completion of flow %d", f.ID))
+	}
+	// start admits specs as the world admits, each flow calling done and
+	// then then (if set) on completion.
+	start := func(specs []flowSpec, then func()) []*Flow {
+		cb := done
+		if then != nil {
+			cb = func(f *Flow) {
+				done(f)
+				then()
+				check(fmt.Sprintf("callback of flow %d", f.ID))
+			}
+		}
+		if w.batched {
+			reqs := make([]FlowReq, len(specs))
+			for i, s := range specs {
+				reqs[i] = FlowReq{Src: s.src, Dst: s.dst, Bytes: s.bytes, Done: cb}
+			}
+			return n.StartFlows(reqs)
+		}
+		flows := make([]*Flow, len(specs))
+		for i, s := range specs {
+			flows[i] = n.StartFlow(s.src, s.dst, s.bytes, cb)
+		}
+		return flows
 	}
 	for i, op := range ops {
 		i, op := i, op
@@ -213,21 +311,33 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 						created = append(created, n.StartFlow(2, 2, 1e6, done))
 					}
 				})
+			case op.hedge:
+				var group []*Flow
+				group = start(op.batch, func() {
+					for _, g := range group {
+						if beforeCursor(n, g) {
+							out.aheadCancels++
+						}
+						n.Cancel(g) // the winner and finished flows: no-op
+					}
+					group = nil
+				})
+				created = append(created, group...)
+			case op.fanout != nil:
+				created = append(created, start(op.batch, func() {
+					if n.instant == eng.Now() && n.drainFrom > 0 {
+						out.behindAdmits++
+					}
+					created = append(created, start(op.fanout, nil)...)
+				})...)
 			case len(op.batch) == 0:
 				if len(created) > 0 {
 					n.Cancel(created[op.victim%len(created)])
 				}
-			case w.batched:
-				reqs := make([]FlowReq, len(op.batch))
-				for i, s := range op.batch {
-					reqs[i] = FlowReq{Src: s.src, Dst: s.dst, Bytes: s.bytes, Done: done}
-				}
-				created = append(created, n.StartFlows(reqs)...)
 			default:
-				for _, s := range op.batch {
-					created = append(created, n.StartFlow(s.src, s.dst, s.bytes, done))
-				}
+				created = append(created, start(op.batch, nil)...)
 			}
+			check(fmt.Sprintf("op %d", i))
 		})
 		// Snapshot at an off-grid instant (ops land on multiples of 0.35)
 		// so every same-instant cascade has settled: mid-instant rates are
@@ -286,13 +396,13 @@ func diffStrings(t *testing.T, what string, got, want []string, cfg Config) {
 // — and a run that switches solver at every op — to the reference's
 // exact dispatch order, and a run in which every solve fills (a RateChange
 // hook is installed) to the run that drains, quiescent rates included.
-func checkEquivalence(t *testing.T, data []byte) {
+func checkEquivalence(t *testing.T, data []byte) outcome {
 	t.Helper()
 	if len(data) == 0 {
-		return
+		return outcome{}
 	}
 	cluster, cfg := equivWorld(data[0])
-	checkScenario(t, decodeOps(data[1:]), cluster, cfg)
+	return checkScenario(t, decodeOps(data[1:]), cluster, cfg)
 }
 
 // checkScenario is checkEquivalence on ops already decoded; it returns the
@@ -301,17 +411,22 @@ func checkScenario(t *testing.T, ops []scenarioOp, cluster *topology.Cluster, cf
 	t.Helper()
 	got := runScenario(ops, cluster, cfg, optimizedWorld)
 	want := runScenario(ops, cluster, cfg, referenceWorld)
+	inc := runScenario(ops, cluster, cfg, world{solver: incrementalSolver})
+	flip := runScenario(ops, cluster, cfg, world{solver: incrementalSolver, flip: true})
+	fill := runScenario(ops, cluster, cfg, world{solver: incrementalSolver, fill: true})
+	for _, o := range []outcome{got, want, inc, flip, fill} {
+		if o.broken != "" {
+			t.Fatalf("bookkeeping: %s (cfg %+v)", o.broken, cfg)
+		}
+	}
 	if got.bytesMoved != want.bytesMoved {
 		t.Fatalf("BytesMoved diverged: incremental=%v reference=%v (cfg %+v)", got.bytesMoved, want.bytesMoved, cfg)
 	}
 	diffStrings(t, "finish", got.finishes, want.finishes, cfg)
 	diffStrings(t, "snapshot", got.snaps, want.snaps, cfg)
 
-	inc := runScenario(ops, cluster, cfg, world{solver: incrementalSolver})
 	diffStrings(t, "dispatch order, incremental vs reference,", inc.order, want.order, cfg)
-	flip := runScenario(ops, cluster, cfg, world{solver: incrementalSolver, flip: true})
 	diffStrings(t, "dispatch order, solver switched per op vs reference,", flip.order, want.order, cfg)
-	fill := runScenario(ops, cluster, cfg, world{solver: incrementalSolver, fill: true})
 	diffStrings(t, "dispatch order, every solve filling vs draining,", fill.order, inc.order, cfg)
 	diffStrings(t, "finish, every solve filling vs draining,", fill.finishes, inc.finishes, cfg)
 	diffStrings(t, "snapshot, every solve filling vs draining,", fill.snaps, inc.snaps, cfg)
@@ -323,7 +438,8 @@ func checkScenario(t *testing.T, ops []scenarioOp, cluster *topology.Cluster, cf
 
 // TestIncrementalMatchesReference drives many deterministic pseudo-random
 // scenarios through checkEquivalence — the always-on version of the
-// fuzzer below.
+// fuzzer below — and requires the callback ops to have reached the drain
+// cursor from both sides.
 func TestIncrementalMatchesReference(t *testing.T) {
 	rng := uint64(0x9e3779b97f4a7c15)
 	next := func() byte {
@@ -332,14 +448,21 @@ func TestIncrementalMatchesReference(t *testing.T) {
 		rng ^= rng << 17
 		return byte(rng)
 	}
+	ahead, behind := 0, 0
 	for trial := 0; trial < 200; trial++ {
 		data := make([]byte, 1+4*40)
 		for i := range data {
 			data[i] = next()
 		}
 		data[0] = byte(trial) // sweep all six scenario worlds
-		checkEquivalence(t, data)
+		inc := checkEquivalence(t, data)
+		ahead += inc.aheadCancels
+		behind += inc.behindAdmits
 	}
+	if ahead == 0 || behind == 0 {
+		t.Errorf("callback ops never met the drain cursor: %d cancels ahead of it, %d admissions behind it", ahead, behind)
+	}
+	t.Logf("callback ops: %d cancels ahead of the drain cursor, %d admissions behind it", ahead, behind)
 }
 
 // TestBatchedStartMatchesSequential pins the StartFlows contract directly:

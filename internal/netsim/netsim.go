@@ -31,6 +31,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"degradedfirst/internal/sim"
 	"degradedfirst/internal/topology"
@@ -91,7 +92,7 @@ type Flow struct {
 	// walking the active flows, not its arithmetic.
 	remaining   float64
 	rate        float64
-	updateTime  sim.Time // when `remaining` was last advanced
+	updateTime  sim.Time // when `remaining` was last advanced, or the flow admitted
 	frozenEpoch uint64   // solve epoch at which the flow was last frozen
 	path        []*link
 	// ev is the flow's own completion event. Fluid flows normally have
@@ -207,14 +208,20 @@ type Net struct {
 
 	// Fluid-mode completion under incrementalSolver: the one engine event
 	// for the earliest completion as of the last solve, the flow it
-	// finishes, and its callback (built once).
+	// finishes and its index in flows then, and its callback (built once).
 	nextEv   *sim.Event
 	nextFlow *Flow
+	nextIdx  int
 	fireNext func()
-	// drainedAt is the instant of the last solve if it was answered by the
-	// drain test, leaving the rates of the solve before it in place; -1
-	// once progressive filling has run again. The clock cannot pass it.
-	drainedAt sim.Time
+	owned    int // flows in flows whose ev is set
+	// The instant of the last advance pass, the drain walk's cursor and
+	// the hi its proofs hold under, and whether the last solve drained
+	// (leaving the last filling's rates: the clock cannot leave instant
+	// until a solve fills). See solver.go.
+	instant   sim.Time
+	drainFrom int
+	drainHi   float64
+	drained   bool
 
 	stats Stats
 
@@ -328,7 +335,7 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 		pathCache: make(map[int64][]*link),
 		pathLens:  make([]int, tiers+1),
 		links:     make([]*link, 0, 2*nodes+2*totalGroups+1),
-		drainedAt: -1,
+		instant:   -1,
 	}
 	n.fireNext = func() {
 		f := n.nextFlow
@@ -468,15 +475,16 @@ func (n *Net) addFlow(src, dst topology.NodeID, bytes float64, done func(*Flow))
 		panic(fmt.Sprintf("netsim: invalid flow size %v", bytes))
 	}
 	f := &Flow{
-		ID:        n.nextID,
-		Src:       src,
-		Dst:       dst,
-		Bytes:     bytes,
-		StartedAt: n.eng.Now(),
-		remaining: bytes,
-		done:      done,
-		net:       n,
-		path:      n.pathFor(src, dst),
+		ID:         n.nextID,
+		Src:        src,
+		Dst:        dst,
+		Bytes:      bytes,
+		StartedAt:  n.eng.Now(),
+		remaining:  bytes,
+		updateTime: n.eng.Now(),
+		done:       done,
+		net:        n,
+		path:       n.pathFor(src, dst),
 	}
 	n.nextID++
 	if n.hooks.Start != nil {
@@ -489,6 +497,7 @@ func (n *Net) addFlow(src, dst topology.NodeID, bytes float64, done func(*Flow))
 		// runs here, so the flow gets its own event — at its own place in
 		// the engine's same-instant order — until the next solve absorbs it.
 		f.ev = n.eng.Schedule(0, func() { n.finish(f) })
+		n.owned++
 		n.flows = append(n.flows, f)
 		if n.mode == FluidFairSharing && len(f.path) > 0 {
 			n.indexFlow(f)
@@ -566,6 +575,7 @@ func (n *Net) Cancel(f *Flow) {
 	if f.ev != nil {
 		n.eng.Cancel(f.ev)
 		f.ev = nil
+		n.owned--
 	}
 	if f.queued {
 		for i, g := range n.waiting {
@@ -604,7 +614,10 @@ func (n *Net) finish(f *Flow) {
 	}
 	f.finished = true
 	f.remaining = 0
-	f.ev = nil
+	if f.ev != nil {
+		f.ev = nil
+		n.owned--
+	}
 	n.removeFlow(f)
 	n.BytesMoved += f.Bytes
 	if n.hooks.Finish != nil {
@@ -626,15 +639,22 @@ func (n *Net) finish(f *Flow) {
 	}
 }
 
+// removeFlow drops f from the active flows, keeping their order. The flow
+// the network's event finishes is found at nextIdx; others are searched for.
 func (n *Net) removeFlow(f *Flow) {
 	if n.mode == FluidFairSharing && len(f.path) > 0 {
 		n.unindexFlow(f)
 	}
-	for i, g := range n.flows {
-		if g == f {
-			n.flows = append(n.flows[:i], n.flows[i+1:]...)
-			return
-		}
+	i := n.nextIdx
+	if i >= len(n.flows) || n.flows[i] != f {
+		i = slices.Index(n.flows, f)
+	}
+	last := len(n.flows) - 1
+	copy(n.flows[i:], n.flows[i+1:])
+	n.flows[last] = nil
+	n.flows = n.flows[:last]
+	if i < n.drainFrom {
+		n.drainFrom--
 	}
 }
 
@@ -642,11 +662,11 @@ func (n *Net) removeFlow(f *Flow) {
 func (n *Net) recompute() {
 	n.stats.Solves++
 	n.stats.FlowsVisited += uint64(len(n.flows))
-	//lint:ignore floateq drainedAt is a copy of the engine's clock: any other value means time moved
-	if n.drainedAt >= 0 && n.drainedAt != n.eng.Now() {
-		panic(fmt.Sprintf("netsim: clock moved from %v to %v over a drained solve", n.drainedAt, n.eng.Now()))
+	//lint:ignore floateq instant is a copy of the engine's clock: any other value means time moved
+	if n.drained && n.instant != n.eng.Now() {
+		panic(fmt.Sprintf("netsim: clock moved from %v to %v over a drained solve", n.instant, n.eng.Now()))
 	}
-	n.drainedAt = -1
+	n.drained = false
 	if n.solver == referenceSolver {
 		n.refRecompute()
 		return
@@ -742,6 +762,7 @@ func (n *Net) refRecompute() {
 		if f.ev != nil {
 			n.eng.Cancel(f.ev)
 			f.ev = nil
+			n.owned--
 		}
 		dt, ok := f.timeToFinish()
 		if !ok {
@@ -749,6 +770,7 @@ func (n *Net) refRecompute() {
 		}
 		f := f
 		f.ev = n.eng.Schedule(dt, func() { n.finish(f) })
+		n.owned++
 	}
 	n.emitRateChanges()
 }
@@ -791,6 +813,7 @@ func (n *Net) dispatchHold() {
 		n.flows = append(n.flows, f)
 		f := f
 		f.ev = n.eng.Schedule(dt, func() { n.finish(f) })
+		n.owned++
 	}
 	n.waiting = append([]*Flow(nil), remaining...)
 }

@@ -1,11 +1,11 @@
 // Incremental fluid solver. A solve (incRecompute) is three steps: advance
-// every flow's progress to now at the rates in force, ask the drain test
-// whether the next completion is already decided, and only if it is not,
-// run progressive filling and schedule the earliest completion.
+// every flow's progress to now at the rates in force, once per instant;
+// ask the drain test whether the next completion is already decided; and
+// only if it is not, run progressive filling and schedule the earliest
+// completion. DESIGN.md §10 has the arguments at length.
 //
-// Progressive filling is restructured so the per-iteration work is driven
-// by per-link active-flow indexes instead of sweeps over every flow and
-// every link:
+// Progressive filling is driven by per-link active-flow indexes instead of
+// sweeps over every flow and every link:
 //
 //   - Each finite link keeps the list of contending flows crossing it, so
 //     the freeze step visits only the saturated link's flows.
@@ -13,63 +13,66 @@
 //     replaced by one running water level: the partial sums are the same
 //     float64 additions in the same order, so assigning `f.rate = level`
 //     at freeze time is bitwise identical to the reference solver.
-//   - Frozen flags are solve-epoch stamps, eliminating the O(flows) reset
-//     pass.
+//   - Frozen flags are solve-epoch stamps: no O(flows) reset pass.
 //
 // One completion event per network, not per flow. The reference solver
 // ends every solve by cancelling each flow's completion event and
-// scheduling a new one, in n.flows order. Those Schedule calls are
-// consecutive, so the events take one contiguous block of engine sequence
-// numbers: everything scheduled before the solve sorts before the whole
-// block at an equal time, everything scheduled later sorts after it.
-// Inside the block the engine dispatches the minimum (time, position in
-// n.flows) first — and that dispatch is a completion, which solves again
-// and cancels the rest of the block, as does any start or cancel in
-// between. So only the block's minimum can ever be dispatched, and the
-// incremental solver schedules that event alone (scheduleNext): one pass
-// computes the same `now + remaining/rate` per flow, keeps the earliest
-// with strict <, so ties go to the earlier flow in n.flows, and the event
-// is cancelled and scheduled afresh by every solve — also when neither
-// the flow nor its time changed — so it sits where the reference's block
-// would. The order in which the engine dispatches every event, net or not,
-// is the reference run's.
+// scheduling a new one, in n.flows order: one contiguous block of engine
+// sequence numbers, sorting after everything scheduled before the solve
+// and before everything scheduled later. The engine dispatches the block's
+// minimum (time, position in n.flows) first, and that completion solves
+// again and cancels the rest, as does any start or cancel in between. So
+// scheduleNext schedules that event alone: the same `now + remaining/rate`
+// per flow, the earliest kept with strict < (ties go to the earlier flow),
+// cancelled and scheduled afresh by every solve so it sits where the block
+// would. Engine dispatch order is the reference run's. The flow's index
+// (Net.nextIdx) spares removeFlow a search.
 //
-// The drain test. A solve's rates do two things only: pick that event, and
-// advance progress once the clock has moved. A map's 30-60 equal shuffle
-// flows finish at one instant, each completion solving again at the same
-// `now`, so most solves (sim-scale 96 %, sim-paper 93 %, sim-storm 48 %)
-// compute rates that govern zero seconds and are overwritten by the next.
-// drain finds the event without them. A flow crossing a finite link is
-// solved a rate between lo, the smallest capacity/len(active) of an active
-// link (the filling's first increment; later ones are positive, and adding
-// a positive float64 never lowers a sum), and hi, twice the largest active
-// capacity (a water level passes a capacity by rounding only). Division
-// and addition are monotone, so `now + remaining/lo == now` proves the flow
-// due now at its real rate and `now + remaining/hi > now` proves it due
-// later; a flow with no path, nothing left or no finite link is due now.
-// If the first flow in n.flows not proved later is proved due now, it is
-// scheduleNext's pick (strict <), and drain makes scheduleNext's engine
-// calls for it — cancelNext, each flow's own ev cancelled, one ScheduleAt —
-// and skips the filling; any other verdict falls through to it. The flows
-// then carry the last filling's rates, which nothing reads: the pending
-// event is at `now`, every start, cancel and completion of the instant
-// solves again, and the advance pass skips flows already at `now`, so the
-// clock cannot move before a solve has filled (recompute checks, via
-// Net.drainedAt). Hooks.RateChange does read rates, so with it installed
-// drain is not consulted and every solve fills: every trace is the same
-// with or without the shortcut.
+// The advance. addFlow stamps updateTime at admission and Net.instant is
+// the clock at the last advance pass, so while the clock stays there every
+// flow is already advanced to it (the pass would subtract rate*0) and the
+// pass is skipped: a shuffle's equal flows finish together, one solve each,
+// so most solves repeat the `now` before them.
 //
-// Two kinds of flow still own an event, because the reference gives them a
-// sequence number outside any block: ExclusiveHold flows, which are never
-// re-solved, and fluid flows admitted without a solve (node-local or
-// zero-byte), from admission until the next solve absorbs them into the
-// network's event, exactly where the reference moves them into its block.
+// The drain test. Such a solve's rates govern zero seconds; drain finds
+// the event without them. A flow crossing a finite link is solved a rate
+// between lo, the smallest capacity/len(active) of an active link (the
+// filling's first increment; adding positive increments never lowers a
+// float64 sum), and hi, twice the largest active capacity (a water level
+// passes a capacity by rounding only). Division and addition are monotone,
+// so `now + remaining/lo == now` proves the flow due now and `now +
+// remaining/hi > now` proves it due later; a flow with no path, nothing
+// left or no finite link is due now. If the first flow not proved later is
+// proved due now, it is scheduleNext's pick, and drain makes scheduleNext's
+// engine calls for it and skips the filling; any other verdict falls
+// through. The stale rates are never read: the pending event is at `now`
+// and every start, cancel and completion solves again, so the clock cannot
+// move before a solve has filled (recompute checks, via Net.drained). With
+// Hooks.RateChange installed, which reads rates, every solve fills.
+//
+// The walk resumes at the instant's cursor (Net.drainFrom): inside an
+// instant no remaining changes and a proof under one hi holds under any
+// smaller one, so the flows in front of it stay proved later until the
+// clock moves or hi grows, which reset it to 0; removeFlow steps it back
+// past a removed flow, admissions land behind it. Since lo <= hi no flow
+// proved later is due now, so a walk from the first flow would stop where
+// the cursor does: same verdicts, same Stats. (That is what the reset on a
+// larger hi keeps; a flow's rate is bounded by its own links, so an old
+// proof stays sound.) A repeated `now` costs O(active links) + flows unwalked.
+//
+// Flows the reference gives a sequence number outside any block keep an
+// event of their own: ExclusiveHold flows, never re-solved, and fluid flows
+// admitted without a solve (node-local or zero-byte) until the next solve
+// absorbs them into the network's event, where the reference moves them
+// into its block. Net.owned counts them (with those refRecompute gave
+// one): a solve walks n.flows to cancel them only when there are any.
 //
 // Equivalence with refRecompute, dispatch order included, is pinned by
 // TestDispatchOrderMatchesReference, TestIncrementalMatchesReference and
-// FuzzNetsimEquivalence, which also hold a run whose every solve fills to
-// the run that drains; TestBorderlineRemainingFallsThrough pins the
-// verdicts drain must not give.
+// FuzzNetsimEquivalence (with a run whose every solve fills, callbacks that
+// cancel and admit around the drain cursor, and the bookkeeping above
+// checked throughout); TestBorderlineRemainingFallsThrough and
+// TestDrainCursorResetsWhenHiGrows pin verdicts drain must not give.
 
 package netsim
 
@@ -155,27 +158,20 @@ func (n *Net) pruneActiveLinks() []*link {
 // above for the three steps and the bitwise-equivalence arguments.
 func (n *Net) incRecompute() {
 	now := n.eng.Now()
-	// Advance progress at the old rates. This full pass is kept: advancing
-	// a flow in one step versus several intermediate steps rounds
-	// differently, so lazily advancing only touched flows would drift off
-	// the reference schedule.
-	for _, f := range n.flows {
-		//lint:ignore floateq exact match is required: only a bitwise-equal timestamp guarantees rate*(now-updateTime) is exactly rate*0
-		if f.updateTime == now {
-			// Same-instant recompute: the advance would subtract rate*0,
-			// which leaves `remaining` bitwise unchanged, so skip the
-			// arithmetic. 96 % of sim-scale's solves, 93 % of sim-paper's
-			// and 48 % of sim-storm's run at the `now` of the solve before
-			// them (a shuffle's equal flows completing one by one).
-			continue
-		}
-		if f.rate > 0 && !math.IsInf(f.rate, 1) {
-			f.remaining -= f.rate * (now - f.updateTime)
-			if f.remaining < 0 {
-				f.remaining = 0
+	//lint:ignore floateq instant is a copy of the engine's clock: any other value means time moved
+	if n.instant != now {
+		// Every flow in one step: advancing only touched flows, in several
+		// steps, would round differently from the reference schedule.
+		for _, f := range n.flows {
+			if f.rate > 0 && !math.IsInf(f.rate, 1) {
+				f.remaining -= f.rate * (now - f.updateTime)
+				if f.remaining < 0 {
+					f.remaining = 0
+				}
 			}
+			f.updateTime = now
 		}
-		f.updateTime = now
+		n.instant, n.drainFrom = now, 0
 	}
 	links := n.pruneActiveLinks()
 	if n.hooks.RateChange == nil && n.drain(now, links) {
@@ -261,9 +257,9 @@ func (n *Net) incRecompute() {
 	n.emitRateChanges()
 }
 
-// drain is the drain test of the header comment: it reports whether the
-// next completion is decided whatever the filling would compute, and if so
-// has scheduled it as scheduleNext would, leaving the flows' rates stale.
+// drain is the drain test of the header comment, resumed at the cursor: it
+// reports whether the next completion is decided whatever the filling would
+// compute, and if so has scheduled it as scheduleNext would.
 func (n *Net) drain(now sim.Time, links []*link) bool {
 	lo, hi := math.Inf(1), 0.0
 	for _, l := range links {
@@ -275,30 +271,29 @@ func (n *Net) drain(now sim.Time, links []*link) bool {
 		}
 	}
 	hi *= 2
-	var next *Flow
-	for _, f := range n.flows {
+	if hi > n.drainHi {
+		n.drainFrom = 0 // a flow proved under a smaller hi may be undecided under this one
+	}
+	n.drainHi = hi
+	for ; n.drainFrom < len(n.flows); n.drainFrom++ {
+		f := n.flows[n.drainFrom]
 		//lint:ignore floateq the engine orders events by exact time: only a bitwise-equal sum is the same instant
 		if !f.limited || f.remaining <= 0 || now+f.remaining/lo == now {
-			next = f
-			break
+			break // due now
 		}
 		if !(now+f.remaining/hi > now) {
-			return false
+			return false // neither proved: only the filling can tell
 		}
 	}
-	if next == nil {
+	i := n.drainFrom
+	if i == len(n.flows) {
 		return false
 	}
 	n.cancelNext()
-	for _, f := range n.flows {
-		if f.ev != nil {
-			n.eng.Cancel(f.ev)
-			f.ev = nil
-		}
-	}
-	n.nextFlow = next
+	n.cancelOwned()
+	n.nextFlow, n.nextIdx = n.flows[i], i
 	n.nextEv = n.eng.ScheduleAt(now, n.fireNext)
-	n.drainedAt = now
+	n.drained = true
 	n.stats.Deferred++
 	return true
 }
@@ -309,25 +304,37 @@ func (n *Net) drain(now sim.Time, links []*link) bool {
 // event (admitted without a solve, or solved by refRecompute) give it up.
 func (n *Net) scheduleNext(now sim.Time) {
 	n.cancelNext()
-	var next *Flow
+	n.cancelOwned()
+	next := -1
 	var at sim.Time
+	for i, f := range n.flows {
+		dt, ok := f.timeToFinish()
+		if !ok {
+			continue
+		}
+		if t := now + dt; next < 0 || t < at {
+			next, at = i, t
+		}
+	}
+	if next >= 0 {
+		n.nextFlow, n.nextIdx = n.flows[next], next
+		n.nextEv = n.eng.ScheduleAt(at, n.fireNext)
+	}
+}
+
+// cancelOwned withdraws the events flows still own (admitted without a
+// solve, or given one by refRecompute), in n.flows order.
+func (n *Net) cancelOwned() {
+	if n.owned == 0 {
+		return
+	}
 	for _, f := range n.flows {
 		if f.ev != nil {
 			n.eng.Cancel(f.ev)
 			f.ev = nil
 		}
-		dt, ok := f.timeToFinish()
-		if !ok {
-			continue
-		}
-		if t := now + dt; next == nil || t < at {
-			next, at = f, t
-		}
 	}
-	if next != nil {
-		n.nextFlow = next
-		n.nextEv = n.eng.ScheduleAt(at, n.fireNext)
-	}
+	n.owned = 0
 }
 
 // timeToFinish returns how long f needs at its current rate, as of its

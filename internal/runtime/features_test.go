@@ -30,7 +30,7 @@ func (b slowBackend) Execute(job, task int, node topology.NodeID, input any) (fl
 }
 
 // runDirect is runSim on runtime.Run itself, under a fake backend.
-func runDirect(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64) ([]trace.Event, error) {
+func runDirect(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64, reducers int) ([]trace.Event, error) {
 	t.Helper()
 	cluster, err := topology.New(topology.Config{
 		Nodes:           goldenNodes,
@@ -63,18 +63,19 @@ func runDirect(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.
 		Features:  f,
 		Sink:      &mem,
 	}, slowBackend{&hedgeBackend{cluster: cluster}, mapTime},
-		[]runtime.JobSpec{{Name: "golden", Tasks: tasks, JobMeta: meta}})
+		[]runtime.JobSpec{{Name: "golden", Tasks: tasks, NumReducers: reducers, JobMeta: meta}})
 	return mem.Events(), err
 }
 
 // TestFeaturesTable holds every entry point to one rule: a bad Features
-// or JobMeta value is rejected with the same sentinel and the same
-// message (after the entry point's own prefix) by mapred.Run, minimr.Run
-// and runtime.Run, and a zero value selects the same default in each.
+// or JobMeta value, or a job whose reducers the cluster has no slot for, is
+// rejected with the same sentinel and the same message (after the entry
+// point's own prefix) by mapred.Run, minimr.Run and runtime.Run, and a zero
+// value selects the same default in each.
 func TestFeaturesTable(t *testing.T) {
 	entries := []struct {
 		name string
-		run  func(*testing.T, sched.Kind, runtime.Features, jobsched.JobMeta, float64) ([]trace.Event, error)
+		run  func(*testing.T, sched.Kind, runtime.Features, jobsched.JobMeta, float64, int) ([]trace.Event, error)
 	}{
 		{"mapred", runSim},
 		{"minimr", runReal},
@@ -101,11 +102,18 @@ func TestFeaturesTable(t *testing.T) {
 		}
 		return ""
 	}
+	mapsRun := func(events []trace.Event, err error) string {
+		if n := len(trace.FilterType(events, trace.EvTaskScheduled)); err != nil || n != goldenBlocks {
+			return fmt.Sprintf("want %d maps and no error, got %d and %v", goldenBlocks, n, err)
+		}
+		return ""
+	}
 	cases := []struct {
-		name    string
-		f       runtime.Features
-		meta    jobsched.JobMeta
-		mapTime float64
+		name     string
+		f        runtime.Features
+		meta     jobsched.JobMeta
+		mapTime  float64
+		reducers int // the scenario cluster has no reduce slots
 		// A rejection: the sentinel (if the rule has one) and a word of
 		// the message. Or a default: check reads the run's outcome.
 		sentinel error
@@ -123,10 +131,12 @@ func TestFeaturesTable(t *testing.T) {
 		{name: "negative quota", f: runtime.Features{JobSched: jobsched.Config{Policy: jobsched.Quota, QuotaSlots: -1}}, word: "jobsched"},
 		{name: "negative weight", meta: jobsched.JobMeta{Weight: -1}, sentinel: minimr.ErrBadWeight, word: "weight"},
 		{name: "NaN deadline", meta: jobsched.JobMeta{Deadline: math.NaN()}, sentinel: minimr.ErrBadDeadline, word: "deadline"},
+		{name: "reducers without reduce slots", reducers: 2, word: `job "golden": 2 reduce tasks, but the cluster has no reduce slots`},
 
 		{name: "zero heartbeat is 3 s", check: secondHeartbeatAt3},
 		{name: "zero MaxSimTime is 1e7 s", f: runtime.Features{HeartbeatInterval: 1e6}, mapTime: 2e7, check: abortsAt1e7},
 		{name: "NaN MaxSimTime is 1e7 s", f: runtime.Features{HeartbeatInterval: 1e6, MaxSimTime: math.NaN()}, mapTime: 2e7, check: abortsAt1e7},
+		{name: "map-only job without reduce slots runs", check: mapsRun},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -136,7 +146,7 @@ func TestFeaturesTable(t *testing.T) {
 				if mapTime == 0 {
 					mapTime = goldenMapTime
 				}
-				events, err := en.run(t, sched.KindLF, tc.f, tc.meta, mapTime)
+				events, err := en.run(t, sched.KindLF, tc.f, tc.meta, mapTime, tc.reducers)
 				if tc.check != nil {
 					if msg := tc.check(events, err); msg != "" {
 						t.Errorf("%s: %s", en.name, msg)

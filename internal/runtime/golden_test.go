@@ -50,16 +50,16 @@ func decisionsOf(events []trace.Event) []decision {
 // goldenSim runs the simulated-cost backend (mapred) over the scenario.
 func goldenSim(t *testing.T, kind sched.Kind) []decision {
 	t.Helper()
-	events, err := runSim(t, kind, runtime.Features{HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime)
+	events, err := runSim(t, kind, runtime.Features{HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime, 0)
 	if err != nil {
 		t.Fatalf("mapred %v: %v", kind, err)
 	}
 	return decisionsOf(events)
 }
 
-// runSim is the scenario on mapred with the given features, job metadata
-// and per-map time.
-func runSim(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64) ([]trace.Event, error) {
+// runSim is the scenario on mapred with the given features, job metadata,
+// per-map time and reducer count. The cluster has no reduce slots.
+func runSim(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64, reducers int) ([]trace.Event, error) {
 	t.Helper()
 	var mem trace.Memory
 	cfg := mapred.Config{
@@ -78,9 +78,11 @@ func runSim(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.Job
 		Trace:           &mem,
 	}
 	job := mapred.JobSpec{
-		Name:    "golden",
-		MapTime: mapred.Dist{Mean: mapTime, Std: 0},
-		JobMeta: meta,
+		Name:           "golden",
+		MapTime:        mapred.Dist{Mean: mapTime, Std: 0},
+		ReduceTime:     mapred.Dist{Mean: mapTime, Std: 0},
+		NumReduceTasks: reducers,
+		JobMeta:        meta,
 	}
 	_, err := mapred.Run(cfg, []mapred.JobSpec{job})
 	return mem.Events(), err
@@ -89,7 +91,7 @@ func runSim(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.Job
 // goldenReal runs the real-bytes backend (minimr) over the same scenario.
 func goldenReal(t *testing.T, kind sched.Kind) []decision {
 	t.Helper()
-	events, err := runReal(t, kind, runtime.Features{HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime)
+	events, err := runReal(t, kind, runtime.Features{HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime, 0)
 	if err != nil {
 		t.Fatalf("minimr %v: %v", kind, err)
 	}
@@ -97,7 +99,7 @@ func goldenReal(t *testing.T, kind sched.Kind) []decision {
 }
 
 // runReal is runSim on minimr.
-func runReal(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64) ([]trace.Event, error) {
+func runReal(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64, reducers int) ([]trace.Event, error) {
 	t.Helper()
 	cluster, err := topology.New(topology.Config{
 		Nodes:           goldenNodes,
@@ -125,11 +127,15 @@ func runReal(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.Jo
 		Trace:     &mem,
 	}
 	job := minimr.Job{
-		Name:    "golden",
-		Input:   "input",
-		Map:     func(block []byte, emit func(k, v string)) {},
-		MapCost: minimr.Cost{Fixed: mapTime},
-		JobMeta: meta,
+		Name:        "golden",
+		Input:       "input",
+		Map:         func(block []byte, emit func(k, v string)) {},
+		MapCost:     minimr.Cost{Fixed: mapTime},
+		NumReducers: reducers,
+		JobMeta:     meta,
+	}
+	if reducers > 0 {
+		job.Reduce = func(string, []string, func(k, v string)) {}
 	}
 	_, err = minimr.Run(fs, opts, []minimr.Job{job})
 	return mem.Events(), err

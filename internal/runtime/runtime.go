@@ -95,12 +95,14 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 
 	numNodes := st.cluster.NumNodes()
 	st.slaves = make([]*slaveState, numNodes)
+	reduceSlots := 0
 	for i := 0; i < numNodes; i++ {
 		node := st.cluster.Node(topology.NodeID(i))
 		st.slaves[i] = &slaveState{
 			freeMap:    node.MapSlots,
 			freeReduce: node.ReduceSlots,
 		}
+		reduceSlots += node.ReduceSlots
 	}
 
 	queue, err := jobsched.New(p.JobSched)
@@ -113,6 +115,9 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	for i := range jobs {
 		if err := jobs[i].JobMeta.Validate(); err != nil {
 			return nil, fmt.Errorf("%s: job %q: %w", p.name(), jobs[i].Name, err)
+		}
+		if jobs[i].NumReducers > 0 && reduceSlots == 0 { // or it would heartbeat to MaxSimTime
+			return nil, fmt.Errorf("%s: job %q: %d reduce tasks, but the cluster has no reduce slots", p.name(), jobs[i].Name, jobs[i].NumReducers)
 		}
 		queue.Add(jobs[i].JobMeta, jobs[i].NumReducers)
 		js := &jobState{

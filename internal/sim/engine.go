@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -101,7 +100,8 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 	e.slab = e.slab[1:]
 	*ev = Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue = append(e.queue, ev)
+	e.queue.up(len(e.queue) - 1)
 	if len(e.queue) > e.stats.MaxQueue {
 		e.stats.MaxQueue = len(e.queue)
 	}
@@ -128,9 +128,9 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
-// compact rebuilds the queue without its tombstoned events. heap.Init
-// re-establishes the heap property; pop order is unaffected because it is
-// fully determined by the (time, seq) comparator.
+// compact rebuilds the queue without its tombstoned events and re-heapifies
+// it bottom-up; pop order is unaffected because it is fully determined by
+// the (time, seq) comparator.
 func (e *Engine) compact() {
 	live := e.queue[:0]
 	for _, ev := range e.queue {
@@ -148,15 +148,17 @@ func (e *Engine) compact() {
 	}
 	e.queue = live
 	e.ndead = 0
-	heap.Init(&e.queue)
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		live.down(i)
+	}
 }
 
 // Step dispatches the next live event, advancing the clock. It returns
 // false if no live events remain. Tombstoned events are discarded without
 // advancing the clock or counting a step.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+	for len(e.queue) > 0 {
+		ev := e.queue.pop()
 		if ev.dead {
 			e.ndead--
 			continue
@@ -180,8 +182,8 @@ func (e *Engine) Run() Time {
 // RunUntil dispatches events with time <= t, then advances the clock to t.
 // Events scheduled beyond t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	for e.queue.Len() > 0 && e.queue[0].at <= t {
-		ev := heap.Pop(&e.queue).(*Event)
+	for len(e.queue) > 0 && e.queue[0].at <= t {
+		ev := e.queue.pop()
 		if ev.dead {
 			e.ndead--
 			continue
@@ -196,39 +198,63 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // Pending returns the number of live queued events (tombstones excluded).
-func (e *Engine) Pending() int { return e.queue.Len() - e.ndead }
+func (e *Engine) Pending() int { return len(e.queue) - e.ndead }
 
-// eventHeap orders events by (time, seq).
+// eventHeap is a binary min-heap of events in (time, seq) order, written
+// for *Event rather than run through container/heap's interface calls (the
+// queue is the engine's inner loop); each event's index is its slot. The
+// order is total (seq is unique), so any heap pops the same sequence.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
+// before reports whether a is dispatched before b.
+func before(a, b *Event) bool {
 	//lint:ignore floateq exact comparison is the point: equal times fall through to the monotone seq tie-break
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+// pop removes and returns the first event.
+func (h *eventHeap) pop() *Event {
+	old, last := *h, len(*h)-1
+	ev := old[0]
+	old[0], old[last] = old[last], nil
+	*h = old[:last]
+	if last > 0 {
+		h.down(0)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// up moves the event at j rootward past every parent it sorts before.
+func (h eventHeap) up(j int) {
+	ev := h[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		p := h[i]
+		if !before(ev, p) {
+			break
+		}
+		h[j], p.index = p, j
+		j = i
+	}
+	h[j], ev.index = ev, j
+}
+
+// down moves the event at i leafward past every child that sorts before it.
+func (h eventHeap) down(i int) {
+	ev := h[i]
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if r := c + 1; r < len(h) && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], ev) {
+			break
+		}
+		h[i], h[c].index = h[c], i
+		i = c
+	}
+	h[i], ev.index = ev, i
 }
