@@ -3,13 +3,13 @@
 // slots, sitting above the per-task placement schedulers of package
 // sched (LF/BDF/EDF decide *where* a chosen job's tasks run). The
 // runtime notifies the Queue of every job lifecycle transition — submit,
-// slot grant/release, reducer reset, requeue after failure recovery,
-// finish — and asks it per heartbeat for the ordered set of jobs
-// eligible for assignment; sched.Env.Jobs is a view the policy produces
-// rather than state the runtime mutates in place.
+// slot grant/release, reducer reset, finish — and asks it per heartbeat
+// for the ordered set of jobs eligible for assignment; sched.Env.Jobs is
+// a view the policy produces rather than state the runtime mutates in
+// place.
 //
-// Four policies ship: Fifo reproduces the seed runtime's submission-
-// order queue bit-for-bit (pinned by the seed-golden trace tests),
+// Four policies ship: Fifo serves jobs in submission order (the seed
+// runtime's schedules, still pinned by the seed-golden trace tests),
 // FairShare deficit-shares map-slot grants across tenants by weight,
 // Quota caps each tenant's concurrent slots with overflow queueing, and
 // Deadline orders jobs by earliest deadline (the paper's EDF naming
@@ -25,9 +25,9 @@ import (
 type Kind int
 
 const (
-	// Fifo serves jobs in submission order, bit-identical to the
-	// pre-jobsched runtime. The zero value, so existing callers that
-	// leave Config empty keep their exact behavior.
+	// Fifo serves jobs in submission order: Quota's order without caps.
+	// The zero value, so callers that leave Config empty get the paper's
+	// FIFO queue.
 	Fifo Kind = iota
 	// FairShare orders tenants by weighted map-slot grants (lowest
 	// grants-per-weight first), round-robining slots across tenants.

@@ -77,52 +77,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestFifoViewMechanics(t *testing.T) {
-	q, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		q.Add(JobMeta{}, 1)
-	}
-	sjs := []*sched.Job{pendingJob(0, 2), pendingJob(1, 2), pendingJob(2, 2)}
-	for i, sj := range sjs {
-		q.Submit(i, sj)
-	}
-	if !equalInts(ids(q.MapOrder()), []int{0, 1, 2}) {
-		t.Fatalf("fifo order = %v", ids(q.MapOrder()))
-	}
-
-	// Requeue of a job already in the view is a no-op.
-	q.Requeue(1)
-	if !equalInts(ids(q.MapOrder()), []int{0, 1, 2}) {
-		t.Fatalf("requeue-present changed view: %v", ids(q.MapOrder()))
-	}
-
-	// Drop job 1 from the view (as Prune does once its scheduling is
-	// done); Requeue must re-insert it at the ID-sorted position.
-	q.view = append(q.view[:1], q.view[2:]...)
-	q.Requeue(1)
-	if !equalInts(ids(q.MapOrder()), []int{0, 1, 2}) {
-		t.Fatalf("requeue did not restore ID order: %v", ids(q.MapOrder()))
-	}
-
-	// Requeue of an unsubmitted or drained job is a no-op.
-	q.Add(JobMeta{}, 0)
-	q.Requeue(3)
-	if len(q.MapOrder()) != 3 {
-		t.Fatal("unsubmitted job must not be requeued")
-	}
-	q.Submit(3, sched.NewJob(3, nil)) // zero tasks: Done() immediately
-	q.Prune()
-	q.Requeue(3)
-	for _, id := range ids(q.MapOrder()) {
-		if id == 3 {
-			t.Fatal("drained job must not be requeued")
-		}
-	}
-}
-
 func TestMapGrantedFirstGrantOnly(t *testing.T) {
 	q, _ := New(Config{})
 	q.Add(JobMeta{Tenant: "a"}, 0)
@@ -277,10 +231,10 @@ func TestDeadlineOrdering(t *testing.T) {
 	}
 }
 
-// oracleMapOrder recomputes the non-Fifo map order from every registered
-// entry and from the entries' own counters, the way MapOrder did before
-// the queue kept a live list and per-tenant state: filter, then a fresh
-// sort per call.
+// oracleMapOrder recomputes the map order from every registered entry and
+// from the entries' own counters, the way MapOrder did before the queue
+// kept a live list and per-tenant state: filter, then a fresh sort per
+// call.
 func oracleMapOrder(q *Queue) []int {
 	grants := make(map[string]int)
 	mapsRunning := make(map[string]int)
@@ -387,9 +341,7 @@ func oracleCap(q *Queue, tenant string) int {
 // through randomized lifecycle sequences — jobs added late, submitted out
 // of index order, granted, released, requeued at task level, reset and
 // finished — and checks after every step that MapOrder and NextReduce
-// return what a recompute over every registered entry returns. Fifo's
-// map order is its view, whose mechanics the seed goldens pin; here it
-// must hold exactly the active jobs.
+// return what a recompute over every registered entry returns.
 func TestQueueMatchesRecomputeOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cluster := topology.MustNew(topology.Config{Nodes: 4, Racks: 2, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1})
@@ -450,7 +402,6 @@ func TestQueueMatchesRecomputeOracle(t *testing.T) {
 						q.MapGranted(a.Task.Job)
 						launched = append(launched, mapTask{a.Task.Job, a.Task})
 					}
-					q.Prune()
 				}
 			case 4:
 				if e := pick(func(e *Entry) bool { return e.runningMaps > 0 }); e != nil {
@@ -467,7 +418,6 @@ func TestQueueMatchesRecomputeOracle(t *testing.T) {
 					if e.runningMaps > 0 {
 						q.MapReleased(mt.idx)
 					}
-					q.Requeue(mt.idx)
 				}
 			case 6:
 				if e := q.NextReduce(); e != nil {
@@ -483,10 +433,8 @@ func TestQueueMatchesRecomputeOracle(t *testing.T) {
 				}
 			case 9:
 				// The runtime finishes a job once its maps are done; the
-				// recomputing policies must also cope with any other moment.
-				e := pick(func(e *Entry) bool {
-					return e.submitted && !e.finished && (cfg.Policy != Fifo || e.SJ.Done())
-				})
+				// queue must also cope with any other moment.
+				e := pick(func(e *Entry) bool { return e.submitted && !e.finished })
 				if e != nil {
 					q.JobFinished(e.Idx)
 					kept := launched[:0]
@@ -498,11 +446,7 @@ func TestQueueMatchesRecomputeOracle(t *testing.T) {
 					launched = kept
 				}
 			}
-			got, want := ids(q.MapOrder()), oracleMapOrder(q)
-			if cfg.Policy == Fifo {
-				sort.Ints(got)
-			}
-			if !equalInts(got, want) {
+			if got, want := ids(q.MapOrder()), oracleMapOrder(q); !equalInts(got, want) {
 				t.Fatalf("trial %d (%v) step %d: MapOrder = %v, oracle %v", trial, cfg.Policy, step, got, want)
 			}
 			if got, want := q.NextReduce(), oracleNextReduce(q); got != want {
@@ -578,10 +522,9 @@ func TestRequeueKeepsTenantQueue(t *testing.T) {
 		t.Fatalf("a should lead after b's grants: %v", ids(order))
 	}
 
-	// A failure requeues one of b's running maps: Requeue is a no-op for
-	// recomputing policies, MapReleased drops b's running count, and b's
-	// job stays in b's position (grants are cumulative, so a still leads).
-	q.Requeue(1)
+	// A failure requeues one of b's running maps: MapReleased drops b's
+	// running count, and b's job stays in b's position (grants are
+	// cumulative, so a still leads).
 	q.MapReleased(1)
 	order = q.MapOrder()
 	if !equalInts(ids(order), []int{0, 1}) {

@@ -134,13 +134,7 @@ type Queue struct {
 	// call looks at a job that has not arrived or has left.
 	live []*Entry
 
-	// view is the Fifo policy's map-order list, mutated with exactly the
-	// seed runtime's env.Jobs mechanics: append on submit, ID-sorted
-	// re-insert on requeue, compaction on prune. Non-Fifo policies order
-	// live's active entries per MapOrder call instead.
-	view []*sched.Job
-
-	order   []*sched.Job // MapOrder result (non-Fifo), reused
+	order   []*sched.Job // MapOrder result, reused
 	scratch []*Entry     // MapOrder's eligible entries, Idx order, reused
 	ranked  []*tenant    // fairShareOrder's tenants with active jobs, reused
 }
@@ -187,19 +181,15 @@ func (q *Queue) Submit(idx int, sj *sched.Job) {
 	e.submitted = true
 	pos, _ := q.livePos(idx)
 	q.live = slices.Insert(q.live, pos, e)
-	if q.cfg.Policy == Fifo {
-		q.view = append(q.view, sj)
-	}
 }
 
-// MapOrder returns the jobs eligible for map-slot assignment, most
-// preferred first. The runtime installs the result as sched.Env.Jobs
-// before calling the task scheduler; it stays valid until the next
-// Queue mutation.
+// MapOrder returns the jobs eligible for map-slot assignment — live's
+// entries with a pending map task — most preferred first: in Idx order
+// under Fifo and Quota (Quota skipping tenants at their cap), by earliest
+// deadline under Deadline, by tenant share under FairShare. The runtime
+// installs the result as sched.Env.Jobs before calling the task scheduler;
+// it stays valid until the next Queue mutation.
 func (q *Queue) MapOrder() []*sched.Job {
-	if q.cfg.Policy == Fifo {
-		return q.view
-	}
 	q.scratch = q.scratch[:0]
 	for _, e := range q.live {
 		if !e.active() || (q.cfg.Policy == Quota && e.tenant.capped(e.tenant.mapsRunning)) {
@@ -269,51 +259,6 @@ func (q *Queue) fairShareOrder() []*sched.Job {
 		e.tenant.next++
 	}
 	return q.order
-}
-
-// Prune drops finished-scheduling jobs from the Fifo view (the seed
-// runtime's pruneScheduledJobs). The other policies filter per call.
-func (q *Queue) Prune() {
-	if q.cfg.Policy != Fifo {
-		return
-	}
-	kept := q.view[:0]
-	for _, j := range q.view {
-		if !j.Done() {
-			kept = append(kept, j)
-		}
-	}
-	q.view = kept
-}
-
-// Requeue re-enters a job with pending tasks after failure recovery.
-// Fifo mirrors the seed runtime's ensureScheduled exactly: re-insert at
-// the ID-sorted position unless already present. Under the other
-// policies the job never left q.live, and is active() again as soon as
-// it has a pending task.
-func (q *Queue) Requeue(idx int) {
-	e := q.entries[idx]
-	if !e.submitted || e.SJ == nil || e.SJ.Done() {
-		return
-	}
-	if q.cfg.Policy != Fifo {
-		return
-	}
-	for _, j := range q.view {
-		if j == e.SJ {
-			return
-		}
-	}
-	pos := len(q.view)
-	for i, j := range q.view {
-		if j.ID > e.Idx {
-			pos = i
-			break
-		}
-	}
-	q.view = append(q.view, nil)
-	copy(q.view[pos+1:], q.view[pos:])
-	q.view[pos] = e.SJ
 }
 
 // MapGranted records one map-slot grant to job idx and reports whether

@@ -8,22 +8,29 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// fixtureLoader returns a loader rooted at the repository module.
+// fixtureLoader returns the test binary's one loader rooted at the
+// repository module, so the standard library is type-checked from source
+// once, not once per test.
 func fixtureLoader(t *testing.T) *Loader {
 	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := NewLoader(wd)
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return l
 }
+
+var sharedLoader = sync.OnceValues(func() (*Loader, error) {
+	wd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(wd)
+})
 
 // runFixture loads testdata/<name> and runs one analyzer (with its
 // package restriction lifted, since fixtures live under testdata) through

@@ -59,6 +59,12 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 		if err := cfg.validateJob(&specs[i]); err != nil {
 			return nil, err
 		}
+		// Submission order is slice order (Idx order) in every job policy,
+		// map and reduce side alike.
+		if i > 0 && specs[i].SubmitAt < specs[i-1].SubmitAt {
+			return nil, fmt.Errorf("mapred: job %q submitted at %v, before job %q ahead of it at %v",
+				specs[i].Name, specs[i].SubmitAt, specs[i-1].Name, specs[i-1].SubmitAt)
+		}
 	}
 
 	rng := stats.NewRNG(cfg.Seed)

@@ -78,6 +78,14 @@ func TestValidationErrors(t *testing.T) {
 			t.Errorf("bad job %d accepted", i)
 		}
 	}
+	// Jobs are submitted in slice order: a SubmitAt that decreases is an
+	// error naming both jobs.
+	early, late := smallJob(), smallJob()
+	early.Name, late.Name, late.SubmitAt = "early", "late", 5
+	_, err := Run(smallConfig(), []JobSpec{late, early})
+	if err == nil || !strings.Contains(err.Error(), `"early"`) || !strings.Contains(err.Error(), `"late"`) {
+		t.Errorf("decreasing SubmitAt: error %v, want one naming both jobs", err)
+	}
 }
 
 // TestNonFiniteSizesAreErrors: NaN passes every `<= 0` test and +Inf every

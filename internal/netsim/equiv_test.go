@@ -11,6 +11,8 @@ package netsim
 // order in which the engine dispatches everything — completions and the
 // caller's events alike — must match too, un-normalised: that is the
 // contract the incremental solver's single completion event rests on.
+// Every run, reference included, is also checked by the property oracle
+// (oracle_test.go) after every solve that fills.
 
 import (
 	"fmt"
@@ -148,19 +150,16 @@ func specFrom(a, b byte) flowSpec {
 
 // world is one configuration a scenario runs under.
 type world struct {
-	solver  solverKind
-	batched bool // StartFlows per op instead of one StartFlow per transfer
-	// flip alternates the solver from op to op: the two must stay
-	// interchangeable mid-run.
-	flip bool
+	reference bool // solve with refRecompute instead of the package's solver
+	batched   bool // StartFlows per op instead of one StartFlow per transfer
 	// fill installs a RateChange hook that does nothing, so every solve
 	// runs progressive filling and none is answered by the drain test.
 	fill bool
 }
 
 var (
-	optimizedWorld = world{solver: incrementalSolver, batched: true}
-	referenceWorld = world{solver: referenceSolver}
+	optimizedWorld = world{batched: true}
+	referenceWorld = world{reference: true}
 )
 
 // outcome is an exact fingerprint of everything observable in a scenario
@@ -173,7 +172,8 @@ type outcome struct {
 	order      []string // dispatch order, un-normalised
 	bytesMoved float64
 	stats      Stats
-	broken     string // the first bookkeeping violation (checkBookkeeping)
+	broken     string // the first violation of the oracle or checkBookkeeping
+	checked    int    // solves the oracle checked
 	// What the callback ops reached: hedge losers cancelled from in front
 	// of the drain cursor, and fan-outs admitted behind a cursor past 0.
 	aheadCancels, behindAdmits int
@@ -241,18 +241,35 @@ func nextCompletion(n *Net, now sim.Time) (sim.Time, bool) {
 	return best, ok
 }
 
-// runScenario executes ops on a fresh engine+net configured as w.
+// runScenario executes ops on a fresh engine+net configured as w, with the
+// property oracle after every filling solve and its ledger on every flow.
 func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) outcome {
 	eng := sim.New()
 	n, err := New(eng, c, cfg)
 	if err != nil {
 		panic(err)
 	}
-	n.solver = w.solver
-	if w.fill {
-		n.SetHooks(Hooks{RateChange: func(*Flow) {}})
-	}
 	var out outcome
+	fail := func(where string, err error) {
+		if out.broken == "" {
+			out.broken = fmt.Sprintf("%s at %v: %v", where, eng.Now(), err)
+		}
+	}
+	if w.reference {
+		n.solve = n.refRecompute
+	}
+	withOracle(n, func(err error) {
+		out.checked++
+		if err != nil {
+			fail("solve", err)
+		}
+	})
+	var hooks Hooks
+	if w.fill {
+		hooks.RateChange = func(*Flow) {}
+	}
+	var books ledger
+	books.install(n, hooks)
 	var created []*Flow
 	type fin struct {
 		id int
@@ -260,8 +277,8 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 	}
 	var fins []fin
 	check := func(where string) {
-		if err := checkBookkeeping(n); err != nil && out.broken == "" {
-			out.broken = fmt.Sprintf("%s at %v: %v", where, eng.Now(), err)
+		if err := checkBookkeeping(n); err != nil {
+			fail(where, err)
 		}
 	}
 	done := func(f *Flow) {
@@ -296,9 +313,6 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 	for i, op := range ops {
 		i, op := i, op
 		eng.ScheduleAt(op.at, func() {
-			if w.flip {
-				n.solver = []solverKind{referenceSolver, incrementalSolver}[i%2]
-			}
 			switch {
 			case op.marker:
 				at, ok := nextCompletion(n, eng.Now())
@@ -357,6 +371,9 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		})
 	}
 	eng.Run()
+	if err := books.close(n); err != nil {
+		fail("end of run", err)
+	}
 	// Same-instant finish order may legitimately differ between batched
 	// and sequential admission (a batch admits every flow before
 	// dispatching, so immediate completions and hold dispatches swap
@@ -391,11 +408,11 @@ func diffStrings(t *testing.T, what string, got, want []string, cfg Config) {
 }
 
 // checkEquivalence runs the optimized and reference worlds over the same
-// scenario and reports the first divergence; then, holding admission the
-// same so that nothing needs normalising, it holds the incremental solver
-// — and a run that switches solver at every op — to the reference's
-// exact dispatch order, and a run in which every solve fills (a RateChange
-// hook is installed) to the run that drains, quiescent rates included.
+// scenario and reports the first divergence or oracle violation; then,
+// holding admission the same so that nothing needs normalising, it holds
+// the incremental solver to the reference's exact dispatch order, and a
+// run in which every solve fills (a RateChange hook is installed) to the
+// run that drains, quiescent rates included.
 func checkEquivalence(t *testing.T, data []byte) outcome {
 	t.Helper()
 	if len(data) == 0 {
@@ -411,12 +428,11 @@ func checkScenario(t *testing.T, ops []scenarioOp, cluster *topology.Cluster, cf
 	t.Helper()
 	got := runScenario(ops, cluster, cfg, optimizedWorld)
 	want := runScenario(ops, cluster, cfg, referenceWorld)
-	inc := runScenario(ops, cluster, cfg, world{solver: incrementalSolver})
-	flip := runScenario(ops, cluster, cfg, world{solver: incrementalSolver, flip: true})
-	fill := runScenario(ops, cluster, cfg, world{solver: incrementalSolver, fill: true})
-	for _, o := range []outcome{got, want, inc, flip, fill} {
+	inc := runScenario(ops, cluster, cfg, world{})
+	fill := runScenario(ops, cluster, cfg, world{fill: true})
+	for _, o := range []outcome{got, want, inc, fill} {
 		if o.broken != "" {
-			t.Fatalf("bookkeeping: %s (cfg %+v)", o.broken, cfg)
+			t.Fatalf("oracle: %s (cfg %+v)", o.broken, cfg)
 		}
 	}
 	if got.bytesMoved != want.bytesMoved {
@@ -426,7 +442,6 @@ func checkScenario(t *testing.T, ops []scenarioOp, cluster *topology.Cluster, cf
 	diffStrings(t, "snapshot", got.snaps, want.snaps, cfg)
 
 	diffStrings(t, "dispatch order, incremental vs reference,", inc.order, want.order, cfg)
-	diffStrings(t, "dispatch order, solver switched per op vs reference,", flip.order, want.order, cfg)
 	diffStrings(t, "dispatch order, every solve filling vs draining,", fill.order, inc.order, cfg)
 	diffStrings(t, "finish, every solve filling vs draining,", fill.finishes, inc.finishes, cfg)
 	diffStrings(t, "snapshot, every solve filling vs draining,", fill.snaps, inc.snaps, cfg)
@@ -448,7 +463,7 @@ func TestIncrementalMatchesReference(t *testing.T) {
 		rng ^= rng << 17
 		return byte(rng)
 	}
-	ahead, behind := 0, 0
+	ahead, behind, checked := 0, 0, 0
 	for trial := 0; trial < 200; trial++ {
 		data := make([]byte, 1+4*40)
 		for i := range data {
@@ -458,11 +473,15 @@ func TestIncrementalMatchesReference(t *testing.T) {
 		inc := checkEquivalence(t, data)
 		ahead += inc.aheadCancels
 		behind += inc.behindAdmits
+		checked += inc.checked
 	}
 	if ahead == 0 || behind == 0 {
 		t.Errorf("callback ops never met the drain cursor: %d cancels ahead of it, %d admissions behind it", ahead, behind)
 	}
-	t.Logf("callback ops: %d cancels ahead of the drain cursor, %d admissions behind it", ahead, behind)
+	if checked == 0 {
+		t.Error("the oracle checked no solve")
+	}
+	t.Logf("callback ops: %d cancels ahead of the drain cursor, %d admissions behind it; the oracle checked %d fillings", ahead, behind, checked)
 }
 
 // TestBatchedStartMatchesSequential pins the StartFlows contract directly:
@@ -477,8 +496,8 @@ func TestBatchedStartMatchesSequential(t *testing.T) {
 		{RackBps: 100 * Mbps, NodeBps: 200 * Mbps},
 		{RackBps: 100 * Mbps, Mode: ExclusiveHold},
 	} {
-		bat := runScenario(ops, equivCluster(), cfg, world{solver: incrementalSolver, batched: true})
-		seq := runScenario(ops, equivCluster(), cfg, world{solver: incrementalSolver})
+		bat := runScenario(ops, equivCluster(), cfg, world{batched: true})
+		seq := runScenario(ops, equivCluster(), cfg, world{})
 		if bat.bytesMoved != seq.bytesMoved {
 			t.Fatalf("cfg %+v: batched run diverged in volume", cfg)
 		}
@@ -514,10 +533,12 @@ func TestDispatchOrderMatchesReference(t *testing.T) {
 		log  []string
 		done func(*Flow)
 	}
-	start := func(solver solverKind) *run {
+	start := func(reference bool) *run {
 		r := &run{eng: sim.New()}
 		r.n = mustNet(t, r.eng, twoRacks(), Config{RackBps: 100 * Mbps})
-		r.n.solver = solver
+		if reference {
+			r.n.solve = r.n.refRecompute
+		}
 		r.done = func(f *Flow) { r.log = append(r.log, fmt.Sprintf("f%d", f.ID)) }
 		return r
 	}
@@ -580,15 +601,15 @@ func TestDispatchOrderMatchesReference(t *testing.T) {
 		},
 	}
 	for _, sc := range scenarios {
-		for _, solver := range []solverKind{referenceSolver, incrementalSolver} {
-			r := start(solver)
+		for _, reference := range []bool{true, false} {
+			r := start(reference)
 			sc.script(r)
 			r.eng.Run()
 			if err := r.n.Drained(); err != nil {
-				t.Fatalf("%s, solver %d: %v", sc.name, solver, err)
+				t.Fatalf("%s, reference %v: %v", sc.name, reference, err)
 			}
 			if fmt.Sprint(r.log) != fmt.Sprint(sc.want) {
-				t.Errorf("%s, solver %d: dispatch order %v, want %v", sc.name, solver, r.log, sc.want)
+				t.Errorf("%s, reference %v: dispatch order %v, want %v", sc.name, reference, r.log, sc.want)
 			}
 		}
 	}
@@ -600,10 +621,12 @@ func TestDispatchOrderMatchesReference(t *testing.T) {
 // flow per solve, which is what the reference solver schedules.
 func TestOneEventPerSolve(t *testing.T) {
 	const flows, noSolve, callers = 48, 2, 1
-	run := func(solver solverKind) (sim.Stats, Stats) {
+	run := func(reference bool) (sim.Stats, Stats) {
 		eng := sim.New()
 		n := mustNet(t, eng, equivCluster(), Config{RackBps: 100 * Mbps, NodeBps: 200 * Mbps})
-		n.solver = solver
+		if reference {
+			n.solve = n.refRecompute
+		}
 		reqs := make([]FlowReq, 0, flows+noSolve)
 		for i := 0; i < flows; i++ { // distinct sizes: one completion, one solve, at a time
 			reqs = append(reqs, FlowReq{Src: topology.NodeID(i % 12), Dst: topology.NodeID((i + 5) % 12), Bytes: float64(1+i) * 1e6})
@@ -616,7 +639,7 @@ func TestOneEventPerSolve(t *testing.T) {
 		}
 		return eng.Stats(), n.Stats()
 	}
-	es, ns := run(incrementalSolver)
+	es, ns := run(false)
 	if ns.Solves < flows || ns.FlowsVisited < flows*flows/2 {
 		t.Fatalf("scenario too small to tell: %+v", ns)
 	}
@@ -632,7 +655,7 @@ func TestOneEventPerSolve(t *testing.T) {
 	}
 	// The counters tell the two designs apart: the reference schedules an
 	// event for every flow a solve visits, and dispatches the same ones.
-	rs, rn := run(referenceSolver)
+	rs, rn := run(true)
 	ns.Deferred = 0 // the reference defers nothing
 	if rn != ns || rs.Dispatched != es.Dispatched {
 		t.Errorf("reference run differs: net %+v vs %+v, dispatched %d vs %d", rn, ns, rs.Dispatched, es.Dispatched)

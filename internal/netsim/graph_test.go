@@ -21,6 +21,36 @@ func mustFatTreeCluster(t testing.TB, cfg topology.FatTreeConfig) *topology.Clus
 	return c
 }
 
+// linkNames names every link of n after the table that holds it, as the
+// historical hardwired arrays did: node<i>-up/-down for NICs,
+// <tier name><group>-up/-down for tier links, core for the core fabric.
+func linkNames(n *Net, c *topology.Cluster) map[*link]string {
+	names := make(map[*link]string, len(n.links))
+	for i := range n.nodeUp {
+		names[n.nodeUp[i]] = fmt.Sprintf("node%d-up", i)
+		names[n.nodeDn[i]] = fmt.Sprintf("node%d-down", i)
+	}
+	for t, tier := range c.Spec().Tiers {
+		for g := range n.tierUp[t] {
+			names[n.tierUp[t][g]] = fmt.Sprintf("%s%d-up", tier.Name, g)
+			names[n.tierDn[t][g]] = fmt.Sprintf("%s%d-down", tier.Name, g)
+		}
+	}
+	names[n.core] = "core"
+	return names
+}
+
+// debugLinks returns every link of n as "name capacity", in construction
+// order.
+func debugLinks(n *Net, c *topology.Cluster) []string {
+	names := linkNames(n, c)
+	out := make([]string, len(n.links))
+	for i, l := range n.links {
+		out[i] = fmt.Sprintf("%s %v", names[l], l.capacity)
+	}
+	return out
+}
+
 // TestLegacyLinkSetUnchanged pins the generic graph builder to the
 // historical hardwired link arrays: a legacy two-level cluster must
 // produce the very same links — names, capacities, construction order —
@@ -43,7 +73,7 @@ func TestLegacyLinkSetUnchanged(t *testing.T) {
 		"rack1-up 1.25e+07", "rack1-down 1.25e+07",
 		"core 5e+07",
 	}
-	got := n.DebugLinks()
+	got := debugLinks(n, c)
 	if len(got) != len(want) {
 		t.Fatalf("link count = %d, want %d:\n%v", len(got), len(want), got)
 	}
@@ -58,7 +88,7 @@ func TestLegacyLinkSetUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = n.DebugLinks()
+	got = debugLinks(n, c)
 	if got[0] != "node0-up +Inf" || got[14] != "core +Inf" || got[10] != "rack0-up 1.25e+07" {
 		t.Fatalf("unlimited layers wrong: %v", got)
 	}
@@ -72,21 +102,22 @@ func TestLegacyPathShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	names := linkNames(n, c)
 	if p := n.pathFor(2, 2); p != nil {
-		t.Fatalf("node-local path = %v, want nil", pathNames(n, p))
+		t.Fatalf("node-local path = %v, want nil", pathNames(names, p))
 	}
-	if got, want := fmt.Sprint(pathNames(n, n.pathFor(0, 1))), "[node0-up node1-down]"; got != want {
+	if got, want := fmt.Sprint(pathNames(names, n.pathFor(0, 1))), "[node0-up node1-down]"; got != want {
 		t.Fatalf("same-rack path = %v, want %v", got, want)
 	}
-	if got, want := fmt.Sprint(pathNames(n, n.pathFor(0, 4))), "[node0-up rack0-up core rack1-down node4-down]"; got != want {
+	if got, want := fmt.Sprint(pathNames(names, n.pathFor(0, 4))), "[node0-up rack0-up core rack1-down node4-down]"; got != want {
 		t.Fatalf("cross-rack path = %v, want %v", got, want)
 	}
 }
 
-func pathNames(n *Net, p []*link) []string {
+func pathNames(names map[*link]string, p []*link) []string {
 	out := make([]string, len(p))
 	for i, l := range p {
-		out[i] = n.linkName(l)
+		out[i] = names[l]
 	}
 	return out
 }
@@ -108,6 +139,11 @@ func TestEveryPairUniquePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	names1, names2 := linkNames(n1, c), linkNames(n2, c)
+	nics := make(map[*link]bool)
+	for i := range n1.nodeUp {
+		nics[n1.nodeUp[i]], nics[n1.nodeDn[i]] = true, true
+	}
 	for src := 0; src < c.NumNodes(); src++ {
 		for dst := 0; dst < c.NumNodes(); dst++ {
 			s, d := topology.NodeID(src), topology.NodeID(dst)
@@ -119,18 +155,18 @@ func TestEveryPairUniquePath(t *testing.T) {
 				continue
 			}
 			if p[0] != n1.nodeUp[src] || p[len(p)-1] != n1.nodeDn[dst] {
-				t.Fatalf("path %d->%d does not run NIC to NIC: %v", src, dst, pathNames(n1, p))
+				t.Fatalf("path %d->%d does not run NIC to NIC: %v", src, dst, pathNames(names1, p))
 			}
 			for _, l := range p[1 : len(p)-1] {
-				if l.kind == linkNodeUp || l.kind == linkNodeDn {
-					t.Fatalf("path %d->%d crosses a third NIC: %v", src, dst, pathNames(n1, p))
+				if nics[l] {
+					t.Fatalf("path %d->%d crosses a third NIC: %v", src, dst, pathNames(names1, p))
 				}
 			}
 			// Deterministic: an independent build yields the same links.
 			q := n2.pathFor(s, d)
-			if fmt.Sprint(pathNames(n1, p)) != fmt.Sprint(pathNames(n2, q)) {
+			if fmt.Sprint(pathNames(names1, p)) != fmt.Sprint(pathNames(names2, q)) {
 				t.Fatalf("path %d->%d differs across builds: %v vs %v",
-					src, dst, pathNames(n1, p), pathNames(n2, q))
+					src, dst, pathNames(names1, p), pathNames(names2, q))
 			}
 		}
 	}
@@ -224,9 +260,8 @@ func benchFatTree10k(tb testing.TB) *topology.Cluster {
 	return c
 }
 
-// BenchmarkNew10k pins the lazy-name construction satellite: building
-// the 10k-node network must stay a handful of slab allocations with no
-// per-link name formatting.
+// BenchmarkNew10k measures building the 10k-node network, which must stay
+// a handful of slab allocations with no per-link formatting.
 func BenchmarkNew10k(b *testing.B) {
 	c := benchFatTree10k(b)
 	eng := sim.New()

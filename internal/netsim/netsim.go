@@ -12,9 +12,8 @@
 // across the core fabric when only the root connects them, then down the
 // mirror-image links to the destination. Paths are immutable after
 // construction and interned per (src, dst) pair, so starting a flow on a
-// previously seen pair allocates no path memory; link names are derived
-// lazily from (kind, index), so building a 10k-node network performs no
-// per-link formatting.
+// previously seen pair allocates no path memory; links carry no names, so
+// building a 10k-node network performs no per-link formatting.
 //
 // Two contention modes are provided:
 //
@@ -93,12 +92,12 @@ type Flow struct {
 	remaining   float64
 	rate        float64
 	updateTime  sim.Time // when `remaining` was last advanced, or the flow admitted
-	frozenEpoch uint64   // solve epoch at which the flow was last frozen
+	frozenEpoch uint64   // solve epoch at which the filling last fixed the flow's rate
 	path        []*link
 	// ev is the flow's own completion event. Fluid flows normally have
 	// none (the Net schedules one event for the earliest completion, see
-	// solver.go); it is set for hold-mode flows, for flows admitted
-	// without a solve, and under referenceSolver.
+	// solver.go); it is set for hold-mode flows and, until the next solve,
+	// for flows admitted without one.
 	ev *sim.Event
 
 	ID        int
@@ -106,7 +105,6 @@ type Flow struct {
 	Bytes     float64
 	StartedAt sim.Time
 
-	frozen   bool // scratch state for refRecompute
 	done     func(*Flow)
 	net      *Net
 	queued   bool // ExclusiveHold: waiting for links
@@ -132,23 +130,7 @@ func (f *Flow) Remaining() float64 { return f.remaining }
 // Finished reports whether the flow has completed.
 func (f *Flow) Finished() bool { return f.finished }
 
-// linkKind identifies a link's layer; with tier and index it determines
-// the link's name, which is derived lazily (10k-node construction must
-// not pay O(nodes) fmt.Sprintf calls for names nobody may ever read).
-type linkKind uint8
-
-const (
-	linkNodeUp linkKind = iota
-	linkNodeDn
-	linkTierUp
-	linkTierDn
-	linkCore
-)
-
 type link struct {
-	kind     linkKind
-	tier     int32   // tier index for linkTierUp/linkTierDn
-	index    int32   // node or group index
 	capacity float64 // bytes/sec, +Inf when unlimited
 	finite   bool    // precomputed !IsInf(capacity): only finite links constrain
 
@@ -179,8 +161,6 @@ type Net struct {
 	tierDn [][]*link
 	core   *link
 	links  []*link
-	// tierNames label tier links lazily (linkName).
-	tierNames []string
 	// coords[node][tier] is the node's group index per tier, shared with
 	// the cluster (immutable after construction).
 	coords [][]int
@@ -194,11 +174,13 @@ type Net struct {
 	waiting   []*Flow // hold mode FIFO
 	nextID    int
 
-	// Incremental-solver state: which solver runs, the finite links that
-	// currently carry contending flows, the count of contending flows,
-	// and the monotone solve epoch used to mark frozen flows without a
-	// reset pass.
-	solver      solverKind
+	// solve is the fluid solver recompute runs: incRecompute, set by New.
+	// It is a field so the package's tests can wrap every solve with their
+	// property oracle.
+	solve func()
+	// Solver state: the finite links that currently carry contending
+	// flows, the count of contending flows, and the monotone solve epoch
+	// that marks the flows a filling has fixed without a reset pass.
 	activeLinks []*link
 	// workLinks is the filling loop's compacting scratch copy of
 	// activeLinks, retained across solves to avoid reallocation.
@@ -206,9 +188,9 @@ type Net struct {
 	ncontending int
 	epoch       uint64
 
-	// Fluid-mode completion under incrementalSolver: the one engine event
-	// for the earliest completion as of the last solve, the flow it
-	// finishes and its index in flows then, and its callback (built once).
+	// Fluid-mode completion: the one engine event for the earliest
+	// completion as of the last solve, the flow it finishes and its index
+	// in flows then, and its callback (built once).
 	nextEv   *sim.Event
 	nextFlow *Flow
 	nextIdx  int
@@ -230,28 +212,6 @@ type Net struct {
 
 	hooks Hooks
 }
-
-// solverKind selects the fluid max-min fair-sharing implementation. Only
-// the in-package equivalence tests set Net.solver; they may flip it
-// mid-run, because both solvers maintain identical flow state and each
-// solve cancels the completion events the other's last solve left behind.
-type solverKind int
-
-const (
-	// incrementalSolver (the zero value, what every Net runs) solves
-	// progressive filling over per-link active-flow indexes with a
-	// running water level, so each recompute costs O(active flows +
-	// active links) per filling iteration instead of O(all flows + all
-	// links), and schedules one engine event per solve — the earliest
-	// completion — instead of one per active flow. Produces bit-identical
-	// schedules to referenceSolver; pinned by property tests and
-	// FuzzNetsimEquivalence.
-	incrementalSolver solverKind = iota
-	// referenceSolver runs the original full recomputation
-	// (refRecompute) on every flow change. Retained as the ground truth
-	// for the equivalence tests.
-	referenceSolver
-)
 
 // Stats counts the fluid solver's work since New; like sim.Stats, the
 // counts of a seeded run repeat exactly.
@@ -330,13 +290,13 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 		nodeDn:    make([]*link, nodes),
 		tierUp:    make([][]*link, tiers),
 		tierDn:    make([][]*link, tiers),
-		tierNames: make([]string, tiers),
 		coords:    make([][]int, nodes),
 		pathCache: make(map[int64][]*link),
 		pathLens:  make([]int, tiers+1),
 		links:     make([]*link, 0, 2*nodes+2*totalGroups+1),
 		instant:   -1,
 	}
+	n.solve = n.incRecompute
 	n.fireNext = func() {
 		f := n.nextFlow
 		n.nextEv, n.nextFlow = nil, nil
@@ -346,18 +306,17 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 	// allocations (slab + pointer table), not O(links) small ones.
 	slab := make([]link, 2*nodes+2*totalGroups+1)
 	next := 0
-	addLink := func(kind linkKind, tier, index int, capacity float64) *link {
+	addLink := func(capacity float64) *link {
 		l := &slab[next]
 		next++
-		*l = link{kind: kind, tier: int32(tier), index: int32(index),
-			capacity: capacity, finite: !math.IsInf(capacity, 1)}
+		*l = link{capacity: capacity, finite: !math.IsInf(capacity, 1)}
 		n.links = append(n.links, l)
 		return l
 	}
 	nodeBps := capOf(cfg.NodeBps, spec.NodeBps)
 	for i := 0; i < nodes; i++ {
-		n.nodeUp[i] = addLink(linkNodeUp, 0, i, nodeBps)
-		n.nodeDn[i] = addLink(linkNodeDn, 0, i, nodeBps)
+		n.nodeUp[i] = addLink(nodeBps)
+		n.nodeDn[i] = addLink(nodeBps)
 		n.coords[i] = c.NodeCoords(topology.NodeID(i))
 	}
 	for t, tier := range spec.Tiers {
@@ -366,15 +325,14 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 			override = cfg.RackBps
 		}
 		bps := capOf(override, tier.LinkBps)
-		n.tierNames[t] = tier.Name
 		n.tierUp[t] = make([]*link, tier.Count)
 		n.tierDn[t] = make([]*link, tier.Count)
 		for g := 0; g < tier.Count; g++ {
-			n.tierUp[t][g] = addLink(linkTierUp, t, g, bps)
-			n.tierDn[t][g] = addLink(linkTierDn, t, g, bps)
+			n.tierUp[t][g] = addLink(bps)
+			n.tierDn[t][g] = addLink(bps)
 		}
 	}
-	n.core = addLink(linkCore, tiers, 0, capOf(cfg.CoreBps, spec.CoreBps))
+	n.core = addLink(capOf(cfg.CoreBps, spec.CoreBps))
 	// Path-template lengths per shared tier: 2 NICs + one up/down pair
 	// per climbed tier + the core fabric when crossing the root.
 	for shared := 0; shared <= tiers; shared++ {
@@ -384,32 +342,6 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 		}
 	}
 	return n, nil
-}
-
-// linkName derives a link's display name from its kind and index.
-func (n *Net) linkName(l *link) string {
-	switch l.kind {
-	case linkNodeUp:
-		return fmt.Sprintf("node%d-up", l.index)
-	case linkNodeDn:
-		return fmt.Sprintf("node%d-down", l.index)
-	case linkTierUp:
-		return fmt.Sprintf("%s%d-up", n.tierNames[l.tier], l.index)
-	case linkTierDn:
-		return fmt.Sprintf("%s%d-down", n.tierNames[l.tier], l.index)
-	default:
-		return "core"
-	}
-}
-
-// DebugLinks returns every link as "name capacity" in construction
-// order, for diagnostics and the legacy link-set equivalence test.
-func (n *Net) DebugLinks() []string {
-	out := make([]string, len(n.links))
-	for i, l := range n.links {
-		out[i] = fmt.Sprintf("%s %v", n.linkName(l), l.capacity)
-	}
-	return out
 }
 
 // Mode returns the contention mode in use.
@@ -658,7 +590,7 @@ func (n *Net) removeFlow(f *Flow) {
 	}
 }
 
-// recompute reruns the max-min fair allocation with the selected solver.
+// recompute reruns the max-min fair allocation (n.solve, see solver.go).
 func (n *Net) recompute() {
 	n.stats.Solves++
 	n.stats.FlowsVisited += uint64(len(n.flows))
@@ -667,112 +599,7 @@ func (n *Net) recompute() {
 		panic(fmt.Sprintf("netsim: clock moved from %v to %v over a drained solve", n.instant, n.eng.Now()))
 	}
 	n.drained = false
-	if n.solver == referenceSolver {
-		n.refRecompute()
-		return
-	}
-	n.incRecompute()
-}
-
-// refRecompute is the reference fluid solver: advance all flows to the
-// current time, rerun progressive filling from scratch over every link
-// and flow, and cancel + reschedule one completion event per flow. It is
-// the original implementation, retained as ground truth for the
-// incremental solver (see FuzzNetsimEquivalence).
-func (n *Net) refRecompute() {
-	now := n.eng.Now()
-	n.cancelNext() // left by an incremental solve before a test switched solver
-	// Advance progress at the old rates.
-	for _, f := range n.flows {
-		if f.rate > 0 && !math.IsInf(f.rate, 1) {
-			f.remaining -= f.rate * (now - f.updateTime)
-			if f.remaining < 0 {
-				f.remaining = 0
-			}
-		}
-		f.updateTime = now
-	}
-	// Progressive-filling max-min.
-	for _, l := range n.links {
-		l.residual = l.capacity
-		l.unfrozen = 0
-	}
-	unfrozen := 0
-	for _, f := range n.flows {
-		f.rate = 0
-		f.frozen = len(f.path) == 0 // local flows don't contend
-		if !f.frozen {
-			unfrozen++
-			for _, l := range f.path {
-				l.unfrozen++
-			}
-		}
-	}
-	for unfrozen > 0 {
-		inc := math.Inf(1)
-		for _, l := range n.links {
-			if l.unfrozen == 0 || math.IsInf(l.capacity, 1) {
-				continue
-			}
-			if share := l.residual / float64(l.unfrozen); share < inc {
-				inc = share
-			}
-		}
-		if math.IsInf(inc, 1) {
-			// Remaining flows cross only unlimited links.
-			for _, f := range n.flows {
-				if !f.frozen {
-					f.rate = math.Inf(1)
-					f.frozen = true
-				}
-			}
-			break
-		}
-		for _, f := range n.flows {
-			if !f.frozen {
-				f.rate += inc
-			}
-		}
-		for _, l := range n.links {
-			if l.unfrozen > 0 && !math.IsInf(l.capacity, 1) {
-				l.residual -= inc * float64(l.unfrozen)
-			}
-		}
-		// Freeze flows crossing a saturated link.
-		for _, f := range n.flows {
-			if f.frozen {
-				continue
-			}
-			for _, l := range f.path {
-				if !math.IsInf(l.capacity, 1) && l.residual <= 1e-9*l.capacity {
-					f.frozen = true
-					break
-				}
-			}
-			if f.frozen {
-				unfrozen--
-				for _, l := range f.path {
-					l.unfrozen--
-				}
-			}
-		}
-	}
-	// Reschedule completions.
-	for _, f := range n.flows {
-		if f.ev != nil {
-			n.eng.Cancel(f.ev)
-			f.ev = nil
-			n.owned--
-		}
-		dt, ok := f.timeToFinish()
-		if !ok {
-			continue
-		}
-		f := f
-		f.ev = n.eng.Schedule(dt, func() { n.finish(f) })
-		n.owned++
-	}
-	n.emitRateChanges()
+	n.solve()
 }
 
 // dispatchHold starts waiting flows (in FIFO order) whose links are all

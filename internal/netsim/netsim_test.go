@@ -607,7 +607,7 @@ func TestStartFlowsBatch(t *testing.T) {
 func TestReferenceSolverSelectable(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
-	n.solver = referenceSolver
+	n.solve = n.refRecompute
 	var doneAt sim.Time = -1
 	n.StartFlow(3, 0, 128e6, func(*Flow) { doneAt = eng.Now() })
 	eng.Run()

@@ -1,32 +1,31 @@
-// Incremental fluid solver. A solve (incRecompute) is three steps: advance
-// every flow's progress to now at the rates in force, once per instant;
-// ask the drain test whether the next completion is already decided; and
-// only if it is not, run progressive filling and schedule the earliest
-// completion. DESIGN.md §10 has the arguments at length.
+// The fluid solver. A solve (incRecompute) is three steps: advance every
+// flow's progress to now at the rates in force, once per instant; ask the
+// drain test whether the next completion is already decided; and only if
+// it is not, run progressive filling and schedule the earliest completion.
+// DESIGN.md §10 has the arguments at length.
 //
 // Progressive filling is driven by per-link active-flow indexes instead of
 // sweeps over every flow and every link:
 //
 //   - Each finite link keeps the list of contending flows crossing it, so
 //     the freeze step visits only the saturated link's flows.
-//   - Per-flow rate accumulation (`f.rate += inc` per iteration) is
-//     replaced by one running water level: the partial sums are the same
-//     float64 additions in the same order, so assigning `f.rate = level`
-//     at freeze time is bitwise identical to the reference solver.
-//   - Frozen flags are solve-epoch stamps: no O(flows) reset pass.
+//   - One running water level stands in for per-flow rate accumulation: a
+//     flow's rate is the level at which its first link saturates, the same
+//     float64 partial sums, in the same order, as `f.rate += inc` per
+//     iteration would make.
+//   - Freeze marks are solve-epoch stamps: no O(flows) reset pass.
 //
-// One completion event per network, not per flow. The reference solver
-// ends every solve by cancelling each flow's completion event and
-// scheduling a new one, in n.flows order: one contiguous block of engine
-// sequence numbers, sorting after everything scheduled before the solve
-// and before everything scheduled later. The engine dispatches the block's
-// minimum (time, position in n.flows) first, and that completion solves
-// again and cancels the rest, as does any start or cancel in between. So
-// scheduleNext schedules that event alone: the same `now + remaining/rate`
-// per flow, the earliest kept with strict < (ties go to the earlier flow),
-// cancelled and scheduled afresh by every solve so it sits where the block
-// would. Engine dispatch order is the reference run's. The flow's index
-// (Net.nextIdx) spares removeFlow a search.
+// One completion event per network, not per flow. Had every flow its own
+// event, a solve would schedule them one after another in n.flows order:
+// one contiguous block of engine sequence numbers, sorting after everything
+// scheduled before the solve and before everything scheduled later. The
+// engine would dispatch the block's minimum (time, position in n.flows)
+// first, and that completion solves again and cancels the rest, as does any
+// start or cancel in between. So scheduleNext schedules that event alone:
+// `now + remaining/rate` per flow, the earliest kept with strict < (ties go
+// to the earlier flow), cancelled and scheduled afresh by every solve so it
+// sits where the block would. The flow's index (Net.nextIdx) spares
+// removeFlow a search.
 //
 // The advance. addFlow stamps updateTime at admission and Net.instant is
 // the clock at the last advance pass, so while the clock stays there every
@@ -60,18 +59,19 @@
 // larger hi keeps; a flow's rate is bounded by its own links, so an old
 // proof stays sound.) A repeated `now` costs O(active links) + flows unwalked.
 //
-// Flows the reference gives a sequence number outside any block keep an
-// event of their own: ExclusiveHold flows, never re-solved, and fluid flows
-// admitted without a solve (node-local or zero-byte) until the next solve
-// absorbs them into the network's event, where the reference moves them
-// into its block. Net.owned counts them (with those refRecompute gave
-// one): a solve walks n.flows to cancel them only when there are any.
+// Flows outside any solve keep an event of their own: ExclusiveHold flows,
+// never solved, and fluid flows admitted without a solve (node-local or
+// zero-byte) until the next solve absorbs them into the network's event.
+// Net.owned counts them: a solve walks n.flows to cancel them only when
+// there are any.
 //
-// Equivalence with refRecompute, dispatch order included, is pinned by
-// TestDispatchOrderMatchesReference, TestIncrementalMatchesReference and
-// FuzzNetsimEquivalence (with a run whose every solve fills, callbacks that
-// cancel and admit around the drain cursor, and the bookkeeping above
-// checked throughout); TestBorderlineRemainingFallsThrough and
+// The judge is the property oracle in oracle_test.go, run after every
+// filling solve of the equivalence scenarios and FuzzNetsimEquivalence:
+// per-link conservation, max-min optimality by the bottleneck
+// characterisation, the pending event at the earliest completion (ties to
+// the earlier flow), and every flow's bytes accounted once. The same tests
+// hold the schedules and the engine's dispatch order to a per-flow-event
+// solver kept beside the oracle; TestBorderlineRemainingFallsThrough and
 // TestDrainCursorResetsWhenHiGrows pin verdicts drain must not give.
 
 package netsim
@@ -154,14 +154,14 @@ func (n *Net) pruneActiveLinks() []*link {
 	return kept
 }
 
-// incRecompute is the incremental fluid solver; see the header comment
-// above for the three steps and the bitwise-equivalence arguments.
+// incRecompute is the fluid solver; see the header comment above for the
+// three steps and the bitwise-neutrality arguments.
 func (n *Net) incRecompute() {
 	now := n.eng.Now()
 	//lint:ignore floateq instant is a copy of the engine's clock: any other value means time moved
 	if n.instant != now {
 		// Every flow in one step: advancing only touched flows, in several
-		// steps, would round differently from the reference schedule.
+		// steps, would round differently from the pinned schedules.
 		for _, f := range n.flows {
 			if f.rate > 0 && !math.IsInf(f.rate, 1) {
 				f.remaining -= f.rate * (now - f.updateTime)
@@ -178,8 +178,8 @@ func (n *Net) incRecompute() {
 		return
 	}
 	// Progressive filling over the link indexes. The filling loop works on
-	// a compacting copy of the active set: a link whose flows have all
-	// frozen can never bound a later water-level increment or freeze
+	// a compacting copy of the active set: a link whose flows all froze
+	// can never bound a later water-level increment or freeze
 	// anything again, so it is dropped instead of re-skipped every
 	// iteration — at 10k-node scale most links freeze their flows in the
 	// first iteration and the sweeps shrink accordingly. Dropping is
@@ -301,7 +301,7 @@ func (n *Net) drain(now sim.Time, links []*link) bool {
 // scheduleNext replaces the network's completion event with one for the
 // flow that finishes first at the rates just solved; see the header
 // comment for why no other flow needs an event. Flows that still own an
-// event (admitted without a solve, or solved by refRecompute) give it up.
+// event (admitted without a solve) give it up.
 func (n *Net) scheduleNext(now sim.Time) {
 	n.cancelNext()
 	n.cancelOwned()
@@ -323,7 +323,7 @@ func (n *Net) scheduleNext(now sim.Time) {
 }
 
 // cancelOwned withdraws the events flows still own (admitted without a
-// solve, or given one by refRecompute), in n.flows order.
+// solve), in n.flows order.
 func (n *Net) cancelOwned() {
 	if n.owned == 0 {
 		return

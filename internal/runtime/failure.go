@@ -67,7 +67,6 @@ func (s *state) injectFailure(nodes []topology.NodeID) {
 		s.recoverShuffle(js, dead)
 		s.recoverReducers(js, dead)
 		s.reexecuteLostOutputs(js, dead)
-		s.ensureScheduled(js)
 	}
 
 	// (5) The background healer cancels in-flight repairs touching the
@@ -107,7 +106,6 @@ func (s *state) asyncMapFailure(rm *runningMap, err error) {
 		// (e.g. a degraded-read source already marked dead) — so abort
 		// and requeue it explicitly.
 		s.requeueRunning(rm)
-		s.ensureScheduled(rm.js)
 	}
 }
 

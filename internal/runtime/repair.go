@@ -337,7 +337,6 @@ func (m *repairManager) restoreTask(ref RepairedTask, holder topology.NodeID) {
 	t := js.sj.Tasks()[ref.Task]
 	if !t.Assigned() && t.Lost {
 		js.sj.Recover(t, holder)
-		m.s.ensureScheduled(js)
 	}
 }
 

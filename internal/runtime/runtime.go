@@ -408,12 +408,6 @@ func (s *state) submitJob(js *jobState) {
 	s.emit(qe)
 }
 
-// ensureScheduled re-enters a job with pending tasks into the job queue
-// after failure recovery requeued work.
-func (s *state) ensureScheduled(js *jobState) {
-	s.queue.Requeue(js.idx)
-}
-
 func (s *state) heartbeat(id topology.NodeID) {
 	if s.err != nil || s.allDone() {
 		return
@@ -486,7 +480,6 @@ func (s *state) serveSlave(id topology.NodeID) {
 					return
 				}
 			}
-			s.queue.Prune()
 			s.env.Jobs = s.queue.MapOrder()
 			if slave.freeMap > 0 && len(s.env.Jobs) > 0 {
 				e := s.ev(trace.EvSlotIdle)
