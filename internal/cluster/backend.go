@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"degradedfirst/internal/dfs"
-	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/minimr"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
@@ -20,16 +19,11 @@ import (
 // run-map dispatch goroutines live outside it, and they communicate
 // solely through each future's buffered channel.
 type clusterBackend struct {
-	*minimr.Healer // the repair backend; repair.go overrides CommitRepair
-	m              *Master
-	jobs           []minimr.Job
-	rng            *stats.RNG
-
-	blocks  [][]erasure.BlockID
-	holders [][]topology.NodeID
-	files   []*dfs.File
-
-	outputs []map[string]string
+	*runtime.Healer // the store; repair.go overrides CommitRepair
+	m               *Master
+	jobs            []minimr.Job
+	rng             *stats.RNG
+	outputs         []map[string]string
 }
 
 var (
@@ -60,13 +54,10 @@ type mapDone struct {
 
 func newClusterBackend(m *Master, h *minimr.Harness, jobs []minimr.Job) *clusterBackend {
 	b := &clusterBackend{
-		Healer:  h.Healer,
-		m:       m,
-		jobs:    jobs,
-		rng:     stats.NewRNG(m.opts.Engine.Seed),
-		blocks:  h.Blocks,
-		holders: h.Holders,
-		files:   h.Files,
+		Healer: h.Healer,
+		m:      m,
+		jobs:   jobs,
+		rng:    stats.NewRNG(m.opts.Engine.Seed),
 	}
 	for range jobs {
 		b.outputs = append(b.outputs, make(map[string]string))
@@ -86,18 +77,17 @@ func (b *clusterBackend) speed(id topology.NodeID) float64 {
 // primary count and the spares join Fetch, so the worker decodes from
 // whichever k fetches finish first and cancels the rest.
 func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
-	block := b.blocks[job][task]
-	blockBytes := float64(b.m.fs.BlockSize())
+	block := b.TaskBlock(task)
+	place := b.Files[job].Placement
 	req := &mapReq{Job: job, Task: task, File: b.jobs[job].Input, Stripe: block.Stripe, Index: block.Index}
 	plan := runtime.InputPlan{Input: req}
 	switch class {
 	case sched.ClassNodeLocal:
 	case sched.ClassRackLocal, sched.ClassRemote:
-		holder := b.holders[job][task]
+		holder := place.Holder(block)
 		req.Fetch = []fetchSpec{b.m.fetchSpec(holder, block.Stripe, block.Index)}
-		plan.Transfers = []runtime.Transfer{{Src: holder, Bytes: blockBytes}}
+		plan.Transfers = []runtime.Transfer{{Src: holder, Bytes: b.BlockBytes}}
 	case sched.ClassDegraded:
-		place := b.files[job].Placement
 		sources, err := dfs.PickRepairSources(b.m.fs.Cluster(), b.m.code, place,
 			block, node, b.m.opts.Engine.SourceStrategy, b.rng)
 		if err != nil {
@@ -111,7 +101,7 @@ func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topolo
 		plan.Spares = len(extra)
 		plan.Transfers = make([]runtime.Transfer, 0, len(sources)+len(extra))
 		for _, src := range append(sources, extra...) {
-			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: blockBytes})
+			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: b.BlockBytes})
 			req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, block.Stripe, src.Index))
 		}
 	default:

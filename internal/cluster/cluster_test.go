@@ -347,8 +347,8 @@ func TestPlanInputPlansWholeFanIn(t *testing.T) {
 	}
 	b := newClusterBackend(m, h, jobs)
 	task := -1
-	for i, holder := range h.Holders[0] {
-		if holder == 3 {
+	for i, spec := range h.RJobs[0].Tasks {
+		if spec.Holder == 3 {
 			task = i
 			break
 		}

@@ -3,17 +3,15 @@
 // blocks, grouped into stripes of k blocks, encoded into n-k parity blocks,
 // and placed on cluster nodes by a placement policy.
 //
-// It serves two roles in the reproduction:
-//
-//   - degraded-read and repair *planning* (PickNSources, SpareSources,
-//     PlanStripe), shared with the discrete-event simulator, which only
-//     needs to know which nodes a degraded task or a repair downloads
-//     from. Which survivors rebuild a lost block is decided in one place,
-//     repairSet, for reads and the healer alike; and
-//   - a real-bytes store used by the real-execution engine
-//     (internal/minimr), where degraded reads and repairs genuinely
-//     reconstruct lost blocks with whatever erasure.Coder the file system
-//     was built over.
+// It is the one store behind every engine. The discrete-event simulator
+// (internal/mapred) keeps its inputs as metadata-only files (CreateMeta):
+// it only needs to know which nodes a degraded task or a repair downloads
+// from, and a repair there just moves the placement. The real-execution
+// engines (internal/minimr and the TCP cluster) keep data-bearing files
+// (Write), whose degraded reads and repairs genuinely reconstruct lost
+// blocks with whatever erasure.Coder the file system was built over. Both
+// plan alike: which survivors rebuild a lost block is decided in one
+// place, repairSet, for reads and the healer.
 package dfs
 
 import (
@@ -165,7 +163,7 @@ func SpareSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID
 }
 
 // repairSet is the one repair-source rule, shared by degraded reads
-// (PickRepairSources) and the healer (PlanStripe). Given the stripe indices
+// (PickRepairSources) and the healer (planStripe). Given the stripe indices
 // that can be read, it says which of them rebuild lost block idx:
 //
 //   - a code with local repair groups whose group for idx is wholly
@@ -174,9 +172,9 @@ func SpareSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID
 //   - such a code with the group broken, or with no group for idx (a global
 //     parity), reads every readable block: it is not MDS, so an arbitrary k
 //     of its survivors need not determine idx;
-//   - any other code — MDS, or nil where the simulator plans without one —
-//     is any-k: set is nil and the caller picks k readable blocks its own
-//     way (random or same-rack for a read, lowest-index for the healer).
+//   - any other code is MDS, so any-k: set is nil and the caller picks k
+//     readable blocks its own way (random or same-rack for a read,
+//     lowest-index for the healer).
 func repairSet(code erasure.Coder, idx int, readable []int) (set []int, local bool) {
 	lr, ok := code.(erasure.LocalRepairer)
 	if !ok {
@@ -396,8 +394,9 @@ func (fs *FS) encodeStripes(name string, data []byte, numStripes int) ([][][]byt
 }
 
 // CreateMeta registers a metadata-only file of numBlocks native blocks
-// (no contents), for callers that only need placement: tests and the
-// benchmark's scheduler probes. The simulator places its own files.
+// (no contents), for callers that only need placement: the simulator's
+// job inputs, and the benchmark's scheduler probes. It draws the same
+// placement Write would for a file of that many blocks.
 func (fs *FS) CreateMeta(name string, numBlocks int) (*File, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)

@@ -57,17 +57,15 @@ func PickRepairDestination(c *topology.Cluster, p *placement.Placement, s int,
 	return -1, fmt.Errorf("dfs: no alive node can host a rebuilt block of stripe %d", s)
 }
 
-// PlanStripe builds the repair plan for stripe s of the placed file:
+// planStripe builds the repair plan for stripe s of the placed file:
 // one BlockPlan per lost block (data or parity), or an unrepairable
 // verdict when the survivors do not determine every lost block. The code
-// answers that exactly, for any loss pattern of any family; a nil code
-// (the simulator plans without one) is taken as MDS, where it is "more
-// than n-k blocks gone".
+// answers that exactly, for any loss pattern of any family.
 //
 // Source selection is the degraded-read path's repairSet rule, kept
 // deterministic: where a read draws k random survivors, the healer reads
 // the k lowest-index ones.
-func PlanStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
+func planStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 	file string, s int) (repair.StripePlan, error) {
 
 	plan := repair.StripePlan{
@@ -85,10 +83,7 @@ func PlanStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 		}
 	}
 	plan.Lost = len(lost)
-	plan.Unrepairable = len(lost) > plan.N-plan.K
-	if code != nil {
-		plan.Unrepairable = slices.ContainsFunc(lost, func(idx int) bool { return !code.Determines(idx, alive) })
-	}
+	plan.Unrepairable = slices.ContainsFunc(lost, func(idx int) bool { return !code.Determines(idx, alive) })
 	if len(lost) == 0 || plan.Unrepairable {
 		return plan, nil
 	}
@@ -126,8 +121,8 @@ func (fs *FS) LostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) 
 	var plans []repair.StripePlan
 	for _, name := range fs.names {
 		p := fs.files[name].Placement
-		for _, s := range StripesLostTo(fs.cluster, p, failed) {
-			plan, err := PlanStripe(fs.cluster, fs.code, p, name, s)
+		for _, s := range stripesLostTo(fs.cluster, p, failed) {
+			plan, err := planStripe(fs.cluster, fs.code, p, name, s)
 			if err != nil {
 				return nil, err
 			}
@@ -137,10 +132,10 @@ func (fs *FS) LostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) 
 	return plans, nil
 }
 
-// StripesLostTo returns, in order, the stripes of p with a block on a
+// stripesLostTo returns, in order, the stripes of p with a block on a
 // dead node that is one of failed — or on any dead node when failed is
 // empty.
-func StripesLostTo(c *topology.Cluster, p *placement.Placement, failed []topology.NodeID) []int {
+func stripesLostTo(c *topology.Cluster, p *placement.Placement, failed []topology.NodeID) []int {
 	var stripes []int
 	for s := 0; s < p.NumStripes(); s++ {
 		for _, h := range p.StripeHolders(s) {
@@ -165,7 +160,7 @@ func (fs *FS) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
 	if key.Stripe < 0 || key.Stripe >= f.NumStripes() {
 		return repair.StripePlan{}, fmt.Errorf("dfs: file %q has no stripe %d", key.File, key.Stripe)
 	}
-	return PlanStripe(fs.cluster, fs.code, f.Placement, key.File, key.Stripe)
+	return planStripe(fs.cluster, fs.code, f.Placement, key.File, key.Stripe)
 }
 
 // RepairBlock commits the reconstruction of lost block b onto dst: for

@@ -150,6 +150,35 @@ func (o Options) parallelism() int {
 	return runtime.NumCPU()
 }
 
+// memo holds the last runs of an experiment that several artifacts view,
+// keyed by sample count and workload size, so within one process every
+// artifact after the first reuses them: figs 8a-c share one set of
+// simulations, and Fig. 9a and Table I one set of testbed runs.
+type memo[T any] struct {
+	mu  sync.Mutex
+	key string
+	val T
+}
+
+// get returns the runs for o at the given sample count, calling run on a
+// miss. Errors are not remembered.
+func (m *memo[T]) get(o Options, seeds int, run func() (T, error)) (T, error) {
+	key := fmt.Sprintf("%d-%v", seeds, o.Quick)
+	m.mu.Lock()
+	if m.key == key {
+		defer m.mu.Unlock()
+		return m.val, nil
+	}
+	m.mu.Unlock()
+	val, err := run()
+	if err == nil {
+		m.mu.Lock()
+		m.key, m.val = key, val
+		m.mu.Unlock()
+	}
+	return val, err
+}
+
 // Experiment is one registered artifact reproduction.
 type Experiment struct {
 	ID    string

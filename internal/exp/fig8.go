@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"degradedfirst/internal/mapred"
 	"degradedfirst/internal/sched"
@@ -38,51 +37,37 @@ func init() {
 	})
 }
 
-// fig8Cache memoizes fig8Runs so figs 8a, 8b and 8c share one set of
-// simulation runs (they are three views of the same experiment).
-var fig8Cache struct {
-	sync.Mutex
-	key          string
-	homo, hetero []seedRun
-}
+// fig8Memo shares one set of runs among figs 8a, 8b and 8c, three views
+// of the same experiment: the homogeneous and the heterogeneous cluster.
+var fig8Memo memo[[2][]seedRun]
 
 // fig8Runs executes LF, BDF and EDF over homogeneous and heterogeneous
 // clusters. Heterogeneous: half the nodes process tasks twice as slowly
 // (map mean 40 s, reduce mean 60 s as in Section V-C).
 func fig8Runs(ctx context.Context, o Options) (homo, hetero []seedRun, err error) {
-	key := fmt.Sprintf("%d-%v", o.seeds(30, 6), o.Quick)
-	fig8Cache.Lock()
-	if fig8Cache.key == key {
-		homo, hetero = fig8Cache.homo, fig8Cache.hetero
-		fig8Cache.Unlock()
-		return homo, hetero, nil
-	}
-	fig8Cache.Unlock()
-
 	seeds := o.seeds(30, 6)
-	kinds := []sched.Kind{sched.KindLF, sched.KindBDF, sched.KindEDF}
-
-	cfg, job := defaultSimConfig(o)
-	// 8104: arbitrary offset, picked so the few-seed quick smoke run shows
-	// the same BDF-vs-EDF remote-task ordering as the full 30-seed run.
-	homo, err = runSeeds(ctx, cfg, []mapred.JobSpec{job}, kinds, seeds, 8104, o, true)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fig8 homogeneous: %w", err)
-	}
-
-	het := cfg
-	het.SpeedFactors = map[topology.NodeID]float64{}
-	for i := 0; i < het.Nodes/2; i++ {
-		het.SpeedFactors[topology.NodeID(i)] = 2.0
-	}
-	hetero, err = runSeeds(ctx, het, []mapred.JobSpec{job}, kinds, seeds, 8200, o, true)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fig8 heterogeneous: %w", err)
-	}
-	fig8Cache.Lock()
-	fig8Cache.key, fig8Cache.homo, fig8Cache.hetero = key, homo, hetero
-	fig8Cache.Unlock()
-	return homo, hetero, nil
+	runs, err := fig8Memo.get(o, seeds, func() ([2][]seedRun, error) {
+		kinds := []sched.Kind{sched.KindLF, sched.KindBDF, sched.KindEDF}
+		cfg, job := defaultSimConfig(o)
+		// 8104: arbitrary offset, picked so the few-seed quick smoke run
+		// shows the same BDF-vs-EDF remote-task ordering as the full
+		// 30-seed run.
+		homo, err := runSeeds(ctx, cfg, []mapred.JobSpec{job}, kinds, seeds, 8104, o, true)
+		if err != nil {
+			return [2][]seedRun{}, fmt.Errorf("fig8 homogeneous: %w", err)
+		}
+		het := cfg
+		het.SpeedFactors = map[topology.NodeID]float64{}
+		for i := 0; i < het.Nodes/2; i++ {
+			het.SpeedFactors[topology.NodeID(i)] = 2.0
+		}
+		hetero, err := runSeeds(ctx, het, []mapred.JobSpec{job}, kinds, seeds, 8200, o, true)
+		if err != nil {
+			return [2][]seedRun{}, fmt.Errorf("fig8 heterogeneous: %w", err)
+		}
+		return [2][]seedRun{homo, hetero}, nil
+	})
+	return runs[0], runs[1], err
 }
 
 // metricVsLF computes the per-seed values of a metric for a scheduler and

@@ -131,23 +131,42 @@ func testbedSamples(ctx context.Context, o Options, runs, numBlocks int, mkJobs 
 	return out, nil
 }
 
-func runFig9a(ctx context.Context, o Options) (*Table, error) {
+// fig9aMemo shares Fig. 9a's single-job testbed runs with Table I: the
+// paper draws both from one set of runs.
+var fig9aMemo memo[[]map[sched.Kind][]*minimr.Report]
+
+// fig9aRuns returns, per job of _fig9JobOrder, the LF and EDF samples of
+// the single-job testbed scenario.
+func fig9aRuns(ctx context.Context, o Options) ([]map[sched.Kind][]*minimr.Report, error) {
 	runs := o.seeds(5, 2)
-	numBlocks := fig9Blocks(o)
+	return fig9aMemo.get(o, runs, func() ([]map[sched.Kind][]*minimr.Report, error) {
+		jobs := fig9Jobs()
+		out := make([]map[sched.Kind][]*minimr.Report, len(_fig9JobOrder))
+		for i, name := range _fig9JobOrder {
+			samples, err := testbedSamples(ctx, o, runs, fig9Blocks(o), jobs[name], int64(9100+100*i))
+			if err != nil {
+				return nil, fmt.Errorf("single-job testbed %s: %w", name, err)
+			}
+			out[i] = samples
+		}
+		return out, nil
+	})
+}
+
+func runFig9a(ctx context.Context, o Options) (*Table, error) {
+	all, err := fig9aRuns(ctx, o)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig9a",
 		Title:   "testbed single-job runtimes (virtual seconds)",
 		Columns: []string{"job", "LF mean", "LF min/max", "EDF mean", "EDF min/max", "EDF vs LF"},
 		Notes:   []string{"paper: 27.0% / 26.1% / 24.8% reductions; LF varies more across runs"},
 	}
-	jobs := fig9Jobs()
 	for i, name := range _fig9JobOrder {
-		samples, err := testbedSamples(ctx, o, runs, numBlocks, jobs[name], int64(9100+100*i))
-		if err != nil {
-			return nil, fmt.Errorf("fig9a %s: %w", name, err)
-		}
-		lf := runtimesOf(samples[sched.KindLF], 0)
-		edf := runtimesOf(samples[sched.KindEDF], 0)
+		lf := runtimesOf(all[i][sched.KindLF], 0)
+		edf := runtimesOf(all[i][sched.KindEDF], 0)
 		sl, se := stats.Summarize(lf), stats.Summarize(edf)
 		t.Rows = append(t.Rows, []string{
 			name,
@@ -201,22 +220,21 @@ func runFig9b(ctx context.Context, o Options) (*Table, error) {
 }
 
 func runTable1(ctx context.Context, o Options) (*Table, error) {
-	runs := o.seeds(5, 2)
-	numBlocks := fig9Blocks(o)
+	all, err := fig9aRuns(ctx, o)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "table1",
 		Title:   "average task runtimes by type, single-job scenario (virtual seconds)",
 		Columns: []string{"job", "task type", "count", "LF", "EDF", "EDF vs LF"},
 		Notes: []string{
 			"paper Table I (64 MB real blocks): normal maps ~equal; degraded maps cut 43.0%/34.6%/47.7%; reduces cut ~26%",
+			"the same runs as fig9a",
 		},
 	}
-	jobs := fig9Jobs()
 	for i, name := range _fig9JobOrder {
-		samples, err := testbedSamples(ctx, o, runs, numBlocks, jobs[name], int64(9800+100*i))
-		if err != nil {
-			return nil, fmt.Errorf("table1 %s: %w", name, err)
-		}
+		samples := all[i]
 		type agg func(r *mapred.JobResult) float64
 		rows := []struct {
 			label string

@@ -1,12 +1,14 @@
 package mapred
 
 import (
+	"hash/fnv"
 	"reflect"
 	"testing"
 
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
+	"degradedfirst/internal/trace"
 )
 
 // repairConfig is smallConfig with a mid-run failure and the healer on.
@@ -21,6 +23,47 @@ func repairConfig(fraction float64) Config {
 		RateFraction: fraction,
 	}
 	return cfg
+}
+
+// TestRepairTracePinned pins the full JSONL trace of four repair-enabled
+// runs as FNV-1a hashes: the healer at half the rack bandwidth, the same
+// with a modelled locality-aware code, two nodes lost mid-run at full
+// bandwidth, and the fat tree at a quarter of the node bandwidth. Any
+// change to which blocks the healer plans, reads, writes or hands back to
+// a task moves them.
+func TestRepairTracePinned(t *testing.T) {
+	lrc := repairConfig(0.5)
+	lrc.RepairBlockCount = 2
+	double := repairConfig(1.0)
+	double.FailNodes = []topology.NodeID{4, 7}
+	fatTree := fatTreeConfig(t)
+	fatTree.Seed, fatTree.Scheduler = 91, LF
+	fatTree.FailNodes, fatTree.FailAt = []topology.NodeID{4}, 20
+	fatTree.Repair = repair.Config{Enabled: true, RateFraction: 0.25}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"half", repairConfig(0.5), 0x40b9b48a419be664},
+		{"local", lrc, 0xb40eef572c30d863},
+		{"double", double, 0x3c63f30aab7e0d62},
+		{"fat-tree", fatTree, 0xca35a2b5c5cac1e1},
+	} {
+		h := fnv.New64a()
+		sink := trace.NewJSONL(h)
+		tc.cfg.Trace = sink
+		res := mustRun(t, tc.cfg, smallJob())
+		if res.Repair == nil || res.Repair.BlocksRepaired == 0 {
+			t.Fatalf("%s: no blocks repaired", tc.name)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: trace hash %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestRepairDisabledLeavesResultUntouched(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/netsim"
-	"degradedfirst/internal/placement"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/sim"
@@ -43,7 +42,7 @@ type simRun struct {
 	jobs    []runtime.JobSpec
 }
 
-// prepare builds everything one simulation runs on — cluster, placements,
+// prepare builds everything one simulation runs on — cluster, store,
 // engine, network, scheduler, failure picks. It is split from RunContext
 // so a test can read the engine's and the network's counters after the run.
 func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
@@ -67,6 +66,10 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 		}
 	}
 
+	code, err := erasure.New(cfg.N, cfg.K)
+	if err != nil {
+		return nil, fmt.Errorf("mapred: %w", err)
+	}
 	rng := stats.NewRNG(cfg.Seed)
 	cluster, err := topology.New(topology.Config{
 		Nodes:              cfg.Nodes,
@@ -91,23 +94,26 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 		}
 	}
 
-	// Place all job files while the cluster is healthy.
-	placeRNG := rng.Fork()
-	backend := &simBackend{cfg: cfg, specs: specs, cluster: cluster}
+	// Place every job's input, one metadata-only file each, while the
+	// cluster is healthy. The store counts blocks; their size is the
+	// healer's BlockBytes.
+	fs, err := dfs.New(cluster, code, 1, cfg.Policy, rng.Fork())
+	if err != nil {
+		return nil, err
+	}
+	backend := &simBackend{Healer: &runtime.Healer{FS: fs, BlockBytes: cfg.BlockSizeBytes}, cfg: cfg, specs: specs}
 	rjobs := make([]runtime.JobSpec, len(specs))
 	for i := range specs {
-		numStripes := (specs[i].NumBlocks + cfg.K - 1) / cfg.K
-		place, err := cfg.Policy.Place(cluster, numStripes, cfg.N, cfg.K, placeRNG)
+		file, err := fs.CreateMeta(fmt.Sprintf("job%d/%s", i, specs[i].Name), specs[i].NumBlocks)
 		if err != nil {
 			return nil, fmt.Errorf("mapred: placing job %q: %w", specs[i].Name, err)
 		}
-		blocks := place.NativeBlocks()[:specs[i].NumBlocks]
-		tasks := make([]sched.TaskSpec, len(blocks))
-		for t, b := range blocks {
-			tasks[t] = sched.TaskSpec{Block: b, Holder: place.Holder(b)}
+		tasks := make([]sched.TaskSpec, specs[i].NumBlocks)
+		for t := range tasks {
+			b := backend.TaskBlock(t)
+			tasks[t] = sched.TaskSpec{Block: b, Holder: file.Placement.Holder(b)}
 		}
-		backend.places = append(backend.places, place)
-		backend.blocks = append(backend.blocks, blocks)
+		backend.Files = append(backend.Files, file)
 		rjobs[i] = runtime.JobSpec{
 			Name:        specs[i].Name,
 			SubmitAt:    specs[i].SubmitAt,
@@ -181,21 +187,17 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 
 // simBackend is the simulated-cost runtime backend: no real data moves,
 // task costs are drawn from the configured distributions, and degraded
-// reads are planned against the placement without decoding anything.
+// reads and repairs are planned against the metadata-only store without
+// decoding anything.
 type simBackend struct {
-	cfg     Config
-	specs   []JobSpec
-	cluster *topology.Cluster
-	rng     *stats.RNG
-	places  []*placement.Placement
-	blocks  [][]erasure.BlockID
-	// fileIdx maps synthetic repair file names back to job indices
-	// (lazily built by fileJob's inverse, see repair.go).
-	fileIdx map[string]int
+	*runtime.Healer // the store; repair.go trims its plans to RepairBlockCount
+	cfg             Config
+	specs           []JobSpec
+	rng             *stats.RNG
 }
 
 func (b *simBackend) speed(id topology.NodeID) float64 {
-	return b.cluster.Node(id).SpeedFactor
+	return b.FS.Cluster().Node(id).SpeedFactor
 }
 
 var _ runtime.Backend = (*simBackend)(nil)
@@ -205,25 +207,25 @@ var _ runtime.Backend = (*simBackend)(nil)
 // and degraded inputs one transfer per repair source, then the spares.
 func (b *simBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
 	var plan runtime.InputPlan
-	block := b.blocks[job][task]
+	block := b.TaskBlock(task)
+	place := b.Files[job].Placement
 	switch class {
 	case sched.ClassNodeLocal:
 	case sched.ClassRackLocal, sched.ClassRemote:
-		holder := b.places[job].Holder(block)
-		plan.Transfers = []runtime.Transfer{{Src: holder, Bytes: b.cfg.BlockSizeBytes}}
+		plan.Transfers = []runtime.Transfer{{Src: place.Holder(block), Bytes: b.BlockBytes}}
 	case sched.ClassDegraded:
-		sources, err := dfs.PickNSources(b.cluster, b.places[job], block, node,
+		sources, err := dfs.PickNSources(b.FS.Cluster(), place, block, node,
 			b.cfg.RepairBlockCount, b.cfg.SourceStrategy, b.rng)
 		if err != nil {
 			return plan, fmt.Errorf("mapred: degraded read plan for %v: %w", block, err)
 		}
 		// RepairBlockCount != K models a locality-aware code, which gets
 		// no spares.
-		extra := dfs.SpareSources(b.cluster, b.places[job], block, sources, spares.For(len(sources)))
+		extra := dfs.SpareSources(b.FS.Cluster(), place, block, sources, spares.For(len(sources)))
 		plan.Spares = len(extra)
 		plan.Transfers = make([]runtime.Transfer, 0, len(sources)+len(extra))
 		for _, src := range append(sources, extra...) {
-			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: b.cfg.BlockSizeBytes})
+			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: b.BlockBytes})
 		}
 	default:
 		return plan, fmt.Errorf("mapred: unknown assignment class %v", class)

@@ -86,6 +86,14 @@ func TestValidationErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"early"`) || !strings.Contains(err.Error(), `"late"`) {
 		t.Errorf("decreasing SubmitAt: error %v, want one naming both jobs", err)
 	}
+	// The store is built over a real code, so a code erasure cannot build
+	// (n > 256) is refused before anything runs.
+	wide := smallConfig()
+	wide.N, wide.K = 300, 200
+	_, err = Run(wide, []JobSpec{smallJob()})
+	if err == nil || !strings.Contains(err.Error(), "n=300") || !strings.Contains(err.Error(), "k=200") {
+		t.Errorf("(300,200) code: error %v, want one naming n and k", err)
+	}
 }
 
 // TestNonFiniteSizesAreErrors: NaN passes every `<= 0` test and +Inf every

@@ -30,17 +30,16 @@ func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	backend := newRealBackend(fs, h, opts, jobs)
+	backend := newRealBackend(h, opts, jobs)
 	return h.Run(ctx, "minimr", &opts, backend, nil, opts.Trace, backend.outputs)
 }
 
-func newRealBackend(fs *dfs.FS, h *Harness, opts Options, jobs []Job) *realBackend {
+func newRealBackend(h *Harness, opts Options, jobs []Job) *realBackend {
 	backend := &realBackend{
-		Healer:  h.Healer,
-		cluster: fs.Cluster(),
-		files:   h.Files,
-		opts:    opts,
-		rng:     stats.NewRNG(opts.Seed),
+		Healer: h.Healer,
+		jobs:   jobs,
+		opts:   opts,
+		rng:    stats.NewRNG(opts.Seed),
 	}
 	for i := range jobs {
 		backend.bufs = append(backend.bufs, make([][]RecordBuf, jobs[i].NumReducers))
@@ -54,11 +53,10 @@ func newRealBackend(fs *dfs.FS, h *Harness, opts Options, jobs []Job) *realBacke
 // functions run over real records, and task costs are calibrated from the
 // processed byte counts.
 type realBackend struct {
-	*Healer // the repair backend, and this one's fs, jobs, blocks and holders
-	cluster *topology.Cluster
-	files   []*dfs.File // files[job] is the job's input
-	opts    Options
-	rng     *stats.RNG
+	*runtime.Healer // the store: FS, and Files[job] the job's input
+	jobs            []Job
+	opts            Options
+	rng             *stats.RNG
 	// bufs[job][reducer] lists, in delivery order, the map-output
 	// buffers the shuffle delivered; they stay owned by their map tasks.
 	bufs    [][][]RecordBuf
@@ -68,7 +66,7 @@ type realBackend struct {
 var _ runtime.Backend = (*realBackend)(nil)
 
 func (b *realBackend) speed(id topology.NodeID) float64 {
-	return b.cluster.Node(id).SpeedFactor
+	return b.FS.Cluster().Node(id).SpeedFactor
 }
 
 // PlanInput implements runtime.Backend: read the block (local, rack, or
@@ -80,31 +78,31 @@ func (b *realBackend) speed(id topology.NodeID) float64 {
 func (b *realBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
 	var plan runtime.InputPlan
 	js := b.jobs[job]
-	block := b.blocks[job][task]
-	blockBytes := float64(b.fs.BlockSize())
+	block := b.TaskBlock(task)
+	place := b.Files[job].Placement
 	switch class {
 	case sched.ClassNodeLocal, sched.ClassRackLocal, sched.ClassRemote:
-		data, err := b.fs.ReadBlock(js.Input, block)
+		data, err := b.FS.ReadBlock(js.Input, block)
 		if err != nil {
 			return plan, fmt.Errorf("minimr: reading %v: %w", block, err)
 		}
 		plan.Input = data
 		if class != sched.ClassNodeLocal {
-			plan.Transfers = []runtime.Transfer{{Src: b.holders[job][task], Bytes: blockBytes}}
+			plan.Transfers = []runtime.Transfer{{Src: place.Holder(block), Bytes: b.BlockBytes}}
 		}
 	case sched.ClassDegraded:
 		// Reconstruct for real (Reed-Solomon decode over the surviving
 		// blocks), then charge the k transfers through the network model.
-		data, sources, err := b.fs.DegradedRead(js.Input, block, node, b.opts.SourceStrategy, b.rng)
+		data, sources, err := b.FS.DegradedRead(js.Input, block, node, b.opts.SourceStrategy, b.rng)
 		if err != nil {
 			return plan, fmt.Errorf("minimr: degraded read of %v: %w", block, err)
 		}
 		plan.Input = data
-		extra := dfs.SpareSources(b.cluster, b.files[job].Placement, block, sources, spares.For(len(sources)))
+		extra := dfs.SpareSources(b.FS.Cluster(), place, block, sources, spares.For(len(sources)))
 		plan.Spares = len(extra)
 		plan.Transfers = make([]runtime.Transfer, 0, len(sources)+len(extra))
 		for _, src := range append(sources, extra...) {
-			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: blockBytes})
+			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: b.BlockBytes})
 		}
 	default:
 		return plan, fmt.Errorf("minimr: unknown class %v", class)

@@ -434,10 +434,10 @@ func TestPlanInputPlansWholeFanIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newRealBackend(fs, h, opts, jobs)
+	b := newRealBackend(h, opts, jobs)
 	task := -1
-	for i, holder := range h.Holders[0] {
-		if holder == 3 {
+	for i, spec := range h.RJobs[0].Tasks {
+		if spec.Holder == 3 {
 			task = i
 			break
 		}
@@ -462,7 +462,7 @@ func TestPlanInputPlansWholeFanIn(t *testing.T) {
 		}
 		seen[tr.Src] = true
 	}
-	want, err := fs.ReadBlockUnsafe("input.txt", h.Blocks[0][task])
+	want, err := fs.ReadBlockUnsafe("input.txt", h.Healer.TaskBlock(task))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"degradedfirst/internal/dfs"
-	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
@@ -15,8 +14,8 @@ import (
 )
 
 // Harness bundles the virtual-clock machinery one engine run needs:
-// event engine, network model, scheduler, scheduling environment, and
-// the runtime job specs (plus each task's input block and holder). Both
+// event engine, network model, scheduler, scheduling environment, the
+// runtime job specs, and the healer over the run's DFS. Both
 // the in-process engine (RunContext) and the distributed master
 // (internal/cluster) build their runs from the same harness, so their
 // virtual schedules are constructed identically.
@@ -28,12 +27,10 @@ type Harness struct {
 	// RJobs are the runtime-facing job specs, index-aligned with the jobs
 	// passed to NewHarness.
 	RJobs []runtime.JobSpec
-	// Files[job] is the job's input file, Blocks[job][task] the input
-	// block of task `task`, and Holders[job][task] the node holding it.
-	Files   []*dfs.File
-	Blocks  [][]erasure.BlockID
-	Holders [][]topology.NodeID
-	Healer  *Healer // the run's repair backend, for backends to embed
+	// Healer is the run's store, for backends to embed: Healer.Files[job]
+	// is the job's input file, and its placement the one record of where
+	// each block lives.
+	Healer *runtime.Healer
 }
 
 // NewHarness validates opts and jobs (normalizing opts defaults in
@@ -88,6 +85,7 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 		Scheduler: scheduler,
 		Env:       env,
 		RJobs:     make([]runtime.JobSpec, len(jobs)),
+		Healer:    &runtime.Healer{FS: fs, BlockBytes: float64(fs.BlockSize())},
 	}
 	for i := range jobs {
 		file, err := fs.File(jobs[i].Input)
@@ -96,14 +94,10 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 		}
 		natives := file.NativeBlocks()
 		tasks := make([]sched.TaskSpec, len(natives))
-		holders := make([]topology.NodeID, len(natives))
 		for t, b := range natives {
-			holders[t] = file.Placement.Holder(b)
-			tasks[t] = sched.TaskSpec{Block: b, Holder: holders[t]}
+			tasks[t] = sched.TaskSpec{Block: b, Holder: file.Placement.Holder(b)}
 		}
-		h.Files = append(h.Files, file)
-		h.Blocks = append(h.Blocks, natives)
-		h.Holders = append(h.Holders, holders)
+		h.Healer.Files = append(h.Healer.Files, file)
 		h.RJobs[i] = runtime.JobSpec{
 			Name:        jobs[i].Name,
 			SubmitAt:    jobs[i].SubmitAt,
@@ -112,7 +106,6 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 			JobMeta:     jobs[i].JobMeta,
 		}
 	}
-	h.Healer = &Healer{fs: fs, jobs: jobs, blocks: h.Blocks, holders: h.Holders}
 	return h, nil
 }
 

@@ -12,7 +12,8 @@
 //
 // The engine contract is Backend: task input and cost, the shuffle, and
 // the storage half of the background healer. Every engine implements all
-// of it, whether or not a run turns hedging or repair on. The one
+// of it, whether or not a run turns hedging or repair on; the storage half
+// is one Healer over the engine's dfs.FS. The one
 // optional extension is AsyncBackend, for engines whose task work runs
 // outside the simulation goroutine.
 package runtime

@@ -1,0 +1,68 @@
+package runtime
+
+import (
+	"degradedfirst/internal/dfs"
+	"degradedfirst/internal/erasure"
+	"degradedfirst/internal/repair"
+	"degradedfirst/internal/topology"
+)
+
+// Healer implements Backend's storage half over a dfs.FS, for every
+// engine: the simulator keeps its inputs in a metadata-only store, minimr
+// and the TCP cluster in a data-bearing one. Planning and commit are the
+// DFS's; the Healer adds only the way back from a rebuilt block to the
+// tasks that read it. A job's map tasks are its input file's native blocks
+// in (stripe, index) order, so task t reads TaskBlock(t).
+type Healer struct {
+	FS *dfs.FS
+	// Files[job] is the job's input file.
+	Files []*dfs.File
+	// BlockBytes is the network volume of reading one block.
+	BlockBytes float64
+}
+
+// TaskBlock is the input block of map task t of any job.
+func (h *Healer) TaskBlock(t int) erasure.BlockID {
+	k := h.FS.Code().K()
+	return erasure.BlockID{Stripe: t / k, Index: t % k}
+}
+
+// ScanLostBlocks implements Backend via dfs.FS.LostBlocks.
+func (h *Healer) ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
+	return h.FS.LostBlocks(failed)
+}
+
+// PlanStripeRepair implements Backend via dfs.FS.PlanStripeRepair.
+func (h *Healer) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
+	return h.FS.PlanStripeRepair(key)
+}
+
+// CommitRepair implements Backend: the DFS rebuilds the block (decoding
+// and verifying it when the file holds bytes) and moves its placement, and
+// the tasks of every job reading that file whose input it is come back.
+// A parity block backs no task; a task index past a job's task count
+// (stripe padding) is ignored by the runtime. A destination that died
+// since planning is a *DeadNodeError, so the stripe is re-queued.
+func (h *Healer) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]RepairedTask, error) {
+	if !h.FS.Cluster().Alive(bp.Dest) {
+		return nil, &DeadNodeError{Nodes: []topology.NodeID{bp.Dest}}
+	}
+	block := erasure.BlockID{Stripe: key.Stripe, Index: bp.Index}
+	if _, err := h.FS.RepairBlock(key.File, block, bp.Dest, bp.Sources); err != nil {
+		return nil, err
+	}
+	k := h.FS.Code().K()
+	if bp.Index >= k {
+		return nil, nil
+	}
+	var refs []RepairedTask
+	for j, f := range h.Files {
+		if f.Name == key.File {
+			refs = append(refs, RepairedTask{Job: j, Task: key.Stripe*k + bp.Index})
+		}
+	}
+	return refs, nil
+}
+
+// RepairBlockBytes implements Backend.
+func (h *Healer) RepairBlockBytes() float64 { return h.BlockBytes }

@@ -85,72 +85,20 @@ func (h HedgePolicy) spareBudget() SpareBudget {
 	return SpareBudget{Fixed: h.Extra}
 }
 
-// raceFanIn admits a degraded fan-in under an active hedge policy: pool
-// (the primaries plus the eager spares) races, the first rm.need
-// completions win, and the rest are cancelled with their partial bytes
-// recorded as waste. rm.standby feeds deadline hedges.
-func (s *state) raceFanIn(rm *runningMap, pool []Transfer) {
-	reqs := make([]netsim.FlowReq, len(pool))
-	for i, tr := range pool {
-		reqs[i] = netsim.FlowReq{Src: tr.Src, Dst: rm.node, Bytes: tr.Bytes,
-			Done: func(f *netsim.Flow) { s.hedgedFlowDone(rm, f) }}
-	}
-	rm.flows = s.net.StartFlows(reqs)
-	if deadline, ok := s.hedgeDeadline(); ok {
-		for _, f := range rm.flows {
-			s.armHedgeTimer(rm, f, deadline)
-		}
-	}
-}
-
-// hedgedFlowDone is the per-flow completion callback of a hedged fan-in:
-// it records the flow's latency, and on the need-th completion cancels
-// the still-running losers (recording their waste), closes the degraded
-// read, and starts processing.
-func (s *state) hedgedFlowDone(rm *runningMap, f *netsim.Flow) {
-	now := s.eng.Now()
-	rm.got++
-	lat := now - f.StartedAt
-	s.hedgeLat = append(s.hedgeLat, lat)
+// emitFlowLatency records one fan-in flow's outcome under a hedge
+// policy: "won" for a flow among the first need, "lost" for a loser
+// cancelled with moved bytes already transferred.
+func (s *state) emitFlowLatency(rm *runningMap, f *netsim.Flow, class string, moved, lat float64) {
 	e := s.ev(trace.EvFlowLatency)
 	e.Job = rm.js.idx
 	e.Task = rm.task.Index
 	e.Node = int(rm.node)
 	e.Src = int(f.Src)
-	e.Class = "won"
-	e.Bytes = f.Bytes
+	e.Class = class
+	e.Bytes = moved
 	e.N = f.ID
 	e.Dur = lat
 	s.emit(e)
-	if rm.got < rm.need {
-		return
-	}
-	// The k-th source arrived: every other flow is now redundant. The
-	// network recomputed before this callback, so Remaining() is exact
-	// and Bytes-Remaining() is the volume a loser already moved (waste).
-	for _, lf := range rm.flows {
-		if lf.Finished() {
-			continue
-		}
-		le := s.ev(trace.EvFlowLatency)
-		le.Job = rm.js.idx
-		le.Task = rm.task.Index
-		le.Node = int(rm.node)
-		le.Src = int(lf.Src)
-		le.Class = "lost"
-		le.Bytes = lf.Bytes - lf.Remaining()
-		le.N = lf.ID
-		le.Dur = now - lf.StartedAt
-		s.emit(le)
-		s.net.Cancel(lf)
-	}
-	s.cancelHedgeTimers(rm)
-	de := s.ev(trace.EvDegradedDone)
-	de.Job = rm.js.idx
-	de.Task = rm.task.Index
-	de.Node = int(rm.node)
-	s.emit(de)
-	s.startProcessing(rm)
 }
 
 // hedgeDeadline returns the current per-flow deadline estimate, or false
@@ -195,8 +143,7 @@ func (s *state) hedgeFire(rm *runningMap, f *netsim.Flow, deadline float64) {
 	he.N = f.ID
 	he.Dur = deadline
 	s.emit(he)
-	nf := s.net.StartFlows([]netsim.FlowReq{{Src: sp.Src, Dst: rm.node, Bytes: sp.Bytes,
-		Done: func(g *netsim.Flow) { s.hedgedFlowDone(rm, g) }}})
+	nf := s.net.StartFlows([]netsim.FlowReq{{Src: sp.Src, Dst: rm.node, Bytes: sp.Bytes, Done: rm.arrived}})
 	rm.flows = append(rm.flows, nf...)
 	if deadline, ok := s.hedgeDeadline(); ok {
 		s.armHedgeTimer(rm, nf[0], deadline)

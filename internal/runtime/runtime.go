@@ -324,12 +324,14 @@ type runningMap struct {
 	input  any
 	output any
 
-	// Hedged fan-in state (active hedge policy only): the read completes
-	// at the need-th flow completion (got counts them), standby holds
+	// Input fan-in state: the input is ready at the need-th flow
+	// completion (got counts them), and arrived is the one callback every
+	// flow reports to. Under an active hedge policy, standby holds
 	// unlaunched spare sources for deadline hedges, and hedgeTimers the
 	// pending per-flow deadline checks.
 	need        int
 	got         int
+	arrived     func(*netsim.Flow)
 	standby     []Transfer
 	hedgeTimers []*sim.Event
 }
@@ -549,7 +551,7 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	transfers := plan.Transfers[:need]
 	if hedged {
 		transfers = plan.Transfers[:need+min(s.p.Hedge.Extra, plan.Spares)]
-		rm.standby, rm.need = plan.Transfers[len(transfers):], need
+		rm.standby = plan.Transfers[len(transfers):]
 	}
 	if degraded {
 		var total float64
@@ -569,33 +571,61 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 		s.startProcessing(rm)
 		return
 	}
-	if hedged {
-		s.raceFanIn(rm, transfers)
-		return
-	}
 	// The whole input fan-in (surviving blocks + parity for a degraded
-	// read) is admitted as one batch: a single bandwidth recomputation
-	// instead of one per source.
-	remaining := len(transfers)
-	gathered := func(*netsim.Flow) {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		if degraded {
-			de := s.ev(trace.EvDegradedDone)
-			de.Job = rm.js.idx
-			de.Task = rm.task.Index
-			de.Node = int(rm.node)
-			s.emit(de)
-		}
-		s.startProcessing(rm)
-	}
+	// read, and any eager spares) is admitted as one batch: a single
+	// bandwidth recomputation instead of one per source. Every flow of the
+	// map, deadline hedges included, reports to one callback.
+	rm.need = need
+	rm.arrived = func(f *netsim.Flow) { s.inputArrived(rm, f, degraded, hedged) }
 	reqs := make([]netsim.FlowReq, len(transfers))
 	for i, tr := range transfers {
-		reqs[i] = netsim.FlowReq{Src: tr.Src, Dst: id, Bytes: tr.Bytes, Done: gathered}
+		reqs[i] = netsim.FlowReq{Src: tr.Src, Dst: id, Bytes: tr.Bytes, Done: rm.arrived}
 	}
 	rm.flows = s.net.StartFlows(reqs)
+	if !hedged {
+		return
+	}
+	if deadline, ok := s.hedgeDeadline(); ok {
+		for _, f := range rm.flows {
+			s.armHedgeTimer(rm, f, deadline)
+		}
+	}
+}
+
+// inputArrived is the per-flow completion callback of a map's input
+// fan-in. The input is ready at the need-th completion: the flows still
+// running then (only a hedged fan-in has any) are cancelled with the
+// bytes they already moved recorded as waste, a degraded read is closed,
+// and processing starts. Under a hedge policy every completion is also a
+// latency sample for the deadline estimator.
+func (s *state) inputArrived(rm *runningMap, f *netsim.Flow, degraded, hedged bool) {
+	now := s.eng.Now()
+	rm.got++
+	if hedged {
+		lat := now - f.StartedAt
+		s.hedgeLat = append(s.hedgeLat, lat)
+		s.emitFlowLatency(rm, f, "won", f.Bytes, lat)
+	}
+	if rm.got < rm.need {
+		return
+	}
+	// The network recomputed before this callback, so Remaining() is
+	// exact and Bytes-Remaining() is the volume a loser already moved.
+	for _, lf := range rm.flows {
+		if !lf.Finished() {
+			s.emitFlowLatency(rm, lf, "lost", lf.Bytes-lf.Remaining(), now-lf.StartedAt)
+			s.net.Cancel(lf)
+		}
+	}
+	s.cancelHedgeTimers(rm)
+	if degraded {
+		de := s.ev(trace.EvDegradedDone)
+		de.Job = rm.js.idx
+		de.Task = rm.task.Index
+		de.Node = int(rm.node)
+		s.emit(de)
+	}
+	s.startProcessing(rm)
 }
 
 func (s *state) startProcessing(rm *runningMap) {
