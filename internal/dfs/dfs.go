@@ -264,6 +264,10 @@ type FS struct {
 	// 0 means GOMAXPROCS. Stripes are independent, so the worker count
 	// changes wall-clock time only, never the encoded bytes.
 	encodeParallelism int
+
+	// repairBuf is the one buffer RepairBlock rebuilds a block into before
+	// comparing it with the stored copy.
+	repairBuf []byte
 }
 
 // New builds an empty file system over the cluster. policy defaults to
@@ -324,8 +328,11 @@ func (fs *FS) encodeWorkers(n int) int {
 }
 
 // Write stores data as an erasure-coded file: split into stripes, encode
-// parity for real, and place blocks via the policy. The file keeps its own
-// copy of data. Overwriting an existing name is an error.
+// parity for real, and place blocks via the policy. Write takes ownership
+// of data: the file's full native blocks are views of it, so the caller
+// must not modify data afterwards. Only a short tail block and the blocks
+// padding the last stripe are copies. Overwriting an existing name is an
+// error.
 func (fs *FS) Write(name string, data []byte) (*File, error) {
 	if _, ok := fs.files[name]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", name)
@@ -348,10 +355,10 @@ func (fs *FS) Write(name string, data []byte) (*File, error) {
 	return f, nil
 }
 
-// encodeStripes copies each stripe's native blocks out of data and encodes
+// encodeStripes splits data into each stripe's native blocks and encodes
 // them, fanning out across encodeWorkers goroutines. A worker splits a
-// stripe and encodes it straight away, while the copy is still in cache.
-// Each worker owns a disjoint set of stripe indices, so the result is
+// stripe and encodes it straight away, so a padded tail copy is still in
+// cache. Each worker owns a disjoint set of stripe indices, so the result is
 // byte-identical to a serial loop; errors are collected per stripe and the
 // lowest-index error is reported, matching what a serial loop would have
 // surfaced first.

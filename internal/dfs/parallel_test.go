@@ -55,6 +55,15 @@ func TestParallelWriteMatchesSerial(t *testing.T) {
 	}
 }
 
+// tailShapes are file sizes, for k=4 and 64-byte blocks, that end the last
+// stripe in each way Write has to pad.
+var tailShapes = []int{
+	64*4*2 + 10,       // short last block, 3 blocks missing
+	64*4*2 + 64,       // short last stripe, blocks whole
+	64*4*2 + 64*2 + 1, // both
+	1,
+}
+
 // TestWritePadsLikeSplitStripes writes files that end in a short block, in
 // a short stripe (whole blocks missing) and in both, and checks that Write,
 // which splits stripe by stripe inside its encode workers, stores exactly
@@ -63,12 +72,7 @@ func TestParallelWriteMatchesSerial(t *testing.T) {
 func TestWritePadsLikeSplitStripes(t *testing.T) {
 	const k, blockSize = 4, 64
 	code := erasure.MustNew(6, k)
-	for _, size := range []int{
-		blockSize*k*2 + 10,              // short last block, 3 blocks missing
-		blockSize*k*2 + blockSize,       // short last stripe, blocks whole
-		blockSize*k*2 + blockSize*2 + 1, // both
-		1,
-	} {
+	for _, size := range tailShapes {
 		for _, workers := range []int{1, 3} {
 			data := makeData(size)
 			want, err := erasure.SplitStripes(data, k, blockSize)
@@ -95,6 +99,48 @@ func TestWritePadsLikeSplitStripes(t *testing.T) {
 				}
 				if ok, err := code.Verify(f.blocks[s]); err != nil || !ok {
 					t.Fatalf("size=%d workers=%d: stripe %d parity does not encode its padded blocks (%v)", size, workers, s, err)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteKeepsCallerBlocks checks Write's ownership contract on the
+// tailShapes: every full native block is data itself at its offset,
+// capacity clipped to the block, the short and missing blocks are
+// zero-padded copies, and data is not modified.
+func TestWriteKeepsCallerBlocks(t *testing.T) {
+	const k, blockSize = 4, 64
+	for _, size := range tailShapes {
+		data := makeData(size)
+		orig := bytes.Clone(data)
+		fs, err := New(testCluster(), erasure.MustNew(6, k), blockSize, nil, stats.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.SetEncodeParallelism(3)
+		f, err := fs.Write("f", data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("size=%d: Write modified its input", size)
+		}
+		for s := range f.blocks {
+			for i, blk := range f.blocks[s][:k] {
+				off := (s*k + i) * blockSize
+				if off+blockSize <= size {
+					if aliased := &blk[0] == &data[off]; !aliased || cap(blk) != blockSize {
+						t.Fatalf("size=%d: full block (s%d,i%d): aliases data[%d:] %v, cap %d, want true and %d", size, s, i, off, aliased, cap(blk), blockSize)
+					}
+					continue
+				}
+				tail := data[min(off, size):]
+				if len(tail) > 0 && &blk[0] == &tail[0] {
+					t.Fatalf("size=%d: short block (s%d,i%d) aliases data", size, s, i)
+				}
+				if !bytes.Equal(blk[:len(tail)], tail) || !bytes.Equal(blk[len(tail):], make([]byte, blockSize-len(tail))) {
+					t.Fatalf("size=%d: block (s%d,i%d) is not data's tail zero-padded to %d bytes", size, s, i, blockSize)
 				}
 			}
 		}
@@ -188,5 +234,25 @@ func BenchmarkDegradedRead(b *testing.B) {
 		if _, _, err := fs.DegradedRead("bench", blk, 0, PreferSameRack, rng); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRepairBlock is the healer's commit of one lost 1 MiB RS(12,10)
+// block: decode from ten sources plus the ground-truth check. Each
+// iteration hands the block back to its failed holder so that the next
+// one repairs it again.
+func BenchmarkRepairBlock(b *testing.B) {
+	fs, f, plan := repairFixture(b)
+	bp := plan.Blocks[0]
+	blk := erasure.BlockID{Stripe: 0, Index: bp.Index}
+	failed := f.Placement.Holder(blk)
+	b.SetBytes(int64(fs.BlockSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fs.RepairBlock(f.Name, blk, bp.Dest, bp.Sources); err != nil {
+			b.Fatal(err)
+		}
+		f.Placement.Reassign(blk, failed)
 	}
 }

@@ -165,7 +165,8 @@ func (fs *FS) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
 
 // RepairBlock commits the reconstruction of lost block b onto dst: for
 // data-bearing files it decodes the block from the given sources for
-// real, verifies the result against the stored ground truth, and only
+// real, into a buffer the FS reuses from one repair to the next,
+// verifies the result against the stored ground truth, and only
 // then moves the placement; metadata-only files move the placement
 // directly. Reports whether the repair used an LRC local group (fewer
 // than k reads). It is an error to repair a block whose holder is alive
@@ -197,13 +198,13 @@ func (fs *FS) RepairBlock(file string, b erasure.BlockID, dst topology.NodeID,
 		for i, idx := range srcIdx {
 			shards[i] = f.blocks[b.Stripe][idx]
 		}
-		data, err := fs.code.ReconstructBlock(b.Index, srcIdx, shards)
-		if err != nil {
-			return false, fmt.Errorf("dfs: repairing %v of %q: %w", b, file, err)
-		}
 		want := f.blocks[b.Stripe][b.Index]
-		if len(data) != len(want) {
-			return false, fmt.Errorf("dfs: repaired %v of %q has %d bytes, want %d", b, file, len(data), len(want))
+		if cap(fs.repairBuf) < len(want) {
+			fs.repairBuf = make([]byte, len(want))
+		}
+		data := fs.repairBuf[:len(want)]
+		if err := fs.code.ReconstructBlockInto(data, b.Index, srcIdx, shards); err != nil {
+			return false, fmt.Errorf("dfs: repairing %v of %q: %w", b, file, err)
 		}
 		if !bytes.Equal(data, want) {
 			for i := range data {

@@ -1,10 +1,13 @@
 package dfs
 
 import (
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"degradedfirst/internal/erasure"
+	"degradedfirst/internal/placement"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
@@ -373,6 +376,90 @@ func TestRepairBlockReconstructsAndReassigns(t *testing.T) {
 		t.Fatal("second repair of a live block must fail")
 	} else if !strings.Contains(err.Error(), "not lost") {
 		t.Fatalf("unexpected double-repair error: %v", err)
+	}
+}
+
+// TestRepairBlockRejectsWrongRebuild corrupts a source of a repair, as a
+// bad disk would: the rebuilt block then differs from the stored one, and
+// RepairBlock must name the first differing byte and leave the block
+// where it was. The corrupted source is the plan's one parity block,
+// whose decode coefficient cannot be zero.
+func TestRepairBlockRejectsWrongRebuild(t *testing.T) {
+	fs := testFS(t)
+	f, err := fs.Write("a", makeData(4*64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := erasure.BlockID{Stripe: 0, Index: 2}
+	failHolders(fs.Cluster(), f, lost)
+	dead := f.Placement.Holder(lost)
+	plan, err := fs.PlanStripeRepair(repair.Key{File: "a", Stripe: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := plan.Blocks[0]
+	parity := bp.Sources[len(bp.Sources)-1].Index
+	if parity < 4 {
+		t.Fatalf("plan sources %v hold no parity block", bp.Sources)
+	}
+	f.blocks[0][parity][5] ^= 0x5A
+	_, err = fs.RepairBlock("a", lost, bp.Dest, bp.Sources)
+	if err == nil || !strings.Contains(err.Error(), "differs from ground truth at byte 5") {
+		t.Fatalf("repair from a corrupt source: %v, want a mismatch at byte 5", err)
+	}
+	if got := f.Placement.Holder(lost); got != dead {
+		t.Fatalf("failed repair moved the block to node %d", got)
+	}
+}
+
+// repairFixture writes one stripe of seeded random bytes in 1 MiB blocks
+// under RS(12,10), as the benchmark's dfs workload does, fails the holders
+// of native blocks 0 and 1, and returns the stripe's repair plan.
+func repairFixture(tb testing.TB) (*FS, *File, repair.StripePlan) {
+	tb.Helper()
+	const blockSize = 1 << 20
+	c := topology.MustNew(topology.Config{Nodes: 16, Racks: 4, MapSlotsPerNode: 1})
+	fs, err := New(c, erasure.MustNew(12, 10), blockSize, placement.RoundRobin{}, stats.NewRNG(1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	data := make([]byte, 10*blockSize)
+	rand.New(rand.NewSource(1)).Read(data)
+	f, err := fs.Write("a", data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	failHolders(c, f, erasure.BlockID{Stripe: 0, Index: 0}, erasure.BlockID{Stripe: 0, Index: 1})
+	plan, err := fs.PlanStripeRepair(repair.Key{File: "a", Stripe: 0})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(plan.Blocks) != 2 {
+		tb.Fatalf("want two lost blocks, plan has %d", len(plan.Blocks))
+	}
+	return fs, f, plan
+}
+
+// TestRepairBlockReusesBuffer repairs two different blocks back to back:
+// the second rebuild lands in the buffer still holding the first, so it
+// passes the ground-truth check only if the buffer is overwritten rather
+// than added to. That second repair of a 1 MiB block must allocate less
+// than half a block.
+func TestRepairBlockReusesBuffer(t *testing.T) {
+	fs, f, plan := repairFixture(t)
+	repairOne := func(bp repair.BlockPlan) {
+		t.Helper()
+		if _, err := fs.RepairBlock(f.Name, erasure.BlockID{Stripe: 0, Index: bp.Index}, bp.Dest, bp.Sources); err != nil {
+			t.Fatalf("block %d: %v", bp.Index, err)
+		}
+	}
+	repairOne(plan.Blocks[0])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	repairOne(plan.Blocks[1])
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(fs.BlockSize()/2) {
+		t.Fatalf("repairing a %d-byte block allocated %d bytes", fs.BlockSize(), got)
 	}
 }
 

@@ -56,8 +56,12 @@ type Coder interface {
 	K() int
 	// EncodeStripe returns all N shards for K data shards.
 	EncodeStripe(data [][]byte) ([][]byte, error)
-	// ReconstructBlock recovers one block from the given source shards.
+	// ReconstructBlock recovers one block from the given source shards
+	// into a new slice; ReconstructBlockInto overwrites dst, which must
+	// have the sources' length, so a caller can reuse one buffer. Neither
+	// modifies the sources.
 	ReconstructBlock(idx int, srcIdx []int, sources [][]byte) ([]byte, error)
+	ReconstructBlockInto(dst []byte, idx int, srcIdx []int, sources [][]byte) error
 	// Determines reports whether the blocks at srcIdx determine block idx:
 	// whether ReconstructBlock can succeed on them.
 	Determines(idx int, srcIdx []int) bool

@@ -169,18 +169,17 @@ func (c *linear) coefficients(idx int, srcIdx []int) ([]byte, error) {
 	return x, nil
 }
 
-// combine returns sum_j coeffs[j]*sources[j]. The sum is positionwise
-// (out[i] depends only on byte i of every source), so large blocks are
-// computed in disjoint chunks across a GOMAXPROCS-bounded set of workers —
-// the degraded-read hot path of the real-bytes engine — byte-identical to
-// one serial pass. Unit coefficients are plain XORs inside MulAddSlices,
-// which is all an LRC local repair consists of.
-func combine(coeffs []byte, sources [][]byte, size int) []byte {
-	out := make([]byte, size)
-	forEachChunk(size, reconstructWorkers(size), func(lo, hi int) {
+// combine overwrites out with sum_j coeffs[j]*sources[j]. The sum is
+// positionwise (out[i] depends only on byte i of every source), so large
+// blocks are computed in disjoint chunks across a GOMAXPROCS-bounded set of
+// workers — the degraded-read hot path of the real-bytes engine —
+// byte-identical to one serial pass. Unit coefficients are plain XORs
+// inside MulAddSlices, which is all an LRC local repair consists of.
+func combine(coeffs []byte, sources [][]byte, out []byte) {
+	forEachChunk(len(out), reconstructWorkers(len(out)), func(lo, hi int) {
+		clear(out[lo:hi])
 		gf256.MulAddSlices(coeffs, subSlices(sources, lo, hi), out[lo:hi])
 	})
-	return out
 }
 
 // ReconstructBlock recovers the shard at index idx from the given source
@@ -189,18 +188,37 @@ func combine(coeffs []byte, sources [][]byte, size int) []byte {
 // set that determines the block, e.g. k blocks of an MDS code or an LRC
 // local repair group — and gets ErrTooFewShards when it does not.
 func (c *linear) ReconstructBlock(idx int, srcIdx []int, sources [][]byte) ([]byte, error) {
+	var dst []byte
+	if len(sources) > 0 {
+		dst = make([]byte, len(sources[0]))
+	}
+	if err := c.ReconstructBlockInto(dst, idx, srcIdx, sources); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// ReconstructBlockInto is ReconstructBlock writing the recovered shard into
+// dst instead of a new slice. dst must have the sources' length
+// (ErrShardSizeMismatch otherwise) and must not overlap them; its previous
+// contents are overwritten, never added to.
+func (c *linear) ReconstructBlockInto(dst []byte, idx int, srcIdx []int, sources [][]byte) error {
 	if len(srcIdx) != len(sources) {
-		return nil, fmt.Errorf("%w: %d indices for %d sources", ErrShardCount, len(srcIdx), len(sources))
+		return fmt.Errorf("%w: %d indices for %d sources", ErrShardCount, len(srcIdx), len(sources))
 	}
 	size, err := checkShards(sources, len(srcIdx), false)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if len(dst) != size {
+		return fmt.Errorf("%w: destination has %d bytes, shards %d", ErrShardSizeMismatch, len(dst), size)
 	}
 	coeffs, err := c.coefficients(idx, srcIdx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return combine(coeffs, sources, size), nil
+	combine(coeffs, sources, dst)
+	return nil
 }
 
 // Reconstruct fills in the missing shards of a stripe in place. shards must
@@ -230,7 +248,8 @@ func (c *linear) Reconstruct(shards [][]byte) error {
 		}
 	}
 	for j, idx := range missing {
-		shards[idx] = combine(coeffs[j], sources, size)
+		shards[idx] = make([]byte, size)
+		combine(coeffs[j], sources, shards[idx])
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -60,9 +61,10 @@ func pick(stripe [][]byte, idx []int) [][]byte {
 	return out
 }
 
-// checkDecode holds ReconstructBlock, Determines and Reconstruct to the
-// oracle for one (block, source list): they succeed exactly when the
-// sources' generator rows span the block's, with the encoded bytes.
+// checkDecode holds ReconstructBlock, ReconstructBlockInto, Determines and
+// Reconstruct to the oracle for one (block, source list): they succeed
+// exactly when the sources' generator rows span the block's, with the
+// encoded bytes.
 func checkDecode(t testing.TB, c *linear, stripe [][]byte, idx int, src []int) {
 	t.Helper()
 	want := determined(t, c.gen, idx, src)
@@ -79,6 +81,34 @@ func checkDecode(t testing.TB, c *linear, stripe [][]byte, idx int, src []int) {
 		t.Fatalf("ReconstructBlock(%d, %v): err %v, bytes equal %v; the sources determine the block", idx, src, err, bytes.Equal(got, stripe[idx]))
 	case !want && !errors.Is(err, ErrTooFewShards):
 		t.Fatalf("ReconstructBlock(%d, %v) = %v, want ErrTooFewShards: the sources do not determine the block", idx, src, err)
+	}
+
+	// Into a reused buffer: same verdict and bytes from a garbage-filled
+	// dst, the sources untouched, and a dst of the wrong length refused.
+	size := len(stripe[0])
+	orig := make([][]byte, len(stripe))
+	for i, s := range stripe {
+		orig[i] = bytes.Clone(s)
+	}
+	dst := bytes.Repeat([]byte{0xA5}, size)
+	intoErr := c.ReconstructBlockInto(dst, idx, src, pick(stripe, src))
+	switch {
+	case fmt.Sprint(intoErr) != fmt.Sprint(err):
+		t.Fatalf("ReconstructBlockInto(%d, %v) = %v, ReconstructBlock gave %v", idx, src, intoErr, err)
+	case err == nil && !bytes.Equal(dst, stripe[idx]):
+		t.Fatalf("ReconstructBlockInto(%d, %v) into a garbage-filled dst: wrong bytes", idx, src)
+	}
+	for i := range stripe {
+		if !bytes.Equal(stripe[i], orig[i]) {
+			t.Fatalf("ReconstructBlockInto(%d, %v) modified shard %d", idx, src, i)
+		}
+	}
+	if len(src) > 0 {
+		for _, n := range []int{size - 1, size + 1} {
+			if err := c.ReconstructBlockInto(make([]byte, n), idx, src, pick(stripe, src)); !errors.Is(err, ErrShardSizeMismatch) {
+				t.Fatalf("ReconstructBlockInto with a %d-byte dst for %d-byte shards = %v, want ErrShardSizeMismatch", n, size, err)
+			}
+		}
 	}
 
 	// Whole-stripe: keep exactly the sources, ask for everything else.

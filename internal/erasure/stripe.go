@@ -4,7 +4,8 @@ import "fmt"
 
 // SplitStripes divides a byte stream into stripes of k native blocks of
 // blockSize bytes each, zero-padding the tail block of the final stripe.
-// It returns the native blocks grouped per stripe. The input is copied.
+// It returns the native blocks grouped per stripe; full blocks are views of
+// data, as SplitStripe describes.
 //
 // This mirrors HDFS-RAID, which groups a file's block stream into groups of
 // k blocks and encodes each group independently.
@@ -32,19 +33,23 @@ func NumStripes(size, k, blockSize int) int {
 	return (size + stripeSize - 1) / stripeSize
 }
 
-// SplitStripe returns copies of the k native blocks of stripe s of data:
-// one stripe of SplitStripes' result, for callers that split and encode
-// stripe by stripe. Blocks past the end of data are all zero. k and
-// blockSize must be positive.
+// SplitStripe returns the k native blocks of stripe s of data: one stripe
+// of SplitStripes' result, for callers that split and encode stripe by
+// stripe. A full block is a view of data, its capacity clipped to the block
+// so that an append cannot reach the next one; the caller must not modify
+// data while the blocks are in use. A short tail block, and every block
+// past the end of data, is a zero-padded copy. k and blockSize must be
+// positive.
 func SplitStripe(data []byte, s, k, blockSize int) [][]byte {
 	blocks := make([][]byte, k)
 	for b := range blocks {
 		lo := min((s*k+b)*blockSize, len(data))
-		src := data[lo:min(lo+blockSize, len(data))]
-		// make directly followed by copy allocates without clearing the
-		// bytes the copy is about to overwrite.
+		if hi := lo + blockSize; hi <= len(data) {
+			blocks[b] = data[lo:hi:hi]
+			continue
+		}
 		blk := make([]byte, blockSize)
-		copy(blk, src)
+		copy(blk, data[lo:])
 		blocks[b] = blk
 	}
 	return blocks
