@@ -3,6 +3,8 @@ package minimr
 import (
 	"bytes"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"degradedfirst/internal/netsim"
 )
@@ -42,17 +44,47 @@ var (
 	_sumReduceCost = calibrated(0.04)
 )
 
-// splitLines yields the non-empty lines of a block, trimming the newline
-// padding that block-aligned corpora carry.
-func splitLines(block []byte) [][]byte {
-	var lines [][]byte
-	for _, line := range bytes.Split(block, []byte{'\n'}) {
-		line = bytes.Trim(line, "\x00 ")
-		if len(line) > 0 {
-			lines = append(lines, line)
+// eachLine calls fn with every non-empty line of a block, trimmed of the
+// NUL and space padding that block-aligned corpora carry. The lines alias
+// the block; nothing is allocated.
+func eachLine(block []byte, fn func(line []byte)) {
+	for len(block) > 0 {
+		line := block
+		if i := bytes.IndexByte(block, '\n'); i >= 0 {
+			line, block = block[:i], block[i+1:]
+		} else {
+			block = nil
+		}
+		if line = bytes.Trim(line, "\x00 "); len(line) > 0 {
+			fn(line)
 		}
 	}
-	return lines
+}
+
+// eachField calls fn with every field of b exactly as bytes.Fields would
+// split it — runs of bytes between Unicode white space, an invalid UTF-8
+// byte counting as non-space — without building the slice of fields. The
+// fields alias b.
+func eachField(b []byte, fn func(field []byte)) {
+	start := -1 // start of the current field, -1 between fields
+	for i := 0; i < len(b); {
+		r, w := rune(b[i]), 1
+		if r >= utf8.RuneSelf {
+			r, w = utf8.DecodeRune(b[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				fn(b[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += w
+	}
+	if start >= 0 {
+		fn(b[start:])
+	}
 }
 
 // sumReducer adds up numeric values for a key ("1" counts in all three
@@ -76,9 +108,7 @@ func WordCountJob(input string, reducers int) Job {
 		Name:  "WordCount",
 		Input: input,
 		Map: func(block []byte, emit func(k, v string)) {
-			for _, w := range bytes.Fields(bytes.Trim(block, "\x00")) {
-				emit(string(w), "1")
-			}
+			eachField(bytes.Trim(block, "\x00"), func(w []byte) { emit(string(w), "1") })
 		},
 		Reduce:      sumReducer,
 		NumReducers: reducers,
@@ -95,11 +125,11 @@ func GrepJob(input, word string, reducers int) Job {
 		Name:  "Grep",
 		Input: input,
 		Map: func(block []byte, emit func(k, v string)) {
-			for _, line := range splitLines(block) {
+			eachLine(block, func(line []byte) {
 				if bytes.Contains(line, needle) {
 					emit(string(line), "1")
 				}
-			}
+			})
 		},
 		Reduce:      sumReducer,
 		NumReducers: reducers,
@@ -115,9 +145,7 @@ func LineCountJob(input string, reducers int) Job {
 		Name:  "LineCount",
 		Input: input,
 		Map: func(block []byte, emit func(k, v string)) {
-			for _, line := range splitLines(block) {
-				emit(string(line), "1")
-			}
+			eachLine(block, func(line []byte) { emit(string(line), "1") })
 		},
 		Reduce:      sumReducer,
 		NumReducers: reducers,

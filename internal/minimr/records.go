@@ -3,7 +3,10 @@ package minimr
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
+	"sync"
 )
 
 // RecordBuf is the one representation records take between map and
@@ -46,36 +49,88 @@ func (b RecordBuf) MergeInto(out map[string]string) error {
 	return b.Each(func(k, v []byte) { out[string(k)] = string(v) })
 }
 
+// mapScratch is MapBlock's staging area: the map output packed once in
+// emit order, and where each record ends and which partition it joins.
+// It is pooled, so a worker mapping blocks concurrently reuses it too.
+type mapScratch struct {
+	buf  RecordBuf
+	recs []packedRecord
+}
+
+type packedRecord struct {
+	end  int
+	part int32
+}
+
+var _mapScratch = sync.Pool{New: func() any { return new(mapScratch) }}
+
 // MapBlock runs the job's map function over one input block and packs
 // its output into one buffer per reducer (a single buffer for a map-only
 // job), with each buffer's shuffle volume: len(key)+len(value)+2 per
 // record. Both the in-process engine and the distributed workers
-// partition through it, so the two produce identical shuffles.
+// partition through it, so the two produce identical shuffles. Every
+// record is packed once into a reused scratch buffer and then copied to
+// its partition; the partitions share one exactly sized backing array,
+// each capacity-clipped to its own length, and an empty one is nil.
 func MapBlock(job *Job, block []byte) (parts []RecordBuf, bytes []float64) {
 	n := max(job.NumReducers, 1)
 	parts, bytes = make([]RecordBuf, n), make([]float64, n)
+	s := _mapScratch.Get().(*mapScratch)
+	defer _mapScratch.Put(s)
+	s.buf, s.recs = s.buf[:0], s.recs[:0]
+	sizes := make([]int, n) // packed bytes per partition
 	job.Map(block, func(k, v string) {
 		p := 0
 		if n > 1 {
 			p = PartitionOf(k, n)
 		}
-		parts[p] = parts[p].Append(k, v)
+		start := len(s.buf)
+		s.buf = s.buf.Append(k, v)
+		s.recs = append(s.recs, packedRecord{end: len(s.buf), part: int32(p)})
+		sizes[p] += len(s.buf) - start
 		bytes[p] += float64(len(k) + len(v) + 2)
 	})
+
+	backing, off := make([]byte, len(s.buf)), 0
+	for p, size := range sizes {
+		if size > 0 {
+			parts[p] = backing[off : off : off+size]
+			off += size
+		}
+	}
+	start := 0
+	for _, r := range s.recs {
+		parts[r.part] = append(parts[r.part], s.buf[start:r.end]...)
+		start = r.end
+	}
 	return parts, bytes
 }
 
 // ReduceBufs runs reduce over the records of bufs: keys in sorted order,
-// each key's values in buffer order. Grouping is a counting sort by key
-// — one pass numbers the distinct keys and counts their values, a second
-// lays every value into one shared slice — so no per-key slice grows.
+// each key's values in buffer order. A malformed record anywhere fails
+// the call before reduce runs once. A first pass counts the records, and
+// validates them, so the per-record group ids are allocated once at their
+// final size. Grouping is then a counting sort by key — one pass numbers
+// the distinct keys and counts their values, a second lays every value
+// into one shared slice — so no per-key slice grows.
 func ReduceBufs(reduce Reducer, bufs []RecordBuf, emit func(key, value string)) error {
+	records := 0
+	for _, b := range bufs {
+		if err := b.Each(func(_, _ []byte) { records++ }); err != nil {
+			return err
+		}
+	}
+	if records > math.MaxInt32 {
+		return fmt.Errorf("minimr: %d records to reduce, at most %d fit", records, math.MaxInt32)
+	}
+
+	// Every buffer decoded above, so the walks below cannot fail.
 	groupOf := make(map[string]int32)
 	var keys []string
-	var counts []int  // values per group
-	var group []int32 // group of every record, in buffer order
+	var counts []int32                 // values per group
+	group := make([]int32, 0, records) // group of every record, in buffer order
 	for _, b := range bufs {
-		err := b.Each(func(k, _ []byte) {
+		b.Each(func(k, _ []byte) {
 			g, ok := groupOf[string(k)]
 			if !ok {
 				g = int32(len(keys))
@@ -86,31 +141,30 @@ func ReduceBufs(reduce Reducer, bufs []RecordBuf, emit func(key, value string)) 
 			counts[g]++
 			group = append(group, g)
 		})
-		if err != nil {
-			return err
-		}
 	}
-	pos := make([]int, len(counts)) // next free slot of each group
-	for g, sum := 0, 0; g < len(counts); g++ {
+	pos := make([]int32, len(counts)) // next free slot of each group
+	for g, sum := 0, int32(0); g < len(counts); g++ {
 		pos[g] = sum
 		sum += counts[g]
 	}
-	values := make([]string, len(group))
+	values := make([]string, records)
 	i := 0
 	for _, b := range bufs {
-		err := b.Each(func(_, v []byte) {
+		b.Each(func(_, v []byte) {
 			values[pos[group[i]]] = string(v)
 			pos[group[i]]++
 			i++
 		})
-		if err != nil {
-			return err
-		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		g := groupOf[k] // pos[g] is now the group's end
-		reduce(k, values[pos[g]-counts[g]:pos[g]:pos[g]], emit)
+
+	order := make([]int32, len(keys)) // group ids by key
+	for g := range order {
+		order[g] = int32(g)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	for _, g := range order {
+		end := pos[g] // pos[g] is now the group's end
+		reduce(keys[g], values[end-counts[g]:end:end], emit)
 	}
 	return nil
 }

@@ -6,13 +6,17 @@ import (
 	"hash/fnv"
 	"reflect"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
+	"degradedfirst/internal/workload"
 
 	rt "degradedfirst/internal/runtime"
 )
@@ -162,6 +166,36 @@ func TestMapBlockMatchesNaivePartitioning(t *testing.T) {
 				t.Fatalf("numR=%d part %d: %d packed bytes, %v accounted", numR, p, len(parts[p]), sizes[p])
 			}
 		}
+		// A map-only job's one buffer is the naive packing, byte for byte.
+		if numR == 0 {
+			var naive RecordBuf
+			job.Map(block, func(k, v string) { naive = naive.Append(k, v) })
+			if !bytes.Equal(parts[0], naive) {
+				t.Fatalf("map-only buffer %q, naive packing %q", parts[0], naive)
+			}
+		}
+		// The partitions share one backing array: each is capacity-clipped,
+		// so appending to one leaves its neighbour alone, and an empty one
+		// is nil.
+		empty := 0
+		for p := range parts {
+			if len(want[p]) == 0 {
+				empty++
+				if parts[p] != nil {
+					t.Fatalf("numR=%d part %d is empty but not nil", numR, p)
+				}
+			}
+		}
+		if numR == 8 && empty == 0 {
+			t.Fatal("no empty partition at numR=8: the nil check checked nothing")
+		}
+		for p := 0; p+1 < len(parts); p++ {
+			_ = append(parts[p], "scribble"...)
+			if got := records(t, parts[p+1]); !reflect.DeepEqual(got, want[p+1]) {
+				t.Fatalf("numR=%d: appending to part %d changed part %d to %v", numR, p, p+1, got)
+			}
+		}
+
 		// A second call must not disturb the first call's buffers (the
 		// scratch is reused, the result is not).
 		again, _ := MapBlock(&job, []byte("storm storm storm\n"))
@@ -171,6 +205,33 @@ func TestMapBlockMatchesNaivePartitioning(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMapBlockConcurrent: a TCP worker maps blocks on several goroutines
+// at once, all drawing on the pooled scratch; each must get what a lone
+// call gets.
+func TestMapBlockConcurrent(t *testing.T) {
+	job := LineCountJob("in", 8)
+	blocks := [][]byte{[]byte("a\nb\nc\n"), []byte("the whale\n\x00\x00"), []byte("storm\nship\nstorm\n"), nil}
+	want := make([][]RecordBuf, len(blocks))
+	for i, b := range blocks {
+		want[i], _ = MapBlock(&job, b)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				b := (g + i) % len(blocks)
+				if got, _ := MapBlock(&job, blocks[b]); !reflect.DeepEqual(got, want[b]) {
+					t.Errorf("block %d mapped concurrently to %q, alone to %q", b, got, want[b])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestReduceBufsGroupsLikeAMap checks keys arrive sorted, each with its
@@ -213,6 +274,22 @@ func TestReduceBufsGroupsLikeAMap(t *testing.T) {
 	}
 }
 
+// TestReduceBufsValidatesFirst pins an all-or-nothing property. The TCP
+// worker reduces chunks that came off the wire, so a malformed record in
+// the last of several buffers must fail the call before reduce runs even
+// once, never after a half-reduce.
+func TestReduceBufsValidatesFirst(t *testing.T) {
+	good := RecordBuf(nil).Append("a", "1").Append("b", "1")
+	bad := RecordBuf(nil).Append("c", "1")
+	bad = bad[:len(bad)-1]
+	err := ReduceBufs(func(k string, _ []string, _ func(k, v string)) {
+		t.Fatalf("reduce ran for %q before the corrupt buffer was rejected", k)
+	}, []RecordBuf{good, good, bad}, func(string, string) {})
+	if err == nil {
+		t.Fatal("ReduceBufs accepted a corrupt last buffer")
+	}
+}
+
 // TestDeliverRejectsForeignChunk: a chunk that is not a record buffer is
 // a wiring mistake and must fail the run, not lose its records.
 func TestDeliverRejectsForeignChunk(t *testing.T) {
@@ -234,9 +311,23 @@ func TestDeliverRejectsForeignChunk(t *testing.T) {
 
 // TestTestbedMixAllocBudget is a count, not a timing: the testbed job
 // mix under both schedulers — the benchmark's minimr-testbed shape at a
-// quarter of its size — may allocate at most 150 bytes per byte of
-// input. The KeyValue-slice shuffle it replaced allocated about 280.
+// quarter of its size — may allocate at most 58 bytes per byte of input.
+// It measures about 48.5. The KeyValue-slice shuffle allocated about 280, and
+// packed buffers grown by doubling with bytes.Fields and bytes.Split in
+// the map functions about 99. The budget is tight enough that either one
+// coming back fails: bytes.Fields in WordCount alone measures about 61, and
+// partitions grown by doubling alone about 63.5.
+//
+// Under -race the mix measures 70–75, because the race build's sync.Pool
+// drops items on purpose and MapBlock's scratch is pooled, so the budget
+// there is 90. It still fails on the doubling buffers with bytes.Fields
+// and bytes.Split (105), but either regression alone (82–88, 70) can pass
+// it; the plain-build run, which CI also makes, is the one that pins them.
 func TestTestbedMixAllocBudget(t *testing.T) {
+	budget := 58.0
+	if raceBuild() {
+		budget = 90
+	}
 	fs, corpus := testbedFS(t, 1)
 	fs.Cluster().FailNode(3)
 	var before, after runtime.MemStats
@@ -254,11 +345,72 @@ func TestTestbedMixAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(corpus))
-	t.Logf("%.0f bytes allocated per input byte", perByte)
-	if perByte > 150 {
-		t.Fatalf("testbed mix allocated %.0f bytes per input byte, budget 150", perByte)
+	t.Logf("%.1f bytes allocated per input byte", perByte)
+	if perByte > budget {
+		t.Fatalf("testbed mix allocated %.1f bytes per input byte, budget %.0f", perByte, budget)
 	}
 	if !bytes.Contains(corpus, []byte("whale")) {
 		t.Fatal("corpus has no grep hits; the mix is not the benchmark's")
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
+}
+
+// benchJobs are the testbed's WordCount and LineCount at its reducer count.
+func benchJobs() []Job {
+	return []Job{WordCountJob("input.txt", 8), LineCountJob("input.txt", 8)}
+}
+
+// testbedBlocks cuts n blocks of the testbed corpus.
+func testbedBlocks(b *testing.B, n int) [][]byte {
+	corpus, err := workload.GenerateBlockAlignedCorpus(n, TestbedBlockSize, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blocks := make([][]byte, n)
+	for i := range blocks {
+		blocks[i] = corpus[i*TestbedBlockSize : (i+1)*TestbedBlockSize]
+	}
+	return blocks
+}
+
+var _benchParts []RecordBuf
+
+// BenchmarkMapBlock maps one testbed block into eight partitions.
+func BenchmarkMapBlock(b *testing.B) {
+	block := testbedBlocks(b, 1)[0]
+	for _, job := range benchJobs() {
+		b.Run(job.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(block)))
+			for i := 0; i < b.N; i++ {
+				_benchParts, _ = MapBlock(&job, block)
+			}
+		})
+	}
+}
+
+// BenchmarkReduceBufs reduces one reducer's partitions of 16 testbed
+// blocks.
+func BenchmarkReduceBufs(b *testing.B) {
+	blocks := testbedBlocks(b, 16)
+	for _, job := range benchJobs() {
+		bufs := make([]RecordBuf, len(blocks))
+		for i, block := range blocks {
+			parts, _ := MapBlock(&job, block)
+			bufs[i] = parts[0]
+		}
+		b.Run(job.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ReduceBufs(job.Reduce, bufs, func(string, string) {}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
