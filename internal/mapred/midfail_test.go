@@ -1,11 +1,15 @@
 package mapred
 
 import (
+	"context"
 	"reflect"
+	"slices"
 	"testing"
 
+	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
+	"degradedfirst/internal/trace"
 )
 
 func TestMidRunFailureCompletes(t *testing.T) {
@@ -143,5 +147,57 @@ func TestMidRunDoubleFailure(t *testing.T) {
 		if !topologyAlive(res.Failed, rec.Node) && rec.FinishTime > cfg.FailAt {
 			t.Fatal("task finished on dead node after failure")
 		}
+	}
+}
+
+// TestSharedPartitionsSurviveMidShuffleFailure runs a failure into the
+// middle of the shuffle — cancelled shuffle flows (recoverShuffle), a reset
+// reducer (resetReducer) and lost map outputs re-executed
+// (reexecuteLostOutputs) — and checks that the partition slice every map
+// of the job shares is unchanged by it.
+func TestSharedPartitionsSurviveMidShuffleFailure(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Seed = 61
+	cfg.FailNodes = []topology.NodeID{4}
+	cfg.FailAt = 20
+	cfg.Scheduler = EDF
+	mem := &trace.Memory{}
+	cfg.Trace = mem
+	r, err := prepare(context.Background(), cfg, []JobSpec{smallJob()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := r.backend.Partitions(0, 0, nil)
+	if len(shared) != smallJob().NumReduceTasks || &r.backend.Partitions(0, 1, nil)[0] != &shared[0] {
+		t.Fatal("maps of one job do not share one partition slice")
+	}
+	before := slices.Clone(shared)
+	if _, err := runtime.Run(r.params, r.backend, r.jobs); err != nil {
+		t.Fatal(err)
+	}
+	finished := map[int]bool{}
+	var cancels, resets, lostOutputs int
+	for _, e := range mem.Events() {
+		switch e.Type {
+		case trace.EvTaskFinish:
+			finished[e.Task] = true
+		case trace.EvTaskRequeue:
+			if finished[e.Task] {
+				lostOutputs++
+			}
+			finished[e.Task] = false
+		case trace.EvTransferCancel:
+			cancels++
+		case trace.EvReduceReset:
+			resets++
+		}
+	}
+	if cancels == 0 || resets == 0 || lostOutputs == 0 {
+		t.Fatalf("failure did not reach the shuffle: %d cancelled flows, %d reducer resets, %d lost outputs re-executed",
+			cancels, resets, lostOutputs)
+	}
+	t.Logf("%d cancelled flows, %d reducer resets, %d lost outputs re-executed", cancels, resets, lostOutputs)
+	if !slices.Equal(shared, before) {
+		t.Fatalf("shared partitions changed by the run: %v, was %v", shared, before)
 	}
 }

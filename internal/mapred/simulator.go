@@ -101,9 +101,11 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend := &simBackend{Healer: &runtime.Healer{FS: fs, BlockBytes: cfg.BlockSizeBytes}, cfg: cfg, specs: specs}
+	backend := &simBackend{Healer: &runtime.Healer{FS: fs, BlockBytes: cfg.BlockSizeBytes}, cfg: cfg, specs: specs,
+		parts: make([][]runtime.Chunk, len(specs))}
 	rjobs := make([]runtime.JobSpec, len(specs))
 	for i := range specs {
+		backend.parts[i] = simPartitions(&specs[i], cfg.BlockSizeBytes)
 		file, err := fs.CreateMeta(fmt.Sprintf("job%d/%s", i, specs[i].Name), specs[i].NumBlocks)
 		if err != nil {
 			return nil, fmt.Errorf("mapred: placing job %q: %w", specs[i].Name, err)
@@ -193,6 +195,7 @@ type simBackend struct {
 	*runtime.Healer // the store; repair.go trims its plans to RepairBlockCount
 	cfg             Config
 	specs           []JobSpec
+	parts           [][]runtime.Chunk // per job, what Partitions returns for every map
 	rng             *stats.RNG
 }
 
@@ -240,10 +243,20 @@ func (b *simBackend) Execute(job, task int, node topology.NodeID, input any) (fl
 }
 
 // Partitions implements runtime.Backend: every reducer receives an equal
-// share of the map output (ShuffleRatio of the block size).
+// share of the map output (ShuffleRatio of the block size). Every map of a
+// job splits alike, so all of them share the job's one slice.
 func (b *simBackend) Partitions(job, task int, output any) []runtime.Chunk {
-	n := b.specs[job].NumReduceTasks
-	chunk := b.specs[job].ShuffleRatio * b.cfg.BlockSizeBytes / float64(n)
+	return b.parts[job]
+}
+
+// simPartitions builds the one partition slice every map of the job
+// shares; nil for a map-only job.
+func simPartitions(spec *JobSpec, blockBytes float64) []runtime.Chunk {
+	n := spec.NumReduceTasks
+	if n == 0 {
+		return nil
+	}
+	chunk := spec.ShuffleRatio * blockBytes / float64(n)
 	parts := make([]runtime.Chunk, n)
 	for i := range parts {
 		parts[i] = runtime.Chunk{Bytes: chunk}

@@ -111,10 +111,12 @@ type Flow struct {
 	finished bool
 	limited  bool // fluid: crosses a finite link, so a solve gives it a finite rate
 
-	// Incremental-solver index state.
-	linkPos    []int   // index of this flow in path[i].active, -1 for unlimited links
-	linkPosBuf [9]int  // inline backing for linkPos: paths up to 3 tiers fit without allocating
-	prevRate   float64 // last rate reported via Hooks.RateChange
+	// Incremental-solver index state. Positions are int32 and the inline
+	// buffer sits in the bools' padding, keeping a Flow in the 192-byte
+	// size class: every shuffle transfer allocates one.
+	linkPosBuf [9]int32 // inline backing for linkPos: paths up to 3 tiers fit without allocating
+	linkPos    []int32  // index of this flow in path[i].active, -1 for unlimited links
+	prevRate   float64  // last rate reported via Hooks.RateChange
 }
 
 // Rate returns the flow's allocated rate in bytes/sec (0 while queued in
@@ -385,6 +387,10 @@ type FlowReq struct {
 // intermediate recomputations advance no progress and their rate
 // assignments are overwritten by the final solve. Launching a fan-in of N
 // degraded-read or shuffle flows this way costs one solve instead of N.
+//
+// StartFlows keeps no reference to reqs, and no completion callback runs
+// inside it: completions come only from engine events. A caller may
+// therefore reuse one reqs buffer for every batch.
 func (n *Net) StartFlows(reqs []FlowReq) []*Flow {
 	flows := make([]*Flow, len(reqs))
 	solve := false
@@ -603,7 +609,8 @@ func (n *Net) recompute() {
 }
 
 // dispatchHold starts waiting flows (in FIFO order) whose links are all
-// free, holding those links until completion.
+// free, holding those links until completion. The queue is filtered in
+// place.
 func (n *Net) dispatchHold() {
 	remaining := n.waiting[:0]
 	for _, f := range n.waiting {
@@ -642,7 +649,8 @@ func (n *Net) dispatchHold() {
 		f.ev = n.eng.Schedule(dt, func() { n.finish(f) })
 		n.owned++
 	}
-	n.waiting = append([]*Flow(nil), remaining...)
+	clear(n.waiting[len(remaining):])
+	n.waiting = remaining
 }
 
 // Drained verifies the network emptied out alongside the event engine: no

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"degradedfirst/internal/sim"
 	"degradedfirst/internal/topology"
@@ -601,6 +602,58 @@ func TestStartFlowsBatch(t *testing.T) {
 	}
 	if got := n.StartFlows(nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d flows", len(got))
+	}
+}
+
+// TestStartFlowsBufferReusable pins the contract the runtime's reused batch
+// buffers rest on, in both modes: no completion callback runs inside
+// StartFlows — not even a node-local or zero-byte flow's — and StartFlows
+// keeps no reference to reqs, so overwriting the buffer right after it
+// returns changes nothing that follows.
+func TestStartFlowsBufferReusable(t *testing.T) {
+	for _, mode := range []Mode{FluidFairSharing, ExclusiveHold} {
+		eng := sim.New()
+		n := mustNet(t, eng, twoRacks(), Config{Mode: mode, RackBps: 100 * Mbps})
+		var got []int
+		reqs := make([]FlowReq, 0, 4)
+		for batch := 0; batch < 3; batch++ {
+			inside := true
+			done := func(f *Flow) {
+				if inside {
+					t.Fatalf("%v: flow %d completed inside StartFlows", mode, f.ID)
+				}
+				got = append(got, f.ID)
+			}
+			reqs = append(reqs[:0],
+				FlowReq{Src: 0, Dst: 3, Bytes: 64e6, Done: done},
+				FlowReq{Src: 1, Dst: 4, Bytes: 32e6, Done: done},
+				FlowReq{Src: 2, Dst: 2, Bytes: 5e6, Done: done}, // node-local
+				FlowReq{Src: 1, Dst: 0, Bytes: 0, Done: done})   // zero-byte
+			flows := n.StartFlows(reqs)
+			inside = false
+			for i := range reqs {
+				reqs[i] = FlowReq{Src: 4, Dst: 0, Bytes: 1, Done: func(*Flow) { t.Fatalf("%v: a stale request ran", mode) }}
+			}
+			for i, f := range flows {
+				if f.Src == 4 || f.Bytes == 1 {
+					t.Fatalf("%v: flow %d took the overwritten request %d", mode, f.ID, i)
+				}
+			}
+		}
+		eng.Run()
+		if len(got) != 12 || n.BytesMoved != 3*(64e6+32e6+5e6) {
+			t.Fatalf("%v: %d completions, %v bytes moved", mode, len(got), n.BytesMoved)
+		}
+	}
+}
+
+// TestFlowSizeClass pins the size of a Flow, which the push shuffle
+// allocates once per transfer, so it is the largest object the simulator
+// makes per flow. With int link positions it was 232 bytes, in the 240-byte
+// size class; int32 positions packed behind the bools bring it to 192.
+func TestFlowSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Flow{}); size > 208 {
+		t.Fatalf("netsim.Flow is %d bytes, want at most 208", size)
 	}
 }
 

@@ -89,7 +89,7 @@ func (n *Net) indexFlow(f *Flow) {
 	if len(f.path) <= len(f.linkPosBuf) {
 		f.linkPos = f.linkPosBuf[:len(f.path)]
 	} else {
-		f.linkPos = make([]int, len(f.path))
+		f.linkPos = make([]int32, len(f.path))
 	}
 	for i, l := range f.path {
 		if !l.finite {
@@ -101,7 +101,10 @@ func (n *Net) indexFlow(f *Flow) {
 			l.inActive = true
 			n.activeLinks = append(n.activeLinks, l)
 		}
-		f.linkPos[i] = len(l.active)
+		if len(l.active) > math.MaxInt32 {
+			panic("netsim: too many flows on one link for an int32 position")
+		}
+		f.linkPos[i] = int32(len(l.active))
 		l.active = append(l.active, f)
 	}
 	n.ncontending++

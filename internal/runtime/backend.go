@@ -115,6 +115,8 @@ type Backend interface {
 	Execute(job, task int, node topology.NodeID, input any) (dur float64, output any)
 	// Partitions splits a completed map task's output into one Chunk per
 	// reducer (len == NumReducers). Called only for jobs with reducers.
+	// The runtime never writes the returned slice or its chunks, so a
+	// backend may return one slice for every map of a job.
 	Partitions(job, task int, output any) []Chunk
 	// Deliver hands one received shuffle chunk to reducer `reducer`
 	// running on `node`. A *DeadNodeError marks the chunk undelivered and

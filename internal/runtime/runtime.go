@@ -239,13 +239,35 @@ type pendingChunk struct {
 	chunk  Chunk
 }
 
-// shuffleRef tracks an in-flight shuffle flow so failure recovery can
-// cancel transfers touching a dead node.
+// shuffleRef is one shuffle transfer: a map-output chunk headed for a
+// reducer. Its arrived method is the flow's completion callback, and
+// failure recovery walks the refs to cancel transfers touching a dead node.
 type shuffleRef struct {
+	s      *state
 	r      *reducerState
 	mapIdx int
 	src    topology.NodeID
-	flow   *netsim.Flow
+	chunk  Chunk
+	flow   *netsim.Flow // set once the transfer starts
+}
+
+// arrived delivers the chunk unless the reducer already holds this map's
+// output or has finished.
+func (ref *shuffleRef) arrived(*netsim.Flow) {
+	s, r := ref.s, ref.r
+	r.job.shuffleFlowArrived()
+	if !r.got[ref.mapIdx] && !r.done {
+		if err := s.backend.Deliver(r.job.idx, r.idx, r.node, ref.chunk); err != nil {
+			// got stays false so re-execution still considers this output
+			// owed to the reducer.
+			s.deliverFailure(err)
+			return
+		}
+		r.got[ref.mapIdx] = true
+		r.received++
+		r.receivedBytes += ref.chunk.Bytes
+	}
+	s.checkReducer(r)
 }
 
 type reducerState struct {
@@ -272,7 +294,9 @@ type jobState struct {
 	mapsCompleted int
 	// mapDone/mapNode/parts track completed map output for shuffle
 	// recovery: output of task i lives on mapNode[i] and splits into
-	// parts[i] (one Chunk per reducer).
+	// parts[i] (one Chunk per reducer). parts[i] is the backend's slice,
+	// which may be shared between maps: it is only read, and a requeue
+	// drops it by setting parts[i] to nil.
 	mapDone []bool
 	mapNode []topology.NodeID
 	parts   [][]Chunk
@@ -361,6 +385,11 @@ type state struct {
 	// deadline-hedging estimator reads its quantiles. Only populated
 	// under an active hedge policy.
 	hedgeLat []float64
+
+	// sends and reqs are the batch buffers of the push shuffle and the map
+	// fan-in, cleared and kept after each batch (see startFlows).
+	sends []shuffleRef
+	reqs  []netsim.FlowReq
 }
 
 // ev returns a fresh event stamped with the current virtual time.
@@ -577,11 +606,11 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	// map, deadline hedges included, reports to one callback.
 	rm.need = need
 	rm.arrived = func(f *netsim.Flow) { s.inputArrived(rm, f, degraded, hedged) }
-	reqs := make([]netsim.FlowReq, len(transfers))
-	for i, tr := range transfers {
-		reqs[i] = netsim.FlowReq{Src: tr.Src, Dst: id, Bytes: tr.Bytes, Done: rm.arrived}
+	reqs := s.reqs
+	for _, tr := range transfers {
+		reqs = append(reqs, netsim.FlowReq{Src: tr.Src, Dst: id, Bytes: tr.Bytes, Done: rm.arrived})
 	}
-	rm.flows = s.net.StartFlows(reqs)
+	rm.flows = s.startFlows(reqs)
 	if !hedged {
 		return
 	}
@@ -673,14 +702,14 @@ func (s *state) completeMap(rm *runningMap) {
 	if len(js.reducers) > 0 {
 		parts := s.backend.Partitions(js.idx, rm.task.Index, rm.output)
 		js.parts[rm.task.Index] = parts
-		var sends []shuffleSend
+		sends := s.sends
 		for rIdx, c := range parts {
 			r := js.reducers[rIdx]
 			if r.got[rm.task.Index] || r.done {
 				continue
 			}
 			if r.launched {
-				sends = append(sends, shuffleSend{src: id, r: r, mapIdx: rm.task.Index, chunk: c})
+				sends = append(sends, shuffleRef{s: s, r: r, mapIdx: rm.task.Index, src: id, chunk: c})
 			} else {
 				js.pendingShuffle[rIdx] = append(js.pendingShuffle[rIdx],
 					pendingChunk{src: id, mapIdx: rm.task.Index, chunk: c})
@@ -707,46 +736,40 @@ func (s *state) completeMap(rm *runningMap) {
 	}
 }
 
-// shuffleSend is one map-output chunk headed for a launched reducer.
-type shuffleSend struct {
-	src    topology.NodeID
-	r      *reducerState
-	mapIdx int
-	chunk  Chunk
-}
-
-// sendShuffles starts the given shuffle transfers as one batch, costing a
-// single bandwidth recomputation however wide the fan-out.
-func (s *state) sendShuffles(sends []shuffleSend) {
+// sendShuffles starts the shuffle transfers built in s.sends as one batch,
+// costing a single bandwidth recomputation however wide the fan-out. The
+// batch's refs are one allocation sized to it; each is its flow's only
+// callback state.
+func (s *state) sendShuffles(sends []shuffleRef) {
 	if len(sends) == 0 {
 		return
 	}
-	reqs := make([]netsim.FlowReq, len(sends))
-	for i, sd := range sends {
-		sd := sd
-		reqs[i] = netsim.FlowReq{Src: sd.src, Dst: sd.r.node, Bytes: sd.chunk.Bytes,
-			Done: func(*netsim.Flow) {
-				r := sd.r
-				r.job.shuffleFlowArrived()
-				if !r.got[sd.mapIdx] && !r.done {
-					if err := s.backend.Deliver(r.job.idx, r.idx, r.node, sd.chunk); err != nil {
-						// got stays false so re-execution still considers
-						// this output owed to the reducer.
-						s.deliverFailure(err)
-						return
-					}
-					r.got[sd.mapIdx] = true
-					r.received++
-					r.receivedBytes += sd.chunk.Bytes
-				}
-				s.checkReducer(r)
-			}}
+	refs := make([]shuffleRef, len(sends))
+	copy(refs, sends)
+	clear(sends)
+	s.sends = sends[:0]
+	reqs := s.reqs
+	for i := range refs {
+		ref := &refs[i]
+		reqs = append(reqs, netsim.FlowReq{Src: ref.src, Dst: ref.r.node, Bytes: ref.chunk.Bytes, Done: ref.arrived})
 	}
-	for i, f := range s.net.StartFlows(reqs) {
-		sd := sends[i]
-		sd.r.job.shuffleFlows = append(sd.r.job.shuffleFlows,
-			&shuffleRef{r: sd.r, mapIdx: sd.mapIdx, src: sd.src, flow: f})
+	for i, f := range s.startFlows(reqs) {
+		ref := &refs[i]
+		ref.flow = f
+		ref.r.job.shuffleFlows = append(ref.r.job.shuffleFlows, ref)
 	}
+}
+
+// startFlows admits reqs, built in s.reqs, as one batch and keeps the
+// cleared buffer for the next one. StartFlows keeps no reference to reqs,
+// so the buffer is free again once it returns, and runs no completion
+// callback inside it, so no other batch can start building in the buffer
+// while this one holds it (netsim's TestStartFlowsBufferReusable).
+func (s *state) startFlows(reqs []netsim.FlowReq) []*netsim.Flow {
+	flows := s.net.StartFlows(reqs)
+	clear(reqs)
+	s.reqs = reqs[:0]
+	return flows
 }
 
 func (s *state) launchReducer(r *reducerState, id topology.NodeID) {
@@ -764,12 +787,12 @@ func (s *state) launchReducer(r *reducerState, id topology.NodeID) {
 
 	pending := r.job.pendingShuffle[r.idx]
 	r.job.pendingShuffle[r.idx] = nil
-	var sends []shuffleSend
+	sends := s.sends
 	for _, pc := range pending {
 		if r.got[pc.mapIdx] {
 			continue
 		}
-		sends = append(sends, shuffleSend{src: pc.src, r: r, mapIdx: pc.mapIdx, chunk: pc.chunk})
+		sends = append(sends, shuffleRef{s: s, r: r, mapIdx: pc.mapIdx, src: pc.src, chunk: pc.chunk})
 	}
 	s.sendShuffles(sends)
 }

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"degradedfirst/internal/stats"
 )
@@ -57,34 +58,32 @@ func GenerateCorpus(opts CorpusOptions) ([]byte, error) {
 			if w > 0 {
 				buf.WriteByte(' ')
 			}
-			buf.WriteString(_vocabulary[zipfIndex(rng, len(_vocabulary))])
+			buf.WriteString(_vocabulary[zipfIndex(rng)])
 		}
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()[:opts.Bytes], nil
 }
 
-// zipfIndex draws an index in [0, n) with probability proportional to
-// 1/(i+1) — a simple Zipf(1) law via inverse-CDF on the harmonic sum.
-func zipfIndex(rng *stats.RNG, n int) int {
-	h := harmonic(n)
-	target := rng.Float64() * h
+// _zipfCum[i] is the harmonic partial sum 1/1 + … + 1/(i+1), added in
+// that order, so its last entry is the whole vocabulary's harmonic sum.
+var _zipfCum = func() []float64 {
+	cum := make([]float64, len(_vocabulary))
 	var acc float64
-	for i := 0; i < n; i++ {
+	for i := range cum {
 		acc += 1 / float64(i+1)
-		if acc >= target {
-			return i
-		}
+		cum[i] = acc
 	}
-	return n - 1
-}
+	return cum
+}()
 
-func harmonic(n int) float64 {
-	var h float64
-	for i := 1; i <= n; i++ {
-		h += 1 / float64(i)
-	}
-	return h
+// zipfIndex draws a vocabulary index with probability proportional to
+// 1/(i+1) — a simple Zipf(1) law via inverse-CDF on the harmonic sum: the
+// first i with _zipfCum[i] >= target.
+func zipfIndex(rng *stats.RNG) int {
+	target := rng.Float64() * _zipfCum[len(_zipfCum)-1]
+	i, _ := slices.BinarySearch(_zipfCum, target)
+	return min(i, len(_zipfCum)-1)
 }
 
 // GenerateBlockAlignedCorpus produces exactly numBlocks * blockSize bytes
@@ -112,7 +111,7 @@ func GenerateBlockAlignedCorpus(numBlocks, blockSize int, seed int64) ([]byte, e
 				if w > 0 {
 					line.WriteByte(' ')
 				}
-				line.WriteString(_vocabulary[zipfIndex(rng, len(_vocabulary))])
+				line.WriteString(_vocabulary[zipfIndex(rng)])
 			}
 			line.WriteByte('\n')
 			if used+line.Len() > blockSize {

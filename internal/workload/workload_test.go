@@ -2,10 +2,13 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"degradedfirst/internal/mapred"
+	"degradedfirst/internal/stats"
 )
 
 func TestGenerateCorpusExactSize(t *testing.T) {
@@ -293,5 +296,62 @@ func TestGenerateBlockAlignedCorpusErrors(t *testing.T) {
 	}
 	if _, err := GenerateBlockAlignedCorpus(1, 32, 1); err == nil {
 		t.Fatal("too-small block size must fail")
+	}
+}
+
+// scanZipfIndex is the original draw: recompute the harmonic sum, then
+// scan linearly for the first partial sum at or above the target.
+func scanZipfIndex(rng *stats.RNG, n int) int {
+	var h float64
+	for i := 1; i <= n; i++ {
+		h += 1 / float64(i)
+	}
+	target := rng.Float64() * h
+	var acc float64
+	for i := 0; i < n; i++ {
+		acc += 1 / float64(i+1)
+		if acc >= target {
+			return i
+		}
+	}
+	return n - 1
+}
+
+// TestZipfIndexMatchesScan holds the prefix-sum table and binary search to
+// the original scan, draw by draw: same index from the same RNG state.
+func TestZipfIndexMatchesScan(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		a, b := stats.NewRNG(seed), stats.NewRNG(seed)
+		for d := 0; d < 20000; d++ {
+			if got, want := zipfIndex(a), scanZipfIndex(b, len(_vocabulary)); got != want {
+				t.Fatalf("seed %d draw %d: index %d, scan gives %d", seed, d, got, want)
+			}
+		}
+	}
+}
+
+// TestCorpusBytesPinned pins both generators' output, byte for byte, to
+// digests taken with the original scan: the minimr testbed and every
+// corpus-derived golden depend on it.
+func TestCorpusBytesPinned(t *testing.T) {
+	want := map[int64][2]string{
+		1:  {"2b73eab1c5c6afe69deb5966a5a9e1b4785b346b98d3888bb47acbea9cd82112", "f9de7d1e64d721521d5d0ab7e1446f1df9590085bf072581e25b0e275ce5e210"},
+		23: {"7da068ac2250248b538b36eccc41d6b5418981e1ba3865daafc3fa9af9f38a0e", "51734a028295422698fbb41cc3eeb51b16748c151898887c2d74c5960953d715"},
+	}
+	for seed, w := range want {
+		aligned, err := GenerateBlockAlignedCorpus(16, 64<<10, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := GenerateCorpus(CorpusOptions{Bytes: 1 << 20, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(aligned)); got != w[0] {
+			t.Errorf("seed %d: block-aligned corpus sha256 %s, want %s", seed, got, w[0])
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(text)); got != w[1] {
+			t.Errorf("seed %d: corpus sha256 %s, want %s", seed, got, w[1])
+		}
 	}
 }
