@@ -3,11 +3,9 @@ package cluster
 import (
 	"fmt"
 
-	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/minimr"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
-	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 )
 
@@ -19,10 +17,9 @@ import (
 // run-map dispatch goroutines live outside it, and they communicate
 // solely through each future's buffered channel.
 type clusterBackend struct {
-	*runtime.Healer // the store; repair.go overrides CommitRepair
+	*runtime.Healer // the store and input planner; repair.go overrides CommitRepair
 	m               *Master
 	jobs            []minimr.Job
-	rng             *stats.RNG
 	outputs         []map[string]string
 }
 
@@ -53,12 +50,7 @@ type mapDone struct {
 }
 
 func newClusterBackend(m *Master, h *minimr.Harness, jobs []minimr.Job) *clusterBackend {
-	b := &clusterBackend{
-		Healer: h.Healer,
-		m:      m,
-		jobs:   jobs,
-		rng:    stats.NewRNG(m.opts.Engine.Seed),
-	}
+	b := &clusterBackend{Healer: h.Healer, m: m, jobs: jobs}
 	for range jobs {
 		b.outputs = append(b.outputs, make(map[string]string))
 	}
@@ -69,44 +61,27 @@ func (b *clusterBackend) speed(id topology.NodeID) float64 {
 	return b.m.fs.Cluster().Node(id).SpeedFactor
 }
 
-// PlanInput implements runtime.Backend: the virtual transfers are the
-// in-process engine's (one block from the holder, or k degraded-read
-// sources then the spares), and the payload is the run-map request
-// telling the worker which real fetches to perform. A degraded read
-// granted spares becomes a first-k-wins race on the wire too: Need is the
-// primary count and the spares join Fetch, so the worker decodes from
-// whichever k fetches finish first and cancels the rest.
+// PlanInput implements runtime.Backend: the Healer plans the transfers,
+// and the payload is the run-map request telling the worker to fetch
+// exactly the planned sources. A degraded read granted spares becomes a
+// first-k-wins race on the wire too: Need is the primary count and the
+// spares join Fetch, so the worker decodes from whichever k fetches
+// finish first and cancels the rest.
 func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
-	block := b.TaskBlock(task)
-	place := b.Files[job].Placement
-	req := &mapReq{Job: job, Task: task, File: b.jobs[job].Input, Stripe: block.Stripe, Index: block.Index}
-	plan := runtime.InputPlan{Input: req}
-	switch class {
-	case sched.ClassNodeLocal:
-	case sched.ClassRackLocal, sched.ClassRemote:
-		holder := place.Holder(block)
-		req.Fetch = []fetchSpec{b.m.fetchSpec(holder, block.Stripe, block.Index)}
-		plan.Transfers = []runtime.Transfer{{Src: holder, Bytes: b.BlockBytes}}
-	case sched.ClassDegraded:
-		sources, err := dfs.PickRepairSources(b.m.fs.Cluster(), b.m.code, place,
-			block, node, b.m.opts.Engine.SourceStrategy, b.rng)
-		if err != nil {
-			return plan, fmt.Errorf("cluster: planning degraded read of %v: %w", block, err)
-		}
-		req.Degraded = true
-		extra := dfs.SpareSources(b.m.fs.Cluster(), place, block, sources, spares.For(len(sources)))
-		if len(extra) > 0 {
-			req.Need = len(sources)
-		}
-		plan.Spares = len(extra)
-		plan.Transfers = make([]runtime.Transfer, 0, len(sources)+len(extra))
-		for _, src := range append(sources, extra...) {
-			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: b.BlockBytes})
-			req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, block.Stripe, src.Index))
-		}
-	default:
-		return plan, fmt.Errorf("cluster: unknown class %v", class)
+	plan, err := b.Healer.PlanInput(job, task, class, node, spares)
+	if err != nil {
+		return plan, err
 	}
+	block := b.TaskBlock(task)
+	req := &mapReq{Job: job, Task: task, File: b.jobs[job].Input, Stripe: block.Stripe, Index: block.Index,
+		Degraded: class == sched.ClassDegraded}
+	if plan.Spares > 0 {
+		req.Need = len(plan.Sources) - plan.Spares
+	}
+	for _, src := range plan.Sources {
+		req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, block.Stripe, src.Index))
+	}
+	plan.Input = req
 	return plan, nil
 }
 

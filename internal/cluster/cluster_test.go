@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -324,11 +325,10 @@ func TestMasterRejectsInvalidJobs(t *testing.T) {
 	}
 }
 
-// TestPlanInputPlansWholeFanIn: one PlanInput call on a degraded task
-// returns the k primaries followed by the spares the budget allows, with
-// no earlier call for the backend to remember, and the run-map request
-// mirrors the plan — a first-k-wins race (Need = k) exactly when spares
-// were granted.
+// TestPlanInputPlansWholeFanIn: the run-map request fetches exactly the
+// Healer's planned sources, and is a first-k-wins race (Need = k) exactly
+// when spares were granted (runtime.TestHealerPlanInput holds the plan
+// itself).
 func TestPlanInputPlansWholeFanIn(t *testing.T) {
 	fs, _ := testbedFS(t, 8)
 	fs.Cluster().FailNode(3)
@@ -346,43 +346,31 @@ func TestPlanInputPlansWholeFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newClusterBackend(m, h, jobs)
-	task := -1
-	for i, spec := range h.RJobs[0].Tasks {
-		if spec.Holder == 3 {
-			task = i
-			break
-		}
-	}
+	task := slices.IndexFunc(h.RJobs[0].Tasks, func(s sched.TaskSpec) bool { return s.Holder == 3 })
 	if task < 0 {
 		t.Fatal("failed node held no native block; scenario is vacuous")
 	}
 	k := fs.Code().K()
 	// (12,10) with one loss leaves 11 survivors: at most one spare.
 	for _, tc := range []struct {
-		budget               runtime.SpareBudget
-		wantSpares, wantNeed int
+		budget   runtime.SpareBudget
+		wantNeed int
 	}{
-		{runtime.SpareBudget{}, 0, 0},
-		{runtime.SpareBudget{Fixed: 1, PerPrimary: 1}, 1, k},
+		{runtime.SpareBudget{}, 0},
+		{runtime.SpareBudget{Fixed: 1, PerPrimary: 1}, k},
 	} {
 		plan, err := b.PlanInput(0, task, sched.ClassDegraded, 0, tc.budget)
 		if err != nil {
 			t.Fatal(err)
 		}
 		req := plan.Input.(*mapReq)
-		if plan.Spares != tc.wantSpares || len(plan.Transfers) != k+tc.wantSpares {
-			t.Fatalf("budget %+v: %d transfers with %d spares, want %d with %d",
-				tc.budget, len(plan.Transfers), plan.Spares, k+tc.wantSpares, tc.wantSpares)
+		if !req.Degraded || req.Need != tc.wantNeed || len(req.Fetch) != len(plan.Sources) {
+			t.Fatalf("budget %+v: request %+v does not mirror the %d planned sources", tc.budget, req, len(plan.Sources))
 		}
-		if !req.Degraded || req.Need != tc.wantNeed || len(req.Fetch) != len(plan.Transfers) {
-			t.Fatalf("budget %+v: request %+v does not mirror the %d planned transfers", tc.budget, req, len(plan.Transfers))
-		}
-		seen := map[int]bool{3: true}
 		for i, f := range req.Fetch {
-			if seen[f.Node] || f.Node != int(plan.Transfers[i].Src) {
-				t.Fatalf("fetch %d %+v repeats a source, reads the dead node or differs from transfer %+v", i, f, plan.Transfers[i])
+			if src := plan.Sources[i]; f.Node != int(src.Node) || f.Index != src.Index || f.Stripe != req.Stripe {
+				t.Fatalf("fetch %d %+v differs from planned source %+v", i, f, src)
 			}
-			seen[f.Node] = true
 		}
 	}
 }

@@ -67,29 +67,29 @@ func (s SelectionStrategy) String() string {
 // will download. It never selects block b itself (its holder failed).
 func PickDegradedSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
 	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
-	return PickNSources(c, p, b, reader, p.K(), strategy, rng)
+	return pickK(c, p, b, survivorsOf(c, p, b), reader, strategy, rng)
 }
 
-// PickNSources is PickDegradedSources with an explicit source count: codes
-// with cheaper repairs (e.g. LRC local groups) read fewer than k blocks.
-// The simulator uses it with Config.RepairBlockCount.
-func PickNSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
-	reader topology.NodeID, count int, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
-
+// survivorsOf lists the blocks of lost block b's stripe on alive nodes, in
+// index order. SurvivorsOf only returns alive holders and b's holder has
+// failed, but b is skipped anyway, guarding against a mid-recovery race
+// where its holder is alive.
+func survivorsOf(c *topology.Cluster, p *placement.Placement, b erasure.BlockID) []Source {
 	idx, holders := p.SurvivorsOf(c, b.Stripe)
-	// SurvivorsOf only returns alive holders; the lost block's holder is
-	// failed, but guard against a mid-recovery race where it is alive.
 	survivors := make([]Source, 0, len(idx))
 	for i := range idx {
-		if idx[i] == b.Index {
-			continue
+		if idx[i] != b.Index {
+			survivors = append(survivors, Source{Node: holders[i], Index: idx[i]})
 		}
-		survivors = append(survivors, Source{Node: holders[i], Index: idx[i]})
 	}
-	k := count
-	if k <= 0 || k > p.N()-1 {
-		return nil, fmt.Errorf("dfs: invalid source count %d for stripe width %d", count, p.N())
-	}
+	return survivors
+}
+
+// pickK is PickDegradedSources over the survivors the caller already read.
+func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survivors []Source,
+	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
+
+	k := p.K()
 	if len(survivors) < k {
 		return nil, fmt.Errorf("dfs: stripe %d has %d survivors, need %d", b.Stripe, len(survivors), k)
 	}
@@ -199,12 +199,14 @@ func repairSet(code erasure.Coder, idx int, readable []int) (set []int, local bo
 func PickRepairSources(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 	b erasure.BlockID, reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
 
-	alive, _ := p.SurvivorsOf(c, b.Stripe)
-	// Never read b itself, even if a mid-recovery race has its holder alive.
-	alive = slices.DeleteFunc(alive, func(i int) bool { return i == b.Index })
+	survivors := survivorsOf(c, p, b)
+	alive := make([]int, len(survivors))
+	for i, s := range survivors {
+		alive[i] = s.Index
+	}
 	set, _ := repairSet(code, b.Index, alive)
 	if set == nil {
-		return PickDegradedSources(c, p, b, reader, strategy, rng)
+		return pickK(c, p, b, survivors, reader, strategy, rng)
 	}
 	holders := p.StripeHolders(b.Stripe)
 	sources := make([]Source, len(set))
@@ -454,10 +456,9 @@ func (fs *FS) ReadBlock(name string, b erasure.BlockID) ([]byte, error) {
 }
 
 // DegradedRead reconstructs a lost block for real: it picks surviving
-// sources (PickRepairSources), decodes with the code, and returns the
-// recovered bytes plus the sources used (for the caller to charge network
-// time).
-// It never touches the failed holder's copy.
+// sources (PickRepairSources) and decodes from them (DecodeFrom), returning
+// the recovered bytes plus the sources used (for the caller to charge
+// network time).
 func (fs *FS) DegradedRead(name string, b erasure.BlockID, reader topology.NodeID,
 	strategy SelectionStrategy, rng *stats.RNG) ([]byte, []Source, error) {
 
@@ -465,12 +466,27 @@ func (fs *FS) DegradedRead(name string, b erasure.BlockID, reader topology.NodeI
 	if err != nil {
 		return nil, nil, err
 	}
-	if !f.HasData() {
-		return nil, nil, fmt.Errorf("dfs: file %q is metadata-only", name)
-	}
 	sources, err := PickRepairSources(fs.cluster, fs.code, f.Placement, b, reader, strategy, rng)
 	if err != nil {
 		return nil, nil, err
+	}
+	data, err := fs.DecodeFrom(name, b, sources)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, sources, nil
+}
+
+// DecodeFrom reconstructs block b for real from the given stripe blocks,
+// as a degraded read planned elsewhere fetches them. It never touches b's
+// own stored copy.
+func (fs *FS) DecodeFrom(name string, b erasure.BlockID, sources []Source) ([]byte, error) {
+	f, err := fs.File(name)
+	if err != nil {
+		return nil, err
+	}
+	if !f.HasData() {
+		return nil, fmt.Errorf("dfs: file %q is metadata-only", name)
 	}
 	srcIdx := make([]int, len(sources))
 	shards := make([][]byte, len(sources))
@@ -480,9 +496,9 @@ func (fs *FS) DegradedRead(name string, b erasure.BlockID, reader topology.NodeI
 	}
 	data, err := fs.code.ReconstructBlock(b.Index, srcIdx, shards)
 	if err != nil {
-		return nil, nil, fmt.Errorf("dfs: reconstructing %v of %q: %w", b, name, err)
+		return nil, fmt.Errorf("dfs: reconstructing %v of %q: %w", b, name, err)
 	}
-	return data, sources, nil
+	return data, nil
 }
 
 // ReadBlockUnsafe returns the stored bytes of a block regardless of its

@@ -417,20 +417,3 @@ func TestDegradedReadLRCBrokenGroup(t *testing.T) {
 		}
 	}
 }
-
-func TestPickNSourcesCountValidation(t *testing.T) {
-	c := testCluster()
-	p, _ := placement.RoundRobin{}.Place(c, 2, 6, 4, stats.NewRNG(8))
-	b := erasure.BlockID{Stripe: 0, Index: 0}
-	c.FailNode(p.Holder(b))
-	if _, err := PickNSources(c, p, b, 0, 0, RandomK, stats.NewRNG(9)); err == nil {
-		t.Fatal("count 0 must fail")
-	}
-	if _, err := PickNSources(c, p, b, 0, 6, RandomK, stats.NewRNG(9)); err == nil {
-		t.Fatal("count n must fail (only n-1 other blocks exist)")
-	}
-	srcs, err := PickNSources(c, p, b, 0, 2, RandomK, stats.NewRNG(9))
-	if err != nil || len(srcs) != 2 {
-		t.Fatalf("count 2: %v %v", srcs, err)
-	}
-}

@@ -54,8 +54,8 @@ func BenchmarkReconstructBlock(b *testing.B) {
 
 	// The sizes around chunkParallelMin: -cpu 1,2 compares one serial
 	// MulAddSlices pass with the two-goroutine chunking wherever the size
-	// is at or above the constant (ROADMAP item 9c records the crossover
-	// measured on the 2-vCPU sandbox).
+	// is at or above the constant (CHANGES.md records the crossover
+	// measured on a 2-vCPU host).
 	big := MustNew(12, 10)
 	for _, sz := range []struct {
 		name string

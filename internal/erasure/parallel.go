@@ -8,7 +8,8 @@ import (
 // chunkParallelMin is the shard size below which single-block
 // reconstruction stays serial: goroutine fan-out costs more than it saves
 // on small blocks. 1 MiB is the smallest size at which two workers beat
-// one in every run of BenchmarkReconstructBlock -cpu 1,2 (ROADMAP 9c).
+// one in every run of BenchmarkReconstructBlock -cpu 1,2 (CHANGES.md
+// records the crossover).
 const chunkParallelMin = 1 << 20
 
 // reconstructWorkers returns how many workers a reconstruction over shards

@@ -42,16 +42,15 @@ func runExtLRC(ctx context.Context, o Options) (*Table, error) {
 	}
 	cases := []struct {
 		label  string
-		n, k   int
+		groups int
 		repair int
 	}{
-		{"RS(16,12)", 16, 12, 12},
-		{"LRC(12,2,2)", 16, 12, 6}, // same stripe width/rate; local-group repair
+		{"RS(16,12)", 0, 12},
+		{"LRC(12,2,2)", 2, 6}, // same stripe width/rate; local-group repair
 	}
 	for i, cse := range cases {
 		cfg, job := defaultSimConfig(o)
-		cfg.N, cfg.K = cse.n, cse.k
-		cfg.RepairBlockCount = cse.repair
+		cfg.N, cfg.K, cfg.LocalGroups = 16, 12, cse.groups
 		runs, err := runSeeds(ctx, cfg, []mapred.JobSpec{job},
 			[]sched.Kind{sched.KindLF, sched.KindEDF}, seeds, int64(9600+100*i), o, true)
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"math"
 
-	"degradedfirst/internal/dfs"
+	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/placement"
@@ -94,18 +94,17 @@ type Config struct {
 	BlockSizeBytes float64
 	NumBlocks      int // default F per job
 	Policy         placement.Policy
-	SourceStrategy dfs.SelectionStrategy
-	// RepairBlockCount is how many blocks one degraded read downloads
-	// (default K). Codes with locality, like LRC, repair a single failure
-	// from fewer blocks — set k/l here to model them (footnote 1 of the
-	// paper).
-	RepairBlockCount int
+	// LocalGroups, when positive, makes the code the locally repairable
+	// LRC(K, LocalGroups, N−K−LocalGroups) (footnote 1 of the paper): a
+	// lost native block is read from its K/LocalGroups-block local group.
+	// Zero keeps Reed-Solomon (N, K).
+	LocalGroups int
 
 	// Scheduling.
 	Scheduler SchedulerKind
 	// Features are the master loop's settings — JobSched, Hedge, Repair,
-	// HeartbeatInterval, OutOfBandHeartbeats, MaxSimTime, TraceFlowRates —
-	// declared, defaulted and validated in package runtime.
+	// SourceStrategy, HeartbeatInterval, OutOfBandHeartbeats, MaxSimTime,
+	// TraceFlowRates — declared, defaulted and validated in package runtime.
 	runtime.Features
 
 	// Failure scenario, injected at time zero (after placement).
@@ -146,7 +145,6 @@ func DefaultConfig() Config {
 		K:                  15,
 		BlockSizeBytes:     128e6,
 		NumBlocks:          1440,
-		SourceStrategy:     dfs.RandomK,
 		Scheduler:          LF,
 		Features:           runtime.Features{HeartbeatInterval: 3},
 		Failure:            topology.SingleNodeFailure,
@@ -197,15 +195,6 @@ func (c *Config) validate() error {
 	}
 	if c.Policy == nil {
 		c.Policy = placement.RackConstrainedRandom{}
-	}
-	if c.SourceStrategy == 0 {
-		c.SourceStrategy = dfs.RandomK
-	}
-	if c.RepairBlockCount == 0 {
-		c.RepairBlockCount = c.K
-	}
-	if c.RepairBlockCount < 0 || c.RepairBlockCount > c.N-1 {
-		return fmt.Errorf("mapred: RepairBlockCount %d outside [1, n-1]", c.RepairBlockCount)
 	}
 	if c.NetMode == 0 {
 		c.NetMode = netsim.FluidFairSharing
@@ -271,11 +260,20 @@ func (c *Config) ExpectedDegradedReadTime() float64 {
 			rackBps = c.Topology.Tiers[0].LinkBps
 		}
 	}
-	reads := c.RepairBlockCount
-	if reads <= 0 {
-		reads = c.K
+	reads := c.K
+	if c.LocalGroups > 0 {
+		reads /= c.LocalGroups
 	}
 	return sched.ExpectedDegradedReadTime(racks, reads, c.BlockSizeBytes, rackBps)
+}
+
+// code builds the run's erasure code: the LRC when LocalGroups is set
+// (NewLRC rejects a negative count), else Reed-Solomon.
+func (c *Config) code() (erasure.Coder, error) {
+	if c.LocalGroups != 0 {
+		return erasure.NewLRC(c.K, c.LocalGroups, c.N-c.K-c.LocalGroups)
+	}
+	return erasure.New(c.N, c.K)
 }
 
 // netConfig is the network model's configuration.

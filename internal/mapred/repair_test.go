@@ -27,13 +27,13 @@ func repairConfig(fraction float64) Config {
 
 // TestRepairTracePinned pins the full JSONL trace of four repair-enabled
 // runs as FNV-1a hashes: the healer at half the rack bandwidth, the same
-// with a modelled locality-aware code, two nodes lost mid-run at full
+// over the locally repairable LRC(4,2,1), two nodes lost mid-run at full
 // bandwidth, and the fat tree at a quarter of the node bandwidth. Any
 // change to which blocks the healer plans, reads, writes or hands back to
 // a task moves them.
 func TestRepairTracePinned(t *testing.T) {
 	lrc := repairConfig(0.5)
-	lrc.RepairBlockCount = 2
+	lrc.N, lrc.LocalGroups = 7, 2
 	double := repairConfig(1.0)
 	double.FailNodes = []topology.NodeID{4, 7}
 	fatTree := fatTreeConfig(t)
@@ -46,7 +46,7 @@ func TestRepairTracePinned(t *testing.T) {
 		want uint64
 	}{
 		{"half", repairConfig(0.5), 0x40b9b48a419be664},
-		{"local", lrc, 0xb40eef572c30d863},
+		{"local", lrc, 0xe7e70db16bbf5bb8},
 		{"double", double, 0x3c63f30aab7e0d62},
 		{"fat-tree", fatTree, 0xca35a2b5c5cac1e1},
 	} {
@@ -157,18 +157,20 @@ func TestRepairPoliciesHealEverything(t *testing.T) {
 }
 
 func TestRepairModeledLocalRepairsMoveFewerBytes(t *testing.T) {
-	// RepairBlockCount < k models a locality-aware code: single-loss
-	// stripes repair from fewer sources, strictly cheaper than the full
-	// k-source reconstruction.
-	full := mustRun(t, repairConfig(0.5), smallJob())
-	lrc := repairConfig(0.5)
-	lrc.RepairBlockCount = 2
+	// LRC(4,2,1) repairs a lost data block or local parity from its
+	// 2-block local group, so the healer reads strictly less than over
+	// Reed-Solomon of the same width, RS(7,4), which always reads k = 4.
+	rs := repairConfig(0.5)
+	rs.N = 7
+	full := mustRun(t, rs, smallJob())
+	lrc := rs
+	lrc.LocalGroups = 2
 	local := mustRun(t, lrc, smallJob())
 	if full.Repair.LocalRepairs != 0 || full.Repair.GlobalRepairs == 0 {
 		t.Fatalf("k-source run misclassified: %+v", full.Repair)
 	}
-	if local.Repair.LocalRepairs == 0 || local.Repair.GlobalRepairs != 0 {
-		t.Fatalf("single-node losses should all repair locally: %+v", local.Repair)
+	if local.Repair.LocalRepairs == 0 || local.Repair.LocalRepairs < local.Repair.GlobalRepairs {
+		t.Fatalf("single-node losses should mostly repair locally: %+v", local.Repair)
 	}
 	if local.Repair.BlocksRepaired != full.Repair.BlocksRepaired {
 		t.Fatalf("repaired %d blocks locally vs %d globally",

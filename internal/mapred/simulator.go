@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"degradedfirst/internal/dfs"
-	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
@@ -66,7 +65,7 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 		}
 	}
 
-	code, err := erasure.New(cfg.N, cfg.K)
+	code, err := cfg.code()
 	if err != nil {
 		return nil, fmt.Errorf("mapred: %w", err)
 	}
@@ -101,8 +100,8 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend := &simBackend{Healer: &runtime.Healer{FS: fs, BlockBytes: cfg.BlockSizeBytes}, cfg: cfg, specs: specs,
-		parts: make([][]runtime.Chunk, len(specs))}
+	backend := &simBackend{Healer: &runtime.Healer{FS: fs, BlockBytes: cfg.BlockSizeBytes, Strategy: cfg.SourceStrategy},
+		specs: specs, parts: make([][]runtime.Chunk, len(specs))}
 	rjobs := make([]runtime.JobSpec, len(specs))
 	for i := range specs {
 		backend.parts[i] = simPartitions(&specs[i], cfg.BlockSizeBytes)
@@ -135,7 +134,7 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	backend.rng = rng.Fork()
+	backend.RNG = rng.Fork()
 
 	env := &sched.Env{
 		Cluster: cluster,
@@ -188,15 +187,14 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 }
 
 // simBackend is the simulated-cost runtime backend: no real data moves,
-// task costs are drawn from the configured distributions, and degraded
-// reads and repairs are planned against the metadata-only store without
-// decoding anything.
+// task costs are drawn from the configured distributions, and the Healer
+// plans degraded reads and repairs against the metadata-only store
+// without decoding anything. Task costs and source picks share the
+// Healer's RNG.
 type simBackend struct {
-	*runtime.Healer // the store; repair.go trims its plans to RepairBlockCount
-	cfg             Config
+	*runtime.Healer // the store and the input planner
 	specs           []JobSpec
 	parts           [][]runtime.Chunk // per job, what Partitions returns for every map
-	rng             *stats.RNG
 }
 
 func (b *simBackend) speed(id topology.NodeID) float64 {
@@ -205,41 +203,10 @@ func (b *simBackend) speed(id topology.NodeID) float64 {
 
 var _ runtime.Backend = (*simBackend)(nil)
 
-// PlanInput implements runtime.Backend: node-local inputs need no
-// transfers, rack-local/remote inputs one block transfer from the holder,
-// and degraded inputs one transfer per repair source, then the spares.
-func (b *simBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
-	var plan runtime.InputPlan
-	block := b.TaskBlock(task)
-	place := b.Files[job].Placement
-	switch class {
-	case sched.ClassNodeLocal:
-	case sched.ClassRackLocal, sched.ClassRemote:
-		plan.Transfers = []runtime.Transfer{{Src: place.Holder(block), Bytes: b.BlockBytes}}
-	case sched.ClassDegraded:
-		sources, err := dfs.PickNSources(b.FS.Cluster(), place, block, node,
-			b.cfg.RepairBlockCount, b.cfg.SourceStrategy, b.rng)
-		if err != nil {
-			return plan, fmt.Errorf("mapred: degraded read plan for %v: %w", block, err)
-		}
-		// RepairBlockCount != K models a locality-aware code, which gets
-		// no spares.
-		extra := dfs.SpareSources(b.FS.Cluster(), place, block, sources, spares.For(len(sources)))
-		plan.Spares = len(extra)
-		plan.Transfers = make([]runtime.Transfer, 0, len(sources)+len(extra))
-		for _, src := range append(sources, extra...) {
-			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: b.BlockBytes})
-		}
-	default:
-		return plan, fmt.Errorf("mapred: unknown assignment class %v", class)
-	}
-	return plan, nil
-}
-
 // Execute implements runtime.Backend: charge a sampled map duration.
 func (b *simBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	spec := &b.specs[job]
-	return b.rng.Normal(spec.MapTime.Mean, spec.MapTime.Std) * b.speed(node), nil
+	return b.RNG.Normal(spec.MapTime.Mean, spec.MapTime.Std) * b.speed(node), nil
 }
 
 // Partitions implements runtime.Backend: every reducer receives an equal
@@ -273,7 +240,7 @@ func (b *simBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.C
 // duration, independent of the received volume.
 func (b *simBackend) ReduceDuration(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
 	spec := &b.specs[job]
-	return b.rng.Normal(spec.ReduceTime.Mean, spec.ReduceTime.Std) * b.speed(node)
+	return b.RNG.Normal(spec.ReduceTime.Mean, spec.ReduceTime.Std) * b.speed(node)
 }
 
 // ReduceReset implements runtime.Backend: nothing buffered to discard.

@@ -1,14 +1,12 @@
 package mapred
 
 import (
-	"context"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"degradedfirst/internal/netsim"
-	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
 )
@@ -54,6 +52,9 @@ func TestValidationErrors(t *testing.T) {
 		func(c *Config) { c.MapSlotsPerNode = 0 },
 		func(c *Config) { c.ReduceSlotsPerNode = -1 },
 		func(c *Config) { c.K = 9 },
+		func(c *Config) { c.LocalGroups = 3 },          // K=4 splits into no 3 groups
+		func(c *Config) { c.LocalGroups = 2 },          // (6,4) leaves no global parity
+		func(c *Config) { c.N, c.LocalGroups = 8, -1 }, // a negative group count
 		func(c *Config) { c.BlockSizeBytes = 0 },
 		func(c *Config) { c.NumBlocks = 0 },
 	}
@@ -432,24 +433,21 @@ func TestHoldModeRuns(t *testing.T) {
 	}
 }
 
-func TestRepairBlockCountShortensDegradedReads(t *testing.T) {
-	// LRC-style repairs (fewer source blocks) must shorten degraded reads
-	// under identical placement and failure.
+func TestLocalGroupsShortenDegradedReads(t *testing.T) {
+	// An LRC's local-group reads (2 blocks) must shorten degraded reads
+	// against Reed-Solomon of the same width (k = 4), under identical
+	// placement and failure.
 	base := smallConfig()
+	base.N = 7
 	base.Seed = 37
 	base.Scheduler = LF
 	full := mustRun(t, base, smallJob())
 	lrc := base
-	lrc.RepairBlockCount = 2 // vs K=4
+	lrc.LocalGroups = 2 // LRC(4,2,1)
 	cheap := mustRun(t, lrc, smallJob())
 	if cheap.Jobs[0].MeanDegradedReadTime() >= full.Jobs[0].MeanDegradedReadTime() {
-		t.Fatalf("repair=2 read %.2f not below repair=k read %.2f",
+		t.Fatalf("LRC(4,2,1) read %.2f not below RS(7,4) read %.2f",
 			cheap.Jobs[0].MeanDegradedReadTime(), full.Jobs[0].MeanDegradedReadTime())
-	}
-	bad := base
-	bad.RepairBlockCount = 99
-	if _, err := Run(bad, []JobSpec{smallJob()}); err == nil {
-		t.Fatal("out-of-range RepairBlockCount must fail")
 	}
 }
 
@@ -536,59 +534,5 @@ func TestBytesMovedScalesWithShuffle(t *testing.T) {
 	if b.BytesMoved <= a.BytesMoved {
 		t.Fatalf("30%% shuffle (%.0f) should move more bytes than 1%% (%.0f)",
 			b.BytesMoved, a.BytesMoved)
-	}
-}
-
-// TestPlanInputPlansWholeFanIn: one PlanInput call on a degraded task
-// returns the k primaries followed by the spares the budget allows, with
-// no earlier call for the backend to remember; a locality-aware code
-// (RepairBlockCount < k) gets none.
-func TestPlanInputPlansWholeFanIn(t *testing.T) {
-	const failed = topology.NodeID(4)
-	degradedPlan := func(cfg Config, budget runtime.SpareBudget) runtime.InputPlan {
-		t.Helper()
-		r, err := prepare(context.Background(), cfg, []JobSpec{smallJob()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.params.Cluster.FailNode(failed)
-		for task, spec := range r.jobs[0].Tasks {
-			if spec.Holder != failed {
-				continue
-			}
-			plan, err := r.backend.PlanInput(0, task, sched.ClassDegraded, 0, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen := map[topology.NodeID]bool{failed: true}
-			for _, tr := range plan.Transfers {
-				if seen[tr.Src] || tr.Bytes != cfg.BlockSizeBytes {
-					t.Fatalf("transfer %+v repeats a source, reads the dead node or is not one block", tr)
-				}
-				seen[tr.Src] = true
-			}
-			return plan
-		}
-		t.Fatal("failed node held no native block; scenario is vacuous")
-		return runtime.InputPlan{}
-	}
-	cfg := smallConfig() // (6,4): five survivors, so at most one spare
-	for _, tc := range []struct {
-		budget     runtime.SpareBudget
-		wantSpares int
-	}{
-		{runtime.SpareBudget{}, 0},
-		{runtime.SpareBudget{Fixed: 1}, 1},
-		{runtime.SpareBudget{Fixed: 1, PerPrimary: 1}, 1},
-	} {
-		plan := degradedPlan(cfg, tc.budget)
-		if plan.Spares != tc.wantSpares || len(plan.Transfers) != cfg.K+tc.wantSpares {
-			t.Errorf("budget %+v: %d transfers with %d spares, want %d with %d",
-				tc.budget, len(plan.Transfers), plan.Spares, cfg.K+tc.wantSpares, tc.wantSpares)
-		}
-	}
-	cfg.RepairBlockCount = 2
-	if plan := degradedPlan(cfg, runtime.SpareBudget{Fixed: 1}); plan.Spares != 0 || len(plan.Transfers) != 2 {
-		t.Errorf("local repair: %d transfers with %d spares, want its 2 sources alone", len(plan.Transfers), plan.Spares)
 	}
 }

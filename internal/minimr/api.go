@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/mapred"
 	"degradedfirst/internal/netsim"
@@ -74,14 +73,12 @@ type Options struct {
 	// Scheduler picks the algorithm (sched.KindLF/KindBDF/KindEDF).
 	Scheduler sched.Kind
 	// Features are the master loop's settings — JobSched, Hedge, Repair,
-	// HeartbeatInterval, OutOfBandHeartbeats, MaxSimTime, TraceFlowRates —
-	// declared, defaulted and validated in package runtime.
+	// SourceStrategy, HeartbeatInterval, OutOfBandHeartbeats, MaxSimTime,
+	// TraceFlowRates — declared, defaulted and validated in package runtime.
 	runtime.Features
 	// RackBps, NodeBps, CoreBps and NetMode configure the network model.
 	RackBps, NodeBps, CoreBps float64
 	NetMode                   netsim.Mode
-	// SourceStrategy picks degraded-read sources (default RandomK).
-	SourceStrategy dfs.SelectionStrategy
 	// Seed drives task-placement randomness (degraded source picks).
 	Seed int64
 	// Trace receives the run's structured lifecycle events (nil = no
@@ -134,9 +131,6 @@ var (
 func (o *Options) Validate(spec *topology.Spec) error {
 	if o.Scheduler == 0 {
 		o.Scheduler = sched.KindLF
-	}
-	if o.SourceStrategy == 0 {
-		o.SourceStrategy = dfs.RandomK
 	}
 	if o.NetMode == 0 {
 		o.NetMode = netsim.FluidFairSharing

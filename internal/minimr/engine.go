@@ -7,7 +7,6 @@ import (
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
-	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 )
 
@@ -30,17 +29,12 @@ func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Rep
 	if err != nil {
 		return nil, err
 	}
-	backend := newRealBackend(h, opts, jobs)
+	backend := newRealBackend(h, jobs)
 	return h.Run(ctx, "minimr", &opts, backend, nil, opts.Trace, backend.outputs)
 }
 
-func newRealBackend(h *Harness, opts Options, jobs []Job) *realBackend {
-	backend := &realBackend{
-		Healer: h.Healer,
-		jobs:   jobs,
-		opts:   opts,
-		rng:    stats.NewRNG(opts.Seed),
-	}
+func newRealBackend(h *Harness, jobs []Job) *realBackend {
+	backend := &realBackend{Healer: h.Healer, jobs: jobs}
 	for i := range jobs {
 		backend.bufs = append(backend.bufs, make([][]RecordBuf, jobs[i].NumReducers))
 		backend.outputs = append(backend.outputs, make(map[string]string))
@@ -49,14 +43,11 @@ func newRealBackend(h *Harness, opts Options, jobs []Job) *realBackend {
 }
 
 // realBackend is the real-bytes runtime backend: map inputs are read (or
-// Reed-Solomon reconstructed) from the DFS, the real map and reduce
-// functions run over real records, and task costs are calibrated from the
-// processed byte counts.
+// decoded) from the DFS, the real map and reduce functions run over real
+// records, and task costs are calibrated from the processed byte counts.
 type realBackend struct {
-	*runtime.Healer // the store: FS, and Files[job] the job's input
+	*runtime.Healer // the store and the input planner
 	jobs            []Job
-	opts            Options
-	rng             *stats.RNG
 	// bufs[job][reducer] lists, in delivery order, the map-output
 	// buffers the shuffle delivered; they stay owned by their map tasks.
 	bufs    [][][]RecordBuf
@@ -69,43 +60,24 @@ func (b *realBackend) speed(id topology.NodeID) float64 {
 	return b.FS.Cluster().Node(id).SpeedFactor
 }
 
-// PlanInput implements runtime.Backend: read the block (local, rack, or
-// remote: one block transfer from the holder), or reconstruct it for real
-// via a degraded read (k source transfers, then the spares). The
-// reconstruction happens here — under the virtual clock the spare
-// transfers only shape timing, and Reed-Solomon decoding from any k
-// survivors yields identical bytes.
+// PlanInput implements runtime.Backend: the Healer plans the transfers,
+// and the payload is the block itself, read from its holder or decoded
+// for real from the degraded read's planned primaries. Under the virtual
+// clock the spares only shape timing: any k survivors of a Reed-Solomon
+// stripe decode identical bytes.
 func (b *realBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
-	var plan runtime.InputPlan
-	js := b.jobs[job]
-	block := b.TaskBlock(task)
-	place := b.Files[job].Placement
-	switch class {
-	case sched.ClassNodeLocal, sched.ClassRackLocal, sched.ClassRemote:
-		data, err := b.FS.ReadBlock(js.Input, block)
-		if err != nil {
-			return plan, fmt.Errorf("minimr: reading %v: %w", block, err)
-		}
-		plan.Input = data
-		if class != sched.ClassNodeLocal {
-			plan.Transfers = []runtime.Transfer{{Src: place.Holder(block), Bytes: b.BlockBytes}}
-		}
-	case sched.ClassDegraded:
-		// Reconstruct for real (Reed-Solomon decode over the surviving
-		// blocks), then charge the k transfers through the network model.
-		data, sources, err := b.FS.DegradedRead(js.Input, block, node, b.opts.SourceStrategy, b.rng)
-		if err != nil {
-			return plan, fmt.Errorf("minimr: degraded read of %v: %w", block, err)
-		}
-		plan.Input = data
-		extra := dfs.SpareSources(b.FS.Cluster(), place, block, sources, spares.For(len(sources)))
-		plan.Spares = len(extra)
-		plan.Transfers = make([]runtime.Transfer, 0, len(sources)+len(extra))
-		for _, src := range append(sources, extra...) {
-			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: src.Node, Bytes: b.BlockBytes})
-		}
-	default:
-		return plan, fmt.Errorf("minimr: unknown class %v", class)
+	plan, err := b.Healer.PlanInput(job, task, class, node, spares)
+	if err != nil {
+		return plan, err
+	}
+	name, block := b.jobs[job].Input, b.TaskBlock(task)
+	if class == sched.ClassDegraded {
+		plan.Input, err = b.FS.DecodeFrom(name, block, plan.Sources[:len(plan.Sources)-plan.Spares])
+	} else {
+		plan.Input, err = b.FS.ReadBlock(name, block)
+	}
+	if err != nil {
+		return plan, fmt.Errorf("minimr: reading %v: %w", block, err)
 	}
 	return plan, nil
 }

@@ -2,7 +2,9 @@ package minimr
 
 import (
 	"bytes"
+	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -422,9 +424,10 @@ func TestTraceFlowRatesThreadsThrough(t *testing.T) {
 	}
 }
 
-// TestPlanInputPlansWholeFanIn: one PlanInput call on a degraded task
-// returns the k primaries followed by the spares the budget allows, with
-// no earlier call for the backend to remember.
+// TestPlanInputPlansWholeFanIn: PlanInput attaches the block's real bytes
+// to the Healer's plan, decoded from the planned primaries of a degraded
+// read whether or not spares join them (runtime.TestHealerPlanInput holds
+// the plan itself).
 func TestPlanInputPlansWholeFanIn(t *testing.T) {
 	fs, _ := testbedFS(t, 8)
 	fs.Cluster().FailNode(3)
@@ -434,42 +437,50 @@ func TestPlanInputPlansWholeFanIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newRealBackend(h, opts, jobs)
-	task := -1
-	for i, spec := range h.RJobs[0].Tasks {
-		if spec.Holder == 3 {
-			task = i
-			break
-		}
-	}
+	b := newRealBackend(h, jobs)
+	task := slices.IndexFunc(h.RJobs[0].Tasks, func(s sched.TaskSpec) bool { return s.Holder == 3 })
 	if task < 0 {
 		t.Fatal("failed node held no native block; scenario is vacuous")
-	}
-	k := fs.Code().K()
-	// (12,10) with one loss leaves 11 survivors: one spare, however many
-	// the budget asks for.
-	plan, err := b.PlanInput(0, task, sched.ClassDegraded, 0, runtime.SpareBudget{Fixed: 1, PerPrimary: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Spares != 1 || len(plan.Transfers) != k+1 {
-		t.Fatalf("got %d transfers with %d spares, want %d with 1", len(plan.Transfers), plan.Spares, k+1)
-	}
-	seen := map[topology.NodeID]bool{3: true}
-	for _, tr := range plan.Transfers {
-		if seen[tr.Src] || !fs.Cluster().Alive(tr.Src) || tr.Bytes != float64(fs.BlockSize()) {
-			t.Fatalf("transfer %+v repeats a source, reads a dead node or is not one block", tr)
-		}
-		seen[tr.Src] = true
 	}
 	want, err := fs.ReadBlockUnsafe("input.txt", h.Healer.TaskBlock(task))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plan.Input.([]byte), want) {
-		t.Fatal("degraded read did not reconstruct the block")
+	// (12,10) with one loss leaves 11 survivors: at most one spare.
+	for _, budget := range []runtime.SpareBudget{{}, {Fixed: 1, PerPrimary: 1}} {
+		plan, err := b.PlanInput(0, task, sched.ClassDegraded, 0, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plan.Input.([]byte), want) {
+			t.Fatalf("budget %+v (%d spares): degraded read did not reconstruct the block", budget, plan.Spares)
+		}
 	}
-	if plan, err = b.PlanInput(0, task, sched.ClassDegraded, 0, runtime.SpareBudget{}); err != nil || plan.Spares != 0 || len(plan.Transfers) != k {
-		t.Fatalf("zero budget: %d transfers, %d spares, err %v; want the %d primaries alone", len(plan.Transfers), plan.Spares, err, k)
+}
+
+// TestEDFThresholdReadsLocalGroup: EDF's degraded-read threshold counts
+// the blocks one degraded read fetches, so an LRC(10,2,2) store gives half
+// the threshold of a Reed-Solomon store of the same width, RS(14,10).
+func TestEDFThresholdReadsLocalGroup(t *testing.T) {
+	threshold := func(code erasure.Coder) float64 {
+		t.Helper()
+		cluster := topology.MustNew(topology.Config{Nodes: 16, Racks: 4, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1})
+		fs, err := dfs.New(cluster, code, 64, nil, stats.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Write("in", bytes.Repeat([]byte("a b\n"), 160)); err != nil {
+			t.Fatal(err)
+		}
+		opts := testOpts(sched.KindEDF)
+		h, err := NewHarness(fs, &opts, []Job{WordCountJob("in", 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Env.DegradedReadTime
+	}
+	rs, lrc := threshold(erasure.MustNew(14, 10)), threshold(erasure.MustNewLRC(10, 2, 2))
+	if rs <= 0 || math.Abs(lrc-rs/2) > 1e-12*rs {
+		t.Fatalf("LRC(10,2,2) threshold %v, want half of RS(14,10)'s %v", lrc, rs)
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 
 	"degradedfirst/internal/dfs"
+	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/sim"
+	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
 )
@@ -27,9 +29,10 @@ type Harness struct {
 	// RJobs are the runtime-facing job specs, index-aligned with the jobs
 	// passed to NewHarness.
 	RJobs []runtime.JobSpec
-	// Healer is the run's store, for backends to embed: Healer.Files[job]
-	// is the job's input file, and its placement the one record of where
-	// each block lives.
+	// Healer is the run's store and input planner, for backends to embed:
+	// Healer.Files[job] is the job's input file, and its placement the one
+	// record of where each block lives. Its RNG, seeded from Options.Seed,
+	// is the run's only random stream.
 	Healer *runtime.Healer
 }
 
@@ -58,14 +61,20 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 	}
 
 	// EDF needs a degraded-read-time threshold; derive it from the code,
-	// block size and rack bandwidth as in the analysis. On multi-tier
-	// clusters the leaf-tier capacity of the fabric spec stands in for
-	// the rack bandwidth unless the option overrides it.
+	// block size and rack bandwidth as in the analysis. A degraded read
+	// fetches k blocks, or a locally repairable code's local group. On
+	// multi-tier clusters the leaf-tier capacity of the fabric spec stands
+	// in for the rack bandwidth unless the option overrides it.
 	rackBps := opts.RackBps
 	if rackBps == 0 {
 		rackBps = cluster.Spec().Tiers[0].LinkBps
 	}
-	threshold := sched.ExpectedDegradedReadTime(cluster.NumRacks(), fs.Code().K(), float64(fs.BlockSize()), rackBps)
+	reads := fs.Code().K()
+	if lr, ok := fs.Code().(erasure.LocalRepairer); ok {
+		group, _ := lr.LocalRepairGroup(0)
+		reads = len(group)
+	}
+	threshold := sched.ExpectedDegradedReadTime(cluster.NumRacks(), reads, float64(fs.BlockSize()), rackBps)
 	meanMapCost := 0.0
 	for i := range jobs {
 		meanMapCost += jobs[i].MapCost.Seconds(float64(fs.BlockSize()))
@@ -85,7 +94,8 @@ func NewHarness(fs *dfs.FS, opts *Options, jobs []Job) (*Harness, error) {
 		Scheduler: scheduler,
 		Env:       env,
 		RJobs:     make([]runtime.JobSpec, len(jobs)),
-		Healer:    &runtime.Healer{FS: fs, BlockBytes: float64(fs.BlockSize())},
+		Healer: &runtime.Healer{FS: fs, BlockBytes: float64(fs.BlockSize()),
+			Strategy: opts.SourceStrategy, RNG: stats.NewRNG(opts.Seed)},
 	}
 	for i := range jobs {
 		file, err := fs.File(jobs[i].Input)

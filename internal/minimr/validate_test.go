@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
@@ -54,9 +53,6 @@ func TestOptionsValidateDefaults(t *testing.T) {
 	}
 	if o.HeartbeatInterval != 3 {
 		t.Errorf("HeartbeatInterval default = %v, want 3", o.HeartbeatInterval)
-	}
-	if o.SourceStrategy != dfs.RandomK {
-		t.Errorf("SourceStrategy default = %v, want RandomK", o.SourceStrategy)
 	}
 	if o.NetMode != netsim.FluidFairSharing {
 		t.Errorf("NetMode default = %v, want FluidFairSharing", o.NetMode)

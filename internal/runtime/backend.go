@@ -12,8 +12,8 @@
 //
 // The engine contract is Backend: task input and cost, the shuffle, and
 // the storage half of the background healer. Every engine implements all
-// of it, whether or not a run turns hedging or repair on; the storage half
-// is one Healer over the engine's dfs.FS. The one
+// of it, whether or not a run turns hedging or repair on; input planning
+// and the storage half are one Healer over the engine's dfs.FS. The one
 // optional extension is AsyncBackend, for engines whose task work runs
 // outside the simulation goroutine.
 package runtime
@@ -21,6 +21,7 @@ package runtime
 import (
 	"fmt"
 
+	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/sched"
@@ -78,6 +79,9 @@ type InputPlan struct {
 	// Spares counts the trailing spare transfers. Any len(Transfers)-Spares
 	// of the transfers reconstruct the input, so the runtime may race them.
 	Spares int
+	// Sources are the stripe blocks the Transfers read, index-aligned with
+	// them (Healer.PlanInput fills them; the runtime does not read them).
+	Sources []dfs.Source
 	// Input is opaque to the runtime and handed to Execute.
 	Input any
 }
@@ -106,8 +110,8 @@ type Backend interface {
 	// there may be fewer than asked for (none for a locality-aware code's
 	// local repair group, which is not any-k substitutable). The budget is
 	// zero unless a hedge policy is active, and ignored for other classes.
-	// Errors abort the run verbatim, so backends return them pre-wrapped
-	// with their engine prefix.
+	// Every engine plans with Healer.PlanInput and attaches its payload.
+	// Errors abort the run verbatim.
 	PlanInput(job, task int, class sched.Class, node topology.NodeID, spares SpareBudget) (InputPlan, error)
 	// Execute runs the map task once its input is available, returning
 	// the processing duration (seconds, already scaled by the node's

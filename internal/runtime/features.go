@@ -5,18 +5,20 @@ import (
 	"fmt"
 	"math"
 
+	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/topology"
 )
 
-// Features are the settings the master loop itself consumes, as opposed
-// to the ones that build an engine's cluster, network or store. Params,
-// mapred.Config and minimr.Options embed it, so each setting is declared
-// here once, reaches the loop without being copied, and is defaulted and
-// rejected by Validate alone. The zero value is the paper's master: FIFO
-// jobs, no hedging, no healer, 3 s heartbeats.
+// Features are the settings the master loop and its input planner (the
+// Healer) consume, as opposed to the ones that build an engine's cluster,
+// network or store. Params, mapred.Config and minimr.Options embed it, so
+// each setting is declared here once, reaches the loop without being
+// copied, and is defaulted and rejected by Validate alone. The zero value
+// is the paper's master: FIFO jobs, no hedging, no healer, random degraded
+// sources, 3 s heartbeats.
 type Features struct {
 	// JobSched selects the job-level scheduling policy (which jobs may
 	// take slots, above the task-placement Scheduler). The zero value is
@@ -31,6 +33,9 @@ type Features struct {
 	// no LinkBps is taken against the node NIC, falling back to the rack
 	// link (see Validate).
 	Repair repair.Config
+	// SourceStrategy picks which survivors a degraded read downloads
+	// (0 = RandomK, the paper's random k of n−1).
+	SourceStrategy dfs.SelectionStrategy
 
 	// HeartbeatInterval is the slaves' heartbeat period in virtual
 	// seconds (0 = 3 s).
@@ -70,6 +75,9 @@ func (f *Features) Validate(net netsim.Config, spec *topology.Spec) error {
 	}
 	if !(f.MaxSimTime > 0) {
 		f.MaxSimTime = 1e7
+	}
+	if f.SourceStrategy == 0 {
+		f.SourceStrategy = dfs.RandomK
 	}
 	if err := f.JobSched.Validate(); err != nil {
 		return err

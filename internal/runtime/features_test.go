@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/minimr"
@@ -171,5 +172,17 @@ func TestFeaturesTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFeaturesDefaultSourceStrategy: a zero SourceStrategy is RandomK, the
+// paper's random k of n−1, for every engine embedding Features.
+func TestFeaturesDefaultSourceStrategy(t *testing.T) {
+	var f runtime.Features
+	if err := f.Validate(netsim.Config{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if f.SourceStrategy != dfs.RandomK {
+		t.Errorf("SourceStrategy default = %v, want RandomK", f.SourceStrategy)
 	}
 }

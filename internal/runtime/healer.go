@@ -1,30 +1,73 @@
 package runtime
 
 import (
+	"fmt"
+
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/repair"
+	"degradedfirst/internal/sched"
+	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 )
 
-// Healer implements Backend's storage half over a dfs.FS, for every
-// engine: the simulator keeps its inputs in a metadata-only store, minimr
-// and the TCP cluster in a data-bearing one. Planning and commit are the
-// DFS's; the Healer adds only the way back from a rebuilt block to the
-// tasks that read it. A job's map tasks are its input file's native blocks
-// in (stripe, index) order, so task t reads TaskBlock(t).
+// Healer implements Backend's input planning and storage half over a
+// dfs.FS, for every engine: the simulator keeps its inputs in a
+// metadata-only store, minimr and the TCP cluster in a data-bearing one.
+// Which blocks a map input or a repair reads is the DFS's one rule; the
+// Healer turns it into transfers, and adds the way back from a rebuilt
+// block to the tasks that read it. A job's map tasks are its input file's
+// native blocks in (stripe, index) order, so task t reads TaskBlock(t).
 type Healer struct {
 	FS *dfs.FS
 	// Files[job] is the job's input file.
 	Files []*dfs.File
 	// BlockBytes is the network volume of reading one block.
 	BlockBytes float64
+	// Strategy and RNG pick a degraded read's sources. RNG is the only
+	// stream PlanInput draws from; an engine may draw its own costs from it
+	// too (the simulator does), interleaving with the picks.
+	Strategy dfs.SelectionStrategy
+	RNG      *stats.RNG
 }
 
 // TaskBlock is the input block of map task t of any job.
 func (h *Healer) TaskBlock(t int) erasure.BlockID {
 	k := h.FS.Code().K()
 	return erasure.BlockID{Stripe: t / k, Index: t % k}
+}
+
+// PlanInput implements Backend: a node-local input needs no transfer, a
+// rack-local or remote one one block from its holder, and a degraded one
+// the sources dfs.PickRepairSources picks, then the spares
+// dfs.SpareSources grants against the budget. The plan's Sources name the
+// blocks its Transfers read, so a backend holding bytes fetches or decodes
+// exactly what the runtime charges.
+func (h *Healer) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares SpareBudget) (InputPlan, error) {
+	var plan InputPlan
+	block := h.TaskBlock(task)
+	place := h.Files[job].Placement
+	switch class {
+	case sched.ClassNodeLocal:
+		return plan, nil
+	case sched.ClassRackLocal, sched.ClassRemote:
+		plan.Sources = []dfs.Source{{Node: place.Holder(block), Index: block.Index}}
+	case sched.ClassDegraded:
+		sources, err := dfs.PickRepairSources(h.FS.Cluster(), h.FS.Code(), place, block, node, h.Strategy, h.RNG)
+		if err != nil {
+			return plan, fmt.Errorf("runtime: degraded read of %v: %w", block, err)
+		}
+		extra := dfs.SpareSources(h.FS.Cluster(), place, block, sources, spares.For(len(sources)))
+		plan.Spares = len(extra)
+		plan.Sources = append(sources, extra...)
+	default:
+		return plan, fmt.Errorf("runtime: unknown assignment class %v", class)
+	}
+	plan.Transfers = make([]Transfer, len(plan.Sources))
+	for i, src := range plan.Sources {
+		plan.Transfers[i] = Transfer{Src: src.Node, Bytes: h.BlockBytes}
+	}
+	return plan, nil
 }
 
 // ScanLostBlocks implements Backend via dfs.FS.LostBlocks.

@@ -9,6 +9,7 @@ import (
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/repair"
+	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 )
@@ -81,5 +82,79 @@ func TestHealerContract(t *testing.T) {
 		if _, err := h.CommitRepair(plan.Key, plan.Blocks[0]); !errors.As(err, &dn) || !reflect.DeepEqual(dn.Nodes, []topology.NodeID{dest}) {
 			t.Fatalf("meta=%v: commit to dead node %d gave %v, want a DeadNodeError naming it", meta, dest, err)
 		}
+	}
+}
+
+// TestHealerPlanInput holds the one input planner every engine uses: the
+// sources a code's repair rule picks for task 0 (block 0 of stripe 0),
+// then the spares the budget grants, with Sources and Transfers
+// index-aligned and no source on a dead node.
+func TestHealerPlanInput(t *testing.T) {
+	rs, err := erasure.New(6, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lrc, err := erasure.NewLRC(4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		code   erasure.Coder
+		class  sched.Class
+		budget SpareBudget
+		lost   []int // stripe 0's blocks whose holders fail
+		want   int   // primaries
+		spares int
+		srcIdx []int // the exact source indices, where the pick is not random
+		draws  bool  // whether the pick draws from the RNG
+	}{
+		{name: "node-local", code: rs, class: sched.ClassNodeLocal, budget: SpareBudget{Fixed: 1}},
+		{name: "remote", code: rs, class: sched.ClassRemote, budget: SpareBudget{Fixed: 1}, want: 1, srcIdx: []int{0}},
+		// (6,4) with one loss leaves five survivors: at most one spare.
+		{name: "RS, no budget", code: rs, class: sched.ClassDegraded, lost: []int{0}, want: 4, draws: true},
+		{name: "RS, one spare", code: rs, class: sched.ClassDegraded, budget: SpareBudget{Fixed: 1}, lost: []int{0}, want: 4, spares: 1, draws: true},
+		{name: "RS, budget past the survivors", code: rs, class: sched.ClassDegraded, budget: SpareBudget{Fixed: 1, PerPrimary: 1}, lost: []int{0}, want: 4, spares: 1, draws: true},
+		// LRC(4,2,1): block 0's local group is data block 1 and local parity 4.
+		{name: "LRC, group intact", code: lrc, class: sched.ClassDegraded, budget: SpareBudget{Fixed: 1}, lost: []int{0}, want: 2, srcIdx: []int{1, 4}},
+		{name: "LRC, group broken", code: lrc, class: sched.ClassDegraded, budget: SpareBudget{Fixed: 1}, lost: []int{0, 1}, want: 5, srcIdx: []int{2, 3, 4, 5, 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := topology.MustNew(topology.Config{Nodes: 12, Racks: 3, MapSlotsPerNode: 1})
+			fs, err := dfs.New(c, tc.code, 16, nil, stats.NewRNG(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := fs.CreateMeta("in", 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &Healer{FS: fs, Files: []*dfs.File{f}, BlockBytes: 16, Strategy: dfs.RandomK, RNG: stats.NewRNG(7)}
+			for _, idx := range tc.lost {
+				c.FailNode(f.Placement.Holder(erasure.BlockID{Index: idx}))
+			}
+			plan, err := h.PlanInput(0, 0, tc.class, 0, tc.budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plan.Sources) != tc.want+tc.spares || plan.Spares != tc.spares || len(plan.Transfers) != len(plan.Sources) {
+				t.Fatalf("%d sources, %d transfers, %d spares; want %d primaries and %d spares",
+					len(plan.Sources), len(plan.Transfers), plan.Spares, tc.want, tc.spares)
+			}
+			var idx []int
+			for i, src := range plan.Sources {
+				if !c.Alive(src.Node) || src.Node != f.Placement.Holder(erasure.BlockID{Index: src.Index}) ||
+					slices.Contains(idx, src.Index) || plan.Transfers[i] != (Transfer{Src: src.Node, Bytes: 16}) {
+					t.Fatalf("source %d %+v (transfer %+v) is dead, misplaced, repeated or not one block", i, src, plan.Transfers[i])
+				}
+				idx = append(idx, src.Index)
+			}
+			if tc.srcIdx != nil && !slices.Equal(idx, tc.srcIdx) {
+				t.Errorf("sources %v, want %v", idx, tc.srcIdx)
+			}
+			if drew := h.RNG.Float64() != stats.NewRNG(7).Float64(); drew != tc.draws {
+				t.Errorf("drew from the RNG: %v, want %v", drew, tc.draws)
+			}
+		})
 	}
 }
