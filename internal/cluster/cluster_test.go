@@ -2,9 +2,12 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,11 +50,11 @@ func testbedFS(t *testing.T, seed int64) (*dfs.FS, []byte) {
 
 func engineOpts(sink trace.Sink) minimr.Options {
 	return minimr.Options{
-		Scheduler: sched.KindLF,
-		RackBps:   minimr.TestbedRackBps,
-		Features:  runtime.Features{OutOfBandHeartbeats: true},
-		Seed:      1,
-		Trace:     sink,
+		Scheduler:           sched.KindLF,
+		RackBps:             minimr.TestbedRackBps,
+		OutOfBandHeartbeats: true,
+		Seed:                1,
+		Trace:               sink,
 	}
 }
 
@@ -283,6 +286,12 @@ func TestLoopbackGrepAndLineCount(t *testing.T) {
 // any worker sees the job.
 func TestMasterRejectsInvalidJobs(t *testing.T) {
 	fs, _ := testbedFS(t, 4)
+	bad := engineOpts(nil)
+	bad.RackBps = math.NaN()
+	if _, err := NewMaster(fs, MasterOptions{Engine: bad}); !errors.Is(err, runtime.ErrNegativeBandwidth) ||
+		!strings.HasPrefix(err.Error(), "cluster: ") {
+		t.Fatalf("NewMaster with a NaN rack bandwidth: %v, want a cluster-prefixed ErrNegativeBandwidth", err)
+	}
 	l, err := StartLocal(fs, MasterOptions{
 		HeartbeatEvery: 100 * time.Millisecond,
 		HeartbeatMiss:  20,
@@ -341,7 +350,7 @@ func TestPlanInputPlansWholeFanIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := minimr.NewHarness(fs, &m.opts.Engine, jobs)
+	h, err := minimr.NewHarness("cluster", fs, m.opts.Engine, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}

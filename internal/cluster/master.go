@@ -101,7 +101,7 @@ func NewMaster(fs *dfs.FS, opts MasterOptions) (*Master, error) {
 	}
 	opts.defaults()
 	if err := opts.Engine.Validate(fs.Cluster().Spec()); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	ln, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
@@ -319,7 +319,7 @@ func (m *Master) declareDead(node topology.NodeID, reason string) {
 
 // pollDead drains the newly-dead queue; the runtime calls it at every
 // virtual heartbeat (runtime.Params.PollFailures).
-func (m *Master) pollDead() []topology.NodeID {
+func (m *Master) pollDead(float64) []topology.NodeID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	nodes := m.newlyDead
@@ -428,11 +428,15 @@ func (m *Master) Run(ctx context.Context, specs []JobSpec) (*minimr.Report, erro
 		return nil, err
 	}
 	// NewHarness revalidates options and jobs at submission time — the
-	// master rejects malformed work before any worker sees it.
-	h, err := minimr.NewHarness(m.fs, &m.opts.Engine, jobs)
+	// master rejects malformed work before any worker sees it. The run's
+	// virtual events join the master's merged trace stream.
+	opts := m.opts.Engine
+	opts.Trace = masterSink{m}
+	h, err := minimr.NewHarness("cluster", m.fs, opts, jobs)
 	if err != nil {
 		return nil, err
 	}
+	h.Params.PollFailures = m.pollDead
 	if err := m.waitWorkers(ctx); err != nil {
 		return nil, err
 	}
@@ -448,7 +452,7 @@ func (m *Master) Run(ctx context.Context, specs []JobSpec) (*minimr.Report, erro
 	}
 
 	backend := newClusterBackend(m, h, jobs)
-	return h.Run(ctx, "cluster", &m.opts.Engine, backend, m.pollDead, masterSink{m}, backend.outputs)
+	return h.Run(ctx, backend, backend.outputs)
 }
 
 // masterSink routes the runtime's virtual events through the master's

@@ -18,7 +18,6 @@ import (
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
-	"degradedfirst/internal/trace"
 )
 
 // SchedulerKind selects the scheduling algorithm for a run. It is an alias
@@ -85,10 +84,6 @@ type Config struct {
 	// multipliers (heterogeneous clusters, Section V-C).
 	SpeedFactors map[topology.NodeID]float64
 
-	// Network.
-	RackBps, NodeBps, CoreBps float64
-	NetMode                   netsim.Mode
-
 	// Storage.
 	N, K           int
 	BlockSizeBytes float64
@@ -100,12 +95,12 @@ type Config struct {
 	// Zero keeps Reed-Solomon (N, K).
 	LocalGroups int
 
-	// Scheduling.
-	Scheduler SchedulerKind
-	// Features are the master loop's settings — JobSched, Hedge, Repair,
-	// SourceStrategy, HeartbeatInterval, OutOfBandHeartbeats, MaxSimTime,
-	// TraceFlowRates — declared, defaulted and validated in package runtime.
-	runtime.Features
+	// Options are the settings every engine shares — Scheduler, the
+	// network (RackBps, NodeBps, CoreBps, NetMode), Seed, the master
+	// loop's features, Trace — declared, defaulted and validated in package
+	// runtime. Seed drives all randomness here: placement, failure choice,
+	// task times and degraded sources.
+	runtime.Options
 
 	// Failure scenario, injected at time zero (after placement).
 	Failure topology.FailurePattern
@@ -118,15 +113,6 @@ type Config struct {
 	// recovery: running tasks on the failed node are re-executed, lost
 	// map outputs are regenerated, and reducers restart elsewhere.
 	FailAt float64
-
-	// Seed drives all randomness (placement, failure choice, task times).
-	Seed int64
-
-	// Trace receives the run's structured lifecycle events (nil = no
-	// tracing); TraceLabel stamps each event's Run field so several runs
-	// can share one sink.
-	Trace      trace.Sink
-	TraceLabel string
 }
 
 // DefaultConfig returns the paper's default simulation configuration
@@ -139,15 +125,17 @@ func DefaultConfig() Config {
 		Racks:              4,
 		MapSlotsPerNode:    4,
 		ReduceSlotsPerNode: 1,
-		RackBps:            netsim.Gbps,
-		NetMode:            netsim.FluidFairSharing,
 		N:                  20,
 		K:                  15,
 		BlockSizeBytes:     128e6,
 		NumBlocks:          1440,
-		Scheduler:          LF,
-		Features:           runtime.Features{HeartbeatInterval: 3},
-		Failure:            topology.SingleNodeFailure,
+		Options: runtime.Options{
+			Scheduler:         LF,
+			RackBps:           netsim.Gbps,
+			NetMode:           netsim.FluidFairSharing,
+			HeartbeatInterval: 3,
+		},
+		Failure: topology.SingleNodeFailure,
 	}
 }
 
@@ -190,19 +178,13 @@ func (c *Config) validate() error {
 	if c.NumBlocks <= 0 {
 		return errors.New("mapred: NumBlocks must be positive")
 	}
-	if c.Scheduler == 0 {
-		c.Scheduler = LF
-	}
 	if c.Policy == nil {
 		c.Policy = placement.RackConstrainedRandom{}
-	}
-	if c.NetMode == 0 {
-		c.NetMode = netsim.FluidFairSharing
 	}
 	if c.FailAt < 0 || !finite(c.FailAt) {
 		return fmt.Errorf("mapred: FailAt must be non-negative and finite, got %v", c.FailAt)
 	}
-	if err := c.Features.Validate(c.netConfig(), c.Topology); err != nil {
+	if err := c.Options.Validate(c.Topology); err != nil {
 		return fmt.Errorf("mapred: %w", err)
 	}
 	return nil
@@ -247,24 +229,34 @@ func (c *Config) validateJob(j *JobSpec) error {
 	return nil
 }
 
-// ExpectedDegradedReadTime returns the analysis estimate of one degraded
-// read, (R-1)·k·S / (R·W) — used as EDF's rack-awareness threshold. R is
-// the rack (leaf group) count and W the rack download bandwidth; on
-// multi-tier topologies both come from the spec's leaf tier unless the
-// legacy fields override them.
+// ExpectedDegradedReadTime returns EDF's rack-awareness threshold for
+// this configuration, runtime.DegradedReadTime over the cluster and code it
+// builds: (R-1)·r·S / (R·W) for R racks (leaf groups), r blocks read per
+// degraded read (K, or K/LocalGroups for an LRC) and rack download
+// bandwidth W, taken from the spec's leaf tier unless RackBps overrides it.
+// It is 0 for a configuration that builds no cluster or code.
 func (c *Config) ExpectedDegradedReadTime() float64 {
-	racks, rackBps := c.Racks, c.RackBps
-	if c.Topology != nil {
-		racks = c.Topology.NumLeaves()
-		if rackBps == 0 {
-			rackBps = c.Topology.Tiers[0].LinkBps
-		}
+	cluster, err := c.cluster()
+	if err != nil {
+		return 0
 	}
-	reads := c.K
-	if c.LocalGroups > 0 {
-		reads /= c.LocalGroups
+	code, err := c.code()
+	if err != nil {
+		return 0
 	}
-	return sched.ExpectedDegradedReadTime(racks, reads, c.BlockSizeBytes, rackBps)
+	return runtime.DegradedReadTime(cluster, code, c.BlockSizeBytes, c.RackBps)
+}
+
+// cluster builds the run's cluster, before speed factors and failures.
+func (c *Config) cluster() (*topology.Cluster, error) {
+	return topology.New(topology.Config{
+		Nodes:              c.Nodes,
+		Racks:              c.Racks,
+		RackSizes:          c.RackSizes,
+		Spec:               c.Topology,
+		MapSlotsPerNode:    c.MapSlotsPerNode,
+		ReduceSlotsPerNode: c.ReduceSlotsPerNode,
+	})
 }
 
 // code builds the run's erasure code: the LRC when LocalGroups is set
@@ -274,9 +266,4 @@ func (c *Config) code() (erasure.Coder, error) {
 		return erasure.NewLRC(c.K, c.LocalGroups, c.N-c.K-c.LocalGroups)
 	}
 	return erasure.New(c.N, c.K)
-}
-
-// netConfig is the network model's configuration.
-func (c *Config) netConfig() netsim.Config {
-	return netsim.Config{Mode: c.NetMode, NodeBps: c.NodeBps, RackBps: c.RackBps, CoreBps: c.CoreBps}
 }

@@ -39,6 +39,8 @@ func TestPaperScalePerf(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var work runtime.Work
+		r.params.Work = &work
 		res, err := runtime.Run(r.params, r.backend, r.jobs)
 		if err != nil {
 			t.Fatal(err)
@@ -54,7 +56,7 @@ func TestPaperScalePerf(t *testing.T) {
 		// solve. One event per visited flow, which is what the solver did
 		// before, would put Scheduled near FlowsVisited — 30 to 50 times
 		// Solves here.
-		es, ns := r.params.Engine.Stats(), r.params.Net.Stats()
+		es, ns := work.Engine, work.Net
 		t.Logf("%s: engine %+v, net %+v", k, es, ns)
 		if unfired := es.Scheduled - es.Dispatched; unfired > ns.Solves {
 			t.Errorf("%s: %d events scheduled but never dispatched, more than one per solve (%d solves over %d flow visits)",

@@ -6,10 +6,7 @@ import (
 	"sort"
 
 	"degradedfirst/internal/dfs"
-	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
-	"degradedfirst/internal/sched"
-	"degradedfirst/internal/sim"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 )
@@ -42,8 +39,8 @@ type simRun struct {
 }
 
 // prepare builds everything one simulation runs on — cluster, store,
-// engine, network, scheduler, failure picks. It is split from RunContext
-// so a test can read the engine's and the network's counters after the run.
+// backend, failure picks — and describes the run to the runtime. It is
+// split from RunContext so a test can read what it hands the runtime.
 func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -70,14 +67,7 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 		return nil, fmt.Errorf("mapred: %w", err)
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	cluster, err := topology.New(topology.Config{
-		Nodes:              cfg.Nodes,
-		Racks:              cfg.Racks,
-		RackSizes:          cfg.RackSizes,
-		Spec:               cfg.Topology,
-		MapSlotsPerNode:    cfg.MapSlotsPerNode,
-		ReduceSlotsPerNode: cfg.ReduceSlotsPerNode,
-	})
+	cluster, err := cfg.cluster()
 	if err != nil {
 		return nil, err
 	}
@@ -103,46 +93,26 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 	backend := &simBackend{Healer: &runtime.Healer{FS: fs, BlockBytes: cfg.BlockSizeBytes, Strategy: cfg.SourceStrategy},
 		specs: specs, parts: make([][]runtime.Chunk, len(specs))}
 	rjobs := make([]runtime.JobSpec, len(specs))
+	var mapTime float64
 	for i := range specs {
 		backend.parts[i] = simPartitions(&specs[i], cfg.BlockSizeBytes)
 		file, err := fs.CreateMeta(fmt.Sprintf("job%d/%s", i, specs[i].Name), specs[i].NumBlocks)
 		if err != nil {
 			return nil, fmt.Errorf("mapred: placing job %q: %w", specs[i].Name, err)
 		}
-		tasks := make([]sched.TaskSpec, specs[i].NumBlocks)
-		for t := range tasks {
-			b := backend.TaskBlock(t)
-			tasks[t] = sched.TaskSpec{Block: b, Holder: file.Placement.Holder(b)}
-		}
-		backend.Files = append(backend.Files, file)
 		rjobs[i] = runtime.JobSpec{
 			Name:        specs[i].Name,
 			SubmitAt:    specs[i].SubmitAt,
-			Tasks:       tasks,
+			Tasks:       backend.AddJob(file, specs[i].NumBlocks),
 			NumReducers: specs[i].NumReduceTasks,
 			JobMeta:     specs[i].JobMeta,
 		}
+		mapTime += specs[i].MapTime.Mean
 	}
+	mapTime /= float64(len(specs))
 
 	failRNG := rng.Fork()
-	eng := sim.New()
-	net, err := netsim.New(eng, cluster, cfg.netConfig())
-	if err != nil {
-		return nil, err
-	}
-	scheduler, err := cfg.Scheduler.New(cluster.NumRacks())
-	if err != nil {
-		return nil, err
-	}
 	backend.RNG = rng.Fork()
-
-	env := &sched.Env{
-		Cluster: cluster,
-		PerTaskTime: func(id topology.NodeID) float64 {
-			return specs[0].MapTime.Mean * cluster.Node(id).SpeedFactor
-		},
-		DegradedReadTime: cfg.ExpectedDegradedReadTime(),
-	}
 
 	// Failure injection: immediately, or scheduled mid-run.
 	pickFailures := func() ([]topology.NodeID, error) {
@@ -171,18 +141,14 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 	}
 
 	return &simRun{params: runtime.Params{
-		Name:      "mapred",
-		Ctx:       ctx,
-		Engine:    eng,
-		Cluster:   cluster,
-		Net:       net,
-		Scheduler: scheduler,
-		Env:       env,
-		Features:  cfg.Features,
-		FailAt:    cfg.FailAt,
-		ToFail:    toFail,
-		Sink:      cfg.Trace,
-		Label:     cfg.TraceLabel,
+		Name:             "mapred",
+		Ctx:              ctx,
+		Cluster:          cluster,
+		Options:          cfg.Options,
+		MapTime:          mapTime,
+		DegradedReadTime: runtime.DegradedReadTime(cluster, code, cfg.BlockSizeBytes, cfg.RackBps),
+		FailAt:           cfg.FailAt,
+		ToFail:           toFail,
 	}, backend: backend, jobs: rjobs}, nil
 }
 

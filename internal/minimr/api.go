@@ -1,7 +1,8 @@
 // Package minimr is a real-execution MapReduce engine over the in-memory
 // erasure-coded DFS: map and reduce functions actually run on real bytes,
-// degraded reads genuinely reconstruct lost blocks with Reed-Solomon
-// decoding, and the shuffle carries real intermediate key-value data.
+// degraded reads genuinely decode lost blocks (Reed-Solomon or LRC, from
+// the sources the runtime's planner picked), and the shuffle carries real
+// intermediate key-value data.
 //
 // It is this reproduction's substitute for the paper's Hadoop 0.22.0 +
 // HDFS-RAID testbed (Section VI): data transfer and CPU time are charged
@@ -18,11 +19,8 @@ import (
 
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/mapred"
-	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
-	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
-	"degradedfirst/internal/trace"
 )
 
 // Mapper processes one input block and emits intermediate records.
@@ -68,25 +66,9 @@ func (c Cost) Seconds(bytes float64) float64 {
 	return c.Fixed + c.PerMB*bytes/1e6
 }
 
-// Options configures the engine around a pre-populated DFS.
-type Options struct {
-	// Scheduler picks the algorithm (sched.KindLF/KindBDF/KindEDF).
-	Scheduler sched.Kind
-	// Features are the master loop's settings — JobSched, Hedge, Repair,
-	// SourceStrategy, HeartbeatInterval, OutOfBandHeartbeats, MaxSimTime,
-	// TraceFlowRates — declared, defaulted and validated in package runtime.
-	runtime.Features
-	// RackBps, NodeBps, CoreBps and NetMode configure the network model.
-	RackBps, NodeBps, CoreBps float64
-	NetMode                   netsim.Mode
-	// Seed drives task-placement randomness (degraded source picks).
-	Seed int64
-	// Trace receives the run's structured lifecycle events (nil = no
-	// tracing); TraceLabel stamps each event's Run field so several runs
-	// can share one sink.
-	Trace      trace.Sink
-	TraceLabel string
-}
+// Options configures the engine around a pre-populated DFS. They are the
+// settings every engine shares; Seed drives the degraded source picks.
+type Options = runtime.Options
 
 // Validation errors. Each failure mode has a sentinel so callers —
 // including the distributed runtime's master, which validates jobs at
@@ -94,11 +76,11 @@ type Options struct {
 // strings. Returned errors wrap the sentinel with the offending option
 // or job name.
 var (
-	// ErrNegativeBandwidth rejects a negative or NaN RackBps/NodeBps/CoreBps.
-	ErrNegativeBandwidth = errors.New("minimr: bandwidth must be nonnegative")
-	// ErrBadHeartbeat rejects a negative or NaN HeartbeatInterval (zero
-	// selects the 3 s default). It is runtime.Features' sentinel.
-	ErrBadHeartbeat = runtime.ErrBadHeartbeat
+	// ErrNegativeBandwidth rejects a negative or NaN RackBps/NodeBps/CoreBps,
+	// and ErrBadHeartbeat a negative or NaN HeartbeatInterval (zero selects
+	// the 3 s default). They are runtime.Options' sentinels.
+	ErrNegativeBandwidth = runtime.ErrNegativeBandwidth
+	ErrBadHeartbeat      = runtime.ErrBadHeartbeat
 	// ErrNoJobs rejects an empty job list.
 	ErrNoJobs = errors.New("minimr: no jobs")
 	// ErrNoInput rejects a job without an input file.
@@ -124,32 +106,6 @@ var (
 	// desynchronize queue position from submission time.
 	ErrSubmitOrder = errors.New("minimr: jobs must be submitted in nondecreasing SubmitAt order")
 )
-
-// Validate normalizes zero-valued options to their defaults and rejects
-// unusable values with a typed error. spec is the fabric of the cluster
-// the run uses (fs.Cluster().Spec()).
-func (o *Options) Validate(spec *topology.Spec) error {
-	if o.Scheduler == 0 {
-		o.Scheduler = sched.KindLF
-	}
-	if o.NetMode == 0 {
-		o.NetMode = netsim.FluidFairSharing
-	}
-	for _, bps := range []float64{o.RackBps, o.NodeBps, o.CoreBps} {
-		if bps < 0 || math.IsNaN(bps) {
-			return fmt.Errorf("%w, got %v", ErrNegativeBandwidth, bps)
-		}
-	}
-	if err := o.Features.Validate(o.netConfig(), spec); err != nil {
-		return fmt.Errorf("minimr: %w", err)
-	}
-	return nil
-}
-
-// netConfig is the network model's configuration.
-func (o *Options) netConfig() netsim.Config {
-	return netsim.Config{Mode: o.NetMode, NodeBps: o.NodeBps, RackBps: o.RackBps, CoreBps: o.CoreBps}
-}
 
 // Validate rejects a malformed job with a typed error.
 func (j *Job) Validate() error {

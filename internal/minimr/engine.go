@@ -25,12 +25,12 @@ func Run(fs *dfs.FS, opts Options, jobs []Job) (*Report, error) {
 // RunContext is Run with cancellation: ctx aborts the run at the next
 // heartbeat.
 func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Report, error) {
-	h, err := NewHarness(fs, &opts, jobs)
+	h, err := NewHarness("minimr", fs, opts, jobs)
 	if err != nil {
 		return nil, err
 	}
 	backend := newRealBackend(h, jobs)
-	return h.Run(ctx, "minimr", &opts, backend, nil, opts.Trace, backend.outputs)
+	return h.Run(ctx, backend, backend.outputs)
 }
 
 func newRealBackend(h *Harness, jobs []Job) *realBackend {

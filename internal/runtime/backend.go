@@ -54,7 +54,7 @@ type JobSpec struct {
 	NumReducers int
 
 	// JobMeta (Tenant, Weight, Deadline) feeds the job-level scheduling
-	// policies (Features.JobSched).
+	// policies (Options.JobSched).
 	jobsched.JobMeta
 }
 
@@ -138,7 +138,7 @@ type Backend interface {
 	// function here).
 	ReduceFinish(job, reducer int)
 
-	// The healer's storage half, called only when Features.Repair is
+	// The healer's storage half, called only when Options.Repair is
 	// active.
 
 	// ScanLostBlocks returns a repair plan for every stripe that lost a

@@ -50,18 +50,19 @@ func decisionsOf(events []trace.Event) []decision {
 // goldenSim runs the simulated-cost backend (mapred) over the scenario.
 func goldenSim(t *testing.T, kind sched.Kind) []decision {
 	t.Helper()
-	events, err := runSim(t, kind, runtime.Features{HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime, 0)
+	events, err := runSim(t, runtime.Options{Scheduler: kind, HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime, 0)
 	if err != nil {
 		t.Fatalf("mapred %v: %v", kind, err)
 	}
 	return decisionsOf(events)
 }
 
-// runSim is the scenario on mapred with the given features, job metadata,
+// runSim is the scenario on mapred with the given options, job metadata,
 // per-map time and reducer count. The cluster has no reduce slots.
-func runSim(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64, reducers int) ([]trace.Event, error) {
+func runSim(t *testing.T, o runtime.Options, meta jobsched.JobMeta, mapTime float64, reducers int) ([]trace.Event, error) {
 	t.Helper()
 	var mem trace.Memory
+	o.Seed, o.Trace = 1, &mem
 	cfg := mapred.Config{
 		Nodes:           goldenNodes,
 		Racks:           goldenRacks,
@@ -71,11 +72,8 @@ func runSim(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.Job
 		BlockSizeBytes:  goldenBlockSize,
 		NumBlocks:       goldenBlocks,
 		Policy:          placement.RoundRobin{},
-		Scheduler:       kind,
-		Features:        f,
+		Options:         o,
 		FailNodes:       []topology.NodeID{0},
-		Seed:            1,
-		Trace:           &mem,
 	}
 	job := mapred.JobSpec{
 		Name:           "golden",
@@ -91,7 +89,7 @@ func runSim(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.Job
 // goldenReal runs the real-bytes backend (minimr) over the same scenario.
 func goldenReal(t *testing.T, kind sched.Kind) []decision {
 	t.Helper()
-	events, err := runReal(t, kind, runtime.Features{HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime, 0)
+	events, err := runReal(t, runtime.Options{Scheduler: kind, HeartbeatInterval: goldenHeartbeat}, jobsched.JobMeta{}, goldenMapTime, 0)
 	if err != nil {
 		t.Fatalf("minimr %v: %v", kind, err)
 	}
@@ -99,7 +97,7 @@ func goldenReal(t *testing.T, kind sched.Kind) []decision {
 }
 
 // runReal is runSim on minimr.
-func runReal(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.JobMeta, mapTime float64, reducers int) ([]trace.Event, error) {
+func runReal(t *testing.T, o runtime.Options, meta jobsched.JobMeta, mapTime float64, reducers int) ([]trace.Event, error) {
 	t.Helper()
 	cluster, err := topology.New(topology.Config{
 		Nodes:           goldenNodes,
@@ -120,12 +118,7 @@ func runReal(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.Jo
 	cluster.FailNode(0)
 
 	var mem trace.Memory
-	opts := minimr.Options{
-		Scheduler: kind,
-		Features:  f,
-		Seed:      1,
-		Trace:     &mem,
-	}
+	o.Seed, o.Trace = 1, &mem
 	job := minimr.Job{
 		Name:        "golden",
 		Input:       "input",
@@ -137,7 +130,7 @@ func runReal(t *testing.T, kind sched.Kind, f runtime.Features, meta jobsched.Jo
 	if reducers > 0 {
 		job.Reduce = func(string, []string, func(k, v string)) {}
 	}
-	_, err = minimr.Run(fs, opts, []minimr.Job{job})
+	_, err = minimr.Run(fs, o, []minimr.Job{job})
 	return mem.Events(), err
 }
 

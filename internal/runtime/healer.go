@@ -20,7 +20,7 @@ import (
 // native blocks in (stripe, index) order, so task t reads TaskBlock(t).
 type Healer struct {
 	FS *dfs.FS
-	// Files[job] is the job's input file.
+	// Files[job] is the job's input file (see AddJob).
 	Files []*dfs.File
 	// BlockBytes is the network volume of reading one block.
 	BlockBytes float64
@@ -35,6 +35,18 @@ type Healer struct {
 func (h *Healer) TaskBlock(t int) erasure.BlockID {
 	k := h.FS.Code().K()
 	return erasure.BlockID{Stripe: t / k, Index: t % k}
+}
+
+// AddJob makes file the next job's input and returns the job's n map
+// tasks: task t reads TaskBlock(t) from the block's holder.
+func (h *Healer) AddJob(file *dfs.File, n int) []sched.TaskSpec {
+	h.Files = append(h.Files, file)
+	tasks := make([]sched.TaskSpec, n)
+	for t := range tasks {
+		b := h.TaskBlock(t)
+		tasks[t] = sched.TaskSpec{Block: b, Holder: file.Placement.Holder(b)}
+	}
+	return tasks
 }
 
 // PlanInput implements Backend: a node-local input needs no transfer, a

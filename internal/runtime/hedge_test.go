@@ -7,11 +7,9 @@ import (
 	"testing"
 
 	"degradedfirst/internal/erasure"
-	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
-	"degradedfirst/internal/sim"
 	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
 )
@@ -89,10 +87,10 @@ func (b *hedgeBackend) ReduceDuration(job, reducer int, node topology.NodeID, by
 func (b *hedgeBackend) ReduceReset(job, reducer int)  {}
 func (b *hedgeBackend) ReduceFinish(job, reducer int) {}
 
-// runHedgeScenario runs the scenario once. poll, when non-nil, receives
-// the engine and returns the PollFailures hook (for mid-run kills).
+// runHedgeScenario runs the scenario once. poll, when non-nil, is the
+// PollFailures hook (for mid-run kills).
 func runHedgeScenario(t *testing.T, hedge runtime.HedgePolicy,
-	poll func(*sim.Engine) func() []topology.NodeID) (*runtime.Result, []trace.Event) {
+	poll func(float64) []topology.NodeID) (*runtime.Result, []trace.Event) {
 	t.Helper()
 	cluster, err := topology.New(topology.Config{
 		Nodes:           hedgeNodes,
@@ -102,23 +100,6 @@ func runHedgeScenario(t *testing.T, hedge runtime.HedgePolicy,
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.New()
-	net, err := netsim.New(eng, cluster, netsim.Config{
-		Mode:    netsim.FluidFairSharing,
-		NodeBps: hedgeNodeBps,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheduler, err := sched.KindLF.New(cluster.NumRacks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &sched.Env{
-		Cluster:          cluster,
-		PerTaskTime:      func(topology.NodeID) float64 { return hedgeMapTime },
-		DegradedReadTime: 2,
-	}
 	tasks := make([]sched.TaskSpec, hedgeTasks)
 	for i := range tasks {
 		tasks[i] = sched.TaskSpec{
@@ -127,21 +108,19 @@ func runHedgeScenario(t *testing.T, hedge runtime.HedgePolicy,
 		}
 	}
 	var mem trace.Memory
-	p := runtime.Params{
-		Name:      "hedge-test",
-		Engine:    eng,
-		Cluster:   cluster,
-		Net:       net,
-		Scheduler: scheduler,
-		Env:       env,
-		Features:  runtime.Features{HeartbeatInterval: hedgeHeartbeat, MaxSimTime: 1e5, Hedge: hedge},
-		ToFail:    []topology.NodeID{0},
-		Sink:      &mem,
-	}
-	if poll != nil {
-		p.PollFailures = poll(eng)
-	}
-	res, err := runtime.Run(p, &hedgeBackend{cluster: cluster},
+	res, err := runtime.Run(runtime.Params{
+		Name:    "hedge-test",
+		Cluster: cluster,
+		Options: runtime.Options{
+			NodeBps:           hedgeNodeBps,
+			HeartbeatInterval: hedgeHeartbeat,
+			MaxSimTime:        1e5,
+			Hedge:             hedge,
+			Trace:             &mem,
+		},
+		ToFail:       []topology.NodeID{0},
+		PollFailures: poll,
+	}, &hedgeBackend{cluster: cluster},
 		[]runtime.JobSpec{{Name: "j", Tasks: tasks}})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -150,14 +129,12 @@ func runHedgeScenario(t *testing.T, hedge runtime.HedgePolicy,
 }
 
 // killAfter fails id at the first heartbeat at or after t.
-func killAfter(t float64, id topology.NodeID) func(*sim.Engine) func() []topology.NodeID {
-	return func(eng *sim.Engine) func() []topology.NodeID {
-		return func() []topology.NodeID {
-			if float64(eng.Now()) >= t {
-				return []topology.NodeID{id}
-			}
-			return nil
+func killAfter(t float64, id topology.NodeID) func(float64) []topology.NodeID {
+	return func(now float64) []topology.NodeID {
+		if now >= t {
+			return []topology.NodeID{id}
 		}
+		return nil
 	}
 }
 

@@ -6,11 +6,9 @@ import (
 	"testing"
 
 	"degradedfirst/internal/erasure"
-	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
-	"degradedfirst/internal/sim"
 	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
 )
@@ -178,46 +176,27 @@ func (b *repairStore) ReduceFinish(job, reducer int) {}
 // runRepairScenario runs one job (a single task on alive node 7's data)
 // against the given store with repair configured.
 func runRepairScenario(t *testing.T, store *repairStore, cfg repair.Config,
-	toFail []topology.NodeID, poll func(*sim.Engine) func() []topology.NodeID,
+	toFail []topology.NodeID, poll func(float64) []topology.NodeID,
 	extraJobs ...runtime.JobSpec) (*runtime.Result, []trace.Event, error) {
 	t.Helper()
-	eng := sim.New()
-	net, err := netsim.New(eng, store.cluster, netsim.Config{
-		Mode:    netsim.FluidFairSharing,
-		NodeBps: repNodeBps,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheduler, err := sched.KindLF.New(store.cluster.NumRacks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &sched.Env{
-		Cluster:          store.cluster,
-		PerTaskTime:      func(topology.NodeID) float64 { return 1 },
-		DegradedReadTime: 2,
-	}
 	jobs := append([]runtime.JobSpec{{
 		Name:  "fg",
 		Tasks: []sched.TaskSpec{{Block: erasure.BlockID{Stripe: 99, Index: 0}, Holder: 7}},
 	}}, extraJobs...)
 	var mem trace.Memory
-	p := runtime.Params{
-		Name:      "repair-test",
-		Engine:    eng,
-		Cluster:   store.cluster,
-		Net:       net,
-		Scheduler: scheduler,
-		Env:       env,
-		Features:  runtime.Features{HeartbeatInterval: 1, MaxSimTime: 1e5, Repair: cfg},
-		ToFail:    toFail,
-		Sink:      &mem,
-	}
-	if poll != nil {
-		p.PollFailures = poll(eng)
-	}
-	res, err := runtime.Run(p, store, jobs)
+	res, err := runtime.Run(runtime.Params{
+		Name:    "repair-test",
+		Cluster: store.cluster,
+		Options: runtime.Options{
+			NodeBps:           repNodeBps,
+			HeartbeatInterval: 1,
+			MaxSimTime:        1e5,
+			Repair:            cfg,
+			Trace:             &mem,
+		},
+		ToFail:       toFail,
+		PollFailures: poll,
+	}, store, jobs)
 	return res, mem.Events(), err
 }
 

@@ -14,42 +14,48 @@ import (
 	"degradedfirst/internal/trace"
 )
 
-// Params wires a run: the engine-agnostic pieces are built by the caller
-// (validated config, cluster, network, scheduler) and the runtime owns
+// Params describe one run: the cluster it runs on, the Options every
+// engine shares, and the two estimates EDF reads. Run builds the engine,
+// the network, the scheduler and its environment from them, and owns
 // everything that happens between submission and the last job finishing.
 type Params struct {
 	// Name prefixes error messages ("mapred", "minimr").
 	Name string
 	// Ctx cancels the run at the next heartbeat (nil = background).
-	Ctx       context.Context
-	Engine    *sim.Engine
-	Cluster   *topology.Cluster
-	Net       *netsim.Net
-	Scheduler sched.Scheduler
-	// Env must carry Cluster, PerTaskTime and DegradedReadTime; the
-	// runtime installs the job queue's eligibility view as Env.Jobs.
-	Env *sched.Env
+	Ctx     context.Context
+	Cluster *topology.Cluster
 
-	// Features are the master loop's own settings; Run validates them
-	// against Net and Cluster and applies their defaults.
-	Features
+	// Options are the run's settings; Run validates them against Cluster
+	// and applies their defaults.
+	Options
+
+	// MapTime estimates one map task's processing time on a node of speed
+	// factor 1, and DegradedReadTime one degraded read (see the function of
+	// that name): EDF's locality-preservation and rack-awareness inputs.
+	MapTime          float64
+	DegradedReadTime float64
 
 	// ToFail are failure-injection targets: failed before the run when
 	// FailAt <= 0, otherwise at virtual time FailAt.
 	FailAt float64
 	ToFail []topology.NodeID
 
-	// PollFailures, when set, is drained at every heartbeat: any returned
-	// node not already failed is fed into the same failure-recovery path
-	// as ToFail. The distributed runtime uses it to surface workers whose
-	// real heartbeats missed their deadline.
-	PollFailures func() []topology.NodeID
+	// PollFailures, when set, is drained at every heartbeat with the
+	// virtual time: any returned node not already failed is fed into the
+	// same failure-recovery path as ToFail. The distributed runtime uses
+	// it to surface workers whose real heartbeats missed their deadline.
+	PollFailures func(now float64) []topology.NodeID
 
-	// Sink receives the run's trace events (nil = no external sink; the
-	// internal Result builder always consumes them). Label stamps each
-	// event's Run field.
-	Sink  trace.Sink
-	Label string
+	// Work, when set, receives the simulator core's counters once the run
+	// drains.
+	Work *Work
+}
+
+// Work is what the simulator core did in one run: the event engine's and
+// the network solver's counters.
+type Work struct {
+	Engine sim.Stats
+	Net    netsim.Stats
 }
 
 func (p *Params) name() string {
@@ -63,28 +69,40 @@ func (p *Params) name() string {
 // or MaxSimTime passes, and returns the Result rebuilt from the run's
 // trace stream.
 func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
-	if p.Engine == nil || p.Cluster == nil || p.Net == nil || p.Scheduler == nil || p.Env == nil {
-		return nil, fmt.Errorf("%s: incomplete runtime params", p.name())
-	}
 	if backend == nil {
 		return nil, fmt.Errorf("%s: nil backend", p.name())
 	}
 	if p.Ctx == nil {
 		p.Ctx = context.Background()
 	}
-	if err := p.Features.Validate(p.Net.Config(), p.Cluster.Spec()); err != nil {
+	if err := p.Options.Validate(p.Cluster.Spec()); err != nil {
 		return nil, fmt.Errorf("%s: %w", p.name(), err)
+	}
+	eng := sim.New()
+	net, err := netsim.New(eng, p.Cluster, p.NetConfig())
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", p.name(), err)
+	}
+	scheduler, err := p.Scheduler.New(p.Cluster.NumRacks())
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", p.name(), err)
+	}
+	cluster, mapTime := p.Cluster, p.MapTime
+	env := &sched.Env{
+		Cluster:          cluster,
+		PerTaskTime:      func(id topology.NodeID) float64 { return mapTime * cluster.Node(id).SpeedFactor },
+		DegradedReadTime: p.DegradedReadTime,
 	}
 
 	st := &state{
 		p:         p,
 		name:      p.name(),
 		backend:   backend,
-		eng:       p.Engine,
-		cluster:   p.Cluster,
-		net:       p.Net,
-		scheduler: p.Scheduler,
-		env:       p.Env,
+		eng:       eng,
+		cluster:   cluster,
+		net:       net,
+		scheduler: scheduler,
+		env:       env,
 		running:   make(map[*sched.Task]*runningMap),
 		builder:   NewBuilder(),
 	}
@@ -211,6 +229,9 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	}
 
 	st.eng.Run()
+	if p.Work != nil {
+		*p.Work = Work{Engine: eng.Stats(), Net: net.Stats()}
+	}
 
 	if st.err != nil {
 		return nil, st.err
@@ -399,12 +420,12 @@ func (s *state) ev(typ trace.Type) trace.Event {
 
 // emit feeds the internal Result builder and the external sink.
 func (s *state) emit(e trace.Event) {
-	if s.p.Label != "" && e.Run == "" {
-		e.Run = s.p.Label
+	if s.p.TraceLabel != "" && e.Run == "" {
+		e.Run = s.p.TraceLabel
 	}
 	s.builder.Consume(e)
-	if s.p.Sink != nil {
-		s.p.Sink.Emit(e)
+	if s.p.Trace != nil {
+		s.p.Trace.Emit(e)
 	}
 }
 
@@ -453,7 +474,7 @@ func (s *state) heartbeat(id topology.NodeID) {
 		return
 	}
 	if s.p.PollFailures != nil {
-		s.injectNewlyDead(s.p.PollFailures())
+		s.injectNewlyDead(s.p.PollFailures(s.eng.Now()))
 	}
 	if s.cluster.Alive(id) {
 		s.serveSlave(id)

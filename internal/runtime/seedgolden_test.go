@@ -72,19 +72,21 @@ func seedTraceMapred(t *testing.T) []trace.Event {
 			Racks:              goldenRacks,
 			MapSlotsPerNode:    goldenMapSlots,
 			ReduceSlotsPerNode: 1,
-			RackBps:            netsim.Gbps,
 			N:                  4,
 			K:                  2,
 			BlockSizeBytes:     64e6,
 			NumBlocks:          goldenBlocks,
 			Policy:             placement.RoundRobin{},
-			Scheduler:          kind,
-			Features:           runtime.Features{HeartbeatInterval: goldenHeartbeat},
-			FailNodes:          []topology.NodeID{1},
-			FailAt:             8,
-			Seed:               7,
-			Trace:              &mem,
-			TraceLabel:         kind.String(),
+			Options: runtime.Options{
+				Scheduler:         kind,
+				RackBps:           netsim.Gbps,
+				HeartbeatInterval: goldenHeartbeat,
+				Seed:              7,
+				Trace:             &mem,
+				TraceLabel:        kind.String(),
+			},
+			FailNodes: []topology.NodeID{1},
+			FailAt:    8,
 		}
 		jobs := []mapred.JobSpec{
 			{
@@ -155,12 +157,12 @@ func seedTraceMinimr(t *testing.T) []trace.Event {
 
 		var mem trace.Memory
 		opts := minimr.Options{
-			Scheduler:  kind,
-			RackBps:    netsim.Gbps,
-			Features:   runtime.Features{HeartbeatInterval: goldenHeartbeat},
-			Seed:       2,
-			Trace:      &mem,
-			TraceLabel: kind.String(),
+			Scheduler:         kind,
+			RackBps:           netsim.Gbps,
+			HeartbeatInterval: goldenHeartbeat,
+			Seed:              2,
+			Trace:             &mem,
+			TraceLabel:        kind.String(),
 		}
 		wordCount := func(block []byte, emit func(k, v string)) {
 			for _, w := range strings.Fields(string(block)) {
