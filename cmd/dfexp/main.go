@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"degradedfirst/internal/exp"
+	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/trace"
 )
 
@@ -74,6 +75,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Every flag is checked before any experiment runs, so a typo fails
+	// at once rather than after the runs before it.
+	switch *format {
+	case "text", "csv", "json":
+	default:
+		return fmt.Errorf("unknown format %q (text, csv, json)", *format)
+	}
+	if _, err := jobsched.ParseKind(*jobSched); err != nil {
+		return err
+	}
+	if *seeds < 0 {
+		return fmt.Errorf("-seeds must be non-negative, got %d", *seeds)
+	}
+	if *par < 0 {
+		return fmt.Errorf("-parallel must be non-negative, got %d", *par)
 	}
 
 	if *list {
@@ -156,8 +173,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if err := writeResultFile(*resultDir, tab); err != nil {
 				return err
 			}
-		default:
-			return fmt.Errorf("unknown format %q (text, csv, json)", *format)
 		}
 	}
 	if traceSink != nil {

@@ -87,101 +87,23 @@ func TestJSONResultsFileIsStable(t *testing.T) {
 	}
 }
 
-// TestJobSchedJSONGolden pins the jobsched experiment's JSON results file
-// byte-for-byte: the queueing-delay columns are part of the stable output
-// contract. Regenerate with go test ./cmd/dfexp -run JobSchedJSONGolden
-// -update-golden after an intentional change.
-func TestJobSchedJSONGolden(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := runArgs(t, "-run", "jobsched", "-quick", "-jobsched", "fairshare",
-		"-format", "json", "-results", dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "jobsched.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "jobsched_quick.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update-golden)", err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("jobsched JSON results drifted from golden.\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	for _, col := range []string{"wait p50", "wait p99", "makespan"} {
-		if !strings.Contains(string(got), col) {
-			t.Fatalf("results missing column %q", col)
-		}
-	}
-}
-
-// TestHedgeJSONGolden pins the hedge experiment's JSON results file
-// byte-for-byte: the degraded-read and per-flow latency percentiles and
-// the wasted-bytes accounting are part of the stable output contract.
-// Regenerate with go test ./cmd/dfexp -run HedgeJSONGolden -update-golden
-// after an intentional change.
-func TestHedgeJSONGolden(t *testing.T) {
-	dir := t.TempDir()
-	if _, _, err := runArgs(t, "-run", "hedge", "-quick", "-seeds", "2",
-		"-format", "json", "-results", dir); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "hedge.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "hedge_quick.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with -update-golden)", err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("hedge JSON results drifted from golden.\ngot:\n%s\nwant:\n%s", got, want)
-	}
-	for _, col := range []string{"read p99", "flow p99", "wasted GB"} {
-		if !strings.Contains(string(got), col) {
-			t.Fatalf("results missing column %q", col)
-		}
-	}
-}
-
-// TestRepairJSONGolden pins the repair experiment's JSON results file
-// byte-for-byte: the makespan, time-to-first-repair and time-to-full-
-// redundancy columns are part of the stable output contract. Regenerate
-// with go test ./cmd/dfexp -run RepairJSONGolden -update-golden after an
+// checkResultsGolden runs dfexp with args plus "-format json -results
+// dir" and compares the results file id.json byte-for-byte with
+// testdata/<golden>, which must also carry every column in cols.
+// Regenerate with go test ./cmd/dfexp -update-golden after an
 // intentional change.
-func TestRepairJSONGolden(t *testing.T) {
+func checkResultsGolden(t *testing.T, id, golden string, cols []string, args ...string) {
+	t.Helper()
 	dir := t.TempDir()
-	if _, _, err := runArgs(t, "-run", "repair", "-quick", "-seeds", "2",
-		"-format", "json", "-results", dir); err != nil {
+	args = append(args, "-format", "json", "-results", dir)
+	if _, _, err := runArgs(t, args...); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(dir, "repair.json"))
+	got, err := os.ReadFile(filepath.Join(dir, id+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "repair_quick.json")
+	golden = filepath.Join("testdata", golden)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -197,13 +119,40 @@ func TestRepairJSONGolden(t *testing.T) {
 		t.Fatalf("%v (regenerate with -update-golden)", err)
 	}
 	if string(got) != string(want) {
-		t.Fatalf("repair JSON results drifted from golden.\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("%s JSON results drifted from golden.\ngot:\n%s\nwant:\n%s", id, got, want)
 	}
-	for _, col := range []string{"first fix", "healed at", "read GB"} {
+	for _, col := range cols {
 		if !strings.Contains(string(got), col) {
 			t.Fatalf("results missing column %q", col)
 		}
 	}
+}
+
+// TestJobSchedJSONGolden pins the jobsched experiment's JSON results file
+// under the -jobsched filter: the queueing-delay columns are part of the
+// stable output contract.
+func TestJobSchedJSONGolden(t *testing.T) {
+	checkResultsGolden(t, "jobsched", "jobsched_quick.json",
+		[]string{"wait p50", "wait p99", "makespan"},
+		"-run", "jobsched", "-quick", "-jobsched", "fairshare")
+}
+
+// TestHedgeJSONGolden pins the hedge experiment's JSON results file: the
+// degraded-read and per-flow latency percentiles and the wasted-bytes
+// accounting are part of the stable output contract.
+func TestHedgeJSONGolden(t *testing.T) {
+	checkResultsGolden(t, "hedge", "hedge_quick.json",
+		[]string{"read p99", "flow p99", "wasted GB"},
+		"-run", "hedge", "-quick", "-seeds", "2")
+}
+
+// TestRepairJSONGolden pins the repair experiment's JSON results file: the
+// makespan, time-to-first-repair and time-to-full-redundancy columns are
+// part of the stable output contract.
+func TestRepairJSONGolden(t *testing.T) {
+	checkResultsGolden(t, "repair", "repair_quick.json",
+		[]string{"first fix", "healed at", "read GB"},
+		"-run", "repair", "-quick", "-seeds", "2")
 }
 
 func TestRunWritesOutFile(t *testing.T) {
@@ -278,6 +227,32 @@ func TestFlagErrorsGoToStderr(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "flag provided but not defined") {
 		t.Errorf("stderr missing flag error:\n%s", errOut.String())
+	}
+}
+
+// TestFlagsCheckedBeforeRunning: a bad flag fails before any experiment
+// runs. Under a cancelled context an experiment would fail with
+// "context canceled", so each error must be the flag's own.
+func TestFlagsCheckedBeforeRunning(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-run", "fig7a", "-quick", "-format", "xml"}, `unknown format "xml"`},
+		{[]string{"-run", "fig3,jobsched", "-quick", "-jobsched", "bogus"}, `jobsched: unknown policy "bogus"`},
+		{[]string{"-run", "fig7a", "-seeds", "-4"}, "-seeds must be non-negative"},
+		{[]string{"-run", "fig7a", "-parallel", "-1"}, "-parallel must be non-negative"},
+	} {
+		var out, errOut strings.Builder
+		err := run(ctx, tc.args, &out, &errOut)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error starting %q", tc.args, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: printed before failing:\n%s", tc.args, out.String())
+		}
 	}
 }
 

@@ -216,18 +216,6 @@ func PickRepairSources(c *topology.Cluster, code erasure.Coder, p *placement.Pla
 	return sources, nil
 }
 
-// CrossRackSources counts how many of the sources are outside the reader's
-// rack — the transfers that consume rack up/down bandwidth.
-func CrossRackSources(c *topology.Cluster, reader topology.NodeID, sources []Source) int {
-	cnt := 0
-	for _, s := range sources {
-		if c.RackOf(s.Node) != c.RackOf(reader) {
-			cnt++
-		}
-	}
-	return cnt
-}
-
 // File is one erasure-coded file: its placement plus (optionally) the
 // actual block contents, including parity.
 type File struct {
@@ -263,8 +251,9 @@ type FS struct {
 	names []string
 
 	// encodeParallelism is the worker count for stripe encoding in Write.
-	// 0 means GOMAXPROCS. Stripes are independent, so the worker count
-	// changes wall-clock time only, never the encoded bytes.
+	// 0 means GOMAXPROCS; tests set it to run fixed pool sizes. Stripes are
+	// independent, so the worker count changes wall-clock time only, never
+	// the encoded bytes.
 	encodeParallelism int
 
 	// repairBuf is the one buffer RepairBlock rebuilds a block into before
@@ -305,17 +294,6 @@ func (fs *FS) BlockSize() int { return fs.blockSize }
 
 // Cluster returns the underlying cluster.
 func (fs *FS) Cluster() *topology.Cluster { return fs.cluster }
-
-// SetEncodeParallelism sets the number of workers Write uses to encode
-// stripes. p <= 0 restores the default (GOMAXPROCS). The encoded output is
-// byte-identical for every worker count: placement and RNG draws happen
-// before encoding, and each stripe is encoded independently.
-func (fs *FS) SetEncodeParallelism(p int) {
-	if p < 0 {
-		p = 0
-	}
-	fs.encodeParallelism = p
-}
 
 // encodeWorkers resolves the effective worker count for n stripes.
 func (fs *FS) encodeWorkers(n int) int {

@@ -24,6 +24,18 @@ func testFS(t *testing.T) *FS {
 	return fs
 }
 
+// crossRackSources counts how many of the sources are outside the reader's
+// rack — the transfers that consume rack up/down bandwidth.
+func crossRackSources(c *topology.Cluster, reader topology.NodeID, sources []Source) int {
+	cnt := 0
+	for _, s := range sources {
+		if c.RackOf(s.Node) != c.RackOf(reader) {
+			cnt++
+		}
+	}
+	return cnt
+}
+
 func makeData(n int) []byte {
 	data := make([]byte, n)
 	for i := range data {
@@ -203,9 +215,9 @@ func TestPickDegradedSourcesPreferSameRack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if CrossRackSources(c, reader, srcsNear) > CrossRackSources(c, reader, srcsRand) {
+	if crossRackSources(c, reader, srcsNear) > crossRackSources(c, reader, srcsRand) {
 		t.Fatalf("PreferSameRack picked more cross-rack sources (%d) than RandomK (%d)",
-			CrossRackSources(c, reader, srcsNear), CrossRackSources(c, reader, srcsRand))
+			crossRackSources(c, reader, srcsNear), crossRackSources(c, reader, srcsRand))
 	}
 }
 

@@ -21,7 +21,7 @@ func TestParallelWriteMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs.SetEncodeParallelism(parallelism)
+		fs.encodeParallelism = parallelism
 		if _, err := fs.Write("f", data); err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestWritePadsLikeSplitStripes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs.SetEncodeParallelism(workers)
+			fs.encodeParallelism = workers
 			f, err := fs.Write("f", data)
 			if err != nil {
 				t.Fatal(err)
@@ -118,7 +118,7 @@ func TestWriteKeepsCallerBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs.SetEncodeParallelism(3)
+		fs.encodeParallelism = 3
 		f, err := fs.Write("f", data)
 		if err != nil {
 			t.Fatal(err)
@@ -147,27 +147,6 @@ func TestWriteKeepsCallerBlocks(t *testing.T) {
 	}
 }
 
-// TestSetEncodeParallelismDefault checks that 0 and negative values restore
-// the GOMAXPROCS default and that Write still round-trips.
-func TestSetEncodeParallelismDefault(t *testing.T) {
-	fs := testFS(t)
-	fs.SetEncodeParallelism(-3)
-	if fs.encodeParallelism != 0 {
-		t.Fatalf("negative parallelism must normalize to 0, got %d", fs.encodeParallelism)
-	}
-	data := makeData(64 * 4 * 2)
-	if _, err := fs.Write("f", data); err != nil {
-		t.Fatal(err)
-	}
-	back, err := fs.FileBytes("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, data) {
-		t.Fatal("round trip with default parallelism failed")
-	}
-}
-
 // benchFS builds an FS over the paper's RS(14,10) with 64 KiB blocks and a
 // written file large enough for several stripes.
 func benchFS(b *testing.B, parallelism int) (*FS, *File) {
@@ -177,7 +156,7 @@ func benchFS(b *testing.B, parallelism int) (*FS, *File) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fs.SetEncodeParallelism(parallelism)
+	fs.encodeParallelism = parallelism
 	data := make([]byte, 64*1024*10*4) // 4 stripes of k=10
 	for i := range data {
 		data[i] = byte(i*31 + 7)
@@ -210,7 +189,7 @@ func BenchmarkEncodeWrite(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				fs.SetEncodeParallelism(bc.parallelism)
+				fs.encodeParallelism = bc.parallelism
 				b.StartTimer()
 				if _, err := fs.Write("bench", data); err != nil {
 					b.Fatal(err)

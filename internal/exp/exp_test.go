@@ -1,16 +1,72 @@
 package exp
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"degradedfirst/internal/trace"
 )
 
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick.golden")
+
 func quickOpts() Options {
 	return Options{Quick: true, Seeds: 2}
+}
+
+// quick holds one quickOpts run of every registered experiment. The golden
+// test pins its JSON lines and the shape tests read its tables, so each
+// experiment runs once per test binary.
+var quick struct {
+	once   sync.Once
+	tables map[string]*Table
+	lines  []byte
+	err    error
+}
+
+// quickRun runs every experiment under quickOpts on its first call and
+// returns the tables by ID and their JSON lines.
+func quickRun(t *testing.T) (map[string]*Table, []byte) {
+	t.Helper()
+	quick.once.Do(func() {
+		quick.tables = map[string]*Table{}
+		var buf bytes.Buffer
+		for _, e := range All() {
+			tab, err := e.Run(context.Background(), quickOpts())
+			if err != nil {
+				quick.err = err
+				return
+			}
+			js, err := json.Marshal(tab)
+			if err != nil {
+				quick.err = err
+				return
+			}
+			buf.Write(js)
+			buf.WriteByte('\n')
+			quick.tables[e.ID] = tab
+		}
+		quick.lines = buf.Bytes()
+	})
+	if quick.err != nil {
+		t.Fatal(quick.err)
+	}
+	return quick.tables, quick.lines
+}
+
+// quickTable returns experiment id's table from the shared quick run.
+func quickTable(t *testing.T, id string) *Table {
+	t.Helper()
+	tables, _ := quickRun(t)
+	checkTable(t, id, tables[id])
+	return tables[id]
 }
 
 func runExp(t *testing.T, id string, o Options) *Table {
@@ -23,13 +79,18 @@ func runExp(t *testing.T, id string, o Options) *Table {
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
-	if tab.ID != id || len(tab.Columns) == 0 || len(tab.Rows) == 0 {
+	checkTable(t, id, tab)
+	return tab
+}
+
+func checkTable(t *testing.T, id string, tab *Table) {
+	t.Helper()
+	if tab == nil || tab.ID != id || len(tab.Columns) == 0 || len(tab.Rows) == 0 {
 		t.Fatalf("%s: malformed table %+v", id, tab)
 	}
 	if tab.String() == "" {
 		t.Fatalf("%s: empty rendering", id)
 	}
-	return tab
 }
 
 func cellFloat(t *testing.T, cell string) float64 {
@@ -40,6 +101,39 @@ func cellFloat(t *testing.T, cell string) float64 {
 		t.Fatalf("cell %q not numeric: %v", cell, err)
 	}
 	return v
+}
+
+// TestQuickGolden pins every experiment's quick output byte for byte, one
+// JSON line per experiment in ID order. Regenerate with
+// go test ./internal/exp -run QuickGolden -update-golden after an
+// intentional change.
+func TestQuickGolden(t *testing.T) {
+	_, lines := quickRun(t)
+	golden := filepath.Join("testdata", "quick.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, lines, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-golden)", err)
+	}
+	if bytes.Equal(lines, want) {
+		return
+	}
+	got, wantLines := strings.Split(string(lines), "\n"), strings.Split(string(want), "\n")
+	for i := range wantLines {
+		if i < len(got) && got[i] != wantLines[i] {
+			t.Fatalf("line %d drifted from golden.\ngot:\n%s\nwant:\n%s", i+1, got[i], wantLines[i])
+		}
+	}
+	t.Fatalf("got %d lines, golden has %d", len(got), len(wantLines))
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -74,7 +168,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFig3ReproducesPaper(t *testing.T) {
-	tab := runExp(t, "fig3", quickOpts())
+	tab := quickTable(t, "fig3")
 	lf := cellFloat(t, tab.Rows[0][1])
 	df := cellFloat(t, tab.Rows[1][1])
 	if lf < 39 || lf > 43 {
@@ -90,7 +184,7 @@ func TestFig3ReproducesPaper(t *testing.T) {
 }
 
 func TestFig4ReproducesPaper(t *testing.T) {
-	tab := runExp(t, "fig4", quickOpts())
+	tab := quickTable(t, "fig4")
 	// Three degraded launches plus a map-phase-end row.
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4: %v", len(tab.Rows), tab.Rows)
@@ -110,7 +204,7 @@ func TestFig4ReproducesPaper(t *testing.T) {
 
 func TestFig5Family(t *testing.T) {
 	for _, id := range []string{"fig5a", "fig5b", "fig5c"} {
-		tab := runExp(t, id, quickOpts())
+		tab := quickTable(t, id)
 		for _, row := range tab.Rows {
 			lf := cellFloat(t, row[1])
 			df := cellFloat(t, row[2])
@@ -122,7 +216,7 @@ func TestFig5Family(t *testing.T) {
 }
 
 func TestFig7aShape(t *testing.T) {
-	tab := runExp(t, "fig7a", quickOpts())
+	tab := quickTable(t, "fig7a")
 	var prev float64
 	for i, row := range tab.Rows {
 		red := cellFloat(t, row[5])
@@ -137,7 +231,7 @@ func TestFig7aShape(t *testing.T) {
 }
 
 func TestFig7dShape(t *testing.T) {
-	tab := runExp(t, "fig7d", quickOpts())
+	tab := quickTable(t, "fig7d")
 	single := cellFloat(t, tab.Rows[0][5])
 	rack := cellFloat(t, tab.Rows[2][5])
 	if single <= 0 {
@@ -149,7 +243,7 @@ func TestFig7dShape(t *testing.T) {
 }
 
 func TestFig7fShape(t *testing.T) {
-	tab := runExp(t, "fig7f", quickOpts())
+	tab := quickTable(t, "fig7f")
 	positive := 0
 	for _, row := range tab.Rows {
 		if cellFloat(t, row[4]) > 0 {
@@ -162,7 +256,7 @@ func TestFig7fShape(t *testing.T) {
 }
 
 func TestFig8Shapes(t *testing.T) {
-	a := runExp(t, "fig8a", quickOpts())
+	a := quickTable(t, "fig8a")
 	for _, row := range a.Rows {
 		bdf := cellFloat(t, row[1])
 		edf := cellFloat(t, row[2])
@@ -170,19 +264,19 @@ func TestFig8Shapes(t *testing.T) {
 			t.Errorf("fig8a %s: BDF remote increase (%.1f%%) should exceed EDF's (%.1f%%)", row[0], bdf, edf)
 		}
 	}
-	b := runExp(t, "fig8b", quickOpts())
+	b := quickTable(t, "fig8b")
 	for _, row := range b.Rows {
 		if cellFloat(t, row[1]) < 30 || cellFloat(t, row[2]) < 30 {
 			t.Errorf("fig8b %s: degraded-read cuts too small: %v", row[0], row)
 		}
 	}
-	c := runExp(t, "fig8c", quickOpts())
+	c := quickTable(t, "fig8c")
 	for _, row := range c.Rows {
 		if cellFloat(t, row[2]) <= 0 {
 			t.Errorf("fig8c %s: EDF runtime cut not positive", row[0])
 		}
 	}
-	d := runExp(t, "fig8d", quickOpts())
+	d := quickTable(t, "fig8d")
 	bdf := cellFloat(t, d.Rows[0][1])
 	edf := cellFloat(t, d.Rows[0][2])
 	if edf <= bdf {
@@ -191,7 +285,7 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestFig9aShape(t *testing.T) {
-	tab := runExp(t, "fig9a", quickOpts())
+	tab := quickTable(t, "fig9a")
 	for _, row := range tab.Rows {
 		if cellFloat(t, row[5]) <= 0 {
 			t.Errorf("fig9a %s: EDF not better (%s)", row[0], row[5])
@@ -200,7 +294,7 @@ func TestFig9aShape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tab := runExp(t, "table1", quickOpts())
+	tab := quickTable(t, "table1")
 	if len(tab.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9 (3 jobs x 3 task types)", len(tab.Rows))
 	}
@@ -215,7 +309,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestAblationPacingShape(t *testing.T) {
-	tab := runExp(t, "ablation-pacing", quickOpts())
+	tab := quickTable(t, "ablation-pacing")
 	byName := map[string]float64{}
 	for _, row := range tab.Rows {
 		byName[row[0]] = cellFloat(t, row[1])
@@ -252,7 +346,7 @@ func TestTableCSVAndJSON(t *testing.T) {
 }
 
 func TestExtLRCShape(t *testing.T) {
-	tab := runExp(t, "ext-lrc", quickOpts())
+	tab := quickTable(t, "ext-lrc")
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -271,7 +365,7 @@ func TestExtLRCShape(t *testing.T) {
 }
 
 func TestExtDelayShape(t *testing.T) {
-	tab := runExp(t, "ext-delay", quickOpts())
+	tab := quickTable(t, "ext-delay")
 	byName := map[string][]string{}
 	for _, row := range tab.Rows {
 		byName[row[0]] = row
@@ -337,7 +431,7 @@ func TestRunSeedsCancellation(t *testing.T) {
 }
 
 func TestExtMidJobShape(t *testing.T) {
-	tab := runExp(t, "ext-midjob", quickOpts())
+	tab := quickTable(t, "ext-midjob")
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -349,7 +443,7 @@ func TestExtMidJobShape(t *testing.T) {
 }
 
 func TestJobSchedShape(t *testing.T) {
-	tab := runExp(t, "jobsched", quickOpts())
+	tab := quickTable(t, "jobsched")
 	// Four policies, each with an (all) row plus one row per tenant.
 	if len(tab.Rows) != 4*4 {
 		t.Fatalf("rows = %d, want 16", len(tab.Rows))
@@ -411,7 +505,7 @@ func TestJobSchedPolicyFilter(t *testing.T) {
 // reported as waste. Unhedged rows must stay waste-free with no per-flow
 // latency columns.
 func TestHedgeShape(t *testing.T) {
-	tab := runExp(t, "hedge", quickOpts())
+	tab := quickTable(t, "hedge")
 	if len(tab.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10 (2 net modes x 5 policies)", len(tab.Rows))
 	}
@@ -459,7 +553,7 @@ func TestHedgeShape(t *testing.T) {
 // repair columns, and every enabled run heals (moves repair bytes and
 // commits blocks).
 func TestRepairShape(t *testing.T) {
-	tab := runExp(t, "repair", quickOpts())
+	tab := quickTable(t, "repair")
 	if len(tab.Rows) != 12 {
 		t.Fatalf("rows = %d, want 12 (3 scheds x 4 throttles)", len(tab.Rows))
 	}

@@ -30,8 +30,8 @@ var hedgePolicies = []struct {
 	{"delta=0", runtime.HedgePolicy{}},
 	{"delta=1", runtime.HedgePolicy{Extra: 1}},
 	{"delta=2", runtime.HedgePolicy{Extra: 2}},
-	{"hedge-p90", runtime.HedgePolicy{HedgeQuantile: 0.9, HedgeMinSamples: 8}},
-	{"delta=1+p90", runtime.HedgePolicy{Extra: 1, HedgeQuantile: 0.9, HedgeMinSamples: 8}},
+	{"hedge-p90", runtime.HedgePolicy{HedgeQuantile: 0.9}},
+	{"delta=1+p90", runtime.HedgePolicy{Extra: 1, HedgeQuantile: 0.9}},
 }
 
 // hedgeModes runs the sweep under both contention models. Under

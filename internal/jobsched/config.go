@@ -16,10 +16,7 @@
 // lifted to the job layer).
 package jobsched
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Kind selects a job-ordering policy.
 type Kind int
@@ -76,14 +73,12 @@ func ParseKind(s string) (Kind, error) {
 type Config struct {
 	// Policy is the job-ordering policy.
 	Policy Kind
-	// QuotaSlots is the default per-tenant concurrent-slot cap under
-	// Quota (0 = unlimited). The cap applies separately to map and
+	// QuotaSlots is every tenant's concurrent-slot cap under Quota
+	// (0 = unlimited). The cap applies separately to map and
 	// reduce slots and is enforced at heartbeat granularity: a single
 	// heartbeat's batch of assignments to one eligible job may overshoot
 	// by up to the node's free slots.
 	QuotaSlots int
-	// TenantQuotas overrides QuotaSlots per tenant.
-	TenantQuotas map[string]int
 }
 
 // Validate checks the configuration.
@@ -95,16 +90,6 @@ func (c *Config) Validate() error {
 	}
 	if c.QuotaSlots < 0 {
 		return fmt.Errorf("jobsched: QuotaSlots must be non-negative, got %d", c.QuotaSlots)
-	}
-	tenants := make([]string, 0, len(c.TenantQuotas))
-	for t := range c.TenantQuotas {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		if c.TenantQuotas[t] < 0 {
-			return fmt.Errorf("jobsched: tenant %q quota must be non-negative, got %d", t, c.TenantQuotas[t])
-		}
 	}
 	return nil
 }

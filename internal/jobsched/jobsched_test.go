@@ -62,13 +62,12 @@ func TestConfigValidate(t *testing.T) {
 	for _, bad := range []Config{
 		{Policy: Kind(9)},
 		{QuotaSlots: -1},
-		{Policy: Quota, TenantQuotas: map[string]int{"a": -2}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("config %+v must fail validation", bad)
 		}
 	}
-	ok := Config{Policy: Quota, QuotaSlots: 2, TenantQuotas: map[string]int{"a": 0, "b": 3}}
+	ok := Config{Policy: Quota, QuotaSlots: 2}
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestFairShareWeightDefaultsToOne(t *testing.T) {
 }
 
 func TestQuotaCapsMapSlots(t *testing.T) {
-	q, err := New(Config{Policy: Quota, QuotaSlots: 1, TenantQuotas: map[string]int{"b": 2}})
+	q, err := New(Config{Policy: Quota, QuotaSlots: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +149,16 @@ func TestQuotaCapsMapSlots(t *testing.T) {
 	if !equalInts(ids(q.MapOrder()), []int{0, 1}) {
 		t.Fatalf("initial order = %v", ids(q.MapOrder()))
 	}
-	q.MapGranted(0) // tenant a now at its cap of 1
+	q.MapGranted(0) // a at 1 of 2: still eligible
+	if !equalInts(ids(q.MapOrder()), []int{0, 1}) {
+		t.Fatalf("a below cap, order = %v", ids(q.MapOrder()))
+	}
+	q.MapGranted(0) // tenant a now at its cap of 2
 	if !equalInts(ids(q.MapOrder()), []int{1}) {
 		t.Fatalf("a at cap, order = %v", ids(q.MapOrder()))
 	}
-	q.MapGranted(1) // b at 1 of 2: still eligible
-	if !equalInts(ids(q.MapOrder()), []int{1}) {
-		t.Fatalf("b below override cap, order = %v", ids(q.MapOrder()))
-	}
-	q.MapGranted(1) // b at its override cap of 2
+	q.MapGranted(1)
+	q.MapGranted(1) // b at its cap of 2
 	if len(q.MapOrder()) != 0 {
 		t.Fatalf("both at cap, order = %v", ids(q.MapOrder()))
 	}
@@ -247,7 +247,7 @@ func oracleMapOrder(q *Queue) []int {
 		if !e.active() {
 			continue
 		}
-		if c := oracleCap(q, e.Meta.Tenant); q.cfg.Policy == Quota && c > 0 && mapsRunning[e.Meta.Tenant] >= c {
+		if c := q.cfg.QuotaSlots; q.cfg.Policy == Quota && c > 0 && mapsRunning[e.Meta.Tenant] >= c {
 			continue
 		}
 		act = append(act, e)
@@ -316,7 +316,7 @@ func oracleNextReduce(q *Queue) *Entry {
 		}
 		switch q.cfg.Policy {
 		case Quota:
-			if c := oracleCap(q, e.Meta.Tenant); c > 0 && redRunning[e.Meta.Tenant] >= c {
+			if c := q.cfg.QuotaSlots; c > 0 && redRunning[e.Meta.Tenant] >= c {
 				continue
 			}
 		case Deadline:
@@ -328,13 +328,6 @@ func oracleNextReduce(q *Queue) *Entry {
 		return e
 	}
 	return best
-}
-
-func oracleCap(q *Queue, tenant string) int {
-	if c, ok := q.cfg.TenantQuotas[tenant]; ok {
-		return c
-	}
-	return q.cfg.QuotaSlots
 }
 
 // TestQueueMatchesRecomputeOracle drives queues of all four policies
@@ -352,9 +345,6 @@ func TestQueueMatchesRecomputeOracle(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		cfg := Config{Policy: Kind(trial % 4), QuotaSlots: rng.Intn(3)}
-		if rng.Intn(2) == 0 {
-			cfg.TenantQuotas = map[string]int{"b": rng.Intn(3)}
-		}
 		q, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

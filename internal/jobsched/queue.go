@@ -153,9 +153,6 @@ func (q *Queue) Add(meta JobMeta, numReducers int) int {
 	t := q.tenants[meta.Tenant]
 	if t == nil {
 		t = &tenant{name: meta.Tenant, slotCap: q.cfg.QuotaSlots}
-		if c, ok := q.cfg.TenantQuotas[meta.Tenant]; ok {
-			t.slotCap = c
-		}
 		q.tenants[meta.Tenant] = t
 	}
 	e := &Entry{Idx: len(q.entries), Meta: meta, NumReducers: numReducers, tenant: t}

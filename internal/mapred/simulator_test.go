@@ -361,11 +361,16 @@ func TestHeterogeneousSpeedFactors(t *testing.T) {
 	}
 }
 
+// TestMaxSimTimeAborts: a run still going after 1e7 virtual seconds is
+// stopped at the first heartbeat past that limit.
 func TestMaxSimTimeAborts(t *testing.T) {
 	cfg := smallConfig()
-	cfg.MaxSimTime = 5 // far too short
-	if _, err := Run(cfg, []JobSpec{smallJob()}); err == nil {
-		t.Fatal("MaxSimTime overrun must error")
+	cfg.HeartbeatInterval = 1e6
+	job := smallJob()
+	job.MapTime = Dist{Mean: 2e7}
+	_, err := Run(cfg, []JobSpec{job})
+	if err == nil || !strings.Contains(err.Error(), "exceeded the 10000000 s virtual-time limit") {
+		t.Fatalf("want the 1e7 s abort, got: %v", err)
 	}
 }
 
@@ -426,10 +431,6 @@ func TestResultAggregates(t *testing.T) {
 	jr := res.Jobs[0]
 	if jr.MeanNormalMapRuntime() <= 0 || jr.MeanDegradedRuntime() <= 0 {
 		t.Fatal("mean runtimes not recorded")
-	}
-	byClass := jr.MeanRuntimeByClass()
-	if len(byClass) == 0 {
-		t.Fatal("MeanRuntimeByClass empty")
 	}
 	if jr.RemoteTasks() != jr.CountByClass()[sched.ClassRemote] {
 		t.Fatal("RemoteTasks inconsistent")

@@ -18,9 +18,7 @@ import (
 	"math"
 
 	"degradedfirst/internal/jobsched"
-	"degradedfirst/internal/mapred"
 	"degradedfirst/internal/runtime"
-	"degradedfirst/internal/topology"
 )
 
 // Mapper processes one input block and emits intermediate records.
@@ -154,23 +152,11 @@ func ValidateJobs(jobs []Job) error {
 	return nil
 }
 
-// Report is the outcome of one engine run: the simulator-style per-job
-// results plus each job's real output records.
+// Report is the outcome of one engine run: the runtime's Result plus each
+// job's real output records.
 type Report struct {
-	Scheduler string
-	Failed    []topology.NodeID
-	Jobs      []mapred.JobResult
+	runtime.Result
 	// Outputs[i] is job i's final reduce output (or map output for
 	// map-only jobs), merged across reduce tasks.
 	Outputs []map[string]string
-	// Makespan is when the last job finished.
-	Makespan float64
-	// BytesMoved is the total network volume of completed transfers.
-	BytesMoved float64
-	// WastedBytes is the extra volume moved by redundant degraded-read
-	// flows cancelled after the first k completed (hedged runs only).
-	WastedBytes float64
-	// Repair holds the background healer's metrics; nil when the run
-	// emitted no repair events (repair disabled, or no failures).
-	Repair *runtime.RepairStats
 }

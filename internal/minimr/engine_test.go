@@ -15,7 +15,6 @@ import (
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
-	"degradedfirst/internal/trace"
 	"degradedfirst/internal/workload"
 )
 
@@ -428,26 +427,6 @@ func TestJobCostsMatchTableOneOrdering(t *testing.T) {
 	}
 	if lc < 30 || lc > 42 {
 		t.Fatalf("LineCount per-block cost %.1f s, want ~35.9 s", lc)
-	}
-}
-
-func TestTraceFlowRatesThreadsThrough(t *testing.T) {
-	fs, _ := testbedFS(t, 5)
-	var mem trace.Memory
-	opts := testOpts(sched.KindLF)
-	opts.Trace = &mem
-	opts.TraceFlowRates = true
-	if _, err := Run(fs, opts, []Job{WordCountJob("input.txt", 8)}); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, e := range mem.Events() {
-		if e.Type == trace.EvFlowRate {
-			n++
-		}
-	}
-	if n == 0 {
-		t.Fatal("TraceFlowRates produced no flow-rate events on the testbed")
 	}
 }
 

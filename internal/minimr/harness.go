@@ -81,14 +81,5 @@ func (h *Harness) Run(ctx context.Context, backend runtime.Backend, outputs []ma
 	if err != nil {
 		return nil, err
 	}
-	return &Report{
-		Scheduler:   res.Scheduler,
-		Failed:      res.Failed,
-		Jobs:        res.Jobs,
-		Outputs:     outputs,
-		Makespan:    res.Makespan,
-		BytesMoved:  res.BytesMoved,
-		WastedBytes: res.WastedBytes,
-		Repair:      res.Repair,
-	}, nil
+	return &Report{Result: *res, Outputs: outputs}, nil
 }

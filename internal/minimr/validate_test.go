@@ -12,8 +12,8 @@ import (
 )
 
 // TestOptionsValidateDefaults: zero Options describe the paper's master
-// (LF over a fluid network, 3 s heartbeats, the 1e7 s safety net, RandomK
-// degraded sources), and the harness's planner reads the defaulted source
+// (LF over a fluid network, 3 s heartbeats, RandomK degraded sources), and
+// the harness's planner reads the defaulted source
 // strategy, not the zero one.
 func TestOptionsValidateDefaults(t *testing.T) {
 	fs, _ := testbedFS(t, 1)
@@ -25,7 +25,6 @@ func TestOptionsValidateDefaults(t *testing.T) {
 		Scheduler:         sched.KindLF,
 		NetMode:           netsim.FluidFairSharing,
 		HeartbeatInterval: 3,
-		MaxSimTime:        1e7,
 		SourceStrategy:    dfs.RandomK,
 	}
 	if !reflect.DeepEqual(h.Params.Options, want) {

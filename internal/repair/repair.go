@@ -141,34 +141,11 @@ type Config struct {
 	// Policy orders queued stripe repairs (default FIFO).
 	Policy Policy
 
-	// RateFraction bounds repair read traffic to this fraction of the
-	// access-link capacity LinkBps. The engines default LinkBps to the
-	// node NIC bandwidth, so RateFraction 0.25 means repair may consume
-	// at most a quarter of one NIC. 0 with RateBps 0 means unthrottled.
+	// RateFraction bounds repair read traffic to this fraction of a node's
+	// access link: the NIC where the fabric models one, else the rack link.
+	// 0.25 means repair may consume at most a quarter of that link; 0 means
+	// unthrottled.
 	RateFraction float64
-	// LinkBps is the link capacity RateFraction applies to; engines fill
-	// it from their network config when left 0.
-	LinkBps float64
-	// RateBps, when positive, bounds repair read traffic directly in
-	// bytes/second, overriding RateFraction.
-	RateBps float64
-	// Burst is the token-bucket depth in bytes; 0 defaults to one
-	// stripe's read volume (the bucket never admits less than one whole
-	// stripe launch, so an oversized stripe waits instead of deadlocking).
-	Burst float64
-
-	// MaxConcurrent bounds in-flight stripe repairs (default 1).
-	MaxConcurrent int
-
-	// DetectDelay is the lag in seconds between a node failure and the
-	// scanner noticing the lost blocks (default 0: scan immediately).
-	DetectDelay float64
-
-	// DeadlineHorizon parameterizes the Deadline policy: a stripe
-	// discovered at time t with spare redundancy s is assigned deadline
-	// t + DeadlineHorizon*(s+1), so stripes one loss from unrepairable
-	// get the tightest deadlines. Default 60s.
-	DeadlineHorizon float64
 }
 
 // Active reports whether the configuration enables repair.
@@ -185,50 +162,7 @@ func (c Config) Validate() error {
 	if c.RateFraction < 0 || c.RateFraction > 1 || math.IsNaN(c.RateFraction) {
 		return fmt.Errorf("repair: rate fraction %v outside [0, 1]", c.RateFraction)
 	}
-	if c.RateBps < 0 || math.IsNaN(c.RateBps) || math.IsInf(c.RateBps, 0) {
-		return fmt.Errorf("repair: invalid rate %v bytes/sec", c.RateBps)
-	}
-	if c.LinkBps < 0 || math.IsNaN(c.LinkBps) || math.IsInf(c.LinkBps, 0) {
-		return fmt.Errorf("repair: invalid link capacity %v bytes/sec", c.LinkBps)
-	}
-	if c.Burst < 0 || math.IsNaN(c.Burst) {
-		return fmt.Errorf("repair: negative burst %v", c.Burst)
-	}
-	if c.MaxConcurrent < 0 {
-		return fmt.Errorf("repair: negative max concurrent %d", c.MaxConcurrent)
-	}
-	if c.DetectDelay < 0 || math.IsNaN(c.DetectDelay) {
-		return fmt.Errorf("repair: negative detect delay %v", c.DetectDelay)
-	}
-	if c.DeadlineHorizon < 0 || math.IsNaN(c.DeadlineHorizon) {
-		return fmt.Errorf("repair: negative deadline horizon %v", c.DeadlineHorizon)
-	}
 	return nil
-}
-
-// EffectiveRate resolves the throttle to bytes/second: RateBps when set,
-// else RateFraction of LinkBps. 0 means unthrottled.
-func (c Config) EffectiveRate() float64 {
-	if c.RateBps > 0 {
-		return c.RateBps
-	}
-	return c.RateFraction * c.LinkBps
-}
-
-// Concurrency resolves MaxConcurrent's default.
-func (c Config) Concurrency() int {
-	if c.MaxConcurrent <= 0 {
-		return 1
-	}
-	return c.MaxConcurrent
-}
-
-// Horizon resolves DeadlineHorizon's default.
-func (c Config) Horizon() float64 {
-	if c.DeadlineHorizon <= 0 {
-		return 60
-	}
-	return c.DeadlineHorizon
 }
 
 // Item is one queued stripe repair.
@@ -354,23 +288,20 @@ func (q *Queue) Remove(key Key) {
 
 // Bucket is a virtual-time token bucket: Take either admits a launch
 // immediately or reports when enough tokens will have accumulated. The
-// effective depth of the bucket is max(burst, need), so a launch larger
-// than the configured burst waits for its full cost instead of
-// deadlocking — head-of-line blocking is the throttle semantics.
+// bucket is one second of refill deep, and its effective depth is
+// max(rate, need), so a launch larger than one second's refill waits for
+// its full cost instead of deadlocking — head-of-line blocking is the
+// throttle semantics.
 type Bucket struct {
 	rate   float64 // bytes/second; <= 0 means unlimited
-	burst  float64
 	tokens float64
 	last   float64
 }
 
-// NewBucket returns a bucket refilling at rate bytes/second with the
-// given depth. rate <= 0 disables throttling. The bucket starts full.
-func NewBucket(rate, burst float64) *Bucket {
-	if burst <= 0 {
-		burst = rate // one second of refill as a sane default depth
-	}
-	return &Bucket{rate: rate, burst: burst, tokens: burst}
+// NewBucket returns a full bucket refilling at rate bytes/second, one
+// second of refill deep. rate <= 0 disables throttling.
+func NewBucket(rate float64) *Bucket {
+	return &Bucket{rate: rate, tokens: rate}
 }
 
 // Take requests need bytes of repair budget at virtual time now. When
@@ -397,15 +328,9 @@ func (b *Bucket) Take(now, need float64) (ok bool, readyAt float64) {
 
 // refill accumulates tokens up to the effective depth for this request.
 func (b *Bucket) refill(now, need float64) {
-	cap := b.burst
-	if need > cap {
-		cap = need
-	}
 	if now > b.last {
 		b.tokens += b.rate * (now - b.last)
 	}
 	b.last = now
-	if b.tokens > cap {
-		b.tokens = cap
-	}
+	b.tokens = min(b.tokens, max(b.rate, need))
 }

@@ -23,7 +23,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config should validate: %v", err)
 	}
-	good := Config{Enabled: true, Policy: Deadline, RateFraction: 0.3, LinkBps: 1e9}
+	good := Config{Enabled: true, Policy: Deadline, RateFraction: 0.3}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
@@ -31,31 +31,12 @@ func TestConfigValidate(t *testing.T) {
 		{Enabled: true, Policy: Policy(99)},
 		{Enabled: true, RateFraction: 1.5},
 		{Enabled: true, RateFraction: -0.1},
-		{Enabled: true, RateBps: math.Inf(1)},
-		{Enabled: true, LinkBps: -1},
-		{Enabled: true, Burst: -1},
-		{Enabled: true, MaxConcurrent: -1},
-		{Enabled: true, DetectDelay: -1},
-		{Enabled: true, DeadlineHorizon: math.NaN()},
+		{Enabled: true, RateFraction: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-	}
-}
-
-func TestEffectiveRate(t *testing.T) {
-	c := Config{Enabled: true, RateFraction: 0.25, LinkBps: 1e9}
-	if got := c.EffectiveRate(); got != 0.25e9 {
-		t.Fatalf("EffectiveRate = %v, want 2.5e8", got)
-	}
-	c.RateBps = 42
-	if got := c.EffectiveRate(); got != 42 {
-		t.Fatalf("RateBps override: EffectiveRate = %v, want 42", got)
-	}
-	if got := (Config{Enabled: true}).EffectiveRate(); got != 0 {
-		t.Fatalf("unthrottled config: EffectiveRate = %v, want 0", got)
 	}
 }
 
@@ -202,7 +183,7 @@ func TestQueueRemoveMissing(t *testing.T) {
 }
 
 func TestBucketUnlimited(t *testing.T) {
-	b := NewBucket(0, 0)
+	b := NewBucket(0)
 	ok, at := b.Take(5, 1e12)
 	if !ok || at != 5 {
 		t.Fatalf("unlimited bucket refused: ok=%v at=%v", ok, at)
@@ -210,49 +191,55 @@ func TestBucketUnlimited(t *testing.T) {
 }
 
 func TestBucketRefillAndReadyAt(t *testing.T) {
-	b := NewBucket(100, 200) // 100 B/s, depth 200, starts full
-	ok, _ := b.Take(0, 150)
+	b := NewBucket(100) // 100 B/s, depth 100, starts full
+	ok, _ := b.Take(0, 50)
 	if !ok {
 		t.Fatal("initial burst refused")
 	}
-	// 50 tokens left; need 150 more at 100 B/s => ready at t=1.
-	ok, at := b.Take(0, 200)
-	if ok || at != 1.5 {
-		t.Fatalf("Take(0, 200) = %v, %v; want refused, ready at 1.5", ok, at)
+	// 50 tokens left; need 50 more at 100 B/s => ready at t=0.5.
+	ok, at := b.Take(0, 100)
+	if ok || at != 0.5 {
+		t.Fatalf("Take(0, 100) = %v, %v; want refused, ready at 0.5", ok, at)
 	}
-	// Tokens were not consumed by the refusal; at t=1.5 it admits.
-	ok, _ = b.Take(1.5, 200)
+	// Tokens were not consumed by the refusal; at t=0.5 it admits.
+	ok, _ = b.Take(0.5, 100)
 	if !ok {
 		t.Fatal("Take at readyAt refused")
 	}
 }
 
 func TestBucketOversizedNeedNoDeadlock(t *testing.T) {
-	b := NewBucket(100, 50) // burst smaller than the request
+	b := NewBucket(100) // one second of refill is less than the request
 	ok, at := b.Take(0, 500)
 	if ok {
 		t.Fatal("oversized need admitted instantly")
 	}
-	// 50 tokens banked; 450 more at 100 B/s => ready at 4.5.
-	if at != 4.5 {
-		t.Fatalf("readyAt = %v, want 4.5", at)
+	// 100 tokens banked; 400 more at 100 B/s => ready at 4.
+	if at != 4 {
+		t.Fatalf("readyAt = %v, want 4", at)
 	}
 	ok, _ = b.Take(at, 500)
 	if !ok {
 		t.Fatal("oversized need refused at its own readyAt: deadlock")
 	}
-	// After the big spend the bucket clamps back to burst depth.
-	ok, _ = b.Take(at, 51)
-	if ok {
-		t.Fatal("bucket retained tokens above burst after oversized spend")
+	if ok, _ = b.Take(at, 1); ok {
+		t.Fatal("bucket retained tokens after oversized spend")
+	}
+	// A long idle stretch banks no more than the larger of one second's
+	// refill and the request.
+	if ok, _ = b.Take(100, 101); !ok {
+		t.Fatal("request one byte over the depth refused after a long idle")
+	}
+	if ok, _ = b.Take(100, 1); ok {
+		t.Fatal("bucket banked tokens above its depth")
 	}
 }
 
 func TestBucketDefaultBurst(t *testing.T) {
-	b := NewBucket(100, 0)
-	// Default depth is one second of refill: 100 tokens, starts full.
+	b := NewBucket(100)
+	// The depth is one second of refill: 100 tokens, starts full.
 	if ok, _ := b.Take(0, 100); !ok {
-		t.Fatal("default-burst bucket refused a one-second need")
+		t.Fatal("bucket refused a one-second need")
 	}
 	if ok, _ := b.Take(0, 1); ok {
 		t.Fatal("bucket not drained")

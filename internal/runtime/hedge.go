@@ -24,18 +24,15 @@ type HedgePolicy struct {
 	Extra int
 	// HedgeQuantile, when > 0, enables deadline hedging: each fan-in
 	// flow gets a deadline at this quantile of the observed per-flow
-	// latencies (scaled by HedgeMultiplier), and a flow that outlives
-	// its deadline triggers a standby source launch. Deadlines are only
-	// armed once HedgeMinSamples latencies have been observed.
+	// latencies, and a flow that outlives its deadline triggers a standby
+	// source launch. Deadlines are only armed once 8 latencies
+	// (hedgeMinSamples) have been observed.
 	HedgeQuantile float64
-	// HedgeMinSamples is the number of observed flow latencies required
-	// before deadline hedging arms (default 8).
-	HedgeMinSamples int
-	// HedgeMultiplier scales the quantile estimate into the deadline
-	// (default 1). Values > 1 hedge later and waste less; < 1 hedges
-	// eagerly.
-	HedgeMultiplier float64
 }
+
+// hedgeMinSamples is the number of observed flow latencies deadline
+// hedging needs before it arms.
+const hedgeMinSamples = 8
 
 // Active reports whether any hedging mechanism is enabled. When false the
 // runtime takes the original fan-in path untouched.
@@ -49,29 +46,7 @@ func (h HedgePolicy) Validate() error {
 	if h.HedgeQuantile < 0 || h.HedgeQuantile >= 1 || math.IsNaN(h.HedgeQuantile) {
 		return fmt.Errorf("hedge: HedgeQuantile must be in [0,1), got %v", h.HedgeQuantile)
 	}
-	if h.HedgeMinSamples < 0 {
-		return fmt.Errorf("hedge: HedgeMinSamples must be >= 0, got %d", h.HedgeMinSamples)
-	}
-	if h.HedgeMultiplier < 0 || math.IsNaN(h.HedgeMultiplier) {
-		return fmt.Errorf("hedge: HedgeMultiplier must be >= 0, got %v", h.HedgeMultiplier)
-	}
 	return nil
-}
-
-// minSamples returns HedgeMinSamples with its default applied.
-func (h HedgePolicy) minSamples() int {
-	if h.HedgeMinSamples <= 0 {
-		return 8
-	}
-	return h.HedgeMinSamples
-}
-
-// multiplier returns HedgeMultiplier with its default applied.
-func (h HedgePolicy) multiplier() float64 {
-	if h.HedgeMultiplier <= 0 {
-		return 1
-	}
-	return h.HedgeMultiplier
 }
 
 // spareBudget is the number of spare sources a degraded fan-in asks its
@@ -104,11 +79,11 @@ func (s *state) emitFlowLatency(rm *runningMap, f *netsim.Flow, class string, mo
 // hedgeDeadline returns the current per-flow deadline estimate, or false
 // while hedging is off or too few latencies have been observed.
 func (s *state) hedgeDeadline() (float64, bool) {
-	h := s.p.Hedge
-	if h.HedgeQuantile <= 0 || len(s.hedgeLat) < h.minSamples() {
+	q := s.p.Hedge.HedgeQuantile
+	if q <= 0 || len(s.hedgeLat) < hedgeMinSamples {
 		return 0, false
 	}
-	return stats.Quantile(s.hedgeLat, h.HedgeQuantile) * h.multiplier(), true
+	return stats.Quantile(s.hedgeLat, q), true
 }
 
 // armHedgeTimer schedules a deadline check for one fan-in flow. Timers

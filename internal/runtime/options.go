@@ -42,9 +42,8 @@ type Options struct {
 	Hedge HedgePolicy
 	// Repair configures the background healer: it scans for lost blocks
 	// after node failures and rebuilds them over the links foreground
-	// jobs use. The zero value disables it. A RateFraction throttle with
-	// no LinkBps is taken against the node NIC, falling back to the rack
-	// link (see Validate).
+	// jobs use. The zero value disables it. A RateFraction throttle is
+	// taken against the node NIC, falling back to the rack link.
 	Repair repair.Config
 	// SourceStrategy picks which survivors a degraded read downloads
 	// (0 = RandomK, the paper's random k of n−1).
@@ -57,20 +56,12 @@ type Options struct {
 	// whenever one of its tasks completes (Hadoop's optional
 	// mapreduce.tasktracker.outofband.heartbeat). Off in the paper.
 	OutOfBandHeartbeats bool
-	// MaxSimTime aborts a run exceeding this virtual time, a safety net
-	// against scheduling bugs (0 = 1e7 s).
-	MaxSimTime float64
 
 	// Trace receives the run's structured lifecycle events (nil = no
 	// tracing); TraceLabel stamps each event's Run field so several runs
 	// can share one sink.
 	Trace      trace.Sink
 	TraceLabel string
-	// TraceFlowRates additionally emits an EvFlowRate event whenever a
-	// flow's allocated bandwidth changes. Off by default: a fluid-mode
-	// recomputation can reallocate every active flow, so this multiplies
-	// trace volume.
-	TraceFlowRates bool
 }
 
 var (
@@ -86,9 +77,9 @@ var (
 // Every feature is byte-identical to its absence when left zero (pinned
 // by the seed-golden tests), so only set fields are checked. spec is the
 // fabric the run uses (nil for a two-level cluster without per-tier
-// capacities); it resolves the link a fractional repair throttle refers
-// to. Validate is idempotent: engines call it on their options, and Run
-// calls it again on what it is handed.
+// capacities); a fractional repair throttle must find a finite link in it
+// or in the options. Validate is idempotent: engines call it on their
+// options, and Run calls it again on what it is handed.
 func (o *Options) Validate(spec *topology.Spec) error {
 	if o.Scheduler == 0 {
 		o.Scheduler = sched.KindLF
@@ -107,9 +98,6 @@ func (o *Options) Validate(spec *topology.Spec) error {
 	if o.HeartbeatInterval < 0 || math.IsNaN(o.HeartbeatInterval) {
 		return fmt.Errorf("%w, got %v", ErrBadHeartbeat, o.HeartbeatInterval)
 	}
-	if !(o.MaxSimTime > 0) {
-		o.MaxSimTime = 1e7
-	}
 	if o.SourceStrategy == 0 {
 		o.SourceStrategy = dfs.RandomK
 	}
@@ -122,27 +110,27 @@ func (o *Options) Validate(spec *topology.Spec) error {
 	if err := o.Repair.Validate(); err != nil {
 		return err
 	}
-	if o.Repair.Active() && o.Repair.RateBps == 0 && o.Repair.LinkBps == 0 {
-		// The reference link is a node's access link: the NIC where one is
-		// modelled, else the rack (leaf) link, each as the options override
-		// the fabric spec.
-		nodeBps, rackBps := o.NodeBps, o.RackBps
-		if spec != nil && nodeBps == 0 {
-			nodeBps = spec.NodeBps
-		}
-		if spec != nil && rackBps == 0 {
-			rackBps = spec.Tiers[0].LinkBps
-		}
-		o.Repair.LinkBps = nodeBps
-		if nodeBps == 0 {
-			o.Repair.LinkBps = rackBps
-		}
-		if o.Repair.RateFraction > 0 && o.Repair.LinkBps == 0 {
-			return fmt.Errorf("repair: rate fraction %v needs a finite node or rack bandwidth, or an explicit LinkBps",
-				o.Repair.RateFraction)
-		}
+	if o.Repair.Active() && o.Repair.RateFraction > 0 && o.repairLinkBps(spec) == 0 {
+		return fmt.Errorf("repair: rate fraction %v needs a finite node or rack bandwidth", o.Repair.RateFraction)
 	}
 	return nil
+}
+
+// repairLinkBps is the link a fractional repair throttle refers to: a
+// node's access link, the NIC where one is modelled, else the rack (leaf)
+// link, each as the options override the fabric spec. 0 means unlimited.
+func (o *Options) repairLinkBps(spec *topology.Spec) float64 {
+	nodeBps, rackBps := o.NodeBps, o.RackBps
+	if spec != nil && nodeBps == 0 {
+		nodeBps = spec.NodeBps
+	}
+	if spec != nil && rackBps == 0 {
+		rackBps = spec.Tiers[0].LinkBps
+	}
+	if nodeBps == 0 {
+		return rackBps
+	}
+	return nodeBps
 }
 
 // NetConfig is the network model's configuration.

@@ -82,12 +82,6 @@ func TestFeaturesTable(t *testing.T) {
 		}
 		return ""
 	}
-	abortsAt1e7 := func(_ []trace.Event, err error) string {
-		if err == nil || !strings.Contains(err.Error(), "exceeded MaxSimTime 10000000s") {
-			return fmt.Sprint("want the 1e7 s abort, got: ", err)
-		}
-		return ""
-	}
 	mapsRun := func(events []trace.Event, err error) string {
 		if n := len(trace.FilterType(events, trace.EvTaskScheduled)); err != nil || n != goldenBlocks {
 			return fmt.Sprintf("want %d maps and no error, got %d and %v", goldenBlocks, n, err)
@@ -98,7 +92,6 @@ func TestFeaturesTable(t *testing.T) {
 		name     string
 		o        runtime.Options
 		meta     jobsched.JobMeta
-		mapTime  float64
 		reducers int // the scenario cluster has no reduce slots
 		// A rejection: the sentinel (if the rule has one) and a word of
 		// the message. Or a default: check reads the run's outcome.
@@ -122,19 +115,13 @@ func TestFeaturesTable(t *testing.T) {
 		{name: "reducers without reduce slots", reducers: 2, word: `job "golden": 2 reduce tasks, but the cluster has no reduce slots`},
 
 		{name: "zero heartbeat is 3 s", check: secondHeartbeatAt3},
-		{name: "zero MaxSimTime is 1e7 s", o: runtime.Options{HeartbeatInterval: 1e6}, mapTime: 2e7, check: abortsAt1e7},
-		{name: "NaN MaxSimTime is 1e7 s", o: runtime.Options{HeartbeatInterval: 1e6, MaxSimTime: math.NaN()}, mapTime: 2e7, check: abortsAt1e7},
 		{name: "map-only job without reduce slots runs", check: mapsRun},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var first string
 			for i, en := range entries {
-				mapTime := tc.mapTime
-				if mapTime == 0 {
-					mapTime = goldenMapTime
-				}
-				events, err := en.run(t, tc.o, tc.meta, mapTime, tc.reducers)
+				events, err := en.run(t, tc.o, tc.meta, goldenMapTime, tc.reducers)
 				if tc.check != nil {
 					if msg := tc.check(events, err); msg != "" {
 						t.Errorf("%s: %s", en.name, msg)
@@ -194,8 +181,8 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestOptionsValidateDefaults: the zero Options are the paper's master,
-// for every engine: LF over a fluid network, 3 s heartbeats, the 1e7 s
-// safety net, and RandomK degraded sources (random k of n−1).
+// for every engine: LF over a fluid network, 3 s heartbeats and RandomK
+// degraded sources (random k of n−1).
 func TestOptionsValidateDefaults(t *testing.T) {
 	var o runtime.Options
 	if err := o.Validate(nil); err != nil {
@@ -205,7 +192,6 @@ func TestOptionsValidateDefaults(t *testing.T) {
 		Scheduler:         sched.KindLF,
 		NetMode:           netsim.FluidFairSharing,
 		HeartbeatInterval: 3,
-		MaxSimTime:        1e7,
 		SourceStrategy:    dfs.RandomK,
 	}
 	if !reflect.DeepEqual(o, want) {

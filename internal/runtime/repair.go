@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
 
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/repair"
@@ -42,16 +41,22 @@ func (ar *activeRepair) pendingReadBytes(blockBytes float64) float64 {
 	return total
 }
 
+// deadlineHorizon parameterizes the Deadline policy: a stripe discovered
+// at time t with spare redundancy s is due at t + deadlineHorizon*(s+1),
+// so stripes one loss from unrepairable get the tightest deadlines.
+const deadlineHorizon = 60
+
 // repairManager drives the background healer inside the master loop:
 // scans after failures, a policy-ordered stripe queue, a token-bucket
-// throttle, and repairs executed as real flows on the shared network.
+// throttle, and repairs executed as real flows on the shared network, one
+// stripe at a time.
 type repairManager struct {
 	s      *state
-	cfg    repair.Config
 	queue  *repair.Queue
 	bucket *repair.Bucket
 
-	active map[repair.Key]*activeRepair
+	// active is the stripe repair in flight, nil between repairs.
+	active *activeRepair
 	// unrep records stripes already reported unrepairable, so the
 	// distinct report is emitted once per stripe.
 	unrep map[repair.Key]bool
@@ -63,13 +68,10 @@ type repairManager struct {
 }
 
 func newRepairManager(s *state) *repairManager {
-	cfg := s.p.Repair
 	return &repairManager{
 		s:      s,
-		cfg:    cfg,
-		queue:  repair.NewQueue(cfg.Policy),
-		bucket: repair.NewBucket(cfg.EffectiveRate(), cfg.Burst),
-		active: make(map[repair.Key]*activeRepair),
+		queue:  repair.NewQueue(s.p.Repair.Policy),
+		bucket: repair.NewBucket(s.p.Repair.RateFraction * s.p.repairLinkBps(s.cluster.Spec())),
 		unrep:  make(map[repair.Key]bool),
 	}
 }
@@ -85,11 +87,11 @@ func (m *repairManager) evStripe(typ trace.Type, key repair.Key) trace.Event {
 	return e
 }
 
-// scheduleScan arms a DFS scan for the given failures after the
-// configured detection delay.
+// scheduleScan arms a DFS scan for the given failures on a zero-delay
+// event.
 func (m *repairManager) scheduleScan(nodes []topology.NodeID) {
 	nodes = append([]topology.NodeID(nil), nodes...)
-	m.s.eng.Schedule(m.cfg.DetectDelay, func() {
+	m.s.eng.Schedule(0, func() {
 		if m.s.err == nil {
 			m.scan(nodes)
 		}
@@ -125,7 +127,7 @@ func (m *repairManager) scan(nodes []topology.NodeID) {
 // whose in-flight repair was cancelled by a failure.
 func (m *repairManager) enqueue(plan repair.StripePlan, class string, boost bool) {
 	now := m.s.eng.Now()
-	deadline := now + m.cfg.Horizon()*float64(plan.Spare()+1)
+	deadline := now + deadlineHorizon*float64(plan.Spare()+1)
 	m.queue.Upsert(plan.Key, plan.Lost, plan.Spare(), now, deadline, boost)
 	e := m.evStripe(trace.EvRepairQueued, plan.Key)
 	e.Class = class
@@ -163,8 +165,8 @@ func (m *repairManager) schedulePump() {
 	})
 }
 
-// pump launches queued repairs until the concurrency cap or the token
-// bucket blocks. The bucket gates the queue's head only: while the
+// pump launches the queue's head once no repair is in flight, unless the
+// token bucket blocks it. The bucket gates the head only: while the
 // highest-priority stripe waits for tokens nothing lower launches
 // (head-of-line blocking is the throttle semantics).
 func (m *repairManager) pump() {
@@ -175,9 +177,8 @@ func (m *repairManager) pump() {
 		m.s.eng.Cancel(m.waitEv)
 		m.waitEv = nil
 	}
-	skip := func(k repair.Key) bool { _, ok := m.active[k]; return ok }
-	for len(m.active) < m.cfg.Concurrency() {
-		it := m.queue.Peek(skip)
+	for m.active == nil {
+		it := m.queue.Peek(nil)
 		if it == nil {
 			return
 		}
@@ -225,7 +226,7 @@ func (m *repairManager) launch(plan repair.StripePlan, boosted bool) {
 		remaining: len(plan.Blocks),
 		boosted:   boosted,
 	}
-	m.active[plan.Key] = ar
+	m.active = ar
 
 	var reqs []netsim.FlowReq
 	var zeroSrc []int
@@ -306,7 +307,7 @@ func (m *repairManager) commitBlock(ar *activeRepair, i int) {
 		m.restoreTask(ref, bp.Dest)
 	}
 	if ar.remaining == 0 {
-		delete(m.active, ar.key)
+		m.active = nil
 		m.schedulePump()
 	}
 }
@@ -340,9 +341,9 @@ func (m *repairManager) restoreTask(ref RepairedTask, holder topology.NodeID) {
 	}
 }
 
-// onFailure reacts to a mid-run failure: in-flight repairs touching a
-// dead node are cancelled and their stripes re-queued at boosted
-// priority, then a fresh scan is armed for the new losses. Called from
+// onFailure reacts to a mid-run failure: an in-flight repair touching a
+// dead node is cancelled and its stripe re-queued at boosted priority,
+// then a fresh scan is armed for the new losses. Called from
 // injectFailure, which never runs inside a network callback, so flow
 // cancellation is safe here.
 func (m *repairManager) onFailure(nodes []topology.NodeID) {
@@ -350,51 +351,24 @@ func (m *repairManager) onFailure(nodes []topology.NodeID) {
 		return
 	}
 	dead := func(id topology.NodeID) bool { return !m.s.cluster.Alive(id) }
-
-	keys := make([]repair.Key, 0, len(m.active))
-	for k := range m.active {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].File != keys[j].File {
-			return keys[i].File < keys[j].File
-		}
-		return keys[i].Stripe < keys[j].Stripe
-	})
-	for _, k := range keys {
-		ar := m.active[k]
-		if !m.repairAffected(ar, dead) {
-			continue
-		}
+	if ar := m.active; ar != nil && m.repairAffected(ar, dead) {
 		for _, f := range ar.flows {
 			m.s.net.Cancel(f)
 		}
-		delete(m.active, k)
-		remaining := 0
-		for i := range ar.plan.Blocks {
-			if !ar.done[i] {
-				remaining++
-			}
-		}
-		if remaining == 0 {
-			continue
-		}
+		m.active = nil
 		// Re-queue boosted. Lost/spare reflect the pre-failure plan; the
 		// scan below refreshes them (Upsert keeps the boost and queue
 		// position), and the launch-time re-plan decides what is actually
 		// left to rebuild.
-		requeued := repair.StripePlan{
-			Key:  k,
-			N:    ar.plan.N,
-			K:    ar.plan.K,
-			Lost: remaining,
-		}
+		requeued := repair.StripePlan{Key: ar.key, N: ar.plan.N, K: ar.plan.K}
 		for i, bp := range ar.plan.Blocks {
 			if !ar.done[i] {
 				requeued.Blocks = append(requeued.Blocks, bp)
 			}
 		}
-		m.enqueue(requeued, "requeue", true)
+		if requeued.Lost = len(requeued.Blocks); requeued.Lost > 0 {
+			m.enqueue(requeued, "requeue", true)
+		}
 	}
 	m.scheduleScan(nodes)
 	m.schedulePump()

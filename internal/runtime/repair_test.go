@@ -190,7 +190,6 @@ func runRepairScenario(t *testing.T, store *repairStore, cfg repair.Config,
 		Options: runtime.Options{
 			NodeBps:           repNodeBps,
 			HeartbeatInterval: 1,
-			MaxSimTime:        1e5,
 			Repair:            cfg,
 			Trace:             &mem,
 		},
@@ -386,11 +385,12 @@ func TestMostAtRiskLaunchesWorstStripeFirst(t *testing.T) {
 func TestThrottleDelaysLaunch(t *testing.T) {
 	c := repairCluster(t)
 	store := newRepairStore(c, [][]topology.NodeID{{0, 1, 2, 3}})
-	// One stripe, one lost block: need = k reads = 2e6 bytes. The bucket
-	// starts with burst 0.5e6 and refills at 0.5e6/s, so the launch waits
-	// (2e6-0.5e6)/0.5e6 = 3 virtual seconds.
+	// One stripe, one lost block: need = k reads = 2e6 bytes. Half of the
+	// 1e6 B/s NIC is 0.5e6 B/s; the bucket starts with one second of that
+	// and refills at it, so the launch waits (2e6-0.5e6)/0.5e6 = 3 virtual
+	// seconds.
 	res, events, err := runRepairScenario(t, store,
-		repair.Config{Enabled: true, RateBps: 0.5e6},
+		repair.Config{Enabled: true, RateFraction: 0.5},
 		[]topology.NodeID{0}, nil)
 	if err != nil {
 		t.Fatal(err)

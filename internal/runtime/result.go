@@ -81,23 +81,6 @@ func (j *JobResult) CountByClass() map[sched.Class]int {
 // RemoteTasks returns the number of remote map tasks (Figure 8a metric).
 func (j *JobResult) RemoteTasks() int { return j.CountByClass()[sched.ClassRemote] }
 
-// MeanRuntimeByClass returns the mean task runtime per class (Table I).
-// "Normal" map tasks in the paper are local+remote; compute that with
-// MeanNormalMapRuntime.
-func (j *JobResult) MeanRuntimeByClass() map[sched.Class]float64 {
-	sums := make(map[sched.Class]float64, 4)
-	counts := make(map[sched.Class]int, 4)
-	for _, t := range j.Tasks {
-		sums[t.Class] += t.Runtime()
-		counts[t.Class]++
-	}
-	out := make(map[sched.Class]float64, len(sums))
-	for c, s := range sums {
-		out[c] = s / float64(counts[c])
-	}
-	return out
-}
-
 // MeanNormalMapRuntime returns the mean runtime over local and remote
 // (non-degraded) map tasks.
 func (j *JobResult) MeanNormalMapRuntime() float64 {

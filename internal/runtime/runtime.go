@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"degradedfirst/internal/jobsched"
@@ -65,8 +64,12 @@ func (p *Params) name() string {
 	return p.Name
 }
 
+// maxSimTime is the virtual time after which a run is aborted, a safety
+// net against scheduling bugs.
+const maxSimTime = 1e7
+
 // Run drives the master loop over the given jobs until all finish, fail,
-// or MaxSimTime passes, and returns the Result rebuilt from the run's
+// or maxSimTime passes, and returns the Result rebuilt from the run's
 // trace stream.
 func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	if backend == nil {
@@ -134,7 +137,7 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 		if err := jobs[i].JobMeta.Validate(); err != nil {
 			return nil, fmt.Errorf("%s: job %q: %w", p.name(), jobs[i].Name, err)
 		}
-		if jobs[i].NumReducers > 0 && reduceSlots == 0 { // or it would heartbeat to MaxSimTime
+		if jobs[i].NumReducers > 0 && reduceSlots == 0 { // or it would heartbeat to maxSimTime
 			return nil, fmt.Errorf("%s: job %q: %d reduce tasks, but the cluster has no reduce slots", p.name(), jobs[i].Name, jobs[i].NumReducers)
 		}
 		queue.Add(jobs[i].JobMeta, jobs[i].NumReducers)
@@ -159,7 +162,7 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 		st.jobs[i] = js
 	}
 
-	hooks := netsim.Hooks{
+	st.net.SetHooks(netsim.Hooks{
 		Start: func(f *netsim.Flow) {
 			e := st.ev(trace.EvTransferStart)
 			e.Src, e.Dst, e.Bytes, e.N = int(f.Src), int(f.Dst), f.Bytes, f.ID
@@ -175,20 +178,7 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 			e.Src, e.Dst, e.Bytes, e.N = int(f.Src), int(f.Dst), f.Bytes, f.ID
 			st.emit(e)
 		},
-	}
-	if p.TraceFlowRates {
-		hooks.RateChange = func(f *netsim.Flow) {
-			e := st.ev(trace.EvFlowRate)
-			e.Src, e.Dst, e.N = int(f.Src), int(f.Dst), f.ID
-			rate := f.Rate()
-			if math.IsInf(rate, 1) {
-				rate = -1 // JSON has no +Inf; -1 marks an unlimited allocation
-			}
-			e.Bytes = rate
-			st.emit(e)
-		}
-	}
-	st.net.SetHooks(hooks)
+	})
 
 	// Failure injection first so a FailAt event precedes same-time
 	// submissions and heartbeats in the engine's tie-breaking order.
@@ -468,9 +458,9 @@ func (s *state) heartbeat(id topology.NodeID) {
 		s.fail(fmt.Errorf("%s: %w", s.name, err))
 		return
 	}
-	if s.eng.Now() > s.p.MaxSimTime {
-		s.fail(fmt.Errorf("%s: exceeded MaxSimTime %.0fs with %d/%d jobs finished",
-			s.name, s.p.MaxSimTime, s.finished, len(s.jobs)))
+	if s.eng.Now() > maxSimTime {
+		s.fail(fmt.Errorf("%s: exceeded the %.0f s virtual-time limit with %d/%d jobs finished",
+			s.name, maxSimTime, s.finished, len(s.jobs)))
 		return
 	}
 	if s.p.PollFailures != nil {

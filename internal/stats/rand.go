@@ -28,9 +28,6 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // Normal draws from N(mean, std) truncated at a small positive floor.
 // The paper draws map/reduce processing times from normal distributions
 // (e.g. mean 20 s, std 1 s); a non-positive sample would be meaningless, so

@@ -105,11 +105,8 @@ func TestMeanMedianStd(t *testing.T) {
 	if m := Median(xs); m != 3 {
 		t.Fatalf("Median = %v", m)
 	}
-	if s := StdDev(xs); math.Abs(s-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("StdDev = %v", s)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(StdDev([]float64{1})) {
-		t.Fatal("degenerate inputs must give NaN")
+	if !math.IsNaN(Mean(nil)) {
+		t.Fatal("empty input must give NaN")
 	}
 }
 
@@ -225,30 +222,6 @@ func TestReductionIncreasePercent(t *testing.T) {
 	}
 	if !math.IsNaN(ReductionPercent(0, 5)) || !math.IsNaN(IncreasePercent(0, 5)) {
 		t.Fatal("zero base must be NaN")
-	}
-}
-
-func TestRatios(t *testing.T) {
-	got := Ratios([]float64{2, 9}, []float64{1, 3})
-	if got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Ratios = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch must panic")
-		}
-	}()
-	Ratios([]float64{1}, []float64{1, 2})
-}
-
-func TestAsciiBox(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	box := AsciiBox(s, 0, 6, 40)
-	if box == "" {
-		t.Fatal("AsciiBox must render")
-	}
-	if AsciiBox(s, 0, 6, 5) != "" || AsciiBox(s, 6, 0, 40) != "" {
-		t.Fatal("invalid params must render empty")
 	}
 }
 

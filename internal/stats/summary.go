@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary is the five-number summary plus mean and outliers, matching the
@@ -31,20 +30,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the sample standard deviation of xs (NaN for n < 2).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
@@ -177,51 +162,4 @@ func IncreasePercent(base, got float64) float64 {
 		return math.NaN()
 	}
 	return 100 * (got - base) / base
-}
-
-// Ratios divides each element of num by the matching element of den
-// (element-wise normalization, e.g. failure-mode runtime over normal-mode
-// runtime). Panics on length mismatch: that is a harness bug.
-func Ratios(num, den []float64) []float64 {
-	if len(num) != len(den) {
-		panic(fmt.Sprintf("stats: Ratios length mismatch %d vs %d", len(num), len(den)))
-	}
-	out := make([]float64, len(num))
-	for i := range num {
-		out[i] = num[i] / den[i]
-	}
-	return out
-}
-
-// AsciiBox renders a crude one-line ASCII boxplot of the summary scaled to
-// [lo, hi] over width characters. Used by cmd/dfexp for eyeballing figures
-// without a plotting stack.
-func AsciiBox(s Summary, lo, hi float64, width int) string {
-	if width < 10 || hi <= lo {
-		return ""
-	}
-	pos := func(v float64) int {
-		p := int(math.Round((v - lo) / (hi - lo) * float64(width-1)))
-		if p < 0 {
-			p = 0
-		}
-		if p > width-1 {
-			p = width - 1
-		}
-		return p
-	}
-	row := make([]byte, width)
-	for i := range row {
-		row[i] = ' '
-	}
-	for i := pos(s.Min); i <= pos(s.Max); i++ {
-		row[i] = '-'
-	}
-	for i := pos(s.Q1); i <= pos(s.Q3); i++ {
-		row[i] = '='
-	}
-	row[pos(s.Min)] = '|'
-	row[pos(s.Max)] = '|'
-	row[pos(s.Median)] = '#'
-	return strings.TrimRight(string(row), " ")
 }

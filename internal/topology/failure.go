@@ -38,21 +38,6 @@ func (p FailurePattern) String() string {
 	}
 }
 
-// FailedCount returns how many nodes the pattern fails in a cluster with
-// the given per-rack node count (for RackFailure).
-func (p FailurePattern) FailedCount(nodesPerRack int) int {
-	switch p {
-	case SingleNodeFailure:
-		return 1
-	case DoubleNodeFailure:
-		return 2
-	case RackFailure:
-		return nodesPerRack
-	default:
-		return 0
-	}
-}
-
 // InjectFailure applies the pattern to the cluster using rng for random
 // choices, returning the failed node IDs. The cluster must have enough
 // alive nodes; an error is returned otherwise.

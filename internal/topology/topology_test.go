@@ -187,10 +187,6 @@ func TestFailurePatternStrings(t *testing.T) {
 			t.Fatal("String must render")
 		}
 	}
-	if SingleNodeFailure.FailedCount(10) != 1 || DoubleNodeFailure.FailedCount(10) != 2 ||
-		RackFailure.FailedCount(10) != 10 || NoFailure.FailedCount(10) != 0 {
-		t.Fatal("FailedCount wrong")
-	}
 }
 
 func TestRackAssignmentProperty(t *testing.T) {

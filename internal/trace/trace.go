@@ -90,11 +90,6 @@ const (
 	EvTransferEnd Type = "transfer-finish"
 	// EvTransferCancel aborts a network flow (failure recovery).
 	EvTransferCancel Type = "transfer-cancel"
-	// EvFlowRate records a flow's reallocated bandwidth after a network
-	// recomputation (N is the flow ID, Bytes the rate in bytes/sec, -1
-	// when the flow crosses only unlimited links: JSON has no +Inf).
-	// Emitted only when flow-rate tracing is enabled.
-	EvFlowRate Type = "flow-rate"
 	// EvRepairQueued marks one stripe entering (or re-entering) the
 	// background repair queue. Name is the file, Task the stripe index, N
 	// the number of lost blocks still pending repair, Bytes the estimated
@@ -185,17 +180,10 @@ func New(t float64, typ Type) Event {
 }
 
 // Sink receives events. Implementations must tolerate concurrent Emit
-// calls when runs execute in parallel (the JSONL writer locks; Memory
-// locks; Null does nothing).
+// calls when runs execute in parallel (the JSONL writer and Memory lock).
 type Sink interface {
 	Emit(Event)
 }
-
-// Null discards every event. The zero value is ready to use.
-type Null struct{}
-
-// Emit implements Sink.
-func (Null) Emit(Event) {}
 
 // Memory buffers events in order, for tests and in-process analysis.
 type Memory struct {
