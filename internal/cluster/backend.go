@@ -146,9 +146,9 @@ func (b *clusterBackend) Deliver(job, reducer int, node topology.NodeID, c runti
 	return err
 }
 
-// ReduceDuration implements runtime.Backend: calibrated from the real
-// shuffle volume, as in-process.
-func (b *clusterBackend) ReduceDuration(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
+// StartReduce implements runtime.Backend: calibrated from the real
+// shuffle volume, as in-process. The reduce itself runs in AwaitReduce.
+func (b *clusterBackend) StartReduce(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
 	return b.jobs[job].ReduceCost.Seconds(receivedBytes) * b.speed(node)
 }
 
@@ -160,8 +160,7 @@ func (b *clusterBackend) ReduceReset(job, reducer int) {}
 
 // AwaitReduce implements runtime.AsyncBackend: run the real reduce on
 // the reducer's worker at its virtual completion instant and merge its
-// output — the response payload — into the job output. The runtime calls
-// ReduceFinish straight after a nil return, so nothing is left for it.
+// output — the response payload — into the job output.
 func (b *clusterBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {
 	out, err := b.m.callWorker(node, "run-reduce", &reduceReq{Job: job, Reducer: reducer}, nil)
 	if err != nil {
@@ -172,6 +171,3 @@ func (b *clusterBackend) AwaitReduce(job, reducer int, node topology.NodeID) err
 	}
 	return nil
 }
-
-// ReduceFinish implements runtime.Backend; AwaitReduce did the work.
-func (b *clusterBackend) ReduceFinish(job, reducer int) {}

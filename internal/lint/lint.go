@@ -111,6 +111,7 @@ func Analyzers() []*Analyzer {
 		Maporder,
 		Netboundary,
 		Panicmsg,
+		Serial,
 		Tracepair,
 	}
 }

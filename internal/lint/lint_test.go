@@ -122,6 +122,7 @@ func TestErrsinkFixture(t *testing.T)     { checkFixture(t, Errsink, "errsink") 
 func TestNetboundaryFixture(t *testing.T) { checkFixture(t, Netboundary, "netboundary") }
 func TestFloateqFixture(t *testing.T)     { checkFixture(t, Floateq, "floateq") }
 func TestPanicmsgFixture(t *testing.T)    { checkFixture(t, Panicmsg, "panicmsg") }
+func TestSerialFixture(t *testing.T)      { checkFixture(t, Serial, "serial") }
 
 // TestSuppression drives the suppression machinery over a fixture with
 // two valid directives (above-line and same-line), one with a missing
@@ -215,6 +216,24 @@ func TestAppliesTo(t *testing.T) {
 	} {
 		if got := Determinism.appliesTo(path); got != want {
 			t.Errorf("determinism.appliesTo(%q) = %v, want %v", path, got, want)
+		}
+	}
+	// The serial core is narrower: the engines and the experiment runner
+	// that run work in parallel stay outside it.
+	for path, want := range map[string]bool{
+		"internal/sim":      true,
+		"internal/runtime":  true,
+		"internal/mapred":   true,
+		"internal/sched":    true,
+		"internal/netsim":   true,
+		"internal/topology": true,
+		"internal/minimr":   false,
+		"internal/exp":      false,
+		"internal/cluster":  false,
+		"internal/dfs":      false,
+	} {
+		if got := Serial.appliesTo(path); got != want {
+			t.Errorf("serial.appliesTo(%q) = %v, want %v", path, got, want)
 		}
 	}
 	if !Maporder.appliesTo("internal/anything") {

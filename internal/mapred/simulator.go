@@ -202,15 +202,12 @@ func (b *simBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.C
 	return nil
 }
 
-// ReduceDuration implements runtime.Backend: charge a sampled reduce
+// StartReduce implements runtime.Backend: charge a sampled reduce
 // duration, independent of the received volume.
-func (b *simBackend) ReduceDuration(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
+func (b *simBackend) StartReduce(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
 	spec := &b.specs[job]
 	return b.RNG.Normal(spec.ReduceTime.Mean, spec.ReduceTime.Std) * b.speed(node)
 }
 
 // ReduceReset implements runtime.Backend: nothing buffered to discard.
 func (b *simBackend) ReduceReset(job, reducer int) {}
-
-// ReduceFinish implements runtime.Backend: nothing to finalize.
-func (b *simBackend) ReduceFinish(job, reducer int) {}

@@ -21,11 +21,14 @@ import (
 	"degradedfirst/internal/runtime"
 )
 
-// Mapper processes one input block and emits intermediate records.
+// Mapper processes one input block and emits intermediate records. The
+// engine runs several at once, off the caller's goroutine, so a Mapper
+// must be safe for concurrent use; the block is read-only.
 type Mapper func(block []byte, emit func(key, value string))
 
 // Reducer processes one key's values and emits output records. The
-// values slice is valid only during the call.
+// values slice is valid only during the call. The engine runs reducers
+// one at a time, off the caller's goroutine.
 type Reducer func(key string, values []string, emit func(key, value string))
 
 // Job is one MapReduce job over a DFS file.

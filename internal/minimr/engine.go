@@ -3,6 +3,8 @@ package minimr
 import (
 	"context"
 	"fmt"
+	goruntime "runtime"
+	"sync"
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/runtime"
@@ -30,13 +32,22 @@ func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Rep
 		return nil, err
 	}
 	backend := newRealBackend(h, jobs)
+	defer backend.stop()
 	return h.Run(ctx, backend, backend.outputs)
 }
 
+// newRealBackend starts the backend's lanes; stop ends them. A lane's
+// queue holds one task per slot of its kind, as many as can run at once,
+// so the simulation goroutine waits on a send only behind work that a
+// requeue or a reset abandoned.
 func newRealBackend(h *Harness, jobs []Job) *realBackend {
-	backend := &realBackend{Healer: h.Healer, jobs: jobs}
+	cluster := h.Healer.FS.Cluster()
+	backend := &realBackend{Healer: h.Healer, jobs: jobs,
+		maps:    newLane(goruntime.GOMAXPROCS(0), cluster.TotalMapSlots()),
+		reduces: newLane(1, cluster.TotalReduceSlots())}
 	for i := range jobs {
 		backend.bufs = append(backend.bufs, make([][]RecordBuf, jobs[i].NumReducers))
+		backend.reducing = append(backend.reducing, make([]chan reduceOutcome, jobs[i].NumReducers))
 		backend.outputs = append(backend.outputs, make(map[string]string))
 	}
 	return backend
@@ -45,16 +56,57 @@ func newRealBackend(h *Harness, jobs []Job) *realBackend {
 // realBackend is the real-bytes runtime backend: map inputs are read (or
 // decoded) from the DFS, the real map and reduce functions run over real
 // records, and task costs are calibrated from the processed byte counts.
+//
+// Reading and decoding stay on the simulation goroutine, beside the
+// repairs that change the store. The map and reduce functions, which
+// only read their input, run on two lanes: maps on GOMAXPROCS workers,
+// reduces on one (a wider reduce lane keeps more shuffles live at once).
+// Each task's result comes back through a future the runtime awaits at
+// the task's virtual completion instant, and is merged into the job
+// output there, so the output, the schedule and the trace are those of
+// a serial run.
 type realBackend struct {
 	*runtime.Healer // the store and the input planner
 	jobs            []Job
 	// bufs[job][reducer] lists, in delivery order, the map-output
-	// buffers the shuffle delivered; they stay owned by their map tasks.
-	bufs    [][][]RecordBuf
-	outputs []map[string]string
+	// buffers the shuffle delivered until the reducer starts; they stay
+	// owned by their map tasks.
+	bufs [][][]RecordBuf
+	// reducing[job][reducer] is the future of a started reduce.
+	reducing [][]chan reduceOutcome
+	outputs  []map[string]string
+
+	maps, reduces *lane
 }
 
-var _ runtime.Backend = (*realBackend)(nil)
+var (
+	_ runtime.Backend      = (*realBackend)(nil)
+	_ runtime.AsyncBackend = (*realBackend)(nil)
+)
+
+// mapOutcome is what Execute's future resolves to: the shuffle chunks of
+// a job with reducers, or a map-only job's output.
+type mapOutcome struct {
+	chunks []runtime.Chunk
+	output RecordBuf
+	err    error
+}
+
+// reduceOutcome is what StartReduce's future resolves to: the reducer's
+// output records in emit order.
+type reduceOutcome struct {
+	records []record
+	err     error
+}
+
+type record struct{ key, value string }
+
+// stop waits for the lanes' queued work, which a failed or cancelled run
+// may have left, and for their goroutines to exit.
+func (b *realBackend) stop() {
+	b.maps.stop()
+	b.reduces.stop()
+}
 
 func (b *realBackend) speed(id topology.NodeID) float64 {
 	return b.FS.Cluster().Node(id).SpeedFactor
@@ -82,28 +134,55 @@ func (b *realBackend) PlanInput(job, task int, class sched.Class, node topology.
 	return plan, nil
 }
 
-// Execute implements runtime.Backend: run the real map function,
-// partition its output into one chunk per reducer, and charge the
-// calibrated CPU time. A map-only job's map output is the job output.
+// Execute implements runtime.Backend: queue the real map function and
+// the partitioning of its output on the map lane, and charge the
+// calibrated CPU time. The output payload is the future AwaitOutput
+// resolves.
 func (b *realBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	js := &b.jobs[job]
 	data := input.([]byte)
-	dur := js.MapCost.Seconds(float64(len(data))) * b.speed(node)
+	fut := make(chan mapOutcome, 1) // buffered: a requeued task's is never read
+	b.maps.work <- func() {
+		var o mapOutcome
+		o.err = guard(js, "map", task, func() error {
+			o.chunks, o.output = mapTask(js, data)
+			return nil
+		})
+		fut <- o
+	}
+	return js.MapCost.Seconds(float64(len(data))) * b.speed(node), fut
+}
+
+// mapTask maps one block and cuts its output into one chunk per reducer;
+// a map-only job's output comes back whole.
+func mapTask(js *Job, data []byte) ([]runtime.Chunk, RecordBuf) {
 	parts, sizes := MapBlock(js, data)
 	if js.NumReducers == 0 {
-		if err := parts[0].MergeInto(b.outputs[job]); err != nil {
-			panic(fmt.Sprintf("minimr: map output of job %d task %d: %v", job, task, err))
-		}
-		return dur, nil
+		return nil, parts[0]
 	}
 	chunks := make([]runtime.Chunk, len(parts))
 	for i, p := range parts {
 		chunks[i] = runtime.Chunk{Bytes: sizes[i], Data: p}
 	}
-	return dur, chunks
+	return chunks, nil
 }
 
-// Partitions implements runtime.Backend: Execute already cut the chunks.
+// AwaitOutput implements runtime.AsyncBackend: wait for the map lane.
+// A map-only job's output merges into the job output here, in
+// completion order.
+func (b *realBackend) AwaitOutput(job, task int, node topology.NodeID, output any) (any, error) {
+	o := <-output.(chan mapOutcome)
+	if o.err != nil {
+		return nil, o.err
+	}
+	if b.jobs[job].NumReducers == 0 {
+		return nil, o.output.MergeInto(b.outputs[job])
+	}
+	return o.chunks, nil
+}
+
+// Partitions implements runtime.Backend: the map lane already cut the
+// chunks.
 func (b *realBackend) Partitions(job, task int, output any) []runtime.Chunk {
 	return output.([]runtime.Chunk)
 }
@@ -119,25 +198,96 @@ func (b *realBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.
 	return nil
 }
 
-// ReduceDuration implements runtime.Backend: calibrated from the real
-// shuffle volume received.
-func (b *realBackend) ReduceDuration(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
-	return b.jobs[job].ReduceCost.Seconds(receivedBytes) * b.speed(node)
+// StartReduce implements runtime.Backend: hand the received buffers to
+// the reduce lane, and charge a time calibrated from the real shuffle
+// volume received.
+func (b *realBackend) StartReduce(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
+	js := &b.jobs[job]
+	bufs := b.bufs[job][reducer]
+	b.bufs[job][reducer] = nil
+	fut := make(chan reduceOutcome, 1) // buffered: a reset reducer's is never read
+	b.reducing[job][reducer] = fut
+	b.reduces.work <- func() {
+		var o reduceOutcome
+		o.err = guard(js, "reducer", reducer, func() error {
+			g, err := groupRecords(bufs)
+			if err != nil {
+				return err
+			}
+			o.records = make([]record, 0, len(g.keys)) // one record per key is the common case
+			g.reduce(js.Reduce, func(k, v string) { o.records = append(o.records, record{k, v}) })
+			return nil
+		})
+		fut <- o
+	}
+	return js.ReduceCost.Seconds(receivedBytes) * b.speed(node)
 }
 
 // ReduceReset implements runtime.Backend: drop the records buffered on
-// the failed node; the restarted reducer re-fetches everything.
+// the failed node and any reduce already started over them; the
+// restarted reducer re-fetches everything.
 func (b *realBackend) ReduceReset(job, reducer int) {
 	b.bufs[job][reducer] = nil
+	b.reducing[job][reducer] = nil
 }
 
-// ReduceFinish implements runtime.Backend: run the real reduce function
-// over the received records and merge its output into the job output.
-func (b *realBackend) ReduceFinish(job, reducer int) {
-	out := b.outputs[job]
-	err := ReduceBufs(b.jobs[job].Reduce, b.bufs[job][reducer], func(k, v string) { out[k] = v })
-	if err != nil {
-		// The buffers never left this process; MapBlock packed them.
-		panic(fmt.Sprintf("minimr: job %d reducer %d: %v", job, reducer, err))
+// AwaitReduce implements runtime.AsyncBackend: wait for the reduce lane
+// and merge the reducer's output into the job output, in completion
+// order.
+func (b *realBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {
+	o := <-b.reducing[job][reducer]
+	b.reducing[job][reducer] = nil
+	if o.err != nil {
+		return o.err
 	}
+	out := b.outputs[job]
+	if len(out) == 0 {
+		// The reducers split the keys by hash, so the first output to
+		// arrive sizes the job's map for all of them.
+		out = make(map[string]string, len(o.records)*b.jobs[job].NumReducers)
+		b.outputs[job] = out
+	}
+	for _, r := range o.records {
+		out[r.key] = r.value
+	}
+	return nil
+}
+
+// guard runs one task's work on a lane, returning its error, and a panic
+// in the job's own map or reduce function as an error too, so that it
+// fails the run rather than the process.
+func guard(js *Job, kind string, task int, work func() error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("minimr: job %q %s %d panicked: %v", js.Name, kind, task, p)
+		}
+	}()
+	return work()
+}
+
+// lane runs work off the simulation goroutine: a fixed set of goroutines
+// taking funcs from one FIFO queue, depth funcs deep before a send waits.
+type lane struct {
+	work chan func()
+	done sync.WaitGroup
+}
+
+func newLane(workers, depth int) *lane {
+	l := &lane{work: make(chan func(), depth)}
+	l.done.Add(workers)
+	for range workers {
+		go func() {
+			defer l.done.Done()
+			for fn := range l.work {
+				fn()
+			}
+		}()
+	}
+	return l
+}
+
+// stop runs what is queued and returns once every goroutine has exited.
+func (l *lane) stop() {
+	close(l.work)
+	l.done.Wait()
 }

@@ -2,11 +2,16 @@ package minimr
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"reflect"
+	goruntime "runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
@@ -15,6 +20,7 @@ import (
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
+	"degradedfirst/internal/trace"
 	"degradedfirst/internal/workload"
 )
 
@@ -273,20 +279,98 @@ func TestMultiJobFIFOOnTestbed(t *testing.T) {
 	}
 }
 
+// testbedMix is the paper's Fig. 9b job mix over the test corpus, eight
+// reducers each, submitted one virtual second apart.
+func testbedMix() []Job {
+	jobs := []Job{WordCountJob("input.txt", 8), GrepJob("input.txt", "whale", 8), LineCountJob("input.txt", 8)}
+	jobs[1].SubmitAt, jobs[2].SubmitAt = 1, 2
+	return jobs
+}
+
+// TestDeterminism: the same seed gives the same Report and the same JSONL
+// trace bytes whatever GOMAXPROCS is, so neither the width of the map
+// lane nor the wall-clock order its work finishes in reaches a result.
 func TestDeterminism(t *testing.T) {
-	run := func() *Report {
+	run := func(procs int) (*Report, []byte) {
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
 		fs, _ := testbedFS(t, 8)
 		fs.Cluster().FailNode(1)
-		rep, err := Run(fs, testOpts(sched.KindEDF), []Job{WordCountJob("input.txt", 8)})
+		var out bytes.Buffer
+		sink := trace.NewJSONL(&out)
+		opts := testOpts(sched.KindEDF)
+		opts.Trace = sink
+		rep, err := Run(fs, opts, testbedMix())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rep, out.Bytes()
 	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed must give identical reports")
+	wantRep, wantTrace := run(1)
+	for _, procs := range []int{2, 4} {
+		rep, tr := run(procs)
+		if !reflect.DeepEqual(rep, wantRep) {
+			t.Errorf("GOMAXPROCS %d: report differs from GOMAXPROCS 1's", procs)
+		}
+		if !bytes.Equal(tr, wantTrace) {
+			t.Errorf("GOMAXPROCS %d: %d trace bytes differ from GOMAXPROCS 1's %d", procs, len(tr), len(wantTrace))
+		}
 	}
+}
+
+// cancelOn is a trace sink that cancels a run at its first event of one
+// type.
+type cancelOn struct {
+	typ    trace.Type
+	cancel context.CancelFunc
+}
+
+func (c cancelOn) Emit(e trace.Event) {
+	if e.Type == c.typ {
+		c.cancel()
+	}
+}
+
+// TestNoWorkerLeak: no lane goroutine outlives the run, whether it
+// finished, was cancelled with map and reduce work still queued, or
+// failed on a panicking map function.
+func TestNoWorkerLeak(t *testing.T) {
+	fs, _ := testbedFS(t, 8)
+	fs.Cluster().FailNode(1)
+	before := goruntime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		// A lane goroutine that called Done may not have returned yet; a
+		// leaked one never does.
+		for wait := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(wait) {
+				t.Fatalf("after %s: %d goroutines, %d before", what, goruntime.NumGoroutine(), before)
+			}
+		}
+	}
+
+	if _, err := Run(fs, testOpts(sched.KindEDF), testbedMix()); err != nil {
+		t.Fatal(err)
+	}
+	settled("a Run")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := testOpts(sched.KindEDF)
+	opts.Trace = cancelOn{trace.EvReduceStart, cancel}
+	if _, err := RunContext(ctx, fs, opts, testbedMix()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	settled("a cancelled RunContext")
+
+	boom := WordCountJob("input.txt", 8)
+	boom.Map = func([]byte, func(k, v string)) { panic("minimr: test map function fails") }
+	if _, err := Run(fs, testOpts(sched.KindEDF), []Job{boom}); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("run with a panicking map function returned %v", err)
+	}
+	settled("a Run whose map function panicked")
 }
 
 func TestCostSeconds(t *testing.T) {
@@ -444,6 +528,7 @@ func TestPlanInputPlansWholeFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newRealBackend(h, jobs)
+	defer b.stop()
 	task := slices.IndexFunc(h.RJobs[0].Tasks, func(s sched.TaskSpec) bool { return s.Holder == 3 })
 	if task < 0 {
 		t.Fatal("failed node held no native block; scenario is vacuous")

@@ -114,14 +114,33 @@ func MapBlock(job *Job, block []byte) (parts []RecordBuf, bytes []float64) {
 // the distinct keys and counts their values, a second lays every value
 // into one shared slice — so no per-key slice grows.
 func ReduceBufs(reduce Reducer, bufs []RecordBuf, emit func(key, value string)) error {
+	g, err := groupRecords(bufs)
+	if err != nil {
+		return err
+	}
+	g.reduce(reduce, emit)
+	return nil
+}
+
+// grouping is the records of a reducer's buffers grouped by key: group
+// g's values are values[end[g]-counts[g]:end[g]], in buffer order.
+type grouping struct {
+	keys   []string
+	counts []int32
+	end    []int32
+	values []string
+}
+
+// groupRecords is ReduceBufs up to the first reduce call.
+func groupRecords(bufs []RecordBuf) (*grouping, error) {
 	records := 0
 	for _, b := range bufs {
 		if err := b.Each(func(_, _ []byte) { records++ }); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if records > math.MaxInt32 {
-		return fmt.Errorf("minimr: %d records to reduce, at most %d fit", records, math.MaxInt32)
+		return nil, fmt.Errorf("minimr: %d records to reduce, at most %d fit", records, math.MaxInt32)
 	}
 
 	// Every buffer decoded above, so the walks below cannot fail.
@@ -157,16 +176,21 @@ func ReduceBufs(reduce Reducer, bufs []RecordBuf, emit func(key, value string)) 
 		})
 	}
 
-	order := make([]int32, len(keys)) // group ids by key
+	// pos[g] is now the group's end.
+	return &grouping{keys: keys, counts: counts, end: pos, values: values}, nil
+}
+
+// reduce calls the reduce function once per key, in sorted key order.
+func (gr *grouping) reduce(reduce Reducer, emit func(key, value string)) {
+	order := make([]int32, len(gr.keys)) // group ids by key
 	for g := range order {
 		order[g] = int32(g)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(keys[a], keys[b]) })
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(gr.keys[a], gr.keys[b]) })
 	for _, g := range order {
-		end := pos[g] // pos[g] is now the group's end
-		reduce(keys[g], values[end-counts[g]:end:end], emit)
+		end := gr.end[g]
+		reduce(gr.keys[g], gr.values[end-gr.counts[g]:end:end], emit)
 	}
-	return nil
 }
 
 // PartitionOf maps an intermediate key to its reducer index: FNV-1a over

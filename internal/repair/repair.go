@@ -256,14 +256,11 @@ func (q *Queue) before(a, b *Item) bool {
 	return a.seq < b.seq
 }
 
-// Peek returns the highest-priority item whose key skip admits (skip
-// nil admits all), without removing it. Returns nil when none qualifies.
-func (q *Queue) Peek(skip func(Key) bool) *Item {
+// Peek returns the highest-priority item without removing it, or nil
+// when the queue is empty.
+func (q *Queue) Peek() *Item {
 	var best *Item
 	for _, it := range q.items {
-		if skip != nil && skip(it.Key) {
-			continue
-		}
 		if best == nil || q.before(it, best) {
 			best = it
 		}

@@ -64,7 +64,7 @@ func TestQueueFIFOOrder(t *testing.T) {
 	q.Upsert(key(2), 1, 1, 2, 0, false)
 	var got []int
 	for q.Len() > 0 {
-		it := q.Peek(nil)
+		it := q.Peek()
 		got = append(got, it.Key.Stripe)
 		q.Remove(it.Key)
 	}
@@ -83,7 +83,7 @@ func TestQueueMostAtRiskOrder(t *testing.T) {
 	q.Upsert(key(2), 1, 0, 2, 0, false) // same spare as stripe 1: seq breaks tie
 	var got []int
 	for q.Len() > 0 {
-		it := q.Peek(nil)
+		it := q.Peek()
 		got = append(got, it.Key.Stripe)
 		q.Remove(it.Key)
 	}
@@ -102,7 +102,7 @@ func TestQueueDeadlineOrder(t *testing.T) {
 	q.Upsert(key(3), 1, 1, 2, 122, false)
 	var got []int
 	for q.Len() > 0 {
-		it := q.Peek(nil)
+		it := q.Peek()
 		got = append(got, it.Key.Stripe)
 		q.Remove(it.Key)
 	}
@@ -119,7 +119,7 @@ func TestQueueBoostWinsUnderEveryPolicy(t *testing.T) {
 		q := NewQueue(p)
 		q.Upsert(key(1), 1, 0, 0, 10, false) // earliest, most at risk, tightest deadline
 		q.Upsert(key(2), 1, 5, 9, 999, true) // but boosted
-		if it := q.Peek(nil); it.Key.Stripe != 2 {
+		if it := q.Peek(); it.Key.Stripe != 2 {
 			t.Fatalf("policy %v: boosted item lost to %v", p, it.Key)
 		}
 	}
@@ -158,17 +158,18 @@ func TestQueueUpsertSemantics(t *testing.T) {
 	}
 }
 
-func TestQueuePeekSkip(t *testing.T) {
+func TestQueuePeekAfterRemove(t *testing.T) {
 	q := NewQueue(FIFO)
 	q.Upsert(key(1), 1, 1, 0, 0, false)
 	q.Upsert(key(2), 1, 1, 1, 0, false)
-	it := q.Peek(func(k Key) bool { return k.Stripe == 1 })
+	q.Remove(key(1))
+	it := q.Peek()
 	if it == nil || it.Key.Stripe != 2 {
-		t.Fatalf("Peek with skip = %v, want stripe 2", it)
+		t.Fatalf("Peek after removing the head = %v, want stripe 2", it)
 	}
-	it = q.Peek(func(Key) bool { return true })
-	if it != nil {
-		t.Fatalf("Peek skipping all = %v, want nil", it)
+	q.Remove(key(2))
+	if it := q.Peek(); it != nil {
+		t.Fatalf("Peek on an emptied queue = %v, want nil", it)
 	}
 }
 

@@ -15,7 +15,8 @@
 // of it, whether or not a run turns hedging or repair on; input planning
 // and the storage half are one Healer over the engine's dfs.FS. The one
 // optional extension is AsyncBackend, for engines whose task work runs
-// outside the simulation goroutine.
+// outside the simulation goroutine (minimr and the TCP cluster). The
+// runtime itself starts no goroutine.
 package runtime
 
 import (
@@ -128,15 +129,16 @@ type Backend interface {
 	// returns it when the real transfer fails); any other error aborts the
 	// run.
 	Deliver(job, reducer int, node topology.NodeID, c Chunk) error
-	// ReduceDuration returns the reduce processing time on `node` given
-	// the shuffle volume received.
-	ReduceDuration(job, reducer int, node topology.NodeID, receivedBytes float64) float64
-	// ReduceReset discards a reducer's received state when its node fails
-	// and the reducer restarts elsewhere.
+	// StartReduce starts a reducer once every map output has been
+	// delivered to it, and returns its processing time on `node` given
+	// the shuffle volume received. An AsyncBackend may hand the real
+	// reduce off here; AwaitReduce collects it at the reducer's virtual
+	// completion instant.
+	StartReduce(job, reducer int, node topology.NodeID, receivedBytes float64) float64
+	// ReduceReset discards a reducer's received state, and any reduce
+	// StartReduce began for it, when its node fails and the reducer
+	// restarts elsewhere.
 	ReduceReset(job, reducer int)
-	// ReduceFinish finalizes a reducer (minimr runs the real reduce
-	// function here).
-	ReduceFinish(job, reducer int)
 
 	// The healer's storage half, called only when Options.Repair is
 	// active.
@@ -161,10 +163,12 @@ type Backend interface {
 }
 
 // AsyncBackend is the optional Backend extension for engines whose task
-// work runs outside the simulation goroutine (the distributed runtime
-// dispatches it to worker processes). The runtime calls these blocking
-// hooks at the task's virtual completion instant, so real wall-clock
-// time passes only inside them while the virtual schedule stays put.
+// work runs outside the simulation goroutine: the distributed runtime
+// dispatches it to worker processes, minimr to a pool of goroutines. The
+// runtime calls these blocking hooks at the task's virtual completion
+// instant, so real wall-clock time passes only inside them while the
+// virtual schedule stays put. Work abandoned by a requeue or a reducer
+// reset is never awaited.
 type AsyncBackend interface {
 	// AwaitOutput blocks until the real map work behind Execute's output
 	// payload has finished and returns the resolved output (handed to
@@ -172,8 +176,9 @@ type AsyncBackend interface {
 	// task via failure recovery; any other error aborts the run.
 	AwaitOutput(job, task int, node topology.NodeID, output any) (any, error)
 	// AwaitReduce blocks until the real reduce work for the reducer on
-	// `node` has finished, immediately before ReduceFinish. Errors follow
-	// the AwaitOutput contract (DeadNodeError restarts the reducer).
+	// `node` has finished and its output is part of the job's. Errors
+	// follow the AwaitOutput contract (DeadNodeError restarts the
+	// reducer).
 	AwaitReduce(job, reducer int, node topology.NodeID) error
 }
 

@@ -81,11 +81,10 @@ func (b *hedgeBackend) Partitions(job, task int, output any) []runtime.Chunk { r
 func (b *hedgeBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
 	return nil
 }
-func (b *hedgeBackend) ReduceDuration(job, reducer int, node topology.NodeID, bytes float64) float64 {
+func (b *hedgeBackend) StartReduce(job, reducer int, node topology.NodeID, bytes float64) float64 {
 	return 1
 }
-func (b *hedgeBackend) ReduceReset(job, reducer int)  {}
-func (b *hedgeBackend) ReduceFinish(job, reducer int) {}
+func (b *hedgeBackend) ReduceReset(job, reducer int) {}
 
 // runHedgeScenario runs the scenario once. poll, when non-nil, is the
 // PollFailures hook (for mid-run kills).

@@ -178,7 +178,7 @@ func (m *repairManager) pump() {
 		m.waitEv = nil
 	}
 	for m.active == nil {
-		it := m.queue.Peek(nil)
+		it := m.queue.Peek()
 		if it == nil {
 			return
 		}

@@ -167,11 +167,10 @@ func (b *repairStore) Partitions(job, task int, output any) []runtime.Chunk { re
 func (b *repairStore) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
 	return nil
 }
-func (b *repairStore) ReduceDuration(job, reducer int, node topology.NodeID, bytes float64) float64 {
+func (b *repairStore) StartReduce(job, reducer int, node topology.NodeID, bytes float64) float64 {
 	return 1
 }
-func (b *repairStore) ReduceReset(job, reducer int)  {}
-func (b *repairStore) ReduceFinish(job, reducer int) {}
+func (b *repairStore) ReduceReset(job, reducer int) {}
 
 // runRepairScenario runs one job (a single task on alive node 7's data)
 // against the given store with repair configured.

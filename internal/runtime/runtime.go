@@ -307,7 +307,7 @@ type jobState struct {
 	// recovery: output of task i lives on mapNode[i] and splits into
 	// parts[i] (one Chunk per reducer). parts[i] is the backend's slice,
 	// which may be shared between maps: it is only read, and a requeue
-	// drops it by setting parts[i] to nil.
+	// drops it by setting parts[i] to nil. finishJob drops them all.
 	mapDone []bool
 	mapNode []topology.NodeID
 	parts   [][]Chunk
@@ -823,7 +823,7 @@ func (s *state) checkReducer(r *reducerState) {
 	e.Node = int(r.node)
 	e.Bytes = r.receivedBytes
 	s.emit(e)
-	dur := s.backend.ReduceDuration(js.idx, r.idx, r.node, r.receivedBytes)
+	dur := s.backend.StartReduce(js.idx, r.idx, r.node, r.receivedBytes)
 	r.procEv = s.eng.Schedule(dur, func() { s.completeReducer(r) })
 }
 
@@ -838,7 +838,6 @@ func (s *state) completeReducer(r *reducerState) {
 			return
 		}
 	}
-	s.backend.ReduceFinish(js.idx, r.idx)
 	r.done = true
 	r.procEv = nil
 
@@ -864,6 +863,9 @@ func (s *state) finishJob(js *jobState) {
 		return
 	}
 	js.finishedJ = true
+	// Failure recovery skips a finished job, so nothing reads its shuffle
+	// again: let the map outputs go.
+	js.parts, js.shuffleFlows = nil, nil
 	s.queue.JobFinished(js.idx)
 	s.finished++
 	e := s.ev(trace.EvJobFinish)
