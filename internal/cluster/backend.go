@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"degradedfirst/internal/minimr"
@@ -13,14 +14,20 @@ import (
 // turning each task's work into RPCs against worker processes. Virtual
 // costs stay exactly the in-process engine's (calibrated per-task times,
 // planned transfers through the network model); the real bytes move
-// between workers. All methods run on the simulation goroutine; only the
-// run-map dispatch goroutines live outside it, and they communicate
-// solely through each future's buffered channel.
+// between workers. All methods run on the simulation goroutine. The RPCs
+// behind a map (run-map), a shuffle delivery (fetch-chunk) and a reduce
+// (run-reduce) each run on a goroutine of their own, which talks to the
+// simulation goroutine solely through its future's buffered channel.
 type clusterBackend struct {
 	*runtime.Healer // the store and input planner; repair.go overrides CommitRepair
 	m               *Master
 	jobs            []minimr.Job
 	outputs         []map[string]string
+	// fetches[job][reducer] are the futures of the fetch-chunk RPCs
+	// Deliver started for the reducer since its last reset, and
+	// reducing[job][reducer] the future of its started reduce.
+	fetches  [][][]chan error
+	reducing [][]chan reduceOutcome
 }
 
 var (
@@ -49,10 +56,19 @@ type mapDone struct {
 	sizes []float64
 }
 
+// reduceOutcome is what StartReduce's future resolves to: the reducer's
+// packed output, or the first failure of its fetches or of the reduce.
+type reduceOutcome struct {
+	output minimr.RecordBuf
+	err    error
+}
+
 func newClusterBackend(m *Master, h *minimr.Harness, jobs []minimr.Job) *clusterBackend {
 	b := &clusterBackend{Healer: h.Healer, m: m, jobs: jobs}
-	for range jobs {
+	for _, js := range jobs {
 		b.outputs = append(b.outputs, make(map[string]string))
+		b.fetches = append(b.fetches, make([][]chan error, js.NumReducers))
+		b.reducing = append(b.reducing, make([]chan reduceOutcome, js.NumReducers))
 	}
 	return b
 }
@@ -134,39 +150,88 @@ func (b *clusterBackend) Partitions(job, task int, output any) []runtime.Chunk {
 	return chunks
 }
 
-// Deliver implements runtime.Backend: tell the reducer's worker to pull
-// the partition from the mapper's worker. A dead mapper surfaces as
-// *runtime.DeadNodeError, which marks the chunk undelivered and
-// re-executes the lost map task.
+// Deliver implements runtime.Backend: start the reducer's worker pulling
+// the partition from the mapper's worker, and accept the chunk at once,
+// as a Hadoop reducer copies map output on its own. The fetch-chunk RPC
+// runs on its own goroutine; the reducer's reduce awaits it, so a failed
+// fetch (a dead mapper) comes back from AwaitReduce.
 func (b *clusterBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
 	src := c.Data.(*mapDone)
-	_, err := b.m.callWorker(node, "fetch-chunk", &chunkFetchReq{
-		Job: job, Reducer: reducer, MapTask: src.task, Node: int(src.node), Addr: src.addr,
-	}, nil)
-	return err
+	req := &chunkFetchReq{Job: job, Reducer: reducer, MapTask: src.task, Node: int(src.node), Addr: src.addr}
+	fut := make(chan error, 1) // buffered: a reset reducer's is never read
+	go func() {
+		_, err := b.m.callWorker(node, "fetch-chunk", req, nil)
+		fut <- err
+	}()
+	b.fetches[job][reducer] = append(b.fetches[job][reducer], fut)
+	return nil
 }
 
 // StartReduce implements runtime.Backend: calibrated from the real
-// shuffle volume, as in-process. The reduce itself runs in AwaitReduce.
+// shuffle volume, as in-process. A goroutine of its own awaits the
+// reducer's fetches and then runs the real reduce on the reducer's
+// worker; AwaitReduce collects its future.
 func (b *clusterBackend) StartReduce(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
+	fetches := b.fetches[job][reducer]
+	b.fetches[job][reducer] = nil
+	fut := make(chan reduceOutcome, 1) // buffered: a reset reducer's is never read
+	b.reducing[job][reducer] = fut
+	go func() {
+		var o reduceOutcome
+		if o.err = awaitFetches(fetches); o.err == nil {
+			o.output, o.err = b.m.callWorker(node, "run-reduce", &reduceReq{Job: job, Reducer: reducer}, nil)
+		}
+		fut <- o
+	}()
 	return b.jobs[job].ReduceCost.Seconds(receivedBytes) * b.speed(node)
 }
 
-// ReduceReset implements runtime.Backend. On the wire it is a no-op: a
-// restarted reducer re-fetches every partition deterministically, and a
-// re-fetch overwrites any stale chunk a worker still buffers, so there
-// is no remote state to clear.
-func (b *clusterBackend) ReduceReset(job, reducer int) {}
-
-// AwaitReduce implements runtime.AsyncBackend: run the real reduce on
-// the reducer's worker at its virtual completion instant and merge its
-// output — the response payload — into the job output.
-func (b *clusterBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {
-	out, err := b.m.callWorker(node, "run-reduce", &reduceReq{Job: job, Reducer: reducer}, nil)
-	if err != nil {
-		return err
+// awaitFetches waits for every fetch future. It returns the first error
+// that names no dead node, else one *runtime.DeadNodeError naming every
+// node the fetches found dead (once per failed fetch), else nil.
+func awaitFetches(fetches []chan error) error {
+	var dead []topology.NodeID
+	var other error
+	for _, fut := range fetches {
+		err := <-fut
+		var dn *runtime.DeadNodeError
+		switch {
+		case err == nil:
+		case errors.As(err, &dn):
+			dead = append(dead, dn.Nodes...)
+		case other == nil:
+			other = err
+		}
 	}
-	if err := minimr.RecordBuf(out).MergeInto(b.outputs[job]); err != nil {
+	if other != nil {
+		return other
+	}
+	if len(dead) > 0 {
+		return &runtime.DeadNodeError{Nodes: dead}
+	}
+	return nil
+}
+
+// ReduceReset implements runtime.Backend: drop the reducer's fetch and
+// reduce futures. The restarted reducer re-fetches every partition, and
+// the worker's reduce consumes what it fetched, so no remote state is
+// left to clear.
+func (b *clusterBackend) ReduceReset(job, reducer int) {
+	b.fetches[job][reducer] = nil
+	b.reducing[job][reducer] = nil
+}
+
+// AwaitReduce implements runtime.AsyncBackend: wait for the reducer's
+// fetches and reduce, and merge its output — the run-reduce response
+// payload — into the job output. A fetch that failed comes back as the
+// *runtime.DeadNodeError naming its mapper.
+func (b *clusterBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {
+	o := <-b.reducing[job][reducer]
+	b.reducing[job][reducer] = nil
+	if o.err != nil {
+		return o.err
+	}
+	if err := o.output.MergeInto(b.outputs[job]); err != nil {
 		return fmt.Errorf("cluster: output of job %d reducer %d from node %d: %w", job, reducer, node, err)
 	}
 	return nil

@@ -467,7 +467,9 @@ func (w *Worker) fetchChunk(req *chunkFetchReq) (any, []byte, error) {
 
 // runReduce runs the real reduce function over every partition this
 // node fetched for the reducer, in deterministic order — chunks by map
-// task index, then keys sorted — and returns the packed output.
+// task index, then keys sorted — and returns the packed output. The
+// partitions leave the reduce buffer as it takes them: a restarted
+// reducer fetches them all again.
 func (w *Worker) runReduce(req *reduceReq) (any, []byte, error) {
 	job, err := w.job(req.Job)
 	if err != nil {
@@ -484,7 +486,9 @@ func (w *Worker) runReduce(req *reduceReq) (any, []byte, error) {
 	sort.Ints(tasks)
 	bufs := make([]minimr.RecordBuf, len(tasks))
 	for i, t := range tasks {
-		bufs[i] = w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: t}]
+		key := chunkKey{job: req.Job, reducer: req.Reducer, mapTask: t}
+		bufs[i] = w.rbuf[key]
+		delete(w.rbuf, key)
 	}
 	w.mu.Unlock()
 

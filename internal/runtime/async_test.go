@@ -1,0 +1,204 @@
+package runtime_test
+
+import (
+	"context"
+	"testing"
+
+	"degradedfirst/internal/erasure"
+	"degradedfirst/internal/runtime"
+	"degradedfirst/internal/sched"
+	"degradedfirst/internal/topology"
+	"degradedfirst/internal/trace"
+)
+
+// The late-fetch scenario: six nodes, six node-local maps, two reducers,
+// and chunks that take a virtual second each over a 1 MB/s link. Its
+// backend accepts every chunk at delivery, as the TCP cluster does, and
+// finds out only when a reduce is awaited that a fetch from a mapper
+// failed.
+const (
+	lateNodes     = 6
+	lateReducers  = 2
+	lateMapTime   = 5.0
+	lateReduceDur = 10.0
+	lateChunk     = 1e6
+	// lateLimit is a virtual time the scenario never reaches. A run still
+	// going then has stranded its job, and is cancelled rather than left
+	// heartbeating, and tracing, to the runtime's own limit.
+	lateLimit = 1000.0
+)
+
+// lateFetchBackend is an AsyncBackend whose AwaitReduce reports reducer
+// 0's first reduce as failed on two fetches from the dead mapper victim:
+// the cluster's names a mapper once per failed fetch.
+type lateFetchBackend struct {
+	*hedgeBackend
+	victim   topology.NodeID // < 0: every reduce succeeds
+	reported bool
+}
+
+var _ runtime.AsyncBackend = (*lateFetchBackend)(nil)
+
+func (b *lateFetchBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
+	return runtime.InputPlan{}, nil
+}
+
+func (b *lateFetchBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
+	return lateMapTime, nil
+}
+
+func (b *lateFetchBackend) Partitions(job, task int, output any) []runtime.Chunk {
+	chunks := make([]runtime.Chunk, lateReducers)
+	for i := range chunks {
+		chunks[i].Bytes = lateChunk
+	}
+	return chunks
+}
+
+func (b *lateFetchBackend) StartReduce(job, reducer int, node topology.NodeID, bytes float64) float64 {
+	return lateReduceDur
+}
+
+func (b *lateFetchBackend) AwaitOutput(job, task int, node topology.NodeID, output any) (any, error) {
+	return output, nil
+}
+
+func (b *lateFetchBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {
+	if b.victim < 0 || reducer != 0 || b.reported {
+		return nil
+	}
+	b.reported = true
+	return &runtime.DeadNodeError{Nodes: []topology.NodeID{b.victim, b.victim}}
+}
+
+// cancelAfter records a run's trace and cancels the run at its first
+// event past a virtual time.
+type cancelAfter struct {
+	trace.Memory
+	at     float64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Emit(e trace.Event) {
+	if e.T > c.at {
+		c.cancel()
+	}
+	c.Memory.Emit(e)
+}
+
+// runLateFetch runs the scenario; poll is the PollFailures hook.
+func runLateFetch(t *testing.T, victim topology.NodeID, poll func(float64) []topology.NodeID) []trace.Event {
+	t.Helper()
+	cluster := topology.MustNew(topology.Config{
+		Nodes: lateNodes, Racks: 2, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
+	})
+	tasks := make([]sched.TaskSpec, lateNodes)
+	for i := range tasks {
+		tasks[i] = sched.TaskSpec{Block: erasure.BlockID{Stripe: i}, Holder: topology.NodeID(i)}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mem := &cancelAfter{at: lateLimit, cancel: cancel}
+	_, err := runtime.Run(runtime.Params{
+		Name:    "late-fetch",
+		Ctx:     ctx,
+		Cluster: cluster,
+		Options: runtime.Options{
+			NodeBps:           lateChunk,
+			HeartbeatInterval: 1,
+			Trace:             mem,
+		},
+		PollFailures: poll,
+	}, &lateFetchBackend{hedgeBackend: &hedgeBackend{cluster: cluster}, victim: victim},
+		[]runtime.JobSpec{{Name: "j", Tasks: tasks, NumReducers: lateReducers}})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return mem.Events()
+}
+
+// TestAsyncReduceFailureReowesLateFetch: a reduce awaited as failed on a
+// fetch from a dead mapper restarts, and the mapper's output, which every
+// reducer had already counted as delivered, is made again — whether the
+// mapper is first reported dead by that reduce or was failed earlier by a
+// heartbeat deadline. The job finishes, the victim fails once, and every
+// map and reduce launch is closed by a finish, a requeue or a reset.
+func TestAsyncReduceFailureReowesLateFetch(t *testing.T) {
+	// A failure-free run finds the reducers' nodes and start times, and a
+	// mapper running no reducer to be the victim.
+	base := runLateFetch(t, -1, nil)
+	reduceNode := map[int]bool{}
+	lastStart := -1.0
+	for _, e := range trace.FilterType(base, trace.EvReduceStart) {
+		reduceNode[e.Node] = true
+		lastStart = max(lastStart, e.T)
+	}
+	victim, victimTask := topology.NodeID(-1), -1
+	for _, e := range trace.FilterType(base, trace.EvTaskFinish) {
+		if !reduceNode[e.Node] {
+			victim, victimTask = topology.NodeID(e.Node), e.Task
+			break
+		}
+	}
+	if len(reduceNode) != lateReducers || victim < 0 {
+		t.Fatalf("reducers on %v, victim %d: scenario is vacuous", reduceNode, victim)
+	}
+
+	for _, tc := range []struct {
+		name string
+		poll func(float64) []topology.NodeID
+	}{
+		{"reported by the reduce", nil},
+		// Every reducer holds the victim's chunk when the deadline fails
+		// it, so nothing is owed then.
+		{"failed earlier by a heartbeat deadline", killAfter(lastStart, victim)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := runLateFetch(t, victim, tc.poll)
+			if n := len(trace.FilterType(events, trace.EvJobFinish)); n != 1 {
+				t.Fatalf("%d jobs finished, want 1", n)
+			}
+			if fails := trace.FilterType(events, trace.EvNodeFail); len(fails) != 1 || fails[0].Node != int(victim) {
+				t.Errorf("node-fail events %v, want one for node %d", fails, victim)
+			}
+			mapLaunches, reduceLaunches := map[int]int{}, map[int]int{}
+			mapOpen, reduceOpen := map[int]bool{}, map[int]bool{}
+			for _, e := range events {
+				switch e.Type {
+				case trace.EvTaskLaunch:
+					if mapOpen[e.Task] {
+						t.Fatalf("map %d relaunched at %v while still open", e.Task, e.T)
+					}
+					mapOpen[e.Task] = true
+					mapLaunches[e.Task]++
+				case trace.EvTaskFinish, trace.EvTaskRequeue:
+					mapOpen[e.Task] = false
+				case trace.EvReduceLaunch:
+					if reduceOpen[e.Task] {
+						t.Fatalf("reducer %d relaunched at %v while still open", e.Task, e.T)
+					}
+					reduceOpen[e.Task] = true
+					reduceLaunches[e.Task]++
+				case trace.EvReduceFinish, trace.EvReduceReset:
+					reduceOpen[e.Task] = false
+				}
+			}
+			for task, open := range mapOpen {
+				if open {
+					t.Errorf("map %d launched and never finished", task)
+				}
+			}
+			for r, open := range reduceOpen {
+				if open {
+					t.Errorf("reducer %d launched and never finished", r)
+				}
+			}
+			if mapLaunches[victimTask] != 2 {
+				t.Errorf("the victim's map %d launched %d times, want 2", victimTask, mapLaunches[victimTask])
+			}
+			if reduceLaunches[0] != 2 || reduceLaunches[1] != 1 {
+				t.Errorf("reducer launches %v, want 2 for reducer 0 and 1 for reducer 1", reduceLaunches)
+			}
+		})
+	}
+}

@@ -124,10 +124,11 @@ type Backend interface {
 	// backend may return one slice for every map of a job.
 	Partitions(job, task int, output any) []Chunk
 	// Deliver hands one received shuffle chunk to reducer `reducer`
-	// running on `node`. A *DeadNodeError marks the chunk undelivered and
-	// feeds the named nodes into failure recovery (the distributed backend
-	// returns it when the real transfer fails); any other error aborts the
-	// run.
+	// running on `node`. An AsyncBackend may accept the chunk before its
+	// bytes have moved (the distributed backend starts the real fetch and
+	// returns); a fetch that fails then surfaces from AwaitReduce. A
+	// *DeadNodeError marks the chunk undelivered and feeds the named nodes
+	// into failure recovery; any other error aborts the run.
 	Deliver(job, reducer int, node topology.NodeID, c Chunk) error
 	// StartReduce starts a reducer once every map output has been
 	// delivered to it, and returns its processing time on `node` given
@@ -177,8 +178,9 @@ type AsyncBackend interface {
 	AwaitOutput(job, task int, node topology.NodeID, output any) (any, error)
 	// AwaitReduce blocks until the real reduce work for the reducer on
 	// `node` has finished and its output is part of the job's. Errors
-	// follow the AwaitOutput contract (DeadNodeError restarts the
-	// reducer).
+	// follow the AwaitOutput contract: a *DeadNodeError restarts the
+	// reducer, and may name a mapper whose chunk Deliver accepted but
+	// whose fetch failed, so that mapper's output is made again.
 	AwaitReduce(job, reducer int, node topology.NodeID) error
 }
 

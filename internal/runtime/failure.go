@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"slices"
 
 	"degradedfirst/internal/topology"
 
@@ -76,14 +77,15 @@ func (s *state) injectFailure(nodes []topology.NodeID) {
 	}
 }
 
-// injectNewlyDead filters ids down to nodes not already failed and
-// injects those. Duplicate reports are common in the distributed
-// runtime: a worker's death surfaces through heartbeat deadlines, RPC
-// timeouts, and dropped connections, in any order.
+// injectNewlyDead filters ids down to nodes not already failed, each
+// once, and injects those. Duplicate reports are common in the
+// distributed runtime: a worker's death surfaces through heartbeat
+// deadlines, RPC timeouts, dropped connections and every fetch from it
+// that failed, in any order.
 func (s *state) injectNewlyDead(ids []topology.NodeID) {
 	var fresh []topology.NodeID
 	for _, id := range ids {
-		if s.cluster.Alive(id) {
+		if s.cluster.Alive(id) && !slices.Contains(fresh, id) {
 			fresh = append(fresh, id)
 		}
 	}
@@ -117,12 +119,15 @@ func (s *state) asyncReduceFailure(r *reducerState, err error) {
 		s.fail(err)
 		return
 	}
+	// Reset before injecting: an async backend may count a chunk as
+	// delivered before its bytes moved, so the reducer can hold the got
+	// mark of a dead mapper's output. Cleared, the mark makes recovery
+	// see that output as owed and run its map again.
+	s.resetReducer(r.job, r)
 	s.injectNewlyDead(dn.Nodes)
-	if r.started && !r.done {
-		// Injection did not reset this reducer (its node is considered
-		// alive): restart it manually so it can relaunch and retry.
-		s.resetReducer(r.job, r)
-	}
+	// A named mapper failed earlier (a heartbeat deadline) is not injected
+	// again, and its outputs were not owed when it was: re-owe them now.
+	s.reexecuteLostOutputs(r.job, func(id topology.NodeID) bool { return !s.cluster.Alive(id) })
 }
 
 // deliverFailure handles a Backend.Deliver error raised inside a network
