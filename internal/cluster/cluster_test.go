@@ -226,7 +226,7 @@ func TestLoopbackHedgedWordCountMatchesInProcess(t *testing.T) {
 	if deg == 0 {
 		t.Fatal("no degraded tasks despite the failed node")
 	}
-	q := rep.Jobs[0].FlowLatencyQuantiles(0.5, 0.99)
+	q := stats.Quantiles(rep.Jobs[0].DegradedFlowLatencies(), 0.5, 0.99)
 	if len(q) != 2 || q[0] <= 0 || q[1] < q[0] {
 		t.Fatalf("implausible flow-latency quantiles %v", q)
 	}

@@ -33,10 +33,10 @@ func (s *killSink) Emit(e trace.Event) {
 	if s.killed {
 		return
 	}
-	if w := s.l.WorkerFor(topology.NodeID(e.Node)); w != nil {
+	if w := s.l.workers[topology.NodeID(e.Node)]; w != nil {
 		s.killed = true
 		s.victim = topology.NodeID(e.Node)
-		go w.Kill()
+		go w.Close()
 	}
 }
 
@@ -162,7 +162,7 @@ func TestLoopbackHeartbeatDeadline(t *testing.T) {
 	if victimWorker == nil {
 		t.Fatalf("no worker took node %d", victim)
 	}
-	victimWorker.StopHeartbeats()
+	close(victimWorker.hbStop) // the beats stop; the connection stays up
 
 	rep, err := m.Run(context.Background(), []JobSpec{
 		{Kind: "wordcount", Input: "input.txt", NumReducers: 8},

@@ -44,10 +44,6 @@ func (l *Local) Run(ctx context.Context, specs []JobSpec) (*minimr.Report, error
 	return l.Master.Run(ctx, specs)
 }
 
-// WorkerFor returns the worker serving a node (nil if the node had
-// none — it was failed before startup).
-func (l *Local) WorkerFor(node topology.NodeID) *Worker { return l.workers[node] }
-
 // Close tears the whole loopback cluster down.
 func (l *Local) Close() {
 	for _, w := range l.workers {

@@ -126,9 +126,6 @@ func NewMaster(fs *dfs.FS, opts MasterOptions) (*Master, error) {
 // Addr returns the address workers register at.
 func (m *Master) Addr() string { return m.ln.Addr().String() }
 
-// Stats returns the master's connection counters so far.
-func (m *Master) Stats() Stats { return m.stats.snapshot() }
-
 // emit adds one event to the merged trace stream (virtual events from
 // the simulation goroutine, wire events from worker reader goroutines).
 func (m *Master) emit(e trace.Event) {

@@ -57,7 +57,7 @@ func TestHedgedRaceKeepsPoolUsable(t *testing.T) {
 	const lost = 4
 	fetch := stripeFetch(t, l, fs, lost) // 11 sources for a k=10 decode
 	file, _ := fs.File("input.txt")
-	w := l.WorkerFor(file.Placement.StripeHolders(0)[lost])
+	w := l.workers[file.Placement.StripeHolders(0)[lost]]
 	want, err := fs.ReadBlock("input.txt", erasure.BlockID{Stripe: 0, Index: lost})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestHedgedRaceKeepsPoolUsable(t *testing.T) {
 			t.Fatalf("round %d: first-10-of-11 decode differs from the stored block", round)
 		}
 		// The loser may still be dialling when its race is over.
-		if st := w.Stats(); st.PeerDials > int64(len(fetch)) {
+		if st := w.stats.snapshot(); st.PeerDials > int64(len(fetch)) {
 			t.Fatalf("round %d: %d peer dials, want at most one per source (%d)", round, st.PeerDials, len(fetch))
 		}
 	}
@@ -82,7 +82,7 @@ func TestHedgedRaceKeepsPoolUsable(t *testing.T) {
 			t.Fatalf("fetch from node %d after the races: %v", f.Node, err)
 		}
 	}
-	st := w.Stats()
+	st := w.stats.snapshot()
 	if st.PeerDials != int64(len(fetch)) || st.CancelsSent > 3 {
 		t.Fatalf("after the races: %+v; want %d dials and at most one cancel per race", st, len(fetch))
 	}
@@ -95,8 +95,8 @@ func TestKillPeerMidFetchEvictsAndNamesIt(t *testing.T) {
 	fs, _ := testbedFS(t, 9)
 	l := startLoopback(t, fs, nil)
 	fetch := stripeFetch(t, l, fs, -1)
-	w := l.WorkerFor(topology.NodeID(fetch[0].Node))
-	victim := l.WorkerFor(topology.NodeID(fetch[1].Node))
+	w := l.workers[topology.NodeID(fetch[0].Node)]
+	victim := l.workers[topology.NodeID(fetch[1].Node)]
 
 	if _, err := w.fetchBlock("input.txt", fetch[1], nil); err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestKillPeerMidFetchEvictsAndNamesIt(t *testing.T) {
 		defer pooled.mu.Unlock()
 		return len(pooled.pending) == 1
 	})
-	victim.Kill()
+	victim.Close()
 	victim.mu.Unlock()
 
 	err := <-done
@@ -198,7 +198,7 @@ func TestRegistrationIsOneFramePerBlock(t *testing.T) {
 			t.Fatalf("block frame %d is %d bytes on the wire for a %d-byte block", i, size, fs.BlockSize())
 		}
 	}
-	if st := m.Stats(); st.FramesSent != int64(len(contents)+1) {
+	if st := m.stats.snapshot(); st.FramesSent != int64(len(contents)+1) {
 		t.Fatalf("registration of %d blocks took %d frames, want %d", len(contents), st.FramesSent, len(contents)+1)
 	}
 }
@@ -248,9 +248,9 @@ func TestLoopbackCountsNotClocks(t *testing.T) {
 		}
 	}
 
-	total := l.Master.Stats()
+	total := l.Master.stats.snapshot()
 	for _, id := range alive {
-		st := l.WorkerFor(id).Stats()
+		st := l.workers[id].stats.snapshot()
 		if st.MaxEnvelopeBytes > 4096 {
 			t.Errorf("worker %d sent a %d-byte JSON envelope", id, st.MaxEnvelopeBytes)
 		}

@@ -118,7 +118,7 @@ func TestLoopbackRepairHealsDFS(t *testing.T) {
 			continue
 		}
 		wire++
-		w := l.WorkerFor(topology.NodeID(e.Node))
+		w := l.workers[topology.NodeID(e.Node)]
 		if w == nil {
 			t.Fatalf("wire-repair on node %d, which has no worker", e.Node)
 		}

@@ -75,8 +75,9 @@ type Worker struct {
 	conns  map[*rpcConn]struct{}
 	closed bool
 
+	// hbStop ends the heartbeat loop while the worker keeps serving; the
+	// failure tests close it to exercise the master's deadline detection.
 	hbStop    chan struct{}
-	hbOnce    sync.Once
 	done      chan struct{}
 	closeOnce sync.Once
 }
@@ -175,7 +176,7 @@ func (w *Worker) handshake() error {
 func (w *Worker) Node() topology.NodeID { return w.node }
 
 // Done is closed when the worker shuts down (its master connection
-// died, or Close/Kill was called).
+// died, or Close was called).
 func (w *Worker) Done() <-chan struct{} { return w.done }
 
 // shutdown releases everything except the master connection; it must
@@ -195,24 +196,10 @@ func (w *Worker) shutdown() {
 	})
 }
 
-// Stats returns the worker's connection counters so far.
-func (w *Worker) Stats() Stats { return w.stats.snapshot() }
-
 // Close shuts the worker down.
 func (w *Worker) Close() {
 	w.conn.close(errConnClosed) // idempotent; its onClose hook runs shutdown
 	w.shutdown()
-}
-
-// Kill shuts the worker down abruptly, as a process crash would: the
-// master connection drops mid-stream and the peer listener vanishes.
-func (w *Worker) Kill() { w.Close() }
-
-// StopHeartbeats halts the heartbeat loop while the worker keeps serving
-// requests. Tests use it to exercise the master's pure deadline-based
-// failure detection — the connection stays up, only the beats stop.
-func (w *Worker) StopHeartbeats() {
-	w.hbOnce.Do(func() { close(w.hbStop) })
 }
 
 func (w *Worker) heartbeatLoop() {

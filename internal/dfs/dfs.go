@@ -62,14 +62,6 @@ func (s SelectionStrategy) String() string {
 	}
 }
 
-// PickDegradedSources selects the k surviving blocks of the stripe
-// containing lost block b that a degraded read executing on node reader
-// will download. It never selects block b itself (its holder failed).
-func PickDegradedSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
-	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
-	return pickK(c, p, b, survivorsOf(c, p, b), reader, strategy, rng)
-}
-
 // survivorsOf lists the blocks of lost block b's stripe on alive nodes, in
 // index order. SurvivorsOf only returns alive holders and b's holder has
 // failed, but b is skipped anyway, guarding against a mid-recovery race
@@ -85,7 +77,9 @@ func survivorsOf(c *topology.Cluster, p *placement.Placement, b erasure.BlockID)
 	return survivors
 }
 
-// pickK is PickDegradedSources over the survivors the caller already read.
+// pickK selects, from the survivors of lost block b's stripe the caller
+// already listed, the k blocks a degraded read executing on node reader
+// will download.
 func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survivors []Source,
 	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
 
@@ -195,7 +189,7 @@ func repairSet(code erasure.Coder, idx int, readable []int) (set []int, local bo
 // PickRepairSources plans a degraded read of lost block b under an
 // arbitrary code by the repairSet rule: the block's local repair group or
 // every survivor for a locality-aware code (no RNG draw), otherwise
-// PickDegradedSources' k survivors.
+// pickK's k survivors.
 func PickRepairSources(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 	b erasure.BlockID, reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
 
@@ -411,9 +405,6 @@ func (fs *FS) File(name string) (*File, error) {
 	return f, nil
 }
 
-// Files returns file names in creation order.
-func (fs *FS) Files() []string { return append([]string(nil), fs.names...) }
-
 // ErrBlockLost is returned by ReadBlock when the holder has failed; the
 // caller should fall back to DegradedRead.
 var ErrBlockLost = errors.New("dfs: block holder failed; degraded read required")
@@ -518,21 +509,4 @@ func (fs *FS) NodeContents(id topology.NodeID) []StoredBlock {
 		}
 	}
 	return out
-}
-
-// FileBytes reassembles the original file contents from native blocks
-// (using stored copies; intended for verification in tests and examples).
-func (fs *FS) FileBytes(name string) ([]byte, error) {
-	f, err := fs.File(name)
-	if err != nil {
-		return nil, err
-	}
-	if !f.HasData() {
-		return nil, fmt.Errorf("dfs: file %q is metadata-only", name)
-	}
-	natives := make([][][]byte, f.NumStripes())
-	for s := range natives {
-		natives[s] = f.blocks[s][:fs.code.K()]
-	}
-	return erasure.JoinStripes(natives, f.Size)
 }

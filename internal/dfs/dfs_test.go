@@ -11,6 +11,16 @@ import (
 	"degradedfirst/internal/topology"
 )
 
+// mustLRC builds an LRC code for the test's known-good parameters.
+func mustLRC(t testing.TB, k, l, g int) *erasure.LRC {
+	t.Helper()
+	c, err := erasure.NewLRC(k, l, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func testCluster() *topology.Cluster {
 	return topology.MustNew(topology.Config{Nodes: 12, Racks: 3, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1})
 }
@@ -79,15 +89,17 @@ func TestWriteAndReadBack(t *testing.T) {
 	if len(f.NativeBlocks()) != 16 {
 		t.Fatalf("native blocks = %d", len(f.NativeBlocks()))
 	}
-	back, err := fs.FileBytes("input.txt")
-	if err != nil {
-		t.Fatal(err)
+	var back []byte
+	for s := range f.NumStripes() {
+		for i := range 4 {
+			back = append(back, f.blocks[s][i]...)
+		}
 	}
-	if !bytes.Equal(back, data) {
+	if !bytes.Equal(back[:f.Size], data) {
 		t.Fatal("file round trip mismatch")
 	}
-	if got := fs.Files(); len(got) != 1 || got[0] != "input.txt" {
-		t.Fatalf("Files() = %v", got)
+	if len(fs.names) != 1 || fs.names[0] != "input.txt" {
+		t.Fatalf("file names = %v", fs.names)
 	}
 }
 
@@ -163,6 +175,13 @@ func TestDegradedReadReconstructsForReal(t *testing.T) {
 	}
 }
 
+// pickDegradedSources selects the k surviving blocks of lost block b's
+// stripe that a degraded read on node reader downloads, never b itself.
+func pickDegradedSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
+	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
+	return pickK(c, p, b, survivorsOf(c, p, b), reader, strategy, rng)
+}
+
 func TestPickDegradedSourcesRandomK(t *testing.T) {
 	c := testCluster()
 	p, err := placement.RackConstrainedRandom{}.Place(c, 10, 6, 4, stats.NewRNG(2))
@@ -174,7 +193,7 @@ func TestPickDegradedSourcesRandomK(t *testing.T) {
 	rng := stats.NewRNG(3)
 	seen := map[int]bool{}
 	for trial := 0; trial < 30; trial++ {
-		srcs, err := PickDegradedSources(c, p, b, 0, RandomK, rng)
+		srcs, err := pickDegradedSources(c, p, b, 0, RandomK, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +214,7 @@ func TestPickDegradedSourcesRandomK(t *testing.T) {
 
 func TestPickDegradedSourcesPreferSameRack(t *testing.T) {
 	c := testCluster()
-	p, err := placement.ParityDeclustered{}.Place(c, 10, 6, 4, stats.NewRNG(4))
+	p, err := placement.RackConstrainedRandom{}.Place(c, 10, 6, 4, stats.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +226,11 @@ func TestPickDegradedSourcesPreferSameRack(t *testing.T) {
 	if reader == holder {
 		reader = 2
 	}
-	srcsNear, err := PickDegradedSources(c, p, b, reader, PreferSameRack, rng)
+	srcsNear, err := pickDegradedSources(c, p, b, reader, PreferSameRack, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcsRand, err := PickDegradedSources(c, p, b, reader, RandomK, rng)
+	srcsRand, err := pickDegradedSources(c, p, b, reader, RandomK, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +251,12 @@ func TestPickDegradedSourcesErrors(t *testing.T) {
 	c.FailNode(1)
 	c.FailNode(2)
 	b := erasure.BlockID{Stripe: 0, Index: 0}
-	if _, err := PickDegradedSources(c, p, b, 3, RandomK, stats.NewRNG(7)); err == nil {
+	if _, err := pickDegradedSources(c, p, b, 3, RandomK, stats.NewRNG(7)); err == nil {
 		t.Fatal("too few survivors must fail")
 	}
 	c2 := testCluster()
 	p2, _ := placement.RackConstrainedRandom{}.Place(c2, 2, 6, 4, stats.NewRNG(8))
-	if _, err := PickDegradedSources(c2, p2, b, 0, SelectionStrategy(42), stats.NewRNG(9)); err == nil {
+	if _, err := pickDegradedSources(c2, p2, b, 0, SelectionStrategy(42), stats.NewRNG(9)); err == nil {
 		t.Fatal("unknown strategy must fail")
 	}
 }
@@ -319,7 +338,7 @@ func TestPickRepairSourcesLRCLocalGroup(t *testing.T) {
 	// With an LRC code and the whole local group alive, PickRepairSources
 	// returns exactly the group (k/l+1 blocks), not k survivors.
 	c := topology.MustNew(topology.Config{Nodes: 14, Racks: 2, MapSlotsPerNode: 1})
-	code := erasure.MustNewLRC(10, 2, 2)
+	code := mustLRC(t, 10, 2, 2)
 	fs, err := New(c, code, 64, placement.RoundRobin{}, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +378,7 @@ func TestPickRepairSourcesFallsBackWhenGroupBroken(t *testing.T) {
 	// is not MDS, so k of them need not determine the block — without
 	// drawing from the RNG; an RS code falls back to k-of-n.
 	c := topology.MustNew(topology.Config{Nodes: 14, Racks: 2, MapSlotsPerNode: 1})
-	code := erasure.MustNewLRC(10, 2, 2)
+	code := mustLRC(t, 10, 2, 2)
 	fs, err := New(c, code, 64, placement.RoundRobin{}, stats.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +422,7 @@ func TestDegradedReadLRCBrokenGroup(t *testing.T) {
 	// determine block 0, but a random 10 of them often do not. The read
 	// must succeed with the right bytes for every reader seed.
 	c := topology.MustNew(topology.Config{Nodes: 14, Racks: 2, MapSlotsPerNode: 1})
-	code := erasure.MustNewLRC(10, 2, 2)
+	code := mustLRC(t, 10, 2, 2)
 	fs, err := New(c, code, 64, placement.RoundRobin{}, stats.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ var tailShapes = []int{
 // TestWritePadsLikeSplitStripes writes files that end in a short block, in
 // a short stripe (whole blocks missing) and in both, and checks that Write,
 // which splits stripe by stripe inside its encode workers, stores exactly
-// the native blocks SplitStripes produces, zero padding included, with
+// the native blocks of data zero-padded to whole stripes, with
 // parity that encodes those padded blocks.
 func TestWritePadsLikeSplitStripes(t *testing.T) {
 	const k, blockSize = 4, 64
@@ -75,10 +75,9 @@ func TestWritePadsLikeSplitStripes(t *testing.T) {
 	for _, size := range tailShapes {
 		for _, workers := range []int{1, 3} {
 			data := makeData(size)
-			want, err := erasure.SplitStripes(data, k, blockSize)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The reference split: data zero-padded to whole stripes.
+			padded := make([]byte, erasure.NumStripes(size, k, blockSize)*k*blockSize)
+			copy(padded, data)
 			fs, err := New(testCluster(), code, blockSize, nil, stats.NewRNG(1))
 			if err != nil {
 				t.Fatal(err)
@@ -88,13 +87,14 @@ func TestWritePadsLikeSplitStripes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.NumStripes() != len(want) {
-				t.Fatalf("size=%d: %d stripes, SplitStripes makes %d", size, f.NumStripes(), len(want))
+			if want := len(padded) / (k * blockSize); f.NumStripes() != want {
+				t.Fatalf("size=%d: %d stripes, want %d", size, f.NumStripes(), want)
 			}
-			for s, native := range want {
-				for i, blk := range native {
-					if !bytes.Equal(f.blocks[s][i], blk) {
-						t.Fatalf("size=%d workers=%d: native block (s%d,i%d) differs from SplitStripes", size, workers, s, i)
+			for s := range f.NumStripes() {
+				for i := range k {
+					off := (s*k + i) * blockSize
+					if !bytes.Equal(f.blocks[s][i], padded[off:off+blockSize]) {
+						t.Fatalf("size=%d workers=%d: native block (s%d,i%d) differs from the zero-padded split", size, workers, s, i)
 					}
 				}
 				if ok, err := code.Verify(f.blocks[s]); err != nil || !ok {

@@ -202,7 +202,7 @@ func TestLRCLocalRepairReadsStrictlyFewerBytes(t *testing.T) {
 	// parity each, one global parity — n=7. A single data-block loss
 	// repairs from its local group (2 sources) versus k=4 for the same
 	// loss under RS(7, 4): strictly fewer bytes moved.
-	lrc := erasure.MustNewLRC(4, 2, 1)
+	lrc := mustLRC(t, 4, 2, 1)
 	rs := erasure.MustNew(lrc.N(), lrc.K())
 	lost := erasure.BlockID{Stripe: 0, Index: 1}
 
@@ -243,7 +243,7 @@ func TestLRCLocalRepairReadsStrictlyFewerBytes(t *testing.T) {
 func TestLRCBrokenGroupFallsBackToAllSurvivors(t *testing.T) {
 	// Lose a data block AND its local parity: the local group is broken,
 	// so the plan reads every survivor for the global decode.
-	lrc := erasure.MustNewLRC(4, 2, 1)
+	lrc := mustLRC(t, 4, 2, 1)
 	c := topology.MustNew(topology.Config{Nodes: 12, Racks: 4, MapSlotsPerNode: 1})
 	fs, err := New(c, lrc, 64, nil, stats.NewRNG(7))
 	if err != nil {
@@ -285,7 +285,7 @@ func TestPlanStripeLRCUnrepairableIsExact(t *testing.T) {
 	// unknowns): the plan must say so instead of launching reads that
 	// abort the run at commit. Losing one data block per group plus both
 	// globals is also four losses, and repairs byte-exactly.
-	lrc := erasure.MustNewLRC(10, 2, 2)
+	lrc := mustLRC(t, 10, 2, 2)
 	setup := func(lost ...int) (*FS, []erasure.BlockID) {
 		c := topology.MustNew(topology.Config{Nodes: 20, Racks: 4, MapSlotsPerNode: 1})
 		fs, err := New(c, lrc, 64, nil, stats.NewRNG(7))

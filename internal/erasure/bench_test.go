@@ -75,7 +75,7 @@ func BenchmarkReconstructBlock(b *testing.B) {
 		})
 	}
 
-	lrc := MustNewLRC(12, 2, 2)
+	lrc := mustNewLRC(12, 2, 2)
 	data := benchNative(12, benchShard)
 	lstripe, err := lrc.EncodeStripe(data)
 	if err != nil {

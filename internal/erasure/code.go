@@ -152,9 +152,6 @@ func MustNew(n, k int, opts ...Option) *Code {
 	return c
 }
 
-// ParityShards returns n - k.
-func (c *Code) ParityShards() int { return c.n - c.k }
-
 // Construction returns the matrix construction in use.
 func (c *Code) Construction() Construction { return c.construction }
 

@@ -42,7 +42,7 @@ func TestMustNewPanicsOnBadParams(t *testing.T) {
 
 func TestCodeAccessors(t *testing.T) {
 	c := MustNew(12, 10)
-	if c.N() != 12 || c.K() != 10 || c.ParityShards() != 2 {
+	if c.N() != 12 || c.K() != 10 {
 		t.Fatalf("accessors wrong: %v", c)
 	}
 	if c.Construction() != VandermondeRS {
@@ -50,9 +50,6 @@ func TestCodeAccessors(t *testing.T) {
 	}
 	if got := c.String(); got != "RS(12,10)/vandermonde" {
 		t.Fatalf("String() = %q", got)
-	}
-	if overhead := c.StorageOverhead(); overhead != 0.2 {
-		t.Fatalf("StorageOverhead() = %v, want 0.2", overhead)
 	}
 	cc := MustNew(6, 4, WithConstruction(CauchyRS))
 	if cc.Construction() != CauchyRS || cc.Construction().String() != "cauchy" {

@@ -39,12 +39,6 @@ func (c *linear) N() int { return c.n }
 // K returns the number of native blocks per stripe.
 func (c *linear) K() int { return c.k }
 
-// StorageOverhead returns the redundancy overhead (n-k)/k, e.g. 0.2 for
-// RS(12,10). 3-way replication corresponds to 2.0.
-func (c *linear) StorageOverhead() float64 {
-	return float64(c.n-c.k) / float64(c.k)
-}
-
 // Encode computes the n-k parity shards for k equal-length native shards,
 // in stripe order. The native shards are not modified.
 func (c *linear) Encode(native [][]byte) ([][]byte, error) {

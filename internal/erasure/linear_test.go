@@ -22,8 +22,8 @@ func rank(t testing.TB, gen *gf256.Matrix, rows []int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := 0
-	for col := 0; col < m.Cols() && r < m.Rows(); col++ {
+	r, cols := 0, len(gen.Row(0))
+	for col := 0; col < cols && r < m.Rows(); col++ {
 		p := r
 		for p < m.Rows() && m.At(p, col) == 0 {
 			p++
@@ -31,7 +31,7 @@ func rank(t testing.TB, gen *gf256.Matrix, rows []int) int {
 		if p == m.Rows() {
 			continue
 		}
-		for i := 0; i < m.Cols(); i++ {
+		for i := 0; i < cols; i++ {
 			a, b := m.At(p, i), m.At(r, i)
 			m.Set(p, i, b)
 			m.Set(r, i, a)
@@ -39,7 +39,7 @@ func rank(t testing.TB, gen *gf256.Matrix, rows []int) int {
 		inv := gf256.Inv(m.At(r, col))
 		for q := r + 1; q < m.Rows(); q++ {
 			f := gf256.Mul(m.At(q, col), inv)
-			for i := 0; f != 0 && i < m.Cols(); i++ {
+			for i := 0; f != 0 && i < cols; i++ {
 				m.Set(q, i, m.At(q, i)^gf256.Mul(f, m.At(r, i)))
 			}
 		}
@@ -161,8 +161,8 @@ func TestLinearDecodeExhaustive(t *testing.T) {
 	codes := map[string]*linear{
 		"rs(6,4)/vandermonde": &MustNew(6, 4).linear,
 		"rs(6,4)/cauchy":      &MustNew(6, 4, WithConstruction(CauchyRS)).linear,
-		"lrc(4,2,1)":          &MustNewLRC(4, 2, 1).linear,
-		"lrc(6,2,2)":          &MustNewLRC(6, 2, 2).linear,
+		"lrc(4,2,1)":          &mustNewLRC(4, 2, 1).linear,
+		"lrc(6,2,2)":          &mustNewLRC(6, 2, 2).linear,
 	}
 	for name, c := range codes {
 		t.Run(name, func(t *testing.T) {
@@ -204,7 +204,7 @@ func TestLinearDecodeBehaviourChanges(t *testing.T) {
 	// LRC rebuilds a determined block although another missing block of
 	// the stripe is lost for good: group 0 and its parity are gone (three
 	// unknowns, two global equations), block 3's local group is whole.
-	lrc := MustNewLRC(6, 2, 2)
+	lrc := mustNewLRC(6, 2, 2)
 	stripe = encodeFixed(t, &lrc.linear, 40, 2)
 	src := []int{4, 5, 7, 8, 9}
 	got, err := lrc.ReconstructBlock(3, src, pick(stripe, src))
@@ -226,7 +226,7 @@ func TestStripeBytesPinned(t *testing.T) {
 	}{
 		{MustNew(12, 10), "2dfc34e78d4836eae074d45c9d507034bfb82a6790eaaac6349debd27a2a2518"},
 		{MustNew(12, 10, WithConstruction(CauchyRS)), "8b86020d400b2ded8c1937a084b75149efea2fca5d3f717fe6b670b92e219489"},
-		{MustNewLRC(12, 2, 2), "2931380a3b34be75fc971dcb251135d033c946b99e5d5f278452397389f5e09d"},
+		{mustNewLRC(12, 2, 2), "2931380a3b34be75fc971dcb251135d033c946b99e5d5f278452397389f5e09d"},
 	}
 	for _, p := range pins {
 		data := make([][]byte, p.code.K())
@@ -269,7 +269,7 @@ func decodeWorld(t testing.TB, in []byte) {
 		c = &MustNew(k+1+at(2)%4, k, WithConstruction(CauchyRS)).linear
 	default:
 		l := 1 + at(1)%3
-		c = &MustNewLRC(l*(1+at(2)%4), l, 1+at(3)%3).linear
+		c = &mustNewLRC(l*(1+at(2)%4), l, 1+at(3)%3).linear
 	}
 	stripe := encodeFixed(t, c, 1+at(4)%70, byte(at(5)))
 	var src []int

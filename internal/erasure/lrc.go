@@ -50,21 +50,6 @@ func NewLRC(k, l, g int) (*LRC, error) {
 	return &LRC{linear: newLinear(k, parity), l: l, g: g, groupSize: groupSize}, nil
 }
 
-// MustNewLRC is NewLRC but panics on error.
-func MustNewLRC(k, l, g int) *LRC {
-	c, err := NewLRC(k, l, g)
-	if err != nil {
-		panic(fmt.Sprintf("erasure: MustNewLRC(%d, %d, %d): %v", k, l, g, err))
-	}
-	return c
-}
-
-// Groups returns the number of local groups l.
-func (c *LRC) Groups() int { return c.l }
-
-// GlobalParities returns g.
-func (c *LRC) GlobalParities() int { return c.g }
-
 // String implements fmt.Stringer, e.g. "LRC(12,2,2)".
 func (c *LRC) String() string { return fmt.Sprintf("LRC(%d,%d,%d)", c.k, c.l, c.g) }
 

@@ -2,6 +2,7 @@ package erasure
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -16,29 +17,29 @@ func TestNewLRCValidation(t *testing.T) {
 			t.Errorf("NewLRC(%d,%d,%d) should fail", p.k, p.l, p.g)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNewLRC must panic on bad params")
-		}
-	}()
-	MustNewLRC(0, 1, 1)
+}
+
+// mustNewLRC is NewLRC for the tests' known-good parameters.
+func mustNewLRC(k, l, g int) *LRC {
+	c, err := NewLRC(k, l, g)
+	if err != nil {
+		panic(fmt.Sprintf("erasure: NewLRC(%d, %d, %d): %v", k, l, g, err))
+	}
+	return c
 }
 
 func TestLRCAccessors(t *testing.T) {
-	c := MustNewLRC(12, 2, 2)
-	if c.N() != 16 || c.K() != 12 || c.Groups() != 2 || c.GlobalParities() != 2 {
+	c := mustNewLRC(12, 2, 2)
+	if c.N() != 16 || c.K() != 12 {
 		t.Fatalf("accessors wrong: %v", c)
 	}
 	if c.String() != "LRC(12,2,2)" {
 		t.Fatalf("String() = %q", c.String())
 	}
-	if overhead := c.StorageOverhead(); overhead != 4.0/12 {
-		t.Fatalf("overhead = %v", overhead)
-	}
 }
 
 func TestLRCGroupOf(t *testing.T) {
-	c := MustNewLRC(12, 2, 2)
+	c := mustNewLRC(12, 2, 2)
 	if c.GroupOf(0) != 0 || c.GroupOf(5) != 0 || c.GroupOf(6) != 1 || c.GroupOf(11) != 1 {
 		t.Fatal("data group mapping wrong")
 	}
@@ -51,7 +52,7 @@ func TestLRCGroupOf(t *testing.T) {
 }
 
 func TestLRCLocalRepairGroup(t *testing.T) {
-	c := MustNewLRC(6, 2, 2) // groups {0,1,2}+p6, {3,4,5}+p7; globals 8,9
+	c := mustNewLRC(6, 2, 2) // groups {0,1,2}+p6, {3,4,5}+p7; globals 8,9
 	srcs, ok := c.LocalRepairGroup(1)
 	if !ok {
 		t.Fatal("data block must be locally repairable")
@@ -73,7 +74,7 @@ func TestLRCLocalRepairGroup(t *testing.T) {
 }
 
 func TestLRCEncodeVerify(t *testing.T) {
-	c := MustNewLRC(6, 2, 2)
+	c := mustNewLRC(6, 2, 2)
 	rng := rand.New(rand.NewSource(1))
 	data := randShards(rng, 6, 64)
 	stripe, err := c.EncodeStripe(data)
@@ -101,7 +102,7 @@ func TestLRCEncodeVerify(t *testing.T) {
 }
 
 func TestLRCEncodeErrors(t *testing.T) {
-	c := MustNewLRC(4, 2, 1)
+	c := mustNewLRC(4, 2, 1)
 	if _, err := c.Encode([][]byte{{1}}); err == nil {
 		t.Fatal("wrong data count must fail")
 	}
@@ -117,7 +118,7 @@ func TestLRCEncodeErrors(t *testing.T) {
 }
 
 func TestLRCSingleFailureLocalRepair(t *testing.T) {
-	c := MustNewLRC(12, 2, 2)
+	c := mustNewLRC(12, 2, 2)
 	rng := rand.New(rand.NewSource(2))
 	stripe, err := c.EncodeStripe(randShards(rng, 12, 128))
 	if err != nil {
@@ -145,7 +146,7 @@ func TestLRCSingleFailureLocalRepair(t *testing.T) {
 func TestLRCReconstructBlockGlobalPath(t *testing.T) {
 	// Repair a data block from a non-local source set (forces the general
 	// decode path).
-	c := MustNewLRC(6, 2, 2)
+	c := mustNewLRC(6, 2, 2)
 	rng := rand.New(rand.NewSource(3))
 	stripe, _ := c.EncodeStripe(randShards(rng, 6, 32))
 	srcIdx := []int{1, 2, 3, 4, 5, 8} // block 0 lost; use global parity 8
@@ -177,7 +178,7 @@ func TestLRCReconstructBlockGlobalPath(t *testing.T) {
 func TestLRCReconstructMultiFailure(t *testing.T) {
 	// LRC(6,2,2) tolerates any pattern with enough independent equations:
 	// certainly any single failure and the g+? patterns below.
-	c := MustNewLRC(6, 2, 2)
+	c := mustNewLRC(6, 2, 2)
 	rng := rand.New(rand.NewSource(4))
 	orig, _ := c.EncodeStripe(randShards(rng, 6, 64))
 	recover := func(lost []int) error {
@@ -227,7 +228,7 @@ func TestLRCReconstructMultiFailure(t *testing.T) {
 }
 
 func TestLRCReconstructShapeErrors(t *testing.T) {
-	c := MustNewLRC(4, 2, 1)
+	c := mustNewLRC(4, 2, 1)
 	if err := c.Reconstruct(make([][]byte, 3)); err == nil {
 		t.Fatal("wrong stripe width must fail")
 	}
@@ -250,7 +251,7 @@ func TestLRCRoundTripProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		params := []struct{ k, l, g int }{{4, 2, 2}, {6, 2, 2}, {6, 3, 2}, {12, 2, 2}}
 		p := params[rng.Intn(len(params))]
-		c := MustNewLRC(p.k, p.l, p.g)
+		c := mustNewLRC(p.k, p.l, p.g)
 		orig, err := c.EncodeStripe(randShards(rng, p.k, 1+rng.Intn(100)))
 		if err != nil {
 			return false
@@ -278,7 +279,7 @@ func TestLRCRoundTripProperty(t *testing.T) {
 }
 
 func BenchmarkLRCLocalRepair(b *testing.B) {
-	c := MustNewLRC(12, 2, 2)
+	c := mustNewLRC(12, 2, 2)
 	rng := rand.New(rand.NewSource(1))
 	stripe, _ := c.EncodeStripe(randShards(rng, 12, 64*1024))
 	group, _ := c.LocalRepairGroup(0)

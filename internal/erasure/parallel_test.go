@@ -107,7 +107,7 @@ func TestReconstructBlockLargeShard(t *testing.T) {
 }
 
 func TestLRCLocalRepairLargeShard(t *testing.T) {
-	lrc := MustNewLRC(12, 2, 2)
+	lrc := mustNewLRC(12, 2, 2)
 	size := chunkParallelMin // the smallest size that is chunked
 	data := make([][]byte, 12)
 	for i := range data {

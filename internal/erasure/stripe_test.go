@@ -2,21 +2,59 @@ package erasure
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// splitStripes divides a byte stream into stripes of k native blocks of
+// blockSize bytes each, zero-padding the tail block of the final stripe.
+// It returns the native blocks grouped per stripe; full blocks are views of
+// data, as SplitStripe describes. It is the whole-stream reference the
+// stripe-by-stripe SplitStripe is tested against.
+func splitStripes(data []byte, k, blockSize int) ([][][]byte, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("%w: k=%d", ErrInvalidParams, k)
+	}
+	if blockSize <= 0 {
+		return nil, fmt.Errorf("erasure: blockSize must be positive, got %d", blockSize)
+	}
+	if len(data) == 0 {
+		return nil, nil
+	}
+	stripes := make([][][]byte, NumStripes(len(data), k, blockSize))
+	for s := range stripes {
+		stripes[s] = SplitStripe(data, s, k, blockSize)
+	}
+	return stripes, nil
+}
+
+// joinStripes is the inverse of splitStripes: it concatenates the native
+// blocks of all stripes and truncates to origLen bytes.
+func joinStripes(stripes [][][]byte, origLen int) ([]byte, error) {
+	out := make([]byte, 0, origLen)
+	for _, blocks := range stripes {
+		for _, b := range blocks {
+			out = append(out, b...)
+		}
+	}
+	if origLen > len(out) {
+		return nil, fmt.Errorf("erasure: origLen %d exceeds available %d bytes", origLen, len(out))
+	}
+	return out[:origLen], nil
+}
 
 func TestSplitJoinRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, size := range []int{1, 7, 64, 100, 128, 129, 1000} {
 		data := make([]byte, size)
 		rng.Read(data)
-		stripes, err := SplitStripes(data, 4, 32)
+		stripes, err := splitStripes(data, 4, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := JoinStripes(stripes, size)
+		back, err := joinStripes(stripes, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +66,7 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 
 func TestSplitStripesShape(t *testing.T) {
 	data := make([]byte, 100)
-	stripes, err := SplitStripes(data, 2, 30)
+	stripes, err := splitStripes(data, 2, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +88,7 @@ func TestSplitStripesShape(t *testing.T) {
 
 func TestSplitStripesPadding(t *testing.T) {
 	data := []byte{1, 2, 3}
-	stripes, err := SplitStripes(data, 2, 2)
+	stripes, err := splitStripes(data, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,20 +101,20 @@ func TestSplitStripesPadding(t *testing.T) {
 }
 
 func TestSplitStripesErrors(t *testing.T) {
-	if _, err := SplitStripes([]byte{1}, 0, 10); err == nil {
+	if _, err := splitStripes([]byte{1}, 0, 10); err == nil {
 		t.Fatal("k=0 must fail")
 	}
-	if _, err := SplitStripes([]byte{1}, 2, 0); err == nil {
+	if _, err := splitStripes([]byte{1}, 2, 0); err == nil {
 		t.Fatal("blockSize=0 must fail")
 	}
-	s, err := SplitStripes(nil, 2, 4)
+	s, err := splitStripes(nil, 2, 4)
 	if err != nil || s != nil {
 		t.Fatalf("empty data: %v %v", s, err)
 	}
 }
 
 func TestJoinStripesTooShort(t *testing.T) {
-	if _, err := JoinStripes(nil, 5); err == nil {
+	if _, err := joinStripes(nil, 5); err == nil {
 		t.Fatal("origLen beyond data must fail")
 	}
 }
@@ -85,11 +123,11 @@ func TestSplitJoinProperty(t *testing.T) {
 	f := func(raw []byte, kSeed, bsSeed uint8) bool {
 		k := 1 + int(kSeed)%6
 		bs := 1 + int(bsSeed)%50
-		stripes, err := SplitStripes(raw, k, bs)
+		stripes, err := splitStripes(raw, k, bs)
 		if err != nil {
 			return false
 		}
-		back, err := JoinStripes(stripes, len(raw))
+		back, err := joinStripes(stripes, len(raw))
 		if err != nil {
 			return false
 		}
@@ -102,12 +140,6 @@ func TestSplitJoinProperty(t *testing.T) {
 
 func TestBlockID(t *testing.T) {
 	b := BlockID{Stripe: 2, Index: 3}
-	if !b.IsParity(2) {
-		t.Fatal("index 3 with k=2 is parity")
-	}
-	if b.IsParity(4) {
-		t.Fatal("index 3 with k=4 is native")
-	}
 	if b.String() != "blk(s2,i3)" {
 		t.Fatalf("String() = %q", b.String())
 	}

@@ -639,3 +639,17 @@ func TestTableCSVQuoting(t *testing.T) {
 		t.Fatalf("CSV row = %q, want %q", lines[1], wantRow)
 	}
 }
+
+// TestFig9aRowReportsTrueExtremes: one outlier run among five must show
+// up in the min/max column, not be cut off at a box plot's whisker.
+func TestFig9aRowReportsTrueExtremes(t *testing.T) {
+	lf := []float64{100, 101, 102, 103, 160}
+	edf := []float64{80, 20, 81, 82, 83}
+	row := fig9aRow("wordcount", lf, edf)
+	if got, want := row[2], "100.0/160.0"; got != want {
+		t.Errorf("LF min/max = %s, want %s", got, want)
+	}
+	if got, want := row[4], "20.0/83.0"; got != want {
+		t.Errorf("EDF min/max = %s, want %s", got, want)
+	}
+}

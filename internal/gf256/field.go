@@ -5,7 +5,7 @@
 // The field is constructed with the primitive polynomial
 // x^8 + x^4 + x^3 + x^2 + 1 (0x11d), the same polynomial used by most
 // storage-oriented Reed-Solomon implementations. Multiplication and
-// division are table-driven via discrete logarithms.
+// inversion are table-driven via discrete logarithms.
 package gf256
 
 // fieldSize is the number of elements in GF(2^8).
@@ -40,12 +40,6 @@ func init() {
 	}
 }
 
-// Add returns a+b in GF(2^8). Addition and subtraction coincide (XOR).
-func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a-b in GF(2^8); identical to Add.
-func Sub(a, b byte) byte { return a ^ b }
-
 // Mul returns a*b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
@@ -54,36 +48,12 @@ func Mul(a, b byte) byte {
 	return _expTable[int(_logTable[a])+int(_logTable[b])]
 }
 
-// Div returns a/b in GF(2^8). Division by zero panics: it indicates a
-// programming error in matrix construction, never a data-dependent state.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	diff := int(_logTable[a]) - int(_logTable[b])
-	if diff < 0 {
-		diff += fieldSize - 1
-	}
-	return _expTable[diff]
-}
-
 // Inv returns the multiplicative inverse of a. Inv(0) panics.
 func Inv(a byte) byte {
 	if a == 0 {
 		panic("gf256: inverse of zero")
 	}
 	return _expTable[(fieldSize-1)-int(_logTable[a])]
-}
-
-// Exp returns generator^n for n >= 0.
-func Exp(n int) byte {
-	if n < 0 {
-		panic("gf256: negative exponent")
-	}
-	return _expTable[n%(fieldSize-1)]
 }
 
 // Pow returns a^n in GF(2^8) for n >= 0, with 0^0 = 1.
@@ -98,5 +68,5 @@ func Pow(a byte, n int) byte {
 	return _expTable[(logA*n)%(fieldSize-1)]
 }
 
-// MulSlice, MulSliceSet, AddSlice and MulAddSlices — the bulk slice
-// kernels — live in kernels.go.
+// MulSlice and MulAddSlices — the bulk slice kernels — live in
+// kernels.go.

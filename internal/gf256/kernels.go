@@ -55,13 +55,6 @@ func productTables() *tables {
 	return _tables
 }
 
-// MulTableRow returns the 256-entry product row for coefficient c:
-// row[a] == Mul(c, a). The returned array is shared and must not be
-// modified.
-func MulTableRow(c byte) *[256]byte {
-	return &productTables().mul[c]
-}
-
 // mulAdd computes dst[i] ^= c*src[i] for a general coefficient (c >= 2;
 // callers peel off 0 and 1). It is the one place the multiply kernel is
 // chosen. len(dst) must be at least len(src).
@@ -120,16 +113,6 @@ func xorWords(src, dst []byte) {
 	}
 }
 
-// AddSlice computes dst[i] ^= src[i] for all i (GF addition). It is the
-// c == 1 case of MulSlice and the whole story for XOR parities. dst and
-// src must have equal length.
-func AddSlice(src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: AddSlice length mismatch")
-	}
-	xorInto(src, dst)
-}
-
 // MulSlice computes dst[i] ^= c * src[i] for all i. It is the inner kernel
 // of Reed-Solomon encoding: accumulate a scaled source block into an output
 // block. dst and src must have equal length.
@@ -142,22 +125,6 @@ func MulSlice(c byte, src, dst []byte) {
 	case 1:
 		xorInto(src, dst)
 	default:
-		mulAdd(productTables(), c, src, dst)
-	}
-}
-
-// MulSliceSet computes dst[i] = c * src[i] for all i (overwriting dst).
-// dst and src must have equal length and must not overlap.
-func MulSliceSet(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: MulSliceSet length mismatch")
-	}
-	if c == 1 {
-		copy(dst, src)
-		return
-	}
-	clear(dst)
-	if c != 0 {
 		mulAdd(productTables(), c, src, dst)
 	}
 }

@@ -42,6 +42,13 @@ func refMulSet(c byte, src, dst []byte) {
 	}
 }
 
+// mulSliceSet computes dst[i] = c * src[i] through the kernels: MulSlice
+// into a cleared dst. dst and src must not overlap.
+func mulSliceSet(c byte, src, dst []byte) {
+	clear(dst)
+	MulSlice(c, src, dst)
+}
+
 // fillPattern writes deterministic data with interleaved zeros.
 func fillPattern(b []byte, seed byte) {
 	x := uint32(seed) + 1
@@ -84,9 +91,9 @@ func TestMulSliceSetMatchesReference(t *testing.T) {
 				fillPattern(dst, 99)
 				want := append([]byte(nil), dst...)
 				refMulSet(c, src, want)
-				MulSliceSet(c, src, dst)
+				mulSliceSet(c, src, dst)
 				if !bytes.Equal(dst, want) {
-					t.Fatalf("%s: MulSliceSet(c=%#x, n=%d) diverges from per-byte Mul", kernel, c, n)
+					t.Fatalf("%s: mulSliceSet(c=%#x, n=%d) diverges from per-byte Mul", kernel, c, n)
 				}
 			}
 		}
@@ -104,17 +111,17 @@ func TestAddSliceMatchesXOR(t *testing.T) {
 			for i := range want {
 				want[i] = dst[i] ^ src[i]
 			}
-			AddSlice(src, dst)
+			MulSlice(1, src, dst)
 			if !bytes.Equal(dst, want) {
-				t.Fatalf("%s: AddSlice(n=%d) wrong", kernel, n)
+				t.Fatalf("%s: MulSlice(1, n=%d) is not XOR", kernel, n)
 			}
 		}
 	})
 }
 
-// TestKernelsEveryCoefficientAndAlignment runs MulSlice, MulSliceSet and
-// AddSlice over slices that start at every offset 0-31 of a larger buffer,
-// so the assembly kernel's unaligned loads and the hand-over to the table
+// TestKernelsEveryCoefficientAndAlignment runs MulSlice and mulSliceSet
+// over slices that start at every offset 0-31 of a larger buffer, so the
+// assembly kernel's unaligned loads and the hand-over to the table
 // kernel at the 32-byte tail are hit at every alignment. What a coefficient
 // changes (table contents) and what an offset changes (addresses) are
 // independent, so the sweep is two passes rather than their product: all
@@ -156,8 +163,8 @@ func TestKernelsEveryCoefficientAndAlignment(t *testing.T) {
 		check(kernel, "MulSlice", c, n, off,
 			func(src, dst []byte) { MulSlice(c, src, dst) },
 			func(src, dst []byte) { refMulAdd(c, src, dst) })
-		check(kernel, "MulSliceSet", c, n, off,
-			func(src, dst []byte) { MulSliceSet(c, src, dst) },
+		check(kernel, "mulSliceSet", c, n, off,
+			func(src, dst []byte) { mulSliceSet(c, src, dst) },
 			func(src, dst []byte) { refMulSet(c, src, dst) })
 	}
 	eachKernel(t, func(kernel string) {
@@ -178,7 +185,7 @@ func TestKernelsEveryCoefficientAndAlignment(t *testing.T) {
 		}
 		for off := 0; off < 32; off++ {
 			for _, n := range append([]int{33, 95, 100}, long...) {
-				check(kernel, "AddSlice", 1, n, off, AddSlice,
+				check(kernel, "MulSlice", 1, n, off, func(src, dst []byte) { MulSlice(1, src, dst) },
 					func(src, dst []byte) { refMulAdd(1, src, dst) })
 			}
 		}
@@ -237,10 +244,10 @@ func TestKernelsProperty(t *testing.T) {
 
 func TestMulTableRowMatchesMul(t *testing.T) {
 	for c := 0; c < 256; c++ {
-		row := MulTableRow(byte(c))
+		row := &productTables().mul[c]
 		for a := 0; a < 256; a++ {
 			if row[a] != Mul(byte(c), byte(a)) {
-				t.Fatalf("MulTableRow(%#x)[%#x] = %#x, want %#x", c, a, row[a], Mul(byte(c), byte(a)))
+				t.Fatalf("product row %#x [%#x] = %#x, want %#x", c, a, row[a], Mul(byte(c), byte(a)))
 			}
 		}
 	}
@@ -250,7 +257,6 @@ func TestMulAddSlicesPanicsOnMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"coeff-count": func() { MulAddSlices([]byte{1, 2}, [][]byte{{1}}, []byte{0}) },
 		"src-length":  func() { MulAddSlices([]byte{1}, [][]byte{{1, 2}}, []byte{0}) },
-		"add-length":  func() { AddSlice([]byte{1, 2}, []byte{1}) },
 	} {
 		func() {
 			defer func() {
@@ -265,7 +271,7 @@ func TestMulAddSlicesPanicsOnMismatch(t *testing.T) {
 
 // FuzzMulSliceEquivalence pins both kernels to the field's scalar Mul: for
 // arbitrary coefficient and data (any length, so any split between 32-byte
-// groups, 8-byte words and single bytes), MulSlice, MulSliceSet and
+// groups, 8-byte words and single bytes), MulSlice, mulSliceSet and
 // MulAddSlices must be byte-identical to a per-byte loop.
 func FuzzMulSliceEquivalence(f *testing.F) {
 	f.Add(byte(0), []byte{})
@@ -297,9 +303,9 @@ func FuzzMulSliceEquivalence(f *testing.F) {
 				t.Fatalf("%s: MulSlice(c=%#x) diverges from per-byte Mul on %d bytes", kernel, c, half)
 			}
 			set := append([]byte(nil), dstInit...)
-			MulSliceSet(c, src, set)
+			mulSliceSet(c, src, set)
 			if !bytes.Equal(set, refSet) {
-				t.Fatalf("%s: MulSliceSet(c=%#x) diverges from per-byte Mul on %d bytes", kernel, c, half)
+				t.Fatalf("%s: mulSliceSet(c=%#x) diverges from per-byte Mul on %d bytes", kernel, c, half)
 			}
 			fused := append([]byte(nil), dstInit...)
 			MulAddSlices(coeffs, srcs, fused)

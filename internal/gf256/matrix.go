@@ -24,23 +24,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
 }
 
-// MatrixFromRows builds a matrix from explicit row data. All rows must have
-// equal length. The rows are copied.
-func MatrixFromRows(rows [][]byte) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("gf256: row %d has %d columns, want %d", i, len(r), cols)
-		}
-		copy(m.Row(i), r)
-	}
-	return m, nil
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)
@@ -83,9 +66,6 @@ func Cauchy(rows, cols int) *Matrix {
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the element at (r, c).
 func (m *Matrix) At(r, c int) byte { return m.data[r*m.cols+c] }
 
@@ -100,19 +80,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Equal reports whether m and other have identical shape and contents.
-func (m *Matrix) Equal(other *Matrix) bool {
-	if m.rows != other.rows || m.cols != other.cols {
-		return false
-	}
-	for i, v := range m.data {
-		if other.data[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Mul returns the matrix product m * other.

@@ -403,7 +403,7 @@ func TestQueueMatchesRecomputeOracle(t *testing.T) {
 					i := rng.Intn(len(launched))
 					mt := launched[i]
 					launched = append(launched[:i], launched[i+1:]...)
-					e := q.Entry(mt.idx)
+					e := q.entries[mt.idx]
 					e.SJ.Requeue(mt.task, rng.Intn(2) == 0)
 					if e.runningMaps > 0 {
 						q.MapReleased(mt.idx)
@@ -520,7 +520,7 @@ func TestRequeueKeepsTenantQueue(t *testing.T) {
 	if !equalInts(ids(order), []int{0, 1}) {
 		t.Fatalf("post-requeue order = %v", ids(order))
 	}
-	if got := q.Entry(1).GrantedMaps(); got != 2 {
+	if got := q.entries[1].grantedMaps; got != 2 {
 		t.Fatalf("cumulative grants lost on requeue: %d", got)
 	}
 }

@@ -84,18 +84,6 @@ type tenant struct {
 // capped reports whether n running slots reach the tenant's Quota cap.
 func (t *tenant) capped(n int) bool { return t.slotCap > 0 && n >= t.slotCap }
 
-// Submitted reports whether the job has been submitted.
-func (e *Entry) Submitted() bool { return e.submitted }
-
-// Finished reports whether the job has finished.
-func (e *Entry) Finished() bool { return e.finished }
-
-// GrantedMaps returns the job's cumulative map-slot grants.
-func (e *Entry) GrantedMaps() int { return e.grantedMaps }
-
-// ReducersAssigned returns the job's launched-or-done reducer count.
-func (e *Entry) ReducersAssigned() int { return e.reducersAssigned }
-
 // active reports whether the job can still take map slots.
 func (e *Entry) active() bool {
 	return e.submitted && !e.finished && e.SJ != nil && !e.SJ.Done()
@@ -162,9 +150,6 @@ func (q *Queue) Add(meta JobMeta, numReducers int) int {
 
 // Len returns the number of registered jobs.
 func (q *Queue) Len() int { return len(q.entries) }
-
-// Entry returns the entry of job idx.
-func (q *Queue) Entry(idx int) *Entry { return q.entries[idx] }
 
 // livePos returns where job idx is, or would be inserted, in q.live.
 func (q *Queue) livePos(idx int) (int, bool) {

@@ -6,8 +6,8 @@ import (
 )
 
 // Errsink flags error values discarded with the blank identifier in
-// non-test code. The trace layer is the archetype: trace.JSONL.Flush
-// returns the first write error, and a dropped Flush error means a
+// non-test code. The trace layer is the archetype: trace.JSONL.Close
+// returns the first write error, and a dropped Close error means a
 // silently truncated trace — which BuildResult then "successfully"
 // rebuilds into wrong figures. Handle the error or suppress the finding
 // with an explicit //lint:ignore errsink <reason>.

@@ -95,7 +95,13 @@ func parseWants(t *testing.T, l *Loader, units []*Unit) []*want {
 func checkFixture(t *testing.T, az *Analyzer, name string) {
 	t.Helper()
 	l, units, diags := runFixture(t, az, name)
-	wants := parseWants(t, l, units)
+	matchWants(t, parseWants(t, l, units), diags)
+}
+
+// matchWants asserts that every diagnostic matches a want on its line and
+// every want is matched by a diagnostic.
+func matchWants(t *testing.T, wants []*want, diags []Diagnostic) {
+	t.Helper()
 	for _, d := range diags {
 		ok := false
 		for _, w := range wants {
@@ -276,7 +282,10 @@ func TestAnalyzerRoster(t *testing.T) {
 
 // TestRepoClean runs the full suite over the real tree: the repository
 // must stay lint-clean, with intentional sites annotated. This is the
-// same invariant CI enforces via `go run ./cmd/dflint ./...`.
+// same invariant CI enforces via `go run ./cmd/dflint ./...`. The tree
+// (bench/ included, which the walk loads as one more package) must also
+// have no dead export: every exported name under internal/ has a non-test
+// caller outside its declaration, or a reason in testAPIs.
 func TestRepoClean(t *testing.T) {
 	l := fixtureLoader(t)
 	units, err := l.Load([]string{l.ModDir + "/..."})
@@ -289,6 +298,13 @@ func TestRepoClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Log("fix the findings or annotate intentional sites with //lint:ignore <analyzer> <reason>")
+	}
+	dead := deadExports(l, units, "internal", testAPIs)
+	for _, d := range dead {
+		t.Errorf("dead export: %s", d)
+	}
+	if len(dead) > 0 {
+		t.Log("delete the name, move it into its package's _test.go, or give testAPIs a reason to keep it")
 	}
 }
 

@@ -1,0 +1,12 @@
+// Package use is the fixture's production caller.
+package use
+
+import (
+	"fmt"
+
+	"degradedfirst/internal/lint/testdata/deadexport/internal/lib"
+)
+
+var t lib.T = lib.Used()
+
+var _ fmt.Stringer = t

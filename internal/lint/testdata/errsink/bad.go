@@ -8,8 +8,8 @@ import (
 	"degradedfirst/internal/trace"
 )
 
-func droppedFlush(j *trace.JSONL) {
-	_ = j.Flush() // want `error result discarded`
+func droppedClose(j *trace.JSONL) {
+	_ = j.Close() // want `error result discarded`
 }
 
 func droppedPair(s string) int {

@@ -7,8 +7,8 @@ import (
 )
 
 // Handling the error, or discarding a non-error result, is fine.
-func handledFlush(j *trace.JSONL) error {
-	if err := j.Flush(); err != nil {
+func handledClose(j *trace.JSONL) error {
+	if err := j.Close(); err != nil {
 		return err
 	}
 	return nil

@@ -7,20 +7,20 @@ package fixture
 import "degradedfirst/internal/trace"
 
 func suppressedAbove(j *trace.JSONL) {
-	//lint:ignore errsink best-effort flush on shutdown
-	_ = j.Flush()
+	//lint:ignore errsink best-effort close on shutdown
+	_ = j.Close()
 }
 
 func suppressedInline(j *trace.JSONL) {
-	_ = j.Flush() //lint:ignore errsink demo of same-line suppression
+	_ = j.Close() //lint:ignore errsink demo of same-line suppression
 }
 
 func missingReason(j *trace.JSONL) {
 	//lint:ignore errsink
-	_ = j.Flush()
+	_ = j.Close()
 }
 
 func unknownAnalyzer(j *trace.JSONL) {
 	//lint:ignore nosuchcheck the analyzer list must name real analyzers
-	_ = j.Flush()
+	_ = j.Close()
 }

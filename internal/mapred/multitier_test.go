@@ -79,7 +79,7 @@ func TestTwoLevelSpecRunMatchesLegacy(t *testing.T) {
 		if got.Makespan != want.Makespan {
 			t.Fatalf("%v: spec-configured makespan %v differs from legacy %v", kind, got.Makespan, want.Makespan)
 		}
-		if got.BytesMoved != want.BytesMoved || got.TotalRuntime() != want.TotalRuntime() {
+		if got.BytesMoved != want.BytesMoved || got.Jobs[0].Runtime() != want.Jobs[0].Runtime() {
 			t.Fatalf("%v: spec-configured run diverged: %+v vs %+v", kind, got, want)
 		}
 	}

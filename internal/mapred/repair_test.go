@@ -57,7 +57,7 @@ func TestRepairTracePinned(t *testing.T) {
 		if res.Repair == nil || res.Repair.BlocksRepaired == 0 {
 			t.Fatalf("%s: no blocks repaired", tc.name)
 		}
-		if err := sink.Flush(); err != nil {
+		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if got := h.Sum64(); got != tc.want {

@@ -10,9 +10,6 @@ import (
 // TaskRecord captures one map task's life cycle.
 type TaskRecord = runtime.TaskRecord
 
-// ReduceRecord captures one reduce task's life cycle.
-type ReduceRecord = runtime.ReduceRecord
-
 // JobResult aggregates one job's outcome.
 type JobResult = runtime.JobResult
 

@@ -148,7 +148,7 @@ func TestTraceJSONLRoundTripRebuildsResult(t *testing.T) {
 	for _, e := range events {
 		sink.Emit(e)
 	}
-	if err := sink.Flush(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	decoded, err := trace.ReadJSONL(&buf)

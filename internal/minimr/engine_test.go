@@ -24,6 +24,16 @@ import (
 	"degradedfirst/internal/workload"
 )
 
+// mustLRC builds an LRC code for the test's known-good parameters.
+func mustLRC(t testing.TB, k, l, g int) *erasure.LRC {
+	t.Helper()
+	c, err := erasure.NewLRC(k, l, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 const _testBlocks = 60
 
 // testbedFS builds a scaled testbed: 12 slaves in 3 racks, (12,10) code,
@@ -86,7 +96,7 @@ func TestEDFThresholdReadsLocalGroup(t *testing.T) {
 		}
 		return h.Params.DegradedReadTime
 	}
-	rs, lrc := threshold(erasure.MustNew(14, 10)), threshold(erasure.MustNewLRC(10, 2, 2))
+	rs, lrc := threshold(erasure.MustNew(14, 10)), threshold(mustLRC(t, 10, 2, 2))
 	if rs <= 0 || math.Abs(lrc-rs/2) > 1e-12*rs {
 		t.Fatalf("LRC(10,2,2) threshold %v, want half of RS(14,10)'s %v", lrc, rs)
 	}
@@ -403,7 +413,7 @@ func TestWordCountOverLRC(t *testing.T) {
 	cluster := topology.MustNew(topology.Config{
 		Nodes: 14, Racks: 3, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1,
 	})
-	code := erasure.MustNewLRC(10, 2, 2)
+	code := mustLRC(t, 10, 2, 2)
 	fs, err := dfs.New(cluster, code, TestbedBlockSize, placement.RoundRobin{}, stats.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)

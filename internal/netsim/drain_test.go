@@ -175,7 +175,7 @@ func BenchmarkFinishCascade(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fatTree, err := topology.NewFromSpec(storm, 2, 1)
+	fatTree, err := topology.New(topology.Config{Spec: &storm, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

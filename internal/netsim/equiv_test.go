@@ -68,7 +68,7 @@ func equivFatTree() *topology.Cluster {
 	if err != nil {
 		panic(err)
 	}
-	c, err := topology.NewFromSpec(spec, 1, 1)
+	c, err := topology.New(topology.Config{Spec: &spec, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1})
 	if err != nil {
 		panic(err)
 	}

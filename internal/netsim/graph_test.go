@@ -14,7 +14,7 @@ func mustFatTreeCluster(t testing.TB, cfg topology.FatTreeConfig) *topology.Clus
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := topology.NewFromSpec(spec, 1, 1)
+	c, err := topology.New(topology.Config{Spec: &spec, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func benchFatTree10k(tb testing.TB) *topology.Cluster {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	c, err := topology.NewFromSpec(spec, 2, 1)
+	c, err := topology.New(topology.Config{Spec: &spec, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -154,7 +154,6 @@ type link struct {
 type Net struct {
 	eng    *sim.Engine
 	mode   Mode
-	cfg    Config
 	nodeUp []*link
 	nodeDn []*link
 	// tierUp/tierDn[t][g] are group g of tier t's links toward the tier
@@ -287,7 +286,6 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 	n := &Net{
 		eng:       eng,
 		mode:      cfg.Mode,
-		cfg:       cfg,
 		nodeUp:    make([]*link, nodes),
 		nodeDn:    make([]*link, nodes),
 		tierUp:    make([][]*link, tiers),
@@ -348,10 +346,6 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 
 // Mode returns the contention mode in use.
 func (n *Net) Mode() Mode { return n.mode }
-
-// Config returns the configuration the network was built with (Mode
-// defaulted): the capacities that override the cluster spec's.
-func (n *Net) Config() Config { return n.cfg }
 
 // ActiveFlows returns the number of flows currently transferring: sharing
 // bandwidth (fluid mode) or holding links (hold mode). Hold-mode flows

@@ -5,14 +5,13 @@
 //   - at most n-k blocks of any stripe share a rack, so an arbitrary
 //     single-rack failure (and any n-k node failures) is tolerable.
 //
-// Three policies are provided: rack-constrained random placement (the
-// HDFS-RAID-style default used by the simulator), round-robin placement
-// (the testbed setup of Section VI), and parity-declustered placement (the
-// even spreading assumed by the analysis of Section IV-B).
+// Two policies are provided, plus explicit assignment for the paper's
+// worked examples: rack-constrained random placement (the HDFS-RAID-style
+// default used by the simulator) and round-robin placement (the testbed
+// setup of Section VI).
 package placement
 
 import (
-	"errors"
 	"fmt"
 
 	"degradedfirst/internal/erasure"
@@ -112,43 +111,6 @@ func (p *Placement) Validate(c *topology.Cluster) error {
 		}
 	}
 	return nil
-}
-
-// ValidateRackConstraint additionally enforces the paper's Section III
-// condition: at most n-k blocks of any stripe share a rack, so any
-// single-rack failure is tolerable. Note the paper's own testbed placement
-// (round-robin, Section VI) does not guarantee this; only
-// RackConstrainedRandom and ParityDeclustered do.
-func (p *Placement) ValidateRackConstraint(c *topology.Cluster) error {
-	if err := p.Validate(c); err != nil {
-		return err
-	}
-	for s, holders := range p.stripes {
-		perRack := make(map[topology.RackID]int)
-		for _, id := range holders {
-			perRack[c.RackOf(id)]++
-		}
-		for r, cnt := range perRack {
-			if cnt > p.n-p.k {
-				return fmt.Errorf("placement: stripe %d has %d blocks in rack %d, max %d", s, cnt, r, p.n-p.k)
-			}
-		}
-	}
-	return nil
-}
-
-// LostNativeBlocks returns the native blocks whose holder is failed — the
-// inputs of the job's degraded tasks.
-func (p *Placement) LostNativeBlocks(c *topology.Cluster) []erasure.BlockID {
-	var out []erasure.BlockID
-	for s := range p.stripes {
-		for i := 0; i < p.k; i++ {
-			if !c.Alive(p.stripes[s][i]) {
-				out = append(out, erasure.BlockID{Stripe: s, Index: i})
-			}
-		}
-	}
-	return out
 }
 
 // Reassign moves block b to node to, updating both the stripe map and
@@ -284,76 +246,6 @@ func (RoundRobin) Place(c *topology.Cluster, numStripes, n, k int, rng *stats.RN
 			p.assign(s, i, order[(cursor+i)%len(order)])
 		}
 		cursor = (cursor + n) % len(order)
-	}
-	return p, nil
-}
-
-// ParityDeclustered spreads stripes evenly over all nodes and racks
-// (Section IV-B assumes stripes "distributed evenly among the N nodes as in
-// parity declustering"). It walks racks round-robin so every stripe touches
-// as many racks as possible, then rotates the starting rack per stripe.
-type ParityDeclustered struct{}
-
-// Name implements Policy.
-func (ParityDeclustered) Name() string { return "parity-declustered" }
-
-// Place implements Policy.
-func (ParityDeclustered) Place(c *topology.Cluster, numStripes, n, k int, rng *stats.RNG) (*Placement, error) {
-	if err := checkParams(c, n, k, numStripes); err != nil {
-		return nil, err
-	}
-	// Per-rack alive node lists and rotating cursors.
-	racks := make([][]topology.NodeID, 0, c.NumRacks())
-	for r := 0; r < c.NumRacks(); r++ {
-		var aliveInRack []topology.NodeID
-		for _, id := range c.RackNodes(topology.RackID(r)) {
-			if c.Alive(id) {
-				aliveInRack = append(aliveInRack, id)
-			}
-		}
-		if len(aliveInRack) > 0 {
-			racks = append(racks, aliveInRack)
-		}
-	}
-	if len(racks) == 0 {
-		return nil, errors.New("placement: no alive nodes")
-	}
-	nodeCursor := make([]int, len(racks))
-	p := newPlacement(n, k, numStripes)
-	for s := 0; s < numStripes; s++ {
-		used := make(map[topology.NodeID]bool, n)
-		perRack := make(map[int]int, len(racks))
-		rackIdx := s % len(racks)
-		for i := 0; i < n; i++ {
-			placed := false
-			for attempts := 0; attempts < len(racks); attempts++ {
-				r := (rackIdx + attempts) % len(racks)
-				if perRack[r] >= n-k {
-					continue
-				}
-				// Find an unused node in this rack, starting at its cursor.
-				nodes := racks[r]
-				for off := 0; off < len(nodes); off++ {
-					id := nodes[(nodeCursor[r]+off)%len(nodes)]
-					if used[id] {
-						continue
-					}
-					p.assign(s, i, id)
-					used[id] = true
-					perRack[r]++
-					nodeCursor[r] = (nodeCursor[r] + off + 1) % len(nodes)
-					placed = true
-					break
-				}
-				if placed {
-					rackIdx = (r + 1) % len(racks)
-					break
-				}
-			}
-			if !placed {
-				return nil, fmt.Errorf("placement: parity declustering failed for stripe %d block %d: cluster too small for (%d,%d)", s, i, n, k)
-			}
-		}
 	}
 	return p, nil
 }

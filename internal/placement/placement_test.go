@@ -2,6 +2,7 @@ package placement
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"testing"
 	"testing/quick"
@@ -15,8 +16,45 @@ func cluster40() *topology.Cluster {
 	return topology.MustNew(topology.Config{Nodes: 40, Racks: 4, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1})
 }
 
+// validateRackConstraint checks Validate plus the paper's Section III
+// condition: at most n-k blocks of any stripe share a rack, so any
+// single-rack failure is tolerable. The paper's own testbed placement
+// (round-robin, Section VI) does not guarantee this; RackConstrainedRandom
+// does.
+func validateRackConstraint(p *Placement, c *topology.Cluster) error {
+	if err := p.Validate(c); err != nil {
+		return err
+	}
+	for s, holders := range p.stripes {
+		perRack := make(map[topology.RackID]int)
+		for _, id := range holders {
+			perRack[c.RackOf(id)]++
+		}
+		for r, cnt := range perRack {
+			if cnt > p.n-p.k {
+				return fmt.Errorf("placement: stripe %d has %d blocks in rack %d, max %d", s, cnt, r, p.n-p.k)
+			}
+		}
+	}
+	return nil
+}
+
+// lostNativeBlocks returns the native blocks whose holder is failed — the
+// inputs of the job's degraded tasks.
+func lostNativeBlocks(p *Placement, c *topology.Cluster) []erasure.BlockID {
+	var out []erasure.BlockID
+	for s := range p.stripes {
+		for i := 0; i < p.k; i++ {
+			if !c.Alive(p.stripes[s][i]) {
+				out = append(out, erasure.BlockID{Stripe: s, Index: i})
+			}
+		}
+	}
+	return out
+}
+
 func allPolicies() []Policy {
-	return []Policy{RackConstrainedRandom{}, RoundRobin{}, ParityDeclustered{}}
+	return []Policy{RackConstrainedRandom{}, RoundRobin{}}
 }
 
 func TestPoliciesSatisfyInvariants(t *testing.T) {
@@ -32,7 +70,7 @@ func TestPoliciesSatisfyInvariants(t *testing.T) {
 				t.Fatal(err)
 			}
 			if _, strict := pol.(RoundRobin); !strict {
-				if err := p.ValidateRackConstraint(c); err != nil {
+				if err := validateRackConstraint(p, c); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -55,7 +93,7 @@ func TestPoliciesSatisfyInvariants(t *testing.T) {
 }
 
 func TestPlacementLoadBalance(t *testing.T) {
-	// All three policies should spread blocks roughly evenly: with
+	// Both policies should spread blocks roughly evenly: with
 	// 96 stripes * 20 blocks over 40 nodes, mean is 48 per node.
 	for _, pol := range allPolicies() {
 		c := cluster40()
@@ -118,15 +156,15 @@ func TestNativeBlocksOrder(t *testing.T) {
 
 func TestLostNativeBlocksAndSurvivors(t *testing.T) {
 	c := cluster40()
-	p, err := ParityDeclustered{}.Place(c, 24, 8, 6, stats.NewRNG(5))
+	p, err := RackConstrainedRandom{}.Place(c, 24, 8, 6, stats.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.LostNativeBlocks(c); len(got) != 0 {
+	if got := lostNativeBlocks(p, c); len(got) != 0 {
 		t.Fatalf("no failure but %d lost blocks", len(got))
 	}
 	c.FailNode(0)
-	lost := p.LostNativeBlocks(c)
+	lost := lostNativeBlocks(p, c)
 	want := 0
 	for _, b := range p.NodeBlocks(0) {
 		if b.Index < 6 {
@@ -179,7 +217,7 @@ func TestValidateCatchesViolations(t *testing.T) {
 	if err := p2.Validate(c); err != nil {
 		t.Fatalf("basic validation should pass: %v", err)
 	}
-	if err := p2.ValidateRackConstraint(c); err == nil {
+	if err := validateRackConstraint(p2, c); err == nil {
 		t.Fatal("3 blocks in one rack with n-k=2 must fail strict validation")
 	}
 }
@@ -212,7 +250,7 @@ func TestPlaceOnSmallestViableCluster(t *testing.T) {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
 		if _, rr := pol.(RoundRobin); !rr {
-			if err := p.ValidateRackConstraint(c); err != nil {
+			if err := validateRackConstraint(p, c); err != nil {
 				t.Fatalf("%s: %v", pol.Name(), err)
 			}
 		}
@@ -263,7 +301,7 @@ func TestPlacementInvariantProperty(t *testing.T) {
 				return false
 			}
 			if _, rr := pol.(RoundRobin); !rr {
-				if err := p.ValidateRackConstraint(c); err != nil {
+				if err := validateRackConstraint(p, c); err != nil {
 					return false
 				}
 			}
@@ -292,7 +330,7 @@ func TestExplicitPlacement(t *testing.T) {
 		p.Holder(erasure.BlockID{Stripe: 1, Index: 3}) != 2 {
 		t.Fatal("explicit holders wrong")
 	}
-	if err := p.ValidateRackConstraint(c); err != nil {
+	if err := validateRackConstraint(p, c); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -118,19 +118,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy maps a Policy.String() name back to its Policy.
-func ParsePolicy(s string) (Policy, bool) {
-	switch s {
-	case "fifo":
-		return FIFO, true
-	case "most-at-risk":
-		return MostAtRisk, true
-	case "deadline":
-		return Deadline, true
-	}
-	return 0, false
-}
-
 // Config configures the background repair subsystem. The zero value
 // disables it entirely, keeping the runtime byte-identical to a build
 // without the subsystem (pinned by the seed FIFO golden traces).

@@ -7,18 +7,6 @@ import (
 
 func key(s int) Key { return Key{File: "f", Stripe: s} }
 
-func TestPolicyRoundTrip(t *testing.T) {
-	for _, p := range []Policy{FIFO, MostAtRisk, Deadline} {
-		got, ok := ParsePolicy(p.String())
-		if !ok || got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", p.String(), got, ok)
-		}
-	}
-	if _, ok := ParsePolicy("bogus"); ok {
-		t.Fatal("ParsePolicy accepted bogus name")
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config should validate: %v", err)

@@ -129,12 +129,12 @@ func TestAsyncReduceFailureReowesLateFetch(t *testing.T) {
 	base := runLateFetch(t, -1, nil)
 	reduceNode := map[int]bool{}
 	lastStart := -1.0
-	for _, e := range trace.FilterType(base, trace.EvReduceStart) {
+	for _, e := range filterType(base, trace.EvReduceStart) {
 		reduceNode[e.Node] = true
 		lastStart = max(lastStart, e.T)
 	}
 	victim, victimTask := topology.NodeID(-1), -1
-	for _, e := range trace.FilterType(base, trace.EvTaskFinish) {
+	for _, e := range filterType(base, trace.EvTaskFinish) {
 		if !reduceNode[e.Node] {
 			victim, victimTask = topology.NodeID(e.Node), e.Task
 			break
@@ -155,10 +155,10 @@ func TestAsyncReduceFailureReowesLateFetch(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			events := runLateFetch(t, victim, tc.poll)
-			if n := len(trace.FilterType(events, trace.EvJobFinish)); n != 1 {
+			if n := len(filterType(events, trace.EvJobFinish)); n != 1 {
 				t.Fatalf("%d jobs finished, want 1", n)
 			}
-			if fails := trace.FilterType(events, trace.EvNodeFail); len(fails) != 1 || fails[0].Node != int(victim) {
+			if fails := filterType(events, trace.EvNodeFail); len(fails) != 1 || fails[0].Node != int(victim) {
 				t.Errorf("node-fail events %v, want one for node %d", fails, victim)
 			}
 			mapLaunches, reduceLaunches := map[int]int{}, map[int]int{}

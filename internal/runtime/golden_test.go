@@ -39,9 +39,20 @@ type decision struct {
 	Class           string
 }
 
+// filterType returns the events of the given type, in order.
+func filterType(events []trace.Event, typ trace.Type) []trace.Event {
+	var out []trace.Event
+	for _, e := range events {
+		if e.Type == typ {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func decisionsOf(events []trace.Event) []decision {
 	var out []decision
-	for _, e := range trace.FilterType(events, trace.EvTaskScheduled) {
+	for _, e := range filterType(events, trace.EvTaskScheduled) {
 		out = append(out, decision{Job: e.Job, Task: e.Task, Node: e.Node, Class: e.Class})
 	}
 	return out

@@ -10,6 +10,7 @@ import (
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
+	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
 )
@@ -199,13 +200,13 @@ func TestHedgedFanInRacesAndCancelsLosers(t *testing.T) {
 	if res.WastedBytes <= 0 {
 		t.Fatalf("wasted bytes = %v, want > 0", res.WastedBytes)
 	}
-	won := len(trace.FilterType(events, trace.EvFlowLatency))
+	won := len(filterType(events, trace.EvFlowLatency))
 	if won != hedgeTasks*(hedgeK+1) {
 		t.Fatalf("flow-latency events = %d, want %d (k winners + 1 loser per task)",
 			won, hedgeTasks*(hedgeK+1))
 	}
 	// Quantile accessors are finite and JSON-safe.
-	for _, q := range jr.FlowLatencyQuantiles(0, 0.5, 0.99, 1) {
+	for _, q := range stats.Quantiles(jr.DegradedFlowLatencies(), 0, 0.5, 0.99, 1) {
 		if math.IsNaN(q) || math.IsInf(q, 0) {
 			t.Fatalf("non-finite flow latency quantile %v", q)
 		}
@@ -387,22 +388,24 @@ func TestRebuildStragglerWithoutRelaunch(t *testing.T) {
 	}
 }
 
-// TestLatencyQuantileEdgeCases: empty, single-sample and all-equal
-// latency sets must produce nil or constant quantiles — never NaN or
-// Inf — and marshal cleanly to JSON.
+// TestLatencyQuantileEdgeCases: the latency lists the hedge experiment
+// takes quantiles of are empty for a job without degraded reads or
+// recorded flows, and single-sample and all-equal lists give constant
+// quantiles — never NaN or Inf — that marshal cleanly to JSON.
 func TestLatencyQuantileEdgeCases(t *testing.T) {
 	qs := []float64{0, 0.5, 0.9, 0.99, 1}
 
 	empty := &runtime.JobResult{Tasks: []runtime.TaskRecord{{}}}
-	if got := empty.FlowLatencyQuantiles(qs...); got != nil {
-		t.Fatalf("empty samples: quantiles = %v, want nil", got)
+	if got := empty.DegradedFlowLatencies(); len(got) != 0 {
+		t.Fatalf("empty samples: flow latencies = %v, want none", got)
 	}
-	if got := empty.DegradedReadQuantiles(qs...); got != nil {
-		t.Fatalf("no degraded tasks: quantiles = %v, want nil", got)
+	if got := empty.DegradedReadTimes(); len(got) != 0 {
+		t.Fatalf("no degraded tasks: read times = %v, want none", got)
 	}
 
 	single := &runtime.JobResult{Tasks: []runtime.TaskRecord{{FlowLatencies: []float64{7}}}}
-	for _, q := range single.FlowLatencyQuantiles(qs...) {
+	singleQ := stats.Quantiles(single.DegradedFlowLatencies(), qs...)
+	for _, q := range singleQ {
 		if q != 7 {
 			t.Fatalf("single sample: quantile = %v, want 7", q)
 		}
@@ -411,17 +414,14 @@ func TestLatencyQuantileEdgeCases(t *testing.T) {
 	equal := &runtime.JobResult{Tasks: []runtime.TaskRecord{
 		{FlowLatencies: []float64{3, 3}}, {FlowLatencies: []float64{3}},
 	}}
-	for _, q := range equal.FlowLatencyQuantiles(qs...) {
+	equalQ := stats.Quantiles(equal.DegradedFlowLatencies(), qs...)
+	for _, q := range equalQ {
 		if q != 3 {
 			t.Fatalf("all-equal samples: quantile = %v, want 3", q)
 		}
 	}
 
-	for _, xs := range [][]float64{
-		nil,
-		single.FlowLatencyQuantiles(qs...),
-		equal.FlowLatencyQuantiles(qs...),
-	} {
+	for _, xs := range [][]float64{singleQ, equalQ} {
 		if _, err := json.Marshal(xs); err != nil {
 			t.Fatalf("quantiles %v not JSON-marshalable: %v", xs, err)
 		}

@@ -20,6 +20,16 @@ import (
 	"degradedfirst/internal/trace"
 )
 
+// mustLRC builds an LRC code for the test's known-good parameters.
+func mustLRC(t testing.TB, k, l, g int) *erasure.LRC {
+	t.Helper()
+	c, err := erasure.NewLRC(k, l, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // slowBackend is hedgeBackend with a settable map time.
 type slowBackend struct {
 	*hedgeBackend
@@ -72,7 +82,7 @@ func TestFeaturesTable(t *testing.T) {
 			return err.Error()
 		}
 		var at []float64
-		for _, e := range trace.FilterType(events, trace.EvHeartbeat) {
+		for _, e := range filterType(events, trace.EvHeartbeat) {
 			if e.Node == 1 {
 				at = append(at, e.T)
 			}
@@ -83,7 +93,7 @@ func TestFeaturesTable(t *testing.T) {
 		return ""
 	}
 	mapsRun := func(events []trace.Event, err error) string {
-		if n := len(trace.FilterType(events, trace.EvTaskScheduled)); err != nil || n != goldenBlocks {
+		if n := len(filterType(events, trace.EvTaskScheduled)); err != nil || n != goldenBlocks {
 			return fmt.Sprintf("want %d maps and no error, got %d and %v", goldenBlocks, n, err)
 		}
 		return ""
@@ -221,7 +231,7 @@ func TestFeaturesDefaultSourceStrategy(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(trace.FilterType(unset, trace.EvDegradedPlan)) == 0 {
+			if len(filterType(unset, trace.EvDegradedPlan)) == 0 {
 				t.Fatal("no degraded reads: the scenario does not exercise the source strategy")
 			}
 			if !reflect.DeepEqual(unset, named) {
@@ -244,7 +254,7 @@ func TestDegradedReadTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fatTree, err := topology.NewFromSpec(spec, 1, 0)
+	fatTree, err := topology.New(topology.Config{Spec: &spec, MapSlotsPerNode: 1, ReduceSlotsPerNode: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +271,7 @@ func TestDegradedReadTime(t *testing.T) {
 		{"paper default", twoLevel(40, 4), erasure.MustNew(20, 15), 128e6, netsim.Gbps, 11.52},
 		// A lost native block reads its 5-block local group, not k = 10:
 		// half of RS(14,10) on the same cluster.
-		{"LRC(10,2,2) at half of RS(14,10)", twoLevel(16, 4), erasure.MustNewLRC(10, 2, 2), 64e6, 1e9,
+		{"LRC(10,2,2) at half of RS(14,10)", twoLevel(16, 4), mustLRC(t, 10, 2, 2), 64e6, 1e9,
 			0.5 * 0.75 * 10 * 64e6 / 1e9},
 		// The spec's leaf (edge) tier stands in for a zero rack bandwidth.
 		{"fat tree falls back to the leaf tier", fatTree, erasure.MustNew(6, 4), 16e6, 0,

@@ -158,28 +158,6 @@ func (j *JobResult) DegradedFlowLatencies() []float64 {
 	return out
 }
 
-// DegradedReadQuantiles returns the given quantiles over the job's
-// degraded-read durations, or nil when the job had no degraded tasks —
-// never NaN or Inf, so the values marshal cleanly to JSON.
-func (j *JobResult) DegradedReadQuantiles(qs ...float64) []float64 {
-	xs := j.DegradedReadTimes()
-	if len(xs) == 0 {
-		return nil
-	}
-	return stats.Quantiles(xs, qs...)
-}
-
-// FlowLatencyQuantiles returns the given quantiles over the job's
-// per-source-flow degraded-read latencies, or nil when none were
-// recorded (hedging off) — never NaN or Inf.
-func (j *JobResult) FlowLatencyQuantiles(qs ...float64) []float64 {
-	xs := j.DegradedFlowLatencies()
-	if len(xs) == 0 {
-		return nil
-	}
-	return stats.Quantiles(xs, qs...)
-}
-
 // AtRiskPoint is one step of the stripes-at-risk timeline: at time T the
 // healer knew of Lost lost blocks still awaiting repair (over repairable
 // and unrepairable stripes alike).
@@ -232,13 +210,4 @@ type Result struct {
 	// Repair holds the background healer's metrics; nil when the run
 	// emitted no repair events (repair disabled, or no failures).
 	Repair *RepairStats
-}
-
-// TotalRuntime sums job runtimes (single-job runs: the job runtime).
-func (r *Result) TotalRuntime() float64 {
-	var sum float64
-	for i := range r.Jobs {
-		sum += r.Jobs[i].Runtime()
-	}
-	return sum
 }

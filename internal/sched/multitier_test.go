@@ -16,7 +16,7 @@ func fatTree12(t *testing.T) *topology.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := topology.NewFromSpec(spec, 1, 1)
+	c, err := topology.New(topology.Config{Spec: &spec, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,6 @@ func (c Class) String() string {
 	}
 }
 
-// IsLocal reports whether the class counts as "local" in the paper's sense.
-func (c Class) IsLocal() bool { return c == ClassNodeLocal || c == ClassRackLocal }
-
 // ParseClass maps a Class.String() name back to its Class, for consumers
 // of recorded traces.
 func ParseClass(s string) (Class, bool) {

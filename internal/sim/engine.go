@@ -28,9 +28,6 @@ type Event struct {
 // At returns the time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// Scheduled reports whether the event is still pending.
-func (e *Event) Scheduled() bool { return e.index >= 0 && !e.dead }
-
 // Stats counts the engine's own work since New. The counts depend only on
 // the calls made, so a seeded run repeats them exactly.
 type Stats struct {

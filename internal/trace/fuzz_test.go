@@ -27,11 +27,11 @@ func FuzzJSONLRoundTrip(f *testing.F) {
 		var buf1 bytes.Buffer
 		w1 := NewJSONL(&buf1)
 		w1.Emit(e)
-		if err := w1.Flush(); err != nil {
+		if err := w1.Close(); err != nil {
 			// NaN/Inf are not encodable in JSON; the sink retains the
 			// error instead of corrupting the stream.
 			if !math.IsNaN(tm) && !math.IsInf(tm, 0) && !math.IsNaN(bytesF) && !math.IsInf(bytesF, 0) {
-				t.Fatalf("Flush failed on encodable event %+v: %v", e, err)
+				t.Fatalf("Close failed on encodable event %+v: %v", e, err)
 			}
 			return
 		}
@@ -47,7 +47,7 @@ func FuzzJSONLRoundTrip(f *testing.F) {
 		var buf2 bytes.Buffer
 		w2 := NewJSONL(&buf2)
 		w2.Emit(events[0])
-		if err := w2.Flush(); err != nil {
+		if err := w2.Close(); err != nil {
 			t.Fatalf("re-encoding decoded event: %v", err)
 		}
 
@@ -74,7 +74,7 @@ func FuzzJSONLRoundTrip(f *testing.F) {
 		var buf3 bytes.Buffer
 		w3 := NewJSONL(&buf3)
 		w3.Emit(events2[0])
-		if err := w3.Flush(); err != nil {
+		if err := w3.Close(); err != nil {
 			t.Fatalf("third encoding: %v", err)
 		}
 		if !bytes.Equal(buf2.Bytes(), buf3.Bytes()) {

@@ -222,8 +222,8 @@ type JSONL struct {
 	closed bool
 }
 
-// NewJSONL returns a JSONL sink over w. Call Close (or at least Flush)
-// before discarding the sink, or buffered events are lost.
+// NewJSONL returns a JSONL sink over w. Call Close before discarding the
+// sink, or buffered events are lost.
 func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{w: bufio.NewWriter(w), out: w}
 }
@@ -246,17 +246,6 @@ func (j *JSONL) Emit(e Event) {
 		return
 	}
 	j.err = j.w.WriteByte('\n')
-}
-
-// Flush drains the buffer to the underlying writer.
-func (j *JSONL) Flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	j.err = j.w.Flush()
-	return j.err
 }
 
 // Close flushes buffered events, closes the underlying writer when it
@@ -334,41 +323,4 @@ func WithLabel(sink Sink, label string) Sink {
 		return sink
 	}
 	return labeled{sink: sink, label: label}
-}
-
-// Multi fans events out to several sinks; nil entries are skipped.
-func Multi(sinks ...Sink) Sink {
-	var kept []Sink
-	for _, s := range sinks {
-		if s != nil {
-			kept = append(kept, s)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return multi(kept)
-}
-
-type multi []Sink
-
-// Emit implements Sink.
-func (m multi) Emit(e Event) {
-	for _, s := range m {
-		s.Emit(e)
-	}
-}
-
-// FilterType returns the events of the given type, in order.
-func FilterType(events []Event, typ Type) []Event {
-	var out []Event
-	for _, e := range events {
-		if e.Type == typ {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -53,7 +53,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	for _, e := range events {
 		sink.Emit(e)
 	}
-	if err := sink.Flush(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Err() != nil {
@@ -95,8 +95,8 @@ func TestJSONLRetainsFirstError(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		sink.Emit(New(float64(i), EvHeartbeat))
 	}
-	if err := sink.Flush(); err == nil {
-		t.Fatal("flush over a failing writer must error")
+	if err := sink.Close(); err == nil {
+		t.Fatal("close over a failing writer must error")
 	}
 	if sink.Err() == nil || !strings.Contains(sink.Err().Error(), "disk full") {
 		t.Fatalf("Err = %v", sink.Err())
@@ -122,32 +122,5 @@ func TestWithLabel(t *testing.T) {
 	}
 	if events[1].Run != "already" {
 		t.Errorf("pre-labeled event overwritten to %q", events[1].Run)
-	}
-}
-
-func TestMulti(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Fatal("no live sinks must collapse to nil")
-	}
-	var a Memory
-	if got := Multi(nil, &a); got != Sink(&a) {
-		t.Fatal("single live sink must be returned directly")
-	}
-	var b Memory
-	s := Multi(&a, nil, &b)
-	s.Emit(New(0, EvRunStart))
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Fatal("event not fanned out to all sinks")
-	}
-}
-
-func TestFilterType(t *testing.T) {
-	events := []Event{New(0, EvRunStart), New(1, EvHeartbeat), New(2, EvHeartbeat), New(3, EvRunEnd)}
-	got := FilterType(events, EvHeartbeat)
-	if len(got) != 2 || got[0].T != 1 || got[1].T != 2 {
-		t.Fatalf("filtered = %v", got)
-	}
-	if FilterType(events, EvNodeFail) != nil {
-		t.Fatal("no matches must return nil")
 	}
 }

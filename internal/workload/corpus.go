@@ -7,7 +7,6 @@ package workload
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"slices"
 
 	"degradedfirst/internal/stats"
@@ -27,42 +26,6 @@ var _vocabulary = []string{
 	"my", "than", "first", "water", "been", "call", "who", "oil", "its", "now",
 	"find", "long", "down", "day", "did", "get", "come", "made", "may", "part",
 	"gutenberg", "whale", "ocean", "ship", "captain", "storm", "harbor", "voyage",
-}
-
-// CorpusOptions configures text generation.
-type CorpusOptions struct {
-	// Bytes is the approximate output size; the result is at least this
-	// long (trimmed to exactly this length).
-	Bytes int
-	// WordsPerLine is the mean words per line (lines vary ±50%).
-	WordsPerLine int
-	// Seed drives the generator.
-	Seed int64
-}
-
-// GenerateCorpus produces deterministic English-like text of exactly
-// opts.Bytes bytes: Zipf-distributed words, newline-separated lines.
-func GenerateCorpus(opts CorpusOptions) ([]byte, error) {
-	if opts.Bytes <= 0 {
-		return nil, fmt.Errorf("workload: corpus size must be positive, got %d", opts.Bytes)
-	}
-	if opts.WordsPerLine <= 0 {
-		opts.WordsPerLine = 10
-	}
-	rng := stats.NewRNG(opts.Seed)
-	var buf bytes.Buffer
-	buf.Grow(opts.Bytes + 64)
-	for buf.Len() < opts.Bytes {
-		lineWords := 1 + int(float64(opts.WordsPerLine)*(0.5+rng.Float64()))
-		for w := 0; w < lineWords; w++ {
-			if w > 0 {
-				buf.WriteByte(' ')
-			}
-			buf.WriteString(_vocabulary[zipfIndex(rng)])
-		}
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()[:opts.Bytes], nil
 }
 
 // _zipfCum[i] is the harmonic partial sum 1/1 + … + 1/(i+1), added in
@@ -161,30 +124,4 @@ func GrepLines(text []byte, word string) map[string]int {
 		counts[string(line)]++
 	}
 	return counts
-}
-
-// ZipfSkewness returns the ratio between the most frequent and the median
-// word frequency of a corpus; used by tests to verify the distribution is
-// actually skewed (real-text-like), not uniform.
-func ZipfSkewness(text []byte) float64 {
-	counts := CountWords(text)
-	if len(counts) == 0 {
-		return 0
-	}
-	freqs := make([]float64, 0, len(counts))
-	//lint:ignore maporder freqs is reduced by max and median, both order-insensitive
-	for _, c := range counts {
-		freqs = append(freqs, float64(c))
-	}
-	maxF := 0.0
-	for _, f := range freqs {
-		if f > maxF {
-			maxF = f
-		}
-	}
-	med := stats.Median(freqs)
-	if med == 0 || math.IsNaN(med) {
-		return 0
-	}
-	return maxF / med
 }

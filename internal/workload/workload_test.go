@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -11,35 +12,60 @@ import (
 	"degradedfirst/internal/stats"
 )
 
+// zipfSkewness returns the ratio between the most frequent and the median
+// word frequency of a corpus, to verify the distribution is actually
+// skewed (real-text-like), not uniform.
+func zipfSkewness(text []byte) float64 {
+	counts := CountWords(text)
+	if len(counts) == 0 {
+		return 0
+	}
+	freqs := make([]float64, 0, len(counts))
+	//lint:ignore maporder freqs is reduced by max and median, both order-insensitive
+	for _, c := range counts {
+		freqs = append(freqs, float64(c))
+	}
+	maxF := 0.0
+	for _, f := range freqs {
+		if f > maxF {
+			maxF = f
+		}
+	}
+	med := stats.Median(freqs)
+	if med == 0 || math.IsNaN(med) {
+		return 0
+	}
+	return maxF / med
+}
+
+// TestGenerateCorpusExactSize pins the size of the corpus behind the root
+// package's GenerateCorpus: exactly numBlocks * blockSize bytes.
 func TestGenerateCorpusExactSize(t *testing.T) {
-	for _, size := range []int{1, 100, 4096, 100000} {
-		text, err := GenerateCorpus(CorpusOptions{Bytes: size, Seed: 1})
+	for _, shape := range [][2]int{{1, 64}, {3, 100}, {2, 4096}, {7, 65536}} {
+		text, err := GenerateBlockAlignedCorpus(shape[0], shape[1], 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(text) != size {
-			t.Fatalf("size %d: got %d bytes", size, len(text))
+		if len(text) != shape[0]*shape[1] {
+			t.Fatalf("%d blocks of %d: got %d bytes", shape[0], shape[1], len(text))
 		}
-	}
-	if _, err := GenerateCorpus(CorpusOptions{Bytes: 0}); err == nil {
-		t.Fatal("zero size must fail")
 	}
 }
 
 func TestGenerateCorpusDeterministic(t *testing.T) {
-	a, _ := GenerateCorpus(CorpusOptions{Bytes: 10000, Seed: 7})
-	b, _ := GenerateCorpus(CorpusOptions{Bytes: 10000, Seed: 7})
+	a, _ := GenerateBlockAlignedCorpus(20, 512, 7)
+	b, _ := GenerateBlockAlignedCorpus(20, 512, 7)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same seed must give same corpus")
 	}
-	c, _ := GenerateCorpus(CorpusOptions{Bytes: 10000, Seed: 8})
+	c, _ := GenerateBlockAlignedCorpus(20, 512, 8)
 	if bytes.Equal(a, c) {
 		t.Fatal("different seeds should differ")
 	}
 }
 
 func TestCorpusLooksLikeText(t *testing.T) {
-	text, err := GenerateCorpus(CorpusOptions{Bytes: 200000, Seed: 2, WordsPerLine: 8})
+	text, err := GenerateBlockAlignedCorpus(400, 512, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +77,7 @@ func TestCorpusLooksLikeText(t *testing.T) {
 		t.Fatalf("vocabulary too small: %d", len(words))
 	}
 	// Zipf skew: the top word should dominate the median word.
-	if skew := ZipfSkewness(text); skew < 5 {
+	if skew := zipfSkewness(text); skew < 5 {
 		t.Fatalf("corpus not skewed enough (max/median = %.1f)", skew)
 	}
 	if words["the"] < words["whale"] {
@@ -76,7 +102,7 @@ func TestReferenceCounters(t *testing.T) {
 	if got := GrepLines(text, "submarine"); len(got) != 0 {
 		t.Fatalf("GrepLines miss = %v", got)
 	}
-	if ZipfSkewness(nil) != 0 {
+	if zipfSkewness(nil) != 0 {
 		t.Fatal("empty skewness must be 0")
 	}
 }
@@ -330,28 +356,21 @@ func TestZipfIndexMatchesScan(t *testing.T) {
 	}
 }
 
-// TestCorpusBytesPinned pins both generators' output, byte for byte, to
+// TestCorpusBytesPinned pins the generator's output, byte for byte, to
 // digests taken with the original scan: the minimr testbed and every
 // corpus-derived golden depend on it.
 func TestCorpusBytesPinned(t *testing.T) {
-	want := map[int64][2]string{
-		1:  {"2b73eab1c5c6afe69deb5966a5a9e1b4785b346b98d3888bb47acbea9cd82112", "f9de7d1e64d721521d5d0ab7e1446f1df9590085bf072581e25b0e275ce5e210"},
-		23: {"7da068ac2250248b538b36eccc41d6b5418981e1ba3865daafc3fa9af9f38a0e", "51734a028295422698fbb41cc3eeb51b16748c151898887c2d74c5960953d715"},
+	want := map[int64]string{
+		1:  "2b73eab1c5c6afe69deb5966a5a9e1b4785b346b98d3888bb47acbea9cd82112",
+		23: "7da068ac2250248b538b36eccc41d6b5418981e1ba3865daafc3fa9af9f38a0e",
 	}
 	for seed, w := range want {
 		aligned, err := GenerateBlockAlignedCorpus(16, 64<<10, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		text, err := GenerateCorpus(CorpusOptions{Bytes: 1 << 20, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(aligned)); got != w[0] {
-			t.Errorf("seed %d: block-aligned corpus sha256 %s, want %s", seed, got, w[0])
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(text)); got != w[1] {
-			t.Errorf("seed %d: corpus sha256 %s, want %s", seed, got, w[1])
+		if got := fmt.Sprintf("%x", sha256.Sum256(aligned)); got != w {
+			t.Errorf("seed %d: block-aligned corpus sha256 %s, want %s", seed, got, w)
 		}
 	}
 }
