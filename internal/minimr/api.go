@@ -40,6 +40,15 @@ type Job struct {
 	// Map and Reduce are the job's real functions.
 	Map    Mapper
 	Reduce Reducer
+	// Combine, if set, runs over each map task's output before the
+	// shuffle, as Hadoop runs a combiner: it sees the task's records
+	// grouped by key, and what it emits is shuffled in their place (see
+	// MapBlock). Reduce must compute the same output from combined
+	// records as from raw ones, as a sum does. It runs beside the map
+	// tasks, so like a Mapper it must be safe for concurrent use. Only a
+	// job with a Reduce may set it: Hadoop runs no combiner on a map-only
+	// job.
+	Combine Reducer
 	// NumReducers is the reduce task count (must be positive when Reduce
 	// is set; 0 with a nil Reduce makes a map-only job).
 	NumReducers int
@@ -92,6 +101,8 @@ var (
 	ErrReducersWithoutReduce = errors.New("minimr: job has reducers but no reduce function")
 	// ErrReduceWithoutReducers rejects a non-nil Reduce with NumReducers <= 0.
 	ErrReduceWithoutReducers = errors.New("minimr: job has a reduce function but no reducers")
+	// ErrCombineWithoutReduce rejects a Combine on a map-only job.
+	ErrCombineWithoutReduce = errors.New("minimr: job has a combiner but no reduce function")
 	// ErrNegativeReducers rejects NumReducers < 0 (map-only jobs use 0).
 	ErrNegativeReducers = errors.New("minimr: negative reducer count")
 	// ErrBadSubmitTime rejects a negative or NaN SubmitAt.
@@ -124,6 +135,9 @@ func (j *Job) Validate() error {
 	}
 	if j.Reduce != nil && j.NumReducers <= 0 {
 		return fmt.Errorf("%w: job %q", ErrReduceWithoutReducers, j.Name)
+	}
+	if j.Combine != nil && j.Reduce == nil {
+		return fmt.Errorf("%w: job %q", ErrCombineWithoutReduce, j.Name)
 	}
 	if j.SubmitAt < 0 || math.IsNaN(j.SubmitAt) {
 		return fmt.Errorf("%w: job %q at %v", ErrBadSubmitTime, j.Name, j.SubmitAt)

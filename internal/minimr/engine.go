@@ -210,8 +210,8 @@ func (b *realBackend) StartReduce(job, reducer int, node topology.NodeID, receiv
 	b.reduces.work <- func() {
 		var o reduceOutcome
 		o.err = guard(js, "reducer", reducer, func() error {
-			g, err := groupRecords(bufs)
-			if err != nil {
+			var g grouping
+			if err := g.group(bufs); err != nil {
 				return err
 			}
 			o.records = make([]record, 0, len(g.keys)) // one record per key is the common case

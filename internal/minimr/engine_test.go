@@ -157,6 +157,35 @@ func TestWordCountCorrectUnderFailureBothSchedulers(t *testing.T) {
 	}
 }
 
+// TestCombinerKeepsOutputs: WordCount's combiner changes what crosses
+// the shuffle, never what the job computes — under LF and EDF with a
+// failed node — and it shuffles less.
+func TestCombinerKeepsOutputs(t *testing.T) {
+	for _, kind := range []sched.Kind{sched.KindLF, sched.KindEDF} {
+		run := func(combine bool) *Report {
+			fs, _ := testbedFS(t, 13)
+			fs.Cluster().FailNode(4)
+			job := WordCountJob("input.txt", 8)
+			if !combine {
+				job.Combine = nil
+			}
+			rep, err := Run(fs, testOpts(kind), []Job{job})
+			if err != nil {
+				t.Fatalf("%v combine=%v: %v", kind, combine, err)
+			}
+			return rep
+		}
+		combined, raw := run(true), run(false)
+		if !reflect.DeepEqual(combined.Outputs, raw.Outputs) {
+			t.Fatalf("%v: outputs differ with the combiner (%d keys) and without (%d)",
+				kind, len(combined.Outputs[0]), len(raw.Outputs[0]))
+		}
+		if combined.BytesMoved >= raw.BytesMoved {
+			t.Fatalf("%v: %.0f bytes moved with the combiner, %.0f without", kind, combined.BytesMoved, raw.BytesMoved)
+		}
+	}
+}
+
 func TestGrepAndLineCountCorrect(t *testing.T) {
 	fs, corpus := testbedFS(t, 3)
 	fs.Cluster().FailNode(0)

@@ -48,11 +48,13 @@ func TestJobValidate(t *testing.T) {
 	}{
 		{"well-formed", func(*Job) {}, nil},
 		{"map-only", func(j *Job) { j.Reduce = nil; j.NumReducers = 0 }, nil},
+		{"combining", func(j *Job) { j.Combine = reducer }, nil},
 		{"no input", func(j *Job) { j.Input = "" }, ErrNoInput},
 		{"no mapper", func(j *Job) { j.Map = nil }, ErrNoMapper},
 		{"negative reducers", func(j *Job) { j.NumReducers = -1 }, ErrNegativeReducers},
 		{"reducers without reduce", func(j *Job) { j.Reduce = nil }, ErrReducersWithoutReduce},
 		{"reduce without reducers", func(j *Job) { j.NumReducers = 0 }, ErrReduceWithoutReducers},
+		{"map-only with a combiner", func(j *Job) { j.Reduce = nil; j.NumReducers = 0; j.Combine = reducer }, ErrCombineWithoutReduce},
 		{"negative submit time", func(j *Job) { j.SubmitAt = -1 }, ErrBadSubmitTime},
 		{"NaN submit time", func(j *Job) { j.SubmitAt = math.NaN() }, ErrBadSubmitTime},
 		{"negative fixed map cost", func(j *Job) { j.MapCost.Fixed = -1 }, ErrNegativeCost},
