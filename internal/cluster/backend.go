@@ -10,14 +10,14 @@ import (
 	"degradedfirst/internal/topology"
 )
 
-// clusterBackend implements runtime.Backend and runtime.AsyncBackend by
-// turning each task's work into RPCs against worker processes. Virtual
-// costs stay exactly the in-process engine's (calibrated per-task times,
-// planned transfers through the network model); the real bytes move
-// between workers. All methods run on the simulation goroutine. The RPCs
-// behind a map (run-map), a shuffle delivery (fetch-chunk) and a reduce
-// (run-reduce) each run on a goroutine of their own, which talks to the
-// simulation goroutine solely through its future's buffered channel.
+// clusterBackend implements runtime.Backend by turning each task's work
+// into RPCs against worker processes. Virtual costs stay exactly the
+// in-process engine's (calibrated per-task times, planned transfers
+// through the network model); the real bytes move between workers. All
+// methods run on the simulation goroutine. The RPCs behind a map
+// (run-map), a shuffle delivery (fetch-chunk) and a reduce (run-reduce)
+// each run on a goroutine of their own, which talks to the simulation
+// goroutine solely through its future's buffered channel.
 type clusterBackend struct {
 	*runtime.Healer // the store and input planner; repair.go overrides CommitRepair
 	m               *Master
@@ -30,12 +30,9 @@ type clusterBackend struct {
 	reducing [][]chan reduceOutcome
 }
 
-var (
-	_ runtime.Backend      = (*clusterBackend)(nil)
-	_ runtime.AsyncBackend = (*clusterBackend)(nil)
-)
+var _ runtime.Backend = (*clusterBackend)(nil)
 
-// mapOutcome is what Execute's output payload, a chan mapOutcome,
+// mapOutcome is what Execute's pending payload, a chan mapOutcome,
 // resolves to when the worker's run-map RPC returns. The channel is
 // buffered so an abandoned one (its task requeued after a failure) never
 // blocks the dispatch goroutine.
@@ -45,15 +42,12 @@ type mapOutcome struct {
 	err    error
 }
 
-// mapDone is the resolved map output after AwaitOutput, and every one
-// of its shuffle chunks' Data payload: which worker holds the task's
-// partitions and how big each is. Deliver turns it into a fetch-chunk
-// RPC.
+// mapDone is every shuffle chunk's Data payload: which worker holds the
+// map task's partitions. Deliver turns it into a fetch-chunk RPC.
 type mapDone struct {
-	node  topology.NodeID
-	addr  string
-	task  int
-	sizes []float64
+	node topology.NodeID
+	addr string
+	task int
 }
 
 // reduceOutcome is what StartReduce's future resolves to: the reducer's
@@ -117,11 +111,12 @@ func (b *clusterBackend) Execute(job, task int, node topology.NodeID, input any)
 	return dur, fut
 }
 
-// AwaitOutput implements runtime.AsyncBackend: block until the worker's
-// map finished. Map-only jobs merge their output here; jobs with
-// reducers resolve to the partition directory.
-func (b *clusterBackend) AwaitOutput(job, task int, node topology.NodeID, output any) (any, error) {
-	o := <-output.(chan mapOutcome)
+// AwaitOutput implements runtime.Backend: block until the worker's map
+// finished. Map-only jobs merge their output here; a job with reducers
+// gets one chunk per reducer, sized by the worker's real partition bytes
+// and pointing at the worker holding the records.
+func (b *clusterBackend) AwaitOutput(job, task int, node topology.NodeID, pending any) ([]runtime.Chunk, error) {
+	o := <-pending.(chan mapOutcome)
 	if o.err != nil {
 		return nil, o.err
 	}
@@ -129,25 +124,18 @@ func (b *clusterBackend) AwaitOutput(job, task int, node topology.NodeID, output
 		if err := o.output.MergeInto(b.outputs[job]); err != nil {
 			return nil, fmt.Errorf("cluster: map output of job %d task %d from node %d: %w", job, task, node, err)
 		}
-		return &mapDone{node: node}, nil
+		return nil, nil
 	}
-	return &mapDone{node: node, addr: b.m.workerAddr(node), task: task, sizes: o.sizes}, nil
-}
-
-// Partitions implements runtime.Backend: one chunk per reducer, sized by
-// the worker's real partition bytes, pointing at the worker holding the
-// records.
-func (b *clusterBackend) Partitions(job, task int, output any) []runtime.Chunk {
-	d := output.(*mapDone)
+	d := &mapDone{node: node, addr: b.m.workerAddr(node), task: task}
 	chunks := make([]runtime.Chunk, b.jobs[job].NumReducers)
 	for r := range chunks {
 		var bytes float64
-		if r < len(d.sizes) {
-			bytes = d.sizes[r]
+		if r < len(o.sizes) {
+			bytes = o.sizes[r]
 		}
 		chunks[r] = runtime.Chunk{Bytes: bytes, Data: d}
 	}
-	return chunks
+	return chunks, nil
 }
 
 // Deliver implements runtime.Backend: start the reducer's worker pulling
@@ -221,7 +209,7 @@ func (b *clusterBackend) ReduceReset(job, reducer int) {
 	b.reducing[job][reducer] = nil
 }
 
-// AwaitReduce implements runtime.AsyncBackend: wait for the reducer's
+// AwaitReduce implements runtime.Backend: wait for the reducer's
 // fetches and reduce, and merge its output — the run-reduce response
 // payload — into the job output. A fetch that failed comes back as the
 // *runtime.DeadNodeError naming its mapper.

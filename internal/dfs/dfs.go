@@ -25,16 +25,10 @@ import (
 
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/placement"
+	"degradedfirst/internal/repair"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 )
-
-// Source identifies one surviving block a degraded read downloads: the node
-// holding it and its index within the stripe.
-type Source struct {
-	Node  topology.NodeID
-	Index int
-}
 
 // SelectionStrategy chooses which k survivors a degraded read downloads.
 type SelectionStrategy int
@@ -42,8 +36,8 @@ type SelectionStrategy int
 const (
 	// RandomK picks k survivors uniformly at random — the conventional
 	// degraded-read behaviour the paper's analysis assumes ("each degraded
-	// task randomly picks k out of n-1 blocks").
-	RandomK SelectionStrategy = iota + 1
+	// task randomly picks k out of n-1 blocks"), and the zero value.
+	RandomK SelectionStrategy = iota
 	// PreferSameRack greedily prefers survivors in the reader's rack, then
 	// fills with random remote survivors. Provided as an ablation of the
 	// source-selection design choice.
@@ -66,12 +60,12 @@ func (s SelectionStrategy) String() string {
 // index order. SurvivorsOf only returns alive holders and b's holder has
 // failed, but b is skipped anyway, guarding against a mid-recovery race
 // where its holder is alive.
-func survivorsOf(c *topology.Cluster, p *placement.Placement, b erasure.BlockID) []Source {
+func survivorsOf(c *topology.Cluster, p *placement.Placement, b erasure.BlockID) []repair.Source {
 	idx, holders := p.SurvivorsOf(c, b.Stripe)
-	survivors := make([]Source, 0, len(idx))
+	survivors := make([]repair.Source, 0, len(idx))
 	for i := range idx {
 		if idx[i] != b.Index {
-			survivors = append(survivors, Source{Node: holders[i], Index: idx[i]})
+			survivors = append(survivors, repair.Source{Node: holders[i], Index: idx[i]})
 		}
 	}
 	return survivors
@@ -80,8 +74,8 @@ func survivorsOf(c *topology.Cluster, p *placement.Placement, b erasure.BlockID)
 // pickK selects, from the survivors of lost block b's stripe the caller
 // already listed, the k blocks a degraded read executing on node reader
 // will download.
-func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survivors []Source,
-	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
+func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survivors []repair.Source,
+	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]repair.Source, error) {
 
 	k := p.K()
 	if len(survivors) < k {
@@ -89,7 +83,7 @@ func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survi
 	}
 	switch strategy {
 	case RandomK:
-		picked := make([]Source, 0, k)
+		picked := make([]repair.Source, 0, k)
 		for _, i := range rng.PickK(len(survivors), k) {
 			picked = append(picked, survivors[i])
 		}
@@ -97,7 +91,7 @@ func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survi
 		return picked, nil
 	case PreferSameRack:
 		myRack := c.RackOf(reader)
-		var near, far []Source
+		var near, far []repair.Source
 		for _, s := range survivors {
 			if c.RackOf(s.Node) == myRack {
 				near = append(near, s)
@@ -105,7 +99,7 @@ func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survi
 				far = append(far, s)
 			}
 		}
-		picked := make([]Source, 0, k)
+		picked := make([]repair.Source, 0, k)
 		picked = append(picked, near...)
 		if len(picked) > k {
 			picked = picked[:k]
@@ -131,7 +125,7 @@ func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survi
 // used is not a full k-set: that was a locality-aware code's local repair
 // group, which is not any-k substitutable.
 func SpareSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
-	used []Source, max int) []Source {
+	used []repair.Source, max int) []repair.Source {
 
 	if max <= 0 || len(used) != p.K() {
 		return nil
@@ -142,12 +136,12 @@ func SpareSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID
 		taken[s.Index] = true
 	}
 	idx, holders := p.SurvivorsOf(c, b.Stripe)
-	spares := make([]Source, 0, len(idx))
+	spares := make([]repair.Source, 0, len(idx))
 	for i := range idx {
 		if taken[idx[i]] {
 			continue
 		}
-		spares = append(spares, Source{Node: holders[i], Index: idx[i]})
+		spares = append(spares, repair.Source{Node: holders[i], Index: idx[i]})
 	}
 	sort.Slice(spares, func(a, b int) bool { return spares[a].Index < spares[b].Index })
 	if len(spares) > max {
@@ -191,7 +185,7 @@ func repairSet(code erasure.Coder, idx int, readable []int) (set []int, local bo
 // every survivor for a locality-aware code (no RNG draw), otherwise
 // pickK's k survivors.
 func PickRepairSources(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
-	b erasure.BlockID, reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
+	b erasure.BlockID, reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]repair.Source, error) {
 
 	survivors := survivorsOf(c, p, b)
 	alive := make([]int, len(survivors))
@@ -203,9 +197,9 @@ func PickRepairSources(c *topology.Cluster, code erasure.Coder, p *placement.Pla
 		return pickK(c, p, b, survivors, reader, strategy, rng)
 	}
 	holders := p.StripeHolders(b.Stripe)
-	sources := make([]Source, len(set))
+	sources := make([]repair.Source, len(set))
 	for i, idx := range set {
-		sources[i] = Source{Node: holders[idx], Index: idx}
+		sources[i] = repair.Source{Node: holders[idx], Index: idx}
 	}
 	return sources, nil
 }
@@ -429,7 +423,7 @@ func (fs *FS) ReadBlock(name string, b erasure.BlockID) ([]byte, error) {
 // the recovered bytes plus the sources used (for the caller to charge
 // network time).
 func (fs *FS) DegradedRead(name string, b erasure.BlockID, reader topology.NodeID,
-	strategy SelectionStrategy, rng *stats.RNG) ([]byte, []Source, error) {
+	strategy SelectionStrategy, rng *stats.RNG) ([]byte, []repair.Source, error) {
 
 	f, err := fs.File(name)
 	if err != nil {
@@ -449,7 +443,7 @@ func (fs *FS) DegradedRead(name string, b erasure.BlockID, reader topology.NodeI
 // DecodeFrom reconstructs block b for real from the given stripe blocks,
 // as a degraded read planned elsewhere fetches them. It never touches b's
 // own stored copy.
-func (fs *FS) DecodeFrom(name string, b erasure.BlockID, sources []Source) ([]byte, error) {
+func (fs *FS) DecodeFrom(name string, b erasure.BlockID, sources []repair.Source) ([]byte, error) {
 	f, err := fs.File(name)
 	if err != nil {
 		return nil, err

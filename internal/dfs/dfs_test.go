@@ -7,6 +7,7 @@ import (
 
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/placement"
+	"degradedfirst/internal/repair"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 )
@@ -36,7 +37,7 @@ func testFS(t *testing.T) *FS {
 
 // crossRackSources counts how many of the sources are outside the reader's
 // rack — the transfers that consume rack up/down bandwidth.
-func crossRackSources(c *topology.Cluster, reader topology.NodeID, sources []Source) int {
+func crossRackSources(c *topology.Cluster, reader topology.NodeID, sources []repair.Source) int {
 	cnt := 0
 	for _, s := range sources {
 		if c.RackOf(s.Node) != c.RackOf(reader) {
@@ -178,7 +179,7 @@ func TestDegradedReadReconstructsForReal(t *testing.T) {
 // pickDegradedSources selects the k surviving blocks of lost block b's
 // stripe that a degraded read on node reader downloads, never b itself.
 func pickDegradedSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
-	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]Source, error) {
+	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]repair.Source, error) {
 	return pickK(c, p, b, survivorsOf(c, p, b), reader, strategy, rng)
 }
 

@@ -79,12 +79,12 @@ func fig3Schedule(flows []fig3Flow, localEnd float64, sink trace.Sink, label str
 	for _, f := range flows {
 		f := f
 		eng.Schedule(f.at, func() {
-			net.StartFlow(f.src, f.dst, blockBytes, func(*netsim.Flow) {
+			net.StartFlows([]netsim.FlowReq{{Src: f.src, Dst: f.dst, Bytes: blockBytes, Done: func(*netsim.Flow) {
 				done := eng.Now() + taskTime
 				if done > end {
 					end = done
 				}
-			})
+			}}})
 		})
 	}
 	eng.Run()

@@ -23,10 +23,10 @@ var testAPIs = map[string]string{
 	"trace.ReadJSONL":            "reads a trace back for the round-trip fuzz test and the replay tests",
 }
 
-// deadExports reports every exported func, method and type, and every
-// exported method of an interface, declared in the non-test files of the
-// packages under declDir (module-relative) that no non-test file of units
-// references outside the name's own declaration. A concrete method also
+// deadExports reports every exported func, method, type, const and var,
+// and every exported method of an interface, declared in the non-test
+// files of the packages under declDir (module-relative) that no non-test
+// file of units references outside the name's own declaration. A concrete method also
 // counts as used when its type (T or *T) implements a standard-library
 // interface that declares it (the library calls it where we cannot see),
 // or a module interface one of whose methods of that name non-test Go
@@ -76,18 +76,23 @@ func deadExports(l *Loader, units []*Unit, declDir string, allow map[string]stri
 					add(d.Name, d, recv.(*types.Named).Obj().Name()+"."+d.Name.Name)
 				case *ast.GenDecl:
 					for _, s := range d.Specs {
-						ts, ok := s.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						if ts.Name.IsExported() {
-							add(ts.Name, ts, ts.Name.Name)
-						}
-						if it, ok := ts.Type.(*ast.InterfaceType); ok {
-							for _, m := range it.Methods.List {
-								for _, id := range m.Names {
-									if id.IsExported() {
-										add(id, m, ts.Name.Name+"."+id.Name)
+						switch s := s.(type) {
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								if id.IsExported() {
+									add(id, s, id.Name)
+								}
+							}
+						case *ast.TypeSpec:
+							if s.Name.IsExported() {
+								add(s.Name, s, s.Name.Name)
+							}
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, m := range it.Methods.List {
+									for _, id := range m.Names {
+										if id.IsExported() {
+											add(id, m, s.Name.Name+"."+id.Name)
+										}
 									}
 								}
 							}
@@ -240,9 +245,10 @@ func deadExportFixture(t *testing.T, allow map[string]string) (*Loader, []*Unit,
 	return l, units, deadExports(l, units, "internal/lint/testdata/deadexport/internal", allow)
 }
 
-// TestDeadExportFixture runs the dead-export check over a fixture with an
-// unused export, one used only by its package's tests, a method named by
-// an interface, and an allow-listed name: only the first two are reported.
+// TestDeadExportFixture runs the dead-export check over a fixture with
+// unused exports (a func and a const), one used only by its package's
+// tests, a method named by an interface, a used var and an allow-listed
+// name: only the unused and the test-only ones are reported.
 func TestDeadExportFixture(t *testing.T) {
 	l, units, diags := deadExportFixture(t, map[string]string{"lib.Kept": "the fixture's allow-listed name"})
 	matchWants(t, parseWants(t, l, units), diags)

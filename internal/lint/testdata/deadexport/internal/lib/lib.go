@@ -36,5 +36,11 @@ func (Impl) Called() int { return 1 }
 // Uncalled implements Iface, but nothing calls Iface.Uncalled.
 func (Impl) Uncalled() int { return 2 } // want `lib.Impl.Uncalled is exported but nothing outside its declaration calls it`
 
+// Limit is a constant nothing reads.
+const Limit = 3 // want `lib.Limit is exported but nothing outside its declaration calls it`
+
+// Default is a variable package use reads.
+var Default = 2
+
 // Kept is on the fixture's allow-list.
 func Kept() {}

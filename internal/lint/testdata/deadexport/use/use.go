@@ -14,3 +14,5 @@ var _ fmt.Stringer = t
 var i lib.Iface = lib.Impl{}
 
 var _ = i.Called()
+
+var _ = lib.Default

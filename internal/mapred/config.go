@@ -86,8 +86,8 @@ type Config struct {
 	// Storage.
 	N, K           int
 	BlockSizeBytes float64
-	NumBlocks      int // default F per job
-	Policy         placement.Policy
+	NumBlocks      int              // default F per job
+	Policy         placement.Policy // nil = rack-constrained random (dfs.New)
 	// LocalGroups, when positive, makes the code the locally repairable
 	// LRC(K, LocalGroups, N−K−LocalGroups) (footnote 1 of the paper): a
 	// lost native block is read from its K/LocalGroups-block local group.
@@ -150,24 +150,10 @@ func DefaultJob() JobSpec {
 	}
 }
 
-// validate checks the configuration and applies defaults in place.
-func (c *Config) validate() error {
-	if c.Topology != nil {
-		if c.Nodes != 0 || c.Racks != 0 || len(c.RackSizes) != 0 {
-			return errors.New("mapred: Topology excludes the Nodes/Racks/RackSizes fields")
-		}
-		if err := c.Topology.Validate(); err != nil {
-			return err
-		}
-	} else if c.Nodes <= 0 || c.Racks <= 0 {
-		return errors.New("mapred: Nodes and Racks must be positive")
-	}
-	if c.MapSlotsPerNode <= 0 {
-		return errors.New("mapred: MapSlotsPerNode must be positive")
-	}
-	if c.ReduceSlotsPerNode < 0 {
-		return errors.New("mapred: ReduceSlotsPerNode must be non-negative")
-	}
+// validate checks the settings topology.New does not (it has built spec,
+// the run's fabric, from the shape and slot fields) and applies the
+// options' defaults in place.
+func (c *Config) validate(spec *topology.Spec) error {
 	if c.K <= 0 || c.N <= c.K {
 		return fmt.Errorf("mapred: invalid code (%d,%d)", c.N, c.K)
 	}
@@ -177,13 +163,10 @@ func (c *Config) validate() error {
 	if c.NumBlocks <= 0 {
 		return errors.New("mapred: NumBlocks must be positive")
 	}
-	if c.Policy == nil {
-		c.Policy = placement.RackConstrainedRandom{}
-	}
 	if c.FailAt < 0 || !finite(c.FailAt) {
 		return fmt.Errorf("mapred: FailAt must be non-negative and finite, got %v", c.FailAt)
 	}
-	if err := c.Options.Validate(c.Topology); err != nil {
+	if err := c.Options.Validate(spec); err != nil {
 		return fmt.Errorf("mapred: %w", err)
 	}
 	return nil

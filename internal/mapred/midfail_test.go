@@ -167,8 +167,9 @@ func TestSharedPartitionsSurviveMidShuffleFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := r.backend.Partitions(0, 0, nil)
-	if len(shared) != smallJob().NumReduceTasks || &r.backend.Partitions(0, 1, nil)[0] != &shared[0] {
+	shared, _ := r.backend.AwaitOutput(0, 0, 0, nil)
+	other, _ := r.backend.AwaitOutput(0, 1, 0, nil)
+	if len(shared) != smallJob().NumReduceTasks || &other[0] != &shared[0] {
 		t.Fatal("maps of one job do not share one partition slice")
 	}
 	before := slices.Clone(shared)

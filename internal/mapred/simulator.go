@@ -42,7 +42,11 @@ type simRun struct {
 // backend, failure picks — and describes the run to the runtime. It is
 // split from RunContext so a test can read what it hands the runtime.
 func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
-	if err := cfg.validate(); err != nil {
+	cluster, err := cfg.cluster()
+	if err != nil {
+		return nil, fmt.Errorf("mapred: %w", err)
+	}
+	if err := cfg.validate(cluster.Spec()); err != nil {
 		return nil, err
 	}
 	if len(jobs) == 0 {
@@ -67,10 +71,6 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 		return nil, fmt.Errorf("mapred: %w", err)
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	cluster, err := cfg.cluster()
-	if err != nil {
-		return nil, err
-	}
 	// Deterministic application of heterogeneous speed factors.
 	ids := make([]int, 0, len(cfg.SpeedFactors))
 	for id := range cfg.SpeedFactors {
@@ -124,16 +124,8 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 			}
 			return cfg.FailNodes, nil
 		}
-		// Pick per the pattern without failing yet (InjectFailure fails
-		// them; recover immediately and let the runtime fail at its time).
-		failed, err := topology.InjectFailure(cluster, cfg.Failure, failRNG)
-		if err != nil {
-			return nil, err
-		}
-		for _, id := range failed {
-			cluster.RecoverNode(id)
-		}
-		return failed, nil
+		// The runtime fails the picks at their time.
+		return topology.PickFailure(cluster, cfg.Failure, failRNG)
 	}
 	toFail, err := pickFailures()
 	if err != nil {
@@ -160,7 +152,7 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 type simBackend struct {
 	*runtime.Healer // the store and the input planner
 	specs           []JobSpec
-	parts           [][]runtime.Chunk // per job, what Partitions returns for every map
+	parts           [][]runtime.Chunk // per job, what AwaitOutput returns for every map
 }
 
 func (b *simBackend) speed(id topology.NodeID) float64 {
@@ -175,11 +167,11 @@ func (b *simBackend) Execute(job, task int, node topology.NodeID, input any) (fl
 	return b.RNG.Normal(spec.MapTime.Mean, spec.MapTime.Std) * b.speed(node), nil
 }
 
-// Partitions implements runtime.Backend: every reducer receives an equal
+// AwaitOutput implements runtime.Backend: every reducer receives an equal
 // share of the map output (ShuffleRatio of the block size). Every map of a
 // job splits alike, so all of them share the job's one slice.
-func (b *simBackend) Partitions(job, task int, output any) []runtime.Chunk {
-	return b.parts[job]
+func (b *simBackend) AwaitOutput(job, task int, node topology.NodeID, pending any) ([]runtime.Chunk, error) {
+	return b.parts[job], nil
 }
 
 // simPartitions builds the one partition slice every map of the job
@@ -208,6 +200,10 @@ func (b *simBackend) StartReduce(job, reducer int, node topology.NodeID, receive
 	spec := &b.specs[job]
 	return b.RNG.Normal(spec.ReduceTime.Mean, spec.ReduceTime.Std) * b.speed(node)
 }
+
+// AwaitReduce implements runtime.Backend: a simulated reduce has no work
+// to wait for.
+func (b *simBackend) AwaitReduce(job, reducer int, node topology.NodeID) error { return nil }
 
 // ReduceReset implements runtime.Backend: nothing buffered to discard.
 func (b *simBackend) ReduceReset(job, reducer int) {}

@@ -84,13 +84,9 @@ type Options = runtime.Options
 // including the distributed runtime's master, which validates jobs at
 // submission — can branch with errors.Is instead of matching message
 // strings. Returned errors wrap the sentinel with the offending option
-// or job name.
+// or job name. A bad Options or JobMeta value wraps runtime's or
+// jobsched's sentinel.
 var (
-	// ErrNegativeBandwidth rejects a negative or NaN RackBps/NodeBps/CoreBps,
-	// and ErrBadHeartbeat a negative or NaN HeartbeatInterval (zero selects
-	// the 3 s default). They are runtime.Options' sentinels.
-	ErrNegativeBandwidth = runtime.ErrNegativeBandwidth
-	ErrBadHeartbeat      = runtime.ErrBadHeartbeat
 	// ErrNoJobs rejects an empty job list.
 	ErrNoJobs = errors.New("minimr: no jobs")
 	// ErrNoInput rejects a job without an input file.
@@ -109,10 +105,6 @@ var (
 	ErrBadSubmitTime = errors.New("minimr: negative submit time")
 	// ErrNegativeCost rejects negative MapCost/ReduceCost components.
 	ErrNegativeCost = errors.New("minimr: negative cost")
-	// ErrBadWeight and ErrBadDeadline reject a negative or NaN fair-share
-	// Weight or Deadline. They are jobsched.JobMeta's sentinels.
-	ErrBadWeight   = jobsched.ErrBadWeight
-	ErrBadDeadline = jobsched.ErrBadDeadline
 	// ErrSubmitOrder rejects a job list whose SubmitAt values decrease:
 	// the FIFO queue follows slice order, so out-of-order times would
 	// desynchronize queue position from submission time.

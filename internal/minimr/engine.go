@@ -79,10 +79,7 @@ type realBackend struct {
 	maps, reduces *lane
 }
 
-var (
-	_ runtime.Backend      = (*realBackend)(nil)
-	_ runtime.AsyncBackend = (*realBackend)(nil)
-)
+var _ runtime.Backend = (*realBackend)(nil)
 
 // mapOutcome is what Execute's future resolves to: the shuffle chunks of
 // a job with reducers, or a map-only job's output.
@@ -136,7 +133,7 @@ func (b *realBackend) PlanInput(job, task int, class sched.Class, node topology.
 
 // Execute implements runtime.Backend: queue the real map function and
 // the partitioning of its output on the map lane, and charge the
-// calibrated CPU time. The output payload is the future AwaitOutput
+// calibrated CPU time. The pending payload is the future AwaitOutput
 // resolves.
 func (b *realBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	js := &b.jobs[job]
@@ -167,11 +164,11 @@ func mapTask(js *Job, data []byte) ([]runtime.Chunk, RecordBuf) {
 	return chunks, nil
 }
 
-// AwaitOutput implements runtime.AsyncBackend: wait for the map lane.
-// A map-only job's output merges into the job output here, in
-// completion order.
-func (b *realBackend) AwaitOutput(job, task int, node topology.NodeID, output any) (any, error) {
-	o := <-output.(chan mapOutcome)
+// AwaitOutput implements runtime.Backend: wait for the map lane, which
+// already cut the chunks. A map-only job's output merges into the job
+// output here, in completion order.
+func (b *realBackend) AwaitOutput(job, task int, node topology.NodeID, pending any) ([]runtime.Chunk, error) {
+	o := <-pending.(chan mapOutcome)
 	if o.err != nil {
 		return nil, o.err
 	}
@@ -179,12 +176,6 @@ func (b *realBackend) AwaitOutput(job, task int, node topology.NodeID, output an
 		return nil, o.output.MergeInto(b.outputs[job])
 	}
 	return o.chunks, nil
-}
-
-// Partitions implements runtime.Backend: the map lane already cut the
-// chunks.
-func (b *realBackend) Partitions(job, task int, output any) []runtime.Chunk {
-	return output.([]runtime.Chunk)
 }
 
 // Deliver implements runtime.Backend: keep a reference to the received
@@ -231,7 +222,7 @@ func (b *realBackend) ReduceReset(job, reducer int) {
 	b.reducing[job][reducer] = nil
 }
 
-// AwaitReduce implements runtime.AsyncBackend: wait for the reduce lane
+// AwaitReduce implements runtime.Backend: wait for the reduce lane
 // and merge the reducer's output into the job output, in completion
 // order.
 func (b *realBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {

@@ -110,9 +110,9 @@ func TestDrainCursorResetsWhenHiGrows(t *testing.T) {
 	}
 	var got Stats
 	eng.ScheduleAt(now, func() {
-		n.StartFlow(0, 1, tiny, nil)   // proved later; the cursor passes it
-		n.StartFlow(0, 2, 0, nil)      // due now, no solve of its own
-		n.StartFlow(2, 5, 12.5e6, nil) // cross-rack: hi grows, the tiny flow is undecided
+		startFlow(n, 0, 1, tiny, nil)   // proved later; the cursor passes it
+		startFlow(n, 0, 2, 0, nil)      // due now, no solve of its own
+		startFlow(n, 2, 5, 12.5e6, nil) // cross-rack: hi grows, the tiny flow is undecided
 		got = n.Stats()
 	})
 	eng.Run()

@@ -1,7 +1,7 @@
 package netsim
 
 // Equivalence harness pinning the incremental solver + batched admission
-// against the reference configuration (refRecompute + one StartFlow per
+// against the reference configuration (refRecompute + one startFlow per
 // transfer), both on the one engine. The two worlds must produce
 // bitwise-identical completion schedules, rate allocations, and byte
 // accounting for arbitrary interleavings of flow arrivals, batch
@@ -152,7 +152,7 @@ func specFrom(a, b byte) flowSpec {
 // world is one configuration a scenario runs under.
 type world struct {
 	reference bool // solve with refRecompute instead of the package's solver
-	batched   bool // StartFlows per op instead of one StartFlow per transfer
+	batched   bool // StartFlows per op instead of one startFlow per transfer
 	// fill solves by advance then fill, so every solve runs progressive
 	// filling and none is answered by the drain test.
 	fill bool
@@ -306,7 +306,7 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		}
 		flows := make([]*Flow, len(specs))
 		for i, s := range specs {
-			flows[i] = n.StartFlow(s.src, s.dst, s.bytes, cb)
+			flows[i] = startFlow(n, s.src, s.dst, s.bytes, cb)
 		}
 		return flows
 	}
@@ -322,7 +322,7 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 				eng.ScheduleAt(at, func() {
 					out.order = append(out.order, fmt.Sprintf("m%d@%x", i, math.Float64bits(eng.Now())))
 					if op.markerLocal {
-						created = append(created, n.StartFlow(2, 2, 1e6, done))
+						created = append(created, startFlow(n, 2, 2, 1e6, done))
 					}
 				})
 			case op.hedge:
@@ -484,7 +484,7 @@ func TestIncrementalMatchesReference(t *testing.T) {
 }
 
 // TestBatchedStartMatchesSequential pins the StartFlows contract directly:
-// same IDs and completion schedule as one StartFlow per request, holding
+// same IDs and completion schedule as one startFlow per request, holding
 // engine and solver fixed.
 func TestBatchedStartMatchesSequential(t *testing.T) {
 	ops := []scenarioOp{
@@ -574,8 +574,8 @@ func TestDispatchOrderMatchesReference(t *testing.T) {
 				r.n.StartFlows(equal)
 				r.eng.ScheduleAt(due, func() {
 					r.log = append(r.log, "after")
-					r.n.StartFlow(2, 2, 1e6, r.done) // f4, node-local
-					r.n.StartFlow(1, 4, 0, r.done)   // f5, zero bytes over a real path
+					startFlow(r.n, 2, 2, 1e6, r.done) // f4, node-local
+					startFlow(r.n, 1, 4, 0, r.done)   // f5, zero bytes over a real path
 					r.eng.ScheduleAt(due, mark(r, "after2"))
 				})
 			},
@@ -588,11 +588,11 @@ func TestDispatchOrderMatchesReference(t *testing.T) {
 			// "b" — into that solve's, behind "b".
 			name: "no-solve admissions between two markers",
 			script: func(r *run) {
-				r.n.StartFlow(0, 3, 125e6, r.done) // f0, due at t=10
+				startFlow(r.n, 0, 3, 125e6, r.done) // f0, due at t=10
 				r.eng.ScheduleAt(1, func() {
 					r.log = append(r.log, "a")
-					r.n.StartFlow(2, 2, 1e6, r.done) // f1, node-local
-					r.n.StartFlow(1, 4, 0, r.done)   // f2, zero bytes over a real path
+					startFlow(r.n, 2, 2, 1e6, r.done) // f1, node-local
+					startFlow(r.n, 1, 4, 0, r.done)   // f2, zero bytes over a real path
 					r.eng.ScheduleAt(1, mark(r, "b"))
 				})
 			},

@@ -188,8 +188,8 @@ func TestPathInterning(t *testing.T) {
 	if &p1[0] != &p2[0] || len(p1) != len(p2) {
 		t.Fatal("repeat pair did not return the interned path")
 	}
-	f1 := n.StartFlow(0, 7, 1e6, nil)
-	f2 := n.StartFlow(0, 7, 2e6, nil)
+	f1 := startFlow(n, 0, 7, 1e6, nil)
+	f2 := startFlow(n, 0, 7, 2e6, nil)
 	if &f1.path[0] != &f2.path[0] {
 		t.Fatal("flows between the same pair do not share the interned path")
 	}
@@ -217,7 +217,7 @@ func TestMultiTierContention(t *testing.T) {
 		}
 		done := make(map[int]float64)
 		for _, fl := range flows {
-			n.StartFlow(fl[0], fl[1], bytes, func(f *Flow) { done[f.ID] = float64(eng.Now()) })
+			startFlow(n, fl[0], fl[1], bytes, func(f *Flow) { done[f.ID] = float64(eng.Now()) })
 		}
 		eng.Run()
 		return done

@@ -49,8 +49,9 @@ const (
 type Mode int
 
 const (
-	// FluidFairSharing shares links max-min fairly among active flows.
-	FluidFairSharing Mode = iota + 1
+	// FluidFairSharing shares links max-min fairly among active flows,
+	// the zero value.
+	FluidFairSharing Mode = iota
 	// ExclusiveHold serializes flows that share any link (FIFO).
 	ExclusiveHold
 )
@@ -250,9 +251,6 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 	if eng == nil || c == nil {
 		return nil, fmt.Errorf("netsim: nil engine or cluster")
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = FluidFairSharing
-	}
 	if cfg.Mode != FluidFairSharing && cfg.Mode != ExclusiveHold {
 		return nil, fmt.Errorf("netsim: unknown mode %v", cfg.Mode)
 	}
@@ -348,18 +346,6 @@ func (n *Net) ActiveFlows() int { return len(n.flows) }
 // WaitingFlows returns the number of hold-mode flows queued for links.
 func (n *Net) WaitingFlows() int { return len(n.waiting) }
 
-// StartFlow begins transferring bytes from src to dst. done (may be nil) is
-// invoked from the engine when the transfer completes. Transfers between a
-// node and itself complete after zero simulated time (still via an event,
-// preserving causal ordering).
-func (n *Net) StartFlow(src, dst topology.NodeID, bytes float64, done func(*Flow)) *Flow {
-	f, contends := n.addFlow(src, dst, bytes, done)
-	if contends {
-		n.solveAfterAdmit()
-	}
-	return f
-}
-
 // FlowReq describes one transfer in a StartFlows batch.
 type FlowReq struct {
 	Src, Dst topology.NodeID
@@ -367,9 +353,13 @@ type FlowReq struct {
 	Done     func(*Flow)
 }
 
-// StartFlows admits a batch of flows at the current instant with a single
+// StartFlows begins transferring each request's Bytes from Src to Dst,
+// admitting the whole batch at the current instant with a single
 // bandwidth recomputation (fluid mode) or queue dispatch (hold mode).
-// It is equivalent to calling StartFlow once per request in order — same
+// Done (may be nil) is invoked from the engine when its transfer
+// completes; a transfer between a node and itself completes after zero
+// simulated time, still via an event, preserving causal ordering. A batch
+// is equivalent to one single-request batch per request in order — same
 // flow IDs, rates, and completion schedule — because same-instant
 // intermediate recomputations advance no progress and their rate
 // assignments are overwritten by the final solve. Launching a fan-in of N

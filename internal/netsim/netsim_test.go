@@ -16,6 +16,11 @@ func twoRacks() *topology.Cluster {
 	})
 }
 
+// startFlow admits one flow as a batch of one.
+func startFlow(n *Net, src, dst topology.NodeID, bytes float64, done func(*Flow)) *Flow {
+	return n.StartFlows([]FlowReq{{Src: src, Dst: dst, Bytes: bytes, Done: done}})[0]
+}
+
 func mustNet(t *testing.T, eng *sim.Engine, c *topology.Cluster, cfg Config) *Net {
 	t.Helper()
 	n, err := New(eng, c, cfg)
@@ -59,7 +64,7 @@ func TestSingleCrossRackFlowMatchesMotivatingExample(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
 	var doneAt sim.Time = -1
-	n.StartFlow(3, 0, 128e6, func(*Flow) { doneAt = eng.Now() })
+	startFlow(n, 3, 0, 128e6, func(*Flow) { doneAt = eng.Now() })
 	eng.Run()
 	want := 128e6 / (100 * Mbps) // 10.24 s
 	if math.Abs(doneAt-want) > 1e-9 {
@@ -73,8 +78,8 @@ func TestTwoFlowsShareRackDownlinkFluid(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
 	var t1, t2 sim.Time = -1, -1
-	n.StartFlow(3, 0, 128e6, func(*Flow) { t1 = eng.Now() })
-	n.StartFlow(4, 1, 128e6, func(*Flow) { t2 = eng.Now() })
+	startFlow(n, 3, 0, 128e6, func(*Flow) { t1 = eng.Now() })
+	startFlow(n, 4, 1, 128e6, func(*Flow) { t2 = eng.Now() })
 	eng.Run()
 	want := 2 * 128e6 / (100 * Mbps)
 	if math.Abs(t1-want) > 1e-6 || math.Abs(t2-want) > 1e-6 {
@@ -86,8 +91,8 @@ func TestTwoFlowsSerializeInHoldMode(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps, Mode: ExclusiveHold})
 	var t1, t2 sim.Time = -1, -1
-	n.StartFlow(3, 0, 128e6, func(*Flow) { t1 = eng.Now() })
-	n.StartFlow(4, 1, 128e6, func(*Flow) { t2 = eng.Now() })
+	startFlow(n, 3, 0, 128e6, func(*Flow) { t1 = eng.Now() })
+	startFlow(n, 4, 1, 128e6, func(*Flow) { t2 = eng.Now() })
 	eng.Run()
 	solo := 128e6 / (100 * Mbps)
 	if math.Abs(t1-solo) > 1e-6 {
@@ -105,8 +110,8 @@ func TestDisjointRacksDoNotContend(t *testing.T) {
 		eng := sim.New()
 		n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps, Mode: mode})
 		var t1, t2 sim.Time = -1, -1
-		n.StartFlow(0, 3, 128e6, func(*Flow) { t1 = eng.Now() })
-		n.StartFlow(4, 1, 128e6, func(*Flow) { t2 = eng.Now() })
+		startFlow(n, 0, 3, 128e6, func(*Flow) { t1 = eng.Now() })
+		startFlow(n, 4, 1, 128e6, func(*Flow) { t2 = eng.Now() })
 		eng.Run()
 		solo := 128e6 / (100 * Mbps)
 		if math.Abs(t1-solo) > 1e-6 || math.Abs(t2-solo) > 1e-6 {
@@ -121,7 +126,7 @@ func TestIntraRackUsesNICOnly(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
 	var doneAt sim.Time = -1
-	n.StartFlow(0, 1, 128e6, func(*Flow) { doneAt = eng.Now() })
+	startFlow(n, 0, 1, 128e6, func(*Flow) { doneAt = eng.Now() })
 	eng.Run()
 	if doneAt != 0 {
 		t.Fatalf("intra-rack with unlimited NICs took %v, want 0", doneAt)
@@ -130,7 +135,7 @@ func TestIntraRackUsesNICOnly(t *testing.T) {
 	eng2 := sim.New()
 	n2 := mustNet(t, eng2, twoRacks(), Config{RackBps: 100 * Mbps, NodeBps: Gbps})
 	doneAt = -1
-	n2.StartFlow(0, 1, 128e6, func(*Flow) { doneAt = eng2.Now() })
+	startFlow(n2, 0, 1, 128e6, func(*Flow) { doneAt = eng2.Now() })
 	eng2.Run()
 	want := 128e6 / Gbps
 	if math.Abs(doneAt-want) > 1e-9 {
@@ -142,7 +147,7 @@ func TestNodeLocalFlowInstant(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: Mbps, NodeBps: Mbps})
 	var doneAt sim.Time = -1
-	n.StartFlow(2, 2, 1e9, func(*Flow) { doneAt = eng.Now() })
+	startFlow(n, 2, 2, 1e9, func(*Flow) { doneAt = eng.Now() })
 	eng.Run()
 	if doneAt != 0 {
 		t.Fatalf("node-local flow took %v", doneAt)
@@ -153,7 +158,7 @@ func TestZeroByteFlow(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: Mbps})
 	fired := false
-	n.StartFlow(0, 3, 0, func(*Flow) { fired = true })
+	startFlow(n, 0, 3, 0, func(*Flow) { fired = true })
 	eng.Run()
 	if !fired {
 		t.Fatal("zero-byte flow must still complete")
@@ -170,7 +175,7 @@ func TestNegativeBytesPanics(t *testing.T) {
 					t.Errorf("a flow of %v bytes did not panic", bytes)
 				}
 			}()
-			n.StartFlow(0, 1, bytes, nil)
+			startFlow(n, 0, 1, bytes, nil)
 		}()
 	}
 }
@@ -184,7 +189,7 @@ func TestMaxMinUnevenSharing(t *testing.T) {
 	bytes := 15e6 // solo time = 1 s at 120 Mbps = 15 MB/s
 	for i := 0; i < 3; i++ {
 		dst := topology.NodeID(3 + i%2)
-		n.StartFlow(topology.NodeID(i), dst, bytes, func(*Flow) { done = append(done, eng.Now()) })
+		startFlow(n, topology.NodeID(i), dst, bytes, func(*Flow) { done = append(done, eng.Now()) })
 	}
 	eng.Run()
 	// All three share the uplink equally: each gets 5 MB/s -> 3 s.
@@ -202,8 +207,8 @@ func TestRateReallocationAfterCompletion(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 120 * Mbps})
 	var ta, tb sim.Time
-	n.StartFlow(0, 3, 15e6, func(*Flow) { ta = eng.Now() })
-	n.StartFlow(1, 4, 30e6, func(*Flow) { tb = eng.Now() })
+	startFlow(n, 0, 3, 15e6, func(*Flow) { ta = eng.Now() })
+	startFlow(n, 1, 4, 30e6, func(*Flow) { tb = eng.Now() })
 	eng.Run()
 	if math.Abs(ta-2) > 1e-6 {
 		t.Fatalf("flow A done at %v, want 2", ta)
@@ -219,9 +224,9 @@ func TestLateArrivalSlowsExistingFlow(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 120 * Mbps})
 	var ta, tb sim.Time
-	n.StartFlow(0, 3, 30e6, func(*Flow) { ta = eng.Now() })
+	startFlow(n, 0, 3, 30e6, func(*Flow) { ta = eng.Now() })
 	eng.Schedule(1, func() {
-		n.StartFlow(1, 4, 30e6, func(*Flow) { tb = eng.Now() })
+		startFlow(n, 1, 4, 30e6, func(*Flow) { tb = eng.Now() })
 	})
 	eng.Run()
 	if math.Abs(ta-3) > 1e-6 {
@@ -239,7 +244,7 @@ func TestNICBottleneckOverRack(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: Gbps, NodeBps: 100 * Mbps})
 	var doneAt sim.Time
-	n.StartFlow(0, 3, 12.5e6, func(*Flow) { doneAt = eng.Now() })
+	startFlow(n, 0, 3, 12.5e6, func(*Flow) { doneAt = eng.Now() })
 	eng.Run()
 	want := 12.5e6 / (100 * Mbps) // 1 s
 	if math.Abs(doneAt-want) > 1e-9 {
@@ -254,8 +259,8 @@ func TestCoreCapacityShared(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, c, Config{RackBps: Gbps, CoreBps: 100 * Mbps})
 	var t1, t2 sim.Time
-	n.StartFlow(0, 2, 12.5e6, func(*Flow) { t1 = eng.Now() }) // rack0 -> rack1
-	n.StartFlow(4, 3, 12.5e6, func(*Flow) { t2 = eng.Now() }) // rack2 -> rack1... shares rack1 down too
+	startFlow(n, 0, 2, 12.5e6, func(*Flow) { t1 = eng.Now() }) // rack0 -> rack1
+	startFlow(n, 4, 3, 12.5e6, func(*Flow) { t2 = eng.Now() }) // rack2 -> rack1... shares rack1 down too
 	eng.Run()
 	// Both share the core (and rack-1 downlink): 2 s each.
 	if math.Abs(t1-2) > 1e-6 || math.Abs(t2-2) > 1e-6 {
@@ -266,8 +271,8 @@ func TestCoreCapacityShared(t *testing.T) {
 func TestBytesMovedAccounting(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
-	n.StartFlow(0, 3, 1e6, nil)
-	n.StartFlow(1, 4, 2e6, nil)
+	startFlow(n, 0, 3, 1e6, nil)
+	startFlow(n, 1, 4, 2e6, nil)
 	eng.Run()
 	if n.BytesMoved != 3e6 {
 		t.Fatalf("BytesMoved = %v, want 3e6", n.BytesMoved)
@@ -280,7 +285,7 @@ func TestBytesMovedAccounting(t *testing.T) {
 func TestFlowAccessors(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
-	f := n.StartFlow(0, 3, 1e6, nil)
+	f := startFlow(n, 0, 3, 1e6, nil)
 	if f.Finished() || f.Remaining() != 1e6 || f.Rate() <= 0 {
 		t.Fatalf("fresh flow state wrong: fin=%v rem=%v rate=%v", f.Finished(), f.Remaining(), f.Rate())
 	}
@@ -297,7 +302,7 @@ func TestHoldModeFIFOOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
-		n.StartFlow(0, 3, 12.5e6, func(*Flow) { order = append(order, i) })
+		startFlow(n, 0, 3, 12.5e6, func(*Flow) { order = append(order, i) })
 	}
 	eng.Run()
 	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
@@ -321,7 +326,7 @@ func TestConservationProperty(t *testing.T) {
 			total += bytes
 			at := float64(i%13) * 0.25
 			eng.Schedule(at, func() {
-				n.StartFlow(src, dst, bytes, func(*Flow) { completed++ })
+				startFlow(n, src, dst, bytes, func(*Flow) { completed++ })
 			})
 		}
 		eng.Run()
@@ -346,7 +351,7 @@ func TestThroughputNeverExceedsCapacity(t *testing.T) {
 			for i := 0; i < m; i++ {
 				src := topology.NodeID(i % 3)       // rack 0
 				dst := topology.NodeID(3 + (i % 2)) // rack 1
-				n.StartFlow(src, dst, bytes, func(*Flow) {
+				startFlow(n, src, dst, bytes, func(*Flow) {
 					if eng.Now() > last {
 						last = eng.Now()
 					}
@@ -369,7 +374,7 @@ func TestFluidWorkConservation(t *testing.T) {
 	const m, bytes = 4, 5e6
 	var last sim.Time
 	for i := 0; i < m; i++ {
-		n.StartFlow(topology.NodeID(i%3), 3, bytes, func(*Flow) { last = eng.Now() })
+		startFlow(n, topology.NodeID(i%3), 3, bytes, func(*Flow) { last = eng.Now() })
 	}
 	eng.Run()
 	want := m * bytes / (100 * Mbps)
@@ -390,7 +395,7 @@ func TestManySmallFlowsDrain(t *testing.T) {
 		eng.Schedule(float64(i)*0.05, func() {
 			src := topology.NodeID(i % 5)
 			dst := topology.NodeID((i + 2) % 5)
-			n.StartFlow(src, dst, float64(1+i%7)*1e5, func(*Flow) { completed++ })
+			startFlow(n, src, dst, float64(1+i%7)*1e5, func(*Flow) { completed++ })
 		})
 	}
 	eng.Run()
@@ -406,11 +411,11 @@ func TestCancelFlow(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
 	fired := false
-	f := n.StartFlow(0, 3, 100e6, func(*Flow) { fired = true })
+	f := startFlow(n, 0, 3, 100e6, func(*Flow) { fired = true })
 	// A second flow shares the bottleneck; cancelling the first must
 	// return full bandwidth to it.
 	var doneAt sim.Time
-	n.StartFlow(1, 4, 12.5e6, func(*Flow) { doneAt = eng.Now() })
+	startFlow(n, 1, 4, 12.5e6, func(*Flow) { doneAt = eng.Now() })
 	eng.Schedule(0.5, func() { n.Cancel(f) })
 	eng.Run()
 	if fired {
@@ -435,9 +440,9 @@ func TestCancelQueuedHoldFlow(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps, Mode: ExclusiveHold})
 	var order []int
-	n.StartFlow(0, 3, 12.5e6, func(*Flow) { order = append(order, 0) })
-	f1 := n.StartFlow(0, 3, 12.5e6, func(*Flow) { order = append(order, 1) })
-	n.StartFlow(0, 3, 12.5e6, func(*Flow) { order = append(order, 2) })
+	startFlow(n, 0, 3, 12.5e6, func(*Flow) { order = append(order, 0) })
+	f1 := startFlow(n, 0, 3, 12.5e6, func(*Flow) { order = append(order, 1) })
+	startFlow(n, 0, 3, 12.5e6, func(*Flow) { order = append(order, 2) })
 	eng.Schedule(0.1, func() { n.Cancel(f1) }) // cancel while queued
 	eng.Run()
 	if len(order) != 2 || order[0] != 0 || order[1] != 2 {
@@ -448,9 +453,9 @@ func TestCancelQueuedHoldFlow(t *testing.T) {
 func TestCancelHoldingFlowReleasesLinks(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps, Mode: ExclusiveHold})
-	f0 := n.StartFlow(0, 3, 125e6, nil) // would take 10 s
+	f0 := startFlow(n, 0, 3, 125e6, nil) // would take 10 s
 	var doneAt sim.Time
-	n.StartFlow(0, 3, 12.5e6, func(*Flow) { doneAt = eng.Now() })
+	startFlow(n, 0, 3, 12.5e6, func(*Flow) { doneAt = eng.Now() })
 	eng.Schedule(1, func() { n.Cancel(f0) })
 	eng.Run()
 	// Queued flow starts at 1 s, runs 1 s.
@@ -464,9 +469,9 @@ func TestActiveAndWaitingFlowsSplit(t *testing.T) {
 	// must partition them; fluid mode never queues.
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps, Mode: ExclusiveHold})
-	n.StartFlow(0, 3, 12.5e6, nil)
-	n.StartFlow(0, 3, 12.5e6, nil)
-	n.StartFlow(0, 3, 12.5e6, nil)
+	startFlow(n, 0, 3, 12.5e6, nil)
+	startFlow(n, 0, 3, 12.5e6, nil)
+	startFlow(n, 0, 3, 12.5e6, nil)
 	if n.ActiveFlows() != 1 || n.WaitingFlows() != 2 {
 		t.Fatalf("hold mode: active=%d waiting=%d, want 1/2", n.ActiveFlows(), n.WaitingFlows())
 	}
@@ -477,8 +482,8 @@ func TestActiveAndWaitingFlowsSplit(t *testing.T) {
 
 	eng2 := sim.New()
 	n2 := mustNet(t, eng2, twoRacks(), Config{RackBps: 100 * Mbps})
-	n2.StartFlow(0, 3, 12.5e6, nil)
-	n2.StartFlow(0, 3, 12.5e6, nil)
+	startFlow(n2, 0, 3, 12.5e6, nil)
+	startFlow(n2, 0, 3, 12.5e6, nil)
 	if n2.ActiveFlows() != 2 || n2.WaitingFlows() != 0 {
 		t.Fatalf("fluid mode: active=%d waiting=%d, want 2/0", n2.ActiveFlows(), n2.WaitingFlows())
 	}
@@ -496,10 +501,10 @@ func TestCancelWaitingAndHolderUnderExclusiveHold(t *testing.T) {
 	record := func(id int) func(*Flow) {
 		return func(*Flow) { order = append(order, id); times = append(times, eng.Now()) }
 	}
-	f0 := n.StartFlow(0, 3, 125e6, record(0)) // would hold for 10 s
-	n.StartFlow(0, 3, 12.5e6, record(1))
-	f2 := n.StartFlow(0, 3, 12.5e6, record(2))
-	n.StartFlow(0, 3, 12.5e6, record(3))
+	f0 := startFlow(n, 0, 3, 125e6, record(0)) // would hold for 10 s
+	startFlow(n, 0, 3, 12.5e6, record(1))
+	f2 := startFlow(n, 0, 3, 12.5e6, record(2))
+	startFlow(n, 0, 3, 12.5e6, record(3))
 	eng.Schedule(0.5, func() { n.Cancel(f2) }) // cancel while waiting
 	eng.Schedule(1.0, func() { n.Cancel(f0) }) // cancel the link holder
 	eng.Run()
@@ -519,7 +524,7 @@ func TestDrainedDetectsLeftoverFlows(t *testing.T) {
 	// Normal drain: no error.
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
-	n.StartFlow(0, 3, 12.5e6, nil)
+	startFlow(n, 0, 3, 12.5e6, nil)
 	eng.Run()
 	if err := n.Drained(); err != nil {
 		t.Fatalf("clean drain reported error: %v", err)
@@ -532,7 +537,7 @@ func TestDrainedDetectsLeftoverFlows(t *testing.T) {
 	eng2 := sim.New()
 	n2 := mustNet(t, eng2, twoRacks(), Config{RackBps: 100 * Mbps})
 	n2.tierUp[0][0].capacity = 0
-	f := n2.StartFlow(0, 3, 12.5e6, nil)
+	f := startFlow(n2, 0, 3, 12.5e6, nil)
 	if f.Rate() != 0 || eng2.Pending() != 0 {
 		t.Fatalf("flow not starved: rate %v, %d events pending", f.Rate(), eng2.Pending())
 	}
@@ -555,11 +560,11 @@ func TestDrainedDetectsLeftoverFlows(t *testing.T) {
 func TestFlowRatesTrackSharing(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
-	a := n.StartFlow(0, 3, 12.5e6, nil) // full rate alone
+	a := startFlow(n, 0, 3, 12.5e6, nil) // full rate alone
 	if got := a.Rate(); math.Abs(got-12.5e6) > 1 {
 		t.Fatalf("a alone: rate %v, want 12.5e6", got)
 	}
-	b := n.StartFlow(1, 4, 6.25e6, nil) // shares rack0-up: both halve
+	b := startFlow(n, 1, 4, 6.25e6, nil) // shares rack0-up: both halve
 	if math.Abs(a.Rate()-6.25e6) > 1 || math.Abs(b.Rate()-6.25e6) > 1 {
 		t.Fatalf("a and b sharing: rates %v, %v, want 6.25e6 each", a.Rate(), b.Rate())
 	}
@@ -659,7 +664,7 @@ func TestReferenceSolverSelectable(t *testing.T) {
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
 	n.solve = n.refRecompute
 	var doneAt sim.Time = -1
-	n.StartFlow(3, 0, 128e6, func(*Flow) { doneAt = eng.Now() })
+	startFlow(n, 3, 0, 128e6, func(*Flow) { doneAt = eng.Now() })
 	eng.Run()
 	want := 128e6 / (100 * Mbps)
 	if math.Abs(doneAt-want) > 1e-9 {

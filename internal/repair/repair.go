@@ -32,8 +32,8 @@ type Key struct {
 // String returns "file#stripe".
 func (k Key) String() string { return fmt.Sprintf("%s#%d", k.File, k.Stripe) }
 
-// Source is one surviving block a repair reads: the node holding it and
-// its index within the stripe.
+// Source is one surviving block a repair or a degraded read downloads:
+// the node holding it and its index within the stripe.
 type Source struct {
 	Node  topology.NodeID
 	Index int

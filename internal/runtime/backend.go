@@ -13,16 +13,18 @@
 // The engine contract is Backend: task input and cost, the shuffle, and
 // the storage half of the background healer. Every engine implements all
 // of it, whether or not a run turns hedging or repair on; input planning
-// and the storage half are one Healer over the engine's dfs.FS. The one
-// optional extension is AsyncBackend, for engines whose task work runs
-// outside the simulation goroutine (minimr and the TCP cluster). The
-// runtime itself starts no goroutine.
+// and the storage half are one Healer over the engine's dfs.FS. The
+// runtime drives every engine down one path: it starts a task's work
+// (Execute, StartReduce) and awaits it at the task's virtual completion
+// instant (AwaitOutput, AwaitReduce), so an engine whose work runs
+// outside the simulation goroutine (minimr and the TCP cluster) blocks
+// there, and the simulator returns at once. The runtime itself starts no
+// goroutine.
 package runtime
 
 import (
 	"fmt"
 
-	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/sched"
@@ -82,7 +84,7 @@ type InputPlan struct {
 	Spares int
 	// Sources are the stripe blocks the Transfers read, index-aligned with
 	// them (Healer.PlanInput fills them; the runtime does not read them).
-	Sources []dfs.Source
+	Sources []repair.Source
 	// Input is opaque to the runtime and handed to Execute.
 	Input any
 }
@@ -114,28 +116,42 @@ type Backend interface {
 	// Every engine plans with Healer.PlanInput and attaches its payload.
 	// Errors abort the run verbatim.
 	PlanInput(job, task int, class sched.Class, node topology.NodeID, spares SpareBudget) (InputPlan, error)
-	// Execute runs the map task once its input is available, returning
+	// Execute starts the map task once its input is available, returning
 	// the processing duration (seconds, already scaled by the node's
-	// speed factor) and an opaque output payload for Partitions.
-	Execute(job, task int, node topology.NodeID, input any) (dur float64, output any)
-	// Partitions splits a completed map task's output into one Chunk per
-	// reducer (len == NumReducers). Called only for jobs with reducers.
+	// speed factor) and an opaque pending payload for AwaitOutput.
+	Execute(job, task int, node topology.NodeID, input any) (dur float64, pending any)
+	// AwaitOutput is called at the map task's virtual completion instant
+	// with Execute's pending payload, and returns the map's output as one
+	// Chunk per reducer (len == NumReducers; nil for a map-only job). It
+	// may block until work running outside the simulation goroutine has
+	// finished, so real wall-clock time passes only inside it while the
+	// virtual schedule stays put. It is called exactly once for every
+	// attempt that completes, and never for one abandoned by a requeue.
 	// The runtime never writes the returned slice or its chunks, so a
-	// backend may return one slice for every map of a job.
-	Partitions(job, task int, output any) []Chunk
+	// backend may return one slice for every map of a job. A
+	// *DeadNodeError requeues the task via failure recovery; any other
+	// error aborts the run.
+	AwaitOutput(job, task int, node topology.NodeID, pending any) ([]Chunk, error)
 	// Deliver hands one received shuffle chunk to reducer `reducer`
-	// running on `node`. An AsyncBackend may accept the chunk before its
-	// bytes have moved (the distributed backend starts the real fetch and
+	// running on `node`. A backend may accept the chunk before its bytes
+	// have moved (the distributed backend starts the real fetch and
 	// returns); a fetch that fails then surfaces from AwaitReduce. A
 	// *DeadNodeError marks the chunk undelivered and feeds the named nodes
 	// into failure recovery; any other error aborts the run.
 	Deliver(job, reducer int, node topology.NodeID, c Chunk) error
 	// StartReduce starts a reducer once every map output has been
 	// delivered to it, and returns its processing time on `node` given
-	// the shuffle volume received. An AsyncBackend may hand the real
-	// reduce off here; AwaitReduce collects it at the reducer's virtual
-	// completion instant.
+	// the shuffle volume received. A backend may hand the real reduce off
+	// here for AwaitReduce to collect.
 	StartReduce(job, reducer int, node topology.NodeID, receivedBytes float64) float64
+	// AwaitReduce is called at the reducer's virtual completion instant,
+	// once per reducer that finishes, and blocks until the reduce
+	// StartReduce began has finished and its output is part of the job's.
+	// A reducer reset before it finishes is never awaited. Errors follow
+	// the AwaitOutput contract: a *DeadNodeError restarts the reducer,
+	// and may name a mapper whose chunk Deliver accepted but whose fetch
+	// failed, so that mapper's output is made again.
+	AwaitReduce(job, reducer int, node topology.NodeID) error
 	// ReduceReset discards a reducer's received state, and any reduce
 	// StartReduce began for it, when its node fails and the reducer
 	// restarts elsewhere.
@@ -161,27 +177,6 @@ type Backend interface {
 	CommitRepair(key repair.Key, bp repair.BlockPlan) ([]RepairedTask, error)
 	// RepairBlockBytes is the network volume of reading one block.
 	RepairBlockBytes() float64
-}
-
-// AsyncBackend is the optional Backend extension for engines whose task
-// work runs outside the simulation goroutine: the distributed runtime
-// dispatches it to worker processes, minimr to a pool of goroutines. The
-// runtime calls these blocking hooks at the task's virtual completion
-// instant, so real wall-clock time passes only inside them while the
-// virtual schedule stays put. Work abandoned by a requeue or a reducer
-// reset is never awaited.
-type AsyncBackend interface {
-	// AwaitOutput blocks until the real map work behind Execute's output
-	// payload has finished and returns the resolved output (handed to
-	// Partitions in place of the original). A *DeadNodeError requeues the
-	// task via failure recovery; any other error aborts the run.
-	AwaitOutput(job, task int, node topology.NodeID, output any) (any, error)
-	// AwaitReduce blocks until the real reduce work for the reducer on
-	// `node` has finished and its output is part of the job's. Errors
-	// follow the AwaitOutput contract: a *DeadNodeError restarts the
-	// reducer, and may name a mapper whose chunk Deliver accepted but
-	// whose fetch failed, so that mapper's output is made again.
-	AwaitReduce(job, reducer int, node topology.NodeID) error
 }
 
 // DeadNodeError reports nodes discovered dead during a backend

@@ -94,9 +94,9 @@ func (s *state) injectNewlyDead(ids []topology.NodeID) {
 	}
 }
 
-// asyncMapFailure handles an AwaitOutput error at a map task's virtual
+// mapAwaitFailure handles an AwaitOutput error at a map task's virtual
 // completion instant.
-func (s *state) asyncMapFailure(rm *runningMap, err error) {
+func (s *state) mapAwaitFailure(rm *runningMap, err error) {
 	var dn *DeadNodeError
 	if !errors.As(err, &dn) {
 		s.fail(err)
@@ -111,18 +111,18 @@ func (s *state) asyncMapFailure(rm *runningMap, err error) {
 	}
 }
 
-// asyncReduceFailure handles an AwaitReduce error at a reducer's virtual
+// reduceAwaitFailure handles an AwaitReduce error at a reducer's virtual
 // completion instant.
-func (s *state) asyncReduceFailure(r *reducerState, err error) {
+func (s *state) reduceAwaitFailure(r *reducerState, err error) {
 	var dn *DeadNodeError
 	if !errors.As(err, &dn) {
 		s.fail(err)
 		return
 	}
-	// Reset before injecting: an async backend may count a chunk as
-	// delivered before its bytes moved, so the reducer can hold the got
-	// mark of a dead mapper's output. Cleared, the mark makes recovery
-	// see that output as owed and run its map again.
+	// Reset before injecting: a backend may count a chunk as delivered
+	// before its bytes moved, so the reducer can hold the got mark of a
+	// dead mapper's output. Cleared, the mark makes recovery see that
+	// output as owed and run its map again.
 	s.resetReducer(r.job, r)
 	s.injectNewlyDead(dn.Nodes)
 	// A named mapper failed earlier (a heartbeat deadline) is not injected

@@ -63,7 +63,7 @@ func (h *Healer) PlanInput(job, task int, class sched.Class, node topology.NodeI
 	case sched.ClassNodeLocal:
 		return plan, nil
 	case sched.ClassRackLocal, sched.ClassRemote:
-		plan.Sources = []dfs.Source{{Node: place.Holder(block), Index: block.Index}}
+		plan.Sources = []repair.Source{{Node: place.Holder(block), Index: block.Index}}
 	case sched.ClassDegraded:
 		sources, err := dfs.PickRepairSources(h.FS.Cluster(), h.FS.Code(), place, block, node, h.Strategy, h.RNG)
 		if err != nil {

@@ -78,7 +78,9 @@ func (b *hedgeBackend) RepairBlockBytes() float64 { return hedgeBlockBytes }
 func (b *hedgeBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	return hedgeMapTime, nil
 }
-func (b *hedgeBackend) Partitions(job, task int, output any) []runtime.Chunk { return nil }
+func (b *hedgeBackend) AwaitOutput(job, task int, node topology.NodeID, pending any) ([]runtime.Chunk, error) {
+	return nil, nil
+}
 func (b *hedgeBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
 	return nil
 }
@@ -86,6 +88,9 @@ func (b *hedgeBackend) StartReduce(job, reducer int, node topology.NodeID, bytes
 	return 1
 }
 func (b *hedgeBackend) ReduceReset(job, reducer int) {}
+func (b *hedgeBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {
+	return nil
+}
 
 // runHedgeScenario runs the scenario once. poll, when non-nil, is the
 // PollFailures hook (for mid-run kills).

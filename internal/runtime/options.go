@@ -81,12 +81,6 @@ var (
 // or in the options. Validate is idempotent: engines call it on their
 // options, and Run calls it again on what it is handed.
 func (o *Options) Validate(spec *topology.Spec) error {
-	if o.Scheduler == 0 {
-		o.Scheduler = sched.KindLF
-	}
-	if o.NetMode == 0 {
-		o.NetMode = netsim.FluidFairSharing
-	}
 	for _, bps := range []float64{o.RackBps, o.NodeBps, o.CoreBps} {
 		if bps < 0 || math.IsNaN(bps) {
 			return fmt.Errorf("%w, got %v", ErrNegativeBandwidth, bps)
@@ -97,9 +91,6 @@ func (o *Options) Validate(spec *topology.Spec) error {
 	}
 	if o.HeartbeatInterval < 0 || math.IsNaN(o.HeartbeatInterval) {
 		return fmt.Errorf("%w, got %v", ErrBadHeartbeat, o.HeartbeatInterval)
-	}
-	if o.SourceStrategy == 0 {
-		o.SourceStrategy = dfs.RandomK
 	}
 	if err := o.JobSched.Validate(); err != nil {
 		return err

@@ -11,7 +11,6 @@ import (
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/jobsched"
-	"degradedfirst/internal/minimr"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
@@ -109,9 +108,9 @@ func TestFeaturesTable(t *testing.T) {
 		word     string
 		check    func([]trace.Event, error) string
 	}{
-		{name: "negative bandwidth", o: runtime.Options{RackBps: -1}, sentinel: minimr.ErrNegativeBandwidth, word: "bandwidth"},
+		{name: "negative bandwidth", o: runtime.Options{RackBps: -1}, sentinel: runtime.ErrNegativeBandwidth, word: "bandwidth"},
 		{name: "NaN bandwidth", o: runtime.Options{NodeBps: math.NaN()}, sentinel: runtime.ErrNegativeBandwidth, word: "bandwidth"},
-		{name: "negative heartbeat", o: runtime.Options{HeartbeatInterval: -3}, sentinel: minimr.ErrBadHeartbeat, word: "heartbeat"},
+		{name: "negative heartbeat", o: runtime.Options{HeartbeatInterval: -3}, sentinel: runtime.ErrBadHeartbeat, word: "heartbeat"},
 		{name: "NaN heartbeat", o: runtime.Options{HeartbeatInterval: math.NaN()}, sentinel: runtime.ErrBadHeartbeat, word: "heartbeat"},
 		{name: "negative hedge extra", o: runtime.Options{Hedge: runtime.HedgePolicy{Extra: -1}}, word: "hedge"},
 		{name: "hedge quantile of 1", o: runtime.Options{Hedge: runtime.HedgePolicy{HedgeQuantile: 1}}, word: "hedge"},
@@ -120,8 +119,8 @@ func TestFeaturesTable(t *testing.T) {
 		{name: "repair fraction of nothing", o: runtime.Options{Repair: repair.Config{Enabled: true, RateFraction: 0.25}}, word: "repair"},
 		{name: "unknown job policy", o: runtime.Options{JobSched: jobsched.Config{Policy: 99}}, word: "jobsched"},
 		{name: "negative quota", o: runtime.Options{JobSched: jobsched.Config{Policy: jobsched.Quota, QuotaSlots: -1}}, word: "jobsched"},
-		{name: "negative weight", meta: jobsched.JobMeta{Weight: -1}, sentinel: minimr.ErrBadWeight, word: "weight"},
-		{name: "NaN deadline", meta: jobsched.JobMeta{Deadline: math.NaN()}, sentinel: minimr.ErrBadDeadline, word: "deadline"},
+		{name: "negative weight", meta: jobsched.JobMeta{Weight: -1}, sentinel: jobsched.ErrBadWeight, word: "weight"},
+		{name: "NaN deadline", meta: jobsched.JobMeta{Deadline: math.NaN()}, sentinel: jobsched.ErrBadDeadline, word: "deadline"},
 		{name: "reducers without reduce slots", reducers: 2, word: `job "golden": 2 reduce tasks, but the cluster has no reduce slots`},
 
 		{name: "zero heartbeat is 3 s", check: secondHeartbeatAt3},

@@ -163,7 +163,9 @@ func (b *repairStore) PlanInput(job, task int, class sched.Class, node topology.
 func (b *repairStore) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	return 1, nil
 }
-func (b *repairStore) Partitions(job, task int, output any) []runtime.Chunk { return nil }
+func (b *repairStore) AwaitOutput(job, task int, node topology.NodeID, pending any) ([]runtime.Chunk, error) {
+	return nil, nil
+}
 func (b *repairStore) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
 	return nil
 }
@@ -171,6 +173,9 @@ func (b *repairStore) StartReduce(job, reducer int, node topology.NodeID, bytes 
 	return 1
 }
 func (b *repairStore) ReduceReset(job, reducer int) {}
+func (b *repairStore) AwaitReduce(job, reducer int, node topology.NodeID) error {
+	return nil
+}
 
 // runRepairScenario runs one job (a single task on alive node 7's data)
 // against the given store with repair configured.

@@ -109,7 +109,6 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 		running:   make(map[*sched.Task]*runningMap),
 		builder:   NewBuilder(),
 	}
-	st.async, _ = backend.(AsyncBackend)
 	if p.Repair.Active() {
 		st.repairMgr = newRepairManager(st)
 	}
@@ -351,13 +350,13 @@ func (st *state) mapOutputAvailable(js *jobState, i int) bool {
 }
 
 type runningMap struct {
-	js     *jobState
-	task   *sched.Task
-	node   topology.NodeID
-	flows  []*netsim.Flow
-	procEv *sim.Event
-	input  any
-	output any
+	js      *jobState
+	task    *sched.Task
+	node    topology.NodeID
+	flows   []*netsim.Flow
+	procEv  *sim.Event
+	input   any
+	pending any // Execute's payload, for AwaitOutput
 
 	// Input fan-in state: the input is ready at the need-th flow
 	// completion (got counts them), and arrived is the one callback every
@@ -375,7 +374,6 @@ type state struct {
 	p         Params
 	name      string
 	backend   Backend
-	async     AsyncBackend // backend's optional async half, nil otherwise
 	eng       *sim.Engine
 	cluster   *topology.Cluster
 	net       *netsim.Net
@@ -674,9 +672,9 @@ func (s *state) startProcessing(rm *runningMap) {
 	e.Task = rm.task.Index
 	e.Node = int(rm.node)
 	s.emit(e)
-	dur, output := s.backend.Execute(rm.js.idx, rm.task.Index, rm.node, rm.input)
+	dur, pending := s.backend.Execute(rm.js.idx, rm.task.Index, rm.node, rm.input)
 	rm.input = nil
-	rm.output = output
+	rm.pending = pending
 	rm.procEv = s.eng.Schedule(dur, func() { s.completeMap(rm) })
 }
 
@@ -687,15 +685,13 @@ func (s *state) completeMap(rm *runningMap) {
 	js := rm.js
 	id := rm.node
 
-	if s.async != nil {
-		// The virtual completion instant: block here until the real map
-		// work has finished (or its worker died).
-		out, err := s.async.AwaitOutput(js.idx, rm.task.Index, id, rm.output)
-		if err != nil {
-			s.asyncMapFailure(rm, err)
-			return
-		}
-		rm.output = out
+	// The virtual completion instant: an engine running real work blocks
+	// here until it has finished (or its worker died).
+	parts, err := s.backend.AwaitOutput(js.idx, rm.task.Index, id, rm.pending)
+	rm.pending = nil
+	if err != nil {
+		s.mapAwaitFailure(rm, err)
+		return
 	}
 
 	e := s.ev(trace.EvTaskFinish)
@@ -711,7 +707,6 @@ func (s *state) completeMap(rm *runningMap) {
 	js.mapDone[rm.task.Index] = true
 
 	if len(js.reducers) > 0 {
-		parts := s.backend.Partitions(js.idx, rm.task.Index, rm.output)
 		js.parts[rm.task.Index] = parts
 		sends := s.sends
 		for rIdx, c := range parts {
@@ -728,7 +723,6 @@ func (s *state) completeMap(rm *runningMap) {
 		}
 		s.sendShuffles(sends)
 	}
-	rm.output = nil
 
 	if js.mapsCompleted == js.totalMaps() {
 		pe := s.ev(trace.EvMapPhaseEnd)
@@ -832,11 +826,9 @@ func (s *state) completeReducer(r *reducerState) {
 		return
 	}
 	js := r.job
-	if s.async != nil {
-		if err := s.async.AwaitReduce(js.idx, r.idx, r.node); err != nil {
-			s.asyncReduceFailure(r, err)
-			return
-		}
+	if err := s.backend.AwaitReduce(js.idx, r.idx, r.node); err != nil {
+		s.reduceAwaitFailure(r, err)
+		return
 	}
 	r.done = true
 	r.procEv = nil

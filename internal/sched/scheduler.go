@@ -308,8 +308,8 @@ var (
 type Kind int
 
 const (
-	// KindLF is locality-first (Algorithm 1).
-	KindLF Kind = iota + 1
+	// KindLF is locality-first (Algorithm 1), the zero value.
+	KindLF Kind = iota
 	// KindBDF is basic degraded-first (Algorithm 2).
 	KindBDF
 	// KindEDF is enhanced degraded-first (Algorithm 3).

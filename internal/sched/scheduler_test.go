@@ -493,13 +493,14 @@ func TestRequeueBecomesDegraded(t *testing.T) {
 }
 
 func TestRequeueDegradedBackToNormal(t *testing.T) {
-	c := fourNodeCluster()
-	c.FailNode(1)
+	// The task is first assigned while its holder is down, and requeued
+	// once a healthy cluster holds its block again.
+	down := fourNodeCluster()
+	down.FailNode(1)
 	j := NewJob(0, []TaskSpec{{Block: erasure.BlockID{Stripe: 0, Index: 0}, Holder: 1, Lost: true}})
-	env := envFor(c, j)
-	got := LocalityFirst{}.Assign(env, Heartbeat{Node: 2, FreeMapSlots: 1})
+	got := LocalityFirst{}.Assign(envFor(down, j), Heartbeat{Node: 2, FreeMapSlots: 1})
 	tk := got[0].Task
-	c.RecoverNode(1)
+	env := envFor(fourNodeCluster(), j)
 	j.Requeue(tk, false)
 	if tk.Lost {
 		t.Fatal("task should be normal again")

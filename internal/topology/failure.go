@@ -38,10 +38,11 @@ func (p FailurePattern) String() string {
 	}
 }
 
-// InjectFailure applies the pattern to the cluster using rng for random
-// choices, returning the failed node IDs. The cluster must have enough
-// alive nodes; an error is returned otherwise.
-func InjectFailure(c *Cluster, p FailurePattern, rng *stats.RNG) ([]NodeID, error) {
+// PickFailure chooses the nodes the pattern fails, using rng for random
+// choices, and fails none of them: the caller fails them when it is time.
+// The cluster must have enough alive nodes; an error is returned
+// otherwise.
+func PickFailure(c *Cluster, p FailurePattern, rng *stats.RNG) ([]NodeID, error) {
 	switch p {
 	case NoFailure:
 		return nil, nil
@@ -56,9 +57,7 @@ func InjectFailure(c *Cluster, p FailurePattern, rng *stats.RNG) ([]NodeID, erro
 		}
 		var failed []NodeID
 		for _, idx := range rng.PickK(len(alive), want) {
-			id := alive[idx]
-			c.FailNode(id)
-			failed = append(failed, id)
+			failed = append(failed, alive[idx])
 		}
 		return failed, nil
 	case RackFailure:
@@ -66,9 +65,7 @@ func InjectFailure(c *Cluster, p FailurePattern, rng *stats.RNG) ([]NodeID, erro
 			return nil, fmt.Errorf("topology: rack failure needs >= 2 racks, have %d", c.NumRacks())
 		}
 		r := RackID(rng.Intn(c.NumRacks()))
-		failed := append([]NodeID(nil), c.RackNodes(r)...)
-		c.FailRack(r)
-		return failed, nil
+		return append([]NodeID(nil), c.RackNodes(r)...), nil
 	default:
 		return nil, fmt.Errorf("topology: unknown failure pattern %v", p)
 	}

@@ -219,16 +219,6 @@ func (c *Cluster) FailedNodes() []NodeID {
 // no-op.
 func (c *Cluster) FailNode(id NodeID) { c.nodes[id].failed = true }
 
-// RecoverNode clears the failed state of node id.
-func (c *Cluster) RecoverNode(id NodeID) { c.nodes[id].failed = false }
-
-// FailRack fails every node in rack r (the paper's rack-failure pattern).
-func (c *Cluster) FailRack(r RackID) {
-	for _, id := range c.racks[r] {
-		c.nodes[id].failed = true
-	}
-}
-
 // SetSpeedFactor sets the processing-time multiplier of node id.
 func (c *Cluster) SetSpeedFactor(id NodeID, f float64) error {
 	if f <= 0 {

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -79,18 +80,11 @@ func TestFailureLifecycle(t *testing.T) {
 	if len(c.AliveNodes()) != 39 || len(c.FailedNodes()) != 1 {
 		t.Fatal("alive/failed counts wrong")
 	}
-	c.RecoverNode(7)
-	if !c.Alive(7) {
-		t.Fatal("node 7 should be recovered")
-	}
-	c.FailRack(2)
-	if len(c.FailedNodes()) != 10 {
-		t.Fatalf("rack failure should fail 10 nodes, got %d", len(c.FailedNodes()))
-	}
 	for _, id := range c.RackNodes(2) {
-		if c.Alive(id) {
-			t.Fatalf("node %d in failed rack still alive", id)
-		}
+		c.FailNode(id)
+	}
+	if len(c.AliveNodes()) != 29 || len(c.FailedNodes()) != 11 || !slices.Contains(c.FailedNodes(), 7) {
+		t.Fatalf("after failing rack 2 too, failed nodes %v", c.FailedNodes())
 	}
 }
 
@@ -136,45 +130,57 @@ func TestSetSpeedFactor(t *testing.T) {
 	}
 }
 
-func TestInjectFailurePatterns(t *testing.T) {
+// TestPickFailurePatterns pins each pattern's picks, and that picking
+// fails nothing.
+func TestPickFailurePatterns(t *testing.T) {
 	rng := stats.NewRNG(1)
 	c := MustNew(defaultCfg())
-	if failed, err := InjectFailure(c, NoFailure, rng); err != nil || failed != nil {
-		t.Fatalf("NoFailure: %v %v", failed, err)
+	pick := func(p FailurePattern) []NodeID {
+		t.Helper()
+		failed, err := PickFailure(c, p, rng)
+		if err != nil {
+			t.Fatalf("%v: %v", p, err)
+		}
+		if f := c.FailedNodes(); len(f) != 0 {
+			t.Fatalf("%v: picking failed nodes %v", p, f)
+		}
+		return failed
 	}
-	failed, err := InjectFailure(c, SingleNodeFailure, rng)
-	if err != nil || len(failed) != 1 {
-		t.Fatalf("single: %v %v", failed, err)
+	if failed := pick(NoFailure); failed != nil {
+		t.Fatalf("NoFailure picked %v", failed)
 	}
-	c2 := MustNew(defaultCfg())
-	failed, err = InjectFailure(c2, DoubleNodeFailure, rng)
-	if err != nil || len(failed) != 2 || failed[0] == failed[1] {
-		t.Fatalf("double: %v %v", failed, err)
+	if failed := pick(SingleNodeFailure); len(failed) != 1 {
+		t.Fatalf("single: %v", failed)
 	}
-	c3 := MustNew(defaultCfg())
-	failed, err = InjectFailure(c3, RackFailure, rng)
-	if err != nil || len(failed) != 10 {
-		t.Fatalf("rack: %v %v", failed, err)
+	if failed := pick(DoubleNodeFailure); len(failed) != 2 || failed[0] == failed[1] {
+		t.Fatalf("double: %v", failed)
 	}
-	r := c3.RackOf(failed[0])
+	failed := pick(RackFailure)
+	if len(failed) != 10 {
+		t.Fatalf("rack: %v", failed)
+	}
+	r := c.RackOf(failed[0])
 	for _, id := range failed {
-		if c3.RackOf(id) != r {
+		if c.RackOf(id) != r {
 			t.Fatal("rack failure crossed racks")
 		}
 	}
 }
 
-func TestInjectFailureErrors(t *testing.T) {
+func TestPickFailureErrors(t *testing.T) {
 	rng := stats.NewRNG(2)
 	tiny := MustNew(Config{Nodes: 1, Racks: 1, MapSlotsPerNode: 1})
-	if _, err := InjectFailure(tiny, SingleNodeFailure, rng); err == nil {
+	if _, err := PickFailure(tiny, SingleNodeFailure, rng); err == nil {
 		t.Fatal("failing the only node must error")
 	}
-	if _, err := InjectFailure(tiny, RackFailure, rng); err == nil {
+	if _, err := PickFailure(tiny, RackFailure, rng); err == nil {
 		t.Fatal("rack failure with one rack must error")
 	}
-	if _, err := InjectFailure(tiny, FailurePattern(42), rng); err == nil {
+	if _, err := PickFailure(tiny, FailurePattern(42), rng); err == nil {
 		t.Fatal("unknown pattern must error")
+	}
+	if f := tiny.FailedNodes(); len(f) != 0 {
+		t.Fatalf("a failed pick failed nodes %v", f)
 	}
 }
 
