@@ -120,12 +120,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	writers := []io.Writer{stdout}
+	var outFile *os.File
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
+		defer f.Close() // error paths; the explicit Close below is checked
+		outFile = f
 		writers = append(writers, f)
 	}
 	w := io.MultiWriter(writers...)
@@ -160,19 +162,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		switch *format {
 		case "text":
-			fmt.Fprintln(w, tab.String())
-			fmt.Fprintf(w, "paper: %s\n(took %v)\n\n", e.Paper, time.Since(start).Round(time.Millisecond))
+			_, err = fmt.Fprintf(w, "%s\npaper: %s\n(took %v)\n\n", tab, e.Paper, time.Since(start).Round(time.Millisecond))
 		case "csv":
-			fmt.Fprintf(w, "# %s: %s\n%s\n", tab.ID, tab.Title, tab.CSV())
+			_, err = fmt.Fprintf(w, "# %s: %s\n%s\n", tab.ID, tab.Title, tab.CSV())
 		case "json":
-			js, err := json.Marshal(tab)
-			if err != nil {
-				return err
+			var js []byte
+			if js, err = json.Marshal(tab); err == nil {
+				_, err = fmt.Fprintf(w, "%s\n", js)
 			}
-			fmt.Fprintln(w, string(js))
-			if err := writeResultFile(*resultDir, tab); err != nil {
-				return err
+			if err == nil {
+				err = writeResultFile(*resultDir, tab)
 			}
+		}
+		if err != nil {
+			return fmt.Errorf("%s: writing results: %w", e.ID, err)
+		}
+	}
+	if outFile != nil {
+		if err := outFile.Close(); err != nil {
+			return fmt.Errorf("writing %s: %w", *out, err)
 		}
 	}
 	if traceSink != nil {

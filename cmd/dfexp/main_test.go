@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -167,6 +169,23 @@ func TestRunWritesOutFile(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "fig5a") {
 		t.Fatal("out file missing results")
+	}
+}
+
+// failWriter fails every write, as a full disk or a closed pipe does.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestOutputWriteErrors: a results write that fails must fail the run in
+// every format, not exit 0 having written nothing.
+func TestOutputWriteErrors(t *testing.T) {
+	for _, format := range []string{"text", "csv", "json"} {
+		args := []string{"-run", "fig5a", "-format", format, "-results", t.TempDir()}
+		err := run(context.Background(), args, failWriter{}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Errorf("-format %s: err = %v, want the write error", format, err)
+		}
 	}
 }
 

@@ -121,13 +121,9 @@ func SimulateContext(ctx context.Context, cfg SimConfig, jobs ...JobSpec) (*SimR
 	return mapred.RunContext(ctx, cfg, jobs)
 }
 
-// Analysis types (Section IV-B closed-form models).
-type (
-	// AnalysisParams are the model parameters in the paper's notation.
-	AnalysisParams = analysis.Params
-	// AnalysisPoint is one model evaluation.
-	AnalysisPoint = analysis.Point
-)
+// AnalysisParams are the Section IV-B closed-form model's parameters in
+// the paper's notation.
+type AnalysisParams = analysis.Params
 
 // DefaultAnalysisParams returns the paper's default analysis setting.
 func DefaultAnalysisParams() AnalysisParams { return analysis.Default() }

@@ -1,8 +1,8 @@
 // Package analysis implements the closed-form MapReduce runtime models of
 // Section IV-B: the normal-mode runtime, the failure-mode runtime under
 // locality-first scheduling, and the failure-mode runtime under
-// degraded-first scheduling. It regenerates the numerical results of
-// Figure 5.
+// degraded-first scheduling. Evaluated over the points of Figure 5 (the
+// fig5a-c experiments in internal/exp), they give its numerical results.
 package analysis
 
 import (
@@ -119,75 +119,4 @@ func (p Params) NormalizedDF() float64 {
 func (p Params) ReductionPercent() float64 {
 	lf := p.LocalityFirstRuntime()
 	return 100 * (lf - p.DegradedFirstRuntime()) / lf
-}
-
-// Point is one model evaluation, used by the figure sweeps.
-type Point struct {
-	Label        string
-	Params       Params
-	NormalizedLF float64
-	NormalizedDF float64
-	ReductionPct float64
-}
-
-func (p Params) point(label string) Point {
-	return Point{
-		Label:        label,
-		Params:       p,
-		NormalizedLF: p.NormalizedLF(),
-		NormalizedDF: p.NormalizedDF(),
-		ReductionPct: p.ReductionPercent(),
-	}
-}
-
-// SweepCodes evaluates the model across erasure-coding schemes, as in
-// Figure 5(a). Each element of ks is a k value (the paper sweeps (8,6),
-// (12,9), (16,12), (20,15), i.e. k = 6, 9, 12, 15).
-func SweepCodes(base Params, ks []int, labels []string) ([]Point, error) {
-	if len(ks) != len(labels) {
-		return nil, errors.New("analysis: ks and labels length mismatch")
-	}
-	out := make([]Point, 0, len(ks))
-	for i, k := range ks {
-		p := base
-		p.K = k
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		out = append(out, p.point(labels[i]))
-	}
-	return out, nil
-}
-
-// SweepBlocks evaluates the model across total block counts F, as in
-// Figure 5(b).
-func SweepBlocks(base Params, fs []int) ([]Point, error) {
-	out := make([]Point, 0, len(fs))
-	for _, f := range fs {
-		p := base
-		p.F = f
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		out = append(out, p.point(fmt.Sprintf("F=%d", f)))
-	}
-	return out, nil
-}
-
-// SweepBandwidth evaluates the model across rack bandwidths W (bytes/s),
-// as in Figure 5(c).
-func SweepBandwidth(base Params, ws []float64, labels []string) ([]Point, error) {
-	if len(ws) != len(labels) {
-		return nil, errors.New("analysis: ws and labels length mismatch")
-	}
-	out := make([]Point, 0, len(ws))
-	for i, w := range ws {
-		p := base
-		p.W = w
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		out = append(out, p.point(labels[i]))
-	}
-	return out, nil
 }

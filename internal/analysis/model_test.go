@@ -56,27 +56,42 @@ func TestKnownValues(t *testing.T) {
 	}
 }
 
+// sweep evaluates the model at the default setting changed by each of
+// set, returning the normalized LF and DF runtimes and the reductions.
+func sweep(t *testing.T, set ...func(*Params)) (lf, df, cut []float64) {
+	t.Helper()
+	for _, s := range set {
+		p := Default()
+		s(&p)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		lf, df, cut = append(lf, p.NormalizedLF()), append(df, p.NormalizedDF()), append(cut, p.ReductionPercent())
+	}
+	return lf, df, cut
+}
+
 func TestPaperReductionRange(t *testing.T) {
 	// Figure 5(a): reductions between 15% and 32% over the code sweep.
-	pts, err := SweepCodes(Default(), []int{6, 9, 12, 15},
-		[]string{"(8,6)", "(12,9)", "(16,12)", "(20,15)"})
-	if err != nil {
-		t.Fatal(err)
+	var set []func(*Params)
+	for _, k := range []int{6, 9, 12, 15} {
+		set = append(set, func(p *Params) { p.K = k })
 	}
-	for _, pt := range pts {
-		if pt.ReductionPct < 14 || pt.ReductionPct > 33 {
-			t.Errorf("%s: reduction %.1f%% outside the paper's 15-32%% band", pt.Label, pt.ReductionPct)
+	lf, df, cut := sweep(t, set...)
+	for i := range cut {
+		if cut[i] < 14 || cut[i] > 33 {
+			t.Errorf("point %d: reduction %.1f%% outside the paper's 15-32%% band", i, cut[i])
 		}
-		if pt.NormalizedDF >= pt.NormalizedLF {
-			t.Errorf("%s: DF not better than LF", pt.Label)
+		if df[i] >= lf[i] {
+			t.Errorf("point %d: DF not better than LF", i)
 		}
 	}
 	// LF worsens with k; DF stays flat (degraded reads fit in one round).
-	for i := 1; i < len(pts); i++ {
-		if pts[i].NormalizedLF <= pts[i-1].NormalizedLF {
+	for i := 1; i < len(lf); i++ {
+		if lf[i] <= lf[i-1] {
 			t.Error("LF should increase with k")
 		}
-		if math.Abs(pts[i].NormalizedDF-pts[i-1].NormalizedDF) > 1e-9 {
+		if math.Abs(df[i]-df[i-1]) > 1e-9 {
 			t.Error("DF should be flat across the code sweep in the default setting")
 		}
 	}
@@ -84,15 +99,16 @@ func TestPaperReductionRange(t *testing.T) {
 
 func TestSweepBlocksShape(t *testing.T) {
 	// Figure 5(b): normalized runtimes decrease with F; reduction 25-28%.
-	pts, err := SweepBlocks(Default(), []int{720, 1440, 2160, 2880})
-	if err != nil {
-		t.Fatal(err)
+	var set []func(*Params)
+	for _, f := range []int{720, 1440, 2160, 2880} {
+		set = append(set, func(p *Params) { p.F = f })
 	}
-	for i, pt := range pts {
-		if pt.ReductionPct < 24 || pt.ReductionPct > 29 {
-			t.Errorf("%s: reduction %.1f%% outside 25-28%%", pt.Label, pt.ReductionPct)
+	lf, _, cut := sweep(t, set...)
+	for i := range cut {
+		if cut[i] < 24 || cut[i] > 29 {
+			t.Errorf("point %d: reduction %.1f%% outside 25-28%%", i, cut[i])
 		}
-		if i > 0 && pt.NormalizedLF >= pts[i-1].NormalizedLF {
+		if i > 0 && lf[i] >= lf[i-1] {
 			t.Error("normalized LF should decrease with F")
 		}
 	}
@@ -101,40 +117,21 @@ func TestSweepBlocksShape(t *testing.T) {
 func TestSweepBandwidthShape(t *testing.T) {
 	// Figure 5(c): runtime decreases with W; DF equal at 500 Mbps and
 	// 1 Gbps (degraded reads fit in one round); reduction 18-43%.
-	ws := []float64{100e6 / 8, 250e6 / 8, 500e6 / 8, 1e9 / 8}
-	labels := []string{"100Mbps", "250Mbps", "500Mbps", "1Gbps"}
-	pts, err := SweepBandwidth(Default(), ws, labels)
-	if err != nil {
-		t.Fatal(err)
+	var set []func(*Params)
+	for _, w := range []float64{100e6 / 8, 250e6 / 8, 500e6 / 8, 1e9 / 8} {
+		set = append(set, func(p *Params) { p.W = w })
 	}
-	for i, pt := range pts {
-		if pt.ReductionPct < 17 || pt.ReductionPct > 45 {
-			t.Errorf("%s: reduction %.1f%% outside the paper's ~18-43%% band", pt.Label, pt.ReductionPct)
+	lf, df, cut := sweep(t, set...)
+	for i := range cut {
+		if cut[i] < 17 || cut[i] > 45 {
+			t.Errorf("point %d: reduction %.1f%% outside the paper's ~18-43%% band", i, cut[i])
 		}
-		if i > 0 && pt.NormalizedLF > pts[i-1].NormalizedLF {
+		if i > 0 && lf[i] > lf[i-1] {
 			t.Error("normalized LF should not increase with W")
 		}
 	}
-	if math.Abs(pts[2].NormalizedDF-pts[3].NormalizedDF) > 1e-9 {
+	if math.Abs(df[2]-df[3]) > 1e-9 {
 		t.Error("DF should be identical at 500 Mbps and 1 Gbps")
-	}
-}
-
-func TestSweepErrors(t *testing.T) {
-	if _, err := SweepCodes(Default(), []int{6}, []string{"a", "b"}); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-	if _, err := SweepCodes(Default(), []int{0}, []string{"bad"}); err == nil {
-		t.Fatal("invalid k must fail")
-	}
-	if _, err := SweepBlocks(Default(), []int{0}); err == nil {
-		t.Fatal("invalid F must fail")
-	}
-	if _, err := SweepBandwidth(Default(), []float64{1}, []string{"a", "b"}); err == nil {
-		t.Fatal("length mismatch must fail")
-	}
-	if _, err := SweepBandwidth(Default(), []float64{0}, []string{"bad"}); err == nil {
-		t.Fatal("invalid W must fail")
 	}
 }
 

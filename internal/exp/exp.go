@@ -6,51 +6,48 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
+	"encoding/csv"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"degradedfirst/internal/trace"
 )
 
-// Table is a printable experiment result.
+// Table is a printable experiment result. Its JSON form keeps this field
+// order, so a table's JSON line is stable.
 type Table struct {
-	ID      string
-	Title   string
-	Columns []string
-	Rows    [][]string
+	ID      string     `json:"id"`
+	Title   string     `json:"title"`
+	Columns []string   `json:"columns"`
+	Rows    [][]string `json:"rows"`
 	// Notes carries the paper's expectation and any caveats.
-	Notes []string
+	Notes []string `json:"notes,omitempty"`
 }
 
-// String renders the table as aligned text.
+// String renders the table as aligned text. Each column is as wide as its
+// widest cell, so a ragged row wider than the header renders too.
 func (t *Table) String() string {
+	lines := append([][]string{t.Columns}, t.Rows...)
+	var widths []int
+	for _, cells := range lines {
+		for i, cell := range cells {
+			if i == len(widths) {
+				widths = append(widths, 0)
+			}
+			widths[i] = max(widths[i], len(cell))
+		}
+	}
+	rule := make([]string, len(widths))
+	for i, w := range widths {
+		rule[i] = strings.Repeat("-", w)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== %s: %s ===\n", t.ID, t.Title)
-	// Size widths to the widest row, not just the header: a ragged row with
-	// more cells than Columns previously made writeRow index past the end
-	// of widths and panic.
-	ncols := len(t.Columns)
-	for _, row := range t.Rows {
-		if len(row) > ncols {
-			ncols = len(row)
-		}
-	}
-	widths := make([]int, ncols)
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
+	for _, cells := range slices.Insert(lines, 1, rule) {
 		for i, cell := range cells {
 			if i > 0 {
 				b.WriteString("  ")
@@ -59,57 +56,19 @@ func (t *Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	writeRow(t.Columns)
-	for i, w := range widths {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		b.WriteString(strings.Repeat("-", w))
-	}
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
 }
 
-// CSV renders the table as RFC-4180-ish CSV (header row first; notes
-// omitted).
+// CSV renders the table as CSV, header row first; notes are omitted.
 func (t *Table) CSV() string {
 	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			// \r must force quoting too: a bare carriage return inside an
-			// unquoted field breaks RFC 4180 consumers.
-			if strings.ContainsAny(cell, ",\"\r\n") {
-				cell = `"` + strings.ReplaceAll(cell, `"`, `""`) + `"`
-			}
-			b.WriteString(cell)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
+	w := csv.NewWriter(&b)
+	w.Write(t.Columns)
+	w.WriteAll(t.Rows) // flushes; a strings.Builder does not fail
 	return b.String()
-}
-
-// MarshalJSON implements json.Marshaler with a stable field layout.
-func (t *Table) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		ID      string     `json:"id"`
-		Title   string     `json:"title"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-		Notes   []string   `json:"notes,omitempty"`
-	}{t.ID, t.Title, t.Columns, t.Rows, t.Notes})
 }
 
 // Options tunes experiment cost.
@@ -133,50 +92,11 @@ type Options struct {
 	JobSched string
 }
 
-func (o Options) seeds(def, quick int) int {
-	if o.Seeds > 0 {
-		return o.Seeds
-	}
-	if o.Quick {
-		return quick
-	}
-	return def
-}
-
 func (o Options) parallelism() int {
 	if o.Parallelism > 0 {
 		return o.Parallelism
 	}
 	return runtime.NumCPU()
-}
-
-// memo holds the last runs of an experiment that several artifacts view,
-// keyed by sample count and workload size, so within one process every
-// artifact after the first reuses them: figs 8a-c share one set of
-// simulations, and Fig. 9a and Table I one set of testbed runs.
-type memo[T any] struct {
-	mu  sync.Mutex
-	key string
-	val T
-}
-
-// get returns the runs for o at the given sample count, calling run on a
-// miss. Errors are not remembered.
-func (m *memo[T]) get(o Options, seeds int, run func() (T, error)) (T, error) {
-	key := fmt.Sprintf("%d-%v", seeds, o.Quick)
-	m.mu.Lock()
-	if m.key == key {
-		defer m.mu.Unlock()
-		return m.val, nil
-	}
-	m.mu.Unlock()
-	val, err := run()
-	if err == nil {
-		m.mu.Lock()
-		m.key, m.val = key, val
-		m.mu.Unlock()
-	}
-	return val, err
 }
 
 // Experiment is one registered artifact reproduction.
@@ -190,86 +110,67 @@ type Experiment struct {
 	Run func(context.Context, Options) (*Table, error)
 }
 
-var (
-	_mu       sync.Mutex
-	_registry = map[string]Experiment{}
-)
+// _registry holds the experiments by ID. Only init functions write it.
+var _registry = map[string]Experiment{}
 
-func register(e Experiment) {
-	_mu.Lock()
-	defer _mu.Unlock()
-	if _, dup := _registry[e.ID]; dup {
-		panic("exp: duplicate experiment " + e.ID)
+// register adds an experiment; the tables its run returns take its ID.
+func register(id, title, paper string, run func(context.Context, Options) (*Table, error)) {
+	if _, dup := _registry[id]; dup {
+		panic("exp: duplicate experiment " + id)
 	}
-	_registry[e.ID] = e
+	_registry[id] = Experiment{ID: id, Title: title, Paper: paper, Run: func(ctx context.Context, o Options) (*Table, error) {
+		t, err := run(ctx, o)
+		if err != nil {
+			return nil, err
+		}
+		t.ID = id
+		return t, nil
+	}}
 }
 
 // Get returns the experiment with the given ID.
 func Get(id string) (Experiment, bool) {
-	_mu.Lock()
-	defer _mu.Unlock()
 	e, ok := _registry[id]
 	return e, ok
 }
 
 // All returns every experiment sorted by ID.
 func All() []Experiment {
-	_mu.Lock()
-	defer _mu.Unlock()
 	out := make([]Experiment, 0, len(_registry))
 	for _, e := range _registry {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b Experiment) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 
-// parallelMap runs fn for i in [0, n) with bounded parallelism, collecting
-// the first error. Cancelling ctx stops dispatching new work; indices
-// already dispatched still run to completion (their own ctx checks abort
-// them promptly).
+// parallelMap runs fn for i in [0, n), in order of i, on at most
+// parallelism goroutines and returns the first error. Once ctx is
+// cancelled no further i starts; those running finish (their own ctx
+// checks abort them promptly).
 func parallelMap(ctx context.Context, n, parallelism int, fn func(i int) error) error {
-	if parallelism > n {
-		parallelism = n
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstEr error
+		wg   sync.WaitGroup
+		next atomic.Int64
+		once sync.Once
+		err  error
 	)
-	work := make(chan int)
-	for w := 0; w < parallelism; w++ {
+	for range max(min(parallelism, n), 1) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstEr == nil {
-						firstEr = err
-					}
-					mu.Unlock()
+			for i := int(next.Add(1)) - 1; i < n && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+				if e := fn(i); e != nil {
+					once.Do(func() { err = e })
 				}
 			}
 		}()
 	}
-dispatch:
-	for i := 0; i < n; i++ {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(work)
 	wg.Wait()
-	if firstEr == nil {
-		firstEr = ctx.Err()
+	if err == nil {
+		err = ctx.Err()
 	}
-	return firstEr
+	return err
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

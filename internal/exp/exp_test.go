@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/trace"
 )
 
@@ -334,7 +336,7 @@ func TestTableCSVAndJSON(t *testing.T) {
 	if !strings.Contains(csv, "a,b\n") || !strings.Contains(csv, `"with ""quote"", and comma"`) {
 		t.Fatalf("CSV rendering wrong: %q", csv)
 	}
-	js, err := tab.MarshalJSON()
+	js, err := json.Marshal(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,15 +420,91 @@ func TestExperimentTraceLabels(t *testing.T) {
 	}
 }
 
-func TestRunSeedsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	e, ok := Get("fig7a")
-	if !ok {
-		t.Fatal("fig7a not registered")
+// TestRunnerCancellation: cancelling the context aborts every runner
+// shape, whether before the run or in flight: a mapred sweep normalized
+// by failure-free runs, a testbed sweep, a sweep of points that run their
+// own scheduler, and a one-seed storm. In flight, the first traced event
+// cancels, so the runs and the dispatch of the rest must stop.
+func TestRunnerCancellation(t *testing.T) {
+	for _, id := range []string{"fig7a", "fig9a", "hedge", "jobsched"} {
+		e, ok := Get(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		t.Run(id+"/before", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := e.Run(ctx, quickOpts()); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
+		t.Run(id+"/in-flight", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			o := quickOpts()
+			o.Trace = cancelSink(cancel)
+			if _, err := e.Run(ctx, o); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
 	}
-	if _, err := e.Run(ctx, quickOpts()); err == nil {
-		t.Fatal("cancelled context must abort the experiment")
+}
+
+// cancelSink cancels its context at the first event it receives.
+type cancelSink context.CancelFunc
+
+func (c cancelSink) Emit(trace.Event) { c() }
+
+// countSink counts the events it receives.
+type countSink struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (c *countSink) Emit(trace.Event) {
+	c.mu.Lock()
+	c.n++
+	c.mu.Unlock()
+}
+
+// TestMemoizedRunsTrace: an experiment that views another's runs must
+// still emit their events when traced. Table I shares Fig. 9a's runs; a
+// traced table1 right after a traced fig9a must trace the same runs
+// rather than serve them silently from the memo.
+func TestMemoizedRunsTrace(t *testing.T) {
+	o := Options{Quick: true, Seeds: 1} // a sample count no other test uses
+	var counts []int
+	for _, id := range []string{"fig9a", "table1"} {
+		sink := &countSink{}
+		o.Trace = sink
+		runExp(t, id, o)
+		counts = append(counts, sink.n)
+	}
+	if counts[0] == 0 || counts[1] != counts[0] {
+		t.Fatalf("events traced by fig9a, table1 = %v, want the same nonzero count", counts)
+	}
+}
+
+// TestSerialMatchesGolden: the runner spreads a sweep's points, schedulers
+// and seeds over the workers in any order, so one worker must produce
+// the golden tables too. The memos are reset first, so the tables are
+// computed here rather than served from the shared quick run.
+func TestSerialMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "quick.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8Memo, fig9aMemo = memo{}, memo{}
+	o := quickOpts()
+	o.Parallelism = 1
+	for _, id := range []string{"fig7a", "fig7f", "fig8a", "fig9a", "hedge", "repair", "jobsched"} {
+		js, err := json.Marshal(runExp(t, id, o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(want, append(js, '\n')) {
+			t.Errorf("%s at Parallelism 1 differs from the golden line:\n%s", id, js)
+		}
 	}
 }
 
@@ -645,11 +723,18 @@ func TestTableCSVQuoting(t *testing.T) {
 func TestFig9aRowReportsTrueExtremes(t *testing.T) {
 	lf := []float64{100, 101, 102, 103, 160}
 	edf := []float64{80, 20, 81, 82, 83}
-	row := fig9aRow("wordcount", lf, edf)
-	if got, want := row[2], "100.0/160.0"; got != want {
+	r := row{point: point{label: "wordcount"}, kinds: lfEDF}
+	for s := range lf {
+		r.runs = append(r.runs, []*runtime.Result{
+			{Jobs: []runtime.JobResult{{FinishTime: lf[s]}}},
+			{Jobs: []runtime.JobResult{{FinishTime: edf[s]}}},
+		})
+	}
+	cells := tabulate(&Table{}, []row{r}, fig9aCols).Rows[0]
+	if got, want := cells[2], "100.0/160.0"; got != want {
 		t.Errorf("LF min/max = %s, want %s", got, want)
 	}
-	if got, want := row[4], "20.0/83.0"; got != want {
+	if got, want := cells[4], "20.0/83.0"; got != want {
 		t.Errorf("EDF min/max = %s, want %s", got, want)
 	}
 }

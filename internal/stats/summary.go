@@ -35,14 +35,7 @@ func Mean(xs []float64) float64 {
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the common default).
 // xs need not be sorted. Returns NaN when xs is empty.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
+func Quantile(xs []float64, q float64) float64 { return Quantiles(xs, q)[0] }
 
 // quantileSorted is Quantile on already-sorted input, skipping the copy and
 // sort. Callers that hold a sorted slice (Summarize sorts once and needs
@@ -64,10 +57,9 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Quantiles returns the q-quantile of xs for every q in qs, sorting xs
-// once (Quantile copies and sorts per call; percentile tables over large
-// samples want one sort). Each result matches Quantile(xs, q) exactly,
-// including the NaN-for-empty and clamping behavior.
+// Quantiles returns the q-quantile of xs for every q in qs, as Quantile
+// does, sorting one copy of xs for all of them. Each is NaN when xs is
+// empty.
 func Quantiles(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	if len(xs) == 0 {
