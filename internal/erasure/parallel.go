@@ -23,11 +23,12 @@ func reconstructWorkers(size int) int {
 }
 
 // forEachChunk splits [0, size) into at most `workers` contiguous chunks
-// (8-byte aligned, so the uint64 kernels see whole words) and runs fn on
-// each concurrently. fn must write only within its [lo, hi) chunk. Because
-// the chunks are disjoint and the GF arithmetic is positionwise, the result
-// is byte-identical to fn(0, size): parallelism changes scheduling, never
-// output. With workers <= 1 it degrades to a plain serial call.
+// (256-byte aligned, so every chunk but the last is whole steps of the
+// fused GF kernel) and runs fn on each concurrently. fn must write only
+// within its [lo, hi) chunk. Because the chunks are disjoint and the GF
+// arithmetic is positionwise, the result is byte-identical to fn(0, size):
+// parallelism changes scheduling, never output. With workers <= 1 it
+// degrades to a plain serial call.
 func forEachChunk(size, workers int, fn func(lo, hi int)) {
 	if size <= 0 {
 		return
@@ -40,7 +41,7 @@ func forEachChunk(size, workers int, fn func(lo, hi int)) {
 		return
 	}
 	chunk := (size + workers - 1) / workers
-	chunk = (chunk + 7) &^ 7
+	chunk = (chunk + 255) &^ 255
 	var wg sync.WaitGroup
 	for lo := 0; lo < size; lo += chunk {
 		hi := min(lo+chunk, size)

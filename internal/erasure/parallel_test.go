@@ -22,6 +22,9 @@ func TestForEachChunkCoversRange(t *testing.T) {
 			var counts [1]int
 			forEachChunk(size, 1, func(lo, hi int) { counts[0]++; _ = lo; _ = hi })
 			forEachChunk(size, workers, func(lo, hi int) {
+				if lo%256 != 0 {
+					t.Errorf("size=%d workers=%d: chunk starts at %d, not on a 256-byte step", size, workers, lo)
+				}
 				for i := lo; i < hi; i++ {
 					covered[i]++
 				}

@@ -8,28 +8,51 @@ import (
 // This file holds the bulk kernels: the slice-level GF(2^8) routines that
 // move every byte of the erasure path (encode, degraded read, repair).
 //
-// There are two implementations of dst ^= c*src, chosen per call by mulAdd
-// and xorInto and nowhere else:
+// There are three implementations of dst ^= c*src, one per tier, chosen
+// once at start-up (kernel, set in kernels_amd64.go or kernels_noasm.go)
+// and dispatched on by mulAdd, xorInto and MulAddSlices and nowhere else:
 //
-//   - kernels_amd64.s: the split-nibble shuffle multiply. c*s equals
-//     c*(s&15) ^ c*(s>>4<<4), so two 16-entry tables per coefficient turn
-//     32 products into two VPSHUFB lookups and an XOR. Used for the whole
-//     32-byte groups of a slice when the CPU and OS support AVX2.
-//   - the table kernel below: one 256-byte product row per coefficient,
-//     eight lookups packed into a uint64. It handles the sub-32-byte tails,
-//     and everything on other architectures and under -tags purego.
+//   - tierGFNI (kernels_amd64.s): GF2P8AFFINEQB applies an 8x8 bit matrix
+//     to every byte, and multiplying by c is linear over GF(2), so aff[c]
+//     turns 64 products into one instruction. MulAddSlices hands the
+//     256-byte-aligned prefix of dst to one fused kernel that XORs every
+//     source's products into registers and touches dst once per 256 bytes.
+//     Used when the CPU has AVX-512F and GFNI and the OS saves the ZMM
+//     state; the rest of dst, and every single-source mulAdd, runs on AVX2.
+//   - tierAVX2 (kernels_amd64.s): the split-nibble shuffle multiply. c*s
+//     equals c*(s&15) ^ c*(s>>4<<4), so two 16-entry tables per
+//     coefficient turn 32 products into two VPSHUFB lookups and an XOR.
+//     Used for the whole 32-byte groups of a slice when the CPU and OS
+//     support AVX2.
+//   - tierTable, the table kernel below: one 256-byte product row per
+//     coefficient, eight lookups packed into a uint64. It handles the
+//     sub-32-byte tails, and everything on other architectures and under
+//     -tags purego.
 //
-// MulAddSlices fuses the k-source accumulation loop of encode/decode so dst
-// stays cache-hot across sources.
+// Each tier includes the ones below it for the bytes it leaves over.
 
-// tables holds what the kernels look products up in. 72 KiB, built once on
-// first use: the simulator-only paths never touch bulk arithmetic and
+// tier names a multiply implementation; a higher tier needs more of the
+// CPU and also runs every lower one.
+type tier int
+
+const (
+	tierTable tier = iota
+	tierAVX2
+	tierGFNI
+)
+
+// tables holds what the kernels look products up in. 74 KiB, built once
+// on first use: the simulator-only paths never touch bulk arithmetic and
 // should not pay for it at init.
 type tables struct {
 	mul [256][256]byte // mul[c][a] = c*a
-	// nib[c] is the assembly kernel's pair of shuffle tables for c:
+	// nib[c] is the AVX2 kernel's pair of shuffle tables for c:
 	// nib[c][i] = c*i and nib[c][16+i] = c*(i<<4), i < 16.
 	nib [256][32]byte
+	// aff[c] is multiplication by c as the GFNI kernel's 8x8 bit matrix:
+	// byte 7-b of it has bit i set when bit b of c*(1<<i) is set, so
+	// GF2P8AFFINEQB computes bit b of c*s as the parity of that byte & s.
+	aff [256]uint64
 }
 
 var (
@@ -49,6 +72,13 @@ func productTables() *tables {
 			for i := 0; i < 16; i++ {
 				t.nib[c][i], t.nib[c][16+i] = row[i], row[i<<4]
 			}
+			for i := 0; i < 8; i++ {
+				for b := 0; b < 8; b++ {
+					if row[1<<i]>>b&1 != 0 {
+						t.aff[c] |= 1 << (8*(7-b) + i)
+					}
+				}
+			}
 		}
 		_tables = t
 	})
@@ -56,11 +86,11 @@ func productTables() *tables {
 }
 
 // mulAdd computes dst[i] ^= c*src[i] for a general coefficient (c >= 2;
-// callers peel off 0 and 1). It is the one place the multiply kernel is
+// callers peel off 0 and 1). It is the one place the per-source kernel is
 // chosen. len(dst) must be at least len(src).
 func mulAdd(t *tables, c byte, src, dst []byte) {
 	n := 0
-	if useAVX2 {
+	if kernel >= tierAVX2 {
 		n = len(src) &^ 31
 		mulAddAVX2(&t.nib[c], src[:n], dst[:n])
 	}
@@ -68,10 +98,10 @@ func mulAdd(t *tables, c byte, src, dst []byte) {
 }
 
 // xorInto computes dst[i] ^= src[i]: mulAdd for c == 1, with the same
-// split between assembly and portable code.
+// split between assembly and portable code (XOR gains nothing from GFNI).
 func xorInto(src, dst []byte) {
 	n := 0
-	if useAVX2 {
+	if kernel >= tierAVX2 {
 		n = len(src) &^ 31
 		xorAVX2(src[:n], dst[:n])
 	}
@@ -129,9 +159,9 @@ func MulSlice(c byte, src, dst []byte) {
 	}
 }
 
-// fuseBlock is the dst window the fused kernel processes per pass across
-// all sources: small enough to stay L1-resident while k source streams are
-// accumulated into it.
+// fuseBlock is the dst window the per-source kernels process per pass
+// across all sources: small enough to stay L1-resident while k source
+// streams are accumulated into it.
 const fuseBlock = 8 << 10
 
 // MulAddSlices computes the fused accumulation
@@ -139,10 +169,16 @@ const fuseBlock = 8 << 10
 //	dst[i] ^= coeffs[0]*srcs[0][i] ^ coeffs[1]*srcs[1][i] ^ ...
 //
 // — one output block of a matrix-vector product over shards, the core of
-// Encode and ReconstructBlock. It processes dst in L1-sized windows so the
-// accumulator is read and written from cache regardless of how many source
-// shards are folded in. Every source must have dst's length; zero
-// coefficients are skipped and unit coefficients are plain XORs.
+// Encode and ReconstructBlock. Every source must have dst's length.
+//
+// On the GFNI tier the 256-byte-aligned prefix of dst goes to one kernel
+// that sums all k products in registers and reads and writes each byte of
+// dst once; a zero coefficient is the zero matrix and a unit one the
+// identity, so it needs no special case. The rest of dst, and all of it on
+// the lower tiers, is processed in L1-sized windows, one source at a time,
+// so the accumulator is read and written from cache regardless of how many
+// sources are folded in; there zero coefficients are skipped and unit
+// coefficients are plain XORs.
 func MulAddSlices(coeffs []byte, srcs [][]byte, dst []byte) {
 	if len(coeffs) != len(srcs) {
 		panic("gf256: MulAddSlices coefficient/source count mismatch")
@@ -153,7 +189,12 @@ func MulAddSlices(coeffs []byte, srcs [][]byte, dst []byte) {
 		}
 	}
 	t := productTables()
-	for lo := 0; lo < len(dst); lo += fuseBlock {
+	n := 0
+	if kernel >= tierGFNI && len(coeffs) > 0 {
+		n = len(dst) &^ 255
+		mulAddSlicesGFNI(&t.aff, coeffs, srcs, dst[:n])
+	}
+	for lo := n; lo < len(dst); lo += fuseBlock {
 		hi := min(lo+fuseBlock, len(dst))
 		d := dst[lo:hi]
 		for j, c := range coeffs {

@@ -2,27 +2,36 @@
 
 package gf256
 
-// useAVX2 says whether mulAdd and xorInto hand whole 32-byte groups to the
-// assembly kernels. It is decided once, here; only tests change it.
-var useAVX2 = hasAVX2()
+// kernel is the widest multiply tier the CPU and OS support. It is decided
+// once, here; only tests change it.
+var kernel = detectKernel()
 
-// hasAVX2 reports whether the CPU implements AVX2 and the OS saves the YMM
-// registers across context switches (CPUID alone does not say the latter).
-func hasAVX2() bool {
+// detectKernel reads CPUID and XCR0. CPUID says what the CPU implements;
+// XCR0 says which register state the OS saves across context switches,
+// and an instruction whose registers the OS does not save cannot be used.
+func detectKernel() tier {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return tierTable
 	}
 	const osxsave, avx = 1 << 27, 1 << 28
 	if _, _, ecx, _ := cpuid(1, 0); ecx&(osxsave|avx) != osxsave|avx {
-		return false
+		return tierTable
 	}
+	xcr0, _ := xgetbv()
+	_, ebx, ecx, _ := cpuid(7, 0)
 	const sseState, avxState = 1 << 1, 1 << 2
-	if xcr0, _ := xgetbv(); xcr0&(sseState|avxState) != sseState|avxState {
-		return false
+	const avx2 = 1 << 5
+	if xcr0&(sseState|avxState) != sseState|avxState || ebx&avx2 == 0 {
+		return tierTable
 	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
+	// Opmask, the upper halves of Z0-Z15, and Z16-Z31.
+	const zmmState = 1<<5 | 1<<6 | 1<<7
+	const avx512f, gfni = 1 << 16, 1 << 8
+	if xcr0&zmmState != zmmState || ebx&avx512f == 0 || ecx&gfni == 0 {
+		return tierAVX2
+	}
+	return tierGFNI
 }
 
 // cpuid executes CPUID with the given leaf in EAX and sub-leaf in ECX.
@@ -31,6 +40,14 @@ func cpuid(leaf, subLeaf uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0, which says what register state
 // the OS has enabled. It may run only when CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
+
+// mulAddSlicesGFNI computes dst[i] ^= coeffs[0]*srcs[0][i] ^ ... for
+// i < len(dst), with aff the bit matrix of every coefficient. len(dst)
+// must be a multiple of 256, every source at least that long, and
+// len(srcs) equal to len(coeffs) and not 0.
+//
+//go:noescape
+func mulAddSlicesGFNI(aff *[256]uint64, coeffs []byte, srcs [][]byte, dst []byte)
 
 // mulAddAVX2 computes dst[i] ^= c*src[i] over len(src) bytes, where nib is
 // c's pair of shuffle tables. len(src) must be a multiple of 32 and

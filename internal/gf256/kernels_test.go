@@ -2,30 +2,36 @@ package gf256
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// testLengths exercises the batching edges of both kernels (8-byte words,
-// 32-byte groups, the 8 KiB fused window): empty, sub-word, exact, odd tails.
+// testLengths exercises the batching edges of every tier (8-byte words,
+// 32-byte groups, 256-byte fused steps, the 8 KiB window): empty,
+// sub-word, exact, odd tails.
 var testLengths = []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 1000, 4096, 8191, 8192, 8193, 65536}
 
-// eachKernel calls fn once per multiply implementation this build and CPU
-// can run, with the dispatch forced to it: "table" always, "avx2" when the
-// assembly kernel is available.
+// tierNames are the kernel tiers as the tests and benchmarks name them.
+var tierNames = [...]string{tierTable: "table", tierAVX2: "avx2", tierGFNI: "gfni"}
+
+// eachKernel calls fn once per multiply tier this build and CPU can run,
+// with the dispatch forced to it: "table" always, then "avx2" and "gfni"
+// when the CPU has them. It logs the tiers it could not run, so a pass on
+// a host without them is visibly not a pass of their kernels.
 func eachKernel(tb testing.TB, fn func(kernel string)) {
 	tb.Helper()
-	saved := useAVX2
-	defer func() { useAVX2 = saved }()
-	useAVX2 = false
-	fn("table")
-	if !saved {
-		tb.Log("no AVX2 in this build or on this CPU: assembly kernel not exercised")
-		return
+	saved := kernel
+	defer func() { kernel = saved }()
+	for k := tierTable; k <= saved; k++ {
+		kernel = k
+		fn(tierNames[k])
 	}
-	useAVX2 = true
-	fn("avx2")
+	if saved < tierGFNI {
+		tb.Logf("kernels above %q not exercised: this build or CPU lacks them", tierNames[saved])
+	}
 }
 
 // refMulAdd and refMulSet are the oracle: the field's scalar Mul, one byte
@@ -224,9 +230,123 @@ func TestMulAddSlicesMatchesSerialReference(t *testing.T) {
 	})
 }
 
+// TestMulAddSlicesFusedSweep drives the fused GFNI kernel's edges under
+// every tier: k = 1-20 sources (odd and even, so the kernel's source
+// pairs and its odd last source), zero and unit coefficients mixed in,
+// lengths either side of its 256-byte step and of the 32-byte groups the
+// tail takes, and every source and dst at its own offset 0-63 (mod 64)
+// between two guards. The guard bytes around dst and every byte of every
+// source buffer must come back untouched. Offsets advance from case to
+// case; a second pass runs every offset for a few source counts. The
+// per-byte reference is computed once per case, not once per tier.
+func TestMulAddSlicesFusedSweep(t *testing.T) {
+	const guard = 64
+	type fusedCase struct {
+		coeffs           []byte
+		srcBufs, srcCopy [][]byte // each source with its guards
+		srcs             [][]byte
+		dstOff, n        int
+		dstInit, dstWant []byte // dst's buffer, guards included
+	}
+	rng := rand.New(rand.NewSource(41))
+	newCase := func(k, n, off int) fusedCase {
+		fc := fusedCase{coeffs: make([]byte, k), dstOff: guard + 63 - off, n: n}
+		for j := range fc.coeffs {
+			fc.coeffs[j] = byte(2 + rng.Intn(254))
+		}
+		if k >= 2 { // a zero and a one, at positions that move with k
+			fc.coeffs[k/2], fc.coeffs[k-1] = 0, 1
+		}
+		for j := 0; j < k; j++ {
+			srcOff := guard + (off+17*j)%64
+			buf := make([]byte, srcOff+n+guard)
+			fillPattern(buf, byte(j+n))
+			fc.srcBufs = append(fc.srcBufs, buf)
+			fc.srcCopy = append(fc.srcCopy, append([]byte(nil), buf...))
+			fc.srcs = append(fc.srcs, buf[srcOff:srcOff+n])
+		}
+		fc.dstInit = make([]byte, fc.dstOff+n+guard)
+		fillPattern(fc.dstInit, 0xee)
+		fc.dstWant = append([]byte(nil), fc.dstInit...)
+		for j, c := range fc.coeffs {
+			refMulAdd(c, fc.srcs[j], fc.dstWant[fc.dstOff:fc.dstOff+n])
+		}
+		return fc
+	}
+	var cases []fusedCase
+	for k := 1; k <= 20; k++ {
+		for i, n := range []int{0, 1, 255, 256, 257, 511, 513, 8193} {
+			cases = append(cases, newCase(k, n, (k+7*i)%64))
+		}
+	}
+	// 1 MiB + 7: a long run of fused steps and a 7-byte tail, for an odd
+	// and an even source count.
+	cases = append(cases, newCase(1, 1<<20+7, 3), newCase(20, 1<<20+7, 60))
+	for _, k := range []int{1, 2, 3, 10} {
+		for _, n := range []int{255, 256, 257, 513} {
+			for off := 0; off < 64; off++ {
+				cases = append(cases, newCase(k, n, off))
+			}
+		}
+	}
+	eachKernel(t, func(kernel string) {
+		for _, fc := range cases {
+			got := append([]byte(nil), fc.dstInit...)
+			MulAddSlices(fc.coeffs, fc.srcs, got[fc.dstOff:fc.dstOff+fc.n])
+			if !bytes.Equal(got, fc.dstWant) {
+				t.Fatalf("%s: MulAddSlices(k=%d, n=%d, dst+%d, coeffs=%v) wrong result or wrote outside dst", kernel, len(fc.coeffs), fc.n, fc.dstOff, fc.coeffs)
+			}
+			for j := range fc.srcBufs {
+				if !bytes.Equal(fc.srcBufs[j], fc.srcCopy[j]) {
+					t.Fatalf("%s: MulAddSlices(k=%d, n=%d) modified source %d", kernel, len(fc.coeffs), fc.n, j)
+				}
+			}
+		}
+	})
+}
+
+// affineModel is VGF2P8AFFINEQB on one byte with a zero constant, as the
+// Intel SDM defines it: bit b of the result is the parity of byte 7-b of
+// the matrix ANDed with x.
+func affineModel(matrix uint64, x byte) byte {
+	var out byte
+	for b := 0; b < 8; b++ {
+		row := byte(matrix >> (8 * (7 - b)))
+		out |= byte(bits.OnesCount8(row&x)&1) << b
+	}
+	return out
+}
+
+// TestAffineMatricesMatchMul checks the GFNI tier's bit matrices against
+// the product rows through a model of the instruction, for all 65 536
+// (c, b) pairs, on every host: a wrong matrix fails here even where no
+// CPU can run the kernel.
+func TestAffineMatricesMatchMul(t *testing.T) {
+	tb := productTables()
+	for c := 0; c < 256; c++ {
+		for b := 0; b < 256; b++ {
+			if got, want := affineModel(tb.aff[c], byte(b)), tb.mul[c][b]; got != want {
+				t.Fatalf("aff[%#x] applied to %#x = %#x, want %#x", c, b, got, want)
+			}
+		}
+	}
+}
+
+// TestKernelTiers logs which tiers this build and CPU exercise. CI runs it
+// verbosely, so a green run on a host without GFNI or AVX2 shows which
+// kernels it did not test.
+func TestKernelTiers(t *testing.T) {
+	var ran []string
+	eachKernel(t, func(kernel string) { ran = append(ran, kernel) })
+	if len(ran) == 0 || ran[0] != "table" {
+		t.Fatalf("tiers run %v, want the table kernel first", ran)
+	}
+	t.Logf("kernel tiers exercised: %s (dispatch default %q)", strings.Join(ran, ", "), tierNames[kernel])
+}
+
 func TestKernelsProperty(t *testing.T) {
 	// For arbitrary coefficient and data, MulSlice agrees with per-byte Mul
-	// under either kernel.
+	// under every tier.
 	eachKernel(t, func(kernel string) {
 		f := func(c byte, src []byte) bool {
 			dst := make([]byte, len(src))
@@ -269,9 +389,10 @@ func TestMulAddSlicesPanicsOnMismatch(t *testing.T) {
 	}
 }
 
-// FuzzMulSliceEquivalence pins both kernels to the field's scalar Mul: for
-// arbitrary coefficient and data (any length, so any split between 32-byte
-// groups, 8-byte words and single bytes), MulSlice, mulSliceSet and
+// FuzzMulSliceEquivalence pins every tier to the field's scalar Mul: for
+// arbitrary coefficient and data (any length, so any split between 256-byte
+// fused steps, 32-byte groups, 8-byte words and single bytes), MulSlice,
+// mulSliceSet and
 // MulAddSlices must be byte-identical to a per-byte loop.
 func FuzzMulSliceEquivalence(f *testing.F) {
 	f.Add(byte(0), []byte{})
@@ -311,6 +432,49 @@ func FuzzMulSliceEquivalence(f *testing.F) {
 			MulAddSlices(coeffs, srcs, fused)
 			if !bytes.Equal(fused, refFused) {
 				t.Fatalf("%s: MulAddSlices diverges from serial per-byte Mul on %d bytes", kernel, half)
+			}
+		})
+	})
+}
+
+// FuzzMulAddSlicesEquivalence pins MulAddSlices under every tier to a
+// per-byte Mul loop for arbitrary source counts, coefficients (zero and
+// one included), data, lengths and alignments: source j is the data
+// rotated by 31*j bytes and XORed with j, placed at offset off+j of its
+// buffer, and dst starts as the data reversed at offset 63-off.
+func FuzzMulAddSlicesEquivalence(f *testing.F) {
+	f.Add([]byte{7}, []byte{}, byte(0))
+	f.Add([]byte{0, 1, 2}, bytes.Repeat([]byte{0xab, 0, 0xcd}, 100), byte(5))
+	f.Add([]byte{1, 0, 0x1d, 0xff, 2, 3, 4, 5, 6, 7, 8}, bytes.Repeat([]byte{9, 0, 0x80}, 300), byte(63))
+	f.Add(bytes.Repeat([]byte{0x53}, 20), bytes.Repeat([]byte{1, 2, 3, 4}, 64), byte(33))
+	f.Fuzz(func(t *testing.T, coeffs, data []byte, off byte) {
+		if len(coeffs) == 0 || len(coeffs) > 24 {
+			return
+		}
+		n, o := len(data), int(off%64)
+		srcs := make([][]byte, len(coeffs))
+		for j := range srcs {
+			buf := make([]byte, o+j+n)
+			src := buf[o+j:]
+			for i := range src {
+				src[i] = data[(i+31*j)%n] ^ byte(j)
+			}
+			srcs[j] = src
+		}
+		dstInit := make([]byte, 63-o+n)[63-o:]
+		for i := range dstInit {
+			dstInit[i] = data[n-1-i]
+		}
+		want := append([]byte(nil), dstInit...)
+		for j, c := range coeffs {
+			refMulAdd(c, srcs[j], want)
+		}
+		eachKernel(t, func(kernel string) {
+			dst := make([]byte, 63-o+n)[63-o:]
+			copy(dst, dstInit)
+			MulAddSlices(coeffs, srcs, dst)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s: MulAddSlices(k=%d, n=%d, coeffs=%v) diverges from per-byte Mul", kernel, len(coeffs), n, coeffs)
 			}
 		})
 	})

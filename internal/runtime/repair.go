@@ -29,18 +29,6 @@ func (ar *activeRepair) readBytes(i int, blockBytes float64) float64 {
 	return float64(len(ar.plan.Blocks[i].Sources)) * blockBytes
 }
 
-// pendingReadBytes returns the read volume of the not-yet-committed
-// blocks.
-func (ar *activeRepair) pendingReadBytes(blockBytes float64) float64 {
-	var total float64
-	for i := range ar.plan.Blocks {
-		if !ar.done[i] {
-			total += ar.readBytes(i, blockBytes)
-		}
-	}
-	return total
-}
-
 // deadlineHorizon parameterizes the Deadline policy: a stripe discovered
 // at time t with spare redundancy s is due at t + deadlineHorizon*(s+1),
 // so stripes one loss from unrepairable get the tightest deadlines.
