@@ -151,8 +151,8 @@ func TestMidRunDoubleFailure(t *testing.T) {
 }
 
 // TestSharedPartitionsSurviveMidShuffleFailure runs a failure into the
-// middle of the shuffle — cancelled shuffle flows (recoverShuffle), a reset
-// reducer (resetReducer) and lost map outputs re-executed
+// middle of the shuffle — cancelled shuffle flows (the ledger's cancel),
+// a reset reducer (resetReducer) and lost map outputs re-executed
 // (reexecuteLostOutputs) — and checks that the partition slice every map
 // of the job shares is unchanged by it.
 func TestSharedPartitionsSurviveMidShuffleFailure(t *testing.T) {

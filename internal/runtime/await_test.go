@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"degradedfirst/internal/erasure"
@@ -83,6 +84,18 @@ func (c *cancelAfter) Emit(e trace.Event) {
 // runLateFetch runs the scenario; poll is the PollFailures hook.
 func runLateFetch(t *testing.T, victim topology.NodeID, poll func(float64) []topology.NodeID) []trace.Event {
 	t.Helper()
+	events, err := runLateScenario(func(cluster *topology.Cluster) runtime.Backend {
+		return &lateFetchBackend{hedgeBackend: &hedgeBackend{cluster: cluster}, victim: victim}
+	}, poll)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return events
+}
+
+// runLateScenario runs the late-fetch scenario's cluster and job on the
+// backend newBackend returns, and returns the trace and Run's error.
+func runLateScenario(newBackend func(*topology.Cluster) runtime.Backend, poll func(float64) []topology.NodeID) ([]trace.Event, error) {
 	cluster := topology.MustNew(topology.Config{
 		Nodes: lateNodes, Racks: 2, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
 	})
@@ -103,12 +116,42 @@ func runLateFetch(t *testing.T, victim topology.NodeID, poll func(float64) []top
 			Trace:             mem,
 		},
 		PollFailures: poll,
-	}, &lateFetchBackend{hedgeBackend: &hedgeBackend{cluster: cluster}, victim: victim},
-		[]runtime.JobSpec{{Name: "j", Tasks: tasks, NumReducers: lateReducers}})
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	}, newBackend(cluster), []runtime.JobSpec{{Name: "j", Tasks: tasks, NumReducers: lateReducers}})
+	return mem.Events(), err
+}
+
+// deliverFails is the late-fetch scenario's backend with a Deliver that
+// always returns err.
+type deliverFails struct {
+	*lateFetchBackend
+	err error
+}
+
+func (b *deliverFails) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
+	return b.err
+}
+
+// TestDeliverErrorAbortsRun pins the Deliver contract: any error it
+// returns, a *DeadNodeError included, aborts the run with that error, and
+// no job finishes.
+func TestDeliverErrorAbortsRun(t *testing.T) {
+	for _, want := range []error{
+		errors.New("deliver: chunk rejected"),
+		&runtime.DeadNodeError{Nodes: []topology.NodeID{1}},
+	} {
+		events, err := runLateScenario(func(cluster *topology.Cluster) runtime.Backend {
+			return &deliverFails{lateFetchBackend: &lateFetchBackend{hedgeBackend: &hedgeBackend{cluster: cluster}, victim: -1}, err: want}
+		}, nil)
+		if err != want {
+			t.Errorf("Deliver returned %v: Run returned %v", want, err)
+		}
+		if n := len(filterType(events, trace.EvJobFinish)); n != 0 {
+			t.Errorf("Deliver returned %v: %d jobs finished, want 0", want, n)
+		}
+		if n := len(filterType(events, trace.EvNodeFail)); n != 0 {
+			t.Errorf("Deliver returned %v: %d node-fail events, want 0", want, n)
+		}
 	}
-	return mem.Events()
 }
 
 // TestAsyncReduceFailureReowesLateFetch: a reduce awaited as failed on a

@@ -135,9 +135,9 @@ type Backend interface {
 	// Deliver hands one received shuffle chunk to reducer `reducer`
 	// running on `node`. A backend may accept the chunk before its bytes
 	// have moved (the distributed backend starts the real fetch and
-	// returns); a fetch that fails then surfaces from AwaitReduce. A
-	// *DeadNodeError marks the chunk undelivered and feeds the named nodes
-	// into failure recovery; any other error aborts the run.
+	// returns); a fetch that fails then surfaces from AwaitReduce, which
+	// is where a dead mapper is reported. Any error from Deliver, a
+	// *DeadNodeError included, aborts the run.
 	Deliver(job, reducer int, node topology.NodeID, c Chunk) error
 	// StartReduce starts a reducer once every map output has been
 	// delivered to it, and returns its processing time on `node` given

@@ -60,12 +60,13 @@ func (s *state) injectFailure(nodes []topology.NodeID) {
 		s.requeueRunning(rm)
 	}
 
-	// (3) + (4) per job: shuffle flows, lost outputs, dead reducers.
+	// (3) + (4) per unfinished job with reducers (a map-only job's output
+	// is in the DFS): shuffle flows, dead reducers, lost outputs.
 	for _, js := range s.jobs {
-		if js.sj == nil || js.finishedJ {
+		if js.shuffle == nil {
 			continue
 		}
-		s.recoverShuffle(js, dead)
+		js.shuffle.cancel(dead)
 		s.recoverReducers(js, dead)
 		s.reexecuteLostOutputs(js, dead)
 	}
@@ -119,10 +120,10 @@ func (s *state) reduceAwaitFailure(r *reducerState, err error) {
 		s.fail(err)
 		return
 	}
-	// Reset before injecting: a backend may count a chunk as delivered
-	// before its bytes moved, so the reducer can hold the got mark of a
-	// dead mapper's output. Cleared, the mark makes recovery see that
-	// output as owed and run its map again.
+	// Reset before injecting: a backend may accept a chunk before its
+	// bytes moved, so the ledger can have delivered a dead mapper's output
+	// to the reducer. Reset, the reducer owes it again, and recovery runs
+	// its map again.
 	s.resetReducer(r.job, r)
 	s.injectNewlyDead(dn.Nodes)
 	// A named mapper failed earlier (a heartbeat deadline) is not injected
@@ -130,11 +131,11 @@ func (s *state) reduceAwaitFailure(r *reducerState, err error) {
 	s.reexecuteLostOutputs(r.job, func(id topology.NodeID) bool { return !s.cluster.Alive(id) })
 }
 
-// deliverFailure handles a Backend.Deliver error raised inside a network
-// completion callback. Failure injection cancels flows, which must not
-// happen while the network is mid-callback, so it runs on a zero-delay
-// event.
-func (s *state) deliverFailure(err error) {
+// deferFailure handles an error raised inside a network completion
+// callback. A *DeadNodeError's nodes are injected on a zero-delay event,
+// because failure injection cancels flows, which must not happen while
+// the network is mid-callback; any other error aborts the run.
+func (s *state) deferFailure(err error) {
 	var dn *DeadNodeError
 	if !errors.As(err, &dn) {
 		s.fail(err)
@@ -181,33 +182,12 @@ func (s *state) requeueRunning(rm *runningMap) {
 	if s.cluster.Alive(rm.node) {
 		s.slaves[rm.node].freeMap++
 	}
-	// The record is rewritten when the task relaunches.
 	e := s.ev(trace.EvTaskRequeue)
 	e.Job = rm.js.idx
 	e.Task = rm.task.Index
 	e.Node = int(rm.node)
 	s.emit(e)
-	rm.js.mapDone[rm.task.Index] = false
-	rm.js.parts[rm.task.Index] = nil
 	rm.js.sj.Requeue(rm.task, !s.cluster.Alive(rm.task.Holder))
-}
-
-// recoverShuffle cancels in-flight shuffle transfers that touch a failed
-// node and prunes finished references.
-func (s *state) recoverShuffle(js *jobState, dead func(topology.NodeID) bool) {
-	kept := js.shuffleFlows[:0]
-	for _, ref := range js.shuffleFlows {
-		if ref.flow.Finished() {
-			continue // arrived (or cancelled) already
-		}
-		if dead(ref.src) || (ref.r.launched && dead(ref.r.node)) {
-			s.net.Cancel(ref.flow)
-			continue
-		}
-		kept = append(kept, ref)
-	}
-	clear(js.shuffleFlows[len(kept):])
-	js.shuffleFlows, js.shuffleArrived = kept, 0
 }
 
 // recoverReducers restarts reduce tasks that were running on failed nodes.
@@ -220,9 +200,9 @@ func (s *state) recoverReducers(js *jobState, dead func(topology.NodeID) bool) {
 	}
 }
 
-// resetReducer returns a launched reducer to the unassigned pool: its
-// received state is dropped and every still-available map output is
-// queued for re-fetch. Lost outputs are handled by reexecuteLostOutputs.
+// resetReducer returns a launched reducer to the unassigned pool, and the
+// ledger re-parks every map output still available to it. Lost outputs
+// are handled by reexecuteLostOutputs.
 func (s *state) resetReducer(js *jobState, r *reducerState) {
 	if r.procEv != nil {
 		s.eng.Cancel(r.procEv)
@@ -235,11 +215,6 @@ func (s *state) resetReducer(js *jobState, r *reducerState) {
 	s.emit(e)
 	r.launched = false
 	r.started = false
-	r.received = 0
-	r.receivedBytes = 0
-	for i := range r.got {
-		r.got[i] = false
-	}
 	s.backend.ReduceReset(js.idx, r.idx)
 	s.queue.ReduceReset(js.idx)
 	if s.cluster.Alive(r.node) {
@@ -247,54 +222,24 @@ func (s *state) resetReducer(js *jobState, r *reducerState) {
 		// dead node's slots are gone with it.
 		s.slaves[r.node].freeReduce++
 	}
-	js.pendingShuffle[r.idx] = nil
-	for mapIdx := range js.mapDone {
-		if s.mapOutputAvailable(js, mapIdx) {
-			js.pendingShuffle[r.idx] = append(js.pendingShuffle[r.idx],
-				pendingChunk{src: js.mapNode[mapIdx], mapIdx: mapIdx, chunk: js.parts[mapIdx][r.idx]})
-		}
-	}
+	js.shuffle.reset(r.idx)
 }
 
 // reexecuteLostOutputs requeues completed map tasks whose outputs died
 // with their node, when some unfinished reducer still needs them.
 func (s *state) reexecuteLostOutputs(js *jobState, dead func(topology.NodeID) bool) {
-	if len(js.reducers) == 0 {
-		return // map-only jobs write straight to the DFS; output survives
-	}
-	for mapIdx := range js.mapDone {
-		if !js.mapDone[mapIdx] || !dead(js.mapNode[mapIdx]) {
+	for mapIdx := range js.totalMaps() {
+		node, lost := js.shuffle.lose(mapIdx, dead)
+		if !lost {
 			continue
-		}
-		needed := false
-		for _, r := range js.reducers {
-			if !r.done && !r.got[mapIdx] {
-				needed = true
-				break
-			}
-		}
-		if !needed {
-			continue
-		}
-		// Remove any queued chunks from the dead node for this map.
-		for rIdx := range js.pendingShuffle {
-			kept := js.pendingShuffle[rIdx][:0]
-			for _, pc := range js.pendingShuffle[rIdx] {
-				if pc.mapIdx != mapIdx || !dead(pc.src) {
-					kept = append(kept, pc)
-				}
-			}
-			js.pendingShuffle[rIdx] = kept
 		}
 		task := js.sj.Tasks()[mapIdx]
 		js.mapsCompleted--
 		e := s.ev(trace.EvTaskRequeue)
 		e.Job = js.idx
 		e.Task = mapIdx
-		e.Node = int(js.mapNode[mapIdx])
+		e.Node = int(node)
 		s.emit(e)
-		js.mapDone[mapIdx] = false
-		js.parts[mapIdx] = nil
 		js.sj.Requeue(task, !s.cluster.Alive(task.Holder))
 	}
 }

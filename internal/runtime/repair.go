@@ -279,7 +279,7 @@ func (m *repairManager) blockGathered(ar *activeRepair, i int) {
 func (m *repairManager) commitBlock(ar *activeRepair, i int) {
 	refs, err := m.s.backend.CommitRepair(ar.key, ar.plan.Blocks[i])
 	if err != nil {
-		m.s.deliverFailure(fmt.Errorf("%s: repair commit for %s: %w", m.s.name, ar.key, err))
+		m.s.deferFailure(fmt.Errorf("%s: repair commit for %s: %w", m.s.name, ar.key, err))
 		return
 	}
 	ar.done[i] = true

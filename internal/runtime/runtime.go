@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/netsim"
@@ -140,23 +139,13 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 			return nil, fmt.Errorf("%s: job %q: %d reduce tasks, but the cluster has no reduce slots", p.name(), jobs[i].Name, jobs[i].NumReducers)
 		}
 		queue.Add(jobs[i].JobMeta, jobs[i].NumReducers)
-		js := &jobState{
-			idx:     i,
-			spec:    jobs[i],
-			mapDone: make([]bool, len(jobs[i].Tasks)),
-			mapNode: make([]topology.NodeID, len(jobs[i].Tasks)),
-			parts:   make([][]Chunk, len(jobs[i].Tasks)),
-		}
+		js := &jobState{idx: i, spec: jobs[i]}
 		if n := jobs[i].NumReducers; n > 0 {
 			js.reducers = make([]*reducerState, n)
 			for r := 0; r < n; r++ {
-				js.reducers[r] = &reducerState{
-					job: js,
-					idx: r,
-					got: make([]bool, len(jobs[i].Tasks)),
-				}
+				js.reducers[r] = &reducerState{job: js, idx: r}
 			}
-			js.pendingShuffle = make([][]pendingChunk, n)
+			js.shuffle = newShuffle(st, js)
 		}
 		st.jobs[i] = js
 	}
@@ -243,43 +232,6 @@ type slaveState struct {
 	oobPending bool
 }
 
-type pendingChunk struct {
-	src    topology.NodeID
-	mapIdx int
-	chunk  Chunk
-}
-
-// shuffleRef is one shuffle transfer: a map-output chunk headed for a
-// reducer. Its arrived method is the flow's completion callback, and
-// failure recovery walks the refs to cancel transfers touching a dead node.
-type shuffleRef struct {
-	s      *state
-	r      *reducerState
-	mapIdx int
-	src    topology.NodeID
-	chunk  Chunk
-	flow   *netsim.Flow // set once the transfer starts
-}
-
-// arrived delivers the chunk unless the reducer already holds this map's
-// output or has finished.
-func (ref *shuffleRef) arrived(*netsim.Flow) {
-	s, r := ref.s, ref.r
-	r.job.shuffleFlowArrived()
-	if !r.got[ref.mapIdx] && !r.done {
-		if err := s.backend.Deliver(r.job.idx, r.idx, r.node, ref.chunk); err != nil {
-			// got stays false so re-execution still considers this output
-			// owed to the reducer.
-			s.deliverFailure(err)
-			return
-		}
-		r.got[ref.mapIdx] = true
-		r.received++
-		r.receivedBytes += ref.chunk.Bytes
-	}
-	s.checkReducer(r)
-}
-
 type reducerState struct {
 	job      *jobState
 	idx      int
@@ -287,11 +239,7 @@ type reducerState struct {
 	launched bool
 	started  bool
 	done     bool
-	// got guards against duplicate shuffle deliveries per map task.
-	got           []bool
-	received      int
-	receivedBytes float64
-	procEv        *sim.Event
+	procEv   *sim.Event
 }
 
 type jobState struct {
@@ -302,23 +250,9 @@ type jobState struct {
 	finishedJ bool
 
 	mapsCompleted int
-	// mapDone/mapNode/parts track completed map output for shuffle
-	// recovery: output of task i lives on mapNode[i] and splits into
-	// parts[i] (one Chunk per reducer). parts[i] is the backend's slice,
-	// which may be shared between maps: it is only read, and a requeue
-	// drops it by setting parts[i] to nil. finishJob drops them all.
-	mapDone []bool
-	mapNode []topology.NodeID
-	parts   [][]Chunk
-
-	reducers       []*reducerState
-	reducersDone   int
-	pendingShuffle [][]pendingChunk
-	// shuffleFlows lists the shuffle transfers failure recovery may have
-	// to cancel, in start order; shuffleArrived counts the finished ones
-	// still listed.
-	shuffleFlows   []*shuffleRef
-	shuffleArrived int
+	reducers      []*reducerState
+	reducersDone  int
+	shuffle       *shuffle // nil for a map-only job, and once the job finishes
 
 	// repairedHolder overrides task holders for jobs not yet submitted:
 	// the background healer rebuilt the task's input block on a new node
@@ -328,26 +262,6 @@ type jobState struct {
 }
 
 func (js *jobState) totalMaps() int { return len(js.spec.Tasks) }
-
-// shuffleFlowArrived records one listed shuffle transfer finishing. Once
-// finished refs outnumber in-flight ones they are dropped, so the list
-// (and through it every finished netsim.Flow) stays proportional to what
-// is in flight, at amortised constant cost per flow and without changing
-// the order recoverShuffle cancels in.
-func (js *jobState) shuffleFlowArrived() {
-	js.shuffleArrived++
-	if 2*js.shuffleArrived <= len(js.shuffleFlows) {
-		return
-	}
-	js.shuffleFlows = slices.DeleteFunc(js.shuffleFlows, func(ref *shuffleRef) bool { return ref.flow.Finished() })
-	js.shuffleArrived = 0
-}
-
-// mapOutputAvailable reports whether task i's output can still feed the
-// shuffle (completed and its node alive).
-func (st *state) mapOutputAvailable(js *jobState, i int) bool {
-	return js.mapDone[i] && st.cluster.Alive(js.mapNode[i])
-}
 
 type runningMap struct {
 	js      *jobState
@@ -570,7 +484,6 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	e.Class = a.Class.String()
 	s.emit(e)
 
-	js.mapNode[a.Task.Index] = id
 	rm := &runningMap{js: js, task: a.Task, node: id}
 	s.running[a.Task] = rm
 
@@ -704,24 +617,8 @@ func (s *state) completeMap(rm *runningMap) {
 	s.slaves[id].freeMap++
 	s.queue.MapReleased(js.idx)
 	js.mapsCompleted++
-	js.mapDone[rm.task.Index] = true
-
-	if len(js.reducers) > 0 {
-		js.parts[rm.task.Index] = parts
-		sends := s.sends
-		for rIdx, c := range parts {
-			r := js.reducers[rIdx]
-			if r.got[rm.task.Index] || r.done {
-				continue
-			}
-			if r.launched {
-				sends = append(sends, shuffleRef{s: s, r: r, mapIdx: rm.task.Index, src: id, chunk: c})
-			} else {
-				js.pendingShuffle[rIdx] = append(js.pendingShuffle[rIdx],
-					pendingChunk{src: id, mapIdx: rm.task.Index, chunk: c})
-			}
-		}
-		s.sendShuffles(sends)
+	if js.shuffle != nil {
+		js.shuffle.mapFinished(rm.task.Index, id, parts)
 	}
 
 	if js.mapsCompleted == js.totalMaps() {
@@ -738,30 +635,6 @@ func (s *state) completeMap(rm *runningMap) {
 	}
 	if s.p.OutOfBandHeartbeats {
 		s.oobHeartbeat(id)
-	}
-}
-
-// sendShuffles starts the shuffle transfers built in s.sends as one batch,
-// costing a single bandwidth recomputation however wide the fan-out. The
-// batch's refs are one allocation sized to it; each is its flow's only
-// callback state.
-func (s *state) sendShuffles(sends []shuffleRef) {
-	if len(sends) == 0 {
-		return
-	}
-	refs := make([]shuffleRef, len(sends))
-	copy(refs, sends)
-	clear(sends)
-	s.sends = sends[:0]
-	reqs := s.reqs
-	for i := range refs {
-		ref := &refs[i]
-		reqs = append(reqs, netsim.FlowReq{Src: ref.src, Dst: ref.r.node, Bytes: ref.chunk.Bytes, Done: ref.arrived})
-	}
-	for i, f := range s.startFlows(reqs) {
-		ref := &refs[i]
-		ref.flow = f
-		ref.r.job.shuffleFlows = append(ref.r.job.shuffleFlows, ref)
 	}
 }
 
@@ -789,25 +662,16 @@ func (s *state) launchReducer(r *reducerState, id topology.NodeID) {
 	e.Task = r.idx
 	e.Node = int(id)
 	s.emit(e)
-
-	pending := r.job.pendingShuffle[r.idx]
-	r.job.pendingShuffle[r.idx] = nil
-	sends := s.sends
-	for _, pc := range pending {
-		if r.got[pc.mapIdx] {
-			continue
-		}
-		sends = append(sends, shuffleRef{s: s, r: r, mapIdx: pc.mapIdx, src: pc.src, chunk: pc.chunk})
-	}
-	s.sendShuffles(sends)
+	r.job.shuffle.launch(r.idx)
 }
 
 func (s *state) checkReducer(r *reducerState) {
 	js := r.job
-	if !r.launched || r.started || r.done {
+	if !r.launched || r.started || r.done || js.mapsCompleted != js.totalMaps() {
 		return
 	}
-	if js.mapsCompleted != js.totalMaps() || r.received != js.totalMaps() {
+	bytes, all := js.shuffle.received(r.idx)
+	if !all {
 		return
 	}
 	r.started = true
@@ -815,9 +679,9 @@ func (s *state) checkReducer(r *reducerState) {
 	e.Job = js.idx
 	e.Task = r.idx
 	e.Node = int(r.node)
-	e.Bytes = r.receivedBytes
+	e.Bytes = bytes
 	s.emit(e)
-	dur := s.backend.StartReduce(js.idx, r.idx, r.node, r.receivedBytes)
+	dur := s.backend.StartReduce(js.idx, r.idx, r.node, bytes)
 	r.procEv = s.eng.Schedule(dur, func() { s.completeReducer(r) })
 }
 
@@ -857,7 +721,7 @@ func (s *state) finishJob(js *jobState) {
 	js.finishedJ = true
 	// Failure recovery skips a finished job, so nothing reads its shuffle
 	// again: let the map outputs go.
-	js.parts, js.shuffleFlows = nil, nil
+	js.shuffle = nil
 	s.queue.JobFinished(js.idx)
 	s.finished++
 	e := s.ev(trace.EvJobFinish)
