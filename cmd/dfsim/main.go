@@ -49,7 +49,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		rackMbps = fs.Float64("rack-mbps", 1000, "rack bandwidth in Mbps")
 		schedStr = fs.String("sched", "LF", "scheduler: LF, BDF, EDF, EagerDF or DelayLF")
 		jsStr    = fs.String("jobsched", "", "job-level policy: fifo (default), fairshare, quota or deadline")
-		failStr  = fs.String("failure", "single", "failure: none, single, double, rack")
+		failStr  = fs.String("failure", "single", "failure: none, single-node, double-node, rack (single and double also work)")
 		reducers = fs.Int("reducers", 30, "reduce tasks")
 		shuffle  = fs.Float64("shuffle", 0.01, "shuffle ratio (intermediate/input)")
 		mapTime  = fs.Float64("map-time", 20, "mean map task time (s)")
@@ -163,17 +163,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	return nil
 }
 
+// parseFailure accepts a pattern's name, or the name without its "-node"
+// suffix ("single" for "single-node"), in any case.
 func parseFailure(s string) (topology.FailurePattern, error) {
-	switch strings.ToLower(s) {
-	case "none":
-		return topology.NoFailure, nil
-	case "single":
-		return topology.SingleNodeFailure, nil
-	case "double":
-		return topology.DoubleNodeFailure, nil
-	case "rack":
-		return topology.RackFailure, nil
-	default:
-		return 0, fmt.Errorf("unknown failure %q (none, single, double, rack)", s)
+	low := strings.ToLower(s)
+	var names []string
+	for p := topology.NoFailure; p <= topology.RackFailure; p++ {
+		name := p.String()
+		if low == name || low == strings.TrimSuffix(name, "-node") {
+			return p, nil
+		}
+		names = append(names, name)
 	}
+	return 0, fmt.Errorf("unknown failure %q (%s)", s, strings.Join(names, ", "))
 }

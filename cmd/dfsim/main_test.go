@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
 )
 
@@ -65,13 +66,26 @@ func TestSchedulerAndFailureParsing(t *testing.T) {
 			t.Errorf("-sched %s: %v", s, err)
 		}
 	}
-	for _, f := range []string{"none", "single", "double", "rack"} {
-		if _, err := parseFailure(f); err != nil {
-			t.Errorf("parseFailure(%q): %v", f, err)
+	for _, c := range []struct {
+		in   string
+		want topology.FailurePattern
+	}{
+		{"none", topology.NoFailure},
+		{"single", topology.SingleNodeFailure},
+		{"single-node", topology.SingleNodeFailure},
+		{"double", topology.DoubleNodeFailure},
+		{"Double-Node", topology.DoubleNodeFailure},
+		{"rack", topology.RackFailure},
+	} {
+		if got, err := parseFailure(c.in); err != nil || got != c.want {
+			t.Errorf("parseFailure(%q) = %v, %v; want %v", c.in, got, err, c.want)
 		}
 	}
-	if _, err := parseFailure("meteor"); err == nil {
-		t.Error("unknown failure must fail")
+	for _, bad := range []string{"meteor", "node", "rack-node"} {
+		_, err := parseFailure(bad)
+		if err == nil || !strings.Contains(err.Error(), "(none, single-node, double-node, rack)") {
+			t.Errorf("parseFailure(%q) error %v, want one listing the pattern names", bad, err)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@
 // degraded-first scheduling as ASCII timelines — a simulation-generated
 // version of the paper's Figure 3. Under LF the 'D' (degraded) burst sits
 // at the right edge of the map phase, all competing for rack bandwidth;
-// under EDF the 'D's are spread across the whole phase.
+// under EDF the 'D's are spread across the whole phase. The same story is
+// read off the run's trace, recorded in memory: when the degraded reads
+// finished.
 package main
 
 import (
@@ -26,6 +28,8 @@ func main() {
 		cfg.RackBps = 200 * degradedfirst.Mbps
 		cfg.Scheduler = kind
 		cfg.Seed = 4
+		mem := &degradedfirst.MemoryTrace{}
+		cfg.Trace = mem
 
 		job := degradedfirst.DefaultJob()
 		job.NumReduceTasks = 0
@@ -40,6 +44,13 @@ func main() {
 		fmt.Printf("── %s ── map phase %.1f s, mean degraded read %.1f s ──\n",
 			res.Scheduler, jr.MapPhaseEnd-jr.FirstMapLaunch, jr.MeanDegradedReadTime())
 		fmt.Print(degradedfirst.SlotTimeline(res, 0, 100))
-		fmt.Println()
+		var done []float64
+		for _, e := range mem.Events() {
+			if e.Type == "degraded-read-done" {
+				done = append(done, e.T-jr.FirstMapLaunch)
+			}
+		}
+		fmt.Printf("%d degraded reads finished, the first %.1f s and the last %.1f s into the map phase\n\n",
+			len(done), done[0], done[len(done)-1])
 	}
 }

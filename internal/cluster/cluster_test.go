@@ -66,6 +66,15 @@ func wantCounts(counts map[string]int) map[string]string {
 	return out
 }
 
+// buildResult replays a recorded single-run trace into its Result.
+func buildResult(events []trace.Event) *runtime.Result {
+	b := runtime.NewBuilder()
+	for _, e := range events {
+		b.Consume(e)
+	}
+	return b.Result()
+}
+
 // TestLoopbackWordCountMatchesInProcess is the end-to-end equivalence
 // claim: a WordCount over the (12,10)-coded DFS with one failed node,
 // executed across real TCP workers, produces byte-identical output to
@@ -124,7 +133,7 @@ func TestLoopbackWordCountMatchesInProcess(t *testing.T) {
 	// The merged trace stream (virtual events interleaved with the
 	// workers' wire events) rebuilds the same result.
 	events := mem.Events()
-	res := runtime.BuildResult(events)
+	res := buildResult(events)
 	if res.Scheduler != rep.Scheduler {
 		t.Fatalf("rebuilt scheduler %q != %q", res.Scheduler, rep.Scheduler)
 	}
@@ -244,7 +253,7 @@ func TestLoopbackHedgedWordCountMatchesInProcess(t *testing.T) {
 	if lat != deg*11 {
 		t.Fatalf("flow-latency events = %d, want %d (11 per degraded read)", lat, deg*11)
 	}
-	res := runtime.BuildResult(events)
+	res := buildResult(events)
 	if res.WastedBytes != rep.WastedBytes {
 		t.Fatalf("rebuilt wasted bytes %v != %v", res.WastedBytes, rep.WastedBytes)
 	}

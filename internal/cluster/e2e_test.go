@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -27,11 +29,21 @@ func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 	dir := t.TempDir()
 	masterBin := filepath.Join(dir, "dfmaster")
 	workerBin := filepath.Join(dir, "dfworker")
+	// A covered test run that keeps its counters (-test.gocoverdir)
+	// builds the binaries covered too and has them write beside it, so
+	// the processes' code counts as reached.
+	build := []string{"build"}
+	var coverEnv []string
+	if cov := flag.Lookup("test.gocoverdir"); testing.CoverMode() != "" && cov != nil && cov.Value.String() != "" {
+		build = append(build, "-cover", "-covermode", testing.CoverMode(),
+			"-coverpkg", "degradedfirst/internal/...,degradedfirst/cmd/dfmaster,degradedfirst/cmd/dfworker")
+		coverEnv = append(os.Environ(), "GOCOVERDIR="+cov.Value.String())
+	}
 	for bin, pkg := range map[string]string{
 		masterBin: "degradedfirst/cmd/dfmaster",
 		workerBin: "degradedfirst/cmd/dfworker",
 	} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
+		out, err := exec.Command("go", append(build, "-o", bin, pkg)...).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", pkg, err, out)
 		}
@@ -42,6 +54,7 @@ func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 		"-addr", "127.0.0.1:0",
 		"-hb-every", "50ms", "-hb-miss", "4",
 		"-seed", "1", "-reducers", "8")
+	master.Env = coverEnv
 	master.Stdout = &masterOut
 	stderr, err := master.StderrPipe()
 	if err != nil {
@@ -76,6 +89,7 @@ func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 	for i := range workers {
 		buf := &bytes.Buffer{}
 		w := exec.Command(workerBin, "-master", addr, "-drag", "150ms")
+		w.Env = coverEnv
 		w.Stderr = buf
 		if err := w.Start(); err != nil {
 			t.Fatal(err)

@@ -208,5 +208,3 @@ type deadPeersError struct {
 func (e *deadPeersError) Error() string {
 	return fmt.Sprintf("cluster: peers %v unreachable: %v", e.peers, e.cause)
 }
-
-func (e *deadPeersError) Unwrap() error { return e.cause }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"reflect"
 	"runtime"
@@ -173,6 +174,23 @@ func TestFrameStreamsSequentially(t *testing.T) {
 		}
 		if f.Seq != uint64(i) {
 			t.Fatalf("frame %d read out of order (seq %d)", i, f.Seq)
+		}
+	}
+}
+
+// TestPeerErrorMessages pins the messages of the two peer errors: a
+// failure the far side of an RPC reported, and peers a worker could not
+// reach. The RPC layer ships the second's text in a response's Error.
+func TestPeerErrorMessages(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{&remoteError{method: "fetch-block", msg: "no block s3/b1", dead: []int{4}}, "cluster: fetch-block: no block s3/b1"},
+		{&deadPeersError{peers: []int{2, 5}, cause: errors.New("connection refused")}, "cluster: peers [2 5] unreachable: connection refused"},
+	} {
+		if got := c.err.Error(); got != c.want {
+			t.Errorf("%T message %q, want %q", c.err, got, c.want)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package dfs
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -134,11 +136,11 @@ func TestReadBlock(t *testing.T) {
 	if !bytes.Equal(got, data[64:128]) {
 		t.Fatal("block contents wrong")
 	}
-	// Fail the holder: read must report ErrBlockLost.
+	// Fail the holder: read must report ErrBlockLost, naming the block.
 	f, _ := fs.File("f")
 	fs.Cluster().FailNode(f.Placement.Holder(b))
-	if _, err := fs.ReadBlock("f", b); err == nil {
-		t.Fatal("lost block read must fail")
+	if _, err := fs.ReadBlock("f", b); !errors.Is(err, ErrBlockLost) || !strings.Contains(err.Error(), "blk(s0,i1)") {
+		t.Fatalf("lost block read: %v, want ErrBlockLost naming blk(s0,i1)", err)
 	}
 }
 

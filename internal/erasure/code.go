@@ -102,6 +102,3 @@ func MustNew(n, k int) *Code {
 	}
 	return c
 }
-
-// String implements fmt.Stringer, e.g. "RS(12,10)".
-func (c *Code) String() string { return fmt.Sprintf("RS(%d,%d)", c.n, c.k) }

@@ -196,39 +196,6 @@ func (c *linear) ReconstructBlockInto(dst []byte, idx int, srcIdx []int, sources
 	return nil
 }
 
-// Reconstruct fills in the missing shards of a stripe in place. shards must
-// have length n; missing shards are nil entries. On success every entry of
-// shards is non-nil and consistent with the code; when the present shards
-// do not determine every missing one it returns ErrTooFewShards and leaves
-// the stripe untouched.
-func (c *linear) Reconstruct(shards [][]byte) error {
-	size, err := checkShards(shards, c.n, true)
-	if err != nil {
-		return err
-	}
-	var present, missing []int
-	sources := make([][]byte, 0, c.n)
-	for i, s := range shards {
-		if s == nil {
-			missing = append(missing, i)
-		} else {
-			present = append(present, i)
-			sources = append(sources, s)
-		}
-	}
-	coeffs := make([][]byte, len(missing))
-	for j, idx := range missing {
-		if coeffs[j], err = c.coefficients(idx, present); err != nil {
-			return err
-		}
-	}
-	for j, idx := range missing {
-		shards[idx] = make([]byte, size)
-		combine(coeffs[j], sources, shards[idx])
-	}
-	return nil
-}
-
 // checkShards is the one shape check: shards must have want entries, all of
 // one non-zero length, which it returns. Nil entries (missing shards) are
 // an error unless sparse, and a sparse list still needs one shard present.

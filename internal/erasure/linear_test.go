@@ -12,6 +12,39 @@ import (
 	"degradedfirst/internal/gf256"
 )
 
+// Reconstruct is the erasure tests' oracle: it fills in the missing shards
+// of a stripe in place. shards must have length n; missing shards are nil
+// entries. On success every entry of shards is non-nil and consistent with
+// the code; when the present shards do not determine every missing one it
+// returns ErrTooFewShards and leaves the stripe untouched.
+func (c *linear) Reconstruct(shards [][]byte) error {
+	size, err := checkShards(shards, c.n, true)
+	if err != nil {
+		return err
+	}
+	var present, missing []int
+	sources := make([][]byte, 0, c.n)
+	for i, s := range shards {
+		if s == nil {
+			missing = append(missing, i)
+		} else {
+			present = append(present, i)
+			sources = append(sources, s)
+		}
+	}
+	coeffs := make([][]byte, len(missing))
+	for j, idx := range missing {
+		if coeffs[j], err = c.coefficients(idx, present); err != nil {
+			return err
+		}
+	}
+	for j, idx := range missing {
+		shards[idx] = make([]byte, size)
+		combine(coeffs[j], sources, shards[idx])
+	}
+	return nil
+}
+
 // The oracle for the one decoder: sources determine a block exactly when
 // adding the block's generator row to theirs does not raise the rank. rank
 // row-reduces a copy of the rows, sharing nothing with linear.coefficients

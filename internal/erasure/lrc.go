@@ -50,9 +50,6 @@ func NewLRC(k, l, g int) (*LRC, error) {
 	return &LRC{linear: newLinear(k, parity), l: l, g: g, groupSize: groupSize}, nil
 }
 
-// String implements fmt.Stringer, e.g. "LRC(12,2,2)".
-func (c *LRC) String() string { return fmt.Sprintf("LRC(%d,%d,%d)", c.k, c.l, c.g) }
-
 // GroupOf returns the local group of a data or local-parity block index,
 // or -1 for global parities.
 func (c *LRC) GroupOf(idx int) int {

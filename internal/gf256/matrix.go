@@ -3,7 +3,6 @@ package gf256
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // ErrSingular is returned when attempting to invert a singular matrix.
@@ -155,21 +154,6 @@ func (m *Matrix) Invert() (*Matrix, error) {
 		}
 	}
 	return inv, nil
-}
-
-// String renders the matrix in a compact hex form, for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for r := 0; r < m.rows; r++ {
-		for c := 0; c < m.cols; c++ {
-			if c > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "%02x", m.At(r, c))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 func swapRows(m *Matrix, a, b int) {

@@ -111,6 +111,31 @@ func TestInvertSingular(t *testing.T) {
 	}
 }
 
+// TestInvertZeroPivot inverts matrices whose leading pivots are zero, so
+// elimination must swap a lower row up before it can scale.
+func TestInvertZeroPivot(t *testing.T) {
+	for _, rows := range [][][]byte{
+		{{0, 1}, {1, 1}},
+		{{0, 0, 3}, {0, 5, 1}, {7, 2, 9}},
+	} {
+		m, err := matrixFromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := m.Invert()
+		if err != nil {
+			t.Fatalf("%v: %v", rows, err)
+		}
+		prod, err := m.Mul(inv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matrixEqual(prod, Identity(len(rows))) {
+			t.Errorf("%v times its inverse is not the identity", rows)
+		}
+	}
+}
+
 func TestInvertNonSquare(t *testing.T) {
 	m := NewMatrix(2, 3)
 	if _, err := m.Invert(); err == nil {
@@ -216,12 +241,5 @@ func TestMatrixMulAssociativityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Errorf("matrix multiplication not associative: %v", err)
-	}
-}
-
-func TestStringRendering(t *testing.T) {
-	m, _ := matrixFromRows([][]byte{{0x0a, 0xff}})
-	if got := m.String(); got != "0a ff\n" {
-		t.Fatalf("String() = %q", got)
 	}
 }

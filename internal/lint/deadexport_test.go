@@ -9,20 +9,6 @@ import (
 	"testing"
 )
 
-// testAPIs are the exported names under internal/ that only tests call on
-// purpose, each with the reason it stays exported. bench/ references count
-// as production callers, so the harnesses it drives need no entry here.
-var testAPIs = map[string]string{
-	"erasure.linear.Reconstruct": "the dfs and erasure tests' oracle: rebuilds every lost shard of a stripe at once",
-	"netsim.Flow.Rate":           "the max-min property oracle reads each flow's current rate",
-	"netsim.Net.ActiveFlows":     "the solver tests' view of the flows holding bandwidth",
-	"netsim.Net.WaitingFlows":    "the solver tests' view of the flows waiting on a rate",
-	"runtime.BuildResult":        "rebuilds a Result from a recorded trace, the replay invariant's oracle",
-	"sim.Event.At":               "netsim's invariant oracle reads when its pending completion fires",
-	"trace.Memory.Events":        "the only reader of the sink the root package exports as MemoryTrace",
-	"trace.ReadJSONL":            "reads a trace back for the round-trip fuzz test and the replay tests",
-}
-
 // deadExports reports every exported func, method, type, const and var,
 // and every exported method of an interface, declared in the non-test
 // files of the packages under declDir (module-relative) that no non-test
@@ -271,15 +257,5 @@ func TestDeadExportStaleAllowEntry(t *testing.T) {
 	}
 	if len(stale) != 2 || !strings.Contains(stale[0], "lib.Gone") || !strings.Contains(stale[1], "lib.Used") {
 		t.Errorf("stale allow-list reports %q, want lib.Gone and lib.Used", stale)
-	}
-}
-
-// TestTestAPIsHaveReasons pins that every allow-listed test API says why
-// it stays exported.
-func TestTestAPIsHaveReasons(t *testing.T) {
-	for name, reason := range testAPIs {
-		if strings.TrimSpace(reason) == "" {
-			t.Errorf("allow-list entry %s has no reason", name)
-		}
 	}
 }

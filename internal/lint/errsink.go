@@ -8,7 +8,7 @@ import (
 // Errsink flags error values discarded with the blank identifier in
 // non-test code. The trace layer is the archetype: trace.JSONL.Close
 // returns the first write error, and a dropped Close error means a
-// silently truncated trace — which BuildResult then "successfully"
+// silently truncated trace — which runtime.Builder then "successfully"
 // rebuilds into wrong figures. Handle the error or suppress the finding
 // with an explicit //lint:ignore errsink <reason>.
 var Errsink = &Analyzer{

@@ -2,7 +2,7 @@
 // repository, built only on the standard library's go/ast, go/parser and
 // go/types (no x/tools). It exists because the whole reproduction rests
 // on determinism: the golden backend-equivalence test pins both engines
-// to identical scheduler decisions, and runtime.BuildResult must rebuild
+// to identical scheduler decisions, and runtime.Builder must rebuild
 // the paper's figures byte-for-byte from a recorded trace. The analyzers
 // in this package turn those runtime invariants — no wall-clock time, no
 // global RNG, no map-iteration-order-dependent scheduling, every Launch

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -25,6 +26,11 @@ func fixtureLoader(t *testing.T) *Loader {
 }
 
 var sharedLoader = sync.OnceValues(func() (*Loader, error) {
+	// Type-check the standard library as a CGO_ENABLED=0 build sees it.
+	// Its exported API is the same, and the source importer then does not
+	// run cgo over net's files, which took about a second per test binary.
+	// The module itself has no cgo files.
+	build.Default.CgoEnabled = false
 	wd, err := os.Getwd()
 	if err != nil {
 		return nil, err
@@ -285,7 +291,7 @@ func TestAnalyzerRoster(t *testing.T) {
 // same invariant CI enforces via `go run ./cmd/dflint ./...`. The tree
 // (bench/ included, which the walk loads as one more package) must also
 // have no dead export: every exported name under internal/ has a non-test
-// caller outside its declaration, or a reason in testAPIs.
+// caller outside its declaration, or is a test API on allowList.
 func TestRepoClean(t *testing.T) {
 	l := fixtureLoader(t)
 	units, err := l.Load([]string{l.ModDir + "/..."})
@@ -299,12 +305,12 @@ func TestRepoClean(t *testing.T) {
 	if len(diags) > 0 {
 		t.Log("fix the findings or annotate intentional sites with //lint:ignore <analyzer> <reason>")
 	}
-	dead := deadExports(l, units, "internal", testAPIs)
+	dead := deadExports(l, units, "internal", testAPIs())
 	for _, d := range dead {
 		t.Errorf("dead export: %s", d)
 	}
 	if len(dead) > 0 {
-		t.Log("delete the name, move it into its package's _test.go, or give testAPIs a reason to keep it")
+		t.Log("delete the name, move it into its package's _test.go, or give allowList a test-API entry with a reason to keep it")
 	}
 }
 

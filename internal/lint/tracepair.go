@@ -12,7 +12,7 @@ import (
 // event kind that opens an interval (launch, start, plan) must have a
 // closing emission (finish, cancel, requeue, reset) somewhere in the same
 // package. A package that constructs EvTaskLaunch events but can never
-// construct EvTaskFinish produces traces from which BuildResult cannot
+// construct EvTaskFinish produces traces from which runtime.Builder cannot
 // rebuild task records, so figure reproduction silently breaks. Only
 // construction sites count — passing a constant to trace.New (or any
 // wrapper returning trace.Event) or setting an Event's Type field;

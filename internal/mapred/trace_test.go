@@ -159,7 +159,11 @@ func TestTraceJSONLRoundTripRebuildsResult(t *testing.T) {
 		t.Fatal("JSONL round trip altered the event stream")
 	}
 
-	rebuilt := runtime.BuildResult(decoded)
+	b := runtime.NewBuilder()
+	for _, e := range decoded {
+		b.Consume(e)
+	}
+	rebuilt := b.Result()
 	if !reflect.DeepEqual(rebuilt, res) {
 		t.Fatalf("rebuilt result differs:\n got %+v\nwant %+v", rebuilt, res)
 	}

@@ -89,8 +89,8 @@ func TestFinishCascadeBehindLongFlows(t *testing.T) {
 	if len(finishes) != flows || finishes[0] != finishes[flows-1] {
 		t.Errorf("flows finished at %v, want %d at one instant", finishes, flows)
 	}
-	if n.ActiveFlows() != long {
-		t.Errorf("%d flows still active, want the %d long ones", n.ActiveFlows(), long)
+	if len(n.flows) != long {
+		t.Errorf("%d flows still active, want the %d long ones", len(n.flows), long)
 	}
 }
 

@@ -359,12 +359,12 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		// dt=0 completion fires later in the same instant — and never
 		// govern any progress, so only quiescent state must match.
 		eng.ScheduleAt(op.at+0.175, func() {
-			snap := fmt.Sprintf("t=%x n=%d/%d:", math.Float64bits(eng.Now()), n.ActiveFlows(), n.WaitingFlows())
+			snap := fmt.Sprintf("t=%x n=%d/%d:", math.Float64bits(eng.Now()), len(n.flows), len(n.waiting))
 			for _, f := range created {
 				if f.Finished() {
 					snap += fmt.Sprintf(" %d:done", f.ID)
 				} else {
-					snap += fmt.Sprintf(" %d:%x", f.ID, math.Float64bits(f.Rate()))
+					snap += fmt.Sprintf(" %d:%x", f.ID, math.Float64bits(f.rate))
 				}
 			}
 			out.snaps = append(out.snaps, snap)

@@ -119,12 +119,6 @@ type Flow struct {
 	linkPos    []int32  // index of this flow in path[i].active, -1 for unlimited links
 }
 
-// Rate returns the flow's allocated rate in bytes/sec (0 while queued in
-// hold mode). Inside an instant at which flows are still completing it may
-// be the allocation of the last solve that ran progressive filling (see
-// solver.go); it is current whenever virtual time is about to advance.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Remaining returns the bytes not yet transferred as of the last network
 // recomputation.
 func (f *Flow) Remaining() float64 { return f.remaining }
@@ -337,14 +331,6 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 	}
 	return n, nil
 }
-
-// ActiveFlows returns the number of flows currently transferring: sharing
-// bandwidth (fluid mode) or holding links (hold mode). Hold-mode flows
-// still queued for busy links are counted by WaitingFlows instead.
-func (n *Net) ActiveFlows() int { return len(n.flows) }
-
-// WaitingFlows returns the number of hold-mode flows queued for links.
-func (n *Net) WaitingFlows() int { return len(n.waiting) }
 
 // FlowReq describes one transfer in a StartFlows batch.
 type FlowReq struct {

@@ -277,8 +277,8 @@ func TestBytesMovedAccounting(t *testing.T) {
 	if n.BytesMoved != 3e6 {
 		t.Fatalf("BytesMoved = %v, want 3e6", n.BytesMoved)
 	}
-	if n.ActiveFlows() != 0 {
-		t.Fatalf("ActiveFlows = %d after completion", n.ActiveFlows())
+	if len(n.flows) != 0 {
+		t.Fatalf("%d flows active after completion", len(n.flows))
 	}
 }
 
@@ -286,8 +286,8 @@ func TestFlowAccessors(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
 	f := startFlow(n, 0, 3, 1e6, nil)
-	if f.Finished() || f.Remaining() != 1e6 || f.Rate() <= 0 {
-		t.Fatalf("fresh flow state wrong: fin=%v rem=%v rate=%v", f.Finished(), f.Remaining(), f.Rate())
+	if f.Finished() || f.Remaining() != 1e6 || f.rate <= 0 {
+		t.Fatalf("fresh flow state wrong: fin=%v rem=%v rate=%v", f.Finished(), f.Remaining(), f.rate)
 	}
 	eng.Run()
 	if !f.Finished() || f.Remaining() != 0 {
@@ -402,8 +402,8 @@ func TestManySmallFlowsDrain(t *testing.T) {
 	if completed != total {
 		t.Fatalf("only %d/%d flows completed", completed, total)
 	}
-	if n.ActiveFlows() != 0 {
-		t.Fatalf("%d flows still active after drain", n.ActiveFlows())
+	if len(n.flows) != 0 {
+		t.Fatalf("%d flows still active after drain", len(n.flows))
 	}
 }
 
@@ -472,20 +472,20 @@ func TestActiveAndWaitingFlowsSplit(t *testing.T) {
 	startFlow(n, 0, 3, 12.5e6, nil)
 	startFlow(n, 0, 3, 12.5e6, nil)
 	startFlow(n, 0, 3, 12.5e6, nil)
-	if n.ActiveFlows() != 1 || n.WaitingFlows() != 2 {
-		t.Fatalf("hold mode: active=%d waiting=%d, want 1/2", n.ActiveFlows(), n.WaitingFlows())
+	if len(n.flows) != 1 || len(n.waiting) != 2 {
+		t.Fatalf("hold mode: active=%d waiting=%d, want 1/2", len(n.flows), len(n.waiting))
 	}
 	eng.Run()
-	if n.ActiveFlows() != 0 || n.WaitingFlows() != 0 {
-		t.Fatalf("after drain: active=%d waiting=%d", n.ActiveFlows(), n.WaitingFlows())
+	if len(n.flows) != 0 || len(n.waiting) != 0 {
+		t.Fatalf("after drain: active=%d waiting=%d", len(n.flows), len(n.waiting))
 	}
 
 	eng2 := sim.New()
 	n2 := mustNet(t, eng2, twoRacks(), Config{RackBps: 100 * Mbps})
 	startFlow(n2, 0, 3, 12.5e6, nil)
 	startFlow(n2, 0, 3, 12.5e6, nil)
-	if n2.ActiveFlows() != 2 || n2.WaitingFlows() != 0 {
-		t.Fatalf("fluid mode: active=%d waiting=%d, want 2/0", n2.ActiveFlows(), n2.WaitingFlows())
+	if len(n2.flows) != 2 || len(n2.waiting) != 0 {
+		t.Fatalf("fluid mode: active=%d waiting=%d, want 2/0", len(n2.flows), len(n2.waiting))
 	}
 	eng2.Run()
 }
@@ -538,8 +538,8 @@ func TestDrainedDetectsLeftoverFlows(t *testing.T) {
 	n2 := mustNet(t, eng2, twoRacks(), Config{RackBps: 100 * Mbps})
 	n2.tierUp[0][0].capacity = 0
 	f := startFlow(n2, 0, 3, 12.5e6, nil)
-	if f.Rate() != 0 || eng2.Pending() != 0 {
-		t.Fatalf("flow not starved: rate %v, %d events pending", f.Rate(), eng2.Pending())
+	if f.rate != 0 || eng2.Pending() != 0 {
+		t.Fatalf("flow not starved: rate %v, %d events pending", f.rate, eng2.Pending())
 	}
 	eng2.Run()
 	if err := n2.Drained(); err == nil {
@@ -561,16 +561,16 @@ func TestFlowRatesTrackSharing(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
 	a := startFlow(n, 0, 3, 12.5e6, nil) // full rate alone
-	if got := a.Rate(); math.Abs(got-12.5e6) > 1 {
+	if got := a.rate; math.Abs(got-12.5e6) > 1 {
 		t.Fatalf("a alone: rate %v, want 12.5e6", got)
 	}
 	b := startFlow(n, 1, 4, 6.25e6, nil) // shares rack0-up: both halve
-	if math.Abs(a.Rate()-6.25e6) > 1 || math.Abs(b.Rate()-6.25e6) > 1 {
-		t.Fatalf("a and b sharing: rates %v, %v, want 6.25e6 each", a.Rate(), b.Rate())
+	if math.Abs(a.rate-6.25e6) > 1 || math.Abs(b.rate-6.25e6) > 1 {
+		t.Fatalf("a and b sharing: rates %v, %v, want 6.25e6 each", a.rate, b.rate)
 	}
 	// b finishes at 1 s, and a gets the uplink back.
 	eng.Schedule(1.5, func() {
-		if got := a.Rate(); math.Abs(got-12.5e6) > 1 {
+		if got := a.rate; math.Abs(got-12.5e6) > 1 {
 			t.Errorf("a after b finished: rate %v, want 12.5e6", got)
 		}
 	})

@@ -104,20 +104,6 @@ const (
 	Deadline
 )
 
-// String returns the policy name.
-func (p Policy) String() string {
-	switch p {
-	case FIFO:
-		return "fifo"
-	case MostAtRisk:
-		return "most-at-risk"
-	case Deadline:
-		return "deadline"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
-	}
-}
-
 // Config configures the background repair subsystem. The zero value
 // disables it entirely, keeping the runtime byte-identical to a build
 // without the subsystem (pinned by the seed FIFO golden traces).

@@ -305,7 +305,7 @@ func TestTaskNodeDeathMidFanIn(t *testing.T) {
 		t.Fatalf("degraded read time %v paired with a stale launch (want %v)",
 			rec.DegradedReadTime, want)
 	}
-	if rebuilt := runtime.BuildResult(events); !reflect.DeepEqual(rebuilt, res) {
+	if rebuilt := buildResult(events); !reflect.DeepEqual(rebuilt, res) {
 		t.Fatal("trace replay diverges from the live result")
 	}
 }
@@ -351,7 +351,7 @@ func TestRebuildIgnoresStaleDegradedEvents(t *testing.T) {
 	done2 := mk(trace.EvDegradedDone, 12)
 	finish := mk(trace.EvTaskFinish, 15)
 
-	res := runtime.BuildResult([]trace.Event{
+	res := buildResult([]trace.Event{
 		submit, launch1, requeue, staleDone, staleWon, staleLost,
 		launch2, won, lost, done2, finish,
 	})
@@ -387,7 +387,7 @@ func TestRebuildStragglerWithoutRelaunch(t *testing.T) {
 	requeue := mk(trace.EvTaskRequeue, 5)
 	stale := mk(trace.EvDegradedDone, 7)
 
-	res := runtime.BuildResult([]trace.Event{submit, launch, requeue, stale})
+	res := buildResult([]trace.Event{submit, launch, requeue, stale})
 	if got := res.Jobs[0].Tasks[0].DegradedReadTime; got != 0 {
 		t.Fatalf("degraded read time = %v, want 0: straggler paired with zeroed record", got)
 	}

@@ -1,9 +1,9 @@
 package runtime
 
 import (
-	"fmt"
 	"sort"
 
+	"degradedfirst/internal/repair"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
@@ -11,8 +11,8 @@ import (
 
 // Builder folds a single run's trace stream into a Result. The runtime
 // feeds it live (Result metrics are trace consumers, not ad-hoc
-// bookkeeping), and BuildResult replays a recorded trace — e.g. one read
-// back from a JSONL file — into the identical Result: virtual times and
+// bookkeeping), and fed a recorded trace — e.g. one read back from a
+// JSONL file — it rebuilds the identical Result: virtual times and
 // byte counts survive the JSON round-trip exactly, and BytesMoved is
 // re-accumulated in the original event order.
 type Builder struct {
@@ -27,11 +27,11 @@ type Builder struct {
 	// after a requeue would be measured against the zeroed record's
 	// LaunchTime and yield a bogus read time.
 	launched map[[2]int]bool
-	// repairPending tracks each queued stripe's lost-block count (keyed
-	// "file#stripe"); repairLost is their running sum plus the losses of
-	// unrepairable stripes — the at-risk timeline's value.
-	repairPending map[string]int
-	repairUnrep   map[string]int
+	// repairPending tracks each queued stripe's lost-block count;
+	// repairLost is their running sum plus the losses of unrepairable
+	// stripes — the at-risk timeline's value.
+	repairPending map[repair.Key]int
+	repairUnrep   map[repair.Key]int
 	repairLost    int
 }
 
@@ -41,8 +41,8 @@ func NewBuilder() *Builder {
 		failed:        make(map[topology.NodeID]bool),
 		reduceLaunch:  make(map[[2]int]float64),
 		launched:      make(map[[2]int]bool),
-		repairPending: make(map[string]int),
-		repairUnrep:   make(map[string]int),
+		repairPending: make(map[repair.Key]int),
+		repairUnrep:   make(map[repair.Key]int),
 	}
 }
 
@@ -164,7 +164,7 @@ func (b *Builder) Consume(e trace.Event) {
 		b.res.BytesMoved += e.Bytes
 	case trace.EvRepairQueued:
 		st := b.repairStats()
-		key := repairKey(e)
+		key := repair.Key{File: e.Name, Stripe: e.Task}
 		switch e.Class {
 		case "unrepairable":
 			if _, ok := b.repairUnrep[key]; !ok {
@@ -196,7 +196,7 @@ func (b *Builder) Consume(e trace.Event) {
 		if st.FirstRepairAt < 0 {
 			st.FirstRepairAt = e.T
 		}
-		key := repairKey(e)
+		key := repair.Key{File: e.Name, Stripe: e.Task}
 		if n, ok := b.repairPending[key]; ok {
 			b.repairLost--
 			if n <= 1 {
@@ -210,11 +210,6 @@ func (b *Builder) Consume(e trace.Event) {
 		}
 		b.pushAtRisk(e.T)
 	}
-}
-
-// repairKey is the Builder's stripe identity for repair events.
-func repairKey(e trace.Event) string {
-	return fmt.Sprintf("%s#%d", e.Name, e.Task)
 }
 
 // repairStats returns the lazily-allocated repair aggregate: it exists
@@ -260,14 +255,4 @@ func (b *Builder) Result() *Result {
 		}
 	}
 	return &b.res
-}
-
-// BuildResult replays a recorded single-run trace into its Result. For a
-// JSONL file holding several runs, filter by the Run label first.
-func BuildResult(events []trace.Event) *Result {
-	b := NewBuilder()
-	for _, e := range events {
-		b.Consume(e)
-	}
-	return b.Result()
 }

@@ -39,6 +39,8 @@ type repairStore struct {
 	commits map[string]int
 	// commitOrder records commit identities in commit order.
 	commitOrder []string
+	// commitErr, when set, may fail a commit before the store looks at it.
+	commitErr func(repair.BlockPlan) error
 }
 
 var _ runtime.Backend = (*repairStore)(nil)
@@ -130,6 +132,11 @@ func (b *repairStore) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runti
 	id := fmt.Sprintf("s%d/b%d", key.Stripe, bp.Index)
 	b.commits[id]++
 	b.commitOrder = append(b.commitOrder, id)
+	if b.commitErr != nil {
+		if err := b.commitErr(bp); err != nil {
+			return nil, err
+		}
+	}
 	if b.cluster.Alive(b.holders[key.Stripe][bp.Index]) {
 		return nil, fmt.Errorf("store: block %s is not lost", id)
 	}
@@ -437,5 +444,67 @@ func TestRepairedBlockRestoresLateJobTask(t *testing.T) {
 	}
 	if rec.FinishTime == 0 {
 		t.Fatal("late job's task never finished")
+	}
+}
+
+// TestRepairCommitToDeadNodeRequeues: node 0 dies at t=0 and stripe 0's
+// lost block is rebuilt towards node 4, whose commit reports node 4 dead,
+// as the cluster's commit RPC does when the destination stopped
+// answering before the runtime saw it fail. The commit runs inside a
+// network completion callback, so the runtime fails node 4 on a
+// zero-delay event at that instant, re-queues the stripe, rebuilds the
+// block on node 5 and finishes the run.
+func TestRepairCommitToDeadNodeRequeues(t *testing.T) {
+	const victim = 4
+	c := repairCluster(t)
+	store := newRepairStore(c, [][]topology.NodeID{{0, 1, 2, 3}})
+	store.commitErr = func(bp repair.BlockPlan) error {
+		if bp.Dest == victim {
+			return &runtime.DeadNodeError{Nodes: []topology.NodeID{victim}}
+		}
+		return nil
+	}
+	res, events, err := runRepairScenario(t, store, repair.Config{Enabled: true}, []topology.NodeID{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"s0/b0", "s0/b0"}; fmt.Sprint(store.commitOrder) != fmt.Sprint(want) {
+		t.Fatalf("commits %v, want %v: one refused, one kept", store.commitOrder, want)
+	}
+	if store.holders[0][0] != 5 {
+		t.Fatalf("block 0 rebuilt on node %d, want 5", store.holders[0][0])
+	}
+	if st := res.Repair; st == nil || st.BlocksRepaired != 1 || st.FullRedundancyAt < 0 {
+		t.Fatalf("repair stats = %+v, want one block repaired and full redundancy", st)
+	}
+
+	// The refused commit ran when the last source flow to node 4
+	// arrived; node 4 fails after it, at the same virtual time.
+	commit, fail := -1, -1
+	for i, e := range events {
+		switch {
+		case e.Type == trace.EvTransferEnd && e.Dst == victim && fail < 0:
+			commit = i
+		case e.Type == trace.EvNodeFail && e.Node == victim:
+			fail = i
+		}
+	}
+	if commit < 0 || fail < 0 {
+		t.Fatalf("no repair flow into node %d (%d) or no failure of it (%d)", victim, commit, fail)
+	}
+	if events[fail].T != events[commit].T {
+		t.Errorf("node %d failed at %v, want the commit instant %v", victim, events[fail].T, events[commit].T)
+	}
+	requeued := false
+	for _, e := range repairEvents(events[fail:], trace.EvRepairQueued) {
+		requeued = requeued || (e.Class == "requeue" && e.Task == 0 && e.T == events[fail].T)
+	}
+	if !requeued {
+		t.Error("stripe 0 was not re-queued with class requeue when node 4 failed")
+	}
+	for _, e := range repairEvents(events, trace.EvRepairDone) {
+		if e.Node == victim {
+			t.Errorf("a repair committed on node %d: %+v", victim, e)
+		}
 	}
 }

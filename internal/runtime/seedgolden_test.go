@@ -39,6 +39,15 @@ var updateSeedGolden = flag.Bool("update-seed-golden", false,
 // recorded; they are stripped from live streams before comparison.
 var seedNewEventTypes = []trace.Type{"job-queued", "job-grant", "flow-latency", "hedge-launch"}
 
+// buildResult replays a recorded single-run trace into its Result.
+func buildResult(events []trace.Event) *runtime.Result {
+	b := runtime.NewBuilder()
+	for _, e := range events {
+		b.Consume(e)
+	}
+	return b.Result()
+}
+
 func dropSeedNewEvents(events []trace.Event) []trace.Event {
 	out := make([]trace.Event, 0, len(events))
 	for _, e := range events {
@@ -266,7 +275,7 @@ func seedGoldenCompare(t *testing.T, file string, run func(*testing.T) []trace.E
 				wk = append(wk, e)
 			}
 		}
-		lr, wr := runtime.BuildResult(lk), runtime.BuildResult(wk)
+		lr, wr := buildResult(lk), buildResult(wk)
 		if lr.Makespan != wr.Makespan || lr.BytesMoved != wr.BytesMoved {
 			t.Errorf("%s: makespan/bytes = %.6f/%.0f, seed %.6f/%.0f",
 				label, lr.Makespan, lr.BytesMoved, wr.Makespan, wr.BytesMoved)

@@ -15,7 +15,7 @@ import (
 // '.' idle, 'x' a failed node. Degraded > remote > rack-local > local in
 // display priority so contention phases stand out. Since Result itself is
 // rebuilt from the trace stream, a recorded JSONL trace reconstructs this
-// rendering byte-identically via BuildResult. minimr's reports render
+// rendering byte-identically through a Builder. minimr's reports render
 // through the Result they embed.
 func Timeline(res *Result, jobIdx, width int) string {
 	if res == nil || jobIdx < 0 || jobIdx >= len(res.Jobs) || width < 10 {

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -129,13 +128,6 @@ func Summarize(xs []float64) Summary {
 		sum.Max = sum.Q3
 	}
 	return sum
-}
-
-// String renders the summary on one line, e.g.
-// "n=30 mean=1.52 box=[1.31 1.44 1.50 1.58 1.73] outliers=2".
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f box=[%.3f %.3f %.3f %.3f %.3f] outliers=%d",
-		s.N, s.Mean, s.Min, s.Q1, s.Median, s.Q3, s.Max, len(s.Outliers))
 }
 
 // ReductionPercent returns the percentage reduction of got relative to base:

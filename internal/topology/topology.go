@@ -33,20 +33,6 @@ const (
 	Remote
 )
 
-// String returns the locality name.
-func (l Locality) String() string {
-	switch l {
-	case NodeLocal:
-		return "node-local"
-	case RackLocal:
-		return "rack-local"
-	case Remote:
-		return "remote"
-	default:
-		return fmt.Sprintf("locality(%d)", int(l))
-	}
-}
-
 // Node is one server in the cluster.
 type Node struct {
 	ID   NodeID

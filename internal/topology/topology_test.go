@@ -99,11 +99,6 @@ func TestLocalityOf(t *testing.T) {
 	if got := c.LocalityOf(0, 2); got != Remote {
 		t.Fatalf("cross rack = %v", got)
 	}
-	for _, l := range []Locality{NodeLocal, RackLocal, Remote, Locality(9)} {
-		if l.String() == "" {
-			t.Fatal("String must render")
-		}
-	}
 }
 
 func TestSlotTotalsExcludeFailed(t *testing.T) {
