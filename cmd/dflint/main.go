@@ -1,7 +1,7 @@
 // Command dflint runs the repository's zero-dependency static-analysis
-// suite (internal/lint): determinism, maporder, tracepair, errsink,
-// floateq and panicmsg. It exits 0 when the tree is clean, 1 on findings
-// and 2 on usage or load errors.
+// suite (internal/lint): determinism, errsink, floateq, maporder,
+// netboundary, panicmsg and serial. It exits 0 when the tree is clean, 1
+// on findings and 2 on usage or load errors.
 //
 // Usage:
 //

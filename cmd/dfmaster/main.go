@@ -78,12 +78,18 @@ func run(args []string) error {
 		return err
 	}
 
-	clu := topology.MustNew(topology.Config{
+	clu, err := topology.New(topology.Config{
 		Nodes: *nodes, Racks: *racks,
 		MapSlotsPerNode: *mapSlots, ReduceSlotsPerNode: *redSlots,
 	})
-	fs, err := dfs.New(clu, erasure.MustNew(*codeN, *codeK), *blockSize,
-		placement.RoundRobin{}, stats.NewRNG(*seed))
+	if err != nil {
+		return err
+	}
+	code, err := erasure.New(*codeN, *codeK)
+	if err != nil {
+		return err
+	}
+	fs, err := dfs.New(clu, code, *blockSize, placement.RoundRobin{}, stats.NewRNG(*seed))
 	if err != nil {
 		return err
 	}

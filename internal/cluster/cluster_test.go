@@ -67,12 +67,17 @@ func wantCounts(counts map[string]int) map[string]string {
 }
 
 // buildResult replays a recorded single-run trace into its Result.
-func buildResult(events []trace.Event) *runtime.Result {
+func buildResult(t *testing.T, events []trace.Event) *runtime.Result {
+	t.Helper()
 	b := runtime.NewBuilder()
 	for _, e := range events {
 		b.Consume(e)
 	}
-	return b.Result()
+	res, err := b.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestLoopbackWordCountMatchesInProcess is the end-to-end equivalence
@@ -133,7 +138,7 @@ func TestLoopbackWordCountMatchesInProcess(t *testing.T) {
 	// The merged trace stream (virtual events interleaved with the
 	// workers' wire events) rebuilds the same result.
 	events := mem.Events()
-	res := buildResult(events)
+	res := buildResult(t, events)
 	if res.Scheduler != rep.Scheduler {
 		t.Fatalf("rebuilt scheduler %q != %q", res.Scheduler, rep.Scheduler)
 	}
@@ -253,7 +258,7 @@ func TestLoopbackHedgedWordCountMatchesInProcess(t *testing.T) {
 	if lat != deg*11 {
 		t.Fatalf("flow-latency events = %d, want %d (11 per degraded read)", lat, deg*11)
 	}
-	res := buildResult(events)
+	res := buildResult(t, events)
 	if res.WastedBytes != rep.WastedBytes {
 		t.Fatalf("rebuilt wasted bytes %v != %v", res.WastedBytes, rep.WastedBytes)
 	}

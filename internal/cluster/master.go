@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,19 +38,21 @@ type MasterOptions struct {
 	Engine minimr.Options
 }
 
-func (o *MasterOptions) defaults() {
-	if o.Addr == "" {
-		o.Addr = "127.0.0.1:0"
+// defaults fills the zero fields and rejects negative ones.
+func (o *MasterOptions) defaults() error {
+	switch {
+	case o.HeartbeatEvery < 0:
+		return fmt.Errorf("cluster: negative HeartbeatEvery %v", o.HeartbeatEvery)
+	case o.HeartbeatMiss < 0:
+		return fmt.Errorf("cluster: negative HeartbeatMiss %d", o.HeartbeatMiss)
+	case o.RPCTimeout < 0:
+		return fmt.Errorf("cluster: negative RPCTimeout %v", o.RPCTimeout)
 	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = 500 * time.Millisecond
-	}
-	if o.HeartbeatMiss <= 0 {
-		o.HeartbeatMiss = 4
-	}
-	if o.RPCTimeout <= 0 {
-		o.RPCTimeout = 30 * time.Second
-	}
+	o.Addr = cmp.Or(o.Addr, "127.0.0.1:0")
+	o.HeartbeatEvery = cmp.Or(o.HeartbeatEvery, 500*time.Millisecond)
+	o.HeartbeatMiss = cmp.Or(o.HeartbeatMiss, 4)
+	o.RPCTimeout = cmp.Or(o.RPCTimeout, 30*time.Second)
+	return nil
 }
 
 // remoteWorker is the master's handle on one registered worker process.
@@ -99,7 +102,9 @@ func NewMaster(fs *dfs.FS, opts MasterOptions) (*Master, error) {
 	if !ok {
 		return nil, fmt.Errorf("cluster: only Reed-Solomon codes can ship to workers, got %T", fs.Code())
 	}
-	opts.defaults()
+	if err := opts.defaults(); err != nil {
+		return nil, err
+	}
 	if err := opts.Engine.Validate(fs.Cluster().Spec()); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}

@@ -82,7 +82,7 @@ func testbed(label string, seed int64, jobs func() []minimr.Job) func(Options) p
 // code, c.NumBlocks scaled blocks of block-aligned text, round-robin
 // placement), fails a node drawn from c.Seed, and runs jobs on it.
 func runTestbed(ctx context.Context, c mapred.Config, jobs []minimr.Job) (*runtime.Result, error) {
-	cluster := must(topology.New(topology.Config{Nodes: 12, Racks: 3, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1}))
+	cluster := topology.MustNew(topology.Config{Nodes: 12, Racks: 3, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1})
 	fs := must(dfs.New(cluster, erasure.MustNew(12, 10), minimr.TestbedBlockSize, placement.RoundRobin{}, stats.NewRNG(c.Seed)))
 	must(fs.Write("input.txt", must(workload.GenerateBlockAlignedCorpus(c.NumBlocks, minimr.TestbedBlockSize, c.Seed))))
 	cluster.FailNode(topology.NodeID(stats.NewRNG(c.Seed).Intn(12)))

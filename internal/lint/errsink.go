@@ -8,9 +8,8 @@ import (
 // Errsink flags error values discarded with the blank identifier in
 // non-test code. The trace layer is the archetype: trace.JSONL.Close
 // returns the first write error, and a dropped Close error means a
-// silently truncated trace — which runtime.Builder then "successfully"
-// rebuilds into wrong figures. Handle the error or suppress the finding
-// with an explicit //lint:ignore errsink <reason>.
+// silently truncated trace file. Handle the error or suppress the
+// finding with an explicit //lint:ignore errsink <reason>.
 var Errsink = &Analyzer{
 	Name:      "errsink",
 	Doc:       "flag error values assigned to _ in non-test code",

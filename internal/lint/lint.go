@@ -4,9 +4,8 @@
 // on determinism: the golden backend-equivalence test pins both engines
 // to identical scheduler decisions, and runtime.Builder must rebuild
 // the paper's figures byte-for-byte from a recorded trace. The analyzers
-// in this package turn those runtime invariants — no wall-clock time, no
-// global RNG, no map-iteration-order-dependent scheduling, every Launch
-// trace event paired with a Finish — into compile-time checks.
+// turn those invariants — no wall-clock time, no global RNG, no
+// map-iteration-order-dependent scheduling — into compile-time checks.
 //
 // The driver (cmd/dflint) loads packages from source, runs every
 // analyzer, honors //lint:ignore <analyzers> <reason> suppression
@@ -112,26 +111,7 @@ func Analyzers() []*Analyzer {
 		Netboundary,
 		Panicmsg,
 		Serial,
-		Tracepair,
 	}
-}
-
-// inspectWithStack walks root like ast.Inspect but hands fn the stack of
-// enclosing nodes (outermost first, not including n itself). Returning
-// false prunes the subtree.
-func inspectWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
 }
 
 // calleeFunc resolves the called function or method of a call expression,
@@ -156,12 +136,6 @@ func pkgPathOf(obj types.Object) string {
 		return ""
 	}
 	return obj.Pkg().Path()
-}
-
-// isTracePackage reports whether an import path is the repo's trace
-// package (matched by suffix so fixtures and the real tree both work).
-func isTracePackage(path string) bool {
-	return strings.HasSuffix(path, "internal/trace")
 }
 
 // isSimPackage reports whether an import path is the repo's discrete-event

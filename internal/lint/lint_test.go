@@ -129,7 +129,6 @@ func matchWants(t *testing.T, wants []*want, diags []Diagnostic) {
 
 func TestDeterminismFixture(t *testing.T) { checkFixture(t, Determinism, "determinism") }
 func TestMaporderFixture(t *testing.T)    { checkFixture(t, Maporder, "maporder") }
-func TestTracepairFixture(t *testing.T)   { checkFixture(t, Tracepair, "tracepair") }
 func TestErrsinkFixture(t *testing.T)     { checkFixture(t, Errsink, "errsink") }
 func TestNetboundaryFixture(t *testing.T) { checkFixture(t, Netboundary, "netboundary") }
 func TestFloateqFixture(t *testing.T)     { checkFixture(t, Floateq, "floateq") }

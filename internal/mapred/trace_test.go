@@ -163,7 +163,10 @@ func TestTraceJSONLRoundTripRebuildsResult(t *testing.T) {
 	for _, e := range decoded {
 		b.Consume(e)
 	}
-	rebuilt := b.Result()
+	rebuilt, err := b.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(rebuilt, res) {
 		t.Fatalf("rebuilt result differs:\n got %+v\nwant %+v", rebuilt, res)
 	}

@@ -614,23 +614,3 @@ func (n *Net) dispatchHold() {
 	clear(n.waiting[len(remaining):])
 	n.waiting = remaining
 }
-
-// Drained verifies the network emptied out alongside the event engine: no
-// active or waiting flows remain. The runtime calls it after the engine
-// runs dry — a leftover flow means a transfer was admitted but never
-// scheduled for completion (for example a flow starved at rate 0 whose
-// revival recompute never came), which would otherwise silently vanish
-// from the results.
-func (n *Net) Drained() error {
-	if len(n.flows) > 0 {
-		f := n.flows[0]
-		return fmt.Errorf("netsim: drained with %d unfinished flows (first: flow %d %d->%d, %.0f bytes left, rate %v)",
-			len(n.flows), f.ID, f.Src, f.Dst, f.remaining, f.rate)
-	}
-	if len(n.waiting) > 0 {
-		f := n.waiting[0]
-		return fmt.Errorf("netsim: drained with %d flows still queued (first: flow %d %d->%d)",
-			len(n.waiting), f.ID, f.Src, f.Dst)
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -518,6 +519,26 @@ func TestCancelWaitingAndHolderUnderExclusiveHold(t *testing.T) {
 	if n.BytesMoved != 25e6 {
 		t.Fatalf("BytesMoved = %v, want 25e6", n.BytesMoved)
 	}
+}
+
+// Drained verifies the network emptied out alongside the event engine: no
+// active or waiting flows remain. A leftover flow means a transfer was
+// admitted but never scheduled for completion (for example a flow starved
+// at rate 0 whose revival recompute never came). The tests' worlds check
+// it after the engine runs dry; a run checks the same through
+// runtime.Builder, which rejects a transfer left open at run-end.
+func (n *Net) Drained() error {
+	if len(n.flows) > 0 {
+		f := n.flows[0]
+		return fmt.Errorf("netsim: drained with %d unfinished flows (first: flow %d %d->%d, %.0f bytes left, rate %v)",
+			len(n.flows), f.ID, f.Src, f.Dst, f.remaining, f.rate)
+	}
+	if len(n.waiting) > 0 {
+		f := n.waiting[0]
+		return fmt.Errorf("netsim: drained with %d flows still queued (first: flow %d %d->%d)",
+			len(n.waiting), f.ID, f.Src, f.Dst)
+	}
+	return nil
 }
 
 func TestDrainedDetectsLeftoverFlows(t *testing.T) {

@@ -305,91 +305,8 @@ func TestTaskNodeDeathMidFanIn(t *testing.T) {
 		t.Fatalf("degraded read time %v paired with a stale launch (want %v)",
 			rec.DegradedReadTime, want)
 	}
-	if rebuilt := buildResult(events); !reflect.DeepEqual(rebuilt, res) {
+	if rebuilt := buildResult(t, events); !reflect.DeepEqual(rebuilt, res) {
 		t.Fatal("trace replay diverges from the live result")
-	}
-}
-
-// TestRebuildIgnoresStaleDegradedEvents is the rebuild regression test:
-// degraded-done and flow-latency events straggling after a requeue (the
-// attempt they belong to was abandoned) must not pair with the zeroed
-// record or a later relaunch's times.
-func TestRebuildIgnoresStaleDegradedEvents(t *testing.T) {
-	mk := func(typ trace.Type, at float64) trace.Event {
-		e := trace.New(at, typ)
-		e.Job, e.Task = 0, 0
-		return e
-	}
-	submit := mk(trace.EvJobSubmit, 0)
-	submit.N = 1
-
-	launch1 := mk(trace.EvTaskLaunch, 2)
-	launch1.Node = 3
-	launch1.Class = sched.ClassDegraded.String()
-
-	requeue := mk(trace.EvTaskRequeue, 5)
-
-	staleDone := mk(trace.EvDegradedDone, 6)
-	staleWon := mk(trace.EvFlowLatency, 6)
-	staleWon.Class = "won"
-	staleWon.Dur = 4
-	staleLost := mk(trace.EvFlowLatency, 6)
-	staleLost.Class = "lost"
-	staleLost.Bytes = 1e5
-
-	launch2 := mk(trace.EvTaskLaunch, 10)
-	launch2.Node = 2
-	launch2.Class = sched.ClassDegraded.String()
-
-	won := mk(trace.EvFlowLatency, 11.5)
-	won.Class = "won"
-	won.Dur = 1.5
-	lost := mk(trace.EvFlowLatency, 12)
-	lost.Class = "lost"
-	lost.Bytes = 100
-
-	done2 := mk(trace.EvDegradedDone, 12)
-	finish := mk(trace.EvTaskFinish, 15)
-
-	res := buildResult([]trace.Event{
-		submit, launch1, requeue, staleDone, staleWon, staleLost,
-		launch2, won, lost, done2, finish,
-	})
-	rec := res.Jobs[0].Tasks[0]
-	if rec.DegradedReadTime != 2 {
-		t.Fatalf("degraded read time = %v, want 2 (12 - relaunch at 10); stale pairing?",
-			rec.DegradedReadTime)
-	}
-	if !reflect.DeepEqual(rec.FlowLatencies, []float64{1.5}) {
-		t.Fatalf("flow latencies = %v, want [1.5] (stale sample must be dropped)", rec.FlowLatencies)
-	}
-	if rec.WastedBytes != 100 || res.WastedBytes != 100 {
-		t.Fatalf("wasted bytes = %v/%v, want 100/100 (stale waste must be dropped)",
-			rec.WastedBytes, res.WastedBytes)
-	}
-	if rec.FinishTime != 15 || rec.LaunchTime != 10 {
-		t.Fatalf("record times launch=%v finish=%v", rec.LaunchTime, rec.FinishTime)
-	}
-}
-
-// TestRebuildStragglerWithoutRelaunch: a degraded-done with no live
-// launch at all (requeue, then nothing) must leave the record untouched.
-func TestRebuildStragglerWithoutRelaunch(t *testing.T) {
-	mk := func(typ trace.Type, at float64) trace.Event {
-		e := trace.New(at, typ)
-		e.Job, e.Task = 0, 0
-		return e
-	}
-	submit := mk(trace.EvJobSubmit, 0)
-	submit.N = 1
-	launch := mk(trace.EvTaskLaunch, 2)
-	launch.Class = sched.ClassDegraded.String()
-	requeue := mk(trace.EvTaskRequeue, 5)
-	stale := mk(trace.EvDegradedDone, 7)
-
-	res := buildResult([]trace.Event{submit, launch, requeue, stale})
-	if got := res.Jobs[0].Tasks[0].DegradedReadTime; got != 0 {
-		t.Fatalf("degraded read time = %v, want 0: straggler paired with zeroed record", got)
 	}
 }
 

@@ -1,7 +1,9 @@
 package runtime
 
 import (
-	"sort"
+	"errors"
+	"fmt"
+	"slices"
 
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/sched"
@@ -15,64 +17,104 @@ import (
 // JSONL file — it rebuilds the identical Result: virtual times and
 // byte counts survive the JSON round-trip exactly, and BytesMoved is
 // re-accumulated in the original event order.
+//
+// It also owns the stream's grammar (DESIGN §3): indices in range, every
+// interval closed exactly once, attempt events on the live attempt only,
+// nothing landing on a failed node, nothing open at run-end. It keeps the
+// first violation, with its event, and Result returns it.
 type Builder struct {
-	res    Result
-	failed map[topology.NodeID]bool
-	// reduceLaunch remembers each reducer's latest launch time until its
-	// finish event appends the ReduceRecord.
-	reduceLaunch map[[2]int]float64
-	// launched tracks map tasks with a live launch (set on EvTaskLaunch,
-	// cleared on EvTaskRequeue). Degraded-read events pair with the
-	// latest launch only: without this guard, an EvDegradedDone straggling
-	// after a requeue would be measured against the zeroed record's
-	// LaunchTime and yield a bogus read time.
-	launched map[[2]int]bool
+	res  Result
+	jobs []jobTrace
+	// flows marks each flow open, by flow ID: netsim numbers flows
+	// densely from 0, so a transfer-start names the next ID.
+	flows []bool
+	// repairOpen counts each stripe's launched, uncommitted blocks.
+	repairOpen map[repair.Key]int
 	// repairPending tracks each queued stripe's lost-block count;
 	// repairLost is their running sum plus the losses of unrepairable
 	// stripes — the at-risk timeline's value.
 	repairPending map[repair.Key]int
 	repairUnrep   map[repair.Key]int
 	repairLost    int
+
+	started, ended bool
+	seq            int // events consumed
+	err            error
 }
+
+// jobTrace is one submitted job's map tasks and reducers.
+type jobTrace struct {
+	submitted, finished bool
+	maps, reduces       []span
+}
+
+// span is where a map task or reducer stands: idle (never launched, or
+// requeued or reset), live since at, or done.
+type span struct {
+	live, done bool
+	at         float64
+}
+
+func isLive(s span) bool { return s.live }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	return &Builder{
-		failed:        make(map[topology.NodeID]bool),
-		reduceLaunch:  make(map[[2]int]float64),
-		launched:      make(map[[2]int]bool),
+		repairOpen:    make(map[repair.Key]int),
 		repairPending: make(map[repair.Key]int),
 		repairUnrep:   make(map[repair.Key]int),
 	}
 }
 
-func (b *Builder) job(idx int) *JobResult {
-	if idx < 0 || idx >= len(b.res.Jobs) {
-		return nil
-	}
-	return &b.res.Jobs[idx]
-}
-
-func (b *Builder) task(job, task int) *TaskRecord {
-	jr := b.job(job)
-	if jr == nil || task < 0 || task >= len(jr.Tasks) {
-		return nil
-	}
-	return &jr.Tasks[task]
-}
-
-// Consume folds one event. Events that don't shape the Result (heartbeats,
-// scheduling decisions, transfer starts) are ignored.
+// Consume folds one event. Events that shape neither the Result nor the
+// grammar (heartbeats, scheduling decisions, wire events) are ignored.
 func (b *Builder) Consume(e trace.Event) {
+	b.seq++
+	if err := b.fold(&e); err != nil && b.err == nil {
+		b.err = fmt.Errorf("trace event %d (%s at t=%v): %w", b.seq, e.Type, e.T, err)
+	}
+}
+
+// fold applies one event and returns the rule it breaks, if any.
+func (b *Builder) fold(e *trace.Event) error {
+	switch e.Type {
+	case trace.EvTaskLaunch, trace.EvMapStart, trace.EvTaskFinish,
+		trace.EvReduceLaunch, trace.EvReduceStart, trace.EvReduceFinish:
+		if b.isFailed(e.Node) {
+			return fmt.Errorf("node %d has failed", e.Node)
+		}
+	}
 	switch e.Type {
 	case trace.EvRunStart:
+		if b.started {
+			return errors.New("a second run-start")
+		}
+		b.started = true
 		b.res.Scheduler = e.Name
+	case trace.EvRunEnd:
+		if !b.started || b.ended {
+			return errors.New("no open run")
+		}
+		b.ended = true
+		return b.openAtEnd()
 	case trace.EvNodeFail:
-		b.failed[topology.NodeID(e.Node)] = true
+		i, found := slices.BinarySearch(b.res.Failed, topology.NodeID(e.Node))
+		if e.Node < 0 || found {
+			return fmt.Errorf("node %d is not a live node", e.Node)
+		}
+		b.res.Failed = slices.Insert(b.res.Failed, i, topology.NodeID(e.Node))
 	case trace.EvJobSubmit:
-		for len(b.res.Jobs) <= e.Job {
+		if e.Job < 0 || e.N < 0 {
+			return fmt.Errorf("job %d of %d maps is out of range", e.Job, e.N)
+		}
+		for len(b.jobs) <= e.Job {
+			b.jobs = append(b.jobs, jobTrace{})
 			b.res.Jobs = append(b.res.Jobs, JobResult{})
 		}
+		if b.jobs[e.Job].submitted {
+			return fmt.Errorf("job %d submitted twice", e.Job)
+		}
+		b.jobs[e.Job] = jobTrace{submitted: true, maps: make([]span, e.N)}
 		b.res.Jobs[e.Job] = JobResult{
 			Name:           e.Name,
 			SubmitTime:     e.T,
@@ -80,88 +122,127 @@ func (b *Builder) Consume(e trace.Event) {
 			FirstMapLaunch: -1,
 			Tasks:          make([]TaskRecord, e.N),
 		}
-	case trace.EvJobQueued:
-		if jr := b.job(e.Job); jr != nil {
+	case trace.EvJobQueued, trace.EvJobGrant, trace.EvMapPhaseEnd, trace.EvJobFinish:
+		jt, err := b.job(e.Job)
+		if err != nil {
+			return err
+		}
+		jr := &b.res.Jobs[e.Job]
+		switch e.Type {
+		case trace.EvJobQueued:
 			jr.Tenant = e.Name
-		}
-	case trace.EvJobGrant:
-		if jr := b.job(e.Job); jr != nil {
+		case trace.EvJobGrant:
 			jr.QueueDelay = e.T - jr.SubmitTime
+		case trace.EvMapPhaseEnd:
+			jr.MapPhaseEnd = e.T
+		default:
+			if jt.finished {
+				return fmt.Errorf("job %d finished twice", e.Job)
+			}
+			jt.finished = true
+			jr.FinishTime = e.T
+			b.res.Makespan = max(b.res.Makespan, e.T)
 		}
-	case trace.EvTaskLaunch:
-		jr := b.job(e.Job)
-		rec := b.task(e.Job, e.Task)
-		if jr == nil || rec == nil {
-			return
+	case trace.EvTaskLaunch, trace.EvDegradedPlan, trace.EvDegradedDone, trace.EvFlowLatency,
+		trace.EvHedgeLaunch, trace.EvMapStart, trace.EvTaskFinish, trace.EvTaskRequeue:
+		rec, st, err := b.task(e)
+		if err != nil {
+			return err
 		}
-		if jr.FirstMapLaunch < 0 {
-			jr.FirstMapLaunch = e.T
-		}
-		class, _ := sched.ParseClass(e.Class)
-		*rec = TaskRecord{
-			Job:        e.Job,
-			Task:       e.Task,
-			Class:      class,
-			Node:       topology.NodeID(e.Node),
-			LaunchTime: e.T,
-		}
-		b.launched[[2]int{e.Job, e.Task}] = true
-	case trace.EvDegradedDone:
-		if rec := b.task(e.Job, e.Task); rec != nil && b.launched[[2]int{e.Job, e.Task}] {
+		switch {
+		case e.Type == trace.EvTaskLaunch:
+			if st.live || st.done {
+				return fmt.Errorf("job %d task %d launched again without a requeue", e.Job, e.Task)
+			}
+			*st = span{live: true, at: e.T}
+			if jr := &b.res.Jobs[e.Job]; jr.FirstMapLaunch < 0 {
+				jr.FirstMapLaunch = e.T
+			}
+			class, _ := sched.ParseClass(e.Class)
+			*rec = TaskRecord{
+				Job:        e.Job,
+				Task:       e.Task,
+				Class:      class,
+				Node:       topology.NodeID(e.Node),
+				LaunchTime: e.T,
+			}
+		case e.Type == trace.EvTaskRequeue:
+			if !st.live && !st.done {
+				return fmt.Errorf("job %d task %d has neither a live attempt nor an output to lose", e.Job, e.Task)
+			}
+			if st.done {
+				// A completed map is re-executed: the map phase reopens.
+				b.res.Jobs[e.Job].MapPhaseEnd = 0
+			}
+			*st = span{}
+			*rec = TaskRecord{Job: e.Job, Task: e.Task}
+		case !st.live:
+			return fmt.Errorf("job %d task %d has no live attempt", e.Job, e.Task)
+		case e.Type == trace.EvDegradedDone:
 			rec.DegradedReadTime = e.T - rec.LaunchTime
-		}
-	case trace.EvFlowLatency:
-		rec := b.task(e.Job, e.Task)
-		if rec == nil || !b.launched[[2]int{e.Job, e.Task}] {
-			return
-		}
-		switch e.Class {
-		case "won":
+		case e.Type == trace.EvFlowLatency && e.Class == "won":
 			rec.FlowLatencies = append(rec.FlowLatencies, e.Dur)
-		case "lost":
+		case e.Type == trace.EvFlowLatency && e.Class == "lost":
 			rec.WastedBytes += e.Bytes
 			b.res.WastedBytes += e.Bytes
-		}
-	case trace.EvTaskFinish:
-		if rec := b.task(e.Job, e.Task); rec != nil {
+		case e.Type == trace.EvTaskFinish:
+			*st = span{done: true}
 			rec.FinishTime = e.T
 		}
-	case trace.EvTaskRequeue:
-		jr := b.job(e.Job)
-		rec := b.task(e.Job, e.Task)
-		if jr == nil || rec == nil {
-			return
+	case trace.EvReduceLaunch, trace.EvReduceStart, trace.EvReduceFinish, trace.EvReduceReset:
+		jt, err := b.job(e.Job)
+		if err != nil {
+			return err
 		}
-		if rec.FinishTime > 0 {
-			// A completed map is re-executed: the map phase reopens.
-			jr.MapPhaseEnd = 0
+		if e.Type == trace.EvReduceLaunch {
+			// The master takes a job's unlaunched reducers in index order,
+			// so a first launch names the next index.
+			if e.Task < 0 || e.Task > len(jt.reduces) {
+				return fmt.Errorf("job %d has no reducer %d", e.Job, e.Task)
+			}
+			if e.Task == len(jt.reduces) {
+				jt.reduces = append(jt.reduces, span{})
+			}
+			if r := jt.reduces[e.Task]; r.live || r.done {
+				return fmt.Errorf("job %d reducer %d launched while open or done", e.Job, e.Task)
+			}
+			jt.reduces[e.Task] = span{live: true, at: e.T}
+			return nil
 		}
-		*rec = TaskRecord{Job: e.Job, Task: e.Task}
-		delete(b.launched, [2]int{e.Job, e.Task})
-	case trace.EvMapPhaseEnd:
-		if jr := b.job(e.Job); jr != nil {
-			jr.MapPhaseEnd = e.T
+		if e.Task < 0 || e.Task >= len(jt.reduces) || !jt.reduces[e.Task].live {
+			return fmt.Errorf("job %d reducer %d has no open reduce-launch", e.Job, e.Task)
 		}
-	case trace.EvReduceLaunch:
-		b.reduceLaunch[[2]int{e.Job, e.Task}] = e.T
-	case trace.EvReduceReset:
-		delete(b.reduceLaunch, [2]int{e.Job, e.Task})
-	case trace.EvReduceFinish:
-		if jr := b.job(e.Job); jr != nil {
+		r := &jt.reduces[e.Task]
+		if e.Type == trace.EvReduceStart {
+			return nil
+		}
+		if e.Type == trace.EvReduceFinish {
+			jr := &b.res.Jobs[e.Job]
 			jr.Reduces = append(jr.Reduces, ReduceRecord{
 				Job:        e.Job,
 				Index:      e.Task,
 				Node:       topology.NodeID(e.Node),
-				LaunchTime: b.reduceLaunch[[2]int{e.Job, e.Task}],
+				LaunchTime: r.at,
 				FinishTime: e.T,
 			})
 		}
-	case trace.EvJobFinish:
-		if jr := b.job(e.Job); jr != nil {
-			jr.FinishTime = e.T
+		*r = span{done: e.Type == trace.EvReduceFinish}
+	case trace.EvTransferStart:
+		if e.N != len(b.flows) {
+			return fmt.Errorf("flow %d is not the next flow ID %d", e.N, len(b.flows))
 		}
-	case trace.EvTransferEnd:
-		b.res.BytesMoved += e.Bytes
+		b.flows = append(b.flows, true)
+	case trace.EvTransferEnd, trace.EvTransferCancel:
+		if e.N < 0 || e.N >= len(b.flows) || !b.flows[e.N] {
+			return fmt.Errorf("flow %d is not open", e.N)
+		}
+		b.flows[e.N] = false
+		if e.Type == trace.EvTransferEnd {
+			b.res.BytesMoved += e.Bytes
+			if b.isFailed(e.Src) || b.isFailed(e.Dst) {
+				return fmt.Errorf("flow %d finished with a failed end", e.N)
+			}
+		}
 	case trace.EvRepairQueued:
 		st := b.repairStats()
 		key := repair.Key{File: e.Name, Stripe: e.Task}
@@ -184,7 +265,23 @@ func (b *Builder) Consume(e trace.Event) {
 			b.repairPending[key] = e.N
 		}
 		b.pushAtRisk(e.T)
+		if e.Class == "requeue" {
+			// A failure cancelled the stripe's repair: its launches close.
+			if b.repairOpen[key] == 0 {
+				return fmt.Errorf("%s requeued with no open repair-launch", key)
+			}
+			delete(b.repairOpen, key)
+		}
+	case trace.EvRepairLaunch:
+		b.repairOpen[repair.Key{File: e.Name, Stripe: e.Task}]++
 	case trace.EvRepairDone:
+		key := repair.Key{File: e.Name, Stripe: e.Task}
+		if b.repairOpen[key] == 0 {
+			return fmt.Errorf("%s has no open repair-launch", key)
+		}
+		if b.repairOpen[key]--; b.repairOpen[key] == 0 {
+			delete(b.repairOpen, key)
+		}
 		st := b.repairStats()
 		st.BlocksRepaired++
 		if e.Class == "local" {
@@ -196,7 +293,6 @@ func (b *Builder) Consume(e trace.Event) {
 		if st.FirstRepairAt < 0 {
 			st.FirstRepairAt = e.T
 		}
-		key := repair.Key{File: e.Name, Stripe: e.Task}
 		if n, ok := b.repairPending[key]; ok {
 			b.repairLost--
 			if n <= 1 {
@@ -210,6 +306,53 @@ func (b *Builder) Consume(e trace.Event) {
 		}
 		b.pushAtRisk(e.T)
 	}
+	return nil
+}
+
+// job returns a submitted job's state.
+func (b *Builder) job(idx int) (*jobTrace, error) {
+	if idx < 0 || idx >= len(b.jobs) || !b.jobs[idx].submitted {
+		return nil, fmt.Errorf("job %d was never submitted", idx)
+	}
+	return &b.jobs[idx], nil
+}
+
+// task returns map task e.Task of job e.Job: its record and its state.
+func (b *Builder) task(e *trace.Event) (*TaskRecord, *span, error) {
+	jt, err := b.job(e.Job)
+	if err != nil {
+		return nil, nil, err
+	}
+	if e.Task < 0 || e.Task >= len(jt.maps) {
+		return nil, nil, fmt.Errorf("job %d has no map task %d", e.Job, e.Task)
+	}
+	return &b.res.Jobs[e.Job].Tasks[e.Task], &jt.maps[e.Task], nil
+}
+
+func (b *Builder) isFailed(node int) bool {
+	return slices.Contains(b.res.Failed, topology.NodeID(node))
+}
+
+// openAtEnd names the first interval still open at run-end.
+func (b *Builder) openAtEnd() error {
+	for j, jt := range b.jobs {
+		if !jt.finished {
+			return fmt.Errorf("job %d never finished", j)
+		}
+		if t := slices.IndexFunc(jt.maps, isLive); t >= 0 {
+			return fmt.Errorf("job %d task %d never closed", j, t)
+		}
+		if r := slices.IndexFunc(jt.reduces, isLive); r >= 0 {
+			return fmt.Errorf("job %d reducer %d never closed", j, r)
+		}
+	}
+	if id := slices.Index(b.flows, true); id >= 0 {
+		return fmt.Errorf("flow %d never closed", id)
+	}
+	if n := len(b.repairOpen); n > 0 {
+		return fmt.Errorf("stripes with a repair-launch never closed: %d", n)
+	}
+	return nil
 }
 
 // repairStats returns the lazily-allocated repair aggregate: it exists
@@ -231,28 +374,19 @@ func (b *Builder) pushAtRisk(t float64) {
 	st.AtRisk = append(st.AtRisk, AtRiskPoint{T: t, Lost: b.repairLost})
 }
 
-// Result returns the folded Result. Call once, after the run's last event.
-func (b *Builder) Result() *Result {
-	if len(b.failed) > 0 {
-		ids := make([]topology.NodeID, 0, len(b.failed))
-		for id := range b.failed {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		b.res.Failed = ids
+// Result returns the folded Result, or the trace's first violation. Call
+// once, after the run's last event.
+func (b *Builder) Result() (*Result, error) {
+	if b.err == nil && !b.ended {
+		b.err = errors.New("the trace has no run-end")
 	}
-	b.res.Makespan = 0
-	for i := range b.res.Jobs {
-		if ft := b.res.Jobs[i].FinishTime; ft > b.res.Makespan {
-			b.res.Makespan = ft
-		}
+	if b.err != nil {
+		return nil, b.err
 	}
-	if st := b.res.Repair; st != nil {
-		// Full redundancy is only reached when every repairable stripe
-		// healed and nothing is beyond repair.
-		if len(b.repairUnrep) > 0 || len(b.repairPending) > 0 {
-			st.FullRedundancyAt = -1
-		}
+	// Full redundancy is only reached when every repairable stripe healed
+	// and nothing is beyond repair.
+	if st := b.res.Repair; st != nil && (len(b.repairUnrep) > 0 || len(b.repairPending) > 0) {
+		st.FullRedundancyAt = -1
 	}
-	return &b.res
+	return &b.res, nil
 }

@@ -69,7 +69,7 @@ const maxSimTime = 1e7
 
 // Run drives the master loop over the given jobs until all finish, fail,
 // or maxSimTime passes, and returns the Result rebuilt from the run's
-// trace stream.
+// trace stream, or the stream's first violation of the Builder's grammar.
 func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("%s: nil backend", p.name())
@@ -214,16 +214,15 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	if st.err != nil {
 		return nil, st.err
 	}
-	if !st.allDone() {
-		return nil, fmt.Errorf("%s: drained with %d/%d jobs finished", st.name, st.finished, len(st.jobs))
-	}
-	if err := st.net.Drained(); err != nil {
-		// All jobs claim to be done yet flows remain: a transfer was
-		// admitted and then silently starved (never rescheduled).
+	// The engine ran dry. The Builder's run-end check rejects what that can
+	// leave behind: a job that never finished, or a flow admitted and never
+	// finished or cancelled (starved, never rescheduled).
+	st.emit(st.ev(trace.EvRunEnd))
+	res, err := st.builder.Result()
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", st.name, err)
 	}
-	st.emit(st.ev(trace.EvRunEnd))
-	return st.builder.Result(), nil
+	return res, nil
 }
 
 type slaveState struct {

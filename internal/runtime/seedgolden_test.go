@@ -40,12 +40,17 @@ var updateSeedGolden = flag.Bool("update-seed-golden", false,
 var seedNewEventTypes = []trace.Type{"job-queued", "job-grant", "flow-latency", "hedge-launch"}
 
 // buildResult replays a recorded single-run trace into its Result.
-func buildResult(events []trace.Event) *runtime.Result {
+func buildResult(t *testing.T, events []trace.Event) *runtime.Result {
+	t.Helper()
 	b := runtime.NewBuilder()
 	for _, e := range events {
 		b.Consume(e)
 	}
-	return b.Result()
+	res, err := b.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func dropSeedNewEvents(events []trace.Event) []trace.Event {
@@ -275,7 +280,7 @@ func seedGoldenCompare(t *testing.T, file string, run func(*testing.T) []trace.E
 				wk = append(wk, e)
 			}
 		}
-		lr, wr := buildResult(lk), buildResult(wk)
+		lr, wr := buildResult(t, lk), buildResult(t, wk)
 		if lr.Makespan != wr.Makespan || lr.BytesMoved != wr.BytesMoved {
 			t.Errorf("%s: makespan/bytes = %.6f/%.0f, seed %.6f/%.0f",
 				label, lr.Makespan, lr.BytesMoved, wr.Makespan, wr.BytesMoved)

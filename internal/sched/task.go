@@ -194,24 +194,16 @@ func (j *Job) popRackLocal(c *topology.Cluster, s topology.NodeID) *Task {
 }
 
 // popRemote takes the next unassigned task whose holder is in a different
-// rack from s. On multi-tier fabrics it is distance-aware: among remote
-// holders it prefers the one with the smallest hop distance to s (same
-// pod before core-crossing), breaking ties by task order. Two-level
-// clusters have a single remote distance, so the pick degenerates to the
-// historical first-pending-remote scan and stays bit-identical.
+// rack from s, preferring the smallest hop distance to s (same pod before
+// core-crossing) and breaking ties by task order. On one tier every
+// remote holder is equally far, so the first pending remote task wins.
 func (j *Job) popRemote(c *topology.Cluster, s topology.NodeID) *Task {
 	myRack := c.RackOf(s)
+	// The nearest a remote holder can be: one tier up, or across the
+	// core link when only the root joins racks.
+	nearest := 4
 	if c.NumTiers() == 1 {
-		for _, t := range j.tasks {
-			if t.assigned || t.Lost {
-				continue
-			}
-			if c.RackOf(t.Holder) != myRack {
-				j.take(t)
-				return t
-			}
-		}
-		return nil
+		nearest = 5
 	}
 	var best *Task
 	bestDist := 0
@@ -221,8 +213,8 @@ func (j *Job) popRemote(c *topology.Cluster, s topology.NodeID) *Task {
 		}
 		if d := c.HopDistance(s, t.Holder); best == nil || d < bestDist {
 			best, bestDist = t, d
-			if d == 4 {
-				break // one tier up is the remote minimum; no closer task exists
+			if d == nearest {
+				break // no closer task exists
 			}
 		}
 	}

@@ -60,9 +60,8 @@ const (
 	EvFlowLatency Type = "flow-latency"
 	// EvHedgeLaunch records a hedge: a standby source launched because an
 	// in-flight flow exceeded its percentile deadline. Src is the standby
-	// source node, N the flow ID of the slow flow being hedged, Bytes the
-	// deadline that was exceeded (virtual seconds). Closed by the matching
-	// EvFlowLatency of the hedge flow (or EvTaskRequeue on failure).
+	// source node, Bytes its read volume, N the flow ID of the slow flow
+	// being hedged, Dur the deadline that was exceeded (virtual seconds).
 	// Emitted only when a hedge policy is active.
 	EvHedgeLaunch Type = "hedge-launch"
 	// EvMapStart begins map processing (input ready).

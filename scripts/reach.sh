@@ -47,7 +47,7 @@ covtest() {
 	go test -count=1 -cover -coverpkg=./internal/... -run "$run" "$pkg" -args -test.gocoverdir="$cover"
 }
 covtest ./internal/cluster 'TestLoopback|^TestProcessClusterSurvivesWorkerKill$|^TestPeerErrorMessages$'
-covtest ./internal/runtime '^(TestRepairCommitToDeadNodeRequeues|TestSecondFailureMidRepair|TestUnrepairableReportedOnceNeverLaunched|TestAsyncReduceFailureReowesLateFetch)$'
+covtest ./internal/runtime '^(TestRepairCommitToDeadNodeRequeues|TestSecondFailureMidRepair|TestUnrepairableReportedOnceNeverLaunched|TestAsyncReduceFailureReowesLateFetch|TestBuilderRejectsMalformedTraces)$'
 covtest ./internal/gf256 '^TestInvertZeroPivot$'
 covtest ./internal/dfs '^TestReadBlock$'
 
