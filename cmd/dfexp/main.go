@@ -65,7 +65,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		all       = fs.Bool("all", false, "run every registered experiment")
 		seeds     = fs.Int("seeds", 0, "override the per-experiment sample count")
 		quick     = fs.Bool("quick", false, "smoke-scale workloads (fewer seeds, smaller jobs)")
-		par       = fs.Int("parallel", 0, "max concurrent simulation runs (0 = NumCPU)")
 		out       = fs.String("out", "", "also write results to this file")
 		format    = fs.String("format", "text", "output format: text, csv or json")
 		traceOut  = fs.String("trace", "", "write structured trace events (JSON lines) to this file")
@@ -88,9 +87,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *seeds < 0 {
 		return fmt.Errorf("-seeds must be non-negative, got %d", *seeds)
-	}
-	if *par < 0 {
-		return fmt.Errorf("-parallel must be non-negative, got %d", *par)
 	}
 
 	if *list {
@@ -150,7 +146,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	opts := exp.Options{Seeds: *seeds, Quick: *quick, Parallelism: *par, JobSched: *jobSched}
+	opts := exp.Options{Seeds: *seeds, Quick: *quick, JobSched: *jobSched}
 	for _, e := range targets {
 		if traceSink != nil {
 			opts.Trace = expSink{id: e.ID, sink: traceSink}

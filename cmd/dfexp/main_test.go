@@ -262,7 +262,6 @@ func TestFlagsCheckedBeforeRunning(t *testing.T) {
 		{[]string{"-run", "fig7a", "-quick", "-format", "xml"}, `unknown format "xml"`},
 		{[]string{"-run", "fig3,jobsched", "-quick", "-jobsched", "bogus"}, `jobsched: unknown policy "bogus"`},
 		{[]string{"-run", "fig7a", "-seeds", "-4"}, "-seeds must be non-negative"},
-		{[]string{"-run", "fig7a", "-parallel", "-1"}, "-parallel must be non-negative"},
 	} {
 		var out, errOut strings.Builder
 		err := run(ctx, tc.args, &out, &errOut)

@@ -38,7 +38,7 @@ type Stats struct {
 	PeerDials int64 // worker↔worker connections this worker opened
 	// Payload bytes are the raw bytes after envelopes: blocks and
 	// record buffers only.
-	FramesSent, FramesReceived             int64
+	FramesSent                             int64
 	PayloadBytesSent, PayloadBytesReceived int64
 	MaxEnvelopeBytes                       int64 // largest JSON envelope sent
 	// CancelsHonoured counts responses skipped because the cancel
@@ -119,7 +119,6 @@ func (rc *rpcConn) recv(f *frame) error {
 		return err
 	}
 	rc.st.add(func(st *Stats) {
-		st.FramesReceived++
 		st.PayloadBytesReceived += int64(len(f.Payload))
 	})
 	return nil

@@ -68,11 +68,7 @@ func PickRepairDestination(c *topology.Cluster, p *placement.Placement, s int,
 func planStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 	file string, s int) (repair.StripePlan, error) {
 
-	plan := repair.StripePlan{
-		Key: repair.Key{File: file, Stripe: s},
-		N:   p.N(),
-		K:   p.K(),
-	}
+	plan := repair.StripePlan{Key: repair.Key{File: file, Stripe: s}}
 	holders := p.StripeHolders(s)
 	var lost, alive []int
 	for i, h := range holders {
@@ -97,7 +93,7 @@ func planStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 		bp := repair.BlockPlan{Index: idx, Dest: dest}
 		set, local := repairSet(code, idx, alive)
 		if set == nil {
-			set = alive[:plan.K]
+			set = alive[:p.K()]
 		}
 		for _, i := range set {
 			bp.Sources = append(bp.Sources, repair.Source{Node: holders[i], Index: i})

@@ -20,7 +20,7 @@ import (
 // global parities.
 type LRC struct {
 	linear
-	l, g      int
+	l         int
 	groupSize int
 }
 
@@ -47,7 +47,7 @@ func NewLRC(k, l, g int) (*LRC, error) {
 	for r := 0; r < g; r++ {
 		copy(parity.Row(l+r), global.Row(r))
 	}
-	return &LRC{linear: newLinear(k, parity), l: l, g: g, groupSize: groupSize}, nil
+	return &LRC{linear: newLinear(k, parity), l: l, groupSize: groupSize}, nil
 }
 
 // GroupOf returns the local group of a data or local-parity block index,

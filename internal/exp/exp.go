@@ -80,8 +80,6 @@ type Options struct {
 	// Quick shrinks workloads (fewer seeds, smaller F) for smoke runs and
 	// benchmarks. Shapes still hold; absolute precision drops.
 	Quick bool
-	// Parallelism bounds concurrent simulation runs (0 = NumCPU).
-	Parallelism int
 	// Trace receives every underlying run's structured lifecycle events
 	// (nil = no tracing). Events are labeled per run (scheduler and seed)
 	// so one sink can absorb a whole experiment.
@@ -90,13 +88,6 @@ type Options struct {
 	// ("fifo", "fairshare", "quota" or "deadline"; empty = sweep all).
 	// Other experiments ignore it.
 	JobSched string
-}
-
-func (o Options) parallelism() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.NumCPU()
 }
 
 // Experiment is one registered artifact reproduction.
@@ -145,17 +136,17 @@ func All() []Experiment {
 }
 
 // parallelMap runs fn for i in [0, n), in order of i, on at most
-// parallelism goroutines and returns the first error. Once ctx is
+// GOMAXPROCS goroutines and returns the first error. Once ctx is
 // cancelled no further i starts; those running finish (their own ctx
 // checks abort them promptly).
-func parallelMap(ctx context.Context, n, parallelism int, fn func(i int) error) error {
+func parallelMap(ctx context.Context, n int, fn func(i int) error) error {
 	var (
 		wg   sync.WaitGroup
 		next atomic.Int64
 		once sync.Once
 		err  error
 	)
-	for range max(min(parallelism, n), 1) {
+	for range max(min(runtime.GOMAXPROCS(0), n), 1) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

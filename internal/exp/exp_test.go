@@ -8,6 +8,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	goruntime "runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -486,24 +487,24 @@ func TestMemoizedRunsTrace(t *testing.T) {
 }
 
 // TestSerialMatchesGolden: the runner spreads a sweep's points, schedulers
-// and seeds over the workers in any order, so one worker must produce
-// the golden tables too. The memos are reset first, so the tables are
-// computed here rather than served from the shared quick run.
+// and seeds over GOMAXPROCS workers in any order, so one worker must
+// produce the golden tables too. The memos are reset first, so the tables
+// are computed here rather than served from the shared quick run.
 func TestSerialMatchesGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "quick.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fig8Memo, fig9aMemo = memo{}, memo{}
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
 	o := quickOpts()
-	o.Parallelism = 1
 	for _, id := range []string{"fig7a", "fig7f", "fig8a", "fig9a", "hedge", "repair", "jobsched"} {
 		js, err := json.Marshal(runExp(t, id, o))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Contains(want, append(js, '\n')) {
-			t.Errorf("%s at Parallelism 1 differs from the golden line:\n%s", id, js)
+			t.Errorf("%s on one worker differs from the golden line:\n%s", id, js)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func (s sweep) runAll(ctx context.Context, o Options, pts []point, seeds int) ([
 		}
 	}
 	perPoint := seeds * slots
-	err := parallelMap(ctx, len(pts)*perPoint, o.parallelism(), func(i int) error {
+	err := parallelMap(ctx, len(pts)*perPoint, func(i int) error {
 		p, seed, slot := pts[i/perPoint], i%perPoint/slots, i%slots
 		c := p.cfg
 		c.Seed, c.Trace = p.seed+int64(seed), o.Trace

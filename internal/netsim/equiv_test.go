@@ -371,7 +371,7 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		})
 	}
 	eng.Run()
-	if err := books.close(n); err != nil {
+	if err := books.close(); err != nil {
 		fail("end of run", err)
 	}
 	// Same-instant finish order may legitimately differ between batched
@@ -389,7 +389,7 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 	for _, x := range fins {
 		out.finishes = append(out.finishes, fmt.Sprintf("%d@%x", x.id, math.Float64bits(x.at)))
 	}
-	out.bytesMoved = n.BytesMoved
+	out.bytesMoved = books.finished
 	out.stats = n.Stats()
 	return out
 }

@@ -202,9 +202,6 @@ type Net struct {
 
 	stats Stats
 
-	// BytesMoved accumulates completed-transfer volume, for metrics.
-	BytesMoved float64
-
 	hooks Hooks
 }
 
@@ -222,9 +219,9 @@ type Stats struct {
 func (n *Net) Stats() Stats { return n.stats }
 
 // Hooks observe the flow lifecycle, for trace instrumentation. Start fires
-// when a flow is created (even if queued in hold mode), Finish right after
-// its bytes are accounted to BytesMoved and before its completion callback,
-// Cancel after an abort. Nil entries are skipped.
+// when a flow is created (even if queued in hold mode), Finish once it has
+// left the network and before its completion callback, Cancel after an
+// abort. Nil entries are skipped.
 type Hooks struct {
 	Start  func(*Flow)
 	Finish func(*Flow)
@@ -507,8 +504,8 @@ func (n *Net) Cancel(f *Flow) {
 	}
 }
 
-// finish completes a flow: removes it, accounts bytes, redistributes
-// bandwidth, and fires the callback.
+// finish completes a flow: removes it, redistributes bandwidth, and fires
+// the callback.
 func (n *Net) finish(f *Flow) {
 	if f.finished {
 		return
@@ -520,7 +517,6 @@ func (n *Net) finish(f *Flow) {
 		n.owned--
 	}
 	n.removeFlow(f)
-	n.BytesMoved += f.Bytes
 	if n.hooks.Finish != nil {
 		n.hooks.Finish(f)
 	}

@@ -22,6 +22,14 @@ func startFlow(n *Net, src, dst topology.NodeID, bytes float64, done func(*Flow)
 	return n.StartFlows([]FlowReq{{Src: src, Dst: dst, Bytes: bytes, Done: done}})[0]
 }
 
+// movedBytes installs a Finish hook on n that sums the bytes of finished
+// flows, and returns the running sum.
+func movedBytes(n *Net) *float64 {
+	var moved float64
+	n.SetHooks(Hooks{Finish: func(f *Flow) { moved += f.Bytes }})
+	return &moved
+}
+
 func mustNet(t *testing.T, eng *sim.Engine, c *topology.Cluster, cfg Config) *Net {
 	t.Helper()
 	n, err := New(eng, c, cfg)
@@ -272,11 +280,12 @@ func TestCoreCapacityShared(t *testing.T) {
 func TestBytesMovedAccounting(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
+	moved := movedBytes(n)
 	startFlow(n, 0, 3, 1e6, nil)
 	startFlow(n, 1, 4, 2e6, nil)
 	eng.Run()
-	if n.BytesMoved != 3e6 {
-		t.Fatalf("BytesMoved = %v, want 3e6", n.BytesMoved)
+	if *moved != 3e6 {
+		t.Fatalf("bytes moved = %v, want 3e6", *moved)
 	}
 	if len(n.flows) != 0 {
 		t.Fatalf("%d flows active after completion", len(n.flows))
@@ -318,6 +327,7 @@ func TestConservationProperty(t *testing.T) {
 		c := topology.MustNew(topology.Config{Nodes: 12, Racks: 3, MapSlotsPerNode: 1})
 		eng := sim.New()
 		n := mustNet(t, eng, c, Config{RackBps: 100 * Mbps, NodeBps: Gbps, Mode: mode})
+		moved := movedBytes(n)
 		var total float64
 		completed := 0
 		for i := 0; i < 50; i++ {
@@ -334,8 +344,8 @@ func TestConservationProperty(t *testing.T) {
 		if completed != 50 {
 			t.Fatalf("mode %v: only %d/50 flows completed", mode, completed)
 		}
-		if math.Abs(n.BytesMoved-total) > 1 {
-			t.Fatalf("mode %v: BytesMoved=%v want %v", mode, n.BytesMoved, total)
+		if math.Abs(*moved-total) > 1 {
+			t.Fatalf("mode %v: bytes moved = %v, want %v", mode, *moved, total)
 		}
 	}
 }
@@ -411,6 +421,7 @@ func TestManySmallFlowsDrain(t *testing.T) {
 func TestCancelFlow(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
+	moved := movedBytes(n)
 	fired := false
 	f := startFlow(n, 0, 3, 100e6, func(*Flow) { fired = true })
 	// A second flow shares the bottleneck; cancelling the first must
@@ -430,8 +441,8 @@ func TestCancelFlow(t *testing.T) {
 	if math.Abs(doneAt-1.25) > 1e-6 {
 		t.Fatalf("survivor finished at %v, want 1.25", doneAt)
 	}
-	if n.BytesMoved != 12.5e6 {
-		t.Fatalf("cancelled bytes counted: %v", n.BytesMoved)
+	if *moved != 12.5e6 {
+		t.Fatalf("cancelled bytes counted: %v", *moved)
 	}
 	n.Cancel(f) // double-cancel no-op
 	n.Cancel(nil)
@@ -497,6 +508,7 @@ func TestCancelWaitingAndHolderUnderExclusiveHold(t *testing.T) {
 	// dispatch the survivors in FIFO order at the release instant.
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps, Mode: ExclusiveHold})
+	moved := movedBytes(n)
 	var order []int
 	var times []sim.Time
 	record := func(id int) func(*Flow) {
@@ -516,8 +528,8 @@ func TestCancelWaitingAndHolderUnderExclusiveHold(t *testing.T) {
 	if math.Abs(times[0]-2) > 1e-6 || math.Abs(times[1]-3) > 1e-6 {
 		t.Fatalf("completion times = %v, want [2 3]", times)
 	}
-	if n.BytesMoved != 25e6 {
-		t.Fatalf("BytesMoved = %v, want 25e6", n.BytesMoved)
+	if *moved != 25e6 {
+		t.Fatalf("bytes moved = %v, want 25e6", *moved)
 	}
 }
 
@@ -601,6 +613,7 @@ func TestFlowRatesTrackSharing(t *testing.T) {
 func TestStartFlowsBatch(t *testing.T) {
 	eng := sim.New()
 	n := mustNet(t, eng, twoRacks(), Config{RackBps: 100 * Mbps})
+	moved := movedBytes(n)
 	var doneIDs []int
 	done := func(f *Flow) { doneIDs = append(doneIDs, f.ID) }
 	flows := n.StartFlows([]FlowReq{
@@ -620,8 +633,8 @@ func TestStartFlowsBatch(t *testing.T) {
 	if math.Abs(end-want) > 1e-6 {
 		t.Fatalf("batch drained at %v, want %v", end, want)
 	}
-	if n.BytesMoved != 128e6+128e6+5e6 {
-		t.Fatalf("BytesMoved = %v", n.BytesMoved)
+	if *moved != 128e6+128e6+5e6 {
+		t.Fatalf("bytes moved = %v", *moved)
 	}
 	if got := n.StartFlows(nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d flows", len(got))
@@ -637,6 +650,7 @@ func TestStartFlowsBufferReusable(t *testing.T) {
 	for _, mode := range []Mode{FluidFairSharing, ExclusiveHold} {
 		eng := sim.New()
 		n := mustNet(t, eng, twoRacks(), Config{Mode: mode, RackBps: 100 * Mbps})
+		moved := movedBytes(n)
 		var got []int
 		reqs := make([]FlowReq, 0, 4)
 		for batch := 0; batch < 3; batch++ {
@@ -664,8 +678,8 @@ func TestStartFlowsBufferReusable(t *testing.T) {
 			}
 		}
 		eng.Run()
-		if len(got) != 12 || n.BytesMoved != 3*(64e6+32e6+5e6) {
-			t.Fatalf("%v: %d completions, %v bytes moved", mode, len(got), n.BytesMoved)
+		if len(got) != 12 || *moved != 3*(64e6+32e6+5e6) {
+			t.Fatalf("%v: %d completions, %v bytes moved", mode, len(got), *moved)
 		}
 	}
 }

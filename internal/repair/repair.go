@@ -1,6 +1,6 @@
 // Package repair holds the policy layer of the background repair
-// subsystem: the work-queue ordering a proactive healer uses to decide
-// which degraded stripe to rebuild next, and the token-bucket throttle
+// subsystem: the work queue a proactive healer uses to decide which
+// degraded stripe to rebuild next, and the token-bucket throttle
 // bounding how much network bandwidth repair traffic may take from
 // foreground MapReduce jobs.
 //
@@ -56,8 +56,6 @@ type BlockPlan struct {
 // its sources and destination, or an unrepairable verdict.
 type StripePlan struct {
 	Key Key
-	// N and K are the stripe's code parameters.
-	N, K int
 	// Lost is the number of lost blocks (len(Blocks) when repairable).
 	Lost int
 	// Blocks are the per-block plans, in block-index order. Empty when
@@ -79,40 +77,12 @@ func (p *StripePlan) ReadBytes(blockSize float64) float64 {
 	return total
 }
 
-// Spare returns the stripe's surviving redundancy margin: how many
-// further losses it tolerates before becoming unrepairable.
-func (p *StripePlan) Spare() int {
-	s := p.N - p.K - p.Lost
-	if s < 0 {
-		s = 0
-	}
-	return s
-}
-
-// Policy orders the repair queue.
-type Policy int
-
-const (
-	// FIFO repairs stripes in discovery order.
-	FIFO Policy = iota
-	// MostAtRisk repairs the stripe with the least surviving redundancy
-	// first — the stripe closest to data loss.
-	MostAtRisk
-	// Deadline repairs the stripe with the earliest repair deadline
-	// first; deadlines shrink with remaining redundancy, so it
-	// interpolates between FIFO and MostAtRisk.
-	Deadline
-)
-
 // Config configures the background repair subsystem. The zero value
 // disables it entirely, keeping the runtime byte-identical to a build
 // without the subsystem (pinned by the seed FIFO golden traces).
 type Config struct {
 	// Enabled turns the healer on.
 	Enabled bool
-
-	// Policy orders queued stripe repairs (default FIFO).
-	Policy Policy
 
 	// RateFraction bounds repair read traffic to this fraction of a node's
 	// access link: the NIC where the fabric models one, else the rack link.
@@ -129,9 +99,6 @@ func (c Config) Validate() error {
 	if !c.Enabled {
 		return nil
 	}
-	if c.Policy != FIFO && c.Policy != MostAtRisk && c.Policy != Deadline {
-		return fmt.Errorf("repair: unknown policy %d", int(c.Policy))
-	}
 	if c.RateFraction < 0 || c.RateFraction > 1 || math.IsNaN(c.RateFraction) {
 		return fmt.Errorf("repair: rate fraction %v outside [0, 1]", c.RateFraction)
 	}
@@ -141,98 +108,48 @@ func (c Config) Validate() error {
 // Item is one queued stripe repair.
 type Item struct {
 	Key Key
-	// Lost is the number of blocks still pending repair.
-	Lost int
-	// Spare is the stripe's remaining redundancy margin.
-	Spare int
-	// EnqueuedAt is when the stripe first entered the queue (virtual
-	// seconds); it fixes FIFO order across re-discoveries.
-	EnqueuedAt float64
-	// Deadline is the Deadline policy's target instant.
-	Deadline float64
 	// Boosted marks a stripe re-queued after its in-flight repair was
-	// cancelled by a failure: it sorts before every unboosted item under
-	// every policy.
+	// cancelled by a failure: it goes before every unboosted item.
 	Boosted bool
-
-	seq int
 }
 
-// Queue is the healer's work queue: at most one item per stripe,
-// ordered by the configured policy. Not safe for concurrent use (the
+// Queue is the healer's work queue: at most one item per stripe, in
+// discovery order, boosted items first. Not safe for concurrent use (the
 // runtime drives it from the simulation goroutine).
 type Queue struct {
-	policy Policy
-	items  []*Item
-	index  map[Key]*Item
-	seq    int
+	items []*Item
+	index map[Key]*Item
 }
 
-// NewQueue returns an empty queue ordered by the given policy.
-func NewQueue(policy Policy) *Queue {
-	return &Queue{policy: policy, index: make(map[Key]*Item)}
+// NewQueue returns an empty queue.
+func NewQueue() *Queue {
+	return &Queue{index: make(map[Key]*Item)}
 }
 
-// Upsert adds a stripe to the queue or refreshes the existing entry:
-// lost/spare are overwritten with the rescan's view, the deadline only
-// tightens, boost is sticky, and the original enqueue time (hence FIFO
-// position) is kept. Returns the queued item.
-func (q *Queue) Upsert(key Key, lost, spare int, now, deadline float64, boost bool) *Item {
+// Upsert adds a stripe to the end of the queue, or leaves an already
+// queued stripe in its place; boost is sticky.
+func (q *Queue) Upsert(key Key, boost bool) {
 	if it, ok := q.index[key]; ok {
-		it.Lost = lost
-		it.Spare = spare
-		if deadline < it.Deadline {
-			it.Deadline = deadline
-		}
 		it.Boosted = it.Boosted || boost
-		return it
+		return
 	}
-	it := &Item{
-		Key:        key,
-		Lost:       lost,
-		Spare:      spare,
-		EnqueuedAt: now,
-		Deadline:   deadline,
-		Boosted:    boost,
-		seq:        q.seq,
-	}
-	q.seq++
+	it := &Item{Key: key, Boosted: boost}
 	q.items = append(q.items, it)
 	q.index[key] = it
-	return it
 }
 
-// before reports whether a should be repaired before b under the
-// queue's policy. Boosted items always win; ties break by discovery
-// order so the order is total and deterministic.
-func (q *Queue) before(a, b *Item) bool {
-	if a.Boosted != b.Boosted {
-		return a.Boosted
-	}
-	switch q.policy {
-	case MostAtRisk:
-		if a.Spare != b.Spare {
-			return a.Spare < b.Spare
-		}
-	case Deadline:
-		//lint:ignore floateq ordering tie-break must be exact or the relation stops being total
-		if a.Deadline != b.Deadline {
-			return a.Deadline < b.Deadline
-		}
-	}
-	return a.seq < b.seq
-}
-
-// Peek returns the highest-priority item without removing it, or nil
-// when the queue is empty.
+// Peek returns the first boosted item, else the first item, without
+// removing it; nil when the queue is empty.
 func (q *Queue) Peek() *Item {
-	var best *Item
 	for _, it := range q.items {
-		if best == nil || q.before(it, best) {
-			best = it
+		if it.Boosted {
+			return it
 		}
 	}
-	return best
+	if len(q.items) == 0 {
+		return nil
+	}
+	return q.items[0]
 }
 
 // Remove deletes the item for key, if queued.

@@ -2,6 +2,7 @@ package repair
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -11,12 +12,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config should validate: %v", err)
 	}
-	good := Config{Enabled: true, Policy: Deadline, RateFraction: 0.3}
+	good := Config{Enabled: true, RateFraction: 0.3}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 	bad := []Config{
-		{Enabled: true, Policy: Policy(99)},
 		{Enabled: true, RateFraction: 1.5},
 		{Enabled: true, RateFraction: -0.1},
 		{Enabled: true, RateFraction: math.NaN()},
@@ -30,126 +30,70 @@ func TestConfigValidate(t *testing.T) {
 
 func TestStripePlanHelpers(t *testing.T) {
 	p := StripePlan{
-		N: 9, K: 6, Lost: 1,
+		Lost:   1,
 		Blocks: []BlockPlan{{Index: 2, Sources: make([]Source, 6)}},
 	}
 	if got := p.ReadBytes(100); got != 600 {
 		t.Fatalf("ReadBytes = %v, want 600", got)
 	}
-	if got := p.Spare(); got != 2 {
-		t.Fatalf("Spare = %d, want 2", got)
+}
+
+// drain pops the queue to empty and returns the stripes in Peek order.
+func drain(q *Queue) []int {
+	var got []int
+	for it := q.Peek(); it != nil; it = q.Peek() {
+		got = append(got, it.Key.Stripe)
+		q.Remove(it.Key)
 	}
-	p.Lost = 5
-	if got := p.Spare(); got != 0 {
-		t.Fatalf("Spare clamps at 0, got %d", got)
-	}
+	return got
 }
 
 func TestQueueFIFOOrder(t *testing.T) {
-	q := NewQueue(FIFO)
-	q.Upsert(key(3), 1, 2, 0, 0, false)
-	q.Upsert(key(1), 2, 0, 1, 0, false)
-	q.Upsert(key(2), 1, 1, 2, 0, false)
-	var got []int
-	for len(q.items) > 0 {
-		it := q.Peek()
-		got = append(got, it.Key.Stripe)
-		q.Remove(it.Key)
-	}
-	want := []int{3, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FIFO order = %v, want %v", got, want)
-		}
+	q := NewQueue()
+	q.Upsert(key(3), false)
+	q.Upsert(key(1), false)
+	q.Upsert(key(2), false)
+	if got, want := drain(q), []int{3, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("FIFO order = %v, want %v", got, want)
 	}
 }
 
-func TestQueueMostAtRiskOrder(t *testing.T) {
-	q := NewQueue(MostAtRisk)
-	q.Upsert(key(3), 1, 2, 0, 0, false)
-	q.Upsert(key(1), 2, 0, 1, 0, false)
-	q.Upsert(key(2), 1, 0, 2, 0, false) // same spare as stripe 1: seq breaks tie
-	var got []int
-	for len(q.items) > 0 {
-		it := q.Peek()
-		got = append(got, it.Key.Stripe)
-		q.Remove(it.Key)
-	}
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("most-at-risk order = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestQueueDeadlineOrder(t *testing.T) {
-	q := NewQueue(Deadline)
-	q.Upsert(key(1), 1, 2, 0, 180, false)
-	q.Upsert(key(2), 1, 0, 1, 61, false)
-	q.Upsert(key(3), 1, 1, 2, 122, false)
-	var got []int
-	for len(q.items) > 0 {
-		it := q.Peek()
-		got = append(got, it.Key.Stripe)
-		q.Remove(it.Key)
-	}
-	want := []int{2, 3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("deadline order = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestQueueBoostWinsUnderEveryPolicy(t *testing.T) {
-	for _, p := range []Policy{FIFO, MostAtRisk, Deadline} {
-		q := NewQueue(p)
-		q.Upsert(key(1), 1, 0, 0, 10, false) // earliest, most at risk, tightest deadline
-		q.Upsert(key(2), 1, 5, 9, 999, true) // but boosted
-		if it := q.Peek(); it.Key.Stripe != 2 {
-			t.Fatalf("policy %v: boosted item lost to %v", p, it.Key)
-		}
+func TestQueueBoostGoesFirst(t *testing.T) {
+	q := NewQueue()
+	q.Upsert(key(1), false)
+	q.Upsert(key(2), true)
+	q.Upsert(key(3), false)
+	q.Upsert(key(4), true)
+	// Boosted stripes go first, each group in discovery order.
+	if got, want := drain(q), []int{2, 4, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 }
 
 func TestQueueUpsertSemantics(t *testing.T) {
-	q := NewQueue(Deadline)
-	it := q.Upsert(key(1), 2, 1, 5, 100, false)
-	// Re-upsert: lost/spare overwritten, deadline only tightens,
-	// enqueue time preserved, boost sticky once set.
-	again := q.Upsert(key(1), 1, 2, 9, 200, true)
-	if again != it {
-		t.Fatal("Upsert allocated a second item for the same key")
+	q := NewQueue()
+	q.Upsert(key(1), false)
+	q.Upsert(key(2), false)
+	q.Upsert(key(1), true)
+	if len(q.items) != 2 || len(q.index) != 2 {
+		t.Fatalf("Upsert of a queued key added an item: %d items", len(q.items))
 	}
-	if it.Lost != 1 || it.Spare != 2 {
-		t.Fatalf("lost/spare not refreshed: %+v", it)
-	}
-	if it.Deadline != 100 {
-		t.Fatalf("deadline loosened to %v", it.Deadline)
-	}
-	if it.EnqueuedAt != 5 {
-		t.Fatalf("enqueue time rewritten to %v", it.EnqueuedAt)
-	}
-	if !it.Boosted {
-		t.Fatal("boost not applied")
-	}
-	q.Upsert(key(1), 1, 2, 9, 50, false)
-	if it.Deadline != 50 {
-		t.Fatalf("tighter deadline not taken: %v", it.Deadline)
-	}
-	if !it.Boosted {
+	q.Upsert(key(1), false)
+	if !q.index[key(1)].Boosted {
 		t.Fatal("boost not sticky")
 	}
-	if len(q.items) != 1 {
-		t.Fatalf("Len = %d, want 1", len(q.items))
+	// A rediscovered stripe keeps its place in discovery order.
+	q.Upsert(key(3), false)
+	q.Upsert(key(2), false)
+	if got, want := drain(q), []int{1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
 	}
 }
 
 func TestQueuePeekAfterRemove(t *testing.T) {
-	q := NewQueue(FIFO)
-	q.Upsert(key(1), 1, 1, 0, 0, false)
-	q.Upsert(key(2), 1, 1, 1, 0, false)
+	q := NewQueue()
+	q.Upsert(key(1), false)
+	q.Upsert(key(2), false)
 	q.Remove(key(1))
 	it := q.Peek()
 	if it == nil || it.Key.Stripe != 2 {
@@ -162,9 +106,9 @@ func TestQueuePeekAfterRemove(t *testing.T) {
 }
 
 func TestQueueRemoveMissing(t *testing.T) {
-	q := NewQueue(FIFO)
+	q := NewQueue()
 	q.Remove(key(9)) // no-op
-	q.Upsert(key(1), 1, 1, 0, 0, false)
+	q.Upsert(key(1), false)
 	q.Remove(key(1))
 	if len(q.items) != 0 || q.index[key(1)] != nil {
 		t.Fatal("Remove left residue")

@@ -180,7 +180,7 @@ func (s *state) requeueRunning(rm *runningMap) {
 	delete(s.running, rm.task)
 	s.queue.MapReleased(rm.js.idx)
 	if s.cluster.Alive(rm.node) {
-		s.slaves[rm.node].freeMap++
+		s.release(rm.node, &s.slaves[rm.node].freeMap, s.cluster.Node(rm.node).MapSlots)
 	}
 	e := s.ev(trace.EvTaskRequeue)
 	e.Job = rm.js.idx
@@ -220,7 +220,7 @@ func (s *state) resetReducer(js *jobState, r *reducerState) {
 	if s.cluster.Alive(r.node) {
 		// Reset on a live node (async backend retry): free its slot. A
 		// dead node's slots are gone with it.
-		s.slaves[r.node].freeReduce++
+		s.release(r.node, &s.slaves[r.node].freeReduce, s.cluster.Node(r.node).ReduceSlots)
 	}
 	js.shuffle.reset(r.idx)
 }

@@ -32,7 +32,7 @@ type Builder struct {
 	repairOpen map[repair.Key]int
 	// repairPending tracks each queued stripe's lost-block count;
 	// repairLost is their running sum plus the losses of unrepairable
-	// stripes — the at-risk timeline's value.
+	// stripes: full redundancy is reached when it falls to zero.
 	repairPending map[repair.Key]int
 	repairUnrep   map[repair.Key]int
 	repairLost    int
@@ -160,7 +160,6 @@ func (b *Builder) fold(e *trace.Event) error {
 			}
 			class, _ := sched.ParseClass(e.Class)
 			*rec = TaskRecord{
-				Job:        e.Job,
 				Task:       e.Task,
 				Class:      class,
 				Node:       topology.NodeID(e.Node),
@@ -175,7 +174,7 @@ func (b *Builder) fold(e *trace.Event) error {
 				b.res.Jobs[e.Job].MapPhaseEnd = 0
 			}
 			*st = span{}
-			*rec = TaskRecord{Job: e.Job, Task: e.Task}
+			*rec = TaskRecord{Task: e.Task}
 		case !st.live:
 			return fmt.Errorf("job %d task %d has no live attempt", e.Job, e.Task)
 		case e.Type == trace.EvDegradedDone:
@@ -183,7 +182,6 @@ func (b *Builder) fold(e *trace.Event) error {
 		case e.Type == trace.EvFlowLatency && e.Class == "won":
 			rec.FlowLatencies = append(rec.FlowLatencies, e.Dur)
 		case e.Type == trace.EvFlowLatency && e.Class == "lost":
-			rec.WastedBytes += e.Bytes
 			b.res.WastedBytes += e.Bytes
 		case e.Type == trace.EvTaskFinish:
 			*st = span{done: true}
@@ -219,7 +217,6 @@ func (b *Builder) fold(e *trace.Event) error {
 		if e.Type == trace.EvReduceFinish {
 			jr := &b.res.Jobs[e.Job]
 			jr.Reduces = append(jr.Reduces, ReduceRecord{
-				Job:        e.Job,
 				Index:      e.Task,
 				Node:       topology.NodeID(e.Node),
 				LaunchTime: r.at,
@@ -264,7 +261,6 @@ func (b *Builder) fold(e *trace.Event) error {
 			b.repairLost += e.N - b.repairPending[key]
 			b.repairPending[key] = e.N
 		}
-		b.pushAtRisk(e.T)
 		if e.Class == "requeue" {
 			// A failure cancelled the stripe's repair: its launches close.
 			if b.repairOpen[key] == 0 {
@@ -304,7 +300,6 @@ func (b *Builder) fold(e *trace.Event) error {
 		if b.repairLost == 0 {
 			st.FullRedundancyAt = e.T
 		}
-		b.pushAtRisk(e.T)
 	}
 	return nil
 }
@@ -362,16 +357,6 @@ func (b *Builder) repairStats() *RepairStats {
 		b.res.Repair = &RepairStats{FirstRepairAt: -1, FullRedundancyAt: -1}
 	}
 	return b.res.Repair
-}
-
-// pushAtRisk appends a timeline point when the known lost-block count
-// changed (or the timeline is empty).
-func (b *Builder) pushAtRisk(t float64) {
-	st := b.repairStats()
-	if n := len(st.AtRisk); n > 0 && st.AtRisk[n-1].Lost == b.repairLost {
-		return
-	}
-	st.AtRisk = append(st.AtRisk, AtRiskPoint{T: t, Lost: b.repairLost})
 }
 
 // Result returns the folded Result, or the trace's first violation. Call

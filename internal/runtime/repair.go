@@ -20,7 +20,6 @@ type activeRepair struct {
 	// done[i] marks block i committed — the no-double-write guard.
 	done      []bool
 	remaining int
-	boosted   bool
 	flows     []*netsim.Flow
 }
 
@@ -29,13 +28,8 @@ func (ar *activeRepair) readBytes(i int, blockBytes float64) float64 {
 	return float64(len(ar.plan.Blocks[i].Sources)) * blockBytes
 }
 
-// deadlineHorizon parameterizes the Deadline policy: a stripe discovered
-// at time t with spare redundancy s is due at t + deadlineHorizon*(s+1),
-// so stripes one loss from unrepairable get the tightest deadlines.
-const deadlineHorizon = 60
-
 // repairManager drives the background healer inside the master loop:
-// scans after failures, a policy-ordered stripe queue, a token-bucket
+// scans after failures, a discovery-ordered stripe queue, a token-bucket
 // throttle, and repairs executed as real flows on the shared network, one
 // stripe at a time.
 type repairManager struct {
@@ -58,7 +52,7 @@ type repairManager struct {
 func newRepairManager(s *state) *repairManager {
 	return &repairManager{
 		s:      s,
-		queue:  repair.NewQueue(s.p.Repair.Policy),
+		queue:  repair.NewQueue(),
 		bucket: repair.NewBucket(s.p.Repair.RateFraction * s.p.repairLinkBps(s.cluster.Spec())),
 		unrep:  make(map[repair.Key]bool),
 	}
@@ -114,9 +108,7 @@ func (m *repairManager) scan(nodes []topology.NodeID) {
 // event. class is "scan" for scanner findings and "requeue" for stripes
 // whose in-flight repair was cancelled by a failure.
 func (m *repairManager) enqueue(plan repair.StripePlan, class string, boost bool) {
-	now := m.s.eng.Now()
-	deadline := now + deadlineHorizon*float64(plan.Spare()+1)
-	m.queue.Upsert(plan.Key, plan.Lost, plan.Spare(), now, deadline, boost)
+	m.queue.Upsert(plan.Key, boost)
 	e := m.evStripe(trace.EvRepairQueued, plan.Key)
 	e.Class = class
 	e.N = plan.Lost
@@ -155,8 +147,8 @@ func (m *repairManager) schedulePump() {
 
 // pump launches the queue's head once no repair is in flight, unless the
 // token bucket blocks it. The bucket gates the head only: while the
-// highest-priority stripe waits for tokens nothing lower launches
-// (head-of-line blocking is the throttle semantics).
+// head stripe waits for tokens nothing behind it launches (head-of-line
+// blocking is the throttle semantics).
 func (m *repairManager) pump() {
 	if m.s.err != nil {
 		return
@@ -196,28 +188,25 @@ func (m *repairManager) pump() {
 			})
 			return
 		}
-		boosted := it.Boosted
 		m.queue.Remove(it.Key)
-		m.launch(plan, boosted)
+		m.launch(plan)
 	}
 }
 
 // launch starts one stripe repair: every lost block's source reads are
 // admitted as a single batch through the shared network, and each block
 // commits when its last source flow lands.
-func (m *repairManager) launch(plan repair.StripePlan, boosted bool) {
+func (m *repairManager) launch(plan repair.StripePlan) {
 	ar := &activeRepair{
 		key:       plan.Key,
 		plan:      plan,
 		gather:    make([]int, len(plan.Blocks)),
 		done:      make([]bool, len(plan.Blocks)),
 		remaining: len(plan.Blocks),
-		boosted:   boosted,
 	}
 	m.active = ar
 
 	reqs := m.s.reqs
-	var zeroSrc []int
 	for i, bp := range plan.Blocks {
 		e := m.evStripe(trace.EvRepairLaunch, plan.Key)
 		e.N = bp.Index
@@ -225,10 +214,6 @@ func (m *repairManager) launch(plan repair.StripePlan, boosted bool) {
 		e.Bytes = ar.readBytes(i, m.blockBytes())
 		e.Class = repairClass(bp)
 		m.s.emit(e)
-		if len(bp.Sources) == 0 {
-			zeroSrc = append(zeroSrc, i)
-			continue
-		}
 		ar.gather[i] = len(bp.Sources)
 		i := i
 		for _, src := range bp.Sources {
@@ -240,14 +225,7 @@ func (m *repairManager) launch(plan repair.StripePlan, boosted bool) {
 			})
 		}
 	}
-	if len(reqs) > 0 {
-		ar.flows = m.s.startFlows(reqs)
-	}
-	// Degenerate zero-source blocks (nothing to read) commit directly;
-	// pump never runs inside a network callback, so this is safe.
-	for _, i := range zeroSrc {
-		m.commitBlock(ar, i)
-	}
+	ar.flows = m.s.startFlows(reqs)
 }
 
 // repairClass labels a block plan for traces: "local" for LRC
@@ -344,11 +322,10 @@ func (m *repairManager) onFailure(nodes []topology.NodeID) {
 			m.s.net.Cancel(f)
 		}
 		m.active = nil
-		// Re-queue boosted. Lost/spare reflect the pre-failure plan; the
-		// scan below refreshes them (Upsert keeps the boost and queue
-		// position), and the launch-time re-plan decides what is actually
-		// left to rebuild.
-		requeued := repair.StripePlan{Key: ar.key, N: ar.plan.N, K: ar.plan.K}
+		// Re-queue boosted. The queue event reports the pre-failure plan's
+		// unfinished blocks; the launch-time re-plan decides what is
+		// actually left to rebuild.
+		requeued := repair.StripePlan{Key: ar.key}
 		for i, bp := range ar.plan.Blocks {
 			if !ar.done[i] {
 				requeued.Blocks = append(requeued.Blocks, bp)

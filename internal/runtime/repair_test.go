@@ -55,11 +55,7 @@ func newRepairStore(c *topology.Cluster, holders [][]topology.NodeID) *repairSto
 }
 
 func (b *repairStore) planStripe(s int) (repair.StripePlan, error) {
-	plan := repair.StripePlan{
-		Key: repair.Key{File: "f", Stripe: s},
-		N:   repN,
-		K:   repK,
-	}
+	plan := repair.StripePlan{Key: repair.Key{File: "f", Stripe: s}}
 	var lost []int
 	var survivors []repair.Source
 	for i, h := range b.holders[s] {
@@ -366,30 +362,26 @@ func TestUnrepairableReportedOnceNeverLaunched(t *testing.T) {
 	}
 }
 
-func TestMostAtRiskLaunchesWorstStripeFirst(t *testing.T) {
+func TestRepairLaunchesInScanOrder(t *testing.T) {
 	// Stripe 0 loses one block (node 0); stripe 1 loses two (nodes 0, 1).
-	order := func(policy repair.Policy) int {
-		store := newRepairStore(repairCluster(t), [][]topology.NodeID{
-			{0, 4, 5, 6},
-			{0, 1, 6, 7},
-		})
-		_, events, err := runRepairScenario(t, store,
-			repair.Config{Enabled: true, Policy: policy},
-			[]topology.NodeID{0, 1}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		launches := repairEvents(events, trace.EvRepairLaunch)
-		if len(launches) == 0 {
-			t.Fatal("no launches")
-		}
-		return launches[0].Task
+	// The queue is discovery order, so the scan's first stripe goes first
+	// even though the second is closer to data loss.
+	store := newRepairStore(repairCluster(t), [][]topology.NodeID{
+		{0, 4, 5, 6},
+		{0, 1, 6, 7},
+	})
+	_, events, err := runRepairScenario(t, store,
+		repair.Config{Enabled: true},
+		[]topology.NodeID{0, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if first := order(repair.FIFO); first != 0 {
-		t.Fatalf("FIFO launched stripe %d first, want 0 (scan order)", first)
+	launches := repairEvents(events, trace.EvRepairLaunch)
+	if len(launches) == 0 {
+		t.Fatal("no launches")
 	}
-	if first := order(repair.MostAtRisk); first != 1 {
-		t.Fatalf("MostAtRisk launched stripe %d first, want 1 (zero spare blocks)", first)
+	if first := launches[0].Task; first != 0 {
+		t.Fatalf("launched stripe %d first, want 0 (scan order)", first)
 	}
 }
 

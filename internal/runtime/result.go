@@ -8,7 +8,6 @@ import (
 
 // TaskRecord captures one map task's life cycle.
 type TaskRecord struct {
-	Job   int
 	Task  int
 	Class sched.Class
 	Node  topology.NodeID
@@ -24,9 +23,6 @@ type TaskRecord struct {
 	// task's degraded fan-in, one per winning flow. Recorded only under
 	// an active hedge policy (nil otherwise).
 	FlowLatencies []float64
-	// WastedBytes is the volume moved by redundant fan-in flows that
-	// were cancelled after the first k completed (hedged runs only).
-	WastedBytes float64
 }
 
 // Runtime returns FinishTime - LaunchTime.
@@ -34,7 +30,6 @@ func (r TaskRecord) Runtime() float64 { return r.FinishTime - r.LaunchTime }
 
 // ReduceRecord captures one reduce task's life cycle.
 type ReduceRecord struct {
-	Job   int
 	Index int
 	Node  topology.NodeID
 	// LaunchTime is when the reduce slot was taken; FinishTime when the
@@ -158,14 +153,6 @@ func (j *JobResult) DegradedFlowLatencies() []float64 {
 	return out
 }
 
-// AtRiskPoint is one step of the stripes-at-risk timeline: at time T the
-// healer knew of Lost lost blocks still awaiting repair (over repairable
-// and unrepairable stripes alike).
-type AtRiskPoint struct {
-	T    float64
-	Lost int
-}
-
 // RepairStats aggregates the background repair subsystem's outcome,
 // rebuilt purely from the repair trace events.
 type RepairStats struct {
@@ -187,9 +174,6 @@ type RepairStats struct {
 	// stripe is unrepairable.
 	FirstRepairAt    float64
 	FullRedundancyAt float64
-	// AtRisk is the stripes-at-risk timeline: one point per change of
-	// the healer's known lost-block count.
-	AtRisk []AtRiskPoint
 }
 
 // Result is the outcome of one run.

@@ -449,6 +449,9 @@ func (s *state) serveSlave(id topology.NodeID) {
 			break
 		}
 		s.launchReducer(r, id)
+		if s.err != nil {
+			return
+		}
 	}
 }
 
@@ -613,7 +616,7 @@ func (s *state) completeMap(rm *runningMap) {
 	s.emit(e)
 
 	delete(s.running, rm.task)
-	s.slaves[id].freeMap++
+	s.release(id, &s.slaves[id].freeMap, s.cluster.Node(id).MapSlots)
 	s.queue.MapReleased(js.idx)
 	js.mapsCompleted++
 	if js.shuffle != nil {
@@ -649,8 +652,23 @@ func (s *state) startFlows(reqs []netsim.FlowReq) []*netsim.Flow {
 	return flows
 }
 
+// release returns one of node id's slots to its free count, which may not
+// exceed the node's capacity: a release past it means some path freed a
+// slot it did not hold, and fails the run.
+func (s *state) release(id topology.NodeID, free *int, capacity int) {
+	if *free >= capacity {
+		s.fail(fmt.Errorf("%s: node %d released a slot it did not hold", s.name, id))
+		return
+	}
+	*free++
+}
+
 func (s *state) launchReducer(r *reducerState, id topology.NodeID) {
 	slave := s.slaves[id]
+	if slave.freeReduce <= 0 {
+		s.fail(fmt.Errorf("%s: reducer launched on node %d with no free reduce slot", s.name, id))
+		return
+	}
 	slave.freeReduce--
 	r.launched = true
 	r.node = id
@@ -702,7 +720,7 @@ func (s *state) completeReducer(r *reducerState) {
 	e.Node = int(r.node)
 	s.emit(e)
 
-	s.slaves[r.node].freeReduce++
+	s.release(r.node, &s.slaves[r.node].freeReduce, s.cluster.Node(r.node).ReduceSlots)
 	s.queue.ReduceReleased(js.idx)
 	js.reducersDone++
 	if s.p.OutOfBandHeartbeats {
