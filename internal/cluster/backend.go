@@ -219,7 +219,17 @@ func (b *clusterBackend) AwaitReduce(job, reducer int, node topology.NodeID) err
 	if o.err != nil {
 		return o.err
 	}
-	if err := o.output.MergeInto(b.outputs[job]); err != nil {
+	out := b.outputs[job]
+	if len(out) == 0 {
+		// As in process: the reducers split the keys by hash, so the
+		// first output to arrive sizes the job's map for all of them.
+		n := 0
+		if o.output.Each(func(_, _ []byte) { n++ }) == nil {
+			out = make(map[string]string, n*b.jobs[job].NumReducers)
+			b.outputs[job] = out
+		}
+	}
+	if err := o.output.MergeInto(out); err != nil {
 		return fmt.Errorf("cluster: output of job %d reducer %d from node %d: %w", job, reducer, node, err)
 	}
 	return nil

@@ -60,11 +60,14 @@ func newRealBackend(h *Harness, jobs []Job) *realBackend {
 // Reading and decoding stay on the simulation goroutine, beside the
 // repairs that change the store. The map and reduce functions, which
 // only read their input, run on two lanes: maps on GOMAXPROCS workers,
-// reduces on one (a wider reduce lane keeps more shuffles live at once).
-// Each task's result comes back through a future the runtime awaits at
-// the task's virtual completion instant, and is merged into the job
-// output there, so the output, the schedule and the trace are those of
-// a serial run.
+// reduces on one. The reduce lane groups every reducer's records in the
+// one grouping it owns (grouped), reused from reducer to reducer. It
+// stays one wide because a wider lane holds more reducers' shuffles and
+// groupings live at once, which costs more peak memory than its speed
+// is worth (DESIGN.md §9). Each task's result comes back through a
+// future the runtime awaits at the task's virtual completion instant,
+// and is merged into the job output there, so the output, the schedule
+// and the trace are those of a serial run.
 type realBackend struct {
 	*runtime.Healer // the store and the input planner
 	jobs            []Job
@@ -77,6 +80,9 @@ type realBackend struct {
 	outputs  []map[string]string
 
 	maps, reduces *lane
+	// grouped is the reduce lane's grouping, reused for every reducer;
+	// only the lane's one goroutine touches it.
+	grouped grouping
 }
 
 var _ runtime.Backend = (*realBackend)(nil)
@@ -200,18 +206,24 @@ func (b *realBackend) StartReduce(job, reducer int, node topology.NodeID, receiv
 	b.reducing[job][reducer] = fut
 	b.reduces.work <- func() {
 		var o reduceOutcome
-		o.err = guard(js, "reducer", reducer, func() error {
-			var g grouping
-			if err := g.group(bufs); err != nil {
-				return err
-			}
-			o.records = make([]record, 0, len(g.keys)) // one record per key is the common case
-			g.reduce(js.Reduce, func(k, v string) { o.records = append(o.records, record{k, v}) })
-			return nil
+		o.err = guard(js, "reducer", reducer, func() (err error) {
+			o.records, err = reduceTask(&b.grouped, js, bufs)
+			return err
 		})
 		fut <- o
 	}
 	return js.ReduceCost.Seconds(receivedBytes) * b.speed(node)
+}
+
+// reduceTask groups one reducer's buffers in g, which it reuses, and
+// reduces them into records in emit order.
+func reduceTask(g *grouping, js *Job, bufs []RecordBuf) ([]record, error) {
+	if err := g.group(bufs); err != nil {
+		return nil, err
+	}
+	records := make([]record, 0, len(g.keys)) // one record per key is the common case
+	g.reduce(js.Reduce, func(k, v string) { records = append(records, record{k, v}) })
+	return records, nil
 }
 
 // ReduceReset implements runtime.Backend: drop the records buffered on

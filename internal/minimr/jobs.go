@@ -61,6 +61,17 @@ func eachLine(block []byte, fn func(line []byte)) {
 	}
 }
 
+// _asciiSpace marks the white-space bytes below utf8.RuneSelf. It has
+// 256 entries so that indexing it by a byte needs no bounds check; a
+// byte at or above utf8.RuneSelf starts a multi-byte (or invalid)
+// sequence, which eachField decodes instead.
+var _asciiSpace = func() (t [256]bool) {
+	for c := range utf8.RuneSelf {
+		t[c] = unicode.IsSpace(rune(c))
+	}
+	return t
+}()
+
 // eachField calls fn with every field of b exactly as bytes.Fields would
 // split it — runs of bytes between Unicode white space, an invalid UTF-8
 // byte counting as non-space — without building the slice of fields. The
@@ -68,11 +79,13 @@ func eachLine(block []byte, fn func(line []byte)) {
 func eachField(b []byte, fn func(field []byte)) {
 	start := -1 // start of the current field, -1 between fields
 	for i := 0; i < len(b); {
-		r, w := rune(b[i]), 1
-		if r >= utf8.RuneSelf {
+		space, w := _asciiSpace[b[i]], 1
+		if b[i] >= utf8.RuneSelf {
+			var r rune
 			r, w = utf8.DecodeRune(b[i:])
+			space = unicode.IsSpace(r)
 		}
-		if unicode.IsSpace(r) {
+		if space {
 			if start >= 0 {
 				fn(b[start:i])
 				start = -1

@@ -46,6 +46,7 @@ var _scanSeeds = []string{
 	"\x00 \x00\n \n\x00whale \x00\n",       // padding on both sides of a line
 	"call me\tishmael\r\nsome years\r\n",   // tabs, CRLF endings
 	"x\u0085y\u00a0z\u2003w\u0085",         // NEL, NBSP, EM SPACE
+	"x\x85y \xa0z\t\x85",                   // NEL's and NBSP's code points as raw bytes: invalid, not space
 	"ab\xffcd \xc3 e\xe2\x80 \xe2\x80\x83", // invalid UTF-8, a split and a whole U+2003
 	"first line\nlast line",                // no trailing newline
 	"\v\f  lone\n\n\n",

@@ -1,6 +1,7 @@
 package minimr
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -51,13 +52,12 @@ func (b RecordBuf) MergeInto(out map[string]string) error {
 
 // mapScratch is MapBlock's staging area: the records to partition,
 // packed once in emit order, with where each ends and which partition it
-// joins, and for a job with a combiner the raw map output and its
-// grouping. It is pooled, so a worker mapping blocks concurrently reuses
-// it too.
+// joins, and for a job with a combiner the grouping the map output is
+// filed into as it is emitted. It is pooled, so a worker mapping blocks
+// concurrently reuses it too.
 type mapScratch struct {
 	buf  RecordBuf
 	recs []packedRecord
-	raw  [1]RecordBuf // the map output the combiner groups
 	g    grouping
 }
 
@@ -74,11 +74,11 @@ var _mapScratch = sync.Pool{New: func() any { return new(mapScratch) }}
 // record. Both the in-process engine and the distributed workers
 // partition through it, so the two produce identical shuffles.
 //
-// A job with a combiner has the map output grouped by key first, by the
-// grouping the reducers use, and the combiner run over each key in
-// sorted order, its values in emit order; what the combiner emits is
-// partitioned in place of the map output, so each buffer holds its keys
-// in sorted order. Every record to partition is packed once into a
+// A job with a combiner has each record filed by key as the map emits
+// it, into the grouping the reducers use, and the combiner run over each
+// key in sorted order, its values in emit order; what the combiner emits
+// is partitioned in place of the map output, so each buffer holds its
+// keys in sorted order. Every record to partition is packed once into a
 // reused scratch buffer and then copied to its partition; the partitions
 // share one exactly sized backing array, each capacity-clipped to its
 // own length, and an empty one is nil.
@@ -103,10 +103,9 @@ func MapBlock(job *Job, block []byte) (parts []RecordBuf, bytes []float64) {
 	if job.Combine == nil {
 		job.Map(block, pack)
 	} else {
-		s.raw[0] = s.raw[0][:0]
-		job.Map(block, func(k, v string) { s.raw[0] = s.raw[0].Append(k, v) })
-		if err := s.g.group(s.raw[:]); err != nil {
-			// Only a record count past MaxInt32 fails a buffer packed here.
+		s.g.reset(0)
+		job.Map(block, s.g.add)
+		if err := s.g.layout(); err != nil {
 			panic(fmt.Sprintf("minimr: combining a map task of job %q: %v", job.Name, err))
 		}
 		s.g.reduce(job.Combine, pack)
@@ -141,25 +140,97 @@ func ReduceBufs(reduce Reducer, bufs []RecordBuf, emit func(key, value string)) 
 
 // grouping is records grouped by key, the one grouping both sides of the
 // shuffle use: group g's key is keys[g] and its values are
-// values[end[g]-counts[g]:end[g]], in buffer order. It is a counting
-// sort — one pass numbers the distinct keys and counts their values, a
-// second lays every value into one shared slice — so no per-key slice
-// grows, and a reused grouping allocates only the strings of its keys
-// and values.
+// values[end[g]-counts[g]:end[g]], in arrival order. It is a counting
+// sort — filing a record numbers its key, counts it and appends its
+// value, and layout then moves every value into its group's run of the
+// same slice — so no per-key slice grows, and a reused grouping
+// allocates only the strings of its keys and values.
 type grouping struct {
 	groupOf map[string]int32
 	keys    []string
-	counts  []int32 // values per group
-	ids     []int32 // group of every record, in buffer order
+	counts  []int32  // values per group
+	ids     []int32  // group of every record, in arrival order
+	values  []string // in arrival order until layout
 	end     []int32
-	values  []string
-	order   []int32 // group ids by key, for reduce
+	order   []int32  // group ids by key, for reduce
+	prefix  []uint64 // each group's keyPrefix, for reduce
 }
 
-// group regroups gr over the records of bufs, reusing its storage. A
-// first pass counts the records, and validates them, so the per-record
-// slices are sized once; a malformed record fails it before any
-// grouping.
+// keyPrefix is a key's first eight bytes, zero-padded, as a big-endian
+// number. Two keys whose prefixes differ compare as their prefixes do,
+// so most of reduce's comparisons read no key bytes.
+func keyPrefix(k string) uint64 {
+	var p [8]byte
+	copy(p[:], k)
+	return binary.BigEndian.Uint64(p[:])
+}
+
+// reset empties gr for a new grouping, keeping its storage, with room
+// for records records.
+func (gr *grouping) reset(records int) {
+	if gr.groupOf == nil {
+		gr.groupOf = make(map[string]int32)
+	}
+	clear(gr.groupOf)
+	gr.keys, gr.counts = gr.keys[:0], gr.counts[:0]
+	gr.ids, gr.values = slices.Grow(gr.ids[:0], records), slices.Grow(gr.values[:0], records)
+}
+
+// add files one record as it arrives: one hash lookup for a key seen
+// since reset. layout then groups the values.
+func (gr *grouping) add(k, v string) {
+	g, ok := gr.groupOf[k]
+	if !ok {
+		g = gr.newGroup(k)
+	}
+	gr.file(g, v)
+}
+
+func (gr *grouping) newGroup(k string) int32 {
+	g := int32(len(gr.keys))
+	gr.keys = append(gr.keys, k)
+	gr.groupOf[k] = g
+	gr.counts = append(gr.counts, 0)
+	return g
+}
+
+func (gr *grouping) file(g int32, v string) {
+	gr.counts[g]++
+	gr.ids = append(gr.ids, g)
+	gr.values = append(gr.values, v)
+}
+
+// layout groups the filed values in place: each record's slot is its
+// group's first plus its rank in the group, and the values move along
+// the cycles of that permutation. Only a record count past MaxInt32
+// fails it.
+func (gr *grouping) layout() error {
+	if len(gr.ids) > math.MaxInt32 {
+		return fmt.Errorf("minimr: %d records to group, at most %d fit", len(gr.ids), math.MaxInt32)
+	}
+	gr.end = slices.Grow(gr.end[:0], len(gr.counts))[:len(gr.counts)]
+	sum := int32(0)
+	for g, c := range gr.counts {
+		gr.end[g] = sum
+		sum += c
+	}
+	for i, g := range gr.ids {
+		gr.ids[i] = gr.end[g]
+		gr.end[g]++ // each group's end once every record is placed
+	}
+	for i := range gr.ids {
+		for j := gr.ids[i]; j != int32(i); j = gr.ids[i] {
+			gr.values[i], gr.values[j] = gr.values[j], gr.values[i]
+			gr.ids[i], gr.ids[j] = gr.ids[j], j
+		}
+	}
+	return nil
+}
+
+// group regroups gr over the records of bufs, reusing its storage, in
+// two passes over each buffer. The first counts the records, and
+// validates them, so the per-record slices are sized once and a
+// malformed record fails it before any grouping; the second files them.
 func (gr *grouping) group(bufs []RecordBuf) error {
 	records := 0
 	for _, b := range bufs {
@@ -167,54 +238,35 @@ func (gr *grouping) group(bufs []RecordBuf) error {
 			return err
 		}
 	}
-	if records > math.MaxInt32 {
-		return fmt.Errorf("minimr: %d records to group, at most %d fit", records, math.MaxInt32)
-	}
-
-	// Every buffer decoded above, so the walks below cannot fail.
-	if gr.groupOf == nil {
-		gr.groupOf = make(map[string]int32)
-	}
-	clear(gr.groupOf)
-	gr.keys, gr.counts, gr.ids = gr.keys[:0], gr.counts[:0], slices.Grow(gr.ids[:0], records)
+	gr.reset(records)
+	// Every buffer decoded above, so this walk cannot fail. It is add
+	// with the key looked up as string(k) in place, which allocates
+	// nothing for a key already filed.
 	for _, b := range bufs {
-		b.Each(func(k, _ []byte) {
+		b.Each(func(k, v []byte) {
 			g, ok := gr.groupOf[string(k)]
 			if !ok {
-				g = int32(len(gr.keys))
-				gr.keys = append(gr.keys, string(k))
-				gr.groupOf[gr.keys[g]] = g
-				gr.counts = append(gr.counts, 0)
+				g = gr.newGroup(string(k))
 			}
-			gr.counts[g]++
-			gr.ids = append(gr.ids, g)
+			gr.file(g, string(v))
 		})
 	}
-	pos := slices.Grow(gr.end[:0], len(gr.counts))[:len(gr.counts)] // next free slot of each group
-	for g, sum := 0, int32(0); g < len(gr.counts); g++ {
-		pos[g] = sum
-		sum += gr.counts[g]
-	}
-	gr.values = slices.Grow(gr.values[:0], records)[:records]
-	i := 0
-	for _, b := range bufs {
-		b.Each(func(_, v []byte) {
-			gr.values[pos[gr.ids[i]]] = string(v)
-			pos[gr.ids[i]]++
-			i++
-		})
-	}
-	gr.end = pos // each group's next free slot is now its end
-	return nil
+	return gr.layout()
 }
 
 // reduce calls the reduce function once per key, in sorted key order.
 func (gr *grouping) reduce(reduce Reducer, emit func(key, value string)) {
-	gr.order = gr.order[:0]
-	for g := range gr.keys {
-		gr.order = append(gr.order, int32(g))
+	n := len(gr.keys)
+	gr.order, gr.prefix = slices.Grow(gr.order[:0], n)[:n], slices.Grow(gr.prefix[:0], n)[:n]
+	for g, k := range gr.keys {
+		gr.order[g], gr.prefix[g] = int32(g), keyPrefix(k)
 	}
-	slices.SortFunc(gr.order, func(a, b int32) int { return strings.Compare(gr.keys[a], gr.keys[b]) })
+	slices.SortFunc(gr.order, func(a, b int32) int {
+		if c := cmp.Compare(gr.prefix[a], gr.prefix[b]); c != 0 {
+			return c
+		}
+		return strings.Compare(gr.keys[a], gr.keys[b])
+	})
 	for _, g := range gr.order {
 		end := gr.end[g]
 		reduce(gr.keys[g], gr.values[end-gr.counts[g]:end:end], emit)

@@ -193,7 +193,8 @@ func TestMapBlockMatchesNaivePartitioning(t *testing.T) {
 	block := []byte("the whale the ocean\na ship in the storm\nthe whale\n")
 	mapOnly := WordCountJob("in", 0)
 	mapOnly.Reduce, mapOnly.Combine = nil, nil
-	jobs := []Job{mapOnly, WordCountJob("in", 1), WordCountJob("in", 3), WordCountJob("in", 8), LineCountJob("in", 3)}
+	jobs := []Job{mapOnly, WordCountJob("in", 1), WordCountJob("in", 3), WordCountJob("in", 8),
+		GrepJob("in", "whale", 3), LineCountJob("in", 3)}
 	for _, job := range jobs {
 		name := fmt.Sprintf("%s numR=%d", job.Name, job.NumReducers)
 		parts, sizes, want := checkMapBlock(t, name, &job, block)
@@ -259,6 +260,49 @@ func TestMapBlockScratchReuse(t *testing.T) {
 				t.Fatalf("%s: after a large block, %q (%v); on a new scratch, %q (%v)",
 					job.Name, again, againBytes, fresh, freshBytes)
 			}
+		}
+	}
+}
+
+// TestReduceLaneGroupingReuse is TestMapBlockScratchReuse's reduce-side
+// twin: whatever a large reduce or a failed one leaves in the reduce
+// lane's reused grouping changes nothing a later, smaller reduce gives.
+func TestReduceLaneGroupingReuse(t *testing.T) {
+	job := LineCountJob("in", 8)
+	var large []RecordBuf
+	for _, block := range testbedBlocks(t, 4) {
+		parts, _ := MapBlock(&job, block)
+		large = append(large, parts[0])
+	}
+	small := []RecordBuf{
+		RecordBuf(nil).Append("storm", "1").Append("ship", "2").Append("storm", "3"),
+		nil,
+		RecordBuf(nil).Append("a whale", "1").Append("ship", "1"),
+	}
+	bad := RecordBuf(nil).Append("ship", "1")
+	bad = bad[:len(bad)-1]
+	fresh, err := reduceTask(new(grouping), &job, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []record{{"a whale", "1"}, {"ship", "3"}, {"storm", "4"}}; !reflect.DeepEqual(fresh, want) {
+		t.Fatalf("small reduce on a fresh grouping gave %v, want %v", fresh, want)
+	}
+	var lane grouping
+	for _, first := range []struct {
+		name string
+		bufs []RecordBuf
+		fail bool
+	}{
+		{"a large reduce", large, false},
+		{"a malformed last buffer", append(slices.Clone(small), bad), true},
+		{"a large reduce again", large, false},
+	} {
+		if _, err := reduceTask(&lane, &job, first.bufs); (err != nil) != first.fail {
+			t.Fatalf("%s: err %v", first.name, err)
+		}
+		if again, err := reduceTask(&lane, &job, small); err != nil || !reflect.DeepEqual(again, fresh) {
+			t.Fatalf("after %s, the reused grouping gave %v (%v), a fresh one %v", first.name, again, err, fresh)
 		}
 	}
 }
@@ -361,6 +405,25 @@ func TestReduceBufsGroupsLikeAMap(t *testing.T) {
 	}
 }
 
+// TestReduceBufsSortsKeysBytewise: reduce's sort compares eight-byte
+// key prefixes first, so keys that tie there, or differ only in NUL
+// padding or length, must still come out in strings.Compare order.
+func TestReduceBufsSortsKeysBytewise(t *testing.T) {
+	want := []string{"", "\x00", "\x00\x00", "a", "a\x00", "abcdefgg\xff", "abcdefgh", "abcdefgh\x00",
+		"abcdefghi", "abcdefgi", "b", "\xff\xff\xff\xff\xff\xff\xff\xff\x00"}
+	var buf RecordBuf
+	for _, i := range stats.NewRNG(5).Perm(len(want)) {
+		buf = buf.Append(want[i], "1")
+	}
+	var got []string
+	if err := ReduceBufs(sumReducer, []RecordBuf{buf}, func(k, _ string) { got = append(got, k) }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("keys reduced in order %q, want %q", got, want)
+	}
+}
+
 // TestReduceBufsValidatesFirst pins an all-or-nothing property. The TCP
 // worker reduces chunks that came off the wire, so a malformed record in
 // the last of several buffers must fail the call before reduce runs even
@@ -398,27 +461,28 @@ func TestDeliverRejectsForeignChunk(t *testing.T) {
 
 // TestTestbedMixAllocBudget is a count, not a timing: the testbed job
 // mix under both schedulers — the benchmark's minimr-testbed shape at a
-// quarter of its size — may allocate at most 41 bytes per byte of input.
-// It measures 33–35.5 at GOMAXPROCS 1–4. WordCount's combiner groups each
-// map task's output in the pooled scratch's grouping, so it adds no
-// per-key slice, and it shrinks the shuffle; without a combiner the mix
-// measured 46–47.5. The budget is tight enough that any one of these
-// coming back fails: a combiner growing a []string per key measures
-// 60–62, a grouping made anew for every map task 44–45.5, and bytes.Fields
-// in WordCount 45.5–48. Partitions grown by doubling measure 39.5–42 and
-// fail it only at GOMAXPROCS 4. Earlier shapes measured far above: the
+// quarter of its size — may allocate at most 28 bytes per byte of input.
+// It measures 19.5–23.5 at GOMAXPROCS 1–4. Each reverted piece measures:
+//   - a grouping built per reducer, where the reduce lane now reuses the
+//     one it owns: 33–36.5, which fails the budget;
+//   - WordCount's combiner packing the map output into a raw buffer and
+//     decoding it again, where it now files each record into the pooled
+//     scratch's grouping as the map emits it: 19.5–21, which passes. That
+//     path costs time, not bytes; BenchmarkMapBlock/WordCount shows it.
+//
+// Earlier shapes measured far above: 33.7 with both pieces reverted, the
 // KeyValue-slice shuffle about 280 and, before the combiner, doubling
 // buffers with bytes.Fields and bytes.Split about 99.
 //
-// Under -race the mix measures 55.5–59, because the race build's
+// Under -race the mix measures 39–48.5, because the race build's
 // sync.Pool drops items on purpose and MapBlock's scratch is pooled, so
-// the budget there is 69. It still fails on the per-key slices (82), but
-// bytes.Fields (67–72) can pass it; the plain-build run, which CI also
-// makes, is the one that pins them.
+// the budget there is 58. A grouping per reducer (59.5–60) only just
+// fails it; the plain-build run, which CI also makes, is the one that
+// pins it.
 func TestTestbedMixAllocBudget(t *testing.T) {
-	budget := 41.0
+	budget := 28.0
 	if raceBuild() {
-		budget = 69
+		budget = 58
 	}
 	fs, corpus := testbedFS(t, 1)
 	fs.Cluster().FailNode(3)
@@ -450,11 +514,6 @@ func raceBuild() bool {
 	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
-// benchJobs are the testbed's WordCount and LineCount at its reducer count.
-func benchJobs() []Job {
-	return []Job{WordCountJob("input.txt", 8), LineCountJob("input.txt", 8)}
-}
-
 // testbedBlocks cuts n blocks of the testbed corpus.
 func testbedBlocks(b testing.TB, n int) [][]byte {
 	corpus, err := workload.GenerateBlockAlignedCorpus(n, TestbedBlockSize, 1)
@@ -473,7 +532,7 @@ var _benchParts []RecordBuf
 // BenchmarkMapBlock maps one testbed block into eight partitions.
 func BenchmarkMapBlock(b *testing.B) {
 	block := testbedBlocks(b, 1)[0]
-	for _, job := range benchJobs() {
+	for _, job := range testbedMix() {
 		b.Run(job.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(block)))
@@ -485,10 +544,26 @@ func BenchmarkMapBlock(b *testing.B) {
 }
 
 // BenchmarkReduceBufs reduces one reducer's partitions of 16 testbed
-// blocks.
+// blocks on a fresh grouping, as a TCP worker does.
 func BenchmarkReduceBufs(b *testing.B) {
+	benchReduce(b, func(job *Job, bufs []RecordBuf) error {
+		return ReduceBufs(job.Reduce, bufs, func(string, string) {})
+	})
+}
+
+// BenchmarkReduceLane is BenchmarkReduceBufs on the reduce lane's one
+// grouping, reused for every reducer.
+func BenchmarkReduceLane(b *testing.B) {
+	var g grouping
+	benchReduce(b, func(job *Job, bufs []RecordBuf) error {
+		_, err := reduceTask(&g, job, bufs)
+		return err
+	})
+}
+
+func benchReduce(b *testing.B, reduce func(*Job, []RecordBuf) error) {
 	blocks := testbedBlocks(b, 16)
-	for _, job := range benchJobs() {
+	for _, job := range testbedMix() {
 		bufs := make([]RecordBuf, len(blocks))
 		for i, block := range blocks {
 			parts, _ := MapBlock(&job, block)
@@ -497,7 +572,7 @@ func BenchmarkReduceBufs(b *testing.B) {
 		b.Run(job.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := ReduceBufs(job.Reduce, bufs, func(string, string) {}); err != nil {
+				if err := reduce(&job, bufs); err != nil {
 					b.Fatal(err)
 				}
 			}
