@@ -27,22 +27,14 @@ func failedTestbed(t *testing.T) *dfs.FS {
 	return fs
 }
 
-// TestLoopbackReduceBuffersDrain: a worker's reduce consumes the chunks
-// it fetched, so after a run every worker's reduce buffer is empty, and
-// the outputs are still the in-process engine's.
-func TestLoopbackReduceBuffersDrain(t *testing.T) {
+// TestLoopbackTestbedMixMatchesInProcess: the testbed mix with a failed
+// node, its reducers pulling every partition at their start, gives the
+// in-process engine's outputs and virtual schedule.
+func TestLoopbackTestbedMixMatchesInProcess(t *testing.T) {
 	l := startLoopback(t, failedTestbed(t), nil)
 	rep, err := l.Run(context.Background(), testbedMix)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for node, w := range l.workers {
-		w.mu.Lock()
-		left := len(w.rbuf)
-		w.mu.Unlock()
-		if left != 0 {
-			t.Errorf("node %d still buffers %d fetched chunks", node, left)
-		}
 	}
 
 	jobs, err := BuildJobs(testbedMix)
@@ -77,10 +69,10 @@ func (c cancelOn) Emit(e trace.Event) {
 
 // TestLoopbackNoGoroutineLeak: no RPC future, connection or worker
 // goroutine outlives a loopback cluster's Close, whether its run
-// finished or was cancelled with fetches and reduces in flight. The
-// cancel lands at the wordcount job's first reduce-start: its reduces
-// take virtual seconds, so the run stops with them unawaited, and the
-// linecount job's reducers are still fetching then.
+// finished or was cancelled with maps and reduces in flight. The cancel
+// lands at the wordcount job's first reduce-start: its reduces take
+// virtual seconds, so the run stops with them, and their pulls,
+// unawaited.
 func TestLoopbackNoGoroutineLeak(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	settled := func(what string) {

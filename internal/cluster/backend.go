@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
+	"slices"
 
 	"degradedfirst/internal/minimr"
 	"degradedfirst/internal/runtime"
@@ -15,54 +16,44 @@ import (
 // in-process engine's (calibrated per-task times, planned transfers
 // through the network model); the real bytes move between workers. All
 // methods run on the simulation goroutine. The RPCs behind a map
-// (run-map), a shuffle delivery (fetch-chunk) and a reduce (run-reduce)
-// each run on a goroutine of their own, which talks to the simulation
-// goroutine solely through its future's buffered channel.
+// (run-map) and a reduce (run-reduce, which pulls the reducer's shuffle
+// input first) each run on a goroutine of their own, which talks to the
+// simulation goroutine solely through its future's buffered channel.
 type clusterBackend struct {
 	*runtime.Healer // the store and input planner; repair.go overrides CommitRepair
 	m               *Master
 	jobs            []minimr.Job
 	outputs         []map[string]string
-	// fetches[job][reducer] are the futures of the fetch-chunk RPCs
-	// Deliver started for the reducer since its last reset, and
-	// reducing[job][reducer] the future of its started reduce.
-	fetches  [][][]chan error
-	reducing [][]chan reduceOutcome
+	// delivered[job][reducer] are the chunks Deliver accepted for the
+	// reducer since its last reset, and reducing[job][reducer] the future
+	// of its started reduce.
+	delivered [][][]*mapDone
+	reducing  [][]chan outcome
 }
 
 var _ runtime.Backend = (*clusterBackend)(nil)
 
-// mapOutcome is what Execute's pending payload, a chan mapOutcome,
-// resolves to when the worker's run-map RPC returns. The channel is
-// buffered so an abandoned one (its task requeued after a failure) never
-// blocks the dispatch goroutine.
-type mapOutcome struct {
-	sizes  []float64        // per-reducer partition bytes
-	output minimr.RecordBuf // a map-only job's output
+// outcome is what a run-map or run-reduce future resolves to. Its channel
+// is buffered, so one a requeue or reset abandons never blocks.
+type outcome struct {
+	sizes  []float64        // a map's per-reducer partition bytes
+	output minimr.RecordBuf // a reduce's or a map-only job's output
 	err    error
 }
 
 // mapDone is every shuffle chunk's Data payload: which worker holds the
-// map task's partitions. Deliver turns it into a fetch-chunk RPC.
+// map task's partitions. StartReduce lists it in its run-reduce request.
 type mapDone struct {
 	node topology.NodeID
-	addr string
 	task int
-}
-
-// reduceOutcome is what StartReduce's future resolves to: the reducer's
-// packed output, or the first failure of its fetches or of the reduce.
-type reduceOutcome struct {
-	output minimr.RecordBuf
-	err    error
 }
 
 func newClusterBackend(m *Master, h *minimr.Harness, jobs []minimr.Job) *clusterBackend {
 	b := &clusterBackend{Healer: h.Healer, m: m, jobs: jobs}
 	for _, js := range jobs {
 		b.outputs = append(b.outputs, make(map[string]string))
-		b.fetches = append(b.fetches, make([][]chan error, js.NumReducers))
-		b.reducing = append(b.reducing, make([]chan reduceOutcome, js.NumReducers))
+		b.delivered = append(b.delivered, make([][]*mapDone, js.NumReducers))
+		b.reducing = append(b.reducing, make([]chan outcome, js.NumReducers))
 	}
 	return b
 }
@@ -89,7 +80,7 @@ func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topolo
 		req.Need = len(plan.Sources) - plan.Spares
 	}
 	for _, src := range plan.Sources {
-		req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, block.Stripe, src.Index))
+		req.Fetch = append(req.Fetch, fetchSpec{Node: int(src.Node), Addr: b.m.workerAddr(src.Node), Stripe: block.Stripe, Index: src.Index})
 	}
 	plan.Input = req
 	return plan, nil
@@ -101,9 +92,9 @@ func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topolo
 // completion instant.
 func (b *clusterBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	req := input.(*mapReq)
-	fut := make(chan mapOutcome, 1)
+	fut := make(chan outcome, 1)
 	go func() {
-		var o mapOutcome
+		var o outcome
 		o.output, o.err = b.m.callWorker(node, "run-map", req, &o.sizes)
 		fut <- o
 	}()
@@ -116,7 +107,7 @@ func (b *clusterBackend) Execute(job, task int, node topology.NodeID, input any)
 // gets one chunk per reducer, sized by the worker's real partition bytes
 // and pointing at the worker holding the records.
 func (b *clusterBackend) AwaitOutput(job, task int, node topology.NodeID, pending any) ([]runtime.Chunk, error) {
-	o := <-pending.(chan mapOutcome)
+	o := <-pending.(chan outcome)
 	if o.err != nil {
 		return nil, o.err
 	}
@@ -126,7 +117,7 @@ func (b *clusterBackend) AwaitOutput(job, task int, node topology.NodeID, pendin
 		}
 		return nil, nil
 	}
-	d := &mapDone{node: node, addr: b.m.workerAddr(node), task: task}
+	d := &mapDone{node: node, task: task}
 	chunks := make([]runtime.Chunk, b.jobs[job].NumReducers)
 	for r := range chunks {
 		var bytes float64
@@ -138,81 +129,50 @@ func (b *clusterBackend) AwaitOutput(job, task int, node topology.NodeID, pendin
 	return chunks, nil
 }
 
-// Deliver implements runtime.Backend: start the reducer's worker pulling
-// the partition from the mapper's worker, and accept the chunk at once,
-// as a Hadoop reducer copies map output on its own. The fetch-chunk RPC
-// runs on its own goroutine; the reducer's reduce awaits it, so a failed
-// fetch (a dead mapper) comes back from AwaitReduce.
+// Deliver implements runtime.Backend: note which worker holds the chunk.
+// The master reads the wire only at virtual instants, so its bytes wait
+// for StartReduce, to cross in one pull per mapper host.
 func (b *clusterBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
-	src := c.Data.(*mapDone)
-	req := &chunkFetchReq{Job: job, Reducer: reducer, MapTask: src.task, Node: int(src.node), Addr: src.addr}
-	fut := make(chan error, 1) // buffered: a reset reducer's is never read
-	go func() {
-		_, err := b.m.callWorker(node, "fetch-chunk", req, nil)
-		fut <- err
-	}()
-	b.fetches[job][reducer] = append(b.fetches[job][reducer], fut)
+	b.delivered[job][reducer] = append(b.delivered[job][reducer], c.Data.(*mapDone))
 	return nil
 }
 
 // StartReduce implements runtime.Backend: calibrated from the real
-// shuffle volume, as in-process. A goroutine of its own awaits the
-// reducer's fetches and then runs the real reduce on the reducer's
-// worker; AwaitReduce collects its future.
+// shuffle volume, as in-process. A goroutine of its own sends the
+// reducer's worker one run-reduce listing, per mapper host in node order,
+// the map tasks to pull; AwaitReduce collects its future.
 func (b *clusterBackend) StartReduce(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
-	fetches := b.fetches[job][reducer]
-	b.fetches[job][reducer] = nil
-	fut := make(chan reduceOutcome, 1) // buffered: a reset reducer's is never read
+	done := b.delivered[job][reducer]
+	b.delivered[job][reducer] = nil
+	slices.SortFunc(done, func(x, y *mapDone) int { return cmp.Or(cmp.Compare(x.node, y.node), x.task-y.task) })
+	req := &reduceReq{Job: job, Reducer: reducer}
+	for i, d := range done {
+		if i == 0 || d.node != done[i-1].node {
+			req.Hosts = append(req.Hosts, hostPull{Node: int(d.node), Addr: b.m.workerAddr(d.node)})
+		}
+		req.Hosts[len(req.Hosts)-1].Tasks = append(req.Hosts[len(req.Hosts)-1].Tasks, d.task)
+	}
+	fut := make(chan outcome, 1)
 	b.reducing[job][reducer] = fut
 	go func() {
-		var o reduceOutcome
-		if o.err = awaitFetches(fetches); o.err == nil {
-			o.output, o.err = b.m.callWorker(node, "run-reduce", &reduceReq{Job: job, Reducer: reducer}, nil)
-		}
+		var o outcome
+		o.output, o.err = b.m.callWorker(node, "run-reduce", req, nil)
 		fut <- o
 	}()
 	return b.jobs[job].ReduceCost.Seconds(receivedBytes) * b.speed(node)
 }
 
-// awaitFetches waits for every fetch future. It returns the first error
-// that names no dead node, else one *runtime.DeadNodeError naming every
-// node the fetches found dead (once per failed fetch), else nil.
-func awaitFetches(fetches []chan error) error {
-	var dead []topology.NodeID
-	var other error
-	for _, fut := range fetches {
-		err := <-fut
-		var dn *runtime.DeadNodeError
-		switch {
-		case err == nil:
-		case errors.As(err, &dn):
-			dead = append(dead, dn.Nodes...)
-		case other == nil:
-			other = err
-		}
-	}
-	if other != nil {
-		return other
-	}
-	if len(dead) > 0 {
-		return &runtime.DeadNodeError{Nodes: dead}
-	}
-	return nil
-}
-
-// ReduceReset implements runtime.Backend: drop the reducer's fetch and
-// reduce futures. The restarted reducer re-fetches every partition, and
-// the worker's reduce consumes what it fetched, so no remote state is
-// left to clear.
+// ReduceReset implements runtime.Backend: drop the reducer's delivered
+// chunks and reduce future. Its worker keeps nothing it pulled.
 func (b *clusterBackend) ReduceReset(job, reducer int) {
-	b.fetches[job][reducer] = nil
+	b.delivered[job][reducer] = nil
 	b.reducing[job][reducer] = nil
 }
 
-// AwaitReduce implements runtime.Backend: wait for the reducer's
-// fetches and reduce, and merge its output — the run-reduce response
-// payload — into the job output. A fetch that failed comes back as the
-// *runtime.DeadNodeError naming its mapper.
+// AwaitReduce implements runtime.Backend: wait for the reducer's pulls
+// and reduce, and merge its output — the run-reduce response payload —
+// into the job output. Mappers found dead, even since their chunk's
+// delivery, come back as one *runtime.DeadNodeError naming them.
 func (b *clusterBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {
 	o := <-b.reducing[job][reducer]
 	b.reducing[job][reducer] = nil

@@ -78,9 +78,9 @@ type rpcConn struct {
 	bw  *bufio.Writer
 
 	// serve handles an incoming request and returns the response body
-	// (nil for an empty ack) and payload; nil rejects all requests. It
-	// runs on a fresh goroutine per request.
-	serve func(method string, body json.RawMessage) (resp any, payload []byte, err error)
+	// (nil for an empty ack) and the buffers that make its payload; nil
+	// rejects all requests. It runs on a fresh goroutine per request.
+	serve func(method string, body json.RawMessage) (resp any, payload [][]byte, err error)
 	// notify receives non-RPC frames (hb, event); may be nil. It runs on
 	// the reader goroutine, so it must not block.
 	notify func(f *frame)
@@ -180,7 +180,7 @@ func (rc *rpcConn) serveReq(f *frame) {
 			resp.Dead = dp.peers
 		}
 	} else {
-		resp.Payload = payload
+		resp.Parts = payload
 		if out != nil {
 			resp.Body = mustJSON(out)
 		}
@@ -208,7 +208,7 @@ func (rc *rpcConn) send(f *frame) error {
 	}
 	rc.st.add(func(st *Stats) {
 		st.FramesSent++
-		st.PayloadBytesSent += int64(len(f.Payload))
+		st.PayloadBytesSent += int64(f.payloadLen())
 		st.MaxEnvelopeBytes = max(st.MaxEnvelopeBytes, int64(env))
 	})
 	return rc.bw.Flush()

@@ -90,7 +90,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // connPair is two started rpcConns over an in-memory pipe; srv serves
 // with the given handler.
-func connPair(t *testing.T, serve func(method string, body json.RawMessage) (any, []byte, error)) (cli, srv *rpcConn) {
+func connPair(t *testing.T, serve func(method string, body json.RawMessage) (any, [][]byte, error)) (cli, srv *rpcConn) {
 	t.Helper()
 	cliEnd, srvEnd := net.Pipe()
 	cli, srv = newRPCConn(cliEnd, new(connStats)), newRPCConn(srvEnd, new(connStats))
@@ -109,11 +109,11 @@ func connPair(t *testing.T, serve func(method string, body json.RawMessage) (any
 // response at all; the connection then serves the next call.
 func TestCancelSkipsUnstartedResponse(t *testing.T) {
 	release := make(chan struct{})
-	cli, srv := connPair(t, func(method string, _ json.RawMessage) (any, []byte, error) {
+	cli, srv := connPair(t, func(method string, _ json.RawMessage) (any, [][]byte, error) {
 		if method == "slow" {
 			<-release
 		}
-		return nil, []byte(method), nil
+		return nil, [][]byte{[]byte(method)}, nil
 	})
 
 	cancel := make(chan struct{})
@@ -156,8 +156,8 @@ func TestCancelSkipsUnstartedResponse(t *testing.T) {
 // TestCancelForAnsweredSeqIsNoOp: a cancel that loses the race with its
 // response finds nothing to cancel and changes nothing.
 func TestCancelForAnsweredSeqIsNoOp(t *testing.T) {
-	cli, srv := connPair(t, func(method string, _ json.RawMessage) (any, []byte, error) {
-		return nil, []byte(method), nil
+	cli, srv := connPair(t, func(method string, _ json.RawMessage) (any, [][]byte, error) {
+		return nil, [][]byte{[]byte(method)}, nil
 	})
 	if _, err := cli.call("one", struct{}{}, nil, time.Minute, nil); err != nil {
 		t.Fatal(err)

@@ -2,11 +2,16 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"io"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"degradedfirst/internal/minimr"
+	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
 	"degradedfirst/internal/workload"
@@ -192,5 +197,71 @@ type multiSink []trace.Sink
 func (m multiSink) Emit(e trace.Event) {
 	for _, s := range m {
 		s.Emit(e)
+	}
+}
+
+// masterlessWorker is a worker for node that never registered: it runs
+// the given jobs' reduces and pulls from peers, and its trace events go
+// to a connection nobody reads.
+func masterlessWorker(t *testing.T, node topology.NodeID, specs []JobSpec) *Worker {
+	t.Helper()
+	jobs, err := BuildJobs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	end, sink := net.Pipe()
+	go io.Copy(io.Discard, sink)
+	w := &Worker{node: node, peerLn: peerLn, jobs: jobs, parts: make(map[partKey][]minimr.RecordBuf),
+		pool: make(map[string]*peerSlot), conns: make(map[*rpcConn]struct{}), done: make(chan struct{})}
+	w.conn = newRPCConn(end, &w.stats)
+	t.Cleanup(w.Close)
+	return w
+}
+
+// deadAddr is a loopback address nobody listens on.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	return addr
+}
+
+// TestRunReduceNamesDeadHostsTogether: a reduce whose mapper hosts are
+// both unreachable fails once, with one *deadPeersError naming both in
+// node order, and the master turns that into one runtime.DeadNodeError.
+func TestRunReduceNamesDeadHostsTogether(t *testing.T) {
+	w := masterlessWorker(t, 0, []JobSpec{{Kind: "wordcount", Input: "input.txt", NumReducers: 2}})
+	req := &reduceReq{Job: 0, Reducer: 1, Hosts: []hostPull{
+		{Node: 2, Addr: deadAddr(t), Tasks: []int{0, 3}},
+		{Node: 7, Addr: deadAddr(t), Tasks: []int{1}},
+	}}
+	_, _, err := w.runReduce(req)
+	var dp *deadPeersError
+	if !errors.As(err, &dp) || !reflect.DeepEqual(dp.peers, []int{2, 7}) {
+		t.Fatalf("run-reduce with two dead mapper hosts returned %v, want *deadPeersError naming [2 7]", err)
+	}
+
+	fs, _ := testbedFS(t, 11)
+	m, err := NewMaster(fs, MasterOptions{Engine: engineOpts(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	cli, _ := connPair(t, w.serve)
+	m.mu.Lock()
+	m.workers[0] = &remoteWorker{node: 0, conn: cli, lastHB: time.Now()}
+	m.mu.Unlock()
+	_, err = m.callWorker(0, "run-reduce", req, nil)
+	var dn *runtime.DeadNodeError
+	if !errors.As(err, &dn) || !reflect.DeepEqual(dn.Nodes, []topology.NodeID{2, 7}) {
+		t.Fatalf("the master's run-reduce returned %v, want one DeadNodeError naming [2 7]", err)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -215,13 +215,7 @@ func (m *Master) register(c net.Conn) {
 	}
 
 	rc.notify = func(f *frame) { m.onNotify(w, f) }
-	rc.onClose = func(err error) {
-		if err != nil {
-			m.declareDead(node, fmt.Sprintf("connection lost: %v", err))
-		} else {
-			m.declareDead(node, "connection lost")
-		}
-	}
+	rc.onClose = func(err error) { m.declareDead(node, fmt.Sprintf("connection lost: %v", err)) }
 	rc.start()
 
 	ev := trace.New(m.realNow(), trace.EvWorkerJoin)
@@ -249,15 +243,11 @@ func (m *Master) onNotify(w *remoteWorker, f *frame) {
 // sortedWorkers snapshots the worker table in node order so callers do
 // not depend on map iteration order. Callers hold m.mu.
 func (m *Master) sortedWorkers() []*remoteWorker {
-	ids := make([]int, 0, len(m.workers))
-	for id := range m.workers {
-		ids = append(ids, int(id))
+	workers := make([]*remoteWorker, 0, len(m.workers))
+	for _, w := range m.workers {
+		workers = append(workers, w)
 	}
-	sort.Ints(ids)
-	workers := make([]*remoteWorker, len(ids))
-	for i, id := range ids {
-		workers[i] = m.workers[topology.NodeID(id)]
-	}
+	slices.SortFunc(workers, func(a, b *remoteWorker) int { return cmp.Compare(a.node, b.node) })
 	return workers
 }
 
@@ -344,11 +334,6 @@ func (m *Master) worker(node topology.NodeID) *remoteWorker {
 		return nil
 	}
 	return w
-}
-
-// fetchSpec tells a worker where to pull one block of a stripe from.
-func (m *Master) fetchSpec(node topology.NodeID, stripe, index int) fetchSpec {
-	return fetchSpec{Node: int(node), Addr: m.workerAddr(node), Stripe: stripe, Index: index}
 }
 
 // workerAddr returns a node's peer address ("" when it has no worker).

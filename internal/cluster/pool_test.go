@@ -7,11 +7,14 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
+	"degradedfirst/internal/minimr"
 	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
 )
@@ -205,25 +208,20 @@ func TestRegistrationIsOneFramePerBlock(t *testing.T) {
 
 // TestLoopbackCountsNotClocks holds the wire format and the pool to
 // counts on the benchmark's job mix: connections are dialled at most
-// once per ordered worker pair, payload bytes are exactly the blocks and
-// record buffers that moved — nothing inflates them — and no JSON
-// envelope outgrows a few KB.
+// once per ordered worker pair, a reducer pulls each mapper host's
+// partitions once, payload bytes are exactly the blocks and record
+// buffers that moved — nothing inflates them — and no JSON envelope
+// outgrows a few KB.
 func TestLoopbackCountsNotClocks(t *testing.T) {
-	fs, corpus := testbedFS(t, 1)
-	for _, line := range bytes.Split(corpus, []byte{'\n'}) {
-		if len(line) >= 128 {
-			// Below 128 a record packs to exactly len(k)+len(v)+2, the
-			// shuffle volume the wire events report.
-			t.Fatalf("corpus has a %d-byte line; pick another seed", len(line))
-		}
-	}
+	fs, _ := testbedFS(t, 1)
 	fs.Cluster().FailNode(3)
 	mem := &trace.Memory{}
 	l := startLoopback(t, fs, mem)
+	const reducers = 8
 	rep, err := l.Run(context.Background(), []JobSpec{
-		{Kind: "wordcount", Input: "input.txt", NumReducers: 8},
-		{Kind: "grep", Input: "input.txt", Word: "whale", NumReducers: 8, SubmitAt: 1},
-		{Kind: "linecount", Input: "input.txt", NumReducers: 8, SubmitAt: 2},
+		{Kind: "wordcount", Input: "input.txt", NumReducers: reducers},
+		{Kind: "grep", Input: "input.txt", Word: "whale", NumReducers: reducers, SubmitAt: 1},
+		{Kind: "linecount", Input: "input.txt", NumReducers: reducers, SubmitAt: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,15 +234,41 @@ func TestLoopbackCountsNotClocks(t *testing.T) {
 			want += int64(len(sb.Data)) // registration
 		}
 	}
+	// Nothing fails mid-run, so every map finishes once, and each
+	// reducer pulls once from each node that ran some of its job's maps.
+	type pullKey struct{ job, reducer, host int }
+	hosts := make(map[[2]int]bool) // job, node
+	pulls := make(map[pullKey]int)
+	pulled := make(map[[2]int]int) // job, reducer → partitions
 	for _, e := range mem.Events() {
-		switch {
-		case e.Type == trace.EvWireFetch, e.Type == trace.EvWireShuffle && e.Src != e.Node:
-			want += int64(e.Bytes) // blocks and chunks pulled from peers
+		switch e.Type {
+		case trace.EvTaskFinish:
+			hosts[[2]int{e.Job, e.Node}] = true
+		case trace.EvWireShuffle:
+			pulls[pullKey{e.Job, e.Task, e.Src}]++
+			pulled[[2]int{e.Job, e.Task}] += e.N
+		}
+		if e.Type == trace.EvWireFetch || e.Type == trace.EvWireShuffle && e.Src != e.Node {
+			want += int64(e.Bytes) // blocks and partitions pulled from peers
+		}
+	}
+	for key, n := range pulls {
+		if n != 1 || !hosts[[2]int{key.job, key.host}] {
+			t.Errorf("job %d reducer %d pulled %d times from node %d, which ran %v of its maps",
+				key.job, key.reducer, n, key.host, hosts[[2]int{key.job, key.host}])
+		}
+	}
+	if len(pulls) != reducers*len(hosts) {
+		t.Errorf("%d pulls, want one per reducer and mapper host: %d", len(pulls), reducers*len(hosts))
+	}
+	for key, n := range pulled {
+		if n != testBlocks {
+			t.Errorf("job %d reducer %d pulled %d partitions, want %d", key[0], key[1], n, testBlocks)
 		}
 	}
 	for _, out := range rep.Outputs {
 		for k, v := range out {
-			want += int64(len(k) + len(v) + 2) // reduce output returned to the master
+			want += int64(len(minimr.RecordBuf(nil).Append(k, v))) // reduce output returned to the master
 		}
 	}
 
@@ -261,12 +285,85 @@ func TestLoopbackCountsNotClocks(t *testing.T) {
 	if total.MaxEnvelopeBytes > 4096 {
 		t.Errorf("master sent a %d-byte JSON envelope", total.MaxEnvelopeBytes)
 	}
-	t.Logf("%d peer dials, %d payload bytes, master's largest envelope %d bytes", total.PeerDials, want, total.MaxEnvelopeBytes)
+	t.Logf("%d peer dials, %d pulls, %d payload bytes, master's largest envelope %d bytes",
+		total.PeerDials, len(pulls), want, total.MaxEnvelopeBytes)
 	if n := int64(len(alive)); total.PeerDials > n*(n-1) || total.PeerDials == 0 {
 		t.Errorf("%d peer dials among %d workers, want 1..%d", total.PeerDials, n, n*(n-1))
 	}
 	if total.PayloadBytesSent != want || total.PayloadBytesReceived != want {
 		t.Errorf("payload bytes sent %d / received %d, want exactly the %d bytes of blocks and record buffers moved",
 			total.PayloadBytesSent, total.PayloadBytesReceived, want)
+	}
+}
+
+// fakeMapper serves "chunks" peer RPCs with answer and returns its
+// address.
+func fakeMapper(t *testing.T, answer func(req *chunksReq) (any, [][]byte, error)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			rc := newRPCConn(c, new(connStats))
+			rc.serve = func(_ string, body json.RawMessage) (any, [][]byte, error) { return handle(body, answer) }
+			rc.start()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestPullHostAsksAgain: a mapper that answers one partition at a time
+// is asked again for the rest, and the partitions come back in order.
+func TestPullHostAsksAgain(t *testing.T) {
+	var asked [][]int
+	addr := fakeMapper(t, func(req *chunksReq) (any, [][]byte, error) {
+		asked = append(asked, req.Tasks)
+		part := minimr.RecordBuf(nil).Append("task", strconv.Itoa(req.Tasks[0]))
+		return []int{len(part)}, [][]byte{part}, nil
+	})
+	w := masterlessWorker(t, 0, nil)
+	bufs, err := w.pullHost(0, 0, hostPull{Node: 5, Addr: addr, Tasks: []int{4, 6, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, task := range []string{"4", "6", "9"} {
+		if want := minimr.RecordBuf(nil).Append("task", task); !bytes.Equal(bufs[i], want) {
+			t.Errorf("partition %d is %q, want %q", i, bufs[i], want)
+		}
+	}
+	if !reflect.DeepEqual(asked, [][]int{{4, 6, 9}, {6, 9}, {9}}) {
+		t.Fatalf("asked %v, want each rest once", asked)
+	}
+}
+
+// TestPullHostRejectsUntrustedSizes: partition sizes that do not fit
+// the tasks asked or the payload fail the pull with an error naming the
+// mapper, which is not a dead-peer error: the peer answered.
+func TestPullHostRejectsUntrustedSizes(t *testing.T) {
+	for _, c := range []struct {
+		sizes   []int
+		payload string
+	}{
+		{[]int{1, 1, 1}, "abc"},
+		{[]int{-1, 3}, "ab"},
+		{[]int{1, 1}, "abc"},
+		{nil, ""},
+	} {
+		addr := fakeMapper(t, func(*chunksReq) (any, [][]byte, error) {
+			return c.sizes, [][]byte{[]byte(c.payload)}, nil
+		})
+		w := masterlessWorker(t, 0, nil)
+		_, err := w.pullHost(0, 0, hostPull{Node: 5, Addr: addr, Tasks: []int{1, 2}})
+		var dp *deadPeersError
+		if err == nil || errors.As(err, &dp) || !strings.Contains(err.Error(), "node 5") {
+			t.Errorf("sizes %v over %q: %v, want an error naming node 5 that is not a dead peer", c.sizes, c.payload, err)
+		}
 	}
 }

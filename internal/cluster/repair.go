@@ -22,7 +22,7 @@ import (
 func (b *clusterBackend) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runtime.RepairedTask, error) {
 	req := &mapReq{File: key.File, Stripe: key.Stripe, Index: bp.Index}
 	for _, src := range bp.Sources {
-		req.Fetch = append(req.Fetch, b.m.fetchSpec(src.Node, key.Stripe, src.Index))
+		req.Fetch = append(req.Fetch, fetchSpec{Node: int(src.Node), Addr: b.m.workerAddr(src.Node), Stripe: key.Stripe, Index: src.Index})
 	}
 	if _, err := b.m.callWorker(bp.Dest, "repair-block", req, nil); err != nil {
 		return nil, err

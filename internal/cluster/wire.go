@@ -31,7 +31,8 @@ const (
 // (heartbeat), "event" (trace streaming), "req"/"resp" (RPCs, matched by
 // Seq), "cancel" (one-way: the caller of Seq no longer wants an answer).
 // The JSON envelope carries control fields only; bulk bytes — blocks,
-// shuffle chunks, reduce and map-only output — follow it raw as Payload.
+// shuffle partitions, reduce and map-only output — follow it raw as the
+// payload: Payload, then Parts unjoined. A read frame has only Payload.
 type frame struct {
 	Kind    string          `json:"kind"`
 	Seq     uint64          `json:"seq,omitempty"`
@@ -40,6 +41,15 @@ type frame struct {
 	Dead    []int           `json:"dead,omitempty"`   // resp only: implicated node IDs
 	Body    json.RawMessage `json:"body,omitempty"`
 	Payload []byte          `json:"-"`
+	Parts   [][]byte        `json:"-"`
+}
+
+func (f *frame) payloadLen() int {
+	n := len(f.Payload)
+	for _, p := range f.Parts {
+		n += len(p)
+	}
+	return n
 }
 
 // writeFrame writes f as an 8-byte header (big-endian envelope length,
@@ -50,20 +60,22 @@ func writeFrame(w io.Writer, f *frame) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cluster: encoding frame: %w", err)
 	}
-	if len(env)+len(f.Payload) > maxFrame {
-		return 0, fmt.Errorf("cluster: frame of %d+%d bytes exceeds limit", len(env), len(f.Payload))
+	pay := f.payloadLen()
+	if len(env)+pay > maxFrame {
+		return 0, fmt.Errorf("cluster: frame of %d+%d bytes exceeds limit", len(env), pay)
 	}
 	var hdr [8]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(env)))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(f.Payload)))
+	binary.BigEndian.PutUint32(hdr[4:], uint32(pay))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, err
 	}
 	if _, err := w.Write(env); err != nil {
 		return 0, err
 	}
-	if len(f.Payload) > 0 {
-		_, err = w.Write(f.Payload)
+	_, err = w.Write(f.Payload)
+	for i := 0; err == nil && i < len(f.Parts); i++ {
+		_, err = w.Write(f.Parts[i])
 	}
 	return len(env), err
 }
@@ -169,22 +181,56 @@ type mapReq struct {
 	Fetch    []fetchSpec `json:"fetch,omitempty"`
 }
 
-// chunkFetchReq tells a reducer's worker to pull one map-output
-// partition from the mapper's ("fetch-chunk" RPC); it forwards the body
-// as the "chunk" peer RPC, answered with the packed partition as payload.
-type chunkFetchReq struct {
-	Job     int    `json:"job"`
-	Reducer int    `json:"reducer"`
-	MapTask int    `json:"map_task"`
-	Node    int    `json:"node"` // mapper's node
-	Addr    string `json:"addr"` // mapper's peer address
+// reduceReq runs one reduce task ("run-reduce" RPC) over the partitions
+// it pulls from each mapper host; the response's payload is its output.
+type reduceReq struct {
+	Job     int        `json:"job"`
+	Reducer int        `json:"reducer"`
+	Hosts   []hostPull `json:"hosts,omitempty"` // in node order
 }
 
-// reduceReq runs one reduce task over the partitions the worker has
-// fetched ("run-reduce" RPC); the response's payload is its output.
-type reduceReq struct {
-	Job     int `json:"job"`
-	Reducer int `json:"reducer"`
+// hostPull names a mapper host and the map tasks it ran, ascending.
+type hostPull struct {
+	Node  int    `json:"node"`
+	Addr  string `json:"addr"` // peer address
+	Tasks []int  `json:"tasks"`
+}
+
+// chunksReq pulls a reducer's partitions ("chunks" peer RPC). The answer
+// is the longest prefix of Tasks that fits a frame: sizes as body, the
+// buffers as payload. The caller asks again for the rest.
+type chunksReq struct {
+	Job     int   `json:"job"`
+	Reducer int   `json:"reducer"`
+	Tasks   []int `json:"tasks"`
+}
+
+// fitPrefix returns how many of sizes, taken in order, fit in limit
+// bytes: zero when even the first does not.
+func fitPrefix(sizes []int, limit int) int {
+	for i, n := range sizes {
+		if limit -= n; limit < 0 {
+			return i
+		}
+	}
+	return len(sizes)
+}
+
+// splitChunks slices a "chunks" payload by the sizes a peer sent,
+// without copying. It rejects a count outside 1..asked, a negative size,
+// and sizes that do not sum to the payload's length.
+func splitChunks(payload []byte, sizes []int, asked int) ([][]byte, error) {
+	if len(sizes) == 0 || len(sizes) > asked {
+		return nil, fmt.Errorf("%d partitions for %d tasks asked", len(sizes), asked)
+	}
+	bufs, total := make([][]byte, len(sizes)), len(payload)
+	for i, n := range sizes {
+		if n < 0 || n > len(payload) || i == len(sizes)-1 && n != len(payload) {
+			return nil, fmt.Errorf("partition sizes %v do not tile a %d-byte payload", sizes, total)
+		}
+		bufs[i], payload = payload[:n:n], payload[n:]
+	}
+	return bufs, nil
 }
 
 // mustJSON marshals a value this package defined; failure is a

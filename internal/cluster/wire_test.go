@@ -159,6 +159,101 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// TestFitPrefix: a "chunks" answer carries the longest prefix of the
+// asked partitions that fits, so the asker makes progress with every
+// answer, unless one partition alone is past the limit.
+func TestFitPrefix(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		sizes []int
+		want  int
+	}{
+		{"oversized alone", []int{9}, 0},
+		{"oversized first", []int{9, 1}, 0},
+		{"oversized later", []int{3, 9, 1}, 1},
+		{"exact fit", []int{3, 5}, 2},
+		{"one byte over", []int{3, 6}, 1},
+		{"empty partitions", []int{0, 8, 0}, 3},
+		{"nothing asked", nil, 0},
+	} {
+		if got := fitPrefix(c.sizes, 8); got != c.want {
+			t.Errorf("%s: fitPrefix(%v, 8) = %d, want %d", c.name, c.sizes, got, c.want)
+		}
+	}
+	// Five partitions of 3 bytes under a limit of 7 take three answers.
+	var answers []int
+	for rest := []int{3, 3, 3, 3, 3}; len(rest) > 0; {
+		n := fitPrefix(rest, 7)
+		answers = append(answers, n)
+		rest = rest[n:]
+	}
+	if !reflect.DeepEqual(answers, []int{2, 2, 1}) {
+		t.Fatalf("answers carried %v partitions, want [2 2 1]", answers)
+	}
+}
+
+// TestSplitChunksRejectsUntrustedSizes: the sizes come from a peer; a
+// wrong count, a negative size, or sizes that miss the payload's length
+// are errors, and a good answer aliases the payload.
+func TestSplitChunksRejectsUntrustedSizes(t *testing.T) {
+	payload := []byte("abcdefgh")
+	for _, c := range []struct {
+		sizes []int
+		asked int
+	}{
+		{nil, 2},
+		{[]int{2, 2, 4}, 2},
+		{[]int{10, -2}, 2},
+		{[]int{5, -1, 4}, 3},
+		{[]int{2, 2}, 2},
+		{[]int{8, 1}, 2},
+	} {
+		if bufs, err := splitChunks(payload, c.sizes, c.asked); err == nil {
+			t.Errorf("sizes %v for %d tasks accepted as %q", c.sizes, c.asked, bufs)
+		}
+	}
+	bufs, err := splitChunks(payload, []int{3, 0, 5}, 4)
+	if err != nil || len(bufs) != 3 || string(bufs[0]) != "abc" || len(bufs[1]) != 0 || string(bufs[2]) != "defgh" {
+		t.Fatalf("splitChunks = %q, %v", bufs, err)
+	}
+	if &bufs[2][0] != &payload[3] || cap(bufs[0]) != 3 {
+		t.Fatal("partitions do not alias the payload, capacity-clipped")
+	}
+}
+
+// FuzzChunkSizes feeds arbitrary sizes (as the JSON body a peer sends)
+// and payloads to splitChunks: it must never panic, and what it accepts
+// must be 1..asked partitions that tile the payload in order.
+func FuzzChunkSizes(f *testing.F) {
+	f.Add([]byte("[3,0,5]"), []byte("abcdefgh"), 3)
+	f.Add([]byte("[10,-2]"), []byte("abcdefgh"), 2)
+	f.Add([]byte("[]"), []byte{}, 1)
+	f.Add([]byte("[9223372036854775807,1]"), []byte("ab"), 2)
+	f.Fuzz(func(t *testing.T, body, payload []byte, asked int) {
+		var sizes []int
+		if json.Unmarshal(body, &sizes) != nil {
+			return
+		}
+		bufs, err := splitChunks(payload, sizes, asked)
+		if err != nil {
+			return
+		}
+		if len(bufs) == 0 || len(bufs) > asked {
+			t.Fatalf("%d partitions accepted for %d tasks asked", len(bufs), asked)
+		}
+		off := 0
+		for i, b := range bufs {
+			if len(b) != sizes[i] || cap(b) != len(b) || !bytes.Equal(b, payload[off:off+len(b)]) {
+				t.Fatalf("partition %d is not payload[%d:%d]", i, off, off+sizes[i])
+			}
+			off += len(b)
+		}
+		if off != len(payload) {
+			t.Fatalf("partitions cover %d of %d payload bytes", off, len(payload))
+		}
+	})
+}
+
 func TestFrameStreamsSequentially(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {

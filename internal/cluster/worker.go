@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,8 +35,6 @@ type blockKey struct {
 
 type partKey struct{ job, task int }
 
-type chunkKey struct{ job, reducer, mapTask int }
-
 // peerSlot is one pool entry; its own lock lets peers dial in parallel.
 type peerSlot struct {
 	mu sync.Mutex
@@ -62,10 +60,8 @@ type Worker struct {
 	jobs  []minimr.Job
 	store map[blockKey][]byte
 	// parts[job/task][reducer] holds the task's packed map-output
-	// partitions; a reducer's pull writes the stored buffer to its socket.
+	// partitions; a reducer's pull writes the stored buffers to its socket.
 	parts map[partKey][]minimr.RecordBuf
-	// rbuf holds the shuffle chunks this node's reducers fetched.
-	rbuf map[chunkKey]minimr.RecordBuf
 
 	// pool maps a peer address to its one lazily dialled connection;
 	// conns is every live peer connection in either direction (shutdown
@@ -115,7 +111,6 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 		epoch:  time.Now(),
 		store:  make(map[blockKey][]byte),
 		parts:  make(map[partKey][]minimr.RecordBuf),
-		rbuf:   make(map[chunkKey]minimr.RecordBuf),
 		pool:   make(map[string]*peerSlot),
 		conns:  make(map[*rpcConn]struct{}),
 		hbStop: make(chan struct{}),
@@ -228,7 +223,7 @@ func (w *Worker) emit(ev trace.Event) {
 // carry this clock.
 func (w *Worker) realNow() float64 { return time.Since(w.epoch).Seconds() }
 
-func handle[Req any](body json.RawMessage, fn func(*Req) (any, []byte, error)) (any, []byte, error) {
+func handle[Req any](body json.RawMessage, fn func(*Req) (any, [][]byte, error)) (any, [][]byte, error) {
 	req := new(Req)
 	if err := json.Unmarshal(body, req); err != nil {
 		return nil, nil, err
@@ -237,14 +232,12 @@ func handle[Req any](body json.RawMessage, fn func(*Req) (any, []byte, error)) (
 }
 
 // serve dispatches one master RPC.
-func (w *Worker) serve(method string, body json.RawMessage) (any, []byte, error) {
+func (w *Worker) serve(method string, body json.RawMessage) (any, [][]byte, error) {
 	switch method {
 	case "jobs":
 		return handle(body, w.setJobs)
 	case "run-map":
 		return handle(body, w.runMap)
-	case "fetch-chunk":
-		return handle(body, w.fetchChunk)
 	case "run-reduce":
 		return handle(body, w.runReduce)
 	case "repair-block":
@@ -254,8 +247,8 @@ func (w *Worker) serve(method string, body json.RawMessage) (any, []byte, error)
 	}
 }
 
-// setJobs starts a fresh run: the previous one's partitions and chunks go.
-func (w *Worker) setJobs(specs *[]JobSpec) (any, []byte, error) {
+// setJobs starts a fresh run: the previous one's partitions go.
+func (w *Worker) setJobs(specs *[]JobSpec) (any, [][]byte, error) {
 	jobs, err := BuildJobs(*specs)
 	if err != nil {
 		return nil, nil, err
@@ -263,7 +256,6 @@ func (w *Worker) setJobs(specs *[]JobSpec) (any, []byte, error) {
 	w.mu.Lock()
 	w.jobs = jobs
 	w.parts = make(map[partKey][]minimr.RecordBuf)
-	w.rbuf = make(map[chunkKey]minimr.RecordBuf)
 	w.mu.Unlock()
 	return nil, nil, nil
 }
@@ -281,7 +273,7 @@ func (w *Worker) job(idx int) (minimr.Job, error) {
 // reconstruction), runs the real map function, and keeps the packed
 // partitions for reducers to pull. The master gets the partition sizes
 // or, for a map-only job, the output itself as payload.
-func (w *Worker) runMap(req *mapReq) (any, []byte, error) {
+func (w *Worker) runMap(req *mapReq) (any, [][]byte, error) {
 	job, err := w.job(req.Job)
 	if err != nil {
 		return nil, nil, err
@@ -299,7 +291,7 @@ func (w *Worker) runMap(req *mapReq) (any, []byte, error) {
 	ev.Job, ev.Task, ev.Node, ev.Bytes = req.Job, req.Task, int(w.node), float64(len(data))
 	w.emit(ev)
 	if job.NumReducers == 0 {
-		return nil, parts[0], nil
+		return nil, [][]byte{parts[0]}, nil
 	}
 	w.mu.Lock()
 	w.parts[partKey{job: req.Job, task: req.Task}] = parts
@@ -398,7 +390,7 @@ func (w *Worker) fetchBlock(file string, f fetchSpec, cancel <-chan struct{}) ([
 	if f.Node == int(w.node) {
 		return w.readLocal(file, f.Stripe, f.Index)
 	}
-	data, err := w.peerCall(f.Node, f.Addr, "block", storedBlock{File: file, Stripe: f.Stripe, Index: f.Index}, cancel)
+	data, err := w.peerCall(f.Node, f.Addr, "block", storedBlock{File: file, Stripe: f.Stripe, Index: f.Index}, nil, cancel)
 	if err != nil {
 		return nil, err
 	}
@@ -409,75 +401,109 @@ func (w *Worker) fetchBlock(file string, f fetchSpec, cancel <-chan struct{}) ([
 	return data, nil
 }
 
-// partition serves the "chunk" peer RPC from this node's map output.
-func (w *Worker) partition(req *chunkFetchReq) (any, []byte, error) {
+// partitions returns this node's stored partitions of one reducer.
+func (w *Worker) partitions(req *chunksReq) ([][]byte, error) {
+	bufs := make([][]byte, len(req.Tasks))
 	w.mu.Lock()
-	parts := w.parts[partKey{job: req.Job, task: req.MapTask}]
-	w.mu.Unlock()
-	if req.Reducer < 0 || req.Reducer >= len(parts) {
-		return nil, nil, fmt.Errorf("no partition %d for job %d task %d", req.Reducer, req.Job, req.MapTask)
+	defer w.mu.Unlock()
+	for i, task := range req.Tasks {
+		parts := w.parts[partKey{job: req.Job, task: task}]
+		if req.Reducer < 0 || req.Reducer >= len(parts) {
+			return nil, fmt.Errorf("no partition %d for job %d task %d", req.Reducer, req.Job, task)
+		}
+		bufs[i] = parts[req.Reducer]
 	}
-	return nil, parts[req.Reducer], nil
+	return bufs, nil
 }
 
-// fetchChunk pulls one map-output partition into this node's reduce
-// buffer (from its own partition store when the mapper ran here).
-func (w *Worker) fetchChunk(req *chunkFetchReq) (any, []byte, error) {
-	var data []byte
-	var err error
-	if req.Node == int(w.node) {
-		_, data, err = w.partition(req)
-	} else {
-		data, err = w.peerCall(req.Node, req.Addr, "chunk", req, nil)
+// chunks serves the "chunks" peer RPC with the stored buffers as they
+// are; the envelope takes ~40 bytes and at most 21 per partition. One
+// partition past the limit goes as none, which the asker rejects.
+func (w *Worker) chunks(req *chunksReq) (any, [][]byte, error) {
+	bufs, err := w.partitions(req)
+	sizes := make([]int, len(bufs))
+	for i, b := range bufs {
+		sizes[i] = len(b)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	buf := minimr.RecordBuf(data)
+	n := fitPrefix(sizes, maxFrame-64-21*len(sizes))
+	return sizes[:n], bufs[:n], err
+}
 
-	// One pass validates the buffer (it may have crossed the wire) and
-	// sizes it the way the map side did.
-	var bytes float64
-	if err := buf.Each(func(k, v []byte) { bytes += float64(len(k) + len(v) + 2) }); err != nil {
-		return nil, nil, fmt.Errorf("cluster: chunk from node %d: %w", req.Node, err)
+// pullHost pulls one mapper host's partitions of the reducer: from its
+// own map output, or in as few "chunks" RPCs as the frame limit allows.
+func (w *Worker) pullHost(job, reducer int, h hostPull) ([][]byte, error) {
+	req := chunksReq{Job: job, Reducer: reducer, Tasks: h.Tasks}
+	var bufs [][]byte
+	if h.Node == int(w.node) {
+		var err error
+		if bufs, err = w.partitions(&req); err != nil {
+			return nil, err
+		}
 	}
-	w.mu.Lock()
-	w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: req.MapTask}] = buf
-	w.mu.Unlock()
-
+	for len(bufs) < len(h.Tasks) {
+		req.Tasks = h.Tasks[len(bufs):]
+		var sizes []int
+		data, err := w.peerCall(h.Node, h.Addr, "chunks", req, &sizes, nil)
+		if err != nil {
+			return nil, err
+		}
+		got, err := splitChunks(data, sizes, len(req.Tasks))
+		if err != nil {
+			return nil, fmt.Errorf("cluster: chunks from node %d: %w", h.Node, err)
+		}
+		bufs = append(bufs, got...)
+	}
 	ev := trace.New(w.realNow(), trace.EvWireShuffle)
-	ev.Job, ev.Task, ev.Node, ev.Src, ev.Bytes = req.Job, req.Reducer, int(w.node), req.Node, bytes
+	ev.Job, ev.Task, ev.Node, ev.Src, ev.N = job, reducer, int(w.node), h.Node, len(bufs)
+	for _, b := range bufs {
+		ev.Bytes += float64(len(b))
+	}
 	w.emit(ev)
-	return nil, nil, nil
+	return bufs, nil
 }
 
-// runReduce runs the real reduce function over every partition this
-// node fetched for the reducer, in deterministic order — chunks by map
-// task index, then keys sorted — and returns the packed output. The
-// partitions leave the reduce buffer as it takes them: a restarted
-// reducer fetches them all again.
-func (w *Worker) runReduce(req *reduceReq) (any, []byte, error) {
+// runReduce pulls the reducer's partitions from every host at once, runs
+// the real reduce over them by map task index, then keys sorted, and
+// returns the packed output. Unreachable hosts fail it as one
+// *deadPeersError naming them in node order; other failures come first.
+func (w *Worker) runReduce(req *reduceReq) (any, [][]byte, error) {
 	job, err := w.job(req.Job)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	w.mu.Lock()
 	var tasks []int
-	for key := range w.rbuf {
-		if key.job == req.Job && key.reducer == req.Reducer {
-			tasks = append(tasks, key.mapTask)
+	for _, h := range req.Hosts {
+		tasks = append(tasks, h.Tasks...)
+	}
+	slices.Sort(tasks)
+	bufs := make([]minimr.RecordBuf, len(tasks))
+	errs := make([]error, len(req.Hosts))
+	var wg sync.WaitGroup
+	for i, h := range req.Hosts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var got [][]byte
+			got, errs[i] = w.pullHost(req.Job, req.Reducer, h)
+			for j, buf := range got {
+				k, _ := slices.BinarySearch(tasks, h.Tasks[j])
+				bufs[k] = buf
+			}
+		}()
+	}
+	wg.Wait()
+	dead := &deadPeersError{}
+	for _, err := range errs {
+		var dp *deadPeersError
+		if errors.As(err, &dp) {
+			dead.peers, dead.cause = append(dead.peers, dp.peers...), dp.cause
+		} else if err != nil {
+			return nil, nil, err
 		}
 	}
-	sort.Ints(tasks)
-	bufs := make([]minimr.RecordBuf, len(tasks))
-	for i, t := range tasks {
-		key := chunkKey{job: req.Job, reducer: req.Reducer, mapTask: t}
-		bufs[i] = w.rbuf[key]
-		delete(w.rbuf, key)
+	if len(dead.peers) > 0 {
+		return nil, nil, dead
 	}
-	w.mu.Unlock()
-
 	var out minimr.RecordBuf
 	n := 0
 	err = minimr.ReduceBufs(job.Reduce, bufs, func(k, v string) {
@@ -490,7 +516,7 @@ func (w *Worker) runReduce(req *reduceReq) (any, []byte, error) {
 	ev := trace.New(w.realNow(), trace.EvWireReduce)
 	ev.Job, ev.Task, ev.Node, ev.N = req.Job, req.Reducer, int(w.node), n
 	w.emit(ev)
-	return nil, out, nil
+	return nil, [][]byte{out}, nil
 }
 
 // repairBlock executes one background repair on the master's command:
@@ -498,7 +524,7 @@ func (w *Worker) runReduce(req *reduceReq) (any, []byte, error) {
 // read's fan-in), decode the lost block, and store it — this worker is
 // the rebuilt block's new holder, so later local reads and peer fetches
 // serve it like any block it registered with.
-func (w *Worker) repairBlock(req *mapReq) (any, []byte, error) {
+func (w *Worker) repairBlock(req *mapReq) (any, [][]byte, error) {
 	if len(req.Fetch) == 0 {
 		return nil, nil, fmt.Errorf("cluster: repair of %s stripe %d block %d has no sources", req.File, req.Stripe, req.Index)
 	}
@@ -518,13 +544,13 @@ func (w *Worker) repairBlock(req *mapReq) (any, []byte, error) {
 }
 
 // peerCall performs one RPC against peer `node` over its pooled
-// connection and returns the response payload. A connection that fails
-// or hangs is closed (which evicts it) and the call retried on a fresh
-// dial, with backoff: workers may be mid-registration when the first
-// fetches fly. A peer still unreachable comes back as *deadPeersError
+// connection, decodes the response body into resp (may be nil), and
+// returns the response payload. A connection that fails or hangs is
+// closed (which evicts it) and the call retried on a fresh dial, with
+// backoff: workers may be mid-registration when the first fetches fly. A peer still unreachable comes back as *deadPeersError
 // so the master can recover; an error the peer reported aborts the run.
 // Closing cancel abandons the call and any retries (nil never cancels).
-func (w *Worker) peerCall(node int, addr, method string, req any, cancel <-chan struct{}) ([]byte, error) {
+func (w *Worker) peerCall(node int, addr, method string, req, resp any, cancel <-chan struct{}) ([]byte, error) {
 	var lastErr error
 	delay := 25 * time.Millisecond
 	for attempt := 0; attempt < 3; attempt++ {
@@ -541,7 +567,7 @@ func (w *Worker) peerCall(node int, addr, method string, req any, cancel <-chan 
 		rc, err := w.peerConn(addr)
 		if err == nil {
 			var data []byte
-			data, err = rc.call(method, req, nil, 10*time.Second, cancel)
+			data, err = rc.call(method, req, resp, 10*time.Second, cancel)
 			var re *remoteError
 			switch {
 			case err == nil, errors.Is(err, errCallCancelled):
@@ -629,15 +655,15 @@ func (w *Worker) peerAcceptLoop() {
 }
 
 // servePeer answers a peer with the stored bytes it names, as they are.
-func (w *Worker) servePeer(method string, body json.RawMessage) (any, []byte, error) {
+func (w *Worker) servePeer(method string, body json.RawMessage) (any, [][]byte, error) {
 	switch method {
 	case "block":
-		return handle(body, func(req *storedBlock) (any, []byte, error) {
+		return handle(body, func(req *storedBlock) (any, [][]byte, error) {
 			data, err := w.readLocal(req.File, req.Stripe, req.Index)
-			return nil, data, err
+			return nil, [][]byte{data}, err
 		})
-	case "chunk":
-		return handle(body, w.partition)
+	case "chunks":
+		return handle(body, w.chunks)
 	default:
 		return nil, nil, fmt.Errorf("unknown peer op %q", method)
 	}

@@ -139,8 +139,9 @@ const (
 	// EvWireMap marks a worker finishing the real map function; Bytes is
 	// the input size.
 	EvWireMap Type = "wire-map"
-	// EvWireShuffle is one real shuffle-partition pull by a reducer's
-	// worker; Src is the mapper's node, Bytes the partition size.
+	// EvWireShuffle is one reducer's real pull of its partitions from one
+	// mapper host, Src (Node itself for the maps it ran): Task is the
+	// reducer, N the partitions and Bytes their packed size.
 	EvWireShuffle Type = "wire-shuffle"
 	// EvWireReduce marks a worker finishing the real reduce function; N
 	// is the output record count.
