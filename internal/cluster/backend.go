@@ -37,7 +37,7 @@ var _ runtime.Backend = (*clusterBackend)(nil)
 // is buffered, so one a requeue or reset abandons never blocks.
 type outcome struct {
 	sizes  []float64        // a map's per-reducer partition bytes
-	output minimr.RecordBuf // a reduce's or a map-only job's output
+	output minimr.RecordBuf // a reduce's output
 	err    error
 }
 
@@ -95,7 +95,7 @@ func (b *clusterBackend) Execute(job, task int, node topology.NodeID, input any)
 	fut := make(chan outcome, 1)
 	go func() {
 		var o outcome
-		o.output, o.err = b.m.callWorker(node, "run-map", req, &o.sizes)
+		_, o.err = b.m.callWorker(node, "run-map", req, &o.sizes)
 		fut <- o
 	}()
 	dur := b.jobs[job].MapCost.Seconds(float64(b.m.fs.BlockSize())) * b.speed(node)
@@ -103,19 +103,13 @@ func (b *clusterBackend) Execute(job, task int, node topology.NodeID, input any)
 }
 
 // AwaitOutput implements runtime.Backend: block until the worker's map
-// finished. Map-only jobs merge their output here; a job with reducers
-// gets one chunk per reducer, sized by the worker's real partition bytes
-// and pointing at the worker holding the records.
+// finished. Every cluster job has reducers (BuildJob's kinds all reduce),
+// so the map yields one chunk per reducer, sized by the worker's real
+// partition bytes and pointing at the worker holding the records.
 func (b *clusterBackend) AwaitOutput(job, task int, node topology.NodeID, pending any) ([]runtime.Chunk, error) {
 	o := <-pending.(chan outcome)
 	if o.err != nil {
 		return nil, o.err
-	}
-	if b.jobs[job].NumReducers == 0 {
-		if err := o.output.MergeInto(b.outputs[job]); err != nil {
-			return nil, fmt.Errorf("cluster: map output of job %d task %d from node %d: %w", job, task, node, err)
-		}
-		return nil, nil
 	}
 	d := &mapDone{node: node, task: task}
 	chunks := make([]runtime.Chunk, b.jobs[job].NumReducers)

@@ -265,7 +265,7 @@ func TestLoopbackHedgedWordCountMatchesInProcess(t *testing.T) {
 }
 
 // TestLoopbackGrepAndLineCount exercises the other named workloads over
-// the wire, including a map-only grep.
+// the wire, each with its reducers.
 func TestLoopbackGrepAndLineCount(t *testing.T) {
 	fs, corpus := testbedFS(t, 3)
 	l, err := StartLocal(fs, MasterOptions{

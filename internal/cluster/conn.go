@@ -247,9 +247,6 @@ func (rc *rpcConn) call(method string, req, resp any, timeout time.Duration, can
 	defer timer.Stop()
 	select {
 	case f := <-ch:
-		if f == nil {
-			return nil, errConnClosed // channel closed by teardown
-		}
 		if f.Error != "" {
 			return nil, &remoteError{method: method, msg: f.Error, dead: f.Dead}
 		}
@@ -273,8 +270,8 @@ func (rc *rpcConn) call(method string, req, resp any, timeout time.Duration, can
 	}
 }
 
-// close tears the connection down once: pending calls fail, the
-// underlying conn is closed, and onClose fires.
+// close tears the connection down once: pending calls fail (each waits
+// on done too), the underlying conn is closed, and onClose fires.
 func (rc *rpcConn) close(err error) {
 	rc.mu.Lock()
 	if rc.closed {
@@ -282,15 +279,10 @@ func (rc *rpcConn) close(err error) {
 		return
 	}
 	rc.closed = true
-	pending := rc.pending
-	rc.pending = make(map[uint64]chan *frame)
 	close(rc.done)
 	rc.mu.Unlock()
 
 	rc.c.Close() // best-effort: the peer may have closed first
-	for _, ch := range pending {
-		close(ch)
-	}
 	if rc.onClose != nil {
 		rc.onClose(err)
 	}

@@ -265,3 +265,20 @@ func TestRunReduceNamesDeadHostsTogether(t *testing.T) {
 		t.Fatalf("the master's run-reduce returned %v, want one DeadNodeError naming [2 7]", err)
 	}
 }
+
+// TestReconstructShortOfSources: a degraded read that needs two sources
+// and reaches only its local one fails with one *deadPeersError naming
+// the two unreachable sources in request order, not node order.
+func TestReconstructShortOfSources(t *testing.T) {
+	w := masterlessWorker(t, 0, nil)
+	w.store = map[blockKey][]byte{{file: "input.txt", stripe: 0, index: 1}: make([]byte, 64)}
+	_, err := w.reconstruct(&mapReq{File: "input.txt", Index: 0, Degraded: true, Need: 2, Fetch: []fetchSpec{
+		{Node: 5, Addr: deadAddr(t), Index: 2},
+		{Node: 0, Index: 1},
+		{Node: 3, Addr: deadAddr(t), Index: 3},
+	}})
+	var dp *deadPeersError
+	if !errors.As(err, &dp) || !reflect.DeepEqual(dp.peers, []int{5, 3}) {
+		t.Fatalf("reconstruct from one reachable source of two needed returned %v, want *deadPeersError naming [5 3]", err)
+	}
+}

@@ -31,8 +31,8 @@ const (
 // (heartbeat), "event" (trace streaming), "req"/"resp" (RPCs, matched by
 // Seq), "cancel" (one-way: the caller of Seq no longer wants an answer).
 // The JSON envelope carries control fields only; bulk bytes — blocks,
-// shuffle partitions, reduce and map-only output — follow it raw as the
-// payload: Payload, then Parts unjoined. A read frame has only Payload.
+// shuffle partitions, reduce output — follow it raw as the payload:
+// Payload, then Parts unjoined. A read frame has only Payload.
 type frame struct {
 	Kind    string          `json:"kind"`
 	Seq     uint64          `json:"seq,omitempty"`
@@ -162,10 +162,9 @@ type fetchSpec struct {
 
 // mapReq runs one map task ("run-map" RPC); the response body is the
 // per-reducer partition sizes, a []float64 (the records stay on the
-// worker until reducers pull them), or a map-only job's output comes
-// back as payload. Fetch is empty for node-local input, the block's
-// holder for rack/remote input, or the reconstruction sources when
-// Degraded. Need, when positive, is how many degraded fetches suffice
+// worker until reducers pull them). Fetch is empty for node-local input,
+// the block's holder for rack/remote input, or the reconstruction sources
+// when Degraded. Need, when positive, is how many degraded fetches suffice
 // (the code's k): the worker races every Fetch entry, decodes from the
 // first Need to arrive, and cancels the rest; zero waits for all.
 // "repair-block", sent to a repair's destination, has the same body less

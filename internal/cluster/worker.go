@@ -271,8 +271,7 @@ func (w *Worker) job(idx int) (minimr.Job, error) {
 
 // runMap gathers the task's input (locally, from a peer, or by degraded
 // reconstruction), runs the real map function, and keeps the packed
-// partitions for reducers to pull. The master gets the partition sizes
-// or, for a map-only job, the output itself as payload.
+// partitions for reducers to pull. The master gets the partition sizes.
 func (w *Worker) runMap(req *mapReq) (any, [][]byte, error) {
 	job, err := w.job(req.Job)
 	if err != nil {
@@ -290,9 +289,6 @@ func (w *Worker) runMap(req *mapReq) (any, [][]byte, error) {
 	ev := trace.New(w.realNow(), trace.EvWireMap)
 	ev.Job, ev.Task, ev.Node, ev.Bytes = req.Job, req.Task, int(w.node), float64(len(data))
 	w.emit(ev)
-	if job.NumReducers == 0 {
-		return nil, [][]byte{parts[0]}, nil
-	}
 	w.mu.Lock()
 	w.parts[partKey{job: req.Job, task: req.Task}] = parts
 	w.mu.Unlock()

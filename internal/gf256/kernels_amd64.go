@@ -4,12 +4,14 @@ package gf256
 
 // kernel is the widest multiply tier the CPU and OS support. It is decided
 // once, here; only tests change it.
-var kernel = detectKernel()
+var kernel = detectKernel(cpuid, xgetbv)
 
-// detectKernel reads CPUID and XCR0. CPUID says what the CPU implements;
-// XCR0 says which register state the OS saves across context switches,
-// and an instruction whose registers the OS does not save cannot be used.
-func detectKernel() tier {
+// detectKernel reads CPUID and XCR0 through the two probes it is given
+// (the instructions themselves outside tests). CPUID says what the CPU
+// implements; XCR0 says which register state the OS saves across context
+// switches, and an instruction whose registers the OS does not save
+// cannot be used.
+func detectKernel(cpuid func(leaf, subLeaf uint32) (eax, ebx, ecx, edx uint32), xgetbv func() (eax, edx uint32)) tier {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return tierTable

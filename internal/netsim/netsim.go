@@ -505,11 +505,10 @@ func (n *Net) Cancel(f *Flow) {
 }
 
 // finish completes a flow: removes it, redistributes bandwidth, and fires
-// the callback.
+// the callback. A flow has at most one completion event pending (a solve
+// withdraws the events flows own before scheduling its own), so this runs
+// once per flow.
 func (n *Net) finish(f *Flow) {
-	if f.finished {
-		return
-	}
 	f.finished = true
 	f.remaining = 0
 	if f.ev != nil {

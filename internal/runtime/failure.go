@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 
@@ -55,7 +56,9 @@ func (s *state) injectFailure(nodes []topology.NodeID) {
 		}
 	}
 	// Deterministic order: by job then task index.
-	sortRunning(affected)
+	slices.SortFunc(affected, func(a, b *runningMap) int {
+		return cmp.Or(cmp.Compare(a.js.idx, b.js.idx), cmp.Compare(a.task.Index, b.task.Index))
+	})
 	for _, rm := range affected {
 		s.requeueRunning(rm)
 	}
@@ -143,21 +146,6 @@ func (s *state) deferFailure(err error) {
 	}
 	nodes := dn.Nodes
 	s.eng.Schedule(0, func() { s.injectNewlyDead(nodes) })
-}
-
-func sortRunning(rms []*runningMap) {
-	for i := 1; i < len(rms); i++ {
-		for j := i; j > 0 && less(rms[j], rms[j-1]); j-- {
-			rms[j], rms[j-1] = rms[j-1], rms[j]
-		}
-	}
-}
-
-func less(a, b *runningMap) bool {
-	if a.js.idx != b.js.idx {
-		return a.js.idx < b.js.idx
-	}
-	return a.task.Index < b.task.Index
 }
 
 // requeueRunning aborts a running map task and returns it to the

@@ -158,3 +158,28 @@ func TestHealerPlanInput(t *testing.T) {
 		})
 	}
 }
+
+// TestHealerErrors: a degraded read past the code's tolerance and a
+// commit the DFS refuses come back as errors naming the block.
+func TestHealerErrors(t *testing.T) {
+	c := topology.MustNew(topology.Config{Nodes: 12, Racks: 3, MapSlotsPerNode: 1})
+	fs, err := dfs.New(c, erasure.MustNew(6, 4), 16, nil, stats.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := fs.CreateMeta("in", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Healer{FS: fs, Files: []*dfs.File{in}, BlockBytes: 16}
+	for _, id := range in.Placement.StripeHolders(0)[:3] {
+		c.FailNode(id)
+	}
+	alive := c.AliveNodes()[0]
+	if _, err := h.PlanInput(0, 0, sched.ClassDegraded, alive, SpareBudget{}); err == nil {
+		t.Error("a degraded read of a stripe past its tolerance planned")
+	}
+	if _, err := h.CommitRepair(repair.Key{File: "in", Stripe: 1}, repair.BlockPlan{Index: 0, Dest: alive}); err == nil {
+		t.Error("a repair of a block that is not lost committed")
+	}
+}

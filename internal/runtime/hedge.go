@@ -98,12 +98,9 @@ func (s *state) armHedgeTimer(rm *runningMap, f *netsim.Flow, deadline float64) 
 }
 
 // hedgeFire launches a standby source for a flow that outlived its
-// deadline. No-ops when the run errored, the task is no longer running
-// (requeued), the flow finished in time, or the standby pool is dry.
+// deadline. No-ops when the flow finished in time or the standby pool is
+// dry; a task that leaves the running set cancels its timers first.
 func (s *state) hedgeFire(rm *runningMap, f *netsim.Flow, deadline float64) {
-	if s.err != nil || s.running[rm.task] != rm {
-		return
-	}
 	if f.Finished() || rm.got >= rm.need || len(rm.standby) == 0 {
 		return
 	}

@@ -97,6 +97,13 @@ func (b *hedgeBackend) AwaitReduce(job, reducer int, node topology.NodeID) error
 func runHedgeScenario(t *testing.T, hedge runtime.HedgePolicy,
 	poll func(float64) []topology.NodeID) (*runtime.Result, []trace.Event) {
 	t.Helper()
+	return runHedgeBackend(t, hedge, poll, func(c *topology.Cluster) runtime.Backend { return &hedgeBackend{cluster: c} })
+}
+
+// runHedgeBackend runs the scenario on the backend newBackend returns.
+func runHedgeBackend(t *testing.T, hedge runtime.HedgePolicy, poll func(float64) []topology.NodeID,
+	newBackend func(*topology.Cluster) runtime.Backend) (*runtime.Result, []trace.Event) {
+	t.Helper()
 	cluster, err := topology.New(topology.Config{
 		Nodes:           hedgeNodes,
 		Racks:           hedgeRacks,
@@ -124,8 +131,7 @@ func runHedgeScenario(t *testing.T, hedge runtime.HedgePolicy,
 		},
 		ToFail:       []topology.NodeID{0},
 		PollFailures: poll,
-	}, &hedgeBackend{cluster: cluster},
-		[]runtime.JobSpec{{Name: "j", Tasks: tasks}})
+	}, newBackend(cluster), []runtime.JobSpec{{Name: "j", Tasks: tasks}})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -371,5 +377,62 @@ func TestHedgePolicyValidate(t *testing.T) {
 		if err := h.Validate(); err != nil {
 			t.Fatalf("policy %+v rejected: %v", h, err)
 		}
+	}
+}
+
+// sourceDies is the hedge scenario's backend with an AwaitOutput that
+// reports task 0's first attempt as failed on its first degraded-read
+// source, a live remote node, as the TCP cluster reports a peer that
+// died under a finished fan-in.
+type sourceDies struct {
+	*hedgeBackend
+	source topology.NodeID // -1 until reported
+}
+
+func (b *sourceDies) AwaitOutput(job, task int, node topology.NodeID, pending any) ([]runtime.Chunk, error) {
+	if task != 0 || b.source >= 0 {
+		return nil, nil
+	}
+	for i := 0; i < b.cluster.NumNodes(); i++ {
+		if id := topology.NodeID(i); b.cluster.Alive(id) && id != node {
+			b.source = id
+			return nil, &runtime.DeadNodeError{Nodes: []topology.NodeID{id}}
+		}
+	}
+	return nil, nil
+}
+
+// TestRemoteSourceDeathRequeuesTask: a DeadNodeError at a map's
+// completion that names only a remote source leaves the task's own node
+// alive and its finished flows untouched, so failure injection does not
+// requeue it; mapAwaitFailure must. The task relaunches and finishes once
+// on a live node, and the Builder accepts the trace (Run returns no
+// error).
+func TestRemoteSourceDeathRequeuesTask(t *testing.T) {
+	b := &sourceDies{source: -1}
+	res, events := runHedgeBackend(t, runtime.HedgePolicy{}, nil, func(c *topology.Cluster) runtime.Backend {
+		b.hedgeBackend = &hedgeBackend{cluster: c}
+		return b
+	})
+	if b.source < 0 {
+		t.Fatal("task 0 was never awaited: scenario is vacuous")
+	}
+	var requeueAt, failAt float64 = -1, -1
+	for _, e := range events {
+		switch {
+		case e.Type == trace.EvNodeFail && e.Node == int(b.source):
+			failAt = e.T
+		case e.Type == trace.EvTaskRequeue && e.Job == 0 && e.Task == 0 && requeueAt < 0:
+			requeueAt = e.T
+		}
+	}
+	if failAt < 0 || requeueAt != failAt {
+		t.Fatalf("source %d failed at %v, task 0 requeued at %v: want one instant", b.source, failAt, requeueAt)
+	}
+	if n := countEvents(events, trace.EvTaskFinish, 0, 0); n != 1 {
+		t.Fatalf("task 0 finished %d times, want 1", n)
+	}
+	if rec := res.Jobs[0].Tasks[0]; rec.FinishTime == 0 || rec.Node == b.source {
+		t.Fatalf("task 0 record %+v: want a finish on a node other than %d", rec, b.source)
 	}
 }

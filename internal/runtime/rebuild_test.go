@@ -85,6 +85,10 @@ func TestBuilderRejectsMalformedTraces(t *testing.T) {
 			"trace event 2 (node-fail at t=2): node -1 is not a live node"},
 		{"negative job", []trace.Event{start, ev(trace.EvJobSubmit, -1, job(-1), n(1))},
 			"trace event 2 (job-submit at t=2): job -1 of 1 maps is out of range"},
+		{"job queued but never submitted", []trace.Event{start, ev(trace.EvJobQueued, -1, job(1))},
+			"trace event 2 (job-queued at t=2): job 1 was never submitted"},
+		{"reducer of a job never submitted", []trace.Event{start, ev(trace.EvReduceLaunch, 0, job(1))},
+			"trace event 2 (reduce-launch at t=2): job 1 was never submitted"},
 
 		// Pairing.
 		{"second run-start", []trace.Event{start, start},

@@ -43,10 +43,8 @@ type repairManager struct {
 	// distinct report is emitted once per stripe.
 	unrep map[repair.Key]bool
 
-	// waitEv is the pending token-refill retry; pumpPending coalesces
-	// deferred pump calls (StartFlows must not run inside net callbacks).
-	waitEv      *sim.Event
-	pumpPending bool
+	// waitEv is the pending token-refill retry.
+	waitEv *sim.Event
 }
 
 func newRepairManager(s *state) *repairManager {
@@ -73,11 +71,7 @@ func (m *repairManager) evStripe(typ trace.Type, key repair.Key) trace.Event {
 // event.
 func (m *repairManager) scheduleScan(nodes []topology.NodeID) {
 	nodes = append([]topology.NodeID(nil), nodes...)
-	m.s.eng.Schedule(0, func() {
-		if m.s.err == nil {
-			m.scan(nodes)
-		}
-	})
+	m.s.eng.Schedule(0, func() { m.scan(nodes) })
 }
 
 // scan asks the backend for the stripes degraded by the given failures
@@ -94,9 +88,6 @@ func (m *repairManager) scan(nodes []topology.NodeID) {
 	for _, plan := range plans {
 		if plan.Unrepairable {
 			m.markUnrepairable(plan.Key, plan.Lost)
-			continue
-		}
-		if plan.Lost == 0 {
 			continue
 		}
 		m.enqueue(plan, "scan", false)
@@ -130,29 +121,11 @@ func (m *repairManager) markUnrepairable(key repair.Key, lost int) {
 	m.s.emit(e)
 }
 
-// schedulePump defers a pump to a zero-delay event: launches call
-// StartFlows, which must not run inside a network completion callback.
-func (m *repairManager) schedulePump() {
-	if m.pumpPending {
-		return
-	}
-	m.pumpPending = true
-	m.s.eng.Schedule(0, func() {
-		m.pumpPending = false
-		if m.s.err == nil {
-			m.pump()
-		}
-	})
-}
-
 // pump launches the queue's head once no repair is in flight, unless the
 // token bucket blocks it. The bucket gates the head only: while the
 // head stripe waits for tokens nothing behind it launches (head-of-line
 // blocking is the throttle semantics).
 func (m *repairManager) pump() {
-	if m.s.err != nil {
-		return
-	}
 	if m.waitEv != nil {
 		m.s.eng.Cancel(m.waitEv)
 		m.waitEv = nil
@@ -167,12 +140,9 @@ func (m *repairManager) pump() {
 			m.s.fail(fmt.Errorf("%s: repair plan for %s: %w", m.s.name, it.Key, err))
 			return
 		}
-		if plan.Unrepairable {
-			m.markUnrepairable(plan.Key, plan.Lost)
-			continue
-		}
 		if len(plan.Blocks) == 0 {
-			// Healed (or re-planned empty) since it was queued.
+			// Healed since it was queued, or past its tolerance: the
+			// failure that made it so has a scan queued, which reports it.
 			m.queue.Remove(it.Key)
 			continue
 		}
@@ -182,9 +152,7 @@ func (m *repairManager) pump() {
 		if !ok {
 			m.waitEv = m.s.eng.Schedule(readyAt-now, func() {
 				m.waitEv = nil
-				if m.s.err == nil {
-					m.pump()
-				}
+				m.pump()
 			})
 			return
 		}
@@ -240,9 +208,6 @@ func repairClass(bp repair.BlockPlan) string {
 // blockGathered is the per-source-flow completion callback: the block
 // commits at its last flow's arrival.
 func (m *repairManager) blockGathered(ar *activeRepair, i int) {
-	if m.s.err != nil || ar.done[i] {
-		return
-	}
 	ar.gather[i]--
 	if ar.gather[i] > 0 {
 		return
@@ -273,8 +238,10 @@ func (m *repairManager) commitBlock(ar *activeRepair, i int) {
 		m.restoreTask(ref, bp.Dest)
 	}
 	if ar.remaining == 0 {
+		// The next launch starts flows, which must not happen inside a
+		// network completion callback: pump on a zero-delay event.
 		m.active = nil
-		m.schedulePump()
+		m.s.eng.Schedule(0, m.pump)
 	}
 }
 
@@ -282,13 +249,11 @@ func (m *repairManager) commitBlock(ar *activeRepair, i int) {
 // view: a pending degraded task whose input just came back reverts to a
 // normal task reading from the new holder. Running and finished tasks
 // are untouched — their degraded read already happened — and jobs not
-// yet submitted pick the new holder up at submission.
+// yet submitted pick the new holder up at submission. A task index past
+// the job's task count (a padded last stripe) backs no task.
 func (m *repairManager) restoreTask(ref RepairedTask, holder topology.NodeID) {
-	if ref.Job < 0 || ref.Job >= len(m.s.jobs) {
-		return
-	}
 	js := m.s.jobs[ref.Job]
-	if ref.Task < 0 || ref.Task >= len(js.spec.Tasks) {
+	if ref.Task >= len(js.spec.Tasks) {
 		return
 	}
 	if !js.submitted {
@@ -313,9 +278,6 @@ func (m *repairManager) restoreTask(ref RepairedTask, holder topology.NodeID) {
 // injectFailure, which never runs inside a network callback, so flow
 // cancellation is safe here.
 func (m *repairManager) onFailure(nodes []topology.NodeID) {
-	if m.s.err != nil {
-		return
-	}
 	dead := func(id topology.NodeID) bool { return !m.s.cluster.Alive(id) }
 	if ar := m.active; ar != nil && m.repairAffected(ar, dead) {
 		for _, f := range ar.flows {
@@ -335,8 +297,7 @@ func (m *repairManager) onFailure(nodes []topology.NodeID) {
 			m.enqueue(requeued, "requeue", true)
 		}
 	}
-	m.scheduleScan(nodes)
-	m.schedulePump()
+	m.scheduleScan(nodes) // the scan pumps
 }
 
 // repairAffected reports whether a failure touched this repair: a

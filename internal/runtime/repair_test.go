@@ -1,8 +1,10 @@
 package runtime_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"degradedfirst/internal/erasure"
@@ -288,6 +290,33 @@ func TestSecondFailureMidRepair(t *testing.T) {
 	}
 }
 
+// TestFailureMissingRepairLeavesItRunning: node 0 dies at t=0 and
+// stripe 0's repair reads nodes 1 and 2 into node 4. Node 6, which the
+// repair does not touch, dies while it is in flight: the repair is not
+// cancelled (no requeue event) and commits its one block once.
+func TestFailureMissingRepairLeavesItRunning(t *testing.T) {
+	c := repairCluster(t)
+	store := newRepairStore(c, [][]topology.NodeID{{0, 1, 2, 3}})
+	res, events, err := runRepairScenario(t, store, repair.Config{Enabled: true}, []topology.NodeID{0}, killAfter(1, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if launches := repairEvents(events, trace.EvRepairLaunch); len(launches) != 1 || launches[0].T >= 1 {
+		t.Fatalf("repair launches %v: want one before node 6 fails at t=1", launches)
+	}
+	if fails := repairEvents(events, trace.EvNodeFail); len(fails) != 2 || fails[1].Node != 6 {
+		t.Fatalf("node-fail events %v: want nodes 0 and 6", fails)
+	}
+	for _, e := range repairEvents(events, trace.EvRepairQueued) {
+		if e.Class == "requeue" {
+			t.Fatalf("a failure the repair does not touch requeued it at t=%v", e.T)
+		}
+	}
+	if st := res.Repair; st == nil || st.BlocksRepaired != 1 || store.commits["s0/b0"] != 1 || store.holders[0][0] != 4 {
+		t.Fatalf("repair stats %+v, commits %v, holders %v: want block 0 rebuilt once on node 4", st, store.commits, store.holders[0])
+	}
+}
+
 // TestRepairRequeueBoostWins: after the second failure, the re-queued
 // stripe must launch before queued-but-never-launched work.
 func TestRepairRequeueBoostRelaunchesFirst(t *testing.T) {
@@ -410,6 +439,27 @@ func TestThrottleDelaysLaunch(t *testing.T) {
 	}
 }
 
+// TestFailureDuringThrottleWait: a failure while the head stripe waits
+// for tokens rescans and pumps again; the pump withdraws the pending
+// retry and arms the same one, so the launch neither moves nor doubles.
+func TestFailureDuringThrottleWait(t *testing.T) {
+	c := repairCluster(t)
+	store := newRepairStore(c, [][]topology.NodeID{{0, 1, 2, 3}})
+	_, events, err := runRepairScenario(t, store,
+		repair.Config{Enabled: true, RateFraction: 0.5},
+		[]topology.NodeID{0}, killAfter(1, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fails := repairEvents(events, trace.EvNodeFail); len(fails) != 2 || fails[1].T >= 3 {
+		t.Fatalf("node-fail events %v: want node 6 failing before the launch at t=3", fails)
+	}
+	launches := repairEvents(events, trace.EvRepairLaunch)
+	if len(launches) != 1 || math.Abs(launches[0].T-3) > 1e-6 {
+		t.Fatalf("launches %v, want one at t=3", launches)
+	}
+}
+
 func TestRepairedBlockRestoresLateJobTask(t *testing.T) {
 	c := repairCluster(t)
 	store := newRepairStore(c, [][]topology.NodeID{{0, 1, 2, 3}})
@@ -498,5 +548,84 @@ func TestRepairCommitToDeadNodeRequeues(t *testing.T) {
 		if e.Node == victim {
 			t.Errorf("a repair committed on node %d: %+v", victim, e)
 		}
+	}
+}
+
+// TestStripeTurnsUnrepairableWhileQueued: stripe 1 waits behind stripe
+// 0's repair when a failure leaves it past the code's tolerance. Stripe 1
+// is reported unrepairable once, its queued losses leave the pending
+// count, and a later failure's rescan reports nothing twice.
+func TestStripeTurnsUnrepairableWhileQueued(t *testing.T) {
+	c := repairCluster(t)
+	store := newRepairStore(c, [][]topology.NodeID{{0, 1, 2, 3}, {0, 1, 4, 5}})
+	// A second job keeps heartbeats, and so failure polls, going.
+	long := runtime.JobSpec{Name: "long", Tasks: make([]sched.TaskSpec, 4*repNodes)}
+	for i := range long.Tasks {
+		long.Tasks[i] = sched.TaskSpec{Block: erasure.BlockID{Stripe: 100 + i}, Holder: 7}
+	}
+	res, events, err := runRepairScenario(t, store, repair.Config{Enabled: true}, []topology.NodeID{0},
+		func(now float64) []topology.NodeID {
+			switch {
+			case now >= 3:
+				return []topology.NodeID{6}
+			case now >= 1:
+				return []topology.NodeID{4, 5}
+			}
+			return nil
+		}, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fails := repairEvents(events, trace.EvNodeFail); len(fails) != 4 {
+		t.Fatalf("node-fail events %v: want nodes 0, 4, 5 and 6", fails)
+	}
+	var unrep []trace.Event
+	for _, e := range repairEvents(events, trace.EvRepairQueued) {
+		if e.Class == "unrepairable" {
+			unrep = append(unrep, e)
+		}
+	}
+	if len(unrep) != 1 || unrep[0].Task != 1 || unrep[0].N != 3 {
+		t.Fatalf("unrepairable events %v: want stripe 1 once, with 3 lost", unrep)
+	}
+	for _, e := range repairEvents(events, trace.EvRepairLaunch) {
+		if e.Task == 1 {
+			t.Fatalf("unrepairable stripe 1 launched at %v", e.T)
+		}
+	}
+	if st := res.Repair; st == nil || st.Unrepairable != 1 || st.BlocksRepaired != 1 {
+		t.Fatalf("repair stats %+v: want stripe 0's block rebuilt and stripe 1 unrepairable", st)
+	}
+}
+
+// TestRepairCommitErrorStopsRun: a stripe's two rebuilt blocks arrive in
+// one network callback; the first commit fails with a plain error, which
+// aborts the run, and the second block is not committed after it.
+func TestRepairCommitErrorStopsRun(t *testing.T) {
+	c := repairCluster(t)
+	store := newRepairStore(c, [][]topology.NodeID{{0, 1, 2, 3}})
+	store.commitErr = func(repair.BlockPlan) error { return errors.New("disk full") }
+	_, _, err := runRepairScenario(t, store, repair.Config{Enabled: true}, []topology.NodeID{0, 1}, nil)
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("run returned %v, want the commit's error", err)
+	}
+	if len(store.commitOrder) != 1 {
+		t.Fatalf("commits %v after the first failed, want just that one", store.commitOrder)
+	}
+}
+
+// TestRepairRefPastTaskCount: a commit naming a task past its job's task
+// count (a padded last stripe's block) restores nothing, and the run
+// finishes.
+func TestRepairRefPastTaskCount(t *testing.T) {
+	c := repairCluster(t)
+	store := newRepairStore(c, [][]topology.NodeID{{0, 1, 2, 3}})
+	store.taskOf[[2]int{0, 0}] = runtime.RepairedTask{Job: 0, Task: 5}
+	res, _, err := runRepairScenario(t, store, repair.Config{Enabled: true}, []topology.NodeID{0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Repair == nil || res.Repair.BlocksRepaired != 1 {
+		t.Fatalf("repair stats %+v: want one block rebuilt", res.Repair)
 	}
 }

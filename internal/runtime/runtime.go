@@ -206,7 +206,10 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 		st.eng.Schedule(offset, func() { st.heartbeat(id) })
 	}
 
-	st.eng.Run()
+	// A failed run dispatches nothing more, so no event callback starts
+	// with s.err set.
+	for st.err == nil && st.eng.Step() {
+	}
 	if p.Work != nil {
 		*p.Work = Work{Engine: eng.Stats(), Net: net.Stats()}
 	}
@@ -362,7 +365,7 @@ func (s *state) submitJob(js *jobState) {
 }
 
 func (s *state) heartbeat(id topology.NodeID) {
-	if s.err != nil || s.allDone() {
+	if s.allDone() {
 		return
 	}
 	if err := s.p.Ctx.Err(); err != nil {
@@ -393,7 +396,7 @@ func (s *state) oobHeartbeat(id topology.NodeID) {
 	slave.oobPending = true
 	s.eng.Schedule(0, func() {
 		slave.oobPending = false
-		if s.err == nil && !s.allDone() && s.cluster.Alive(id) {
+		if !s.allDone() && s.cluster.Alive(id) {
 			s.serveSlave(id)
 		}
 	})
@@ -594,9 +597,6 @@ func (s *state) startProcessing(rm *runningMap) {
 }
 
 func (s *state) completeMap(rm *runningMap) {
-	if s.err != nil {
-		return
-	}
 	js := rm.js
 	id := rm.node
 
@@ -703,9 +703,6 @@ func (s *state) checkReducer(r *reducerState) {
 }
 
 func (s *state) completeReducer(r *reducerState) {
-	if s.err != nil {
-		return
-	}
 	js := r.job
 	if err := s.backend.AwaitReduce(js.idx, r.idx, r.node); err != nil {
 		s.reduceAwaitFailure(r, err)
@@ -731,10 +728,9 @@ func (s *state) completeReducer(r *reducerState) {
 	}
 }
 
+// finishJob runs once per job: at its last reducer's finish, or at its
+// last map's for a job without reducers; recovery skips finished jobs.
 func (s *state) finishJob(js *jobState) {
-	if js.finishedJ {
-		return
-	}
 	js.finishedJ = true
 	// Failure recovery skips a finished job, so nothing reads its shuffle
 	// again: let the map outputs go.

@@ -42,20 +42,7 @@ func Timeline(res *Result, jobIdx, width int) string {
 	}
 
 	// rank maps a class to display priority (higher wins per column).
-	rank := func(c sched.Class) int {
-		switch c {
-		case sched.ClassDegraded:
-			return 4
-		case sched.ClassRemote:
-			return 3
-		case sched.ClassRackLocal:
-			return 2
-		case sched.ClassNodeLocal:
-			return 1
-		default:
-			return 0
-		}
-	}
+	rank := [...]int{sched.ClassNodeLocal: 1, sched.ClassRackLocal: 2, sched.ClassRemote: 3, sched.ClassDegraded: 4}
 	glyph := [5]byte{'.', 'L', 'r', 'R', 'D'}
 
 	rows := make([][]int, int(maxNode)+1)
@@ -63,17 +50,10 @@ func Timeline(res *Result, jobIdx, width int) string {
 		rows[i] = make([]int, width)
 	}
 	colOf := func(t float64) int {
-		c := int((t - start) / (end - start) * float64(width))
-		if c < 0 {
-			c = 0
-		}
-		if c >= width {
-			c = width - 1
-		}
-		return c
+		return min(max(int((t-start)/(end-start)*float64(width)), 0), width-1)
 	}
 	for _, t := range jr.Tasks {
-		r := rank(t.Class)
+		r := rank[t.Class]
 		for col := colOf(t.LaunchTime); col <= colOf(t.FinishTime); col++ {
 			if r > rows[t.Node][col] {
 				rows[t.Node][col] = r

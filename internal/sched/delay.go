@@ -68,16 +68,14 @@ func (d *DelayScheduling) popWithDelay(env *Env, j *Job, node topology.NodeID) *
 		d.skips[j.ID]++
 		return nil
 	}
-	// Patience exhausted: accept non-local work.
-	if t := j.popRemote(env.Cluster, node); t != nil {
-		d.skips[j.ID] = 0
-		return t
+	// Patience exhausted: accept non-local work. A job not Done has a
+	// task pending, and one neither local nor remote is degraded.
+	t := j.popRemote(env.Cluster, node)
+	if t == nil {
+		t = j.popDegraded()
 	}
-	if t := j.popDegraded(); t != nil {
-		d.skips[j.ID] = 0
-		return t
-	}
-	return nil
+	d.skips[j.ID] = 0
+	return t
 }
 
 var _ Scheduler = (*DelayScheduling)(nil)

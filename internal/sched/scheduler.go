@@ -229,20 +229,13 @@ func (e *EnhancedDegradedFirst) assignToSlave(env *Env, s topology.NodeID) bool 
 		for _, j := range env.Jobs {
 			pending += j.pendingLocalCount(id)
 		}
-		slots := node.MapSlots
-		if slots <= 0 {
-			slots = 1
-		}
-		est := float64(pending) * env.perTaskTime(id) / float64(slots)
+		est := float64(pending) * env.perTaskTime(id) / float64(max(node.MapSlots, 1))
 		sum += est
 		if id == s {
 			ts = est
 		}
 	}
-	if alive == 0 {
-		return false
-	}
-	return ts <= sum/float64(alive)
+	return ts <= sum/float64(alive) // s heartbeats, so alive > 0
 }
 
 // assignToRack implements rack awareness: refuse rack r when its last

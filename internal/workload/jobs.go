@@ -42,10 +42,7 @@ func GenerateMultiJob(opts MultiJobOptions) ([]mapred.JobSpec, error) {
 		j.Name = fmt.Sprintf("job-%02d", i)
 		j.SubmitAt = at
 		if opts.VaryBlocks > 1 && j.NumBlocks > 0 {
-			lo := j.NumBlocks / opts.VaryBlocks
-			if lo < 1 {
-				lo = 1
-			}
+			lo := max(j.NumBlocks/opts.VaryBlocks, 1)
 			j.NumBlocks = lo + rng.Intn(j.NumBlocks-lo+1)
 		}
 		jobs[i] = j

@@ -87,16 +87,10 @@ func GenerateStorm(opts StormOptions) ([]mapred.JobSpec, error) {
 		j := opts.Template
 		j.Name = fmt.Sprintf("%s/j%04d", tenant.Name, i)
 		j.Tenant = tenant.Name
-		j.Weight = tenant.Weight
-		if j.Weight < 0 {
-			j.Weight = 0
-		}
+		j.Weight = max(tenant.Weight, 0)
 		j.SubmitAt = at
 		if opts.VaryBlocks > 1 && j.NumBlocks > 0 {
-			lo := j.NumBlocks / opts.VaryBlocks
-			if lo < 1 {
-				lo = 1
-			}
+			lo := max(j.NumBlocks/opts.VaryBlocks, 1)
 			j.NumBlocks = lo + rng.Intn(j.NumBlocks-lo+1)
 		}
 		if opts.DeadlineSlack > 0 {
