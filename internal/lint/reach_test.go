@@ -64,7 +64,6 @@ var allowList = map[string]allowEntry{
 	"sim.Event.At":                           {testAPI, "netsim's invariant oracle reads when its pending completion fires"},
 	"trace.ReadJSONL":                        {testAPI, "reads a trace back for the round-trip fuzz test and the replay tests"},
 	"sim.Engine.Stats":                       {unreachable, "read only through runtime.Params.Work, which only tests set"},
-	"netsim.Net.Stats":                       {unreachable, "read only through runtime.Params.Work, which only tests set"},
 	"minimr.realBackend.ReduceReset":         {unreachable, "the in-process engine has no mid-run failure source, so no reducer is reset"},
 }
 
@@ -206,6 +205,8 @@ var branchAllowList = map[string]allowEntry{
 		unreachable, "the Builder's run-end check fails only on a runtime bug: heartbeats run until every job finishes, and every flow has a completion event; TestBuilderRejectsMalformedTraces holds each rule on the Builder itself"},
 	`netsim.Net.recompute: panic(fmt.Sprintf("netsim: clock moved from %v to %v over a drained solve", n.instant, n.eng.Now()))`: {
 		unreachable, "a drained solve and its completion share one clock instant"},
+	`netsim.Net.fill: panic(fmt.Sprintf("netsim: filling not done after %d iterations over %d links", j, len(links)))`: {
+		unreachable, "every iteration saturates its minimum's link, which then leaves the loop: a filling ends within one iteration per active link, plus one for flows on unlimited links only"},
 
 	// Errors of steps whose inputs an earlier check already validated.
 	`runtime.Run: return nil, fmt.Errorf("%s: %w", p.name(), err) #2`: {

@@ -2,13 +2,17 @@ package mapred
 
 import (
 	"context"
+	"fmt"
 	goruntime "runtime"
 	"testing"
 	"time"
 
+	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sim"
+	"degradedfirst/internal/stats"
+	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
 )
 
@@ -26,9 +30,9 @@ func TestPaperScalePerf(t *testing.T) {
 		net    netsim.Stats
 	}{
 		LF: {sim.Stats{Scheduled: 52248, Cancelled: 1574, Dispatched: 50674, MaxQueue: 201},
-			netsim.Stats{Solves: 45390, FlowsVisited: 2720973, Deferred: 41293}},
+			netsim.Stats{Solves: 45390, FlowsVisited: 2720973, Deferred: 41293, Iterations: 6239, Replayed: 2211, LinkVisits: 26309}},
 		EDF: {sim.Stats{Scheduled: 51190, Cancelled: 2417, Dispatched: 48773, MaxQueue: 313},
-			netsim.Stats{Solves: 45314, FlowsVisited: 1610381, Deferred: 42007}},
+			netsim.Stats{Solves: 45314, FlowsVisited: 1610381, Deferred: 42007, Iterations: 6486, Replayed: 700, LinkVisits: 31407}},
 	}
 	for _, k := range []SchedulerKind{LF, EDF} {
 		cfg := DefaultConfig()
@@ -66,6 +70,102 @@ func TestPaperScalePerf(t *testing.T) {
 			t.Errorf("%s: engine %+v, net %+v; want %+v, %+v", k, es, ns, want[k].engine, want[k].net)
 		}
 	}
+}
+
+// TestStormScalePerf pins the simulator core's counters on a job storm
+// shaped like the benchmark's sim-storm workload at its warm-up size: 150
+// fair-share jobs of three tenants with k+1 hedged degraded reads on a
+// 64-node fat tree with oversubscribed edge and pod tiers. stormJobs makes
+// the jobs workload.GenerateStorm makes there (package workload imports
+// mapred, so this test cannot call it). Consecutive fillings here differ
+// by a few flows, so a third of their iterations are taken from the last
+// filling's record (Replayed) instead of being swept again: filling afresh
+// every time computes all 196 624 iterations over 11 640 966 link visits,
+// against 133 921 and 6 105 270 here. Like TestPaperScalePerf the counts
+// are exact, so a change to the solver that claims to be bit-identical
+// must leave the engine's counts and the solve counts as they are. Skipped
+// in -short mode.
+func TestStormScalePerf(t *testing.T) {
+	if testing.Short() {
+		t.Skip("storm run skipped in short mode")
+	}
+	spec, err := topology.FatTree(topology.FatTreeConfig{
+		Pods: 4, EdgesPerPod: 4, NodesPerEdge: 4,
+		NodeBps: netsim.Gbps, EdgeOversub: 4, PodOversub: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.Racks, cfg.RackBps = 0, 0, 0
+	cfg.Topology = &spec
+	cfg.N, cfg.K = 6, 4
+	cfg.BlockSizeBytes = 64e6
+	cfg.Scheduler = EDF
+	cfg.JobSched = jobsched.Config{Policy: jobsched.FairShare}
+	cfg.Hedge = runtime.HedgePolicy{Extra: 1}
+	cfg.Seed = 1
+	r, err := prepare(context.Background(), cfg, stormJobs(150, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var work runtime.Work
+	r.params.Work = &work
+	if _, err := runtime.Run(r.params, r.backend, r.jobs); err != nil {
+		t.Fatal(err)
+	}
+	es, ns := work.Engine, work.Net
+	fillings := ns.Solves - ns.Deferred
+	t.Logf("engine %+v, net %+v", es, ns)
+	t.Logf("%d fillings: %.1f iterations computed and %.1f replayed, %.0f link visits each",
+		fillings, float64(ns.Iterations)/float64(fillings), float64(ns.Replayed)/float64(fillings),
+		float64(ns.LinkVisits)/float64(fillings))
+	wantEngine := sim.Stats{Scheduled: 20683, Cancelled: 5679, Dispatched: 15004, MaxQueue: 336}
+	wantNet := netsim.Stats{Solves: 14332, FlowsVisited: 2300324, Deferred: 2159,
+		Iterations: 133921, Replayed: 62703, LinkVisits: 6105270}
+	if es != wantEngine || ns != wantNet {
+		t.Errorf("engine %+v, net %+v; want %+v, %+v", es, ns, wantEngine, wantNet)
+	}
+}
+
+// stormJobs is the benchmark's storm of n jobs: alpha, beta and gamma
+// submit half, 30 % and 20 % of them with weights 4, 2 and 1, a mean 0.5 s
+// apart, each with 8 to 32 blocks and a deadline 30 to 90 s after it is
+// submitted. It draws from the RNG as workload.GenerateStorm does.
+func stormJobs(n int, seed int64) []JobSpec {
+	tenants := []struct {
+		name          string
+		weight, share float64
+	}{{"alpha", 4, 0.5}, {"beta", 2, 0.3}, {"gamma", 1, 0.2}}
+	tpl := DefaultJob()
+	tpl.NumBlocks = 32
+	tpl.MapTime = Dist{Mean: 3, Std: 0.3}
+	tpl.ReduceTime = Dist{Mean: 2, Std: 0.2}
+	tpl.NumReduceTasks = 2
+	tpl.ShuffleRatio = 0.05
+	rng := stats.NewRNG(seed)
+	jobs := make([]JobSpec, n)
+	at := 0.0
+	for i := range jobs {
+		pick := rng.Float64()
+		tenant := tenants[len(tenants)-1]
+		for _, ts := range tenants {
+			if pick < ts.share {
+				tenant = ts
+				break
+			}
+			pick -= ts.share
+		}
+		j := tpl
+		j.Name = fmt.Sprintf("%s/j%04d", tenant.name, i)
+		j.Tenant, j.Weight, j.SubmitAt = tenant.name, tenant.weight, at
+		lo := j.NumBlocks / 4
+		j.NumBlocks = lo + rng.Intn(j.NumBlocks-lo+1)
+		j.Deadline = j.SubmitAt + (0.5+rng.Float64())*60
+		jobs[i] = j
+		at += rng.Exponential(0.5)
+	}
+	return jobs
 }
 
 // startCounter counts the transfers a run starts.

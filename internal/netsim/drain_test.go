@@ -46,14 +46,14 @@ func TestFinishCascadeCostsOneFilling(t *testing.T) {
 		reqs[i] = FlowReq{Src: 0, Dst: topology.NodeID(4 + i%8), Bytes: 2.5e6, Done: func(*Flow) { finishes = append(finishes, eng.Now()) }}
 	}
 	n.StartFlows(reqs)
-	if got, want := n.Stats(), (Stats{Solves: 1, FlowsVisited: flows}); got != want {
+	if got, want := n.Stats(), (Stats{Solves: 1, FlowsVisited: flows, Iterations: 1, LinkVisits: 1}); got != want {
 		t.Fatalf("after admission: %+v, want %+v", got, want)
 	}
 	eng.Run()
 	if err := n.Drained(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := n.Stats(), (Stats{Solves: 1 + flows, FlowsVisited: flows + flows*(flows-1)/2, Deferred: flows - 1}); got != want {
+	if got, want := n.Stats(), (Stats{Solves: 1 + flows, FlowsVisited: flows + flows*(flows-1)/2, Deferred: flows - 1, Iterations: 1, LinkVisits: 1}); got != want {
 		t.Errorf("after the cascade: %+v, want %+v", got, want)
 	}
 	if len(finishes) != flows || finishes[0] != finishes[flows-1] || finishes[0] <= 0 {
@@ -83,7 +83,7 @@ func TestFinishCascadeBehindLongFlows(t *testing.T) {
 	n.StartFlows(reqs)
 	eng.RunUntil(100) // the cascade lands at 12 s, the long flows run for an hour
 	visited := uint64(long+flows) + flows*(long+flows) - flows*(flows+1)/2
-	if got, want := n.Stats(), (Stats{Solves: 1 + flows, FlowsVisited: visited, Deferred: flows - 1}); got != want {
+	if got, want := n.Stats(), (Stats{Solves: 1 + flows, FlowsVisited: visited, Deferred: flows - 1, Iterations: 5, LinkVisits: 36}); got != want {
 		t.Errorf("after the cascade: %+v, want %+v", got, want)
 	}
 	if len(finishes) != flows || finishes[0] != finishes[flows-1] {
@@ -116,7 +116,7 @@ func TestDrainCursorResetsWhenHiGrows(t *testing.T) {
 		got = n.Stats()
 	})
 	eng.Run()
-	if want := (Stats{Solves: 2, FlowsVisited: 1 + 3}); got != want {
+	if want := (Stats{Solves: 2, FlowsVisited: 1 + 3, Iterations: 3, LinkVisits: 13}); got != want {
 		t.Errorf("after the admissions: %+v, want %+v (a drained second solve skipped the undecided flow)", got, want)
 	}
 }
@@ -165,9 +165,12 @@ func TestBorderlineRemainingFallsThrough(t *testing.T) {
 // with finite rack links, on that tree behind 1 000 long-lived flows
 // admitted first (which every drain walk of an instant meets first), and on
 // sim-storm's fat tree, and reports the share of solves the drain test
-// answered.
+// answered. The hedged case is sim-storm's degraded reads instead: 200
+// fan-ins of k+1 = 5 block reads into one node, the spare cancelled once k
+// have arrived, so consecutive fillings differ by a flow or two; it also
+// reports the share of filling iterations taken from the record.
 func BenchmarkFinishCascade(b *testing.B) {
-	const batches, fanout = 200, 60
+	const batches, fanout, k = 200, 60, 4
 	storm, err := topology.FatTree(topology.FatTreeConfig{
 		Pods: 4, EdgesPerPod: 4, NodesPerEdge: 4,
 		NodeBps: Gbps, EdgeOversub: 4, PodOversub: 2,
@@ -184,11 +187,13 @@ func BenchmarkFinishCascade(b *testing.B) {
 		name    string
 		cluster *topology.Cluster
 		cfg     Config
-		long    int // cross-rack flows of 1 GB admitted before the batches
+		long    int  // cross-rack flows of 1 GB admitted before the batches
+		hedged  bool // k+1 fan-ins of 64 MB with the spare cancelled, not 60 fan-outs of 1 MB
 	}{
-		{"two-level", twoLevel, Config{RackBps: Gbps}, 0},
-		{"two-level-behind-1000", twoLevel, Config{RackBps: Gbps}, 1000},
-		{"fat-tree", fatTree, Config{}, 0},
+		{"two-level", twoLevel, Config{RackBps: Gbps}, 0, false},
+		{"two-level-behind-1000", twoLevel, Config{RackBps: Gbps}, 1000, false},
+		{"fat-tree", fatTree, Config{}, 0, false},
+		{"hedged-fat-tree", fatTree, Config{}, 0, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			nodes := tc.cluster.NumNodes()
@@ -206,6 +211,23 @@ func BenchmarkFinishCascade(b *testing.B) {
 				}
 				eng.ScheduleAt(0, func() { n.StartFlows(long) })
 				for m := 0; m < batches; m++ {
+					if tc.hedged {
+						var flows []*Flow
+						arrived := 0
+						spare := func(*Flow) {
+							if arrived++; arrived == k {
+								for _, f := range flows {
+									n.Cancel(f) // the arrived ones: no-op
+								}
+							}
+						}
+						reqs := make([]FlowReq, k+1)
+						for r := range reqs {
+							reqs[r] = FlowReq{Src: topology.NodeID((7*m + 1 + 13*r) % nodes), Dst: topology.NodeID(7 * m % nodes), Bytes: 64e6, Done: spare}
+						}
+						eng.ScheduleAt(0.1*float64(m), func() { flows = n.StartFlows(reqs) })
+						continue
+					}
 					reqs := make([]FlowReq, fanout)
 					for r := range reqs {
 						reqs[r] = FlowReq{Src: topology.NodeID(7 * m % nodes), Dst: topology.NodeID((7*m + 1 + r) % nodes), Bytes: 1e6}
@@ -219,6 +241,7 @@ func BenchmarkFinishCascade(b *testing.B) {
 				st = n.Stats()
 			}
 			b.ReportMetric(float64(st.Deferred)/float64(st.Solves), "deferred/solve")
+			b.ReportMetric(float64(st.Replayed)/float64(st.Replayed+st.Iterations), "replayed/iter")
 		})
 	}
 }

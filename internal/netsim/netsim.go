@@ -90,10 +90,15 @@ type Flow struct {
 	// What every solve reads or writes per active flow comes first, on one
 	// 64-byte cache line: at scale a solve's cost is the memory traffic of
 	// walking the active flows, not its arithmetic.
-	remaining   float64
-	rate        float64
-	updateTime  sim.Time // when `remaining` was last advanced, or the flow admitted
-	frozenEpoch uint64   // solve epoch at which the filling last fixed the flow's rate
+	remaining  float64
+	rate       float64
+	updateTime sim.Time // when `remaining` was last advanced, or the flow admitted
+	// The filling that last fixed the flow's rate (its epoch) and the
+	// iteration of that filling that froze it; see solver.go. Every
+	// filling stamps every contending flow, so a stamp is the last
+	// filling's epoch or 0 (none yet), and 32 bits cannot wrap onto one.
+	frozenEpoch uint32
+	frozenIter  int32
 	path        []*link
 	// ev is the flow's own completion event. Fluid flows normally have
 	// none (the Net schedules one event for the earliest completion, see
@@ -127,17 +132,26 @@ func (f *Flow) Remaining() float64 { return f.remaining }
 func (f *Flow) Finished() bool { return f.finished }
 
 type link struct {
+	// What a filling iteration reads and writes comes first, within 64
+	// bytes.
 	capacity float64 // bytes/sec, +Inf when unlimited
-	finite   bool    // precomputed !IsInf(capacity): only finite links constrain
-
 	// Fluid mode scratch state.
 	residual float64
 	unfrozen int
+	// The filling's record of this link (solver.go): its state at the start
+	// of each iteration it took part in, the iteration that saturated it
+	// (-1 for none), and whether its flow set changed since.
+	hist    []linkState
+	satIter int32
+	// While the link carries contending flows, its position in
+	// Net.activeLinks.
+	activePos int32
+	finite    bool // precomputed !IsInf(capacity): only finite links constrain
+	dirty     bool
 
 	// Incremental-solver index: the contending flows crossing this link
-	// (finite links only), plus membership in Net.activeLinks.
-	active   []*Flow
-	inActive bool
+	// (finite links only).
+	active []*Flow
 
 	// Hold mode state.
 	holder *Flow
@@ -174,14 +188,28 @@ type Net struct {
 	// property oracle.
 	solve func()
 	// Solver state: the finite links that currently carry contending
-	// flows, the count of contending flows, and the monotone solve epoch
-	// that marks the flows a filling has fixed without a reset pass.
+	// flows, the count of contending flows, and the filling epoch that
+	// marks the flows a filling has fixed without a reset pass.
 	activeLinks []*link
-	// workLinks is the filling loop's compacting scratch copy of
-	// activeLinks, retained across solves to avoid reallocation.
-	workLinks   []*link
 	ncontending int
-	epoch       uint64
+	epoch       uint32
+	// The last filling's record (solver.go): per iteration its increment,
+	// water level and the end of its links in minLinks, the links whose
+	// share was the increment; and the links whose flow set changed since.
+	iters    []iterRec
+	minLinks []*link
+	dirty    []*link
+	// Scratch retained across fillings to avoid reallocation: the loop's
+	// compacting copy of the active set and its saturated links, and the
+	// replay's dirty links, freeze counts and ties. They point only at the
+	// Net's own links, so stale entries are left in place.
+	workLinks []*link
+	satLinks  []*link
+	replayed  []replayLink
+	oldFrozen []int32
+	ties      []*link
+	tieEnds   []int32
+	spareMin  []*link
 
 	// Fluid-mode completion: the one engine event for the earliest
 	// completion as of the last solve, the flow it finishes and its index
@@ -213,6 +241,12 @@ type Stats struct {
 	// Deferred counts the solves answered by the drain test (solver.go):
 	// Solves - Deferred ran progressive filling.
 	Deferred uint64
+	// The fillings' work: the iterations computed, the iterations taken
+	// from the last filling's record instead, and the links the computed
+	// iterations swept over.
+	Iterations uint64
+	Replayed   uint64
+	LinkVisits uint64
 }
 
 // Stats returns the solver's work counters so far.

@@ -8,12 +8,57 @@
 // sweeps over every flow and every link:
 //
 //   - Each finite link keeps the list of contending flows crossing it, so
-//     the freeze step visits only the saturated link's flows.
+//     the freeze step visits only the saturated links' flows. A link joins
+//     Net.activeLinks with its first flow and leaves it, by swap-remove,
+//     with its last: the order of the set only orders which saturated
+//     link freezes a flow first, and freezing is commutative.
 //   - One running water level stands in for per-flow rate accumulation: a
 //     flow's rate is the level at which its first link saturates, the same
 //     float64 partial sums, in the same order, as `f.rate += inc` per
 //     iteration would make.
-//   - Freeze marks are solve-epoch stamps: no O(flows) reset pass.
+//   - An iteration is two sweeps over the links that take part (those
+//     with unfrozen flows): one drops the links whose flows have all
+//     frozen, finds the minimum share and records each link's state; one
+//     subtracts the increment and collects the saturated links, whose
+//     flows the freeze loop then visits.
+//   - Freeze marks are filling-epoch stamps: no O(flows) reset pass.
+//
+// The record. A filling depends only on the active flows' paths, not on
+// time or bytes, and consecutive fillings differ by a few flows. So each
+// filling records its trajectory: per iteration the increment, the water
+// level and the links whose share equalled the increment (Net.iters,
+// Net.minLinks); per link its (residual, unfrozen) at the start of each
+// iteration it took part in and the iteration that saturated it; per flow
+// the iteration that froze it. indexFlow and unindexFlow mark every finite
+// link whose flow set they change dirty. The next filling replays the
+// recorded iterations over the dirty links alone and stops at the first
+// iteration i where
+//
+//   - a dirty link's share is below the recorded increment,
+//   - no clean link of the recorded minimum is left and no dirty link ties
+//     the increment,
+//   - a dirty link that still holds an unfrozen flow of the record
+//     saturates where the record says it did not, or does not where it did,
+//   - or the record ends.
+//
+// It then restores the state at the start of i — clean links from their
+// record, dirty ones from the replay, every flow frozen before i stamped
+// with the new epoch at the rate it has, the level at its iteration — and
+// fills on from there as a fresh filling would.
+//
+// Why the result is bit for bit a fresh filling's: a clean link's flow set
+// is unchanged, so by induction over the prefix it goes through the same
+// float64 operations in the same order as in the record — the same
+// increments, and the same flows freezing at the same iterations, because
+// every link that holds a recorded flow saturates where the record says:
+// clean ones by the induction, dirty ones by the replay's check. A link
+// holding only new flows may saturate anywhere: it freezes only new flows,
+// all of whose links are dirty and replayed. The minimum over the links
+// is then the recorded increment exactly when no dirty share is below it
+// and something still attains it. A dirty link's recorded state is never
+// read, since the replay recomputes it from its capacity, and neither is a
+// saturation iteration left on a link the last filling did not see, since
+// such a link holds no recorded flow.
 //
 // One completion event per network, not per flow. Had every flow its own
 // event, a solve would schedule them one after another in n.flows order:
@@ -46,7 +91,9 @@
 // engine calls for it and skips the filling; any other verdict falls
 // through. The stale rates are never read: the pending event is at `now`
 // and every start, cancel and completion solves again, so the clock cannot
-// move before a solve has filled (recompute checks, via Net.drained).
+// move before a solve has filled (recompute checks, via Net.drained). A
+// drained solve leaves the record alone; the dirty marks accumulate until
+// the next filling.
 //
 // The walk resumes at the instant's cursor (Net.drainFrom): inside an
 // instant no remaining changes and a proof under one hi holds under any
@@ -71,19 +118,46 @@
 // the earlier flow), and every flow's bytes accounted once. The same tests
 // hold the schedules and the engine's dispatch order to a per-flow-event
 // solver kept beside the oracle; TestBorderlineRemainingFallsThrough and
-// TestDrainCursorResetsWhenHiGrows pin verdicts drain must not give.
+// TestDrainCursorResetsWhenHiGrows pin verdicts drain must not give, and
+// replay_test.go pins each way the replay stops.
 
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"degradedfirst/internal/sim"
 )
 
+// iterRec is one iteration of the recorded filling: its increment, the
+// water level after it, and where in Net.minLinks the links whose share
+// was the increment end (they start at the previous iteration's end).
+type iterRec struct {
+	inc, level float64
+	minEnd     int32
+}
+
+// linkState is a link's state at the start of a filling iteration.
+type linkState struct {
+	residual float64
+	unfrozen int
+}
+
+// replayLink is a dirty link in the replay: the iteration that saturated
+// it in the record (-1 for none), and how many of the recorded flows on it
+// are still unfrozen.
+type replayLink struct {
+	l      *link
+	recSat int32
+	old    int
+}
+
 // indexFlow registers a contending fluid flow in the active list of each
-// finite link it crosses, recording its position for O(1) removal.
-// Unlimited links never constrain the solve and are not indexed.
+// finite link it crosses, recording its position for O(1) removal, and
+// marks those links dirty. Unlimited links never constrain the solve and
+// are not indexed.
 func (n *Net) indexFlow(f *Flow) {
 	if len(f.path) <= len(f.linkPosBuf) {
 		f.linkPos = f.linkPosBuf[:len(f.path)]
@@ -96,8 +170,8 @@ func (n *Net) indexFlow(f *Flow) {
 			continue
 		}
 		f.limited = true
-		if len(l.active) == 0 && !l.inActive {
-			l.inActive = true
+		if len(l.active) == 0 {
+			l.activePos = int32(len(n.activeLinks))
 			n.activeLinks = append(n.activeLinks, l)
 		}
 		if len(l.active) > math.MaxInt32 {
@@ -105,13 +179,15 @@ func (n *Net) indexFlow(f *Flow) {
 		}
 		f.linkPos[i] = int32(len(l.active))
 		l.active = append(l.active, f)
+		n.markDirty(l)
 	}
 	n.ncontending++
 }
 
 // unindexFlow removes f from its links' active lists by swapping with the
 // last entry; the moved flow's recorded position is patched (paths are a
-// handful of links — 2 per tier plus NICs and core — all distinct).
+// handful of links — 2 per tier plus NICs and core — all distinct). A
+// link left without flows leaves the active set the same way.
 func (n *Net) unindexFlow(f *Flow) {
 	for i, l := range f.path {
 		pos := f.linkPos[i]
@@ -131,29 +207,26 @@ func (n *Net) unindexFlow(f *Flow) {
 				}
 			}
 		}
+		n.markDirty(l)
+		if last == 0 {
+			end := len(n.activeLinks) - 1
+			tail := n.activeLinks[end]
+			n.activeLinks[l.activePos] = tail
+			tail.activePos = l.activePos
+			n.activeLinks[end] = nil
+			n.activeLinks = n.activeLinks[:end]
+		}
 	}
 	f.linkPos = nil
 	n.ncontending--
 }
 
-// pruneActiveLinks drops links whose active lists have emptied and returns
-// the live set. Order is first-activation order, which only affects the
-// order saturated links are visited — freezing is commutative, so the
-// solve result is unchanged.
-func (n *Net) pruneActiveLinks() []*link {
-	kept := n.activeLinks[:0]
-	for _, l := range n.activeLinks {
-		if len(l.active) == 0 {
-			l.inActive = false
-			continue
-		}
-		kept = append(kept, l)
+// markDirty notes that l's flow set changed since the last filling.
+func (n *Net) markDirty(l *link) {
+	if !l.dirty {
+		l.dirty = true
+		n.dirty = append(n.dirty, l)
 	}
-	for i := len(kept); i < len(n.activeLinks); i++ {
-		n.activeLinks[i] = nil
-	}
-	n.activeLinks = kept
-	return kept
 }
 
 // incRecompute is the fluid solver; see the header comment above for the
@@ -184,89 +257,294 @@ func (n *Net) advance() (sim.Time, []*link) {
 		}
 		n.instant, n.drainFrom = now, 0
 	}
-	return now, n.pruneActiveLinks()
+	return now, n.activeLinks
 }
 
-// fill runs progressive filling over the active links and schedules the
-// completion its rates give.
+// fill runs progressive filling over the active links from where the
+// replay of the last filling's record stops, records it for the next
+// filling, and schedules the completion its rates give.
 func (n *Net) fill(now sim.Time, links []*link) {
-	// Progressive filling over the link indexes. The filling loop works on
-	// a compacting copy of the active set: a link whose flows all froze
-	// can never bound a later water-level increment or freeze
-	// anything again, so it is dropped instead of re-skipped every
-	// iteration — at 10k-node scale most links freeze their flows in the
-	// first iteration and the sweeps shrink accordingly. Dropping is
-	// bitwise-neutral: min() over shares is order-independent, residual
-	// updates touch only links with unfrozen flows, and freezing is
-	// commutative.
-	n.epoch++
+	prev := n.epoch
+	n.epoch = n.epoch%math.MaxUint32 + 1 // never 0, the stamp of a flow no filling has seen
 	epoch := n.epoch
-	work := n.workLinks[:0]
-	for _, l := range links {
-		l.residual = l.capacity
-		l.unfrozen = len(l.active)
-		work = append(work, l)
-	}
-	n.workLinks = work
-	unfrozen := n.ncontending
+	start := n.replay(prev, epoch)
+	work, unfrozen := n.restore(start, prev, epoch, links)
 	level := 0.0
+	if start > 0 {
+		level = n.iters[start-1].level
+	}
 	for unfrozen > 0 {
+		j := len(n.iters)
+		if j > len(links) {
+			panic(fmt.Sprintf("netsim: filling not done after %d iterations over %d links", j, len(links)))
+		}
+		// Sweep one: drop the links whose flows have all frozen (they can
+		// bound no later increment), record the others' state and find
+		// the minimum share and the links that attain it.
 		inc := math.Inf(1)
+		mark := len(n.minLinks)
+		kept := work[:0]
 		for _, l := range work {
 			if l.unfrozen == 0 {
 				continue
 			}
-			if share := l.residual / float64(l.unfrozen); share < inc {
+			kept = append(kept, l)
+			l.hist = append(l.hist, linkState{l.residual, l.unfrozen})
+			share := l.residual / float64(l.unfrozen)
+			switch {
+			case share < inc:
 				inc = share
+				n.minLinks = append(n.minLinks[:mark], l)
+			//lint:ignore floateq the record keeps the links whose share is the increment bit for bit
+			case share == inc:
+				n.minLinks = append(n.minLinks, l)
 			}
 		}
+		work = kept
 		if math.IsInf(inc, 1) {
 			// Remaining flows cross only unlimited links.
 			for _, f := range n.flows {
 				if len(f.path) > 0 && f.frozenEpoch != epoch {
 					f.rate = math.Inf(1)
-					f.frozenEpoch = epoch
+					f.frozenEpoch, f.frozenIter = epoch, math.MaxInt32
 				}
 			}
 			break
 		}
 		level += inc
+		n.iters = append(n.iters, iterRec{inc: inc, level: level, minEnd: int32(len(n.minLinks))})
+		n.stats.Iterations++
+		n.stats.LinkVisits += uint64(len(work))
+		// Sweep two: take the increment off every link and collect the
+		// saturated ones; then freeze their flows.
+		sat := n.satLinks[:0]
 		for _, l := range work {
-			if l.unfrozen > 0 {
-				l.residual -= inc * float64(l.unfrozen)
+			l.residual -= inc * float64(l.unfrozen)
+			if l.residual <= 1e-9*l.capacity {
+				l.satIter = int32(j)
+				sat = append(sat, l)
 			}
 		}
-		// Freeze the flows crossing saturated links, compacting the
-		// working set as links run out of unfrozen flows. A kept link
-		// whose count a later freeze zeroes lingers one iteration and is
-		// dropped on the next sweep.
-		kept := work[:0]
-		for _, l := range work {
-			if l.unfrozen > 0 && l.residual <= 1e-9*l.capacity {
-				for _, g := range l.active {
-					if g.frozenEpoch == epoch {
-						continue
-					}
-					g.frozenEpoch = epoch
-					g.rate = level
-					unfrozen--
-					for _, gl := range g.path {
-						if gl.finite {
-							gl.unfrozen--
-						}
+		n.satLinks = sat
+		for _, l := range sat {
+			for _, g := range l.active {
+				if g.frozenEpoch == epoch {
+					continue
+				}
+				g.frozenEpoch, g.frozenIter, g.rate = epoch, int32(j), level
+				unfrozen--
+				for _, gl := range g.path {
+					if gl.finite {
+						gl.unfrozen--
 					}
 				}
 			}
-			if l.unfrozen > 0 {
-				kept = append(kept, l)
+		}
+	}
+	n.workLinks = work
+	n.scheduleNext(now)
+}
+
+// replay runs the recorded iterations over the dirty links alone, from
+// their capacities, and returns the first iteration it cannot take from
+// the record (the header comment lists the four ways it stops), 0 when
+// there is no record. The dirty links are left in their state at the
+// start of that iteration, and the flows no record holds that it froze
+// before it are stamped with epoch at its level.
+func (n *Net) replay(prev, epoch uint32) int {
+	rec := n.iters
+	if len(rec) == 0 {
+		return 0
+	}
+	rs := n.replayed[:0]
+	for _, l := range n.dirty {
+		if len(l.active) == 0 {
+			continue // its flows all left: it bounds nothing now
+		}
+		rs = append(rs, replayLink{l: l, recSat: l.satIter})
+		l.residual, l.unfrozen, l.satIter = l.capacity, len(l.active), -1
+		l.hist = l.hist[:0]
+	}
+	n.replayed = rs
+	// oldFrozen[j*width+k] will count rs[k]'s flows that the record froze
+	// at iteration j: in the replayed prefix they freeze there again.
+	width := len(rs)
+	var oldFrozen []int32
+	ties, tieEnds := n.ties[:0], n.tieEnds[:0]
+	minFrom := int32(0)
+	i := 0
+	for ; i < len(rec); i++ {
+		r := rec[i]
+		attained := false
+		for _, l := range n.minLinks[minFrom:r.minEnd] {
+			if !l.dirty {
+				attained = true
+				break
 			}
 		}
-		for i := len(kept); i < len(work); i++ {
-			work[i] = nil
+		minFrom = r.minEnd
+		mark := len(ties)
+		under := false
+		for k := range rs {
+			l := rs[k].l
+			if l.unfrozen == 0 {
+				continue
+			}
+			l.hist = append(l.hist, linkState{l.residual, l.unfrozen})
+			share := l.residual / float64(l.unfrozen)
+			if share < r.inc {
+				under = true
+				break
+			}
+			//lint:ignore floateq a dirty link attains the recorded increment only bit for bit
+			if share == r.inc {
+				ties = append(ties, l)
+			}
 		}
-		work = kept
+		if under || !attained && len(ties) == mark {
+			ties = ties[:mark]
+			break
+		}
+		if i == 0 {
+			// Counted once the increment is known to hold: most replays
+			// that stop, stop there.
+			oldFrozen = n.countOldFrozen(rs, prev, len(rec))
+		}
+		sat := n.satLinks[:0]
+		moved := false
+		for k := range rs {
+			d := &rs[k]
+			if d.l.unfrozen == 0 {
+				continue
+			}
+			d.l.residual -= r.inc * float64(d.l.unfrozen)
+			s := d.l.residual <= 1e-9*d.l.capacity
+			if s {
+				sat = append(sat, d.l)
+			}
+			if s != (d.recSat == int32(i)) && d.old > 0 {
+				moved = true
+			}
+		}
+		n.satLinks = sat
+		if moved {
+			for _, d := range rs {
+				if d.l.unfrozen > 0 {
+					d.l.residual = d.l.hist[i].residual
+				}
+			}
+			ties = ties[:mark]
+			break
+		}
+		tieEnds = append(tieEnds, int32(len(ties)))
+		for _, l := range sat {
+			l.satIter = int32(i)
+			for _, g := range l.active {
+				if g.frozenEpoch == prev || g.frozenEpoch == epoch {
+					continue // recorded, or frozen already
+				}
+				g.frozenEpoch, g.frozenIter, g.rate = epoch, int32(i), r.level
+				for _, gl := range g.path {
+					if gl.finite {
+						gl.unfrozen--
+					}
+				}
+			}
+		}
+		for k, c := range oldFrozen[i*width : (i+1)*width] {
+			rs[k].l.unfrozen -= int(c)
+			rs[k].old -= int(c)
+		}
 	}
-	n.scheduleNext(now)
+	n.ties, n.tieEnds = ties, tieEnds
+	n.stats.Replayed += uint64(i)
+	return i
+}
+
+// countOldFrozen counts, per iteration of a record of iters iterations
+// and per link of rs, the link's flows the record froze then, at
+// oldFrozen[iteration*len(rs)+link], and sets each link's count of
+// recorded flows.
+func (n *Net) countOldFrozen(rs []replayLink, prev uint32, iters int) []int32 {
+	width := len(rs)
+	oldFrozen := slices.Grow(n.oldFrozen[:0], iters*width)[:iters*width]
+	clear(oldFrozen)
+	n.oldFrozen = oldFrozen
+	for k := range rs {
+		old := 0
+		for _, g := range rs[k].l.active {
+			if g.frozenEpoch == prev {
+				oldFrozen[int(g.frozenIter)*width+k]++
+				old++
+			}
+		}
+		rs[k].old = old
+	}
+	return oldFrozen
+}
+
+// restore sets up iteration i of the filling after the replay stopped
+// there: clean links take their recorded state at i, dirty ones keep the
+// replay's, every recorded flow frozen before i is stamped with epoch, and
+// the record is cut to its first i iterations, their minimum links
+// narrowed to the clean ones plus the replay's ties. At i == 0 it is a
+// fresh start. It returns the links that take part in iteration i and the
+// contending flows still unfrozen, and clears the dirty marks.
+func (n *Net) restore(i int, prev, epoch uint32, links []*link) ([]*link, int) {
+	work := n.workLinks[:0]
+	unfrozen := n.ncontending
+	if i == 0 {
+		for _, l := range links {
+			l.residual, l.unfrozen, l.satIter = l.capacity, len(l.active), -1
+			l.hist = l.hist[:0]
+			work = append(work, l)
+		}
+		n.iters, n.minLinks = n.iters[:0], n.minLinks[:0]
+	} else {
+		for _, l := range links {
+			switch {
+			case l.dirty:
+				l.hist = l.hist[:min(len(l.hist), i)]
+			case i < len(l.hist):
+				s := l.hist[i]
+				l.residual, l.unfrozen = s.residual, s.unfrozen
+				l.hist = l.hist[:i]
+			default:
+				continue // done before i, its record whole
+			}
+			if l.unfrozen > 0 {
+				l.satIter = -1
+				work = append(work, l)
+			}
+		}
+		for _, f := range n.flows {
+			if f.frozenEpoch == prev && int(f.frozenIter) < i {
+				f.frozenEpoch = epoch
+			}
+			if f.frozenEpoch == epoch {
+				unfrozen--
+			}
+		}
+		n.iters = n.iters[:i]
+		kept := n.spareMin[:0]
+		minFrom, tieFrom := int32(0), int32(0)
+		for j := range n.iters {
+			for _, l := range n.minLinks[minFrom:n.iters[j].minEnd] {
+				if !l.dirty {
+					kept = append(kept, l)
+				}
+			}
+			kept = append(kept, n.ties[tieFrom:n.tieEnds[j]]...)
+			minFrom, tieFrom = n.iters[j].minEnd, n.tieEnds[j]
+			n.iters[j].minEnd = int32(len(kept))
+		}
+		n.minLinks, n.spareMin = kept, n.minLinks
+	}
+	for _, l := range n.dirty {
+		l.dirty = false
+	}
+	n.dirty = n.dirty[:0]
+	return work, unfrozen
 }
 
 // drain is the drain test of the header comment, resumed at the cursor: it

@@ -80,7 +80,9 @@ covtest ./internal/gf256 TestInvertZeroPivot TestDetectKernel
 covtest ./internal/jobsched TestKindStringAndParse TestQueueMatchesRecomputeOracle
 covtest ./internal/mapred TestRepairTracePinned TestSchedulerKindString
 covtest ./internal/minimr TestNoWorkerLeak TestScannersMatchReference TestSumReducerSkipsNonNumbers
-covtest ./internal/netsim TestModeString TestUnlimitedPathsFinishAtOnce TestStarvedFlowGetsNoCompletion TestDeepPathIndexes
+covtest ./internal/netsim TestModeString TestUnlimitedPathsFinishAtOnce TestStarvedFlowGetsNoCompletion TestDeepPathIndexes \
+	TestReplayWithoutRecord TestReplayStopsWhereDirtyLinkUndercuts TestReplayStopsWhenDirtyMinimumIsUntied \
+	TestReplayStopsWhereSaturationMoves TestReplayRunsOutWithEveryFlowFrozen TestReplaySkipsEmptiedLinks
 covtest ./internal/placement TestReassign
 covtest ./internal/runtime TestRepairCommitToDeadNodeRequeues TestSecondFailureMidRepair TestUnrepairableReportedOnceNeverLaunched \
 	TestAsyncReduceFailureReowesLateFetch TestBuilderRejectsMalformedTraces TestFeaturesTable TestHealerPlanInput \
