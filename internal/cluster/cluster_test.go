@@ -71,7 +71,7 @@ func buildResult(t *testing.T, events []trace.Event) *runtime.Result {
 	t.Helper()
 	b := runtime.NewBuilder()
 	for _, e := range events {
-		b.Consume(e)
+		b.Consume(&e)
 	}
 	res, err := b.Result()
 	if err != nil {

@@ -62,6 +62,7 @@ var allowList = map[string]allowEntry{
 	"sim.Engine.RunUntil":                    {benchOnly, "the benchmark's event-heap probe runs to a horizon"},
 	"sim.Engine.Pending":                     {benchOnly, "the benchmark's event-heap probe reads the heap size"},
 	"sim.Event.At":                           {testAPI, "netsim's invariant oracle reads when its pending completion fires"},
+	"netsim.Flow.Finished":                   {benchOnly, "the benchmark's flow replay steps the engine until a flow has finished"},
 	"trace.ReadJSONL":                        {testAPI, "reads a trace back for the round-trip fuzz test and the replay tests"},
 	"sim.Engine.Stats":                       {unreachable, "read only through runtime.Params.Work, which only tests set"},
 	"minimr.realBackend.ReduceReset":         {unreachable, "the in-process engine has no mid-run failure source, so no reducer is reset"},

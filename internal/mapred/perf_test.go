@@ -29,9 +29,9 @@ func TestPaperScalePerf(t *testing.T) {
 		engine sim.Stats
 		net    netsim.Stats
 	}{
-		LF: {sim.Stats{Scheduled: 52248, Cancelled: 1574, Dispatched: 50674, MaxQueue: 201},
+		LF: {sim.Stats{Scheduled: 52248, Cancelled: 1129, Dispatched: 50674, MaxQueue: 197},
 			netsim.Stats{Solves: 45390, FlowsVisited: 2720973, Deferred: 41293, Iterations: 6239, Replayed: 2211, LinkVisits: 26309}},
-		EDF: {sim.Stats{Scheduled: 51190, Cancelled: 2417, Dispatched: 48773, MaxQueue: 313},
+		EDF: {sim.Stats{Scheduled: 51190, Cancelled: 1129, Dispatched: 48773, MaxQueue: 197},
 			netsim.Stats{Solves: 45314, FlowsVisited: 1610381, Deferred: 42007, Iterations: 6486, Replayed: 700, LinkVisits: 31407}},
 	}
 	for _, k := range []SchedulerKind{LF, EDF} {
@@ -54,10 +54,10 @@ func TestPaperScalePerf(t *testing.T) {
 			res.Jobs[0].CountByClass()[4], res.Jobs[0].RemoteTasks(),
 			res.Jobs[0].MeanDegradedReadTime())
 		// The property that keeps this scale cheap, as counts (they repeat
-		// exactly, so no wall-clock threshold is needed): a solve schedules
-		// one completion event for the whole network and cancels at most
-		// the one before it, so events that never fire stay below one per
-		// solve. One event per visited flow, which is what the solver did
+		// exactly, so no wall-clock threshold is needed): a solve moves the
+		// network's one completion event (a Reschedule, which counts as a
+		// schedule and cancels nothing), so events that never fire stay
+		// below one per solve. One event per visited flow, which is what the solver did
 		// before, would put Scheduled near FlowsVisited — 30 to 50 times
 		// Solves here.
 		es, ns := work.Engine, work.Net
@@ -120,7 +120,7 @@ func TestStormScalePerf(t *testing.T) {
 	t.Logf("%d fillings: %.1f iterations computed and %.1f replayed, %.0f link visits each",
 		fillings, float64(ns.Iterations)/float64(fillings), float64(ns.Replayed)/float64(fillings),
 		float64(ns.LinkVisits)/float64(fillings))
-	wantEngine := sim.Stats{Scheduled: 20683, Cancelled: 5679, Dispatched: 15004, MaxQueue: 336}
+	wantEngine := sim.Stats{Scheduled: 20683, Cancelled: 130, Dispatched: 15004, MaxQueue: 333}
 	wantNet := netsim.Stats{Solves: 14332, FlowsVisited: 2300324, Deferred: 2159,
 		Iterations: 133921, Replayed: 62703, LinkVisits: 6105270}
 	if es != wantEngine || ns != wantNet {
@@ -179,17 +179,14 @@ func (c *startCounter) Emit(e trace.Event) {
 
 // TestPaperScaleAllocBudget is a count, not a timing: the seed-1 EDF run
 // at the paper's scale starts 43 789 flows, nearly all of them shuffle
-// transfers, and may allocate at most 405 bytes and 2.85 mallocs per
-// started flow. It measures about 336 bytes and 2.37 mallocs: a 192-byte
-// netsim.Flow, the flow's share of its batch's 32-byte shuffle refs, and
-// the 16-byte callback bound to its ref. With the shuffle allocating per
-// batch and per flow as it used to, it measured 601 bytes and 3.59
-// mallocs, and with 64-byte refs 370 bytes. Building each batch in fresh
-// slices again (585 bytes at 64-byte refs) or a per-flow closure plus a
-// separate ref (4.31 mallocs) fails it. A fresh partition slice per map
-// (about 360 bytes) or a 232-byte Flow (about 368 bytes) passes;
-// TestSharedPartitionsSurviveMidShuffleFailure and netsim's
-// TestFlowSizeClass pin those two.
+// transfers, and may allocate at most 49 bytes and 0.36 mallocs per started
+// flow, 1.2x what it measures: 41 bytes and 0.30 mallocs, none of it per
+// flow. netsim hands a finished flow's record to a later one, StartFlows
+// returns a slice it reuses, the shuffle keeps its transfers in a slot
+// table with one callback per job, and the engine moves the network's one
+// completion event instead of making a new one per solve. A fresh
+// netsim.Flow per start (192 bytes) or a callback per shuffle flow (one
+// malloc each) fails it; it measured 336 bytes and 2.37 mallocs before.
 //
 // The race build measures the same (this path has no sync.Pool, which is
 // what the minimr budget loosens for), so one budget serves both builds.
@@ -198,7 +195,7 @@ func TestPaperScaleAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run skipped in short mode")
 	}
-	const bytesBudget, mallocsBudget = 405.0, 2.85
+	const bytesBudget, mallocsBudget = 49.0, 0.36
 	cfg := DefaultConfig()
 	cfg.Scheduler = EDF
 	cfg.Seed = 1

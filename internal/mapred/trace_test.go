@@ -161,7 +161,7 @@ func TestTraceJSONLRoundTripRebuildsResult(t *testing.T) {
 
 	b := runtime.NewBuilder()
 	for _, e := range decoded {
-		b.Consume(e)
+		b.Consume(&e)
 	}
 	rebuilt, err := b.Result()
 	if err != nil {

@@ -5,6 +5,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"degradedfirst/internal/sim"
@@ -212,20 +213,25 @@ func BenchmarkFinishCascade(b *testing.B) {
 				eng.ScheduleAt(0, func() { n.StartFlows(long) })
 				for m := 0; m < batches; m++ {
 					if tc.hedged {
+						// flows[r] is request r's flow until it arrives; the
+						// k-th arrival cancels the one left.
 						var flows []*Flow
 						arrived := 0
-						spare := func(*Flow) {
+						spare := func(f *Flow) {
+							flows[f.Tag] = nil
 							if arrived++; arrived == k {
 								for _, f := range flows {
-									n.Cancel(f) // the arrived ones: no-op
+									if f != nil {
+										n.Cancel(f)
+									}
 								}
 							}
 						}
 						reqs := make([]FlowReq, k+1)
 						for r := range reqs {
-							reqs[r] = FlowReq{Src: topology.NodeID((7*m + 1 + 13*r) % nodes), Dst: topology.NodeID(7 * m % nodes), Bytes: 64e6, Done: spare}
+							reqs[r] = FlowReq{Src: topology.NodeID((7*m + 1 + 13*r) % nodes), Dst: topology.NodeID(7 * m % nodes), Bytes: 64e6, Tag: r, Done: spare}
 						}
-						eng.ScheduleAt(0.1*float64(m), func() { flows = n.StartFlows(reqs) })
+						eng.ScheduleAt(0.1*float64(m), func() { flows = slices.Clone(n.StartFlows(reqs)) })
 						continue
 					}
 					reqs := make([]FlowReq, fanout)

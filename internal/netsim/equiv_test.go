@@ -270,7 +270,11 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 	})
 	var books ledger
 	books.install(n, Hooks{})
-	var created []*Flow
+	// created lists every flow's ID in start order; live maps the IDs of
+	// the flows not yet finished or cancelled to their records, which the
+	// Net takes back at the end.
+	var created []int
+	live := map[int]*Flow{}
 	type fin struct {
 		id int
 		at sim.Time
@@ -282,13 +286,20 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		}
 	}
 	done := func(f *Flow) {
+		delete(live, f.ID)
 		fins = append(fins, fin{f.ID, eng.Now()})
 		out.order = append(out.order, fmt.Sprintf("f%d@%x", f.ID, math.Float64bits(eng.Now())))
 		check(fmt.Sprintf("completion of flow %d", f.ID))
 	}
+	cancel := func(id int) {
+		if f := live[id]; f != nil {
+			delete(live, id)
+			n.Cancel(f)
+		}
+	}
 	// start admits specs as the world admits, each flow calling done and
-	// then then (if set) on completion.
-	start := func(specs []flowSpec, then func()) []*Flow {
+	// then then (if set) on completion, and returns their IDs.
+	start := func(specs []flowSpec, then func()) []int {
 		cb := done
 		if then != nil {
 			cb = func(f *Flow) {
@@ -297,18 +308,23 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 				check(fmt.Sprintf("callback of flow %d", f.ID))
 			}
 		}
+		var flows []*Flow
 		if w.batched {
 			reqs := make([]FlowReq, len(specs))
 			for i, s := range specs {
 				reqs[i] = FlowReq{Src: s.src, Dst: s.dst, Bytes: s.bytes, Done: cb}
 			}
-			return n.StartFlows(reqs)
+			flows = n.StartFlows(reqs)
+		} else {
+			for _, s := range specs {
+				flows = append(flows, startFlow(n, s.src, s.dst, s.bytes, cb))
+			}
 		}
-		flows := make([]*Flow, len(specs))
-		for i, s := range specs {
-			flows[i] = startFlow(n, s.src, s.dst, s.bytes, cb)
+		ids := make([]int, len(flows))
+		for i, f := range flows {
+			ids[i], live[f.ID] = f.ID, f
 		}
-		return flows
+		return ids
 	}
 	for i, op := range ops {
 		i, op := i, op
@@ -322,17 +338,18 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 				eng.ScheduleAt(at, func() {
 					out.order = append(out.order, fmt.Sprintf("m%d@%x", i, math.Float64bits(eng.Now())))
 					if op.markerLocal {
-						created = append(created, startFlow(n, 2, 2, 1e6, done))
+						f := startFlow(n, 2, 2, 1e6, done)
+						created, live[f.ID] = append(created, f.ID), f
 					}
 				})
 			case op.hedge:
-				var group []*Flow
+				var group []int
 				group = start(op.batch, func() {
-					for _, g := range group {
-						if beforeCursor(n, g) {
+					for _, id := range group {
+						if g := live[id]; g != nil && beforeCursor(n, g) {
 							out.aheadCancels++
 						}
-						n.Cancel(g) // the winner and finished flows: no-op
+						cancel(id) // the winner has finished: skipped
 					}
 					group = nil
 				})
@@ -346,7 +363,7 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 				})...)
 			case len(op.batch) == 0:
 				if len(created) > 0 {
-					n.Cancel(created[op.victim%len(created)])
+					cancel(created[op.victim%len(created)])
 				}
 			default:
 				created = append(created, start(op.batch, nil)...)
@@ -360,11 +377,11 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, w world) out
 		// govern any progress, so only quiescent state must match.
 		eng.ScheduleAt(op.at+0.175, func() {
 			snap := fmt.Sprintf("t=%x n=%d/%d:", math.Float64bits(eng.Now()), len(n.flows), len(n.waiting))
-			for _, f := range created {
-				if f.Finished() {
-					snap += fmt.Sprintf(" %d:done", f.ID)
+			for _, id := range created {
+				if f := live[id]; f == nil {
+					snap += fmt.Sprintf(" %d:done", id)
 				} else {
-					snap += fmt.Sprintf(" %d:%x", f.ID, math.Float64bits(f.rate))
+					snap += fmt.Sprintf(" %d:%x", id, math.Float64bits(f.rate))
 				}
 			}
 			out.snaps = append(out.snaps, snap)

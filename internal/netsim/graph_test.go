@@ -294,7 +294,10 @@ func benchChurn10k(b *testing.B, c *topology.Cluster, nflows int) {
 			return rng
 		}
 		nodes := uint64(c.NumNodes())
+		// created[i] is the i-th flow started until it finishes or is
+		// cancelled; a victim that has finished is skipped.
 		var created []*Flow
+		arrived := func(f *Flow) { created[f.Tag] = nil }
 		for i := 0; i < nflows; i += 10 {
 			at := float64(i) * 0.002
 			dst := topology.NodeID(next() % nodes)
@@ -304,14 +307,20 @@ func benchChurn10k(b *testing.B, c *topology.Cluster, nflows int) {
 					Src:   topology.NodeID(next() % nodes),
 					Dst:   dst,
 					Bytes: float64(1+next()%64) * 1e6,
+					Tag:   i + j,
+					Done:  arrived,
 				}
 			}
 			eng.ScheduleAt(at, func() { created = append(created, n.StartFlows(reqs)...) })
 			if i/10%2 == 1 {
 				victim := int(next() >> 33)
 				eng.ScheduleAt(at+0.001, func() {
-					if len(created) > 0 {
-						n.Cancel(created[victim%len(created)])
+					if len(created) == 0 {
+						return
+					}
+					if v := victim % len(created); created[v] != nil {
+						n.Cancel(created[v])
+						created[v] = nil
 					}
 				})
 			}

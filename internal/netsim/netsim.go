@@ -25,6 +25,11 @@
 //     the whole transfer; contending flows queue FIFO. This matches the
 //     paper's literal CSIM description ("hold the communication link for a
 //     duration needed for the data transmission").
+//
+// A flow's record is the caller's from StartFlows until its Done returns or
+// Cancel on it returns. The Net then takes it back and hands it to a later
+// flow, so once a run has had its peak of flows in flight, starting one
+// allocates nothing.
 package netsim
 
 import (
@@ -85,7 +90,11 @@ type Config struct {
 	CoreBps float64
 }
 
-// Flow is one in-flight transfer.
+// Flow is one in-flight transfer. Its record is the caller's until its Done
+// returns, or until Cancel on it returns: then the Net takes it back and
+// hands it out again for a later flow, so a caller that keeps a *Flow must
+// drop it by then. A flow that has finished or been cancelled is marked,
+// and Cancel on it panics.
 type Flow struct {
 	// What every solve reads or writes per active flow comes first, on one
 	// 64-byte cache line: at scale a solve's cost is the memory traffic of
@@ -103,23 +112,27 @@ type Flow struct {
 	// ev is the flow's own completion event. Fluid flows normally have
 	// none (the Net schedules one event for the earliest completion, see
 	// solver.go); it is set for hold-mode flows and, until the next solve,
-	// for flows admitted without one.
-	ev *sim.Event
+	// for flows admitted without one. fin, its callback, is built once per
+	// record.
+	ev  *sim.Event
+	fin func()
 
 	ID        int
 	Src, Dst  topology.NodeID
 	Bytes     float64
 	StartedAt sim.Time
+	// Tag is the FlowReq's: what the caller needs to know which of its
+	// transfers a shared Done was called for.
+	Tag int
 
 	done     func(*Flow)
-	net      *Net
 	queued   bool // ExclusiveHold: waiting for links
-	finished bool
+	finished bool // finished or cancelled: the record is the Net's again
 	limited  bool // fluid: crosses a finite link, so a solve gives it a finite rate
 
 	// Incremental-solver index state. Positions are int32 and the inline
 	// buffer sits in the bools' padding, keeping a Flow in the 192-byte
-	// size class: every shuffle transfer allocates one.
+	// size class.
 	linkPosBuf [9]int32 // inline backing for linkPos: paths up to 3 tiers fit without allocating
 	linkPos    []int32  // index of this flow in path[i].active, -1 for unlimited links
 }
@@ -128,7 +141,8 @@ type Flow struct {
 // recomputation.
 func (f *Flow) Remaining() float64 { return f.remaining }
 
-// Finished reports whether the flow has completed.
+// Finished reports whether the flow has finished or been cancelled. The
+// mark holds until the Net hands the record to a later flow.
 func (f *Flow) Finished() bool { return f.finished }
 
 type link struct {
@@ -182,6 +196,10 @@ type Net struct {
 	flows     []*Flow // active flows, insertion order
 	waiting   []*Flow // hold mode FIFO
 	nextID    int
+	// free holds the records of finished and cancelled flows, for addFlow
+	// to hand out again; started is the slice StartFlows returns.
+	free    []*Flow
+	started []*Flow
 
 	// solve is the fluid solver recompute runs: incRecompute, set by New.
 	// It is a field so the package's tests can wrap every solve with their
@@ -212,8 +230,9 @@ type Net struct {
 	spareMin  []*link
 
 	// Fluid-mode completion: the one engine event for the earliest
-	// completion as of the last solve, the flow it finishes and its index
-	// in flows then, and its callback (built once).
+	// completion as of the last solve, the flow it finishes (nil while it
+	// is not pending) and its index in flows then, and its callback. The
+	// event and its callback are made once and rescheduled for good.
 	nextEv   *sim.Event
 	nextFlow *Flow
 	nextIdx  int
@@ -318,7 +337,7 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 	n.solve = n.incRecompute
 	n.fireNext = func() {
 		f := n.nextFlow
-		n.nextEv, n.nextFlow = nil, nil
+		n.nextFlow = nil
 		n.finish(f)
 	}
 	// One slab holds every link: 10k-node construction is two large
@@ -363,10 +382,12 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 	return n, nil
 }
 
-// FlowReq describes one transfer in a StartFlows batch.
+// FlowReq describes one transfer in a StartFlows batch. Tag is copied to
+// the flow's Tag, so one Done can serve many flows.
 type FlowReq struct {
 	Src, Dst topology.NodeID
 	Bytes    float64
+	Tag      int
 	Done     func(*Flow)
 }
 
@@ -382,53 +403,67 @@ type FlowReq struct {
 // assignments are overwritten by the final solve. Launching a fan-in of N
 // degraded-read or shuffle flows this way costs one solve instead of N.
 //
+// StartFlows returns the batch's flows in request order, in a slice the
+// Net reuses: it holds them only until the next StartFlows call, so a
+// caller that keeps them copies them out. Each *Flow is the caller's until
+// its Done returns or Cancel on it returns (see Flow).
+//
 // StartFlows keeps no reference to reqs, and no completion callback runs
 // inside it: completions come only from engine events. A caller may
 // therefore reuse one reqs buffer for every batch.
 func (n *Net) StartFlows(reqs []FlowReq) []*Flow {
-	flows := make([]*Flow, len(reqs))
+	n.started = n.started[:0]
 	solve := false
-	for i, r := range reqs {
-		f, contends := n.addFlow(r.Src, r.Dst, r.Bytes, r.Done)
-		flows[i] = f
+	for _, r := range reqs {
+		f, contends := n.addFlow(r)
+		n.started = append(n.started, f)
 		solve = solve || contends
 	}
 	if solve {
 		n.solveAfterAdmit()
 	}
-	return flows
+	return n.started
 }
 
 // addFlow validates and admits one flow without solving. The second return
 // reports whether the flow contends for bandwidth, i.e. whether the caller
-// must recompute (fluid) or dispatch the queue (hold).
-func (n *Net) addFlow(src, dst topology.NodeID, bytes float64, done func(*Flow)) (*Flow, bool) {
-	if bytes < 0 || math.IsNaN(bytes) || math.IsInf(bytes, 1) {
-		panic(fmt.Sprintf("netsim: invalid flow size %v", bytes))
+// must recompute (fluid) or dispatch the queue (hold). The record comes
+// from the free list; only an empty list makes a new one.
+func (n *Net) addFlow(r FlowReq) (*Flow, bool) {
+	if r.Bytes < 0 || math.IsNaN(r.Bytes) || math.IsInf(r.Bytes, 1) {
+		panic(fmt.Sprintf("netsim: invalid flow size %v", r.Bytes))
 	}
-	f := &Flow{
+	var f *Flow
+	if last := len(n.free) - 1; last >= 0 {
+		f, n.free = n.free[last], n.free[:last]
+	} else {
+		f = new(Flow)
+		f.fin = func() { n.finish(f) }
+	}
+	*f = Flow{
 		ID:         n.nextID,
-		Src:        src,
-		Dst:        dst,
-		Bytes:      bytes,
+		Src:        r.Src,
+		Dst:        r.Dst,
+		Bytes:      r.Bytes,
 		StartedAt:  n.eng.Now(),
-		remaining:  bytes,
+		Tag:        r.Tag,
+		remaining:  r.Bytes,
 		updateTime: n.eng.Now(),
-		done:       done,
-		net:        n,
-		path:       n.pathFor(src, dst),
+		done:       r.Done,
+		fin:        f.fin,
+		path:       n.pathFor(r.Src, r.Dst),
 	}
 	n.nextID++
 	if n.hooks.Start != nil {
 		n.hooks.Start(f)
 	}
-	if bytes == 0 || len(f.path) == 0 {
+	if r.Bytes == 0 || len(f.path) == 0 {
 		// Local or empty transfer: complete immediately. A zero-byte flow
 		// with a nonempty path still occupies a fair share until its
 		// completion event fires, so it is indexed like any other. No solve
 		// runs here, so the flow gets its own event — at its own place in
 		// the engine's same-instant order — until the next solve absorbs it.
-		f.ev = n.eng.Schedule(0, func() { n.finish(f) })
+		f.ev = n.eng.Schedule(0, f.fin)
 		n.owned++
 		n.flows = append(n.flows, f)
 		if n.mode == FluidFairSharing && len(f.path) > 0 {
@@ -497,11 +532,13 @@ func (n *Net) pathFor(src, dst topology.NodeID) []*link {
 }
 
 // Cancel aborts an in-flight or queued flow without firing its callback
-// or counting its bytes; bandwidth is redistributed immediately.
-// Cancelling a finished flow is a no-op.
+// or counting its bytes; bandwidth is redistributed immediately. Once the
+// Cancel hook has run the record is the Net's again (see Flow). Cancelling
+// a flow that has finished or been cancelled panics: its record may
+// already carry another flow.
 func (n *Net) Cancel(f *Flow) {
-	if f == nil || f.finished || f.net != n {
-		return
+	if f.finished {
+		panic(fmt.Sprintf("netsim: Cancel on flow %d, which has finished or been cancelled", f.ID))
 	}
 	f.finished = true
 	if f.ev != nil {
@@ -519,6 +556,7 @@ func (n *Net) Cancel(f *Flow) {
 		if n.hooks.Cancel != nil {
 			n.hooks.Cancel(f)
 		}
+		n.release(f)
 		return
 	}
 	n.removeFlow(f)
@@ -536,12 +574,13 @@ func (n *Net) Cancel(f *Flow) {
 	if n.hooks.Cancel != nil {
 		n.hooks.Cancel(f)
 	}
+	n.release(f)
 }
 
-// finish completes a flow: removes it, redistributes bandwidth, and fires
-// the callback. A flow has at most one completion event pending (a solve
-// withdraws the events flows own before scheduling its own), so this runs
-// once per flow.
+// finish completes a flow: removes it, redistributes bandwidth, fires the
+// callback, and takes the record back. A flow has at most one completion
+// event pending (a solve withdraws the events flows own before scheduling
+// its own), so this runs once per flow.
 func (n *Net) finish(f *Flow) {
 	f.finished = true
 	f.remaining = 0
@@ -567,6 +606,14 @@ func (n *Net) finish(f *Flow) {
 	if f.done != nil {
 		f.done(f)
 	}
+	n.release(f)
+}
+
+// release puts a finished or cancelled flow's record on the free list. It
+// drops the callback now, so what that holds need not wait for the reuse.
+func (n *Net) release(f *Flow) {
+	f.done = nil
+	n.free = append(n.free, f)
 }
 
 // removeFlow drops f from the active flows, keeping their order. The flow
@@ -636,8 +683,7 @@ func (n *Net) dispatchHold() {
 			dt = f.remaining / rate
 		}
 		n.flows = append(n.flows, f)
-		f := f
-		f.ev = n.eng.Schedule(dt, func() { n.finish(f) })
+		f.ev = n.eng.Schedule(dt, f.fin)
 		n.owned++
 	}
 	clear(n.waiting[len(remaining):])

@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -433,8 +435,8 @@ func TestCancelFlow(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled flow fired its callback")
 	}
-	if !f.Finished() {
-		t.Fatal("cancelled flow should read as finished")
+	if !f.finished {
+		t.Fatal("cancelled flow should be marked")
 	}
 	// Second flow: 0.5 s at half rate (6.25 MB/s -> 3.125 MB moved), then
 	// full 12.5 MB/s for the remaining 9.375 MB -> 0.5 + 0.75 = 1.25 s.
@@ -444,8 +446,13 @@ func TestCancelFlow(t *testing.T) {
 	if *moved != 12.5e6 {
 		t.Fatalf("cancelled bytes counted: %v", *moved)
 	}
-	n.Cancel(f) // double-cancel no-op
-	n.Cancel(nil)
+	defer func() {
+		if msg, _ := recover().(string); !strings.HasPrefix(msg, "netsim: Cancel on flow 0,") {
+			t.Fatalf("second Cancel panicked with %q, want a netsim: message naming flow 0", msg)
+		}
+	}()
+	n.Cancel(f)
+	t.Fatal("a second Cancel on a cancelled flow returned")
 }
 
 func TestCancelQueuedHoldFlow(t *testing.T) {
@@ -582,7 +589,7 @@ func TestDrainedDetectsLeftoverFlows(t *testing.T) {
 	// Leftover hold-mode queue entry (white-box).
 	eng3 := sim.New()
 	n3 := mustNet(t, eng3, twoRacks(), Config{RackBps: 100 * Mbps, Mode: ExclusiveHold})
-	n3.waiting = append(n3.waiting, &Flow{ID: 7, net: n3, queued: true})
+	n3.waiting = append(n3.waiting, &Flow{ID: 7, queued: true})
 	if err := n3.Drained(); err == nil {
 		t.Fatal("Drained missed a queued flow")
 	}
@@ -684,13 +691,66 @@ func TestStartFlowsBufferReusable(t *testing.T) {
 	}
 }
 
-// TestFlowSizeClass pins the size of a Flow, which the push shuffle
-// allocates once per transfer, so it is the largest object the simulator
-// makes per flow. With int link positions it was 232 bytes, in the 240-byte
-// size class; int32 positions packed behind the bools bring it to 192.
+// TestFlowRecordsReusedAfterRelease pins the Flow lifetime contract in
+// both modes: a record is not handed out again while its Done or its
+// Cancel hook runs, it is handed out again once they have returned, and
+// Cancel on a flow that has finished or been cancelled panics.
+func TestFlowRecordsReusedAfterRelease(t *testing.T) {
+	for _, mode := range []Mode{FluidFairSharing, ExclusiveHold} {
+		eng := sim.New()
+		n := mustNet(t, eng, twoRacks(), Config{Mode: mode, RackBps: 100 * Mbps})
+		var a, inDone, afterDone, inHook *Flow
+		a = startFlow(n, 0, 3, 1e6, func(f *Flow) {
+			if f != a || !f.finished {
+				t.Fatalf("%v: Done got flow %d (marked %v), want flow %d", mode, f.ID, f.finished, a.ID)
+			}
+			inDone = startFlow(n, 1, 4, 1e6, nil)
+		})
+		eng.Step() // a's completion; the flow its Done started is still in flight
+		if inDone == nil || inDone == a {
+			t.Fatalf("%v: a flow started inside Done took the finishing flow's record", mode)
+		}
+		afterDone = startFlow(n, 2, 2, 0, nil) // node-local: completes on its own event
+		if afterDone != a || afterDone.ID != 2 || afterDone.finished {
+			t.Fatalf("%v: the flow started after Done returned is flow %d, not a's record as flow 2", mode, afterDone.ID)
+		}
+		eng.Run()
+
+		n.SetHooks(Hooks{Cancel: func(f *Flow) {
+			if slices.Contains(n.free, f) {
+				t.Fatalf("%v: flow %d is free inside its Cancel hook", mode, f.ID)
+			}
+			inHook = startFlow(n, 0, 1, 1e6, nil)
+		}})
+		victim := startFlow(n, 0, 3, 1e6, nil)
+		n.Cancel(victim)
+		if inHook == victim {
+			t.Fatalf("%v: a flow started inside the Cancel hook took the cancelled flow's record", mode)
+		}
+		n.SetHooks(Hooks{})
+		if next := startFlow(n, 1, 3, 1e6, nil); next != victim {
+			t.Fatalf("%v: the flow started after Cancel returned did not reuse the cancelled flow's record", mode)
+		}
+		eng.Run()
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "netsim: Cancel on flow") {
+					t.Fatalf("%v: Cancel on a released flow panicked with %q, want a netsim: message", mode, msg)
+				}
+			}()
+			n.Cancel(victim)
+			t.Fatalf("%v: Cancel on a released flow returned", mode)
+		}()
+	}
+}
+
+// TestFlowSizeClass pins the size of a Flow. The Net reuses its records,
+// so they cost their size once per flow of the peak in flight, not once per
+// flow. With int link positions it was 232 bytes, in the 240-byte size
+// class; int32 positions packed behind the bools keep it at 192.
 func TestFlowSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Flow{}); size > 208 {
-		t.Fatalf("netsim.Flow is %d bytes, want at most 208", size)
+	if size := unsafe.Sizeof(Flow{}); size > 192 {
+		t.Fatalf("netsim.Flow is %d bytes, want at most 192", size)
 	}
 }
 

@@ -197,17 +197,18 @@ func checkAllocation(n *Net) error {
 		return fmt.Errorf("pending completion is %s, want %s", flowName(got), flowName(want))
 	case want != nil && gotAt != wantAt:
 		return fmt.Errorf("flow %d's completion pending at %v, want %v", want.ID, gotAt, wantAt)
-	case n.nextEv != nil && n.flows[n.nextIdx] != n.nextFlow:
+	case n.nextFlow != nil && n.flows[n.nextIdx] != n.nextFlow:
 		return fmt.Errorf("pending flow %d is not at its recorded index %d", n.nextFlow.ID, n.nextIdx)
 	}
 	return nil
 }
 
 // pendingCompletion returns the flow whose completion the engine will
-// dispatch first and when: the network's one event, or under refRecompute
-// the earliest of the per-flow events, which it schedules in n.flows order.
+// dispatch first and when: the network's one event while a flow is set on
+// it, or under refRecompute the earliest of the per-flow events, which it
+// schedules in n.flows order.
 func pendingCompletion(n *Net) (*Flow, sim.Time) {
-	if n.nextEv != nil {
+	if n.nextFlow != nil {
 		return n.nextFlow, n.nextEv.At()
 	}
 	var first *Flow
@@ -229,9 +230,10 @@ func flowName(f *Flow) string {
 
 // ledger is the oracle's byte accounting, fed by the lifecycle hooks: per
 // flow, bytes finished + bytes cancelled = bytes started, each flow ending
-// exactly once; finished is the sum of what finished.
+// exactly once; finished is the sum of what finished. Flows are keyed by
+// ID: the Net reuses their records.
 type ledger struct {
-	open     map[*Flow]bool
+	open     map[int]bool
 	finished float64
 	err      error
 }
@@ -239,8 +241,8 @@ type ledger struct {
 // install adds the ledger's Start, Finish and Cancel hooks to h and
 // installs the result on n.
 func (lg *ledger) install(n *Net, h Hooks) {
-	lg.open = make(map[*Flow]bool)
-	h.Start = func(f *Flow) { lg.open[f] = true }
+	lg.open = make(map[int]bool)
+	h.Start = func(f *Flow) { lg.open[f.ID] = true }
 	h.Finish = func(f *Flow) {
 		lg.end(f, "finished")
 		lg.finished += f.Bytes
@@ -250,10 +252,10 @@ func (lg *ledger) install(n *Net, h Hooks) {
 }
 
 func (lg *ledger) end(f *Flow, how string) {
-	if !lg.open[f] && lg.err == nil {
+	if !lg.open[f.ID] && lg.err == nil {
 		lg.err = fmt.Errorf("flow %d %s without being open", f.ID, how)
 	}
-	delete(lg.open, f)
+	delete(lg.open, f.ID)
 }
 
 // close checks the books once the engine has run dry.

@@ -48,10 +48,12 @@ func (p *replayPair) start(pairs ...[2]topology.NodeID) {
 	p.check()
 }
 
-// cancel cancels the i-th flow started on both networks.
+// cancel cancels the i-th flow started on both networks, whose records
+// are then the networks' again.
 func (p *replayPair) cancel(i int) {
 	p.inc.Cancel(p.incFlows[i])
 	p.ref.Cancel(p.refFlows[i])
+	p.incFlows[i], p.refFlows[i] = nil, nil
 	p.check()
 }
 
@@ -59,7 +61,7 @@ func (p *replayPair) cancel(i int) {
 func (p *replayPair) check() {
 	p.t.Helper()
 	for i, f := range p.incFlows {
-		if f.Finished() {
+		if f == nil {
 			continue
 		}
 		if got, want := f.rate, p.refFlows[i].rate; math.Float64bits(got) != math.Float64bits(want) {

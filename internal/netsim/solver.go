@@ -68,9 +68,10 @@
 // first, and that completion solves again and cancels the rest, as does any
 // start or cancel in between. So scheduleNext schedules that event alone:
 // `now + remaining/rate` per flow, the earliest kept with strict < (ties go
-// to the earlier flow), cancelled and scheduled afresh by every solve so it
-// sits where the block would. The flow's index (Net.nextIdx) spares
-// removeFlow a search.
+// to the earlier flow). Every solve moves it with Engine.Reschedule, which
+// takes a fresh sequence number as a cancel and a new schedule would, so
+// it sits where the block would; the Net makes that event once. The flow's
+// index (Net.nextIdx) spares removeFlow a search.
 //
 // The advance. addFlow stamps updateTime at admission and Net.instant is
 // the clock at the last advance pass, so while the clock stays there every
@@ -579,21 +580,19 @@ func (n *Net) drain(now sim.Time, links []*link) bool {
 	if i == len(n.flows) {
 		return false
 	}
-	n.cancelNext()
 	n.cancelOwned()
 	n.nextFlow, n.nextIdx = n.flows[i], i
-	n.nextEv = n.eng.ScheduleAt(now, n.fireNext)
+	n.nextEv = n.eng.Reschedule(n.nextEv, now, n.fireNext)
 	n.drained = true
 	n.stats.Deferred++
 	return true
 }
 
-// scheduleNext replaces the network's completion event with one for the
-// flow that finishes first at the rates just solved; see the header
-// comment for why no other flow needs an event. Flows that still own an
-// event (admitted without a solve) give it up.
+// scheduleNext moves the network's completion event to the flow that
+// finishes first at the rates just solved, or withdraws it if none will;
+// see the header comment for why no other flow needs an event. Flows that
+// still own an event (admitted without a solve) give it up.
 func (n *Net) scheduleNext(now sim.Time) {
-	n.cancelNext()
 	n.cancelOwned()
 	next := -1
 	var at sim.Time
@@ -606,10 +605,12 @@ func (n *Net) scheduleNext(now sim.Time) {
 			next, at = i, t
 		}
 	}
-	if next >= 0 {
-		n.nextFlow, n.nextIdx = n.flows[next], next
-		n.nextEv = n.eng.ScheduleAt(at, n.fireNext)
+	if next < 0 {
+		n.cancelNext()
+		return
 	}
+	n.nextFlow, n.nextIdx = n.flows[next], next
+	n.nextEv = n.eng.Reschedule(n.nextEv, at, n.fireNext)
 }
 
 // cancelOwned withdraws the events flows still own (admitted without a
@@ -644,8 +645,8 @@ func (f *Flow) timeToFinish() (float64, bool) {
 
 // cancelNext withdraws the network's completion event, if one is pending.
 func (n *Net) cancelNext() {
-	if n.nextEv != nil {
+	if n.nextFlow != nil {
 		n.eng.Cancel(n.nextEv)
-		n.nextEv, n.nextFlow = nil, nil
+		n.nextFlow = nil
 	}
 }

@@ -26,7 +26,7 @@ func (s *state) injectFailure(nodes []topology.NodeID) {
 		s.cluster.FailNode(id)
 		e := s.ev(trace.EvNodeFail)
 		e.Node = int(id)
-		s.emit(e)
+		s.emit(&e)
 	}
 	dead := func(id topology.NodeID) bool { return !s.cluster.Alive(id) }
 
@@ -49,7 +49,7 @@ func (s *state) injectFailure(nodes []topology.NodeID) {
 			continue
 		}
 		for _, f := range rm.flows {
-			if !f.Finished() && (dead(f.Src) || dead(f.Dst)) {
+			if f != nil && (dead(f.Src) || dead(f.Dst)) {
 				affected = append(affected, rm)
 				break
 			}
@@ -151,8 +151,10 @@ func (s *state) deferFailure(err error) {
 // requeueRunning aborts a running map task and returns it to the
 // scheduler's pending pool.
 func (s *state) requeueRunning(rm *runningMap) {
-	for _, f := range rm.flows {
-		s.net.Cancel(f)
+	for _, f := range rm.flows { // rm goes with them: no entry needs clearing
+		if f != nil {
+			s.net.Cancel(f)
+		}
 	}
 	// A hedged fan-in also holds pending deadline timers and a standby
 	// pool; drop both so a stale timer cannot fire for the aborted
@@ -174,7 +176,7 @@ func (s *state) requeueRunning(rm *runningMap) {
 	e.Job = rm.js.idx
 	e.Task = rm.task.Index
 	e.Node = int(rm.node)
-	s.emit(e)
+	s.emit(&e)
 	rm.js.sj.Requeue(rm.task, !s.cluster.Alive(rm.task.Holder))
 }
 
@@ -200,7 +202,7 @@ func (s *state) resetReducer(js *jobState, r *reducerState) {
 	e.Job = js.idx
 	e.Task = r.idx
 	e.Node = int(r.node)
-	s.emit(e)
+	s.emit(&e)
 	r.launched = false
 	r.started = false
 	s.backend.ReduceReset(js.idx, r.idx)
@@ -227,7 +229,7 @@ func (s *state) reexecuteLostOutputs(js *jobState, dead func(topology.NodeID) bo
 		e.Job = js.idx
 		e.Task = mapIdx
 		e.Node = int(node)
-		s.emit(e)
+		s.emit(&e)
 		js.sj.Requeue(task, !s.cluster.Alive(task.Holder))
 	}
 }

@@ -73,7 +73,7 @@ func (s *state) emitFlowLatency(rm *runningMap, f *netsim.Flow, class string, mo
 	e.Bytes = moved
 	e.N = f.ID
 	e.Dur = lat
-	s.emit(e)
+	s.emit(&e)
 }
 
 // hedgeDeadline returns the current per-flow deadline estimate, or false
@@ -86,22 +86,25 @@ func (s *state) hedgeDeadline() (float64, bool) {
 	return stats.Quantile(s.hedgeLat, q), true
 }
 
-// armHedgeTimer schedules a deadline check for one fan-in flow. Timers
-// are tracked on the running map so requeueRunning can cancel them.
-func (s *state) armHedgeTimer(rm *runningMap, f *netsim.Flow, deadline float64) {
+// armHedgeTimer schedules a deadline check for fan-in flow i, by its
+// index in rm.flows: the flow's record is netsim's again once it ends.
+// Timers are tracked on the running map so requeueRunning can cancel them.
+func (s *state) armHedgeTimer(rm *runningMap, i int, deadline float64) {
 	var ev *sim.Event
 	ev = s.eng.Schedule(deadline, func() {
 		rm.dropHedgeTimer(ev)
-		s.hedgeFire(rm, f, deadline)
+		s.hedgeFire(rm, i, deadline)
 	})
 	rm.hedgeTimers = append(rm.hedgeTimers, ev)
 }
 
-// hedgeFire launches a standby source for a flow that outlived its
-// deadline. No-ops when the flow finished in time or the standby pool is
-// dry; a task that leaves the running set cancels its timers first.
-func (s *state) hedgeFire(rm *runningMap, f *netsim.Flow, deadline float64) {
-	if f.Finished() || rm.got >= rm.need || len(rm.standby) == 0 {
+// hedgeFire launches a standby source for fan-in flow i if it outlived
+// its deadline. No-ops when the flow arrived in time (its entry is
+// cleared) or the standby pool is dry; a task that leaves the running set
+// cancels its timers first.
+func (s *state) hedgeFire(rm *runningMap, i int, deadline float64) {
+	f := rm.flows[i]
+	if f == nil || rm.got >= rm.need || len(rm.standby) == 0 {
 		return
 	}
 	sp := rm.standby[0]
@@ -114,11 +117,11 @@ func (s *state) hedgeFire(rm *runningMap, f *netsim.Flow, deadline float64) {
 	he.Bytes = sp.Bytes
 	he.N = f.ID
 	he.Dur = deadline
-	s.emit(he)
-	nf := s.startFlows(append(s.reqs, netsim.FlowReq{Src: sp.Src, Dst: rm.node, Bytes: sp.Bytes, Done: rm.arrived}))
-	rm.flows = append(rm.flows, nf...)
+	s.emit(&he)
+	tag := len(rm.flows)
+	rm.flows = append(rm.flows, s.startFlows(append(s.reqs, netsim.FlowReq{Src: sp.Src, Dst: rm.node, Bytes: sp.Bytes, Tag: tag, Done: rm.arrived}))...)
 	if deadline, ok := s.hedgeDeadline(); ok {
-		s.armHedgeTimer(rm, nf[0], deadline)
+		s.armHedgeTimer(rm, tag, deadline)
 	}
 }
 

@@ -272,6 +272,37 @@ func TestSourceDeathMidFanInRequeues(t *testing.T) {
 	}
 }
 
+// TestLoserSourceDeathAfterFanInLeavesTaskRunning kills the source of
+// task 0's cancelled spare while the task processes its input: the fan-in
+// holds no flow any more, so failure recovery must leave the task alone,
+// and it finishes once where it ran.
+func TestLoserSourceDeathAfterFanInLeavesTaskRunning(t *testing.T) {
+	hedge := runtime.HedgePolicy{Extra: 1}
+	_, probe := runHedgeScenario(t, hedge, nil)
+	lost, finish, loser := -1.0, -1.0, -1
+	for _, e := range probe {
+		switch {
+		case e.Type == trace.EvFlowLatency && e.Class == "lost" && e.Job == 0 && e.Task == 0:
+			lost, loser = e.T, e.Src
+		case e.Type == trace.EvTaskFinish && e.Job == 0 && e.Task == 0:
+			finish = e.T
+		}
+	}
+	if lost < 0 || finish < lost+2*hedgeHeartbeat {
+		t.Fatalf("task 0 lost a spare at %v and finished at %v: no heartbeat between to kill at", lost, finish)
+	}
+	res, events := runHedgeScenario(t, hedge, killAfter(lost+hedgeHeartbeat, topology.NodeID(loser)))
+	if len(filterType(events, trace.EvNodeFail)) < 2 {
+		t.Fatalf("spare source %d was never killed", loser)
+	}
+	if n := countEvents(events, trace.EvTaskRequeue, 0, 0); n != 0 {
+		t.Fatalf("task 0 requeued %d times after its spare's source died, want 0", n)
+	}
+	if rec := res.Jobs[0].Tasks[0]; rec.FinishTime != finish {
+		t.Fatalf("task 0 finished at %v, want %v as without the failure", rec.FinishTime, finish)
+	}
+}
+
 // TestTaskNodeDeathMidFanIn kills the degraded task's own node while its
 // hedged fan-in is in flight: the attempt is abandoned, the relaunch
 // completes, and the rebuilt degraded-read time pairs with the latest

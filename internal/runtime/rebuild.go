@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"degradedfirst/internal/repair"
@@ -25,9 +26,11 @@ import (
 type Builder struct {
 	res  Result
 	jobs []jobTrace
-	// flows marks each flow open, by flow ID: netsim numbers flows
-	// densely from 0, so a transfer-start names the next ID.
-	flows []bool
+	// open is a bitset of the open flows, by flow ID, and flows counts the
+	// IDs seen: netsim numbers flows densely from 0, so a transfer-start
+	// names the next ID.
+	open  []uint64
+	flows int
 	// repairOpen counts each stripe's launched, uncommitted blocks.
 	repairOpen map[repair.Key]int
 	// repairPending tracks each queued stripe's lost-block count;
@@ -68,9 +71,9 @@ func NewBuilder() *Builder {
 
 // Consume folds one event. Events that shape neither the Result nor the
 // grammar (heartbeats, scheduling decisions, wire events) are ignored.
-func (b *Builder) Consume(e trace.Event) {
+func (b *Builder) Consume(e *trace.Event) {
 	b.seq++
-	if err := b.fold(&e); err != nil && b.err == nil {
+	if err := b.fold(e); err != nil && b.err == nil {
 		b.err = fmt.Errorf("trace event %d (%s at t=%v): %w", b.seq, e.Type, e.T, err)
 	}
 }
@@ -225,15 +228,19 @@ func (b *Builder) fold(e *trace.Event) error {
 		}
 		*r = span{done: e.Type == trace.EvReduceFinish}
 	case trace.EvTransferStart:
-		if e.N != len(b.flows) {
-			return fmt.Errorf("flow %d is not the next flow ID %d", e.N, len(b.flows))
+		if e.N != b.flows {
+			return fmt.Errorf("flow %d is not the next flow ID %d", e.N, b.flows)
 		}
-		b.flows = append(b.flows, true)
+		if b.flows%64 == 0 {
+			b.open = append(b.open, 0)
+		}
+		b.open[e.N/64] |= 1 << (e.N % 64)
+		b.flows++
 	case trace.EvTransferEnd, trace.EvTransferCancel:
-		if e.N < 0 || e.N >= len(b.flows) || !b.flows[e.N] {
+		if e.N < 0 || e.N >= b.flows || b.open[e.N/64]&(1<<(e.N%64)) == 0 {
 			return fmt.Errorf("flow %d is not open", e.N)
 		}
-		b.flows[e.N] = false
+		b.open[e.N/64] &^= 1 << (e.N % 64)
 		if e.Type == trace.EvTransferEnd {
 			b.res.BytesMoved += e.Bytes
 			if b.isFailed(e.Src) || b.isFailed(e.Dst) {
@@ -341,8 +348,10 @@ func (b *Builder) openAtEnd() error {
 			return fmt.Errorf("job %d reducer %d never closed", j, r)
 		}
 	}
-	if id := slices.Index(b.flows, true); id >= 0 {
-		return fmt.Errorf("flow %d never closed", id)
+	for i, word := range b.open {
+		if word != 0 {
+			return fmt.Errorf("flow %d never closed", 64*i+bits.TrailingZeros64(word))
+		}
 	}
 	if n := len(b.repairOpen); n > 0 {
 		return fmt.Errorf("stripes with a repair-launch never closed: %d", n)

@@ -147,7 +147,7 @@ func TestBuilderRejectsMalformedTraces(t *testing.T) {
 			b := runtime.NewBuilder()
 			for i, e := range tc.events {
 				e.T = float64(i + 1)
-				b.Consume(e)
+				b.Consume(&e)
 			}
 			res, err := b.Result()
 			if tc.want == "" {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/repair"
@@ -20,7 +21,8 @@ type activeRepair struct {
 	// done[i] marks block i committed — the no-double-write guard.
 	done      []bool
 	remaining int
-	flows     []*netsim.Flow
+	// flows are the source flows by Tag, each cleared when it arrives.
+	flows []*netsim.Flow
 }
 
 // readBytes returns the planned read volume of block i.
@@ -104,7 +106,7 @@ func (m *repairManager) enqueue(plan repair.StripePlan, class string, boost bool
 	e.Class = class
 	e.N = plan.Lost
 	e.Bytes = plan.ReadBytes(m.blockBytes())
-	m.s.emit(e)
+	m.s.emit(&e)
 }
 
 // markUnrepairable reports a stripe past its code's loss tolerance —
@@ -118,7 +120,7 @@ func (m *repairManager) markUnrepairable(key repair.Key, lost int) {
 	e := m.evStripe(trace.EvRepairQueued, key)
 	e.Class = "unrepairable"
 	e.N = lost
-	m.s.emit(e)
+	m.s.emit(&e)
 }
 
 // pump launches the queue's head once no repair is in flight, unless the
@@ -181,19 +183,23 @@ func (m *repairManager) launch(plan repair.StripePlan) {
 		e.Node = int(bp.Dest)
 		e.Bytes = ar.readBytes(i, m.blockBytes())
 		e.Class = repairClass(bp)
-		m.s.emit(e)
+		m.s.emit(&e)
 		ar.gather[i] = len(bp.Sources)
-		i := i
+		gathered := func(f *netsim.Flow) {
+			ar.flows[f.Tag] = nil
+			m.blockGathered(ar, i)
+		}
 		for _, src := range bp.Sources {
 			reqs = append(reqs, netsim.FlowReq{
 				Src:   src.Node,
 				Dst:   bp.Dest,
 				Bytes: m.blockBytes(),
-				Done:  func(*netsim.Flow) { m.blockGathered(ar, i) },
+				Tag:   len(reqs), // reqs starts empty: the flow's index in ar.flows
+				Done:  gathered,
 			})
 		}
 	}
-	ar.flows = m.s.startFlows(reqs)
+	ar.flows = slices.Clone(m.s.startFlows(reqs))
 }
 
 // repairClass labels a block plan for traces: "local" for LRC
@@ -233,7 +239,7 @@ func (m *repairManager) commitBlock(ar *activeRepair, i int) {
 	e.Node = int(bp.Dest)
 	e.Bytes = ar.readBytes(i, m.blockBytes())
 	e.Class = repairClass(bp)
-	m.s.emit(e)
+	m.s.emit(&e)
 	for _, ref := range refs {
 		m.restoreTask(ref, bp.Dest)
 	}
@@ -281,7 +287,9 @@ func (m *repairManager) onFailure(nodes []topology.NodeID) {
 	dead := func(id topology.NodeID) bool { return !m.s.cluster.Alive(id) }
 	if ar := m.active; ar != nil && m.repairAffected(ar, dead) {
 		for _, f := range ar.flows {
-			m.s.net.Cancel(f)
+			if f != nil {
+				m.s.net.Cancel(f)
+			}
 		}
 		m.active = nil
 		// Re-queue boosted. The queue event reports the pre-failure plan's
@@ -305,7 +313,7 @@ func (m *repairManager) onFailure(nodes []topology.NodeID) {
 // block's destination died.
 func (m *repairManager) repairAffected(ar *activeRepair, dead func(topology.NodeID) bool) bool {
 	for _, f := range ar.flows {
-		if !f.Finished() && (dead(f.Src) || dead(f.Dst)) {
+		if f != nil && (dead(f.Src) || dead(f.Dst)) {
 			return true
 		}
 	}

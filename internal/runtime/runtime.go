@@ -154,17 +154,17 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 		Start: func(f *netsim.Flow) {
 			e := st.ev(trace.EvTransferStart)
 			e.Src, e.Dst, e.Bytes, e.N = int(f.Src), int(f.Dst), f.Bytes, f.ID
-			st.emit(e)
+			st.emit(&e)
 		},
 		Finish: func(f *netsim.Flow) {
 			e := st.ev(trace.EvTransferEnd)
 			e.Src, e.Dst, e.Bytes, e.N = int(f.Src), int(f.Dst), f.Bytes, f.ID
-			st.emit(e)
+			st.emit(&e)
 		},
 		Cancel: func(f *netsim.Flow) {
 			e := st.ev(trace.EvTransferCancel)
 			e.Src, e.Dst, e.Bytes, e.N = int(f.Src), int(f.Dst), f.Bytes, f.ID
-			st.emit(e)
+			st.emit(&e)
 		},
 	})
 
@@ -181,11 +181,11 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 
 	rs := st.ev(trace.EvRunStart)
 	rs.Name = p.Scheduler.String()
-	st.emit(rs)
+	st.emit(&rs)
 	for _, id := range st.cluster.FailedNodes() {
 		e := st.ev(trace.EvNodeFail)
 		e.Node = int(id)
-		st.emit(e)
+		st.emit(&e)
 	}
 	if st.repairMgr != nil {
 		if failed := st.cluster.FailedNodes(); len(failed) > 0 {
@@ -220,7 +220,8 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	// The engine ran dry. The Builder's run-end check rejects what that can
 	// leave behind: a job that never finished, or a flow admitted and never
 	// finished or cancelled (starved, never rescheduled).
-	st.emit(st.ev(trace.EvRunEnd))
+	end := st.ev(trace.EvRunEnd)
+	st.emit(&end)
 	res, err := st.builder.Result()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", st.name, err)
@@ -266,9 +267,11 @@ type jobState struct {
 func (js *jobState) totalMaps() int { return len(js.spec.Tasks) }
 
 type runningMap struct {
-	js      *jobState
-	task    *sched.Task
-	node    topology.NodeID
+	js   *jobState
+	task *sched.Task
+	node topology.NodeID
+	// flows are the input fan-in's flows by Tag, each cleared when it
+	// arrives or is cancelled.
 	flows   []*netsim.Flow
 	procEv  *sim.Event
 	input   any
@@ -311,10 +314,9 @@ type state struct {
 	// under an active hedge policy.
 	hedgeLat []float64
 
-	// sends and reqs are the batch buffers of the push shuffle and the map
-	// fan-in, cleared and kept after each batch (see startFlows).
-	sends []shuffleRef
-	reqs  []netsim.FlowReq
+	// reqs is the batch buffer every flow starter builds in, cleared and
+	// kept after each batch (see startFlows).
+	reqs []netsim.FlowReq
 }
 
 // ev returns a fresh event stamped with the current virtual time.
@@ -322,14 +324,16 @@ func (s *state) ev(typ trace.Type) trace.Event {
 	return trace.New(s.eng.Now(), typ)
 }
 
-// emit feeds the internal Result builder and the external sink.
-func (s *state) emit(e trace.Event) {
+// emit feeds the internal Result builder and the external sink. It takes
+// the event by pointer, so the builder reads the caller's copy; only a set
+// sink gets one of its own.
+func (s *state) emit(e *trace.Event) {
 	if s.p.TraceLabel != "" && e.Run == "" {
 		e.Run = s.p.TraceLabel
 	}
 	s.builder.Consume(e)
 	if s.p.Trace != nil {
-		s.p.Trace.Emit(e)
+		s.p.Trace.Emit(*e)
 	}
 }
 
@@ -357,11 +361,11 @@ func (s *state) submitJob(js *jobState) {
 	e.Job = js.idx
 	e.Name = js.spec.Name
 	e.N = len(specs)
-	s.emit(e)
+	s.emit(&e)
 	qe := s.ev(trace.EvJobQueued)
 	qe.Job = js.idx
 	qe.Name = js.spec.Tenant
-	s.emit(qe)
+	s.emit(&qe)
 }
 
 func (s *state) heartbeat(id topology.NodeID) {
@@ -407,7 +411,7 @@ func (s *state) serveSlave(id topology.NodeID) {
 	hb := s.ev(trace.EvHeartbeat)
 	hb.Node = int(id)
 	hb.N = slave.freeMap
-	s.emit(hb)
+	s.emit(&hb)
 
 	if slave.freeMap > 0 {
 		s.env.Jobs = s.queue.MapOrder()
@@ -423,13 +427,13 @@ func (s *state) serveSlave(id topology.NodeID) {
 				e.Task = a.Task.Index
 				e.Node = int(id)
 				e.Class = a.Class.String()
-				s.emit(e)
+				s.emit(&e)
 				if s.queue.MapGranted(a.Task.Job) {
 					g := s.ev(trace.EvJobGrant)
 					g.Job = a.Task.Job
 					g.Node = int(id)
 					g.Name = s.jobs[a.Task.Job].spec.Tenant
-					s.emit(g)
+					s.emit(&g)
 				}
 				s.launchMap(a, id)
 				if s.err != nil {
@@ -441,7 +445,7 @@ func (s *state) serveSlave(id topology.NodeID) {
 				e := s.ev(trace.EvSlotIdle)
 				e.Node = int(id)
 				e.N = slave.freeMap
-				s.emit(e)
+				s.emit(&e)
 			}
 		}
 	}
@@ -487,7 +491,7 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	e.Task = a.Task.Index
 	e.Node = int(id)
 	e.Class = a.Class.String()
-	s.emit(e)
+	s.emit(&e)
 
 	rm := &runningMap{js: js, task: a.Task, node: id}
 	s.running[a.Task] = rm
@@ -520,7 +524,7 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 		pe.Node = int(id)
 		pe.N = len(transfers)
 		pe.Bytes = total
-		s.emit(pe)
+		s.emit(&pe)
 	}
 
 	if need == 0 {
@@ -530,32 +534,35 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	// The whole input fan-in (surviving blocks + parity for a degraded
 	// read, and any eager spares) is admitted as one batch: a single
 	// bandwidth recomputation instead of one per source. Every flow of the
-	// map, deadline hedges included, reports to one callback.
+	// map, deadline hedges included, reports to one callback, and carries
+	// its index in rm.flows as its Tag.
 	rm.need = need
 	rm.arrived = func(f *netsim.Flow) { s.inputArrived(rm, f, degraded, hedged) }
 	reqs := s.reqs
-	for _, tr := range transfers {
-		reqs = append(reqs, netsim.FlowReq{Src: tr.Src, Dst: id, Bytes: tr.Bytes, Done: rm.arrived})
+	for i, tr := range transfers {
+		reqs = append(reqs, netsim.FlowReq{Src: tr.Src, Dst: id, Bytes: tr.Bytes, Tag: i, Done: rm.arrived})
 	}
-	rm.flows = s.startFlows(reqs)
+	rm.flows = append(rm.flows, s.startFlows(reqs)...)
 	if !hedged {
 		return
 	}
 	if deadline, ok := s.hedgeDeadline(); ok {
-		for _, f := range rm.flows {
-			s.armHedgeTimer(rm, f, deadline)
+		for i := range rm.flows {
+			s.armHedgeTimer(rm, i, deadline)
 		}
 	}
 }
 
 // inputArrived is the per-flow completion callback of a map's input
-// fan-in. The input is ready at the need-th completion: the flows still
+// fan-in. It clears the flow's entry, whose record netsim reuses once this
+// returns. The input is ready at the need-th completion: the flows still
 // running then (only a hedged fan-in has any) are cancelled with the
 // bytes they already moved recorded as waste, a degraded read is closed,
 // and processing starts. Under a hedge policy every completion is also a
 // latency sample for the deadline estimator.
 func (s *state) inputArrived(rm *runningMap, f *netsim.Flow, degraded, hedged bool) {
 	now := s.eng.Now()
+	rm.flows[f.Tag] = nil
 	rm.got++
 	if hedged {
 		lat := now - f.StartedAt
@@ -567,10 +574,11 @@ func (s *state) inputArrived(rm *runningMap, f *netsim.Flow, degraded, hedged bo
 	}
 	// The network recomputed before this callback, so Remaining() is
 	// exact and Bytes-Remaining() is the volume a loser already moved.
-	for _, lf := range rm.flows {
-		if !lf.Finished() {
+	for i, lf := range rm.flows {
+		if lf != nil {
 			s.emitFlowLatency(rm, lf, "lost", lf.Bytes-lf.Remaining(), now-lf.StartedAt)
 			s.net.Cancel(lf)
+			rm.flows[i] = nil
 		}
 	}
 	s.cancelHedgeTimers(rm)
@@ -579,7 +587,7 @@ func (s *state) inputArrived(rm *runningMap, f *netsim.Flow, degraded, hedged bo
 		de.Job = rm.js.idx
 		de.Task = rm.task.Index
 		de.Node = int(rm.node)
-		s.emit(de)
+		s.emit(&de)
 	}
 	s.startProcessing(rm)
 }
@@ -589,7 +597,7 @@ func (s *state) startProcessing(rm *runningMap) {
 	e.Job = rm.js.idx
 	e.Task = rm.task.Index
 	e.Node = int(rm.node)
-	s.emit(e)
+	s.emit(&e)
 	dur, pending := s.backend.Execute(rm.js.idx, rm.task.Index, rm.node, rm.input)
 	rm.input = nil
 	rm.pending = pending
@@ -613,7 +621,7 @@ func (s *state) completeMap(rm *runningMap) {
 	e.Job = js.idx
 	e.Task = rm.task.Index
 	e.Node = int(id)
-	s.emit(e)
+	s.emit(&e)
 
 	delete(s.running, rm.task)
 	s.release(id, &s.slaves[id].freeMap, s.cluster.Node(id).MapSlots)
@@ -626,7 +634,7 @@ func (s *state) completeMap(rm *runningMap) {
 	if js.mapsCompleted == js.totalMaps() {
 		pe := s.ev(trace.EvMapPhaseEnd)
 		pe.Job = js.idx
-		s.emit(pe)
+		s.emit(&pe)
 		if len(js.reducers) == 0 {
 			s.finishJob(js)
 		} else {
@@ -644,7 +652,8 @@ func (s *state) completeMap(rm *runningMap) {
 // cleared buffer for the next one. StartFlows keeps no reference to reqs,
 // so the buffer is free again once it returns, and runs no completion
 // callback inside it, so no other batch can start building in the buffer
-// while this one holds it (netsim's TestStartFlowsBufferReusable).
+// while this one holds it (netsim's TestStartFlowsBufferReusable). The
+// flows come back in netsim's slice, which the next batch overwrites.
 func (s *state) startFlows(reqs []netsim.FlowReq) []*netsim.Flow {
 	flows := s.net.StartFlows(reqs)
 	clear(reqs)
@@ -678,7 +687,7 @@ func (s *state) launchReducer(r *reducerState, id topology.NodeID) {
 	e.Job = r.job.idx
 	e.Task = r.idx
 	e.Node = int(id)
-	s.emit(e)
+	s.emit(&e)
 	r.job.shuffle.launch(r.idx)
 }
 
@@ -697,7 +706,7 @@ func (s *state) checkReducer(r *reducerState) {
 	e.Task = r.idx
 	e.Node = int(r.node)
 	e.Bytes = bytes
-	s.emit(e)
+	s.emit(&e)
 	dur := s.backend.StartReduce(js.idx, r.idx, r.node, bytes)
 	r.procEv = s.eng.Schedule(dur, func() { s.completeReducer(r) })
 }
@@ -715,7 +724,7 @@ func (s *state) completeReducer(r *reducerState) {
 	e.Job = js.idx
 	e.Task = r.idx
 	e.Node = int(r.node)
-	s.emit(e)
+	s.emit(&e)
 
 	s.release(r.node, &s.slaves[r.node].freeReduce, s.cluster.Node(r.node).ReduceSlots)
 	s.queue.ReduceReleased(js.idx)
@@ -739,5 +748,5 @@ func (s *state) finishJob(js *jobState) {
 	s.finished++
 	e := s.ev(trace.EvJobFinish)
 	e.Job = js.idx
-	s.emit(e)
+	s.emit(&e)
 }

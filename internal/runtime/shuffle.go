@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -21,10 +22,13 @@ type shuffle struct {
 	// shared between maps: it is only read.
 	out []mapOutput
 	in  []inbox // one per reducer
-	// flows lists the transfers cancel may have to stop, in start order;
-	// arrivals counts the finished ones still listed.
-	flows    []*shuffleRef
-	arrivals int
+	// slots holds the transfers in flight, each at the index its flow
+	// carries as Tag; free lists the empty ones. A slot is emptied when its
+	// flow arrives or is cancelled, before netsim reuses the flow's record.
+	// arrive is every transfer's completion callback.
+	slots  []transfer
+	free   []int
+	arrive func(*netsim.Flow)
 }
 
 type mapOutput struct {
@@ -41,10 +45,9 @@ type inbox struct {
 	parked []int
 }
 
-// shuffleRef is one transfer of map m's output to reducer r, and its
-// arrived method the flow's completion callback.
-type shuffleRef struct {
-	sh   *shuffle
+// transfer is one transfer of map m's output to reducer r; flow is nil
+// in an empty slot.
+type transfer struct {
 	r, m int
 	flow *netsim.Flow
 }
@@ -54,6 +57,7 @@ func newShuffle(s *state, js *jobState) *shuffle {
 	for r := range sh.in {
 		sh.in[r].got = make([]bool, len(sh.out))
 	}
+	sh.arrive = sh.arrived
 	return sh
 }
 
@@ -62,74 +66,74 @@ func newShuffle(s *state, js *jobState) *shuffle {
 // An unlaunched reducer parks it, so a fresh one parks in completion order.
 func (sh *shuffle) mapFinished(m int, node topology.NodeID, parts []Chunk) {
 	sh.out[m] = mapOutput{node: node, parts: parts}
-	sends := sh.s.sends
+	reqs := sh.s.reqs
 	for r, rs := range sh.job.reducers {
 		switch {
 		case sh.in[r].got[m]:
 		case rs.launched:
-			sends = append(sends, shuffleRef{sh: sh, r: r, m: m})
+			reqs = append(reqs, sh.req(r, m))
 		default:
 			sh.in[r].parked = append(sh.in[r].parked, m)
 		}
 	}
-	sh.send(sends)
+	sh.send(reqs)
 }
 
 // launch sends a just-launched reducer its parked maps, in parking order.
 func (sh *shuffle) launch(r int) {
-	sends := sh.s.sends
+	reqs := sh.s.reqs
 	for _, m := range sh.in[r].parked {
-		sends = append(sends, shuffleRef{sh: sh, r: r, m: m})
+		reqs = append(reqs, sh.req(r, m))
 	}
 	sh.in[r].parked = nil
-	sh.send(sends)
+	sh.send(reqs)
 }
 
-// send starts the transfers built in s.sends as one batch: one bandwidth
-// recomputation however wide the fan-out, and one allocation of refs,
-// each its flow's only callback state.
-func (sh *shuffle) send(sends []shuffleRef) {
-	if len(sends) == 0 {
-		return
+// req takes a slot for the transfer of map m's output to reducer r and
+// returns its flow request, tagged with the slot.
+func (sh *shuffle) req(r, m int) netsim.FlowReq {
+	slot := len(sh.slots)
+	if last := len(sh.free) - 1; last >= 0 {
+		slot, sh.free = sh.free[last], sh.free[:last]
+	} else {
+		sh.slots = append(sh.slots, transfer{})
 	}
-	s := sh.s
-	refs := make([]shuffleRef, len(sends))
-	copy(refs, sends)
-	clear(sends)
-	s.sends = sends[:0]
-	reqs := s.reqs
-	for i := range refs {
-		ref, o := &refs[i], &sh.out[refs[i].m]
-		reqs = append(reqs, netsim.FlowReq{Src: o.node, Dst: sh.job.reducers[ref.r].node, Bytes: o.parts[ref.r].Bytes, Done: ref.arrived})
+	sh.slots[slot] = transfer{r: r, m: m}
+	o := &sh.out[m]
+	return netsim.FlowReq{Src: o.node, Dst: sh.job.reducers[r].node, Bytes: o.parts[r].Bytes, Tag: slot, Done: sh.arrive}
+}
+
+// send starts the transfers req built in s.reqs as one batch: one
+// bandwidth recomputation however wide the fan-out, and no allocation
+// once the slot table has grown to what is in flight.
+func (sh *shuffle) send(reqs []netsim.FlowReq) {
+	for _, f := range sh.s.startFlows(reqs) {
+		sh.slots[f.Tag].flow = f
 	}
-	for i, f := range s.startFlows(reqs) {
-		refs[i].flow = f
-		sh.flows = append(sh.flows, &refs[i])
-	}
+}
+
+// empty frees slot i.
+func (sh *shuffle) empty(i int) {
+	sh.slots[i] = transfer{}
+	sh.free = append(sh.free, i)
 }
 
 // arrived delivers the chunk, and fails the run if the reducer holds it
-// already: every owed chunk is delivered exactly once. Finished refs leave
-// the list once they outnumber in-flight ones, so it (and every finished
-// netsim.Flow it holds) stays proportional to what is in flight.
-func (ref *shuffleRef) arrived(*netsim.Flow) {
-	sh, s := ref.sh, ref.sh.s
-	sh.arrivals++
-	if 2*sh.arrivals > len(sh.flows) {
-		sh.flows = slices.DeleteFunc(sh.flows, func(ref *shuffleRef) bool { return ref.flow.Finished() })
-		sh.arrivals = 0
-	}
-	in, r := &sh.in[ref.r], sh.job.reducers[ref.r]
-	if in.got[ref.m] {
-		s.fail(fmt.Errorf("%s: job %d reducer %d received map %d's output twice", s.name, sh.job.idx, ref.r, ref.m))
+// already: every owed chunk is delivered exactly once.
+func (sh *shuffle) arrived(f *netsim.Flow) {
+	s, t := sh.s, sh.slots[f.Tag]
+	sh.empty(f.Tag)
+	in, r := &sh.in[t.r], sh.job.reducers[t.r]
+	if in.got[t.m] {
+		s.fail(fmt.Errorf("%s: job %d reducer %d received map %d's output twice", s.name, sh.job.idx, t.r, t.m))
 		return
 	}
-	c := sh.out[ref.m].parts[ref.r]
-	if err := s.backend.Deliver(sh.job.idx, ref.r, r.node, c); err != nil {
+	c := sh.out[t.m].parts[t.r]
+	if err := s.backend.Deliver(sh.job.idx, t.r, r.node, c); err != nil {
 		s.fail(err)
 		return
 	}
-	in.got[ref.m] = true
+	in.got[t.m] = true
 	in.held++
 	in.bytes += c.Bytes
 	s.checkReducer(r)
@@ -140,22 +144,21 @@ func (sh *shuffle) received(r int) (bytes float64, all bool) {
 	return sh.in[r].bytes, sh.in[r].held == len(sh.out)
 }
 
-// cancel stops, in start order, every transfer from or to a dead node, and
-// drops finished ones from the list. What it carried stays owed: lose
-// makes a dead mapper's output again, and reset re-parks a dead reducer's.
+// cancel stops, in start (flow ID) order, every transfer from or to a
+// dead node. What it carried stays owed: lose makes a dead mapper's output
+// again, and reset re-parks a dead reducer's.
 func (sh *shuffle) cancel(dead func(topology.NodeID) bool) {
-	kept := sh.flows[:0]
-	for _, ref := range sh.flows {
-		switch f := ref.flow; {
-		case f.Finished():
-		case dead(f.Src) || dead(f.Dst):
-			sh.s.net.Cancel(f)
-		default:
-			kept = append(kept, ref)
+	var stop []int
+	for i, t := range sh.slots {
+		if f := t.flow; f != nil && (dead(f.Src) || dead(f.Dst)) {
+			stop = append(stop, i)
 		}
 	}
-	clear(sh.flows[len(kept):])
-	sh.flows, sh.arrivals = kept, 0
+	slices.SortFunc(stop, func(a, b int) int { return cmp.Compare(sh.slots[a].flow.ID, sh.slots[b].flow.ID) })
+	for _, i := range stop {
+		sh.s.net.Cancel(sh.slots[i].flow)
+		sh.empty(i)
+	}
 }
 
 // reset empties reducer r's inbox and re-parks, in map order, every output

@@ -75,14 +75,25 @@ func (w *ledgerWorld) launch(r int, node topology.NodeID) {
 	w.sh.launch(r)
 }
 
-// inFlight lists the listed transfers not yet finished as {reducer, map},
-// in list order.
+// inFlightSlots lists the slots holding a transfer, in start (flow ID)
+// order.
+func (w *ledgerWorld) inFlightSlots() []transfer {
+	var out []transfer
+	for _, t := range w.sh.slots {
+		if t.flow != nil {
+			out = append(out, t)
+		}
+	}
+	slices.SortFunc(out, func(a, b transfer) int { return a.flow.ID - b.flow.ID })
+	return out
+}
+
+// inFlight lists the transfers in flight as {reducer, map}, in start
+// order.
 func (w *ledgerWorld) inFlight() [][2]int {
 	var out [][2]int
-	for _, ref := range w.sh.flows {
-		if !ref.flow.Finished() {
-			out = append(out, [2]int{ref.r, ref.m})
-		}
+	for _, t := range w.inFlightSlots() {
+		out = append(out, [2]int{t.r, t.m})
 	}
 	return out
 }
@@ -193,8 +204,8 @@ func TestShuffleCancelTouchesOnlyDeadNodes(t *testing.T) {
 		w.finish(m, topology.NodeID(m))
 	}
 	var want []int
-	for _, ref := range w.sh.flows {
-		if f := ref.flow; f.Src == 1 || f.Dst == 1 {
+	for _, t := range w.inFlightSlots() {
+		if f := t.flow; f.Src == 1 || f.Dst == 1 {
 			want = append(want, f.ID)
 		}
 	}
@@ -218,7 +229,7 @@ func TestShuffleDoubleDeliveryFails(t *testing.T) {
 	w := newLedgerWorld(t, 1, 1, func(m, r int) float64 { return 100 })
 	w.launch(0, 0)
 	w.finish(0, 1)
-	w.sh.send(append(w.s.sends, shuffleRef{sh: w.sh, r: 0, m: 0}))
+	w.sh.send(append(w.s.reqs, w.sh.req(0, 0)))
 	w.s.eng.Run()
 	if w.s.err == nil || !strings.Contains(w.s.err.Error(), "twice") {
 		t.Fatalf("run error %v, want a double delivery", w.s.err)
@@ -228,38 +239,48 @@ func TestShuffleDoubleDeliveryFails(t *testing.T) {
 	}
 }
 
-// TestShuffleRefsLeaveWithTheirFlows checks the list cancel walks: after
-// every arrival the finished refs still listed never outnumber the
-// in-flight ones, the survivors keep their start order, and the list is
-// empty once the last flow lands.
+// TestShuffleRefsLeaveWithTheirFlows checks the slot table: an arriving
+// transfer's slot is empty by the time its chunk is delivered, every other
+// slot holds a flow in flight, each held flow carries its slot as Tag, and
+// a later map's transfers take the slots freed before them, so the table
+// grows only to the most transfers in flight at once.
 func TestShuffleRefsLeaveWithTheirFlows(t *testing.T) {
 	const maps, reducers = 50, 4
 	w := newLedgerWorld(t, maps, reducers, func(m, r int) float64 {
 		return float64(1 + ((m*reducers+r)*37)%101) // finish order differs from start order
 	})
-	w.onFlow = func() {
-		finished, lastID := 0, -1
-		for _, ref := range w.sh.flows {
-			if ref.flow.Finished() {
-				finished++
+	held := func() int {
+		n := 0
+		for i, tr := range w.sh.slots {
+			if tr.flow == nil {
+				continue
 			}
-			if ref.flow.ID <= lastID {
-				t.Fatalf("arrival %d: flow %d listed after flow %d", len(w.delivered), ref.flow.ID, lastID)
+			if tr.flow.Finished() || tr.flow.Tag != i {
+				t.Fatalf("slot %d holds flow %d (finished %v, tag %d)", i, tr.flow.ID, tr.flow.Finished(), tr.flow.Tag)
 			}
-			lastID = ref.flow.ID
+			n++
 		}
-		if 2*finished > len(w.sh.flows) {
-			t.Fatalf("arrival %d: %d of %d listed refs are finished", len(w.delivered), finished, len(w.sh.flows))
+		if n+len(w.sh.free) != len(w.sh.slots) {
+			t.Fatalf("%d held and %d free of %d slots", n, len(w.sh.free), len(w.sh.slots))
 		}
+		return n
 	}
+	peak := 0
+	w.onFlow = func() { held() } // the arriving flow has finished: its slot must be empty
 	for r := range reducers {
 		w.launch(r, topology.NodeID((r+1)%4))
 	}
 	for m := range maps {
 		w.finish(m, topology.NodeID(m%4))
+		peak = max(peak, held())
+		w.s.eng.RunUntil(w.s.eng.Now() + 40e-6) // some of these transfers land, some stay in flight
 	}
 	w.run()
-	if len(w.delivered) != maps*reducers || len(w.sh.flows) != 0 {
-		t.Fatalf("%d of %d flows arrived, %d refs still listed", len(w.delivered), maps*reducers, len(w.sh.flows))
+	if len(w.delivered) != maps*reducers || held() != 0 {
+		t.Fatalf("%d of %d flows arrived, %d slots still held", len(w.delivered), maps*reducers, held())
+	}
+	t.Logf("%d slots for a peak of %d transfers in flight", len(w.sh.slots), peak)
+	if len(w.sh.slots) != peak || peak >= maps*reducers {
+		t.Fatalf("%d slots for a peak of %d transfers in flight, of %d", len(w.sh.slots), peak, maps*reducers)
 	}
 }

@@ -31,7 +31,7 @@ func (e *Event) At() Time { return e.at }
 // Stats counts the engine's own work since New. The counts depend only on
 // the calls made, so a seeded run repeats them exactly.
 type Stats struct {
-	Scheduled  uint64 // Schedule / ScheduleAt calls
+	Scheduled  uint64 // Schedule / ScheduleAt / Reschedule calls
 	Cancelled  uint64 // Cancel calls that removed a pending event
 	Dispatched uint64 // events run by Step / Run / RunUntil
 	// MaxQueue is the longest the queue has been, tombstones of lazily
@@ -84,12 +84,7 @@ func (e *Engine) Schedule(delay float64, fn func()) *Event {
 
 // ScheduleAt queues fn at absolute virtual time t (>= Now).
 func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
-	if t < e.now || math.IsNaN(t) {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	if fn == nil {
-		panic("sim: nil event function")
-	}
+	e.check(t, fn)
 	if len(e.slab) == 0 {
 		e.slab = make([]Event, 256)
 	}
@@ -97,12 +92,54 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 	e.slab = e.slab[1:]
 	*ev = Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
+	e.push(ev)
+	return ev
+}
+
+// Reschedule queues ev again at absolute time t (>= Now) with fn, and
+// returns it; a nil ev schedules a fresh event. It takes the next sequence
+// number, so ev dispatches exactly where Cancel(ev) followed by
+// ScheduleAt(t, fn) would put the new event, but it counts no cancellation
+// and leaves no tombstone. ev may be pending (it moves), cancelled (its
+// tombstone is revived), or dispatched or compacted out of the queue (it
+// is pushed again), from inside its own callback too.
+func (e *Engine) Reschedule(ev *Event, t Time, fn func()) *Event {
+	if ev == nil {
+		return e.ScheduleAt(t, fn)
+	}
+	e.check(t, fn)
+	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	e.seq++
+	if ev.index < 0 {
+		ev.dead = false
+		e.push(ev)
+		return ev
+	}
+	if ev.dead {
+		ev.dead = false
+		e.ndead--
+	}
+	e.queue.fix(ev.index)
+	return ev
+}
+
+// check panics on a time before now or NaN, and on a nil callback.
+func (e *Engine) check(t Time, fn func()) {
+	if t < e.now || math.IsNaN(t) {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	}
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+}
+
+// push adds ev to the queue.
+func (e *Engine) push(ev *Event) {
 	e.queue = append(e.queue, ev)
 	e.queue.up(len(e.queue) - 1)
 	if len(e.queue) > e.stats.MaxQueue {
 		e.stats.MaxQueue = len(e.queue)
 	}
-	return ev
 }
 
 // Cancel removes a pending event. Cancelling an already-fired or
@@ -238,6 +275,15 @@ func (h eventHeap) up(j int) {
 		j = i
 	}
 	h[j], ev.index = ev, j
+}
+
+// fix restores the heap order after the event at i changed its key.
+func (h eventHeap) fix(i int) {
+	ev := h[i]
+	h.up(i)
+	if ev.index == i {
+		h.down(i)
+	}
 }
 
 // down moves the event at i leafward past every child that sorts before it.

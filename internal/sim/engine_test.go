@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -380,6 +381,116 @@ func TestCancelModelOracle(t *testing.T) {
 	}
 	if compactions == 0 {
 		t.Fatal("no trial cancelled enough to compact the queue")
+	}
+}
+
+// TestRescheduleMatchesCancelAndSchedule runs seeded interleavings of
+// ScheduleAt, Cancel, Reschedule and Step on two engines: one moves an
+// event with Reschedule, its twin cancels it and schedules a new one. They
+// must dispatch the same events in the same order, with the same clock,
+// live event count and sequence numbers taken; the first counts no cancel
+// for moving a pending event. The moves hit pending events, tombstones
+// still queued, tombstones compacted out, dispatched events, and events
+// moving themselves from inside their own callback; each kind must occur.
+// It reads the engines' fields rather than Pending and Stats, which the
+// reach gate lists as the benchmark's and Params.Work's.
+func TestRescheduleMatchesCancelAndSchedule(t *testing.T) {
+	type kind int
+	const (
+		pending kind = iota
+		tombstone
+		compacted
+		dispatched
+		selfMove
+		kinds
+	)
+	var seen [kinds]int
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		cancelWeight := 1 + rng.Intn(5) // out of 11 ops
+		a, b := New(), New()
+		var evA, evB []*Event // by logical event id
+		var firedA, firedB []int
+		var fnA, fnB []func()
+		pendingMoves := 0
+		// An event logs its id when it fires; one made with selfAt > 0
+		// also moves itself, once, selfAt later from inside its callback.
+		makeFns := func(id int, selfAt Time) {
+			onceA, onceB := selfAt > 0, selfAt > 0
+			fnA = append(fnA, func() {
+				firedA = append(firedA, id)
+				if onceA {
+					onceA = false
+					seen[selfMove]++
+					evA[id] = a.Reschedule(evA[id], a.Now()+selfAt, fnA[id])
+				}
+			})
+			fnB = append(fnB, func() {
+				firedB = append(firedB, id)
+				if onceB {
+					onceB = false
+					evB[id] = b.ScheduleAt(b.Now()+selfAt, fnB[id])
+				}
+			})
+		}
+		for step := 0; step < 300; step++ {
+			switch r := rng.Intn(11); {
+			case r < cancelWeight && len(evA) > 0:
+				id := rng.Intn(len(evA))
+				a.Cancel(evA[id])
+				b.Cancel(evB[id])
+			case r < 7:
+				id := len(evA)
+				at := a.Now() + Time(rng.Intn(20)) // coarse times: ties are common
+				var selfAt Time
+				if rng.Intn(4) == 0 && trial%2 == 0 {
+					selfAt = Time(1 + rng.Intn(3))
+				}
+				makeFns(id, selfAt)
+				evA = append(evA, a.ScheduleAt(at, fnA[id]))
+				evB = append(evB, b.ScheduleAt(at, fnB[id]))
+			case r < 10 && len(evA) > 0:
+				id := rng.Intn(len(evA))
+				at := a.Now() + Time(rng.Intn(20))
+				switch ev := evA[id]; {
+				case ev.index >= 0 && !ev.dead:
+					seen[pending]++
+					pendingMoves++
+				case ev.index >= 0:
+					seen[tombstone]++
+				case ev.dead:
+					seen[compacted]++
+				default:
+					seen[dispatched]++
+				}
+				evA[id] = a.Reschedule(evA[id], at, fnA[id])
+				b.Cancel(evB[id])
+				evB[id] = b.ScheduleAt(at, fnB[id])
+			default:
+				if a.Step() != b.Step() {
+					t.Fatalf("trial %d step %d: the engines disagree on whether an event is left", trial, step)
+				}
+			}
+			liveA, liveB := len(a.queue)-a.ndead, len(b.queue)-b.ndead
+			if !slices.Equal(firedA, firedB) || a.Now() != b.Now() || liveA != liveB {
+				t.Fatalf("trial %d step %d: fired %v at %v with %d pending; twin fired %v at %v with %d pending",
+					trial, step, firedA, a.Now(), liveA, firedB, b.Now(), liveB)
+			}
+		}
+		a.Run()
+		b.Run()
+		if !slices.Equal(firedA, firedB) {
+			t.Fatalf("trial %d: fired %v, twin %v", trial, firedA, firedB)
+		}
+		sa, sb := a.stats, b.stats
+		if a.seq != b.seq || sa.Dispatched != sb.Dispatched || sa.Cancelled+uint64(pendingMoves) != sb.Cancelled {
+			t.Fatalf("trial %d: %d scheduled, stats %+v; twin %d, %+v", trial, a.seq, sa, b.seq, sb)
+		}
+	}
+	for k, n := range seen {
+		if n == 0 {
+			t.Errorf("no Reschedule of kind %d (pending, tombstone, compacted, dispatched, self-move)", k)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ covtest ./internal/jobsched TestKindStringAndParse TestQueueMatchesRecomputeOrac
 covtest ./internal/mapred TestRepairTracePinned TestSchedulerKindString
 covtest ./internal/minimr TestNoWorkerLeak TestScannersMatchReference TestSumReducerSkipsNonNumbers
 covtest ./internal/netsim TestModeString TestUnlimitedPathsFinishAtOnce TestStarvedFlowGetsNoCompletion TestDeepPathIndexes \
-	TestReplayWithoutRecord TestReplayStopsWhereDirtyLinkUndercuts TestReplayStopsWhenDirtyMinimumIsUntied \
+	TestCancelFlow TestFlowRecordsReusedAfterRelease TestReplayWithoutRecord TestReplayStopsWhereDirtyLinkUndercuts TestReplayStopsWhenDirtyMinimumIsUntied \
 	TestReplayStopsWhereSaturationMoves TestReplayRunsOutWithEveryFlowFrozen TestReplaySkipsEmptiedLinks
 covtest ./internal/placement TestReassign
 covtest ./internal/runtime TestRepairCommitToDeadNodeRequeues TestSecondFailureMidRepair TestUnrepairableReportedOnceNeverLaunched \
@@ -89,6 +89,7 @@ covtest ./internal/runtime TestRepairCommitToDeadNodeRequeues TestSecondFailureM
 	TestRepairedBlockRestoresLateJobTask TestShuffleCancelTouchesOnlyDeadNodes TestRemoteSourceDeathRequeuesTask \
 	TestFailureMissingRepairLeavesItRunning TestStripeTurnsUnrepairableWhileQueued TestRepairRefPastTaskCount \
 	TestFailureDuringThrottleWait TestBackendFailuresAbortRun TestEmptyJobResults
+covtest ./internal/sim TestRescheduleMatchesCancelAndSchedule
 covtest ./internal/sched TestClassString TestDelayKindRegistered TestPacingNeverDeadlocks TestPendingLocalCountersMatchRecount
 covtest ./internal/stats TestMeanOfNothing TestNormalMomentsAndTruncation TestPickKZeroAndNegative TestQuantile \
 	TestReductionIncreasePercent TestSummarizeEmptyAndDegenerate TestSummarizeWhiskerCollapseCorner TestSummarizeNonFinite
