@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -203,6 +204,50 @@ func TestRegistrationIsOneFramePerBlock(t *testing.T) {
 	}
 	if st := m.stats.snapshot(); st.FramesSent != int64(len(contents)+1) {
 		t.Fatalf("registration of %d blocks took %d frames, want %d", len(contents), st.FramesSent, len(contents)+1)
+	}
+}
+
+// TestConcurrentRegistrationGetsFullShares: workers that register at the
+// same moment, as separate dfworker processes do, each receive their
+// node's whole share. The master answers every registration on its own
+// goroutine and the first one builds the placement's per-node index, so
+// the others must wait for it rather than read it half built.
+func TestConcurrentRegistrationGetsFullShares(t *testing.T) {
+	fs, _ := testbedFS(t, 11)
+	m, err := NewMaster(fs, MasterOptions{Engine: engineOpts(nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	alive := fs.Cluster().AliveNodes()
+	workers := make([]*Worker, len(alive))
+	errs := make([]error, len(alive))
+	var wg sync.WaitGroup
+	for i := range alive {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			workers[i], errs[i] = StartWorker(WorkerOptions{MasterAddr: m.Addr()})
+		}()
+	}
+	wg.Wait()
+	for i, w := range workers {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		defer w.Close()
+	}
+	for _, w := range workers {
+		want := fs.NodeContents(w.Node())
+		if len(want) == 0 || len(w.store) != len(want) {
+			t.Fatalf("node %d registered with %d blocks, holds %d", w.Node(), len(w.store), len(want))
+		}
+		for _, sb := range want {
+			got := w.store[blockKey{file: sb.File, stripe: sb.Block.Stripe, index: sb.Block.Index}]
+			if !bytes.Equal(got, sb.Data) {
+				t.Fatalf("node %d lacks %s %v", w.Node(), sb.File, sb.Block)
+			}
+		}
 	}
 }
 

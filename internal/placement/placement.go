@@ -13,6 +13,9 @@ package placement
 
 import (
 	"fmt"
+	mbits "math/bits"
+	"slices"
+	"sync"
 
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/stats"
@@ -22,8 +25,13 @@ import (
 // Placement maps every block of every stripe to the node storing it.
 type Placement struct {
 	n, k    int
-	stripes [][]topology.NodeID // stripes[s][i] = holder of block (s, i)
-	byNode  map[topology.NodeID][]erasure.BlockID
+	holders []topology.NodeID // holders[s*n+i] = holder of block (s, i)
+	// byNode[id] lists node id's blocks. It is built from holders the
+	// first time NodeBlocks or Reassign needs it, so a file nobody asks
+	// per-node questions of never pays for it; the Once lets concurrent
+	// readers (the TCP master registers workers in parallel) share it.
+	byNode  [][]erasure.BlockID
+	indexed sync.Once
 }
 
 // Policy produces placements.
@@ -34,24 +42,46 @@ type Policy interface {
 }
 
 func newPlacement(n, k, numStripes int) *Placement {
-	p := &Placement{
-		n:       n,
-		k:       k,
-		stripes: make([][]topology.NodeID, numStripes),
-		byNode:  make(map[topology.NodeID][]erasure.BlockID),
-	}
-	for s := range p.stripes {
-		p.stripes[s] = make([]topology.NodeID, n)
-		for i := range p.stripes[s] {
-			p.stripes[s][i] = -1
-		}
+	p := &Placement{n: n, k: k, holders: make([]topology.NodeID, numStripes*n)}
+	for i := range p.holders {
+		p.holders[i] = -1
 	}
 	return p
 }
 
-func (p *Placement) assign(s, i int, id topology.NodeID) {
-	p.stripes[s][i] = id
-	p.byNode[id] = append(p.byNode[id], erasure.BlockID{Stripe: s, Index: i})
+func (p *Placement) assign(s, i int, id topology.NodeID) { p.holders[s*p.n+i] = id }
+
+// index builds byNode once, listing each node's blocks in (stripe, index)
+// order: the order assignment visits them.
+func (p *Placement) index() { p.indexed.Do(p.buildIndex) }
+
+// buildIndex fills byNode. Every list is a capacity-capped view of one
+// backing array, so Reassign's append copies a list out instead of
+// writing over its neighbour's.
+func (p *Placement) buildIndex() {
+	var nodes int
+	for _, id := range p.holders {
+		nodes = max(nodes, int(id)+1)
+	}
+	off := make([]int, nodes+1) // node id's blocks go to backing[off[id]:off[id+1]]
+	for _, id := range p.holders {
+		off[id+1]++
+	}
+	for id := 1; id <= nodes; id++ {
+		off[id] += off[id-1]
+	}
+	backing := make([]erasure.BlockID, len(p.holders))
+	next := append([]int(nil), off[:nodes]...)
+	for x, id := range p.holders {
+		backing[next[id]] = erasure.BlockID{Stripe: x / p.n, Index: x % p.n}
+		next[id]++
+	}
+	p.byNode = make([][]erasure.BlockID, nodes)
+	for id := range p.byNode {
+		if lo, hi := off[id], off[id+1]; hi > lo {
+			p.byNode[id] = backing[lo:hi:hi]
+		}
+	}
 }
 
 // N returns the stripe width.
@@ -61,30 +91,36 @@ func (p *Placement) N() int { return p.n }
 func (p *Placement) K() int { return p.k }
 
 // NumStripes returns how many stripes are placed.
-func (p *Placement) NumStripes() int { return len(p.stripes) }
+func (p *Placement) NumStripes() int { return len(p.holders) / p.n }
 
 // NumNativeBlocks returns the total count of native blocks (stripes * k).
-func (p *Placement) NumNativeBlocks() int { return len(p.stripes) * p.k }
+func (p *Placement) NumNativeBlocks() int { return p.NumStripes() * p.k }
 
 // Holder returns the node storing block b.
 func (p *Placement) Holder(b erasure.BlockID) topology.NodeID {
-	return p.stripes[b.Stripe][b.Index]
+	return p.holders[b.Stripe*p.n+b.Index]
 }
 
 // StripeHolders returns the holders of all n blocks of stripe s, in block
 // index order. The slice is shared; do not modify.
-func (p *Placement) StripeHolders(s int) []topology.NodeID { return p.stripes[s] }
+func (p *Placement) StripeHolders(s int) []topology.NodeID {
+	return p.holders[s*p.n : (s+1)*p.n : (s+1)*p.n]
+}
 
 // NodeBlocks returns the blocks stored on node id (nil if none). The slice
 // is shared; do not modify.
 func (p *Placement) NodeBlocks(id topology.NodeID) []erasure.BlockID {
+	p.index()
+	if int(id) >= len(p.byNode) {
+		return nil
+	}
 	return p.byNode[id]
 }
 
 // NativeBlocks returns all native BlockIDs in (stripe, index) order.
 func (p *Placement) NativeBlocks() []erasure.BlockID {
 	out := make([]erasure.BlockID, 0, p.NumNativeBlocks())
-	for s := range p.stripes {
+	for s := range p.NumStripes() {
 		for i := 0; i < p.k; i++ {
 			out = append(out, erasure.BlockID{Stripe: s, Index: i})
 		}
@@ -96,7 +132,8 @@ func (p *Placement) NativeBlocks() []erasure.BlockID {
 // every block assigned to a valid node, and all blocks of a stripe on
 // distinct nodes (so one node failure loses at most one block per stripe).
 func (p *Placement) Validate(c *topology.Cluster) error {
-	for s, holders := range p.stripes {
+	for s := range p.NumStripes() {
+		holders := p.StripeHolders(s)
 		seenNode := make(map[topology.NodeID]bool, p.n)
 		for i, id := range holders {
 			if id < 0 || int(id) >= c.NumNodes() {
@@ -117,20 +154,25 @@ func (p *Placement) Validate(c *topology.Cluster) error {
 // drops the block from its inventory so a later revive cannot resurrect
 // a stale copy.
 func (p *Placement) Reassign(b erasure.BlockID, to topology.NodeID) {
-	from := p.stripes[b.Stripe][b.Index]
+	x := b.Stripe*p.n + b.Index
+	from := p.holders[x]
 	if from == to {
 		return
 	}
-	p.stripes[b.Stripe][b.Index] = to
+	p.index()
+	p.holders[x] = to
 	pool := p.byNode[from]
-	for i, x := range pool {
-		if x == b {
+	for i, y := range pool {
+		if y == b {
 			p.byNode[from] = append(pool[:i], pool[i+1:]...)
 			break
 		}
 	}
 	if len(p.byNode[from]) == 0 {
-		delete(p.byNode, from)
+		p.byNode[from] = nil
+	}
+	if short := int(to) + 1 - len(p.byNode); short > 0 {
+		p.byNode = append(p.byNode, make([][]erasure.BlockID, short)...)
 	}
 	p.byNode[to] = append(p.byNode[to], b)
 }
@@ -138,7 +180,7 @@ func (p *Placement) Reassign(b erasure.BlockID, to topology.NodeID) {
 // SurvivorsOf returns the indices (within stripe s) and holders of the
 // blocks of stripe s whose nodes are alive.
 func (p *Placement) SurvivorsOf(c *topology.Cluster, s int) (idx []int, holders []topology.NodeID) {
-	for i, id := range p.stripes[s] {
+	for i, id := range p.StripeHolders(s) {
 		if c.Alive(id) {
 			idx = append(idx, i)
 			holders = append(holders, id)
@@ -153,6 +195,15 @@ func (p *Placement) SurvivorsOf(c *topology.Cluster, s int) (idx []int, holders 
 // III: each block goes to a random node subject to the per-stripe
 // constraints, with light load balancing (prefer less-loaded nodes among
 // valid candidates).
+//
+// A block's candidates are the alive nodes that hold no block of its
+// stripe, in racks holding fewer than n-k of them, and carrying the fewest
+// blocks of this file among such nodes; it goes to candidate
+// rng.Intn(count) in node-ID order. Place finds them without visiting
+// every node: the alive nodes sit in one bitset per load level, the nodes
+// a stripe excludes in one more, and a block costs a pass over the words
+// of the lowest levels until one has a candidate, plus moving the chosen
+// node one level up.
 type RackConstrainedRandom struct{}
 
 // Place implements Policy.
@@ -161,40 +212,148 @@ func (RackConstrainedRandom) Place(c *topology.Cluster, numStripes, n, k int, rn
 		return nil, err
 	}
 	p := newPlacement(n, k, numStripes)
-	nodes := c.Nodes()
-	load := make([]int, len(nodes))
-	stamp := make([]int, len(nodes)) // stamp[id] == s+1: node id already holds a block of stripe s
-	perRack := make([]int, c.NumRacks())
-	cands := make([]topology.NodeID, 0, len(nodes))
+	pl := newPlacer(c)
 	for s := 0; s < numStripes; s++ {
-		clear(perRack)
-		for i := 0; i < n; i++ {
-			// Candidates: alive, unused in this stripe, rack not full.
-			cands = cands[:0]
-			minLoad := int(^uint(0) >> 1)
-			for _, node := range nodes {
-				if node.Failed() || stamp[node.ID] == s+1 || perRack[node.Rack] >= n-k {
-					continue
-				}
-				switch l := load[node.ID]; {
-				case l < minLoad:
-					minLoad = l
-					cands = append(cands[:0], node.ID)
-				case l == minLoad:
-					cands = append(cands, node.ID)
-				}
-			}
-			if len(cands) == 0 {
+		holders := p.holders[s*n : (s+1)*n]
+		for i := range holders {
+			id, ok := pl.pick(rng)
+			if !ok {
 				return nil, fmt.Errorf("placement: no valid node for stripe %d block %d (cluster too small for (%d,%d))", s, i, n, k)
 			}
-			id := cands[rng.Intn(len(cands))]
-			p.assign(s, i, id)
-			stamp[id] = s + 1
-			perRack[c.RackOf(id)]++
-			load[id]++
+			holders[i] = id
+			pl.exclude(id, n-k)
 		}
+		pl.endStripe(holders, n-k)
 	}
 	return p, nil
+}
+
+// levelSet is the set of alive nodes that already hold load blocks of the
+// file being placed, as a bitset over node IDs.
+type levelSet struct {
+	load int
+	size int
+	bits []uint64
+}
+
+// placer is RackConstrainedRandom's scratch for one Place call.
+type placer struct {
+	c       *topology.Cluster
+	words   int        // bitset length: ceil(nodes / 64)
+	levels  []levelSet // the non-empty load levels, ascending
+	spare   [][]uint64 // bitsets of emptied levels, for the next new level
+	ex      []uint64   // nodes the current stripe excludes
+	perRack []int      // blocks of the current stripe in each rack
+}
+
+// newPlacer readies the scratch for one file on c: every alive node at
+// load 0, nothing excluded.
+func newPlacer(c *topology.Cluster) *placer {
+	pl := &placer{
+		c:       c,
+		words:   (c.NumNodes() + 63) / 64,
+		perRack: make([]int, c.NumRacks()),
+	}
+	pl.ex = make([]uint64, pl.words)
+	l := levelSet{bits: pl.newBits()}
+	for _, node := range c.Nodes() {
+		if !node.Failed() {
+			l.bits[node.ID>>6] |= 1 << (node.ID & 63)
+			l.size++
+		}
+	}
+	pl.levels = append(pl.levels, l)
+	return pl
+}
+
+// newBits returns a zeroed bitset, reusing an emptied level's.
+func (pl *placer) newBits() []uint64 {
+	n := len(pl.spare)
+	if n == 0 {
+		return make([]uint64, pl.words)
+	}
+	b := pl.spare[n-1]
+	pl.spare = pl.spare[:n-1]
+	clear(b)
+	return b
+}
+
+// pick draws the next block's holder: candidate rng.Intn(count), in node-ID
+// order, of the lowest load level that has any candidate. It moves the
+// node one level up and reports false when no level has a candidate.
+func (pl *placer) pick(rng *stats.RNG) (topology.NodeID, bool) {
+	for li := range pl.levels {
+		bits := pl.levels[li].bits
+		count := 0
+		for w, b := range bits {
+			count += mbits.OnesCount64(b &^ pl.ex[w])
+		}
+		if count == 0 {
+			continue
+		}
+		j := rng.Intn(count)
+		for w, b := range bits {
+			b &^= pl.ex[w]
+			if c := mbits.OnesCount64(b); j >= c {
+				j -= c
+				continue
+			}
+			for ; j > 0; j-- {
+				b &= b - 1 // drop the lowest candidate
+			}
+			id := topology.NodeID(w<<6 + mbits.TrailingZeros64(b))
+			pl.promote(li, id)
+			return id, true
+		}
+	}
+	return -1, false
+}
+
+// promote moves node id from level li to the level one load higher,
+// making that level if it is new and dropping li if it empties.
+func (pl *placer) promote(li int, id topology.NodeID) {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	load := pl.levels[li].load + 1
+	if li+1 == len(pl.levels) || pl.levels[li+1].load != load {
+		pl.levels = slices.Insert(pl.levels, li+1, levelSet{load: load, bits: pl.newBits()})
+	}
+	up := &pl.levels[li+1]
+	up.bits[w] |= bit
+	up.size++
+	l := &pl.levels[li]
+	l.bits[w] &^= bit
+	if l.size--; l.size == 0 {
+		pl.spare = append(pl.spare, l.bits)
+		pl.levels = slices.Delete(pl.levels, li, li+1)
+	}
+}
+
+// exclude takes node id out of the current stripe's candidates, and its
+// whole rack once the rack holds maxPerRack of the stripe's blocks.
+func (pl *placer) exclude(id topology.NodeID, maxPerRack int) {
+	pl.ex[id>>6] |= 1 << (id & 63)
+	r := pl.c.RackOf(id)
+	if pl.perRack[r]++; pl.perRack[r] == maxPerRack {
+		for _, m := range pl.c.RackNodes(r) {
+			pl.ex[m>>6] |= 1 << (m & 63)
+		}
+	}
+}
+
+// endStripe clears the exclusions of the stripe whose holders these are,
+// visiting only their racks.
+func (pl *placer) endStripe(holders []topology.NodeID, maxPerRack int) {
+	for _, id := range holders {
+		r := pl.c.RackOf(id)
+		if pl.perRack[r] >= maxPerRack {
+			for _, m := range pl.c.RackNodes(r) {
+				pl.ex[m>>6] &^= 1 << (m & 63)
+			}
+		} else {
+			pl.ex[id>>6] &^= 1 << (id & 63)
+		}
+		pl.perRack[r] = 0 // a later holder in r clears only its own bit
+	}
 }
 
 // RoundRobin places consecutive blocks on consecutive nodes, as in the
@@ -283,7 +442,13 @@ func checkParams(c *topology.Cluster, n, k, numStripes int) error {
 	if numStripes < 0 {
 		return fmt.Errorf("placement: negative stripe count %d", numStripes)
 	}
-	if alive := len(c.AliveNodes()); alive < n {
+	alive := 0
+	for _, node := range c.Nodes() {
+		if !node.Failed() {
+			alive++
+		}
+	}
+	if alive < n {
 		return fmt.Errorf("placement: need >= n=%d alive nodes, have %d", n, alive)
 	}
 	return nil

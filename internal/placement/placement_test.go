@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -25,7 +27,8 @@ func validateRackConstraint(p *Placement, c *topology.Cluster) error {
 	if err := p.Validate(c); err != nil {
 		return err
 	}
-	for s, holders := range p.stripes {
+	for s := range p.NumStripes() {
+		holders := p.StripeHolders(s)
 		perRack := make(map[topology.RackID]int)
 		for _, id := range holders {
 			perRack[c.RackOf(id)]++
@@ -43,9 +46,9 @@ func validateRackConstraint(p *Placement, c *topology.Cluster) error {
 // inputs of the job's degraded tasks.
 func lostNativeBlocks(p *Placement, c *topology.Cluster) []erasure.BlockID {
 	var out []erasure.BlockID
-	for s := range p.stripes {
+	for s := range p.NumStripes() {
 		for i := 0; i < p.k; i++ {
-			if !c.Alive(p.stripes[s][i]) {
+			if !c.Alive(p.StripeHolders(s)[i]) {
 				out = append(out, erasure.BlockID{Stripe: s, Index: i})
 			}
 		}
@@ -410,9 +413,11 @@ func TestReassign(t *testing.T) {
 // TestRackConstrainedRandomPlacementPinned pins the full placement of the
 // simulator's default shape — (20,15), 36 native blocks per node, 10 nodes
 // per rack, seed 1 — as an FNV-1a hash over every holder in (stripe,
-// block) order, recorded before Place moved from maps to slices. Any
-// change to the candidate set, its node-ID order or the RNG draw sequence
-// moves it.
+// block) order. The rows up to 1 000 nodes were recorded before Place
+// moved from maps to slices, the 3 000- and 10 000-node rows with the
+// every-node scan (scanPlace) before Place moved to load-level bitsets.
+// Any change to the candidate set, its node-ID order or the RNG draw
+// sequence moves it.
 func TestRackConstrainedRandomPlacementPinned(t *testing.T) {
 	for _, tc := range []struct {
 		nodes int
@@ -423,6 +428,8 @@ func TestRackConstrainedRandomPlacementPinned(t *testing.T) {
 		{nodes: 40, fail: []topology.NodeID{3, 17}, want: 0x13d809d8d97bafa0},
 		{nodes: 400, want: 0xf42b5ba9704c935},
 		{nodes: 1000, want: 0xdaad60f2500e9529},
+		{nodes: 3000, want: 0x98d800b348a1b791},
+		{nodes: 10000, want: 0x12a973ba34ed5b1d},
 	} {
 		c := topology.MustNew(topology.Config{Nodes: tc.nodes, Racks: tc.nodes / 10, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1})
 		for _, id := range tc.fail {
@@ -443,6 +450,68 @@ func TestRackConstrainedRandomPlacementPinned(t *testing.T) {
 		}
 		if got := h.Sum64(); got != tc.want {
 			t.Errorf("%d nodes, failed %v: placement hash %#x, want %#x", tc.nodes, tc.fail, got, tc.want)
+		}
+	}
+}
+
+// TestNodeBlocksBeyondHolders: the per-node index reaches only the highest
+// holder, so a node past it has no blocks until Reassign moves one there.
+func TestNodeBlocksBeyondHolders(t *testing.T) {
+	c := topology.MustNew(topology.Config{Nodes: 8, Racks: 2, MapSlotsPerNode: 1})
+	p, err := Explicit{Assignments: [][]topology.NodeID{{0, 4, 1, 5}}}.Place(c, 1, 4, 2, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.NodeBlocks(7); got != nil {
+		t.Fatalf("node 7 holds nothing, NodeBlocks says %v", got)
+	}
+	b := erasure.BlockID{Stripe: 0, Index: 3}
+	p.Reassign(b, 7)
+	if got := p.NodeBlocks(7); len(got) != 1 || got[0] != b {
+		t.Fatalf("node 7 after Reassign: %v, want [%v]", got, b)
+	}
+	if got := p.NodeBlocks(5); got != nil {
+		t.Fatalf("node 5 gave its only block away, NodeBlocks says %v", got)
+	}
+}
+
+// TestNodeBlocksConcurrentFirstUse: the per-node index is built on first
+// use, and readers that arrive together (the TCP master answers each
+// worker's registration on its own goroutine) all see it whole. Run it
+// under -race: a lazy build without synchronisation is reported even when
+// every reader happens to see full lists.
+func TestNodeBlocksConcurrentFirstUse(t *testing.T) {
+	c := cluster40()
+	p, err := RackConstrainedRandom{}.Place(c, 200, 9, 6, stats.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, c.NumNodes())
+	for s := range p.NumStripes() {
+		for _, id := range p.StripeHolders(s) {
+			want[id]++
+		}
+	}
+	const readers = 8
+	start := make(chan struct{})
+	got := make([][]int, readers)
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[r] = make([]int, c.NumNodes())
+			for id := range got[r] {
+				got[r][id] = len(p.NodeBlocks(topology.NodeID(id)))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for r := range readers {
+		if !slices.Equal(got[r], want) {
+			t.Fatalf("reader %d saw per-node counts %v, want %v", r, got[r], want)
 		}
 	}
 }

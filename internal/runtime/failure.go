@@ -107,7 +107,7 @@ func (s *state) mapAwaitFailure(rm *runningMap, err error) {
 		return
 	}
 	s.injectNewlyDead(dn.Nodes)
-	if s.running[rm.task] == rm {
+	if rm.slot >= 0 {
 		// Injection did not requeue this task — only a remote peer died
 		// (e.g. a degraded-read source already marked dead) — so abort
 		// and requeue it explicitly.
@@ -151,23 +151,21 @@ func (s *state) deferFailure(err error) {
 // requeueRunning aborts a running map task and returns it to the
 // scheduler's pending pool.
 func (s *state) requeueRunning(rm *runningMap) {
-	for _, f := range rm.flows { // rm goes with them: no entry needs clearing
+	for _, f := range rm.flows { // releaseMap empties the list
 		if f != nil {
 			s.net.Cancel(f)
 		}
 	}
 	// A hedged fan-in also holds pending deadline timers and a standby
-	// pool; drop both so a stale timer cannot fire for the aborted
-	// attempt (hedgeFire additionally checks s.running). No EvFlowLatency
-	// is emitted for the aborted flows: a requeue is a failure artifact,
-	// not a latency observation.
+	// pool; drop both so a stale timer cannot fire on the released record.
+	// No EvFlowLatency is emitted for the aborted flows: a requeue is a
+	// failure artifact, not a latency observation.
 	s.cancelHedgeTimers(rm)
 	rm.standby = nil
 	if rm.procEv != nil {
 		s.eng.Cancel(rm.procEv)
 		rm.procEv = nil
 	}
-	delete(s.running, rm.task)
 	s.queue.MapReleased(rm.js.idx)
 	if s.cluster.Alive(rm.node) {
 		s.release(rm.node, &s.slaves[rm.node].freeMap, s.cluster.Node(rm.node).MapSlots)
@@ -178,6 +176,7 @@ func (s *state) requeueRunning(rm *runningMap) {
 	e.Node = int(rm.node)
 	s.emit(&e)
 	rm.js.sj.Requeue(rm.task, !s.cluster.Alive(rm.task.Holder))
+	s.releaseMap(rm)
 }
 
 // recoverReducers restarts reduce tasks that were running on failed nodes.
@@ -223,7 +222,7 @@ func (s *state) reexecuteLostOutputs(js *jobState, dead func(topology.NodeID) bo
 		if !lost {
 			continue
 		}
-		task := js.sj.Tasks()[mapIdx]
+		task := js.sj.Task(mapIdx)
 		js.mapsCompleted--
 		e := s.ev(trace.EvTaskRequeue)
 		e.Job = js.idx

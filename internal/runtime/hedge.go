@@ -130,7 +130,8 @@ func (s *state) cancelHedgeTimers(rm *runningMap) {
 	for _, ev := range rm.hedgeTimers {
 		s.eng.Cancel(ev)
 	}
-	rm.hedgeTimers = nil
+	clear(rm.hedgeTimers)
+	rm.hedgeTimers = rm.hedgeTimers[:0]
 }
 
 // dropHedgeTimer forgets a timer that just fired, keeping the tracked

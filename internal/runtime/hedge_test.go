@@ -467,3 +467,66 @@ func TestRemoteSourceDeathRequeuesTask(t *testing.T) {
 		t.Fatalf("task 0 record %+v: want a finish on a node other than %d", rec, b.source)
 	}
 }
+
+// TestRequeueCancelsPendingHedgeTimers kills a degraded task's node while
+// its fan-in's deadline checks are pending. Requeueing releases the
+// attempt's record for a later launch, so its timers must go with it: a
+// stale one would fire on the released record, or on the attempt reusing
+// it. Every hedge launch must belong to the attempt in flight on its node.
+func TestRequeueCancelsPendingHedgeTimers(t *testing.T) {
+	const tasks = 16
+	hedge := runtime.HedgePolicy{HedgeQuantile: 0.5}
+	run := func(poll func(float64) []topology.NodeID) []trace.Event {
+		t.Helper()
+		cluster := topology.MustNew(topology.Config{Nodes: 8, Racks: 2, MapSlotsPerNode: 1})
+		specs := make([]sched.TaskSpec, tasks)
+		for i := range specs {
+			specs[i] = sched.TaskSpec{Block: erasure.BlockID{Stripe: i}, Holder: 0}
+		}
+		var mem trace.Memory
+		if _, err := runtime.Run(runtime.Params{
+			Name:    "hedge-timers",
+			Cluster: cluster,
+			Options: runtime.Options{NodeBps: hedgeNodeBps, HeartbeatInterval: hedgeHeartbeat, Hedge: hedge, Trace: &mem},
+			ToFail:  []topology.NodeID{0}, PollFailures: poll,
+		}, &hedgeBackend{cluster: cluster}, []runtime.JobSpec{{Name: "j", Tasks: specs}}); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return mem.Events()
+	}
+
+	// The first fan-in launched once the deadline estimator has its
+	// samples arms a timer per flow; kill its node halfway through.
+	samples, task, node := 0, -1, -1
+	plan, done := -1.0, -1.0
+	for _, e := range run(nil) {
+		switch {
+		case e.Type == trace.EvFlowLatency:
+			samples++
+		case e.Type == trace.EvDegradedPlan && task < 0 && samples >= 8:
+			task, node, plan = e.Task, e.Node, e.T
+		case e.Type == trace.EvDegradedDone && e.Task == task && done < 0:
+			done = e.T
+		}
+	}
+	if task < 0 || done < plan+2*hedgeHeartbeat {
+		t.Fatalf("no armed fan-in long enough to kill inside: task %d from %v to %v", task, plan, done)
+	}
+	events := run(killAfter((plan+done)/2, topology.NodeID(node)))
+	if n := countEvents(events, trace.EvTaskRequeue, 0, task); n == 0 {
+		t.Fatalf("task %d was not requeued when node %d died", task, node)
+	}
+	onNode := map[int]int{} // task -> node of its attempt in flight
+	for _, e := range events {
+		switch e.Type {
+		case trace.EvTaskLaunch:
+			onNode[e.Task] = e.Node
+		case trace.EvTaskRequeue, trace.EvTaskFinish:
+			delete(onNode, e.Task)
+		case trace.EvHedgeLaunch:
+			if n, ok := onNode[e.Task]; !ok || n != e.Node {
+				t.Fatalf("hedge for task %d on node %d at %v, but its attempt in flight is %v (%v)", e.Task, e.Node, e.T, n, ok)
+			}
+		}
+	}
+}

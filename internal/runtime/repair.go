@@ -272,7 +272,7 @@ func (m *repairManager) restoreTask(ref RepairedTask, holder topology.NodeID) {
 	if js.finishedJ {
 		return
 	}
-	t := js.sj.Tasks()[ref.Task]
+	t := js.sj.Task(ref.Task)
 	if !t.Assigned() && t.Lost {
 		js.sj.Recover(t, holder)
 	}

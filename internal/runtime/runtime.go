@@ -105,7 +105,6 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 		net:       net,
 		scheduler: scheduler,
 		env:       env,
-		running:   make(map[*sched.Task]*runningMap),
 		builder:   NewBuilder(),
 	}
 	if p.Repair.Active() {
@@ -117,10 +116,13 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	reduceSlots := 0
 	for i := 0; i < numNodes; i++ {
 		node := st.cluster.Node(topology.NodeID(i))
-		st.slaves[i] = &slaveState{
+		slave := &slaveState{
 			freeMap:    node.MapSlots,
 			freeReduce: node.ReduceSlots,
 		}
+		slave.beat = func() { st.heartbeat(node.ID) }
+		slave.oob = func() { st.oobServe(node.ID) }
+		st.slaves[i] = slave
 		reduceSlots += node.ReduceSlots
 	}
 
@@ -203,7 +205,7 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	for i := 0; i < numNodes; i++ {
 		id := topology.NodeID(i)
 		offset := p.HeartbeatInterval * float64(i) / float64(numNodes)
-		st.eng.Schedule(offset, func() { st.heartbeat(id) })
+		st.eng.Schedule(offset, st.slaves[id].beat)
 	}
 
 	// A failed run dispatches nothing more, so no event callback starts
@@ -233,6 +235,9 @@ type slaveState struct {
 	freeMap    int
 	freeReduce int
 	oobPending bool
+	// beat and oob are the node's heartbeat and out-of-band heartbeat
+	// callbacks, built once per run.
+	beat, oob func()
 }
 
 type reducerState struct {
@@ -266,10 +271,22 @@ type jobState struct {
 
 func (js *jobState) totalMaps() int { return len(js.spec.Tasks) }
 
+// runningMap is one map attempt, from its launch until it completes or is
+// requeued.
+//
+// Records are recycled, as netsim recycles flows: launchMap takes one from
+// the free list and releaseMap returns it when completeMap or
+// requeueRunning is done with it. By then nothing pending refers to it:
+// its flows have arrived or been cancelled, its hedge timers and its
+// processing event have fired or been cancelled, and the backend has had
+// its payloads back. A record's two callbacks, arrived and complete, are
+// built once with the record, and flows and hedgeTimers keep their
+// capacity from one attempt to the next.
 type runningMap struct {
 	js   *jobState
 	task *sched.Task
 	node topology.NodeID
+	slot int // index in state.running while the attempt runs, -1 after
 	// flows are the input fan-in's flows by Tag, each cleared when it
 	// arrives or is cancelled.
 	flows   []*netsim.Flow
@@ -279,14 +296,52 @@ type runningMap struct {
 
 	// Input fan-in state: the input is ready at the need-th flow
 	// completion (got counts them), and arrived is the one callback every
-	// flow reports to. Under an active hedge policy, standby holds
-	// unlaunched spare sources for deadline hedges, and hedgeTimers the
-	// pending per-flow deadline checks.
+	// flow reports to. A degraded read closes with an EvDegradedDone;
+	// under an active hedge policy (hedged) standby holds unlaunched spare
+	// sources for deadline hedges, and hedgeTimers the pending per-flow
+	// deadline checks.
 	need        int
 	got         int
+	degraded    bool
+	hedged      bool
 	arrived     func(*netsim.Flow)
+	complete    func() // the processing event's callback
 	standby     []Transfer
 	hedgeTimers []*sim.Event
+}
+
+// acquireMap returns a record for a new attempt of task on node, in the
+// running set.
+func (s *state) acquireMap(js *jobState, task *sched.Task, node topology.NodeID) *runningMap {
+	var rm *runningMap
+	if n := len(s.freeMaps); n > 0 {
+		rm, s.freeMaps = s.freeMaps[n-1], s.freeMaps[:n-1]
+	} else {
+		rm = &runningMap{}
+		rm.arrived = func(f *netsim.Flow) { s.inputArrived(rm, f) }
+		rm.complete = func() { s.completeMap(rm) }
+	}
+	rm.js, rm.task, rm.node = js, task, node
+	rm.slot = len(s.running)
+	s.running = append(s.running, rm)
+	return rm
+}
+
+// releaseMap takes a finished or requeued attempt out of the running set
+// and returns its record to the free list.
+func (s *state) releaseMap(rm *runningMap) {
+	last := s.running[len(s.running)-1]
+	s.running[rm.slot], last.slot = last, rm.slot
+	s.running[len(s.running)-1] = nil
+	s.running = s.running[:len(s.running)-1]
+	*rm = runningMap{
+		slot:        -1,
+		flows:       rm.flows[:0],
+		hedgeTimers: rm.hedgeTimers[:0],
+		arrived:     rm.arrived,
+		complete:    rm.complete,
+	}
+	s.freeMaps = append(s.freeMaps, rm)
 }
 
 type state struct {
@@ -299,10 +354,16 @@ type state struct {
 	scheduler sched.Scheduler
 	env       *sched.Env
 
-	jobs    []*jobState
-	queue   *jobsched.Queue
-	slaves  []*slaveState
-	running map[*sched.Task]*runningMap
+	jobs   []*jobState
+	queue  *jobsched.Queue
+	slaves []*slaveState
+	// running holds the attempts in flight, each at its slot; freeMaps
+	// holds released records for the next launches.
+	running  []*runningMap
+	freeMaps []*runningMap
+
+	// specs is submitJob's buffer; NewJob copies what it needs.
+	specs []sched.TaskSpec
 
 	builder   *Builder
 	finished  int
@@ -346,14 +407,15 @@ func (s *state) fail(err error) {
 func (s *state) allDone() bool { return s.finished == len(s.jobs) }
 
 func (s *state) submitJob(js *jobState) {
-	specs := make([]sched.TaskSpec, len(js.spec.Tasks))
+	specs := s.specs[:0]
 	for i, t := range js.spec.Tasks {
 		if h, ok := js.repairedHolder[i]; ok {
 			t.Holder = h
 		}
 		t.Lost = !s.cluster.Alive(t.Holder)
-		specs[i] = t
+		specs = append(specs, t)
 	}
+	s.specs = specs
 	js.sj = sched.NewJob(js.idx, specs)
 	js.submitted = true
 	s.queue.Submit(js.idx, js.sj)
@@ -387,7 +449,7 @@ func (s *state) heartbeat(id topology.NodeID) {
 	if s.cluster.Alive(id) {
 		s.serveSlave(id)
 	}
-	s.eng.Schedule(s.p.HeartbeatInterval, func() { s.heartbeat(id) })
+	s.eng.Schedule(s.p.HeartbeatInterval, s.slaves[id].beat)
 }
 
 // oobHeartbeat schedules an immediate extra heartbeat for a node that just
@@ -398,12 +460,15 @@ func (s *state) oobHeartbeat(id topology.NodeID) {
 		return
 	}
 	slave.oobPending = true
-	s.eng.Schedule(0, func() {
-		slave.oobPending = false
-		if !s.allDone() && s.cluster.Alive(id) {
-			s.serveSlave(id)
-		}
-	})
+	s.eng.Schedule(0, slave.oob)
+}
+
+// oobServe is the extra heartbeat oobHeartbeat scheduled.
+func (s *state) oobServe(id topology.NodeID) {
+	s.slaves[id].oobPending = false
+	if !s.allDone() && s.cluster.Alive(id) {
+		s.serveSlave(id)
+	}
 }
 
 func (s *state) serveSlave(id topology.NodeID) {
@@ -493,8 +558,7 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	e.Class = a.Class.String()
 	s.emit(&e)
 
-	rm := &runningMap{js: js, task: a.Task, node: id}
-	s.running[a.Task] = rm
+	rm := s.acquireMap(js, a.Task, id)
 
 	plan, err := s.backend.PlanInput(js.idx, a.Task.Index, a.Class, id, s.p.Hedge.spareBudget())
 	if err != nil {
@@ -505,6 +569,7 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	need := len(plan.Transfers) - plan.Spares
 	degraded := a.Class == sched.ClassDegraded
 	hedged := degraded && s.p.Hedge.Active()
+	rm.degraded, rm.hedged = degraded, hedged
 	// transfers launch now: the primaries and, under an active hedge
 	// policy, up to Extra eager spares racing them. The remaining spares
 	// stand by for deadline hedges.
@@ -534,10 +599,9 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	// The whole input fan-in (surviving blocks + parity for a degraded
 	// read, and any eager spares) is admitted as one batch: a single
 	// bandwidth recomputation instead of one per source. Every flow of the
-	// map, deadline hedges included, reports to one callback, and carries
-	// its index in rm.flows as its Tag.
+	// map, deadline hedges included, reports to the record's one callback,
+	// and carries its index in rm.flows as its Tag.
 	rm.need = need
-	rm.arrived = func(f *netsim.Flow) { s.inputArrived(rm, f, degraded, hedged) }
 	reqs := s.reqs
 	for i, tr := range transfers {
 		reqs = append(reqs, netsim.FlowReq{Src: tr.Src, Dst: id, Bytes: tr.Bytes, Tag: i, Done: rm.arrived})
@@ -560,11 +624,11 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 // bytes they already moved recorded as waste, a degraded read is closed,
 // and processing starts. Under a hedge policy every completion is also a
 // latency sample for the deadline estimator.
-func (s *state) inputArrived(rm *runningMap, f *netsim.Flow, degraded, hedged bool) {
+func (s *state) inputArrived(rm *runningMap, f *netsim.Flow) {
 	now := s.eng.Now()
 	rm.flows[f.Tag] = nil
 	rm.got++
-	if hedged {
+	if rm.hedged {
 		lat := now - f.StartedAt
 		s.hedgeLat = append(s.hedgeLat, lat)
 		s.emitFlowLatency(rm, f, "won", f.Bytes, lat)
@@ -582,7 +646,7 @@ func (s *state) inputArrived(rm *runningMap, f *netsim.Flow, degraded, hedged bo
 		}
 	}
 	s.cancelHedgeTimers(rm)
-	if degraded {
+	if rm.degraded {
 		de := s.ev(trace.EvDegradedDone)
 		de.Job = rm.js.idx
 		de.Task = rm.task.Index
@@ -601,16 +665,15 @@ func (s *state) startProcessing(rm *runningMap) {
 	dur, pending := s.backend.Execute(rm.js.idx, rm.task.Index, rm.node, rm.input)
 	rm.input = nil
 	rm.pending = pending
-	rm.procEv = s.eng.Schedule(dur, func() { s.completeMap(rm) })
+	rm.procEv = s.eng.Schedule(dur, rm.complete)
 }
 
 func (s *state) completeMap(rm *runningMap) {
-	js := rm.js
-	id := rm.node
+	js, task, id := rm.js, rm.task, rm.node
 
 	// The virtual completion instant: an engine running real work blocks
 	// here until it has finished (or its worker died).
-	parts, err := s.backend.AwaitOutput(js.idx, rm.task.Index, id, rm.pending)
+	parts, err := s.backend.AwaitOutput(js.idx, task.Index, id, rm.pending)
 	rm.pending = nil
 	if err != nil {
 		s.mapAwaitFailure(rm, err)
@@ -619,16 +682,16 @@ func (s *state) completeMap(rm *runningMap) {
 
 	e := s.ev(trace.EvTaskFinish)
 	e.Job = js.idx
-	e.Task = rm.task.Index
+	e.Task = task.Index
 	e.Node = int(id)
 	s.emit(&e)
 
-	delete(s.running, rm.task)
+	s.releaseMap(rm)
 	s.release(id, &s.slaves[id].freeMap, s.cluster.Node(id).MapSlots)
 	s.queue.MapReleased(js.idx)
 	js.mapsCompleted++
 	if js.shuffle != nil {
-		js.shuffle.mapFinished(rm.task.Index, id, parts)
+		js.shuffle.mapFinished(task.Index, id, parts)
 	}
 
 	if js.mapsCompleted == js.totalMaps() {

@@ -58,7 +58,7 @@ func TestNewJobCounters(t *testing.T) {
 	if lm != 0 || lmd != 0 || j.Done() || j.PendingDegraded() != 3 {
 		t.Fatal("fresh job state wrong")
 	}
-	if len(j.Tasks()) != 12 {
+	if len(j.tasks) != 12 {
 		t.Fatal("Tasks() wrong")
 	}
 }
@@ -374,7 +374,7 @@ func TestPacingInvariantProperty(t *testing.T) {
 
 func TestTaskDoubleAssignPanics(t *testing.T) {
 	j := NewJob(0, []TaskSpec{{Block: erasure.BlockID{}, Holder: 0}})
-	tk := j.Tasks()[0]
+	tk := j.Task(0)
 	j.take(tk)
 	defer func() {
 		if recover() == nil {
@@ -521,7 +521,7 @@ func TestRequeueUnassignedPanics(t *testing.T) {
 			t.Fatal("requeue of unassigned task must panic")
 		}
 	}()
-	j.Requeue(j.Tasks()[0], false)
+	j.Requeue(j.Task(0), false)
 }
 
 func TestEDFHeterogeneousPrefersFastSlaves(t *testing.T) {
@@ -626,7 +626,7 @@ func TestPendingLocalCountersMatchRecount(t *testing.T) {
 		j := NewJob(trial, specs)
 		env := envFor(c, j)
 		for step := 0; step < 80; step++ {
-			task := j.tasks[rng.Intn(len(j.tasks))]
+			task := j.Task(rng.Intn(len(j.tasks)))
 			switch rng.Intn(4) {
 			case 0: // take whatever a scheduler would hand this node
 				LocalityFirst{}.Assign(env, Heartbeat{Node: topology.NodeID(rng.Intn(nodes)), FreeMapSlots: 1 + rng.Intn(2)})
@@ -641,9 +641,11 @@ func TestPendingLocalCountersMatchRecount(t *testing.T) {
 			}
 			for id := topology.NodeID(0); id < nodes; id++ {
 				want := 0
-				for _, p := range j.byHolder[id] {
-					if !p.assigned {
-						want++
+				if int(id) < len(j.byHolder) {
+					for _, x := range j.byHolder[id].items {
+						if !j.tasks[x].assigned {
+							want++
+						}
 					}
 				}
 				if got := j.pendingLocalCount(id); got != want {

@@ -18,6 +18,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/topology"
@@ -99,17 +100,25 @@ func (t *Task) Assigned() bool { return t.assigned }
 // counters the degraded-first pacing rule needs: M (total map tasks),
 // Md (total degraded tasks), m (launched map tasks), md (launched
 // degraded tasks).
+//
+// Its pools are indexes, so a pop costs no scan over assigned tasks:
+// every non-degraded task sits in its holder's queue and every degraded
+// one in the degraded queue, each in pool order with a cursor past the
+// assigned tasks at its front. On its first remote pop a job also files
+// its non-degraded tasks by rack in task order, so a remote pop reads one
+// first pending task per rack.
 type Job struct {
 	// ID is the job identifier (FIFO order = submission order).
 	ID int
 
-	tasks    []*Task
-	byHolder map[topology.NodeID][]*Task // pending non-degraded, by holder
-	degraded []*Task                     // pending degraded, task order
-	// pendingLocal[id] counts the unassigned tasks in byHolder[id]; every
-	// pool mutation keeps it current, so EDF's per-heartbeat estimate is a
-	// slice read per (node, job).
-	pendingLocal []int
+	tasks    []Task  // index order, one slab
+	byHolder []queue // by holder node: its non-degraded tasks
+	degraded queue
+	byRack   *rackQueues
+	// pendingLocal[id] counts the unassigned tasks in byHolder's queue id;
+	// every pool mutation keeps it current, so EDF's per-heartbeat estimate
+	// is a slice read per (node, job).
+	pendingLocal []int32
 
 	total         int // M
 	totalDegraded int // Md
@@ -120,21 +129,40 @@ type Job struct {
 // NewJob builds a job from task specs. The order of specs fixes task
 // indices and the FIFO order within each class.
 func NewJob(id int, specs []TaskSpec) *Job {
-	j := &Job{
-		ID:       id,
-		byHolder: make(map[topology.NodeID][]*Task),
-	}
+	j := &Job{ID: id, tasks: make([]Task, len(specs)), total: len(specs)}
+	holders := 0
 	for i, s := range specs {
-		t := &Task{Index: i, Job: id, TaskSpec: s}
-		j.tasks = append(j.tasks, t)
+		j.tasks[i] = Task{Index: i, Job: id, TaskSpec: s}
 		if s.Lost {
-			j.degraded = append(j.degraded, t)
 			j.totalDegraded++
 		} else {
-			j.byHolder[s.Holder] = append(j.byHolder[s.Holder], t)
-			j.addPendingLocal(s.Holder)
+			holders = max(holders, int(s.Holder)+1)
 		}
-		j.total++
+	}
+	// The queues are views of one array, each with room for exactly its
+	// first entries: filling them allocates nothing, and a queue that
+	// grows past its room later moves out on its own.
+	j.byHolder = make([]queue, holders)
+	j.pendingLocal = make([]int32, holders)
+	for _, s := range specs {
+		if !s.Lost {
+			j.pendingLocal[s.Holder]++
+		}
+	}
+	items := make([]int32, len(specs))
+	at := 0
+	for h, n := range j.pendingLocal {
+		j.byHolder[h].items = items[at : at : at+int(n)]
+		at += int(n)
+	}
+	j.degraded.items = items[at:at]
+	for i, s := range specs {
+		if s.Lost {
+			j.degraded.items = append(j.degraded.items, int32(i))
+		} else {
+			q := &j.byHolder[s.Holder]
+			q.items = append(q.items, int32(i))
+		}
 	}
 	return j
 }
@@ -151,9 +179,8 @@ func (j *Job) Done() bool { return j.launched == j.total }
 // PendingDegraded returns the number of unassigned degraded tasks.
 func (j *Job) PendingDegraded() int { return j.totalDegraded - j.launchedDeg }
 
-// Tasks returns all tasks in index order. The slice is shared; do not
-// modify.
-func (j *Job) Tasks() []*Task { return j.tasks }
+// Task returns the task of index i.
+func (j *Job) Task(i int) *Task { return &j.tasks[i] }
 
 // pendingLocalCount returns the number of unassigned node-local tasks for
 // node id (used by EDF's AssignToSlave estimate).
@@ -161,16 +188,17 @@ func (j *Job) pendingLocalCount(id topology.NodeID) int {
 	if int(id) >= len(j.pendingLocal) {
 		return 0
 	}
-	return j.pendingLocal[id]
+	return int(j.pendingLocal[id])
 }
 
-// addPendingLocal counts one more pending task on holder id, growing the
-// dense table to reach it.
-func (j *Job) addPendingLocal(id topology.NodeID) {
+// holderQueue returns holder id's queue, growing the dense per-holder
+// tables to reach it.
+func (j *Job) holderQueue(id topology.NodeID) *queue {
 	if short := int(id) + 1 - len(j.pendingLocal); short > 0 {
-		j.pendingLocal = append(j.pendingLocal, make([]int, short)...)
+		j.pendingLocal = append(j.pendingLocal, make([]int32, short)...)
+		j.byHolder = append(j.byHolder, make([]queue, short)...)
 	}
-	j.pendingLocal[id]++
+	return &j.byHolder[id]
 }
 
 // popNodeLocal takes the next unassigned task whose holder is exactly s.
@@ -197,52 +225,58 @@ func (j *Job) popRackLocal(c *topology.Cluster, s topology.NodeID) *Task {
 // rack from s, preferring the smallest hop distance to s (same pod before
 // core-crossing) and breaking ties by task order. On one tier every
 // remote holder is equally far, so the first pending remote task wins.
+// Every holder of a rack is equally far from s, so only each rack's first
+// pending task is a candidate.
 func (j *Job) popRemote(c *topology.Cluster, s topology.NodeID) *Task {
-	myRack := c.RackOf(s)
-	// The nearest a remote holder can be: one tier up, or across the
-	// core link when only the root joins racks.
-	nearest := 4
-	if c.NumTiers() == 1 {
-		nearest = 5
+	if j.total-j.totalDegraded == j.launched-j.launchedDeg {
+		return nil // every non-degraded task is assigned
 	}
-	var best *Task
-	bestDist := 0
-	for _, t := range j.tasks {
-		if t.assigned || t.Lost || c.RackOf(t.Holder) == myRack {
+	if j.byRack == nil {
+		j.byRack = newRackQueues(j, c)
+	}
+	mine := c.RackOf(s)
+	best, bestDist := int32(noTask), 0
+	for r := range j.byRack.queues {
+		if topology.RackID(r) == mine {
 			continue
 		}
-		if d := c.HopDistance(s, t.Holder); best == nil || d < bestDist {
-			best, bestDist = t, d
-			if d == nearest {
-				break // no closer task exists
-			}
+		x := j.byRack.queues[r].first(j.tasks)
+		if x == noTask {
+			continue
+		}
+		if d := c.HopDistance(s, j.tasks[x].Holder); best == noTask || d < bestDist || d == bestDist && x < best {
+			best, bestDist = x, d
 		}
 	}
-	if best != nil {
-		j.take(best)
+	if best == noTask {
+		return nil
 	}
-	return best
+	t := &j.tasks[best]
+	j.take(t)
+	return t
 }
 
 // popDegraded takes the next unassigned degraded task.
 func (j *Job) popDegraded() *Task {
-	for _, t := range j.degraded {
-		if !t.assigned {
-			j.take(t)
-			return t
-		}
-	}
-	return nil
+	return j.pop(&j.degraded)
 }
 
 func (j *Job) popFromHolder(id topology.NodeID) *Task {
-	for _, t := range j.byHolder[id] {
-		if !t.assigned {
-			j.take(t)
-			return t
-		}
+	if int(id) >= len(j.pendingLocal) || j.pendingLocal[id] == 0 {
+		return nil
 	}
-	return nil
+	return j.pop(&j.byHolder[id])
+}
+
+// pop takes q's first unassigned task, if any.
+func (j *Job) pop(q *queue) *Task {
+	x := q.first(j.tasks)
+	if x == noTask {
+		return nil
+	}
+	t := &j.tasks[x]
+	j.take(t)
+	return t
 }
 
 func (j *Job) take(t *Task) {
@@ -263,24 +297,19 @@ func (j *Job) take(t *Task) {
 // Used when a node fails mid-job (already-assigned tasks are handled by
 // the framework via Requeue).
 func (j *Job) MarkHolderLost(holder topology.NodeID) int {
+	if int(holder) >= len(j.pendingLocal) || j.pendingLocal[holder] == 0 {
+		return 0
+	}
 	changed := 0
-	kept := j.byHolder[holder][:0]
-	for _, t := range j.byHolder[holder] {
-		if t.assigned {
-			kept = append(kept, t)
-			continue
-		}
+	for _, x := range j.byHolder[holder].dropPending(j.tasks) {
+		t := &j.tasks[x]
 		t.Lost = true
-		j.degraded = append(j.degraded, t)
+		j.degraded.items = append(j.degraded.items, x)
+		j.byRack.remove(t)
 		j.totalDegraded++
-		j.pendingLocal[holder]--
 		changed++
 	}
-	if len(kept) == 0 {
-		delete(j.byHolder, holder)
-	} else {
-		j.byHolder[holder] = kept
-	}
+	j.pendingLocal[holder] = 0
 	return changed
 }
 
@@ -297,24 +326,32 @@ func (j *Job) Requeue(t *Task, lost bool) {
 		j.launchedDeg--
 	}
 	t.assigned = false
+	x := int32(t.Index)
 	switch {
-	case t.Lost == lost:
+	case t.Lost && lost:
 		// Classification unchanged; the task is still in its pool.
+		j.degraded.rewind(x)
+	case !t.Lost && !lost:
+		j.holderQueue(t.Holder).rewind(x)
+		j.byRack.rewind(t)
 	case lost:
 		// Was normal, now degraded: move pools and grow Md.
-		j.removeFromHolderPool(t)
+		j.holderQueue(t.Holder).remove(x)
+		j.byRack.remove(t)
 		t.Lost = true
-		j.degraded = append(j.degraded, t)
+		j.degraded.items = append(j.degraded.items, x)
 		j.totalDegraded++
 	default:
 		// Was degraded, input recovered: move back to its holder pool.
-		j.removeFromDegradedPool(t)
+		j.degraded.remove(x)
 		t.Lost = false
-		j.byHolder[t.Holder] = append(j.byHolder[t.Holder], t)
+		q := j.holderQueue(t.Holder)
+		q.items = append(q.items, x)
+		j.byRack.insert(t)
 		j.totalDegraded--
 	}
 	if !t.Lost {
-		j.addPendingLocal(t.Holder) // pending in its holder pool again
+		j.pendingLocal[t.Holder]++ // pending in its holder pool again
 	}
 }
 
@@ -328,30 +365,133 @@ func (j *Job) Recover(t *Task, holder topology.NodeID) bool {
 	if t.assigned || !t.Lost {
 		return false
 	}
-	j.removeFromDegradedPool(t)
+	x := int32(t.Index)
+	j.degraded.remove(x)
 	t.Lost = false
 	t.Holder = holder
-	j.byHolder[holder] = append(j.byHolder[holder], t)
-	j.addPendingLocal(holder)
+	q := j.holderQueue(holder)
+	q.items = append(q.items, x)
+	j.pendingLocal[holder]++
+	j.byRack.insert(t)
 	j.totalDegraded--
 	return true
 }
 
-func (j *Job) removeFromHolderPool(t *Task) {
-	pool := j.byHolder[t.Holder]
-	for i, p := range pool {
-		if p == t {
-			j.byHolder[t.Holder] = append(pool[:i], pool[i+1:]...)
-			return
-		}
+// noTask is an empty queue's first task.
+const noTask = -1
+
+// queue is one pool of task indices in pool order, with a cursor: every
+// task before items[head] is assigned, so a pop resumes where the last one
+// stopped.
+type queue struct {
+	items []int32
+	head  int
+}
+
+// first moves the cursor past assigned tasks and returns the task it stops
+// at, or noTask.
+func (q *queue) first(tasks []Task) int32 {
+	for q.head < len(q.items) && tasks[q.items[q.head]].assigned {
+		q.head++
+	}
+	if q.head == len(q.items) {
+		return noTask
+	}
+	return q.items[q.head]
+}
+
+// rewind moves the cursor back to task x, which is pending again.
+func (q *queue) rewind(x int32) {
+	if i := slices.Index(q.items[:q.head], x); i >= 0 {
+		q.head = i
 	}
 }
 
-func (j *Job) removeFromDegradedPool(t *Task) {
-	for i, p := range j.degraded {
-		if p == t {
-			j.degraded = append(j.degraded[:i], j.degraded[i+1:]...)
-			return
+// remove deletes task x.
+func (q *queue) remove(x int32) {
+	i := slices.Index(q.items, x)
+	q.items = slices.Delete(q.items, i, i+1)
+	if i < q.head {
+		q.head--
+	}
+}
+
+// insert files pending task x into a queue in ascending task order,
+// keeping that order.
+func (q *queue) insert(x int32) {
+	i, _ := slices.BinarySearch(q.items, x)
+	q.items = slices.Insert(q.items, i, x)
+	q.head = min(q.head, i)
+}
+
+// dropPending deletes the unassigned tasks, keeping the assigned ones in
+// order, and returns the deleted ones in queue order.
+func (q *queue) dropPending(tasks []Task) []int32 {
+	var dropped []int32
+	kept := q.head
+	for _, x := range q.items[q.head:] {
+		if tasks[x].assigned {
+			q.items[kept] = x
+			kept++
+		} else {
+			dropped = append(dropped, x)
 		}
+	}
+	q.items, q.head = q.items[:kept], kept
+	return dropped
+}
+
+// rackQueues files a job's non-degraded tasks by their holder's rack, in
+// ascending task order.
+type rackQueues struct {
+	c      *topology.Cluster
+	queues []queue
+}
+
+func newRackQueues(j *Job, c *topology.Cluster) *rackQueues {
+	count := make([]int, c.NumRacks())
+	for i := range j.tasks {
+		if t := &j.tasks[i]; !t.Lost {
+			count[c.RackOf(t.Holder)]++
+		}
+	}
+	items := make([]int32, len(j.tasks)-j.totalDegraded)
+	rq := &rackQueues{c: c, queues: make([]queue, c.NumRacks())}
+	at := 0
+	for r, n := range count {
+		rq.queues[r].items = items[at : at : at+n]
+		at += n
+	}
+	for i := range j.tasks {
+		if t := &j.tasks[i]; !t.Lost {
+			q := &rq.queues[c.RackOf(t.Holder)]
+			q.items = append(q.items, int32(i))
+		}
+	}
+	return rq
+}
+
+// The methods below keep the queues current through the job's pool
+// changes; before the job's first remote pop there are none, and they do
+// nothing.
+
+// remove drops t, which leaves the non-degraded pool.
+func (rq *rackQueues) remove(t *Task) {
+	if rq != nil {
+		rq.queues[rq.c.RackOf(t.Holder)].remove(int32(t.Index))
+	}
+}
+
+// insert files t, which joins the non-degraded pool pending.
+func (rq *rackQueues) insert(t *Task) {
+	if rq != nil {
+		rq.queues[rq.c.RackOf(t.Holder)].insert(int32(t.Index))
+	}
+}
+
+// rewind makes t, which is pending again, visible to remote pops.
+func (rq *rackQueues) rewind(t *Task) {
+	if rq != nil {
+		rq.queues[rq.c.RackOf(t.Holder)].rewind(int32(t.Index))
 	}
 }

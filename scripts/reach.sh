@@ -83,14 +83,15 @@ covtest ./internal/minimr TestNoWorkerLeak TestScannersMatchReference TestSumRed
 covtest ./internal/netsim TestModeString TestUnlimitedPathsFinishAtOnce TestStarvedFlowGetsNoCompletion TestDeepPathIndexes \
 	TestCancelFlow TestFlowRecordsReusedAfterRelease TestReplayWithoutRecord TestReplayStopsWhereDirtyLinkUndercuts TestReplayStopsWhenDirtyMinimumIsUntied \
 	TestReplayStopsWhereSaturationMoves TestReplayRunsOutWithEveryFlowFrozen TestReplaySkipsEmptiedLinks
-covtest ./internal/placement TestReassign
+covtest ./internal/placement TestReassign TestPlaceMatchesScanOracle TestNodeBlocksBeyondHolders
 covtest ./internal/runtime TestRepairCommitToDeadNodeRequeues TestSecondFailureMidRepair TestUnrepairableReportedOnceNeverLaunched \
 	TestAsyncReduceFailureReowesLateFetch TestBuilderRejectsMalformedTraces TestFeaturesTable TestHealerPlanInput \
 	TestRepairedBlockRestoresLateJobTask TestShuffleCancelTouchesOnlyDeadNodes TestRemoteSourceDeathRequeuesTask \
 	TestFailureMissingRepairLeavesItRunning TestStripeTurnsUnrepairableWhileQueued TestRepairRefPastTaskCount \
-	TestFailureDuringThrottleWait TestBackendFailuresAbortRun TestEmptyJobResults
+	TestFailureDuringThrottleWait TestBackendFailuresAbortRun TestEmptyJobResults TestRequeueCancelsPendingHedgeTimers
 covtest ./internal/sim TestRescheduleMatchesCancelAndSchedule
-covtest ./internal/sched TestClassString TestDelayKindRegistered TestPacingNeverDeadlocks TestPendingLocalCountersMatchRecount
+covtest ./internal/sched TestClassString TestDelayKindRegistered TestPacingNeverDeadlocks TestPendingLocalCountersMatchRecount \
+	TestPoolsMatchScanOracle
 covtest ./internal/stats TestMeanOfNothing TestNormalMomentsAndTruncation TestPickKZeroAndNegative TestQuantile \
 	TestReductionIncreasePercent TestSummarizeEmptyAndDegenerate TestSummarizeWhiskerCollapseCorner TestSummarizeNonFinite
 covtest ./internal/topology TestHopDistanceMetric TestPickFailureErrors TestSharedTierOfOneNode
