@@ -68,10 +68,9 @@ func (b *clusterBackend) speed(id topology.NodeID) float64 {
 // first-k-wins race on the wire too: Need is the primary count and the
 // spares join Fetch, so the worker decodes from whichever k fetches
 // finish first and cancels the rest.
-func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
-	plan, err := b.Healer.PlanInput(job, task, class, node, spares)
-	if err != nil {
-		return plan, err
+func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget, plan *runtime.InputPlan) error {
+	if err := b.Healer.PlanInput(job, task, class, node, spares, plan); err != nil {
+		return err
 	}
 	block := b.TaskBlock(task)
 	req := &mapReq{Job: job, Task: task, File: b.jobs[job].Input, Stripe: block.Stripe, Index: block.Index,
@@ -83,7 +82,7 @@ func (b *clusterBackend) PlanInput(job, task int, class sched.Class, node topolo
 		req.Fetch = append(req.Fetch, fetchSpec{Node: int(src.Node), Addr: b.m.workerAddr(src.Node), Stripe: block.Stripe, Index: src.Index})
 	}
 	plan.Input = req
-	return plan, nil
+	return nil
 }
 
 // Execute implements runtime.Backend: dispatch the real map work to the

@@ -382,8 +382,8 @@ func TestPlanInputPlansWholeFanIn(t *testing.T) {
 		{runtime.SpareBudget{}, 0},
 		{runtime.SpareBudget{Fixed: 1, PerPrimary: 1}, k},
 	} {
-		plan, err := b.PlanInput(0, task, sched.ClassDegraded, 0, tc.budget)
-		if err != nil {
+		var plan runtime.InputPlan
+		if err := b.PlanInput(0, task, sched.ClassDegraded, 0, tc.budget, &plan); err != nil {
 			t.Fatal(err)
 		}
 		req := plan.Input.(*mapReq)

@@ -233,7 +233,7 @@ func TestBackendErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newClusterBackend(m, h, jobs)
-	_, err = b.PlanInput(0, 0, sched.Class(99), 0, runtime.SpareBudget{})
+	err = b.PlanInput(0, 0, sched.Class(99), 0, runtime.SpareBudget{}, new(runtime.InputPlan))
 	wantErr(t, "PlanInput of an unknown class", err, "unknown assignment class")
 	_, err = b.CommitRepair(repair.Key{File: "input.txt"}, repair.BlockPlan{Dest: 3})
 	if dn := (*runtime.DeadNodeError)(nil); !errors.As(err, &dn) {

@@ -56,19 +56,25 @@ func (s SelectionStrategy) String() string {
 	}
 }
 
-// survivorsOf lists the blocks of lost block b's stripe on alive nodes, in
-// index order. SurvivorsOf only returns alive holders and b's holder has
-// failed, but b is skipped anyway, guarding against a mid-recovery race
-// where its holder is alive.
-func survivorsOf(c *topology.Cluster, p *placement.Placement, b erasure.BlockID) []repair.Source {
-	idx, holders := p.SurvivorsOf(c, b.Stripe)
-	survivors := make([]repair.Source, 0, len(idx))
-	for i := range idx {
-		if idx[i] != b.Index {
-			survivors = append(survivors, repair.Source{Node: holders[i], Index: idx[i]})
+// survivorScratch sizes the stack arrays survivorsOf hands SurvivorsOf to
+// fill: a wider stripe spills to the heap.
+const survivorScratch = 16
+
+// survivorsOf appends to dst the blocks of lost block b's stripe on alive
+// nodes, in index order, leaving out those whose index a source in skip
+// has. SurvivorsOf only returns alive holders and b's holder has failed,
+// but b is left out anyway, guarding against a mid-recovery race where its
+// holder is alive.
+func survivorsOf(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, skip []repair.Source, dst []repair.Source) []repair.Source {
+	var idxBuf [survivorScratch]int
+	var holderBuf [survivorScratch]topology.NodeID
+	idx, holders := p.SurvivorsOf(c, b.Stripe, idxBuf[:0], holderBuf[:0])
+	for i, ix := range idx {
+		if ix != b.Index && !slices.ContainsFunc(skip, func(s repair.Source) bool { return s.Index == ix }) {
+			dst = append(dst, repair.Source{Node: holders[i], Index: ix})
 		}
 	}
-	return survivors
+	return dst
 }
 
 // pickK selects, from the survivors of lost block b's stripe the caller
@@ -116,38 +122,23 @@ func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survi
 	}
 }
 
-// SpareSources returns up to max surviving blocks of lost block b's
-// stripe beyond the ones already picked as primary sources — candidates
-// for redundant (hedged) degraded reads. The selection is deterministic:
-// survivors not in used, in stripe-index order, no RNG draws, so hedged
-// and unhedged runs consume identical random streams. Returns fewer than
-// max (possibly none) when the stripe has no spares left, and none when
-// used is not a full k-set: that was a locality-aware code's local repair
-// group, which is not any-k substitutable.
+// SpareSources appends to dst, and returns, up to max surviving blocks of
+// lost block b's stripe beyond the ones already picked as primary sources
+// — candidates for redundant (hedged) degraded reads. The selection is
+// deterministic: survivors not in used, in stripe-index order, no RNG
+// draws, so hedged and unhedged runs consume identical random streams. It
+// appends fewer than max (possibly none) when the stripe has no spares
+// left, and none when used is not a full k-set: that was a locality-aware
+// code's local repair group, which is not any-k substitutable.
 func SpareSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
-	used []repair.Source, max int) []repair.Source {
+	used []repair.Source, max int, dst []repair.Source) []repair.Source {
 
 	if max <= 0 || len(used) != p.K() {
-		return nil
+		return dst
 	}
-	taken := make(map[int]bool, len(used)+1)
-	taken[b.Index] = true
-	for _, s := range used {
-		taken[s.Index] = true
-	}
-	idx, holders := p.SurvivorsOf(c, b.Stripe)
-	spares := make([]repair.Source, 0, len(idx))
-	for i := range idx {
-		if taken[idx[i]] {
-			continue
-		}
-		spares = append(spares, repair.Source{Node: holders[i], Index: idx[i]})
-	}
-	sort.Slice(spares, func(a, b int) bool { return spares[a].Index < spares[b].Index })
-	if len(spares) > max {
-		spares = spares[:max]
-	}
-	return spares
+	from := len(dst)
+	dst = survivorsOf(c, p, b, used, dst)
+	return dst[:min(len(dst), from+max)]
 }
 
 // repairSet is the one repair-source rule, shared by degraded reads
@@ -187,7 +178,7 @@ func repairSet(code erasure.Coder, idx int, readable []int) (set []int, local bo
 func PickRepairSources(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 	b erasure.BlockID, reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]repair.Source, error) {
 
-	survivors := survivorsOf(c, p, b)
+	survivors := survivorsOf(c, p, b, nil, nil)
 	alive := make([]int, len(survivors))
 	for i, s := range survivors {
 		alive[i] = s.Index

@@ -182,7 +182,7 @@ func TestDegradedReadReconstructsForReal(t *testing.T) {
 // stripe that a degraded read on node reader downloads, never b itself.
 func pickDegradedSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
 	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]repair.Source, error) {
-	return pickK(c, p, b, survivorsOf(c, p, b), reader, strategy, rng)
+	return pickK(c, p, b, survivorsOf(c, p, b, nil, nil), reader, strategy, rng)
 }
 
 func TestPickDegradedSourcesRandomK(t *testing.T) {

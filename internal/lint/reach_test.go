@@ -226,8 +226,6 @@ var branchAllowList = map[string]allowEntry{
 		unreachable, "encodeStripes fails only on unequal shards, and Write cuts every shard to the block size"},
 	`dfs.FS.encodeStripes: return nil, fmt.Errorf("dfs: encoding stripe %d of %q: %w", s, name, err)`: {
 		unreachable, "as dfs.FS.Write: every shard is one block long"},
-	`minimr.realBackend.PlanInput: return plan, fmt.Errorf("minimr: reading %v: %w", block, err)`: {
-		unreachable, "a non-degraded read's holder is alive, and a degraded read decodes from the sources the Healer just planned"},
 	"exp.fig5: return nil, err": {
 		unreachable, "fig5's points are constants that validate (TestFig5Family)"},
 

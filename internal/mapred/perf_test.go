@@ -197,20 +197,23 @@ func (c *launchCounter) Emit(e trace.Event) {
 
 // TestStormAllocBudget is a count, not a timing: TestStormScalePerf's
 // 150-job storm, placement and submission included, launches 2 935 map
-// attempts and may allocate at most 1 320 bytes and 10.1 mallocs per
-// launch, 1.2x what it measures on its own: 1 100 bytes and 8.38 mallocs
-// (1 071 bytes after other tests of the package have run; 1 108 bytes and
-// 8.43 mallocs under -race). Placing a file makes no per-node index,
+// attempts and may allocate at most 1 075 bytes and 5.72 mallocs per
+// launch, 1.2x what it measures on its own: 896 bytes and 4.77 mallocs
+// (868 bytes after other tests of the package have run; 904 bytes and
+// 4.91 mallocs under -race). Placing a file makes no per-node index,
 // submitting a job makes one task slab and one pool array, a map launch
-// reuses a released attempt's record with its callbacks and flow list, and
-// a heartbeat reuses its node's callback. It measured 1 694 bytes and
-// 17.39 mallocs per launch before those changes.
+// reuses a released attempt's record with its callbacks, flow list and
+// input plan, a degraded plan's spares are picked into that plan, a
+// heartbeat reuses its node's callback and its Env's assignment buffer,
+// and netsim keeps no path per node pair. It measured 1 694 bytes and
+// 17.39 mallocs per launch before records were reused, and 1 100 bytes
+// and 8.38 mallocs before plans, assignments and paths were.
 // Skipped in -short mode.
 func TestStormAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm run skipped in short mode")
 	}
-	const bytesBudget, mallocsBudget = 1320.0, 10.1
+	const bytesBudget, mallocsBudget = 1075.0, 5.72
 	cfg := stormConfig(t)
 	var launches launchCounter
 	cfg.Trace = &launches
@@ -223,32 +226,36 @@ func TestStormAllocBudget(t *testing.T) {
 	goruntime.ReadMemStats(&after)
 	perLaunch := float64(after.TotalAlloc-before.TotalAlloc) / float64(launches)
 	mallocs := float64(after.Mallocs-before.Mallocs) / float64(launches)
-	t.Logf("%d map launches, %.0f bytes and %.2f mallocs allocated per launch", launches, perLaunch, mallocs)
+	t.Logf("%d map launches, %.1f bytes and %.3f mallocs allocated per launch", launches, perLaunch, mallocs)
 	if perLaunch > bytesBudget || mallocs > mallocsBudget {
-		t.Fatalf("storm run allocated %.0f bytes and %.2f mallocs per map launch, budget %.0f and %.2f",
+		t.Fatalf("storm run allocated %.0f bytes and %.3f mallocs per map launch, budget %.0f and %.2f",
 			perLaunch, mallocs, bytesBudget, mallocsBudget)
 	}
 }
 
 // TestPaperScaleAllocBudget is a count, not a timing: the seed-1 EDF run
 // at the paper's scale starts 43 789 flows, nearly all of them shuffle
-// transfers, and may allocate at most 40 bytes and 0.13 mallocs per started
-// flow, 1.2x what it measures: 33 bytes and 0.11 mallocs, none of it per
-// flow. netsim hands a finished flow's record to a later one, StartFlows
-// returns a slice it reuses, the shuffle keeps its transfers in a slot
-// table with one callback per job, the engine moves the network's one
-// completion event instead of making a new one per solve, and map attempts
-// and heartbeats reuse their records and callbacks. A fresh netsim.Flow per
+// transfers, and may allocate at most 33 bytes and 0.066 mallocs per
+// started flow, 1.2x what it measures: 27.7 bytes and 0.055 mallocs, none
+// of it per flow. netsim hands a finished flow's record to a later one and
+// writes its links into that record, with no path kept per node pair,
+// StartFlows returns a slice it reuses, the shuffle keeps its transfers in
+// a slot table with one callback per job, the engine moves the network's
+// one completion event instead of making a new one per solve, and map
+// attempts and heartbeats reuse their records, callbacks and buffers. A
+// fresh netsim.Flow per
 // start (192 bytes) or a callback per shuffle flow (one malloc each) fails
 // it; it measured 336 bytes and 2.37 mallocs before flows were recycled,
-// and 41 bytes and 0.30 mallocs before map attempts were.
+// 41 bytes and 0.30 mallocs before map attempts were, and 33 bytes and
+// 0.11 mallocs before flows carried their links in place.
 //
-// The race build measures the same, so one budget serves both builds. Skipped in -short mode.
+// The race build measures the same, so one budget serves both builds.
+// Skipped in -short mode.
 func TestPaperScaleAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run skipped in short mode")
 	}
-	const bytesBudget, mallocsBudget = 40.0, 0.13
+	const bytesBudget, mallocsBudget = 33.0, 0.066
 	cfg := DefaultConfig()
 	cfg.Scheduler = EDF
 	cfg.Seed = 1
@@ -262,9 +269,9 @@ func TestPaperScaleAllocBudget(t *testing.T) {
 	goruntime.ReadMemStats(&after)
 	perFlow := float64(after.TotalAlloc-before.TotalAlloc) / float64(starts)
 	mallocs := float64(after.Mallocs-before.Mallocs) / float64(starts)
-	t.Logf("%d flows started, %.0f bytes and %.2f mallocs allocated per flow", starts, perFlow, mallocs)
+	t.Logf("%d flows started, %.1f bytes and %.4f mallocs allocated per flow", starts, perFlow, mallocs)
 	if perFlow > bytesBudget || mallocs > mallocsBudget {
-		t.Fatalf("paper-scale EDF run allocated %.0f bytes and %.2f mallocs per started flow, budget %.0f and %.2f",
+		t.Fatalf("paper-scale EDF run allocated %.1f bytes and %.4f mallocs per started flow, budget %.0f and %.3f",
 			perFlow, mallocs, bytesBudget, mallocsBudget)
 	}
 }

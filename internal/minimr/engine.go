@@ -120,21 +120,21 @@ func (b *realBackend) speed(id topology.NodeID) float64 {
 // for real from the degraded read's planned primaries. Under the virtual
 // clock the spares only shape timing: any k survivors of a Reed-Solomon
 // stripe decode identical bytes.
-func (b *realBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
-	plan, err := b.Healer.PlanInput(job, task, class, node, spares)
-	if err != nil {
-		return plan, err
+func (b *realBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget, plan *runtime.InputPlan) error {
+	if err := b.Healer.PlanInput(job, task, class, node, spares, plan); err != nil {
+		return err
 	}
 	name, block := b.jobs[job].Input, b.TaskBlock(task)
+	var err error
 	if class == sched.ClassDegraded {
 		plan.Input, err = b.FS.DecodeFrom(name, block, plan.Sources[:len(plan.Sources)-plan.Spares])
 	} else {
 		plan.Input, err = b.FS.ReadBlock(name, block)
 	}
 	if err != nil {
-		return plan, fmt.Errorf("minimr: reading %v: %w", block, err)
+		return fmt.Errorf("minimr: reading %v: %w", block, err)
 	}
-	return plan, nil
+	return nil
 }
 
 // Execute implements runtime.Backend: queue the real map function and

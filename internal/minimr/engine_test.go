@@ -556,7 +556,8 @@ func TestJobCostsMatchTableOneOrdering(t *testing.T) {
 // TestPlanInputPlansWholeFanIn: PlanInput attaches the block's real bytes
 // to the Healer's plan, decoded from the planned primaries of a degraded
 // read whether or not spares join them (runtime.TestHealerPlanInput holds
-// the plan itself).
+// the plan itself), into a plan that carries an earlier one's storage. A
+// plain read of a block whose holder has died fails, naming the block.
 func TestPlanInputPlansWholeFanIn(t *testing.T) {
 	fs, _ := testbedFS(t, 8)
 	fs.Cluster().FailNode(3)
@@ -577,13 +578,18 @@ func TestPlanInputPlansWholeFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	// (12,10) with one loss leaves 11 survivors: at most one spare.
+	var plan runtime.InputPlan
 	for _, budget := range []runtime.SpareBudget{{}, {Fixed: 1, PerPrimary: 1}} {
-		plan, err := b.PlanInput(0, task, sched.ClassDegraded, 0, budget)
-		if err != nil {
+		plan = runtime.InputPlan{Sources: plan.Sources[:0], Transfers: plan.Transfers[:0]}
+		if err := b.PlanInput(0, task, sched.ClassDegraded, 0, budget, &plan); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(plan.Input.([]byte), want) {
 			t.Fatalf("budget %+v (%d spares): degraded read did not reconstruct the block", budget, plan.Spares)
 		}
+	}
+	err = b.PlanInput(0, task, sched.ClassRemote, 0, runtime.SpareBudget{}, new(runtime.InputPlan))
+	if !errors.Is(err, dfs.ErrBlockLost) || !strings.Contains(err.Error(), "minimr: reading") {
+		t.Fatalf("a plain read from a dead holder returned %v, want minimr's wrapped dfs.ErrBlockLost", err)
 	}
 }

@@ -67,24 +67,30 @@ func TestStarvedFlowGetsNoCompletion(t *testing.T) {
 	}
 }
 
-// TestDeepPathIndexes: a path longer than a flow's inline position buffer
-// (four tiers and the core: eleven links) is indexed on the heap and
-// shares its links like any other.
+// TestDeepPathIndexes: a flow with more finite links than its record's
+// inline buffers hold (NICs and four tiers: ten links) keeps them and its
+// positions on the heap, and shares its links like any other. The record
+// keeps that storage for the next flow it carries.
 func TestDeepPathIndexes(t *testing.T) {
-	c := topology.MustNew(topology.Config{Spec: &topology.Spec{Nodes: 16, Tiers: []topology.Tier{
-		{Name: "rack", Count: 8}, {Name: "edge", Count: 4}, {Name: "pod", Count: 2}, {Name: "zone", Count: 2, LinkBps: 10 * Mbps},
+	c := topology.MustNew(topology.Config{Spec: &topology.Spec{Nodes: 16, NodeBps: 100 * Mbps, Tiers: []topology.Tier{
+		{Name: "rack", Count: 8, LinkBps: 100 * Mbps}, {Name: "edge", Count: 4, LinkBps: 100 * Mbps},
+		{Name: "pod", Count: 2, LinkBps: 100 * Mbps}, {Name: "zone", Count: 2, LinkBps: 10 * Mbps},
 	}}, MapSlotsPerNode: 1})
 	eng := sim.New()
 	n := mustNet(t, eng, c, Config{})
 	var at []float64
 	done := func(*Flow) { at = append(at, eng.Now()) }
 	flows := n.StartFlows([]FlowReq{{Src: 0, Dst: 15, Bytes: 1.25e6, Done: done}, {Src: 1, Dst: 14, Bytes: 1.25e6, Done: done}})
-	if l := len(flows[0].path); l <= len(flows[0].linkPosBuf) {
-		t.Fatalf("path of %d links fits the inline buffer: scenario is vacuous", l)
+	if l := len(flows[0].links); l <= len(flows[0].linkBuf) || l <= len(flows[0].linkPosBuf) {
+		t.Fatalf("%d finite links fit the inline buffers: scenario is vacuous", l)
 	}
 	eng.Run()
 	// Two flows share the zone up-link at 10 Mbit/s: 1.25 MB each takes 2 s.
 	if len(at) != 2 || math.Abs(at[0]-2) > 1e-9 || math.Abs(at[1]-2) > 1e-9 {
 		t.Fatalf("flows finished at %v, want both at 2 s", at)
+	}
+	deep := []FlowReq{{Src: 2, Dst: 13, Bytes: 1e6}}
+	if allocs := testing.AllocsPerRun(10, func() { n.Cancel(n.StartFlows(deep)[0]) }); allocs != 0 {
+		t.Fatalf("a deep flow on a recycled record allocated %v times", allocs)
 	}
 }

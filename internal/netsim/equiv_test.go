@@ -212,7 +212,7 @@ func checkBookkeeping(n *Net) error {
 		if f.updateTime != now {
 			return fmt.Errorf("flow %d last advanced at %v, not at the instant %v", f.ID, f.updateTime, now)
 		}
-		if i < n.drainFrom && !(f.limited && f.remaining > 0 && now+f.remaining/n.drainHi > now) {
+		if i < n.drainFrom && !(len(f.links) > 0 && f.remaining > 0 && now+f.remaining/n.drainHi > now) {
 			return fmt.Errorf("flow %d before the drain cursor %d is not due later (remaining %v, hi %v)", f.ID, n.drainFrom, f.remaining, n.drainHi)
 		}
 	}

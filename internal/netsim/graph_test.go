@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"degradedfirst/internal/sim"
@@ -94,6 +96,37 @@ func TestLegacyLinkSetUnchanged(t *testing.T) {
 	}
 }
 
+// pathFor returns the unique link path between src and dst, unlimited
+// links included: nothing for a node-local transfer, otherwise NICs plus
+// one up/down link per tier below the lowest tier the pair shares,
+// crossing the core fabric only when the root alone connects them. It is
+// the oracle a flow's links are held to: they are the finite links of
+// this path, in its order.
+func (n *Net) pathFor(src, dst topology.NodeID) []*link {
+	if src == dst {
+		return nil
+	}
+	cs, cd := n.coords[src], n.coords[dst]
+	shared := len(cs)
+	for t := range cs {
+		if cs[t] == cd[t] {
+			shared = t
+			break
+		}
+	}
+	p := []*link{n.nodeUp[src]}
+	for t := 0; t < shared; t++ {
+		p = append(p, n.tierUp[t][cs[t]])
+	}
+	if shared == len(cs) {
+		p = append(p, n.core)
+	}
+	for t := shared - 1; t >= 0; t-- {
+		p = append(p, n.tierDn[t][cd[t]])
+	}
+	return append(p, n.nodeDn[dst])
+}
+
 // TestLegacyPathShape pins the two-level projection of pathFor: NICs
 // only within a rack, NICs + rack up/down + core across racks.
 func TestLegacyPathShape(t *testing.T) {
@@ -172,29 +205,70 @@ func TestEveryPairUniquePath(t *testing.T) {
 	}
 }
 
-// TestPathInterning pins the flow-path reuse satellite: repeat (src,
-// dst) pairs share one immutable slice, so churn over known pairs
-// allocates no path memory.
-func TestPathInterning(t *testing.T) {
-	c := mustFatTreeCluster(t, topology.FatTreeConfig{
-		Pods: 2, EdgesPerPod: 2, NodesPerEdge: 3, NodeBps: 100 * Mbps,
+// TestFlowLinksAreFinitePath holds the links a flow carries to pathFor on
+// every ordered pair of several fabrics: they are the finite links of the
+// full path, in path order, and the flow sits in each one's active list at
+// its recorded position. The pairs start in one batch, in fluid mode and
+// in hold mode, so records are fresh and, in a second batch, reused.
+func TestFlowLinksAreFinitePath(t *testing.T) {
+	twoLevel := topology.MustNew(topology.Config{Nodes: 8, Racks: 2, MapSlotsPerNode: 1})
+	storm := mustFatTreeCluster(t, topology.FatTreeConfig{
+		Pods: 4, EdgesPerPod: 4, NodesPerEdge: 4, NodeBps: Gbps, EdgeOversub: 4, PodOversub: 2,
 	})
-	n, err := New(sim.New(), c, Config{})
-	if err != nil {
-		t.Fatal(err)
+	fourTier := topology.MustNew(topology.Config{Spec: &topology.Spec{Nodes: 16, Tiers: []topology.Tier{
+		{Name: "rack", Count: 8}, {Name: "edge", Count: 4, LinkBps: 20 * Mbps}, {Name: "pod", Count: 2}, {Name: "zone", Count: 2, LinkBps: 10 * Mbps},
+	}}, MapSlotsPerNode: 1})
+	cases := []struct {
+		name string
+		c    *topology.Cluster
+		cfg  Config
+	}{
+		{"two-level", twoLevel, Config{RackBps: Gbps}},
+		{"two-level-nics", twoLevel, Config{RackBps: Gbps, NodeBps: Gbps}},
+		{"two-level-core", twoLevel, Config{RackBps: Gbps, CoreBps: 4 * Gbps}},
+		{"two-level-all", twoLevel, Config{RackBps: Gbps, NodeBps: 2 * Gbps, CoreBps: 4 * Gbps}},
+		{"two-level-unlimited", twoLevel, Config{}},
+		{"storm-fat-tree", storm, Config{}},
+		{"four-tier", fourTier, Config{}},
 	}
-	p1 := n.pathFor(0, 7)
-	p2 := n.pathFor(0, 7)
-	if &p1[0] != &p2[0] || len(p1) != len(p2) {
-		t.Fatal("repeat pair did not return the interned path")
-	}
-	f1 := startFlow(n, 0, 7, 1e6, nil)
-	f2 := startFlow(n, 0, 7, 2e6, nil)
-	if &f1.path[0] != &f2.path[0] {
-		t.Fatal("flows between the same pair do not share the interned path")
-	}
-	if n.pathFor(7, 0)[0] == p1[0] {
-		t.Fatal("reverse direction must be a distinct path")
+	for _, tc := range cases {
+		for _, mode := range []Mode{FluidFairSharing, ExclusiveHold} {
+			cfg := tc.cfg
+			cfg.Mode = mode
+			n := mustNet(t, sim.New(), tc.c, cfg)
+			var reqs []FlowReq
+			for s := 0; s < tc.c.NumNodes(); s++ {
+				for d := 0; d < tc.c.NumNodes(); d++ {
+					reqs = append(reqs, FlowReq{Src: topology.NodeID(s), Dst: topology.NodeID(d), Bytes: 1e6})
+				}
+			}
+			for batch := 0; batch < 2; batch++ {
+				flows := n.StartFlows(reqs)
+				for _, f := range flows {
+					var want []*link
+					for _, l := range n.pathFor(f.Src, f.Dst) {
+						if !math.IsInf(l.capacity, 1) {
+							want = append(want, l)
+						}
+					}
+					if !slices.Equal(f.links, want) {
+						t.Fatalf("%s/%v: flow %d->%d carries %d links, want the %d finite ones of its path",
+							tc.name, mode, f.Src, f.Dst, len(f.links), len(want))
+					}
+					if mode != FluidFairSharing || f.Src == f.Dst {
+						continue
+					}
+					for i, l := range f.links {
+						if l.active[f.linkPos[i]] != f {
+							t.Fatalf("%s: flow %d->%d is not at its recorded position on link %d", tc.name, f.Src, f.Dst, i)
+						}
+					}
+				}
+				for _, f := range slices.Clone(flows) {
+					n.Cancel(f)
+				}
+			}
+		}
 	}
 }
 

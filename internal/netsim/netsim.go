@@ -10,10 +10,10 @@
 // Every node pair has exactly one deterministic path: up the source's
 // NIC, up one link per tier below the lowest tier the pair shares,
 // across the core fabric when only the root connects them, then down the
-// mirror-image links to the destination. Paths are immutable after
-// construction and interned per (src, dst) pair, so starting a flow on a
-// previously seen pair allocates no path memory; links carry no names, so
-// building a 10k-node network performs no per-link formatting.
+// mirror-image links to the destination. A flow carries only its path's
+// finite links, the ones that can limit it, written at admission into its
+// recycled record; links carry no names, so building a 10k-node network
+// performs no per-link formatting.
 //
 // Two contention modes are provided:
 //
@@ -108,7 +108,9 @@ type Flow struct {
 	// filling's epoch or 0 (none yet), and 32 bits cannot wrap onto one.
 	frozenEpoch uint32
 	frozenIter  int32
-	path        []*link
+	// links are the finite links of the flow's path in path order, the only
+	// ones that can limit it: in linkBuf, or on the heap the record keeps.
+	links []*link
 	// ev is the flow's own completion event. Fluid flows normally have
 	// none (the Net schedules one event for the earliest completion, see
 	// solver.go); it is set for hold-mode flows and, until the next solve,
@@ -128,13 +130,13 @@ type Flow struct {
 	done     func(*Flow)
 	queued   bool // ExclusiveHold: waiting for links
 	finished bool // finished or cancelled: the record is the Net's again
-	limited  bool // fluid: crosses a finite link, so a solve gives it a finite rate
 
-	// Incremental-solver index state. Positions are int32 and the inline
-	// buffer sits in the bools' padding, keeping a Flow in the 192-byte
-	// size class.
-	linkPosBuf [9]int32 // inline backing for linkPos: paths up to 3 tiers fit without allocating
-	linkPos    []int32  // index of this flow in path[i].active, -1 for unlimited links
+	// linkPos[i] is the flow's index in links[i].active. Three links inline,
+	// positions in the bools' padding, keep a Flow in the 192-byte size
+	// class and hold every flow a fabric limited at its racks alone carries.
+	linkPosBuf [3]int32
+	linkPos    []int32
+	linkBuf    [3]*link
 }
 
 // Remaining returns the bytes not yet transferred as of the last network
@@ -160,11 +162,10 @@ type link struct {
 	// While the link carries contending flows, its position in
 	// Net.activeLinks.
 	activePos int32
-	finite    bool // precomputed !IsInf(capacity): only finite links constrain
+	class     int32 // index in Net.classes, -1 for an unlimited link, which no flow carries
 	dirty     bool
 
-	// Incremental-solver index: the contending flows crossing this link
-	// (finite links only).
+	// Incremental-solver index: the contending flows crossing this link.
 	active []*Flow
 
 	// Hold mode state.
@@ -186,16 +187,10 @@ type Net struct {
 	links  []*link
 	// coords[node][tier] is the node's group index per tier, shared with
 	// the cluster (immutable after construction).
-	coords [][]int
-	// pathCache interns the unique link path per (src, dst) pair, keyed
-	// src*numNodes+dst. Paths are immutable after build, so every flow
-	// between the same pair shares one slice. pathLens[sharedTier] is the
-	// precomputed template length, sizing each build exactly.
-	pathCache map[int64][]*link
-	pathLens  []int
-	flows     []*Flow // active flows, insertion order
-	waiting   []*Flow // hold mode FIFO
-	nextID    int
+	coords  [][]int
+	flows   []*Flow // active flows, insertion order
+	waiting []*Flow // hold mode FIFO
+	nextID  int
 	// free holds the records of finished and cancelled flows, for addFlow
 	// to hand out again; started is the slice StartFlows returns.
 	free    []*Flow
@@ -211,6 +206,9 @@ type Net struct {
 	activeLinks []*link
 	ncontending int
 	epoch       uint32
+	// classes are the finite capacities, one per distinct value, with the
+	// counts drain's bounds are read from (solver.go).
+	classes []capClass
 	// The last filling's record (solver.go): per iteration its increment,
 	// water level and the end of its links in minLinks, the links whose
 	// share was the increment; and the links whose flow set changed since.
@@ -322,17 +320,15 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 		totalGroups += tier.Count
 	}
 	n := &Net{
-		eng:       eng,
-		mode:      cfg.Mode,
-		nodeUp:    make([]*link, nodes),
-		nodeDn:    make([]*link, nodes),
-		tierUp:    make([][]*link, tiers),
-		tierDn:    make([][]*link, tiers),
-		coords:    make([][]int, nodes),
-		pathCache: make(map[int64][]*link),
-		pathLens:  make([]int, tiers+1),
-		links:     make([]*link, 0, 2*nodes+2*totalGroups+1),
-		instant:   -1,
+		eng:     eng,
+		mode:    cfg.Mode,
+		nodeUp:  make([]*link, nodes),
+		nodeDn:  make([]*link, nodes),
+		tierUp:  make([][]*link, tiers),
+		tierDn:  make([][]*link, tiers),
+		coords:  make([][]int, nodes),
+		links:   make([]*link, 0, 2*nodes+2*totalGroups+1),
+		instant: -1,
 	}
 	n.solve = n.incRecompute
 	n.fireNext = func() {
@@ -344,10 +340,21 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 	// allocations (slab + pointer table), not O(links) small ones.
 	slab := make([]link, 2*nodes+2*totalGroups+1)
 	next := 0
+	classOf := make(map[float64]int32)
 	addLink := func(capacity float64) *link {
 		l := &slab[next]
 		next++
-		*l = link{capacity: capacity, finite: !math.IsInf(capacity, 1)}
+		*l = link{capacity: capacity, class: -1}
+		if !math.IsInf(capacity, 1) {
+			c, ok := classOf[capacity]
+			if !ok {
+				c = int32(len(n.classes))
+				classOf[capacity] = c
+				n.classes = append(n.classes, capClass{capacity: capacity, perCount: []int{0}})
+			}
+			l.class = c
+			n.classes[c].perCount[0]++
+		}
 		n.links = append(n.links, l)
 		return l
 	}
@@ -371,14 +378,6 @@ func New(eng *sim.Engine, c *topology.Cluster, cfg Config) (*Net, error) {
 		}
 	}
 	n.core = addLink(capOf(cfg.CoreBps, spec.CoreBps))
-	// Path-template lengths per shared tier: 2 NICs + one up/down pair
-	// per climbed tier + the core fabric when crossing the root.
-	for shared := 0; shared <= tiers; shared++ {
-		n.pathLens[shared] = 2 + 2*shared
-		if shared == tiers {
-			n.pathLens[shared]++
-		}
-	}
 	return n, nil
 }
 
@@ -439,34 +438,30 @@ func (n *Net) addFlow(r FlowReq) (*Flow, bool) {
 	} else {
 		f = new(Flow)
 		f.fin = func() { n.finish(f) }
+		f.links, f.linkPos = f.linkBuf[:0], f.linkPosBuf[:0]
 	}
-	*f = Flow{
-		ID:         n.nextID,
-		Src:        r.Src,
-		Dst:        r.Dst,
-		Bytes:      r.Bytes,
-		StartedAt:  n.eng.Now(),
-		Tag:        r.Tag,
-		remaining:  r.Bytes,
-		updateTime: n.eng.Now(),
-		done:       r.Done,
-		fin:        f.fin,
-		path:       n.pathFor(r.Src, r.Dst),
-	}
+	// Field by field, so fin and the link lists' storage stay; a released
+	// record has no ev or done (finish, Cancel and release drop them).
+	now := n.eng.Now()
+	f.remaining, f.rate, f.updateTime = r.Bytes, 0, now
+	f.frozenEpoch, f.frozenIter = 0, 0
+	f.ID, f.Src, f.Dst, f.Bytes, f.StartedAt, f.Tag = n.nextID, r.Src, r.Dst, r.Bytes, now, r.Tag
+	f.done, f.queued, f.finished = r.Done, false, false
+	f.links = n.appendLinks(f.links[:0], r.Src, r.Dst)
 	n.nextID++
 	if n.hooks.Start != nil {
 		n.hooks.Start(f)
 	}
-	if r.Bytes == 0 || len(f.path) == 0 {
+	if r.Bytes == 0 || r.Src == r.Dst {
 		// Local or empty transfer: complete immediately. A zero-byte flow
-		// with a nonempty path still occupies a fair share until its
+		// between two nodes still occupies a fair share until its
 		// completion event fires, so it is indexed like any other. No solve
 		// runs here, so the flow gets its own event — at its own place in
 		// the engine's same-instant order — until the next solve absorbs it.
 		f.ev = n.eng.Schedule(0, f.fin)
 		n.owned++
 		n.flows = append(n.flows, f)
-		if n.mode == FluidFairSharing && len(f.path) > 0 {
+		if n.mode == FluidFairSharing && r.Src != r.Dst {
 			n.indexFlow(f)
 		}
 		return f, false
@@ -491,21 +486,14 @@ func (n *Net) solveAfterAdmit() {
 	}
 }
 
-// pathFor returns the unique link path between src and dst: nothing for
-// a node-local transfer, otherwise NICs plus one up/down link per tier
-// below the lowest tier the pair shares, crossing the core fabric only
-// when the root alone connects them. In the two-level projection this is
-// exactly the legacy shape: NICs only within a rack, NICs + rack up/down
-// + core across racks. Paths are interned per (src, dst) pair: they are
-// immutable after build, so repeat pairs share one slice and allocate
-// nothing.
-func (n *Net) pathFor(src, dst topology.NodeID) []*link {
+// appendLinks appends to ls the finite links, in order, of the path from
+// src to dst: none for a node-local transfer, else NICs plus one up/down
+// link per tier below the lowest tier the pair shares, and the core fabric
+// when only the root connects them (two-level: NICs within a rack, NICs +
+// rack up/down + core across racks).
+func (n *Net) appendLinks(ls []*link, src, dst topology.NodeID) []*link {
 	if src == dst {
-		return nil
-	}
-	key := int64(src)*int64(len(n.nodeUp)) + int64(dst)
-	if p, ok := n.pathCache[key]; ok {
-		return p
+		return ls
 	}
 	cs, cd := n.coords[src], n.coords[dst]
 	shared := len(cs)
@@ -515,20 +503,24 @@ func (n *Net) pathFor(src, dst topology.NodeID) []*link {
 			break
 		}
 	}
-	p := make([]*link, 0, n.pathLens[shared])
-	p = append(p, n.nodeUp[src])
+	ls = appendFinite(ls, n.nodeUp[src])
 	for t := 0; t < shared; t++ {
-		p = append(p, n.tierUp[t][cs[t]])
+		ls = appendFinite(ls, n.tierUp[t][cs[t]])
 	}
 	if shared == len(cs) {
-		p = append(p, n.core)
+		ls = appendFinite(ls, n.core)
 	}
 	for t := shared - 1; t >= 0; t-- {
-		p = append(p, n.tierDn[t][cd[t]])
+		ls = appendFinite(ls, n.tierDn[t][cd[t]])
 	}
-	p = append(p, n.nodeDn[dst])
-	n.pathCache[key] = p
-	return p
+	return appendFinite(ls, n.nodeDn[dst])
+}
+
+func appendFinite(ls []*link, l *link) []*link {
+	if l.class < 0 {
+		return ls
+	}
+	return append(ls, l)
 }
 
 // Cancel aborts an in-flight or queued flow without firing its callback
@@ -564,12 +556,7 @@ func (n *Net) Cancel(f *Flow) {
 	case FluidFairSharing:
 		n.recompute()
 	case ExclusiveHold:
-		for _, l := range f.path {
-			if l.holder == f {
-				l.holder = nil
-			}
-		}
-		n.dispatchHold()
+		n.releaseHold(f)
 	}
 	if n.hooks.Cancel != nil {
 		n.hooks.Cancel(f)
@@ -596,12 +583,7 @@ func (n *Net) finish(f *Flow) {
 	case FluidFairSharing:
 		n.recompute()
 	case ExclusiveHold:
-		for _, l := range f.path {
-			if l.holder == f {
-				l.holder = nil
-			}
-		}
-		n.dispatchHold()
+		n.releaseHold(f)
 	}
 	if f.done != nil {
 		f.done(f)
@@ -619,7 +601,7 @@ func (n *Net) release(f *Flow) {
 // removeFlow drops f from the active flows, keeping their order. The flow
 // the network's event finishes is found at nextIdx; others are searched for.
 func (n *Net) removeFlow(f *Flow) {
-	if n.mode == FluidFairSharing && len(f.path) > 0 {
+	if n.mode == FluidFairSharing && f.Src != f.Dst {
 		n.unindexFlow(f)
 	}
 	i := n.nextIdx
@@ -647,16 +629,27 @@ func (n *Net) recompute() {
 	n.solve()
 }
 
+// releaseHold frees the links f held and starts the waiting flows that can
+// now run.
+func (n *Net) releaseHold(f *Flow) {
+	for _, l := range f.links {
+		if l.holder == f {
+			l.holder = nil
+		}
+	}
+	n.dispatchHold()
+}
+
 // dispatchHold starts waiting flows (in FIFO order) whose links are all
-// free, holding those links until completion. The queue is filtered in
+// free, holding those links until completion. Unlimited links never
+// serialize, and a flow carries only finite ones. The queue is filtered in
 // place.
 func (n *Net) dispatchHold() {
 	remaining := n.waiting[:0]
 	for _, f := range n.waiting {
-		// Unlimited links never serialize: only finite links are held.
 		free := true
-		for _, l := range f.path {
-			if !math.IsInf(l.capacity, 1) && l.holder != nil {
+		for _, l := range f.links {
+			if l.holder != nil {
 				free = false
 				break
 			}
@@ -665,19 +658,12 @@ func (n *Net) dispatchHold() {
 			remaining = append(remaining, f)
 			continue
 		}
-		for _, l := range f.path {
-			if !math.IsInf(l.capacity, 1) {
-				l.holder = f
-			}
-		}
-		f.queued = false
 		rate := math.Inf(1)
-		for _, l := range f.path {
-			if l.capacity < rate {
-				rate = l.capacity
-			}
+		for _, l := range f.links {
+			l.holder = f
+			rate = min(rate, l.capacity)
 		}
-		f.rate = rate
+		f.queued, f.rate = false, rate
 		var dt float64
 		if !math.IsInf(rate, 1) {
 			dt = f.remaining / rate

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -741,6 +742,56 @@ func TestFlowRecordsReusedAfterRelease(t *testing.T) {
 			n.Cancel(victim)
 			t.Fatalf("%v: Cancel on a released flow returned", mode)
 		}()
+	}
+}
+
+// TestReusedRecordMatchesFresh: addFlow resets a reused record field by
+// field, so it must leave it equal to a fresh record in every field but
+// the inline buffers, whose contents are storage, not state. The reused
+// record last carried a flow that was solved, stamped and, in hold mode,
+// cancelled while queued; the fresh one comes from a Net that started the
+// same flows and cancelled none.
+func TestReusedRecordMatchesFresh(t *testing.T) {
+	req := FlowReq{Src: 4, Dst: 1, Bytes: 5e5, Tag: 7} // no link in common with 0->3
+	for _, mode := range []Mode{FluidFairSharing, ExclusiveHold} {
+		cfg := Config{Mode: mode, RackBps: 100 * Mbps, NodeBps: Gbps}
+		reusing := mustNet(t, sim.New(), twoRacks(), cfg)
+		startFlow(reusing, 0, 3, 1e6, nil)
+		victim := startFlow(reusing, 0, 3, 1e6, nil)
+		reusing.Cancel(victim)
+		reused, _ := reusing.addFlow(req)
+		if reused != victim {
+			t.Fatalf("%v: the admission did not reuse the cancelled flow's record", mode)
+		}
+		fresh := mustNet(t, sim.New(), twoRacks(), cfg)
+		startFlow(fresh, 0, 3, 1e6, nil)
+		startFlow(fresh, 0, 3, 1e6, nil)
+		made, _ := fresh.addFlow(req)
+
+		linkIdx := func(n *Net, ls []*link) []int {
+			var idx []int
+			for _, l := range ls {
+				idx = append(idx, slices.Index(n.links, l))
+			}
+			return idx
+		}
+		if a, b := linkIdx(reusing, reused.links), linkIdx(fresh, made.links); !slices.Equal(a, b) {
+			t.Fatalf("%v: reused record carries links %v, fresh one %v", mode, a, b)
+		}
+		if !slices.Equal(reused.linkPos, made.linkPos) {
+			t.Fatalf("%v: reused record's positions %v, fresh one's %v", mode, reused.linkPos, made.linkPos)
+		}
+		x, y := *reused, *made
+		for _, f := range []*Flow{&x, &y} {
+			if f.fin == nil {
+				t.Fatalf("%v: flow %d has no completion callback", mode, f.ID)
+			}
+			f.fin, f.links, f.linkPos = nil, nil, nil
+			f.linkBuf, f.linkPosBuf = [len(f.linkBuf)]*link{}, [len(f.linkPosBuf)]int32{}
+		}
+		if !reflect.DeepEqual(x, y) {
+			t.Fatalf("%v: reused record %+v, fresh one %+v", mode, x, y)
+		}
 	}
 }
 

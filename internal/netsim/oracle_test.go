@@ -37,10 +37,10 @@ func (n *Net) refRecompute() {
 	unfrozen := 0
 	for i, f := range n.flows {
 		f.rate = 0
-		frozen[i] = len(f.path) == 0 // local flows don't contend
+		frozen[i] = f.Src == f.Dst // local flows don't contend
 		if !frozen[i] {
 			unfrozen++
-			for _, l := range f.path {
+			for _, l := range f.links {
 				l.unfrozen++
 			}
 		}
@@ -80,15 +80,15 @@ func (n *Net) refRecompute() {
 			if frozen[i] {
 				continue
 			}
-			for _, l := range f.path {
-				if !math.IsInf(l.capacity, 1) && l.residual <= 1e-9*l.capacity {
+			for _, l := range f.links {
+				if l.residual <= 1e-9*l.capacity {
 					frozen[i] = true
 					break
 				}
 			}
 			if frozen[i] {
 				unfrozen--
-				for _, l := range f.path {
+				for _, l := range f.links {
 					l.unfrozen--
 				}
 			}
@@ -114,15 +114,41 @@ func (n *Net) refRecompute() {
 // withOracle wraps n's solver so that every solve that runs progressive
 // filling — every refRecompute, every incRecompute the drain test did not
 // answer — is followed by checkAllocation, whose verdict goes to report.
+// Every solve, drained or not, is also followed by checkDrainBounds, which
+// reports only a failure.
 func withOracle(n *Net, report func(error)) {
 	solve := n.solve
 	n.solve = func() {
 		deferred := n.stats.Deferred
 		solve()
+		if err := checkDrainBounds(n); err != nil {
+			report(err)
+		}
 		if n.stats.Deferred == deferred {
 			report(checkAllocation(n))
 		}
 	}
+}
+
+// checkDrainBounds holds the per-class counts drain reads its bounds from
+// to a scan over the active links, bit for bit: the smallest
+// capacity/len(active) and the largest capacity.
+func checkDrainBounds(n *Net) error {
+	lo, top := math.Inf(1), 0.0
+	for _, l := range n.activeLinks {
+		if share := l.capacity / float64(len(l.active)); share < lo {
+			lo = share
+		}
+		if l.capacity > top {
+			top = l.capacity
+		}
+	}
+	gotLo, gotTop := n.drainBounds()
+	if math.Float64bits(gotLo) != math.Float64bits(lo) || math.Float64bits(gotTop) != math.Float64bits(top) {
+		return fmt.Errorf("drain bounds from the classes are (%v, %v), a scan of the %d active links gives (%v, %v)",
+			gotLo, gotTop, len(n.activeLinks), lo, top)
+	}
+	return nil
 }
 
 // fillTol is the filling's saturation tolerance relative to capacity, with
@@ -146,11 +172,9 @@ func checkAllocation(n *Net) error {
 		if !(f.remaining >= 0 && f.remaining <= f.Bytes) {
 			return fmt.Errorf("flow %d has %v of its %v bytes left", f.ID, f.remaining, f.Bytes)
 		}
-		for _, l := range f.path {
-			if l.finite {
-				sum[l] += f.rate
-				top[l] = math.Max(top[l], f.rate)
-			}
+		for _, l := range f.links {
+			sum[l] += f.rate
+			top[l] = math.Max(top[l], f.rate)
 		}
 	}
 	for i, l := range n.links {
@@ -159,18 +183,18 @@ func checkAllocation(n *Net) error {
 		}
 	}
 	for _, f := range n.flows {
-		if len(f.path) == 0 {
+		if f.Src == f.Dst {
 			continue
 		}
-		if !f.limited {
+		if len(f.links) == 0 {
 			if !math.IsInf(f.rate, 1) {
 				return fmt.Errorf("flow %d crosses no finite link but has rate %v", f.ID, f.rate)
 			}
 			continue
 		}
 		bottlenecked := false
-		for _, l := range f.path {
-			if l.finite && l.capacity-sum[l] <= fillTol*l.capacity && top[l] <= f.rate {
+		for _, l := range f.links {
+			if l.capacity-sum[l] <= fillTol*l.capacity && top[l] <= f.rate {
 				bottlenecked = true
 				break
 			}

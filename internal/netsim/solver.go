@@ -7,7 +7,7 @@
 // Progressive filling is driven by per-link active-flow indexes instead of
 // sweeps over every flow and every link:
 //
-//   - Each finite link keeps the list of contending flows crossing it, so
+//   - Each link keeps the list of contending flows that carry it, so
 //     the freeze step visits only the saturated links' flows. A link joins
 //     Net.activeLinks with its first flow and leaves it, by swap-remove,
 //     with its last: the order of the set only orders which saturated
@@ -29,8 +29,8 @@
 // level and the links whose share equalled the increment (Net.iters,
 // Net.minLinks); per link its (residual, unfrozen) at the start of each
 // iteration it took part in and the iteration that saturated it; per flow
-// the iteration that froze it. indexFlow and unindexFlow mark every finite
-// link whose flow set they change dirty. The next filling replays the
+// the iteration that froze it. indexFlow and unindexFlow mark every link
+// whose flow set they change dirty. The next filling replays the
 // recorded iterations over the dirty links alone and stops at the first
 // iteration i where
 //
@@ -84,10 +84,12 @@
 // between lo, the smallest capacity/len(active) of an active link (the
 // filling's first increment; adding positive increments never lowers a
 // float64 sum), and hi, twice the largest active capacity (a water level
-// passes a capacity by rounding only). Division and addition are monotone,
-// so `now + remaining/lo == now` proves the flow due now and `now +
-// remaining/hi > now` proves it due later; a flow with no path, nothing
-// left or no finite link is due now. If the first flow not proved later is
+// passes a capacity by rounding only). Both come from the capacity classes
+// (capClass), not from the links: within a class the most loaded link has
+// the smallest share. Division and addition are monotone, so `now +
+// remaining/lo == now` proves the flow due now and `now + remaining/hi >
+// now` proves it due later; a node-local flow, one with nothing left or
+// one with no finite link is due now. If the first flow not proved later is
 // proved due now, it is scheduleNext's pick, and drain makes scheduleNext's
 // engine calls for it and skips the filling; any other verdict falls
 // through. The stale rates are never read: the pending event is at `now`
@@ -104,7 +106,7 @@
 // proved later is due now, so a walk from the first flow would stop where
 // the cursor does: same verdicts, same Stats. (That is what the reset on a
 // larger hi keeps; a flow's rate is bounded by its own links, so an old
-// proof stays sound.) A repeated `now` costs O(active links) + flows unwalked.
+// proof stays sound.) A repeated `now` costs O(classes) + flows unwalked.
 //
 // Flows outside any solve keep an event of their own: ExclusiveHold flows,
 // never solved, and fluid flows admitted without a solve (node-local or
@@ -155,22 +157,49 @@ type replayLink struct {
 	old    int
 }
 
-// indexFlow registers a contending fluid flow in the active list of each
-// finite link it crosses, recording its position for O(1) removal, and
-// marks those links dirty. Unlimited links never constrain the solve and
-// are not indexed.
-func (n *Net) indexFlow(f *Flow) {
-	if len(f.path) <= len(f.linkPosBuf) {
-		f.linkPos = f.linkPosBuf[:len(f.path)]
-	} else {
-		f.linkPos = make([]int32, len(f.path))
+// capClass is the finite links of one capacity: perCount[k] of them carry
+// k contending flows, and max is the largest k any of them carries. Both
+// are kept in O(1), so drain reads its bounds per class, not per link.
+type capClass struct {
+	capacity float64
+	max      int
+	perCount []int
+}
+
+// move counts a link of the class as carrying to flows, from before (±1).
+func (c *capClass) move(from, to int) {
+	if to == len(c.perCount) {
+		c.perCount = append(c.perCount, 0)
 	}
-	for i, l := range f.path {
-		if !l.finite {
-			f.linkPos[i] = -1
+	c.perCount[from]--
+	c.perCount[to]++
+	if to > c.max || from == c.max && c.perCount[from] == 0 {
+		c.max = to
+	}
+}
+
+// drainBounds returns the smallest capacity/len(active) and the largest
+// capacity over the active links (0 if none). A class's most loaded link
+// has its smallest share: correctly rounded division is monotone.
+func (n *Net) drainBounds() (lo, top float64) {
+	lo = math.Inf(1)
+	for i := range n.classes {
+		c := &n.classes[i]
+		if c.max == 0 {
 			continue
 		}
-		f.limited = true
+		lo = min(lo, c.capacity/float64(c.max))
+		top = max(top, c.capacity)
+	}
+	return lo, top
+}
+
+// indexFlow registers a contending fluid flow in the active list of each
+// link it carries, recording its position for O(1) removal, and marks
+// those links dirty.
+func (n *Net) indexFlow(f *Flow) {
+	f.linkPos = slices.Grow(f.linkPos[:0], len(f.links))[:len(f.links)]
+	for i, l := range f.links {
 		if len(l.active) == 0 {
 			l.activePos = int32(len(n.activeLinks))
 			n.activeLinks = append(n.activeLinks, l)
@@ -180,34 +209,26 @@ func (n *Net) indexFlow(f *Flow) {
 		}
 		f.linkPos[i] = int32(len(l.active))
 		l.active = append(l.active, f)
+		n.classes[l.class].move(len(l.active)-1, len(l.active))
 		n.markDirty(l)
 	}
 	n.ncontending++
 }
 
 // unindexFlow removes f from its links' active lists by swapping with the
-// last entry; the moved flow's recorded position is patched (paths are a
-// handful of links — 2 per tier plus NICs and core — all distinct). A
-// link left without flows leaves the active set the same way.
+// last entry; the moved flow's recorded position is patched (a flow's
+// links are a handful, all distinct). A link left without flows leaves the
+// active set the same way.
 func (n *Net) unindexFlow(f *Flow) {
-	for i, l := range f.path {
+	for i, l := range f.links {
 		pos := f.linkPos[i]
-		if pos < 0 {
-			continue
-		}
 		last := len(l.active) - 1
 		moved := l.active[last]
 		l.active[pos] = moved
 		l.active[last] = nil
 		l.active = l.active[:last]
-		if moved != f {
-			for j, ml := range moved.path {
-				if ml == l {
-					moved.linkPos[j] = pos
-					break
-				}
-			}
-		}
+		moved.linkPos[slices.Index(moved.links, l)] = pos
+		n.classes[l.class].move(last+1, last)
 		n.markDirty(l)
 		if last == 0 {
 			end := len(n.activeLinks) - 1
@@ -218,7 +239,7 @@ func (n *Net) unindexFlow(f *Flow) {
 			n.activeLinks = n.activeLinks[:end]
 		}
 	}
-	f.linkPos = nil
+	f.linkPos = f.linkPos[:0]
 	n.ncontending--
 }
 
@@ -234,7 +255,7 @@ func (n *Net) markDirty(l *link) {
 // three steps and the bitwise-neutrality arguments.
 func (n *Net) incRecompute() {
 	now, links := n.advance()
-	if !n.drain(now, links) {
+	if !n.drain(now) {
 		n.fill(now, links)
 	}
 }
@@ -305,7 +326,7 @@ func (n *Net) fill(now sim.Time, links []*link) {
 		if math.IsInf(inc, 1) {
 			// Remaining flows cross only unlimited links.
 			for _, f := range n.flows {
-				if len(f.path) > 0 && f.frozenEpoch != epoch {
+				if f.Src != f.Dst && f.frozenEpoch != epoch {
 					f.rate = math.Inf(1)
 					f.frozenEpoch, f.frozenIter = epoch, math.MaxInt32
 				}
@@ -334,10 +355,8 @@ func (n *Net) fill(now sim.Time, links []*link) {
 				}
 				g.frozenEpoch, g.frozenIter, g.rate = epoch, int32(j), level
 				unfrozen--
-				for _, gl := range g.path {
-					if gl.finite {
-						gl.unfrozen--
-					}
+				for _, gl := range g.links {
+					gl.unfrozen--
 				}
 			}
 		}
@@ -445,10 +464,8 @@ func (n *Net) replay(prev, epoch uint32) int {
 					continue // recorded, or frozen already
 				}
 				g.frozenEpoch, g.frozenIter, g.rate = epoch, int32(i), r.level
-				for _, gl := range g.path {
-					if gl.finite {
-						gl.unfrozen--
-					}
+				for _, gl := range g.links {
+					gl.unfrozen--
 				}
 			}
 		}
@@ -551,16 +568,8 @@ func (n *Net) restore(i int, prev, epoch uint32, links []*link) ([]*link, int) {
 // drain is the drain test of the header comment, resumed at the cursor: it
 // reports whether the next completion is decided whatever the filling would
 // compute, and if so has scheduled it as scheduleNext would.
-func (n *Net) drain(now sim.Time, links []*link) bool {
-	lo, hi := math.Inf(1), 0.0
-	for _, l := range links {
-		if share := l.capacity / float64(len(l.active)); share < lo {
-			lo = share
-		}
-		if l.capacity > hi {
-			hi = l.capacity
-		}
-	}
+func (n *Net) drain(now sim.Time) bool {
+	lo, hi := n.drainBounds()
 	hi *= 2
 	if hi > n.drainHi {
 		n.drainFrom = 0 // a flow proved under a smaller hi may be undecided under this one
@@ -569,7 +578,7 @@ func (n *Net) drain(now sim.Time, links []*link) bool {
 	for ; n.drainFrom < len(n.flows); n.drainFrom++ {
 		f := n.flows[n.drainFrom]
 		//lint:ignore floateq the engine orders events by exact time: only a bitwise-equal sum is the same instant
-		if !f.limited || f.remaining <= 0 || now+f.remaining/lo == now {
+		if len(f.links) == 0 || f.remaining <= 0 || now+f.remaining/lo == now {
 			break // due now
 		}
 		if !(now+f.remaining/hi > now) {
@@ -633,7 +642,7 @@ func (n *Net) cancelOwned() {
 // a later solve revives it.
 func (f *Flow) timeToFinish() (float64, bool) {
 	switch {
-	case len(f.path) == 0: // node-local transfers complete immediately
+	case f.Src == f.Dst: // node-local transfers complete immediately
 		return 0, true
 	case f.remaining <= 0 || math.IsInf(f.rate, 1):
 		return 0, true

@@ -177,9 +177,10 @@ func (p *Placement) Reassign(b erasure.BlockID, to topology.NodeID) {
 	p.byNode[to] = append(p.byNode[to], b)
 }
 
-// SurvivorsOf returns the indices (within stripe s) and holders of the
-// blocks of stripe s whose nodes are alive.
-func (p *Placement) SurvivorsOf(c *topology.Cluster, s int) (idx []int, holders []topology.NodeID) {
+// SurvivorsOf appends to idx and holders the indices (within stripe s) and
+// holders of the blocks of stripe s whose nodes are alive, in index order,
+// and returns them: a caller may pass scratch to fill.
+func (p *Placement) SurvivorsOf(c *topology.Cluster, s int, idx []int, holders []topology.NodeID) ([]int, []topology.NodeID) {
 	for i, id := range p.StripeHolders(s) {
 		if c.Alive(id) {
 			idx = append(idx, i)

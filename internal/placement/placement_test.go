@@ -185,7 +185,7 @@ func TestLostNativeBlocksAndSurvivors(t *testing.T) {
 			t.Fatal("lost block not held by failed node")
 		}
 	}
-	idx, holders := p.SurvivorsOf(c, lost[0].Stripe)
+	idx, holders := p.SurvivorsOf(c, lost[0].Stripe, nil, nil)
 	if len(idx) < 6 {
 		t.Fatalf("only %d survivors for stripe %d", len(idx), lost[0].Stripe)
 	}

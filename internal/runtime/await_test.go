@@ -38,8 +38,8 @@ type lateFetchBackend struct {
 	reported bool
 }
 
-func (b *lateFetchBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
-	return runtime.InputPlan{}, nil
+func (b *lateFetchBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget, plan *runtime.InputPlan) error {
+	return nil
 }
 
 func (b *lateFetchBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {

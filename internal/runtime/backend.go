@@ -114,8 +114,12 @@ type Backend interface {
 	// local repair group, which is not any-k substitutable). The budget is
 	// zero unless a hedge policy is active, and ignored for other classes.
 	// Every engine plans with Healer.PlanInput and attaches its payload.
-	// Errors abort the run verbatim.
-	PlanInput(job, task int, class sched.Class, node topology.NodeID, spares SpareBudget) (InputPlan, error)
+	// The plan is written into plan, which arrives empty: its Sources and
+	// Transfers have length 0 but may hold an earlier attempt's storage,
+	// which they append into. The runtime hands that storage to later
+	// attempts, so a backend keeps neither slice past the call. Errors
+	// abort the run verbatim.
+	PlanInput(job, task int, class sched.Class, node topology.NodeID, spares SpareBudget, plan *InputPlan) error
 	// Execute starts the map task once its input is available, returning
 	// the processing duration (seconds, already scaled by the node's
 	// speed factor) and an opaque pending payload for AwaitOutput.

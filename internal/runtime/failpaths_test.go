@@ -17,8 +17,8 @@ import (
 // fails every map.
 type planFails struct{ *lateFetchBackend }
 
-func (b *planFails) PlanInput(int, int, sched.Class, topology.NodeID, runtime.SpareBudget) (runtime.InputPlan, error) {
-	return runtime.InputPlan{}, errors.New("plan: no route")
+func (b *planFails) PlanInput(int, int, sched.Class, topology.NodeID, runtime.SpareBudget, *runtime.InputPlan) error {
+	return errors.New("plan: no route")
 }
 
 // reduceFails is the late-fetch scenario's backend with an AwaitReduce

@@ -54,32 +54,31 @@ func (h *Healer) AddJob(file *dfs.File, n int) []sched.TaskSpec {
 // the sources dfs.PickRepairSources picks, then the spares
 // dfs.SpareSources grants against the budget. The plan's Sources name the
 // blocks its Transfers read, so a backend holding bytes fetches or decodes
-// exactly what the runtime charges.
-func (h *Healer) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares SpareBudget) (InputPlan, error) {
-	var plan InputPlan
+// exactly what the runtime charges. It appends to the empty plan's slices
+// (see Backend).
+func (h *Healer) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares SpareBudget, plan *InputPlan) error {
 	block := h.TaskBlock(task)
 	place := h.Files[job].Placement
 	switch class {
 	case sched.ClassNodeLocal:
-		return plan, nil
+		return nil
 	case sched.ClassRackLocal, sched.ClassRemote:
-		plan.Sources = []repair.Source{{Node: place.Holder(block), Index: block.Index}}
+		plan.Sources = append(plan.Sources, repair.Source{Node: place.Holder(block), Index: block.Index})
 	case sched.ClassDegraded:
 		sources, err := dfs.PickRepairSources(h.FS.Cluster(), h.FS.Code(), place, block, node, h.Strategy, h.RNG)
 		if err != nil {
-			return plan, fmt.Errorf("runtime: degraded read of %v: %w", block, err)
+			return fmt.Errorf("runtime: degraded read of %v: %w", block, err)
 		}
-		extra := dfs.SpareSources(h.FS.Cluster(), place, block, sources, spares.For(len(sources)))
-		plan.Spares = len(extra)
-		plan.Sources = append(sources, extra...)
+		plan.Sources = append(plan.Sources, sources...)
+		plan.Sources = dfs.SpareSources(h.FS.Cluster(), place, block, sources, spares.For(len(sources)), plan.Sources)
+		plan.Spares = len(plan.Sources) - len(sources)
 	default:
-		return plan, fmt.Errorf("runtime: unknown assignment class %v", class)
+		return fmt.Errorf("runtime: unknown assignment class %v", class)
 	}
-	plan.Transfers = make([]Transfer, len(plan.Sources))
-	for i, src := range plan.Sources {
-		plan.Transfers[i] = Transfer{Src: src.Node, Bytes: h.BlockBytes}
+	for _, src := range plan.Sources {
+		plan.Transfers = append(plan.Transfers, Transfer{Src: src.Node, Bytes: h.BlockBytes})
 	}
-	return plan, nil
+	return nil
 }
 
 // ScanLostBlocks implements Backend via dfs.FS.LostBlocks.

@@ -133,8 +133,8 @@ func TestHealerPlanInput(t *testing.T) {
 			for _, idx := range tc.lost {
 				c.FailNode(f.Placement.Holder(erasure.BlockID{Index: idx}))
 			}
-			plan, err := h.PlanInput(0, 0, tc.class, 0, tc.budget)
-			if err != nil {
+			var plan InputPlan
+			if err := h.PlanInput(0, 0, tc.class, 0, tc.budget, &plan); err != nil {
 				t.Fatal(err)
 			}
 			if len(plan.Sources) != tc.want+tc.spares || plan.Spares != tc.spares || len(plan.Transfers) != len(plan.Sources) {
@@ -176,7 +176,7 @@ func TestHealerErrors(t *testing.T) {
 		c.FailNode(id)
 	}
 	alive := c.AliveNodes()[0]
-	if _, err := h.PlanInput(0, 0, sched.ClassDegraded, alive, SpareBudget{}); err == nil {
+	if err := h.PlanInput(0, 0, sched.ClassDegraded, alive, SpareBudget{}, new(InputPlan)); err == nil {
 		t.Error("a degraded read of a stripe past its tolerance planned")
 	}
 	if _, err := h.CommitRepair(repair.Key{File: "in", Stripe: 1}, repair.BlockPlan{Index: 0, Dest: alive}); err == nil {

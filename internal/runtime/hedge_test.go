@@ -41,12 +41,11 @@ type hedgeBackend struct {
 
 var _ runtime.Backend = (*hedgeBackend)(nil)
 
-func (b *hedgeBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget) (runtime.InputPlan, error) {
-	var plan runtime.InputPlan
+func (b *hedgeBackend) PlanInput(job, task int, class sched.Class, node topology.NodeID, spares runtime.SpareBudget, plan *runtime.InputPlan) error {
 	switch class {
 	case sched.ClassNodeLocal:
 	case sched.ClassRackLocal, sched.ClassRemote:
-		plan.Transfers = []runtime.Transfer{{Src: 0, Bytes: hedgeBlockBytes}}
+		plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: 0, Bytes: hedgeBlockBytes})
 	default: // degraded
 		var srcs []topology.NodeID
 		for i := 0; i < b.cluster.NumNodes(); i++ {
@@ -61,7 +60,7 @@ func (b *hedgeBackend) PlanInput(job, task int, class sched.Class, node topology
 			plan.Transfers = append(plan.Transfers, runtime.Transfer{Src: s, Bytes: hedgeBlockBytes})
 		}
 	}
-	return plan, nil
+	return nil
 }
 
 func (b *hedgeBackend) ScanLostBlocks([]topology.NodeID) ([]repair.StripePlan, error) {

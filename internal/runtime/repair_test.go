@@ -150,8 +150,7 @@ func (b *repairStore) CommitRepair(key repair.Key, bp repair.BlockPlan) ([]runti
 
 func (b *repairStore) RepairBlockBytes() float64 { return repBlockBytes }
 
-func (b *repairStore) PlanInput(job, task int, class sched.Class, node topology.NodeID, _ runtime.SpareBudget) (runtime.InputPlan, error) {
-	var plan runtime.InputPlan
+func (b *repairStore) PlanInput(job, task int, class sched.Class, node topology.NodeID, _ runtime.SpareBudget, plan *runtime.InputPlan) error {
 	// Non-degraded foreground reads stay free of network noise; a degraded
 	// one reads from the k lowest alive nodes.
 	if class == sched.ClassDegraded {
@@ -162,7 +161,7 @@ func (b *repairStore) PlanInput(job, task int, class sched.Class, node topology.
 			}
 		}
 	}
-	return plan, nil
+	return nil
 }
 
 func (b *repairStore) Execute(job, task int, node topology.NodeID, input any) (float64, any) {

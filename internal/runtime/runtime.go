@@ -280,8 +280,8 @@ func (js *jobState) totalMaps() int { return len(js.spec.Tasks) }
 // its flows have arrived or been cancelled, its hedge timers and its
 // processing event have fired or been cancelled, and the backend has had
 // its payloads back. A record's two callbacks, arrived and complete, are
-// built once with the record, and flows and hedgeTimers keep their
-// capacity from one attempt to the next.
+// built once with the record, and flows, hedgeTimers and the input plan's
+// Sources and Transfers keep their capacity from one attempt to the next.
 type runningMap struct {
 	js   *jobState
 	task *sched.Task
@@ -289,9 +289,11 @@ type runningMap struct {
 	slot int // index in state.running while the attempt runs, -1 after
 	// flows are the input fan-in's flows by Tag, each cleared when it
 	// arrives or is cancelled.
-	flows   []*netsim.Flow
-	procEv  *sim.Event
-	input   any
+	flows  []*netsim.Flow
+	procEv *sim.Event
+	// plan is the backend's input plan; its Input is dropped once Execute
+	// has it.
+	plan    InputPlan
 	pending any // Execute's payload, for AwaitOutput
 
 	// Input fan-in state: the input is ready at the need-th flow
@@ -338,6 +340,7 @@ func (s *state) releaseMap(rm *runningMap) {
 		slot:        -1,
 		flows:       rm.flows[:0],
 		hedgeTimers: rm.hedgeTimers[:0],
+		plan:        InputPlan{Sources: rm.plan.Sources[:0], Transfers: rm.plan.Transfers[:0]},
 		arrived:     rm.arrived,
 		complete:    rm.complete,
 	}
@@ -560,12 +563,11 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 
 	rm := s.acquireMap(js, a.Task, id)
 
-	plan, err := s.backend.PlanInput(js.idx, a.Task.Index, a.Class, id, s.p.Hedge.spareBudget())
-	if err != nil {
+	plan := &rm.plan
+	if err := s.backend.PlanInput(js.idx, a.Task.Index, a.Class, id, s.p.Hedge.spareBudget(), plan); err != nil {
 		s.fail(err)
 		return
 	}
-	rm.input = plan.Input
 	need := len(plan.Transfers) - plan.Spares
 	degraded := a.Class == sched.ClassDegraded
 	hedged := degraded && s.p.Hedge.Active()
@@ -662,8 +664,8 @@ func (s *state) startProcessing(rm *runningMap) {
 	e.Task = rm.task.Index
 	e.Node = int(rm.node)
 	s.emit(&e)
-	dur, pending := s.backend.Execute(rm.js.idx, rm.task.Index, rm.node, rm.input)
-	rm.input = nil
+	dur, pending := s.backend.Execute(rm.js.idx, rm.task.Index, rm.node, rm.plan.Input)
+	rm.plan.Input = nil
 	rm.pending = pending
 	rm.procEv = s.eng.Schedule(dur, rm.complete)
 }

@@ -31,7 +31,7 @@ func NewDelayScheduling(maxSkips int) *DelayScheduling {
 
 // Assign implements Scheduler.
 func (d *DelayScheduling) Assign(env *Env, hb Heartbeat) []Assignment {
-	var out []Assignment
+	out := env.assigned[:0]
 	free := hb.FreeMapSlots
 	for _, j := range env.Jobs {
 		for free > 0 {
@@ -46,6 +46,7 @@ func (d *DelayScheduling) Assign(env *Env, hb Heartbeat) []Assignment {
 			break
 		}
 	}
+	env.assigned = out
 	return out
 }
 

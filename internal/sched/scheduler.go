@@ -35,6 +35,10 @@ type Env struct {
 	// (R-1)kS/(RW) in the paper's notation (ExpectedDegradedReadTime).
 	// Used as EDF's rack-awareness threshold.
 	DegradedReadTime float64
+
+	// assigned is the buffer every Assign on this Env appends to, so a
+	// heartbeat makes no slice of its own.
+	assigned []Assignment
 }
 
 // ExpectedDegradedReadTime is the analysis estimate of one degraded read,
@@ -65,7 +69,8 @@ type Assignment struct {
 // Scheduler assigns map tasks in response to slave heartbeats.
 type Scheduler interface {
 	// Assign fills the slave's free map slots, mutating the jobs' pending
-	// sets, and returns the assignments in launch order.
+	// sets, and returns the assignments in launch order. They are held in
+	// a buffer env keeps, valid until the next Assign on env.
 	Assign(env *Env, hb Heartbeat) []Assignment
 }
 
@@ -104,7 +109,7 @@ type LocalityFirst struct{}
 
 // Assign implements Scheduler.
 func (LocalityFirst) Assign(env *Env, hb Heartbeat) []Assignment {
-	var out []Assignment
+	out := env.assigned[:0]
 	free := hb.FreeMapSlots
 	for _, j := range env.Jobs {
 		for free > 0 {
@@ -122,6 +127,7 @@ func (LocalityFirst) Assign(env *Env, hb Heartbeat) []Assignment {
 			break
 		}
 	}
+	env.assigned = out
 	return out
 }
 
@@ -139,7 +145,7 @@ func (BasicDegradedFirst) Assign(env *Env, hb Heartbeat) []Assignment {
 // degradedFirstAssign is the shared body of Algorithms 2 and 3: edf adds
 // Algorithm 3's admission checks, and a nil edf (BDF) always admits.
 func degradedFirstAssign(env *Env, hb Heartbeat, edf *EnhancedDegradedFirst) []Assignment {
-	var out []Assignment
+	out := env.assigned[:0]
 	free := hb.FreeMapSlots
 	degradedAssigned := false
 	for _, j := range env.Jobs {
@@ -182,6 +188,7 @@ func degradedFirstAssign(env *Env, hb Heartbeat, edf *EnhancedDegradedFirst) []A
 	// End-game: when nothing but degraded tasks remain in all jobs, strict
 	// one-per-heartbeat pacing still applies, but the pacing ratio is
 	// guaranteed to admit (m includes all launched locals), so no deadlock.
+	env.assigned = out
 	return out
 }
 
@@ -266,7 +273,7 @@ type EagerDegradedFirst struct{}
 
 // Assign implements Scheduler.
 func (EagerDegradedFirst) Assign(env *Env, hb Heartbeat) []Assignment {
-	var out []Assignment
+	out := env.assigned[:0]
 	free := hb.FreeMapSlots
 	for _, j := range env.Jobs {
 		for free > 0 {
@@ -284,6 +291,7 @@ func (EagerDegradedFirst) Assign(env *Env, hb Heartbeat) []Assignment {
 			break
 		}
 	}
+	env.assigned = out
 	return out
 }
 

@@ -34,6 +34,7 @@ export GOCOVERDIR=$cover
 
 echo "== goldens"
 "$bin/dfsim" -sched EDF -nodes 400 -racks 40 -blocks 14400 -seed 1 | diff - cmd/dfsim/testdata/edf_400.golden
+"$bin/dfsim" -sched EDF -nodes 3000 -racks 300 -blocks 108000 -reducers 0 -seed 1 | diff - cmd/dfsim/testdata/map_3000.golden
 "$bin/dfexp" -all -seeds 2 -format json -results "$work/results" | diff - cmd/dfexp/testdata/all_seeds2.jsonl
 "$bin/dfsim" -timeline -trace "$work/timeline.jsonl" -sched EDF -nodes 8 -racks 2 -n 4 -k 2 -blocks 16 -reducers 1 |
 	diff - cmd/dfsim/testdata/timeline.golden
