@@ -365,8 +365,10 @@ func TestConnErrors(t *testing.T) {
 
 	_, err = writeFrame(new(strings.Builder), &frame{Kind: "req", Body: json.RawMessage(`{`)})
 	wantErr(t, "a frame with a malformed body", err, "encoding frame")
-	if _, err = writeFrame(&failingWriter{ok: 1}, &frame{Kind: "hb"}); err != io.ErrClosedPipe {
-		t.Errorf("a frame whose envelope write fails returned %v, want io.ErrClosedPipe", err)
+	for ok, part := range []string{"header", "envelope"} {
+		if _, err = writeFrame(&failingWriter{ok: ok}, &frame{Kind: "hb"}); err != io.ErrClosedPipe {
+			t.Errorf("a frame whose %s write fails returned %v, want io.ErrClosedPipe", part, err)
+		}
 	}
 	var f frame
 	err = readFrame(strings.NewReader("\x00\x00\x00\x10\x00\x00\x00\x00{}"), &f)

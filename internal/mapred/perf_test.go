@@ -30,9 +30,9 @@ func TestPaperScalePerf(t *testing.T) {
 		net    netsim.Stats
 	}{
 		LF: {sim.Stats{Scheduled: 52248, Cancelled: 1129, Dispatched: 50674, MaxQueue: 197},
-			netsim.Stats{Solves: 45390, FlowsVisited: 2720973, Deferred: 41293, Iterations: 6239, Replayed: 2211, LinkVisits: 26309}},
+			netsim.Stats{Solves: 45390, FlowsVisited: 2720973, Deferred: 41293, Iterations: 6260, Replayed: 2190, LinkVisits: 26391}},
 		EDF: {sim.Stats{Scheduled: 51190, Cancelled: 1129, Dispatched: 48773, MaxQueue: 197},
-			netsim.Stats{Solves: 45314, FlowsVisited: 1610381, Deferred: 42007, Iterations: 6486, Replayed: 700, LinkVisits: 31407}},
+			netsim.Stats{Solves: 45314, FlowsVisited: 1610381, Deferred: 42007, Iterations: 6489, Replayed: 697, LinkVisits: 31418}},
 	}
 	for _, k := range []SchedulerKind{LF, EDF} {
 		cfg := DefaultConfig()
@@ -81,7 +81,7 @@ func TestPaperScalePerf(t *testing.T) {
 // by a few flows, so a third of their iterations are taken from the last
 // filling's record (Replayed) instead of being swept again: filling afresh
 // every time computes all 196 624 iterations over 11 640 966 link visits,
-// against 133 921 and 6 105 270 here. Like TestPaperScalePerf the counts
+// against 133 940 and 6 105 407 here. Like TestPaperScalePerf the counts
 // are exact, so a change to the solver that claims to be bit-identical
 // must leave the engine's counts and the solve counts as they are. Skipped
 // in -short mode.
@@ -107,7 +107,7 @@ func TestStormScalePerf(t *testing.T) {
 		float64(ns.LinkVisits)/float64(fillings))
 	wantEngine := sim.Stats{Scheduled: 20683, Cancelled: 130, Dispatched: 15004, MaxQueue: 333}
 	wantNet := netsim.Stats{Solves: 14332, FlowsVisited: 2300324, Deferred: 2159,
-		Iterations: 133921, Replayed: 62703, LinkVisits: 6105270}
+		Iterations: 133940, Replayed: 62684, LinkVisits: 6105407}
 	if es != wantEngine || ns != wantNet {
 		t.Errorf("engine %+v, net %+v; want %+v, %+v", es, ns, wantEngine, wantNet)
 	}

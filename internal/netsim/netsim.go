@@ -210,22 +210,18 @@ type Net struct {
 	// counts drain's bounds are read from (solver.go).
 	classes []capClass
 	// The last filling's record (solver.go): per iteration its increment,
-	// water level and the end of its links in minLinks, the links whose
-	// share was the increment; and the links whose flow set changed since.
-	iters    []iterRec
-	minLinks []*link
-	dirty    []*link
+	// water level and witness link; and the links whose flow set changed
+	// since.
+	iters []iterRec
+	dirty []*link
 	// Scratch retained across fillings to avoid reallocation: the loop's
 	// compacting copy of the active set and its saturated links, and the
-	// replay's dirty links, freeze counts and ties. They point only at the
-	// Net's own links, so stale entries are left in place.
+	// replay's dirty links and freeze counts. They point only at the Net's
+	// own links, so stale entries are left in place.
 	workLinks []*link
 	satLinks  []*link
 	replayed  []replayLink
 	oldFrozen []int32
-	ties      []*link
-	tieEnds   []int32
-	spareMin  []*link
 
 	// Fluid-mode completion: the one engine event for the earliest
 	// completion as of the last solve, the flow it finishes (nil while it

@@ -113,9 +113,9 @@ func (n *Net) refRecompute() {
 
 // withOracle wraps n's solver so that every solve that runs progressive
 // filling — every refRecompute, every incRecompute the drain test did not
-// answer — is followed by checkAllocation, whose verdict goes to report.
-// Every solve, drained or not, is also followed by checkDrainBounds, which
-// reports only a failure.
+// answer — is followed by checkAllocation, whose verdict goes to report,
+// and by checkWitnesses. Every solve, drained or not, is also followed by
+// checkDrainBounds. Those two report only a failure.
 func withOracle(n *Net, report func(error)) {
 	solve := n.solve
 	n.solve = func() {
@@ -125,9 +125,29 @@ func withOracle(n *Net, report func(error)) {
 			report(err)
 		}
 		if n.stats.Deferred == deferred {
+			if err := checkWitnesses(n); err != nil {
+				report(err)
+			}
 			report(checkAllocation(n))
 		}
 	}
+}
+
+// checkWitnesses holds each iteration of the filling's record to its
+// witness, which the next replay trusts to attain the increment while it
+// is clean: in the state the witness recorded for that iteration, its share
+// is the increment, bit for bit.
+func checkWitnesses(n *Net) error {
+	for j, r := range n.iters {
+		if j >= len(r.min.hist) {
+			return fmt.Errorf("iteration %d's witness recorded only %d iterations", j, len(r.min.hist))
+		}
+		s := r.min.hist[j]
+		if share := s.residual / float64(s.unfrozen); math.Float64bits(share) != math.Float64bits(r.inc) {
+			return fmt.Errorf("iteration %d's witness had share %v, the increment is %v", j, share, r.inc)
+		}
+	}
+	return nil
 }
 
 // checkDrainBounds holds the per-class counts drain reads its bounds from

@@ -113,10 +113,10 @@ func TestReplayStopsWhereDirtyLinkUndercuts(t *testing.T) {
 	p.want("after 2→1 joins node 1's NIC", r, c, 1, 1)
 }
 
-// TestReplayStopsWhenDirtyMinimumIsUntied: the link that alone set the
-// record's second increment loses a flow, and no link attains that
-// increment any more.
-func TestReplayStopsWhenDirtyMinimumIsUntied(t *testing.T) {
+// TestReplayStopsAtDirtyWitness: the witness of the record's second
+// increment, node 0's NIC, loses a flow, so nothing vouches for that
+// increment any more and the replay stops there.
+func TestReplayStopsAtDirtyWitness(t *testing.T) {
 	p := newReplayPair(t)
 	p.start([2]topology.NodeID{4, 5}, [2]topology.NodeID{4, 6}, [2]topology.NodeID{4, 7},
 		[2]topology.NodeID{0, 1}, [2]topology.NodeID{0, 2})
@@ -150,15 +150,16 @@ func TestReplayRunsOutWithEveryFlowFrozen(t *testing.T) {
 }
 
 // TestReplaySkipsEmptiedLinks: the links a cancelled flow leaves empty
-// drop out of the replay — they shared the record's second increment with
-// clean links — and the whole record is reused.
+// drop out of the replay — they tied the record's second increment, whose
+// witness is swept before them and stays clean — and the whole record is
+// reused.
 func TestReplaySkipsEmptiedLinks(t *testing.T) {
 	p := newReplayPair(t)
-	p.start([2]topology.NodeID{0, 1}, [2]topology.NodeID{0, 2},
-		[2]topology.NodeID{4, 5}, [2]topology.NodeID{4, 6}, [2]topology.NodeID{7, 4})
-	// Iteration 0: node 4's NIC, two flows at 25/2 MB/s. Iteration 1: 0→2
-	// and 7→4 tie at the 25/2 their NICs have left.
-	p.cancel(0)
-	r, c := p.last(func() { p.cancel(1) })
-	p.want("after node 0's flows all left", r, c, 2, 0)
+	p.start([2]topology.NodeID{4, 5}, [2]topology.NodeID{4, 6}, [2]topology.NodeID{7, 4},
+		[2]topology.NodeID{0, 1})
+	// Iteration 0: node 4's NIC, two flows at 25/2 MB/s. Iteration 1: 7→4
+	// and 0→1 tie at the 25/2 their NICs have left, and node 7's NIC, the
+	// first swept, is the witness.
+	r, c := p.last(func() { p.cancel(3) })
+	p.want("after 0→1 left", r, c, 2, 0)
 }

@@ -26,25 +26,25 @@
 // The record. A filling depends only on the active flows' paths, not on
 // time or bytes, and consecutive fillings differ by a few flows. So each
 // filling records its trajectory: per iteration the increment, the water
-// level and the links whose share equalled the increment (Net.iters,
-// Net.minLinks); per link its (residual, unfrozen) at the start of each
+// level and a witness, the first link swept whose share was the increment
+// (Net.iters); per link its (residual, unfrozen) at the start of each
 // iteration it took part in and the iteration that saturated it; per flow
 // the iteration that froze it. indexFlow and unindexFlow mark every link
-// whose flow set they change dirty. The next filling replays the
-// recorded iterations over the dirty links alone and stops at the first
-// iteration i where
+// whose flow set they change dirty. The next filling replays the recorded
+// iterations over the dirty links alone and stops at the first iteration i
+// where
 //
+//   - the witness is dirty,
 //   - a dirty link's share is below the recorded increment,
-//   - no clean link of the recorded minimum is left and no dirty link ties
-//     the increment,
 //   - a dirty link that still holds an unfrozen flow of the record
 //     saturates where the record says it did not, or does not where it did,
 //   - or the record ends.
 //
 // It then restores the state at the start of i — clean links from their
 // record, dirty ones from the replay, every flow frozen before i stamped
-// with the new epoch at the rate it has, the level at its iteration — and
-// fills on from there as a fresh filling would.
+// with the new epoch at the rate it has, the level at its iteration, the
+// record cut to its first i iterations — and fills on from there as a
+// fresh filling would.
 //
 // Why the result is bit for bit a fresh filling's: a clean link's flow set
 // is unchanged, so by induction over the prefix it goes through the same
@@ -54,11 +54,16 @@
 // clean ones by the induction, dirty ones by the replay's check. A link
 // holding only new flows may saturate anywhere: it freezes only new flows,
 // all of whose links are dirty and replayed. The minimum over the links
-// is then the recorded increment exactly when no dirty share is below it
-// and something still attains it. A dirty link's recorded state is never
-// read, since the replay recomputes it from its capacity, and neither is a
-// saturation iteration left on a link the last filling did not see, since
-// such a link holds no recorded flow.
+// is the recorded increment: no clean share is below it (the induction),
+// no dirty one is (the check), and the clean witness attains it. So the
+// kept iterations' witnesses attain their increments in the next filling
+// too, and the record is cut, never repaired. A dirty witness that another
+// link ties stops the replay all the same: that costs a few replayable
+// iterations (mapred's TestStormScalePerf pins Replayed), not exactness.
+// A dirty link's recorded state is never read, since the replay recomputes
+// it from its capacity, and neither is a saturation iteration left on a
+// link the last filling did not see, since such a link holds no recorded
+// flow.
 //
 // One completion event per network, not per flow. Had every flow its own
 // event, a solve would schedule them one after another in n.flows order:
@@ -118,7 +123,8 @@
 // filling solve of the equivalence scenarios and FuzzNetsimEquivalence:
 // per-link conservation, max-min optimality by the bottleneck
 // characterisation, the pending event at the earliest completion (ties to
-// the earlier flow), and every flow's bytes accounted once. The same tests
+// the earlier flow), every flow's bytes accounted once, and each recorded
+// iteration's witness at its increment bit for bit. The same tests
 // hold the schedules and the engine's dispatch order to a per-flow-event
 // solver kept beside the oracle; TestBorderlineRemainingFallsThrough and
 // TestDrainCursorResetsWhenHiGrows pin verdicts drain must not give, and
@@ -135,11 +141,11 @@ import (
 )
 
 // iterRec is one iteration of the recorded filling: its increment, the
-// water level after it, and where in Net.minLinks the links whose share
-// was the increment end (they start at the previous iteration's end).
+// water level after it, and its witness, the first link swept whose share
+// was the increment.
 type iterRec struct {
 	inc, level float64
-	minEnd     int32
+	min        *link
 }
 
 // linkState is a link's state at the start of a filling iteration.
@@ -302,9 +308,9 @@ func (n *Net) fill(now sim.Time, links []*link) {
 		}
 		// Sweep one: drop the links whose flows have all frozen (they can
 		// bound no later increment), record the others' state and find
-		// the minimum share and the links that attain it.
+		// the minimum share and the first link that attains it.
 		inc := math.Inf(1)
-		mark := len(n.minLinks)
+		var witness *link
 		kept := work[:0]
 		for _, l := range work {
 			if l.unfrozen == 0 {
@@ -312,14 +318,8 @@ func (n *Net) fill(now sim.Time, links []*link) {
 			}
 			kept = append(kept, l)
 			l.hist = append(l.hist, linkState{l.residual, l.unfrozen})
-			share := l.residual / float64(l.unfrozen)
-			switch {
-			case share < inc:
-				inc = share
-				n.minLinks = append(n.minLinks[:mark], l)
-			//lint:ignore floateq the record keeps the links whose share is the increment bit for bit
-			case share == inc:
-				n.minLinks = append(n.minLinks, l)
+			if share := l.residual / float64(l.unfrozen); share < inc {
+				inc, witness = share, l
 			}
 		}
 		work = kept
@@ -334,7 +334,7 @@ func (n *Net) fill(now sim.Time, links []*link) {
 			break
 		}
 		level += inc
-		n.iters = append(n.iters, iterRec{inc: inc, level: level, minEnd: int32(len(n.minLinks))})
+		n.iters = append(n.iters, iterRec{inc: inc, level: level, min: witness})
 		n.stats.Iterations++
 		n.stats.LinkVisits += uint64(len(work))
 		// Sweep two: take the increment off every link and collect the
@@ -390,39 +390,18 @@ func (n *Net) replay(prev, epoch uint32) int {
 	// at iteration j: in the replayed prefix they freeze there again.
 	width := len(rs)
 	var oldFrozen []int32
-	ties, tieEnds := n.ties[:0], n.tieEnds[:0]
-	minFrom := int32(0)
 	i := 0
 	for ; i < len(rec); i++ {
+		// Stop at a dirty witness or a dirty share below the increment.
 		r := rec[i]
-		attained := false
-		for _, l := range n.minLinks[minFrom:r.minEnd] {
-			if !l.dirty {
-				attained = true
-				break
+		stop := r.min.dirty
+		for k := 0; k < len(rs) && !stop; k++ {
+			if l := rs[k].l; l.unfrozen > 0 {
+				l.hist = append(l.hist, linkState{l.residual, l.unfrozen})
+				stop = l.residual/float64(l.unfrozen) < r.inc
 			}
 		}
-		minFrom = r.minEnd
-		mark := len(ties)
-		under := false
-		for k := range rs {
-			l := rs[k].l
-			if l.unfrozen == 0 {
-				continue
-			}
-			l.hist = append(l.hist, linkState{l.residual, l.unfrozen})
-			share := l.residual / float64(l.unfrozen)
-			if share < r.inc {
-				under = true
-				break
-			}
-			//lint:ignore floateq a dirty link attains the recorded increment only bit for bit
-			if share == r.inc {
-				ties = append(ties, l)
-			}
-		}
-		if under || !attained && len(ties) == mark {
-			ties = ties[:mark]
+		if stop {
 			break
 		}
 		if i == 0 {
@@ -453,10 +432,8 @@ func (n *Net) replay(prev, epoch uint32) int {
 					d.l.residual = d.l.hist[i].residual
 				}
 			}
-			ties = ties[:mark]
 			break
 		}
-		tieEnds = append(tieEnds, int32(len(ties)))
 		for _, l := range sat {
 			l.satIter = int32(i)
 			for _, g := range l.active {
@@ -474,7 +451,6 @@ func (n *Net) replay(prev, epoch uint32) int {
 			rs[k].old -= int(c)
 		}
 	}
-	n.ties, n.tieEnds = ties, tieEnds
 	n.stats.Replayed += uint64(i)
 	return i
 }
@@ -504,10 +480,10 @@ func (n *Net) countOldFrozen(rs []replayLink, prev uint32, iters int) []int32 {
 // restore sets up iteration i of the filling after the replay stopped
 // there: clean links take their recorded state at i, dirty ones keep the
 // replay's, every recorded flow frozen before i is stamped with epoch, and
-// the record is cut to its first i iterations, their minimum links
-// narrowed to the clean ones plus the replay's ties. At i == 0 it is a
-// fresh start. It returns the links that take part in iteration i and the
-// contending flows still unfrozen, and clears the dirty marks.
+// the record is cut to its first i iterations, whose witnesses the replay
+// found clean. At i == 0 it is a fresh start. It returns the links that
+// take part in iteration i and the contending flows still unfrozen, and
+// clears the dirty marks.
 func (n *Net) restore(i int, prev, epoch uint32, links []*link) ([]*link, int) {
 	work := n.workLinks[:0]
 	unfrozen := n.ncontending
@@ -517,7 +493,6 @@ func (n *Net) restore(i int, prev, epoch uint32, links []*link) ([]*link, int) {
 			l.hist = l.hist[:0]
 			work = append(work, l)
 		}
-		n.iters, n.minLinks = n.iters[:0], n.minLinks[:0]
 	} else {
 		for _, l := range links {
 			switch {
@@ -543,21 +518,8 @@ func (n *Net) restore(i int, prev, epoch uint32, links []*link) ([]*link, int) {
 				unfrozen--
 			}
 		}
-		n.iters = n.iters[:i]
-		kept := n.spareMin[:0]
-		minFrom, tieFrom := int32(0), int32(0)
-		for j := range n.iters {
-			for _, l := range n.minLinks[minFrom:n.iters[j].minEnd] {
-				if !l.dirty {
-					kept = append(kept, l)
-				}
-			}
-			kept = append(kept, n.ties[tieFrom:n.tieEnds[j]]...)
-			minFrom, tieFrom = n.iters[j].minEnd, n.tieEnds[j]
-			n.iters[j].minEnd = int32(len(kept))
-		}
-		n.minLinks, n.spareMin = kept, n.minLinks
 	}
+	n.iters = n.iters[:i]
 	for _, l := range n.dirty {
 		l.dirty = false
 	}
