@@ -6,7 +6,9 @@
 //
 // The listen address is announced on stderr as "dfmaster: listening on
 // ADDR" so scripts (and the end-to-end test) can start workers against
-// a kernel-assigned port.
+// a kernel-assigned port. Each worker the master declares dead is logged
+// there too, with the reason: missed heartbeats, a lost connection, or a
+// failed or unreachable RPC.
 //
 // Usage:
 //
@@ -25,6 +27,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"degradedfirst/internal/cluster"
@@ -35,6 +38,7 @@ import (
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
+	"degradedfirst/internal/trace"
 	"degradedfirst/internal/workload"
 )
 
@@ -110,7 +114,8 @@ func run(args []string) error {
 		}
 	}
 
-	engine := minimr.Options{Scheduler: kind, RackBps: *rackBps, Seed: *seed}
+	lost := &lostLog{}
+	engine := minimr.Options{Scheduler: kind, RackBps: *rackBps, Seed: *seed, Trace: lost}
 	engine.OutOfBandHeartbeats = true
 	m, err := cluster.NewMaster(fs, cluster.MasterOptions{
 		Addr:           *addr,
@@ -134,6 +139,7 @@ func run(args []string) error {
 		Word:        *word,
 		NumReducers: *reducers,
 	}})
+	lost.over.Store(true)
 	if err != nil {
 		return err
 	}
@@ -148,4 +154,15 @@ func run(args []string) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
+}
+
+// lostLog logs the master's worker-lost events on stderr until the run is
+// over, and drops the rest of the trace: the teardown after a run closes
+// every worker's connection, which is no news.
+type lostLog struct{ over atomic.Bool }
+
+func (l *lostLog) Emit(e trace.Event) {
+	if e.Type == trace.EvWorkerLost && !l.over.Load() {
+		fmt.Fprintf(os.Stderr, "dfmaster: node %d lost at %.3fs: %s\n", e.Node, e.T, e.Name)
+	}
 }

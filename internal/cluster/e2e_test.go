@@ -21,7 +21,9 @@ import (
 // TestProcessClusterSurvivesWorkerKill runs the real binaries — one
 // dfmaster and twelve dfworker OS processes over loopback TCP — and
 // SIGKILLs one worker mid-job. The master must detect the death and
-// converge to the correct WordCount output.
+// converge to the correct WordCount output. On failure it prints the
+// master's stderr, whose "lost" lines name every node the master declared
+// dead and why, and every worker's stderr.
 func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs real processes")
@@ -65,15 +67,19 @@ func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 	}
 	defer master.Process.Kill()
 
-	// The master announces its kernel-assigned port on stderr.
+	// The master announces its kernel-assigned port on stderr, and logs
+	// there each worker it declares dead; all of it is kept for a failure.
 	addrCh := make(chan string, 1)
+	var masterErr strings.Builder
+	stderrDone := make(chan struct{})
 	go func() {
+		defer close(stderrDone)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
+			masterErr.WriteString(line + "\n")
 			if i := strings.Index(line, "listening on "); i >= 0 {
 				addrCh <- strings.Fields(line[i+len("listening on "):])[0]
-				return
 			}
 		}
 	}()
@@ -86,6 +92,22 @@ func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 
 	workers := make([]*exec.Cmd, 12)
 	workerErr := make([]*bytes.Buffer, 12)
+	// logs stops every process and returns what each wrote to stderr; it
+	// is read only once the master has exited or been killed.
+	logs := func() string {
+		var b strings.Builder
+		<-stderrDone
+		fmt.Fprintf(&b, "master stderr:\n%s", masterErr.String())
+		for i, w := range workers {
+			if w == nil {
+				continue
+			}
+			w.Process.Kill()
+			w.Wait()
+			fmt.Fprintf(&b, "worker %d stderr:\n%s", i, workerErr[i].String())
+		}
+		return b.String()
+	}
 	for i := range workers {
 		buf := &bytes.Buffer{}
 		w := exec.Command(workerBin, "-master", addr, "-drag", "150ms")
@@ -110,16 +132,20 @@ func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 	// reads its buffer (a killed process returns a non-nil error).
 	_ = victim.Wait()
 
+	// Wait closes the stderr pipe, so it follows the last read of it.
 	done := make(chan error, 1)
-	go func() { done <- master.Wait() }()
+	go func() {
+		<-stderrDone
+		done <- master.Wait()
+	}()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("master failed: %v\nstdout:\n%s", err, masterOut.String())
+			t.Fatalf("master failed: %v\nstdout:\n%s%s", err, masterOut.String(), logs())
 		}
 	case <-time.After(90 * time.Second):
 		master.Process.Kill()
-		t.Fatal("master did not finish after the worker kill")
+		t.Fatalf("master did not finish after the worker kill\n%s", logs())
 	}
 
 	var doc struct {
@@ -144,6 +170,9 @@ func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 			foundVictim = true
 		}
 	}
+	if !foundVictim || len(doc.Failed) != 1 {
+		t.Logf("killed node %d, failed list %v\n%s", victimNode, doc.Failed, logs())
+	}
 	if !foundVictim {
 		t.Fatalf("killed node %d not in failed list %v", victimNode, doc.Failed)
 	}
@@ -156,7 +185,7 @@ func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 	}
 	want := wantCounts(workload.CountWords(corpus))
 	if len(doc.Outputs) != 1 || !reflect.DeepEqual(doc.Outputs[0], want) {
-		t.Fatalf("process-cluster output diverges from ground truth (%d vs %d keys)",
-			len(doc.Outputs[0]), len(want))
+		t.Fatalf("process-cluster output diverges from ground truth (%d vs %d keys)\n%s",
+			len(doc.Outputs[0]), len(want), logs())
 	}
 }

@@ -15,11 +15,11 @@
 package dfs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -57,7 +57,8 @@ func (s SelectionStrategy) String() string {
 }
 
 // survivorScratch sizes the stack arrays survivorsOf hands SurvivorsOf to
-// fill: a wider stripe spills to the heap.
+// fill, and those PickRepairSources plans in: a wider stripe spills to the
+// heap.
 const survivorScratch = 16
 
 // survivorsOf appends to dst the blocks of lost block b's stripe on alive
@@ -77,49 +78,44 @@ func survivorsOf(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
 	return dst
 }
 
-// pickK selects, from the survivors of lost block b's stripe the caller
-// already listed, the k blocks a degraded read executing on node reader
-// will download.
+// pickK appends to dst, and returns, the k blocks a degraded read of lost
+// block b executing on node reader will download, chosen from the
+// survivors of its stripe the caller already listed, in index order.
 func pickK(c *topology.Cluster, p *placement.Placement, b erasure.BlockID, survivors []repair.Source,
-	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]repair.Source, error) {
+	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG, dst []repair.Source) ([]repair.Source, error) {
 
 	k := p.K()
 	if len(survivors) < k {
-		return nil, fmt.Errorf("dfs: stripe %d has %d survivors, need %d", b.Stripe, len(survivors), k)
+		return dst, fmt.Errorf("dfs: stripe %d has %d survivors, need %d", b.Stripe, len(survivors), k)
 	}
+	from := len(dst)
+	var pickBuf [survivorScratch]int
 	switch strategy {
 	case RandomK:
-		picked := make([]repair.Source, 0, k)
-		for _, i := range rng.PickK(len(survivors), k) {
-			picked = append(picked, survivors[i])
+		for _, i := range rng.PickK(pickBuf[:0], len(survivors), k) {
+			dst = append(dst, survivors[i])
 		}
-		sort.Slice(picked, func(a, b int) bool { return picked[a].Index < picked[b].Index })
-		return picked, nil
 	case PreferSameRack:
+		// The first k survivors in the reader's rack, then random others.
 		myRack := c.RackOf(reader)
-		var near, far []repair.Source
+		var farBuf [survivorScratch]repair.Source
+		far := farBuf[:0]
 		for _, s := range survivors {
-			if c.RackOf(s.Node) == myRack {
-				near = append(near, s)
-			} else {
+			switch {
+			case c.RackOf(s.Node) != myRack:
 				far = append(far, s)
+			case len(dst)-from < k:
+				dst = append(dst, s)
 			}
 		}
-		picked := make([]repair.Source, 0, k)
-		picked = append(picked, near...)
-		if len(picked) > k {
-			picked = picked[:k]
-		} else if len(picked) < k {
-			need := k - len(picked)
-			for _, i := range rng.PickK(len(far), need) {
-				picked = append(picked, far[i])
-			}
+		for _, i := range rng.PickK(pickBuf[:0], len(far), k-(len(dst)-from)) {
+			dst = append(dst, far[i])
 		}
-		sort.Slice(picked, func(a, b int) bool { return picked[a].Index < picked[b].Index })
-		return picked, nil
 	default:
-		return nil, fmt.Errorf("dfs: unknown selection strategy %v", strategy)
+		return dst, fmt.Errorf("dfs: unknown selection strategy %v", strategy)
 	}
+	slices.SortFunc(dst[from:], func(a, b repair.Source) int { return cmp.Compare(a.Index, b.Index) })
+	return dst, nil
 }
 
 // SpareSources appends to dst, and returns, up to max surviving blocks of
@@ -174,25 +170,29 @@ func repairSet(code erasure.Coder, idx int, readable []int) (set []int, local bo
 // PickRepairSources plans a degraded read of lost block b under an
 // arbitrary code by the repairSet rule: the block's local repair group or
 // every survivor for a locality-aware code (no RNG draw), otherwise
-// pickK's k survivors.
+// pickK's k survivors. It appends the sources to dst and returns it; its
+// own working storage lives on the stack for stripes of up to
+// survivorScratch blocks.
 func PickRepairSources(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
-	b erasure.BlockID, reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]repair.Source, error) {
+	b erasure.BlockID, reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG,
+	dst []repair.Source) ([]repair.Source, error) {
 
-	survivors := survivorsOf(c, p, b, nil, nil)
-	alive := make([]int, len(survivors))
-	for i, s := range survivors {
-		alive[i] = s.Index
+	var survivorBuf [survivorScratch]repair.Source
+	var aliveBuf [survivorScratch]int
+	survivors := survivorsOf(c, p, b, nil, survivorBuf[:0])
+	alive := aliveBuf[:0]
+	for _, s := range survivors {
+		alive = append(alive, s.Index)
 	}
 	set, _ := repairSet(code, b.Index, alive)
 	if set == nil {
-		return pickK(c, p, b, survivors, reader, strategy, rng)
+		return pickK(c, p, b, survivors, reader, strategy, rng, dst)
 	}
 	holders := p.StripeHolders(b.Stripe)
-	sources := make([]repair.Source, len(set))
-	for i, idx := range set {
-		sources[i] = repair.Source{Node: holders[idx], Index: idx}
+	for _, idx := range set {
+		dst = append(dst, repair.Source{Node: holders[idx], Index: idx})
 	}
-	return sources, nil
+	return dst, nil
 }
 
 // File is one erasure-coded file: its placement plus (optionally) the
@@ -420,7 +420,7 @@ func (fs *FS) DegradedRead(name string, b erasure.BlockID, reader topology.NodeI
 	if err != nil {
 		return nil, nil, err
 	}
-	sources, err := PickRepairSources(fs.cluster, fs.code, f.Placement, b, reader, strategy, rng)
+	sources, err := PickRepairSources(fs.cluster, fs.code, f.Placement, b, reader, strategy, rng, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -182,7 +183,7 @@ func TestDegradedReadReconstructsForReal(t *testing.T) {
 // stripe that a degraded read on node reader downloads, never b itself.
 func pickDegradedSources(c *topology.Cluster, p *placement.Placement, b erasure.BlockID,
 	reader topology.NodeID, strategy SelectionStrategy, rng *stats.RNG) ([]repair.Source, error) {
-	return pickK(c, p, b, survivorsOf(c, p, b, nil, nil), reader, strategy, rng)
+	return pickK(c, p, b, survivorsOf(c, p, b, nil, nil), reader, strategy, rng, nil)
 }
 
 func TestPickDegradedSourcesRandomK(t *testing.T) {
@@ -353,7 +354,7 @@ func TestPickRepairSourcesLRCLocalGroup(t *testing.T) {
 	b := erasure.BlockID{Stripe: 0, Index: 0}
 	holder := f.Placement.Holder(b)
 	c.FailNode(holder)
-	srcs, err := PickRepairSources(c, code, f.Placement, b, 0, RandomK, stats.NewRNG(2))
+	srcs, err := PickRepairSources(c, code, f.Placement, b, 0, RandomK, stats.NewRNG(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestPickRepairSourcesFallsBackWhenGroupBroken(t *testing.T) {
 	group, _ := code.LocalRepairGroup(0)
 	c.FailNode(f.Placement.Holder(erasure.BlockID{Stripe: 0, Index: group[0]}))
 	rng := stats.NewRNG(5)
-	srcs, err := PickRepairSources(c, code, f.Placement, b, 0, RandomK, rng)
+	srcs, err := PickRepairSources(c, code, f.Placement, b, 0, RandomK, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,9 +415,70 @@ func TestPickRepairSourcesFallsBackWhenGroupBroken(t *testing.T) {
 	p2, _ := placement.RoundRobin{}.Place(c2, 2, 6, 4, stats.NewRNG(6))
 	b2 := erasure.BlockID{Stripe: 0, Index: 1}
 	c2.FailNode(p2.Holder(b2))
-	srcs2, err := PickRepairSources(c2, rs, p2, b2, 0, RandomK, stats.NewRNG(7))
+	srcs2, err := PickRepairSources(c2, rs, p2, b2, 0, RandomK, stats.NewRNG(7), nil)
 	if err != nil || len(srcs2) != 4 {
 		t.Fatalf("RS fallback: %v %v", srcs2, err)
+	}
+}
+
+// TestPickRepairSourcesPlansInLentStorage: PickRepairSources appends behind
+// what the caller's slice holds and picks what a fresh plan picks from the
+// same draws, for k-of-n picks of either strategy and a locality-aware
+// code's local group; a k-of-n plan into a slice with room allocates
+// nothing (an LRC's LocalRepairGroup builds its group).
+func TestPickRepairSourcesPlansInLentStorage(t *testing.T) {
+	rsCluster := testCluster()
+	rsPlace, err := placement.RoundRobin{}.Place(rsCluster, 2, 6, 4, stats.NewRNG(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsBlock := erasure.BlockID{Stripe: 1, Index: 2}
+	rsCluster.FailNode(rsPlace.Holder(rsBlock))
+	lrcCluster := topology.MustNew(topology.Config{Nodes: 14, Racks: 2, MapSlotsPerNode: 1})
+	lrc := mustLRC(t, 10, 2, 2)
+	lrcPlace, err := placement.RoundRobin{}.Place(lrcCluster, 1, lrc.N(), lrc.K(), stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lrcBlock := erasure.BlockID{Stripe: 0, Index: 0}
+	lrcCluster.FailNode(lrcPlace.Holder(lrcBlock))
+	for _, tc := range []struct {
+		name     string
+		c        *topology.Cluster
+		code     erasure.Coder
+		p        *placement.Placement
+		b        erasure.BlockID
+		strategy SelectionStrategy
+		kOfN     bool
+	}{
+		{"RS random-k", rsCluster, erasure.MustNew(6, 4), rsPlace, rsBlock, RandomK, true},
+		{"RS prefer-same-rack", rsCluster, erasure.MustNew(6, 4), rsPlace, rsBlock, PreferSameRack, true},
+		{"LRC local group", lrcCluster, lrc, lrcPlace, lrcBlock, RandomK, false},
+	} {
+		lent := make([]repair.Source, 1, 16)
+		lent[0] = repair.Source{Node: -1, Index: -1}
+		for seed := int64(0); seed < 20; seed++ {
+			want, err := PickRepairSources(tc.c, tc.code, tc.p, tc.b, 0, tc.strategy, stats.NewRNG(seed), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := PickRepairSources(tc.c, tc.code, tc.p, tc.b, 0, tc.strategy, stats.NewRNG(seed), lent[:1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[0] != lent[0] || !slices.Equal(got[1:], want) {
+				t.Fatalf("%s, seed %d: picked %v behind %v, a fresh plan picks %v", tc.name, seed, got[1:], got[0], want)
+			}
+		}
+		if !tc.kOfN {
+			continue
+		}
+		rng := stats.NewRNG(1)
+		if n := testing.AllocsPerRun(50, func() {
+			lent, _ = PickRepairSources(tc.c, tc.code, tc.p, tc.b, 0, tc.strategy, rng, lent[:1])
+		}); n != 0 {
+			t.Errorf("%s: %.1f allocations per plan into a slice with room", tc.name, n)
+		}
 	}
 }
 

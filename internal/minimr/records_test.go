@@ -412,7 +412,7 @@ func TestReduceBufsSortsKeysBytewise(t *testing.T) {
 	want := []string{"", "\x00", "\x00\x00", "a", "a\x00", "abcdefgg\xff", "abcdefgh", "abcdefgh\x00",
 		"abcdefghi", "abcdefgi", "b", "\xff\xff\xff\xff\xff\xff\xff\xff\x00"}
 	var buf RecordBuf
-	for _, i := range stats.NewRNG(5).Perm(len(want)) {
+	for _, i := range stats.NewRNG(5).PickK(nil, len(want), len(want)) {
 		buf = buf.Append(want[i], "1")
 	}
 	var got []string

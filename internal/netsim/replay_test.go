@@ -127,7 +127,7 @@ func TestReplayStopsAtDirtyWitness(t *testing.T) {
 // TestReplayStopsWhereSaturationMoves: a link whose recorded flow froze
 // on another link gains a flow, ties the record's increment and saturates
 // where the record says it did not, so its recorded flow would freeze on
-// it: the replay stops there.
+// it: a dirty link saturates, and the replay stops there.
 func TestReplayStopsWhereSaturationMoves(t *testing.T) {
 	p := newReplayPair(t)
 	p.start([2]topology.NodeID{4, 5}, [2]topology.NodeID{4, 6}, [2]topology.NodeID{4, 7},
@@ -139,14 +139,37 @@ func TestReplayStopsWhereSaturationMoves(t *testing.T) {
 	p.want("after 3→1 joins node 1's NIC", r, c, 1, 1)
 }
 
-// TestReplayRunsOutWithEveryFlowFrozen: new flows whose link ties the
-// record's only increment freeze in the replay, and the record runs out
-// with nothing left to compute.
-func TestReplayRunsOutWithEveryFlowFrozen(t *testing.T) {
+// TestReplayStopsWhereRecordedSaturationGoes: a link the record saturated
+// at its second iteration loses a flow but keeps a recorded one that froze
+// there; it no longer saturates at that iteration, so that flow would
+// freeze elsewhere, and the replay stops there.
+func TestReplayStopsWhereRecordedSaturationGoes(t *testing.T) {
 	p := newReplayPair(t)
-	p.start([2]topology.NodeID{4, 5}, [2]topology.NodeID{4, 6})
-	r, c := p.last(func() { p.start([2]topology.NodeID{0, 1}, [2]topology.NodeID{0, 2}) })
-	p.want("after two flows tie node 4's", r, c, 1, 0)
+	// Iteration 0: node 4's uplink, three flows at 25/3 MB/s. Iteration 1:
+	// node 0's and node 5's uplinks tie at 25/6, half the 25/3 each has
+	// left; node 0's, swept first, is the witness.
+	p.start([2]topology.NodeID{4, 5}, [2]topology.NodeID{4, 6}, [2]topology.NodeID{4, 7},
+		[2]topology.NodeID{0, 1}, [2]topology.NodeID{0, 2},
+		[2]topology.NodeID{5, 6}, [2]topology.NodeID{5, 7})
+	// Without 5→7, node 5's uplink holds 5→6 alone at 50/3 after
+	// iteration 0: it does not saturate at iteration 1, and 5→6 freezes
+	// a filling later, on node 6's downlink.
+	r, c := p.last(func() { p.cancel(6) })
+	p.want("after 5→7 left", r, c, 1, 2)
+}
+
+// TestReplayStopsWhereNewFlowsSaturate: a new flow's links hold only it
+// and saturate at the record's second iteration, tying its witness: a
+// dirty link saturates, so the replay stops there although no recorded
+// flow freezes on them.
+func TestReplayStopsWhereNewFlowsSaturate(t *testing.T) {
+	p := newReplayPair(t)
+	// Iteration 0: node 4's uplink, three flows at 25/3 MB/s. Iteration 1:
+	// 0→1 alone at the 50/3 node 0's and node 1's NICs have left.
+	p.start([2]topology.NodeID{4, 5}, [2]topology.NodeID{4, 6}, [2]topology.NodeID{4, 7},
+		[2]topology.NodeID{0, 1})
+	r, c := p.last(func() { p.start([2]topology.NodeID{2, 3}) })
+	p.want("after 2→3 joins", r, c, 1, 1)
 }
 
 // TestReplaySkipsEmptiedLinks: the links a cancelled flow leaves empty

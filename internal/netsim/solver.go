@@ -36,24 +36,25 @@
 //
 //   - the witness is dirty,
 //   - a dirty link's share is below the recorded increment,
-//   - a dirty link that still holds an unfrozen flow of the record
-//     saturates where the record says it did not, or does not where it did,
+//   - a dirty link saturates,
+//   - the record saturated a dirty link there that still holds an
+//     unfrozen flow of the record,
 //   - or the record ends.
 //
 // It then restores the state at the start of i — clean links from their
-// record, dirty ones from the replay, every flow frozen before i stamped
-// with the new epoch at the rate it has, the level at its iteration, the
-// record cut to its first i iterations — and fills on from there as a
-// fresh filling would.
+// record, dirty ones from the replay, every recorded flow frozen before i
+// stamped with the new epoch at the rate it has, the level at its
+// iteration, the record cut to its first i iterations — and fills on from
+// there as a fresh filling would.
 //
 // Why the result is bit for bit a fresh filling's: a clean link's flow set
 // is unchanged, so by induction over the prefix it goes through the same
 // float64 operations in the same order as in the record — the same
-// increments, and the same flows freezing at the same iterations, because
-// every link that holds a recorded flow saturates where the record says:
-// clean ones by the induction, dirty ones by the replay's check. A link
-// holding only new flows may saturate anywhere: it freezes only new flows,
-// all of whose links are dirty and replayed. The minimum over the links
+// increments, and the same flows freezing at the same iterations: clean
+// links saturate where the record says by the induction, and no dirty link
+// saturates in the prefix nor holds an unfrozen recorded flow where the
+// record saturated it, so a recorded flow freezes where it did and a new
+// one, all of whose links are dirty, not at all. The minimum over the links
 // is the recorded increment: no clean share is below it (the induction),
 // no dirty one is (the check), and the clean witness attains it. So the
 // kept iterations' witnesses attain their increments in the next filling
@@ -295,7 +296,7 @@ func (n *Net) fill(now sim.Time, links []*link) {
 	prev := n.epoch
 	n.epoch = n.epoch%math.MaxUint32 + 1 // never 0, the stamp of a flow no filling has seen
 	epoch := n.epoch
-	start := n.replay(prev, epoch)
+	start := n.replay(prev)
 	work, unfrozen := n.restore(start, prev, epoch, links)
 	level := 0.0
 	if start > 0 {
@@ -367,11 +368,10 @@ func (n *Net) fill(now sim.Time, links []*link) {
 
 // replay runs the recorded iterations over the dirty links alone, from
 // their capacities, and returns the first iteration it cannot take from
-// the record (the header comment lists the four ways it stops), 0 when
-// there is no record. The dirty links are left in their state at the
-// start of that iteration, and the flows no record holds that it froze
-// before it are stamped with epoch at its level.
-func (n *Net) replay(prev, epoch uint32) int {
+// the record (the header comment lists the ways it stops), 0 when there
+// is no record. The dirty links are left in their state at the start of
+// that iteration.
+func (n *Net) replay(prev uint32) int {
 	rec := n.iters
 	if len(rec) == 0 {
 		return 0
@@ -409,42 +409,22 @@ func (n *Net) replay(prev, epoch uint32) int {
 			// that stop, stop there.
 			oldFrozen = n.countOldFrozen(rs, prev, len(rec))
 		}
-		sat := n.satLinks[:0]
-		moved := false
+		// Stop where a dirty link saturates, or where the record saturated
+		// one that still holds an unfrozen recorded flow.
 		for k := range rs {
 			d := &rs[k]
-			if d.l.unfrozen == 0 {
-				continue
-			}
-			d.l.residual -= r.inc * float64(d.l.unfrozen)
-			s := d.l.residual <= 1e-9*d.l.capacity
-			if s {
-				sat = append(sat, d.l)
-			}
-			if s != (d.recSat == int32(i)) && d.old > 0 {
-				moved = true
+			if d.l.unfrozen > 0 {
+				d.l.residual -= r.inc * float64(d.l.unfrozen)
+				stop = stop || d.l.residual <= 1e-9*d.l.capacity || d.recSat == int32(i) && d.old > 0
 			}
 		}
-		n.satLinks = sat
-		if moved {
+		if stop {
 			for _, d := range rs {
 				if d.l.unfrozen > 0 {
 					d.l.residual = d.l.hist[i].residual
 				}
 			}
 			break
-		}
-		for _, l := range sat {
-			l.satIter = int32(i)
-			for _, g := range l.active {
-				if g.frozenEpoch == prev || g.frozenEpoch == epoch {
-					continue // recorded, or frozen already
-				}
-				g.frozenEpoch, g.frozenIter, g.rate = epoch, int32(i), r.level
-				for _, gl := range g.links {
-					gl.unfrozen--
-				}
-			}
 		}
 		for k, c := range oldFrozen[i*width : (i+1)*width] {
 			rs[k].l.unfrozen -= int(c)

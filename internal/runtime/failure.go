@@ -162,10 +162,7 @@ func (s *state) requeueRunning(rm *runningMap) {
 	// failure artifact, not a latency observation.
 	s.cancelHedgeTimers(rm)
 	rm.standby = nil
-	if rm.procEv != nil {
-		s.eng.Cancel(rm.procEv)
-		rm.procEv = nil
-	}
+	s.eng.Cancel(rm.procEv)
 	s.queue.MapReleased(rm.js.idx)
 	if s.cluster.Alive(rm.node) {
 		s.release(rm.node, &s.slaves[rm.node].freeMap, s.cluster.Node(rm.node).MapSlots)

@@ -65,13 +65,12 @@ func (h *Healer) PlanInput(job, task int, class sched.Class, node topology.NodeI
 	case sched.ClassRackLocal, sched.ClassRemote:
 		plan.Sources = append(plan.Sources, repair.Source{Node: place.Holder(block), Index: block.Index})
 	case sched.ClassDegraded:
-		sources, err := dfs.PickRepairSources(h.FS.Cluster(), h.FS.Code(), place, block, node, h.Strategy, h.RNG)
+		picked, err := dfs.PickRepairSources(h.FS.Cluster(), h.FS.Code(), place, block, node, h.Strategy, h.RNG, plan.Sources)
 		if err != nil {
 			return fmt.Errorf("runtime: degraded read of %v: %w", block, err)
 		}
-		plan.Sources = append(plan.Sources, sources...)
-		plan.Sources = dfs.SpareSources(h.FS.Cluster(), place, block, sources, spares.For(len(sources)), plan.Sources)
-		plan.Spares = len(plan.Sources) - len(sources)
+		plan.Sources = dfs.SpareSources(h.FS.Cluster(), place, block, picked, spares.For(len(picked)), picked)
+		plan.Spares = len(plan.Sources) - len(picked)
 	default:
 		return fmt.Errorf("runtime: unknown assignment class %v", class)
 	}

@@ -205,7 +205,7 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	for i := 0; i < numNodes; i++ {
 		id := topology.NodeID(i)
 		offset := p.HeartbeatInterval * float64(i) / float64(numNodes)
-		st.eng.Schedule(offset, st.slaves[id].beat)
+		st.slaves[id].beatEv = st.eng.Schedule(offset, st.slaves[id].beat)
 	}
 
 	// A failed run dispatches nothing more, so no event callback starts
@@ -236,8 +236,10 @@ type slaveState struct {
 	freeReduce int
 	oobPending bool
 	// beat and oob are the node's heartbeat and out-of-band heartbeat
-	// callbacks, built once per run.
-	beat, oob func()
+	// callbacks, built once per run, and beatEv and oobEv their events,
+	// each moved with Reschedule once it has fired.
+	beat, oob     func()
+	beatEv, oobEv *sim.Event
 }
 
 type reducerState struct {
@@ -280,8 +282,9 @@ func (js *jobState) totalMaps() int { return len(js.spec.Tasks) }
 // its flows have arrived or been cancelled, its hedge timers and its
 // processing event have fired or been cancelled, and the backend has had
 // its payloads back. A record's two callbacks, arrived and complete, are
-// built once with the record, and flows, hedgeTimers and the input plan's
-// Sources and Transfers keep their capacity from one attempt to the next.
+// built once with the record, its processing event is moved with
+// Reschedule, and flows, hedgeTimers and the input plan's Sources and
+// Transfers keep their capacity from one attempt to the next.
 type runningMap struct {
 	js   *jobState
 	task *sched.Task
@@ -341,6 +344,7 @@ func (s *state) releaseMap(rm *runningMap) {
 		flows:       rm.flows[:0],
 		hedgeTimers: rm.hedgeTimers[:0],
 		plan:        InputPlan{Sources: rm.plan.Sources[:0], Transfers: rm.plan.Transfers[:0]},
+		procEv:      rm.procEv,
 		arrived:     rm.arrived,
 		complete:    rm.complete,
 	}
@@ -452,7 +456,8 @@ func (s *state) heartbeat(id topology.NodeID) {
 	if s.cluster.Alive(id) {
 		s.serveSlave(id)
 	}
-	s.eng.Schedule(s.p.HeartbeatInterval, s.slaves[id].beat)
+	slave := s.slaves[id]
+	slave.beatEv = s.eng.Reschedule(slave.beatEv, s.eng.Now()+s.p.HeartbeatInterval, slave.beat)
 }
 
 // oobHeartbeat schedules an immediate extra heartbeat for a node that just
@@ -463,7 +468,7 @@ func (s *state) oobHeartbeat(id topology.NodeID) {
 		return
 	}
 	slave.oobPending = true
-	s.eng.Schedule(0, slave.oob)
+	slave.oobEv = s.eng.Reschedule(slave.oobEv, s.eng.Now(), slave.oob)
 }
 
 // oobServe is the extra heartbeat oobHeartbeat scheduled.
@@ -667,7 +672,7 @@ func (s *state) startProcessing(rm *runningMap) {
 	dur, pending := s.backend.Execute(rm.js.idx, rm.task.Index, rm.node, rm.plan.Input)
 	rm.plan.Input = nil
 	rm.pending = pending
-	rm.procEv = s.eng.Schedule(dur, rm.complete)
+	rm.procEv = s.eng.Reschedule(rm.procEv, s.eng.Now()+dur, rm.complete)
 }
 
 func (s *state) completeMap(rm *runningMap) {

@@ -20,9 +20,8 @@ type Time = float64
 type Event struct {
 	at    Time
 	seq   uint64
-	index int // heap index, -1 when not queued
+	index int // heap index, -1 when not pending
 	fn    func()
-	dead  bool // tombstoned by a lazy Cancel, discarded on pop
 }
 
 // At returns the time the event is scheduled for.
@@ -34,9 +33,7 @@ type Stats struct {
 	Scheduled  uint64 // Schedule / ScheduleAt / Reschedule calls
 	Cancelled  uint64 // Cancel calls that removed a pending event
 	Dispatched uint64 // events run by Step / Run / RunUntil
-	// MaxQueue is the longest the queue has been, tombstones of lazily
-	// cancelled events included: the engine's memory high-water mark.
-	MaxQueue int
+	MaxQueue   int    // the most events pending at once
 }
 
 // Engine is the simulation core. The zero value is not usable; call New.
@@ -45,7 +42,6 @@ type Engine struct {
 	seq   uint64
 	queue eventHeap
 	stats Stats // Scheduled is derived from seq, see Stats
-	ndead int   // tombstoned events still sitting in the queue
 
 	// slab carves Event allocations out of fixed-size chunks, so a
 	// Schedule call pays a heap allocation once per 256 events. Entries
@@ -84,125 +80,71 @@ func (e *Engine) Schedule(delay float64, fn func()) *Event {
 
 // ScheduleAt queues fn at absolute virtual time t (>= Now).
 func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
-	e.check(t, fn)
 	if len(e.slab) == 0 {
 		e.slab = make([]Event, 256)
 	}
 	ev := &e.slab[0]
 	e.slab = e.slab[1:]
-	*ev = Event{at: t, seq: e.seq, fn: fn}
-	e.seq++
-	e.push(ev)
-	return ev
+	ev.index = -1
+	return e.Reschedule(ev, t, fn)
 }
 
 // Reschedule queues ev again at absolute time t (>= Now) with fn, and
 // returns it; a nil ev schedules a fresh event. It takes the next sequence
 // number, so ev dispatches exactly where Cancel(ev) followed by
-// ScheduleAt(t, fn) would put the new event, but it counts no cancellation
-// and leaves no tombstone. ev may be pending (it moves), cancelled (its
-// tombstone is revived), or dispatched or compacted out of the queue (it
-// is pushed again), from inside its own callback too.
+// ScheduleAt(t, fn) would put the new event, but it counts no
+// cancellation. A pending ev moves; a cancelled or dispatched one is
+// queued again, from inside its own callback too.
 func (e *Engine) Reschedule(ev *Event, t Time, fn func()) *Event {
 	if ev == nil {
 		return e.ScheduleAt(t, fn)
 	}
-	e.check(t, fn)
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
-	e.seq++
-	if ev.index < 0 {
-		ev.dead = false
-		e.push(ev)
-		return ev
-	}
-	if ev.dead {
-		ev.dead = false
-		e.ndead--
-	}
-	e.queue.fix(ev.index)
-	return ev
-}
-
-// check panics on a time before now or NaN, and on a nil callback.
-func (e *Engine) check(t Time, fn func()) {
 	if t < e.now || math.IsNaN(t) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-}
-
-// push adds ev to the queue.
-func (e *Engine) push(ev *Event) {
+	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	e.seq++
+	if ev.index >= 0 {
+		e.queue.fix(ev.index)
+		return ev
+	}
 	e.queue = append(e.queue, ev)
 	e.queue.up(len(e.queue) - 1)
-	if len(e.queue) > e.stats.MaxQueue {
-		e.stats.MaxQueue = len(e.queue)
-	}
+	e.stats.MaxQueue = max(e.stats.MaxQueue, len(e.queue))
+	return ev
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-//
-// Cancellation is lazy: the event is tombstoned in place (O(1)) and
-// silently discarded when it reaches the top of the heap. Tombstones are
-// compacted in one pass whenever they outnumber live events 3:1, so the
-// queue stays within 4x its live size.
+// Cancel removes a pending event from the queue. Cancelling an
+// already-fired or already-cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 || ev.dead {
+	if ev == nil || ev.index < 0 {
 		return
 	}
 	e.stats.Cancelled++
-	ev.dead = true
-	ev.fn = nil // release the closure now; the tombstone may linger
-	e.ndead++
-	if e.ndead > 3*(len(e.queue)-e.ndead) {
-		e.compact()
-	}
+	e.queue.remove(ev.index)
+	ev.fn = nil // release the closure
 }
 
-// compact rebuilds the queue without its tombstoned events and re-heapifies
-// it bottom-up; pop order is unaffected because it is fully determined by
-// the (time, seq) comparator.
-func (e *Engine) compact() {
-	live := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.dead {
-			ev.index = -1
-			continue
-		}
-		live = append(live, ev)
-	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
-	for i, ev := range live {
-		ev.index = i
-	}
-	e.queue = live
-	e.ndead = 0
-	for i := len(live)/2 - 1; i >= 0; i-- {
-		live.down(i)
-	}
-}
-
-// Step dispatches the next live event, advancing the clock. It returns
-// false if no live events remain. Tombstoned events are discarded without
-// advancing the clock or counting a step.
+// Step dispatches the next event, advancing the clock. It returns false
+// if no events remain.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		if ev.dead {
-			e.ndead--
-			continue
-		}
-		e.now = ev.at
-		e.stats.Dispatched++
-		ev.fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	e.dispatch()
+	return true
+}
+
+// dispatch runs the first queued event.
+func (e *Engine) dispatch() {
+	ev := e.queue[0]
+	e.queue.remove(0)
+	e.now = ev.at
+	e.stats.Dispatched++
+	ev.fn()
 }
 
 // Run dispatches events until the queue is empty and returns the final
@@ -217,22 +159,15 @@ func (e *Engine) Run() Time {
 // Events scheduled beyond t remain queued.
 func (e *Engine) RunUntil(t Time) {
 	for len(e.queue) > 0 && e.queue[0].at <= t {
-		ev := e.queue.pop()
-		if ev.dead {
-			e.ndead--
-			continue
-		}
-		e.now = ev.at
-		e.stats.Dispatched++
-		ev.fn()
+		e.dispatch()
 	}
 	if t > e.now {
 		e.now = t
 	}
 }
 
-// Pending returns the number of live queued events (tombstones excluded).
-func (e *Engine) Pending() int { return len(e.queue) - e.ndead }
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // eventHeap is a binary min-heap of events in (time, seq) order, written
 // for *Event rather than run through container/heap's interface calls (the
@@ -249,17 +184,16 @@ func before(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// pop removes and returns the first event.
-func (h *eventHeap) pop() *Event {
+// remove takes the event at i out of the heap: the last event fills its
+// slot and moves to where it sorts.
+func (h *eventHeap) remove(i int) {
 	old, last := *h, len(*h)-1
-	ev := old[0]
-	old[0], old[last] = old[last], nil
+	old[i].index = -1
+	old[i], old[last] = old[last], nil
 	*h = old[:last]
-	if last > 0 {
-		h.down(0)
+	if i < last {
+		h.fix(i)
 	}
-	ev.index = -1
-	return ev
 }
 
 // up moves the event at j rootward past every parent it sorts before.

@@ -5,7 +5,10 @@
 // figures.
 package stats
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // RNG wraps math/rand.Rand with the distributions the simulator needs. All
 // draws are deterministic given the seed, which the experiment harness
@@ -24,9 +27,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Intn returns a uniform draw in [0, n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Normal draws from N(mean, std) truncated at a small positive floor.
 // The paper draws map/reduce processing times from normal distributions
@@ -56,41 +56,32 @@ func (g *RNG) Fork() *RNG {
 	return NewRNG(g.r.Int63())
 }
 
-// PickK returns k distinct uniformly chosen elements of [0, n).
-//
-// It runs a partial Fisher-Yates shuffle: O(k) time and O(k) space instead
-// of the O(n) permutation it previously built and truncated. For k == n it
-// delegates to Perm, which is the same distribution and draw stream as
-// before. For k < n the result distribution is unchanged (each k-subset
-// ordering remains equally likely) but the *draw stream* differs from the
-// old implementation: only k Intn draws are consumed instead of n, so
-// sequences of later draws from the same RNG shift relative to older
-// versions. Committed experiment artifacts generated before this change may
-// therefore differ textually; all tests and the golden backend-equivalence
-// check are insensitive to the stream change.
-func (g *RNG) PickK(n, k int) []int {
-	if k >= n {
-		return g.Perm(n)
-	}
+// PickK appends k distinct uniformly chosen elements of [0, n) to dst
+// and returns it. It shuffles in dst's spare room, n slots (grown if
+// short): for k < n a partial Fisher-Yates shuffle of k draws, and for
+// k >= n all of [0, n) in math/rand's Perm(n) order, drawn as Perm
+// draws it.
+func (g *RNG) PickK(dst []int, n, k int) []int {
 	if k <= 0 {
-		return []int{}
+		return dst
 	}
-	// displaced[j] holds the current occupant of slot j for the slots we
-	// have touched; untouched slots implicitly hold their own index.
-	displaced := make(map[int]int, k)
-	out := make([]int, k)
+	from := len(dst)
+	dst = slices.Grow(dst, n)[:from+n]
+	s := dst[from:]
+	if k >= n {
+		for i := range s {
+			j := g.r.Intn(i + 1)
+			s[i] = s[j]
+			s[j] = i
+		}
+		return dst
+	}
+	for i := range s {
+		s[i] = i
+	}
 	for i := 0; i < k; i++ {
 		j := i + g.r.Intn(n-i)
-		vj, ok := displaced[j]
-		if !ok {
-			vj = j
-		}
-		vi, ok := displaced[i]
-		if !ok {
-			vi = i
-		}
-		out[i] = vj
-		displaced[j] = vi
+		s[i], s[j] = s[j], s[i]
 	}
-	return out
+	return dst[:from+k]
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -71,7 +72,7 @@ func TestExponentialMean(t *testing.T) {
 
 func TestPickK(t *testing.T) {
 	g := NewRNG(3)
-	got := g.PickK(10, 4)
+	got := g.PickK(nil, 10, 4)
 	if len(got) != 4 {
 		t.Fatalf("PickK(10,4) len = %d", len(got))
 	}
@@ -82,7 +83,7 @@ func TestPickK(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if len(g.PickK(3, 5)) != 3 {
+	if len(g.PickK(nil, 3, 5)) != 3 {
 		t.Fatal("PickK must clamp k to n")
 	}
 }
@@ -253,7 +254,7 @@ func TestPickKDeterminism(t *testing.T) {
 		{7, 7, []int{0, 1, 5, 4, 3, 2, 6}},
 	}
 	for _, c := range cases {
-		got := g.PickK(c.n, c.k)
+		got := g.PickK(nil, c.n, c.k)
 		if len(got) != len(c.want) {
 			t.Fatalf("PickK(%d,%d) len = %d, want %d", c.n, c.k, len(got), len(c.want))
 		}
@@ -263,21 +264,29 @@ func TestPickKDeterminism(t *testing.T) {
 			}
 		}
 	}
+	// Appending behind what dst holds, in storage kept from one call to
+	// the next, draws and picks the same.
+	g = NewRNG(42)
+	buf := make([]int, 1, 4)
+	for _, c := range cases {
+		buf = g.PickK(buf[:1], c.n, c.k)
+		if buf[0] != 0 || !slices.Equal(buf[1:], c.want) {
+			t.Fatalf("PickK([0], %d, %d) = %v, want 0 then %v", c.n, c.k, buf, c.want)
+		}
+	}
 }
 
 func TestPickKFullEqualsPerm(t *testing.T) {
-	// k >= n must delegate to Perm: identical elements AND identical draw
-	// stream, so callers that relied on PickK(n, n) keep byte-for-byte
+	// k >= n must match math/rand's Perm: identical elements AND identical
+	// draw stream, so callers that relied on PickK(n, n) keep byte-for-byte
 	// reproducibility.
 	for _, n := range []int{1, 2, 7, 20} {
-		a := NewRNG(int64(n)).PickK(n, n)
-		b := NewRNG(int64(n)).Perm(n)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("n=%d: PickK(n,n) = %v, Perm = %v", n, a, b)
-			}
+		g, r := NewRNG(int64(n)), rand.New(rand.NewSource(int64(n)))
+		a, b := g.PickK(nil, n, n), r.Perm(n)
+		if !slices.Equal(a, b) || g.Intn(1<<30) != r.Intn(1<<30) {
+			t.Fatalf("n=%d: PickK(n,n) = %v, Perm = %v, or the draws after them differ", n, a, b)
 		}
-		over := NewRNG(int64(n)).PickK(n, n+3)
+		over := NewRNG(int64(n)).PickK(nil, n, n+3)
 		if len(over) != n {
 			t.Fatalf("PickK must clamp k>n to n, got len %d", len(over))
 		}
@@ -289,7 +298,7 @@ func TestPickKDistinctAndUniform(t *testing.T) {
 	const n, k, trials = 12, 5, 20000
 	counts := make([]int, n)
 	for trial := 0; trial < trials; trial++ {
-		got := g.PickK(n, k)
+		got := g.PickK(nil, n, k)
 		if len(got) != k {
 			t.Fatalf("len = %d", len(got))
 		}
@@ -313,10 +322,10 @@ func TestPickKDistinctAndUniform(t *testing.T) {
 
 func TestPickKZeroAndNegative(t *testing.T) {
 	g := NewRNG(1)
-	if got := g.PickK(5, 0); len(got) != 0 {
+	if got := g.PickK(nil, 5, 0); len(got) != 0 {
 		t.Fatalf("PickK(5,0) = %v, want empty", got)
 	}
-	if got := g.PickK(5, -2); len(got) != 0 {
+	if got := g.PickK(nil, 5, -2); len(got) != 0 {
 		t.Fatalf("PickK(5,-2) = %v, want empty", got)
 	}
 }

@@ -56,7 +56,7 @@ func PickFailure(c *Cluster, p FailurePattern, rng *stats.RNG) ([]NodeID, error)
 			return nil, fmt.Errorf("topology: cannot fail %d of %d alive nodes", want, len(alive))
 		}
 		var failed []NodeID
-		for _, idx := range rng.PickK(len(alive), want) {
+		for _, idx := range rng.PickK(nil, len(alive), want) {
 			failed = append(failed, alive[idx])
 		}
 		return failed, nil

@@ -82,8 +82,9 @@ covtest ./internal/jobsched TestKindStringAndParse TestQueueMatchesRecomputeOrac
 covtest ./internal/mapred TestRepairTracePinned TestSchedulerKindString
 covtest ./internal/minimr TestNoWorkerLeak TestScannersMatchReference TestSumReducerSkipsNonNumbers
 covtest ./internal/netsim TestModeString TestUnlimitedPathsFinishAtOnce TestStarvedFlowGetsNoCompletion TestDeepPathIndexes \
-	TestCancelFlow TestFlowRecordsReusedAfterRelease TestReplayWithoutRecord TestReplayStopsWhereDirtyLinkUndercuts TestReplayStopsWhenDirtyMinimumIsUntied \
-	TestReplayStopsWhereSaturationMoves TestReplayRunsOutWithEveryFlowFrozen TestReplaySkipsEmptiedLinks
+	TestCancelFlow TestFlowRecordsReusedAfterRelease TestReplayWithoutRecord TestReplayStopsWhereDirtyLinkUndercuts TestReplayStopsAtDirtyWitness \
+	TestReplayStopsWhereSaturationMoves TestReplayStopsWhereRecordedSaturationGoes TestReplayStopsWhereNewFlowsSaturate \
+	TestReplaySkipsEmptiedLinks
 covtest ./internal/placement TestReassign TestPlaceMatchesScanOracle TestNodeBlocksBeyondHolders
 covtest ./internal/runtime TestRepairCommitToDeadNodeRequeues TestSecondFailureMidRepair TestUnrepairableReportedOnceNeverLaunched \
 	TestAsyncReduceFailureReowesLateFetch TestBuilderRejectsMalformedTraces TestFeaturesTable TestHealerPlanInput \
