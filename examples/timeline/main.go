@@ -46,7 +46,8 @@ func main() {
 		fmt.Print(degradedfirst.SlotTimeline(res, 0, 100))
 		var done []float64
 		for _, e := range mem.Events() {
-			if e.Type == "degraded-read-done" {
+			// A degraded read finishes at its task's map-start.
+			if e.Type == "map-start" && jr.Tasks[e.Task].Class.String() == "degraded" {
 				done = append(done, e.T-jr.FirstMapLaunch)
 			}
 		}

@@ -58,10 +58,6 @@ func newClusterBackend(m *Master, h *minimr.Harness, jobs []minimr.Job) *cluster
 	return b
 }
 
-func (b *clusterBackend) speed(id topology.NodeID) float64 {
-	return b.m.fs.Cluster().Node(id).SpeedFactor
-}
-
 // PlanInput implements runtime.Backend: the Healer plans the transfers,
 // and the payload is the run-map request telling the worker to fetch
 // exactly the planned sources. A degraded read granted spares becomes a
@@ -97,8 +93,7 @@ func (b *clusterBackend) Execute(job, task int, node topology.NodeID, input any)
 		_, o.err = b.m.callWorker(node, "run-map", req, &o.sizes)
 		fut <- o
 	}()
-	dur := b.jobs[job].MapCost.Seconds(float64(b.m.fs.BlockSize())) * b.speed(node)
-	return dur, fut
+	return b.jobs[job].MapCost.Seconds(float64(b.m.fs.BlockSize())), fut
 }
 
 // AwaitOutput implements runtime.Backend: block until the worker's map
@@ -152,7 +147,7 @@ func (b *clusterBackend) StartReduce(job, reducer int, node topology.NodeID, rec
 		o.output, o.err = b.m.callWorker(node, "run-reduce", req, nil)
 		fut <- o
 	}()
-	return b.jobs[job].ReduceCost.Seconds(receivedBytes) * b.speed(node)
+	return b.jobs[job].ReduceCost.Seconds(receivedBytes)
 }
 
 // ReduceReset implements runtime.Backend: drop the reducer's delivered

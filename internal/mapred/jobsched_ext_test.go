@@ -111,7 +111,7 @@ func TestMidStormFailureRequeuesTenantJobs(t *testing.T) {
 		requeues++
 		found := false
 		for _, later := range events[i+1:] {
-			if later.Type == trace.EvTaskScheduled && later.Job == e.Job && later.Task == e.Task {
+			if later.Type == trace.EvTaskLaunch && later.Job == e.Job && later.Task == e.Task {
 				found = true
 				break
 			}

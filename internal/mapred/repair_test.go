@@ -45,10 +45,10 @@ func TestRepairTracePinned(t *testing.T) {
 		cfg  Config
 		want uint64
 	}{
-		{"half", repairConfig(0.5), 0x40b9b48a419be664},
-		{"local", lrc, 0xe7e70db16bbf5bb8},
-		{"double", double, 0x3c63f30aab7e0d62},
-		{"fat-tree", fatTree, 0xca35a2b5c5cac1e1},
+		{"half", repairConfig(0.5), 0xecd8bebd9bf3c2eb},
+		{"local", lrc, 0xf56ca616e55f28ee},
+		{"double", double, 0x952327b8453ff0a3},
+		{"fat-tree", fatTree, 0x571732222a08d221},
 	} {
 		h := fnv.New64a()
 		sink := trace.NewJSONL(h)

@@ -155,16 +155,12 @@ type simBackend struct {
 	parts           [][]runtime.Chunk // per job, what AwaitOutput returns for every map
 }
 
-func (b *simBackend) speed(id topology.NodeID) float64 {
-	return b.FS.Cluster().Node(id).SpeedFactor
-}
-
 var _ runtime.Backend = (*simBackend)(nil)
 
 // Execute implements runtime.Backend: charge a sampled map duration.
 func (b *simBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	spec := &b.specs[job]
-	return b.RNG.Normal(spec.MapTime.Mean, spec.MapTime.Std) * b.speed(node), nil
+	return b.RNG.Normal(spec.MapTime.Mean, spec.MapTime.Std), nil
 }
 
 // AwaitOutput implements runtime.Backend: every reducer receives an equal
@@ -198,7 +194,7 @@ func (b *simBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.C
 // duration, independent of the received volume.
 func (b *simBackend) StartReduce(job, reducer int, node topology.NodeID, receivedBytes float64) float64 {
 	spec := &b.specs[job]
-	return b.RNG.Normal(spec.ReduceTime.Mean, spec.ReduceTime.Std) * b.speed(node)
+	return b.RNG.Normal(spec.ReduceTime.Mean, spec.ReduceTime.Std)
 }
 
 // AwaitReduce implements runtime.Backend: a simulated reduce has no work

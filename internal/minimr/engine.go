@@ -111,10 +111,6 @@ func (b *realBackend) stop() {
 	b.reduces.stop()
 }
 
-func (b *realBackend) speed(id topology.NodeID) float64 {
-	return b.FS.Cluster().Node(id).SpeedFactor
-}
-
 // PlanInput implements runtime.Backend: the Healer plans the transfers,
 // and the payload is the block itself, read from its holder or decoded
 // for real from the degraded read's planned primaries. Under the virtual
@@ -153,7 +149,7 @@ func (b *realBackend) Execute(job, task int, node topology.NodeID, input any) (f
 		})
 		fut <- o
 	}
-	return js.MapCost.Seconds(float64(len(data))) * b.speed(node), fut
+	return js.MapCost.Seconds(float64(len(data))), fut
 }
 
 // mapTask maps one block and cuts its output into one chunk per reducer;
@@ -212,7 +208,7 @@ func (b *realBackend) StartReduce(job, reducer int, node topology.NodeID, receiv
 		})
 		fut <- o
 	}
-	return js.ReduceCost.Seconds(receivedBytes) * b.speed(node)
+	return js.ReduceCost.Seconds(receivedBytes)
 }
 
 // reduceTask groups one reducer's buffers in g, which it reuses, and

@@ -121,8 +121,8 @@ type Backend interface {
 	// abort the run verbatim.
 	PlanInput(job, task int, class sched.Class, node topology.NodeID, spares SpareBudget, plan *InputPlan) error
 	// Execute starts the map task once its input is available, returning
-	// the processing duration (seconds, already scaled by the node's
-	// speed factor) and an opaque pending payload for AwaitOutput.
+	// its processing duration (seconds) on a node of speed factor 1 and an
+	// opaque pending payload for AwaitOutput.
 	Execute(job, task int, node topology.NodeID, input any) (dur float64, pending any)
 	// AwaitOutput is called at the map task's virtual completion instant
 	// with Execute's pending payload, and returns the map's output as one
@@ -144,9 +144,9 @@ type Backend interface {
 	// *DeadNodeError included, aborts the run.
 	Deliver(job, reducer int, node topology.NodeID, c Chunk) error
 	// StartReduce starts a reducer once every map output has been
-	// delivered to it, and returns its processing time on `node` given
-	// the shuffle volume received. A backend may hand the real reduce off
-	// here for AwaitReduce to collect.
+	// delivered to it, and returns its processing time on a node of speed
+	// factor 1 given the shuffle volume received. A backend may hand the
+	// real reduce off here for AwaitReduce to collect.
 	StartReduce(job, reducer int, node topology.NodeID, receivedBytes float64) float64
 	// AwaitReduce is called at the reducer's virtual completion instant,
 	// once per reducer that finishes, and blocks until the reduce

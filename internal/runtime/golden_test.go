@@ -52,7 +52,7 @@ func filterType(events []trace.Event, typ trace.Type) []trace.Event {
 
 func decisionsOf(events []trace.Event) []decision {
 	var out []decision
-	for _, e := range filterType(events, trace.EvTaskScheduled) {
+	for _, e := range filterType(events, trace.EvTaskLaunch) {
 		out = append(out, decision{Job: e.Job, Task: e.Task, Node: e.Node, Class: e.Class})
 	}
 	return out

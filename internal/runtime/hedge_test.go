@@ -147,8 +147,9 @@ func killAfter(t float64, id topology.NodeID) func(float64) []topology.NodeID {
 	}
 }
 
-// fanInWindow returns task 0's degraded-plan time, degraded-done time,
-// its node, and its first planned source, from a discovery run's trace.
+// fanInWindow returns task 0's degraded-plan time, the time of the
+// map-start that closes the read, its node, and its first planned source,
+// from a discovery run's trace.
 func fanInWindow(t *testing.T, events []trace.Event) (plan, done float64, node, src int) {
 	t.Helper()
 	plan, done = -1, -1
@@ -165,8 +166,8 @@ func fanInWindow(t *testing.T, events []trace.Event) (plan, done float64, node, 
 			if plan >= 0 && src < 0 && e.Dst == node {
 				src = e.Src
 			}
-		case trace.EvDegradedDone:
-			if done < 0 && e.Job == 0 && e.Task == 0 {
+		case trace.EvMapStart:
+			if plan >= 0 && done < 0 && e.Job == 0 && e.Task == 0 {
 				done = e.T
 			}
 		}
@@ -323,8 +324,8 @@ func TestTaskNodeDeathMidFanIn(t *testing.T) {
 	if rec.Node == topology.NodeID(node) {
 		t.Fatal("task record still on the dead node")
 	}
-	// The degraded-read time must match latest-launch → degraded-done in
-	// the trace, and replaying the trace must reproduce the live Result.
+	// The degraded-read time must match latest-launch → map-start in the
+	// trace, and replaying the trace must reproduce the live Result.
 	var lastLaunch, lastDone float64
 	for _, e := range events {
 		if e.Job != 0 || e.Task != 0 {
@@ -333,7 +334,7 @@ func TestTaskNodeDeathMidFanIn(t *testing.T) {
 		switch e.Type {
 		case trace.EvTaskLaunch:
 			lastLaunch = e.T
-		case trace.EvDegradedDone:
+		case trace.EvMapStart:
 			lastDone = e.T
 		}
 	}
@@ -504,7 +505,7 @@ func TestRequeueCancelsPendingHedgeTimers(t *testing.T) {
 			samples++
 		case e.Type == trace.EvDegradedPlan && task < 0 && samples >= 8:
 			task, node, plan = e.Task, e.Node, e.T
-		case e.Type == trace.EvDegradedDone && e.Task == task && done < 0:
+		case e.Type == trace.EvMapStart && e.Task == task && done < 0:
 			done = e.T
 		}
 	}

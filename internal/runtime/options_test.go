@@ -92,7 +92,7 @@ func TestFeaturesTable(t *testing.T) {
 		return ""
 	}
 	mapsRun := func(events []trace.Event, err error) string {
-		if n := len(filterType(events, trace.EvTaskScheduled)); err != nil || n != goldenBlocks {
+		if n := len(filterType(events, trace.EvTaskLaunch)); err != nil || n != goldenBlocks {
 			return fmt.Sprintf("want %d maps and no error, got %d and %v", goldenBlocks, n, err)
 		}
 		return ""

@@ -70,7 +70,7 @@ func NewBuilder() *Builder {
 }
 
 // Consume folds one event. Events that shape neither the Result nor the
-// grammar (heartbeats, scheduling decisions, wire events) are ignored.
+// grammar (heartbeats, idle slots, wire events) are ignored.
 func (b *Builder) Consume(e *trace.Event) {
 	b.seq++
 	if err := b.fold(e); err != nil && b.err == nil {
@@ -146,7 +146,7 @@ func (b *Builder) fold(e *trace.Event) error {
 			jr.FinishTime = e.T
 			b.res.Makespan = max(b.res.Makespan, e.T)
 		}
-	case trace.EvTaskLaunch, trace.EvDegradedPlan, trace.EvDegradedDone, trace.EvFlowLatency,
+	case trace.EvTaskLaunch, trace.EvDegradedPlan, trace.EvFlowLatency,
 		trace.EvHedgeLaunch, trace.EvMapStart, trace.EvTaskFinish, trace.EvTaskRequeue:
 		rec, st, err := b.task(e)
 		if err != nil {
@@ -180,7 +180,7 @@ func (b *Builder) fold(e *trace.Event) error {
 			*rec = TaskRecord{Task: e.Task}
 		case !st.live:
 			return fmt.Errorf("job %d task %d has no live attempt", e.Job, e.Task)
-		case e.Type == trace.EvDegradedDone:
+		case e.Type == trace.EvMapStart && rec.Class == sched.ClassDegraded:
 			rec.DegradedReadTime = e.T - rec.LaunchTime
 		case e.Type == trace.EvFlowLatency && e.Class == "won":
 			rec.FlowLatencies = append(rec.FlowLatencies, e.Dur)

@@ -11,8 +11,9 @@ import (
 // grammar: one row per rule, each a trace whose first violation the
 // Builder must report with its event. Events are stamped with their
 // position (the i-th at t=i), so the message names both. A stale
-// degraded-done after a requeue, with or without a relaunch, is rejected
-// rather than measured against the abandoned attempt.
+// map-start, which closes a degraded read, after a requeue, with or
+// without a relaunch, is rejected rather than measured against the
+// abandoned attempt.
 func TestBuilderRejectsMalformedTraces(t *testing.T) {
 	ev := func(typ trace.Type, task int, mod ...func(*trace.Event)) trace.Event {
 		e := trace.New(0, typ)
@@ -36,8 +37,8 @@ func TestBuilderRejectsMalformedTraces(t *testing.T) {
 	submit := ev(trace.EvJobSubmit, -1, n(1))
 	finish := ev(trace.EvJobFinish, -1)
 	launch := ev(trace.EvTaskLaunch, 0, node(1))
+	degLaunch := ev(trace.EvTaskLaunch, 0, node(1), func(e *trace.Event) { e.Class = "degraded" })
 	plan := ev(trace.EvDegradedPlan, 0, node(1))
-	done := ev(trace.EvDegradedDone, 0, node(1))
 	mapStart := ev(trace.EvMapStart, 0, node(1))
 	taskFinish := ev(trace.EvTaskFinish, 0, node(1))
 	requeue := ev(trace.EvTaskRequeue, 0, node(1))
@@ -54,15 +55,15 @@ func TestBuilderRejectsMalformedTraces(t *testing.T) {
 	repDone := ev(trace.EvRepairDone, 0, stripe("global", 0))
 
 	// A well-formed run over every rule, as a control: a degraded attempt
-	// requeued, relaunched and finished, its output lost and re-executed,
-	// a reducer reset and relaunched, a cancelled and a finished flow, a
+	// requeued, relaunched and finished, its output lost and re-executed
+	// by a degraded launch, a reducer reset and relaunched, a cancelled and a finished flow, a
 	// repair requeued by a failure and then committed.
 	valid := []trace.Event{
-		start, submit, launch, plan, requeue, launch, plan, done, mapStart, taskFinish,
+		start, submit, launch, plan, requeue, launch, plan, mapStart, taskFinish,
 		redLaunch, ev(trace.EvReduceReset, 0, node(2)), redLaunch,
 		xferStart, xferCancel, ev(trace.EvTransferStart, -1, flow(1, 1, 2)), ev(trace.EvTransferEnd, -1, flow(1, 1, 2)),
 		repQueued, repLaunch, fail(3), repRequeued, repLaunch, repDone,
-		requeue, launch, mapStart, taskFinish, redStart, redFinish, finish, end,
+		requeue, degLaunch, mapStart, taskFinish, redStart, redFinish, finish, end,
 	}
 
 	cases := []struct {
@@ -103,10 +104,10 @@ func TestBuilderRejectsMalformedTraces(t *testing.T) {
 			"trace event 4 (task-launch at t=4): job 0 task 0 launched again without a requeue"},
 		{"requeue of an idle task", []trace.Event{start, submit, requeue},
 			"trace event 3 (task-requeue at t=3): job 0 task 0 has neither a live attempt nor an output to lose"},
-		{"stale degraded-done before a relaunch", []trace.Event{start, submit, launch, plan, requeue, done, launch, plan, done},
-			"trace event 6 (degraded-read-done at t=6): job 0 task 0 has no live attempt"},
-		{"straggler without a relaunch", []trace.Event{start, submit, launch, plan, requeue, done},
-			"trace event 6 (degraded-read-done at t=6): job 0 task 0 has no live attempt"},
+		{"stale map-start before a relaunch", []trace.Event{start, submit, launch, plan, requeue, mapStart, launch, plan, mapStart},
+			"trace event 6 (map-start at t=6): job 0 task 0 has no live attempt"},
+		{"straggler without a relaunch", []trace.Event{start, submit, launch, plan, requeue, mapStart},
+			"trace event 6 (map-start at t=6): job 0 task 0 has no live attempt"},
 		{"stale flow-latency", []trace.Event{start, submit, launch, requeue, ev(trace.EvFlowLatency, 0, n(0))},
 			"trace event 5 (flow-latency at t=5): job 0 task 0 has no live attempt"},
 		{"reduce-finish without a launch", []trace.Event{start, submit, redFinish},
@@ -154,9 +155,14 @@ func TestBuilderRejectsMalformedTraces(t *testing.T) {
 				if err != nil {
 					t.Fatalf("well-formed trace rejected: %v", err)
 				}
-				// The reducer's record pairs with its relaunch, the 13th event.
-				if got := res.Jobs[0].Reduces[0].LaunchTime; got != 13 {
-					t.Fatalf("reduce launch time = %v, want 13", got)
+				// The reducer's record pairs with its relaunch, the 12th event,
+				// and the last attempt's degraded read closes at its map-start,
+				// one event after its launch.
+				if got := res.Jobs[0].Reduces[0].LaunchTime; got != 12 {
+					t.Fatalf("reduce launch time = %v, want 12", got)
+				}
+				if got := res.Jobs[0].Tasks[0].DegradedReadTime; got != 1 {
+					t.Fatalf("degraded read time = %v, want 1", got)
 				}
 				return
 			}

@@ -301,13 +301,12 @@ type runningMap struct {
 
 	// Input fan-in state: the input is ready at the need-th flow
 	// completion (got counts them), and arrived is the one callback every
-	// flow reports to. A degraded read closes with an EvDegradedDone;
+	// flow reports to. The map-start that follows closes a degraded read;
 	// under an active hedge policy (hedged) standby holds unlaunched spare
 	// sources for deadline hedges, and hedgeTimers the pending per-flow
 	// deadline checks.
 	need        int
 	got         int
-	degraded    bool
 	hedged      bool
 	arrived     func(*netsim.Flow)
 	complete    func() // the processing event's callback
@@ -495,12 +494,6 @@ func (s *state) serveSlave(id topology.NodeID) {
 				FreeMapSlots: slave.freeMap,
 			})
 			for _, a := range assignments {
-				e := s.ev(trace.EvTaskScheduled)
-				e.Job = a.Task.Job
-				e.Task = a.Task.Index
-				e.Node = int(id)
-				e.Class = a.Class.String()
-				s.emit(&e)
 				if s.queue.MapGranted(a.Task.Job) {
 					g := s.ev(trace.EvJobGrant)
 					g.Job = a.Task.Job
@@ -575,13 +568,12 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 	}
 	need := len(plan.Transfers) - plan.Spares
 	degraded := a.Class == sched.ClassDegraded
-	hedged := degraded && s.p.Hedge.Active()
-	rm.degraded, rm.hedged = degraded, hedged
+	rm.hedged = degraded && s.p.Hedge.Active()
 	// transfers launch now: the primaries and, under an active hedge
 	// policy, up to Extra eager spares racing them. The remaining spares
 	// stand by for deadline hedges.
 	transfers := plan.Transfers[:need]
-	if hedged {
+	if rm.hedged {
 		transfers = plan.Transfers[:need+min(s.p.Hedge.Extra, plan.Spares)]
 		rm.standby = plan.Transfers[len(transfers):]
 	}
@@ -614,7 +606,7 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 		reqs = append(reqs, netsim.FlowReq{Src: tr.Src, Dst: id, Bytes: tr.Bytes, Tag: i, Done: rm.arrived})
 	}
 	rm.flows = append(rm.flows, s.startFlows(reqs)...)
-	if !hedged {
+	if !rm.hedged {
 		return
 	}
 	if deadline, ok := s.hedgeDeadline(); ok {
@@ -628,9 +620,9 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 // fan-in. It clears the flow's entry, whose record netsim reuses once this
 // returns. The input is ready at the need-th completion: the flows still
 // running then (only a hedged fan-in has any) are cancelled with the
-// bytes they already moved recorded as waste, a degraded read is closed,
-// and processing starts. Under a hedge policy every completion is also a
-// latency sample for the deadline estimator.
+// bytes they already moved recorded as waste, and processing starts.
+// Under a hedge policy every completion is also a latency sample for the
+// deadline estimator.
 func (s *state) inputArrived(rm *runningMap, f *netsim.Flow) {
 	now := s.eng.Now()
 	rm.flows[f.Tag] = nil
@@ -653,13 +645,6 @@ func (s *state) inputArrived(rm *runningMap, f *netsim.Flow) {
 		}
 	}
 	s.cancelHedgeTimers(rm)
-	if rm.degraded {
-		de := s.ev(trace.EvDegradedDone)
-		de.Job = rm.js.idx
-		de.Task = rm.task.Index
-		de.Node = int(rm.node)
-		s.emit(&de)
-	}
 	s.startProcessing(rm)
 }
 
@@ -672,7 +657,7 @@ func (s *state) startProcessing(rm *runningMap) {
 	dur, pending := s.backend.Execute(rm.js.idx, rm.task.Index, rm.node, rm.plan.Input)
 	rm.plan.Input = nil
 	rm.pending = pending
-	rm.procEv = s.eng.Reschedule(rm.procEv, s.eng.Now()+dur, rm.complete)
+	rm.procEv = s.eng.Reschedule(rm.procEv, s.eng.Now()+dur*s.cluster.Node(rm.node).SpeedFactor, rm.complete)
 }
 
 func (s *state) completeMap(rm *runningMap) {
@@ -777,7 +762,7 @@ func (s *state) checkReducer(r *reducerState) {
 	e.Node = int(r.node)
 	e.Bytes = bytes
 	s.emit(&e)
-	dur := s.backend.StartReduce(js.idx, r.idx, r.node, bytes)
+	dur := s.backend.StartReduce(js.idx, r.idx, r.node, bytes) * s.cluster.Node(r.node).SpeedFactor
 	r.procEv = s.eng.Schedule(dur, func() { s.completeReducer(r) })
 }
 

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -29,7 +30,9 @@ import (
 // staggered submissions, reducers, and a mid-run failure, so any drift in
 // queue ordering, pruning, requeue insertion, or reducer assignment shows
 // up as a diff. Events introduced after the seed (the job-queue pair) are
-// filtered out before comparing.
+// filtered out of the live stream, and events retired since (the scheduling
+// decision and degraded-read completion that restated task-launch and
+// map-start) out of the seed's, before comparing.
 //
 // Regenerate with: go test ./internal/runtime -run SeedGolden -update-seed-golden
 var updateSeedGolden = flag.Bool("update-seed-golden", false,
@@ -38,6 +41,10 @@ var updateSeedGolden = flag.Bool("update-seed-golden", false,
 // seedNewEventTypes are event types added after the seed traces were
 // recorded; they are stripped from live streams before comparison.
 var seedNewEventTypes = []trace.Type{"job-queued", "job-grant", "flow-latency", "hedge-launch"}
+
+// seedRetiredEventTypes are event types the seed traces hold and the
+// runtime no longer emits; they are stripped from the seed's stream.
+var seedRetiredEventTypes = []trace.Type{"task-scheduled", "degraded-read-done"}
 
 // buildResult replays a recorded single-run trace into its Result.
 func buildResult(t *testing.T, events []trace.Event) *runtime.Result {
@@ -53,17 +60,11 @@ func buildResult(t *testing.T, events []trace.Event) *runtime.Result {
 	return res
 }
 
-func dropSeedNewEvents(events []trace.Event) []trace.Event {
+// dropEvents returns events without those of the given types.
+func dropEvents(events []trace.Event, types []trace.Type) []trace.Event {
 	out := make([]trace.Event, 0, len(events))
 	for _, e := range events {
-		skip := false
-		for _, typ := range seedNewEventTypes {
-			if e.Type == typ {
-				skip = true
-				break
-			}
-		}
-		if !skip {
+		if !slices.Contains(types, e.Type) {
 			out = append(out, e)
 		}
 	}
@@ -219,7 +220,7 @@ func seedTraceMinimr(t *testing.T) []trace.Event {
 func seedGoldenCompare(t *testing.T, file string, run func(*testing.T) []trace.Event) {
 	t.Helper()
 	path := filepath.Join("testdata", file)
-	live := dropSeedNewEvents(run(t))
+	live := dropEvents(run(t), seedNewEventTypes)
 
 	if *updateSeedGolden {
 		f, err := os.Create(path)
@@ -246,6 +247,7 @@ func seedGoldenCompare(t *testing.T, file string, run func(*testing.T) []trace.E
 	if err != nil {
 		t.Fatal(err)
 	}
+	want = dropEvents(want, seedRetiredEventTypes)
 
 	if len(live) != len(want) {
 		t.Errorf("event count %d, want %d (seed)", len(live), len(want))

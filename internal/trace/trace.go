@@ -37,19 +37,13 @@ const (
 	// granting slave, Name the tenant. T minus the matching EvJobQueued
 	// T is the job's queueing delay (Result.Jobs[i].QueueDelay).
 	EvJobGrant Type = "job-grant"
-	// EvTaskScheduled is one scheduler decision: job/task assigned to a
-	// node with a locality class. The golden backend-equivalence test
-	// compares these sequences.
-	EvTaskScheduled Type = "task-scheduled"
-	// EvTaskLaunch starts the map task on its node (same instant as the
-	// scheduling decision in the heartbeat model).
+	// EvTaskLaunch is one scheduler decision, which starts the map task
+	// on its node at once: job/task assigned to a node with a locality
+	// class. The golden backend-equivalence test compares these sequences.
 	EvTaskLaunch Type = "task-launch"
 	// EvDegradedPlan records a planned degraded read: N sources, Bytes
 	// total download volume. Exactly one per degraded task launch.
 	EvDegradedPlan Type = "degraded-read-planned"
-	// EvDegradedDone marks the completion of a degraded read: the first k
-	// sources have arrived (all sources when hedging is off).
-	EvDegradedDone Type = "degraded-read-done"
 	// EvFlowLatency records one degraded-read source flow's outcome under
 	// an active hedge policy. Dur is the flow's observed latency (start to
 	// completion, or start to cancellation for losers), Src the source
@@ -64,7 +58,8 @@ const (
 	// being hedged, Dur the deadline that was exceeded (virtual seconds).
 	// Emitted only when a hedge policy is active.
 	EvHedgeLaunch Type = "hedge-launch"
-	// EvMapStart begins map processing (input ready).
+	// EvMapStart begins map processing (input ready); for a degraded task
+	// it closes the degraded read (its first k sources have arrived).
 	EvMapStart Type = "map-start"
 	// EvTaskFinish completes a map task.
 	EvTaskFinish Type = "task-finish"

@@ -40,7 +40,7 @@ func TestMemorySink(t *testing.T) {
 func TestJSONLRoundTrip(t *testing.T) {
 	events := []Event{
 		New(0, EvRunStart),
-		{T: 3.25, Type: EvTaskScheduled, Run: "r", Job: 0, Task: 7, Node: 2,
+		{T: 3.25, Type: EvTaskLaunch, Run: "r", Job: 0, Task: 7, Node: 2,
 			Src: -1, Dst: -1, Class: "degraded", Bytes: 128e6, N: 2},
 		New(9.5, EvRunEnd),
 	}
