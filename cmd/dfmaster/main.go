@@ -27,7 +27,6 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"degradedfirst/internal/cluster"
@@ -114,8 +113,7 @@ func run(args []string) error {
 		}
 	}
 
-	lost := &lostLog{}
-	engine := minimr.Options{Scheduler: kind, RackBps: *rackBps, Seed: *seed, Trace: lost}
+	engine := minimr.Options{Scheduler: kind, RackBps: *rackBps, Seed: *seed, Trace: lostLog{}}
 	engine.OutOfBandHeartbeats = true
 	m, err := cluster.NewMaster(fs, cluster.MasterOptions{
 		Addr:           *addr,
@@ -139,7 +137,6 @@ func run(args []string) error {
 		Word:        *word,
 		NumReducers: *reducers,
 	}})
-	lost.over.Store(true)
 	if err != nil {
 		return err
 	}
@@ -156,13 +153,12 @@ func run(args []string) error {
 	return enc.Encode(doc)
 }
 
-// lostLog logs the master's worker-lost events on stderr until the run is
-// over, and drops the rest of the trace: the teardown after a run closes
-// every worker's connection, which is no news.
-type lostLog struct{ over atomic.Bool }
+// lostLog logs the master's worker-lost events on stderr and drops the
+// rest of the trace.
+type lostLog struct{}
 
-func (l *lostLog) Emit(e trace.Event) {
-	if e.Type == trace.EvWorkerLost && !l.over.Load() {
+func (lostLog) Emit(e trace.Event) {
+	if e.Type == trace.EvWorkerLost {
 		fmt.Fprintf(os.Stderr, "dfmaster: node %d lost at %.3fs: %s\n", e.Node, e.T, e.Name)
 	}
 }

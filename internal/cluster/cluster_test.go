@@ -295,6 +295,32 @@ func TestLoopbackGrepAndLineCount(t *testing.T) {
 	}
 }
 
+// TestCloseDeclaresNoWorkerDead: tearing the cluster down after a run
+// closes every worker's connection, which is no death, so the trace
+// stream holds no worker-lost event.
+func TestCloseDeclaresNoWorkerDead(t *testing.T) {
+	fs, _ := testbedFS(t, 3)
+	mem := &trace.Memory{}
+	l, err := StartLocal(fs, MasterOptions{
+		HeartbeatEvery: 100 * time.Millisecond,
+		HeartbeatMiss:  20,
+		Engine:         engineOpts(mem),
+	}, WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = l.Run(context.Background(), []JobSpec{{Kind: "linecount", Input: "input.txt", NumReducers: 2}})
+	l.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range mem.Events() {
+		if e.Type == trace.EvWorkerLost {
+			t.Fatalf("the teardown declared node %d dead: %s", e.Node, e.Name)
+		}
+	}
+}
+
 // TestMasterRejectsInvalidJobs pins the satellite requirement: the
 // master reuses the engine's typed validation at submission time, before
 // any worker sees the job.

@@ -44,10 +44,11 @@ func (l *Local) Run(ctx context.Context, specs []JobSpec) (*minimr.Report, error
 	return l.Master.Run(ctx, specs)
 }
 
-// Close tears the whole loopback cluster down.
+// Close tears the whole loopback cluster down, the master first, so no
+// worker's hang-up reads to it as a death.
 func (l *Local) Close() {
+	l.Master.Close()
 	for _, w := range l.workers {
 		w.Close()
 	}
-	l.Master.Close()
 }

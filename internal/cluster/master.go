@@ -282,11 +282,12 @@ func (m *Master) monitor() {
 
 // declareDead marks a worker dead once: its connection is torn down (so
 // in-flight RPCs fail fast), the node is queued for the runtime's
-// failure poll, and a worker-lost event joins the trace stream.
+// failure poll, and a worker-lost event joins the trace stream. Once
+// Close has begun it does nothing: a teardown kills no worker.
 func (m *Master) declareDead(node topology.NodeID, reason string) {
 	m.mu.Lock()
 	w := m.workers[node]
-	if w == nil {
+	if w == nil || m.closed {
 		m.mu.Unlock()
 		return
 	}

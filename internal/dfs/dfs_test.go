@@ -424,8 +424,7 @@ func TestPickRepairSourcesFallsBackWhenGroupBroken(t *testing.T) {
 // TestPickRepairSourcesPlansInLentStorage: PickRepairSources appends behind
 // what the caller's slice holds and picks what a fresh plan picks from the
 // same draws, for k-of-n picks of either strategy and a locality-aware
-// code's local group; a k-of-n plan into a slice with room allocates
-// nothing (an LRC's LocalRepairGroup builds its group).
+// code's local group, and a plan into a slice with room allocates nothing.
 func TestPickRepairSourcesPlansInLentStorage(t *testing.T) {
 	rsCluster := testCluster()
 	rsPlace, err := placement.RoundRobin{}.Place(rsCluster, 2, 6, 4, stats.NewRNG(6))
@@ -449,11 +448,10 @@ func TestPickRepairSourcesPlansInLentStorage(t *testing.T) {
 		p        *placement.Placement
 		b        erasure.BlockID
 		strategy SelectionStrategy
-		kOfN     bool
 	}{
-		{"RS random-k", rsCluster, erasure.MustNew(6, 4), rsPlace, rsBlock, RandomK, true},
-		{"RS prefer-same-rack", rsCluster, erasure.MustNew(6, 4), rsPlace, rsBlock, PreferSameRack, true},
-		{"LRC local group", lrcCluster, lrc, lrcPlace, lrcBlock, RandomK, false},
+		{"RS random-k", rsCluster, erasure.MustNew(6, 4), rsPlace, rsBlock, RandomK},
+		{"RS prefer-same-rack", rsCluster, erasure.MustNew(6, 4), rsPlace, rsBlock, PreferSameRack},
+		{"LRC local group", lrcCluster, lrc, lrcPlace, lrcBlock, RandomK},
 	} {
 		lent := make([]repair.Source, 1, 16)
 		lent[0] = repair.Source{Node: -1, Index: -1}
@@ -469,9 +467,6 @@ func TestPickRepairSourcesPlansInLentStorage(t *testing.T) {
 			if got[0] != lent[0] || !slices.Equal(got[1:], want) {
 				t.Fatalf("%s, seed %d: picked %v behind %v, a fresh plan picks %v", tc.name, seed, got[1:], got[0], want)
 			}
-		}
-		if !tc.kOfN {
-			continue
 		}
 		rng := stats.NewRNG(1)
 		if n := testing.AllocsPerRun(50, func() {

@@ -48,7 +48,7 @@ type Coder interface {
 // cheap degraded reads.
 type LocalRepairer interface {
 	// LocalRepairGroup returns the exact source set repairing block idx,
-	// or ok=false when idx has no local group.
+	// or ok=false when idx has no local group. The set is read-only.
 	LocalRepairGroup(idx int) (sources []int, ok bool)
 }
 

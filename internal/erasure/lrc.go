@@ -22,6 +22,9 @@ type LRC struct {
 	linear
 	l         int
 	groupSize int
+	// local holds, at [idx*groupSize, (idx+1)*groupSize), the local repair
+	// group of each data and local-parity block idx.
+	local []int
 }
 
 // NewLRC builds an LRC(k, l, g) code. k must be divisible by l; l and g
@@ -47,7 +50,19 @@ func NewLRC(k, l, g int) (*LRC, error) {
 	for r := 0; r < g; r++ {
 		copy(parity.Row(l+r), global.Row(r))
 	}
-	return &LRC{linear: newLinear(k, parity), l: l, groupSize: groupSize}, nil
+	c := &LRC{linear: newLinear(k, parity), l: l, groupSize: groupSize}
+	for idx := 0; idx < k+l; idx++ {
+		group := c.GroupOf(idx)
+		for i := group * groupSize; i < (group+1)*groupSize; i++ {
+			if i != idx {
+				c.local = append(c.local, i)
+			}
+		}
+		if parity := k + group; parity != idx {
+			c.local = append(c.local, parity)
+		}
+	}
+	return c, nil
 }
 
 // GroupOf returns the local group of a data or local-parity block index,
@@ -69,18 +84,11 @@ func (c *LRC) GroupOf(idx int) int {
 // locally: for a data block, the rest of its group plus the group parity;
 // for a local parity, the group's data. Global parities have no local
 // group; ok is false and the caller must fall back to a global decode.
+// The group is built once, with the code, and shared: callers only read it.
 func (c *LRC) LocalRepairGroup(idx int) (sources []int, ok bool) {
-	group := c.GroupOf(idx)
-	if group < 0 {
+	if c.GroupOf(idx) < 0 {
 		return nil, false
 	}
-	for i := group * c.groupSize; i < (group+1)*c.groupSize; i++ {
-		if i != idx {
-			sources = append(sources, i)
-		}
-	}
-	if parity := c.k + group; parity != idx {
-		sources = append(sources, parity)
-	}
-	return sources, true
+	lo, hi := idx*c.groupSize, (idx+1)*c.groupSize
+	return c.local[lo:hi:hi], true
 }
