@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"degradedfirst/internal/topology"
@@ -246,22 +247,21 @@ func (e *EnhancedDegradedFirst) assignToSlave(env *Env, s topology.NodeID) bool 
 }
 
 // assignToRack implements rack awareness: refuse rack r when its last
-// degraded launch is more recent than both the cross-rack average and the
-// expected degraded-read duration (it is likely still downloading).
+// degraded launch is more recent than both the average over the racks
+// with a live node and the expected degraded-read duration (it is likely
+// still downloading). A rack with no live node never launches, and its
+// "long ago" sentinel would put the average out of reach. Rack r has the
+// heartbeating node, so the average covers at least one rack.
 func (e *EnhancedDegradedFirst) assignToRack(env *Env, now float64, r topology.RackID) bool {
-	tr := now - e.lastDegraded[r]
 	var sum float64
-	for i := range e.lastDegraded {
-		d := now - e.lastDegraded[i]
-		sum += d
+	live := 0
+	for i, last := range e.lastDegraded {
+		if slices.ContainsFunc(env.Cluster.RackNodes(topology.RackID(i)), env.Cluster.Alive) {
+			sum += now - last
+			live++
+		}
 	}
-	mean := sum / float64(len(e.lastDegraded))
-	threshold := env.DegradedReadTime
-	bound := mean
-	if threshold < bound {
-		bound = threshold
-	}
-	return tr >= bound
+	return now-e.lastDegraded[r] >= min(sum/float64(live), env.DegradedReadTime)
 }
 
 // EagerDegradedFirst is an ablation of the pacing rule: it assigns

@@ -273,6 +273,38 @@ func TestEDFAssignToRackSpacing(t *testing.T) {
 	}
 }
 
+func TestEDFRackMeanOverLiveRacks(t *testing.T) {
+	// Rack 2 has failed whole, so it never launches a degraded task; the
+	// mean time since the last degraded launch covers racks 0 and 1 only.
+	// With the read estimate out of the way, a live rack is admitted once
+	// its wait reaches that mean.
+	c := topology.MustNew(topology.Config{Nodes: 6, Racks: 3, MapSlotsPerNode: 1})
+	c.FailNode(4)
+	c.FailNode(5)
+	var specs []TaskSpec
+	for s := 0; s < 4; s++ {
+		specs = append(specs, TaskSpec{Block: erasure.BlockID{Stripe: s, Index: 0}, Holder: topology.NodeID(4 + s%2), Lost: true})
+	}
+	env := envFor(c, NewJob(0, specs))
+	env.DegradedReadTime = 100
+	edf := NewEnhancedDegradedFirst(c.NumRacks())
+	for _, step := range []struct {
+		now   float64
+		node  topology.NodeID
+		admit bool
+	}{
+		{0, 0, true},  // rack 0
+		{2, 2, true},  // rack 1
+		{6, 2, false}, // rack 1 waited 4 s, under the live racks' mean of 5 s
+		{6, 0, true},  // rack 0 waited 6 s, over it
+	} {
+		got := edf.Assign(env, Heartbeat{Now: step.now, Node: step.node, FreeMapSlots: 1})
+		if admitted := len(got) == 1 && got[0].Class == ClassDegraded; admitted != step.admit {
+			t.Fatalf("t=%v node %d: got %v, want a degraded launch %v", step.now, step.node, classesOf(got), step.admit)
+		}
+	}
+}
+
 func TestMultiJobFIFO(t *testing.T) {
 	// Two jobs: job 0's tasks are assigned before job 1's.
 	c := fourNodeCluster()
