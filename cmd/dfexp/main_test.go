@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,8 +11,6 @@ import (
 
 	"degradedfirst/internal/trace"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 func runArgs(t *testing.T, args ...string) (string, string, error) {
 	t.Helper()
@@ -92,8 +89,7 @@ func TestJSONResultsFileIsStable(t *testing.T) {
 // checkResultsGolden runs dfexp with args plus "-format json -results
 // dir" and compares the results file id.json byte-for-byte with
 // testdata/<golden>, which must also carry every column in cols.
-// Regenerate with go test ./cmd/dfexp -update-golden after an
-// intentional change.
+// Regenerate with: bash scripts/goldens.sh update.
 func checkResultsGolden(t *testing.T, id, golden string, cols []string, args ...string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -105,20 +101,9 @@ func checkResultsGolden(t *testing.T, id, golden string, cols []string, args ...
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden = filepath.Join("testdata", golden)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
 	if err != nil {
-		t.Fatalf("%v (regenerate with -update-golden)", err)
+		t.Fatalf("%v (regenerate with: bash scripts/goldens.sh update)", err)
 	}
 	if string(got) != string(want) {
 		t.Fatalf("%s JSON results drifted from golden.\ngot:\n%s\nwant:\n%s", id, got, want)

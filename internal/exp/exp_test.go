@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"os"
 	"path/filepath"
 	goruntime "runtime"
@@ -13,12 +12,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/trace"
 )
-
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick.golden")
 
 func quickOpts() Options {
 	return Options{Quick: true, Seeds: 2}
@@ -107,25 +105,14 @@ func cellFloat(t *testing.T, cell string) float64 {
 }
 
 // TestQuickGolden pins every experiment's quick output byte for byte, one
-// JSON line per experiment in ID order. Regenerate with
-// go test ./internal/exp -run QuickGolden -update-golden after an
-// intentional change.
+// JSON line per experiment in ID order: what dfexp -all -quick -seeds 2
+// -format json prints. Regenerate with: bash scripts/goldens.sh update.
 func TestQuickGolden(t *testing.T) {
 	_, lines := quickRun(t)
 	golden := filepath.Join("testdata", "quick.golden")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, lines, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden updated: %s", golden)
-		return
-	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (regenerate with -update-golden)", err)
+		t.Fatalf("%v (regenerate with: bash scripts/goldens.sh update)", err)
 	}
 	if bytes.Equal(lines, want) {
 		return
@@ -737,5 +724,48 @@ func TestFig9aRowReportsTrueExtremes(t *testing.T) {
 	}
 	if got, want := cells[4], "20.0/83.0"; got != want {
 		t.Errorf("EDF min/max = %s, want %s", got, want)
+	}
+}
+
+// TestTestbedRunsKeepNoOutputs: fig9aMemo keeps every run of the last
+// Fig. 9a sweep for Table I, so a run must keep its Result and not the
+// jobs' outputs with it. After a 3-seed quick fig9a the live heap may grow
+// by at most twice the bytes of the records the memo holds, plus one heap
+// page for each object holding them (the most a live object can pin in a
+// collected heap). It grows by about a third of that bound; a pointer into
+// minimr's Report kept each run's output maps, and the heap grew by about
+// 90 times the bound.
+func TestTestbedRunsKeepNoOutputs(t *testing.T) {
+	const page = 8 << 10
+	fig9aMemo.key, fig9aMemo.runs = "", nil
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+	runExp(t, "fig9a", Options{Quick: true, Seeds: 3})
+	goruntime.GC()
+	goruntime.ReadMemStats(&after)
+	var records, objects, runs int
+	for _, point := range fig9aMemo.runs {
+		for _, seed := range point {
+			for _, res := range seed {
+				runs++
+				objects += 3 // the Result, its Failed and its Jobs
+				for _, j := range res.Jobs {
+					objects += 3 // the job's name, Tasks and Reduces
+					records += cap(j.Tasks)*int(unsafe.Sizeof(runtime.TaskRecord{})) +
+						cap(j.Reduces)*int(unsafe.Sizeof(runtime.ReduceRecord{}))
+				}
+			}
+		}
+	}
+	if runs != 18 {
+		t.Fatalf("memo holds %d runs, want 3 seeds x 3 jobs x LF and EDF", runs)
+	}
+	grew, bound := int(after.HeapInuse)-int(before.HeapInuse), 2*records+objects*page
+	t.Logf("%d runs kept: live heap grew %d bytes, bound %d (%d bytes of records in %d objects)",
+		runs, grew, bound, records, objects)
+	if grew > bound {
+		t.Errorf("live heap grew %d bytes (%d per run) keeping %d testbed runs, bound %d: a run keeps more than its Result",
+			grew, grew/runs, runs, bound)
 	}
 }

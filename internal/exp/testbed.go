@@ -86,17 +86,15 @@ func runTestbed(ctx context.Context, c mapred.Config, jobs []minimr.Job) (*runti
 	fs := must(dfs.New(cluster, erasure.MustNew(12, 10), minimr.TestbedBlockSize, placement.RoundRobin{}, stats.NewRNG(c.Seed)))
 	must(fs.Write("input.txt", must(workload.GenerateBlockAlignedCorpus(c.NumBlocks, minimr.TestbedBlockSize, c.Seed))))
 	cluster.FailNode(topology.NodeID(stats.NewRNG(c.Seed).Intn(12)))
-	rep, err := minimr.RunContext(ctx, fs, minimr.Options{
-		Scheduler:  c.Scheduler,
-		RackBps:    minimr.TestbedRackBps,
-		Seed:       c.Seed,
-		Trace:      c.Trace,
-		TraceLabel: c.TraceLabel,
-	}, jobs)
+	rep, err := minimr.RunContext(ctx, fs, minimr.Options{Scheduler: c.Scheduler, RackBps: minimr.TestbedRackBps,
+		Seed: c.Seed, Trace: c.Trace, TraceLabel: c.TraceLabel}, jobs)
 	if err != nil {
 		return nil, err
 	}
-	return &rep.Result, nil
+	// A copy, not &rep.Result: a pointer into the Report would keep the
+	// jobs' Outputs live as long as the sweep (and a memo) keeps the run.
+	res := rep.Result
+	return &res, nil
 }
 
 // fig9aMemo shares Fig. 9a's single-job testbed runs with Table I: the

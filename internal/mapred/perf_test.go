@@ -10,7 +10,6 @@ import (
 	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
-	"degradedfirst/internal/sim"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 	"degradedfirst/internal/trace"
@@ -25,15 +24,7 @@ func TestPaperScalePerf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run skipped in short mode")
 	}
-	want := map[SchedulerKind]struct {
-		engine sim.Stats
-		net    netsim.Stats
-	}{
-		LF: {sim.Stats{Scheduled: 52248, Cancelled: 1129, Dispatched: 50674, MaxQueue: 196},
-			netsim.Stats{Solves: 45390, FlowsVisited: 2720973, Deferred: 41293, Iterations: 6280, Replayed: 2170, LinkVisits: 26511}},
-		EDF: {sim.Stats{Scheduled: 51190, Cancelled: 1129, Dispatched: 48773, MaxQueue: 196},
-			netsim.Stats{Solves: 45314, FlowsVisited: 1610381, Deferred: 42007, Iterations: 6496, Replayed: 690, LinkVisits: 31461}},
-	}
+	got := map[string]corePins{}
 	for _, k := range []SchedulerKind{LF, EDF} {
 		cfg := DefaultConfig()
 		cfg.Scheduler = k
@@ -66,10 +57,9 @@ func TestPaperScalePerf(t *testing.T) {
 			t.Errorf("%s: %d events scheduled but never dispatched, more than one per solve (%d solves over %d flow visits)",
 				k, unfired, ns.Solves, ns.FlowsVisited)
 		}
-		if es != want[k].engine || ns != want[k].net {
-			t.Errorf("%s: engine %+v, net %+v; want %+v, %+v", k, es, ns, want[k].engine, want[k].net)
-		}
+		got[k.String()] = corePins{es, ns}
 	}
+	checkPins(t, "paper_scale_counters.json", got)
 }
 
 // TestStormScalePerf pins the simulator core's counters on a job storm
@@ -105,12 +95,7 @@ func TestStormScalePerf(t *testing.T) {
 	t.Logf("%d fillings: %.1f iterations computed and %.1f replayed, %.0f link visits each",
 		fillings, float64(ns.Iterations)/float64(fillings), float64(ns.Replayed)/float64(fillings),
 		float64(ns.LinkVisits)/float64(fillings))
-	wantEngine := sim.Stats{Scheduled: 20683, Cancelled: 130, Dispatched: 15004, MaxQueue: 333}
-	wantNet := netsim.Stats{Solves: 14332, FlowsVisited: 2300324, Deferred: 2159,
-		Iterations: 133965, Replayed: 62659, LinkVisits: 6105716}
-	if es != wantEngine || ns != wantNet {
-		t.Errorf("engine %+v, net %+v; want %+v, %+v", es, ns, wantEngine, wantNet)
-	}
+	checkPins(t, "storm_scale_counters.json", map[string]corePins{"storm": {es, ns}})
 }
 
 // stormConfig is the storm's cluster and policies: a 64-node fat tree with

@@ -3,6 +3,8 @@ package mapred
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,6 +98,34 @@ func TestValidationErrors(t *testing.T) {
 	_, err = Run(wide, []JobSpec{smallJob()})
 	if err == nil || !strings.Contains(err.Error(), "n=300") || !strings.Contains(err.Error(), "k=200") {
 		t.Errorf("(300,200) code: error %v, want one naming n and k", err)
+	}
+	// The tests' own pin files under testdata/: one that is missing or
+	// garbled fails the test that reads it, naming the file and the
+	// command that regenerates it, and never reads as a pass.
+	dir := t.TempDir()
+	counters := func(path string) error { _, err := readPins[corePins](path); return err }
+	hashes := func(path string) error { _, err := readPins[string](path); return err }
+	for _, tc := range []struct {
+		file, content string // no file is written for empty content
+		read          func(string) error
+	}{
+		{"missing_counters.json", "", counters},
+		{"missing_hashes.json", "", hashes},
+		{"truncated_counters.json", `{"LF": {"Engine": {"Scheduled": 52`, counters},
+		{"unknown_counter.json", `{"LF": {"Engine": {"Steps": 52248}}}`, counters},
+		{"numeric_hash.json", `{"half": 17066214343406141163}`, hashes},
+		{"empty_hashes.json", `{}`, hashes},
+	} {
+		path := filepath.Join(dir, tc.file)
+		if tc.content != "" {
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := tc.read(path)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "scripts/goldens.sh update") {
+			t.Errorf("%s: error %v, want one naming the file and scripts/goldens.sh update", tc.file, err)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,29 +21,18 @@ import (
 	"degradedfirst/internal/trace"
 )
 
-// The seed-golden tests pin the FIFO job-scheduling policy to the exact
-// trace streams the pre-jobsched runtime produced (committed under
-// testdata/ before the refactor). Unlike the decision-level golden tests
-// above, these compare *every* event — heartbeats, slot-idle markers,
-// transfers, shuffle, reduce lifecycle — over a multi-job scenario with
-// staggered submissions, reducers, and a mid-run failure, so any drift in
-// queue ordering, pruning, requeue insertion, or reducer assignment shows
-// up as a diff. Events introduced after the seed (the job-queue pair) are
-// filtered out of the live stream, and events retired since (the scheduling
-// decision and degraded-read completion that restated task-launch and
-// map-start) out of the seed's, before comparing.
+// The seed-golden tests pin the FIFO job-scheduling policy to exact trace
+// streams, first recorded from the pre-jobsched runtime and since
+// re-recorded whole, so they hold every event type it emits. Unlike the
+// decision-level golden tests above, these compare *every* event —
+// heartbeats, slot-idle markers, job queueing, transfers, shuffle, reduce
+// lifecycle — over a multi-job scenario with staggered submissions,
+// reducers, and a mid-run failure, so any drift in queue ordering, pruning,
+// requeue insertion, or reducer assignment shows up as a diff.
 //
-// Regenerate with: go test ./internal/runtime -run SeedGolden -update-seed-golden
-var updateSeedGolden = flag.Bool("update-seed-golden", false,
-	"rewrite the seed golden trace files under testdata/")
-
-// seedNewEventTypes are event types added after the seed traces were
-// recorded; they are stripped from live streams before comparison.
-var seedNewEventTypes = []trace.Type{"job-queued", "job-grant", "flow-latency", "hedge-launch"}
-
-// seedRetiredEventTypes are event types the seed traces hold and the
-// runtime no longer emits; they are stripped from the seed's stream.
-var seedRetiredEventTypes = []trace.Type{"task-scheduled", "degraded-read-done"}
+// Regenerate with: bash scripts/goldens.sh update (which runs these tests
+// with -update).
+var update = flag.Bool("update", false, "rewrite the seed golden trace files under testdata/")
 
 // buildResult replays a recorded single-run trace into its Result.
 func buildResult(t *testing.T, events []trace.Event) *runtime.Result {
@@ -58,17 +46,6 @@ func buildResult(t *testing.T, events []trace.Event) *runtime.Result {
 		t.Fatal(err)
 	}
 	return res
-}
-
-// dropEvents returns events without those of the given types.
-func dropEvents(events []trace.Event, types []trace.Type) []trace.Event {
-	out := make([]trace.Event, 0, len(events))
-	for _, e := range events {
-		if !slices.Contains(types, e.Type) {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 var seedGoldenKinds = []sched.Kind{sched.KindLF, sched.KindBDF, sched.KindEDF}
@@ -220,9 +197,9 @@ func seedTraceMinimr(t *testing.T) []trace.Event {
 func seedGoldenCompare(t *testing.T, file string, run func(*testing.T) []trace.Event) {
 	t.Helper()
 	path := filepath.Join("testdata", file)
-	live := dropEvents(run(t), seedNewEventTypes)
+	live := run(t)
 
-	if *updateSeedGolden {
+	if *update {
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
@@ -240,14 +217,13 @@ func seedGoldenCompare(t *testing.T, file string, run func(*testing.T) []trace.E
 
 	f, err := os.Open(path)
 	if err != nil {
-		t.Fatalf("seed golden missing (regenerate with -update-seed-golden): %v", err)
+		t.Fatalf("%v (regenerate with: bash scripts/goldens.sh update)", err)
 	}
 	defer f.Close()
 	want, err := trace.ReadJSONL(f)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v (regenerate with: bash scripts/goldens.sh update)", path, err)
 	}
-	want = dropEvents(want, seedRetiredEventTypes)
 
 	if len(live) != len(want) {
 		t.Errorf("event count %d, want %d (seed)", len(live), len(want))
@@ -268,7 +244,7 @@ func seedGoldenCompare(t *testing.T, file string, run func(*testing.T) []trace.E
 
 	// The rebuilt results must also agree per scheduler kind: identical
 	// events imply identical makespan/bytes-moved, but check explicitly so
-	// a filtering bug here can't mask a regression.
+	// a comparison bug here can't mask a regression.
 	for _, kind := range seedGoldenKinds {
 		label := kind.String()
 		var lk, wk []trace.Event

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # The reach gate, at two levels. Run every committed run with covered
-# binaries and byte-compare each against its golden, then run the named
+# binaries and byte-compare each against its golden (scripts/goldens.sh
+# check, on the rows that list marks "check"), then run the named
 # deterministic tests covered into the same directory, then the whole
 # tier-1 suite covered into a second one. Two tests in internal/lint read
 # the result:
@@ -33,20 +34,7 @@ go build -cover -coverpkg="./internal/...,${mains// /,}" -o "$bin/" $mains
 export GOCOVERDIR=$cover
 
 echo "== goldens"
-"$bin/dfsim" -sched EDF -nodes 400 -racks 40 -blocks 14400 -seed 1 | diff - cmd/dfsim/testdata/edf_400.golden
-"$bin/dfsim" -sched EDF -nodes 3000 -racks 300 -blocks 108000 -reducers 0 -seed 1 | diff - cmd/dfsim/testdata/map_3000.golden
-"$bin/dfexp" -all -seeds 2 -format json -results "$work/results" | diff - cmd/dfexp/testdata/all_seeds2.jsonl
-"$bin/dfsim" -timeline -trace "$work/timeline.jsonl" -sched EDF -nodes 8 -racks 2 -n 4 -k 2 -blocks 16 -reducers 1 |
-	diff - cmd/dfsim/testdata/timeline.golden
-diff "$work/timeline.jsonl" cmd/dfsim/testdata/timeline_trace.jsonl
-# Text output reports each experiment's wall time; that line is dropped.
-"$bin/dfexp" -format text -run fig3,fig4,fig5a | grep -v '^(took ' | diff - cmd/dfexp/testdata/fast.txt
-"$bin/dfexp" -format csv -run fig3,fig4,fig5a | diff - cmd/dfexp/testdata/fast.csv
-"$bin/dfexp" -list | diff - cmd/dfexp/testdata/list.txt
-"$bin/dfanalysis" | diff - cmd/dfanalysis/testdata/default.golden
-for ex in analysis multijob quickstart timeline wordcount; do
-	"$bin/$ex" | diff - "examples/testdata/$ex.golden"
-done
+bash scripts/goldens.sh check "$bin"
 unset GOCOVERDIR
 
 echo "== tier-1"
