@@ -7,14 +7,13 @@ package workload
 import (
 	"bytes"
 	"fmt"
-	"slices"
 
 	"degradedfirst/internal/stats"
 )
 
-// corpusVocabulary is a base vocabulary; word frequency follows a Zipf-like
+// _vocabulary is a base vocabulary; word frequency follows a Zipf-like
 // distribution so WordCount/Grep behave like they would on real text.
-var _vocabulary = []string{
+var _vocabulary = [...]string{
 	"the", "of", "and", "a", "to", "in", "is", "you", "that", "it",
 	"he", "was", "for", "on", "are", "as", "with", "his", "they", "I",
 	"at", "be", "this", "have", "from", "or", "one", "had", "by", "word",
@@ -40,14 +39,81 @@ var _zipfCum = func() []float64 {
 	return cum
 }()
 
-// zipfIndex draws a vocabulary index with probability proportional to
-// 1/(i+1) — a simple Zipf(1) law via inverse-CDF on the harmonic sum: the
-// first i with _zipfCum[i] >= target.
-func zipfIndex(rng *stats.RNG) int {
-	target := rng.Float64() * _zipfCum[len(_zipfCum)-1]
-	i, _ := slices.BinarySearch(_zipfCum, target)
-	return min(i, len(_zipfCum)-1)
+// The draw inverts the harmonic CDF through a guide table (Chen & Asau,
+// 1974): a target t in [0, H], H the harmonic sum, falls in bucket
+// ⌊t·zipfBuckets/H⌋, and the bucket's entry is the word every target in it
+// draws. A bucket that a CDF boundary may fall in, with zipfSlack of
+// relative margin for the rounding of t·zipfBuckets/H, holds instead the
+// first word it can draw with zipfEdge set, and its draw steps past the
+// boundaries below the target (at most one: boundaries lie at least
+// 1/len(_vocabulary) apart and a bucket spans H/zipfBuckets).
+const (
+	zipfBuckets = 1 << 16
+	zipfEdge    = 0x80
+	zipfSlack   = 1e-9
+)
+
+// A word index must fit below zipfEdge.
+const _ = uint8(zipfEdge - len(_vocabulary))
+
+var (
+	_zipfH     = _zipfCum[len(_zipfCum)-1]
+	_zipfScale = zipfBuckets / _zipfH
+	_zipfGuide = func() (g [zipfBuckets]uint8) {
+		k := 0 // the first bucket not yet filled
+		for i, c := range _zipfCum {
+			for lo := int(c * _zipfScale * (1 - zipfSlack)); k < lo; k++ {
+				g[k] = uint8(i)
+			}
+			for hi := min(int(c*_zipfScale*(1+zipfSlack)), zipfBuckets-1); k <= hi; k++ {
+				g[k] = zipfEdge | uint8(i)
+			}
+		}
+		return g
+	}()
+)
+
+// zipfOf is the inverse CDF of the harmonic law: the first i with
+// _zipfCum[i] >= target, for a target in [0, H].
+func zipfOf(target float64) int {
+	g := _zipfGuide[min(int(target*_zipfScale), zipfBuckets-1)]
+	if g < zipfEdge {
+		return int(g)
+	}
+	i := int(g &^ zipfEdge)
+	for _zipfCum[i] < target {
+		i++
+	}
+	return i
 }
+
+// zipfIndex draws a vocabulary index with probability proportional to
+// 1/(i+1) — a simple Zipf(1) law by inverse CDF on the harmonic sum.
+func zipfIndex(rng *stats.RNG) int {
+	return zipfOf(rng.Float64() * _zipfH)
+}
+
+// A line holds lineMinWords to lineMaxWords words. Each word is written as
+// a wordRec-byte record, the word padded with spaces, so writing one is a
+// single fixed-size copy; the next word starts at _wordAdv[i], one past
+// the word's space, and overwrites the rest.
+const (
+	lineMinWords = 3
+	lineMaxWords = 14
+	wordRec      = 16
+)
+
+var _wordRecs, _wordAdv = func() (rec [len(_vocabulary)][wordRec]byte, adv [len(_vocabulary)]uint8) {
+	for i, w := range _vocabulary {
+		for j := range rec[i] {
+			rec[i][j] = ' '
+		}
+		copy(rec[i][:], w)
+		rec[i][len(w)] = ' ' // panics at start-up if the word leaves no room for its space
+		adv[i] = uint8(len(w) + 1)
+	}
+	return rec, adv
+}()
 
 // GenerateBlockAlignedCorpus produces exactly numBlocks * blockSize bytes
 // of text in which no line crosses a block boundary (blocks are padded
@@ -55,6 +121,11 @@ func zipfIndex(rng *stats.RNG) int {
 // boundaries; minimr's mappers see raw blocks, so the corpus guarantees
 // alignment instead. Empty lines from the padding are skipped by both the
 // reference counters and the jobs.
+//
+// The text costs one allocation, beside the seeded RNG's own: lines are
+// written in place into a buffer with a line's worth of records of slack,
+// so a line that overruns the last block is written, then cut back off,
+// without growing it.
 func GenerateBlockAlignedCorpus(numBlocks, blockSize int, seed int64) ([]byte, error) {
 	if numBlocks <= 0 || blockSize <= 0 {
 		return nil, fmt.Errorf("workload: numBlocks and blockSize must be positive")
@@ -63,31 +134,28 @@ func GenerateBlockAlignedCorpus(numBlocks, blockSize int, seed int64) ([]byte, e
 		return nil, fmt.Errorf("workload: blockSize %d too small for text lines", blockSize)
 	}
 	rng := stats.NewRNG(seed)
-	out := make([]byte, 0, numBlocks*blockSize)
-	var line bytes.Buffer
-	for b := 0; b < numBlocks; b++ {
-		used := 0
+	size := numBlocks * blockSize
+	out := make([]byte, size+lineMaxWords*wordRec)
+	pos := 0
+	for end := blockSize; end <= size; end += blockSize {
 		for {
-			line.Reset()
-			words := 3 + rng.Intn(12)
-			for w := 0; w < words; w++ {
-				if w > 0 {
-					line.WriteByte(' ')
-				}
-				line.WriteString(_vocabulary[zipfIndex(rng)])
+			start := pos
+			for range lineMinWords + rng.Intn(lineMaxWords-lineMinWords+1) {
+				i := zipfIndex(rng)
+				*(*[wordRec]byte)(out[pos:]) = _wordRecs[i]
+				pos += int(_wordAdv[i])
 			}
-			line.WriteByte('\n')
-			if used+line.Len() > blockSize {
+			out[pos-1] = '\n'
+			if pos > end {
+				pos = start
 				break
 			}
-			out = append(out, line.Bytes()...)
-			used += line.Len()
 		}
-		for ; used < blockSize; used++ {
-			out = append(out, '\n')
+		for ; pos < end; pos++ {
+			out[pos] = '\n'
 		}
 	}
-	return out, nil
+	return out[:size:size], nil
 }
 
 // CountWords returns the reference word counts of a corpus — ground truth

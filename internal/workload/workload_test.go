@@ -325,52 +325,159 @@ func TestGenerateBlockAlignedCorpusErrors(t *testing.T) {
 	}
 }
 
-// scanZipfIndex is the original draw: recompute the harmonic sum, then
-// scan linearly for the first partial sum at or above the target.
-func scanZipfIndex(rng *stats.RNG, n int) int {
+// harmonic is the harmonic sum 1/1 + … + 1/n, added in that order.
+func harmonic(n int) float64 {
 	var h float64
 	for i := 1; i <= n; i++ {
 		h += 1 / float64(i)
 	}
-	target := rng.Float64() * h
+	return h
+}
+
+// scanZipfIndex is the original draw's inverse CDF: recompute the
+// harmonic partial sums, and scan linearly for the first at or above the
+// target.
+func scanZipfIndex(target float64) int {
 	var acc float64
-	for i := 0; i < n; i++ {
+	for i := range len(_vocabulary) {
 		acc += 1 / float64(i+1)
 		if acc >= target {
 			return i
 		}
 	}
-	return n - 1
+	return len(_vocabulary) - 1
 }
 
-// TestZipfIndexMatchesScan holds the prefix-sum table and binary search to
-// the original scan, draw by draw: same index from the same RNG state.
+// TestZipfIndexMatchesScan holds the guide-table draw to the original
+// scan, draw by draw: same index from the same RNG state.
 func TestZipfIndexMatchesScan(t *testing.T) {
+	h := harmonic(len(_vocabulary))
 	for seed := int64(1); seed <= 8; seed++ {
 		a, b := stats.NewRNG(seed), stats.NewRNG(seed)
 		for d := 0; d < 20000; d++ {
-			if got, want := zipfIndex(a), scanZipfIndex(b, len(_vocabulary)); got != want {
+			if got, want := zipfIndex(a), scanZipfIndex(b.Float64()*h); got != want {
 				t.Fatalf("seed %d draw %d: index %d, scan gives %d", seed, d, got, want)
 			}
 		}
 	}
 }
 
-// TestCorpusBytesPinned pins the generator's output, byte for byte, to
-// digests taken with the original scan: the minimr testbed and every
-// corpus-derived golden depend on it.
-func TestCorpusBytesPinned(t *testing.T) {
-	want := map[int64]string{
-		1:  "2b73eab1c5c6afe69deb5966a5a9e1b4785b346b98d3888bb47acbea9cd82112",
-		23: "7da068ac2250248b538b36eccc41d6b5418981e1ba3865daafc3fa9af9f38a0e",
+// TestZipfOfAtEveryEdge holds zipfOf to the scan where the guide table
+// could go wrong: a few ulps either side of both edges of every bucket
+// and of every CDF boundary, and the ends 0 and H.
+func TestZipfOfAtEveryEdge(t *testing.T) {
+	h := harmonic(len(_vocabulary))
+	if h != _zipfH {
+		t.Fatalf("harmonic sum %v, table's %v", h, _zipfH)
 	}
-	for seed, w := range want {
-		aligned, err := GenerateBlockAlignedCorpus(16, 64<<10, seed)
+	check := func(what string, x float64) {
+		for _, v := range []float64{
+			math.Nextafter(math.Nextafter(x, -1), -1), math.Nextafter(x, -1),
+			x, math.Nextafter(x, 2*h), math.Nextafter(math.Nextafter(x, 2*h), 2*h),
+		} {
+			if v < 0 || v > h {
+				continue
+			}
+			if got, want := zipfOf(v), scanZipfIndex(v); got != want {
+				t.Fatalf("%s: zipfOf(%v) = %d, scan gives %d", what, v, got, want)
+			}
+		}
+	}
+	for k := 0; k <= zipfBuckets; k++ {
+		check(fmt.Sprintf("bucket edge %d", k), float64(k)/_zipfScale)
+	}
+	for i, c := range _zipfCum {
+		check(fmt.Sprintf("boundary %d", i), c)
+	}
+	check("zero", 0)
+	check("H", h)
+	if got := zipfOf(h); got != len(_vocabulary)-1 {
+		t.Fatalf("zipfOf(H) = %d, want the last word", got)
+	}
+}
+
+// FuzzZipfDraw holds zipfOf to the scan at any target in [0, H]; a
+// fuzzed value outside it is folded in by its magnitude modulo H.
+func FuzzZipfDraw(f *testing.F) {
+	for _, target := range []float64{
+		0, _zipfCum[0], math.Nextafter(_zipfCum[0], 0), _zipfCum[53],
+		float64(zipfBuckets-1) / _zipfScale, _zipfH,
+	} {
+		f.Add(target)
+	}
+	f.Fuzz(func(t *testing.T, target float64) {
+		if math.IsNaN(target) || math.IsInf(target, 0) {
+			t.Skip()
+		}
+		if target < 0 || target > _zipfH {
+			target = math.Mod(math.Abs(target), _zipfH)
+		}
+		if got, want := zipfOf(target), scanZipfIndex(target); got != want {
+			t.Fatalf("zipfOf(%v) = %d, scan gives %d", target, got, want)
+		}
+	})
+}
+
+// TestCorpusBytesPinned pins the generator's output, byte for byte, to
+// digests taken with the original scan and bytes.Buffer generator: the
+// minimr testbed, the benchmark and every corpus-derived golden depend on
+// it. The shapes are the callers': 16 blocks (the minimr and cluster
+// tests), 240 at seeds 1, 9100 and 9500 (the benchmark and Fig. 9), 60
+// (quick mode), 120 at seed 7 (the examples), and 64 B and 100 B blocks,
+// where most lines are rejected and the last block's line overflows the
+// text.
+func TestCorpusBytesPinned(t *testing.T) {
+	const kib64 = 64 << 10
+	for _, c := range []struct {
+		blocks, size int
+		seed         int64
+		sha256       string
+	}{
+		{16, kib64, 1, "2b73eab1c5c6afe69deb5966a5a9e1b4785b346b98d3888bb47acbea9cd82112"},
+		{16, kib64, 23, "7da068ac2250248b538b36eccc41d6b5418981e1ba3865daafc3fa9af9f38a0e"},
+		{240, kib64, 1, "5d75bee27a1c9d77a11079ab21e02b7cf19d1cbf1e74f246d53596208f3559a9"},
+		{240, kib64, 9100, "0bf4e82e05b69daea7a79179f37ab86cf816a888ce6bedea44024fdc9eb00f84"},
+		{240, kib64, 9500, "18b617ba18ea9527becb7a2a2e250ac4eb332fe1d35fd6c8d95bf37043ab5030"},
+		{60, kib64, 9100, "f478df2b0e5cc0011bf41c8c087ed71fd2612e58a266f5fb2b026a0b024cf5bd"},
+		{120, kib64, 7, "4f7b775950ade1f009f83b2137a47e2113fdade4ac6078e376c05a7a0466214c"},
+		{1, 64, 1, "e2744e4d9850bdba221f7a992ac92045b164c4ee89c81e7418a344903de85752"},
+		{50, 64, 3, "5a75cb50f944a6decf7a3697259bb5c04e1f54732ae01343d3365a5d84536bc4"},
+		{7, 100, 2, "243c9111b8525c74f60096279261b034238029484872522cb656b437b57e97a6"},
+		{40, 100, 5, "d451df479ca05776f99c32bb42bbcd22a7a7c73c46a0cea29af32c2eb4aa5993"},
+	} {
+		text, err := GenerateBlockAlignedCorpus(c.blocks, c.size, c.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(aligned)); got != w {
-			t.Errorf("seed %d: block-aligned corpus sha256 %s, want %s", seed, got, w)
+		if got := fmt.Sprintf("%x", sha256.Sum256(text)); got != c.sha256 {
+			t.Errorf("%d blocks of %d B, seed %d: sha256 %s, want %s", c.blocks, c.size, c.seed, got, c.sha256)
+		}
+	}
+}
+
+// TestCorpusOneAllocation holds GenerateBlockAlignedCorpus to its
+// contract: a testbed-shape corpus costs one allocation beside those of
+// its seeded RNG.
+func TestCorpusOneAllocation(t *testing.T) {
+	rngAllocs := testing.AllocsPerRun(3, func() { stats.NewRNG(1).Float64() })
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := GenerateBlockAlignedCorpus(240, 64<<10, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != rngAllocs+1 {
+		t.Fatalf("a 240-block corpus costs %v allocations, want 1 beside the RNG's %v", allocs, rngAllocs)
+	}
+}
+
+// BenchmarkGenerateBlockAlignedCorpus times one testbed-shape corpus:
+// 240 blocks of 64 KiB, the benchmark's and Fig. 9's.
+func BenchmarkGenerateBlockAlignedCorpus(b *testing.B) {
+	b.SetBytes(240 << 16)
+	b.ReportAllocs()
+	for range b.N {
+		if _, err := GenerateBlockAlignedCorpus(240, 64<<10, 1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
