@@ -10,6 +10,11 @@
 //	dfexp -all -out results.txt # also write the output to a file
 //	dfexp -run fig3 -trace out.jsonl   # dump structured trace events
 //	dfexp -run fig5a -format json      # also write results/fig5a.json
+//	dfexp -run fig8a -set 'SpeedFactors={"0":2,"2":2}'  # change every point
+//
+// A -scenario file and each -set Path=value change every point's
+// scenario after its experiment declares it; each run's seed and
+// scheduler are still the experiment's.
 //
 // A Ctrl-C (SIGINT) cancels in-flight simulation runs and exits with an
 // error.
@@ -29,6 +34,7 @@ import (
 
 	"degradedfirst/internal/exp"
 	"degradedfirst/internal/jobsched"
+	"degradedfirst/internal/scenario"
 	"degradedfirst/internal/trace"
 )
 
@@ -70,6 +76,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		traceOut  = fs.String("trace", "", "write structured trace events (JSON lines) to this file")
 		resultDir = fs.String("results", "results", "directory for per-experiment JSON results (with -format json)")
 		jobSched  = fs.String("jobsched", "", "restrict the jobsched experiment to one job-level policy: fifo, fairshare, quota or deadline")
+		apply     = scenario.Flags(fs)
 	)
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -87,6 +94,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *seeds < 0 {
 		return fmt.Errorf("-seeds must be non-negative, got %d", *seeds)
+	}
+	// A change must fit the simulated world or the testbed.
+	if sim, tb := scenario.Paper(), scenario.Testbed(); apply(&sim) != nil {
+		if err := apply(&tb); err != nil {
+			return err
+		}
 	}
 
 	if *list {
@@ -146,7 +159,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	opts := exp.Options{Seeds: *seeds, Quick: *quick, JobSched: *jobSched}
+	opts := exp.Options{Seeds: *seeds, Quick: *quick, JobSched: *jobSched, Scenario: apply}
 	for _, e := range targets {
 		if traceSink != nil {
 			opts.Trace = expSink{id: e.ID, sink: traceSink}

@@ -1,8 +1,8 @@
-// Command dfmaster runs the distributed master: it builds the scaled
-// testbed DFS in memory (generated corpus, erasure-coded placement),
-// listens for dfworker registrations, and once every alive node has a
-// worker, runs the requested job across them, printing the result as
-// JSON on stdout.
+// Command dfmaster runs the distributed master: it builds the testbed
+// world of a scenario (scenario.Testbed, changed by a -scenario file and
+// by -set Path=value) in memory, listens for dfworker registrations, and
+// once every alive node has a worker, runs the scenario's Testbed jobs
+// across them, printing the result as JSON on stdout.
 //
 // The listen address is announced on stderr as "dfmaster: listening on
 // ADDR" so scripts (and the end-to-end test) can start workers against
@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	dfmaster -addr 127.0.0.1:7400 &
+//	dfmaster -addr 127.0.0.1:7400 -scenario examples/scenarios/testbed.json &
 //	for i in $(seq 12); do dfworker -master 127.0.0.1:7400 & done
 //
 //	dfmaster -fail 3 -sched EDF -job grep -word the
@@ -25,20 +25,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"time"
 
 	"degradedfirst/internal/cluster"
-	"degradedfirst/internal/dfs"
-	"degradedfirst/internal/erasure"
-	"degradedfirst/internal/minimr"
-	"degradedfirst/internal/placement"
-	"degradedfirst/internal/sched"
-	"degradedfirst/internal/stats"
-	"degradedfirst/internal/topology"
+	"degradedfirst/internal/scenario"
 	"degradedfirst/internal/trace"
-	"degradedfirst/internal/workload"
 )
 
 func main() {
@@ -48,95 +39,67 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// spellings are dfmaster's flags from before scenarios.
+var spellings = []scenario.Spelling{
+	{Name: "nodes", Path: "Nodes", Usage: "cluster nodes"},
+	{Name: "racks", Path: "Racks", Usage: "racks"},
+	{Name: "mapslots", Path: "MapSlotsPerNode", Usage: "map slots per node"},
+	{Name: "reduceslots", Path: "ReduceSlotsPerNode", Usage: "reduce slots per node"},
+	{Name: "n", Path: "N", Usage: "code stripe width n"},
+	{Name: "k", Path: "K", Usage: "code data blocks k"},
+	{Name: "blocks", Path: "NumBlocks", Usage: "corpus size in blocks"},
+	{Name: "blocksize", Path: "BlockSizeBytes", Usage: "block size in bytes"},
+	{Name: "seed", Path: "Seed", Usage: "corpus and placement seed"},
+	{Name: "fail", Path: "FailNodes", Usage: "comma-separated node IDs to fail before the run",
+		Value: func(v string) string { return "[" + v + "]" }},
+	{Name: "sched", Path: "Scheduler", Usage: "scheduler: LF, BDF, EDF, EagerDF or DelayLF"},
+	{Name: "job", Path: "Testbed.0.kind", Usage: "job kind: wordcount, grep or linecount"},
+	{Name: "word", Path: "Testbed.0.word", Usage: "grep needle (required with -job grep)"},
+	{Name: "reducers", Path: "Testbed.0.reducers", Usage: "reduce task count"},
+	{Name: "rackbps", Path: "RackBps", Usage: "virtual rack bandwidth (bytes/s)"},
+}
+
+// parse reads the command line into the scenario and the master's
+// deployment settings.
+func parse(args []string) (scenario.Scenario, cluster.MasterOptions, error) {
 	fl := flag.NewFlagSet("dfmaster", flag.ContinueOnError)
-	var (
-		addr       = fl.String("addr", "127.0.0.1:0", "listen address for worker registration")
-		nodes      = fl.Int("nodes", 12, "cluster nodes")
-		racks      = fl.Int("racks", 3, "racks")
-		mapSlots   = fl.Int("mapslots", 4, "map slots per node")
-		redSlots   = fl.Int("reduceslots", 1, "reduce slots per node")
-		codeN      = fl.Int("n", 12, "code stripe width n")
-		codeK      = fl.Int("k", 10, "code data blocks k")
-		blocks     = fl.Int("blocks", 60, "corpus size in blocks")
-		blockSize  = fl.Int("blocksize", minimr.TestbedBlockSize, "block size in bytes")
-		seed       = fl.Int64("seed", 1, "corpus and placement seed")
-		fail       = fl.String("fail", "", "comma-separated node IDs to fail before the run")
-		schedName  = fl.String("sched", "LF", "scheduler: LF, BDF, EDF, EagerDF or DelayLF")
-		jobKind    = fl.String("job", "wordcount", "job kind: wordcount, grep or linecount")
-		word       = fl.String("word", "", "grep needle (required with -job grep)")
-		reducers   = fl.Int("reducers", 8, "reduce task count")
-		rackBps    = fl.Float64("rackbps", minimr.TestbedRackBps, "virtual rack bandwidth (bytes/s)")
-		hbEvery    = fl.Duration("hb-every", 500*time.Millisecond, "real worker heartbeat period")
-		hbMiss     = fl.Int("hb-miss", 4, "missed heartbeats before a worker is declared dead")
-		rpcTimeout = fl.Duration("rpc-timeout", 30*time.Second, "per-RPC deadline")
-	)
+	var o cluster.MasterOptions
+	fl.StringVar(&o.Addr, "addr", "127.0.0.1:0", "listen address for worker registration")
+	fl.DurationVar(&o.HeartbeatEvery, "hb-every", 500*time.Millisecond, "real worker heartbeat period")
+	fl.IntVar(&o.HeartbeatMiss, "hb-miss", 4, "missed heartbeats before a worker is declared dead")
+	fl.DurationVar(&o.RPCTimeout, "rpc-timeout", 30*time.Second, "per-RPC deadline")
+	apply := scenario.Flags(fl, spellings...)
 	fl.SetOutput(os.Stderr)
-	if err := fl.Parse(args); err != nil {
-		return err
+	s := scenario.Testbed()
+	err := fl.Parse(args)
+	if err == nil {
+		err = apply(&s)
 	}
+	return s, o, err
+}
 
-	kind, err := sched.ParseKind(*schedName)
+func run(args []string) error {
+	s, o, err := parse(args)
 	if err != nil {
 		return err
 	}
-
-	clu, err := topology.New(topology.Config{
-		Nodes: *nodes, Racks: *racks,
-		MapSlotsPerNode: *mapSlots, ReduceSlotsPerNode: *redSlots,
-	})
+	fs, err := s.BuildTestbed()
 	if err != nil {
 		return err
 	}
-	code, err := erasure.New(*codeN, *codeK)
-	if err != nil {
-		return err
-	}
-	fs, err := dfs.New(clu, code, *blockSize, placement.RoundRobin{}, stats.NewRNG(*seed))
-	if err != nil {
-		return err
-	}
-	corpus, err := workload.GenerateBlockAlignedCorpus(*blocks, *blockSize, *seed)
-	if err != nil {
-		return err
-	}
-	if _, err := fs.Write("input.txt", corpus); err != nil {
-		return err
-	}
-	if *fail != "" {
-		for _, s := range strings.Split(*fail, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || id < 0 || id >= clu.NumNodes() {
-				return fmt.Errorf("bad -fail node %q", s)
-			}
-			clu.FailNode(topology.NodeID(id))
-		}
-	}
-
-	engine := minimr.Options{Scheduler: kind, RackBps: *rackBps, Seed: *seed, Trace: lostLog{}}
-	engine.OutOfBandHeartbeats = true
-	m, err := cluster.NewMaster(fs, cluster.MasterOptions{
-		Addr:           *addr,
-		HeartbeatEvery: *hbEvery,
-		HeartbeatMiss:  *hbMiss,
-		RPCTimeout:     *rpcTimeout,
-		Engine:         engine,
-	})
+	o.Engine = s.Options
+	o.Engine.Trace = lostLog{}
+	m, err := cluster.NewMaster(fs, o)
 	if err != nil {
 		return err
 	}
 	defer m.Close()
 	fmt.Fprintf(os.Stderr, "dfmaster: listening on %s (waiting for %d workers)\n",
-		m.Addr(), len(clu.AliveNodes()))
+		m.Addr(), len(fs.Cluster().AliveNodes()))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	rep, err := m.Run(ctx, []cluster.JobSpec{{
-		Kind:        *jobKind,
-		Input:       "input.txt",
-		Word:        *word,
-		NumReducers: *reducers,
-	}})
+	rep, err := m.Run(ctx, s.Testbed)
 	if err != nil {
 		return err
 	}

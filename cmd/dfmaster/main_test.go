@@ -1,8 +1,14 @@
 package main
 
 import (
+	"encoding"
+	"encoding/json"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"degradedfirst/internal/mapred"
 )
 
 // TestBadFlags pins that every malformed cluster, code or liveness flag
@@ -22,6 +28,128 @@ func TestBadFlags(t *testing.T) {
 		err := run(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("dfmaster %s: error %v, want %q", strings.Join(tc.args, " "), err, tc.want)
+		}
+	}
+}
+
+// TestSetReachesEveryLeaf sets every leaf field of mapred.Config, the
+// embedded runtime.Options' among them, through dfmaster's -set, and
+// checks that each value lands where its path says. BuildTestbed then
+// takes each or rejects it by name.
+func TestSetReachesEveryLeaf(t *testing.T) {
+	n := 0
+	leaves(reflect.TypeOf(mapred.Config{}), "", func(path, value string) {
+		n++
+		s, _, err := parse([]string{"-set", path + "=" + value})
+		if err != nil {
+			t.Errorf("-set %s=%s: %v", path, value, err)
+			return
+		}
+		got := reflect.ValueOf(s.Config)
+		for _, name := range strings.Split(path, ".") {
+			got = reflect.Indirect(got).FieldByName(name)
+		}
+		want := reflect.New(got.Type())
+		if err := json.Unmarshal([]byte(value), want.Interface()); err != nil || !reflect.DeepEqual(got.Interface(), want.Elem().Interface()) {
+			t.Errorf("-set %s=%s: got %v, want %v (%v)", path, value, got, want.Elem(), err)
+		}
+	})
+	if n < 30 {
+		t.Errorf("walked %d leaves, want every leaf of mapred.Config", n)
+	}
+}
+
+// leaves calls visit with the -set path and a sample JSON value of every
+// leaf field of t: a scalar, enum, list or map, or a field reached
+// through an embedding or a pointer. The Go-only Trace and Policy, and
+// TraceLabel beside Trace, are left out.
+func leaves(t reflect.Type, prefix string, visit func(path, value string)) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		switch {
+		case f.Name == "Trace" || f.Name == "TraceLabel" || f.Name == "Policy":
+		case f.Anonymous:
+			leaves(f.Type, prefix, visit)
+		case f.Type.Kind() == reflect.Pointer:
+			leaves(f.Type.Elem(), prefix+f.Name+".", visit)
+		case f.Type.Kind() == reflect.Struct && !reflect.PointerTo(f.Type).Implements(textUnmarshaler):
+			leaves(f.Type, prefix+f.Name+".", visit)
+		default:
+			visit(prefix+f.Name, sample(f.Type))
+		}
+	}
+}
+
+var textUnmarshaler = reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem()
+
+// sample is a JSON value of type t that neither default scenario holds:
+// an enum's value 2, or 1 where 2 is no value of it.
+func sample(t reflect.Type) string {
+	if reflect.PointerTo(t).Implements(textUnmarshaler) {
+		for _, n := range []int64{2, 1} {
+			v := reflect.New(t)
+			v.Elem().SetInt(n)
+			name, _ := v.Elem().Interface().(encoding.TextMarshaler).MarshalText()
+			if v.Interface().(encoding.TextUnmarshaler).UnmarshalText(name) == nil {
+				return strconv.Quote(string(name))
+			}
+		}
+	}
+	switch t.Kind() {
+	case reflect.Bool:
+		return "true"
+	case reflect.Int, reflect.Int64:
+		return "7"
+	case reflect.Float64:
+		return "0.5"
+	case reflect.String:
+		return `"x"`
+	case reflect.Slice:
+		return "[" + sample(t.Elem()) + "]"
+	case reflect.Map:
+		return `{"5":` + sample(t.Elem()) + "}"
+	case reflect.Struct:
+		var fields []string
+		for i := 0; i < t.NumField(); i++ {
+			fields = append(fields, strconv.Quote(t.Field(i).Name)+":"+sample(t.Field(i).Type))
+		}
+		return "{" + strings.Join(fields, ",") + "}"
+	}
+	panic("no sample of " + t.String())
+}
+
+// TestSpellingsAreSets: each flag from before scenarios gives the
+// scenario of the -set it spells.
+func TestSpellingsAreSets(t *testing.T) {
+	cases := [][2][]string{
+		{{"-nodes", "9"}, {"-set", "Nodes=9"}},
+		{{"-racks", "2"}, {"-set", "Racks=2"}},
+		{{"-mapslots", "2"}, {"-set", "MapSlotsPerNode=2"}},
+		{{"-reduceslots", "2"}, {"-set", "ReduceSlotsPerNode=2"}},
+		{{"-n", "6"}, {"-set", "N=6"}},
+		{{"-k", "4"}, {"-set", "K=4"}},
+		{{"-blocks", "240"}, {"-set", "NumBlocks=240"}},
+		{{"-blocksize", "4096"}, {"-set", "BlockSizeBytes=4096"}},
+		{{"-seed", "9"}, {"-set", "Seed=9"}},
+		{{"-fail", "3,5"}, {"-set", "FailNodes=[3,5]"}},
+		{{"-sched", "edf"}, {"-set", "Scheduler=EDF"}},
+		{{"-job", "grep"}, {"-set", "Testbed.0.kind=grep"}},
+		{{"-word", "the"}, {"-set", "Testbed.0.word=the"}},
+		{{"-reducers", "4"}, {"-set", "Testbed.0.reducers=4"}},
+		{{"-rackbps", "1e6"}, {"-set", "RackBps=1e6"}},
+	}
+	spelled := map[string]bool{}
+	for _, c := range cases {
+		spelled[c[0][0]] = true
+		flagged, _, err1 := parse(c[0])
+		set, _, err2 := parse(c[1])
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(flagged, set) {
+			t.Errorf("%v gives %+v (%v), %v gives %+v (%v)", c[0], flagged, err1, c[1], set, err2)
+		}
+	}
+	for _, sp := range spellings {
+		if !spelled["-"+sp.Name] {
+			t.Errorf("-%s has no case", sp.Name)
 		}
 	}
 }

@@ -1,28 +1,29 @@
 // Command dfsim runs one discrete-event MapReduce simulation and prints a
 // summary — a workbench for exploring scheduling behaviour outside the
-// registered experiments.
+// registered experiments. It runs scenario.Paper, changed by a -scenario
+// file and by -set Path=value; each older flag is a spelling of one -set.
 //
 // Example:
 //
 //	dfsim -nodes 40 -racks 4 -n 20 -k 15 -blocks 1440 -sched EDF -seed 7
+//	dfsim -scenario examples/scenarios/edf_400.json -set Hedge.Extra=1
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strings"
+	"strconv"
 
-	"degradedfirst/internal/jobsched"
 	"degradedfirst/internal/mapred"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
-	"degradedfirst/internal/sched"
-	"degradedfirst/internal/topology"
+	"degradedfirst/internal/scenario"
 	"degradedfirst/internal/trace"
 )
 
@@ -35,75 +36,93 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+// spellings are dfsim's flags from before scenarios.
+var spellings = []scenario.Spelling{
+	{Name: "nodes", Path: "Nodes", Usage: "number of nodes"},
+	{Name: "racks", Path: "Racks", Usage: "number of racks"},
+	{Name: "map-slots", Path: "MapSlotsPerNode", Usage: "map slots per node"},
+	{Name: "reduce-slots", Path: "ReduceSlotsPerNode", Usage: "reduce slots per node"},
+	{Name: "n", Path: "N", Usage: "erasure code n"},
+	{Name: "k", Path: "K", Usage: "erasure code k"},
+	{Name: "blocks", Path: "NumBlocks", Usage: "native blocks (map tasks)"},
+	{Name: "block-mb", Path: "BlockSizeBytes", Usage: "block size in MB", Value: times(1e6)},
+	{Name: "rack-mbps", Path: "RackBps", Usage: "rack bandwidth in Mbps", Value: times(netsim.Mbps)},
+	{Name: "sched", Path: "Scheduler", Usage: "scheduler: LF, BDF, EDF, EagerDF or DelayLF"},
+	{Name: "jobsched", Path: "JobSched.Policy", Usage: "job-level policy: fifo, fairshare, quota or deadline"},
+	{Name: "failure", Path: "Failure", Usage: "failure: none, single-node, double-node, rack (single and double also work)"},
+	{Name: "reducers", Path: "Jobs.0.NumReduceTasks", Usage: "reduce tasks"},
+	{Name: "shuffle", Path: "Jobs.0.ShuffleRatio", Usage: "shuffle ratio (intermediate/input)"},
+	{Name: "map-time", Path: "Jobs.0.MapTime", Usage: "mean map task time (s), std 1/20 of it", Value: dist(20)},
+	{Name: "reduce-time", Path: "Jobs.0.ReduceTime", Usage: "mean reduce task time (s), std 1/15 of it", Value: dist(15)},
+	{Name: "seed", Path: "Seed", Usage: "random seed"},
+	{Name: "hold", Path: "NetMode", Usage: "use exclusive-hold network contention instead of fluid sharing", Bool: true,
+		Value: func(v string) string {
+			if hold, err := strconv.ParseBool(v); err != nil || !hold {
+				return netsim.FluidFairSharing.String()
+			}
+			return netsim.ExclusiveHold.String()
+		}},
+}
+
+// times scales a number by f; anything else passes through for -set to
+// reject.
+func times(f float64) func(string) string {
+	return func(v string) string {
+		x, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return v
+		}
+		return strconv.FormatFloat(x*f, 'g', -1, 64)
+	}
+}
+
+// dist spells a mean as a time distribution whose std is mean/div.
+func dist(div float64) func(string) string {
+	return func(v string) string {
+		mean, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			return v
+		}
+		return fmt.Sprintf(`{"Mean":%s,"Std":%s}`, strconv.FormatFloat(mean, 'g', -1, 64), strconv.FormatFloat(mean/div, 'g', -1, 64))
+	}
+}
+
+// A command is dfsim's parsed command line.
+type command struct {
+	scenario.Scenario
+	timeline         bool
+	traceOut, cpuOut string
+}
+
+func parse(args []string, out io.Writer) (command, error) {
 	fs := flag.NewFlagSet("dfsim", flag.ContinueOnError)
-	var (
-		nodes    = fs.Int("nodes", 40, "number of nodes")
-		racks    = fs.Int("racks", 4, "number of racks")
-		mapSlots = fs.Int("map-slots", 4, "map slots per node")
-		redSlots = fs.Int("reduce-slots", 1, "reduce slots per node")
-		n        = fs.Int("n", 20, "erasure code n")
-		k        = fs.Int("k", 15, "erasure code k")
-		blocks   = fs.Int("blocks", 1440, "native blocks (map tasks)")
-		blockMB  = fs.Float64("block-mb", 128, "block size in MB")
-		rackMbps = fs.Float64("rack-mbps", 1000, "rack bandwidth in Mbps")
-		schedStr = fs.String("sched", "LF", "scheduler: LF, BDF, EDF, EagerDF or DelayLF")
-		jsStr    = fs.String("jobsched", "", "job-level policy: fifo (default), fairshare, quota or deadline")
-		failStr  = fs.String("failure", "single", "failure: none, single-node, double-node, rack (single and double also work)")
-		reducers = fs.Int("reducers", 30, "reduce tasks")
-		shuffle  = fs.Float64("shuffle", 0.01, "shuffle ratio (intermediate/input)")
-		mapTime  = fs.Float64("map-time", 20, "mean map task time (s)")
-		redTime  = fs.Float64("reduce-time", 30, "mean reduce task time (s)")
-		seed     = fs.Int64("seed", 0, "random seed")
-		hold     = fs.Bool("hold", false, "use exclusive-hold network contention instead of fluid sharing")
-		timeline = fs.Bool("timeline", false, "render the map-slot activity timeline (Figure 3 style)")
-		traceOut = fs.String("trace", "", "write structured trace events (JSON lines) to this file")
-		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run (runtime/pprof) to this file")
-	)
-	fs.SetOutput(stdout)
+	var c command
+	fs.BoolVar(&c.timeline, "timeline", false, "render the map-slot activity timeline (Figure 3 style)")
+	fs.StringVar(&c.traceOut, "trace", "", "write structured trace events (JSON lines) to this file")
+	fs.StringVar(&c.cpuOut, "cpuprofile", "", "write a CPU profile of the run (runtime/pprof) to this file")
+	apply := scenario.Flags(fs, spellings...)
+	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return c, err
 	}
+	c.Scenario = scenario.Paper()
+	if err := apply(&c.Scenario); err != nil {
+		return c, err
+	}
+	if len(c.Testbed) > 0 {
+		return c, errors.New("Testbed jobs run on real bytes, under dfmaster")
+	}
+	return c, nil
+}
 
-	kind, err := sched.ParseKind(*schedStr)
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	c, err := parse(args, stdout)
 	if err != nil {
 		return err
-	}
-	jsKind, err := jobsched.ParseKind(*jsStr)
-	if err != nil {
-		return err
-	}
-	failure, err := parseFailure(*failStr)
-	if err != nil {
-		return err
-	}
-
-	cfg := mapred.DefaultConfig()
-	cfg.Nodes = *nodes
-	cfg.Racks = *racks
-	cfg.MapSlotsPerNode = *mapSlots
-	cfg.ReduceSlotsPerNode = *redSlots
-	cfg.N, cfg.K = *n, *k
-	cfg.NumBlocks = *blocks
-	cfg.BlockSizeBytes = *blockMB * 1e6
-	cfg.RackBps = *rackMbps * netsim.Mbps
-	cfg.Scheduler = kind
-	cfg.JobSched = jobsched.Config{Policy: jsKind}
-	cfg.Failure = failure
-	cfg.Seed = *seed
-	if *hold {
-		cfg.NetMode = netsim.ExclusiveHold
-	}
-	job := mapred.JobSpec{
-		Name:           "job",
-		MapTime:        mapred.Dist{Mean: *mapTime, Std: *mapTime / 20},
-		ReduceTime:     mapred.Dist{Mean: *redTime, Std: *redTime / 15},
-		NumReduceTasks: *reducers,
-		ShuffleRatio:   *shuffle,
 	}
 	var traceSink *trace.JSONL
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if c.traceOut != "" {
+		f, err := os.Create(c.traceOut)
 		if err != nil {
 			return err
 		}
@@ -111,13 +130,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// Close is idempotent: this covers early error returns, while the
 		// explicit Close below surfaces deferred write errors.
 		defer traceSink.Close()
-		cfg.Trace = traceSink
-		cfg.TraceLabel = "dfsim"
+		c.Trace = traceSink
+		c.TraceLabel = "dfsim"
 	}
 
 	var prof *os.File
-	if *cpuProf != "" {
-		if prof, err = os.Create(*cpuProf); err != nil {
+	if c.cpuOut != "" {
+		if prof, err = os.Create(c.cpuOut); err != nil {
 			return err
 		}
 		defer prof.Close() // error paths; the profile's own Close is checked below
@@ -125,7 +144,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	res, err := mapred.RunContext(ctx, cfg, []mapred.JobSpec{job})
+	res, err := mapred.RunContext(ctx, c.Config, c.Jobs)
 	if prof != nil {
 		pprof.StopCPUProfile()
 		if cerr := prof.Close(); cerr != nil && err == nil {
@@ -145,8 +164,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "failed nodes:       %v\n", res.Failed)
 	fmt.Fprintf(stdout, "job runtime:        %.1f s\n", jr.Runtime())
 	fmt.Fprintf(stdout, "map phase:          %.1f s\n", jr.MapPhaseEnd-jr.FirstMapLaunch)
-	counts := jr.CountByClass()
-	fmt.Fprintf(stdout, "task classes:       %v\n", counts)
+	fmt.Fprintf(stdout, "task classes:       %v\n", jr.CountByClass())
 	fmt.Fprintf(stdout, "mean normal map:    %.2f s\n", jr.MeanNormalMapRuntime())
 	if jr.MeanDegradedRuntime() > 0 {
 		fmt.Fprintf(stdout, "mean degraded map:  %.2f s\n", jr.MeanDegradedRuntime())
@@ -156,24 +174,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "mean reduce:        %.2f s\n", jr.MeanReduceRuntime())
 	}
 	fmt.Fprintf(stdout, "network volume:     %.1f GB\n", res.BytesMoved/1e9)
-	if *timeline {
+	if c.timeline {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, runtime.Timeline(res, 0, 100))
 	}
 	return nil
-}
-
-// parseFailure accepts a pattern's name, or the name without its "-node"
-// suffix ("single" for "single-node"), in any case.
-func parseFailure(s string) (topology.FailurePattern, error) {
-	low := strings.ToLower(s)
-	var names []string
-	for p := topology.NoFailure; p <= topology.RackFailure; p++ {
-		name := p.String()
-		if low == name || low == strings.TrimSuffix(name, "-node") {
-			return p, nil
-		}
-		names = append(names, name)
-	}
-	return 0, fmt.Errorf("unknown failure %q (%s)", s, strings.Join(names, ", "))
 }

@@ -3,13 +3,17 @@ package main
 import (
 	"compress/gzip"
 	"context"
+	"encoding"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
-	"degradedfirst/internal/topology"
+	"degradedfirst/internal/mapred"
 	"degradedfirst/internal/trace"
 )
 
@@ -59,32 +63,12 @@ func TestRunHoldModeAndNoFailure(t *testing.T) {
 	}
 }
 
-func TestSchedulerAndFailureParsing(t *testing.T) {
+// TestRunEachScheduler runs every scheduler -sched names.
+func TestRunEachScheduler(t *testing.T) {
 	for _, s := range []string{"LF", "bdf", "EDF", "EagerDF", "delaylf"} {
 		var out strings.Builder
 		if err := run(context.Background(), smallArgs("-sched", s), &out); err != nil {
 			t.Errorf("-sched %s: %v", s, err)
-		}
-	}
-	for _, c := range []struct {
-		in   string
-		want topology.FailurePattern
-	}{
-		{"none", topology.NoFailure},
-		{"single", topology.SingleNodeFailure},
-		{"single-node", topology.SingleNodeFailure},
-		{"double", topology.DoubleNodeFailure},
-		{"Double-Node", topology.DoubleNodeFailure},
-		{"rack", topology.RackFailure},
-	} {
-		if got, err := parseFailure(c.in); err != nil || got != c.want {
-			t.Errorf("parseFailure(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	for _, bad := range []string{"meteor", "node", "rack-node"} {
-		_, err := parseFailure(bad)
-		if err == nil || !strings.Contains(err.Error(), "(none, single-node, double-node, rack)") {
-			t.Errorf("parseFailure(%q) error %v, want one listing the pattern names", bad, err)
 		}
 	}
 }
@@ -177,5 +161,130 @@ func TestRunCancelled(t *testing.T) {
 	var out strings.Builder
 	if err := run(ctx, smallArgs(), &out); err == nil {
 		t.Fatal("cancelled context must abort the run")
+	}
+}
+
+// TestSetReachesEveryLeaf sets every leaf field of mapred.Config, the
+// embedded runtime.Options' among them, through dfsim's -set, and checks
+// that each value lands where its path says.
+func TestSetReachesEveryLeaf(t *testing.T) {
+	n := 0
+	leaves(reflect.TypeOf(mapred.Config{}), "", func(path, value string) {
+		n++
+		c, err := parse([]string{"-set", path + "=" + value}, io.Discard)
+		if err != nil {
+			t.Errorf("-set %s=%s: %v", path, value, err)
+			return
+		}
+		got := reflect.ValueOf(c.Config)
+		for _, name := range strings.Split(path, ".") {
+			got = reflect.Indirect(got).FieldByName(name)
+		}
+		want := reflect.New(got.Type())
+		if err := json.Unmarshal([]byte(value), want.Interface()); err != nil || !reflect.DeepEqual(got.Interface(), want.Elem().Interface()) {
+			t.Errorf("-set %s=%s: got %v, want %v (%v)", path, value, got, want.Elem(), err)
+		}
+	})
+	if n < 30 {
+		t.Errorf("walked %d leaves, want every leaf of mapred.Config", n)
+	}
+}
+
+// leaves calls visit with the -set path and a sample JSON value of every
+// leaf field of t: a scalar, enum, list or map, or a field reached
+// through an embedding or a pointer. The Go-only Trace and Policy, and
+// TraceLabel beside Trace, are left out.
+func leaves(t reflect.Type, prefix string, visit func(path, value string)) {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		switch {
+		case f.Name == "Trace" || f.Name == "TraceLabel" || f.Name == "Policy":
+		case f.Anonymous:
+			leaves(f.Type, prefix, visit)
+		case f.Type.Kind() == reflect.Pointer:
+			leaves(f.Type.Elem(), prefix+f.Name+".", visit)
+		case f.Type.Kind() == reflect.Struct && !reflect.PointerTo(f.Type).Implements(textUnmarshaler):
+			leaves(f.Type, prefix+f.Name+".", visit)
+		default:
+			visit(prefix+f.Name, sample(f.Type))
+		}
+	}
+}
+
+var textUnmarshaler = reflect.TypeOf((*encoding.TextUnmarshaler)(nil)).Elem()
+
+// sample is a JSON value of type t that no default scenario holds: an
+// enum's value 2, or 1 where 2 is no value of it.
+func sample(t reflect.Type) string {
+	if reflect.PointerTo(t).Implements(textUnmarshaler) {
+		for _, n := range []int64{2, 1} {
+			v := reflect.New(t)
+			v.Elem().SetInt(n)
+			name, _ := v.Elem().Interface().(encoding.TextMarshaler).MarshalText()
+			if v.Interface().(encoding.TextUnmarshaler).UnmarshalText(name) == nil {
+				return strconv.Quote(string(name))
+			}
+		}
+	}
+	switch t.Kind() {
+	case reflect.Bool:
+		return "true"
+	case reflect.Int, reflect.Int64:
+		return "7"
+	case reflect.Float64:
+		return "0.5"
+	case reflect.String:
+		return `"x"`
+	case reflect.Slice:
+		return "[" + sample(t.Elem()) + "]"
+	case reflect.Map:
+		return `{"5":` + sample(t.Elem()) + "}"
+	case reflect.Struct:
+		var fields []string
+		for i := 0; i < t.NumField(); i++ {
+			fields = append(fields, strconv.Quote(t.Field(i).Name)+":"+sample(t.Field(i).Type))
+		}
+		return "{" + strings.Join(fields, ",") + "}"
+	}
+	panic("no sample of " + t.String())
+}
+
+// TestSpellingsAreSets: each flag from before scenarios gives the
+// scenario of the -set it spells.
+func TestSpellingsAreSets(t *testing.T) {
+	cases := [][2][]string{
+		{{"-nodes", "12"}, {"-set", "Nodes=12"}},
+		{{"-racks", "3"}, {"-set", "Racks=3"}},
+		{{"-map-slots", "2"}, {"-set", "MapSlotsPerNode=2"}},
+		{{"-reduce-slots", "0"}, {"-set", "ReduceSlotsPerNode=0"}},
+		{{"-n", "6"}, {"-set", "N=6"}},
+		{{"-k", "4"}, {"-set", "K=4"}},
+		{{"-blocks", "60"}, {"-set", "NumBlocks=60"}},
+		{{"-block-mb", "16"}, {"-set", "BlockSizeBytes=16e6"}},
+		{{"-rack-mbps", "100"}, {"-set", "RackBps=12500000"}},
+		{{"-sched", "edf"}, {"-set", "Scheduler=EDF"}},
+		{{"-jobsched", "quota"}, {"-set", "JobSched.Policy=quota"}},
+		{{"-failure", "double"}, {"-set", "Failure=double-node"}},
+		{{"-reducers", "4"}, {"-set", "Jobs.0.NumReduceTasks=4"}},
+		{{"-shuffle", "0.2"}, {"-set", "Jobs.0.ShuffleRatio=0.2"}},
+		{{"-map-time", "5"}, {"-set", `Jobs.0.MapTime={"Mean":5,"Std":0.25}`}},
+		{{"-reduce-time", "15"}, {"-set", `Jobs.0.ReduceTime={"Mean":15,"Std":1}`}},
+		{{"-seed", "9"}, {"-set", "Seed=9"}},
+		{{"-hold"}, {"-set", "NetMode=hold"}},
+		{{"-hold=false"}, {"-set", "NetMode=fluid"}},
+	}
+	spelled := map[string]bool{}
+	for _, c := range cases {
+		spelled[c[0][0]] = true
+		flagged, err1 := parse(c[0], io.Discard)
+		set, err2 := parse(c[1], io.Discard)
+		if err1 != nil || err2 != nil || !reflect.DeepEqual(flagged, set) {
+			t.Errorf("%v gives %+v (%v), %v gives %+v (%v)", c[0], flagged.Scenario, err1, c[1], set.Scenario, err2)
+		}
+	}
+	for _, sp := range spellings {
+		if !spelled["-"+sp.Name] {
+			t.Errorf("-%s has no case", sp.Name)
+		}
 	}
 }

@@ -56,6 +56,18 @@ func (s SelectionStrategy) String() string {
 	}
 }
 
+// MarshalText spells a strategy by its name, and UnmarshalText parses it.
+func (s SelectionStrategy) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+func (s *SelectionStrategy) UnmarshalText(b []byte) error {
+	for v := RandomK; v <= PreferSameRack; v++ {
+		if string(b) == v.String() {
+			*s = v
+			return nil
+		}
+	}
+	return fmt.Errorf("dfs: unknown source strategy %q (want random-k or prefer-same-rack)", b)
+}
+
 // survivorScratch sizes the stack arrays survivorsOf hands SurvivorsOf to
 // fill, and those PickRepairSources plans in: a wider stripe spills to the
 // heap.

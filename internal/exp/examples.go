@@ -61,7 +61,7 @@ type fig3Flow struct {
 // with run label label.
 func fig3Schedule(flows []fig3Flow, localEnd float64, sink trace.Sink, label string) float64 {
 	// Figure 2's cluster: five nodes, racks of 3 and 2, 100 Mbps links.
-	cluster := must(topology.New(topology.Config{Nodes: 5, Racks: 2, MapSlotsPerNode: 2, RackSizes: []int{3, 2}}))
+	cluster := topology.MustNew(topology.Config{Nodes: 5, Racks: 2, MapSlotsPerNode: 2, RackSizes: []int{3, 2}})
 	eng := sim.New()
 	net := must(netsim.New(eng, cluster, netsim.Config{NodeBps: 100 * netsim.Mbps, RackBps: 100 * netsim.Mbps}))
 	if sink != nil {

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"degradedfirst/internal/scenario"
 	"degradedfirst/internal/trace"
 )
 
@@ -88,6 +89,9 @@ type Options struct {
 	// ("fifo", "fairshare", "quota" or "deadline"; empty = sweep all).
 	// Other experiments ignore it.
 	JobSched string
+	// Scenario, if set, changes every point's scenario once its sweep
+	// declares it; each run then takes its own seed and scheduler.
+	Scenario func(*scenario.Scenario) error
 }
 
 // Experiment is one registered artifact reproduction.

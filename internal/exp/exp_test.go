@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"degradedfirst/internal/runtime"
+	"degradedfirst/internal/scenario"
 	"degradedfirst/internal/trace"
 )
 
@@ -767,5 +768,29 @@ func TestTestbedRunsKeepNoOutputs(t *testing.T) {
 	if grew > bound {
 		t.Errorf("live heap grew %d bytes (%d per run) keeping %d testbed runs, bound %d: a run keeps more than its Result",
 			grew, grew/runs, runs, bound)
+	}
+}
+
+// TestScenarioChangesEveryPoint: Options.Scenario changes each point's
+// scenario before its runs, and a change that fails, a testbed world it
+// leaves unbuildable or a job it leaves unknown fails the experiment.
+func TestScenarioChangesEveryPoint(t *testing.T) {
+	set := func(path, value string) Options {
+		return Options{Quick: true, Seeds: 1, Scenario: func(s *scenario.Scenario) error { return s.Set(path, value) }}
+	}
+	hedge, _ := Get("hedge")
+	tab, err := hedge.Run(context.Background(), set("NumBlocks", "24"))
+	if err != nil || !strings.Contains(tab.Title, "24 blocks") {
+		t.Fatalf("hedge with NumBlocks=24: %v, %v", tab, err)
+	}
+	fig9a, _ := Get("fig9a")
+	for _, c := range [][3]string{
+		{"Bogus", "1", `unknown field "Bogus"`},
+		{"FailAt", "5", "FailAt"},
+		{"Testbed.0.kind", "sort", `unknown job kind "sort"`},
+	} {
+		if _, err := fig9a.Run(context.Background(), set(c[0], c[1])); err == nil || !strings.Contains(err.Error(), c[2]) {
+			t.Errorf("fig9a with %s=%s: %v, want an error about %s", c[0], c[1], err, c[2])
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/repair"
 	"degradedfirst/internal/runtime"
+	"degradedfirst/internal/scenario"
 	"degradedfirst/internal/topology"
 	"degradedfirst/internal/workload"
 )
@@ -24,7 +25,7 @@ func init() {
 		sweep{
 			caption: func(p point, seeds int) string {
 				return fmt.Sprintf("hedged degraded reads: %d nodes, (%d,%d) code, %d blocks, %d seeds",
-					p.cfg.Nodes, p.cfg.N, p.cfg.K, p.cfg.NumBlocks, seeds)
+					p.Nodes, p.N, p.K, p.NumBlocks, seeds)
 			},
 			notes: []string{
 				"read pXX = percentiles of per-task degraded-read durations (launch to k-th source block), pooled across seeds",
@@ -39,7 +40,7 @@ func init() {
 				return fmt.Sprintf("%v/%s/seed%d", c.NetMode, label, c.Seed)
 			},
 			cols: []column[row]{
-				{"net", func(r row) string { return r.cfg.NetMode.String() }},
+				{"net", func(r row) string { return r.NetMode.String() }},
 				labelCol("policy"),
 				{"degraded", func(r row) string { return fmt.Sprintf("%d", len(r.pool(readTimes))) }},
 				poolCol("read p50", 0.5, f1, readTimes),
@@ -59,7 +60,7 @@ func init() {
 		sweep{
 			caption: func(p point, seeds int) string {
 				return fmt.Sprintf("background repair under a t=%.0fs failure: %d nodes, (%d,%d) code, %d blocks, %d seeds",
-					p.cfg.FailAt, p.cfg.Nodes, p.cfg.N, p.cfg.K, p.cfg.NumBlocks, seeds)
+					p.FailAt, p.Nodes, p.N, p.K, p.NumBlocks, seeds)
 			},
 			notes: []string{
 				"repair = healer rate cap as a fraction of one NIC's bandwidth (off = no healer, the paper's assumption)",
@@ -73,7 +74,7 @@ func init() {
 				return fmt.Sprintf("%s/repair-%s/seed%d", c.Scheduler, label, c.Seed)
 			},
 			cols: []column[row]{
-				{"sched", func(r row) string { return r.cfg.Scheduler.String() }},
+				{"sched", func(r row) string { return r.Scheduler.String() }},
 				labelCol("repair"),
 				{"makespan", func(r row) string { return f1(r.mean(makespan)) }},
 				{"degraded", func(r row) string { return f1(float64(len(r.pool(readTimes))) / float64(len(r.runs))) }},
@@ -89,7 +90,7 @@ func init() {
 		}.run)
 	storm := sweep{
 		caption: func(p point, _ int) string {
-			return fmt.Sprintf("job storm: %d jobs, 3 tenants, 8 nodes", len(p.jobs))
+			return fmt.Sprintf("job storm: %d jobs, 3 tenants, 8 nodes", len(p.Jobs))
 		},
 		notes: []string{
 			"wait = queueing delay from submission to first map-slot grant, rebuilt from job-queued/job-grant trace pairs",
@@ -130,21 +131,15 @@ func init() {
 // NICs are the bottleneck, node 0 failed, and a map-only job, so the
 // tables isolate the read path. Under -quick it holds half the blocks.
 func contended(o Options, label string, racks, slots, n, k int, mapMean float64) point {
-	p := point{label: label, seed: 1, cfg: mapred.DefaultConfig()}
-	p.cfg.Nodes, p.cfg.Racks, p.cfg.MapSlotsPerNode = 12, racks, slots
-	p.cfg.N, p.cfg.K = n, k
-	p.cfg.NumBlocks = 240
+	p := point{label: label, seed: 1, Scenario: scenario.Paper()}
+	p.Nodes, p.Racks, p.MapSlotsPerNode, p.N, p.K = 12, racks, slots, n, k
+	p.NumBlocks, p.BlockSizeBytes, p.NodeBps = 240, 64e6, 5*netsim.Mbps*64
 	if o.Quick {
-		p.cfg.NumBlocks = 120
+		p.NumBlocks = 120
 	}
-	p.cfg.BlockSizeBytes = 64e6
-	p.cfg.NodeBps = 5 * netsim.Mbps * 64
-	p.cfg.RackBps = netsim.Gbps
-	p.cfg.FailNodes = []topology.NodeID{0}
-	job := mapred.DefaultJob()
-	job.MapTime = mapred.Dist{Mean: mapMean, Std: mapMean / 10}
-	job.NumReduceTasks = 0
-	p.jobs = []mapred.JobSpec{job}
+	p.FailNodes = []topology.NodeID{0}
+	p.Jobs[0].MapTime = mapred.Dist{Mean: mapMean, Std: mapMean / 10}
+	p.Jobs[0].NumReduceTasks = 0
 	return p
 }
 
@@ -175,7 +170,7 @@ func hedgePoints(o Options) []point {
 	for _, mode := range []netsim.Mode{netsim.ExclusiveHold, netsim.FluidFairSharing} {
 		for _, v := range policies {
 			p := contended(o, v.name, 2, 1, 6, 3, 2)
-			p.cfg.NetMode, p.cfg.Hedge = mode, v.policy
+			p.NetMode, p.Hedge = mode, v.policy
 			pts = append(pts, p)
 		}
 	}
@@ -197,9 +192,9 @@ func repairPoints(o Options) []point {
 	for _, k := range lfBDFEDF {
 		for _, th := range throttles {
 			p := contended(o, th.name, 3, 2, 6, 4, 4)
-			p.cfg.FailAt, p.cfg.Scheduler = 10, k
+			p.FailAt, p.Scheduler = 10, k
 			if th.fraction > 0 {
-				p.cfg.Repair = repair.Config{Enabled: true, RateFraction: th.fraction}
+				p.Repair = repair.Config{Enabled: true, RateFraction: th.fraction}
 			}
 			pts = append(pts, p)
 		}
@@ -218,7 +213,7 @@ var (
 // healer declares a column that shows "-" at points without a healer.
 func healer(name string, cell func(row) string) column[row] {
 	return column[row]{name, func(r row) string {
-		if !r.cfg.Repair.Enabled {
+		if !r.Repair.Enabled {
 			return "-"
 		}
 		return cell(r)
@@ -235,7 +230,7 @@ func healedMean(at func(*runtime.RepairStats) float64) func(row) string {
 			if st == nil || st.FirstRepairAt < 0 || st.FullRedundancyAt < 0 {
 				return "-"
 			}
-			sum += at(st) - r.cfg.FailAt
+			sum += at(st) - r.FailAt
 		}
 		return f1(sum / float64(len(r.runs)))
 	}
@@ -283,14 +278,10 @@ func stormPoints(o Options) []point {
 	}
 	pts := make([]point, len(policies))
 	for i, policy := range policies {
-		pts[i] = point{label: policy.String(), seed: 1, cfg: mapred.DefaultConfig(), jobs: jobs}
-		pts[i].cfg.Nodes = 8
-		pts[i].cfg.Racks = 2
-		pts[i].cfg.N, pts[i].cfg.K = 4, 2
-		pts[i].cfg.NumBlocks = 64
-		pts[i].cfg.BlockSizeBytes = 16e6
-		pts[i].cfg.RackBps = netsim.Gbps
-		pts[i].cfg.JobSched = jobsched.Config{Policy: policy, QuotaSlots: 4}
+		p := point{label: policy.String(), seed: 1, Scenario: scenario.Scenario{Config: mapred.DefaultConfig(), Jobs: jobs}}
+		p.Nodes, p.Racks, p.N, p.K, p.NumBlocks, p.BlockSizeBytes = 8, 2, 4, 2, 64, 16e6
+		p.JobSched = jobsched.Config{Policy: policy, QuotaSlots: 4}
+		pts[i] = p
 	}
 	return pts
 }

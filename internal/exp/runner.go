@@ -7,31 +7,28 @@ import (
 	"sync"
 
 	"degradedfirst/internal/mapred"
-	"degradedfirst/internal/minimr"
 	"degradedfirst/internal/runtime"
+	"degradedfirst/internal/scenario"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
 )
 
 // A point is one labelled setting of a sweep: the scenario its runs start
-// from and the first of its seeds. A testbed point runs its minimr jobs
-// on the Section VI testbed, which takes only the block count from cfg.
+// from and the first of its seeds.
 type point struct {
-	label   string
-	seed    int64
-	cfg     mapred.Config
-	jobs    []mapred.JobSpec
-	testbed func() []minimr.Job
+	label string
+	seed  int64
+	scenario.Scenario
 }
 
 // at declares a point of the Section V-B default scenario, changed by
 // set unless set is nil.
 func at(label string, seed int64, set func(*point)) func(Options) point {
 	return func(o Options) point {
-		p := point{label: label, seed: seed, cfg: mapred.DefaultConfig(), jobs: []mapred.JobSpec{mapred.DefaultJob()}}
+		p := point{label: label, seed: seed, Scenario: scenario.Paper()}
 		if o.Quick {
-			p.cfg.NumBlocks = 720
+			p.NumBlocks = 720
 		}
 		if set != nil {
 			set(&p)
@@ -61,7 +58,7 @@ type sweep struct {
 	// seeds are the default and -quick sample counts. Without them a
 	// sweep runs one seed, whatever Options.Seeds says.
 	seeds  [2]int
-	kinds  []sched.Kind // empty: each point's own cfg.Scheduler
+	kinds  []sched.Kind // empty: each point's own Scheduler
 	normal bool         // also run each seed failure-free under LF, to normalize by
 	points func(Options) []point
 	split  func(row) []row
@@ -75,6 +72,13 @@ func (s sweep) run(ctx context.Context, o Options) (*Table, error) {
 		return nil, err
 	}
 	pts := s.points(o)
+	for i := range pts {
+		if o.Scenario != nil {
+			if err := o.Scenario(&pts[i].Scenario); err != nil {
+				return nil, err
+			}
+		}
+	}
 	seeds := s.seeds[0]
 	switch {
 	case seeds == 0:
@@ -84,7 +88,7 @@ func (s sweep) run(ctx context.Context, o Options) (*Table, error) {
 	case o.Quick:
 		seeds = s.seeds[1]
 	}
-	runs, err := s.memo.get(fmt.Sprintf("%d-%v", seeds, o.Quick), o.Trace != nil, func() ([][][]*runtime.Result, error) {
+	runs, err := s.memo.get(fmt.Sprintf("%d-%v", seeds, o.Quick), o.Trace != nil || o.Scenario != nil, func() ([][][]*runtime.Result, error) {
 		return s.runAll(ctx, o, pts, seeds)
 	})
 	if err != nil {
@@ -124,7 +128,7 @@ func (s sweep) runAll(ctx context.Context, o Options, pts []point, seeds int) ([
 	perPoint := seeds * slots
 	err := parallelMap(ctx, len(pts)*perPoint, func(i int) error {
 		p, seed, slot := pts[i/perPoint], i%perPoint/slots, i%slots
-		c := p.cfg
+		c := p.Scenario
 		c.Seed, c.Trace = p.seed+int64(seed), o.Trace
 		if slot < len(s.kinds) {
 			c.Scheduler = s.kinds[slot]
@@ -135,13 +139,13 @@ func (s sweep) runAll(ctx context.Context, o Options, pts []point, seeds int) ([
 			c.Scheduler, c.Failure, c.FailNodes = sched.KindLF, topology.NoFailure, nil
 			c.TraceLabel = fmt.Sprintf("normal/seed%d", c.Seed)
 		case s.trace != nil:
-			c.TraceLabel = s.trace(p.label, c)
+			c.TraceLabel = s.trace(p.label, c.Config)
 		}
 		var err error
-		if p.testbed == nil {
-			out[i/perPoint][seed][slot], err = mapred.RunContext(ctx, c, p.jobs)
+		if len(c.Testbed) == 0 {
+			out[i/perPoint][seed][slot], err = mapred.RunContext(ctx, c.Config, c.Jobs)
 		} else {
-			out[i/perPoint][seed][slot], err = runTestbed(ctx, c, p.testbed())
+			out[i/perPoint][seed][slot], err = runTestbed(ctx, c)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", c.TraceLabel, err)
@@ -162,9 +166,10 @@ type memo struct {
 
 // get returns the runs remembered under key, or calls run and remembers
 // what it returns. Errors are not remembered. A nil memo always calls
-// run, and so does a traced run, which must emit its runs' events.
-func (m *memo) get(key string, traced bool, run func() ([][][]*runtime.Result, error)) ([][][]*runtime.Result, error) {
-	if m == nil || traced {
+// run, and so does a fresh one: a traced run, which must emit its runs'
+// events, or one whose scenarios Options.Scenario changed.
+func (m *memo) get(key string, fresh bool, run func() ([][][]*runtime.Result, error)) ([][][]*runtime.Result, error) {
+	if m == nil || fresh {
 		return run()
 	}
 	m.mu.Lock()

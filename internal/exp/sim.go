@@ -22,10 +22,10 @@ func init() {
 	register("fig7a", "Simulation: LF vs EDF across erasure coding schemes",
 		"EDF cuts LF's normalized runtime 17.4% for (8,6) up to 32.9% for (20,15) (Fig. 7a)",
 		fig7("simulation vs coding scheme", "paper: reduction grows with (n,k), 17.4% to 32.9%", list(
-			at("(8,6)", 1000, func(p *point) { p.cfg.N, p.cfg.K = 8, 6 }),
-			at("(12,9)", 2000, func(p *point) { p.cfg.N, p.cfg.K = 12, 9 }),
-			at("(16,12)", 3000, func(p *point) { p.cfg.N, p.cfg.K = 16, 12 }),
-			at("(20,15)", 4000, func(p *point) { p.cfg.N, p.cfg.K = 20, 15 }),
+			at("(8,6)", 1000, func(p *point) { p.N, p.K = 8, 6 }),
+			at("(12,9)", 2000, func(p *point) { p.N, p.K = 12, 9 }),
+			at("(16,12)", 3000, func(p *point) { p.N, p.K = 16, 12 }),
+			at("(20,15)", 4000, func(p *point) { p.N, p.K = 20, 15 }),
 		)))
 	register("fig7b", "Simulation: LF vs EDF across block counts F",
 		"reduction drops as F grows but stays 34.8%-39.6% (Fig. 7b)",
@@ -36,32 +36,32 @@ func init() {
 			}
 			pts := make([]point, len(fs))
 			for i, f := range fs {
-				pts[i] = at(fmt.Sprintf("F=%d", f), int64(1000*(i+1)), func(p *point) { p.cfg.NumBlocks = f })(o)
+				pts[i] = at(fmt.Sprintf("F=%d", f), int64(1000*(i+1)), func(p *point) { p.NumBlocks = f })(o)
 			}
 			return pts
 		}))
 	register("fig7c", "Simulation: LF vs EDF across rack bandwidths",
 		"normalized runtimes rise as bandwidth falls; up to 35.1% mean reduction at 500 Mbps (Fig. 7c)",
 		fig7("simulation vs rack bandwidth", "paper: normalized runtimes rise as W falls; up to 35.1% mean reduction at 500 Mbps", list(
-			at("250Mbps", 1000, func(p *point) { p.cfg.RackBps = 250 * netsim.Mbps }),
-			at("500Mbps", 2000, func(p *point) { p.cfg.RackBps = 500 * netsim.Mbps }),
-			at("750Mbps", 3000, func(p *point) { p.cfg.RackBps = 750 * netsim.Mbps }),
-			at("1Gbps", 4000, func(p *point) { p.cfg.RackBps = 1000 * netsim.Mbps }),
+			at("250Mbps", 1000, func(p *point) { p.RackBps = 250 * netsim.Mbps }),
+			at("500Mbps", 2000, func(p *point) { p.RackBps = 500 * netsim.Mbps }),
+			at("750Mbps", 3000, func(p *point) { p.RackBps = 750 * netsim.Mbps }),
+			at("1Gbps", 4000, func(p *point) { p.RackBps = 1000 * netsim.Mbps }),
 		)))
 	register("fig7d", "Simulation: LF vs EDF across failure patterns",
 		"mean reductions 33.2% (single node), 22.3% (double node), 5.9% (rack) (Fig. 7d)",
 		fig7("simulation vs failure pattern", "paper: mean reductions 33.2%, 22.3%, 5.9%", list(
-			at("single-node", 1000, func(p *point) { p.cfg.Failure = topology.SingleNodeFailure }),
-			at("double-node", 2000, func(p *point) { p.cfg.Failure = topology.DoubleNodeFailure }),
-			at("rack", 3000, func(p *point) { p.cfg.Failure = topology.RackFailure }),
+			at("single-node", 1000, func(p *point) { p.Failure = topology.SingleNodeFailure }),
+			at("double-node", 2000, func(p *point) { p.Failure = topology.DoubleNodeFailure }),
+			at("rack", 3000, func(p *point) { p.Failure = topology.RackFailure }),
 		)))
 	register("fig7e", "Simulation: LF vs EDF across shuffle ratios",
 		"LF roughly unaffected; EDF degrades with shuffle volume but still saves 20.0%-33.2% (Fig. 7e)",
 		fig7("simulation vs shuffle ratio", "paper: EDF's gain narrows with shuffle volume but stays 20.0%-33.2%", list(
-			at("1%", 1000, func(p *point) { p.jobs[0].ShuffleRatio = 0.01 }),
-			at("10%", 2000, func(p *point) { p.jobs[0].ShuffleRatio = 0.10 }),
-			at("20%", 3000, func(p *point) { p.jobs[0].ShuffleRatio = 0.20 }),
-			at("30%", 4000, func(p *point) { p.jobs[0].ShuffleRatio = 0.30 }),
+			at("1%", 1000, func(p *point) { p.Jobs[0].ShuffleRatio = 0.01 }),
+			at("10%", 2000, func(p *point) { p.Jobs[0].ShuffleRatio = 0.10 }),
+			at("20%", 3000, func(p *point) { p.Jobs[0].ShuffleRatio = 0.20 }),
+			at("30%", 4000, func(p *point) { p.Jobs[0].ShuffleRatio = 0.30 }),
 		)))
 	register("fig7f", "Simulation: LF vs EDF with 10 concurrent jobs (FIFO)",
 		"EDF reduces per-job normalized runtime 28.6%-48.6% (Fig. 7f)",
@@ -71,18 +71,18 @@ func init() {
 				numJobs = 4
 			}
 			return []point{at("", 7000, func(p *point) {
-				p.jobs[0].NumBlocks = p.cfg.NumBlocks
-				p.jobs = must(workload.GenerateMultiJob(workload.MultiJobOptions{
+				p.Jobs[0].NumBlocks = p.NumBlocks
+				p.Jobs = must(workload.GenerateMultiJob(workload.MultiJobOptions{
 					NumJobs:          numJobs,
 					MeanInterArrival: 120,
-					Template:         p.jobs[0],
+					Template:         p.Jobs[0],
 					VaryBlocks:       3,
 					Seed:             99,
 				}))
 			})(o)}
 		}, perJob, []column[row]{
 			nameCol("job"),
-			{"blocks", func(r row) string { return fmt.Sprintf("%d", r.jobs[r.job].NumBlocks) }},
+			{"blocks", func(r row) string { return fmt.Sprintf("%d", r.Jobs[r.job].NumBlocks) }},
 			normCol("LF mean norm", sched.KindLF),
 			normCol("EDF mean norm", sched.KindEDF),
 			normCut("EDF vs LF", sched.KindEDF),
@@ -105,10 +105,10 @@ func init() {
 	register("fig8d", "BDF vs EDF in the extreme case (5 bad nodes, map-only)",
 		"BDF saves only 11.7%; EDF 32.6% (Fig. 8d)",
 		simulate("extreme case runtime reduction vs LF", [2]int{30, 6}, lfBDFEDF, list(at("5 bad nodes (10x slower), 150 blocks, map-only", 8400, func(p *point) {
-			p.cfg.NumBlocks = 150
-			p.cfg.SpeedFactors = slowNodes(5, 10)
-			p.cfg.FailNodes = []topology.NodeID{20}
-			p.jobs = []mapred.JobSpec{{Name: "extreme", MapTime: mapred.Dist{Mean: 3, Std: 0.3}}}
+			p.NumBlocks = 150
+			p.SpeedFactors = slowNodes(5, 10)
+			p.FailNodes = []topology.NodeID{20}
+			p.Jobs = []mapred.JobSpec{{Name: "extreme", MapTime: mapred.Dist{Mean: 3, Std: 0.3}}}
 		})), nil, []column[row]{
 			labelCol("case"),
 			vsLFCol("BDF runtime cut", sched.KindBDF, jobRuntime, true),
@@ -117,15 +117,15 @@ func init() {
 	register("ablation-netmode", "Ablation: fluid fair sharing vs exclusive-hold network model",
 		"not in paper — contention-model sensitivity of the headline result",
 		simulate("contention model sensitivity", studySeeds, lfEDF, list(
-			at(netsim.FluidFairSharing.String(), 8800, func(p *point) { p.cfg.NetMode = netsim.FluidFairSharing }),
-			at(netsim.ExclusiveHold.String(), 8800, func(p *point) { p.cfg.NetMode = netsim.ExclusiveHold }),
+			at(netsim.FluidFairSharing.String(), 8800, func(p *point) { p.NetMode = netsim.FluidFairSharing }),
+			at(netsim.ExclusiveHold.String(), 8800, func(p *point) { p.NetMode = netsim.ExclusiveHold }),
 		), nil, append([]column[row]{labelCol("net model")}, lfEDFCols...),
 			"the EDF-beats-LF shape must hold under both contention models").run)
 	register("ablation-sources", "Ablation: degraded-read source selection (random-k vs prefer-same-rack)",
 		"not in paper — the analysis assumes random-k; rack-local sources shrink degraded reads",
 		simulate("degraded-read source selection", studySeeds, lfEDF, list(
-			at(dfs.RandomK.String(), 8900, func(p *point) { p.cfg.SourceStrategy = dfs.RandomK }),
-			at(dfs.PreferSameRack.String(), 8900, func(p *point) { p.cfg.SourceStrategy = dfs.PreferSameRack }),
+			at(dfs.RandomK.String(), 8900, func(p *point) { p.SourceStrategy = dfs.RandomK }),
+			at(dfs.PreferSameRack.String(), 8900, func(p *point) { p.SourceStrategy = dfs.PreferSameRack }),
 		), perKind, []column[row]{
 			labelCol("strategy"),
 			nameCol("scheduler"),
@@ -144,12 +144,12 @@ func init() {
 	register("ext-lrc", "Extension: RS(16,12) vs LRC(12,2,2) under LF and EDF",
 		"footnote 1: degraded-first also applies to repair-efficient codes; LRC repairs from k/l=6 blocks so LF's end-of-phase pain shrinks but EDF still wins",
 		simulate("repair-efficient codes: degraded-read cost vs scheduling gains", studySeeds, lfEDF, list(
-			at("RS(16,12)", 9600, func(p *point) { p.cfg.N, p.cfg.K = 16, 12 }),
+			at("RS(16,12)", 9600, func(p *point) { p.N, p.K = 16, 12 }),
 			// Same stripe width and rate; repairs read the local group.
-			at("LRC(12,2,2)", 9700, func(p *point) { p.cfg.N, p.cfg.K, p.cfg.LocalGroups = 16, 12, 2 }),
+			at("LRC(12,2,2)", 9700, func(p *point) { p.N, p.K, p.LocalGroups = 16, 12, 2 }),
 		), nil, []column[row]{
 			labelCol("code"),
-			{"repair blocks", func(r row) string { return f1(float64(r.cfg.K / max(r.cfg.LocalGroups, 1))) }},
+			{"repair blocks", func(r row) string { return f1(float64(r.K / max(r.LocalGroups, 1))) }},
 			normCol("LF mean norm", sched.KindLF),
 			normCol("EDF mean norm", sched.KindEDF),
 			normCut("EDF vs LF", sched.KindEDF),
@@ -184,7 +184,7 @@ func init() {
 				if failAt > 0 {
 					label = fmt.Sprintf("t=%.0fs (mid map phase)", failAt)
 				}
-				pts[i] = at(label, int64(9900+100*i), func(p *point) { p.cfg.FailAt = failAt })(o)
+				pts[i] = at(label, int64(9900+100*i), func(p *point) { p.FailAt = failAt })(o)
 			}
 			return pts
 		}, nil, append([]column[row]{labelCol("failure time")}, lfEDFCols...),
@@ -207,11 +207,11 @@ func init() {
 						PodOversub:  2,
 					}))
 					pts = append(pts, at(fmt.Sprintf("%g:1", oversub), int64(12000*(i+1)), func(p *point) {
-						p.cfg.Nodes, p.cfg.Racks, p.cfg.RackBps = 0, 0, 0
-						p.cfg.Topology = &spec
-						p.cfg.NumBlocks = 720
+						p.Nodes, p.Racks, p.RackBps = 0, 0, 0
+						p.Topology = &spec
+						p.NumBlocks = 720
 						if o.Quick {
-							p.cfg.NumBlocks = 240
+							p.NumBlocks = 240
 						}
 					})(o))
 				}
@@ -302,7 +302,7 @@ func boxCut(name string, k sched.Kind) column[row] {
 func fig8(title, col string, metric func(*runtime.JobResult) float64, cut bool, note string) func(context.Context, Options) (*Table, error) {
 	s := simulate(title, [2]int{30, 6}, lfBDFEDF, list(
 		at("homogeneous", 8104, nil),
-		at("heterogeneous", 8200, func(p *point) { p.cfg.SpeedFactors = slowNodes(p.cfg.Nodes/2, 2) }),
+		at("heterogeneous", 8200, func(p *point) { p.SpeedFactors = slowNodes(p.Nodes/2, 2) }),
 	), nil, []column[row]{
 		labelCol("cluster"),
 		vsLFCol("BDF "+col, sched.KindBDF, metric, cut),

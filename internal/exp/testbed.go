@@ -5,16 +5,13 @@ import (
 	"fmt"
 	"slices"
 
-	"degradedfirst/internal/dfs"
-	"degradedfirst/internal/erasure"
-	"degradedfirst/internal/mapred"
+	"degradedfirst/internal/cluster"
 	"degradedfirst/internal/minimr"
-	"degradedfirst/internal/placement"
 	"degradedfirst/internal/runtime"
+	"degradedfirst/internal/scenario"
 	"degradedfirst/internal/sched"
 	"degradedfirst/internal/stats"
 	"degradedfirst/internal/topology"
-	"degradedfirst/internal/workload"
 )
 
 // The Section VI testbed figures, run on minimr over real bytes.
@@ -31,16 +28,9 @@ func init() {
 			notes: []string{"paper: 16.6% / 28.4% / 22.6% reductions; WordCount gains least (its degraded tasks compete with nothing earlier)"},
 			seeds: [2]int{5, 2},
 			kinds: lfEDF,
-			points: list(testbed("", 9500, func() []minimr.Job {
-				jobs := []minimr.Job{
-					minimr.WordCountJob("input.txt", 8),
-					minimr.GrepJob("input.txt", "whale", 8),
-					minimr.LineCountJob("input.txt", 8),
-				}
-				jobs[1].SubmitAt = 1
-				jobs[2].SubmitAt = 2
-				return jobs
-			})),
+			points: list(testbed("", 9500, wordCount,
+				cluster.JobSpec{Kind: "grep", Input: scenario.Input, Word: "whale", NumReducers: 8, SubmitAt: 1},
+				cluster.JobSpec{Kind: "linecount", Input: scenario.Input, NumReducers: 8, SubmitAt: 2})),
 			split: perJob,
 			cols: []column[row]{
 				nameCol("job"),
@@ -67,27 +57,35 @@ func init() {
 
 // testbed declares a point of the Section VI testbed running jobs, each
 // seed failing a different random node.
-func testbed(label string, seed int64, jobs func() []minimr.Job) func(Options) point {
+func testbed(label string, seed int64, jobs ...cluster.JobSpec) func(Options) point {
 	return func(o Options) point {
-		p := point{label: label, seed: seed, testbed: jobs}
-		p.cfg.NumBlocks = minimr.TestbedNumBlocks
+		p := point{label: label, seed: seed, Scenario: scenario.Testbed()}
+		p.NumBlocks, p.Failure, p.Testbed = minimr.TestbedNumBlocks, topology.SingleNodeFailure, jobs
 		if o.Quick {
-			p.cfg.NumBlocks = 60
+			p.NumBlocks = 60
 		}
 		return p
 	}
 }
 
-// runTestbed builds the Section VI testbed (12 slaves, 3 racks, (12,10)
-// code, c.NumBlocks scaled blocks of block-aligned text, round-robin
-// placement), fails a node drawn from c.Seed, and runs jobs on it.
-func runTestbed(ctx context.Context, c mapred.Config, jobs []minimr.Job) (*runtime.Result, error) {
-	cluster := topology.MustNew(topology.Config{Nodes: 12, Racks: 3, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1})
-	fs := must(dfs.New(cluster, erasure.MustNew(12, 10), minimr.TestbedBlockSize, placement.RoundRobin{}, stats.NewRNG(c.Seed)))
-	must(fs.Write("input.txt", must(workload.GenerateBlockAlignedCorpus(c.NumBlocks, minimr.TestbedBlockSize, c.Seed))))
-	cluster.FailNode(topology.NodeID(stats.NewRNG(c.Seed).Intn(12)))
-	rep, err := minimr.RunContext(ctx, fs, minimr.Options{Scheduler: c.Scheduler, RackBps: minimr.TestbedRackBps,
-		Seed: c.Seed, Trace: c.Trace, TraceLabel: c.TraceLabel}, jobs)
+// The testbed's jobs, each with 8 reducers as in the paper.
+var (
+	wordCount = cluster.JobSpec{Kind: "wordcount", Input: scenario.Input, NumReducers: 8}
+	grep      = cluster.JobSpec{Kind: "grep", Input: scenario.Input, Word: "whale", NumReducers: 8}
+	lineCount = cluster.JobSpec{Kind: "linecount", Input: scenario.Input, NumReducers: 8}
+)
+
+// runTestbed runs s's Testbed jobs on minimr, in the world s builds.
+func runTestbed(ctx context.Context, s scenario.Scenario) (*runtime.Result, error) {
+	fs, err := s.BuildTestbed()
+	if err != nil {
+		return nil, err
+	}
+	jobs, err := cluster.BuildJobs(s.Testbed)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := minimr.RunContext(ctx, fs, s.Options, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -110,9 +108,9 @@ func singleJobs(title string, split func(row) []row, cols []column[row], notes .
 		seeds: [2]int{5, 2},
 		kinds: lfEDF,
 		points: list(
-			testbed("WordCount", 9100, func() []minimr.Job { return []minimr.Job{minimr.WordCountJob("input.txt", 8)} }),
-			testbed("Grep", 9200, func() []minimr.Job { return []minimr.Job{minimr.GrepJob("input.txt", "whale", 8)} }),
-			testbed("LineCount", 9300, func() []minimr.Job { return []minimr.Job{minimr.LineCountJob("input.txt", 8)} }),
+			testbed("WordCount", 9100, wordCount),
+			testbed("Grep", 9200, grep),
+			testbed("LineCount", 9300, lineCount),
 		),
 		split: split,
 		cols:  cols,

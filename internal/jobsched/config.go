@@ -68,6 +68,10 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("jobsched: unknown policy %q (want fifo, fairshare, quota or deadline)", s)
 }
 
+// MarshalText and UnmarshalText spell a policy by its name.
+func (k Kind) MarshalText() ([]byte, error)        { return []byte(k.String()), nil }
+func (k *Kind) UnmarshalText(b []byte) (err error) { *k, err = ParseKind(string(b)); return err }
+
 // Config selects and parameterizes the job-level policy for one run.
 // The zero value is the FIFO queue.
 type Config struct {

@@ -214,7 +214,7 @@ var branchAllowList = map[string]allowEntry{
 		unreachable, "netsim.New rejects only bandwidths Options.Validate already rejected"},
 	`runtime.Run: return nil, fmt.Errorf("%s: %w", p.name(), err) #4`: {
 		unreachable, "jobsched.New rejects only settings Options.Validate already rejected"},
-	"mapred.prepare: return nil, err #4": {
+	"mapred.prepare: return nil, err #3": {
 		unreachable, "dfs.New fails only on a nil cluster or code or a non-positive block size, and prepare passes none"},
 	`erasure.New: return nil, fmt.Errorf("erasure: systematizing Vandermonde: %w", err)`: {
 		unreachable, "a square Vandermonde matrix of distinct points inverts, for any k the parameter check admits"},

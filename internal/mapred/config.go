@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"degradedfirst/internal/erasure"
 	"degradedfirst/internal/jobsched"
@@ -87,7 +88,7 @@ type Config struct {
 	N, K           int
 	BlockSizeBytes float64
 	NumBlocks      int              // default F per job
-	Policy         placement.Policy // nil = rack-constrained random (dfs.New)
+	Policy         placement.Policy `json:"-"` // nil = rack-constrained random (dfs.New)
 	// LocalGroups, when positive, makes the code the locally repairable
 	// LRC(K, LocalGroups, N−K−LocalGroups) (footnote 1 of the paper): a
 	// lost native block is read from its K/LocalGroups-block local group.
@@ -218,20 +219,21 @@ func (c *Config) validateJob(j *JobSpec) error {
 // bandwidth W, taken from the spec's leaf tier unless RackBps overrides it.
 // It is 0 for a configuration that builds no cluster or code.
 func (c *Config) ExpectedDegradedReadTime() float64 {
-	cluster, err := c.cluster()
+	cluster, err := c.Cluster()
 	if err != nil {
 		return 0
 	}
-	code, err := c.code()
+	code, err := c.Code()
 	if err != nil {
 		return 0
 	}
 	return runtime.DegradedReadTime(cluster, code, c.BlockSizeBytes, c.RackBps)
 }
 
-// cluster builds the run's cluster, before speed factors and failures.
-func (c *Config) cluster() (*topology.Cluster, error) {
-	return topology.New(topology.Config{
+// Cluster builds the run's cluster and sets its speed factors, in node
+// order; no node has failed yet.
+func (c *Config) Cluster() (*topology.Cluster, error) {
+	cluster, err := topology.New(topology.Config{
 		Nodes:              c.Nodes,
 		Racks:              c.Racks,
 		RackSizes:          c.RackSizes,
@@ -239,11 +241,25 @@ func (c *Config) cluster() (*topology.Cluster, error) {
 		MapSlotsPerNode:    c.MapSlotsPerNode,
 		ReduceSlotsPerNode: c.ReduceSlotsPerNode,
 	})
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, 0, len(c.SpeedFactors))
+	for id := range c.SpeedFactors {
+		ids = append(ids, int(id))
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		if err := cluster.SetSpeedFactor(topology.NodeID(id), c.SpeedFactors[topology.NodeID(id)]); err != nil {
+			return nil, err
+		}
+	}
+	return cluster, nil
 }
 
-// code builds the run's erasure code: the LRC when LocalGroups is set
+// Code builds the run's erasure code: the LRC when LocalGroups is set
 // (NewLRC rejects a negative count), else Reed-Solomon.
-func (c *Config) code() (erasure.Coder, error) {
+func (c *Config) Code() (erasure.Coder, error) {
 	if c.LocalGroups != 0 {
 		return erasure.NewLRC(c.K, c.LocalGroups, c.N-c.K-c.LocalGroups)
 	}

@@ -3,7 +3,6 @@ package mapred
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/runtime"
@@ -42,7 +41,7 @@ type simRun struct {
 // backend, failure picks — and describes the run to the runtime. It is
 // split from RunContext so a test can read what it hands the runtime.
 func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
-	cluster, err := cfg.cluster()
+	cluster, err := cfg.Cluster()
 	if err != nil {
 		return nil, fmt.Errorf("mapred: %w", err)
 	}
@@ -66,22 +65,11 @@ func prepare(ctx context.Context, cfg Config, jobs []JobSpec) (*simRun, error) {
 		}
 	}
 
-	code, err := cfg.code()
+	code, err := cfg.Code()
 	if err != nil {
 		return nil, fmt.Errorf("mapred: %w", err)
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	// Deterministic application of heterogeneous speed factors.
-	ids := make([]int, 0, len(cfg.SpeedFactors))
-	for id := range cfg.SpeedFactors {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if err := cluster.SetSpeedFactor(topology.NodeID(id), cfg.SpeedFactors[topology.NodeID(id)]); err != nil {
-			return nil, err
-		}
-	}
 
 	// Place every job's input, one metadata-only file each, while the
 	// cluster is healthy. The store counts blocks; their size is the

@@ -385,9 +385,11 @@ func TestHeterogeneousSpeedFactors(t *testing.T) {
 		t.Fatalf("heterogeneous cluster (%.1f) not slower than homogeneous (%.1f)",
 			slow.Jobs[0].Runtime(), fast.Jobs[0].Runtime())
 	}
-	cfg.SpeedFactors = map[topology.NodeID]float64{0: -1}
-	if _, err := Run(cfg, []JobSpec{j}); err == nil {
-		t.Fatal("negative speed factor must fail")
+	for _, f := range []float64{-1, math.NaN(), math.Inf(1)} {
+		cfg.SpeedFactors = map[topology.NodeID]float64{0: f}
+		if _, err := Run(cfg, []JobSpec{j}); err == nil {
+			t.Fatalf("speed factor %v must fail", f)
+		}
 	}
 }
 

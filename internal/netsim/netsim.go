@@ -73,6 +73,18 @@ func (m Mode) String() string {
 	}
 }
 
+// MarshalText spells a mode by its name, and UnmarshalText parses it.
+func (m Mode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+func (m *Mode) UnmarshalText(b []byte) error {
+	for v := FluidFairSharing; v <= ExclusiveHold; v++ {
+		if string(b) == v.String() {
+			*m = v
+			return nil
+		}
+	}
+	return fmt.Errorf("netsim: unknown mode %q (want fluid or hold)", b)
+}
+
 // Config sets link capacities in bytes per second. Zero means "take the
 // cluster spec's capacity for that layer" — which is unlimited for
 // legacy two-level clusters, whose specs carry no speeds of their own.

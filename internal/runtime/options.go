@@ -60,13 +60,13 @@ type Options struct {
 	// Trace receives the run's structured lifecycle events (nil = no
 	// tracing); TraceLabel stamps each event's Run field so several runs
 	// can share one sink.
-	Trace      trace.Sink
+	Trace      trace.Sink `json:"-"`
 	TraceLabel string
 }
 
 var (
-	// ErrBadHeartbeat rejects a negative or NaN HeartbeatInterval (zero
-	// selects the 3 s default).
+	// ErrBadHeartbeat rejects a negative, NaN or infinite
+	// HeartbeatInterval (zero selects the 3 s default).
 	ErrBadHeartbeat = errors.New("heartbeat interval must be positive")
 	// ErrNegativeBandwidth rejects a negative or NaN RackBps, NodeBps or
 	// CoreBps.
@@ -89,7 +89,7 @@ func (o *Options) Validate(spec *topology.Spec) error {
 	if o.HeartbeatInterval == 0 {
 		o.HeartbeatInterval = 3
 	}
-	if o.HeartbeatInterval < 0 || math.IsNaN(o.HeartbeatInterval) {
+	if !(o.HeartbeatInterval > 0) || math.IsInf(o.HeartbeatInterval, 1) {
 		return fmt.Errorf("%w, got %v", ErrBadHeartbeat, o.HeartbeatInterval)
 	}
 	if err := o.JobSched.Validate(); err != nil {

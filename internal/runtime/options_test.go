@@ -112,6 +112,7 @@ func TestFeaturesTable(t *testing.T) {
 		{name: "NaN bandwidth", o: runtime.Options{NodeBps: math.NaN()}, sentinel: runtime.ErrNegativeBandwidth, word: "bandwidth"},
 		{name: "negative heartbeat", o: runtime.Options{HeartbeatInterval: -3}, sentinel: runtime.ErrBadHeartbeat, word: "heartbeat"},
 		{name: "NaN heartbeat", o: runtime.Options{HeartbeatInterval: math.NaN()}, sentinel: runtime.ErrBadHeartbeat, word: "heartbeat"},
+		{name: "infinite heartbeat", o: runtime.Options{HeartbeatInterval: math.Inf(1)}, sentinel: runtime.ErrBadHeartbeat, word: "heartbeat"},
 		{name: "negative hedge extra", o: runtime.Options{Hedge: runtime.HedgePolicy{Extra: -1}}, word: "hedge"},
 		{name: "hedge quantile of 1", o: runtime.Options{Hedge: runtime.HedgePolicy{HedgeQuantile: 1}}, word: "hedge"},
 		{name: "repair fraction above 1", o: runtime.Options{Repair: repair.Config{Enabled: true, RateFraction: 2}}, word: "repair"},
@@ -172,6 +173,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"NaN bandwidth", runtime.Options{RackBps: math.NaN()}, runtime.ErrNegativeBandwidth},
 		{"negative heartbeat", runtime.Options{HeartbeatInterval: -3}, runtime.ErrBadHeartbeat},
 		{"NaN heartbeat", runtime.Options{HeartbeatInterval: math.NaN()}, runtime.ErrBadHeartbeat},
+		{"infinite heartbeat", runtime.Options{HeartbeatInterval: math.Inf(1)}, runtime.ErrBadHeartbeat},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -350,6 +350,10 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("sched: unknown scheduler %q (want LF, BDF, EDF, EagerDF or DelayLF)", s)
 }
 
+// MarshalText and UnmarshalText spell a scheduler by its name.
+func (k Kind) MarshalText() ([]byte, error)        { return []byte(k.String()), nil }
+func (k *Kind) UnmarshalText(b []byte) (err error) { *k, err = ParseKind(string(b)); return err }
+
 // New constructs a fresh scheduler instance for a run on a cluster with
 // the given number of racks.
 func (k Kind) New(numRacks int) (Scheduler, error) {

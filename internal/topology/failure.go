@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"strings"
 
 	"degradedfirst/internal/stats"
 )
@@ -36,6 +37,24 @@ func (p FailurePattern) String() string {
 	default:
 		return fmt.Sprintf("pattern(%d)", int(p))
 	}
+}
+
+// MarshalText spells a pattern by its name.
+func (p FailurePattern) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText accepts a pattern's name, or the name without its
+// "-node" suffix ("single" for "single-node"), in any case.
+func (p *FailurePattern) UnmarshalText(b []byte) error {
+	low := strings.ToLower(string(b))
+	var names []string
+	for v := NoFailure; v <= RackFailure; v++ {
+		if name := v.String(); low == name || low == strings.TrimSuffix(name, "-node") {
+			*p = v
+			return nil
+		}
+		names = append(names, v.String())
+	}
+	return fmt.Errorf("unknown failure %q (%s)", b, strings.Join(names, ", "))
 }
 
 // PickFailure chooses the nodes the pattern fails, using rng for random

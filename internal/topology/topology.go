@@ -11,6 +11,7 @@ package topology
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // NodeID identifies a node; IDs are dense in [0, NumNodes).
@@ -207,8 +208,11 @@ func (c *Cluster) FailNode(id NodeID) { c.nodes[id].failed = true }
 
 // SetSpeedFactor sets the processing-time multiplier of node id.
 func (c *Cluster) SetSpeedFactor(id NodeID, f float64) error {
-	if f <= 0 {
-		return fmt.Errorf("topology: speed factor must be positive, got %v", f)
+	if id < 0 || int(id) >= len(c.nodes) {
+		return fmt.Errorf("topology: no node %d to set a speed factor on", id)
+	}
+	if !(f > 0) || math.IsInf(f, 1) { // NaN and +Inf too: either stalls the engine mid-run
+		return fmt.Errorf("topology: speed factor must be positive and finite, got %v", f)
 	}
 	c.nodes[id].SpeedFactor = f
 	return nil

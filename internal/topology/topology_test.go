@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -120,8 +121,13 @@ func TestSetSpeedFactor(t *testing.T) {
 	if c.Node(3).SpeedFactor != 2.0 {
 		t.Fatal("speed factor not applied")
 	}
-	if err := c.SetSpeedFactor(3, 0); err == nil {
-		t.Fatal("non-positive speed factor must error")
+	for _, f := range []float64{0, math.NaN(), math.Inf(1)} {
+		if err := c.SetSpeedFactor(3, f); err == nil {
+			t.Fatalf("speed factor %v must error", f)
+		}
+	}
+	if err := c.SetSpeedFactor(NodeID(c.NumNodes()), 2); err == nil {
+		t.Fatal("a speed factor on a node past the cluster must error")
 	}
 }
 

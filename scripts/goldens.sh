@@ -5,7 +5,9 @@
 #   bash scripts/goldens.sh update           # rewrite every pinned file
 #
 # Each row of the list names a pinned file, what compares it, and the
-# command that makes it:
+# command that makes it. A file may have several rows: dfsim's goldens
+# are made both from flags and from the scenario files that spell them.
+# What compares a row is one of:
 #   - "check": this script's check mode diffs the command's output
 #     against the file;
 #   - a test name: that tier-1 test compares the file, so check skips the
@@ -36,6 +38,9 @@ cd "$(dirname "$0")/.."
 goldens='
 cmd/dfsim/testdata/edf_400.golden                  check                    dfsim -sched EDF -nodes 400 -racks 40 -blocks 14400 -seed 1
 cmd/dfsim/testdata/map_3000.golden                 check                    dfsim -sched EDF -nodes 3000 -racks 300 -blocks 108000 -reducers 0 -seed 1
+cmd/dfsim/testdata/edf_400.golden                  check                    dfsim -scenario examples/scenarios/edf_400.json
+cmd/dfsim/testdata/map_3000.golden                 check                    dfsim -scenario examples/scenarios/map_3000.json
+cmd/dfsim/testdata/timeline.golden                 check                    dfsim -timeline -scenario examples/scenarios/timeline.json
 cmd/dfexp/testdata/all_seeds2.jsonl                check                    dfexp -all -seeds 2 -format json -results "$tmp/all"
 cmd/dfsim/testdata/timeline.golden                 check                    dfsim -timeline -sched EDF -nodes 8 -racks 2 -n 4 -k 2 -blocks 16 -reducers 1
 cmd/dfsim/testdata/timeline_trace.jsonl            check                    dfsim -timeline -trace "$tmp/timeline.jsonl" -sched EDF -nodes 8 -racks 2 -n 4 -k 2 -blocks 16 -reducers 1 >/dev/null && cat "$tmp/timeline.jsonl"

@@ -53,7 +53,8 @@ covtest() {
 	go test -count=1 -cover -coverpkg=./internal/... -run "^($*)\$" "$pkg" -args -test.gocoverdir="$cover"
 }
 covtest . TestFacadeLRCAndTimeline
-covtest ./cmd/dfsim TestSchedulerAndFailureParsing
+covtest ./cmd/dfsim TestRunEachScheduler
+covtest ./internal/scenario TestSchedulerAndFailureParsing TestSetMerges TestFlags TestBuildTestbed
 covtest ./internal/cluster 'TestLoopback.*' TestProcessClusterSurvivesWorkerKill TestPeerErrorMessages \
 	TestFitPrefix TestLateResponseAfterTimeoutIsDropped TestPlanInputPlansWholeFanIn TestRunReduceNamesDeadHostsTogether \
 	TestReconstructShortOfSources TestStartupErrors TestWorkerHandshakeErrors TestRegisterRejects TestMasterRunErrors \
