@@ -15,7 +15,7 @@
 //	dfmaster -addr 127.0.0.1:7400 -scenario examples/scenarios/testbed.json &
 //	for i in $(seq 12); do dfworker -master 127.0.0.1:7400 & done
 //
-//	dfmaster -fail 3 -sched EDF -job grep -word the
+//	dfmaster -set 'FailNodes=[3]' -set Scheduler=EDF -set Testbed.0.kind=grep -set Testbed.0.word=the
 package main
 
 import (
@@ -39,26 +39,6 @@ func main() {
 	}
 }
 
-// spellings are dfmaster's flags from before scenarios.
-var spellings = []scenario.Spelling{
-	{Name: "nodes", Path: "Nodes", Usage: "cluster nodes"},
-	{Name: "racks", Path: "Racks", Usage: "racks"},
-	{Name: "mapslots", Path: "MapSlotsPerNode", Usage: "map slots per node"},
-	{Name: "reduceslots", Path: "ReduceSlotsPerNode", Usage: "reduce slots per node"},
-	{Name: "n", Path: "N", Usage: "code stripe width n"},
-	{Name: "k", Path: "K", Usage: "code data blocks k"},
-	{Name: "blocks", Path: "NumBlocks", Usage: "corpus size in blocks"},
-	{Name: "blocksize", Path: "BlockSizeBytes", Usage: "block size in bytes"},
-	{Name: "seed", Path: "Seed", Usage: "corpus and placement seed"},
-	{Name: "fail", Path: "FailNodes", Usage: "comma-separated node IDs to fail before the run",
-		Value: func(v string) string { return "[" + v + "]" }},
-	{Name: "sched", Path: "Scheduler", Usage: "scheduler: LF, BDF, EDF, EagerDF or DelayLF"},
-	{Name: "job", Path: "Testbed.0.kind", Usage: "job kind: wordcount, grep or linecount"},
-	{Name: "word", Path: "Testbed.0.word", Usage: "grep needle (required with -job grep)"},
-	{Name: "reducers", Path: "Testbed.0.reducers", Usage: "reduce task count"},
-	{Name: "rackbps", Path: "RackBps", Usage: "virtual rack bandwidth (bytes/s)"},
-}
-
 // parse reads the command line into the scenario and the master's
 // deployment settings.
 func parse(args []string) (scenario.Scenario, cluster.MasterOptions, error) {
@@ -68,7 +48,7 @@ func parse(args []string) (scenario.Scenario, cluster.MasterOptions, error) {
 	fl.DurationVar(&o.HeartbeatEvery, "hb-every", 500*time.Millisecond, "real worker heartbeat period")
 	fl.IntVar(&o.HeartbeatMiss, "hb-miss", 4, "missed heartbeats before a worker is declared dead")
 	fl.DurationVar(&o.RPCTimeout, "rpc-timeout", 30*time.Second, "per-RPC deadline")
-	apply := scenario.Flags(fl, spellings...)
+	apply := scenario.Flags(fl)
 	fl.SetOutput(os.Stderr)
 	s := scenario.Testbed()
 	err := fl.Parse(args)

@@ -11,16 +11,16 @@ import (
 	"degradedfirst/internal/mapred"
 )
 
-// TestBadFlags pins that every malformed cluster, code or liveness flag
-// is a clean error returned before the master listens, not a panic and
-// not a silent default.
+// TestBadFlags pins that every malformed cluster, code or liveness
+// setting is a clean error returned before the master listens, not a
+// panic and not a silent default.
 func TestBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-nodes", "0"}, "topology: Nodes must be positive"},
-		{[]string{"-n", "3", "-k", "5"}, "erasure: invalid (n, k) parameters: n=3 k=5"},
+		{[]string{"-set", "Nodes=0"}, "topology: Nodes must be positive"},
+		{[]string{"-set", "N=3", "-set", "K=5"}, "erasure: invalid (n, k) parameters: n=3 k=5"},
 		{[]string{"-hb-every", "-1s"}, "cluster: negative HeartbeatEvery -1s"},
 		{[]string{"-hb-miss", "-1"}, "cluster: negative HeartbeatMiss -1"},
 		{[]string{"-rpc-timeout", "-5s"}, "cluster: negative RPCTimeout -5s"},
@@ -116,40 +116,4 @@ func sample(t reflect.Type) string {
 		return "{" + strings.Join(fields, ",") + "}"
 	}
 	panic("no sample of " + t.String())
-}
-
-// TestSpellingsAreSets: each flag from before scenarios gives the
-// scenario of the -set it spells.
-func TestSpellingsAreSets(t *testing.T) {
-	cases := [][2][]string{
-		{{"-nodes", "9"}, {"-set", "Nodes=9"}},
-		{{"-racks", "2"}, {"-set", "Racks=2"}},
-		{{"-mapslots", "2"}, {"-set", "MapSlotsPerNode=2"}},
-		{{"-reduceslots", "2"}, {"-set", "ReduceSlotsPerNode=2"}},
-		{{"-n", "6"}, {"-set", "N=6"}},
-		{{"-k", "4"}, {"-set", "K=4"}},
-		{{"-blocks", "240"}, {"-set", "NumBlocks=240"}},
-		{{"-blocksize", "4096"}, {"-set", "BlockSizeBytes=4096"}},
-		{{"-seed", "9"}, {"-set", "Seed=9"}},
-		{{"-fail", "3,5"}, {"-set", "FailNodes=[3,5]"}},
-		{{"-sched", "edf"}, {"-set", "Scheduler=EDF"}},
-		{{"-job", "grep"}, {"-set", "Testbed.0.kind=grep"}},
-		{{"-word", "the"}, {"-set", "Testbed.0.word=the"}},
-		{{"-reducers", "4"}, {"-set", "Testbed.0.reducers=4"}},
-		{{"-rackbps", "1e6"}, {"-set", "RackBps=1e6"}},
-	}
-	spelled := map[string]bool{}
-	for _, c := range cases {
-		spelled[c[0][0]] = true
-		flagged, _, err1 := parse(c[0])
-		set, _, err2 := parse(c[1])
-		if err1 != nil || err2 != nil || !reflect.DeepEqual(flagged, set) {
-			t.Errorf("%v gives %+v (%v), %v gives %+v (%v)", c[0], flagged, err1, c[1], set, err2)
-		}
-	}
-	for _, sp := range spellings {
-		if !spelled["-"+sp.Name] {
-			t.Errorf("-%s has no case", sp.Name)
-		}
-	}
 }

@@ -1,11 +1,11 @@
 // Command dfsim runs one discrete-event MapReduce simulation and prints a
 // summary — a workbench for exploring scheduling behaviour outside the
 // registered experiments. It runs scenario.Paper, changed by a -scenario
-// file and by -set Path=value; each older flag is a spelling of one -set.
+// file and by -set Path=value, each naming a field as Go does.
 //
 // Example:
 //
-//	dfsim -nodes 40 -racks 4 -n 20 -k 15 -blocks 1440 -sched EDF -seed 7
+//	dfsim -set Scheduler=EDF -set Seed=7 -set Failure=double-node
 //	dfsim -scenario examples/scenarios/edf_400.json -set Hedge.Extra=1
 package main
 
@@ -18,10 +18,8 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
-	"strconv"
 
 	"degradedfirst/internal/mapred"
-	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/scenario"
 	"degradedfirst/internal/trace"
@@ -33,57 +31,6 @@ func main() {
 	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "dfsim:", err)
 		os.Exit(1)
-	}
-}
-
-// spellings are dfsim's flags from before scenarios.
-var spellings = []scenario.Spelling{
-	{Name: "nodes", Path: "Nodes", Usage: "number of nodes"},
-	{Name: "racks", Path: "Racks", Usage: "number of racks"},
-	{Name: "map-slots", Path: "MapSlotsPerNode", Usage: "map slots per node"},
-	{Name: "reduce-slots", Path: "ReduceSlotsPerNode", Usage: "reduce slots per node"},
-	{Name: "n", Path: "N", Usage: "erasure code n"},
-	{Name: "k", Path: "K", Usage: "erasure code k"},
-	{Name: "blocks", Path: "NumBlocks", Usage: "native blocks (map tasks)"},
-	{Name: "block-mb", Path: "BlockSizeBytes", Usage: "block size in MB", Value: times(1e6)},
-	{Name: "rack-mbps", Path: "RackBps", Usage: "rack bandwidth in Mbps", Value: times(netsim.Mbps)},
-	{Name: "sched", Path: "Scheduler", Usage: "scheduler: LF, BDF, EDF, EagerDF or DelayLF"},
-	{Name: "jobsched", Path: "JobSched.Policy", Usage: "job-level policy: fifo, fairshare, quota or deadline"},
-	{Name: "failure", Path: "Failure", Usage: "failure: none, single-node, double-node, rack (single and double also work)"},
-	{Name: "reducers", Path: "Jobs.0.NumReduceTasks", Usage: "reduce tasks"},
-	{Name: "shuffle", Path: "Jobs.0.ShuffleRatio", Usage: "shuffle ratio (intermediate/input)"},
-	{Name: "map-time", Path: "Jobs.0.MapTime", Usage: "mean map task time (s), std 1/20 of it", Value: dist(20)},
-	{Name: "reduce-time", Path: "Jobs.0.ReduceTime", Usage: "mean reduce task time (s), std 1/15 of it", Value: dist(15)},
-	{Name: "seed", Path: "Seed", Usage: "random seed"},
-	{Name: "hold", Path: "NetMode", Usage: "use exclusive-hold network contention instead of fluid sharing", Bool: true,
-		Value: func(v string) string {
-			if hold, err := strconv.ParseBool(v); err != nil || !hold {
-				return netsim.FluidFairSharing.String()
-			}
-			return netsim.ExclusiveHold.String()
-		}},
-}
-
-// times scales a number by f; anything else passes through for -set to
-// reject.
-func times(f float64) func(string) string {
-	return func(v string) string {
-		x, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return v
-		}
-		return strconv.FormatFloat(x*f, 'g', -1, 64)
-	}
-}
-
-// dist spells a mean as a time distribution whose std is mean/div.
-func dist(div float64) func(string) string {
-	return func(v string) string {
-		mean, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return v
-		}
-		return fmt.Sprintf(`{"Mean":%s,"Std":%s}`, strconv.FormatFloat(mean, 'g', -1, 64), strconv.FormatFloat(mean/div, 'g', -1, 64))
 	}
 }
 
@@ -100,7 +47,7 @@ func parse(args []string, out io.Writer) (command, error) {
 	fs.BoolVar(&c.timeline, "timeline", false, "render the map-slot activity timeline (Figure 3 style)")
 	fs.StringVar(&c.traceOut, "trace", "", "write structured trace events (JSON lines) to this file")
 	fs.StringVar(&c.cpuOut, "cpuprofile", "", "write a CPU profile of the run (runtime/pprof) to this file")
-	apply := scenario.Flags(fs, spellings...)
+	apply := scenario.Flags(fs)
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return c, err

@@ -17,13 +17,17 @@ import (
 	"degradedfirst/internal/trace"
 )
 
+// smallArgs is a 12-node run with 16 MB blocks on 100 Mbps racks, and
+// a job of 60 maps of 5 s and 4 reduces of 8 s, followed by extra.
 func smallArgs(extra ...string) []string {
-	base := []string{
-		"-nodes", "12", "-racks", "3", "-n", "6", "-k", "4",
-		"-blocks", "60", "-block-mb", "16", "-rack-mbps", "100",
-		"-reducers", "4", "-map-time", "5", "-reduce-time", "8",
+	var args []string
+	for _, kv := range []string{
+		"Nodes=12", "Racks=3", "N=6", "K=4", "NumBlocks=60", "BlockSizeBytes=16e6", "RackBps=12500000",
+		"Jobs.0.NumReduceTasks=4", `Jobs.0.MapTime={"Mean":5,"Std":0.25}`, `Jobs.0.ReduceTime={"Mean":8,"Std":0.5333333333333333}`,
+	} {
+		args = append(args, "-set", kv)
 	}
-	return append(base, extra...)
+	return append(args, extra...)
 }
 
 func TestRunLF(t *testing.T) {
@@ -41,7 +45,7 @@ func TestRunLF(t *testing.T) {
 
 func TestRunEDFWithTimeline(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), smallArgs("-sched", "EDF", "-timeline"), &out); err != nil {
+	if err := run(context.Background(), smallArgs("-set", "Scheduler=EDF", "-timeline"), &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -55,7 +59,7 @@ func TestRunEDFWithTimeline(t *testing.T) {
 
 func TestRunHoldModeAndNoFailure(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), smallArgs("-hold", "-failure", "none"), &out); err != nil {
+	if err := run(context.Background(), smallArgs("-set", "NetMode=hold", "-set", "Failure=none"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "mean degraded read") {
@@ -63,31 +67,36 @@ func TestRunHoldModeAndNoFailure(t *testing.T) {
 	}
 }
 
-// TestRunEachScheduler runs every scheduler -sched names.
+// TestRunEachScheduler runs every scheduler -set Scheduler names.
 func TestRunEachScheduler(t *testing.T) {
 	for _, s := range []string{"LF", "bdf", "EDF", "EagerDF", "delaylf"} {
 		var out strings.Builder
-		if err := run(context.Background(), smallArgs("-sched", s), &out); err != nil {
-			t.Errorf("-sched %s: %v", s, err)
+		if err := run(context.Background(), smallArgs("-set", "Scheduler="+s), &out); err != nil {
+			t.Errorf("Scheduler=%s: %v", s, err)
 		}
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-sched", "bogus"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-set", "Scheduler=bogus"}, &out); err == nil {
 		t.Fatal("bad scheduler must fail")
 	}
-	if err := run(context.Background(), []string{"-failure", "bogus"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-set", "Failure=bogus"}, &out); err == nil {
 		t.Fatal("bad failure must fail")
 	}
-	if err := run(context.Background(), []string{"-nodes", "0"}, &out); err == nil {
+	if err := run(context.Background(), []string{"-set", "Nodes=0"}, &out); err == nil {
 		t.Fatal("bad cluster must fail")
 	}
-	// Non-finite sizes used to panic in the engine mid-run.
-	for _, args := range [][]string{{"-block-mb", "+Inf"}, {"-shuffle", "+Inf"}, {"-block-mb", "NaN"}} {
-		if err := run(context.Background(), args, &out); err == nil {
-			t.Errorf("%v must fail", args)
+	// Non-finite sizes and times are no JSON numbers: -set rejects them,
+	// naming the path, before the engine could panic on one mid-run.
+	for _, kv := range []string{
+		"BlockSizeBytes=+Inf", "Jobs.0.ShuffleRatio=+Inf", "BlockSizeBytes=NaN",
+		`Jobs.0.MapTime={"Mean":NaN,"Std":NaN}`, "RackBps=NaN",
+	} {
+		path, _, _ := strings.Cut(kv, "=")
+		if err := run(context.Background(), []string{"-set", kv}, &out); err == nil || !strings.HasPrefix(err.Error(), path+": ") {
+			t.Errorf("-set %s: %v, want an error naming %s", kv, err, path)
 		}
 	}
 }
@@ -96,11 +105,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // job with reducers before simulating anything, and runs a map-only job.
 func TestReducersWithoutReduceSlots(t *testing.T) {
 	var out strings.Builder
-	err := run(context.Background(), smallArgs("-reduce-slots", "0"), &out)
+	err := run(context.Background(), smallArgs("-set", "ReduceSlotsPerNode=0"), &out)
 	if err == nil || !strings.Contains(err.Error(), `job "job"`) || !strings.Contains(err.Error(), "no reduce slots") {
-		t.Fatalf("-reduce-slots 0 with reducers: %v, want an error naming the job and the missing reduce slots", err)
+		t.Fatalf("ReduceSlotsPerNode=0 with reducers: %v, want an error naming the job and the missing reduce slots", err)
 	}
-	if err := run(context.Background(), smallArgs("-reduce-slots", "0", "-reducers", "0"), &out); err != nil {
+	if err := run(context.Background(), smallArgs("-set", "ReduceSlotsPerNode=0", "-set", "Jobs.0.NumReduceTasks=0"), &out); err != nil {
 		t.Fatalf("map-only job on a cluster without reduce slots: %v", err)
 	}
 }
@@ -110,7 +119,7 @@ func TestReducersWithoutReduceSlots(t *testing.T) {
 func TestRunCPUProfile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cpu.prof")
 	var out strings.Builder
-	if err := run(context.Background(), []string{"-sched", "EDF", "-cpuprofile", path}, &out); err != nil {
+	if err := run(context.Background(), []string{"-set", "Scheduler=EDF", "-cpuprofile", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -247,44 +256,4 @@ func sample(t reflect.Type) string {
 		return "{" + strings.Join(fields, ",") + "}"
 	}
 	panic("no sample of " + t.String())
-}
-
-// TestSpellingsAreSets: each flag from before scenarios gives the
-// scenario of the -set it spells.
-func TestSpellingsAreSets(t *testing.T) {
-	cases := [][2][]string{
-		{{"-nodes", "12"}, {"-set", "Nodes=12"}},
-		{{"-racks", "3"}, {"-set", "Racks=3"}},
-		{{"-map-slots", "2"}, {"-set", "MapSlotsPerNode=2"}},
-		{{"-reduce-slots", "0"}, {"-set", "ReduceSlotsPerNode=0"}},
-		{{"-n", "6"}, {"-set", "N=6"}},
-		{{"-k", "4"}, {"-set", "K=4"}},
-		{{"-blocks", "60"}, {"-set", "NumBlocks=60"}},
-		{{"-block-mb", "16"}, {"-set", "BlockSizeBytes=16e6"}},
-		{{"-rack-mbps", "100"}, {"-set", "RackBps=12500000"}},
-		{{"-sched", "edf"}, {"-set", "Scheduler=EDF"}},
-		{{"-jobsched", "quota"}, {"-set", "JobSched.Policy=quota"}},
-		{{"-failure", "double"}, {"-set", "Failure=double-node"}},
-		{{"-reducers", "4"}, {"-set", "Jobs.0.NumReduceTasks=4"}},
-		{{"-shuffle", "0.2"}, {"-set", "Jobs.0.ShuffleRatio=0.2"}},
-		{{"-map-time", "5"}, {"-set", `Jobs.0.MapTime={"Mean":5,"Std":0.25}`}},
-		{{"-reduce-time", "15"}, {"-set", `Jobs.0.ReduceTime={"Mean":15,"Std":1}`}},
-		{{"-seed", "9"}, {"-set", "Seed=9"}},
-		{{"-hold"}, {"-set", "NetMode=hold"}},
-		{{"-hold=false"}, {"-set", "NetMode=fluid"}},
-	}
-	spelled := map[string]bool{}
-	for _, c := range cases {
-		spelled[c[0][0]] = true
-		flagged, err1 := parse(c[0], io.Discard)
-		set, err2 := parse(c[1], io.Discard)
-		if err1 != nil || err2 != nil || !reflect.DeepEqual(flagged, set) {
-			t.Errorf("%v gives %+v (%v), %v gives %+v (%v)", c[0], flagged.Scenario, err1, c[1], set.Scenario, err2)
-		}
-	}
-	for _, sp := range spellings {
-		if !spelled["-"+sp.Name] {
-			t.Errorf("-%s has no case", sp.Name)
-		}
-	}
 }

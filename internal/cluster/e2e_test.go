@@ -54,8 +54,7 @@ func TestProcessClusterSurvivesWorkerKill(t *testing.T) {
 	var masterOut bytes.Buffer
 	master := exec.Command(masterBin,
 		"-addr", "127.0.0.1:0",
-		"-hb-every", "50ms", "-hb-miss", "4",
-		"-seed", "1", "-reducers", "8")
+		"-hb-every", "50ms", "-hb-miss", "4")
 	master.Env = coverEnv
 	master.Stdout = &masterOut
 	stderr, err := master.StderrPipe()

@@ -1,6 +1,7 @@
 package dfs
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -90,14 +91,21 @@ func TestStoreErrors(t *testing.T) {
 	_, err = fs.RepairBlock("f", b, dst, twice)
 	wantErr(t, "RepairBlock from a repeated source", err, "dfs: repairing")
 
-	// Every node that could host stripe 1's rebuilt block fails.
+	// Every node that could host stripe 1's rebuilt block fails: the
+	// stripe plans as unrepairable, not as an error, and stays degraded.
 	for i := range 12 {
 		if id := topology.NodeID(i); !slices.Contains(holders, id) {
 			fs.Cluster().FailNode(id)
 		}
 	}
-	_, err = fs.LostBlocks(nil)
-	wantErr(t, "LostBlocks with nowhere to rebuild", err, "no alive node can host a rebuilt block")
+	key := repair.Key{File: "f", Stripe: 1}
+	plans, err := fs.LostBlocks(nil)
+	i := slices.IndexFunc(plans, func(p repair.StripePlan) bool { return p.Key == key })
+	one, perr := fs.PlanStripeRepair(key)
+	want := repair.StripePlan{Key: key, Lost: 1, Unrepairable: true}
+	if err != nil || perr != nil || i < 0 || !reflect.DeepEqual(plans[i], want) || !reflect.DeepEqual(one, want) {
+		t.Errorf("LostBlocks with nowhere to rebuild: %+v (%v), plan %+v (%v); want stripe 1 flagged %+v", plans, err, one, perr, want)
+	}
 }
 
 func wantErr(t *testing.T, what string, err error, want string) {

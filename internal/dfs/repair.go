@@ -59,14 +59,15 @@ func PickRepairDestination(c *topology.Cluster, p *placement.Placement, s int,
 
 // planStripe builds the repair plan for stripe s of the placed file:
 // one BlockPlan per lost block (data or parity), or an unrepairable
-// verdict when the survivors do not determine every lost block. The code
-// answers that exactly, for any loss pattern of any family.
+// verdict when the survivors do not determine every lost block or no
+// alive node can host a rebuilt one. The code answers the first exactly,
+// for any loss pattern of any family.
 //
 // Source selection is the degraded-read path's repairSet rule, kept
 // deterministic: where a read draws k random survivors, the healer reads
 // the k lowest-index ones.
 func planStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
-	file string, s int) (repair.StripePlan, error) {
+	file string, s int) repair.StripePlan {
 
 	plan := repair.StripePlan{Key: repair.Key{File: file, Stripe: s}}
 	holders := p.StripeHolders(s)
@@ -81,13 +82,15 @@ func planStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 	plan.Lost = len(lost)
 	plan.Unrepairable = slices.ContainsFunc(lost, func(idx int) bool { return !code.Determines(idx, alive) })
 	if len(lost) == 0 || plan.Unrepairable {
-		return plan, nil
+		return plan
 	}
 	taken := make(map[topology.NodeID]bool, len(lost))
 	for _, idx := range lost {
 		dest, err := PickRepairDestination(c, p, s, taken)
 		if err != nil {
-			return plan, err
+			// No alive node is free to host the block: the stripe
+			// stays degraded.
+			return repair.StripePlan{Key: plan.Key, Lost: plan.Lost, Unrepairable: true}
 		}
 		taken[dest] = true
 		bp := repair.BlockPlan{Index: idx, Dest: dest}
@@ -101,7 +104,7 @@ func planStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 		bp.Local = local
 		plan.Blocks = append(plan.Blocks, bp)
 	}
-	return plan, nil
+	return plan
 }
 
 // LostBlocks scans every file for stripes that lost a block to one of
@@ -109,20 +112,16 @@ func planStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 // then stripe order. Each plan covers all lost blocks of its stripe —
 // including losses from earlier failures — so re-scanning after a
 // second failure subsumes the first scan's pending work. Stripes whose
-// losses the code cannot rebuild come back with Unrepairable set rather
-// than an error: the healer reports them distinctly and never launches
-// them. A nil or empty failed set scans for every lost block in the
-// system.
+// losses the code cannot rebuild, or that no alive node can host, come
+// back with Unrepairable set rather than an error: the healer reports
+// them distinctly and never launches them. A nil or empty failed set
+// scans for every lost block in the system. The error is always nil.
 func (fs *FS) LostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
 	var plans []repair.StripePlan
 	for _, name := range fs.names {
 		p := fs.files[name].Placement
 		for _, s := range stripesLostTo(fs.cluster, p, failed) {
-			plan, err := planStripe(fs.cluster, fs.code, p, name, s)
-			if err != nil {
-				return nil, err
-			}
-			plans = append(plans, plan)
+			plans = append(plans, planStripe(fs.cluster, fs.code, p, name, s))
 		}
 	}
 	return plans, nil
@@ -156,7 +155,7 @@ func (fs *FS) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
 	if key.Stripe < 0 || key.Stripe >= f.NumStripes() {
 		return repair.StripePlan{}, fmt.Errorf("dfs: file %q has no stripe %d", key.File, key.Stripe)
 	}
-	return planStripe(fs.cluster, fs.code, f.Placement, key.File, key.Stripe)
+	return planStripe(fs.cluster, fs.code, f.Placement, key.File, key.Stripe), nil
 }
 
 // RepairBlock commits the reconstruction of lost block b onto dst: for

@@ -89,6 +89,36 @@ func TestRepairHealsDFSMidRun(t *testing.T) {
 	}
 }
 
+// TestRepairWithNowhereToRebuild: on the (12,10) testbed every stripe
+// spans all 12 nodes, so no node can host a block rebuilt after a
+// failure. The healer reports each stripe the failure touched once as
+// unrepairable and leaves it degraded; the job still computes the
+// ground truth.
+func TestRepairWithNowhereToRebuild(t *testing.T) {
+	fs, corpus := testbedFS(t, 2)
+	fs.Cluster().FailNode(3)
+	file, err := fs.File("input.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := len(file.Placement.NodeBlocks(3))
+	opts := testOpts(sched.KindEDF)
+	opts.Repair = repair.Config{Enabled: true}
+	rep, err := Run(fs, opts, []Job{WordCountJob("input.txt", 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Outputs[0], wantCounts(workload.CountWords(corpus))) {
+		t.Fatal("WordCount output diverges with stripes left degraded")
+	}
+	if st := rep.Repair; st == nil || st.Unrepairable != lost || st.StripesQueued != 0 || st.BlocksRepaired != 0 || st.FullRedundancyAt != -1 {
+		t.Fatalf("Report.Repair = %+v, want %d unrepairable stripes and nothing queued or healed", st, lost)
+	}
+	if len(file.Placement.NodeBlocks(3)) != lost {
+		t.Fatal("the healer moved blocks it had nowhere to rebuild")
+	}
+}
+
 // TestRepairDisabledReportsNothing: the zero config leaves the DFS
 // degraded and the report without repair stats.
 func TestRepairDisabledReportsNothing(t *testing.T) {

@@ -62,8 +62,9 @@ type StripePlan struct {
 	// the stripe is unrepairable.
 	Blocks []BlockPlan
 	// Unrepairable marks a stripe whose survivors do not determine every
-	// lost block (for an MDS code: more than n-k losses): it is reported
-	// distinctly, never repaired.
+	// lost block (for an MDS code: more than n-k losses), or that no
+	// alive non-holder node can host: it is reported distinctly, never
+	// repaired.
 	Unrepairable bool
 }
 

@@ -167,7 +167,7 @@ type Backend interface {
 	// ScanLostBlocks returns a repair plan for every stripe that lost a
 	// block to one of the failed nodes (all lost blocks of a touched
 	// stripe, including earlier losses; Unrepairable set for stripes
-	// past n-k losses). An empty failed set scans the whole store.
+	// past n-k losses or with no node to host a rebuilt block). An empty failed set scans the whole store.
 	ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error)
 	// PlanStripeRepair re-plans one stripe from live placement state.
 	// The healer calls it at launch time so blocks committed since the

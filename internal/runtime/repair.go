@@ -109,8 +109,8 @@ func (m *repairManager) enqueue(plan repair.StripePlan, class string, boost bool
 	m.s.emit(&e)
 }
 
-// markUnrepairable reports a stripe past its code's loss tolerance —
-// once, distinctly, and never launched.
+// markUnrepairable reports a stripe past its code's loss tolerance, or
+// with nowhere to rebuild — once, distinctly, and never launched.
 func (m *repairManager) markUnrepairable(key repair.Key, lost int) {
 	if m.unrep[key] {
 		return

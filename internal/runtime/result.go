@@ -158,7 +158,8 @@ func (j *JobResult) DegradedFlowLatencies() []float64 {
 type RepairStats struct {
 	// StripesQueued counts distinct stripes that entered the repair
 	// queue; Unrepairable counts distinct stripes reported past their
-	// code's loss tolerance (never launched).
+	// code's loss tolerance or with no node to host a rebuilt block
+	// (never launched).
 	StripesQueued int
 	Unrepairable  int
 	// BlocksRepaired counts committed block rebuilds, split into LRC

@@ -172,23 +172,10 @@ func key(obj map[string]any, k string) string {
 	return k
 }
 
-// A Spelling is a flag kept from before scenarios: -Name v is -set
-// Path=Value(v), or Path=v when Value is nil. A Bool spelling may go
-// without a value, which is then "true".
-type Spelling struct {
-	Name, Path, Usage string
-	Value             func(string) string
-	Bool              bool
-}
-
-// Flags registers -scenario, -set and the spellings on fs. After
-// fs.Parse, the function it returns applies them to a scenario in
-// command-line order.
-func Flags(fs *flag.FlagSet, spellings ...Spelling) func(*Scenario) error {
+// Flags registers -scenario and -set on fs. After fs.Parse, the
+// function it returns applies them to a scenario in command-line order.
+func Flags(fs *flag.FlagSet) func(*Scenario) error {
 	var changes []func(*Scenario) error
-	set := func(path, value string) {
-		changes = append(changes, func(s *Scenario) error { return s.Set(path, value) })
-	}
 	fs.Func("scenario", "decode the JSON scenario `file` onto the scenario", func(file string) error {
 		data, err := os.ReadFile(file)
 		var doc any
@@ -211,23 +198,9 @@ func Flags(fs *flag.FlagSet, spellings ...Spelling) func(*Scenario) error {
 		if !ok {
 			return fmt.Errorf("want Path=value, got %q", kv)
 		}
-		set(path, value)
+		changes = append(changes, func(s *Scenario) error { return s.Set(path, value) })
 		return nil
 	})
-	for _, sp := range spellings {
-		add := func(v string) error {
-			if sp.Value != nil {
-				v = sp.Value(v)
-			}
-			set(sp.Path, v)
-			return nil
-		}
-		if usage := fmt.Sprintf("%s (-set %s)", sp.Usage, sp.Path); sp.Bool {
-			fs.BoolFunc(sp.Name, usage, add)
-		} else {
-			fs.Func(sp.Name, usage, add)
-		}
-	}
 	return func(s *Scenario) error {
 		for _, change := range changes {
 			if err := change(s); err != nil {

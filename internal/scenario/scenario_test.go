@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"context"
 	"encoding"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/jobsched"
+	"degradedfirst/internal/mapred"
 	"degradedfirst/internal/netsim"
 	"degradedfirst/internal/runtime"
 	"degradedfirst/internal/sched"
@@ -158,7 +161,85 @@ func TestWorldsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFlags applies a scenario file, -set and a spelling in command-line
+// FuzzScenarioSet holds Set, the one setter of every command line, on
+// both worlds: it never panics, and a scenario it accepts survives its
+// own JSON, Go-only fields included.
+func FuzzScenarioSet(f *testing.F) {
+	for _, kv := range [][2]string{
+		{"Hedge.Extra", "2"},
+		{"Jobs.0.MapTime", `{"Mean":5,"Std":0.25}`},
+		{"jobs.1", `{"Name":"second"}`},
+		{"Scheduler", "edf"},
+		{"Failure", "double"},
+		{"FailNodes", "[3,5]"},
+		{"SpeedFactors", `{"3":2}`},
+		{"Topology", `{"Nodes":6}`},
+		{"Testbed.0.kind", "grep"},
+		{"Nodes", "many"},
+		{"RackBps", "+Inf"},
+	} {
+		f.Add(kv[0], kv[1])
+	}
+	f.Fuzz(func(t *testing.T, path, value string) {
+		for _, world := range []func() Scenario{Paper, Testbed} {
+			s := world()
+			if s.Set(path, value) != nil {
+				continue
+			}
+			back := s
+			if err := back.patch(nil, map[string]any{}); err != nil || !reflect.DeepEqual(back, s) {
+				t.Errorf("Set(%q, %q) gives %+v, which its JSON turns into %+v (%v)", path, value, s, back, err)
+			}
+		}
+	})
+}
+
+// TestExampleScenarios decodes every file under examples/scenarios onto
+// its world, unknown fields rejected: Testbed when the file holds
+// Testbed jobs, else Paper. A testbed file must build its world; any
+// other must pass every check a simulation makes before it starts.
+func TestExampleScenarios(t *testing.T) {
+	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example scenarios: %v", err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		var doc any
+		var shape Scenario
+		if err == nil {
+			err = decode(data, &doc)
+		}
+		if err == nil {
+			err = decode(data, &shape)
+		}
+		s := Paper()
+		if len(shape.Testbed) > 0 {
+			s = Testbed()
+		}
+		if err == nil {
+			err = s.patch(nil, doc)
+		}
+		switch {
+		case err != nil:
+		case len(s.Testbed) > 0:
+			_, err = s.BuildTestbed()
+		default:
+			// A cancelled run stops at its first heartbeat, after every
+			// check of its settings and jobs.
+			if _, err = mapred.RunContext(cancelled, s.Config, s.Jobs); errors.Is(err, context.Canceled) {
+				err = nil
+			}
+		}
+		if err != nil {
+			t.Errorf("%s: %v", filepath.Base(file), err)
+		}
+	}
+}
+
+// TestFlags applies a scenario file and each -set in command-line
 // order, and fails a missing file or a -set without "=" at parse time.
 func TestFlags(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "s.json")
@@ -168,8 +249,7 @@ func TestFlags(t *testing.T) {
 	parse := func(args ...string) (Scenario, error) {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(new(strings.Builder))
-		apply := Flags(fs, Spelling{Name: "hold", Path: "NetMode", Bool: true, Value: func(string) string { return "hold" }},
-			Spelling{Name: "nodes", Path: "Nodes"})
+		apply := Flags(fs)
 		s := Paper()
 		err := fs.Parse(args)
 		if err == nil {
@@ -177,12 +257,12 @@ func TestFlags(t *testing.T) {
 		}
 		return s, err
 	}
-	s, err := parse("-set", "Nodes=4", "-scenario", file, "-hold", "-set", "Seed=5")
+	s, err := parse("-set", "Nodes=4", "-scenario", file, "-set", "NetMode=hold", "-set", "Seed=5")
 	if err != nil || s.Nodes != 8 || s.Racks != 2 || s.Seed != 5 || s.NetMode != netsim.ExclusiveHold {
 		t.Errorf("got Nodes %d Racks %d Seed %d NetMode %v, %v; want 8 2 5 hold", s.Nodes, s.Racks, s.Seed, s.NetMode, err)
 	}
-	if s, err := parse("-scenario", file, "-nodes", "6"); err != nil || s.Nodes != 6 {
-		t.Errorf("a spelling after the file: Nodes %d, %v", s.Nodes, err)
+	if s, err := parse("-scenario", file, "-set", "Nodes=6"); err != nil || s.Nodes != 6 {
+		t.Errorf("a -set after the file: Nodes %d, %v", s.Nodes, err)
 	}
 	for _, args := range [][]string{{"-scenario", file + ".missing"}, {"-set", "Nodes"}} {
 		if _, err := parse(args...); err == nil {

@@ -90,8 +90,9 @@ const (
 	// network read volume of the repair. Class is "scan" for a fresh scan
 	// finding, "requeue" for a stripe whose in-flight repair was cancelled
 	// by another failure (re-queued at boosted priority), or
-	// "unrepairable" for a stripe with more than n-k losses — reported,
-	// never launched. Emitted only when a repair config is active.
+	// "unrepairable" for a stripe its survivors cannot rebuild or no
+	// alive node can host — reported, never launched. Emitted only when
+	// a repair config is active.
 	EvRepairQueued Type = "repair-queued"
 	// EvRepairLaunch starts the reconstruction of one lost block: Name is
 	// the file, Task the stripe index, N the block index within the

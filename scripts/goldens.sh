@@ -5,9 +5,8 @@
 #   bash scripts/goldens.sh update           # rewrite every pinned file
 #
 # Each row of the list names a pinned file, what compares it, and the
-# command that makes it. A file may have several rows: dfsim's goldens
-# are made both from flags and from the scenario files that spell them.
-# What compares a row is one of:
+# command that makes it; a file has one row. What compares a row is one
+# of:
 #   - "check": this script's check mode diffs the command's output
 #     against the file;
 #   - a test name: that tier-1 test compares the file, so check skips the
@@ -36,14 +35,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 goldens='
-cmd/dfsim/testdata/edf_400.golden                  check                    dfsim -sched EDF -nodes 400 -racks 40 -blocks 14400 -seed 1
-cmd/dfsim/testdata/map_3000.golden                 check                    dfsim -sched EDF -nodes 3000 -racks 300 -blocks 108000 -reducers 0 -seed 1
 cmd/dfsim/testdata/edf_400.golden                  check                    dfsim -scenario examples/scenarios/edf_400.json
 cmd/dfsim/testdata/map_3000.golden                 check                    dfsim -scenario examples/scenarios/map_3000.json
 cmd/dfsim/testdata/timeline.golden                 check                    dfsim -timeline -scenario examples/scenarios/timeline.json
 cmd/dfexp/testdata/all_seeds2.jsonl                check                    dfexp -all -seeds 2 -format json -results "$tmp/all"
-cmd/dfsim/testdata/timeline.golden                 check                    dfsim -timeline -sched EDF -nodes 8 -racks 2 -n 4 -k 2 -blocks 16 -reducers 1
-cmd/dfsim/testdata/timeline_trace.jsonl            check                    dfsim -timeline -trace "$tmp/timeline.jsonl" -sched EDF -nodes 8 -racks 2 -n 4 -k 2 -blocks 16 -reducers 1 >/dev/null && cat "$tmp/timeline.jsonl"
+cmd/dfsim/testdata/timeline_trace.jsonl            check                    dfsim -timeline -trace "$tmp/timeline.jsonl" -scenario examples/scenarios/timeline.json >/dev/null && cat "$tmp/timeline.jsonl"
 cmd/dfexp/testdata/fast.txt                        check                    dfexp -format text -run fig3,fig4,fig5a | grep -v "^(took "
 cmd/dfexp/testdata/fast.csv                        check                    dfexp -format csv -run fig3,fig4,fig5a
 cmd/dfexp/testdata/list.txt                        check                    dfexp -list

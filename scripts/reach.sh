@@ -69,7 +69,7 @@ covtest ./internal/exp TestQuickGolden TestRunnerCancellation TestFig3TraceCarri
 covtest ./internal/gf256 TestInvertZeroPivot TestDetectKernel
 covtest ./internal/jobsched TestKindStringAndParse TestQueueMatchesRecomputeOracle
 covtest ./internal/mapred TestRepairTracePinned TestSchedulerKindString
-covtest ./internal/minimr TestNoWorkerLeak TestScannersMatchReference TestSumReducerSkipsNonNumbers
+covtest ./internal/minimr TestNoWorkerLeak TestScannersMatchReference TestSumReducerSkipsNonNumbers TestRepairWithNowhereToRebuild
 covtest ./internal/netsim TestModeString TestUnlimitedPathsFinishAtOnce TestStarvedFlowGetsNoCompletion TestDeepPathIndexes \
 	TestCancelFlow TestFlowRecordsReusedAfterRelease TestReplayWithoutRecord TestReplayStopsWhereDirtyLinkUndercuts TestReplayStopsAtDirtyWitness \
 	TestReplayStopsWhereSaturationMoves TestReplayStopsWhereRecordedSaturationGoes TestReplayStopsWhereNewFlowsSaturate \
