@@ -21,6 +21,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -33,7 +34,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	// -help and -h print the usage, which is what they ask for: exit 0.
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "dfmaster:", err)
 		os.Exit(1)
 	}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding"
 	"encoding/json"
+	"os"
+	"os/exec"
 	"reflect"
 	"strconv"
 	"strings"
@@ -116,4 +119,27 @@ func sample(t reflect.Type) string {
 		return "{" + strings.Join(fields, ",") + "}"
 	}
 	panic("no sample of " + t.String())
+}
+
+// TestHelpExitsZero runs main with -help and with -h in a child
+// process, this test binary re-entered through DFMASTER_HELP_ARG: each
+// prints the usage once and exits 0, with no error line.
+func TestHelpExitsZero(t *testing.T) {
+	if arg := os.Getenv("DFMASTER_HELP_ARG"); arg != "" {
+		os.Args = []string{"dfmaster", arg}
+		main()
+		return
+	}
+	for _, arg := range []string{"-help", "-h"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestHelpExitsZero$")
+		cmd.Env = append(os.Environ(), "DFMASTER_HELP_ARG="+arg)
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("dfmaster %s: %v\n%s", arg, err, out.String())
+		}
+		if n := strings.Count(out.String(), "Usage of dfmaster:"); n != 1 || strings.Contains(out.String(), "help requested") {
+			t.Errorf("dfmaster %s printed the usage %d times, or an error:\n%s", arg, n, out.String())
+		}
+	}
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding"
 	"encoding/json"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -256,4 +258,27 @@ func sample(t reflect.Type) string {
 		return "{" + strings.Join(fields, ",") + "}"
 	}
 	panic("no sample of " + t.String())
+}
+
+// TestHelpExitsZero runs main with -help and with -h in a child
+// process, this test binary re-entered through DFSIM_HELP_ARG: each
+// prints the usage once and exits 0, with no error line.
+func TestHelpExitsZero(t *testing.T) {
+	if arg := os.Getenv("DFSIM_HELP_ARG"); arg != "" {
+		os.Args = []string{"dfsim", arg}
+		main()
+		return
+	}
+	for _, arg := range []string{"-help", "-h"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestHelpExitsZero$")
+		cmd.Env = append(os.Environ(), "DFSIM_HELP_ARG="+arg)
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("dfsim %s: %v\n%s", arg, err, out.String())
+		}
+		if n := strings.Count(out.String(), "Usage of dfsim:"); n != 1 || strings.Contains(out.String(), "help requested") {
+			t.Errorf("dfsim %s printed the usage %d times, or an error:\n%s", arg, n, out.String())
+		}
+	}
 }

@@ -246,10 +246,6 @@ type FS struct {
 	// independent, so the worker count changes wall-clock time only, never
 	// the encoded bytes.
 	encodeParallelism int
-
-	// repairBuf is the one buffer RepairBlock rebuilds a block into before
-	// comparing it with the stored copy.
-	repairBuf []byte
 }
 
 // New builds an empty file system over the cluster. policy defaults to

@@ -9,7 +9,6 @@
 package dfs
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -160,12 +159,12 @@ func (fs *FS) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
 
 // RepairBlock commits the reconstruction of lost block b onto dst: for
 // data-bearing files it decodes the block from the given sources for
-// real, into a buffer the FS reuses from one repair to the next,
-// verifies the result against the stored ground truth, and only
-// then moves the placement; metadata-only files move the placement
-// directly. Reports whether the repair used an LRC local group (fewer
-// than k reads). It is an error to repair a block whose holder is alive
-// — the double-write guard.
+// real, checking it against the stored ground truth window by window as
+// it is rebuilt (erasure's CompareBlock), and only then moves the
+// placement; metadata-only files move the placement directly. Reports
+// whether the repair used an LRC local group (fewer than k reads). It is
+// an error to repair a block whose holder is alive — the double-write
+// guard.
 func (fs *FS) RepairBlock(file string, b erasure.BlockID, dst topology.NodeID,
 	sources []repair.Source) (local bool, err error) {
 
@@ -193,20 +192,12 @@ func (fs *FS) RepairBlock(file string, b erasure.BlockID, dst topology.NodeID,
 		for i, idx := range srcIdx {
 			shards[i] = f.blocks[b.Stripe][idx]
 		}
-		want := f.blocks[b.Stripe][b.Index]
-		if cap(fs.repairBuf) < len(want) {
-			fs.repairBuf = make([]byte, len(want))
-		}
-		data := fs.repairBuf[:len(want)]
-		if err := fs.code.ReconstructBlockInto(data, b.Index, srcIdx, shards); err != nil {
+		at, err := fs.code.CompareBlock(f.blocks[b.Stripe][b.Index], b.Index, srcIdx, shards)
+		if err != nil {
 			return false, fmt.Errorf("dfs: repairing %v of %q: %w", b, file, err)
 		}
-		if !bytes.Equal(data, want) {
-			for i := range data {
-				if data[i] != want[i] {
-					return false, fmt.Errorf("dfs: repaired %v of %q differs from ground truth at byte %d", b, file, i)
-				}
-			}
+		if at >= 0 {
+			return false, fmt.Errorf("dfs: repaired %v of %q differs from ground truth at byte %d", b, file, at)
 		}
 	}
 	f.Placement.Reassign(b, dst)

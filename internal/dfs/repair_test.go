@@ -440,11 +440,10 @@ func repairFixture(tb testing.TB) (*FS, *File, repair.StripePlan) {
 	return fs, f, plan
 }
 
-// TestRepairBlockReusesBuffer repairs two different blocks back to back:
-// the second rebuild lands in the buffer still holding the first, so it
-// passes the ground-truth check only if the buffer is overwritten rather
-// than added to. That second repair of a 1 MiB block must allocate less
-// than half a block.
+// TestRepairBlockReusesBuffer repairs two different blocks back to back.
+// Each is checked against its stored copy through a window the check
+// reuses, not a rebuilt block, so the second repair of a 1 MiB block must
+// allocate less than half a block.
 func TestRepairBlockReusesBuffer(t *testing.T) {
 	fs, f, plan := repairFixture(t)
 	repairOne := func(bp repair.BlockPlan) {

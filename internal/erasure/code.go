@@ -33,11 +33,11 @@ type Coder interface {
 	// EncodeStripe returns all N shards for K data shards.
 	EncodeStripe(data [][]byte) ([][]byte, error)
 	// ReconstructBlock recovers one block from the given source shards
-	// into a new slice; ReconstructBlockInto overwrites dst, which must
-	// have the sources' length, so a caller can reuse one buffer. Neither
-	// modifies the sources.
+	// into a new slice; CompareBlock decodes it only to compare it with a
+	// stored copy, returning the first differing byte or -1, so a caller
+	// checking a repair needs no buffer. Neither modifies the sources.
 	ReconstructBlock(idx int, srcIdx []int, sources [][]byte) ([]byte, error)
-	ReconstructBlockInto(dst []byte, idx int, srcIdx []int, sources [][]byte) error
+	CompareBlock(want []byte, idx int, srcIdx []int, sources [][]byte) (int, error)
 	// Determines reports whether the blocks at srcIdx determine block idx:
 	// whether ReconstructBlock can succeed on them.
 	Determines(idx int, srcIdx []int) bool

@@ -1,8 +1,10 @@
 package erasure
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 
 	"degradedfirst/internal/gf256"
 )
@@ -17,6 +19,8 @@ import (
 type linear struct {
 	n, k int
 	gen  *gf256.Matrix
+	// parity is gen's rows k..n-1, row-major: Encode's coefficients.
+	parity []byte
 }
 
 // newLinear stacks the (n-k) x k parity rows under a k x k identity.
@@ -26,10 +30,12 @@ func newLinear(k int, parity *gf256.Matrix) linear {
 	for i := 0; i < k; i++ {
 		gen.Set(i, i, 1)
 	}
+	var rows []byte
 	for i := k; i < n; i++ {
 		copy(gen.Row(i), parity.Row(i-k))
+		rows = append(rows, gen.Row(i)...)
 	}
-	return linear{n: n, k: k, gen: gen}
+	return linear{n: n, k: k, gen: gen, parity: rows}
 }
 
 // N returns the stripe width (native + parity blocks).
@@ -39,7 +45,8 @@ func (c *linear) N() int { return c.n }
 func (c *linear) K() int { return c.k }
 
 // Encode computes the n-k parity shards for k equal-length native shards,
-// in stripe order. The native shards are not modified.
+// in stripe order, in one pass over the native bytes for every four
+// parity rows on the GFNI tier. The native shards are not modified.
 func (c *linear) Encode(native [][]byte) ([][]byte, error) {
 	size, err := checkShards(native, c.k, false)
 	if err != nil {
@@ -48,8 +55,8 @@ func (c *linear) Encode(native [][]byte) ([][]byte, error) {
 	parity := make([][]byte, c.n-c.k)
 	for i := range parity {
 		parity[i] = make([]byte, size)
-		gf256.MulAddSlices(c.gen.Row(c.k+i), native, parity[i])
 	}
+	gf256.MulSlices(c.parity, native, parity...)
 	return parity, nil
 }
 
@@ -144,56 +151,108 @@ func (c *linear) coefficients(idx int, srcIdx []int) ([]byte, error) {
 	return x, nil
 }
 
-// combine overwrites out with sum_j coeffs[j]*sources[j]. The sum is
-// positionwise (out[i] depends only on byte i of every source), so large
-// blocks are computed in disjoint chunks across a GOMAXPROCS-bounded set of
-// workers — the degraded-read hot path of the real-bytes engine —
-// byte-identical to one serial pass. Unit coefficients are plain XORs
-// inside MulAddSlices, which is all an LRC local repair consists of.
+// combine overwrites out with sum_j coeffs[j]*sources[j], writing each
+// byte once without reading it. The sum is positionwise (out[i] depends
+// only on byte i of every source), so large blocks are computed in
+// disjoint chunks across a GOMAXPROCS-bounded set of workers — the
+// degraded-read hot path of the real-bytes engine — byte-identical to one
+// serial pass. Unit coefficients are plain XORs inside the kernel, which
+// is all an LRC local repair consists of.
 func combine(coeffs []byte, sources [][]byte, out []byte) {
 	forEachChunk(len(out), reconstructWorkers(len(out)), func(lo, hi int) {
-		clear(out[lo:hi])
-		gf256.MulAddSlices(coeffs, subSlices(sources, lo, hi), out[lo:hi])
+		gf256.MulSlices(coeffs, subSlices(sources, lo, hi), out[lo:hi])
 	})
 }
 
 // ReconstructBlock recovers the shard at index idx from the given source
-// shards, identified by srcIdx, without mutating them. This is a degraded
-// read of a single lost block: the caller supplies what it downloaded — any
-// set that determines the block, e.g. k blocks of an MDS code or an LRC
-// local repair group — and gets ErrTooFewShards when it does not.
+// shards, identified by srcIdx, into a new slice, without mutating them.
+// This is a degraded read of a single lost block: the caller supplies what
+// it downloaded — any set that determines the block, e.g. k blocks of an
+// MDS code or an LRC local repair group — and gets ErrTooFewShards when it
+// does not.
 func (c *linear) ReconstructBlock(idx int, srcIdx []int, sources [][]byte) ([]byte, error) {
-	var dst []byte
-	if len(sources) > 0 {
-		dst = make([]byte, len(sources[0]))
-	}
-	if err := c.ReconstructBlockInto(dst, idx, srcIdx, sources); err != nil {
+	coeffs, size, err := c.decodePlan(idx, srcIdx, sources, -1)
+	if err != nil {
 		return nil, err
 	}
+	dst := make([]byte, size)
+	combine(coeffs, sources, dst)
 	return dst, nil
 }
 
-// ReconstructBlockInto is ReconstructBlock writing the recovered shard into
-// dst instead of a new slice. dst must have the sources' length
-// (ErrShardSizeMismatch otherwise) and must not overlap them; its previous
-// contents are overwritten, never added to.
-func (c *linear) ReconstructBlockInto(dst []byte, idx int, srcIdx []int, sources [][]byte) error {
+// compareWindow is how much of a block CompareBlock decodes at a time:
+// small enough that the rebuilt bytes are still in L1 when they are
+// compared with the stored ones.
+const compareWindow = 8 << 10
+
+// CompareBlock decodes block idx from the sources as ReconstructBlock
+// does and compares it with want, which must have the sources' length
+// (ErrShardSizeMismatch otherwise). It returns the index of the first
+// byte at which the two differ, or -1 when they agree. The decoded block
+// is never stored whole: each compareWindow of it is rebuilt into a
+// reused buffer and checked while it is in cache, so a repair's check
+// reads want once and writes nothing. Neither want nor the sources are
+// modified.
+func (c *linear) CompareBlock(want []byte, idx int, srcIdx []int, sources [][]byte) (int, error) {
+	coeffs, size, err := c.decodePlan(idx, srcIdx, sources, len(want))
+	if err != nil {
+		return 0, err
+	}
+	var mu sync.Mutex
+	first := -1
+	forEachChunk(size, reconstructWorkers(size), func(lo, hi int) {
+		var buf [compareWindow]byte
+		srcs := make([][]byte, len(sources))
+		for wlo := lo; wlo < hi; wlo += compareWindow {
+			whi := min(wlo+compareWindow, hi)
+			for j, s := range sources {
+				srcs[j] = s[wlo:whi]
+			}
+			got := buf[:whi-wlo]
+			gf256.MulSlices(coeffs, srcs, got)
+			if i := firstDiff(got, want[wlo:whi]); i >= 0 {
+				mu.Lock()
+				if first < 0 || wlo+i < first {
+					first = wlo + i
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	})
+	return first, nil
+}
+
+// firstDiff returns the first index at which a and b, of one length,
+// differ, or -1.
+func firstDiff(a, b []byte) int {
+	if bytes.Equal(a, b) {
+		return -1
+	}
+	i := 0
+	for a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// decodePlan checks a decode's sources — one per index, all of one
+// non-zero length, which it returns, and wantLen too unless it is -1 —
+// and returns the weights that combine them into block idx.
+func (c *linear) decodePlan(idx int, srcIdx []int, sources [][]byte, wantLen int) (coeffs []byte, size int, err error) {
 	if len(srcIdx) != len(sources) {
-		return fmt.Errorf("%w: %d indices for %d sources", ErrShardCount, len(srcIdx), len(sources))
+		return nil, 0, fmt.Errorf("%w: %d indices for %d sources", ErrShardCount, len(srcIdx), len(sources))
 	}
-	size, err := checkShards(sources, len(srcIdx), false)
-	if err != nil {
-		return err
+	if size, err = checkShards(sources, len(srcIdx), false); err != nil {
+		return nil, 0, err
 	}
-	if len(dst) != size {
-		return fmt.Errorf("%w: destination has %d bytes, shards %d", ErrShardSizeMismatch, len(dst), size)
+	if wantLen >= 0 && wantLen != size {
+		return nil, 0, fmt.Errorf("%w: block to compare has %d bytes, shards %d", ErrShardSizeMismatch, wantLen, size)
 	}
-	coeffs, err := c.coefficients(idx, srcIdx)
-	if err != nil {
-		return err
+	if coeffs, err = c.coefficients(idx, srcIdx); err != nil {
+		return nil, 0, err
 	}
-	combine(coeffs, sources, dst)
-	return nil
+	return coeffs, size, nil
 }
 
 // checkShards is the one shape check: shards must have want entries, all of

@@ -94,7 +94,7 @@ func pick(stripe [][]byte, idx []int) [][]byte {
 	return out
 }
 
-// checkDecode holds ReconstructBlock, ReconstructBlockInto, Determines and
+// checkDecode holds ReconstructBlock, CompareBlock, Determines and
 // Reconstruct to the oracle for one (block, source list): they succeed
 // exactly when the sources' generator rows span the block's, with the
 // encoded bytes.
@@ -116,30 +116,38 @@ func checkDecode(t testing.TB, c *linear, stripe [][]byte, idx int, src []int) {
 		t.Fatalf("ReconstructBlock(%d, %v) = %v, want ErrTooFewShards: the sources do not determine the block", idx, src, err)
 	}
 
-	// Into a reused buffer: same verdict and bytes from a garbage-filled
-	// dst, the sources untouched, and a dst of the wrong length refused.
+	// Compared in place: the same verdict, -1 against the stored block and
+	// the first corrupted byte against a corrupted copy, the sources
+	// untouched, and a block of the wrong length refused.
 	size := len(stripe[0])
 	orig := make([][]byte, len(stripe))
 	for i, s := range stripe {
 		orig[i] = bytes.Clone(s)
 	}
-	dst := bytes.Repeat([]byte{0xA5}, size)
-	intoErr := c.ReconstructBlockInto(dst, idx, src, pick(stripe, src))
+	at, cmpErr := c.CompareBlock(stripe[idx], idx, src, pick(stripe, src))
 	switch {
-	case fmt.Sprint(intoErr) != fmt.Sprint(err):
-		t.Fatalf("ReconstructBlockInto(%d, %v) = %v, ReconstructBlock gave %v", idx, src, intoErr, err)
-	case err == nil && !bytes.Equal(dst, stripe[idx]):
-		t.Fatalf("ReconstructBlockInto(%d, %v) into a garbage-filled dst: wrong bytes", idx, src)
+	case fmt.Sprint(cmpErr) != fmt.Sprint(err):
+		t.Fatalf("CompareBlock(%d, %v) = %v, ReconstructBlock gave %v", idx, src, cmpErr, err)
+	case err == nil && at != -1:
+		t.Fatalf("CompareBlock(%d, %v) against the stored block = %d, want -1", idx, src, at)
+	}
+	if err == nil {
+		bad := bytes.Clone(stripe[idx])
+		wantAt := size - 1 - idx%size
+		bad[wantAt] ^= 0x81
+		if at, _ := c.CompareBlock(bad, idx, src, pick(stripe, src)); at != wantAt {
+			t.Fatalf("CompareBlock(%d, %v) against a copy corrupted at byte %d = %d", idx, src, wantAt, at)
+		}
 	}
 	for i := range stripe {
 		if !bytes.Equal(stripe[i], orig[i]) {
-			t.Fatalf("ReconstructBlockInto(%d, %v) modified shard %d", idx, src, i)
+			t.Fatalf("CompareBlock(%d, %v) modified shard %d", idx, src, i)
 		}
 	}
 	if len(src) > 0 {
 		for _, n := range []int{size - 1, size + 1} {
-			if err := c.ReconstructBlockInto(make([]byte, n), idx, src, pick(stripe, src)); !errors.Is(err, ErrShardSizeMismatch) {
-				t.Fatalf("ReconstructBlockInto with a %d-byte dst for %d-byte shards = %v, want ErrShardSizeMismatch", n, size, err)
+			if _, err := c.CompareBlock(make([]byte, n), idx, src, pick(stripe, src)); !errors.Is(err, ErrShardSizeMismatch) {
+				t.Fatalf("CompareBlock with a %d-byte block for %d-byte shards = %v, want ErrShardSizeMismatch", n, size, err)
 			}
 		}
 	}

@@ -76,8 +76,8 @@ func TestChunkedDecodeMatchesSerial(t *testing.T) {
 }
 
 // TestReconstructBlockLargeShard covers the size regime where
-// ReconstructBlock engages chunking (when GOMAXPROCS allows): the result
-// must equal the original shard regardless.
+// ReconstructBlock and CompareBlock engage chunking (when GOMAXPROCS
+// allows): the result must equal the original shard regardless.
 func TestReconstructBlockLargeShard(t *testing.T) {
 	code := MustNew(14, 10)
 	size := chunkParallelMin // the smallest size that is chunked
@@ -106,6 +106,21 @@ func TestReconstructBlockLargeShard(t *testing.T) {
 	}
 	if !bytes.Equal(got, native[3]) {
 		t.Fatal("large-shard ReconstructBlock returned wrong bytes")
+	}
+	// CompareBlock names the lowest corrupted byte whichever chunk, and
+	// which window of it, holds it.
+	for _, corrupt := range [][]int{nil, {size - 1}, {size/2 + 9, size - 1}, {7, size/2 + 9}} {
+		want := bytes.Clone(native[3])
+		for _, i := range corrupt {
+			want[i] ^= 0x10
+		}
+		wantAt := -1
+		if len(corrupt) > 0 {
+			wantAt = corrupt[0]
+		}
+		if at, err := code.CompareBlock(want, 3, srcIdx, sources); err != nil || at != wantAt {
+			t.Fatalf("CompareBlock against a copy corrupted at %v = %d, %v; want %d", corrupt, at, err, wantAt)
+		}
 	}
 }
 

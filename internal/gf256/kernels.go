@@ -10,15 +10,17 @@ import (
 //
 // There are three implementations of dst ^= c*src, one per tier, chosen
 // once at start-up (kernel, set in kernels_amd64.go or kernels_noasm.go)
-// and dispatched on by mulAdd, xorInto and MulAddSlices and nowhere else:
+// and dispatched on by mulAdd, xorInto and mulSlices and nowhere else:
 //
 //   - tierGFNI (kernels_amd64.s): GF2P8AFFINEQB applies an 8x8 bit matrix
 //     to every byte, and multiplying by c is linear over GF(2), so aff[c]
-//     turns 64 products into one instruction. MulAddSlices hands the
-//     256-byte-aligned prefix of dst to one fused kernel that XORs every
-//     source's products into registers and touches dst once per 256 bytes.
-//     Used when the CPU has AVX-512F and GFNI and the OS saves the ZMM
-//     state; the rest of dst, and every single-source mulAdd, runs on AVX2.
+//     turns 64 products into one instruction. mulSlices hands the
+//     256-byte-aligned prefix of its outputs to one fused kernel that
+//     computes up to maxRows output rows per pass, reads each source byte
+//     once for all of them, sums the products in registers and then adds
+//     the sums to dst or writes them over it, once per 256 bytes. Used
+//     when the CPU has AVX-512F and GFNI and the OS saves the ZMM state;
+//     the rest of each dst, and every single-source mulAdd, runs on AVX2.
 //   - tierAVX2 (kernels_amd64.s): the split-nibble shuffle multiply. c*s
 //     equals c*(s&15) ^ c*(s>>4<<4), so two 16-entry tables per
 //     coefficient turn 32 products into two VPSHUFB lookups and an XOR.
@@ -164,46 +166,84 @@ func MulSlice(c byte, src, dst []byte) {
 // streams are accumulated into it.
 const fuseBlock = 8 << 10
 
+// maxRows is how many output rows one pass of the GFNI kernel over the
+// sources computes: each row keeps 256 bytes in four of the 32 ZMM
+// registers, and a source pair, its two matrices and their products take
+// twelve more.
+const maxRows = 4
+
 // MulAddSlices computes the fused accumulation
 //
 //	dst[i] ^= coeffs[0]*srcs[0][i] ^ coeffs[1]*srcs[1][i] ^ ...
 //
-// — one output block of a matrix-vector product over shards, the core of
-// Encode and ReconstructBlock. Every source must have dst's length.
-//
-// On the GFNI tier the 256-byte-aligned prefix of dst goes to one kernel
-// that sums all k products in registers and reads and writes each byte of
-// dst once; a zero coefficient is the zero matrix and a unit one the
-// identity, so it needs no special case. The rest of dst, and all of it on
-// the lower tiers, is processed in L1-sized windows, one source at a time,
-// so the accumulator is read and written from cache regardless of how many
-// sources are folded in; there zero coefficients are skipped and unit
-// coefficients are plain XORs.
+// — one output block of a matrix-vector product over shards. Every source
+// must have dst's length. It is mulSlices' one-row, accumulating case.
 func MulAddSlices(coeffs []byte, srcs [][]byte, dst []byte) {
-	if len(coeffs) != len(srcs) {
-		panic("gf256: MulAddSlices coefficient/source count mismatch")
+	mulSlices(coeffs, srcs, [][]byte{dst}, false)
+}
+
+// MulSlices writes rows of a matrix-vector product over shards: with
+// k = len(srcs),
+//
+//	dsts[r][i] = coeffs[r*k]*srcs[0][i] ^ ... ^ coeffs[r*k+k-1]*srcs[k-1][i]
+//
+// for every row r, overwriting dsts[r]; coeffs is the matrix, row-major.
+// This is Encode (one row per parity block) and a decode (one row). There
+// must be at least one dst, every source and dst must have one length, and
+// no dst may overlap a source.
+func MulSlices(coeffs []byte, srcs [][]byte, dsts ...[]byte) {
+	mulSlices(coeffs, srcs, dsts, true)
+}
+
+// mulSlices is MulSlices when overwrite is set and otherwise XORs every
+// row's sum into its dst. On the GFNI tier the 256-byte-aligned prefix of
+// the outputs goes to the fused kernel, maxRows rows per pass over the
+// sources: it reads every source byte once per pass, and dst once to
+// accumulate or not at all to overwrite. A zero coefficient is the zero
+// matrix and a unit one the identity, so it needs no special case. The
+// rest, and everything on the lower tiers, is computed a row at a time in
+// L1-sized windows, one source at a time, so the window is read and
+// written from cache however many sources are folded in (an overwritten
+// one is cleared first); there zero coefficients are skipped and unit
+// coefficients are plain XORs.
+func mulSlices(coeffs []byte, srcs [][]byte, dsts [][]byte, overwrite bool) {
+	k := len(srcs)
+	if len(coeffs) != k*len(dsts) {
+		panic("gf256: coefficient count is not sources times outputs")
 	}
+	size := len(dsts[0])
 	for _, s := range srcs {
-		if len(s) != len(dst) {
-			panic("gf256: MulAddSlices length mismatch")
+		if len(s) != size {
+			panic("gf256: source and destination lengths differ")
+		}
+	}
+	for _, d := range dsts {
+		if len(d) != size {
+			panic("gf256: destination lengths differ")
 		}
 	}
 	t := productTables()
 	n := 0
-	if kernel >= tierGFNI && len(coeffs) > 0 {
-		n = len(dst) &^ 255
-		mulAddSlicesGFNI(&t.aff, coeffs, srcs, dst[:n])
+	if kernel >= tierGFNI && k > 0 {
+		n = size &^ 255
+		mulSlicesGFNI(&t.aff, coeffs, srcs, dsts, n, overwrite)
 	}
-	for lo := n; lo < len(dst); lo += fuseBlock {
-		hi := min(lo+fuseBlock, len(dst))
-		d := dst[lo:hi]
-		for j, c := range coeffs {
-			switch c {
-			case 0:
-			case 1:
-				xorInto(srcs[j][lo:hi], d)
-			default:
-				mulAdd(t, c, srcs[j][lo:hi], d)
+	for r, dst := range dsts {
+		row := coeffs[r*k : (r+1)*k]
+		for lo := n; lo < size; lo += fuseBlock {
+			hi := min(lo+fuseBlock, size)
+			d := dst[lo:hi]
+			if overwrite {
+				clear(d)
+			}
+			for j, c := range row {
+				switch c {
+				case 0:
+				case 1:
+					xorInto(srcs[j][lo:hi], d)
+				default:
+					mulAdd(t, c, srcs[j][lo:hi], d)
+				}
 			}
 		}
 	}

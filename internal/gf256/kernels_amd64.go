@@ -43,13 +43,18 @@ func cpuid(leaf, subLeaf uint32) (eax, ebx, ecx, edx uint32)
 // the OS has enabled. It may run only when CPUID reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
-// mulAddSlicesGFNI computes dst[i] ^= coeffs[0]*srcs[0][i] ^ ... for
-// i < len(dst), with aff the bit matrix of every coefficient. len(dst)
-// must be a multiple of 256, every source at least that long, and
-// len(srcs) equal to len(coeffs) and not 0.
+// mulSlicesGFNI computes, for every row r < len(dsts) and i < n,
+//
+//	dsts[r][i] (^)= coeffs[r*k]*srcs[0][i] ^ ... ^ coeffs[r*k+k-1]*srcs[k-1][i]
+//
+// with k = len(srcs), aff the bit matrix of every coefficient, and the
+// sum XORed into dsts[r] or, when overwrite is set, written over it. n
+// must be a multiple of 256, every source and dst at least that long,
+// len(dsts) and k at least 1, and len(coeffs) k times len(dsts). It makes
+// one pass over the sources per maxRows rows.
 //
 //go:noescape
-func mulAddSlicesGFNI(aff *[256]uint64, coeffs []byte, srcs [][]byte, dst []byte)
+func mulSlicesGFNI(aff *[256]uint64, coeffs []byte, srcs [][]byte, dsts [][]byte, n int, overwrite bool)
 
 // mulAddAVX2 computes dst[i] ^= c*src[i] over len(src) bytes, where nib is
 // c's pair of shuffle tables. len(src) must be a multiple of 32 and

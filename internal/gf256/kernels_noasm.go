@@ -2,11 +2,11 @@
 
 package gf256
 
-// No assembly in this build: mulAdd, xorInto and MulAddSlices always take
+// No assembly in this build: mulAdd, xorInto and mulSlices always take
 // the table kernel, and the stubs below are never reached.
 var kernel = tierTable
 
-func mulAddSlicesGFNI(aff *[256]uint64, coeffs []byte, srcs [][]byte, dst []byte) {
+func mulSlicesGFNI(aff *[256]uint64, coeffs []byte, srcs [][]byte, dsts [][]byte, n int, overwrite bool) {
 	panic("gf256: no assembly kernel in this build")
 }
 

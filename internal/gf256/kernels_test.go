@@ -232,30 +232,40 @@ func TestMulAddSlicesMatchesSerialReference(t *testing.T) {
 
 // TestMulAddSlicesFusedSweep drives the fused GFNI kernel's edges under
 // every tier: k = 1-20 sources (odd and even, so the kernel's source
-// pairs and its odd last source), zero and unit coefficients mixed in,
-// lengths either side of its 256-byte step and of the 32-byte groups the
-// tail takes, and every source and dst at its own offset 0-63 (mod 64)
-// between two guards. The guard bytes around dst and every byte of every
-// source buffer must come back untouched. Offsets advance from case to
-// case; a second pass runs every offset for a few source counts. The
-// per-byte reference is computed once per case, not once per tier.
+// pairs and its odd last source), 1-6 output rows (every row count one
+// pass over the sources computes, and a second pass), accumulating into
+// dst and overwriting it, zero and unit
+// coefficients mixed into every row, lengths either side of its 256-byte
+// step and of the 32-byte groups the tail takes, and every source and dst
+// at its own offset 0-63 (mod 64) between two guards. The guard bytes
+// around every dst and every byte of every source buffer must come back
+// untouched. Offsets advance from case to case; a second pass runs every
+// offset for a few source counts. The per-byte reference is computed once
+// per case, not once per tier. One accumulating row goes through
+// MulAddSlices, an overwrite through MulSlices, and accumulating rows
+// through mulSlices, which have no exported entry.
 func TestMulAddSlicesFusedSweep(t *testing.T) {
 	const guard = 64
 	type fusedCase struct {
-		coeffs           []byte
+		coeffs           []byte // rows x k, row-major
+		overwrite        bool
 		srcBufs, srcCopy [][]byte // each source with its guards
 		srcs             [][]byte
-		dstOff, n        int
-		dstInit, dstWant []byte // dst's buffer, guards included
+		dstOffs          []int
+		n                int
+		dstInit, dstWant [][]byte // each dst's buffer, guards included
 	}
 	rng := rand.New(rand.NewSource(41))
-	newCase := func(k, n, off int) fusedCase {
-		fc := fusedCase{coeffs: make([]byte, k), dstOff: guard + 63 - off, n: n}
-		for j := range fc.coeffs {
-			fc.coeffs[j] = byte(2 + rng.Intn(254))
-		}
-		if k >= 2 { // a zero and a one, at positions that move with k
-			fc.coeffs[k/2], fc.coeffs[k-1] = 0, 1
+	newCase := func(rows, k, n, off int, overwrite bool) fusedCase {
+		fc := fusedCase{coeffs: make([]byte, rows*k), overwrite: overwrite, n: n}
+		for r := 0; r < rows; r++ {
+			row := fc.coeffs[r*k : (r+1)*k]
+			for j := range row {
+				row[j] = byte(2 + rng.Intn(254))
+			}
+			if k >= 2 { // a zero and a one, at positions that move with k and r
+				row[(k/2+r)%k], row[(k-1+r)%k] = 0, 1
+			}
 		}
 		for j := 0; j < k; j++ {
 			srcOff := guard + (off+17*j)%64
@@ -265,40 +275,70 @@ func TestMulAddSlicesFusedSweep(t *testing.T) {
 			fc.srcCopy = append(fc.srcCopy, append([]byte(nil), buf...))
 			fc.srcs = append(fc.srcs, buf[srcOff:srcOff+n])
 		}
-		fc.dstInit = make([]byte, fc.dstOff+n+guard)
-		fillPattern(fc.dstInit, 0xee)
-		fc.dstWant = append([]byte(nil), fc.dstInit...)
-		for j, c := range fc.coeffs {
-			refMulAdd(c, fc.srcs[j], fc.dstWant[fc.dstOff:fc.dstOff+n])
+		for r := 0; r < rows; r++ {
+			dstOff := guard + 63 - (off+29*r)%64
+			init := make([]byte, dstOff+n+guard)
+			fillPattern(init, byte(0xee-r))
+			want := append([]byte(nil), init...)
+			d := want[dstOff : dstOff+n]
+			if overwrite {
+				clear(d)
+			}
+			for j, c := range fc.coeffs[r*k : (r+1)*k] {
+				refMulAdd(c, fc.srcs[j], d)
+			}
+			fc.dstOffs = append(fc.dstOffs, dstOff)
+			fc.dstInit = append(fc.dstInit, init)
+			fc.dstWant = append(fc.dstWant, want)
 		}
 		return fc
 	}
 	var cases []fusedCase
 	for k := 1; k <= 20; k++ {
 		for i, n := range []int{0, 1, 255, 256, 257, 511, 513, 8193} {
-			cases = append(cases, newCase(k, n, (k+7*i)%64))
+			for rows := 1; rows <= maxRows+2; rows++ {
+				for _, overwrite := range []bool{false, true} {
+					cases = append(cases, newCase(rows, k, n, (k+7*i+rows)%64, overwrite))
+				}
+			}
 		}
 	}
 	// 1 MiB + 7: a long run of fused steps and a 7-byte tail, for an odd
-	// and an even source count.
-	cases = append(cases, newCase(1, 1<<20+7, 3), newCase(20, 1<<20+7, 60))
+	// and an even source count, one row and three passes' rows.
+	cases = append(cases, newCase(1, 1, 1<<20+7, 3, false), newCase(1, 20, 1<<20+7, 60, false),
+		newCase(2*maxRows+1, 10, 1<<20+7, 31, true))
 	for _, k := range []int{1, 2, 3, 10} {
 		for _, n := range []int{255, 256, 257, 513} {
 			for off := 0; off < 64; off++ {
-				cases = append(cases, newCase(k, n, off))
+				cases = append(cases, newCase(1+off/2%(maxRows+2), k, n, off, off%2 == 1))
 			}
 		}
 	}
 	eachKernel(t, func(kernel string) {
 		for _, fc := range cases {
-			got := append([]byte(nil), fc.dstInit...)
-			MulAddSlices(fc.coeffs, fc.srcs, got[fc.dstOff:fc.dstOff+fc.n])
-			if !bytes.Equal(got, fc.dstWant) {
-				t.Fatalf("%s: MulAddSlices(k=%d, n=%d, dst+%d, coeffs=%v) wrong result or wrote outside dst", kernel, len(fc.coeffs), fc.n, fc.dstOff, fc.coeffs)
+			got := make([][]byte, len(fc.dstInit))
+			dsts := make([][]byte, len(fc.dstInit))
+			for r, init := range fc.dstInit {
+				got[r] = append([]byte(nil), init...)
+				dsts[r] = got[r][fc.dstOffs[r] : fc.dstOffs[r]+fc.n]
+			}
+			switch {
+			case fc.overwrite:
+				MulSlices(fc.coeffs, fc.srcs, dsts...)
+			case len(dsts) == 1:
+				MulAddSlices(fc.coeffs, fc.srcs, dsts[0])
+			default:
+				mulSlices(fc.coeffs, fc.srcs, dsts, false)
+			}
+			for r := range got {
+				if !bytes.Equal(got[r], fc.dstWant[r]) {
+					t.Fatalf("%s: k=%d, rows=%d, overwrite=%v, n=%d: row %d (dst+%d, coeffs=%v) wrong or written outside dst",
+						kernel, len(fc.srcs), len(dsts), fc.overwrite, fc.n, r, fc.dstOffs[r], fc.coeffs)
+				}
 			}
 			for j := range fc.srcBufs {
 				if !bytes.Equal(fc.srcBufs[j], fc.srcCopy[j]) {
-					t.Fatalf("%s: MulAddSlices(k=%d, n=%d) modified source %d", kernel, len(fc.coeffs), fc.n, j)
+					t.Fatalf("%s: k=%d, rows=%d, n=%d: source %d modified", kernel, len(fc.srcs), len(dsts), fc.n, j)
 				}
 			}
 		}
@@ -342,6 +382,12 @@ func TestKernelTiers(t *testing.T) {
 		t.Fatalf("tiers run %v, want the table kernel first", ran)
 	}
 	t.Logf("kernel tiers exercised: %s (dispatch default %q)", strings.Join(ran, ", "), tierNames[kernel])
+	if kernel >= tierGFNI {
+		t.Logf("fused gfni kernel exercised: 1-%d rows per pass over the sources, and more in further passes, accumulating and overwriting", maxRows)
+	} else {
+		t.Logf("fused gfni kernel (1-%d rows per pass, accumulating and overwriting) not exercised", maxRows)
+	}
+	t.Logf("row-at-a-time windows exercised, accumulating and overwriting: all of %s, and the gfni kernel's sub-256-byte tails", strings.Join(ran[:min(len(ran), 2)], " and "))
 }
 
 func TestKernelsProperty(t *testing.T) {
@@ -375,8 +421,11 @@ func TestMulTableRowMatchesMul(t *testing.T) {
 
 func TestMulAddSlicesPanicsOnMismatch(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"coeff-count": func() { MulAddSlices([]byte{1, 2}, [][]byte{{1}}, []byte{0}) },
-		"src-length":  func() { MulAddSlices([]byte{1}, [][]byte{{1, 2}}, []byte{0}) },
+		"coeff-count":   func() { MulAddSlices([]byte{1, 2}, [][]byte{{1}}, []byte{0}) },
+		"src-length":    func() { MulAddSlices([]byte{1}, [][]byte{{1, 2}}, []byte{0}) },
+		"rows-coeffs":   func() { MulSlices([]byte{1, 2}, [][]byte{{1}}, []byte{0}) },
+		"dst-length":    func() { MulSlices([]byte{1, 2}, [][]byte{{1}}, []byte{0}, []byte{0, 0}) },
+		"overwrite-src": func() { MulSlices([]byte{1}, [][]byte{{1, 2}}, []byte{0}) },
 	} {
 		func() {
 			defer func() {
@@ -475,6 +524,67 @@ func FuzzMulAddSlicesEquivalence(f *testing.F) {
 			MulAddSlices(coeffs, srcs, dst)
 			if !bytes.Equal(dst, want) {
 				t.Fatalf("%s: MulAddSlices(k=%d, n=%d, coeffs=%v) diverges from per-byte Mul", kernel, len(coeffs), n, coeffs)
+			}
+		})
+	})
+}
+
+// FuzzMulSlicesEquivalence pins the multi-row and overwrite paths under
+// every tier to a per-byte Mul loop: shape picks 1-8 output rows (low
+// three bits: one or two passes of the GFNI kernel) and whether they are
+// overwritten or added to (bit 3); coeffs is
+// cut into that many rows of k = len(coeffs)/rows coefficients (k = 0
+// included). Sources are built from data as in
+// FuzzMulAddSlicesEquivalence, and row r's dst starts as the data
+// reversed and XORed with r, at its own offset.
+func FuzzMulSlicesEquivalence(f *testing.F) {
+	f.Add([]byte{7}, []byte{}, byte(0), byte(8))
+	f.Add([]byte{0, 1, 2, 3, 4, 5}, bytes.Repeat([]byte{0xab, 0, 0xcd}, 100), byte(5), byte(1))
+	f.Add(bytes.Repeat([]byte{1, 0, 0x1d, 0xff, 2}, 8), bytes.Repeat([]byte{9, 0, 0x80}, 300), byte(63), byte(11))
+	f.Add(bytes.Repeat([]byte{0x53, 1}, 15), bytes.Repeat([]byte{1, 2, 3, 4}, 128), byte(33), byte(6))
+	f.Add(bytes.Repeat([]byte{3, 0x8e, 1}, 14), bytes.Repeat([]byte{7, 0, 5}, 200), byte(17), byte(14))
+	f.Fuzz(func(t *testing.T, coeffs, data []byte, off, shape byte) {
+		rows, overwrite := 1+int(shape&7), shape&8 != 0
+		k := len(coeffs) / rows
+		if k > 24 {
+			return
+		}
+		coeffs = coeffs[:rows*k]
+		n, o := len(data), int(off%64)
+		srcs := make([][]byte, k)
+		for j := range srcs {
+			src := make([]byte, o+j+n)[o+j:]
+			for i := range src {
+				src[i] = data[(i+31*j)%n] ^ byte(j)
+			}
+			srcs[j] = src
+		}
+		inits := make([][]byte, rows)
+		wants := make([][]byte, rows)
+		for r := range inits {
+			inits[r] = make([]byte, n)
+			for i := range inits[r] {
+				inits[r][i] = data[n-1-i] ^ byte(r)
+			}
+			wants[r] = append([]byte(nil), inits[r]...)
+			if overwrite {
+				clear(wants[r])
+			}
+			for j, c := range coeffs[r*k : (r+1)*k] {
+				refMulAdd(c, srcs[j], wants[r])
+			}
+		}
+		eachKernel(t, func(kernel string) {
+			dsts := make([][]byte, rows)
+			for r := range dsts {
+				dsts[r] = make([]byte, 63-o+7*r+n)[63-o+7*r:]
+				copy(dsts[r], inits[r])
+			}
+			mulSlices(coeffs, srcs, dsts, overwrite)
+			for r := range dsts {
+				if !bytes.Equal(dsts[r], wants[r]) {
+					t.Fatalf("%s: rows=%d, overwrite=%v, k=%d, n=%d: row %d diverges from per-byte Mul (coeffs=%v)", kernel, rows, overwrite, k, n, r, coeffs)
+				}
 			}
 		})
 	})

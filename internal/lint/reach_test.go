@@ -60,7 +60,6 @@ var allowList = map[string]allowEntry{
 	"stats.Median":                           {benchOnly, "the benchmark's per-workload medians"},
 	"sim.Engine.Steps":                       {benchOnly, "the benchmark's sim.steps row"},
 	"sim.Engine.RunUntil":                    {benchOnly, "the benchmark's event-heap probe runs to a horizon"},
-	"sim.Engine.Pending":                     {benchOnly, "the benchmark's event-heap probe reads the heap size"},
 	"sim.Event.At":                           {testAPI, "netsim's invariant oracle reads when its pending completion fires"},
 	"netsim.Flow.Finished":                   {benchOnly, "the benchmark's flow replay steps the engine until a flow has finished"},
 	"trace.ReadJSONL":                        {testAPI, "reads a trace back for the round-trip fuzz test and the replay tests"},
@@ -256,7 +255,7 @@ var branchAllowList = map[string]allowEntry{
 		hostDependent, "the AVX2 kernel; TestKernelTiers logs which tiers a host runs"},
 	"gf256.xorInto: n = len(src) &^ 31 xorAVX2(src[:n], dst[:n])": {
 		hostDependent, "the AVX2 kernel"},
-	"gf256.MulAddSlices: n = len(dst) &^ 255 mulAddSlicesGFNI(&t.aff, coeffs, srcs, dst[:n])": {
+	"gf256.mulSlices: n = size &^ 255 mulSlicesGFNI(&t.aff, coeffs, srcs, dsts, n, overwrite)": {
 		hostDependent, "the GFNI/AVX-512 kernel"},
 }
 

@@ -22,6 +22,8 @@ import (
 //  4. reduce tasks on a failed node restart from scratch on another node
 //     and re-fetch every map output.
 func (s *state) injectFailure(nodes []topology.NodeID) {
+	// What the scheduler sees changes: the stall check starts over.
+	s.quietBeats, s.quietUp = 0, 0
 	for _, id := range nodes {
 		s.cluster.FailNode(id)
 		e := s.ev(trace.EvNodeFail)

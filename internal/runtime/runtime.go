@@ -67,6 +67,10 @@ func (p *Params) name() string {
 // net against scheduling bugs.
 const maxSimTime = 1e7
 
+// newScheduler builds a run's map scheduler; tests swap in one that
+// misbehaves on purpose.
+var newScheduler = sched.Kind.New
+
 // Run drives the master loop over the given jobs until all finish, fail,
 // or maxSimTime passes, and returns the Result rebuilt from the run's
 // trace stream, or the stream's first violation of the Builder's grammar.
@@ -85,7 +89,7 @@ func Run(p Params, backend Backend, jobs []JobSpec) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.name(), err)
 	}
-	scheduler, err := p.Scheduler.New(p.Cluster.NumRacks())
+	scheduler, err := newScheduler(p.Scheduler, p.Cluster.NumRacks())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.name(), err)
 	}
@@ -384,6 +388,12 @@ type state struct {
 	// reqs is the batch buffer every flow starter builds in, cleared and
 	// kept after each batch (see startFlows).
 	reqs []netsim.FlowReq
+
+	// The stall check's state (see stalled): maps and reducers launched
+	// so far, and how many heartbeats in a row, of any node and of live
+	// nodes, found the run quiet and launched nothing.
+	launches            int
+	quietBeats, quietUp int
 }
 
 // ev returns a fresh event stamped with the current virtual time.
@@ -452,11 +462,38 @@ func (s *state) heartbeat(id topology.NodeID) {
 	if s.p.PollFailures != nil {
 		s.injectNewlyDead(s.p.PollFailures(s.eng.Now()))
 	}
-	if s.cluster.Alive(id) {
+	launched, alive := s.launches, s.cluster.Alive(id)
+	if alive {
 		s.serveSlave(id)
+	}
+	if s.err == nil && s.stalled(launched, alive) {
+		s.fail(fmt.Errorf("%s: stalled at %.0f s: no map, reducer, transfer, hedge or repair in flight, no job or failure to come, and %d heartbeats in a row launched nothing (%d/%d jobs finished)",
+			s.name, s.eng.Now(), s.quietBeats, s.finished, len(s.jobs)))
+		return
 	}
 	slave := s.slaves[id]
 	slave.beatEv = s.eng.Reschedule(slave.beatEv, s.eng.Now()+s.p.HeartbeatInterval, slave.beat)
+}
+
+// stalled reports whether the run can no longer progress, after a
+// heartbeat of a node (alive: one that is up) that began with launched
+// maps and reducers launched. The run is quiet when no event but the
+// other nodes' heartbeats is pending: no map attempt (its transfers, hedge
+// timers and processing are events), no started reducer, transfer, repair
+// or repair wait, no job submission and no failure to come. Quiet
+// heartbeats that launch nothing prove a stall once no scheduler may still
+// be waiting: every node has had one since the run went quiet or a node
+// last failed, and live nodes more than sched.PatienceRounds per rack.
+func (s *state) stalled(launched int, alive bool) bool {
+	if s.launches != launched || s.eng.Pending() != len(s.slaves)-1 {
+		s.quietBeats, s.quietUp = 0, 0
+		return false
+	}
+	s.quietBeats++
+	if alive {
+		s.quietUp++
+	}
+	return s.quietBeats >= len(s.slaves) && s.quietUp > sched.PatienceRounds*s.cluster.NumRacks()
 }
 
 // oobHeartbeat schedules an immediate extra heartbeat for a node that just
@@ -551,6 +588,7 @@ func (s *state) launchMap(a sched.Assignment, id topology.NodeID) {
 		return
 	}
 	slave.freeMap--
+	s.launches++
 
 	e := s.ev(trace.EvTaskLaunch)
 	e.Job = js.idx
@@ -734,6 +772,7 @@ func (s *state) launchReducer(r *reducerState, id topology.NodeID) {
 		return
 	}
 	slave.freeReduce--
+	s.launches++
 	r.launched = true
 	r.node = id
 	s.queue.ReduceGranted(r.job.idx)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -88,6 +89,9 @@ func (s *Scenario) Set(path, value string) error {
 // into a fresh scenario, which shares no slice or map with s. An unknown
 // field or enum name, or a value of the wrong type, fails.
 func (s *Scenario) patch(path []string, v any) error {
+	if err := caseClash(v, nil); err != nil {
+		return err
+	}
 	var tree any
 	doc, err := json.Marshal(s)
 	if err == nil {
@@ -160,6 +164,41 @@ func merge(node, v any) any {
 		obj[k] = merge(obj[k], sub)
 	}
 	return obj
+}
+
+// caseClash fails on the first object in v, in key order, that holds two
+// keys differing only in case, naming where in v it sits: both would
+// decode onto one field, and which won would depend on map order.
+func caseClash(v any, at []string) error {
+	switch n := v.(type) {
+	case map[string]any:
+		keys := make([]string, 0, len(n))
+		for k := range n {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			for _, prev := range keys[:i] {
+				if strings.EqualFold(prev, k) {
+					where := ""
+					if len(at) > 0 {
+						where = " in " + strings.Join(at, ".")
+					}
+					return fmt.Errorf("keys %q and %q%s differ only in case", prev, k, where)
+				}
+			}
+			if err := caseClash(n[k], append(at, k)); err != nil {
+				return err
+			}
+		}
+	case []any:
+		for i, e := range n {
+			if err := caseClash(e, append(at, strconv.Itoa(i))); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // key is obj's key that equals k in any case, else k.

@@ -150,6 +150,25 @@ func TestSetErrorsNamePath(t *testing.T) {
 	}
 }
 
+// TestSetRejectsKeysDifferingInCase: an object with two keys that differ
+// only in case is refused, with the path, on every call and at any depth,
+// rather than one key winning by map order.
+func TestSetRejectsKeysDifferingInCase(t *testing.T) {
+	for _, tc := range []struct{ path, value, want string }{
+		{"Hedge", `{"Extra":1,"extra":2}`, `Hedge: keys "Extra" and "extra" differ only in case`},
+		{"Jobs.0", `{"MapTime":{"Mean":1,"MEAN":2}}`, `Jobs.0: keys "MEAN" and "Mean" in MapTime differ only in case`},
+		{"Testbed", `[{"Kind":"grep","kind":"wordcount"}]`, `Testbed: keys "Kind" and "kind" in 0 differ only in case`},
+	} {
+		for i := 0; i < 200; i++ {
+			s := Paper()
+			err := s.Set(tc.path, tc.value)
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("call %d: Set(%s, %s) = %v, want %q", i, tc.path, tc.value, err, tc.want)
+			}
+		}
+	}
+}
+
 // TestWorldsRoundTrip: the two declared worlds survive their own JSON,
 // Go-only fields included.
 func TestWorldsRoundTrip(t *testing.T) {
@@ -177,6 +196,7 @@ func FuzzScenarioSet(f *testing.F) {
 		{"Testbed.0.kind", "grep"},
 		{"Nodes", "many"},
 		{"RackBps", "+Inf"},
+		{"Hedge", `{"Extra":1,"extra":2}`},
 	} {
 		f.Add(kv[0], kv[1])
 	}

@@ -354,6 +354,17 @@ func ParseKind(s string) (Kind, error) {
 func (k Kind) MarshalText() ([]byte, error)        { return []byte(k.String()), nil }
 func (k *Kind) UnmarshalText(b []byte) (err error) { *k, err = ParseKind(string(b)); return err }
 
+// PatienceRounds bounds how long a scheduler Kind.New builds holds back
+// every task while the cluster is idle, counted in scheduling
+// opportunities: delay scheduling forgoes at most PatienceRounds per rack
+// before it accepts a non-local task. Every other kind launches within
+// one heartbeat of every node when a task is pending and every slot is
+// free: pacing that holds degraded tasks back leaves normal ones to fill
+// the slots, and EDF's rack rule, though it reads the clock, always admits
+// the live rack whose last degraded launch is oldest. The runtime's stall
+// check relies on this bound.
+const PatienceRounds = 3
+
 // New constructs a fresh scheduler instance for a run on a cluster with
 // the given number of racks.
 func (k Kind) New(numRacks int) (Scheduler, error) {
@@ -369,7 +380,7 @@ func (k Kind) New(numRacks int) (Scheduler, error) {
 	case KindDelayLF:
 		// D tuned to a few heartbeat rounds, as in the delay-scheduling
 		// paper's small-delay recommendation.
-		return NewDelayScheduling(3 * numRacks), nil
+		return NewDelayScheduling(PatienceRounds * numRacks), nil
 	default:
 		return nil, fmt.Errorf("sched: unknown scheduler kind %d", int(k))
 	}

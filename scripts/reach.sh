@@ -54,7 +54,7 @@ covtest() {
 }
 covtest . TestFacadeLRCAndTimeline
 covtest ./cmd/dfsim TestRunEachScheduler
-covtest ./internal/scenario TestSchedulerAndFailureParsing TestSetMerges TestFlags TestBuildTestbed
+covtest ./internal/scenario TestSchedulerAndFailureParsing TestSetMerges TestFlags TestBuildTestbed TestSetRejectsKeysDifferingInCase
 covtest ./internal/cluster 'TestLoopback.*' TestProcessClusterSurvivesWorkerKill TestPeerErrorMessages \
 	TestFitPrefix TestLateResponseAfterTimeoutIsDropped TestPlanInputPlansWholeFanIn TestRunReduceNamesDeadHostsTogether \
 	TestReconstructShortOfSources TestStartupErrors TestWorkerHandshakeErrors TestRegisterRejects TestMasterRunErrors \
@@ -75,7 +75,7 @@ covtest ./internal/netsim TestModeString TestUnlimitedPathsFinishAtOnce TestStar
 	TestReplayStopsWhereSaturationMoves TestReplayStopsWhereRecordedSaturationGoes TestReplayStopsWhereNewFlowsSaturate \
 	TestReplaySkipsEmptiedLinks
 covtest ./internal/placement TestReassign TestPlaceMatchesScanOracle TestNodeBlocksBeyondHolders
-covtest ./internal/runtime TestRepairCommitToDeadNodeRequeues TestSecondFailureMidRepair TestUnrepairableReportedOnceNeverLaunched \
+covtest ./internal/runtime TestWaitingSchedulersAreNotStalls TestRepairCommitToDeadNodeRequeues TestSecondFailureMidRepair TestUnrepairableReportedOnceNeverLaunched \
 	TestAsyncReduceFailureReowesLateFetch TestBuilderRejectsMalformedTraces TestFeaturesTable TestHealerPlanInput \
 	TestRepairedBlockRestoresLateJobTask TestShuffleCancelTouchesOnlyDeadNodes TestRemoteSourceDeathRequeuesTask \
 	TestFailureMissingRepairLeavesItRunning TestStripeTurnsUnrepairableWhileQueued TestRepairRefPastTaskCount \
